@@ -239,6 +239,10 @@ func main() {
 		m.MaxILFTuples(), m.TotalInputTuples()/int64(*j))
 	fmt.Printf("storage    %d bytes total, %d migrated tuples (migrations=%d)\n",
 		m.TotalStorageBytes(), m.TotalMigrated(), m.Migrations.Load())
+	if perTuple, dir := m.ResidentBytesPerTuple(); perTuple > 0 {
+		fmt.Printf("resident   %.1f bytes per stored tuple (%.1f arena blocks + %.1f index directory)\n",
+			perTuple, perTuple-dir, dir)
+	}
 	if backend != nil {
 		fmt.Printf("durability %d checkpoints committed to %s (%d failed boundaries)\n",
 			m.Checkpoints.Load(), *checkpointDir, m.CheckpointFailures.Load())

@@ -63,7 +63,7 @@ func uMix(seed, seq uint64) uint64 {
 	return z ^ z>>31
 }
 
-// ReplayLog is the ftopt-style upstream backup on the ingest edge: one
+// ReplayLog is the upstream backup on the ingest edge (§4.3.3): one
 // append-only ring per reshuffler source ring, holding every accepted
 // input item until a checkpoint covering it commits durably. Appends
 // happen under the same per-ring mutex as the ring send, so log order

@@ -892,12 +892,20 @@ func (w *joiner) maybeFinalize() {
 func (w *joiner) updateStored() {
 	tuples := int64(w.state.TotalLen())
 	bytes := w.state.Bytes()
+	arena, dir := w.state.Footprint()
 	if w.mig != nil {
-		tuples += int64(w.mig.mu.TotalLen() + w.mig.dp.TotalLen())
-		bytes += w.mig.mu.Bytes() + w.mig.dp.Bytes()
+		for _, st := range [2]*storage.Store{w.mig.mu, w.mig.dp} {
+			tuples += int64(st.TotalLen())
+			bytes += st.Bytes()
+			a, d := st.Footprint()
+			arena += a
+			dir += d
+		}
 	}
 	w.met.StoredTuples.Store(tuples)
 	w.met.StoredBytes.Store(bytes)
+	w.met.ArenaBytes.Store(arena)
+	w.met.DirectoryBytes.Store(dir)
 	w.met.SpilledTuples.Store(w.state.Metrics.SpilledTuples.Load())
 }
 

@@ -1,6 +1,10 @@
 package join
 
-import "repro/internal/matrix"
+import (
+	"unsafe"
+
+	"repro/internal/matrix"
+)
 
 // The columnar tuple arena: the storage plane every index stores its
 // tuples in. Tuples are decomposed into parallel fixed-size column
@@ -10,10 +14,10 @@ import "repro/internal/matrix"
 //
 //   - inserts append only the hot scalar columns (40 bytes across five
 //     dense arrays, no payload slice header unless a payload exists),
-//   - the blocks are pointer-free unless a payload-carrying tuple
-//     forces the payload column into existence, so the garbage
-//     collector skips stored state instead of scanning a slice header
-//     per tuple, and
+//   - a block's two pointers (payload column, chain column) lead the
+//     struct and the 20 KB of columns behind them are pointer-free, so
+//     the garbage collector skips stored state instead of scanning a
+//     slice header per tuple, and
 //   - batch probes can gather match offsets from the directory first
 //     and materialize result pairs in a tight second loop, rather than
 //     interleaving hash walks with full-tuple copies.
@@ -24,6 +28,21 @@ import "repro/internal/matrix"
 // block may sit anywhere in the chunk list while partially filled.
 // That is what lets adopt() splice another arena's blocks in wholesale
 // at migration finalization, whatever fill level either arena ends at.
+//
+// What one stored tuple costs in a block (see index.go for the hash
+// directory's share, and README "Byte budget" for the whole table):
+//
+//	key, aux, u, seq   4 x 8 B   the tuple itself
+//	meta               8 B       Rel (1 bit), Dummy (1 bit), Size (32 bits)
+//	next               4 B       hash indexes only: the per-key chain
+//	payload            0 B       24 B + the bytes once any tuple of the
+//	                             block carries one
+//
+// The five data columns are the 40 B/tuple every snapshot, delta,
+// migration block frame and spill record carries; they are written
+// once, at append. The chain column is derived state like the
+// directory: never serialized, rebuilt from the key column whenever
+// blocks are adopted.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -33,24 +52,51 @@ const (
 
 // maxReserve caps how many tuples a single Reserve hint may
 // preallocate for, bounding what a wild cardinality estimate can
-// balloon a joiner by: at the cap, ~21 MB of arena blocks plus, for a
-// mostly-distinct key set, a 2^20-slot directory (~34 MB) per side.
-// Beyond the cap the index simply resumes incremental growth.
+// balloon a joiner by: at the cap, 1024 blocks (~24 MB with their chain
+// columns) plus, for a mostly-distinct key set, a 2^20-slot directory
+// (8 MB) per side. Beyond the cap the index simply resumes incremental
+// growth.
 const maxReserve = 1 << 19
 
 // colChunk is one block of the arena: arenaChunk tuples decomposed
 // into parallel columns. n is the fill level; slots at positions
 // >= n are unwritten. The payload column is allocated lazily, on the
-// first payload-carrying tuple appended to the block — payload-free
-// workloads keep the block a single pointer-free allocation.
+// first payload-carrying tuple appended to the block. The chain column
+// belongs to HashIndex (ordered and scan indexes never allocate it):
+// next[pos] links the tuple at pos to the previously stored tuple of
+// the same key, as offset+1 with 0 ending the chain. It is its own
+// allocation because block plus chain would round up a size class
+// (22.5 KB -> 24 KB) and waste what the chain saves.
 type colChunk struct {
+	payload [][]byte
+	next    *[arenaChunk]uint32
+	n       int
 	key     [arenaChunk]int64
 	aux     [arenaChunk]int64
 	u       [arenaChunk]uint64
 	seq     [arenaChunk]uint64
 	meta    [arenaChunk]uint64
-	payload [][]byte
-	n       int
+}
+
+// Resident sizes behind Index.Footprint: what the allocator hands out
+// for one block (the 20.0 KB struct lands in the runtime's 21760-byte
+// size class) and one chain column (2048 bytes, a size class exactly).
+// TestHashIndexFootprintBudget holds both against the measured heap.
+const (
+	chunkBytes = 21760
+	chainBytes = 4 * arenaChunk
+)
+
+// A block that outgrows its size class must fail the build, not skew
+// the footprint gauges.
+var _ [chunkBytes - unsafe.Sizeof(colChunk{})]byte
+
+// links returns the block's chain column, allocating it on first use.
+func (c *colChunk) links() *[arenaChunk]uint32 {
+	if c.next == nil {
+		c.next = new([arenaChunk]uint32)
+	}
+	return c.next
 }
 
 // atInto materializes the tuple stored at pos directly into *dst,
@@ -162,12 +208,10 @@ func (a *tupleArena) at(off int32) Tuple {
 	return a.chunks[off>>arenaShift].at(off & (arenaChunk - 1))
 }
 
-// metaAt reads only the packed meta word at offset off. The batch
-// probe's gather loop uses it to touch each hit's arena block while the
-// directory walk is still in flight, and feeds the captured word to
-// atIntoMeta so materialization re-reads one column fewer.
-func (a *tupleArena) metaAt(off int32) uint64 {
-	return a.chunks[off>>arenaShift].meta[off&(arenaChunk-1)]
+// keyAt reads only the key at offset off: the confirm step of a
+// directory tag hit.
+func (a *tupleArena) keyAt(off int32) int64 {
+	return a.chunks[off>>arenaShift].key[off&(arenaChunk-1)]
 }
 
 // atInto materializes the tuple at offset off directly into *dst,
@@ -179,7 +223,9 @@ func (a *tupleArena) atInto(off int32, dst *Tuple) {
 }
 
 // atIntoMeta materializes the tuple at offset off using a meta word the
-// caller already read via metaAt.
+// caller already read (the batch probe captures it while walking the
+// chain, an early touch of the block that overlaps with the rest of the
+// gather pass).
 func (a *tupleArena) atIntoMeta(off int32, m uint64, dst *Tuple) {
 	a.chunks[off>>arenaShift].atIntoMeta(off&(arenaChunk-1), m, dst)
 }

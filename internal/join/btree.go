@@ -1,6 +1,10 @@
 package join
 
-import "repro/internal/matrix"
+import (
+	"unsafe"
+
+	"repro/internal/matrix"
+)
 
 // OrderedIndex is a B-tree keyed on Tuple.Key supporting range probes,
 // used for band joins (the paper's joiners use "balanced binary trees
@@ -8,8 +12,8 @@ import "repro/internal/matrix"
 // cache friendliness; the interface contract is identical.
 //
 // Tuples live in the shared columnar arena; tree nodes hold only
-// 12-byte (key, arena offset) items, so node splits and insertion
-// shifts move a sixth of the bytes the old tuple-bearing nodes did,
+// 16-byte (key, arena offset) items, so node splits and insertion
+// shifts move a fifth of the bytes the old tuple-bearing nodes did,
 // and range scans materialize full tuples only for keys inside the
 // probed band.
 type OrderedIndex struct {
@@ -46,6 +50,13 @@ func (o *OrderedIndex) Len() int { return o.arena.n }
 
 // Bytes returns the accounted stored volume.
 func (o *OrderedIndex) Bytes() int64 { return o.bytes }
+
+// Footprint reports the arena blocks and the tree's items, one 16-byte
+// (key, offset) item per stored tuple; node slack and child pointers
+// are not tracked.
+func (o *OrderedIndex) Footprint() (arenaBytes, directoryBytes int64) {
+	return int64(len(o.arena.chunks)) * chunkBytes, int64(o.arena.n) * int64(unsafe.Sizeof(ordItem{}))
+}
 
 // Insert stores t, keeping keys ordered.
 func (o *OrderedIndex) Insert(t Tuple) {

@@ -1,0 +1,95 @@
+package join
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/matrix"
+)
+
+// TestHashIndexFootprintBudget is the gate on resident bytes per stored
+// tuple: the number the paper's per-machine storage objective prices
+// and the spill cliff of §5 depends on. It builds one HashIndex the way
+// a joiner does (batched inserts, no Reserve) and holds the measured
+// heap against a budget per tuple, so a slot that regrows a field, a
+// chain that moves back onto the heap, or a per-key object fails here
+// instead of in a benchmark run:
+//
+//   - live heap (HeapAlloc delta after two collections): 64 B with
+//     distinct keys — 40 B columns + 4 B chain + 2.5 B size-class
+//     rounding + 16.8 B directory at load 0.48 — and 52 B with four
+//     tuples per key, where the directory's share divides by four;
+//   - allocated in total (TotalAlloc delta): 110 B, which every
+//     directory generation discarded by doubling counts against;
+//   - objects (Mallocs delta): two per block, one per directory
+//     generation, the chunk list's regrowths — nothing per key.
+//
+// It also holds Footprint(), the O(1) figure the joiner gauges export,
+// to within 2 % of the measured live heap.
+func TestHashIndexFootprintBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	for _, tc := range []struct {
+		name          string
+		n, dups       int
+		live, alloced float64 // budgets, bytes per tuple
+	}{
+		{"125k-distinct", 125_000, 1, 64, 110},
+		{"1M-distinct", 1_000_000, 1, 64, 110},
+		{"125k-4dup", 125_000, 4, 52, 110},
+		{"1M-4dup", 1_000_000, 4, 52, 110},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch := make([]Tuple, 32)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+
+			h := NewHashIndex()
+			for i := 0; i < tc.n; i += len(batch) {
+				run := batch[:min(len(batch), tc.n-i)]
+				for j := range run {
+					// Odd multiplier: a bijection on the key space, so
+					// exactly n/dups distinct keys in scattered order.
+					key := int64(uint64((i+j)/tc.dups) * 0x9e3779b97f4a7c15)
+					run[j] = Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: uint64(i + j + 1)}
+				}
+				h.InsertBatch(run)
+			}
+
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			n := float64(tc.n)
+			live := float64(after.HeapAlloc-before.HeapAlloc) / n
+			alloced := float64(after.TotalAlloc-before.TotalAlloc) / n
+			mallocs := after.Mallocs - before.Mallocs
+			arena, dir := h.Footprint()
+			t.Logf("%.1f B/tuple live (Footprint: %.1f arena + %.1f directory), %.1f B/tuple allocated, %d mallocs, %d keys",
+				live, float64(arena)/n, float64(dir)/n, alloced, mallocs, h.used)
+
+			if h.Len() != tc.n || h.used != (tc.n+tc.dups-1)/tc.dups {
+				t.Fatalf("built %d tuples under %d keys, want %d under %d", h.Len(), h.used, tc.n, (tc.n+tc.dups-1)/tc.dups)
+			}
+			if live > tc.live {
+				t.Errorf("live heap %.1f B/tuple, budget %.0f", live, tc.live)
+			}
+			if alloced > tc.alloced {
+				t.Errorf("allocated %.1f B/tuple, budget %.0f", alloced, tc.alloced)
+			}
+			// Two objects per block, then a logarithmic tail: directory
+			// generations (16 slots doubling to the final size), chunk
+			// list regrowths, the index itself and test scaffolding.
+			blocks := uint64(len(h.arena.chunks))
+			if limit := 2*blocks + 64; mallocs > limit {
+				t.Errorf("%d mallocs for %d blocks, limit %d: something allocates per key", mallocs, blocks, limit)
+			}
+			if fp := float64(arena+dir) / n; fp < live*0.98 || fp > live*1.02 {
+				t.Errorf("Footprint reports %.1f B/tuple, measured live heap %.1f", fp, live)
+			}
+			runtime.KeepAlive(h)
+		})
+	}
+}

@@ -1,6 +1,10 @@
 package join
 
-import "repro/internal/matrix"
+import (
+	"math/bits"
+
+	"repro/internal/matrix"
+)
 
 // Index stores tuples of one relation and enumerates the stored tuples
 // that structurally match a probe tuple from the opposite relation.
@@ -34,6 +38,13 @@ type Index interface {
 	Len() int
 	// Bytes returns the accounted storage volume of stored tuples.
 	Bytes() int64
+	// Footprint returns, in O(1), the resident bytes the index holds:
+	// its arena blocks (reserved capacity included, as the allocator
+	// rounds them) and the directory structure on top (hash slots, tree
+	// items; zero for a scan index). Out-of-line payload bytes are the
+	// caller's and are not counted. (arena + directory) / Len is the
+	// resident cost of one stored tuple.
+	Footprint() (arenaBytes, directoryBytes int64)
 	// Scan calls fn for every stored tuple, in unspecified order,
 	// until fn returns false. Used by migration to enumerate state.
 	Scan(fn func(Tuple) bool)
@@ -71,22 +82,22 @@ func NewIndex(p Predicate) Index {
 	}
 }
 
-// inlineOffsets is the number of arena offsets stored directly in a
-// hash slot. Three offsets keep the slot at 32 bytes (two per cache
-// line), so a probe of a key with up to three duplicates touches only
-// the slot it lands on — no pointer chase at all.
-const inlineOffsets = 3
-
-// hslot is one open-addressing slot: the key, the per-key tuple count,
-// the first inlineOffsets arena offsets inline, and the id of a spill
-// list holding the overflow. n == 0 marks an empty slot (a stored key
-// always has at least one offset).
-type hslot struct {
-	key    int64
-	n      uint32
-	spill  int32 // index into HashIndex.spill; -1 when inline only
-	inline [inlineOffsets]int32
+// dslot is one open-addressing directory slot: eight bytes, no
+// pointers, no key. tag is the high 32 bits of the key's hash — its top
+// bits are the slot's home index, so a rehash re-places a slot from the
+// slot alone — and head links to the key's newest stored tuple (arena
+// offset + 1; 0 marks an empty slot, so a freshly allocated directory
+// is empty without being written, and its untouched pages stay out of
+// the resident set). The key itself lives only in the arena: a tag hit
+// is confirmed against the key column, which a probe hit is about to
+// read anyway, and a miss never leaves the slot's cache line.
+type dslot struct {
+	tag  uint32
+	head uint32
 }
+
+// slotBytes is the resident size of one directory slot.
+const slotBytes = 8
 
 // probeHit is one gathered batch-probe candidate: which probe tuple of
 // the run hit, the arena offset of the stored tuple it hit, and the
@@ -111,11 +122,31 @@ const maxHitsCap = 1 << 15
 
 // HashIndex is a multimap from join key to tuples, the storage half of
 // a symmetric hash join [42]. Tuples live in the columnar arena; the
-// key directory is an open-addressed (linear probing) table of 32-byte
-// slots with small inline bucket storage, overflowing into a shared
-// spill arena. The common probe — a key with at most three duplicates
-// — reads one slot and the arena, with no map iteration machinery and
-// no per-bucket pointer chase.
+// key directory is an open-addressed (linear probing) table of 8-byte
+// tagged slots, one per distinct key, and the tuples of one key form a
+// newest-first chain threaded through the arena blocks' next column.
+// Nothing in the directory or the chains is a Go pointer: the collector
+// traces one object per 512-tuple block and one per directory, never
+// one per key, and a duplicate is stored by writing two words (its next
+// link and the slot's head) with no list to regrow.
+//
+// Resident bytes per stored tuple, mostly-distinct keys (the sparse
+// equi-join: 125 k keys per side per joiner, directory load 0.48):
+//
+//	                    before (32-byte slots)   now
+//	arena columns        40.0                     40.0
+//	chain column          —                        4.0
+//	block rounding        2.5                      2.5   (20.0 KB in a 21.25 KB size class)
+//	directory            67.1                     16.8   (slot bytes / load)
+//	total               109.6                     63.3
+//
+// With d duplicates per key the directory share divides by d (4.2 B at
+// d = 4, against 16.8 B before). What remains after this layout: the
+// 8-byte meta word (34 bits used), the U column (only migration
+// discards read it), Reserve overshoot when the controller's forecast
+// runs ahead of the stream, the old directory while a rehash drains
+// (+50 % of the directory, briefly), and whatever headroom GOGC leaves
+// on top of the live heap.
 //
 // Directory growth is incremental: instead of re-placing every
 // occupied slot at the moment the load threshold trips (a
@@ -124,26 +155,24 @@ const maxHitsCap = 1 << 15
 // run of old slots on every subsequent insert until the old directory
 // drains. A key therefore lives in exactly one of the two directories:
 // lookups check the new one first and fall back to the old; inserts of
-// a key still resident in the old directory append to it in place (the
-// whole slot migrates later), while new keys always enter the new
-// directory. Reserve short-circuits the whole dance by presizing the
-// directory to an expected cardinality up front.
+// a key still resident in the old directory prepend to its chain in
+// place (the slot migrates later, head and all), while new keys always
+// enter the new directory. Reserve short-circuits the whole dance by
+// presizing the directory to an expected cardinality up front.
 type HashIndex struct {
-	slots []hslot
-	mask  uint64
-	used  int // occupied slots (distinct keys), across both directories
+	slots []dslot
+	mask  uint32 // len(slots) - 1
+	shift uint8  // home slot of a tag = tag >> shift
+	used  int    // occupied slots (distinct keys), across both directories
 	// old is the draining directory of an in-flight incremental rehash
 	// (nil otherwise); slots [0, migPos) have been re-placed into the
 	// new directory, the rest still serve lookups.
-	old     []hslot
-	oldMask uint64
-	migPos  int
-	// spill holds per-key overflow offset lists, indexed by hslot.spill.
-	// Only keys with more than inlineOffsets duplicates allocate one.
-	spill [][]int32
-	arena tupleArena
-	bytes int64
-	hits  []probeHit // batch-probe gather scratch
+	old      []dslot
+	oldShift uint8
+	migPos   int
+	arena    tupleArena
+	bytes    int64
+	hits     []probeHit // batch-probe gather scratch
 }
 
 // NewHashIndex returns an empty hash index.
@@ -161,6 +190,15 @@ func hashKey(k int64) uint64 {
 	return x
 }
 
+// tagMask is all ones outside tests. The differential property test
+// narrows it so that many distinct keys share a tag (and with it a home
+// slot), which real hashes do once in 2^32 pairs: the only way to drive
+// the key-confirm branch of every walk hard.
+var tagMask = ^uint32(0)
+
+// tagOf is the directory's view of a key: the high half of its hash.
+func tagOf(k int64) uint32 { return uint32(hashKey(k)>>32) & tagMask }
+
 // minSlots is the initial directory size.
 const minSlots = 16
 
@@ -170,8 +208,8 @@ const minSlots = 16
 // regardless, but while the drain lasts every lookup miss probes both
 // directories, so a larger step shortens that double-probe window; in
 // the other direction the step bounds the per-insert pause (64 slots
-// is a 2 KB scan). The new directory holds at least twice the old one,
-// so the next growth cannot trip before len(old)/0.25 further
+// is a 512-byte scan). The new directory holds at least twice the old
+// one, so the next growth cannot trip before len(old)/0.25 further
 // distinct-key inserts — draining at rehashStep slots per insert
 // finishes two orders of magnitude earlier, and growTo's forced drain
 // is only a safety valve.
@@ -189,39 +227,38 @@ func (h *HashIndex) growTo(newCap int) {
 	if h.old != nil {
 		h.migrate(len(h.old))
 	}
-	if h.used == 0 {
-		h.slots = make([]hslot, newCap)
-		h.mask = uint64(newCap - 1)
-		return
+	if h.used != 0 {
+		h.old, h.oldShift, h.migPos = h.slots, h.shift, 0
 	}
-	h.old, h.oldMask, h.migPos = h.slots, h.mask, 0
-	h.slots = make([]hslot, newCap)
-	h.mask = uint64(newCap - 1)
+	h.slots = make([]dslot, newCap)
+	h.mask = uint32(newCap - 1)
+	h.shift = uint8(32 - bits.TrailingZeros(uint(newCap)))
 }
 
 // migrate re-places up to k slots of the draining old directory into
-// the new one, retiring the old directory once fully scanned. Only
-// 32-byte slots move; spill lists are carried by id and tuples never
-// relocate.
+// the new one, retiring the old directory once fully scanned. Only the
+// 8-byte slots move, each to the home its own tag names: chains travel
+// with their head link, tuples never relocate, and the arena is not
+// read.
 func (h *HashIndex) migrate(k int) {
 	end := h.migPos + k
 	if end > len(h.old) {
 		end = len(h.old)
 	}
-	for i := h.migPos; i < end; i++ {
-		if h.old[i].n != 0 {
+	for _, s := range h.old[h.migPos:end] {
+		if s.head != 0 {
 			// The key cannot already be in the new directory (a key
 			// lives in exactly one), so this is a pure placement walk.
-			j := hashKey(h.old[i].key) & h.mask
-			for h.slots[j].n != 0 {
+			j := s.tag >> (h.shift & 31)
+			for h.slots[j].head != 0 {
 				j = (j + 1) & h.mask
 			}
-			h.slots[j] = h.old[i]
+			h.slots[j] = s
 		}
 	}
 	h.migPos = end
 	if h.migPos >= len(h.old) {
-		h.old, h.oldMask, h.migPos = nil, 0, 0
+		h.old, h.oldShift, h.migPos = nil, 0, 0
 	}
 }
 
@@ -230,64 +267,83 @@ func (h *HashIndex) migrate(k int) {
 // behavior at exactly this state).
 func (h *HashIndex) rehashing() bool { return h.old != nil }
 
-// appendOffset adds one more arena offset to an occupied slot,
-// spilling past the inline capacity into the shared overflow arena.
-func (h *HashIndex) appendOffset(s *hslot, off int32) {
-	switch {
-	case s.n < inlineOffsets:
-		s.inline[s.n] = off
-	case s.spill < 0:
-		s.spill = int32(len(h.spill))
-		h.spill = append(h.spill, []int32{off})
-	default:
-		h.spill[s.spill] = append(h.spill[s.spill], off)
-	}
-	s.n++
+// holds reports whether the chain s heads is key's: the tag filters
+// (one compare on the slot's own cache line), the arena's key column
+// decides. Every tuple of a chain shares the key, so the head speaks
+// for all of them.
+func (h *HashIndex) holds(s dslot, tag uint32, key int64) bool {
+	return s.tag == tag && h.arena.keyAt(int32(s.head-1)) == key
 }
 
 // oldFind returns the slot holding key in the draining directory, or
 // nil. The old directory is frozen (no new keys), so its probe chains
 // stay intact throughout the drain.
-func (h *HashIndex) oldFind(hash uint64, key int64) *hslot {
-	i := hash & h.oldMask
+func (h *HashIndex) oldFind(tag uint32, key int64) *dslot {
+	mask := uint32(len(h.old) - 1)
+	i := tag >> (h.oldShift & 31)
 	for {
 		s := &h.old[i]
-		if s.n == 0 {
+		if s.head == 0 {
 			return nil
 		}
-		if s.key == key {
+		if h.holds(*s, tag, key) {
 			return s
 		}
-		i = (i + 1) & h.oldMask
+		i = (i + 1) & mask
 	}
 }
 
-// findSlot returns the slot holding key — new directory first, then
-// the draining old one — or nil.
-func (h *HashIndex) findSlot(hash uint64, key int64) *hslot {
-	if h.used == 0 {
-		return nil
-	}
-	i := hash & h.mask
+// walkFrom continues a linear-probe walk of the new directory from slot
+// i, falling back to the draining old directory on an empty slot, and
+// returns the head link of key's chain (0 when the key is absent).
+func (h *HashIndex) walkFrom(i, tag uint32, key int64) uint32 {
 	for {
-		s := &h.slots[i]
-		if s.n == 0 {
+		s := h.slots[i]
+		if s.head == 0 {
 			break
 		}
-		if s.key == key {
-			return s
+		if h.holds(s, tag, key) {
+			return s.head
 		}
 		i = (i + 1) & h.mask
 	}
+	return h.oldHead(tag, key)
+}
+
+// oldHead is the fallback of a lookup that ended on an empty slot of
+// the new directory: the head link of key's chain if the key is still
+// resident in the draining directory, else 0.
+func (h *HashIndex) oldHead(tag uint32, key int64) uint32 {
 	if h.old != nil {
-		return h.oldFind(hash, key)
+		if s := h.oldFind(tag, key); s != nil {
+			return s.head
+		}
 	}
-	return nil
+	return 0
+}
+
+// lookup returns the head link of key's chain — new directory first,
+// then the draining old one — or 0.
+func (h *HashIndex) lookup(tag uint32, key int64) uint32 {
+	if h.used == 0 {
+		return 0
+	}
+	return h.walkFrom(tag>>(h.shift&31), tag, key)
+}
+
+// chain prepends the tuple at off to the chain *s heads: its next link
+// takes the old head (0 for a new key) and the slot points at it. The
+// block's chain column is allocated on first use, which is how blocks
+// adopted from a snapshot, a migration frame, or another index kind
+// come to have one.
+func (h *HashIndex) chain(s *dslot, off int32) {
+	h.arena.chunks[off>>arenaShift].links()[off&(arenaChunk-1)] = s.head
+	s.head = uint32(off) + 1
 }
 
 // insertOffset records key -> off in the slot directory, reusing the
-// caller's hash (probe-then-insert steps hash each key exactly once).
-func (h *HashIndex) insertOffset(hash uint64, key int64, off int32) {
+// caller's tag (probe-then-insert steps hash each key exactly once).
+func (h *HashIndex) insertOffset(tag uint32, key int64, off int32) {
 	// Grow on distinct-key load: 3/4 of the directory. used counts keys
 	// across both directories — exactly the population the new
 	// directory must hold once the drain completes.
@@ -297,28 +353,26 @@ func (h *HashIndex) insertOffset(hash uint64, key int64, off int32) {
 	if h.old != nil {
 		h.migrate(rehashStep)
 	}
-	i := hash & h.mask
+	i := tag >> (h.shift & 31)
 	for {
 		s := &h.slots[i]
-		if s.n == 0 {
+		if s.head == 0 {
 			if h.old != nil {
 				// Not in the new directory; the key may still be
-				// resident in the draining one — append there in place,
-				// the whole slot migrates later.
-				if os := h.oldFind(hash, key); os != nil {
-					h.appendOffset(os, off)
+				// resident in the draining one — prepend there in place,
+				// the slot migrates later.
+				if os := h.oldFind(tag, key); os != nil {
+					h.chain(os, off)
 					return
 				}
 			}
-			s.key = key
-			s.n = 1
-			s.spill = -1
-			s.inline[0] = off
+			s.tag = tag
+			h.chain(s, off)
 			h.used++
 			return
 		}
-		if s.key == key {
-			h.appendOffset(s, off)
+		if h.holds(*s, tag, key) {
+			h.chain(s, off)
 			return
 		}
 		i = (i + 1) & h.mask
@@ -328,7 +382,7 @@ func (h *HashIndex) insertOffset(hash uint64, key int64, off int32) {
 // Insert stores t under its key.
 func (h *HashIndex) Insert(t Tuple) {
 	off := h.arena.append(&t)
-	h.insertOffset(hashKey(t.Key), t.Key, off)
+	h.insertOffset(tagOf(t.Key), t.Key, off)
 	h.bytes += t.Bytes()
 }
 
@@ -337,7 +391,7 @@ func (h *HashIndex) InsertBatch(ts []Tuple) {
 	var bytes int64
 	for i := range ts {
 		off := h.arena.append(&ts[i])
-		h.insertOffset(hashKey(ts[i].Key), ts[i].Key, off)
+		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, off)
 		bytes += ts[i].Bytes()
 	}
 	h.bytes += bytes
@@ -364,7 +418,7 @@ func (h *HashIndex) Reserve(n int) {
 		keys = int(int64(n) * int64(h.used) / int64(h.arena.n))
 	}
 	h.reserveSlots(keys)
-	h.arena.reserve(n)
+	h.reserveArena(n)
 }
 
 // reserveSlots presizes only the directory, for n distinct keys under
@@ -379,22 +433,27 @@ func (h *HashIndex) reserveSlots(n int) {
 	}
 }
 
-// gather appends a slot's arena offsets to hits, tagged with the probe
-// index that matched the slot and the stored tuple's meta word (see
-// probeHit for why the gather pass reads the arena early).
-func (h *HashIndex) gather(s *hslot, probe int32, hits []probeHit) []probeHit {
-	in := int(s.n)
-	if in > inlineOffsets {
-		in = inlineOffsets
+// reserveArena presizes only the arena, chain columns included, so
+// ingest up to n tuples allocates nothing.
+func (h *HashIndex) reserveArena(n int) {
+	h.arena.reserve(n)
+	for _, c := range h.arena.chunks[h.arena.tail:] {
+		c.links()
 	}
-	for k := 0; k < in; k++ {
-		off := s.inline[k]
-		hits = append(hits, probeHit{probe: probe, off: off, meta: h.arena.metaAt(off)})
-	}
-	if s.spill >= 0 {
-		for _, off := range h.spill[s.spill] {
-			hits = append(hits, probeHit{probe: probe, off: off, meta: h.arena.metaAt(off)})
-		}
+}
+
+// gather walks the chain starting at link head, appending each tuple's
+// arena offset to hits, tagged with the probe index that matched and
+// the stored tuple's meta word (see probeHit for why the gather pass
+// reads the arena early). The next link is loaded before the meta word
+// so the following hop's miss overlaps this one's.
+func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit {
+	for head != 0 {
+		off := int32(head - 1)
+		c := h.arena.chunks[off>>arenaShift]
+		pos := off & (arenaChunk - 1)
+		head = c.next[pos]
+		hits = append(hits, probeHit{probe: probe, off: off, meta: c.meta[pos]})
 	}
 	return hits
 }
@@ -407,8 +466,9 @@ func (h *HashIndex) gather(s *hslot, probe int32, hits []probeHit) []probeHit {
 // each candidate is materialized straight into the output Pair slot
 // (truncated again if the predicate rejects it) instead of passing
 // 72-byte tuples through an intermediate copy chain. A plain equi
-// predicate short-circuits entirely: the directory already guarantees
-// key equality, leaving only the dummy flags to check.
+// predicate short-circuits entirely: the directory's key confirm
+// already guarantees key equality, leaving only the dummy flags to
+// check.
 func (h *HashIndex) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
 	plainEqui := p.Kind == Equi && p.Residual == nil
 	buf := *out
@@ -463,24 +523,18 @@ func (h *HashIndex) putHits(hits []probeHit) {
 	h.hits = hits[:0]
 }
 
-// Probe enumerates stored tuples with key equal to the probe's key, in
-// per-key insertion order.
+// Probe enumerates stored tuples with key equal to the probe's key,
+// newest first: the chain is prepended to. Order within a key is not
+// part of any contract — the join's output is a pair multiset — and
+// blocks adopted by MergeFrom are linked in block order whatever their
+// tuples' original arrival order was.
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
-	s := h.findSlot(hashKey(probe.Key), probe.Key)
-	if s == nil {
-		return
-	}
-	in := int(s.n)
-	if in > inlineOffsets {
-		in = inlineOffsets
-	}
-	for k := 0; k < in; k++ {
-		fn(h.arena.at(s.inline[k]))
-	}
-	if s.spill >= 0 {
-		for _, off := range h.spill[s.spill] {
-			fn(h.arena.at(off))
-		}
+	for head := h.lookup(tagOf(probe.Key), probe.Key); head != 0; {
+		off := int32(head - 1)
+		c := h.arena.chunks[off>>arenaShift]
+		pos := off & (arenaChunk - 1)
+		head = c.next[pos]
+		fn(c.at(pos))
 	}
 }
 
@@ -490,84 +544,59 @@ func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 // of each probe's load stalling the next probe's hash.
 const probeStride = 8
 
-// walkFrom resolves a probe whose first directory slot neither decided
-// a hit nor ended the chain: continue the linear-probe walk from slot
-// i, falling back to the draining old directory on an empty slot. The
-// vectorized gather loop inlines the first-slot comparison (the common
-// case for a well-loaded directory) and calls here only for collided
-// chains.
-func (h *HashIndex) walkFrom(i, hash uint64, key int64) *hslot {
-	for {
-		s := &h.slots[i]
-		if s.n == 0 {
-			break
-		}
-		if s.key == key {
-			return s
-		}
-		i = (i + 1) & h.mask
-	}
-	if h.old != nil {
-		return h.oldFind(hash, key)
-	}
-	return nil
-}
-
 // ProbeBatchCollect probes every tuple of ps in order, appending
 // oriented predicate-passing pairs to *out. The run is processed in
-// two phases: a gather loop that walks only the slot directory,
-// collecting (probe, arena offset) hits, then a materialize loop that
-// reads the arena columns and builds pairs — so directory cache lines
-// and tuple columns each stream through once instead of alternating
-// per match.
+// two phases: a gather loop that walks the slot directory and the
+// per-key chains, collecting (probe, arena offset) hits, then a
+// materialize loop that reads the arena columns and builds pairs — so
+// directory cache lines and tuple columns each stream through once
+// instead of alternating per match.
 //
 // The gather loop is vectorized at probeStride: one pass hashes eight
-// keys back to back (pure ALU, no memory dependence), the next touches
-// the eight first slots — eight independent loads the core overlaps —
-// and only then does each probe resolve: empty slot means a miss (or
-// an old-directory fallback mid-rehash), a key match on the first slot
-// gathers immediately, and a collision walks the chain via walkFrom. A
-// scalar tail covers the last len(ps) mod probeStride probes.
+// keys back to back (pure ALU, no memory dependence), the next copies
+// out the eight home slots — eight independent 8-byte loads the core
+// overlaps — and only then does each probe resolve: an empty slot
+// means a miss (or an old-directory fallback mid-rehash), a confirmed
+// tag match on the home slot gathers immediately, and anything else
+// walks on via walkFrom. A scalar tail covers the last
+// len(ps) mod probeStride probes.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	if h.used == 0 {
 		return
 	}
 	hits := h.hits[:0]
 	var (
-		hv     [probeStride]uint64
-		first  [probeStride]*hslot
-		firstN [probeStride]uint32
+		tags  [probeStride]uint32
+		first [probeStride]dslot
 	)
+	shift := h.shift & 31
 	i := 0
 	for ; i+probeStride <= len(ps); i += probeStride {
 		for k := 0; k < probeStride; k++ {
-			hv[k] = hashKey(ps[i+k].Key)
+			tags[k] = tagOf(ps[i+k].Key)
 		}
 		for k := 0; k < probeStride; k++ {
-			s := &h.slots[hv[k]&h.mask]
-			first[k] = s
-			firstN[k] = s.n
+			first[k] = h.slots[tags[k]>>shift]
 		}
 		for k := 0; k < probeStride; k++ {
-			key := ps[i+k].Key
-			s := first[k]
+			key, tag, s := ps[i+k].Key, tags[k], first[k]
+			var head uint32
 			switch {
-			case firstN[k] == 0:
-				s = nil
-				if h.old != nil {
-					s = h.oldFind(hv[k], key)
-				}
-			case s.key != key:
-				s = h.walkFrom((hv[k]+1)&h.mask, hv[k], key)
+			case s.head == 0:
+				head = h.oldHead(tag, key)
+			case h.holds(s, tag, key):
+				head = s.head
+			default:
+				head = h.walkFrom((tag>>shift+1)&h.mask, tag, key)
 			}
-			if s != nil {
-				hits = h.gather(s, int32(i+k), hits)
+			if head != 0 {
+				hits = h.gather(head, int32(i+k), hits)
 			}
 		}
 	}
 	for ; i < len(ps); i++ {
-		if s := h.findSlot(hashKey(ps[i].Key), ps[i].Key); s != nil {
-			hits = h.gather(s, int32(i), hits)
+		if head := h.lookup(tagOf(ps[i].Key), ps[i].Key); head != 0 {
+			hits = h.gather(head, int32(i), hits)
 		}
 	}
 	h.materialize(ps, hits, rel, p, out)
@@ -579,6 +608,13 @@ func (h *HashIndex) Len() int { return h.arena.n }
 
 // Bytes returns the accounted stored volume.
 func (h *HashIndex) Bytes() int64 { return h.bytes }
+
+// Footprint reports every block with its chain column, and both
+// directories while a rehash drains.
+func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
+	return int64(len(h.arena.chunks)) * (chunkBytes + chainBytes),
+		int64(len(h.slots)+len(h.old)) * slotBytes
+}
 
 // Scan visits all stored tuples.
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
@@ -613,7 +649,7 @@ func (h *HashIndex) Retain(keep func(Tuple) bool) int {
 		keys = maxReserve
 	}
 	fresh.reserveSlots(keys)
-	fresh.arena.reserve(kept)
+	fresh.reserveArena(kept)
 	h.Scan(func(t Tuple) bool {
 		if keep(t) {
 			fresh.Insert(t)
@@ -629,14 +665,17 @@ func (h *HashIndex) Retain(keep func(Tuple) bool) int {
 
 // MergeFrom bulk-merges every tuple of o into h, consuming o (o must
 // not be used afterward). The source arena blocks are adopted
-// wholesale — no tuple is copied, only the 32-byte directory entries
-// are built, and only the key column of the adopted blocks is read —
-// which is what makes migration finalization a directory rebuild
-// instead of a full re-insert. The (chunk,pos) offset encoding is what
-// makes adoption unconditional: a partially filled block is
-// addressable anywhere in the chunk list, so neither arena needs to
-// end on a block boundary, and either index may even be mid-rehash (h
-// keeps draining incrementally; o's directories are simply dropped).
+// wholesale — no tuple is copied, only the derived state is built:
+// one pass over the adopted blocks' key columns places each key's
+// 8-byte slot and rewrites the blocks' chain columns in h's offset
+// space (a donor's own chains, if it had any, named its own chunk
+// indexes) — which is what makes migration finalization, snapshot
+// restore and block-frame adoption a directory rebuild instead of a
+// full re-insert. The (chunk,pos) offset encoding is what makes
+// adoption unconditional: a partially filled block is addressable
+// anywhere in the chunk list, so neither arena needs to end on a block
+// boundary, and either index may even be mid-rehash (h keeps draining
+// incrementally; o's directories are simply dropped).
 func (h *HashIndex) MergeFrom(o *HashIndex) {
 	if o.arena.n == 0 {
 		*o = HashIndex{}
@@ -652,7 +691,7 @@ func (h *HashIndex) MergeFrom(o *HashIndex) {
 	for ci, c := range adopted {
 		for pos := 0; pos < c.n; pos++ {
 			key := c.key[pos]
-			h.insertOffset(hashKey(key), key, int32((base+ci)<<arenaShift|pos))
+			h.insertOffset(tagOf(key), key, int32((base+ci)<<arenaShift|pos))
 		}
 	}
 	h.bytes += o.bytes
@@ -712,6 +751,11 @@ func (s *ScanIndex) Len() int { return s.arena.n }
 
 // Bytes returns the accounted stored volume.
 func (s *ScanIndex) Bytes() int64 { return s.bytes }
+
+// Footprint reports the arena blocks; a scan index has no directory.
+func (s *ScanIndex) Footprint() (arenaBytes, directoryBytes int64) {
+	return int64(len(s.arena.chunks)) * chunkBytes, 0
+}
 
 // Scan visits all stored tuples in insertion order.
 func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }

@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -42,8 +43,7 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 		h := NewHashIndex()
 		ref := NewScanIndex()
 		var seq uint64
-		// A small key domain forces deep duplicate buckets (inline
-		// storage overflowing into the spill arena); a larger one
+		// A small key domain forces long per-key chains; a larger one
 		// exercises directory growth. Alternate per trial.
 		domain := int64(12)
 		if trial%2 == 1 {
@@ -168,8 +168,18 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 // TestHashIndexMergeFrom exercises the chunk-adopting bulk merge with
 // the destination arena ending on and off block boundaries (including
 // the empty destination): the (chunk,pos) offset encoding must keep
-// every adopted tuple addressable in all cases.
+// every adopted tuple addressable in all cases. The donor comes in the
+// two shapes adoption meets: a built index, whose chain columns name
+// its own chunk indexes and must be rewritten, and a bare decoded arena
+// (snapshot restore, a migration block frame), which has no chain
+// columns at all until the merge allocates them.
 func TestHashIndexMergeFrom(t *testing.T) {
+	for _, bare := range []bool{false, true} {
+		testHashIndexMergeFrom(t, bare)
+	}
+}
+
+func testHashIndexMergeFrom(t *testing.T, bare bool) {
 	for _, dstN := range []int{0, arenaChunk, arenaChunk / 3, 2*arenaChunk + 17} {
 		h := NewHashIndex()
 		ref := NewScanIndex()
@@ -195,8 +205,19 @@ func TestHashIndexMergeFrom(t *testing.T) {
 		srcN := arenaChunk + 99
 		add(src, srcN, rng)
 		src.Scan(func(tp Tuple) bool { ref.Insert(tp); return true })
+		if bare {
+			rd := &snapReader{data: appendArena(nil, &src.arena)}
+			src = &HashIndex{arena: readArena(rd), bytes: src.bytes}
+			if rd.err != nil {
+				t.Fatal(rd.err)
+			}
+			if src.arena.chunks[0].next != nil {
+				t.Fatal("a decoded arena carries chain columns: they are derived state")
+			}
+		}
 
 		h.MergeFrom(src)
+		checkChains(t, "merged", h)
 		if h.Len() != dstN+srcN {
 			t.Fatalf("dstN=%d: merged Len %d, want %d", dstN, h.Len(), dstN+srcN)
 		}
@@ -228,13 +249,57 @@ func TestHashIndexMergeFrom(t *testing.T) {
 		if h.Len() != dstN+srcN+10 {
 			t.Fatalf("dstN=%d: post-merge inserts broke Len: %d", dstN, h.Len())
 		}
+		checkChains(t, "merged, then extended", h)
+	}
+}
+
+// checkChains verifies the derived state of a hash index structurally,
+// both directories included: every occupied slot's tag is its key's,
+// every chain holds one key only and descends strictly in arena offset
+// (newest first), no key owns two slots, the slot count is h.used, and
+// the chains together cover exactly the stored tuples.
+func checkChains(t *testing.T, label string, h *HashIndex) {
+	t.Helper()
+	owner := map[int64]bool{}
+	linked, slots := 0, 0
+	for _, dir := range [2][]dslot{h.slots, h.old[min(h.migPos, len(h.old)):]} {
+		for _, s := range dir {
+			if s.head == 0 {
+				continue
+			}
+			slots++
+			key := h.arena.keyAt(int32(s.head - 1))
+			if s.tag != tagOf(key) {
+				t.Fatalf("%s: slot of key %d carries tag %#x, want %#x", label, key, s.tag, tagOf(key))
+			}
+			if owner[key] {
+				t.Fatalf("%s: key %d owns two slots", label, key)
+			}
+			owner[key] = true
+			for l, prev := s.head, uint32(0); l != 0; {
+				off := int32(l - 1)
+				if prev != 0 && l >= prev {
+					t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, off)
+				}
+				if k := h.arena.keyAt(off); k != key {
+					t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
+				}
+				linked++
+				prev, l = l, h.arena.chunks[off>>arenaShift].next[off&(arenaChunk-1)]
+			}
+		}
+	}
+	if slots != h.used || linked != h.Len() {
+		t.Fatalf("%s: %d slots link %d tuples; index counts %d keys, %d tuples", label, slots, linked, h.used, h.Len())
 	}
 }
 
 // buildMidRehash grows a hash index (mirrored into a scan-index
 // reference) with distinct keys until an incremental rehash is
-// mid-drain, then layers a few duplicates on top so inline buckets and
-// in-place appends to the draining directory are both exercised.
+// mid-drain, then layers duplicates on top — scattered ones, and a
+// 40-long chain on one key — so prepends to slots still resident in the
+// draining directory, and their later migration head and all, are both
+// exercised.
 func buildMidRehash(t *testing.T, seed int64) (*HashIndex, *ScanIndex) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -265,11 +330,25 @@ func buildMidRehash(t *testing.T, seed int64) (*HashIndex, *ScanIndex) {
 	// Duplicates of keys resident in the draining directory append to
 	// it in place — the mid-rehash path the two-directory scheme must
 	// keep consistent.
+	distinct := int64(h.Len())
 	for i := 0; i < 50 && h.rehashing(); i++ {
-		ins(rng.Int63n(int64(h.Len())))
+		ins(rng.Int63n(distinct))
+	}
+	// The slots migrate in index order, so the key whose old-directory
+	// slot is last in line is still resident there for the whole layer.
+	last := len(h.old) - 1
+	for h.old[last].head == 0 {
+		last--
+	}
+	resident := h.arena.keyAt(int32(h.old[last].head - 1))
+	for i := 0; i < 40; i++ {
+		ins(resident)
 	}
 	if !h.rehashing() {
 		t.Fatal("duplicate layer drained the rehash; shrink it")
+	}
+	if got := h.old[last].head; h.arena.keyAt(int32(got-1)) != resident || h.lookup(tagOf(resident), resident) != got {
+		t.Fatal("duplicates of an old-resident key were not prepended in the draining directory")
 	}
 	return h, ref
 }
@@ -278,6 +357,7 @@ func buildMidRehash(t *testing.T, seed int64) (*HashIndex, *ScanIndex) {
 // reference via Scan, Len/Bytes, and per-key probes.
 func assertSameContents(t *testing.T, label string, h *HashIndex, ref *ScanIndex) {
 	t.Helper()
+	checkChains(t, label, h)
 	if h.Len() != ref.Len() || h.Bytes() != ref.Bytes() {
 		t.Fatalf("%s: Len/Bytes %d/%d vs reference %d/%d", label, h.Len(), h.Bytes(), ref.Len(), ref.Bytes())
 	}
@@ -423,7 +503,7 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 		rng := rand.New(rand.NewSource(901))
 		h := NewHashIndex()
 		ref := NewScanIndex()
-		const domain = 64 // deep duplicate buckets: inline storage spills
+		const domain = 64 // ~30 tuples per key: every hit walks a chain
 		for i := 0; i < 2000; i++ {
 			tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(domain), Size: 8, Seq: uint64(i + 1)}
 			h.Insert(tp)
@@ -450,7 +530,10 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 // reserved with nothing, the exact cardinality, and a large
 // overestimate (plus a mid-stream re-reserve), checking contents stay
 // identical to the unreserved reference: a hint may only move
-// allocations around, never change semantics.
+// allocations around, never change semantics. Where the hint covers the
+// stream it must move all of them: blocks, their chain columns and the
+// directory are in place before the first insert, and ingest allocates
+// nothing.
 func TestHashIndexReserveHints(t *testing.T) {
 	const n = 3000
 	for _, tc := range []struct {
@@ -468,13 +551,27 @@ func TestHashIndexReserveHints(t *testing.T) {
 			h := NewHashIndex()
 			ref := NewScanIndex()
 			h.Reserve(tc.pre)
-			for i := 0; i < n; i++ {
-				tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(2000), Size: 8, Seq: uint64(i + 1)}
+			for _, c := range h.arena.chunks {
+				if c.next == nil {
+					t.Fatal("Reserve left a block without its chain column")
+				}
+			}
+			stream := make([]Tuple, n)
+			for i := range stream {
+				stream[i] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(2000), Size: 8, Seq: uint64(i + 1)}
+				ref.Insert(stream[i])
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i, tp := range stream {
 				h.Insert(tp)
-				ref.Insert(tp)
 				if tc.mid != 0 && i == n/2 {
 					h.Reserve(tc.mid)
 				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.Mallocs - before.Mallocs; tc.pre >= n && got != 0 && !raceEnabled {
+				t.Errorf("ingest of %d tuples under Reserve(%d) made %d allocations", n, tc.pre, got)
 			}
 			assertSameContents(t, tc.name, h, ref)
 		})

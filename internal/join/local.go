@@ -88,13 +88,13 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	var bytes int64
 	for i := range ts {
 		t := &ts[i]
-		hash := hashKey(t.Key)
+		tag := tagOf(t.Key)
 		if !t.Dummy {
-			if s := ph.findSlot(hash, t.Key); s != nil {
-				hits = ph.gather(s, int32(i), hits)
+			if head := ph.lookup(tag, t.Key); head != 0 {
+				hits = ph.gather(head, int32(i), hits)
 			}
 		}
-		oh.insertOffset(hash, t.Key, oh.arena.append(t))
+		oh.insertOffset(tag, t.Key, oh.arena.append(t))
 		bytes += t.Bytes()
 	}
 	oh.bytes += bytes
@@ -196,6 +196,14 @@ func (l *Local) TotalLen() int { return l.r.Len() + l.s.Len() }
 
 // Bytes returns the total accounted stored volume.
 func (l *Local) Bytes() int64 { return l.r.Bytes() + l.s.Bytes() }
+
+// Footprint returns the resident bytes behind both sides' stored
+// tuples, split as Index.Footprint splits them.
+func (l *Local) Footprint() (arenaBytes, directoryBytes int64) {
+	ra, rd := l.r.Footprint()
+	sa, sd := l.s.Footprint()
+	return ra + sa, rd + sd
+}
 
 // SideBytes returns the accounted stored volume for one side.
 func (l *Local) SideBytes(side matrix.Side) int64 {

@@ -12,11 +12,12 @@ import (
 // of machine words plus an optional out-of-line payload column, so a
 // block serializes as a near-memcpy column dump and deserializes into
 // a block that can be adopted wholesale. Restore goes through the same
-// MergeFrom/adopt() path migration finalization uses: the directory is
-// rebuilt from the adopted blocks' key columns, never shipped — the
-// snapshot carries tuple data only, so a format change in the
-// directory (growth state, spill lists) can never invalidate a
-// checkpoint.
+// MergeFrom/adopt() path migration finalization uses: the directory
+// and the blocks' chain columns are rebuilt from the adopted blocks'
+// key columns, never shipped — the snapshot carries tuple data only,
+// so a format change in the derived state (slot layout, growth state,
+// chains) can never invalidate a checkpoint; testdata/parent_* holds
+// the proof for the last such change.
 //
 // Framing, CRCs, and manifest-level atomicity live one layer up in
 // internal/storage; this file defines only the raw encoding of one

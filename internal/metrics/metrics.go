@@ -31,14 +31,20 @@ type Joiner struct {
 	MigratedOut atomic.Int64
 	// SpilledTuples counts tuples that overflowed to the disk tier.
 	SpilledTuples atomic.Int64
+	// ArenaBytes / DirectoryBytes are the resident bytes behind
+	// StoredTuples — arena blocks and index directories as
+	// join.Index.Footprint reports them — refreshed with the other
+	// stored-state gauges, once per envelope.
+	ArenaBytes     atomic.Int64
+	DirectoryBytes atomic.Int64
 
-	// The counters above are exactly one cache line (8 x 8 bytes); the
-	// trailing pad pushes each block to two full lines so adjacent
-	// blocks never share one. Joiners update their own block from their
-	// own goroutine, and with the emit plane running, emit workers read
-	// neighbors' OutputPairs concurrently — an unpadded array of blocks
-	// would ping the line between cores on every counter bump.
-	_ [64]byte
+	// The counters above are 80 bytes; the trailing pad rounds each
+	// block to two full cache lines so adjacent blocks never share one.
+	// Joiners update their own block from their own goroutine, and with
+	// the emit plane running, emit workers read neighbors' OutputPairs
+	// concurrently — an unpadded array of blocks would ping the line
+	// between cores on every counter bump.
+	_ [48]byte
 }
 
 // Operator aggregates per-joiner counters and operator-level events.
@@ -155,6 +161,8 @@ func Merged(ms ...*Operator) *Operator {
 			nj.MigratedIn.Store(j.MigratedIn.Load())
 			nj.MigratedOut.Store(j.MigratedOut.Load())
 			nj.SpilledTuples.Store(j.SpilledTuples.Load())
+			nj.ArenaBytes.Store(j.ArenaBytes.Load())
+			nj.DirectoryBytes.Store(j.DirectoryBytes.Load())
 			out.joiners = append(out.joiners, nj)
 		}
 		m.mu.RUnlock()
@@ -241,6 +249,26 @@ func (m *Operator) TotalStorageBytes() int64 {
 		sum += j.StoredBytes.Load()
 	}
 	return sum
+}
+
+// ResidentBytesPerTuple returns what one stored tuple costs in memory
+// cluster-wide — arena blocks plus index directories over stored
+// tuples — and the directories' share of it; zeros when nothing is
+// stored. Joiners hosted by remote workers keep their gauges there and
+// do not contribute.
+func (m *Operator) ResidentBytesPerTuple() (total, directory float64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var arena, dir, tuples int64
+	for _, j := range m.joiners {
+		arena += j.ArenaBytes.Load()
+		dir += j.DirectoryBytes.Load()
+		tuples += j.StoredTuples.Load()
+	}
+	if tuples == 0 {
+		return 0, 0
+	}
+	return float64(arena+dir) / float64(tuples), float64(dir) / float64(tuples)
 }
 
 // TotalInputTuples returns the cluster-wide received tuple count.

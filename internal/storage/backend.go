@@ -375,10 +375,13 @@ func (b *FileBackend) Write(gen uint64, data []byte, deps []uint64) error {
 }
 
 // gc removes manifests beyond the keep horizon, then blobs that no
-// surviving manifest's chain references. Caller holds b.mu. GC is
-// best-effort: an unreadable surviving manifest aborts blob deletion
-// (never the other way around), so corruption can strand files but
-// never invalidate a committed generation.
+// surviving manifest's chain references. A dropped generation a kept
+// chain still builds on loses only its manifest (it stops being a
+// restore point of its own): its blob and its cached metadata stay, so
+// the next delta Write can still list it as a dependency. Caller holds
+// b.mu. GC is best-effort: an unreadable surviving manifest aborts blob
+// deletion (never the other way around), so corruption can strand files
+// but never invalidate a committed generation.
 func (b *FileBackend) gc() {
 	gens := b.listGens()
 	if len(gens) <= b.keep {
@@ -387,32 +390,34 @@ func (b *FileBackend) gc() {
 	drop := gens[b.keep:] // newest-first, so the tail is oldest
 	keep := gens[:b.keep]
 
-	// Collect every blob name referenced by a surviving chain before
-	// deleting anything.
-	live := make(map[string]bool)
-	for _, g := range keep {
-		names, err := b.chainBlobNames(g)
-		if err != nil {
-			// Cannot prove a blob is dead — skip blob GC entirely.
-			for _, d := range drop {
-				_ = os.Remove(filepath.Join(b.dir, manifestName(d)))
-			}
-			return
-		}
-		for _, n := range names {
-			live[n] = true
-		}
-	}
 	for _, d := range drop {
 		_ = os.Remove(filepath.Join(b.dir, manifestName(d)))
-		delete(b.meta, d)
+	}
+	// Collect every generation and blob name a surviving chain
+	// references before forgetting or deleting any of them.
+	liveGens := make(map[uint64]bool)
+	liveBlobs := make(map[string]bool)
+	for _, g := range keep {
+		chain, metas, err := b.parseManifest(g)
+		if err != nil {
+			return // cannot prove a blob is dead: leave them all
+		}
+		for i, m := range metas {
+			liveGens[chain[i]] = true
+			liveBlobs[m.name] = true
+		}
+	}
+	for g := range b.meta {
+		if !liveGens[g] {
+			delete(b.meta, g)
+		}
 	}
 	blobs, err := filepath.Glob(filepath.Join(b.dir, "ckpt-*.snap"))
 	if err != nil {
 		return
 	}
 	for _, p := range blobs {
-		if !live[filepath.Base(p)] {
+		if !liveBlobs[filepath.Base(p)] {
 			_ = os.Remove(p)
 		}
 	}
@@ -530,20 +535,6 @@ func (b *FileBackend) parseManifest(gen uint64) ([]uint64, []blobMeta, error) {
 		return nil, nil, fmt.Errorf("storage: manifest for generation %d chain does not end at itself: %w", gen, ErrCorrupt)
 	}
 	return gens, metas, nil
-}
-
-// chainBlobNames returns the blob names referenced by gen's manifest.
-// Caller holds b.mu.
-func (b *FileBackend) chainBlobNames(gen uint64) ([]string, error) {
-	_, metas, err := b.parseManifest(gen)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(metas))
-	for _, m := range metas {
-		names = append(names, m.name)
-	}
-	return names, nil
 }
 
 // Load reads and validates gen's full chain, base first.

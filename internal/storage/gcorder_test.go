@@ -82,3 +82,61 @@ func TestFileBackendGCNeverStrandsRetainedChains(t *testing.T) {
 		})
 	}
 }
+
+// TestBackendsDefaultConfigNineCheckpoints replays what an operator
+// with default settings asks of a backend — keep 2 (nobody calls
+// SetKeep), chain compaction every 8: one full snapshot, seven deltas
+// each depending on everything since that base, then the next full —
+// and checks what the GC-ordering test above never did: that every
+// *next* Write is accepted, and that the newest generation loads its
+// whole chain. Nothing is loaded until the chain is at full length,
+// because Load refreshes FileBackend's metadata cache and an operator
+// never loads between commits. A GC that forgets a dropped generation's
+// metadata while a kept chain still builds on it fails here at
+// generation 4 ("depends on unknown generation 1").
+func TestBackendsDefaultConfigNineCheckpoints(t *testing.T) {
+	file, err := NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]Backend{"mem": NewMemBackend(), "file": file} {
+		t.Run(name, func(t *testing.T) {
+			payload := func(gen uint64) []byte {
+				return bytes.Repeat([]byte{byte(gen)}, 64+int(gen))
+			}
+			var chain []uint64
+			for gen := uint64(1); gen <= 9; gen++ {
+				if len(chain) == 8 {
+					chain = chain[:0] // compaction: gen 9 is full again
+				}
+				if err := b.Write(gen, payload(gen), chain); err != nil {
+					t.Fatalf("write gen %d (deps %v): %v", gen, chain, err)
+				}
+				chain = append(chain, gen)
+
+				gens, err := b.Generations()
+				if err != nil {
+					t.Fatalf("generations after gen %d: %v", gen, err)
+				}
+				if want := min(int(gen), DefaultKeep); len(gens) != want || gens[0] != gen {
+					t.Fatalf("after gen %d: retained %v, want the newest %d", gen, gens, want)
+				}
+				if gen < 8 {
+					continue
+				}
+				blobs, err := b.Load(gen)
+				if err != nil {
+					t.Fatalf("load newest gen %d: %v", gen, err)
+				}
+				if len(blobs) != len(chain) {
+					t.Fatalf("gen %d loaded a chain of %d blobs, want %v", gen, len(blobs), chain)
+				}
+				for i, bl := range blobs {
+					if bl.Gen != chain[i] || !bytes.Equal(bl.Data, payload(chain[i])) {
+						t.Fatalf("gen %d chain link %d is generation %d, want %d intact", gen, i, bl.Gen, chain[i])
+					}
+				}
+			}
+		})
+	}
+}

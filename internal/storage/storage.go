@@ -167,6 +167,21 @@ func (s *Store) MemTuples() int64 { return int64(s.mem.TotalLen()) }
 // MemBytes returns the memory-tier accounted volume.
 func (s *Store) MemBytes() int64 { return s.mem.Bytes() }
 
+// Footprint returns the resident bytes of the memory tier plus the
+// spill tier's in-memory skeleton directories, split as
+// join.Index.Footprint splits them.
+func (s *Store) Footprint() (arenaBytes, directoryBytes int64) {
+	arenaBytes, directoryBytes = s.mem.Footprint()
+	for _, seg := range s.segs {
+		if seg != nil {
+			a, d := seg.dir.Footprint()
+			arenaBytes += a
+			directoryBytes += d
+		}
+	}
+	return arenaBytes, directoryBytes
+}
+
 // Len returns the stored tuple count of one side across both tiers.
 func (s *Store) Len(side matrix.Side) int {
 	n := s.mem.Len(side)
