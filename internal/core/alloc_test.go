@@ -2,11 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
+	"repro/internal/storage"
 )
 
 // ingestAllocBudget is the enforced steady-state allocation budget per
@@ -103,6 +107,90 @@ func TestIngestAllocBudget(t *testing.T) {
 	t.Logf("ingest allocations: %.2f per Send (budget %.1f)", perSend, ingestAllocBudget)
 	if perSend > ingestAllocBudget {
 		t.Fatalf("ingest path allocates %.2f per Send, budget %.1f", perSend, ingestAllocBudget)
+	}
+}
+
+// sizeBackend commits nothing: it records how long each blob was and
+// keeps no copy, so a checkpoint's measured allocations are the
+// operator's own.
+type sizeBackend struct {
+	mu   sync.Mutex
+	last int
+}
+
+func (b *sizeBackend) Write(_ uint64, data []byte, _ []uint64) error {
+	b.mu.Lock()
+	b.last = len(data)
+	b.mu.Unlock()
+	return nil
+}
+
+func (b *sizeBackend) Generations() ([]uint64, error) { return nil, nil }
+
+func (b *sizeBackend) Load(uint64) ([]storage.Blob, error) { return nil, storage.ErrCorrupt }
+
+// TestCheckpointAllocBudget pins what one full checkpoint allocates:
+// the blob, written once at its exact size, plus O(J) — per joiner a
+// copy of each side's open tail block and the barrier bookkeeping.
+// Serializing stores into append-grown slices and concatenating them
+// into an append-grown blob costs about ten times the blob.
+func TestCheckpointAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the budget is measured without -race")
+	}
+	if testing.Short() {
+		t.Skip("a 200k-tuple state is not short")
+	}
+	const (
+		j       = 16
+		tuples  = 200_000
+		slack   = 1.15
+		perJoin = 64 << 10 // two tail-block copies (2 x 21760 B) and bookkeeping
+	)
+	be := &sizeBackend{}
+	op := NewOperator(Config{
+		J: j, Pred: join.EquiJoin("ckpt-alloc", nil), Seed: 1,
+		Backend: be, CheckpointCompactEvery: 1, // every checkpoint full
+		Emit: func(join.Pair) {},
+	})
+	op.Start()
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]join.Tuple, DefaultBatchSize)
+	for sent := 0; sent < tuples; sent += len(batch) {
+		for i := range batch {
+			batch[i] = join.Tuple{Rel: matrix.Side(i & 1), Key: rng.Int63n(1 << 22), Size: 8}
+		}
+		if err := op.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Measure against a quiet operator: every routed copy stored, so no
+	// joiner grows its arena while the checkpoint runs.
+	for deadline := time.Now().Add(time.Minute); op.Metrics().TotalInputTuples() < 4*tuples; {
+		if time.Now().After(deadline) {
+			t.Fatalf("joiners received %d of %d routed tuples", op.Metrics().TotalInputTuples(), 4*tuples)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := op.Checkpoint(); err != nil { // warm: pools, goroutines, backend
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := op.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	blob := float64(be.last)
+	budget := slack*blob + j*perJoin
+	t.Logf("one full checkpoint: %.1f MB allocated for a %.1f MB blob (%.2fx; budget %.1f MB)",
+		alloc/1e6, blob/1e6, alloc/blob, budget/1e6)
+	if alloc > budget {
+		t.Fatalf("checkpoint allocated %.1f MB for a %.1f MB blob, budget %.1f MB", alloc/1e6, blob/1e6, budget/1e6)
 	}
 }
 

@@ -29,15 +29,26 @@ import (
 //  3. Each joiner aligns Chandy-Lamport style: envelopes from links
 //     whose marker already arrived are held aside; once all numRe
 //     markers are in, the joiner has seen exactly the pre-barrier
-//     prefix of every link. It snapshots its store (whole arena
-//     blocks, near-memcpy), hands the blob to the coordinator, and
-//     drains the held envelopes — other joiners never stall.
+//     prefix of every link. It captures its store (Store.Capture):
+//     the arena blocks below each index's immutable prefix by
+//     reference, a copy of each open tail block, and only the parts
+//     that cannot be held by reference — an ordered index, spilled
+//     records — encoded. That is O(blocks), not O(bytes): the joiner
+//     hands the capture to the coordinator and drains the held
+//     envelopes, and other joiners never stall. Holding blocks by
+//     reference is safe because blocks below the prefix change only
+//     through Retain/Drain, which run only in migrations, and the
+//     controller starts no migration or expansion while a checkpoint
+//     is in flight — until the coordinator reports its commit.
 //  4. The coordinator assembles the operator snapshot (mapping, table,
-//     cuts, lane cursors, per-joiner state), commits it through the
-//     backend's atomic-rename path, and only then trims the replay
-//     log up to the cuts. A crash anywhere leaves either the previous
-//     checkpoint or the new one — never a torn mix — and the log
-//     always covers everything after the newest durable cut.
+//     cuts, lane cursors, per-joiner captures), encodes it into one
+//     exact-size blob — every joiner's region written in place, in
+//     parallel — commits it through the backend's atomic-rename path,
+//     and only then trims the replay log up to the cuts. A crash
+//     anywhere leaves either the previous checkpoint or the new one —
+//     never a torn mix — and the log always covers everything after
+//     the newest durable cut. Each checkpoint encodes a fresh blob: a
+//     retrying backend may still be reading an abandoned attempt's.
 //
 // Restore rebuilds joiner state through the same MergeFrom/adopt()
 // whole-block install path migration finalization uses, then replays
@@ -159,7 +170,7 @@ type ckptEvent struct {
 	idx     int   // reshuffler id (evCut) or joiner id (evSnap)
 	cut     int64 // evCut
 	emitted int64 // evSnap: OutputPairs at the barrier
-	state   []byte
+	capture *storage.StoreCapture
 	// evSnap: the watermark a later delta may be taken against once
 	// this payload commits, and the joiner's cell to publish it into.
 	// The cell pointer rides the event so the coordinator never reads
@@ -267,7 +278,7 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 		if !cur.begun || ev.ckpt != cur.id || ev.idx >= len(cur.joiners) {
 			return
 		}
-		cur.joiners[ev.idx] = storage.JoinerSnapshot{ID: ev.idx, Emitted: ev.emitted, State: ev.state}
+		cur.joiners[ev.idx] = storage.JoinerSnapshot{ID: ev.idx, Emitted: ev.emitted, Capture: ev.capture}
 		cur.wms[ev.idx] = ev.wm
 		cur.wmCells[ev.idx] = ev.wmCell
 		cur.snapsGot++
@@ -288,9 +299,12 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 				log.Printf("core: checkpoint %d failed (degrading, replay log kept): %v", cur.id, err)
 			}
 		}
-		cur.begun = false
+		// Drop the captures before the controller may start a migration:
+		// they pin the joiners' blocks and tail copies.
+		id := cur.id
+		*cur = ckptBuild{}
 		select {
-		case op.ctl.ckptDoneCh <- ckptResult{id: cur.id, err: err, chainLen: len(op.ckptChain)}:
+		case op.ctl.ckptDoneCh <- ckptResult{id: id, err: err, chainLen: len(op.ckptChain)}:
 		case <-op.ckptQuit:
 		case <-op.stop:
 		}

@@ -505,23 +505,25 @@ func (w *joiner) onCkptMarker(m message) {
 // completeBarrier runs once all numRe markers have arrived: the joiner
 // has processed exactly the pre-barrier prefix of every link — the
 // consistent cut. It flushes pending pairs (so the emitted count is
-// the cut position in this joiner's output stream), serializes its
-// store — incrementally past the last committed watermark when one
-// exists and the barrier doesn't force a full — hands the payload to
-// the coordinator, and replays the held post-barrier envelopes.
+// the cut position in this joiner's output stream), captures its store
+// — incrementally past the last committed watermark when one exists
+// and the barrier doesn't force a full; frozen arena blocks by
+// reference, so this is O(blocks) — hands the capture to the
+// coordinator, which encodes it, and replays the held post-barrier
+// envelopes.
 func (w *joiner) completeBarrier() {
 	w.flushPending()
 	var wm *storage.StoreWatermark
 	if !w.ckpt.full {
 		wm = w.ckptWM.Load()
 	}
-	state, next, _ := w.state.AppendSnapshotSince(nil, wm)
+	capture, next, _ := w.state.Capture(wm)
 	ev := ckptEvent{
 		kind:    evSnap,
 		ckpt:    w.ckpt.id,
 		idx:     w.id,
 		emitted: w.met.OutputPairs.Load(),
-		state:   state,
+		capture: capture,
 		wm:      next,
 		wmCell:  &w.ckptWM,
 	}

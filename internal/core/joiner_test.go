@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -155,13 +157,49 @@ func TestDoubleExpansionExact(t *testing.T) {
 	want := refCount(pred, tuples)
 	// M chosen so the growth settles at exactly J=16: per-joiner state
 	// passes M/2 at J=1 and J=4 but not at J=16.
-	got, op := runOperator(t, Config{
+	var n atomic.Int64
+	op := NewOperator(Config{
 		J: 1, Pred: pred, Adaptive: true, Seed: 9,
 		Warmup:             200,
 		MaxTuplesPerJoiner: 10000,
 		MaxJoiners:         64, // safety net against runaway growth
-	}, tuples)
-	if got != want {
+		Emit:               func(join.Pair) { n.Add(1) },
+	})
+	op.Start()
+	// The second expansion is decided on the stream that arrives after
+	// the first one has drained. The controller decides asynchronously,
+	// so feed until the first expansion has been issued, wait until its
+	// last ack is in, and only then feed the rest — otherwise a fast
+	// feeder can finish the stream while the first migration drains,
+	// and no decision is taken past the end of the input.
+	i := 0
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !done(); {
+			if i < len(tuples)/2 {
+				if err := op.Send(tuples[i]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+				continue
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened after %d tuples", what, i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("the first expansion", func() bool { return op.NumJoiners() == 4 })
+	waitFor("the first expansion's drain", func() bool { return op.Metrics().MigrationNanos.Load() > 0 })
+	for ; i < len(tuples); i++ {
+		if err := op.Send(tuples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != want {
 		t.Fatalf("emitted %d, reference %d", got, want)
 	}
 	if op.Metrics().Expansions.Load() < 2 {

@@ -962,13 +962,16 @@ func (op *Operator) SendBatch(ts []join.Tuple) error {
 // is the stop cause: the context's error after cancellation, or the
 // first task failure.
 //
-// With a replay log, the ring's log mutex spans both the ring send and
-// the log append: sends to one ring serialize on it, so the log's item
-// order is exactly the reshuffler's consumption order and the
-// consumed counter is a valid log cut. Items are logged if and only if
-// the send succeeded — a caller whose Send errored knows its tuples
-// are not covered by any future checkpoint and must re-send them after
-// a restore.
+// With a replay log, the ring's log mutex spans both the log append
+// and the ring send: sends to one ring serialize on it, so the log's
+// item order is exactly the reshuffler's consumption order and the
+// consumed counter is a valid log cut. The append comes first because
+// the send hands the pooled envelope over: the reshuffler may recycle
+// it (putItems zeroes it) before this goroutine runs again, so env must
+// not be read after the send. Items stay logged if and only if the
+// send succeeded — the log is cut back when it does not, and a caller
+// whose Send errored knows its tuples are not covered by any future
+// checkpoint and must re-send them after a restore.
 func (op *Operator) push(d int, env []sourceItem) error {
 	if op.replay == nil {
 		select {
@@ -982,19 +985,21 @@ func (op *Operator) push(d int, env []sourceItem) error {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
+	n0 := len(rg.items)
+	rg.items = append(rg.items, env...)
 	select {
 	case op.sources[d] <- env:
-		rg.items = append(rg.items, env...)
 		return nil
 	case <-op.stop:
+		rg.items = truncItems(rg.items, n0)
 		putItems(env)
 		return op.runner.Err()
 	}
 }
 
-// trySend is push's non-blocking variant, with the same log-under-lock
-// discipline. It reports whether the envelope was delivered (and, with
-// a replay log, appended).
+// trySend is push's non-blocking variant, with the same
+// log-before-hand-off discipline. It reports whether the envelope was
+// delivered (and, with a replay log, kept in the log).
 func (op *Operator) trySend(d int, env []sourceItem) bool {
 	if op.replay == nil {
 		select {
@@ -1007,13 +1012,22 @@ func (op *Operator) trySend(d int, env []sourceItem) bool {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
+	n0 := len(rg.items)
+	rg.items = append(rg.items, env...)
 	select {
 	case op.sources[d] <- env:
-		rg.items = append(rg.items, env...)
 		return true
 	default:
+		rg.items = truncItems(rg.items, n0)
 		return false
 	}
+}
+
+// truncItems cuts an undelivered envelope back out of a replay ring,
+// zeroing the dropped copies so they pin no payloads.
+func truncItems(items []sourceItem, n int) []sourceItem {
+	clear(items[n:])
+	return items[:n]
 }
 
 // dealTarget maps a sequence number to a reshuffler index: a

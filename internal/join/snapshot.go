@@ -3,21 +3,36 @@ package join
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/matrix"
 )
 
-// Checkpoint serialization of the in-memory join state. The columnar
-// arena is the unit of transfer: a colChunk is five parallel columns
-// of machine words plus an optional out-of-line payload column, so a
-// block serializes as a near-memcpy column dump and deserializes into
-// a block that can be adopted wholesale. Restore goes through the same
-// MergeFrom/adopt() path migration finalization uses: the directory
-// and the blocks' chain columns are rebuilt from the adopted blocks'
-// key columns, never shipped — the snapshot carries tuple data only,
-// so a format change in the derived state (slot layout, growth state,
-// chains) can never invalidate a checkpoint; testdata/parent_* holds
-// the proof for the last such change.
+// Checkpoint capture and serialization of the in-memory join state.
+// The columnar arena is the unit of transfer: a colChunk is five
+// parallel columns of machine words plus an optional out-of-line
+// payload column, so a block serializes as a near-memcpy column dump
+// and deserializes into a block that can be adopted wholesale.
+//
+// A snapshot is taken in two steps. Capture runs on the owning
+// goroutine at the checkpoint barrier and copies almost nothing: the
+// blocks below the arena's immutable prefix are recorded by pointer
+// (appends never touch them, and the destructive rebuilds that could —
+// Retain, Drain — only run during migrations, which the operator never
+// starts while a checkpoint is uncommitted), the open tail block is
+// copied (at most one 20 KB block per side), and only an ordered index,
+// whose tree has no frozen block prefix, is encoded on the spot. The
+// owner then resumes mutating its indexes while any other goroutine
+// sizes the capture exactly (Size) and writes it (AppendTo), typically
+// straight into its slot of a preallocated checkpoint blob.
+//
+// Restore goes through the same MergeFrom/adopt() path migration
+// finalization uses: the directory and the blocks' chain columns are
+// rebuilt from the adopted blocks' key columns, never shipped — the
+// snapshot carries tuple data only, so a format change in the derived
+// state (slot layout, growth state, chains) can never invalidate a
+// checkpoint; testdata/parent_* holds the proof for the last such
+// change.
 //
 // Framing, CRCs, and manifest-level atomicity live one layer up in
 // internal/storage; this file defines only the raw encoding of one
@@ -111,52 +126,64 @@ func (r *snapReader) bytes(n int, what string) []byte {
 	return v
 }
 
-// appendArena encodes every filled block of a: per block the fill
-// level, a payload-presence flag, the five columns as little-endian
-// words, and the payload bytes when present.
+// appendArena encodes every filled block of a: a block count, then
+// each block as appendBlock frames it.
 func appendArena(buf []byte, a *tupleArena) []byte {
-	return appendArenaFrom(buf, a, 0)
+	n := 0
+	for _, c := range a.chunks {
+		if c.n > 0 {
+			n++
+		}
+	}
+	buf = appendU32(buf, uint32(n))
+	for _, c := range a.chunks {
+		if c.n > 0 {
+			buf = appendBlock(buf, c)
+		}
+	}
+	return buf
 }
 
-// appendArenaFrom encodes the filled blocks of a starting at chunk
-// index from, in the same framing appendArena uses — a delta snapshot
-// is just a full dump with the frozen prefix skipped. Chunks below
-// from are never empty (empty blocks only exist at or past the append
-// cursor), so a chunk index below the immutable prefix means the same
-// thing in the live list and the serialized one.
-func appendArenaFrom(buf []byte, a *tupleArena, from int) []byte {
-	if from > len(a.chunks) {
-		from = len(a.chunks)
-	}
-	nChunks := 0
-	for _, c := range a.chunks[from:] {
-		if c.n > 0 {
-			nChunks++
+// tupleBytes is one stored tuple's five columns on the wire.
+const tupleBytes = 5 * 8
+
+// blockSize is the exact length appendBlock writes for c.
+func blockSize(c *colChunk) int {
+	n := 4 + 1 + tupleBytes*c.n
+	if c.payload != nil {
+		n += 4 * c.n
+		for _, p := range c.payload[:c.n] {
+			n += len(p)
 		}
 	}
-	buf = appendU32(buf, uint32(nChunks))
-	for _, c := range a.chunks[from:] {
-		if c.n == 0 {
-			continue
-		}
-		buf = appendU32(buf, uint32(c.n))
-		hasPayload := uint8(0)
-		if c.payload != nil {
-			hasPayload = 1
-		}
-		buf = appendU8(buf, hasPayload)
-		for pos := 0; pos < c.n; pos++ {
-			buf = appendU64(buf, uint64(c.key[pos]))
-			buf = appendU64(buf, uint64(c.aux[pos]))
-			buf = appendU64(buf, c.u[pos])
-			buf = appendU64(buf, c.seq[pos])
-			buf = appendU64(buf, c.meta[pos])
-		}
-		if hasPayload == 1 {
-			for pos := 0; pos < c.n; pos++ {
-				buf = appendU32(buf, uint32(len(c.payload[pos])))
-				buf = append(buf, c.payload[pos]...)
-			}
+	return n
+}
+
+// appendBlock encodes one non-empty block: the fill level, a
+// payload-presence flag, the five columns of each tuple as
+// little-endian words, and the payload bytes when present.
+func appendBlock(buf []byte, c *colChunk) []byte {
+	buf = appendU32(buf, uint32(c.n))
+	hasPayload := uint8(0)
+	if c.payload != nil {
+		hasPayload = 1
+	}
+	buf = appendU8(buf, hasPayload)
+	off := len(buf)
+	buf = slices.Grow(buf, tupleBytes*c.n)[:off+tupleBytes*c.n]
+	w := buf[off:]
+	for pos := 0; pos < c.n; pos++ {
+		t := w[pos*tupleBytes : pos*tupleBytes+tupleBytes]
+		binary.LittleEndian.PutUint64(t[0:], uint64(c.key[pos]))
+		binary.LittleEndian.PutUint64(t[8:], uint64(c.aux[pos]))
+		binary.LittleEndian.PutUint64(t[16:], c.u[pos])
+		binary.LittleEndian.PutUint64(t[24:], c.seq[pos])
+		binary.LittleEndian.PutUint64(t[32:], c.meta[pos])
+	}
+	if hasPayload == 1 {
+		for _, p := range c.payload[:c.n] {
+			buf = appendU32(buf, uint32(len(p)))
+			buf = append(buf, p...)
 		}
 	}
 	return buf
@@ -209,27 +236,16 @@ func readArena(r *snapReader) tupleArena {
 	return a
 }
 
-// appendIndex encodes one side's index.
-func appendIndex(buf []byte, idx Index) []byte {
-	switch v := idx.(type) {
-	case *HashIndex:
-		buf = appendU8(buf, snapIdxHash)
-		buf = appendU64(buf, uint64(v.bytes))
-		buf = appendArena(buf, &v.arena)
-	case *ScanIndex:
-		buf = appendU8(buf, snapIdxScan)
-		buf = appendU64(buf, uint64(v.bytes))
-		buf = appendArena(buf, &v.arena)
-	default:
-		// Ordered (band) indexes interleave tree rebuild with tuple
-		// re-insertion, so they ship as a plain tuple sequence.
-		buf = appendU8(buf, snapIdxOrdered)
-		buf = appendU32(buf, uint32(idx.Len()))
-		idx.Scan(func(t Tuple) bool {
-			buf = appendTuple(buf, t)
-			return true
-		})
-	}
+// appendOrdered encodes an ordered (band) index, which interleaves its
+// tree rebuild with tuple re-insertion, as a plain tuple sequence: the
+// complete side record, kind byte included.
+func appendOrdered(buf []byte, idx Index) []byte {
+	buf = appendU8(buf, snapIdxOrdered)
+	buf = appendU32(buf, uint32(idx.Len()))
+	idx.Scan(func(t Tuple) bool {
+		buf = appendTuple(buf, t)
+		return true
+	})
 	return buf
 }
 
@@ -319,10 +335,8 @@ func loadIndex(r *snapReader, idx Index) error {
 // given store state and self-delimiting; it carries no CRC or length
 // prefix of its own (the storage layer frames it).
 func (l *Local) AppendSnapshot(buf []byte) []byte {
-	buf = appendU8(buf, localSnapVersion)
-	buf = appendIndex(buf, l.r)
-	buf = appendIndex(buf, l.s)
-	return buf
+	c, _, _ := l.Capture(nil)
+	return c.AppendTo(slices.Grow(buf, c.Size()))
 }
 
 // LoadSnapshot installs a snapshot produced by AppendSnapshot into l,
@@ -373,57 +387,144 @@ func indexWatermark(idx Index) IndexWatermark {
 	}
 }
 
-// Watermark captures both sides' current watermarks.
-func (l *Local) Watermark() LocalWatermark {
-	return LocalWatermark{R: indexWatermark(l.r), S: indexWatermark(l.s)}
+// LocalCapture is one Local's state frozen at a checkpoint barrier by
+// Capture, held mostly by reference (see the file comment). It stays
+// valid while its owner keeps appending; it must be encoded before the
+// owner next runs Retain or Drain.
+type LocalCapture struct {
+	version uint8
+	r, s    sideCapture
 }
 
-// appendIndexSince encodes idx as a delta against wm when possible,
-// falling back to the full encoding when the watermark no longer
-// names this arena's frozen prefix. It returns the watermark to record
-// for the next delta and whether a delta was emitted.
-func appendIndexSince(buf []byte, idx Index, wm IndexWatermark) ([]byte, IndexWatermark, bool) {
+// sideCapture is one index's share of a capture: for arena-backed
+// kinds the index's byte volume and the non-empty blocks past the
+// delta prefix (frozen ones by pointer, the open tail as a copy); for
+// an ordered index the complete encoded side record.
+type sideCapture struct {
+	kind   uint8
+	bytes  int64
+	prefix uint32 // delta kinds: the chunk index the blocks splice at
+	chunks []*colChunk
+	enc    []byte
+}
+
+// captureArena records a's non-empty blocks from chunk index from on:
+// those below the immutable prefix by pointer, the rest (only the open
+// tail can be non-empty there) as copies. Chunks below from are never
+// empty (empty blocks only exist at or past the append cursor), so a
+// chunk index below the immutable prefix means the same thing in the
+// live list and the serialized one.
+func captureArena(a *tupleArena, from int) []*colChunk {
+	frozen := a.immutablePrefix()
+	out := make([]*colChunk, 0, len(a.chunks)-from)
+	for i, c := range a.chunks[from:] {
+		switch {
+		case c.n == 0:
+		case from+i < frozen:
+			out = append(out, c)
+		default:
+			tail := *c
+			tail.next = nil
+			out = append(out, &tail)
+		}
+	}
+	return out
+}
+
+// captureSide freezes one index, as a delta past wm when wm still names
+// this arena's frozen prefix (nil wm: full). It reports whether the
+// record is a delta.
+func captureSide(idx Index, wm *IndexWatermark) (sideCapture, bool) {
 	cur := indexWatermark(idx)
-	ok := wm.Kind == cur.Kind && wm.MutGen == cur.MutGen && wm.Chunks <= cur.Chunks
+	delta := wm != nil && wm.Kind == cur.Kind && wm.MutGen == cur.MutGen && wm.Chunks <= cur.Chunks
+	var a *tupleArena
+	var c sideCapture
+	var deltaKind uint8
 	switch v := idx.(type) {
 	case *HashIndex:
-		if ok {
-			buf = appendU8(buf, snapIdxHashDelta)
-			buf = appendU64(buf, uint64(v.bytes))
-			buf = appendU32(buf, wm.Chunks)
-			buf = appendArenaFrom(buf, &v.arena, int(wm.Chunks))
-			return buf, cur, true
-		}
+		a, c.bytes, c.kind, deltaKind = &v.arena, v.bytes, snapIdxHash, snapIdxHashDelta
 	case *ScanIndex:
-		if ok {
-			buf = appendU8(buf, snapIdxScanDelta)
-			buf = appendU64(buf, uint64(v.bytes))
-			buf = appendU32(buf, wm.Chunks)
-			buf = appendArenaFrom(buf, &v.arena, int(wm.Chunks))
-			return buf, cur, true
-		}
+		a, c.bytes, c.kind, deltaKind = &v.arena, v.bytes, snapIdxScan, snapIdxScanDelta
+	default:
+		return sideCapture{kind: snapIdxOrdered, enc: appendOrdered(nil, idx)}, false
 	}
-	return appendIndex(buf, idx), cur, false
+	if !delta {
+		c.chunks = captureArena(a, 0)
+		return c, false
+	}
+	c.kind, c.prefix = deltaKind, wm.Chunks
+	c.chunks = captureArena(a, int(wm.Chunks))
+	return c, true
 }
 
-// AppendSnapshotSince appends a snapshot of both sides that ships only
-// blocks appended since wm was captured, where possible. A nil wm (or
-// one invalidated by a rebuild) degrades that side to the full
-// encoding. The returned watermark is what the next delta should be
-// taken against — but only once the snapshot it was captured with has
-// durably committed, or the chain on disk would have a hole. delta
-// reports whether any side actually shipped a delta; when false the
-// payload is self-contained.
-func (l *Local) AppendSnapshotSince(buf []byte, wm *LocalWatermark) (out []byte, next LocalWatermark, delta bool) {
+// Capture freezes both sides for a snapshot that ships only blocks
+// appended since wm was taken, where possible. A nil wm captures a full
+// snapshot; a watermark invalidated by a rebuild degrades that side to
+// a full record. The work is O(blocks) plus one tail-block copy per
+// side (an ordered side is encoded in full). The returned watermark is
+// what the next delta should be taken against — but only once the
+// snapshot encoded from this capture has durably committed, or the
+// chain on disk would have a hole. delta reports whether any side is a
+// delta record; when false the payload is self-contained.
+func (l *Local) Capture(wm *LocalWatermark) (c LocalCapture, next LocalWatermark, delta bool) {
+	next = LocalWatermark{R: indexWatermark(l.r), S: indexWatermark(l.s)}
 	if wm == nil {
-		next = l.Watermark()
-		return l.AppendSnapshot(buf), next, false
+		c.version = localSnapVersion
+		c.r, _ = captureSide(l.r, nil)
+		c.s, _ = captureSide(l.s, nil)
+		return c, next, false
 	}
-	buf = appendU8(buf, localSnapVersionDelta)
+	c.version = localSnapVersionDelta
 	var dr, ds bool
-	buf, next.R, dr = appendIndexSince(buf, l.r, wm.R)
-	buf, next.S, ds = appendIndexSince(buf, l.s, wm.S)
-	return buf, next, dr || ds
+	c.r, dr = captureSide(l.r, &wm.R)
+	c.s, ds = captureSide(l.s, &wm.S)
+	return c, next, dr || ds
+}
+
+// size is the exact length appendTo writes.
+func (c *sideCapture) size() int {
+	if c.kind == snapIdxOrdered {
+		return len(c.enc)
+	}
+	n := 1 + 8 + 4 // kind, byte volume, block count
+	if c.kind >= snapIdxHashDelta {
+		n += 4 // prefix
+	}
+	for _, ch := range c.chunks {
+		n += blockSize(ch)
+	}
+	return n
+}
+
+// appendTo encodes the side record.
+func (c *sideCapture) appendTo(buf []byte) []byte {
+	if c.kind == snapIdxOrdered {
+		return append(buf, c.enc...)
+	}
+	buf = appendU8(buf, c.kind)
+	buf = appendU64(buf, uint64(c.bytes))
+	if c.kind >= snapIdxHashDelta {
+		buf = appendU32(buf, c.prefix)
+	}
+	buf = appendU32(buf, uint32(len(c.chunks)))
+	for _, ch := range c.chunks {
+		buf = appendBlock(buf, ch)
+	}
+	return buf
+}
+
+// Size is the exact length AppendTo writes: callers encoding into a
+// preallocated buffer size it once, up front.
+func (c *LocalCapture) Size() int { return 1 + c.r.size() + c.s.size() }
+
+// AppendTo encodes the captured state onto buf — the snapshot payload
+// of the Local as it stood at capture time — and returns the extended
+// slice. It only reads the capture, so it may run on any goroutine
+// while the captured Local keeps taking appends.
+func (c *LocalCapture) AppendTo(buf []byte) []byte {
+	buf = appendU8(buf, c.version)
+	buf = c.r.appendTo(buf)
+	return c.s.appendTo(buf)
 }
 
 // sideSnap is one parsed index record of a snapshot payload, full or

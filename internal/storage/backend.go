@@ -26,7 +26,11 @@ type Backend interface {
 	// Write durably commits one checkpoint blob under gen. deps lists
 	// the generations the blob depends on, base first; the backend must
 	// keep those blobs alive as long as gen is retained. deps is empty
-	// for a full snapshot.
+	// for a full snapshot. The operator encodes a fresh blob for every
+	// checkpoint and never reads or writes data again once Write is
+	// called, so a backend may retain data, or keep reading it from an
+	// abandoned attempt after Write returned (as RetryBackend's timed-out
+	// attempts do), without copying it.
 	Write(gen uint64, data []byte, deps []uint64) error
 	// Generations returns every committed generation, newest first.
 	// It lists what the backend believes exists; validation happens in

@@ -4,6 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -62,7 +66,12 @@ type JoinerSnapshot struct {
 	Emitted int64
 	// State is the store snapshot payload committed in this generation
 	// (Store.AppendSnapshot or a delta from Store.AppendSnapshotSince).
+	// Decode fills it.
 	State []byte
+	// Capture, when set, is the encode-side form of State: the joiner's
+	// barrier capture, which Encode writes straight into the blob in
+	// place of State.
+	Capture *StoreCapture
 	// StateChain is the joiner's payloads across the whole checkpoint
 	// chain, base first, ending with State. DecodeOperatorSnapshotChain
 	// fills it; a single-generation decode leaves it nil and State is
@@ -93,70 +102,149 @@ type OperatorSnapshot struct {
 	Joiners   []JoinerSnapshot
 }
 
-// appendRecord frames one record.
-func appendRecord(buf []byte, typ byte, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
-	buf = append(buf, typ)
-	return append(buf, payload...)
+// recFrame is a record's framing ahead of its payload: u32 len, u32
+// crc, u8 type.
+const recFrame = 4 + 4 + 1
+
+// joinerHead is a joiner record's payload ahead of the store state:
+// u32 id, u64 emitted, u32 state length.
+const joinerHead = 4 + 8 + 4
+
+// putRecord frames one record in place. rec is exactly recFrame plus
+// the payload's length, and fill appends the payload to the
+// zero-length slice of exactly that capacity it is handed, so the
+// payload lands in rec itself. The CRC is then taken over the type
+// byte and payload where they sit.
+func putRecord(rec []byte, typ byte, fill func([]byte) []byte) {
+	if p := fill(rec[recFrame:recFrame:len(rec)]); len(p) != len(rec)-recFrame {
+		panic(fmt.Sprintf("storage: checkpoint record type %d encoded %d bytes, sized %d", typ, len(p), len(rec)-recFrame))
+	}
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-8))
+	rec[8] = typ
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
 }
 
-// Encode serializes the snapshot.
-func (s *OperatorSnapshot) Encode() []byte {
-	var buf []byte
-
-	var p []byte
-	p = append(p, snapMagic...)
-	p = binary.LittleEndian.AppendUint32(p, snapVersion)
-	p = binary.LittleEndian.AppendUint64(p, s.ID)
-	p = binary.LittleEndian.AppendUint64(p, s.BaseID)
-	buf = appendRecord(buf, recHeader, p)
-
-	p = p[:0]
-	p = binary.LittleEndian.AppendUint32(p, s.Epoch)
-	p = binary.LittleEndian.AppendUint32(p, uint32(s.Mapping.N))
-	p = binary.LittleEndian.AppendUint32(p, uint32(s.Mapping.M))
-	p = binary.LittleEndian.AppendUint32(p, uint32(s.NumRe))
-	p = binary.LittleEndian.AppendUint64(p, s.Seq)
-	p = binary.LittleEndian.AppendUint64(p, uint64(s.RouteSeed))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Table)))
-	for _, id := range s.Table {
-		p = binary.LittleEndian.AppendUint32(p, uint32(id))
+// stateSize is the length of the joiner's store payload.
+func (j *JoinerSnapshot) stateSize() int {
+	if j.Capture != nil {
+		return j.Capture.Size()
 	}
-	buf = appendRecord(buf, recMeta, p)
+	return len(j.State)
+}
 
-	p = p[:0]
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Lanes)))
-	for _, l := range s.Lanes {
-		p = binary.LittleEndian.AppendUint64(p, l.Next)
-		p = binary.LittleEndian.AppendUint64(p, l.End)
-	}
-	buf = appendRecord(buf, recLanes, p)
-
-	p = p[:0]
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Cuts)))
-	for _, c := range s.Cuts {
-		p = binary.LittleEndian.AppendUint64(p, uint64(c))
-	}
-	buf = appendRecord(buf, recCuts, p)
-
-	for _, j := range s.Joiners {
-		p = p[:0]
+// putRecord writes the joiner's record into rec, sized for it.
+func (j *JoinerSnapshot) putRecord(rec []byte) {
+	putRecord(rec, recJoiner, func(p []byte) []byte {
 		p = binary.LittleEndian.AppendUint32(p, uint32(j.ID))
 		p = binary.LittleEndian.AppendUint64(p, uint64(j.Emitted))
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(j.State)))
-		p = append(p, j.State...)
-		buf = appendRecord(buf, recJoiner, p)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(rec)-recFrame-joinerHead))
+		if j.Capture != nil {
+			return j.Capture.AppendTo(p)
+		}
+		return append(p, j.State...)
+	})
+}
+
+// Encode serializes the snapshot into one blob. Every record is sized
+// first, so the blob is allocated once at its exact length and each
+// record — joiner stores included — is written in place; the joiner
+// records occupy disjoint, precomputed regions and are encoded in
+// parallel. The returned blob is never reused by the encoder.
+func (s *OperatorSnapshot) Encode() []byte {
+	fixed := [...]int{
+		len(snapMagic) + 4 + 8 + 8,       // header
+		4*4 + 8 + 8 + 4 + 4*len(s.Table), // meta
+		4 + 16*len(s.Lanes),              // lanes
+		4 + 8*len(s.Cuts),                // cuts
+	}
+	total := recFrame + 4 // trailer
+	for _, n := range fixed {
+		total += recFrame + n
+	}
+	joinerLen := make([]int, len(s.Joiners))
+	for i := range s.Joiners {
+		joinerLen[i] = recFrame + joinerHead + s.Joiners[i].stateSize()
+		total += joinerLen[i]
+	}
+	blob := make([]byte, total)
+	off := 0
+	next := func(n int) []byte {
+		rec := blob[off : off+n]
+		off += n
+		return rec
 	}
 
-	p = p[:0]
-	// header + meta + lanes + cuts + joiners + trailer itself
-	p = binary.LittleEndian.AppendUint32(p, uint32(5+len(s.Joiners)))
-	buf = appendRecord(buf, recTrailer, p)
-	return buf
+	putRecord(next(recFrame+fixed[0]), recHeader, func(p []byte) []byte {
+		p = append(p, snapMagic...)
+		p = binary.LittleEndian.AppendUint32(p, snapVersion)
+		p = binary.LittleEndian.AppendUint64(p, s.ID)
+		return binary.LittleEndian.AppendUint64(p, s.BaseID)
+	})
+	putRecord(next(recFrame+fixed[1]), recMeta, func(p []byte) []byte {
+		p = binary.LittleEndian.AppendUint32(p, s.Epoch)
+		p = binary.LittleEndian.AppendUint32(p, uint32(s.Mapping.N))
+		p = binary.LittleEndian.AppendUint32(p, uint32(s.Mapping.M))
+		p = binary.LittleEndian.AppendUint32(p, uint32(s.NumRe))
+		p = binary.LittleEndian.AppendUint64(p, s.Seq)
+		p = binary.LittleEndian.AppendUint64(p, uint64(s.RouteSeed))
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Table)))
+		for _, id := range s.Table {
+			p = binary.LittleEndian.AppendUint32(p, uint32(id))
+		}
+		return p
+	})
+	putRecord(next(recFrame+fixed[2]), recLanes, func(p []byte) []byte {
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Lanes)))
+		for _, l := range s.Lanes {
+			p = binary.LittleEndian.AppendUint64(p, l.Next)
+			p = binary.LittleEndian.AppendUint64(p, l.End)
+		}
+		return p
+	})
+	putRecord(next(recFrame+fixed[3]), recCuts, func(p []byte) []byte {
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Cuts)))
+		for _, c := range s.Cuts {
+			p = binary.LittleEndian.AppendUint64(p, uint64(c))
+		}
+		return p
+	})
+	recs := make([][]byte, len(s.Joiners))
+	for i, n := range joinerLen {
+		recs[i] = next(n)
+	}
+	putRecord(next(recFrame+4), recTrailer, func(p []byte) []byte {
+		// header + meta + lanes + cuts + joiners + trailer itself
+		return binary.LittleEndian.AppendUint32(p, uint32(5+len(s.Joiners)))
+	})
+	s.putJoiners(recs)
+	return blob
+}
+
+// putJoiners writes every joiner record into its region of the blob
+// over min(J, GOMAXPROCS) goroutines. A panic in one of them (a capture
+// whose encoding disagrees with its size) re-raises on the caller.
+func (s *OperatorSnapshot) putJoiners(recs [][]byte) {
+	var next atomic.Int64
+	var failed atomic.Pointer[any]
+	var wg sync.WaitGroup
+	for w := min(len(recs), runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					failed.CompareAndSwap(nil, &p)
+				}
+			}()
+			for i := int(next.Add(1) - 1); i < len(recs); i = int(next.Add(1) - 1) {
+				s.Joiners[i].putRecord(recs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(*p)
+	}
 }
 
 // corruptf wraps a decode failure with the ErrCorrupt sentinel.
@@ -413,6 +501,109 @@ func (s *Store) spillMark(side matrix.Side) SpillMark {
 	return SpillMark{}
 }
 
+// StoreCapture is a Store's state frozen at a checkpoint barrier by
+// Capture: the memory tier as a join.LocalCapture (arena blocks by
+// reference plus a copy of each open tail block) and the spilled
+// records past the watermark, already encoded — a spill segment is a
+// file the owner keeps appending to, so its records cannot be held by
+// reference. Size and AppendTo only read the capture, so the encode may
+// run on any goroutine while the owner keeps inserting; it must finish
+// before the owner next runs Retain (migration), which the operator
+// guarantees by starting no migration while a checkpoint is uncommitted.
+type StoreCapture struct {
+	kind  byte
+	mem   join.LocalCapture
+	spill [2]spillCapture
+}
+
+// spillCapture is one side's spilled-record suffix: records [prev, cur)
+// of the segment, encoded (prev is 0 in a full payload).
+type spillCapture struct {
+	prev, cur uint32
+	recs      []byte
+}
+
+// Capture freezes the store for a snapshot that ships only state
+// stored since wm was taken, when possible. A nil wm, or one
+// invalidated by a spill-segment rewrite, captures a full snapshot
+// (per-index rebuilds degrade just that index inside the memory
+// payload). The returned watermark is valid to delta against only once
+// the payload encoded from this capture has durably committed. full
+// reports whether the payload is self-contained.
+func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermark, full bool) {
+	sides := [2]matrix.Side{matrix.SideR, matrix.SideS}
+	next.Spill[matrix.SideR] = s.spillMark(matrix.SideR)
+	next.Spill[matrix.SideS] = s.spillMark(matrix.SideS)
+
+	full = wm == nil
+	for _, side := range sides {
+		if full {
+			break
+		}
+		m, cur := wm.Spill[side], next.Spill[side]
+		full = m.Rewrites != cur.Rewrites || m.N > cur.N
+	}
+
+	c = &StoreCapture{kind: storeSnapDelta}
+	if full {
+		c.kind = storeSnapFull
+		c.mem, next.Mem, _ = s.mem.Capture(nil)
+	} else {
+		c.mem, next.Mem, _ = s.mem.Capture(&wm.Mem)
+	}
+	for _, side := range sides {
+		sc := &c.spill[side]
+		sc.cur = next.Spill[side].N
+		if !full {
+			sc.prev = wm.Spill[side].N
+		}
+		seg := s.segs[side]
+		if seg == nil || sc.cur == sc.prev {
+			continue
+		}
+		sc.recs = make([]byte, 0, int(sc.cur-sc.prev)*recordHeader)
+		var scratch []byte
+		i := uint32(0)
+		seg.scan(func(t join.Tuple) bool {
+			if i >= sc.prev {
+				scratch = encodeRecordInto(scratch, t)
+				sc.recs = append(sc.recs, scratch...)
+			}
+			i++
+			return true
+		}, &s.Metrics)
+	}
+	return c, next, full
+}
+
+// Size is the exact length AppendTo writes.
+func (c *StoreCapture) Size() int {
+	n := 1 + 4 + c.mem.Size()
+	for _, sc := range c.spill {
+		n += 4 + len(sc.recs)
+		if c.kind == storeSnapDelta {
+			n += 4
+		}
+	}
+	return n
+}
+
+// AppendTo encodes the captured payload onto buf, in the store payload
+// framing above, and returns the extended slice.
+func (c *StoreCapture) AppendTo(buf []byte) []byte {
+	buf = append(buf, c.kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.mem.Size()))
+	buf = c.mem.AppendTo(buf)
+	for _, sc := range c.spill {
+		if c.kind == storeSnapDelta {
+			buf = binary.LittleEndian.AppendUint32(buf, sc.prev)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, sc.cur)
+		buf = append(buf, sc.recs...)
+	}
+	return buf
+}
+
 // AppendSnapshot appends the store's full serialized state to buf: the
 // memory tier as whole arena blocks (join.Local.AppendSnapshot), then
 // each side's spilled records in append order, re-using the spill
@@ -422,72 +613,11 @@ func (s *Store) AppendSnapshot(buf []byte) []byte {
 	return out
 }
 
-// AppendSnapshotSince appends a snapshot that ships only state stored
-// since wm was captured, when possible. A nil wm, or one invalidated
-// by a spill-segment rewrite, produces a full snapshot (per-index
-// rebuilds degrade just that index inside the memory payload). The
-// returned watermark is valid to delta against only once this payload
-// has durably committed. full reports whether the payload is
-// self-contained.
+// AppendSnapshotSince is Capture followed by AppendTo on the calling
+// goroutine: the payload a checkpoint of this store would commit.
 func (s *Store) AppendSnapshotSince(buf []byte, wm *StoreWatermark) (out []byte, next StoreWatermark, full bool) {
-	sides := [2]matrix.Side{matrix.SideR, matrix.SideS}
-	next.Spill[matrix.SideR] = s.spillMark(matrix.SideR)
-	next.Spill[matrix.SideS] = s.spillMark(matrix.SideS)
-
-	spillOK := wm != nil
-	if wm != nil {
-		for _, side := range sides {
-			m, cur := wm.Spill[side], next.Spill[side]
-			if m.Rewrites != cur.Rewrites || m.N > cur.N {
-				spillOK = false
-			}
-		}
-	}
-
-	var scratch []byte
-	if !spillOK {
-		buf = append(buf, storeSnapFull)
-		lenOff := len(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-		buf = s.mem.AppendSnapshot(buf)
-		next.Mem = s.mem.Watermark()
-		binary.LittleEndian.PutUint32(buf[lenOff:], uint32(len(buf)-lenOff-4))
-		for _, side := range sides {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(int(next.Spill[side].N)))
-			if seg := s.segs[side]; seg != nil {
-				seg.scan(func(t join.Tuple) bool {
-					scratch = encodeRecordInto(scratch, t)
-					buf = append(buf, scratch...)
-					return true
-				}, &s.Metrics)
-			}
-		}
-		return buf, next, true
-	}
-
-	buf = append(buf, storeSnapDelta)
-	lenOff := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	buf, next.Mem, _ = s.mem.AppendSnapshotSince(buf, &wm.Mem)
-	binary.LittleEndian.PutUint32(buf[lenOff:], uint32(len(buf)-lenOff-4))
-	for _, side := range sides {
-		prev := int(wm.Spill[side].N)
-		cur := int(next.Spill[side].N)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(prev))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(cur))
-		if seg := s.segs[side]; seg != nil && cur > prev {
-			i := 0
-			seg.scan(func(t join.Tuple) bool {
-				if i >= prev {
-					scratch = encodeRecordInto(scratch, t)
-					buf = append(buf, scratch...)
-				}
-				i++
-				return true
-			}, &s.Metrics)
-		}
-	}
-	return buf, next, false
+	c, next, full := s.Capture(wm)
+	return c.AppendTo(slices.Grow(buf, c.Size())), next, full
 }
 
 // storeSnap is one parsed store payload, held decoded so a chain can
