@@ -45,7 +45,7 @@ bench:
 # same script CI's bench-smoke job runs (scripts/benchdelta.sh), so
 # the benchmark set and gating flags cannot drift between local and CI
 # runs. Exits non-zero on a >25% regression; BENCHDELTA_FLAGS passes
-# extra cmd/benchdelta flags (e.g. -minscale 2.5, -tolerance -1).
+# extra cmd/benchdelta flags (e.g. -tolerance -1).
 bench-delta:
 	GO=$(GO) ./scripts/benchdelta.sh $(BENCHDELTA_FLAGS)
 

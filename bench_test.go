@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (run
 // with `go test -bench=. -benchmem`), plus micro-benchmarks of the
-// core data structures and ablations of the design choices DESIGN.md
-// calls out (ε tradeoff, locality-aware migration, warmup).
+// core data structures and ablations of three design choices: Alg. 2's
+// ε tradeoff, locality-aware migration, and the adaptation warmup.
 //
 // Each Benchmark<Artifact> executes the corresponding experiment at a
 // reduced scale and reports the headline quantity of that artifact via
@@ -864,7 +864,7 @@ func BenchmarkOrderedIndexBandProbe(b *testing.B) {
 	}
 }
 
-// --- Ablations of the design choices DESIGN.md calls out ---
+// --- Ablations: ε tradeoff, locality-aware migration, warmup ---
 
 // BenchmarkAblationEpsilon sweeps Alg. 2's ε and reports the
 // optimality/communication tradeoff of Theorem 4.2: smaller ε migrates

@@ -8,15 +8,11 @@
 // Since PR 6 the comparison gates: any stable-benchmark configuration
 // slower than the committed point by more than -tolerance percent
 // (default 25) makes benchdelta exit non-zero. Scaling rows
-// (BenchmarkScaling*) are exempt from the tolerance gate — their
-// committed points are machine-shaped (a 1-CPU host records flat rows,
-// a 4-vCPU runner does not) — and are gated instead by -minscale
-// (ingest rows) and -minscalefanout (fanout rows, the PR-7 emit
-// plane), each requiring the best procs=1 -> procs=4 speedup of the
-// current run to reach the given factor. Both gates arm only on hosts
-// with at least 4 CPUs; elsewhere they print a skip note, so
-// single-core laptops and CI runners share one invocation. Checkpoint
-// rows (BenchmarkCheckpoint, the PR-8 durability plane) print their
+// (BenchmarkScaling*) print but are exempt from the tolerance gate:
+// their committed points are machine-shaped (a 1-CPU host records flat
+// rows, a 4-vCPU runner does not), and the reshuffler count follows
+// GOMAXPROCS, so rows at different procs run different configurations.
+// Checkpoint rows (BenchmarkCheckpoint, the PR-8 durability plane) print their
 // ms/ckpt delta against the committed point but are likewise exempt
 // from the tolerance gate: a checkpoint pause is dominated by the
 // host's memory bandwidth and (in the file mode) fsync latency, both
@@ -43,8 +39,8 @@
 //
 // Usage:
 //
-//	scripts/benchdelta.sh                                     # full set, gating
-//	scripts/benchdelta.sh -minscale 2.5 -minscalefanout 2.5   # additionally gate 1->4 scaling
+//	scripts/benchdelta.sh                  # full set, gating
+//	scripts/benchdelta.sh -tolerance -1    # print deltas only
 package main
 
 import (
@@ -55,7 +51,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 )
 
@@ -158,10 +153,6 @@ var transportLine = regexp.MustCompile(`^BenchmarkTransportLink/(\S+?)(?:-\d+)?\
 func main() {
 	tolerance := flag.Float64("tolerance", 25,
 		"max regression (percent) vs the committed trajectory before exiting non-zero; negative disables the gate")
-	minScale := flag.Float64("minscale", 0,
-		"required best procs=1 -> procs=4 ingest speedup factor (0 disables; skipped below 4 CPUs)")
-	minScaleFanout := flag.Float64("minscalefanout", 0,
-		"required best procs=1 -> procs=4 fanout speedup factor (0 disables; skipped below 4 CPUs)")
 	flag.Parse()
 
 	committed := loadLatest()
@@ -198,9 +189,6 @@ func main() {
 		base["transport/"+r.Mode] = r.NsPerEnvelope
 	}
 
-	// curScaling[bench][j][procs] = ns/tuple of the current run, for
-	// the -minscale speedup gate.
-	curScaling := make(map[string]map[int]map[int]float64)
 	var regressions []string
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -236,13 +224,6 @@ func main() {
 			key = scalingKey(bench, j, procs)
 			ns, _ = strconv.ParseFloat(m[4], 64)
 			scaling = true
-			if curScaling[bench] == nil {
-				curScaling[bench] = make(map[int]map[int]float64)
-			}
-			if curScaling[bench][j] == nil {
-				curScaling[bench][j] = make(map[int]float64)
-			}
-			curScaling[bench][j][procs] = ns
 		} else if m := ingestLine.FindStringSubmatch(sc.Text()); m != nil {
 			key = m[1] + "=" + m[2]
 			ns, _ = strconv.ParseFloat(m[3], 64)
@@ -267,7 +248,7 @@ func main() {
 			if scaling {
 				// Committed scaling rows are machine-shaped; the
 				// tolerance gate would compare a laptop against a CI
-				// runner, so scaling is gated by -minscale instead.
+				// runner.
 				note = "  [scaling: not tolerance-gated]"
 			} else if ckpt {
 				// Checkpoint pauses are bandwidth/fsync-shaped; the
@@ -292,58 +273,12 @@ func main() {
 		fmt.Println("benchdelta: no benchmark lines on stdin")
 	}
 
-	failed := len(regressions) > 0
 	for _, r := range regressions {
 		fmt.Printf("benchdelta: REGRESSION %s\n", r)
 	}
-	if !checkScaling(curScaling, "ingest", *minScale, "minscale") {
-		failed = true
-	}
-	if !checkScaling(curScaling, "fanout", *minScaleFanout, "minscalefanout") {
-		failed = true
-	}
-	if failed {
+	if len(regressions) > 0 {
 		os.Exit(1)
 	}
-}
-
-// checkScaling applies one procs=1 -> procs=4 speedup gate (-minscale
-// over the ingest rows, -minscalefanout over the fanout rows): the
-// best speedup among the named benchmark's current j-groups must reach
-// minScale. Reports true (pass) when the gate is disabled, skipped for
-// lack of cores, or met.
-func checkScaling(cur map[string]map[int]map[int]float64, bench string, minScale float64, gate string) bool {
-	if minScale <= 0 {
-		return true
-	}
-	if ncpu := runtime.NumCPU(); ncpu < 4 {
-		fmt.Printf("benchdelta: %s gate skipped (%d CPUs < 4; scaling needs real cores)\n", gate, ncpu)
-		return true
-	}
-	best, bestJ := 0.0, 0
-	for j, byProcs := range cur[bench] {
-		one, ok1 := byProcs[1]
-		four, ok4 := byProcs[4]
-		if !ok1 || !ok4 || four <= 0 {
-			continue
-		}
-		speedup := one / four
-		fmt.Printf("benchdelta: scaling %s j=%d speedup 1->4 procs: %.2fx\n", bench, j, speedup)
-		if speedup > best {
-			best, bestJ = speedup, j
-		}
-	}
-	if bestJ == 0 {
-		fmt.Printf("benchdelta: %s gate FAILED (no BenchmarkScaling %s procs=1 and procs=4 rows on stdin)\n", gate, bench)
-		return false
-	}
-	if best < minScale {
-		fmt.Printf("benchdelta: %s gate FAILED (best speedup %.2fx at j=%d < required %.2fx)\n",
-			gate, best, bestJ, minScale)
-		return false
-	}
-	fmt.Printf("benchdelta: %s gate passed (%.2fx at j=%d >= %.2fx)\n", gate, best, bestJ, minScale)
-	return true
 }
 
 func scalingKey(bench string, j, procs int) string {

@@ -109,72 +109,93 @@ func (w *worker) wait(t *testing.T) error {
 // mid-stream state migration across TCP links, and a pair-for-pair
 // multiset comparison against the nested-loop oracle. Remote
 // execution, envelope framing, block-shipped migration, and the
-// shadow emit plane must all be invisible in the result.
+// shadow emit plane must all be invisible in the result. The second
+// case pins the coordinator's reshuffler count to 3, which a worker's
+// own default min(J, GOMAXPROCS) matches only on a three-core host: a
+// worker must take the count from the hello to align its joiners'
+// epoch signals and EOS with the coordinator's rings.
 func TestDistributedExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	w1, w2 := startWorker(t), startWorker(t)
-
 	tuples := emitStream(300, 6000, 40, 7)
 	want := emitOracle(tuples)
+	cases := []struct {
+		name  string
+		build func(emit squall.Emit, addrs ...string) squall.Engine
+	}{
+		{"default", func(emit squall.Emit, addrs ...string) squall.Engine {
+			return squall.NewEngine(squall.EquiJoin("dist", nil), squall.Each(emit),
+				squall.WithJoiners(8),
+				squall.WithSeed(99),
+				squall.WithAdaptive(),
+				squall.WithWarmup(400),
+				squall.WithWorkers(addrs...),
+			)
+		}},
+		{"reshufflers=3", func(emit squall.Emit, addrs ...string) squall.Engine {
+			return squall.NewOperator(squall.Config{
+				J: 8, Pred: squall.EquiJoin("dist", nil), Seed: 99, Emit: emit,
+				Adaptive: true, Warmup: 400, NumReshufflers: 3, Workers: addrs,
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w1, w2 := startWorker(t), startWorker(t)
 
-	var mu sync.Mutex
-	got := map[[2]int64]int{}
-	eng := squall.NewEngine(squall.EquiJoin("dist", nil),
-		squall.Each(func(p squall.Pair) {
-			mu.Lock()
-			got[[2]int64{p.R.Aux, p.S.Aux}]++
-			mu.Unlock()
-		}),
-		squall.WithJoiners(8),
-		squall.WithSeed(99),
-		squall.WithAdaptive(),
-		squall.WithWarmup(400),
-		squall.WithWorkers(w1.addr, w2.addr),
-	)
-	eng.Start()
-	done := make(chan error, 1)
-	go func() {
-		for i := range tuples {
-			if err := eng.Send(tuples[i]); err != nil {
-				done <- err
-				return
+			var mu sync.Mutex
+			got := map[[2]int64]int{}
+			emit := func(p squall.Pair) {
+				mu.Lock()
+				got[[2]int64{p.R.Aux, p.S.Aux}]++
+				mu.Unlock()
 			}
-		}
-		done <- eng.Finish()
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("distributed run: %v\nworker1 stderr: %s\nworker2 stderr: %s",
-				err, w1.stderr.String(), w2.stderr.String())
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatalf("distributed run hung\nworker1 stderr: %s\nworker2 stderr: %s",
-			w1.stderr.String(), w2.stderr.String())
-	}
+			eng := tc.build(emit, w1.addr, w2.addr)
+			eng.Start()
+			done := make(chan error, 1)
+			go func() {
+				for i := range tuples {
+					if err := eng.Send(tuples[i]); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- eng.Finish()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("distributed run: %v\nworker1 stderr: %s\nworker2 stderr: %s",
+						err, w1.stderr.String(), w2.stderr.String())
+				}
+			case <-time.After(120 * time.Second):
+				t.Fatalf("distributed run hung\nworker1 stderr: %s\nworker2 stderr: %s",
+					w1.stderr.String(), w2.stderr.String())
+			}
 
-	if migs := eng.Metrics().Migrations.Load(); migs == 0 {
-		t.Fatal("adaptive distributed run performed no migrations; the drill must cover remote state relocation")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
-		}
-	}
+			if migs := eng.Metrics().Migrations.Load(); migs == 0 {
+				t.Fatal("adaptive distributed run performed no migrations; the drill must cover remote state relocation")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
+				}
+			}
 
-	// Both workers must exit cleanly after a clean stream.
-	for i, w := range []*worker{w1, w2} {
-		if err := w.wait(t); err != nil {
-			t.Fatalf("worker %d exit: %v\nstderr: %s", i+1, err, w.stderr.String())
-		}
-		if !strings.Contains(w.stdout.String(), "session complete") {
-			t.Fatalf("worker %d did not report a complete session:\n%s", i+1, w.stdout.String())
-		}
+			// Both workers must exit cleanly after a clean stream.
+			for i, w := range []*worker{w1, w2} {
+				if err := w.wait(t); err != nil {
+					t.Fatalf("worker %d exit: %v\nstderr: %s", i+1, err, w.stderr.String())
+				}
+				if !strings.Contains(w.stdout.String(), "session complete") {
+					t.Fatalf("worker %d did not report a complete session:\n%s", i+1, w.stdout.String())
+				}
+			}
+		})
 	}
 }
 

@@ -151,38 +151,85 @@ func combineCutAndReplay(snap *storage.OperatorSnapshot, run1, run2 *shardRecord
 // the snapshot, replay the retained log, and check that the cut prefix
 // of run 1 plus all of run 2 is exactly the nested-loop oracle.
 func TestCheckpointRestoreReplayExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
+	reshufflerCases(t, 8, func(t *testing.T, numRe int) {
+		rng := rand.New(rand.NewSource(21))
+		pred := join.EquiJoin("eq", nil)
+		tuples := mixedStream(rng, 1500, 1500, 61)
+		stampSeqs(tuples, 0)
+		want := refPairs(pred, tuples)
+
+		backend := storage.NewMemBackend()
+		const maxJ = 64 // generous shard bound, operator stays at J=8
+		run1 := newShardRecorder(maxJ)
+		cfg := Config{J: 8, Pred: pred, Seed: 17, Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe}
+		op := NewOperator(cfg)
+		op.Start()
+
+		half := len(tuples) / 2
+		sendAll(t, op, tuples[:half])
+		if err := op.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		sendAll(t, op, tuples[half:])
+		if err := op.Finish(); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
+		if n := op.Metrics().Checkpoints.Load(); n != 1 {
+			t.Fatalf("committed %d checkpoints, want 1", n)
+		}
+
+		snap := latestSnapshot(t, backend)
+		run2 := newShardRecorder(maxJ)
+		cfg2 := Config{Pred: pred, Seed: 999 /* overridden by snapshot */, Backend: backend, EmitShard: run2.emit}
+		op2, err := RestoreOperator(cfg2, snap)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		op2.Start()
+		if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if err := op2.Finish(); err != nil {
+			t.Fatalf("finish restored: %v", err)
+		}
+
+		diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	})
+}
+
+// TestRestoreKeepsCheckpointReshufflers checkpoints under a reshuffler
+// count that is neither the default nor J and restores with a default
+// config: the restored operator must run the snapshot's rings — the
+// replay log is cut per ring — and recover exactly.
+func TestRestoreKeepsCheckpointReshufflers(t *testing.T) {
+	const numRe = 8
+	rng := rand.New(rand.NewSource(25))
 	pred := join.EquiJoin("eq", nil)
-	tuples := mixedStream(rng, 1500, 1500, 61)
+	tuples := mixedStream(rng, 1500, 1500, 53)
 	stampSeqs(tuples, 0)
 	want := refPairs(pred, tuples)
 
 	backend := storage.NewMemBackend()
-	const maxJ = 64 // generous shard bound, operator stays at J=8
-	run1 := newShardRecorder(maxJ)
-	cfg := Config{J: 8, Pred: pred, Seed: 17, Backend: backend, EmitShard: run1.emit}
-	op := NewOperator(cfg)
+	run1 := newShardRecorder(64)
+	op := NewOperator(Config{J: 16, Pred: pred, Seed: 19, Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe})
 	op.Start()
-
-	half := len(tuples) / 2
-	sendAll(t, op, tuples[:half])
+	sendAll(t, op, tuples[:len(tuples)/2])
 	if err := op.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	sendAll(t, op, tuples[half:])
+	sendAll(t, op, tuples[len(tuples)/2:])
 	if err := op.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	if n := op.Metrics().Checkpoints.Load(); n != 1 {
-		t.Fatalf("committed %d checkpoints, want 1", n)
-	}
 
 	snap := latestSnapshot(t, backend)
-	run2 := newShardRecorder(maxJ)
-	cfg2 := Config{Pred: pred, Seed: 999 /* overridden by snapshot */, Backend: backend, EmitShard: run2.emit}
-	op2, err := RestoreOperator(cfg2, snap)
+	run2 := newShardRecorder(64)
+	op2, err := RestoreOperator(Config{Pred: pred, Backend: backend, EmitShard: run2.emit}, snap)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
+	}
+	if got := len(op2.sources); got != numRe {
+		t.Fatalf("restored operator runs %d source rings, checkpoint had %d", got, numRe)
 	}
 	op2.Start()
 	if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
@@ -191,7 +238,6 @@ func TestCheckpointRestoreReplayExact(t *testing.T) {
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-
 	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
 }
 
@@ -248,61 +294,63 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 // must slot barriers between elementary chain steps and both sides of
 // the cut must stay exact.
 func TestCheckpointStraddlesMigrations(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pred := join.EquiJoin("eq", nil)
-	var tuples []join.Tuple
-	for i := 0; i < 150; i++ {
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideR, Key: rng.Int63n(40), Size: 8})
-	}
-	for i := 0; i < 9000; i++ {
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(40), Size: 8})
-	}
-	stampSeqs(tuples, 0)
-	want := refPairs(pred, tuples)
-
-	backend := storage.NewMemBackend()
-	run1 := newShardRecorder(64)
-	op := NewOperator(Config{
-		J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 29,
-		Backend: backend, EmitShard: run1.emit,
-	})
-	op.Start()
-	// Checkpoint repeatedly mid-stream so at least one request lands
-	// while a migration chain is in flight.
-	for i, tp := range tuples {
-		if err := op.Send(tp); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+	reshufflerCases(t, 16, func(t *testing.T, numRe int) {
+		rng := rand.New(rand.NewSource(23))
+		pred := join.EquiJoin("eq", nil)
+		var tuples []join.Tuple
+		for i := 0; i < 150; i++ {
+			tuples = append(tuples, join.Tuple{Rel: matrix.SideR, Key: rng.Int63n(40), Size: 8})
 		}
-		if i > 0 && i%1500 == 0 {
-			if err := op.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint at %d: %v", i, err)
+		for i := 0; i < 9000; i++ {
+			tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(40), Size: 8})
+		}
+		stampSeqs(tuples, 0)
+		want := refPairs(pred, tuples)
+
+		backend := storage.NewMemBackend()
+		run1 := newShardRecorder(64)
+		op := NewOperator(Config{
+			J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 29,
+			Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe,
+		})
+		op.Start()
+		// Checkpoint repeatedly mid-stream so at least one request lands
+		// while a migration chain is in flight.
+		for i, tp := range tuples {
+			if err := op.Send(tp); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+			if i > 0 && i%1500 == 0 {
+				if err := op.Checkpoint(); err != nil {
+					t.Fatalf("checkpoint at %d: %v", i, err)
+				}
 			}
 		}
-	}
-	if err := op.Finish(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	if op.Migrations() == 0 {
-		t.Fatal("expected migrations on a lopsided stream")
-	}
-	if op.Metrics().Checkpoints.Load() == 0 {
-		t.Fatal("expected committed checkpoints")
-	}
+		if err := op.Finish(); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
+		if op.Migrations() == 0 {
+			t.Fatal("expected migrations on a lopsided stream")
+		}
+		if op.Metrics().Checkpoints.Load() == 0 {
+			t.Fatal("expected committed checkpoints")
+		}
 
-	snap := latestSnapshot(t, backend)
-	run2 := newShardRecorder(64)
-	op2, err := RestoreOperator(Config{Pred: pred, Backend: backend, EmitShard: run2.emit}, snap)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	op2.Start()
-	if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if err := op2.Finish(); err != nil {
-		t.Fatalf("finish restored: %v", err)
-	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+		snap := latestSnapshot(t, backend)
+		run2 := newShardRecorder(64)
+		op2, err := RestoreOperator(Config{Pred: pred, Backend: backend, EmitShard: run2.emit}, snap)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		op2.Start()
+		if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if err := op2.Finish(); err != nil {
+			t.Fatalf("finish restored: %v", err)
+		}
+		diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	})
 }
 
 // TestAutoCheckpointEvery paces checkpoints from ingest volume.

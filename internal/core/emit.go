@@ -41,32 +41,22 @@ const maxPairPoolCap = maxPairBufCap
 // pairPool recycles emit-plane pair buffers between joiners
 // (producers) and emit workers (consumers), the third instance of the
 // batch-plane pooling discipline (batchPool, itemPool).
-var pairPool = sync.Pool{
-	New: func() any { return new([]join.Pair) },
-}
+var pairPool slicePool[join.Pair]
 
 // getPairs returns an empty pair buffer with at least capHint capacity
 // (clamped to the pool's retention bound — a larger run just grows it).
 func getPairs(capHint int) []join.Pair {
-	if capHint > maxPairPoolCap {
-		capHint = maxPairPoolCap
-	}
-	b := *(pairPool.Get().(*[]join.Pair))
-	if cap(b) < capHint {
-		return make([]join.Pair, 0, capHint)
-	}
-	return b[:0]
+	return pairPool.get(min(capHint, maxPairPoolCap))
 }
 
 // putPairs recycles a consumed pair buffer, clearing it first so
 // recycled buffers do not pin tuple payloads.
 func putPairs(b []join.Pair) {
-	if cap(b) == 0 || cap(b) > maxPairPoolCap {
+	if cap(b) > maxPairPoolCap {
 		return
 	}
 	clear(b)
-	b = b[:0]
-	pairPool.Put(&b)
+	pairPool.put(b)
 }
 
 // emitJob is one handed-off pair buffer: the emitting shard and the

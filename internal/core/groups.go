@@ -73,7 +73,7 @@ type GroupedConfig struct {
 // group size, so expected storage per machine matches the single-group
 // operator within a factor of two (competitive ratio 3.75).
 //
-// Deviation from the paper, documented in DESIGN.md: instead of the
+// Deviation from the paper: instead of the
 // per-block forwarding trees the paper uses to give all groups a
 // consistent view of tuple arrival order, each group runs a single
 // reshuffler and Send fans out tuples in one goroutine. This yields

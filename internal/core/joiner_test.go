@@ -153,44 +153,50 @@ func TestOperatorRoutedMessagesAccounting(t *testing.T) {
 func TestDoubleExpansionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pred := join.EquiJoin("eq", nil)
-	tuples := mixedStream(rng, 9000, 9000, 70)
+	tuples := mixedStream(rng, 13000, 13000, 70)
 	want := refCount(pred, tuples)
-	// M chosen so the growth settles at exactly J=16: per-joiner state
-	// passes M/2 at J=1 and J=4 but not at J=16.
+	// Per-joiner state passes M/2 at J=1 and J=4; MaxJoiners stops the
+	// growth at J=16.
 	var n atomic.Int64
 	op := NewOperator(Config{
 		J: 1, Pred: pred, Adaptive: true, Seed: 9,
 		Warmup:             200,
 		MaxTuplesPerJoiner: 10000,
-		MaxJoiners:         64, // safety net against runaway growth
+		MaxJoiners:         16,
 		Emit:               func(join.Pair) { n.Add(1) },
 	})
 	op.Start()
-	// The second expansion is decided on the stream that arrives after
-	// the first one has drained. The controller decides asynchronously,
-	// so feed until the first expansion has been issued, wait until its
-	// last ack is in, and only then feed the rest — otherwise a fast
-	// feeder can finish the stream while the first migration drains,
-	// and no decision is taken past the end of the input.
+	// Alg. 2 checks whenever a side's count doubles since the last check,
+	// and the first check lands wherever the controller's first
+	// observation chunk crosses Warmup, so the first expansion fires
+	// anywhere from ≈5 000 to ≈10 500 tuples and the second at about
+	// twice that. The second is decided on the stream that arrives
+	// after the first one has drained, and the controller decides
+	// asynchronously, so feed until the first expansion has been issued,
+	// wait until its last ack is in, and only then feed the rest —
+	// otherwise a fast feeder can finish the stream while the first
+	// migration drains, and no decision is taken past the end of the
+	// input.
 	i := 0
-	waitFor := func(what string, done func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); !done(); {
-			if i < len(tuples)/2 {
-				if err := op.Send(tuples[i]); err != nil {
-					t.Fatal(err)
-				}
-				i++
-				continue
+	for deadline := time.Now().Add(30 * time.Second); op.NumJoiners() < 4; {
+		if i < len(tuples) {
+			if err := op.Send(tuples[i]); err != nil {
+				t.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never happened after %d tuples", what, i)
-			}
-			time.Sleep(time.Millisecond)
+			i++
+			continue
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the first expansion never happened after %d tuples", i)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	waitFor("the first expansion", func() bool { return op.NumJoiners() == 4 })
-	waitFor("the first expansion's drain", func() bool { return op.Metrics().MigrationNanos.Load() > 0 })
+	for deadline := time.Now().Add(30 * time.Second); op.Metrics().MigrationNanos.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the first expansion never drained (issued by tuple %d)", i)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for ; i < len(tuples); i++ {
 		if err := op.Send(tuples[i]); err != nil {
 			t.Fatal(err)

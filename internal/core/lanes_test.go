@@ -127,55 +127,57 @@ func assertLaneExact(t *testing.T, got *lanePairSet, accepted []join.Tuple) {
 // pins the lane pool, grant windows, affinity spill, and sharded
 // counters as data-race-free.
 func TestLanesConcurrentFeedersExact(t *testing.T) {
-	const feeders = 4
-	tuples := laneStream(220, 9000, 50, 77)
-	ps := newLanePairSet()
-	op := NewOperator(Config{
-		J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true,
-		SourceLanes: feeders, Seed: 7, Emit: ps.emit,
-	})
-	op.Start()
+	reshufflerCases(t, 16, func(t *testing.T, numRe int) {
+		const feeders = 4
+		tuples := laneStream(220, 9000, 50, 77)
+		ps := newLanePairSet()
+		op := NewOperator(Config{
+			J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true,
+			SourceLanes: feeders, Seed: 7, Emit: ps.emit, NumReshufflers: numRe,
+		})
+		op.Start()
 
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + f)))
-			var batch []join.Tuple
-			flush := func() {
-				if len(batch) == 0 {
-					return
-				}
-				if err := op.SendBatch(batch); err != nil {
-					t.Error(err)
-				}
-				batch = batch[:0]
-			}
-			for i := f; i < len(tuples); i += feeders {
-				if rng.Intn(3) == 0 {
-					flush()
-					if err := op.Send(tuples[i]); err != nil {
+		var wg sync.WaitGroup
+		for f := 0; f < feeders; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(1000 + f)))
+				var batch []join.Tuple
+				flush := func() {
+					if len(batch) == 0 {
+						return
+					}
+					if err := op.SendBatch(batch); err != nil {
 						t.Error(err)
 					}
-					continue
+					batch = batch[:0]
 				}
-				batch = append(batch, tuples[i])
-				if len(batch) >= 1+rng.Intn(64) {
-					flush()
+				for i := f; i < len(tuples); i += feeders {
+					if rng.Intn(3) == 0 {
+						flush()
+						if err := op.Send(tuples[i]); err != nil {
+							t.Error(err)
+						}
+						continue
+					}
+					batch = append(batch, tuples[i])
+					if len(batch) >= 1+rng.Intn(64) {
+						flush()
+					}
 				}
-			}
-			flush()
-		}(f)
-	}
-	wg.Wait()
-	if err := op.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if op.Migrations() == 0 {
-		t.Fatal("expected migrations on a lopsided stream")
-	}
-	assertLaneExact(t, ps, tuples)
+				flush()
+			}(f)
+		}
+		wg.Wait()
+		if err := op.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if op.Migrations() == 0 {
+			t.Fatal("expected migrations on a lopsided stream")
+		}
+		assertLaneExact(t, ps, tuples)
+	})
 }
 
 // TestLanesFinishRaceExact races Finish against concurrent feeders:

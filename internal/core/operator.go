@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,8 +151,15 @@ type Config struct {
 	// Adaptive enables the controller's migration decisions; false
 	// yields a static operator (the StaticMid/StaticOpt baselines).
 	Adaptive bool
-	// NumReshufflers defaults to J. The grouped operator uses 1 to
-	// obtain a total delivery order per group.
+	// NumReshufflers is the number of routing tasks. It defaults to
+	// min(J, GOMAXPROCS): J is the paper's grid size (one reshuffler per
+	// machine in §3.2), but here a reshuffler is a goroutine, and more of
+	// them than cores only splits every SendBatch into smaller envelopes,
+	// each a separate hand-off and wake-up, so joiner batches ship
+	// partly full. Routing does not depend on the count. The grouped
+	// operator uses 1 to obtain a total delivery order per group; a
+	// worker takes the coordinator's count from its hello, a restore
+	// the snapshot's.
 	NumReshufflers int
 	// SourceLanes shards the ingest front end for concurrent feeders:
 	// with n > 1 lanes, each Send/SendBatch call acquires a lane holding
@@ -324,7 +332,7 @@ func (c *Config) fill() {
 		panic(fmt.Sprintf("core: initial mapping %v invalid for J=%d", c.Initial, c.J))
 	}
 	if c.NumReshufflers <= 0 {
-		c.NumReshufflers = c.J
+		c.NumReshufflers = min(c.J, runtime.GOMAXPROCS(0))
 	}
 	if c.SourceLanes <= 0 {
 		c.SourceLanes = 1

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -147,6 +149,28 @@ func TestAdaptiveOperatorMigratesAndStaysExact(t *testing.T) {
 	}
 }
 
+// reshufflerCases runs a protocol test twice: with the default
+// reshuffler count (min(J, GOMAXPROCS), a single ring on one core) and
+// with one reshuffler per joiner, so the multi-ring paths — epoch
+// signals, EOS and barrier markers aligned across rings — stay covered
+// at every GOMAXPROCS.
+func reshufflerCases(t *testing.T, j int, run func(t *testing.T, numRe int)) {
+	t.Run("default", func(t *testing.T) { run(t, 0) })
+	t.Run(fmt.Sprintf("reshufflers=%d", j), func(t *testing.T) { run(t, j) })
+}
+
+// TestDefaultReshufflersFollowCores pins the reshuffler default: one
+// routing task per core, never more than the grid has joiners.
+func TestDefaultReshufflersFollowCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct{ j, want int }{{16, 2}, {1, 1}} {
+		op := NewOperator(Config{J: tc.j, Pred: join.EquiJoin("eq", nil)})
+		if got := len(op.sources); got != tc.want {
+			t.Errorf("J=%d at GOMAXPROCS=2: %d source rings, want %d", tc.j, got, tc.want)
+		}
+	}
+}
+
 // Interleave the relations adversarially so migrations fire in both
 // directions (fluctuation), and verify exactness for all predicate
 // kinds.
@@ -158,26 +182,28 @@ func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
 	for _, pred := range preds {
 		pred := pred
 		t.Run(pred.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			var tuples []join.Tuple
-			// Alternating bursts: R-heavy, then S-heavy, repeatedly.
-			for burst := 0; burst < 6; burst++ {
-				side := matrix.SideR
-				if burst%2 == 1 {
-					side = matrix.SideS
+			reshufflerCases(t, 8, func(t *testing.T, numRe int) {
+				rng := rand.New(rand.NewSource(5))
+				var tuples []join.Tuple
+				// Alternating bursts: R-heavy, then S-heavy, repeatedly.
+				for burst := 0; burst < 6; burst++ {
+					side := matrix.SideR
+					if burst%2 == 1 {
+						side = matrix.SideS
+					}
+					for i := 0; i < 2500; i++ {
+						tuples = append(tuples, join.Tuple{Rel: side, Key: rng.Int63n(400), Size: 8})
+					}
 				}
-				for i := 0; i < 2500; i++ {
-					tuples = append(tuples, join.Tuple{Rel: side, Key: rng.Int63n(400), Size: 8})
+				want := refCount(pred, tuples)
+				got, op := runOperator(t, Config{J: 8, Pred: pred, Adaptive: true, Seed: 13, NumReshufflers: numRe}, tuples)
+				if got != want {
+					t.Fatalf("emitted %d, reference %d (migrations=%d)", got, want, op.Migrations())
 				}
-			}
-			want := refCount(pred, tuples)
-			got, op := runOperator(t, Config{J: 8, Pred: pred, Adaptive: true, Seed: 13}, tuples)
-			if got != want {
-				t.Fatalf("emitted %d, reference %d (migrations=%d)", got, want, op.Migrations())
-			}
-			if op.Migrations() < 2 {
-				t.Fatalf("only %d migrations under fluctuation", op.Migrations())
-			}
+				if op.Migrations() < 2 {
+					t.Fatalf("only %d migrations under fluctuation", op.Migrations())
+				}
+			})
 		})
 	}
 }

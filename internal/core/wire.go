@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -20,11 +19,11 @@ import (
 
 // wirePool recycles encode scratch for the blocking data-plane sends,
 // which run on the reshuffler goroutines at stream pace.
-var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+var wirePool slicePool[byte]
 
-func getWire() []byte { return (*wirePool.Get().(*[]byte))[:0] }
+func getWire() []byte { return wirePool.get(4096) }
 
-func putWire(b []byte) { wirePool.Put(&b) }
+func putWire(b []byte) { wirePool.put(b) }
 
 // msgWireHeader is the per-message fixed prefix: kind, flags
 // (bit0 expand, bit1 probeOnly), from, epoch, mapping N, mapping M.

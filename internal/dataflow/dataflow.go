@@ -4,8 +4,9 @@
 // an unbounded MPSC queue for migration traffic (so joiners never
 // deadlock exchanging state), a task runner with panic capture, and a
 // token-bucket rate limiter for source pacing. Everything is built on
-// goroutines and channels: one joiner task plus one reshuffler task per
-// simulated machine, exactly like the paper's task assignment.
+// goroutines and channels: one joiner task per simulated machine, as in
+// the paper's task assignment, and one reshuffler task per core (at
+// most one per machine).
 package dataflow
 
 import (

@@ -5,8 +5,7 @@
 // the paper uses, and renders the same rows or series the paper
 // reports. Absolute numbers are cost-model units rather than
 // blade-cluster seconds; the shapes (who wins, by what factor, where
-// crossovers fall) are the reproduction target. EXPERIMENTS.md records
-// paper-vs-measured for every artifact.
+// crossovers fall) are the reproduction target.
 package experiments
 
 import (
@@ -23,8 +22,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Options tunes experiment scale. Zero values select the defaults
-// used by EXPERIMENTS.md.
+// Options tunes experiment scale. Zero values select the defaults.
 type Options struct {
 	// SF is the base TPC-H scale factor (default 0.05; figures that
 	// sweep dataset size multiply it).

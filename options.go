@@ -154,11 +154,6 @@ func WithCheckpointPolicy(p CheckpointPolicy) Option {
 // WithLatency attaches a latency sampler to the stage.
 func WithLatency(l *LatencySampler) Option { return func(sc *stageConfig) { sc.cfg.Latency = l } }
 
-// WithReshufflers sets the reshuffler-task count (default: one per
-// joiner). The grouped engine ignores it: each group structurally
-// runs a single reshuffler to obtain a total delivery order.
-func WithReshufflers(n int) Option { return func(sc *stageConfig) { sc.cfg.NumReshufflers = n } }
-
 // WithSourceLanes shards the ingest front end for concurrent feeders:
 // each of the n lanes owns a private sequence-number window (granted
 // from the global counter in coarse blocks) and a home reshuffler
@@ -233,10 +228,8 @@ func NewEngine(pred Predicate, sink Sink, opts ...Option) Engine {
 // build constructs the stage's engine. The grouped operator exposes a
 // narrower tuning surface; options it cannot honor fall back to its
 // defaults: batch sizes and linger, the initial mapping, elasticity,
-// dummy padding (WithPadDummies), source lanes (WithSourceLanes —
-// cross-group consistency needs one shared arrival order), and the
-// reshuffler count (each group structurally runs one reshuffler to
-// keep a total delivery order).
+// dummy padding (WithPadDummies), and source lanes (WithSourceLanes —
+// cross-group consistency needs one shared arrival order).
 func (sc stageConfig) build(pred Predicate, sink Sink) Engine {
 	var emitBatch EmitBatch
 	var emitShard ShardedEmitBatch

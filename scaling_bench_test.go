@@ -69,8 +69,8 @@ func feedShards(b *testing.B, op *squall.Operator, shards [][]squall.Tuple) {
 // keys, negligible output) across a J x GOMAXPROCS grid with procs
 // concurrent feeders and procs source lanes. Each iteration runs a
 // fixed 200k-tuple stream through a fresh operator; ns/tuple and
-// tuples/s are reported per metric, so the procs=1 -> procs=4 ratio at
-// fixed J is the ingest scaling the lane sharding buys.
+// tuples/s are reported per metric. The reshuffler count follows procs,
+// so rows at different procs run different stage sizes.
 func BenchmarkScalingIngest(b *testing.B) {
 	const nTuples = 200000
 	stream := func() []squall.Tuple {
@@ -129,8 +129,8 @@ type shardCounter struct {
 // key domain, every probe fans out) at J=16 across GOMAXPROCS, with
 // the full PR-7 emit plane engaged: procs source lanes on ingest,
 // procs emit workers on egress, and a sharded per-core counter sink.
-// The procs=1 -> procs=4 ns/tuple ratio is the emit-plane scaling
-// figure benchdelta gates with -minscalefanout.
+// The reshuffler count follows procs too, so the procs=1 -> procs=4
+// ratio compares two configurations, not one on more cores.
 func BenchmarkScalingFanout(b *testing.B) {
 	const (
 		nTuples = 100000

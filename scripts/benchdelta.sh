@@ -12,7 +12,6 @@
 # exits non-zero on a regression beyond its tolerance.
 #
 # Extra arguments pass straight through to cmd/benchdelta, e.g.:
-#   scripts/benchdelta.sh -minscale 2.5     # gate 1->4 core scaling
 #   scripts/benchdelta.sh -tolerance -1     # disable the regression gate
 set -eu
 cd "$(dirname "$0")/.."

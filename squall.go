@@ -72,8 +72,7 @@
 // The raw constructors (NewOperator, NewGrouped) and the Config
 // structs remain as compatibility shims for one release; see the
 // MIGRATION section of the README for the Config-field-to-option
-// mapping. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the paper-versus-measured record of every table and figure.
+// mapping.
 package squall
 
 import (
