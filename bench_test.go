@@ -769,57 +769,6 @@ func BenchmarkStoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMigrationDrain measures the adaptation cost the paper's
-// design bounds: wall time from a migration decision (epoch broadcast)
-// to its finalization (last joiner ack), under steady ingest, averaged
-// over the elementary steps the run performs. mig=1 is the per-message
-// migration plane; mig=default batches kMigTuple envelopes like the
-// data plane (the PR-2 trajectory point in BENCH_PR2.json).
-func BenchmarkMigrationDrain(b *testing.B) {
-	for _, mig := range []int{1, 0} {
-		name := "mig=1"
-		if mig == 0 {
-			name = "mig=default"
-		}
-		mig := mig
-		b.Run(name, func(b *testing.B) {
-			var drainPerMig, migs float64
-			for i := 0; i < b.N; i++ {
-				op := squall.NewOperator(squall.Config{
-					J: 16, Pred: squall.EquiJoin("bench", nil), Adaptive: true,
-					Warmup: 500, Seed: 11, MigBatchSize: mig,
-				})
-				op.Start()
-				rng := rand.New(rand.NewSource(5))
-				// A lopsided stream: R-heavy prefix builds state, then an
-				// S flood forces the controller to reshape the grid while
-				// ingest continues — migration drains compete with new
-				// tuples for every joiner, as in §4.3.2.
-				for t := 0; t < 500; t++ {
-					op.Send(squall.Tuple{Rel: squall.SideR, Key: rng.Int63n(1 << 18), Size: 8})
-				}
-				for t := 0; t < 60000; t++ {
-					op.Send(squall.Tuple{Rel: squall.SideS, Key: rng.Int63n(1 << 18), Size: 8})
-				}
-				if err := op.Finish(); err != nil {
-					b.Fatal(err)
-				}
-				// MigrationNanos covers every timed epoch step, so
-				// average over migrations and expansions alike (this
-				// stream triggers no expansions; the sum keeps the
-				// figure honest if the decider's behavior shifts).
-				migs = float64(op.Migrations() + op.Metrics().Expansions.Load())
-				drainPerMig = 0
-				if migs > 0 {
-					drainPerMig = float64(op.Metrics().MigrationDrain().Microseconds()) / migs
-				}
-			}
-			b.ReportMetric(drainPerMig, "µs/migration")
-			b.ReportMetric(migs, "migrations")
-		})
-	}
-}
-
 // BenchmarkSimProcess measures the deterministic simulator's per-tuple
 // cost (the experiment harness hot path).
 func BenchmarkSimProcess(b *testing.B) {

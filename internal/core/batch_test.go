@@ -101,45 +101,6 @@ func TestBatchingGroupedExact(t *testing.T) {
 	}
 }
 
-// The batched migration plane must be invisible to the join semantics:
-// under adaptive migrations, MigBatchSize 1 (the per-message plane) and
-// batched envelopes produce exactly the reference output, and the
-// default (0) actually batches.
-func TestMigBatchingOnVsOffIdenticalUnderMigration(t *testing.T) {
-	pred := join.EquiJoin("eq", nil)
-	rng := rand.New(rand.NewSource(46))
-	var tuples []join.Tuple
-	for i := 0; i < 250; i++ {
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideR, Key: rng.Int63n(60), Size: 8})
-	}
-	for i := 0; i < 11000; i++ {
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(60), Size: 8})
-	}
-	want := refCount(pred, tuples)
-	for _, mb := range []int{1, 4, 0} {
-		got, op := runOperator(t, Config{
-			J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 11, MigBatchSize: mb,
-		}, tuples)
-		if got != want {
-			t.Fatalf("MigBatchSize=%d: emitted %d, reference %d (migrations=%d)", mb, got, want, op.Migrations())
-		}
-		if op.Migrations() == 0 {
-			t.Fatalf("MigBatchSize=%d: expected migrations on a lopsided stream", mb)
-		}
-		m := op.Metrics()
-		if m.MigBatchesSent.Load() == 0 {
-			t.Fatalf("MigBatchSize=%d: no migration envelopes recorded", mb)
-		}
-		mean := m.MeanMigBatchSize()
-		if mb == 1 && mean != 1 {
-			t.Fatalf("MigBatchSize=1: mean envelope size %.2f, want exactly 1", mean)
-		}
-		if mb == 0 && mean <= 1 {
-			t.Fatalf("MigBatchSize=0 (default): mean envelope size %.2f, want > 1", mean)
-		}
-	}
-}
-
 // Under sustained load, full envelopes should dominate the flush mix
 // and the realized mean batch size should comfortably exceed 1.
 func TestBatchMetricsRecorded(t *testing.T) {

@@ -44,6 +44,11 @@ func countPairs(dst map[[2]uint64]int, ps []join.Pair) {
 // refPairs computes the nested-loop oracle multiset over the final
 // sequence-stamped tuples.
 func refPairs(p join.Predicate, tuples []join.Tuple) map[[2]uint64]int {
+	return refMultiset(p, tuples, ckptKey)
+}
+
+// refMultiset is the nested-loop oracle with each pair folded by key.
+func refMultiset[K comparable](p join.Predicate, tuples []join.Tuple, key func(join.Pair) K) map[K]int {
 	var rs, ss []join.Tuple
 	for _, t := range tuples {
 		if t.Rel == matrix.SideR {
@@ -52,18 +57,18 @@ func refPairs(p join.Predicate, tuples []join.Tuple) map[[2]uint64]int {
 			ss = append(ss, t)
 		}
 	}
-	out := make(map[[2]uint64]int)
+	out := make(map[K]int)
 	for _, r := range rs {
 		for _, s := range ss {
 			if p.Matches(r, s) {
-				out[ckptKey(join.Pair{R: r, S: s})]++
+				out[key(join.Pair{R: r, S: s})]++
 			}
 		}
 	}
 	return out
 }
 
-func diffMultisets(t *testing.T, got, want map[[2]uint64]int) {
+func diffMultisets[K comparable](t *testing.T, got, want map[K]int) {
 	t.Helper()
 	for k, n := range want {
 		if got[k] != n {

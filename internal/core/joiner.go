@@ -60,16 +60,8 @@ type joiner struct {
 	ckptWM atomic.Pointer[storage.StoreWatermark]
 
 	dataIn    chan []message
-	migIn     *dataflow.Queue[[]message]
+	migIn     *dataflow.Queue[message]
 	migNotify chan struct{}
-	// migPend/migPos is the partially consumed head envelope of migIn:
-	// the batched migration plane delivers envelopes, but the 2:1
-	// migrated-to-new pacing (§4.3.2) is per message, so the joiner
-	// drains envelopes through this cursor one message at a time.
-	migPend []message
-	migPos  int
-	// migBatch is the outgoing kMigTuple envelope capacity.
-	migBatch int
 	// runBuf is the reusable scratch buffer handleBatch extracts
 	// same-side tuple runs into for the store's batch API.
 	runBuf []join.Tuple
@@ -179,18 +171,16 @@ func (w *joiner) flushPending() {
 }
 
 // migTarget is one destination of this joiner's outgoing state during
-// a migration, with the filter selecting which stored tuples it gets
-// and the kMigTuple envelope under construction for it.
+// a migration, with the filter selecting which old-epoch tuples it
+// gets and the arena blocks under construction for it: stored tuples
+// (τ and stored ∆) in blocks, which the receiver adopts into µ, and
+// probe-only ∆ forwards (grouped mode's cross-group traffic) in probe,
+// which the receiver only probes ∆′ with. Both ship as kMigBlocks.
 type migTarget struct {
-	dest int
-	want func(side matrix.Side, u uint64) bool
-	pend []message
-	// blocks accumulates stored tuples bound for a target in another
-	// process: instead of per-tuple kMigTuple messages they ship as
-	// serialized columnar arena blocks (kMigBlocks), which the receiver
-	// installs through whole-block adoption. Lazily allocated on the
-	// first remote-bound tuple; nil for local targets.
-	blocks *join.BlockEncoder
+	dest   int
+	want   func(side matrix.Side, u uint64) bool
+	blocks join.BlockEncoder
+	probe  join.BlockEncoder
 }
 
 // migState is the in-flight migration context.
@@ -220,9 +210,11 @@ type migState struct {
 	dones         int
 }
 
-// run is the joiner task loop. Migrated tuples are processed at twice
-// the rate of new tuples when both are pending (§4.3.2), preserving the
-// 1.25 competitive ratio under non-blocking operation (Thm 4.6).
+// run is the joiner task loop. Migrated tuples are processed at least
+// at twice the rate of new tuples when both are pending (§4.3.2): two
+// migration messages, each carrying up to a block of tuples, per data
+// message. That preserves the 1.25 competitive ratio under non-blocking
+// operation (Thm 4.6).
 //
 // The deferred close releases the store's spill segments on every exit
 // path — cancellation, panic (including armed crash faultpoints), and
@@ -242,7 +234,7 @@ func (w *joiner) run() error {
 	for !w.finished() {
 		progressed := false
 		for i := 0; i < 2; i++ {
-			if m, ok := w.nextMig(); ok {
+			if m, ok := w.migIn.TryPop(); ok {
 				w.handle(m)
 				progressed = true
 			}
@@ -267,27 +259,6 @@ func (w *joiner) run() error {
 	}
 	w.flushPending()
 	return nil
-}
-
-// nextMig returns the next pending migration-plane message, draining
-// the partially consumed head envelope before popping a fresh one from
-// the queue. Consumed envelopes recycle through the shared batch pool.
-func (w *joiner) nextMig() (message, bool) {
-	if w.migPos >= len(w.migPend) {
-		if w.migPend != nil {
-			putBatch(w.migPend)
-			w.migPend = nil
-		}
-		b, ok := w.migIn.TryPop()
-		if !ok {
-			w.migPos = 0
-			return message{}, false
-		}
-		w.migPend, w.migPos = b, 0
-	}
-	m := w.migPend[w.migPos]
-	w.migPos++
-	return m, true
 }
 
 // handleBatch processes one data-plane envelope and recycles its
@@ -362,7 +333,7 @@ func (w *joiner) handleBatch(b []message) {
 		}
 		if i > 0 && w.mig != nil {
 			for k := 0; k < 2; k++ {
-				if mm, ok := w.nextMig(); ok {
+				if mm, ok := w.migIn.TryPop(); ok {
 					w.handle(mm)
 				}
 			}
@@ -451,8 +422,6 @@ func (w *joiner) handle(m message) {
 		w.onCkptMarker(m)
 	case kMigBegin:
 		w.ensureMig(m.epoch, m.mapping, m.expand)
-	case kMigTuple:
-		w.onMigTuple(m)
 	case kMigBlocks:
 		w.onMigBlocks(m)
 	case kMigDone:
@@ -550,8 +519,8 @@ func (w *joiner) onSignal(m message) {
 	if w.mig.signals == w.numRe {
 		for i := range w.mig.targets {
 			tgt := &w.mig.targets[i]
-			// Flush the pending kMigTuple envelope first so the done
-			// marker arrives after every migrated tuple on its link.
+			// Flush the pending blocks first so the done marker arrives
+			// after every migrated tuple on its link.
 			w.migFlush(tgt)
 			w.topo.pushMig(tgt.dest, message{kind: kMigDone, epoch: w.mig.epoch, from: w.id})
 		}
@@ -610,7 +579,7 @@ func (w *joiner) ensureMig(epoch uint32, newMapping matrix.Mapping, expand bool)
 	w.mig = mig
 
 	// Announce, then snapshot-and-send τ (Alg. 3 line 3). Subsequent
-	// old-epoch arrivals (∆) are forwarded individually on arrival.
+	// old-epoch arrivals (∆) are forwarded on arrival.
 	for _, tgt := range mig.targets {
 		w.topo.pushMig(tgt.dest, message{kind: kMigBegin, epoch: epoch, mapping: newMapping, expand: expand, from: w.id})
 	}
@@ -625,72 +594,58 @@ func (w *joiner) ensureMig(epoch uint32, newMapping matrix.Mapping, expand bool)
 	w.migFlushAll()
 }
 
-// forwardMig buffers one old-epoch tuple into the pending envelope of
-// every migration target whose filter selects it, shipping envelopes
-// as they fill.
+// migBlockFlush is how many tuples a migration target's encoder
+// accumulates before its blocks ship (one full columnar chunk).
+const migBlockFlush = 512
+
+// forwardMig buffers one old-epoch tuple into the arena blocks of every
+// migration target whose filter selects it, shipping blocks as they
+// fill. Local and remote targets take the same path: the receiver
+// decodes the same bytes whether they crossed a channel or a socket.
 func (w *joiner) forwardMig(t join.Tuple, probeOnly bool) {
 	for i := range w.mig.targets {
 		tgt := &w.mig.targets[i]
 		if !tgt.want(t.Rel, t.U) {
 			continue
 		}
-		if !probeOnly && w.topo.isRemote(tgt.dest) {
-			// Remote target: accumulate into arena blocks and ship them
-			// whole (kMigBlocks), so the receiver adopts state without
-			// re-inserting tuple by tuple. Probe-only traffic (only the
-			// grouped mode produces it, which distributed mode rejects)
-			// keeps the per-tuple path below as a safety net.
-			if tgt.blocks == nil {
-				tgt.blocks = &join.BlockEncoder{}
-			}
-			tgt.blocks.Add(t)
+		enc := &tgt.blocks
+		if probeOnly {
+			enc = &tgt.probe
+		} else {
 			w.met.MigratedOut.Add(1)
-			if tgt.blocks.Len() >= migBlockFlush {
-				w.migFlushBlocks(tgt)
-			}
-			continue
 		}
-		if tgt.pend == nil {
-			tgt.pend = getBatch(w.migBatch)
-		}
-		tgt.pend = append(tgt.pend, message{
-			kind: kMigTuple, tuple: t, epoch: w.mig.epoch, from: w.id, probeOnly: probeOnly,
-		})
-		if len(tgt.pend) >= w.migBatch {
-			w.migFlush(tgt)
-		}
-		if !probeOnly {
-			w.met.MigratedOut.Add(1)
+		enc.Add(t)
+		if enc.Len() >= migBlockFlush {
+			w.migShip(tgt.dest, enc, probeOnly)
 		}
 	}
 }
 
-// migFlush ships one target's pending state: buffered arena blocks
-// (remote targets) and the pending kMigTuple envelope. Both precede
-// any kMigDone the caller sends next, which is all FIFO needs.
+// migFlush ships one target's buffered blocks. Both precede any
+// kMigDone the caller sends next, which is all FIFO needs; their order
+// relative to each other is free, because stored and probe-only
+// forwards never join at the receiver (both are old-epoch).
 func (w *joiner) migFlush(tgt *migTarget) {
-	w.migFlushBlocks(tgt)
-	if len(tgt.pend) > 0 {
-		w.topo.pushMigBatch(tgt.dest, tgt.pend)
-		tgt.pend = nil
-	}
+	w.migShip(tgt.dest, &tgt.blocks, false)
+	w.migShip(tgt.dest, &tgt.probe, true)
 }
 
-// migFlushBlocks ships a remote target's buffered arena blocks as one
-// kMigBlocks message, the serialized payload riding tuple.Payload.
-func (w *joiner) migFlushBlocks(tgt *migTarget) {
-	if tgt.blocks == nil || tgt.blocks.Len() == 0 {
+// migShip sends enc's buffered tuples, if any, as one kMigBlocks
+// message, the serialized payload riding tuple.Payload.
+func (w *joiner) migShip(dest int, enc *join.BlockEncoder, probeOnly bool) {
+	if enc.Len() == 0 {
 		return
 	}
-	w.topo.pushMig(tgt.dest, message{
-		kind:  kMigBlocks,
-		epoch: w.mig.epoch,
-		from:  w.id,
-		tuple: join.Tuple{Payload: tgt.blocks.AppendTo(nil)},
+	w.topo.pushMig(dest, message{
+		kind:      kMigBlocks,
+		epoch:     w.mig.epoch,
+		from:      w.id,
+		probeOnly: probeOnly,
+		tuple:     join.Tuple{Payload: enc.AppendTo(nil)},
 	})
 }
 
-// migFlushAll ships every target's pending envelope.
+// migFlushAll ships every target's buffered blocks.
 func (w *joiner) migFlushAll() {
 	for i := range w.mig.targets {
 		w.migFlush(&w.mig.targets[i])
@@ -780,58 +735,39 @@ func (w *joiner) probeKept(t join.Tuple, probeOnly bool) {
 	})
 }
 
-// onMigTuple processes a migrated-in tuple: it joins only ∆′ (Alg. 3
-// lines 10-11); its joins against old-epoch state were computed under
-// the old mapping by the sender's side of the matrix.
-func (w *joiner) onMigTuple(m message) {
-	if w.mig == nil || m.epoch != w.mig.epoch {
-		panic(fmt.Sprintf("core: joiner %d: migration tuple for epoch %d outside migration", w.id, m.epoch))
-	}
-	t := m.tuple
-	w.met.InputTuples.Add(1)
-	w.met.InputBytes.Add(t.Bytes())
-	w.mig.dp.Probe(t, w.pairEmit(t, m.probeOnly))
-	if !m.probeOnly {
-		// A stored µ tuple completes the pending probes of earlier
-		// probe-only ∆′ traffic. The buffered probes are probe-only, so
-		// the ownership guard applies from their side: only pairs where
-		// the µ tuple is the older, stored one belong to this group.
-		w.mig.probeBuf.Probe(t, func(p join.Pair) {
-			probe := p.R
-			if t.Rel == matrix.SideR {
-				probe = p.S
-			}
-			if t.Seq < probe.Seq {
-				w.emit(p)
-			}
-		})
-		w.mig.mu.Insert(t)
-		w.met.MigratedIn.Add(1)
-	}
-	w.updateStored()
-}
-
-// onMigBlocks processes a whole run of migrated-in state shipped as
-// serialized arena blocks from a sender in another process: each tuple
-// runs the same probes as the per-tuple kMigTuple path (∆′, then the
-// buffered probe-only traffic), but installation is one whole-block
-// adoption into µ instead of per-tuple inserts. The sender only blocks
-// stored tuples, so every decoded tuple is stored (probeOnly = false).
+// onMigBlocks processes a run of migrated-in tuples shipped as
+// serialized arena blocks. Each tuple joins only ∆′ (Alg. 3 lines
+// 10-11); its joins against old-epoch state were computed under the
+// old mapping by the sender's side of the matrix. Stored tuples also
+// complete the buffered probe-only ∆′ traffic and are then installed
+// into µ by whole-block adoption; probe-only ∆ forwards (probeOnly)
+// probe ∆′ under the ownership guard and install nothing.
 func (w *joiner) onMigBlocks(m message) {
 	if w.mig == nil || m.epoch != w.mig.epoch {
 		panic(fmt.Sprintf("core: joiner %d: migration blocks for epoch %d outside migration", w.id, m.epoch))
 	}
 	bs, err := join.DecodeBlocks(m.tuple.Payload)
 	if err != nil {
-		// The transport CRC already vouched for the bytes, so this is a
-		// codec bug, not line noise; the runner converts the panic into
-		// an operator error.
+		// The sender's encoder (and, across processes, the transport
+		// CRC) vouch for the bytes, so this is a codec bug, not line
+		// noise; the runner converts the panic into an operator error.
 		panic(fmt.Sprintf("core: joiner %d: %v", w.id, err))
 	}
-	var n int64
+	w.met.InputTuples.Add(int64(bs.Tuples()))
+	w.met.InputBytes.Add(bs.Bytes())
+	if m.probeOnly {
+		guard := [2]join.Emit{w.runGuardEmit(matrix.SideR), w.runGuardEmit(matrix.SideS)}
+		bs.Scan(func(t join.Tuple) bool {
+			w.mig.dp.Probe(t, guard[t.Rel])
+			return true
+		})
+		return
+	}
 	bs.Scan(func(t join.Tuple) bool {
-		n++
 		w.mig.dp.Probe(t, w.emit)
+		// The buffered probes are probe-only, so the ownership guard
+		// applies from their side: only pairs where the µ tuple is the
+		// older, stored one belong to this group.
 		w.mig.probeBuf.Probe(t, func(p join.Pair) {
 			probe := p.R
 			if t.Rel == matrix.SideR {
@@ -843,9 +779,7 @@ func (w *joiner) onMigBlocks(m message) {
 		})
 		return true
 	})
-	w.met.InputTuples.Add(n)
-	w.met.InputBytes.Add(bs.Bytes())
-	w.met.MigratedIn.Add(n)
+	w.met.MigratedIn.Add(int64(bs.Tuples()))
 	w.mig.mu.AdoptBlocks(bs)
 	w.updateStored()
 }

@@ -32,8 +32,9 @@ const (
 	// a joiner learn of a migration from its partner before any
 	// reshuffler signal has reached it.
 	kMigBegin
-	// kMigTuple carries one relocated state tuple (the µ set).
-	kMigTuple
+	// The retired per-tuple migration kind; its slot stays reserved so
+	// every other kind keeps its wire value.
+	_
 	// kMigDone marks the end of a sender's migration stream.
 	kMigDone
 	// kCkpt is a checkpoint barrier marker: each reshuffler emits one
@@ -45,21 +46,23 @@ const (
 	// marker carries no payload, and reusing the fields keeps the
 	// message layout unchanged (message_test.go pins it).
 	kCkpt
-	// kMigBlocks carries a whole run of relocated state tuples
-	// serialized as columnar arena blocks (join.BlockEncoder) — the
-	// wire form migration takes when its target lives in another
-	// process, so the receiver adopts blocks instead of re-inserting
-	// tuple by tuple. The serialized blob rides in tuple.Payload; no
-	// new message fields (message_test.go pins the layout).
+	// kMigBlocks carries a run of relocated old-epoch tuples serialized
+	// as columnar arena blocks (join.BlockEncoder): the only form
+	// migrated state takes, with identical bytes whether the target
+	// joiner is in this process or behind a link. Stored tuples (τ and
+	// stored ∆) are adopted into µ whole; with probeOnly set the run is
+	// grouped mode's cross-group ∆ traffic, which only probes ∆′. The
+	// serialized blob rides in tuple.Payload; no new message fields
+	// (message_test.go pins the layout).
 	kMigBlocks
 )
 
-// message is the unit exchanged on all operator links. Both the data
-// plane (reshuffler->joiner) and the migration plane (joiner->joiner)
-// ship messages in pooled []message batch envelopes (batch.go).
-// Envelopes carry both data and migration tuples, so the field order
-// is descending by alignment to eliminate padding; message_test.go
-// asserts the layout stays tight.
+// message is the unit exchanged on all operator links. The data plane
+// (reshuffler->joiner) ships messages in pooled []message batch
+// envelopes (batch.go); the migration plane (joiner->joiner) ships them
+// one at a time, its bulk riding inside kMigBlocks. The field order is
+// descending by alignment to eliminate padding; message_test.go asserts
+// the layout stays tight.
 type message struct {
 	tuple   join.Tuple
 	mapping matrix.Mapping // kSignal, kMigBegin: the target mapping

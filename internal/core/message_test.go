@@ -25,3 +25,15 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 		t.Fatalf("sizeof(message) = %d, want %d (padding crept into the layout)", got, want)
 	}
 }
+
+// The kind byte is on the wire (envelopes, kMigBlocks frames), so each
+// kind keeps its value; slot 4 belongs to the retired per-tuple kind.
+func TestMessageKindWireValues(t *testing.T) {
+	got := []msgKind{kTuple, kSignal, kEOS, kMigBegin, kMigDone, kCkpt, kMigBlocks}
+	want := []msgKind{0, 1, 2, 3, 5, 6, 7}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("kind values %v, want %v", got, want)
+		}
+	}
+}

@@ -25,7 +25,7 @@ type topology struct {
 	ports atomic.Pointer[[]*joinerPorts]
 	met   *metrics.Operator
 	// remote, when non-nil, maps joiner id -> the link peer hosting it
-	// (nil entry = in this process); pushData/pushMigBatch consult it
+	// (nil entry = in this process); pushData/pushMig consult it
 	// so senders are network-transparent. It is installed before Start
 	// and never grows — distributed mode rejects elastic expansion —
 	// and stays nil in single-process operators, where the only cost is
@@ -46,11 +46,10 @@ type joinerPorts struct {
 	// dataIn carries batch envelopes ([]message) rather than single
 	// messages: one channel operation moves up to BatchSize tuples.
 	dataIn chan []message
-	// migIn carries batch envelopes too: migrated state (kMigTuple)
-	// ships in per-destination envelopes of up to MigBatchSize
-	// messages, while the framing markers (kMigBegin, kMigDone) ride
-	// alone in their own envelopes.
-	migIn     *dataflow.Queue[[]message]
+	// migIn carries single messages: the framing markers (kMigBegin,
+	// kMigDone) and migrated state, whose tuples already travel in bulk
+	// inside each kMigBlocks message.
+	migIn     *dataflow.Queue[message]
 	migNotify chan struct{}
 }
 
@@ -63,7 +62,7 @@ func newJoinerPorts(dataCap, batchSize int) *joinerPorts {
 	}
 	return &joinerPorts{
 		dataIn:    make(chan []message, capBatches),
-		migIn:     dataflow.NewQueue[[]message](),
+		migIn:     dataflow.NewQueue[message](),
 		migNotify: make(chan struct{}, 1),
 	}
 }
@@ -97,28 +96,19 @@ func (tp *topology) pushData(id int, b []message) {
 	}
 }
 
-// pushMig delivers one protocol message (kMigBegin, kMigDone) alone in
-// its own envelope on a joiner's unbounded migration link, preserving
-// the framing around batched kMigTuple traffic.
+// pushMig delivers one message on a joiner's unbounded migration link.
+// Sends never block, which is what makes the pairwise state exchange
+// deadlock-free.
 func (tp *topology) pushMig(id int, m message) {
-	tp.pushMigBatch(id, append(getBatch(1), m))
-}
-
-// pushMigBatch delivers a batch envelope on a joiner's unbounded
-// migration link. Sends never block, which is what makes the pairwise
-// state exchange deadlock-free; the receiver owns the slice and
-// recycles it after processing.
-func (tp *topology) pushMigBatch(id int, b []message) {
 	tp.met.MigBatchesSent.Add(1)
-	tp.met.MigBatchedMessages.Add(int64(len(b)))
 	if tp.isRemote(id) {
 		// Queued, never blocking: same contract as the in-process
 		// unbounded migration link.
-		tp.remote[id].queueMig(id, b)
+		tp.remote[id].queueMig(id, m)
 		return
 	}
 	p := (*tp.ports.Load())[id]
-	p.migIn.Push(b)
+	p.migIn.Push(m)
 	select {
 	case p.migNotify <- struct{}{}:
 	default:
@@ -281,16 +271,6 @@ type Config struct {
 	// Operator actually runs (set from the coordinator's hello by
 	// ServeWorker; nil everywhere else).
 	hosted []bool
-	// MigBatchSize is the migration-plane envelope capacity in
-	// messages: during a migration each joiner accumulates outgoing
-	// relocated-state tuples (kMigTuple) into per-destination
-	// envelopes that flush when full, after the initial state
-	// snapshot, at the end of every processed data envelope, and
-	// always before the kMigDone marker — so the kMigBegin/kMigDone
-	// framing and per-link FIFO order are batch-size invariant.
-	// 0 means BatchSize; 1 degenerates to the per-message migration
-	// plane.
-	MigBatchSize int
 }
 
 // CheckpointPolicy selects how the operator reacts when a checkpoint
@@ -345,9 +325,6 @@ func (c *Config) fill() {
 	}
 	if c.BatchLinger == 0 {
 		c.BatchLinger = DefaultBatchLinger
-	}
-	if c.MigBatchSize <= 0 {
-		c.MigBatchSize = c.BatchSize
 	}
 	if c.EmitWorkers < 0 {
 		c.EmitWorkers = 0
@@ -618,23 +595,22 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 	op.met.Grow(id + 1)
 	table := append([]int(nil), op.ctl.table...)
 	w := &joiner{
-		id:       id,
-		pred:     op.cfg.Pred,
-		numRe:    op.cfg.NumReshufflers,
-		cell:     cell,
-		mapping:  mapping,
-		epoch:    epoch,
-		table:    table,
-		state:    storage.NewStore(op.cfg.Pred, op.cfg.Storage),
-		topo:     op.topo,
-		ackCh:    op.ctl.ackCh,
-		met:      op.met.JoinerStats(id),
-		stCfg:    op.cfg.Storage,
-		migBatch: op.cfg.MigBatchSize,
-		mig:      birth,
-		hint:     &op.hint,
-		ckptC:    op.ckptC,
-		stop:     op.stop,
+		id:      id,
+		pred:    op.cfg.Pred,
+		numRe:   op.cfg.NumReshufflers,
+		cell:    cell,
+		mapping: mapping,
+		epoch:   epoch,
+		table:   table,
+		state:   storage.NewStore(op.cfg.Pred, op.cfg.Storage),
+		topo:    op.topo,
+		ackCh:   op.ctl.ackCh,
+		met:     op.met.JoinerStats(id),
+		stCfg:   op.cfg.Storage,
+		mig:     birth,
+		hint:    &op.hint,
+		ckptC:   op.ckptC,
+		stop:    op.stop,
 	}
 	w.shard = id + op.cfg.EmitShardBase
 	if op.plane != nil {

@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 )
 
 // runOperator pushes the given tuples through an operator and returns
@@ -46,6 +49,81 @@ func refCount(p join.Predicate, tuples []join.Tuple) int64 {
 		}
 	}
 	return n
+}
+
+// pairContent identifies one result pair by its members' seqs and by
+// the columns a state codec could drop without changing any count:
+// Aux and the payload bytes (hashed).
+type pairContent struct {
+	rSeq, sSeq uint64
+	rAux, sAux int64
+	rPay, sPay uint64
+}
+
+func payloadHash(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+func contentOf(p join.Pair) pairContent {
+	return pairContent{p.R.Seq, p.S.Seq, p.R.Aux, p.S.Aux, payloadHash(p.R.Payload), payloadHash(p.S.Payload)}
+}
+
+// withContent gives every tuple a random Aux and a 0–32-byte payload,
+// then stamps the seqs a single-lane Send (or Grouped.Send) assigns, so
+// the oracle and the engine agree on pair identity.
+func withContent(rng *rand.Rand, tuples []join.Tuple) {
+	for i := range tuples {
+		tuples[i].Aux = rng.Int63()
+		tuples[i].Payload = make([]byte, rng.Intn(33))
+		rng.Read(tuples[i].Payload)
+	}
+	stampSeqs(tuples, 0)
+}
+
+// contentSink is an EmitBatch folding pairs into a pairContent multiset;
+// safe for the concurrent calls of several joiners.
+func contentSink() (join.EmitBatch, map[pairContent]int) {
+	var mu sync.Mutex
+	got := make(map[pairContent]int)
+	return func(ps []join.Pair) {
+		mu.Lock()
+		for _, p := range ps {
+			got[contentOf(p)]++
+		}
+		mu.Unlock()
+	}, got
+}
+
+// runOperatorContent is runOperator returning the emitted multiset by
+// content instead of a count.
+func runOperatorContent(t *testing.T, cfg Config, tuples []join.Tuple) (map[pairContent]int, *Operator) {
+	t.Helper()
+	var got map[pairContent]int
+	cfg.EmitBatch, got = contentSink()
+	op := NewOperator(cfg)
+	op.Start()
+	sendAll(t, op, tuples)
+	if err := op.Finish(); err != nil {
+		t.Fatalf("operator error: %v", err)
+	}
+	return got, op
+}
+
+// checkMigrationConserved asserts that migration moved stored state
+// without losing or duplicating any: every tuple some joiner shipped
+// out, another installed.
+func checkMigrationConserved(t *testing.T, m *metrics.Operator) {
+	t.Helper()
+	var out, in int64
+	for j := 0; j < m.NumJoiners(); j++ {
+		out += m.JoinerStats(j).MigratedOut.Load()
+		in += m.JoinerStats(j).MigratedIn.Load()
+	}
+	if out != in {
+		t.Fatalf("migrated out %d tuples, installed %d", out, in)
+	}
 }
 
 func mixedStream(rng *rand.Rand, nR, nS int, keys int64) []join.Tuple {
@@ -172,16 +250,32 @@ func TestDefaultReshufflersFollowCores(t *testing.T) {
 }
 
 // Interleave the relations adversarially so migrations fire in both
-// directions (fluctuation), and verify exactness for all predicate
-// kinds.
+// directions (fluctuation), and verify exactness for every index kind
+// the migrated blocks are adopted into: hash (equi), ordered (band) and
+// scan (theta). Pairs are compared by content, so a column the block
+// codec dropped would fail the run even with every count right.
 func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
-	preds := []join.Predicate{
-		join.EquiJoin("eq", nil),
-		join.BandJoin("band", 1, nil),
+	uniform := func(rng *rand.Rand) int64 { return rng.Int63n(400) }
+	cases := []struct {
+		pred  join.Predicate
+		burst int
+		key   func(*rand.Rand) int64
+	}{
+		{join.EquiJoin("eq", nil), 2500, uniform},
+		{join.BandJoin("band", 1, nil), 2500, uniform},
+		// ≠ matches nearly every pair of uniform keys; a hot key holding
+		// ~98% of the stream keeps the oracle to a few percent of pairs.
+		{join.ThetaJoin("neq", func(r, s join.Tuple) bool { return r.Key != s.Key }), 2500,
+			func(rng *rand.Rand) int64 {
+				if rng.Intn(500) != 0 {
+					return 0
+				}
+				return rng.Int63n(400)
+			}},
 	}
-	for _, pred := range preds {
-		pred := pred
-		t.Run(pred.String(), func(t *testing.T) {
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.pred.String(), func(t *testing.T) {
 			reshufflerCases(t, 8, func(t *testing.T, numRe int) {
 				rng := rand.New(rand.NewSource(5))
 				var tuples []join.Tuple
@@ -191,18 +285,18 @@ func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
 					if burst%2 == 1 {
 						side = matrix.SideS
 					}
-					for i := 0; i < 2500; i++ {
-						tuples = append(tuples, join.Tuple{Rel: side, Key: rng.Int63n(400), Size: 8})
+					for i := 0; i < tc.burst; i++ {
+						tuples = append(tuples, join.Tuple{Rel: side, Key: tc.key(rng), Size: 8})
 					}
 				}
-				want := refCount(pred, tuples)
-				got, op := runOperator(t, Config{J: 8, Pred: pred, Adaptive: true, Seed: 13, NumReshufflers: numRe}, tuples)
-				if got != want {
-					t.Fatalf("emitted %d, reference %d (migrations=%d)", got, want, op.Migrations())
-				}
+				withContent(rng, tuples)
+				want := refMultiset(tc.pred, tuples, contentOf)
+				got, op := runOperatorContent(t, Config{J: 8, Pred: tc.pred, Adaptive: true, Seed: 13, NumReshufflers: numRe}, tuples)
+				diffMultisets(t, got, want)
 				if op.Migrations() < 2 {
 					t.Fatalf("only %d migrations under fluctuation", op.Migrations())
 				}
+				checkMigrationConserved(t, op.Metrics())
 			})
 		})
 	}

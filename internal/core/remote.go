@@ -13,13 +13,13 @@ import (
 // set, this process hosts the reshufflers, the controller, and the
 // user sink; joiners placed on a worker are reached through one
 // transport link per worker. The routing split lives in topology:
-// pushData/pushMigBatch check the remote table and either deliver
+// pushData/pushMig check the remote table and either deliver
 // in-process (the zero-regression local path) or through the link.
 //
 // Deadlock-freedom mirrors the in-process argument. Data-plane sends
 // block in the TCP write — the network window is the backpressure the
 // bounded inbox provides locally — while everything a joiner produces
-// (migration envelopes, acks, result pairs) rides an unbounded
+// (migration messages, acks, result pairs) rides an unbounded
 // out-queue drained by a dedicated writer goroutine, so a joiner never
 // blocks on a peer and every reader always drains.
 
@@ -40,10 +40,6 @@ func (e *LinkError) Unwrap() error { return e.Err }
 // dialTimeout bounds a worker dial so a wrong address fails the start
 // promptly instead of hanging in the OS connect timeout.
 const dialTimeout = 10 * time.Second
-
-// migBlockFlush is how many tuples a remote migration target
-// accumulates before its arena blocks ship (one full columnar chunk).
-const migBlockFlush = 512
 
 // remotePeer is one worker link endpoint plus its outbound plane.
 type remotePeer struct {
@@ -102,11 +98,11 @@ func (p *remotePeer) queueFrame(f transport.Frame) {
 	}
 }
 
-// queueMig enqueues a migration-plane envelope; never blocks, which is
-// what keeps the pairwise state exchange deadlock-free across links.
-func (p *remotePeer) queueMig(dest int, b []message) {
-	payload := appendEnvelope(nil, dest, b)
-	putBatch(b)
+// queueMig enqueues a migration-plane message as a one-message
+// envelope; never blocks, which is what keeps the pairwise state
+// exchange deadlock-free across links.
+func (p *remotePeer) queueMig(dest int, m message) {
+	payload := appendEnvelope(nil, dest, []message{m})
 	p.queueFrame(transport.Frame{Kind: transport.KindMig, Payload: payload})
 }
 
@@ -208,7 +204,6 @@ func (op *Operator) connectWorkers() error {
 			InitialN:     op.cfg.Initial.N,
 			InitialM:     op.cfg.Initial.M,
 			BatchSize:    op.cfg.BatchSize,
-			MigBatchSize: op.cfg.MigBatchSize,
 			DataQueueCap: op.cfg.DataQueueCap,
 			CapBytes:     op.cfg.Storage.CapBytes,
 		}
@@ -239,7 +234,7 @@ func (op *Operator) connectWorkers() error {
 // peerRecv is the coordinator's per-worker receiver: acks feed the
 // controller, pairs feed a shadow sink for each joiner the worker
 // hosts (per-joiner accounting and shard identity preserved),
-// migration envelopes route to their destination — decoded locally or
+// migration messages route to their destination — decoded locally or
 // forwarded as-is to the hosting peer — and Done retires the link. Any
 // receive or decode failure surfaces as a LinkError, cancelling the
 // operator: a worker killed mid-migration lands here as a cut stream.
@@ -301,7 +296,10 @@ func (op *Operator) peerRecv(p *remotePeer) error {
 			if derr != nil {
 				return &LinkError{Worker: p.name, Err: derr}
 			}
-			op.topo.pushMigBatch(dest, b)
+			for _, m := range b {
+				op.topo.pushMig(dest, m)
+			}
+			putBatch(b)
 		case transport.KindDone:
 			close(p.peerDone)
 			return nil

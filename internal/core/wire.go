@@ -187,7 +187,6 @@ type helloMsg struct {
 	InitialN     int
 	InitialM     int
 	BatchSize    int
-	MigBatchSize int
 	DataQueueCap int
 	CapBytes     int64 // per-joiner store budget; spill dir stays worker-local
 }

@@ -29,7 +29,7 @@ func randomWireTuple(rng *rand.Rand) join.Tuple {
 }
 
 func randomMessage(rng *rand.Rand) message {
-	kinds := []msgKind{kTuple, kSignal, kEOS, kMigBegin, kMigTuple, kMigDone, kCkpt, kMigBlocks}
+	kinds := []msgKind{kTuple, kSignal, kEOS, kMigBegin, kMigDone, kCkpt, kMigBlocks}
 	m := message{
 		tuple:     randomWireTuple(rng),
 		mapping:   matrix.Mapping{N: 1 << rng.Intn(4), M: 1 << rng.Intn(4)},
@@ -167,7 +167,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	h := helloMsg{
 		J: 8, NumRe: 2, Ids: []int{2, 3, 4}, PredKind: uint8(join.Band), PredWidth: 5,
 		PredName: "band5", Seed: 42, InitialN: 2, InitialM: 4, BatchSize: 128,
-		MigBatchSize: 256, DataQueueCap: 16, CapBytes: 1 << 20,
+		DataQueueCap: 16, CapBytes: 1 << 20,
 	}
 	got, err := decodeHello(encodeHello(h))
 	if err != nil {
@@ -196,5 +196,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeHello([]byte("{not json")); err == nil {
 		t.Fatal("garbage hello decoded")
+	}
+	// A field this build no longer knows (a retired knob an older
+	// coordinator still sends) is ignored, not rejected.
+	if _, err := decodeHello([]byte(`{"J":8,"NumRe":1,"Ids":[0],"RetiredKnob":256}`)); err != nil {
+		t.Fatalf("hello with a retired field: %v", err)
 	}
 }

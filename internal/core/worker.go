@@ -82,7 +82,6 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 		NumReshufflers: h.NumRe,
 		Seed:           h.Seed,
 		BatchSize:      h.BatchSize,
-		MigBatchSize:   h.MigBatchSize,
 		DataQueueCap:   h.DataQueueCap,
 		Storage:        storage.Config{CapBytes: h.CapBytes, Dir: wcfg.SpillDir},
 		hosted:         hosted,
@@ -192,9 +191,12 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 				}
 				if f.Kind == transport.KindData {
 					op.topo.pushData(dest, b)
-				} else {
-					op.topo.pushMigBatch(dest, b)
+					continue
 				}
+				for _, m := range b {
+					op.topo.pushMig(dest, m)
+				}
+				putBatch(b)
 			case transport.KindError:
 				return &LinkError{Worker: "coordinator", Err: fmt.Errorf("peer reported: %s", f.Payload)}
 			default:

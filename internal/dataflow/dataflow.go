@@ -2,18 +2,16 @@
 // operator runs on — the role Storm plays for Squall in the paper's
 // evaluation (§5). It provides FIFO links with per-sender ordering,
 // an unbounded MPSC queue for migration traffic (so joiners never
-// deadlock exchanging state), a task runner with panic capture, and a
-// token-bucket rate limiter for source pacing. Everything is built on
-// goroutines and channels: one joiner task per simulated machine, as in
-// the paper's task assignment, and one reshuffler task per core (at
-// most one per machine).
+// deadlock exchanging state), and a task runner with panic capture.
+// Everything is built on goroutines and channels: one joiner task per
+// simulated machine, as in the paper's task assignment, and one
+// reshuffler task per core (at most one per machine).
 package dataflow
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Queue is an unbounded multi-producer single-consumer FIFO. Sends
@@ -268,49 +266,4 @@ func (r *Runner) Errs() []error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]error(nil), r.errs...)
-}
-
-// RateLimiter paces a source to a fixed tuple rate using coarse
-// sleeping, sufficient for the "input data rates are set such that
-// joiners are fully utilized" setting of §5. A zero or negative rate
-// means unlimited.
-type RateLimiter struct {
-	perSec  int
-	start   time.Time
-	emitted int64
-}
-
-// NewRateLimiter returns a limiter at perSec items per second.
-func NewRateLimiter(perSec int) *RateLimiter {
-	return &RateLimiter{perSec: perSec, start: time.Now()}
-}
-
-// Take blocks until the next item may be emitted.
-func (l *RateLimiter) Take() { _ = l.TakeCtx(context.Background()) }
-
-// TakeCtx blocks until the next item may be emitted or ctx is
-// cancelled, returning ctx's error in the latter case. A cancelled
-// pipeline source should use this form so it stops immediately instead
-// of sleeping out its remaining pacing budget.
-func (l *RateLimiter) TakeCtx(ctx context.Context) error {
-	if l.perSec <= 0 {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l.emitted++
-	due := l.start.Add(time.Duration(l.emitted * int64(time.Second) / int64(l.perSec)))
-	d := time.Until(due)
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -257,49 +256,5 @@ func TestRunnerTaskFailureCancelsSiblings(t *testing.T) {
 	r.Go("failing", func() error { return sentinel })
 	if err := r.Wait(); !errors.Is(err, sentinel) {
 		t.Fatalf("Wait = %v, want %v", err, sentinel)
-	}
-}
-
-func TestRateLimiterPacing(t *testing.T) {
-	l := NewRateLimiter(1000) // 1k/s -> 50 items ≈ 50ms
-	start := time.Now()
-	for i := 0; i < 50; i++ {
-		l.Take()
-	}
-	if el := time.Since(start); el < 30*time.Millisecond {
-		t.Fatalf("50 items at 1k/s took only %v", el)
-	}
-}
-
-func TestRateLimiterUnlimited(t *testing.T) {
-	l := NewRateLimiter(0)
-	start := time.Now()
-	for i := 0; i < 1e6; i++ {
-		l.Take()
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("unlimited limiter throttled: %v", el)
-	}
-}
-
-// TakeCtx must return promptly on cancellation instead of sleeping out
-// the pacing budget.
-func TestRateLimiterTakeCtxCancel(t *testing.T) {
-	l := NewRateLimiter(1) // 1/s: the first Take owes ~1s of sleep
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	if err := l.TakeCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TakeCtx = %v, want context.Canceled", err)
-	}
-	if el := time.Since(start); el > 500*time.Millisecond {
-		t.Fatalf("cancelled TakeCtx slept %v", el)
-	}
-	// Once cancelled, subsequent calls fail immediately.
-	if err := l.TakeCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("post-cancel TakeCtx = %v", err)
 	}
 }

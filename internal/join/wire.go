@@ -6,13 +6,12 @@ import (
 	"repro/internal/matrix"
 )
 
-// Wire form of migrated state: when a migration target lives in
-// another process, the sender accumulates the relocated tuples into
-// columnar arena blocks and ships whole blocks (the snapshot codec's
-// framing) instead of per-tuple messages. The receiver decodes the
-// blocks once and installs them through the same adopt() path
-// MergeFrom uses at migration finalization — remote state lands
-// without re-inserting tuple by tuple.
+// Wire form of migrated state: the sender accumulates the relocated
+// tuples into columnar arena blocks and ships whole blocks (the
+// snapshot codec's framing), whether the target joiner lives in this
+// process or another. The receiver decodes the blocks once and installs
+// them through the same adopt() path MergeFrom uses at migration
+// finalization — state lands without re-inserting tuple by tuple.
 
 // blockWireVersion guards the block payload layout; the transport
 // frame already carries the outer protocol version and CRC, so this

@@ -86,11 +86,10 @@ type Operator struct {
 	BatchFlushIdle   atomic.Int64
 	BatchFlushSignal atomic.Int64
 
-	// MigBatchesSent counts migration-plane envelopes (batched
-	// kMigTuple traffic plus the single-message kMigBegin/kMigDone
-	// framing); MigBatchedMessages counts the messages they carried.
-	MigBatchesSent     atomic.Int64
-	MigBatchedMessages atomic.Int64
+	// MigBatchesSent counts messages pushed on migration links:
+	// kMigBegin and kMigDone framing plus kMigBlocks, each carrying up
+	// to a columnar chunk of relocated tuples.
+	MigBatchesSent atomic.Int64
 	// Checkpoints counts committed barrier checkpoints (snapshot made
 	// durable and the replay log trimmed to the cut).
 	Checkpoints atomic.Int64
@@ -115,22 +114,6 @@ func (m *Operator) MeanBatchSize() float64 {
 		return 0
 	}
 	return float64(m.BatchedMessages.Load()) / float64(n)
-}
-
-// MeanMigBatchSize returns the realized mean messages per
-// migration-plane envelope, or 0 before any envelope has shipped.
-func (m *Operator) MeanMigBatchSize() float64 {
-	n := m.MigBatchesSent.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(m.MigBatchedMessages.Load()) / float64(n)
-}
-
-// MigrationDrain returns the cumulative wall time spent draining
-// elementary migration steps (decision broadcast to last ack).
-func (m *Operator) MigrationDrain() time.Duration {
-	return time.Duration(m.MigrationNanos.Load())
 }
 
 // NewOperator returns metrics for j joiners.
@@ -181,7 +164,6 @@ func Merged(ms ...*Operator) *Operator {
 		out.Checkpoints.Add(m.Checkpoints.Load())
 		out.CheckpointFailures.Add(m.CheckpointFailures.Load())
 		out.MigBatchesSent.Add(m.MigBatchesSent.Load())
-		out.MigBatchedMessages.Add(m.MigBatchedMessages.Load())
 		out.MigrationNanos.Add(m.MigrationNanos.Load())
 	}
 	return out

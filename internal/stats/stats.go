@@ -2,15 +2,12 @@
 // §4.1 (Algorithm 1). Incoming tuples are routed to reshufflers
 // uniformly at random, so each reshuffler sees an unbiased 1/J sample
 // of the global input; scaling its local counts by J yields global
-// cardinality estimates with no inter-node communication. The package
-// also provides the confidence machinery the paper alludes to
-// ("reinforced with statistical estimation theory tools") and a small
-// frequency-histogram extension mentioned as a natural generalization.
+// cardinality estimates with no inter-node communication. Sharded is
+// the exact per-writer form the operator's controller consumes.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -58,33 +55,6 @@ func (e *Estimator) Local() (r, s int64) { return e.localR, e.localS }
 
 // Total returns the estimated total input cardinality |R| + |S|.
 func (e *Estimator) Total() int64 { return e.R() + e.S() }
-
-// RelStdErr returns the relative standard error of the R estimate.
-// A reshuffler's sample is a binomial thinning of the input with
-// p = 1/J, so the estimator |R|^ = J * localR has relative standard
-// error sqrt((1-p)/(p*T)) ≈ sqrt(J/T_local)/J ... simplified to
-// sqrt((J-1)/ (J * localR)) for localR > 0. It shrinks as the sample
-// grows, which is why the controller's view converges quickly.
-func (e *Estimator) RelStdErr() float64 {
-	if e.localR+e.localS == 0 {
-		return math.Inf(1)
-	}
-	n := float64(e.localR + e.localS)
-	return math.Sqrt(float64(e.j-1) / (float64(e.j) * n))
-}
-
-// ConfidenceInterval returns a (lo, hi) interval for the true R
-// cardinality at roughly the given z-score (e.g. 1.96 for 95%).
-func (e *Estimator) ConfidenceInterval(z float64) (lo, hi int64) {
-	est := float64(e.R())
-	if e.localR == 0 {
-		return 0, int64(z * float64(e.j))
-	}
-	sd := float64(e.j) * math.Sqrt(float64(e.localR))
-	lo = int64(math.Max(0, est-z*sd))
-	hi = int64(est + z*sd)
-	return lo, hi
-}
 
 // Snapshot is an immutable copy of the estimates, safe to pass across
 // goroutines.
@@ -181,73 +151,4 @@ func (sh *Sharded) Snapshot() Snapshot {
 		out.S += sh.cells[i].s.Load()
 	}
 	return out
-}
-
-// Histogram is a scaled frequency histogram over a bounded key domain,
-// the "other data statistics, e.g., frequency histograms" extension of
-// §4.1. Like Estimator, counts are local samples scaled by J.
-type Histogram struct {
-	j       int
-	buckets []int64
-	lo, hi  int64
-}
-
-// NewHistogram returns a histogram with nbuckets equal-width buckets
-// over [lo, hi).
-func NewHistogram(j int, nbuckets int, lo, hi int64) *Histogram {
-	if nbuckets <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{j: j, buckets: make([]int64, nbuckets), lo: lo, hi: hi}
-}
-
-// Observe records a locally seen key.
-func (h *Histogram) Observe(key int64) {
-	if key < h.lo {
-		key = h.lo
-	}
-	if key >= h.hi {
-		key = h.hi - 1
-	}
-	idx := int((key - h.lo) * int64(len(h.buckets)) / (h.hi - h.lo))
-	h.buckets[idx]++
-}
-
-// Estimate returns the estimated global frequency of the bucket
-// containing key.
-func (h *Histogram) Estimate(key int64) int64 {
-	if key < h.lo || key >= h.hi {
-		return 0
-	}
-	idx := int((key - h.lo) * int64(len(h.buckets)) / (h.hi - h.lo))
-	return h.buckets[idx] * int64(h.j)
-}
-
-// Skew returns a simple skew indicator: the ratio of the largest bucket
-// to the mean bucket. 1 means uniform; large values mean heavy skew.
-func (h *Histogram) Skew() float64 {
-	var max, sum int64
-	for _, b := range h.buckets {
-		if b > max {
-			max = b
-		}
-		sum += b
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(h.buckets))
-	return float64(max) / mean
-}
-
-// Merge folds another histogram (same shape) into h. Used when a
-// controller fails over and a peer reconstructs global state (§4.1
-// fault-tolerance note).
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.buckets) != len(h.buckets) || other.lo != h.lo || other.hi != h.hi {
-		panic("stats: merging histograms of different shapes")
-	}
-	for i, b := range other.buckets {
-		h.buckets[i] += b
-	}
 }

@@ -52,38 +52,6 @@ func TestEstimatorConvergence(t *testing.T) {
 	if math.Abs(got-trueR)/trueR > 0.05 {
 		t.Fatalf("estimate %v too far from %v", got, trueR)
 	}
-	if e.RelStdErr() > 0.02 {
-		t.Fatalf("rel std err %v unexpectedly large", e.RelStdErr())
-	}
-}
-
-func TestRelStdErrEmptySample(t *testing.T) {
-	e := NewEstimator(4)
-	if !math.IsInf(e.RelStdErr(), 1) {
-		t.Error("empty sample should have infinite error")
-	}
-}
-
-func TestConfidenceIntervalCoversEstimate(t *testing.T) {
-	e := NewEstimator(8)
-	for i := 0; i < 100; i++ {
-		e.ObserveR()
-	}
-	lo, hi := e.ConfidenceInterval(1.96)
-	if lo > e.R() || hi < e.R() {
-		t.Fatalf("interval [%d,%d] does not cover estimate %d", lo, hi, e.R())
-	}
-	if lo < 0 {
-		t.Fatal("negative lower bound")
-	}
-}
-
-func TestConfidenceIntervalEmpty(t *testing.T) {
-	e := NewEstimator(8)
-	lo, hi := e.ConfidenceInterval(1.96)
-	if lo != 0 || hi <= 0 {
-		t.Fatalf("empty interval [%d,%d]", lo, hi)
-	}
 }
 
 func TestSnapshotRatio(t *testing.T) {
@@ -138,73 +106,4 @@ func TestShardedPanicsOnBadN(t *testing.T) {
 		}
 	}()
 	NewSharded(0)
-}
-
-func TestHistogramObserveEstimate(t *testing.T) {
-	h := NewHistogram(4, 10, 0, 100)
-	for i := 0; i < 5; i++ {
-		h.Observe(15) // bucket 1
-	}
-	if got := h.Estimate(12); got != 20 {
-		t.Fatalf("Estimate=%d want 20", got)
-	}
-	if got := h.Estimate(55); got != 0 {
-		t.Fatalf("empty bucket Estimate=%d", got)
-	}
-	if got := h.Estimate(-5); got != 0 {
-		t.Fatalf("out-of-range Estimate=%d", got)
-	}
-}
-
-func TestHistogramClampsEdges(t *testing.T) {
-	h := NewHistogram(1, 4, 0, 8)
-	h.Observe(-100)
-	h.Observe(1000)
-	if h.Estimate(0) != 1 || h.Estimate(7) != 1 {
-		t.Fatal("edge observations not clamped into first/last buckets")
-	}
-}
-
-func TestHistogramSkew(t *testing.T) {
-	uniform := NewHistogram(1, 4, 0, 4)
-	for k := int64(0); k < 4; k++ {
-		uniform.Observe(k)
-	}
-	if s := uniform.Skew(); s != 1 {
-		t.Fatalf("uniform skew %v", s)
-	}
-	skewed := NewHistogram(1, 4, 0, 4)
-	for i := 0; i < 97; i++ {
-		skewed.Observe(0)
-	}
-	skewed.Observe(1)
-	skewed.Observe(2)
-	skewed.Observe(3)
-	if s := skewed.Skew(); s < 3 {
-		t.Fatalf("skewed skew %v too small", s)
-	}
-	if NewHistogram(1, 4, 0, 4).Skew() != 1 {
-		t.Fatal("empty histogram skew should be 1")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(2, 4, 0, 8)
-	b := NewHistogram(2, 4, 0, 8)
-	a.Observe(1)
-	b.Observe(1)
-	b.Observe(7)
-	a.Merge(b)
-	if a.Estimate(1) != 4 || a.Estimate(7) != 2 {
-		t.Fatalf("merged estimates %d,%d", a.Estimate(1), a.Estimate(7))
-	}
-}
-
-func TestHistogramMergePanicsOnShapeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	NewHistogram(1, 4, 0, 8).Merge(NewHistogram(1, 8, 0, 8))
 }

@@ -83,10 +83,6 @@ func WithBatchLinger(d time.Duration) Option {
 	return func(sc *stageConfig) { sc.cfg.BatchLinger = d }
 }
 
-// WithMigBatchSize sets the migration-plane envelope capacity
-// (default: the data-plane batch size; 1 degenerates to per-message).
-func WithMigBatchSize(n int) Option { return func(sc *stageConfig) { sc.cfg.MigBatchSize = n } }
-
 // WithStorage bounds per-joiner memory and configures the disk-spill
 // tier.
 func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.cfg.Storage = cfg } }

@@ -55,9 +55,9 @@
 //     per joiner and reshuffler task, with a batched message plane as
 //     the interconnect (per-destination tuple batches, pool-recycled
 //     envelopes; see Config.BatchSize and Config.BatchLinger). The
-//     migration plane batches relocated state the same way (see
-//     Config.MigBatchSize), and both ends of the operator are batched
-//     too: SendBatch ingests runs of tuples in pooled envelopes with
+//     migration plane ships relocated state as columnar arena blocks,
+//     the same bytes in-process and over TCP, and both ends of the
+//     operator are batched too: SendBatch ingests runs of tuples in pooled envelopes with
 //     one sequence-number fetch, and Config.EmitBatch receives join
 //     results a run at a time with per-flush accounting.
 //   - Grouped / GroupedConfig — the generalization to machine counts
