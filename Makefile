@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test race bench bench-delta profile profile-fanout lint fmt recover-smoke dist-smoke
+.PHONY: all build build-examples test race bench-ab profile lint fmt recover-smoke dist-smoke
 
 all: build lint test
 
@@ -37,17 +37,13 @@ recover-smoke:
 dist-smoke:
 	GO=$(GO) ./scripts/distsmoke.sh
 
-# Full benchmark suite; CI runs the 1x smoke variant of the same set.
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# Benchmarks versus the committed BENCH_*.json trajectory, via the
-# same script CI's bench-smoke job runs (scripts/benchdelta.sh), so
-# the benchmark set and gating flags cannot drift between local and CI
-# runs. Exits non-zero on a >25% regression; BENCHDELTA_FLAGS passes
-# extra cmd/benchdelta flags (e.g. -tolerance -1).
-bench-delta:
-	GO=$(GO) ./scripts/benchdelta.sh $(BENCHDELTA_FLAGS)
+# Interleaved A/B pairs of one bench/ workload against a git ref:
+#   make bench-ab REF=HEAD~1 WORKLOAD=hot_band [PAIRS=10]
+# prints both sides' medians, the parent IQR, the change's win count
+# and the median's change against its bound per end-to-end metric of
+# BENCHMARK.json.
+bench-ab:
+	sh ./scripts/abpairs.sh $(REF) $(WORKLOAD) $(PAIRS)
 
 # Committed pprof recipe for the next hot-path hunt: run one evaluation
 # query under the CPU profiler and print the top consumers. Tune -sf /
@@ -55,14 +51,6 @@ bench-delta:
 profile:
 	$(GO) run ./cmd/joinrun -query EQ5 -op dynamic -j 16 -sf 0.05 -zipf Z2 -cpuprofile cpu.pprof
 	$(GO) tool pprof -top -nodecount=20 cpu.pprof
-
-# Profile the emit plane: the same skewed query with sink invocation
-# moved onto dedicated emit workers (-emitworkers 0 resolves to
-# GOMAXPROCS), so the probe->materialize->emit fanout path dominates
-# the profile instead of the inline sink.
-profile-fanout:
-	$(GO) run ./cmd/joinrun -query EQ5 -op dynamic -j 16 -sf 0.05 -zipf Z2 -emitworkers 0 -cpuprofile fanout.pprof
-	$(GO) tool pprof -top -nodecount=20 fanout.pprof
 
 lint:
 	$(GO) vet ./...

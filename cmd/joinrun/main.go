@@ -58,8 +58,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0: no limit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run (ingest through drain) to this file")
-	emitWorkers := flag.Int("emitworkers", -1,
-		"dedicated emit workers: -1 runs sinks inline on the joiners, 0 resolves to one worker per core, n > 0 uses n workers (not supported by -op shj)")
 	checkpointDir := flag.String("checkpoint-dir", "",
 		"enable barrier checkpointing against this directory (dynamic/static ops only)")
 	checkpointEvery := flag.Int64("checkpoint-every", 0,
@@ -91,10 +89,6 @@ func main() {
 	q, ok := workload.ByName(*query)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "joinrun: unknown query %q\n", *query)
-		os.Exit(2)
-	}
-	if *emitWorkers < -1 {
-		fmt.Fprintf(os.Stderr, "joinrun: -emitworkers %d is invalid (-1 inline, 0 per-core, n > 0 explicit)\n", *emitWorkers)
 		os.Exit(2)
 	}
 	if *crashAt != "" && !faultpoint.Known(*crashAt) {
@@ -174,7 +168,7 @@ func main() {
 
 	var out atomic.Int64
 	emit := func(squall.Pair) { out.Add(1) }
-	engine, report := buildEngine(*opName, q, *j, r, s, *seed, *emitWorkers,
+	engine, report := buildEngine(*opName, q, *j, r, s, *seed,
 		backend, *checkpointEvery, *checkpointKeep, workerAddrs, emit)
 
 	ctx := context.Background()
@@ -252,7 +246,7 @@ func main() {
 
 // buildEngine wires the requested engine through the options API and
 // returns it plus an engine-specific postscript for the report.
-func buildEngine(name string, q workload.Query, j int, r, s, seed int64, emitWorkers int,
+func buildEngine(name string, q workload.Query, j int, r, s, seed int64,
 	backend squall.Backend, checkpointEvery int64, checkpointKeep int,
 	workerAddrs []string, emit func(squall.Pair)) (squall.Engine, func()) {
 	switch name {
@@ -271,9 +265,6 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64, emitWor
 			opts = append(opts, squall.WithAdaptive(), squall.WithWarmup((r+s)/100))
 		case "staticopt":
 			opts = append(opts, squall.WithInitialMapping(squall.OptimalMapping(j, float64(r), float64(s))))
-		}
-		if emitWorkers >= 0 {
-			opts = append(opts, squall.WithEmitWorkers(emitWorkers))
 		}
 		if len(workerAddrs) > 0 {
 			opts = append(opts, squall.WithWorkers(workerAddrs...))
@@ -297,20 +288,11 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64, emitWor
 			fmt.Fprintf(os.Stderr, "joinrun: SHJ supports only equi-joins\n")
 			os.Exit(2)
 		}
-		if emitWorkers >= 0 {
-			// Fail fast instead of silently running inline: the SHJ
-			// baseline has no emit plane.
-			fmt.Fprintf(os.Stderr, "joinrun: -emitworkers is not supported by -op shj\n")
-			os.Exit(2)
-		}
 		return squall.NewSHJ(squall.SHJConfig{J: j, Pred: q.Pred, Emit: emit}), func() {}
 	case "grouped":
 		opts := []squall.Option{
 			squall.WithJoiners(j), squall.WithGrouped(),
 			squall.WithAdaptive(), squall.WithWarmup((r + s) / 100), squall.WithSeed(seed),
-		}
-		if emitWorkers >= 0 {
-			opts = append(opts, squall.WithEmitWorkers(emitWorkers))
 		}
 		e := squall.NewEngine(q.Pred, squall.Each(emit), opts...)
 		gr := e.(*squall.Grouped)

@@ -109,7 +109,8 @@ func (w *worker) wait(t *testing.T) error {
 // mid-stream state migration across TCP links, and a pair-for-pair
 // multiset comparison against the nested-loop oracle. Remote
 // execution, envelope framing, block-shipped migration, and the
-// shadow emit plane must all be invisible in the result. The second
+// coordinator's per-joiner shadow sinks (which deliver the pairs a
+// worker returns) must all be invisible in the result. The second
 // case pins the coordinator's reshuffler count to 3, which a worker's
 // own default min(J, GOMAXPROCS) matches only on a three-core host: a
 // worker must take the count from the hello to align its joiners'

@@ -1,11 +1,11 @@
 package squall_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	squall "repro"
 )
@@ -44,192 +44,159 @@ func emitOracle(tuples []squall.Tuple) map[[2]int64]int {
 
 // emitShardRec accumulates one shard's output. The appends are
 // deliberately unsynchronized: the Sharded contract serializes
-// same-shard calls, so under -race any contract violation in the emit
-// plane surfaces as a detected race, and the CAS flag catches overlap
-// even in non-race runs.
+// same-shard calls, so under -race any contract violation surfaces as a
+// detected race, and the CAS flag catches overlap even in non-race runs.
 type emitShardRec struct {
 	inFlight atomic.Bool
 	pairs    [][2]int64
 	_        [64]byte
 }
 
-// The sharded emit plane must be invisible in the result multiset:
-// across both engines (single-grid and grouped decomposition), inline
-// and worker-backed emission, and batch sizes 1 and 32, the output
-// matches the nested-loop oracle exactly — while migrations relocate
-// state mid-stream, four feeders send concurrently, and the per-shard
-// serialization contract is actively checked.
+// The sharded sink must be invisible in the result multiset: across
+// both engines (single-grid and grouped decomposition), batch sizes 1
+// and 32, and a single grid that expands elastically mid-stream, the
+// output matches the nested-loop oracle exactly — while migrations
+// relocate state, four feeders send concurrently, and the per-shard
+// serialization contract is actively checked. Each shard is one joiner
+// task, so same-shard calls never overlap; the elastic case checks that
+// the children an expansion spawns emit under fresh shard ids (>= J).
 func TestShardedEmitExactness(t *testing.T) {
 	tuples := emitStream(300, 4000, 40, 7)
 	want := emitOracle(tuples)
 
-	for _, eng := range []struct {
-		name    string
-		joiners int
+	// The subtests named workers=0 keep their IDs from the retired
+	// emit-worker axis.
+	cases := []struct {
+		name           string
+		joiners, batch int
+		// maxJoiners > 0 enables elastic expansion capped there.
+		maxJoiners int
 	}{
-		{"operator", 8}, // power of two: single grid
-		{"grouped", 6},  // 4+2 groups: cross-group shard offsets
-	} {
-		for _, workers := range []int{0, 4} {
-			for _, batch := range []int{1, 32} {
-				eng, workers, batch := eng, workers, batch
-				name := fmt.Sprintf("%s/workers=%d/batch=%d", eng.name, workers, batch)
-				t.Run(name, func(t *testing.T) {
-					shards := make([]*emitShardRec, 64)
-					for i := range shards {
-						shards[i] = &emitShardRec{}
-					}
-					var violations atomic.Int64
-					sink := squall.Sharded(func(shard int, ps []squall.Pair) {
-						sh := shards[shard]
-						if !sh.inFlight.CompareAndSwap(false, true) {
-							violations.Add(1)
-						}
-						for i := range ps {
-							sh.pairs = append(sh.pairs, [2]int64{ps[i].R.Aux, ps[i].S.Aux})
-						}
-						sh.inFlight.Store(false)
-					})
-
-					opts := []squall.Option{
-						squall.WithJoiners(eng.joiners),
-						squall.WithAdaptive(),
-						squall.WithWarmup(300),
-						squall.WithSeed(11),
-						squall.WithBatchSize(batch),
-						squall.WithSourceLanes(4),
-					}
-					if workers > 0 {
-						opts = append(opts, squall.WithEmitWorkers(workers))
-					}
-					e := squall.NewEngine(squall.Equi("emit"), sink, opts...)
-					e.Start()
-
-					var wg sync.WaitGroup
-					const feeders = 4
-					chunk := (len(tuples) + feeders - 1) / feeders
-					for f := 0; f < feeders; f++ {
-						lo := f * chunk
-						hi := lo + chunk
-						if hi > len(tuples) {
-							hi = len(tuples)
-						}
-						wg.Add(1)
-						go func(ts []squall.Tuple) {
-							defer wg.Done()
-							for len(ts) > 0 {
-								n := 64
-								if n > len(ts) {
-									n = len(ts)
-								}
-								if err := e.SendBatch(ts[:n]); err != nil {
-									t.Error(err)
-									return
-								}
-								ts = ts[n:]
-							}
-						}(tuples[lo:hi])
-					}
-					wg.Wait()
-					if err := e.Finish(); err != nil {
-						t.Fatal(err)
-					}
-
-					if v := violations.Load(); v != 0 {
-						t.Fatalf("%d overlapping same-shard sink calls; Sharded must serialize within a shard", v)
-					}
-					if m := e.Metrics().Migrations.Load(); m == 0 {
-						t.Fatal("no migrations; the test must cover emission during state relocation")
-					}
-					got := map[[2]int64]int{}
-					activeShards := 0
-					for _, sh := range shards {
-						if len(sh.pairs) > 0 {
-							activeShards++
-						}
-						for _, pr := range sh.pairs {
-							got[pr]++
-						}
-					}
-					if activeShards < 2 {
-						t.Fatalf("results arrived on %d shard(s); want the fanout spread across joiners", activeShards)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-					}
-					for k, n := range want {
-						if got[k] != n {
-							t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
-						}
-					}
-				})
+		{"operator/workers=0/batch=1", 8, 1, 0}, // power of two: single grid
+		{"operator/workers=0/batch=32", 8, 32, 0},
+		{"grouped/workers=0/batch=1", 6, 1, 0}, // 4+2 groups: cross-group shard offsets
+		{"grouped/workers=0/batch=32", 6, 32, 0},
+		// J = 8 under a per-joiner cap of 600 tuples: with the 300 R
+		// tuples stored, the first Alg. 2 check past ~1 000 S tuples
+		// predicts more than 300 per joiner and splits 8 -> 32; the
+		// 32-joiner cap forbids a second split.
+		{"operator/elastic", 8, 32, 32},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := make([]*emitShardRec, max(tc.joiners, tc.maxJoiners))
+			for i := range shards {
+				shards[i] = &emitShardRec{}
 			}
-		}
+			var violations atomic.Int64
+			sink := squall.Sharded(func(shard int, ps []squall.Pair) {
+				sh := shards[shard]
+				if !sh.inFlight.CompareAndSwap(false, true) {
+					violations.Add(1)
+				}
+				for i := range ps {
+					sh.pairs = append(sh.pairs, [2]int64{ps[i].R.Aux, ps[i].S.Aux})
+				}
+				sh.inFlight.Store(false)
+			})
+
+			opts := []squall.Option{
+				squall.WithJoiners(tc.joiners),
+				squall.WithAdaptive(),
+				squall.WithWarmup(300),
+				squall.WithSeed(11),
+				squall.WithBatchSize(tc.batch),
+				squall.WithSourceLanes(4),
+			}
+			if tc.maxJoiners > 0 {
+				opts = append(opts, squall.WithElastic(600, tc.maxJoiners))
+			}
+			e := squall.NewEngine(squall.Equi("emit"), sink, opts...)
+			e.Start()
+
+			rest := tuples
+			if tc.maxJoiners > 0 {
+				// The controller decides asynchronously and drops a pending
+				// expansion once the input has drained: feed the R tuples
+				// and the first 2 500 S tuples (past the check that splits),
+				// wait for the expansion to be issued, then feed the rest on
+				// the expanded grid.
+				feedConcurrently(t, e, rest[:2800])
+				rest = rest[2800:]
+				for deadline := time.Now().Add(30 * time.Second); e.Metrics().Expansions.Load() == 0; {
+					if time.Now().After(deadline) {
+						t.Fatal("the elastic expansion was never issued")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			feedConcurrently(t, e, rest)
+			if err := e.Finish(); err != nil {
+				t.Fatal(err)
+			}
+
+			if v := violations.Load(); v != 0 {
+				t.Fatalf("%d overlapping same-shard sink calls; Sharded must serialize within a shard", v)
+			}
+			m := e.Metrics()
+			if tc.maxJoiners > 0 {
+				if m.Expansions.Load() == 0 {
+					t.Fatal("no elastic expansion; the case must cover shards minted mid-stream")
+				}
+			} else if m.Migrations.Load() == 0 {
+				t.Fatal("no migrations; the test must cover emission during state relocation")
+			}
+			got := map[[2]int64]int{}
+			activeShards, childShards := 0, 0
+			for id, sh := range shards {
+				if len(sh.pairs) > 0 {
+					activeShards++
+					if id >= tc.joiners {
+						childShards++
+					}
+				}
+				for _, pr := range sh.pairs {
+					got[pr]++
+				}
+			}
+			if activeShards < 2 {
+				t.Fatalf("results arrived on %d shard(s); want the fanout spread across joiners", activeShards)
+			}
+			if tc.maxJoiners > 0 && childShards == 0 {
+				t.Fatalf("no shard id >= J=%d received pairs; expansion children must emit under fresh ids", tc.joiners)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
+				}
+			}
+		})
 	}
 }
 
-// A worker-backed emit plane feeding a chained pipeline stage must
-// deliver the same triples as the inline plane: the bridge consumes
-// per-shard (its buffers are shard-private) and the emit workers pin
-// each shard to one worker, so chaining stays exact end to end.
-func TestEmitWorkersPipelineChain(t *testing.T) {
-	const (
-		nR, nS, nT = 200, 1500, 400
-		k1Dom      = 60
-		k2Dom      = 120
-	)
-	rs, ss, ts := threeWayInputs(nR, nS, nT, k1Dom, k2Dom, 23)
-	want := oracleThreeWay(rs, ss, ts)
-	sortTriples(want)
-
-	var mu sync.Mutex
-	var got []triple
-	p := squall.NewPipeline(
-		squall.WithJoiners(8),
-		squall.WithAdaptive(),
-		squall.WithWarmup(300),
-		squall.WithSeed(5),
-		squall.WithEmitWorkers(2),
-	)
-	rsStage := p.Join(squall.Equi("r-s"))
-	rstStage := rsStage.Join(squall.Equi("rs-t"), rekeyRS)
-	rstStage.To(squall.Each(func(pr squall.Pair) {
-		tr := triple{rid: pr.R.Aux / 1_000_000, sid: pr.R.Aux % 1_000_000, tid: pr.S.Aux}
-		mu.Lock()
-		got = append(got, tr)
-		mu.Unlock()
-	}))
-	if err := p.Run(nil); err != nil {
-		t.Fatal(err)
+// feedConcurrently splits ts over four feeder goroutines, each sending
+// 64-tuple batches, and returns once all have finished.
+func feedConcurrently(t *testing.T, e squall.Engine, ts []squall.Tuple) {
+	t.Helper()
+	var wg sync.WaitGroup
+	const feeders = 4
+	chunk := (len(ts) + feeders - 1) / feeders
+	for lo := 0; lo < len(ts); lo += chunk {
+		wg.Add(1)
+		go func(ts []squall.Tuple) {
+			defer wg.Done()
+			for len(ts) > 0 {
+				n := min(64, len(ts))
+				if err := e.SendBatch(ts[:n]); err != nil {
+					t.Error(err)
+					return
+				}
+				ts = ts[n:]
+			}
+		}(ts[lo:min(lo+chunk, len(ts))])
 	}
-	for i := range rs {
-		if err := rsStage.Send(rs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rstStage.SendBatch(ts); err != nil {
-		t.Fatal(err)
-	}
-	for start := 0; start < len(ss); start += 128 {
-		end := start + 128
-		if end > len(ss) {
-			end = len(ss)
-		}
-		if err := rsStage.SendBatch(ss[start:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	sortTriples(got)
-	if len(got) != len(want) {
-		t.Fatalf("pipeline emitted %d triples, oracle %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("triple %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	wg.Wait()
 }

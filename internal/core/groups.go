@@ -56,9 +56,6 @@ type GroupedConfig struct {
 	// and cross-shard concurrency compose across groups exactly as they
 	// do within one operator (see Config.EmitShard).
 	EmitShard join.ShardedEmitBatch
-	// EmitWorkers > 0 gives every group that many dedicated emit
-	// workers (see Config.EmitWorkers).
-	EmitWorkers int
 	// Latency samples tuple latencies if non-nil.
 	Latency *metrics.LatencySampler
 	// Seed drives routing randomness.
@@ -115,7 +112,6 @@ func NewGrouped(cfg GroupedConfig) *Grouped {
 			EmitBatch:      cfg.EmitBatch,
 			EmitShard:      cfg.EmitShard,
 			EmitShardBase:  shardBase,
-			EmitWorkers:    cfg.EmitWorkers,
 			Latency:        cfg.Latency,
 			Seed:           cfg.Seed ^ int64(i)<<32,
 		}))

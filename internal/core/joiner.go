@@ -69,9 +69,7 @@ type joiner struct {
 	// (flushed right after the store call) and, between runs, the
 	// per-pair emissions of the migration paths (flushed before the
 	// next run, at envelope end, when the joiner idles, and at exit).
-	// Inline mode flushes through emitBatch and reuses the buffer;
-	// with the emit plane the filled buffer ships to a worker by
-	// pointer and a fresh pooled buffer takes its place.
+	// Every flush runs emitBatch on this goroutine and reuses the buffer.
 	pairBuf []join.Pair
 
 	// hint is the operator's shared Reserve-hint cell (see operator.go);
@@ -84,15 +82,11 @@ type joiner struct {
 	ackCh     chan<- int
 	emit      join.Emit
 	emitBatch join.EmitBatch
-	// plane, when non-nil, routes flushed pair buffers to the emit
-	// workers instead of through emitBatch inline; emitHome is this
-	// joiner's home worker (id mod workers) and shard its sink shard id
-	// (id plus the group's shard base).
-	plane    *emitPlane
-	emitHome int
-	shard    int
-	met      *metrics.Joiner
-	stCfg    storage.Config
+	// shard is this joiner's sink shard id (id plus the group's shard
+	// base).
+	shard int
+	met   *metrics.Joiner
+	stCfg storage.Config
 	// stop is the operator's cancellation signal; the task loop's
 	// blocking waits select on it.
 	stop   <-chan struct{}
@@ -146,20 +140,12 @@ func (w *joiner) guardTail(rel matrix.Side, n0 int) {
 	w.pairBuf = kept
 }
 
-// flushPending ships whatever pairBuf holds, unguarded. Inline mode
-// (no emit plane) runs accounting and the user sink on this goroutine
-// via emitBatch and reuses the buffer; with the emit plane the buffer
-// itself is handed to the joiner's home worker — zero copy — and a
-// fresh pooled buffer replaces it.
+// flushPending ships whatever pairBuf holds, unguarded: accounting and
+// the user sink run on this goroutine via emitBatch, and the buffer is
+// reused for the next run.
 func (w *joiner) flushPending() {
 	buf := w.pairBuf
 	if len(buf) == 0 {
-		return
-	}
-	if w.plane != nil {
-		w.met.OutputPairs.Add(int64(len(buf)))
-		w.plane.enqueue(w.emitHome, w.shard, buf)
-		w.pairBuf = getPairs(len(buf))
 		return
 	}
 	w.emitBatch(buf)
@@ -319,14 +305,9 @@ func (w *joiner) handleBatch(b []message) {
 			} else {
 				w.state.AddBatchCollect(run, &w.pairBuf)
 			}
-			// Inline mode flushes once per run (accounting and the user
-			// sink amortize over the run's matches); with the emit plane
-			// runs keep coalescing until the handoff is worth a channel
-			// operation — interleaved sides make runs short, and shipping
-			// each alone would pay the plane per couple of tuples.
-			if w.plane == nil || len(w.pairBuf) >= emitCoalesce {
-				w.flushPending()
-			}
+			// Flush once per run: accounting and the user sink amortize
+			// over the run's matches.
+			w.flushPending()
 			w.runBuf = run
 			i = j
 			continue

@@ -228,14 +228,6 @@ type Config struct {
 	// decomposition gives each power-of-two group a disjoint shard
 	// range.
 	EmitShardBase int
-	// EmitWorkers > 0 moves sink invocation off the joiner goroutines
-	// onto that many dedicated emit workers: joiners hand filled pair
-	// buffers over by pointer (joiner id mod EmitWorkers picks the home
-	// worker, mirroring the lane->home-reshuffler affinity; unsharded
-	// sinks spill under pressure, see metrics.EmitSpills) and return to
-	// probing. 0 keeps the legacy inline emission on the joiner
-	// goroutine.
-	EmitWorkers int
 	// Latency, if non-nil, samples tuple latencies.
 	Latency *metrics.LatencySampler
 	// Seed makes the random routing reproducible.
@@ -326,9 +318,6 @@ func (c *Config) fill() {
 	if c.BatchLinger == 0 {
 		c.BatchLinger = DefaultBatchLinger
 	}
-	if c.EmitWorkers < 0 {
-		c.EmitWorkers = 0
-	}
 	if c.CheckpointKeep == 0 {
 		c.CheckpointKeep = storage.DefaultKeep
 	}
@@ -387,10 +376,6 @@ type Operator struct {
 	sources []chan []sourceItem
 	ctl     *controller
 	hint    reserveHint
-	// plane is the emit plane (nil when EmitWorkers == 0): dedicated
-	// workers that run latency sampling and the user sink off the
-	// joiner goroutines, fed pooled pair buffers by pointer.
-	plane *emitPlane
 	// ingest is the exact sharded cardinality counter: one cell per
 	// reshuffler, merged on snapshot. It replaces the per-reshuffler
 	// sampled Estimator — source-lane affinity breaks the uniform-deal
@@ -518,9 +503,6 @@ func NewOperator(cfg Config) *Operator {
 	op.stop = op.runner.Done()
 	op.topo.met = op.met
 	op.topo.stop = op.stop
-	if op.cfg.EmitWorkers > 0 {
-		op.plane = newEmitPlane(&op.cfg, op.met, op.stop)
-	}
 	op.sources = make([]chan []sourceItem, cfg.NumReshufflers)
 	for i := range op.sources {
 		// Sized in envelopes; a Send wraps one tuple per envelope, so
@@ -613,10 +595,6 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 		stop:    op.stop,
 	}
 	w.shard = id + op.cfg.EmitShardBase
-	if op.plane != nil {
-		w.plane = op.plane
-		w.emitHome = id % len(op.plane.workers)
-	}
 	ports := (*op.topo.ports.Load())[id]
 	w.dataIn = ports.dataIn
 	w.migIn = ports.migIn
@@ -636,9 +614,9 @@ func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
 	user := op.cfg.Emit
 	userBatch := op.cfg.EmitBatch
 	if shardFn := op.cfg.EmitShard; shardFn != nil {
-		// Sharded sink, inline emission: the joiner goroutine delivers
-		// its own shard's runs, so per-shard serialization holds by
-		// construction. EmitShard takes precedence over EmitBatch/Emit.
+		// The joiner goroutine delivers its own shard's runs, so
+		// per-shard serialization holds by construction. EmitShard takes
+		// precedence over EmitBatch/Emit.
 		shard := w.shard
 		userBatch = func(ps []join.Pair) { shardFn(shard, ps) }
 		user = nil
@@ -666,19 +644,6 @@ func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
 				user(ps[i])
 			}
 		}
-	}
-}
-
-// joinerTask wraps a joiner's run for the runner, retiring the joiner
-// from the emit plane on exit so the plane can detect when no producer
-// remains and let its workers drain and stop.
-func (op *Operator) joinerTask(w *joiner) func() error {
-	if op.plane == nil {
-		return w.run
-	}
-	return func() error {
-		defer op.plane.joinerDone()
-		return w.run()
 	}
 }
 
@@ -716,13 +681,7 @@ func (op *Operator) spawnChildren(table []int, epoch uint32, newMapping matrix.M
 			}
 			w := op.newJoiner(id, cell, oldMapping, epoch-1, birth)
 			op.joiners = append(op.joiners, w)
-			if op.plane != nil {
-				// Register before Go: expansion happens mid-stream while
-				// every parent joiner is still live, so the plane's live
-				// count cannot have dipped to zero.
-				op.plane.joinerUp(1)
-			}
-			op.runner.Go(fmt.Sprintf("joiner-%d", id), op.joinerTask(w))
+			op.runner.Go(fmt.Sprintf("joiner-%d", id), w.run)
 		}
 	}
 }
@@ -762,20 +721,8 @@ func (op *Operator) StartContext(ctx context.Context) {
 		w.emitBatch = op.emitBatchFor(w)
 		w.emit = w.emitOne
 	}
-	if op.plane != nil {
-		// Emit workers run under the same runner as the joiners: a panic
-		// in the user's sink cancels the whole task set instead of
-		// deadlocking joiners against a dead worker's queue. Every
-		// initial joiner is registered before any launches, so the
-		// plane's live count cannot hit zero before the last joiner
-		// exits.
-		for i := range op.plane.workers {
-			op.runner.Go(fmt.Sprintf("emit-%d", i), func() error { return op.plane.runWorker(i) })
-		}
-		op.plane.joinerUp(len(op.joiners))
-	}
 	for _, w := range op.joiners {
-		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), op.joinerTask(w))
+		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), w.run)
 	}
 	for i := 0; i < op.cfg.NumReshufflers; i++ {
 		r := &reshuffler{

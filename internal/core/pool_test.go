@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/join"
-)
+import "testing"
 
 // TestPoolRoundTripAllocFree pins that recycling a buffer through each
 // envelope pool allocates nothing once the pool holds one: a pool that
@@ -20,7 +16,6 @@ func TestPoolRoundTripAllocFree(t *testing.T) {
 	}{
 		{"batch", func() { putBatch(append(getBatch(DefaultBatchSize), message{})) }},
 		{"items", func() { putItems(append(getItems(DefaultBatchSize), sourceItem{})) }},
-		{"pairs", func() { putPairs(append(getPairs(DefaultBatchSize), join.Pair{})) }},
 		{"wire", func() { putWire(append(getWire(), 1)) }},
 	}
 	for _, tc := range cases {

@@ -24,9 +24,9 @@ type Index interface {
 	// in order and appends each predicate-passing match to *out as an
 	// oriented Pair: the vectorized form of Probe — one call per run
 	// instead of one per tuple, so hash computation and bounds checks
-	// amortize — and the emit-plane half of the batch story: no
-	// per-match callback at all; matches accumulate in the caller's
-	// pair buffer and flush (accounting, user sink) once per run.
+	// amortize — and the output half of the batch story: no per-match
+	// callback at all; matches accumulate in the caller's pair buffer
+	// and flush (accounting, user sink) once per run.
 	ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair)
 	// Reserve hints that the index will eventually hold about n tuples,
 	// letting it presize its directory and arena so steady ingest up to

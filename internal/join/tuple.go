@@ -94,11 +94,11 @@ type EmitBatch func([]Pair)
 
 // ShardedEmitBatch receives a run of join results tagged with the
 // emitting shard (the joiner id, offset per group under the grouped
-// decomposition). The emit plane serializes calls within one shard but
-// runs different shards concurrently, and guarantees nothing about
-// cross-shard order — the contract that lets J joiners deliver results
-// without funneling through one sink mutex. The slice is only valid for
-// the duration of the call.
+// decomposition). Calls within one shard never overlap, because each
+// shard is one joiner task delivering its own results; different shards
+// run concurrently with no cross-shard order — the contract that lets J
+// joiners deliver results without funneling through one sink mutex. The
+// slice is only valid for the duration of the call.
 type ShardedEmitBatch func(shard int, ps []Pair)
 
 // CountingEmit returns an Emit that only counts results, plus the

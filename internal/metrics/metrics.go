@@ -40,10 +40,10 @@ type Joiner struct {
 
 	// The counters above are 80 bytes; the trailing pad rounds each
 	// block to two full cache lines so adjacent blocks never share one.
-	// Joiners update their own block from their own goroutine, and with
-	// the emit plane running, emit workers read neighbors' OutputPairs
-	// concurrently — an unpadded array of blocks would ping the line
-	// between cores on every counter bump.
+	// Each block is written by its own joiner goroutine, and adjacent
+	// blocks belong to different joiners running on different cores — an
+	// unpadded array of blocks would ping the line between cores on
+	// every counter bump.
 	_ [48]byte
 }
 
@@ -66,11 +66,6 @@ type Operator struct {
 	// light traffic (fanout stays core-local), rising exactly when
 	// pressure re-parallelizes the reshuffling across rings.
 	LaneSpills atomic.Int64
-	// EmitSpills is LaneSpills' egress mirror: pair buffers a joiner
-	// handed to an emit worker other than its home worker because the
-	// home queue was full. Only unsharded sinks spill (a sharded sink's
-	// per-shard serialization pins every buffer to its home worker).
-	EmitSpills atomic.Int64
 
 	// BatchesSent counts data-plane batch envelopes shipped by
 	// reshufflers; BatchedMessages counts the messages they carried, so
@@ -154,7 +149,6 @@ func Merged(ms ...*Operator) *Operator {
 		out.RoutedMessages.Add(m.RoutedMessages.Load())
 		out.DummyTuples.Add(m.DummyTuples.Load())
 		out.LaneSpills.Add(m.LaneSpills.Load())
-		out.EmitSpills.Add(m.EmitSpills.Load())
 		out.BatchesSent.Add(m.BatchesSent.Load())
 		out.BatchedMessages.Add(m.BatchedMessages.Load())
 		out.BatchFlushFull.Add(m.BatchFlushFull.Load())

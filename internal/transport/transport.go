@@ -306,8 +306,7 @@ type pipeHalf struct {
 
 // Pipe returns two connected in-process links: frames sent on one are
 // received by the other. It is the channel-path implementation the
-// local operator semantics are defined by, and the chan side of
-// BenchmarkTransportLink.
+// local operator semantics are defined by.
 func Pipe() (Link, Link) {
 	ab := make(chan []byte, pipeCap)
 	ba := make(chan []byte, pipeCap)

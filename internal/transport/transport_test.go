@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 )
@@ -344,49 +343,5 @@ func TestLoopbackChaos(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("receiver hung on torn frame")
 		}
-	})
-}
-
-// BenchmarkTransportLink measures one-way frame throughput per carrier:
-// the in-process pipe (the local chan path) against TCP over loopback
-// (the distributed path), on envelope-sized frames. The benchdelta
-// schema picks up the ns/envelope metric as an informational row — the
-// TCP cost is the price of distribution, not a regression.
-func BenchmarkTransportLink(b *testing.B) {
-	payload := make([]byte, 4096)
-	rand.New(rand.NewSource(17)).Read(payload)
-	run := func(b *testing.B, send, recv Link) {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if _, err := recv.Recv(); err != nil {
-					b.Errorf("recv %d: %v", i, err)
-					return
-				}
-			}
-		}()
-		f := Frame{Kind: KindData, Payload: payload}
-		b.SetBytes(int64(len(payload)))
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if err := send.Send(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wg.Wait()
-		b.StopTimer()
-		b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "ns/envelope")
-	}
-	b.Run("chan", func(b *testing.B) {
-		a, p := Pipe()
-		defer a.Close()
-		run(b, a, p)
-	})
-	b.Run("tcp", func(b *testing.B) {
-		client, server := tcpPair(b)
-		run(b, client, server)
 	})
 }

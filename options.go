@@ -166,23 +166,6 @@ func WithSourceLanes(n int) Option {
 	return func(sc *stageConfig) { sc.cfg.SourceLanes = n }
 }
 
-// WithEmitWorkers moves sink invocation off the joiner tasks onto n
-// dedicated emit workers: each joiner accumulates results in a pooled
-// pair buffer and hands the full buffer over by pointer (joiner id mod
-// n picks the home worker, mirroring the source-lane affinity of
-// WithSourceLanes; non-sharded sinks spill to other workers under
-// pressure), then returns to probing. n <= 0 resolves to
-// runtime.GOMAXPROCS(0). Without this option sinks run inline on the
-// joiner tasks. The result multiset is identical either way; with a
-// Sharded sink each shard stays pinned to its home worker, so the
-// per-shard serialization contract survives the handoff.
-func WithEmitWorkers(n int) Option {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return func(sc *stageConfig) { sc.cfg.EmitWorkers = n }
-}
-
 // WithElastic enables 1-to-4 elastic expansion once any joiner stores
 // more than maxPerJoiner tuples, capped at maxJoiners total (0: no
 // cap).
@@ -251,17 +234,16 @@ func (sc stageConfig) build(pred Predicate, sink Sink) Engine {
 			panic("squall: WithBackend requires the single-grid operator (power-of-two joiners, no WithGrouped)")
 		}
 		return core.NewGrouped(core.GroupedConfig{
-			J:           sc.cfg.J,
-			Pred:        pred,
-			Adaptive:    sc.cfg.Adaptive,
-			Warmup:      sc.cfg.Warmup,
-			Epsilon:     sc.cfg.Epsilon,
-			Storage:     sc.cfg.Storage,
-			EmitBatch:   emitBatch,
-			EmitShard:   emitShard,
-			EmitWorkers: sc.cfg.EmitWorkers,
-			Latency:     sc.cfg.Latency,
-			Seed:        sc.cfg.Seed,
+			J:         sc.cfg.J,
+			Pred:      pred,
+			Adaptive:  sc.cfg.Adaptive,
+			Warmup:    sc.cfg.Warmup,
+			Epsilon:   sc.cfg.Epsilon,
+			Storage:   sc.cfg.Storage,
+			EmitBatch: emitBatch,
+			EmitShard: emitShard,
+			Latency:   sc.cfg.Latency,
+			Seed:      sc.cfg.Seed,
 		})
 	}
 	cfg := sc.cfg

@@ -75,8 +75,9 @@ func (s shardFunc) sinkSharded() ShardedEmitBatch { return ShardedEmitBatch(s) }
 // Sharded returns a sink calling f once per flushed run of results,
 // tagged with the emitting shard (the joiner id, offset per group
 // under the grouped decomposition — elastic expansion mints new shard
-// ids beyond the initial joiner count). Calls within one shard are
-// serialized; different shards run concurrently with no cross-shard
+// ids beyond the initial joiner count). Calls within one shard never
+// overlap — each shard is one joiner task delivering its own results;
+// different shards run concurrently with no cross-shard
 // ordering guarantee. This is the sink form that lets J joiners emit
 // without funneling through one shared mutex: give each shard its own
 // accumulator (padded to a cache line) and merge on read. The slice is
@@ -92,7 +93,7 @@ func (s counterSink) sinkBatch() EmitBatch {
 }
 
 // counterCell isolates the counter on its own cache line: a Counter is
-// hammered concurrently by every joiner (or emit worker), and an
+// hammered concurrently by every joiner, and an
 // unpadded heap cell can share its line with whatever the allocator
 // placed next to it — turning an unrelated reader into a false-sharing
 // victim.
