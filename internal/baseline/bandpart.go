@@ -171,10 +171,8 @@ func (rb *RangeBand) Start() {
 		rb.runner.Go(fmt.Sprintf("rangeband-%d", w), func() error {
 			met := rb.met.JoinerStats(w)
 			cells := make(map[int]*join.Local)
-			emit := func(p join.Pair) {
-				met.OutputPairs.Add(1)
-				rb.emitCfg(p)
-			}
+			run := make([]join.Tuple, 1)
+			var pairs []join.Pair
 			for m := range rb.inboxes[w] {
 				met.InputTuples.Add(1)
 				met.InputBytes.Add(m.t.Bytes())
@@ -183,7 +181,13 @@ func (rb *RangeBand) Start() {
 					lc = join.NewLocal(rb.pred)
 					cells[m.cell] = lc
 				}
-				lc.Add(m.t, emit)
+				run[0] = m.t
+				lc.AddBatchCollect(run, &pairs)
+				met.OutputPairs.Add(int64(len(pairs)))
+				for _, p := range pairs {
+					rb.emitCfg(p)
+				}
+				pairs = pairs[:0]
 			}
 			return nil
 		})

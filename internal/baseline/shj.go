@@ -104,10 +104,10 @@ func (s *SHJ) StartContext(ctx context.Context) {
 		s.runner.Go(fmt.Sprintf("shj-worker-%d", i), func() error {
 			met := s.met.JoinerStats(i)
 			store := s.stores[i]
-			emit := func(p join.Pair) {
-				met.OutputPairs.Add(1)
-				s.cfg.Emit(p)
-			}
+			// Tuples arrive one at a time, so each is a one-tuple run
+			// through the store's batch API; both buffers are reused.
+			run := make([]join.Tuple, 1)
+			var pairs []join.Pair
 			for {
 				var t join.Tuple
 				var ok bool
@@ -121,7 +121,13 @@ func (s *SHJ) StartContext(ctx context.Context) {
 				}
 				met.InputTuples.Add(1)
 				met.InputBytes.Add(t.Bytes())
-				store.Add(t, emit)
+				run[0] = t
+				store.AddBatchCollect(run, &pairs)
+				met.OutputPairs.Add(int64(len(pairs)))
+				for _, p := range pairs {
+					s.cfg.Emit(p)
+				}
+				pairs = pairs[:0]
 				met.StoredTuples.Store(int64(store.TotalLen()))
 				met.StoredBytes.Store(store.Bytes())
 				met.SpilledTuples.Store(store.Metrics.SpilledTuples.Load())

@@ -28,6 +28,15 @@ const ingestAllocBudget = 3.0
 // steady state it measures well under 0.5.
 const sendBatchAllocBudget = 1.0
 
+// migrationAllocBudget is the enforced allocation budget per input
+// tuple on a stream that keeps the operator migrating. Every epoch runs
+// on the batch path, so a tuple that arrives mid-migration costs what a
+// steady-state one does: measured 0.04–0.18 on 2 CPUs at GOMAXPROCS
+// 1–4, most of it migration blocks and pool refills. The per-tuple
+// callback path this replaced sat at 1.1–5.1 (a probe closure per store
+// per tuple).
+const migrationAllocBudget = 0.4
+
 // minAllocsPerRun runs testing.AllocsPerRun several times and returns
 // the minimum average. The ingest pipeline is concurrent: a GC during
 // a measurement purges the envelope pools, and a producer briefly
@@ -107,6 +116,57 @@ func TestIngestAllocBudget(t *testing.T) {
 	t.Logf("ingest allocations: %.2f per Send (budget %.1f)", perSend, ingestAllocBudget)
 	if perSend > ingestAllocBudget {
 		t.Fatalf("ingest path allocates %.2f per Send, budget %.1f", perSend, ingestAllocBudget)
+	}
+}
+
+// TestMigrationAllocBudget pins allocations per input tuple over a
+// stream whose alternating R- and S-heavy bursts force several
+// migrations, so a large share of tuples arrives as ∆ or ∆′ while state
+// moves. Each attempt is one whole operator run, start to Finish; the
+// minimum over attempts keeps a GC's pool purge from failing the
+// budget, while a per-tuple allocation shows up in every attempt.
+func TestMigrationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the budget is measured without -race")
+	}
+	if testing.Short() {
+		t.Skip("three adaptive runs are not short")
+	}
+	rng := rand.New(rand.NewSource(5))
+	var tuples []join.Tuple
+	for burst := 0; burst < 6; burst++ {
+		for i := 0; i < 10000; i++ {
+			tuples = append(tuples, join.Tuple{Rel: matrix.Side(burst % 2), Key: rng.Int63n(1 << 16), Size: 8})
+		}
+	}
+	best := -1.0
+	for attempt := 0; attempt < 3; attempt++ {
+		op := NewOperator(Config{
+			J: 8, Pred: join.EquiJoin("mig-alloc", nil), Adaptive: true, Seed: 13,
+			EmitBatch: func([]join.Pair) {},
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op.Start()
+		for i := 0; i < len(tuples); i += DefaultBatchSize {
+			if err := op.SendBatch(tuples[i:min(i+DefaultBatchSize, len(tuples))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := op.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if op.Migrations() < 2 {
+			t.Fatalf("only %d migrations; the stream does not exercise the migration epoch", op.Migrations())
+		}
+		if perTuple := float64(after.Mallocs-before.Mallocs) / float64(len(tuples)); best < 0 || perTuple < best {
+			best = perTuple
+		}
+	}
+	t.Logf("migrating stream: %.2f allocations per input tuple (budget %.1f)", best, migrationAllocBudget)
+	if best > migrationAllocBudget {
+		t.Fatalf("migrating stream allocates %.2f per input tuple, budget %.1f", best, migrationAllocBudget)
 	}
 }
 

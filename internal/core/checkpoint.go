@@ -37,7 +37,7 @@ import (
 //     hands the capture to the coordinator and drains the held
 //     envelopes, and other joiners never stall. Holding blocks by
 //     reference is safe because blocks below the prefix change only
-//     through Retain/Drain, which run only in migrations, and the
+//     through Retain, which runs only in migrations, and the
 //     controller starts no migration or expansion while a checkpoint
 //     is in flight — until the coordinator reports its commit.
 //  4. The coordinator assembles the operator snapshot (mapping, table,

@@ -106,22 +106,27 @@ func TestGroupedExactnessUnderMigrations(t *testing.T) {
 				}
 				withContent(rng, tuples)
 				want := refMultiset(pred, tuples, contentOf)
-				emit, got := contentSink()
-				gr := NewGrouped(GroupedConfig{J: j, Pred: pred, Adaptive: true, Seed: seed, EmitBatch: emit})
-				gr.Start()
-				for _, tp := range tuples {
-					if err := gr.Send(tp); err != nil {
-						t.Fatal(err)
+				batchCases(t, func(t *testing.T, bs int) {
+					emit, got := contentSink()
+					gr := NewGrouped(GroupedConfig{J: j, Pred: pred, Adaptive: true, Seed: seed, EmitBatch: emit})
+					for _, op := range gr.groups {
+						op.cfg.BatchSize = bs // GroupedConfig has no envelope knob; reshufflers read it at Start
 					}
-				}
-				if err := gr.Finish(); err != nil {
-					t.Fatalf("grouped operator: %v", err)
-				}
-				diffMultisets(t, got, want)
-				if gr.Migrations() == 0 {
-					t.Fatal("expected per-group migrations under bursty input")
-				}
-				checkMigrationConserved(t, gr.Metrics())
+					gr.Start()
+					for _, tp := range tuples {
+						if err := gr.Send(tp); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := gr.Finish(); err != nil {
+						t.Fatalf("grouped operator: %v", err)
+					}
+					diffMultisets(t, got, want)
+					if gr.Migrations() == 0 {
+						t.Fatal("expected per-group migrations under bursty input")
+					}
+					checkMigrationConserved(t, gr.Metrics())
+				})
 			})
 		}
 	}

@@ -28,6 +28,13 @@ import (
 // migrated-in tuples probe ∆′ (part 4); new-epoch arrivals probe µ, ∆′
 // and Keep(τ∪∆) (parts 4–7). On completion the three stores merge and
 // the discards of the splitting relation are applied (Alg. 3 line 29).
+//
+// Every epoch rides the same batch path: a data tuple is only ever
+// processed as part of a same-side run (handleBatch, runTuples), and a
+// migrated-in block as one run per side (onMigBlocks). Which stores a
+// run probes and where it lands depend on the epoch; Keep and the
+// §4.2.2 ownership guard are filters over the pairs the run collected
+// (filterTail), never per-pair callbacks.
 type joiner struct {
 	id    int
 	pred  join.Predicate
@@ -62,14 +69,13 @@ type joiner struct {
 	dataIn    chan []message
 	migIn     *dataflow.Queue[message]
 	migNotify chan struct{}
-	// runBuf is the reusable scratch buffer handleBatch extracts
-	// same-side tuple runs into for the store's batch API.
+	// runBuf is the reusable scratch buffer data envelopes and migrated
+	// blocks are extracted into as same-side runs for the stores' batch
+	// API.
 	runBuf []join.Tuple
-	// pairBuf accumulates matches: a batch-probed run's collected pairs
-	// (flushed right after the store call) and, between runs, the
-	// per-pair emissions of the migration paths (flushed before the
-	// next run, at envelope end, when the joiner idles, and at exit).
-	// Every flush runs emitBatch on this goroutine and reuses the buffer.
+	// pairBuf accumulates one run's matches until flushPending ships
+	// them right after the run, so it is empty between runs; emitBatch
+	// runs on this goroutine and the buffer is reused.
 	pairBuf []join.Pair
 
 	// hint is the operator's shared Reserve-hint cell (see operator.go);
@@ -80,7 +86,6 @@ type joiner struct {
 
 	topo      *topology
 	ackCh     chan<- int
-	emit      join.Emit
 	emitBatch join.EmitBatch
 	// shard is this joiner's sink shard id (id plus the group's shard
 	// base).
@@ -94,55 +99,61 @@ type joiner struct {
 	exited bool
 }
 
-// emitOne buffers one pair into pairBuf: the join.Emit the
-// migration-path probes use. Every migration path applies its own
-// ownership guard before calling emit, so buffered pairs need no
-// further filtering — they flush unguarded (flushPending) before the
-// next batch run, at envelope end, on idle, and at exit. Buffering
-// here is what batches the migration paths' output too: a probe storm
-// during a state exchange flushes in emitCoalesce-pair runs instead of
-// paying the sink per pair.
-func (w *joiner) emitOne(p join.Pair) {
-	w.pairBuf = append(w.pairBuf, p)
-	if len(w.pairBuf) >= emitCoalesce {
-		w.flushPending()
-	}
-}
-
-// emitCoalesce bounds how many per-pair emissions accumulate before
-// forcing a flush, keeping migration-path output latency honest while
-// a long exchange runs.
-const emitCoalesce = 512
-
 // maxPairBufCap bounds how much flushed pair-buffer capacity a joiner
 // retains between runs: a high-fanout run may balloon the buffer, and
 // holding tens of megabytes per joiner for the stream's lifetime would
 // turn one hot key into a permanent memory tax.
 const maxPairBufCap = 1 << 15
 
-// guardTail applies the §4.2.2 ownership rule — a pair joins only in
-// the group storing its earlier tuple — to the pairs a probe-only run
-// just collected, pairBuf[n0:]. rel is the probing relation, so the
-// rule is expressible over each collected pair alone; pairs before n0
-// were finalized by their own paths and pass through untouched.
-func (w *joiner) guardTail(rel matrix.Side, n0 int) {
+// tailFilter names a rule filterTail applies to collected pairs.
+type tailFilter uint8
+
+const (
+	// storedOlder is the §4.2.2 ownership rule for probe-only traffic: a
+	// pair joins only in the group storing its earlier tuple, so a
+	// probe-only tuple keeps a match only when the stored one is older.
+	storedOlder tailFilter = iota
+	// probeOlder is the same rule seen from a stored µ tuple probing the
+	// buffered probe-only ∆′ traffic: the pair belongs here only when the
+	// µ tuple is the older one.
+	probeOlder
+	// storedKept is Keep(τ∪∆): a new-epoch tuple joins only the
+	// old-epoch state this machine retains under the new mapping.
+	storedKept
+)
+
+// filterTail applies f to the pairs a run of rel-side probes just
+// collected, pairBuf[n0:], compacting the survivors in place. The
+// probing member of every collected pair is the run's tuple, so each
+// rule is expressible over the pair alone; pairs before n0 belong to
+// other probes and pass through untouched.
+func (w *joiner) filterTail(rel matrix.Side, n0 int, f tailFilter) {
 	buf := w.pairBuf
 	kept := buf[:n0]
 	for i := n0; i < len(buf); i++ {
-		stored, probe := buf[i].R, buf[i].S
+		stored, probe := &buf[i].R, &buf[i].S
 		if rel == matrix.SideR {
-			stored, probe = buf[i].S, buf[i].R
+			stored, probe = probe, stored
 		}
-		if stored.Seq < probe.Seq {
+		var ok bool
+		switch f {
+		case storedOlder:
+			ok = stored.Seq < probe.Seq
+		case probeOlder:
+			ok = probe.Seq < stored.Seq
+		default:
+			ok = w.mig.keeps(stored.Rel, stored.U)
+		}
+		if ok {
 			kept = append(kept, buf[i])
 		}
 	}
 	w.pairBuf = kept
 }
 
-// flushPending ships whatever pairBuf holds, unguarded: accounting and
-// the user sink run on this goroutine via emitBatch, and the buffer is
-// reused for the next run.
+// flushPending ships the run's filtered pairs: accounting and the user
+// sink run on this goroutine via emitBatch, and the buffer is reused
+// for the next run.
 func (w *joiner) flushPending() {
 	buf := w.pairBuf
 	if len(buf) == 0 {
@@ -199,8 +210,9 @@ type migState struct {
 // run is the joiner task loop. Migrated tuples are processed at least
 // at twice the rate of new tuples when both are pending (§4.3.2): two
 // migration messages, each carrying up to a block of tuples, per data
-// message. That preserves the 1.25 competitive ratio under non-blocking
-// operation (Thm 4.6).
+// envelope here, and per run inside an envelope while a migration is in
+// flight (handleBatch). That preserves the 1.25 competitive ratio under
+// non-blocking operation (Thm 4.6).
 //
 // The deferred close releases the store's spill segments on every exit
 // path — cancellation, panic (including armed crash faultpoints), and
@@ -232,8 +244,6 @@ func (w *joiner) run() error {
 		default:
 		}
 		if !progressed {
-			// About to block: nothing buffered may linger while idle.
-			w.flushPending()
 			select {
 			case b := <-w.dataIn:
 				w.handleBatch(b)
@@ -243,23 +253,28 @@ func (w *joiner) run() error {
 			}
 		}
 	}
-	w.flushPending()
 	return nil
 }
 
 // handleBatch processes one data-plane envelope and recycles its
-// buffer. Outside a migration, maximal runs of same-side data tuples
-// are driven through the store's batch API in one call — hash lookups,
-// bounds checks, and spill-tier dispatch amortize per run, and the
-// per-tuple probe closure disappears. Per-tuple accounting (ILF
-// counters, stored-state gauges) is amortized to one update per
-// envelope, and the 2:1 migrated-to-new processing ratio (§4.3.2) is
-// kept inside the batch: while a migration is in flight, between
-// consecutive data messages the joiner still services up to two
-// pending migration messages, so a large envelope cannot starve a
-// state exchange. Outside a migration the per-message queue polls are
-// skipped entirely — a kMigBegin can wait out the (bounded) remainder
-// of the envelope.
+// buffer. It is the only place a data tuple is processed, in every
+// epoch: maximal runs of data tuples sharing side, epoch tag and
+// probe-only mode are cut out of the envelope and each is driven
+// through the stores' batch APIs by runTuples — hash lookups, bounds
+// checks, and spill-tier dispatch amortize per run, and no per-tuple
+// or per-pair callback exists. Control messages end a run and go
+// through handle, so a signal that starts a migration, or a migration
+// message that completes one, changes the class of the next run, never
+// of one in progress. Replayed duplicates are dropped before they are
+// counted; the ILF counters and stored-state gauges are updated once
+// per envelope.
+//
+// The 2:1 migrated-to-new processing ratio (§4.3.2) is kept at run
+// granularity: while a migration is in flight, the joiner services up
+// to two pending migration messages at every run boundary, so a large
+// envelope cannot starve a state exchange. Outside a migration the
+// queue polls are skipped — a kMigBegin can wait out the (bounded)
+// remainder of the envelope.
 func (w *joiner) handleBatch(b []message) {
 	if w.ckpt != nil && len(b) > 0 && w.ckpt.seen[b[0].from] {
 		// Barrier alignment: this link's marker already arrived, so the
@@ -273,45 +288,6 @@ func (w *joiner) handleBatch(b []message) {
 	w.maybeReserve()
 	var tuples, bytes int64
 	for i := 0; i < len(b); {
-		m := &b[i]
-		if m.kind == kTuple && w.mig == nil && m.epoch == w.epoch {
-			// Fast path: extend the run while side, epoch, and
-			// probe-only mode match. Tuples of one relation never join
-			// each other, so probing the run before storing it emits
-			// exactly what per-tuple processing would.
-			j := i + 1
-			for j < len(b) && b[j].kind == kTuple && b[j].epoch == m.epoch &&
-				b[j].tuple.Rel == m.tuple.Rel && b[j].probeOnly == m.probeOnly {
-				j++
-			}
-			run := w.runBuf[:0]
-			for k := i; k < j; k++ {
-				if w.isReplayDup(&b[k].tuple) {
-					continue
-				}
-				run = append(run, b[k].tuple)
-				bytes += b[k].tuple.Bytes()
-			}
-			tuples += int64(len(run))
-			// Matches accumulate in the per-joiner pair buffer; the
-			// §4.2.2 ownership guard of a probe-only run applies to just
-			// the pairs that run collected (the buffer's tail), so
-			// already-final pairs — earlier runs, migration-path
-			// emissions — coalesce in front of them untouched.
-			n0 := len(w.pairBuf)
-			if m.probeOnly {
-				w.state.ProbeBatchCollect(run, &w.pairBuf)
-				w.guardTail(m.tuple.Rel, n0)
-			} else {
-				w.state.AddBatchCollect(run, &w.pairBuf)
-			}
-			// Flush once per run: accounting and the user sink amortize
-			// over the run's matches.
-			w.flushPending()
-			w.runBuf = run
-			i = j
-			continue
-		}
 		if i > 0 && w.mig != nil {
 			for k := 0; k < 2; k++ {
 				if mm, ok := w.migIn.TryPop(); ok {
@@ -319,12 +295,31 @@ func (w *joiner) handleBatch(b []message) {
 				}
 			}
 		}
-		if m.kind == kTuple {
-			tuples++
-			bytes += m.tuple.Bytes()
+		m := &b[i]
+		if m.kind != kTuple {
+			w.handle(*m)
+			i++
+			continue
 		}
-		w.handle(b[i])
-		i++
+		j := i + 1
+		for j < len(b) && b[j].kind == kTuple && b[j].epoch == m.epoch &&
+			b[j].tuple.Rel == m.tuple.Rel && b[j].probeOnly == m.probeOnly {
+			j++
+		}
+		run := w.runBuf[:0]
+		for k := i; k < j; k++ {
+			if w.isReplayDup(&b[k].tuple) {
+				continue
+			}
+			run = append(run, b[k].tuple)
+			bytes += b[k].tuple.Bytes()
+		}
+		tuples += int64(len(run))
+		if len(run) > 0 {
+			w.runTuples(run, m.epoch, m.probeOnly)
+		}
+		w.runBuf = run
+		i = j
 	}
 	if tuples > 0 {
 		w.met.InputTuples.Add(tuples)
@@ -335,10 +330,71 @@ func (w *joiner) handleBatch(b []message) {
 		// nothing may linger once the joiner goes idle.
 		w.migFlushAll()
 	}
-	// Ship the per-pair emissions of this envelope's slow-path messages.
-	w.flushPending()
 	w.updateStored()
 	putBatch(b)
+}
+
+// runTuples processes one run of same-side data tuples sharing an epoch
+// tag and probe-only mode — Alg. 3's HandleTuple1/HandleTuple2 for a
+// whole run, classified once — and ships its matches. Tuples of one
+// relation never join each other, so probing every store with the whole
+// run before storing any of it emits exactly the pairs per-tuple
+// probe-then-store would. Matches collect in pairBuf; a probe-only run's
+// are then cut to the ones this group owns (§4.2.2), and the run's
+// output flushes once.
+func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
+	rel := run[0].Rel
+	n0 := len(w.pairBuf)
+	switch {
+	case w.mig == nil:
+		if epoch != w.epoch {
+			panic(fmt.Sprintf("core: joiner %d: tuple epoch %d outside migration (at %d)", w.id, epoch, w.epoch))
+		}
+		if probeOnly {
+			w.state.ProbeBatchCollect(run, &w.pairBuf)
+		} else {
+			w.state.AddBatchCollect(run, &w.pairBuf)
+		}
+	case epoch == w.epoch:
+		// ∆: old-epoch arrivals during the migration (Alg. 3 lines 15-20).
+		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ (τ ∪ ∆)
+		for i := range run {
+			w.forwardMig(run[i], probeOnly) // Migrated(∆) to peers
+		}
+		if !probeOnly {
+			w.state.InsertBatch(run)
+		}
+		// Everything else is done with the whole run, so it compacts in
+		// place to the kept sub-run.
+		kept := run[:0]
+		for i := range run {
+			if w.mig.keeps(rel, run[i].U) {
+				kept = append(kept, run[i])
+			}
+		}
+		w.mig.dp.ProbeBatchCollect(kept, &w.pairBuf) // Keep(∆) ⋈ ∆′
+	case epoch == w.mig.epoch:
+		// ∆′: new-epoch arrivals (Alg. 3 lines 12-14 / 24-26).
+		w.mig.mu.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ µ
+		n1 := len(w.pairBuf)
+		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ Keep(τ ∪ ∆)
+		w.filterTail(rel, n1, storedKept)
+		if probeOnly {
+			w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
+			// Remember the probes so later-arriving µ tuples can complete
+			// the run ⋈ µ part they could not see yet.
+			w.mig.probeBuf.InsertBatch(run)
+		} else {
+			w.mig.dp.AddBatchCollect(run, &w.pairBuf) // run ⋈ ∆′, then store
+		}
+	default:
+		panic(fmt.Sprintf("core: joiner %d: tuple epoch %d, joiner epoch %d, migration epoch %d",
+			w.id, epoch, w.epoch, w.mig.epoch))
+	}
+	if probeOnly {
+		w.filterTail(rel, n0, storedOlder)
+	}
+	w.flushPending()
 }
 
 // reserveMin is the smallest per-side forecast worth acting on:
@@ -373,32 +429,16 @@ func (w *joiner) maybeReserve() {
 	}
 }
 
-// runGuardEmit returns the batch-probe sink for a probe-only run of
-// rel-side tuples: the ownership rule of §4.2.2 (join a pair only in
-// the group storing its earlier tuple), expressed over the pair itself
-// since the probe member of every emitted pair is the probing tuple.
-func (w *joiner) runGuardEmit(rel matrix.Side) join.Emit {
-	return func(p join.Pair) {
-		stored, probe := p.R, p.S
-		if rel == matrix.SideR {
-			stored, probe = p.S, p.R
-		}
-		if stored.Seq < probe.Seq {
-			w.emit(p)
-		}
-	}
-}
-
 func (w *joiner) finished() bool { return w.eos >= w.numRe && w.mig == nil }
 
+// handle processes one control or migration message; data tuples never
+// come here (handleBatch runs them).
 func (w *joiner) handle(m message) {
 	switch m.kind {
 	case kEOS:
 		w.eos++
 	case kSignal:
 		w.onSignal(m)
-	case kTuple:
-		w.onTuple(m)
 	case kCkpt:
 		w.onCkptMarker(m)
 	case kMigBegin:
@@ -454,15 +494,14 @@ func (w *joiner) onCkptMarker(m message) {
 
 // completeBarrier runs once all numRe markers have arrived: the joiner
 // has processed exactly the pre-barrier prefix of every link — the
-// consistent cut. It flushes pending pairs (so the emitted count is
-// the cut position in this joiner's output stream), captures its store
-// — incrementally past the last committed watermark when one exists
-// and the barrier doesn't force a full; frozen arena blocks by
+// consistent cut. Every run flushes its own pairs, so the emitted count
+// is the cut position in this joiner's output stream. It captures its
+// store — incrementally past the last committed watermark when one
+// exists and the barrier doesn't force a full; frozen arena blocks by
 // reference, so this is O(blocks) — hands the capture to the
 // coordinator, which encodes it, and replays the held post-barrier
 // envelopes.
 func (w *joiner) completeBarrier() {
-	w.flushPending()
 	var wm *storage.StoreWatermark
 	if !w.ckpt.full {
 		wm = w.ckptWM.Load()
@@ -633,96 +672,13 @@ func (w *joiner) migFlushAll() {
 	}
 }
 
-// onTuple processes a data tuple from a reshuffler, dispatching on its
-// epoch tag: HandleTuple1/HandleTuple2 of Alg. 3 collapse into the two
-// migration branches here because the ∆-branch is unreachable once all
-// signals have arrived.
-// The caller (handleBatch) does the per-envelope ILF accounting and
-// gauge refresh.
-func (w *joiner) onTuple(m message) {
-	t := m.tuple
-	if w.isReplayDup(&t) {
-		// Replayed duplicate after a restore: its state is already
-		// stored here and its pre-barrier probes are already reflected
-		// in the restored emitted count — drop it entirely.
-		return
-	}
-	switch {
-	case w.mig == nil:
-		if m.epoch != w.epoch {
-			panic(fmt.Sprintf("core: joiner %d: tuple epoch %d outside migration (at %d)", w.id, m.epoch, w.epoch))
-		}
-		w.state.Probe(t, w.pairEmit(t, m.probeOnly))
-		if !m.probeOnly {
-			w.state.Insert(t)
-		}
-	case m.epoch == w.epoch:
-		// ∆: old-epoch arrival during migration (Alg. 3 lines 15-20).
-		w.state.Probe(t, w.pairEmit(t, m.probeOnly)) // {t} ⋈ (τ ∪ ∆)
-		if w.mig.keeps(t.Rel, t.U) {
-			w.mig.dp.Probe(t, w.pairEmit(t, m.probeOnly)) // Keep(∆) ⋈ ∆′
-		}
-		w.forwardMig(t, m.probeOnly) // Migrated(∆) to peers
-		if !m.probeOnly {
-			w.state.Insert(t)
-		}
-	case m.epoch == w.mig.epoch:
-		// ∆′: new-epoch arrival (Alg. 3 lines 12-14 / 24-26).
-		w.mig.mu.Probe(t, w.pairEmit(t, m.probeOnly)) // {t} ⋈ µ
-		w.mig.dp.Probe(t, w.pairEmit(t, m.probeOnly)) // {t} ⋈ ∆′
-		w.probeKept(t, m.probeOnly)                   // {t} ⋈ Keep(τ ∪ ∆)
-		if m.probeOnly {
-			// Remember the probe so later-arriving µ tuples can
-			// complete the {t} ⋈ µ part it could not see yet.
-			w.mig.probeBuf.Insert(t)
-		} else {
-			w.mig.dp.Insert(t)
-		}
-	default:
-		panic(fmt.Sprintf("core: joiner %d: tuple epoch %d, joiner epoch %d, migration epoch %d",
-			w.id, m.epoch, w.epoch, w.mig.epoch))
-	}
-}
-
-// pairEmit returns the sink for pairs completed by probing with t. For
-// stored traffic it is the plain emit; for probe-only traffic (the
-// cross-group mode of §4.2.2) it enforces the ownership rule — a pair
-// is joined only in the group storing its earlier tuple — by dropping
-// pairs whose stored partner is newer than the probe. Without the
-// guard, a probe-only ∆ tuple probing ∆′ during a migration claims
-// pairs that the probe tuple's own storing group also emits. The guard
-// itself lives in runGuardEmit (shared with the batched probe path):
-// the probe member of every emitted pair is the probing tuple, so the
-// rule is expressible over the pair alone.
-func (w *joiner) pairEmit(t join.Tuple, probeOnly bool) join.Emit {
-	if !probeOnly {
-		return w.emit
-	}
-	return w.runGuardEmit(t.Rel)
-}
-
-// probeKept joins t against the kept subset of the old-epoch state:
-// stored tuples that remain on this machine under the new mapping.
-func (w *joiner) probeKept(t join.Tuple, probeOnly bool) {
-	emit := w.pairEmit(t, probeOnly)
-	w.state.Probe(t, func(p join.Pair) {
-		stored := p.R
-		if t.Rel == matrix.SideR {
-			stored = p.S
-		}
-		if w.mig.keeps(stored.Rel, stored.U) {
-			emit(p)
-		}
-	})
-}
-
-// onMigBlocks processes a run of migrated-in tuples shipped as
-// serialized arena blocks. Each tuple joins only ∆′ (Alg. 3 lines
-// 10-11); its joins against old-epoch state were computed under the
-// old mapping by the sender's side of the matrix. Stored tuples also
-// complete the buffered probe-only ∆′ traffic and are then installed
-// into µ by whole-block adoption; probe-only ∆ forwards (probeOnly)
-// probe ∆′ under the ownership guard and install nothing.
+// onMigBlocks processes migrated-in tuples shipped as serialized arena
+// blocks, each decoded side as one run. A run joins only ∆′ (Alg. 3
+// lines 10-11); its joins against old-epoch state were computed under
+// the old mapping by the sender's side of the matrix. Stored tuples
+// also complete the buffered probe-only ∆′ traffic and are then
+// installed into µ by whole-block adoption; probe-only ∆ forwards
+// (probeOnly) probe ∆′ under the ownership guard and install nothing.
 func (w *joiner) onMigBlocks(m message) {
 	if w.mig == nil || m.epoch != w.mig.epoch {
 		panic(fmt.Sprintf("core: joiner %d: migration blocks for epoch %d outside migration", w.id, m.epoch))
@@ -736,30 +692,26 @@ func (w *joiner) onMigBlocks(m message) {
 	}
 	w.met.InputTuples.Add(int64(bs.Tuples()))
 	w.met.InputBytes.Add(bs.Bytes())
+	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+		run := bs.AppendSide(w.runBuf[:0], side)
+		n0 := len(w.pairBuf)
+		w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
+		if m.probeOnly {
+			w.filterTail(side, n0, storedOlder)
+		} else {
+			// The buffered probes are probe-only, so the ownership guard
+			// applies from their side: only pairs where the µ tuple is the
+			// older, stored one belong to this group.
+			n1 := len(w.pairBuf)
+			w.mig.probeBuf.ProbeBatchCollect(run, &w.pairBuf)
+			w.filterTail(side, n1, probeOlder)
+		}
+		w.runBuf = run
+	}
+	w.flushPending()
 	if m.probeOnly {
-		guard := [2]join.Emit{w.runGuardEmit(matrix.SideR), w.runGuardEmit(matrix.SideS)}
-		bs.Scan(func(t join.Tuple) bool {
-			w.mig.dp.Probe(t, guard[t.Rel])
-			return true
-		})
 		return
 	}
-	bs.Scan(func(t join.Tuple) bool {
-		w.mig.dp.Probe(t, w.emit)
-		// The buffered probes are probe-only, so the ownership guard
-		// applies from their side: only pairs where the µ tuple is the
-		// older, stored one belong to this group.
-		w.mig.probeBuf.Probe(t, func(p join.Pair) {
-			probe := p.R
-			if t.Rel == matrix.SideR {
-				probe = p.S
-			}
-			if t.Seq < probe.Seq {
-				w.emit(p)
-			}
-		})
-		return true
-	})
 	w.met.MigratedIn.Add(int64(bs.Tuples()))
 	w.mig.mu.AdoptBlocks(bs)
 	w.updateStored()

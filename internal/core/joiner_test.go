@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -101,18 +102,20 @@ func TestAdaptiveOperatorWithSpillExact(t *testing.T) {
 	}
 	withContent(rng, tuples)
 	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{
-		J: 4, Pred: pred, Adaptive: true, Warmup: 500, Seed: 3,
-		Storage: storage.Config{CapBytes: 16 * 1024, Dir: t.TempDir()},
-	}, tuples)
-	diffMultisets(t, got, want)
-	if op.Migrations() == 0 {
-		t.Fatal("no migrations; test does not exercise spill relocation")
-	}
-	if !op.Metrics().AnySpill() {
-		t.Fatal("no spill; test does not exercise the disk tier")
-	}
-	checkMigrationConserved(t, op.Metrics())
+	batchCases(t, func(t *testing.T, bs int) {
+		got, op := runOperatorContent(t, Config{
+			J: 4, Pred: pred, Adaptive: true, Warmup: 500, Seed: 3, BatchSize: bs,
+			Storage: storage.Config{CapBytes: 16 * 1024, Dir: t.TempDir()},
+		}, tuples)
+		diffMultisets(t, got, want)
+		if op.Migrations() == 0 {
+			t.Fatal("no migrations; test does not exercise spill relocation")
+		}
+		if !op.Metrics().AnySpill() {
+			t.Fatal("no spill; test does not exercise the disk tier")
+		}
+		checkMigrationConserved(t, op.Metrics())
+	})
 }
 
 // A probe-only ∆ forward (grouped mode's cross-group traffic arriving
@@ -133,12 +136,13 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	sender.handle(begin)
 	receiver.handle(begin)
 	// ∆′ at the receiver: stored S tuples older and newer than the probe.
-	for _, seq := range []uint64{1, 3} {
-		receiver.handle(message{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: seq, U: 1}})
-	}
-	// ∆ at the sender: a probe-only old-epoch R tuple, forwarded.
-	sender.handle(message{kind: kTuple, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}})
-	sender.migFlushAll()
+	receiver.handleBatch([]message{
+		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1}},
+		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1}},
+	})
+	// ∆ at the sender: a probe-only old-epoch R tuple, forwarded when the
+	// envelope ends.
+	sender.handleBatch([]message{{kind: kTuple, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}}})
 
 	var kinds []msgKind
 	for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
@@ -148,7 +152,6 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 		}
 		receiver.handle(m)
 	}
-	receiver.flushPending()
 	if len(kinds) != 2 || kinds[0] != kMigBegin || kinds[1] != kMigBlocks {
 		t.Fatalf("migration link carried %v, want [kMigBegin kMigBlocks]", kinds)
 	}
@@ -159,6 +162,184 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	}
 	if n := receiver.mig.mu.TotalLen(); n != 0 || receiver.met.MigratedIn.Load() != 0 {
 		t.Fatalf("probe-only forward installed %d tuples into µ", n)
+	}
+}
+
+// TestEpochRunsExact drives two joiners by hand through one elementary
+// step, (2,1) -> (1,2), with every run class of the batch path: ∆ and ∆′
+// runs of both sides, stored and probe-only, in envelopes that straddle
+// the epoch signal and so mix them, while migrated blocks land between
+// runs at random points and the joiners advance in a random
+// interleaving. One reshuffler feeds both links in sequence order, as
+// in grouped mode, so the output must be the grouped oracle: every
+// matching pair whose older member is stored, exactly once — for a hash
+// (equi), an ordered (band) and a scan (neq) index. Dropping the Keep
+// filter duplicates the pairs new-epoch tuples form with discarded old
+// state; dropping either direction of the ownership guard claims pairs
+// whose older member is probe-only.
+func TestEpochRunsExact(t *testing.T) {
+	for _, pred := range []join.Predicate{
+		join.EquiJoin("eq", nil),
+		join.BandJoin("band", 1, nil),
+		join.ThetaJoin("neq", func(r, s join.Tuple) bool { return r.Key != s.Key }),
+	} {
+		for seed := int64(0); seed < 30; seed++ {
+			t.Run(fmt.Sprintf("%v/seed=%d", pred, seed), func(t *testing.T) { epochStepExact(t, pred, seed) })
+		}
+	}
+	// With two reshufflers a stored µ tuple can be newer than buffered
+	// probe-only ∆′ traffic; that pair belongs to the probe's own storing
+	// group, the older partner's here.
+	t.Run("probe-buffer-guard", func(t *testing.T) {
+		var pairs []join.Pair
+		op := NewOperator(Config{
+			J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1}, NumReshufflers: 2,
+			EmitBatch: func(ps []join.Pair) { pairs = append(pairs, ps...) },
+		})
+		sender, receiver := op.joiners[0], op.joiners[1]
+		begin := message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}}
+		sender.handle(begin)
+		receiver.handle(begin)
+		receiver.handleBatch([]message{
+			{kind: kTuple, epoch: 1, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1 << 63}},
+			{kind: kTuple, epoch: 1, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1 << 63}},
+		})
+		sender.handleBatch([]message{{kind: kTuple, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}}})
+		for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
+			receiver.handle(m)
+		}
+		if len(pairs) != 1 || pairs[0].R.Seq != 2 || pairs[0].S.Seq != 3 {
+			t.Fatalf("pairs %+v, want exactly (R seq 2, S seq 3)", pairs)
+		}
+	})
+}
+
+func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
+	got := map[[2]uint64]int{}
+	op := NewOperator(Config{
+		J: 2, Pred: pred, Initial: from, NumReshufflers: 1,
+		EmitBatch: func(ps []join.Pair) { countPairs(got, ps) },
+	})
+	js := op.joiners
+	maps := [2]matrix.Mapping{from, to}
+	tables := [2][]int{op.ctl.table, stepTable(op.ctl.table, matrix.NewTransition(from, to))}
+
+	type item struct {
+		t         join.Tuple
+		probeOnly bool
+	}
+	var items []item
+	// links holds what the reshuffler has sent each joiner and the joiner
+	// has not processed yet; route appends n new tuples, each to its row
+	// (R) or column (S) under the epoch's mapping.
+	var links [2][]message
+	route := func(n int, epoch uint32) {
+		for ; n > 0; n-- {
+			it := item{
+				t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64(),
+					Seq: uint64(len(items) + 1), Size: 8},
+				probeOnly: rng.Intn(3) == 0,
+			}
+			items = append(items, it)
+			m, tbl := maps[epoch], tables[epoch]
+			for i := 0; i < m.J(); i++ {
+				c := m.CellOf(i)
+				if (it.t.Rel == matrix.SideR && c.Row == m.RowOf(it.t.U)) ||
+					(it.t.Rel == matrix.SideS && c.Col == m.ColOf(it.t.U)) {
+					links[tbl[i]] = append(links[tbl[i]], message{kind: kTuple, epoch: epoch, probeOnly: it.probeOnly, tuple: it.t})
+				}
+			}
+		}
+	}
+	// drive lets a random joiner take its next envelope of 1–8 messages
+	// until both links are empty; after each envelope a random joiner
+	// handles up to two pending migration messages.
+	drive := func() {
+		for len(links[0])+len(links[1]) > 0 {
+			id := rng.Intn(2)
+			if len(links[id]) == 0 {
+				id = 1 - id
+			}
+			k := min(len(links[id]), 1+rng.Intn(8))
+			js[id].handleBatch(append([]message(nil), links[id][:k]...))
+			links[id] = links[id][k:]
+			w := js[rng.Intn(2)]
+			for p := rng.Intn(3); p > 0; p-- {
+				if m, ok := w.migIn.TryPop(); ok {
+					w.handle(m)
+				}
+			}
+		}
+	}
+
+	route(40, 0)
+	for id := range links {
+		links[id] = append(links[id], message{kind: kSignal, epoch: 1, mapping: to})
+	}
+	route(80, 1)
+	drive()
+	for progressed := true; progressed; {
+		progressed = false
+		for _, w := range js {
+			if m, ok := w.migIn.TryPop(); ok {
+				w.handle(m)
+				progressed = true
+			}
+		}
+	}
+	for _, w := range js {
+		if w.mig != nil || w.epoch != 1 {
+			t.Fatalf("joiner %d did not finish the step (epoch %d)", w.id, w.epoch)
+		}
+	}
+	route(30, 1) // steady state on the merged stores
+	drive()
+
+	want := map[[2]uint64]int{}
+	for _, r := range items {
+		for _, s := range items {
+			if r.t.Rel != matrix.SideR || s.t.Rel != matrix.SideS || !pred.Matches(r.t, s.t) {
+				continue
+			}
+			older := r
+			if s.t.Seq < r.t.Seq {
+				older = s
+			}
+			if !older.probeOnly {
+				want[[2]uint64{r.t.Seq, s.t.Seq}]++
+			}
+		}
+	}
+	diffMultisets(t, got, want)
+}
+
+// TestReplayDupsUncountedDuringMigration: a replayed duplicate that
+// reaches a joiner mid-migration is dropped before the ILF counters see
+// it, exactly as in steady state — it joins nothing and is not input.
+func TestReplayDupsUncountedDuringMigration(t *testing.T) {
+	pairs := 0
+	op := NewOperator(Config{
+		J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1},
+		EmitBatch: func(ps []join.Pair) { pairs += len(ps) },
+	})
+	w := op.joiners[0]
+	// Restored state: the S tuple the duplicates would join (kept under
+	// the new mapping), and the dedup set naming the duplicates.
+	w.state.Insert(join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1})
+	w.dedup = map[uint64]struct{}{2: {}, 3: {}}
+	w.dedupMax = 3
+	w.handle(message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}})
+	w.handleBatch([]message{
+		{kind: kTuple, epoch: 0, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2}}, // ∆
+		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 3}}, // ∆′
+	})
+	if pairs != 0 {
+		t.Fatalf("replayed duplicates emitted %d pairs", pairs)
+	}
+	if n := w.met.InputTuples.Load(); n != 0 {
+		t.Fatalf("replayed duplicates counted as %d input tuples", n)
 	}
 }
 

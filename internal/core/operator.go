@@ -600,16 +600,12 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 	w.migIn = ports.migIn
 	w.migNotify = ports.migNotify
 	w.emitBatch = op.emitBatchFor(w)
-	w.emit = w.emitOne
 	return w
 }
 
 // emitBatchFor builds the joiner's result sink: per-joiner accounting
 // and latency sampling are done once per flushed run, then the run is
 // handed to the user's EmitBatch (or replayed pair-wise into Emit).
-// The single-pair join.Emit the migration paths use is a thin adapter
-// over this sink (joiner.emitOne), so per-pair and batched emission
-// share one accounting implementation.
 func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
 	user := op.cfg.Emit
 	userBatch := op.cfg.EmitBatch
@@ -719,7 +715,6 @@ func (op *Operator) StartContext(ctx context.Context) {
 	// sink still counts results in emitBatchFor's accounting).
 	for _, w := range op.joiners {
 		w.emitBatch = op.emitBatchFor(w)
-		w.emit = w.emitOne
 	}
 	for _, w := range op.joiners {
 		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), w.run)

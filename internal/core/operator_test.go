@@ -237,6 +237,15 @@ func reshufflerCases(t *testing.T, j int, run func(t *testing.T, numRe int)) {
 	t.Run(fmt.Sprintf("reshufflers=%d", j), func(t *testing.T) { run(t, j) })
 }
 
+// batchCases runs a migration oracle at both ends of the envelope
+// size: BatchSize 1, where every run is one tuple, and the default,
+// where runs of both epochs share envelopes.
+func batchCases(t *testing.T, run func(t *testing.T, bs int)) {
+	for _, bs := range []int{1, DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) { run(t, bs) })
+	}
+}
+
 // TestDefaultReshufflersFollowCores pins the reshuffler default: one
 // routing task per core, never more than the grid has joiners.
 func TestDefaultReshufflersFollowCores(t *testing.T) {
@@ -291,12 +300,14 @@ func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
 				}
 				withContent(rng, tuples)
 				want := refMultiset(tc.pred, tuples, contentOf)
-				got, op := runOperatorContent(t, Config{J: 8, Pred: tc.pred, Adaptive: true, Seed: 13, NumReshufflers: numRe}, tuples)
-				diffMultisets(t, got, want)
-				if op.Migrations() < 2 {
-					t.Fatalf("only %d migrations under fluctuation", op.Migrations())
-				}
-				checkMigrationConserved(t, op.Metrics())
+				batchCases(t, func(t *testing.T, bs int) {
+					got, op := runOperatorContent(t, Config{J: 8, Pred: tc.pred, Adaptive: true, Seed: 13, NumReshufflers: numRe, BatchSize: bs}, tuples)
+					diffMultisets(t, got, want)
+					if op.Migrations() < 2 {
+						t.Fatalf("only %d migrations under fluctuation", op.Migrations())
+					}
+					checkMigrationConserved(t, op.Metrics())
+				})
 			})
 		})
 	}

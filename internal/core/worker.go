@@ -111,7 +111,6 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 			w.met.OutputPairs.Add(int64(len(ps)))
 			peer.queuePairs(w.id, ps)
 		}
-		w.emit = w.emitOne
 	}
 
 	// jdone closes when every hosted joiner has exited cleanly; it

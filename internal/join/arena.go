@@ -142,7 +142,7 @@ type tupleArena struct {
 	// are reserved capacity, empty until appends reach them.
 	tail int
 	n    int
-	// mutGen counts destructive rebuilds (Retain, Drain). Appends and
+	// mutGen counts destructive rebuilds (Retain). Appends and
 	// adoptions leave it alone: they only extend the chunk list, so a
 	// block-prefix watermark taken before them still names the same
 	// bytes. A rebuild invalidates every outstanding watermark, which

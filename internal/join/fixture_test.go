@@ -34,11 +34,14 @@ func fixtureTuple(i int) Tuple {
 // tuple probes the S side. The result is a multiset keyed by the pair's
 // sequence numbers.
 func joinedPairs(l *Local) map[[2]uint64]int {
+	var rs []Tuple
+	l.Scan(matrix.SideR, func(r Tuple) bool { rs = append(rs, r); return true })
+	var ps []Pair
+	l.ProbeBatchCollect(rs, &ps)
 	out := map[[2]uint64]int{}
-	l.Scan(matrix.SideR, func(r Tuple) bool {
-		l.Probe(r, func(p Pair) { out[[2]uint64{p.R.Seq, p.S.Seq}]++ })
-		return true
-	})
+	for _, p := range ps {
+		out[[2]uint64{p.R.Seq, p.S.Seq}]++
+	}
 	return out
 }
 

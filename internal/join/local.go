@@ -19,38 +19,6 @@ func NewLocal(p Predicate) *Local {
 	return &Local{pred: p, r: NewIndex(p), s: NewIndex(p)}
 }
 
-// Pred returns the join predicate.
-func (l *Local) Pred() Predicate { return l.pred }
-
-// Add processes a new tuple: probe the opposite side, then store.
-func (l *Local) Add(t Tuple, emit Emit) {
-	l.Probe(t, emit)
-	l.Insert(t)
-}
-
-// Probe joins t against the stored tuples of the opposite relation
-// without storing t. Used for probe-only traffic in the multi-group
-// scheme (§4.2.2) and by the epoch protocol, which controls storage
-// placement itself.
-func (l *Local) Probe(t Tuple, emit Emit) {
-	if t.Dummy {
-		return
-	}
-	if t.Rel == matrix.SideR {
-		l.s.Probe(t, func(stored Tuple) {
-			if l.pred.Matches(t, stored) {
-				emit(Pair{R: t, S: stored})
-			}
-		})
-	} else {
-		l.r.Probe(t, func(stored Tuple) {
-			if l.pred.Matches(stored, t) {
-				emit(Pair{R: stored, S: t})
-			}
-		})
-	}
-}
-
 // Insert stores t without probing.
 func (l *Local) Insert(t Tuple) {
 	if t.Rel == matrix.SideR {
@@ -61,9 +29,11 @@ func (l *Local) Insert(t Tuple) {
 }
 
 // AddBatchCollect probes and then stores a run of same-side tuples
-// (all ts share ts[0].Rel), appending every match to *out: the batch
-// form of Add. When both sides are hash-indexed (the equi-join hot
-// path) the probe and the insert are fused per tuple: the key is
+// (all ts share ts[0].Rel), appending every match to *out: the
+// symmetric join's probe-then-store step a run at a time (a one-tuple
+// run is the classic per-tuple step). When both sides are hash-indexed
+// (the equi-join hot path) the probe and the insert are fused per
+// tuple: the key is
 // hashed exactly once and the hash drives both the probe of the
 // opposite directory and the insert into the own-side one, instead of
 // a probe pass and an insert pass each re-hashing the run. Because
@@ -113,11 +83,12 @@ func (l *Local) Reserve(r, s int) {
 }
 
 // ProbeBatchCollect joins a run of same-side tuples against the stored
-// tuples of the opposite relation, appending every match to *out as an
-// oriented Pair instead of invoking a per-pair callback: the batch
-// form of Probe. Dummy padding tuples never match, so they are skipped
-// before reaching the index; in the common dummy-free run this costs
-// one scan and probes the run in a single index call.
+// tuples of the opposite relation without storing them, appending
+// every match to *out as an oriented Pair: probe-only traffic in the
+// multi-group scheme (§4.2.2) and the epoch protocol, which controls
+// storage placement itself. Dummy padding tuples never match, so they
+// are skipped before reaching the index; in the common dummy-free run
+// this costs one scan and probes the run in a single index call.
 func (l *Local) ProbeBatchCollect(ts []Tuple, out *[]Pair) {
 	for start := 0; start < len(ts); {
 		if ts[start].Dummy {
@@ -178,11 +149,6 @@ func mergeIndex(dst, src Index) Index {
 	return dst
 }
 
-// ProbeAgainst joins t against the stored tuples of the *other* local
-// join's opposite side. Used by the epoch protocol to join new-epoch
-// tuples against kept old-epoch state held in a separate Local.
-func (l *Local) ProbeAgainst(t Tuple, other *Local, emit Emit) { other.Probe(t, emit) }
-
 // Len returns the stored tuple counts per side.
 func (l *Local) Len(side matrix.Side) int {
 	if side == matrix.SideR {
@@ -205,14 +171,6 @@ func (l *Local) Footprint() (arenaBytes, directoryBytes int64) {
 	return ra + sa, rd + sd
 }
 
-// SideBytes returns the accounted stored volume for one side.
-func (l *Local) SideBytes(side matrix.Side) int64 {
-	if side == matrix.SideR {
-		return l.r.Bytes()
-	}
-	return l.s.Bytes()
-}
-
 // Scan visits stored tuples of one side.
 func (l *Local) Scan(side matrix.Side, fn func(Tuple) bool) {
 	if side == matrix.SideR {
@@ -229,36 +187,4 @@ func (l *Local) Retain(side matrix.Side, keep func(Tuple) bool) int {
 		return l.r.Retain(keep)
 	}
 	return l.s.Retain(keep)
-}
-
-// Drain moves every stored tuple of both sides out of the join,
-// invoking fn for each, and leaves the join empty. Used when merging
-// epoch sets after a migration completes.
-func (l *Local) Drain(fn func(Tuple)) {
-	l.r.Scan(func(t Tuple) bool { fn(t); return true })
-	l.s.Scan(func(t Tuple) bool { fn(t); return true })
-	l.r = bumpedReplacement(l.pred, l.r)
-	l.s = bumpedReplacement(l.pred, l.s)
-}
-
-// bumpedReplacement builds a fresh empty index to replace old,
-// carrying old's arena mutation generation forward plus one so
-// block-prefix watermarks taken against old cannot validate against
-// the (differently populated) replacement.
-func bumpedReplacement(pred Predicate, old Index) Index {
-	fresh := NewIndex(pred)
-	gen := uint64(0)
-	switch v := old.(type) {
-	case *HashIndex:
-		gen = v.arena.mutGen + 1
-	case *ScanIndex:
-		gen = v.arena.mutGen + 1
-	}
-	switch v := fresh.(type) {
-	case *HashIndex:
-		v.arena.mutGen = gen
-	case *ScanIndex:
-		v.arena.mutGen = gen
-	}
-	return fresh
 }

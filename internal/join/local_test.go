@@ -29,6 +29,22 @@ func randTuples(rng *rand.Rand, rel matrix.Side, n int, keyRange int64) []Tuple 
 	return ts
 }
 
+// add is the symmetric join's per-tuple step, probe then store: t as a
+// one-tuple run. It returns how many pairs the step emitted.
+func add(l *Local, t Tuple) int {
+	var out []Pair
+	l.AddBatchCollect([]Tuple{t}, &out)
+	return len(out)
+}
+
+// probe joins t against l without storing it and returns the match
+// count.
+func probe(l *Local, t Tuple) int {
+	var out []Pair
+	l.ProbeBatchCollect([]Tuple{t}, &out)
+	return len(out)
+}
+
 // The symmetric join must produce exactly the reference join output for
 // any interleaving of the two inputs.
 func TestLocalEquiMatchesReference(t *testing.T) {
@@ -39,20 +55,20 @@ func TestLocalEquiMatchesReference(t *testing.T) {
 	want := referenceJoin(p, rs, ss)
 
 	l := NewLocal(p)
-	emit, n := CountingEmit()
+	n := 0
 	// Random interleave.
 	ri, si := 0, 0
 	for ri < len(rs) || si < len(ss) {
 		if si >= len(ss) || (ri < len(rs) && rng.Intn(2) == 0) {
-			l.Add(rs[ri], emit)
+			n += add(l, rs[ri])
 			ri++
 		} else {
-			l.Add(ss[si], emit)
+			n += add(l, ss[si])
 			si++
 		}
 	}
-	if int(*n) != want {
-		t.Fatalf("symmetric join output %d, reference %d", *n, want)
+	if n != want {
+		t.Fatalf("symmetric join output %d, reference %d", n, want)
 	}
 }
 
@@ -64,13 +80,13 @@ func TestLocalBandMatchesReference(t *testing.T) {
 	want := referenceJoin(p, rs, ss)
 
 	l := NewLocal(p)
-	emit, n := CountingEmit()
+	n := 0
 	for i := 0; i < len(rs); i++ {
-		l.Add(rs[i], emit)
-		l.Add(ss[i], emit)
+		n += add(l, rs[i])
+		n += add(l, ss[i])
 	}
-	if int(*n) != want {
-		t.Fatalf("band join output %d, reference %d", *n, want)
+	if n != want {
+		t.Fatalf("band join output %d, reference %d", n, want)
 	}
 }
 
@@ -83,28 +99,27 @@ func TestLocalThetaMatchesReference(t *testing.T) {
 	want := referenceJoin(p, rs, ss)
 
 	l := NewLocal(p)
-	emit, n := CountingEmit()
+	n := 0
 	for i := range rs {
-		l.Add(ss[i], emit)
-		l.Add(rs[i], emit)
+		n += add(l, ss[i])
+		n += add(l, rs[i])
 	}
-	if int(*n) != want {
-		t.Fatalf("theta join output %d, reference %d", *n, want)
+	if n != want {
+		t.Fatalf("theta join output %d, reference %d", n, want)
 	}
 }
 
 func TestLocalProbeDoesNotStore(t *testing.T) {
 	l := NewLocal(EquiJoin("eq", nil))
-	emit, n := CountingEmit()
-	l.Probe(mkTuple(matrix.SideR, 1), emit)
+	n := probe(l, mkTuple(matrix.SideR, 1))
 	if l.TotalLen() != 0 {
 		t.Fatal("probe stored a tuple")
 	}
 	l.Insert(mkTuple(matrix.SideS, 1))
-	l.Probe(mkTuple(matrix.SideR, 1), emit)
-	l.Probe(mkTuple(matrix.SideR, 1), emit)
-	if *n != 2 {
-		t.Fatalf("emitted %d, want 2", *n)
+	n += probe(l, mkTuple(matrix.SideR, 1))
+	n += probe(l, mkTuple(matrix.SideR, 1))
+	if n != 2 {
+		t.Fatalf("emitted %d, want 2", n)
 	}
 	if l.Len(matrix.SideR) != 0 || l.Len(matrix.SideS) != 1 {
 		t.Fatalf("lens R=%d S=%d", l.Len(matrix.SideR), l.Len(matrix.SideS))
@@ -113,13 +128,12 @@ func TestLocalProbeDoesNotStore(t *testing.T) {
 
 func TestLocalDummyTuplesNeverMatch(t *testing.T) {
 	l := NewLocal(EquiJoin("eq", nil))
-	emit, n := CountingEmit()
-	l.Add(Tuple{Rel: matrix.SideR, Key: 7, Dummy: true}, emit)
-	l.Add(Tuple{Rel: matrix.SideS, Key: 7}, emit)
-	l.Add(Tuple{Rel: matrix.SideR, Key: 7}, emit)
+	n := add(l, Tuple{Rel: matrix.SideR, Key: 7, Dummy: true})
+	n += add(l, Tuple{Rel: matrix.SideS, Key: 7})
+	n += add(l, Tuple{Rel: matrix.SideR, Key: 7})
 	// Only the real R should join the real S.
-	if *n != 1 {
-		t.Fatalf("emitted %d, want 1", *n)
+	if n != 1 {
+		t.Fatalf("emitted %d, want 1", n)
 	}
 }
 
@@ -132,25 +146,13 @@ func TestLocalRetainAndBytes(t *testing.T) {
 	if l.Bytes() != 10*8+10*4 {
 		t.Fatalf("Bytes=%d", l.Bytes())
 	}
-	if l.SideBytes(matrix.SideR) != 80 || l.SideBytes(matrix.SideS) != 40 {
-		t.Fatalf("SideBytes R=%d S=%d", l.SideBytes(matrix.SideR), l.SideBytes(matrix.SideS))
-	}
 	removed := l.Retain(matrix.SideS, func(t Tuple) bool { return t.U < 5 })
 	if removed != 5 || l.Len(matrix.SideS) != 5 || l.Len(matrix.SideR) != 10 {
 		t.Fatalf("removed=%d lens R=%d S=%d", removed, l.Len(matrix.SideR), l.Len(matrix.SideS))
 	}
-}
-
-func TestLocalDrain(t *testing.T) {
-	l := NewLocal(BandJoin("b", 1, nil))
-	for i := int64(0); i < 6; i++ {
-		l.Insert(Tuple{Rel: matrix.SideR, Key: i})
-		l.Insert(Tuple{Rel: matrix.SideS, Key: i})
-	}
-	var drained int
-	l.Drain(func(Tuple) { drained++ })
-	if drained != 12 || l.TotalLen() != 0 {
-		t.Fatalf("drained=%d remaining=%d", drained, l.TotalLen())
+	// The retain debits only the S side's volume.
+	if l.Bytes() != 10*8+5*4 {
+		t.Fatalf("Bytes after retain=%d", l.Bytes())
 	}
 }
 
@@ -175,14 +177,10 @@ func TestQuickLocalEqualsReference(t *testing.T) {
 			ss = append(ss, Tuple{Rel: matrix.SideS, Key: int64(k % 32)})
 		}
 		l := NewLocal(p)
-		emit, n := CountingEmit()
-		for _, tp := range rs {
-			l.Add(tp, emit)
-		}
-		for _, tp := range ss {
-			l.Add(tp, emit)
-		}
-		return int(*n) == referenceJoin(p, rs, ss)
+		var out []Pair
+		l.AddBatchCollect(rs, &out)
+		l.AddBatchCollect(ss, &out)
+		return len(out) == referenceJoin(p, rs, ss)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

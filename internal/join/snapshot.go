@@ -17,8 +17,8 @@ import (
 // A snapshot is taken in two steps. Capture runs on the owning
 // goroutine at the checkpoint barrier and copies almost nothing: the
 // blocks below the arena's immutable prefix are recorded by pointer
-// (appends never touch them, and the destructive rebuilds that could —
-// Retain, Drain — only run during migrations, which the operator never
+// (appends never touch them, and the one destructive rebuild that
+// could, Retain, only runs during migrations, which the operator never
 // starts while a checkpoint is uncommitted), the open tail block is
 // copied (at most one 20 KB block per side), and only an ordered index,
 // whose tree has no frozen block prefix, is encoded on the spot. The
@@ -363,7 +363,7 @@ func (l *Local) LoadSnapshot(data []byte) (int, error) {
 // IndexWatermark names the frozen block prefix of one index at
 // snapshot time: a later delta snapshot ships only chunks at indexes
 // >= Chunks, provided the index kind and arena mutation generation
-// still match (a Retain/Drain rebuild relocates tuples and bumps
+// still match (a Retain rebuild relocates tuples and bumps
 // MutGen, invalidating the watermark).
 type IndexWatermark struct {
 	Kind   uint8
@@ -390,7 +390,7 @@ func indexWatermark(idx Index) IndexWatermark {
 // LocalCapture is one Local's state frozen at a checkpoint barrier by
 // Capture, held mostly by reference (see the file comment). It stays
 // valid while its owner keeps appending; it must be encoded before the
-// owner next runs Retain or Drain.
+// owner next runs Retain.
 type LocalCapture struct {
 	version uint8
 	r, s    sideCapture

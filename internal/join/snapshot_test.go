@@ -102,11 +102,8 @@ func TestLocalSnapshotRoundTrip(t *testing.T) {
 
 			// A restored local must still join correctly: probe one tuple
 			// against both versions and compare match counts.
-			probe := Tuple{Rel: matrix.SideR, Key: 13, Size: 8, Seq: 999999}
-			var a, b int
-			src.Probe(probe, func(Pair) { a++ })
-			dst.Probe(probe, func(Pair) { b++ })
-			if a != b {
+			pt := Tuple{Rel: matrix.SideR, Key: 13, Size: 8, Seq: 999999}
+			if a, b := probe(src, pt), probe(dst, pt); a != b {
 				t.Fatalf("restored probe found %d matches, original %d", b, a)
 			}
 		})

@@ -92,14 +92,15 @@ func (bs *BlockSet) Tuples() int { return bs.counts[0] + bs.counts[1] }
 // Bytes reports the total tuple byte volume across both sides.
 func (bs *BlockSet) Bytes() int64 { return bs.bytes[0] + bs.bytes[1] }
 
-// Scan visits every decoded tuple (side R first) until fn returns
-// false.
-func (bs *BlockSet) Scan(fn func(Tuple) bool) {
-	for side := range bs.arenas {
-		if !bs.arenas[side].scan(fn) {
-			return
+// AppendSide appends one side's decoded tuples to dst, in block order,
+// and returns the extended slice: the run a receiver probes with.
+func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
+	for _, c := range bs.arenas[side].chunks {
+		for pos := int32(0); pos < int32(c.n); pos++ {
+			dst = append(dst, c.at(pos))
 		}
 	}
+	return dst
 }
 
 // AdoptBlocks installs the decoded blocks into l, consuming bs. Arena-

@@ -346,11 +346,10 @@ func TestStoreSnapshotRoundTripWithSpill(t *testing.T) {
 	p := join.EquiJoin("eq", nil)
 	src := NewStore(p, Config{CapBytes: 200, Dir: t.TempDir()})
 	defer src.Close()
-	emit, _ := join.CountingEmit()
 	var seq uint64
 	for i := 0; i < 400; i++ {
 		seq++
-		src.Add(tup(matrix.Side(i%2), int64(rng.Intn(50)), seq), emit)
+		add(src, tup(matrix.Side(i%2), int64(rng.Intn(50)), seq))
 	}
 	if !src.Spilled() {
 		t.Fatal("expected spill")
@@ -385,12 +384,10 @@ func TestStoreSnapshotRoundTripWithSpill(t *testing.T) {
 	}
 
 	// The restored store must also still join: probe a tuple against it.
-	probeEmit, n2 := join.CountingEmit()
-	dst.Probe(tup(matrix.SideR, 25, seq+1), probeEmit)
-	srcEmit, n1 := join.CountingEmit()
-	src.Probe(tup(matrix.SideR, 25, seq+1), srcEmit)
-	if *n1 != *n2 {
-		t.Fatalf("restored probe matched %d, original %d", *n2, *n1)
+	n2 := probeCount(dst, tup(matrix.SideR, 25, seq+1))
+	n1 := probeCount(src, tup(matrix.SideR, 25, seq+1))
+	if n1 != n2 {
+		t.Fatalf("restored probe matched %d, original %d", n2, n1)
 	}
 }
 
@@ -400,9 +397,8 @@ func TestStoreRestoreSnapshotCorruption(t *testing.T) {
 	p := join.EquiJoin("eq", nil)
 	src := NewStore(p, Config{})
 	defer src.Close()
-	emit, _ := join.CountingEmit()
 	for i := 1; i <= 50; i++ {
-		src.Add(tup(matrix.Side(i%2), int64(i%7), uint64(i)), emit)
+		add(src, tup(matrix.Side(i%2), int64(i%7), uint64(i)))
 	}
 	buf := src.AppendSnapshot(nil)
 

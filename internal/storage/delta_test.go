@@ -36,9 +36,9 @@ func diffCounts(t *testing.T, label string, got, want map[uint64]int) {
 
 // probeCount runs one probe against a store and returns the match count.
 func probeCount(s *Store, tp join.Tuple) int64 {
-	emit, n := join.CountingEmit()
-	s.Probe(tp, emit)
-	return *n
+	var out []join.Pair
+	s.ProbeBatchCollect([]join.Tuple{tp}, &out)
+	return int64(len(out))
 }
 
 // TestStoreDeltaChainEquivalence is the base+delta equivalence oracle:
@@ -72,7 +72,6 @@ func TestStoreDeltaChainEquivalence(t *testing.T) {
 				deltas  int
 				retains int
 			)
-			emit, _ := join.CountingEmit()
 
 			const n, interval = 600, 40
 			for i := 0; i < n; i++ {
@@ -85,7 +84,7 @@ func TestStoreDeltaChainEquivalence(t *testing.T) {
 					key = 10 + int64(rng.Intn(200))
 				}
 				seq++
-				src.Add(join.Tuple{Rel: matrix.Side(i % 2), Key: key, Size: 8, Seq: seq}, emit)
+				add(src, join.Tuple{Rel: matrix.Side(i % 2), Key: key, Size: 8, Seq: seq})
 
 				// A Retain between checkpoints 7 and 8 models a migration
 				// handoff straddling the delta chain: indexes rebuild and
@@ -157,26 +156,25 @@ func TestDeltaWatermarkRecoversFailedCommit(t *testing.T) {
 	p := join.EquiJoin("eq", nil)
 	src := NewStore(p, Config{})
 	defer src.Close()
-	emit, _ := join.CountingEmit()
 	var seq uint64
-	add := func(n int) {
+	feed := func(n int) {
 		for i := 0; i < n; i++ {
 			seq++
-			src.Add(join.Tuple{Rel: matrix.Side(int(seq) % 2), Key: int64(seq % 17), Size: 8, Seq: seq}, emit)
+			add(src, join.Tuple{Rel: matrix.Side(int(seq) % 2), Key: int64(seq % 17), Size: 8, Seq: seq})
 		}
 	}
 
-	add(100)
+	feed(100)
 	base, wm, full := src.AppendSnapshotSince(nil, nil)
 	if !full {
 		t.Fatal("base payload not full")
 	}
 
-	add(50)
+	feed(50)
 	lost, _, _ := src.AppendSnapshotSince(nil, &wm)
 	_ = lost // the commit of this delta failed: wm stays put
 
-	add(50)
+	feed(50)
 	delta, _, full := src.AppendSnapshotSince(nil, &wm)
 	if full {
 		t.Fatal("re-covering delta unexpectedly degraded to full")
@@ -200,21 +198,20 @@ func TestRestoreChainDecodeErrorIsCorrupt(t *testing.T) {
 	p := join.EquiJoin("eq", nil)
 	src := NewStore(p, Config{})
 	defer src.Close()
-	emit, _ := join.CountingEmit()
 	var seq uint64
-	add := func(n int) {
+	feed := func(n int) {
 		for i := 0; i < n; i++ {
 			seq++
-			src.Add(join.Tuple{Rel: matrix.Side(int(seq) % 2), Key: int64(seq % 7), Size: 8, Seq: seq}, emit)
+			add(src, join.Tuple{Rel: matrix.Side(int(seq) % 2), Key: int64(seq % 7), Size: 8, Seq: seq})
 		}
 	}
 
-	add(40)
+	feed(40)
 	_, wm, full := src.AppendSnapshotSince(nil, nil)
 	if !full {
 		t.Fatal("base payload not full")
 	}
-	add(40)
+	feed(40)
 	delta, _, full := src.AppendSnapshotSince(nil, &wm)
 	if full {
 		t.Fatal("second payload unexpectedly full; the test needs a delta")

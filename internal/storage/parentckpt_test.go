@@ -83,11 +83,14 @@ func ckptFixtureSnapshot(id, base uint64, joiners []JoinerSnapshot) *OperatorSna
 // storePairs is the join a store answers: every stored R tuple (both
 // tiers) probes the S side, keyed by the pair's sequence numbers.
 func storePairs(s *Store) map[[2]uint64]int {
+	var rs []join.Tuple
+	s.Scan(matrix.SideR, func(r join.Tuple) bool { rs = append(rs, r); return true })
+	var ps []join.Pair
+	s.ProbeBatchCollect(rs, &ps)
 	out := map[[2]uint64]int{}
-	s.Scan(matrix.SideR, func(r join.Tuple) bool {
-		s.Probe(r, func(p join.Pair) { out[[2]uint64{p.R.Seq, p.S.Seq}]++ })
-		return true
-	})
+	for _, p := range ps {
+		out[[2]uint64{p.R.Seq, p.S.Seq}]++
+	}
 	return out
 }
 

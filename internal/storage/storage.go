@@ -31,8 +31,8 @@ type Config struct {
 
 // Metrics counts spill-tier activity. All fields are updated atomically
 // so experiment collectors may read them while the owning joiner runs.
-// Memory-tier volumes are not counted here — they are derivable from
-// the in-memory index (MemTuples/MemBytes), and keeping them out of
+// Memory-tier volumes are not counted here — they are the store's
+// totals (Len, Bytes) minus the spilled ones, and keeping them out of
 // Metrics spares two atomic writes on every hot-path insert.
 type Metrics struct {
 	SpilledTuples atomic.Int64
@@ -57,36 +57,15 @@ func NewStore(p join.Predicate, cfg Config) *Store {
 	return &Store{pred: p, cfg: cfg, mem: join.NewLocal(p)}
 }
 
-// Pred returns the store's join predicate.
-func (s *Store) Pred() join.Predicate { return s.pred }
-
-// Add probes the opposite relation (memory and spilled tiers) and then
-// stores the tuple: the standard non-blocking probe-then-insert step.
-func (s *Store) Add(t join.Tuple, emit join.Emit) {
-	s.Probe(t, emit)
-	s.Insert(t)
-}
-
-// Probe joins t against all stored tuples of the opposite relation
-// without storing t.
-func (s *Store) Probe(t join.Tuple, emit join.Emit) {
-	if t.Dummy {
-		return
-	}
-	s.mem.Probe(t, emit)
-	if seg := s.segs[t.Rel.Other()]; seg != nil {
-		seg.probe(t, s.pred, emit, &s.Metrics)
-	}
-}
-
-// AddBatchCollect probes and then stores a run of same-side tuples
-// (all ts share ts[0].Rel): the batch form of Add, with spill-tier
-// dispatch and budget checks amortized per envelope, and every match
-// appended to *out instead of invoking a per-pair callback — the
-// caller owns the pair buffer and flushes it (accounting, user sink)
-// once per run. Because tuples of one relation never join each other,
-// probing the whole run before storing it collects exactly the pairs
-// per-tuple Add calls would emit. The unbudgeted, unspilled store (the
+// AddBatchCollect probes the opposite relation (memory and spilled
+// tiers) with a run of same-side tuples (all ts share ts[0].Rel) and
+// then stores the run: the non-blocking probe-then-insert step, with
+// spill-tier dispatch and budget checks amortized per run, and every
+// match appended to *out — the caller owns the pair buffer and flushes
+// it (accounting, user sink) once per run. Because tuples of one
+// relation never join each other, probing the whole run before storing
+// it collects exactly the pairs per-tuple probe-then-insert steps
+// would. The unbudgeted, unspilled store (the
 // common case) takes the memory tier's fused probe-then-insert walk,
 // which hashes each key exactly once for both halves of the step.
 func (s *Store) AddBatchCollect(ts []join.Tuple, out *[]join.Pair) {
@@ -160,12 +139,6 @@ func (s *Store) Insert(t join.Tuple) {
 	}
 	seg.append(t, &s.Metrics)
 }
-
-// MemTuples returns the memory-tier tuple count.
-func (s *Store) MemTuples() int64 { return int64(s.mem.TotalLen()) }
-
-// MemBytes returns the memory-tier accounted volume.
-func (s *Store) MemBytes() int64 { return s.mem.Bytes() }
 
 // Footprint returns the resident bytes of the memory tier plus the
 // spill tier's in-memory skeleton directories, split as
@@ -393,9 +366,8 @@ func (g *segment) readAt(off int64, m *Metrics) (join.Tuple, bool) {
 }
 
 // matchAt reads the spilled record at file offset off and, when it
-// joins with probe, returns the oriented pair: the shared
-// read-and-test step of both the single-tuple and batched spill
-// probes.
+// joins with probe, returns the oriented pair: the read-and-test step
+// of the spill probe.
 func (g *segment) matchAt(probe join.Tuple, off int64, p join.Predicate, m *Metrics) (join.Pair, bool) {
 	t, ok := g.readAt(off, m)
 	if !ok {
@@ -411,14 +383,6 @@ func (g *segment) matchAt(probe join.Tuple, off int64, p join.Predicate, m *Metr
 		}
 	}
 	return join.Pair{}, false
-}
-
-func (g *segment) probe(probe join.Tuple, p join.Predicate, emit join.Emit, m *Metrics) {
-	g.dir.Probe(probe, func(skel join.Tuple) {
-		if pr, ok := g.matchAt(probe, skel.Aux, p, m); ok {
-			emit(pr)
-		}
-	})
 }
 
 // probeBatch probes a run of same-side tuples against the spilled

@@ -12,6 +12,14 @@ func tup(rel matrix.Side, key int64, seq uint64) join.Tuple {
 	return join.Tuple{Rel: rel, Key: key, Size: 16, Seq: seq, U: seq * 2654435761}
 }
 
+// add is the store's per-tuple probe-then-store step: t as a one-tuple
+// run. It returns how many pairs the step emitted.
+func add(s *Store, t join.Tuple) int64 {
+	var out []join.Pair
+	s.AddBatchCollect([]join.Tuple{t}, &out)
+	return int64(len(out))
+}
+
 func refJoin(p join.Predicate, rs, ss []join.Tuple) int {
 	n := 0
 	for _, r := range rs {
@@ -27,12 +35,11 @@ func refJoin(p join.Predicate, rs, ss []join.Tuple) int {
 func TestStoreInMemoryJoin(t *testing.T) {
 	s := NewStore(join.EquiJoin("eq", nil), Config{})
 	defer s.Close()
-	emit, n := join.CountingEmit()
-	s.Add(tup(matrix.SideR, 1, 1), emit)
-	s.Add(tup(matrix.SideS, 1, 2), emit)
-	s.Add(tup(matrix.SideS, 1, 3), emit)
-	if *n != 2 {
-		t.Fatalf("emitted %d, want 2", *n)
+	n := add(s, tup(matrix.SideR, 1, 1))
+	n += add(s, tup(matrix.SideS, 1, 2))
+	n += add(s, tup(matrix.SideS, 1, 3))
+	if n != 2 {
+		t.Fatalf("emitted %d, want 2", n)
 	}
 	if s.Spilled() {
 		t.Fatal("unbounded store spilled")
@@ -52,22 +59,22 @@ func TestStoreSpillPreservesJoinResult(t *testing.T) {
 
 	var rs, ss []join.Tuple
 	seq := uint64(0)
-	emit, n := join.CountingEmit()
+	var n int64
 	for i := 0; i < 300; i++ {
 		seq++
 		r := tup(matrix.SideR, int64(rng.Intn(40)), seq)
 		rs = append(rs, r)
-		s.Add(r, emit)
+		n += add(s, r)
 		seq++
 		sv := tup(matrix.SideS, int64(rng.Intn(40)), seq)
 		ss = append(ss, sv)
-		s.Add(sv, emit)
+		n += add(s, sv)
 	}
 	if !s.Spilled() {
 		t.Fatal("expected spill with 200-byte cap")
 	}
-	if want := refJoin(p, rs, ss); int(*n) != want {
-		t.Fatalf("join with spill emitted %d, reference %d", *n, want)
+	if want := refJoin(p, rs, ss); int(n) != want {
+		t.Fatalf("join with spill emitted %d, reference %d", n, want)
 	}
 	if s.Metrics.DiskReads.Load() == 0 {
 		t.Fatal("no disk reads recorded despite spilled probes")
@@ -80,17 +87,17 @@ func TestStoreSpillBandJoin(t *testing.T) {
 	s := NewStore(p, Config{CapBytes: 160, Dir: t.TempDir()})
 	defer s.Close()
 	var rs, ss []join.Tuple
-	emit, n := join.CountingEmit()
+	var n int64
 	for i := 0; i < 200; i++ {
 		r := tup(matrix.SideR, int64(rng.Intn(100)), uint64(2*i))
 		sv := tup(matrix.SideS, int64(rng.Intn(100)), uint64(2*i+1))
 		rs = append(rs, r)
 		ss = append(ss, sv)
-		s.Add(r, emit)
-		s.Add(sv, emit)
+		n += add(s, r)
+		n += add(s, sv)
 	}
-	if want := refJoin(p, rs, ss); int(*n) != want {
-		t.Fatalf("band join with spill emitted %d, reference %d", *n, want)
+	if want := refJoin(p, rs, ss); int(n) != want {
+		t.Fatalf("band join with spill emitted %d, reference %d", n, want)
 	}
 }
 
@@ -106,11 +113,11 @@ func TestStoreLenAndBytesAcrossTiers(t *testing.T) {
 	if s.Bytes() != 160 {
 		t.Fatalf("Bytes=%d", s.Bytes())
 	}
-	if got := s.MemTuples(); got != 4 {
-		t.Fatalf("MemTuples=%d, want 4 (64-byte cap, 16-byte tuples)", got)
-	}
 	if got := s.Metrics.SpilledTuples.Load(); got != 6 {
 		t.Fatalf("SpilledTuples=%d", got)
+	}
+	if mem := int64(s.TotalLen()) - s.Metrics.SpilledTuples.Load(); mem != 4 {
+		t.Fatalf("memory tier holds %d, want 4 (64-byte cap, 16-byte tuples)", mem)
 	}
 }
 
@@ -156,14 +163,11 @@ func TestStoreRetainAcrossTiers(t *testing.T) {
 		return true
 	})
 	// Probing after a retain must only hit survivors.
-	emit, n := join.CountingEmit()
-	s.Probe(tup(matrix.SideR, 3, 100), emit)
-	if *n != 0 {
+	if n := probeCount(s, tup(matrix.SideR, 3, 100)); n != 0 {
 		t.Fatalf("probe hit removed tuple")
 	}
-	s.Probe(tup(matrix.SideR, 4, 101), emit)
-	if *n != 1 {
-		t.Fatalf("probe missed survivor, emitted %d", *n)
+	if n := probeCount(s, tup(matrix.SideR, 4, 101)); n != 1 {
+		t.Fatalf("probe missed survivor, emitted %d", n)
 	}
 }
 
@@ -186,13 +190,12 @@ func TestStorePayloadRoundTrip(t *testing.T) {
 func TestStoreDummyNeverJoins(t *testing.T) {
 	s := NewStore(join.EquiJoin("eq", nil), Config{CapBytes: 1, Dir: t.TempDir()})
 	defer s.Close()
-	emit, n := join.CountingEmit()
 	d := tup(matrix.SideR, 5, 1)
 	d.Dummy = true
-	s.Add(d, emit)
-	s.Add(tup(matrix.SideS, 5, 2), emit)
-	if *n != 0 {
-		t.Fatalf("dummy joined: %d", *n)
+	n := add(s, d)
+	n += add(s, tup(matrix.SideS, 5, 2))
+	if n != 0 {
+		t.Fatalf("dummy joined: %d", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/join"
+	"repro/internal/matrix"
 )
 
 // The spill segment's record encoding doubles as the tuple wire format
@@ -57,8 +58,7 @@ func (s *Store) AdoptBlocks(bs *join.BlockSet) {
 		s.mem.AdoptBlocks(bs)
 		return
 	}
-	bs.Scan(func(t join.Tuple) bool {
-		s.Insert(t)
-		return true
-	})
+	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+		s.InsertBatch(bs.AppendSide(nil, side))
+	}
 }
