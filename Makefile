@@ -11,10 +11,14 @@ build:
 	$(GO) build ./...
 
 # The examples are the documented face of the pipeline API; building
-# them separately (mirrored by a dedicated CI step) guarantees the
-# README/examples surface can never drift from the code.
+# and running each one (mirrored by a dedicated CI step) guarantees the
+# README/examples surface can never drift from the code — a
+# constructor change that compiles but fails at run time fails here.
 build-examples:
 	$(GO) build ./examples/...
+	@for ex in examples/*/; do \
+		echo "run $$ex"; $(GO) run ./$$ex >/dev/null || exit 1; \
+	done
 
 test:
 	$(GO) test ./...

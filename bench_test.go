@@ -1,7 +1,6 @@
 // Benchmarks of the simulator and the ablations of three design
 // choices: Alg. 2's ε tradeoff, locality-aware migration, and the
-// adaptation warmup, plus the content-sensitive band prototype. They
-// measure claims about core.Sim and the (n,m) matrix that no other tool
+// adaptation warmup. They measure claims about core.Sim and the (n,m) matrix that no other tool
 // reports. The live operator's numbers come from bench/ (BENCHMARK.json;
 // `go run ./bench`), and the paper's tables and figures from
 // `go run ./cmd/squallbench`.
@@ -100,49 +99,6 @@ func BenchmarkAblationLocalityAwareMigration(b *testing.B) {
 		}
 	}
 	b.ReportMetric(naive/locality, "naive/locality")
-}
-
-// BenchmarkAblationContentSensitiveBand compares the §6 future-work
-// prototype (dead-region pruning, content-sensitive) against the
-// adaptive grid operator on a uniform low-selectivity band join,
-// reporting the per-machine input (ILF) advantage the pruning buys on
-// uniform data — the flip side of its skew vulnerability.
-func BenchmarkAblationContentSensitiveBand(b *testing.B) {
-	const (
-		j      = 64
-		nTuple = 40000
-		domain = 64000
-	)
-	var bandILF, gridILF float64
-	for i := 0; i < b.N; i++ {
-		rb := squall.NewRangeBand(squall.RangeBandConfig{
-			Workers: j, Buckets: 2 * j, Lo: 0, Hi: domain, Width: 5,
-		})
-		rb.Start()
-		rng := rand.New(rand.NewSource(31))
-		for t := 0; t < nTuple; t++ {
-			side := squall.SideR
-			if t%2 == 1 {
-				side = squall.SideS
-			}
-			rb.Send(squall.Tuple{Rel: side, Key: rng.Int63n(domain), Size: 8})
-		}
-		if err := rb.Finish(); err != nil {
-			b.Fatal(err)
-		}
-		bandILF = float64(rb.Metrics().MaxILFTuples())
-
-		sim := squall.NewSim(squall.SimConfig{J: j, Adaptive: true, Warmup: nTuple / 100, MatchWidth: -1})
-		for t := 0; t < nTuple; t++ {
-			side := squall.SideR
-			if t%2 == 1 {
-				side = squall.SideS
-			}
-			sim.Process(side, 0)
-		}
-		gridILF = sim.Finish().MaxILFTuples
-	}
-	b.ReportMetric(gridILF/bandILF, "grid/band-ILF")
 }
 
 // BenchmarkAblationWarmup quantifies the cold-start thrash the warmup

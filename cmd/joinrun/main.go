@@ -284,11 +284,12 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64,
 			fmt.Printf("mapping    %v\n", op.DeployedMapping())
 		}
 	case "shj":
-		if q.Pred.Kind != squall.KindEqui {
-			fmt.Fprintf(os.Stderr, "joinrun: SHJ supports only equi-joins\n")
+		e, err := squall.NewSHJ(q.Pred, squall.Each(emit), squall.WithJoiners(j))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "joinrun: -op shj: %v\n", err)
 			os.Exit(2)
 		}
-		return squall.NewSHJ(squall.SHJConfig{J: j, Pred: q.Pred, Emit: emit}), func() {}
+		return e, func() {}
 	case "grouped":
 		opts := []squall.Option{
 			squall.WithJoiners(j), squall.WithGrouped(),

@@ -63,11 +63,13 @@ func main() {
 	fmt.Printf("skewed equi-join, %d machines, %d tuples, Zipf-like keys\n\n", machines, tuples)
 
 	var shjOut atomic.Int64
-	shj := squall.NewSHJ(squall.SHJConfig{
-		J:    machines,
-		Pred: squall.EquiJoin("skewed", nil),
-		Emit: func(squall.Pair) { shjOut.Add(1) },
-	})
+	shj, err := squall.NewSHJ(squall.Equi("skewed"),
+		squall.Each(func(squall.Pair) { shjOut.Add(1) }),
+		squall.WithJoiners(machines),
+	)
+	if err != nil {
+		panic(err)
+	}
 	run("SHJ", shj, &shjOut)
 
 	var dynOut atomic.Int64

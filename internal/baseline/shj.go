@@ -1,10 +1,12 @@
-// Package baseline implements the operators the paper's evaluation
-// compares against (§5): Shj, the content-sensitive parallel symmetric
-// hash join of [19][33] that partitions both inputs by join key, and
-// the static grid operators StaticMid and StaticOpt (which reuse the
-// core operator with adaptivity disabled). Shj balances perfectly on
-// uniform keys and needs no replication, but under skew a few workers
-// receive most of the data — the failure mode Table 2 quantifies.
+// Package baseline implements the content-sensitive operator the
+// paper's evaluation compares against (§5): SHJ, the parallel
+// symmetric hash join of [19][33] that partitions both inputs by join
+// key, live and as a cost-model simulator (SHJSim). SHJ balances
+// perfectly on uniform keys and needs no replication, but under skew a
+// few workers receive most of the data — the failure mode Table 2
+// quantifies. The static grid baselines StaticMid and StaticOpt need
+// no code of their own: they are the core operator without adaptivity,
+// pinned to the square or the optimal initial mapping.
 package baseline
 
 import (
@@ -16,32 +18,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/join"
-	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 )
-
-// SHJConfig configures a parallel symmetric hash join.
-type SHJConfig struct {
-	// J is the number of workers (any positive count; hash
-	// partitioning has no power-of-two restriction).
-	J int
-	// Pred must be an equi-join: SHJ partitions on the key and cannot
-	// evaluate band or theta predicates.
-	Pred join.Predicate
-	// Storage configures per-worker stores (memory cap, spill).
-	Storage storage.Config
-	// Emit receives results; must not block. nil counts internally.
-	Emit join.Emit
-	// QueueCap is the per-worker inbox capacity (default 1024).
-	QueueCap int
-}
 
 // SHJ is the baseline parallel symmetric hash join operator. It
 // implements core.Engine, so the pipeline layer and the experiment
 // harnesses drive it exactly like the grid operators.
 type SHJ struct {
-	cfg     SHJConfig
+	cfg     core.Config
 	met     *metrics.Operator
 	runner  dataflow.Runner
 	inboxes []chan join.Tuple
@@ -63,27 +48,21 @@ type SHJ struct {
 
 var _ core.Engine = (*SHJ)(nil)
 
-// NewSHJ builds the operator; call Start before Send.
-func NewSHJ(cfg SHJConfig) *SHJ {
-	if cfg.J <= 0 {
-		panic(fmt.Sprintf("baseline: SHJ J=%d", cfg.J))
-	}
-	if cfg.Pred.Kind != join.Equi {
-		panic(fmt.Sprintf("baseline: SHJ supports only equi-joins, got %v", cfg.Pred.Kind))
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 1024
-	}
-	if cfg.Emit == nil {
-		cfg.Emit = func(join.Pair) {}
+// NewSHJ builds the operator from the hash-partitioned surface of cfg
+// — J workers (any positive count), an equi-join Pred, Storage,
+// DataQueueCap and the EmitBatch/EmitShard sinks (a worker's shard id
+// is its index) — or reports why cfg cannot; call Start before Send.
+func NewSHJ(cfg core.Config) (*SHJ, error) {
+	if err := cfg.Validate(core.HashEngine); err != nil {
+		return nil, err
 	}
 	s := &SHJ{cfg: cfg, met: metrics.NewOperator(cfg.J), finishedCh: make(chan struct{})}
 	s.stop = s.runner.Done()
 	for i := 0; i < cfg.J; i++ {
-		s.inboxes = append(s.inboxes, make(chan join.Tuple, cfg.QueueCap))
+		s.inboxes = append(s.inboxes, make(chan join.Tuple, cfg.DataQueueCap))
 		s.stores = append(s.stores, storage.NewStore(cfg.Pred, cfg.Storage))
 	}
-	return s
+	return s, nil
 }
 
 // Start launches the workers.
@@ -108,6 +87,11 @@ func (s *SHJ) StartContext(ctx context.Context) {
 			// through the store's batch API; both buffers are reused.
 			run := make([]join.Tuple, 1)
 			var pairs []join.Pair
+			emit := s.cfg.EmitBatch
+			if shardFn := s.cfg.EmitShard; shardFn != nil {
+				// This goroutine is the shard's only emitter.
+				emit = func(ps []join.Pair) { shardFn(i, ps) }
+			}
 			for {
 				var t join.Tuple
 				var ok bool
@@ -123,11 +107,13 @@ func (s *SHJ) StartContext(ctx context.Context) {
 				met.InputBytes.Add(t.Bytes())
 				run[0] = t
 				store.AddBatchCollect(run, &pairs)
-				met.OutputPairs.Add(int64(len(pairs)))
-				for _, p := range pairs {
-					s.cfg.Emit(p)
+				if len(pairs) > 0 {
+					met.OutputPairs.Add(int64(len(pairs)))
+					if emit != nil {
+						emit(pairs)
+					}
+					pairs = pairs[:0]
 				}
-				pairs = pairs[:0]
 				met.StoredTuples.Store(int64(store.TotalLen()))
 				met.StoredBytes.Store(store.Bytes())
 				met.SpilledTuples.Store(store.Metrics.SpilledTuples.Load())
@@ -202,39 +188,4 @@ func hash64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// StaticConfig configures the static grid baselines.
-type StaticConfig struct {
-	J       int
-	Pred    join.Predicate
-	Mapping matrix.Mapping // fixed mapping; zero means square (StaticMid)
-	Storage storage.Config
-	Emit    join.Emit
-	Latency *metrics.LatencySampler
-	Seed    int64
-}
-
-// NewStaticMid returns the StaticMid baseline: the core operator
-// pinned to the (√J,√J) mapping, the best content-insensitive guess
-// absent cardinality knowledge.
-func NewStaticMid(cfg StaticConfig) *core.Operator {
-	return core.NewOperator(core.Config{
-		J: cfg.J, Pred: cfg.Pred, Initial: matrix.Square(cfg.J),
-		Storage: cfg.Storage, Emit: cfg.Emit, Latency: cfg.Latency, Seed: cfg.Seed,
-	})
-}
-
-// NewStaticOpt returns the StaticOpt baseline: the core operator
-// pinned to the omniscient optimal mapping for the (known-in-advance)
-// cardinalities r and s — unattainable online, used as the yardstick.
-func NewStaticOpt(cfg StaticConfig, r, s int64) *core.Operator {
-	m := cfg.Mapping
-	if m == (matrix.Mapping{}) {
-		m = matrix.Optimal(cfg.J, float64(r), float64(s))
-	}
-	return core.NewOperator(core.Config{
-		J: cfg.J, Pred: cfg.Pred, Initial: m,
-		Storage: cfg.Storage, Emit: cfg.Emit, Latency: cfg.Latency, Seed: cfg.Seed,
-	})
 }

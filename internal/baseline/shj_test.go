@@ -5,9 +5,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -41,7 +43,10 @@ func TestSHJExactEquiJoin(t *testing.T) {
 	}
 	want := refCount(pred, tuples)
 	var n atomic.Int64
-	shj := NewSHJ(SHJConfig{J: 7, Pred: pred, Emit: func(join.Pair) { n.Add(1) }})
+	shj, err := NewSHJ(core.Config{J: 7, Pred: pred, EmitBatch: func(ps []join.Pair) { n.Add(int64(len(ps))) }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	shj.Start()
 	for _, tp := range tuples {
 		shj.Send(tp)
@@ -59,16 +64,16 @@ func TestSHJExactEquiJoin(t *testing.T) {
 }
 
 func TestSHJRejectsNonEqui(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for band join")
-		}
-	}()
-	NewSHJ(SHJConfig{J: 4, Pred: join.BandJoin("b", 1, nil)})
+	if _, err := NewSHJ(core.Config{J: 4, Pred: join.BandJoin("b", 1, nil)}); err == nil {
+		t.Fatal("NewSHJ accepted a band join")
+	}
 }
 
 func TestSHJPartitionIsDeterministicAndSpread(t *testing.T) {
-	shj := NewSHJ(SHJConfig{J: 16, Pred: join.EquiJoin("eq", nil)})
+	shj, err := NewSHJ(core.Config{J: 16, Pred: join.EquiJoin("eq", nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
 	for k := int64(0); k < 1000; k++ {
 		p := shj.Partition(k)
@@ -153,9 +158,14 @@ func TestSHJSimSpill(t *testing.T) {
 	}
 }
 
+// StaticMid and StaticOpt are the core operator without adaptivity,
+// pinned to the square or the optimal initial mapping.
 func TestStaticBaselines(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
-	mid := NewStaticMid(StaticConfig{J: 16, Pred: pred})
+	mid, err := core.NewOperator(core.Config{J: 16, Pred: pred})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mid.Start()
 	for i := 0; i < 100; i++ {
 		mid.Send(join.Tuple{Rel: matrix.SideR, Key: int64(i), Size: 8})
@@ -168,7 +178,10 @@ func TestStaticBaselines(t *testing.T) {
 		t.Fatalf("StaticMid mapping %v", mid.DeployedMapping())
 	}
 
-	opt := NewStaticOpt(StaticConfig{J: 16, Pred: pred}, 10, 10000)
+	opt, err := core.NewOperator(core.Config{J: 16, Pred: pred, Initial: matrix.Optimal(16, 10, 10000)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.Start()
 	if err := opt.Finish(); err != nil {
 		t.Fatal(err)
@@ -179,10 +192,13 @@ func TestStaticBaselines(t *testing.T) {
 }
 
 func TestSHJConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for J=0")
+	for _, cfg := range []core.Config{
+		{J: 0, Pred: join.EquiJoin("eq", nil)},
+		{J: 4, Pred: join.EquiJoin("eq", nil), Backend: storage.NewMemBackend()},
+		{J: 4, Pred: join.EquiJoin("eq", nil), Workers: []string{"127.0.0.1:1"}},
+	} {
+		if _, err := NewSHJ(cfg); err == nil {
+			t.Errorf("NewSHJ accepted %+v", cfg)
 		}
-	}()
-	NewSHJ(SHJConfig{J: 0, Pred: join.EquiJoin("eq", nil)})
+	}
 }

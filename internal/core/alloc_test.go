@@ -54,11 +54,11 @@ func minAllocsPerRun(attempts, runs int, f func()) float64 {
 	return min
 }
 
-func newAllocOperator() (*Operator, func(int) []join.Tuple) {
+func newAllocOperator(t testing.TB) (*Operator, func(int) []join.Tuple) {
 	var n atomic.Int64
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 16, Pred: join.EquiJoin("alloc", nil), Seed: 1,
-		Emit: func(join.Pair) { n.Add(1) },
+		EmitBatch: counter(&n),
 	})
 	op.Start()
 	rng := rand.New(rand.NewSource(9))
@@ -88,7 +88,7 @@ func TestIngestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is not short")
 	}
-	op, mk := newAllocOperator()
+	op, mk := newAllocOperator(t)
 	// Warm the pipeline: pools populated, hash directories and arenas
 	// near their working size, channels in steady flow.
 	for _, tp := range mk(30000) {
@@ -141,7 +141,7 @@ func TestMigrationAllocBudget(t *testing.T) {
 	}
 	best := -1.0
 	for attempt := 0; attempt < 3; attempt++ {
-		op := NewOperator(Config{
+		op := mustOperator(t, Config{
 			J: 8, Pred: join.EquiJoin("mig-alloc", nil), Adaptive: true, Seed: 13,
 			EmitBatch: func([]join.Pair) {},
 		})
@@ -208,10 +208,10 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		perJoin = 64 << 10 // two tail-block copies (2 x 21760 B) and bookkeeping
 	)
 	be := &sizeBackend{}
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: j, Pred: join.EquiJoin("ckpt-alloc", nil), Seed: 1,
 		Backend: be, CheckpointCompactEvery: 1, // every checkpoint full
-		Emit: func(join.Pair) {},
+		EmitBatch: func([]join.Pair) {},
 	})
 	op.Start()
 	rng := rand.New(rand.NewSource(3))
@@ -267,7 +267,7 @@ func TestSendBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is not short")
 	}
-	op, mk := newAllocOperator()
+	op, mk := newAllocOperator(t)
 	const batch = DefaultBatchSize
 	for k := 0; k < 30000/batch; k++ {
 		if err := op.SendBatch(mk(batch)); err != nil {

@@ -95,7 +95,7 @@ func TestBatchingGroupedExact(t *testing.T) {
 		}
 	}
 	want := refCount(pred, tuples)
-	got, gr := runGrouped(t, GroupedConfig{J: 12, Pred: pred, Adaptive: true, Seed: 9}, tuples)
+	got, gr := runGrouped(t, Config{J: 12, Pred: pred, Adaptive: true, Seed: 9}, tuples)
 	if got != want {
 		t.Fatalf("emitted %d, reference %d (migrations=%d)", got, want, gr.Migrations())
 	}
@@ -125,10 +125,10 @@ func TestBatchMetricsRecorded(t *testing.T) {
 // the stream is still open.
 func TestBatchPartialFlushKeepsLatencyHonest(t *testing.T) {
 	var n atomic.Int64
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 4, Pred: join.EquiJoin("eq", nil), Seed: 3,
 		BatchSize: 4096, BatchLinger: 100 * time.Microsecond,
-		Emit: func(join.Pair) { n.Add(1) },
+		EmitBatch: counter(&n),
 	})
 	op.Start()
 	for i := 0; i < 50; i++ {

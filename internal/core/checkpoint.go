@@ -471,7 +471,10 @@ func RestoreOperator(cfg Config, snap *storage.OperatorSnapshot) (*Operator, err
 	// are only droppable because they re-route to the joiners that
 	// restored them, which requires the original (seed, seq) mix.
 	cfg.Seed = snap.RouteSeed
-	op := NewOperator(cfg)
+	op, err := NewOperator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	op.ctl.table = append([]int(nil), snap.Table...)
 	op.ctl.ckptNext = snap.ID + 1
 	for idx, id := range snap.Table {

@@ -167,7 +167,7 @@ func TestCheckpointRestoreReplayExact(t *testing.T) {
 		const maxJ = 64 // generous shard bound, operator stays at J=8
 		run1 := newShardRecorder(maxJ)
 		cfg := Config{J: 8, Pred: pred, Seed: 17, Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe}
-		op := NewOperator(cfg)
+		op := mustOperator(t, cfg)
 		op.Start()
 
 		half := len(tuples) / 2
@@ -216,7 +216,7 @@ func TestRestoreKeepsCheckpointReshufflers(t *testing.T) {
 
 	backend := storage.NewMemBackend()
 	run1 := newShardRecorder(64)
-	op := NewOperator(Config{J: 16, Pred: pred, Seed: 19, Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe})
+	op := mustOperator(t, Config{J: 16, Pred: pred, Seed: 19, Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe})
 	op.Start()
 	sendAll(t, op, tuples[:len(tuples)/2])
 	if err := op.Checkpoint(); err != nil {
@@ -259,7 +259,7 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 
 	backend := storage.NewMemBackend()
 	run1 := newShardRecorder(64)
-	op := NewOperator(Config{J: 4, Pred: pred, Seed: 5, Backend: backend, EmitShard: run1.emit})
+	op := mustOperator(t, Config{J: 4, Pred: pred, Seed: 5, Backend: backend, EmitShard: run1.emit})
 	op.Start()
 	sendAll(t, op, tuples[:400])
 	if err := op.Checkpoint(); err != nil {
@@ -314,7 +314,7 @@ func TestCheckpointStraddlesMigrations(t *testing.T) {
 
 		backend := storage.NewMemBackend()
 		run1 := newShardRecorder(64)
-		op := NewOperator(Config{
+		op := mustOperator(t, Config{
 			J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 29,
 			Backend: backend, EmitShard: run1.emit, NumReshufflers: numRe,
 		})
@@ -365,7 +365,7 @@ func TestAutoCheckpointEvery(t *testing.T) {
 	tuples := mixedStream(rng, 2000, 2000, 101)
 	backend := storage.NewMemBackend()
 	rec := newShardRecorder(64)
-	op := NewOperator(Config{J: 4, Pred: pred, Seed: 3, Backend: backend, CheckpointEvery: 1000, EmitShard: rec.emit})
+	op := mustOperator(t, Config{J: 4, Pred: pred, Seed: 3, Backend: backend, CheckpointEvery: 1000, EmitShard: rec.emit})
 	op.Start()
 	sendAll(t, op, tuples)
 	if err := op.Finish(); err != nil {
@@ -400,7 +400,7 @@ func TestCheckpointDefaultConfigNineGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := NewOperator(Config{J: 4, Pred: pred, Seed: 3, Backend: backend, EmitShard: newShardRecorder(64).emit})
+	op := mustOperator(t, Config{J: 4, Pred: pred, Seed: 3, Backend: backend, EmitShard: newShardRecorder(64).emit})
 	op.Start()
 	prev := 0
 	for i := 0; i < 9; i++ {
@@ -440,7 +440,7 @@ func TestCheckpointDefaultConfigNineGenerations(t *testing.T) {
 // TestCheckpointWithoutBackend fails fast.
 func TestCheckpointWithoutBackend(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
-	op := NewOperator(Config{J: 4, Pred: pred})
+	op := mustOperator(t, Config{J: 4, Pred: pred})
 	op.Start()
 	if err := op.Checkpoint(); err != ErrNoBackend {
 		t.Fatalf("checkpoint without backend: %v, want ErrNoBackend", err)
@@ -456,7 +456,7 @@ func TestCheckpointWithoutBackend(t *testing.T) {
 // TestCheckpointAfterFinish returns ErrFinished instead of hanging.
 func TestCheckpointAfterFinish(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
-	op := NewOperator(Config{J: 4, Pred: pred, Backend: storage.NewMemBackend()})
+	op := mustOperator(t, Config{J: 4, Pred: pred, Backend: storage.NewMemBackend()})
 	op.Start()
 	if err := op.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
@@ -473,7 +473,7 @@ func TestCheckpointConcurrentWithSends(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	backend := storage.NewMemBackend()
 	var emitted sync.Map
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 8, Pred: pred, Seed: 77, Backend: backend, SourceLanes: 4,
 		EmitShard: func(shard int, ps []join.Pair) {
 			for _, p := range ps {
@@ -524,7 +524,7 @@ func TestCheckpointConcurrentWithSends(t *testing.T) {
 func TestRestoreRejectsCorruptTable(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	backend := storage.NewMemBackend()
-	op := NewOperator(Config{J: 4, Pred: pred, Backend: backend})
+	op := mustOperator(t, Config{J: 4, Pred: pred, Backend: backend})
 	op.Start()
 	if err := op.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)

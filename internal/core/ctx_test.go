@@ -15,7 +15,7 @@ import (
 // senders, and surface context.Canceled from Send and Finish.
 func TestOperatorContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 8, Pred: join.EquiJoin("ctx", nil), Adaptive: true, Warmup: 100, Seed: 3,
 	})
 	op.StartContext(ctx)
@@ -71,7 +71,7 @@ func TestOperatorContextCancel(t *testing.T) {
 // the topology and surface as a Finish error instead of deadlocking
 // the drain protocol.
 func TestOperatorTaskPanicSurfaces(t *testing.T) {
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 4,
 		Pred: join.ThetaJoin("boom", func(r, s join.Tuple) bool {
 			panic("predicate exploded")
@@ -98,7 +98,7 @@ func TestOperatorTaskPanicSurfaces(t *testing.T) {
 // Cancelling a grouped operator propagates to every group.
 func TestGroupedContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	gr := NewGrouped(GroupedConfig{J: 5, Pred: join.EquiJoin("ctx", nil), Seed: 2})
+	gr := mustGrouped(t, Config{J: 5, Pred: join.EquiJoin("ctx", nil), Seed: 2})
 	gr.StartContext(ctx)
 	cancel()
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
-	"repro/internal/storage"
 )
 
 // Decompose splits an arbitrary machine count into its power-of-two
@@ -29,39 +28,6 @@ func Decompose(j int) []int {
 	return out
 }
 
-// GroupedConfig configures a Grouped operator.
-type GroupedConfig struct {
-	// J is the total machine count; any positive value.
-	J int
-	// Pred is the join predicate.
-	Pred join.Predicate
-	// Adaptive enables per-group migration decisions (groups adapt
-	// independently and asynchronously, as in the paper).
-	Adaptive bool
-	// Warmup is the per-group adaptation warmup in (estimated) tuples.
-	Warmup int64
-	// Epsilon is Alg. 2's ε.
-	Epsilon float64
-	// Storage configures per-joiner stores.
-	Storage storage.Config
-	// Emit receives results; must not block.
-	Emit join.Emit
-	// EmitBatch, if non-nil, receives results a run at a time and takes
-	// precedence over Emit (see Config.EmitBatch).
-	EmitBatch join.EmitBatch
-	// EmitShard, if non-nil, takes precedence over EmitBatch and Emit:
-	// results arrive tagged with the emitting joiner's cluster-wide
-	// shard id. Groups occupy disjoint shard ranges (group g's joiners
-	// shard at its cumulative size offset), so per-shard serialization
-	// and cross-shard concurrency compose across groups exactly as they
-	// do within one operator (see Config.EmitShard).
-	EmitShard join.ShardedEmitBatch
-	// Latency samples tuple latencies if non-nil.
-	Latency *metrics.LatencySampler
-	// Seed drives routing randomness.
-	Seed int64
-}
-
 // Grouped is the generalized operator for machine counts that are not
 // powers of two (§4.2.2): machines split into power-of-two groups,
 // each running an independent adaptive operator. Every tuple joins
@@ -78,7 +44,7 @@ type GroupedConfig struct {
 // by every machine of every group — with one serialization point, the
 // analogue of the paper's O(log J) forwarding latency.
 type Grouped struct {
-	cfg    GroupedConfig
+	cfg    Config
 	groups []*Operator
 	sizes  []int
 	seq    atomic.Uint64
@@ -91,15 +57,22 @@ type Grouped struct {
 	sendMu sync.Mutex
 }
 
-// NewGrouped builds the operator; call Start before Send.
-func NewGrouped(cfg GroupedConfig) *Grouped {
-	if cfg.J <= 0 {
-		panic(fmt.Sprintf("core: Grouped J=%d", cfg.J))
+// NewGrouped builds the operator, or reports why cfg cannot; call
+// Start before Send. J may be any positive count. Each group receives
+// only the grouped surface of cfg — predicate, adaptivity (groups adapt
+// independently and asynchronously, as in the paper), ε, a warmup
+// scaled to its size, storage, sinks, latency sampling and a derived
+// seed; the other knobs keep the group defaults. EmitShard ids are
+// cluster-wide: group g's joiners shard at its cumulative size offset,
+// so per-shard serialization composes across groups.
+func NewGrouped(cfg Config) (*Grouped, error) {
+	if err := cfg.Validate(GroupedEngine); err != nil {
+		return nil, err
 	}
 	gr := &Grouped{cfg: cfg, sizes: Decompose(cfg.J), rng: rand.New(rand.NewSource(cfg.Seed ^ 0x9009))}
 	shardBase := 0
 	for i, sz := range gr.sizes {
-		gr.groups = append(gr.groups, NewOperator(Config{
+		op, err := NewOperator(Config{
 			J:              sz,
 			Pred:           cfg.Pred,
 			Adaptive:       cfg.Adaptive,
@@ -108,16 +81,19 @@ func NewGrouped(cfg GroupedConfig) *Grouped {
 			Epsilon:        cfg.Epsilon,
 			Warmup:         cfg.Warmup * int64(sz) / int64(cfg.J),
 			Storage:        cfg.Storage,
-			Emit:           cfg.Emit,
 			EmitBatch:      cfg.EmitBatch,
 			EmitShard:      cfg.EmitShard,
 			EmitShardBase:  shardBase,
 			Latency:        cfg.Latency,
 			Seed:           cfg.Seed ^ int64(i)<<32,
-		}))
+		})
+		if err != nil {
+			return nil, err
+		}
+		gr.groups = append(gr.groups, op)
 		shardBase += sz
 	}
-	return gr
+	return gr, nil
 }
 
 // Groups returns the sizes of the power-of-two groups.

@@ -48,11 +48,11 @@ func TestDecomposePanics(t *testing.T) {
 	Decompose(0)
 }
 
-func runGrouped(t *testing.T, cfg GroupedConfig, tuples []join.Tuple) (int64, *Grouped) {
+func runGrouped(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Grouped) {
 	t.Helper()
 	var n atomic.Int64
-	cfg.Emit = func(join.Pair) { n.Add(1) }
-	gr := NewGrouped(cfg)
+	cfg.EmitBatch = counter(&n)
+	gr := mustGrouped(t, cfg)
 	gr.Start()
 	for _, tp := range tuples {
 		gr.Send(tp)
@@ -73,7 +73,7 @@ func TestGroupedExactness(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(j)))
 		tuples := mixedStream(rng, 1500, 1500, 60)
 		want := refCount(pred, tuples)
-		got, gr := runGrouped(t, GroupedConfig{J: j, Pred: pred, Seed: int64(j)}, tuples)
+		got, gr := runGrouped(t, Config{J: j, Pred: pred, Seed: int64(j)}, tuples)
 		if got != want {
 			t.Fatalf("J=%d (groups %v): emitted %d, reference %d", j, gr.Groups(), got, want)
 		}
@@ -108,9 +108,9 @@ func TestGroupedExactnessUnderMigrations(t *testing.T) {
 				want := refMultiset(pred, tuples, contentOf)
 				batchCases(t, func(t *testing.T, bs int) {
 					emit, got := contentSink()
-					gr := NewGrouped(GroupedConfig{J: j, Pred: pred, Adaptive: true, Seed: seed, EmitBatch: emit})
+					gr := mustGrouped(t, Config{J: j, Pred: pred, Adaptive: true, Seed: seed, EmitBatch: emit})
 					for _, op := range gr.groups {
-						op.cfg.BatchSize = bs // GroupedConfig has no envelope knob; reshufflers read it at Start
+						op.cfg.BatchSize = bs // NewGrouped keeps the group default; reshufflers read it at Start
 					}
 					gr.Start()
 					for _, tp := range tuples {
@@ -137,7 +137,7 @@ func TestGroupedBandJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tuples := mixedStream(rng, 1200, 1200, 500)
 	want := refCount(pred, tuples)
-	got, _ := runGrouped(t, GroupedConfig{J: 6, Pred: pred, Seed: 4}, tuples)
+	got, _ := runGrouped(t, Config{J: 6, Pred: pred, Seed: 4}, tuples)
 	if got != want {
 		t.Fatalf("emitted %d, reference %d", got, want)
 	}
@@ -149,7 +149,7 @@ func TestGroupedStorageProportional(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(15))
 	tuples := mixedStream(rng, 8000, 8000, 1<<20) // sparse keys: few joins
-	_, gr := runGrouped(t, GroupedConfig{J: 20, Pred: pred, Seed: 2}, tuples)
+	_, gr := runGrouped(t, Config{J: 20, Pred: pred, Seed: 2}, tuples)
 	stored := gr.StoredTuples()
 	var total int64
 	for _, v := range stored {
@@ -178,22 +178,13 @@ func TestGroupedPowerOfTwoSingleGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tuples := mixedStream(rng, 800, 800, 40)
 	want := refCount(pred, tuples)
-	got, gr := runGrouped(t, GroupedConfig{J: 8, Pred: pred, Seed: 1}, tuples)
+	got, gr := runGrouped(t, Config{J: 8, Pred: pred, Seed: 1}, tuples)
 	if len(gr.Groups()) != 1 {
 		t.Fatalf("groups %v", gr.Groups())
 	}
 	if got != want {
 		t.Fatalf("emitted %d, reference %d", got, want)
 	}
-}
-
-func TestGroupedPanicsOnBadJ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewGrouped(GroupedConfig{J: 0, Pred: join.EquiJoin("eq", nil)})
 }
 
 // Work distribution (§4.2.2): the probability that a specific joiner
@@ -204,7 +195,7 @@ func TestGroupedOutputDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tuples := mixedStream(rng, 4000, 4000, 10) // dense keys: many joins
 	var n atomic.Int64
-	gr := NewGrouped(GroupedConfig{J: 12, Pred: pred, Seed: 21, Emit: func(join.Pair) { n.Add(1) }})
+	gr := mustGrouped(t, Config{J: 12, Pred: pred, Seed: 21, EmitBatch: counter(&n)})
 	gr.Start()
 	for _, tp := range tuples {
 		gr.Send(tp)

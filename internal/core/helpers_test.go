@@ -10,11 +10,38 @@ import (
 
 func newTestSampler() *metrics.LatencySampler { return metrics.NewLatencySampler(16) }
 
+// mustOperator is NewOperator for a configuration the test knows is
+// valid.
+func mustOperator(t testing.TB, cfg Config) *Operator {
+	t.Helper()
+	op, err := NewOperator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// mustGrouped is NewGrouped for a configuration the test knows is
+// valid.
+func mustGrouped(t testing.TB, cfg Config) *Grouped {
+	t.Helper()
+	gr, err := NewGrouped(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gr
+}
+
+// counter is a sink adding each run's length to n.
+func counter(n *atomic.Int64) join.EmitBatch {
+	return func(ps []join.Pair) { n.Add(int64(len(ps))) }
+}
+
 func runOperatorWithLatency(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Operator) {
 	t.Helper()
 	var n atomic.Int64
-	cfg.Emit = func(join.Pair) { n.Add(1) }
-	op := NewOperator(cfg)
+	cfg.EmitBatch = counter(&n)
+	op := mustOperator(t, cfg)
 	op.Start()
 	for _, tp := range tuples {
 		op.Send(tp)

@@ -126,7 +126,7 @@ func TestAdaptiveOperatorWithSpillExact(t *testing.T) {
 // only some schedules produce, so the two joiners are driven by hand.
 func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	var pairs []join.Pair
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1},
 		EmitBatch: func(ps []join.Pair) { pairs = append(pairs, ps...) },
 	})
@@ -192,7 +192,7 @@ func TestEpochRunsExact(t *testing.T) {
 	// group, the older partner's here.
 	t.Run("probe-buffer-guard", func(t *testing.T) {
 		var pairs []join.Pair
-		op := NewOperator(Config{
+		op := mustOperator(t, Config{
 			J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1}, NumReshufflers: 2,
 			EmitBatch: func(ps []join.Pair) { pairs = append(pairs, ps...) },
 		})
@@ -218,7 +218,7 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
 	got := map[[2]uint64]int{}
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 2, Pred: pred, Initial: from, NumReshufflers: 1,
 		EmitBatch: func(ps []join.Pair) { countPairs(got, ps) },
 	})
@@ -320,7 +320,7 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
 // it, exactly as in steady state — it joins nothing and is not input.
 func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 	pairs := 0
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1},
 		EmitBatch: func(ps []join.Pair) { pairs += len(ps) },
 	})
@@ -386,12 +386,12 @@ func TestDoubleExpansionExact(t *testing.T) {
 	// Per-joiner state passes M/2 at J=1 and J=4; MaxJoiners stops the
 	// growth at J=16.
 	var n atomic.Int64
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 1, Pred: pred, Adaptive: true, Seed: 9,
 		Warmup:             200,
 		MaxTuplesPerJoiner: 10000,
 		MaxJoiners:         16,
-		Emit:               func(join.Pair) { n.Add(1) },
+		EmitBatch:          counter(&n),
 	})
 	op.Start()
 	// Alg. 2 checks whenever a side's count doubles since the last check,

@@ -40,18 +40,20 @@ func newLanePairSet() *lanePairSet {
 	}
 }
 
-func (ps *lanePairSet) emit(p join.Pair) {
+func (ps *lanePairSet) emit(batch []join.Pair) {
 	ps.mu.Lock()
-	ps.m[lanePairKey{rAux: p.R.Aux, sAux: p.S.Aux}]++
-	ps.n++
-	if seq, ok := ps.rSeq[p.R.Aux]; ok && seq != p.R.Seq {
-		ps.bad = true
+	for _, p := range batch {
+		ps.m[lanePairKey{rAux: p.R.Aux, sAux: p.S.Aux}]++
+		ps.n++
+		if seq, ok := ps.rSeq[p.R.Aux]; ok && seq != p.R.Seq {
+			ps.bad = true
+		}
+		ps.rSeq[p.R.Aux] = p.R.Seq
+		if seq, ok := ps.sSeq[p.S.Aux]; ok && seq != p.S.Seq {
+			ps.bad = true
+		}
+		ps.sSeq[p.S.Aux] = p.S.Seq
 	}
-	ps.rSeq[p.R.Aux] = p.R.Seq
-	if seq, ok := ps.sSeq[p.S.Aux]; ok && seq != p.S.Seq {
-		ps.bad = true
-	}
-	ps.sSeq[p.S.Aux] = p.S.Seq
 	ps.mu.Unlock()
 }
 
@@ -131,9 +133,9 @@ func TestLanesConcurrentFeedersExact(t *testing.T) {
 		const feeders = 4
 		tuples := laneStream(220, 9000, 50, 77)
 		ps := newLanePairSet()
-		op := NewOperator(Config{
+		op := mustOperator(t, Config{
 			J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true,
-			SourceLanes: feeders, Seed: 7, Emit: ps.emit, NumReshufflers: numRe,
+			SourceLanes: feeders, Seed: 7, EmitBatch: ps.emit, NumReshufflers: numRe,
 		})
 		op.Start()
 
@@ -188,9 +190,9 @@ func TestLanesFinishRaceExact(t *testing.T) {
 	const feeders = 4
 	tuples := laneStream(150, 4000, 40, 99)
 	ps := newLanePairSet()
-	op := NewOperator(Config{
+	op := mustOperator(t, Config{
 		J: 8, Pred: join.EquiJoin("eq", nil), Adaptive: true,
-		SourceLanes: feeders, Seed: 3, Emit: ps.emit,
+		SourceLanes: feeders, Seed: 3, EmitBatch: ps.emit,
 	})
 	op.Start()
 
@@ -250,9 +252,9 @@ func TestLaneSeqGrantsExact(t *testing.T) {
 		t.Run(map[int]string{2: "lanes=2", 3: "lanes=3", 8: "lanes=8"}[lanes], func(t *testing.T) {
 			tuples := laneStream(200, 6000, 60, int64(300+lanes))
 			ps := newLanePairSet()
-			op := NewOperator(Config{
+			op := mustOperator(t, Config{
 				J: 8, Pred: join.EquiJoin("eq", nil), Adaptive: true,
-				SourceLanes: lanes, Seed: int64(lanes), Emit: ps.emit,
+				SourceLanes: lanes, Seed: int64(lanes), EmitBatch: ps.emit,
 			})
 			op.Start()
 			var wg sync.WaitGroup

@@ -127,10 +127,13 @@ type reserveHint struct {
 	perR, perS atomic.Int64
 }
 
-// Config configures an Operator.
+// Config configures every engine: the single-grid Operator, the
+// Grouped decomposition and the hash-partitioned baseline.SHJ. Each
+// constructor checks it with Validate before building anything, and
+// honors the fields its engine implements.
 type Config struct {
-	// J is the number of joiners; it must be a power of two (use
-	// groups.go for arbitrary machine counts).
+	// J is the number of joiners; the single-grid Operator needs a power
+	// of two, the other engines any positive count.
 	J int
 	// Pred is the join predicate.
 	Pred join.Predicate
@@ -208,17 +211,13 @@ type Config struct {
 	// default) keeps joining and retries at the next boundary,
 	// CkptFailStop cancels the operator.
 	CheckpointPolicy CheckpointPolicy
-	// Emit receives join results; it must not block. nil counts
-	// results internally.
-	Emit join.Emit
-	// EmitBatch, if non-nil, receives join results a run at a time and
-	// takes precedence over Emit: every result (including single pairs
-	// produced on the migration paths) is delivered through it. The
-	// slice is only valid for the duration of the call — the operator
-	// reuses the backing buffer.
+	// EmitBatch receives join results a run at a time; it must not
+	// block. The slice is only valid for the duration of the call — the
+	// operator reuses the backing buffer. nil (with no EmitShard)
+	// counts results internally.
 	EmitBatch join.EmitBatch
-	// EmitShard, if non-nil, takes precedence over EmitBatch and Emit:
-	// results arrive tagged with the emitting joiner's shard id
+	// EmitShard, if non-nil, takes precedence over EmitBatch: results
+	// arrive tagged with the emitting joiner's shard id
 	// (joiner id + EmitShardBase). Calls within one shard are
 	// serialized; different shards run concurrently with no cross-shard
 	// order — the sink form that lets J joiners emit without one shared
@@ -233,8 +232,9 @@ type Config struct {
 	// Seed makes the random routing reproducible.
 	Seed int64
 	// DataQueueCap is the per-joiner data inbox capacity in messages
-	// (default 1024); the inbox channel is sized in batches so buffered
-	// volume is independent of BatchSize.
+	// (default 1024; SHJ's per-worker inbox in tuples); the inbox
+	// channel is sized in batches so buffered volume is independent of
+	// BatchSize.
 	DataQueueCap int
 	// BatchSize is the capacity of the reshuffler->joiner batch
 	// envelope in messages. Batches flush when full, before every
@@ -293,24 +293,79 @@ const DefaultBatchSize = 32
 // Config.BatchLinger is zero.
 const DefaultBatchLinger = 200 * time.Microsecond
 
-func (c *Config) fill() {
-	if c.J <= 0 || c.J&(c.J-1) != 0 {
-		panic(fmt.Sprintf("core: J=%d is not a positive power of two", c.J))
+// EngineKind names the engine a Config is validated for.
+type EngineKind uint8
+
+const (
+	// GridEngine is the single-grid Operator.
+	GridEngine EngineKind = iota
+	// GroupedEngine is the power-of-two group decomposition (Grouped).
+	GroupedEngine
+	// HashEngine is the hash-partitioned baseline.SHJ.
+	HashEngine
+)
+
+// Validate checks c for the given engine and resolves zero-valued
+// knobs to their defaults; every constructor calls it before building
+// anything, so a misconfiguration is an error, never a half-built
+// engine. Features only the single-grid operator implements —
+// checkpointing and remote workers — are rejected by the others rather
+// than silently dropped, since dropping them would change durability
+// or placement, not just tuning.
+func (c *Config) Validate(kind EngineKind) error {
+	if c.J <= 0 {
+		return fmt.Errorf("core: J=%d joiners, want at least one", c.J)
+	}
+	if c.DataQueueCap <= 0 {
+		c.DataQueueCap = 1024
+	}
+	if kind != GridEngine {
+		if c.Backend != nil {
+			return errors.New("core: checkpointing (a Backend) requires the single-grid operator")
+		}
+		if len(c.Workers) > 0 {
+			return errors.New("core: remote workers require the single-grid operator")
+		}
+		if kind == HashEngine && c.Pred.Kind != join.Equi {
+			return fmt.Errorf("core: hash partitioning supports only equi-joins, got %v", c.Pred.Kind)
+		}
+		return nil
+	}
+	if c.J&(c.J-1) != 0 {
+		return fmt.Errorf("core: J=%d is not a power of two", c.J)
 	}
 	if c.Initial == (matrix.Mapping{}) {
 		c.Initial = matrix.Square(c.J)
 	}
 	if !c.Initial.Valid() || c.Initial.J() != c.J {
-		panic(fmt.Sprintf("core: initial mapping %v invalid for J=%d", c.Initial, c.J))
+		return fmt.Errorf("core: initial mapping %v invalid for J=%d", c.Initial, c.J)
+	}
+	if len(c.Workers) > 0 {
+		if c.Backend != nil {
+			return errors.New("core: checkpointing requires a single-process operator (no Workers)")
+		}
+		if c.MaxTuplesPerJoiner > 0 {
+			return errors.New("core: elastic expansion requires a single-process operator (no Workers)")
+		}
+		if c.Pred.Kind == join.Theta || c.Pred.Residual != nil {
+			return errors.New("core: remote workers require a serializable predicate (equi or band join, no residual)")
+		}
+		if c.Placement != nil {
+			if len(c.Placement) != c.J {
+				return fmt.Errorf("core: placement has %d entries for J=%d", len(c.Placement), c.J)
+			}
+			for id, w := range c.Placement {
+				if w < -1 || w >= len(c.Workers) {
+					return fmt.Errorf("core: joiner %d placed on worker %d of %d", id, w, len(c.Workers))
+				}
+			}
+		}
 	}
 	if c.NumReshufflers <= 0 {
 		c.NumReshufflers = min(c.J, runtime.GOMAXPROCS(0))
 	}
 	if c.SourceLanes <= 0 {
 		c.SourceLanes = 1
-	}
-	if c.DataQueueCap <= 0 {
-		c.DataQueueCap = 1024
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
@@ -330,27 +385,7 @@ func (c *Config) fill() {
 	if c.CheckpointCompactEvery < 1 {
 		c.CheckpointCompactEvery = 1
 	}
-	if len(c.Workers) > 0 {
-		if c.Backend != nil {
-			panic("core: checkpointing requires a single-process operator (no Workers)")
-		}
-		if c.MaxTuplesPerJoiner > 0 {
-			panic("core: elastic expansion requires a single-process operator (no Workers)")
-		}
-		if c.Pred.Kind == join.Theta || c.Pred.Residual != nil {
-			panic("core: remote workers require a serializable predicate (equi or band join, no residual)")
-		}
-		if c.Placement != nil {
-			if len(c.Placement) != c.J {
-				panic(fmt.Sprintf("core: placement has %d entries for J=%d", len(c.Placement), c.J))
-			}
-			for id, w := range c.Placement {
-				if w < -1 || w >= len(c.Workers) {
-					panic(fmt.Sprintf("core: joiner %d placed on worker %d of %d", id, w, len(c.Workers)))
-				}
-			}
-		}
-	}
+	return nil
 }
 
 // ErrFinished is returned by Send/SendBatch after Finish has closed
@@ -359,7 +394,7 @@ var ErrFinished = errors.New("core: operator is finished")
 
 // Operator is the adaptive (or, with Adaptive=false, static) parallel
 // online theta-join operator. Feed it interleaved R and S tuples with
-// Send or SendBatch; results flow to Config.Emit (or Config.EmitBatch)
+// Send or SendBatch; results flow to Config.EmitBatch (or EmitShard)
 // as they are discovered; Finish drains and stops all tasks.
 type Operator struct {
 	cfg    Config
@@ -491,9 +526,12 @@ func (ln *sourceLane) nextSeq(global *atomic.Uint64) uint64 {
 	return s
 }
 
-// NewOperator builds an operator; call Start before Send.
-func NewOperator(cfg Config) *Operator {
-	cfg.fill()
+// NewOperator builds an operator, or reports why cfg cannot; call
+// Start before Send.
+func NewOperator(cfg Config) (*Operator, error) {
+	if err := cfg.Validate(GridEngine); err != nil {
+		return nil, err
+	}
 	op := &Operator{
 		cfg:        cfg,
 		topo:       &topology{},
@@ -558,7 +596,7 @@ func NewOperator(cfg Config) *Operator {
 		}
 		op.joiners = append(op.joiners, op.newJoiner(id, cfg.Initial.CellOf(id), cfg.Initial, 0, nil))
 	}
-	return op
+	return op, nil
 }
 
 // hostsJoiner reports whether joiner id runs in this process: all of
@@ -605,17 +643,14 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 
 // emitBatchFor builds the joiner's result sink: per-joiner accounting
 // and latency sampling are done once per flushed run, then the run is
-// handed to the user's EmitBatch (or replayed pair-wise into Emit).
+// handed to the user's EmitBatch or EmitShard.
 func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
-	user := op.cfg.Emit
 	userBatch := op.cfg.EmitBatch
 	if shardFn := op.cfg.EmitShard; shardFn != nil {
 		// The joiner goroutine delivers its own shard's runs, so
-		// per-shard serialization holds by construction. EmitShard takes
-		// precedence over EmitBatch/Emit.
+		// per-shard serialization holds by construction.
 		shard := w.shard
 		userBatch = func(ps []join.Pair) { shardFn(shard, ps) }
-		user = nil
 	}
 	lat := op.cfg.Latency
 	return func(ps []join.Pair) {
@@ -632,13 +667,8 @@ func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
 				lat.Emit(newer)
 			}
 		}
-		switch {
-		case userBatch != nil:
+		if userBatch != nil {
 			userBatch(ps)
-		case user != nil:
-			for i := range ps {
-				user(ps[i])
-			}
 		}
 	}
 }
@@ -710,11 +740,6 @@ func (op *Operator) StartContext(ctx context.Context) {
 			op.runner.WatchContext(ctx, op.finishedCh)
 			return
 		}
-	}
-	// Rebuild joiner sinks now that Emit/EmitBatch are final (a nil
-	// sink still counts results in emitBatchFor's accounting).
-	for _, w := range op.joiners {
-		w.emitBatch = op.emitBatchFor(w)
 	}
 	for _, w := range op.joiners {
 		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), w.run)

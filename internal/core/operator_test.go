@@ -19,8 +19,8 @@ import (
 func runOperator(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Operator) {
 	t.Helper()
 	var n atomic.Int64
-	cfg.Emit = func(join.Pair) { n.Add(1) }
-	op := NewOperator(cfg)
+	cfg.EmitBatch = counter(&n)
+	op := mustOperator(t, cfg)
 	op.Start()
 	for _, tp := range tuples {
 		op.Send(tp)
@@ -102,7 +102,7 @@ func runOperatorContent(t *testing.T, cfg Config, tuples []join.Tuple) (map[pair
 	t.Helper()
 	var got map[pairContent]int
 	cfg.EmitBatch, got = contentSink()
-	op := NewOperator(cfg)
+	op := mustOperator(t, cfg)
 	op.Start()
 	sendAll(t, op, tuples)
 	if err := op.Finish(); err != nil {
@@ -251,7 +251,7 @@ func batchCases(t *testing.T, run func(t *testing.T, bs int)) {
 func TestDefaultReshufflersFollowCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, tc := range []struct{ j, want int }{{16, 2}, {1, 1}} {
-		op := NewOperator(Config{J: tc.j, Pred: join.EquiJoin("eq", nil)})
+		op := mustOperator(t, Config{J: tc.j, Pred: join.EquiJoin("eq", nil)})
 		if got := len(op.sources); got != tc.want {
 			t.Errorf("J=%d at GOMAXPROCS=2: %d source rings, want %d", tc.j, got, tc.want)
 		}
@@ -341,9 +341,9 @@ func TestElasticExpansionExact(t *testing.T) {
 		J: 4, Pred: pred, Adaptive: true, Seed: 17,
 		Warmup:             600, // first checkpoint lands past M/2 ...
 		MaxTuplesPerJoiner: 400, // ... forcing expansion mid-stream
-		Emit:               func(join.Pair) { n.Add(1) },
+		EmitBatch:          counter(&n),
 	}
-	op := NewOperator(cfg)
+	op := mustOperator(t, cfg)
 	op.Start()
 	for _, tp := range tuples {
 		op.Send(tp)
@@ -408,20 +408,24 @@ func TestAdaptiveILFBeatsStaticMid(t *testing.T) {
 	}
 }
 
+// TestOperatorConfigValidation covers the rejections only a core
+// caller can reach: the options layer routes a non-power-of-two J to
+// the grouped engine, so J=12 on the grid operator never passes
+// through it. The rest of Validate's rejections are pinned at the
+// public surface (TestInvalidOptionsReturnErrors).
 func TestOperatorConfigValidation(t *testing.T) {
+	eq := join.EquiJoin("eq", nil)
 	for _, cfg := range []Config{
-		{J: 0, Pred: join.EquiJoin("eq", nil)},
-		{J: 12, Pred: join.EquiJoin("eq", nil)},
-		{J: 16, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 4}},
+		{J: 0, Pred: eq},
+		{J: 12, Pred: eq},
+		{J: 16, Pred: eq, Initial: matrix.Mapping{N: 2, M: 4}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for %+v", cfg)
-				}
-			}()
-			NewOperator(cfg)
-		}()
+		if _, err := NewOperator(cfg); err == nil {
+			t.Errorf("NewOperator accepted %+v", cfg)
+		}
+	}
+	if _, err := NewGrouped(Config{J: 0, Pred: eq}); err == nil {
+		t.Error("NewGrouped accepted J=0")
 	}
 }
 

@@ -36,10 +36,12 @@ type pairSet struct {
 
 func newPairSet() *pairSet { return &pairSet{m: make(map[pairKey]int)} }
 
-func (ps *pairSet) emit(p join.Pair) {
+func (ps *pairSet) emit(batch []join.Pair) {
 	ps.mu.Lock()
-	ps.m[keyOf(p)]++
-	ps.n++
+	for _, p := range batch {
+		ps.m[keyOf(p)]++
+	}
+	ps.n += len(batch)
 	ps.mu.Unlock()
 }
 
@@ -125,8 +127,8 @@ func feedMixed(t *testing.T, op *Operator, tuples []join.Tuple) {
 func runFeed(t *testing.T, cfg Config, tuples []join.Tuple, feed feedFn) (*pairSet, *Operator) {
 	t.Helper()
 	ps := newPairSet()
-	cfg.Emit = ps.emit
-	op := NewOperator(cfg)
+	cfg.EmitBatch = ps.emit
+	op := mustOperator(t, cfg)
 	op.Start()
 	feed(t, op, tuples)
 	if err := op.Finish(); err != nil {
@@ -188,7 +190,7 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 	}
 	run := func(batch int) *pairSet {
 		ps := newPairSet()
-		gr := NewGrouped(GroupedConfig{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, Emit: ps.emit})
+		gr := mustGrouped(t, Config{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, EmitBatch: ps.emit})
 		gr.Start()
 		if batch == 0 {
 			for _, tp := range tuples {
@@ -223,7 +225,7 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 // Send and SendBatch after Finish must return ErrFinished instead of
 // panicking on the closed source rings; a second Finish is a no-op.
 func TestSendAfterFinishReturnsError(t *testing.T) {
-	op := NewOperator(Config{J: 4, Pred: join.EquiJoin("eq", nil), Seed: 1})
+	op := mustOperator(t, Config{J: 4, Pred: join.EquiJoin("eq", nil), Seed: 1})
 	op.Start()
 	if err := op.Send(join.Tuple{Rel: matrix.SideR, Key: 1}); err != nil {
 		t.Fatal(err)
@@ -241,7 +243,7 @@ func TestSendAfterFinishReturnsError(t *testing.T) {
 		t.Fatalf("second Finish: %v", err)
 	}
 
-	gr := NewGrouped(GroupedConfig{J: 3, Pred: join.EquiJoin("eq", nil), Seed: 2})
+	gr := mustGrouped(t, Config{J: 3, Pred: join.EquiJoin("eq", nil), Seed: 2})
 	gr.Start()
 	if err := gr.Finish(); err != nil {
 		t.Fatal(err)
@@ -254,9 +256,9 @@ func TestSendAfterFinishReturnsError(t *testing.T) {
 	}
 }
 
-// An EmitBatch sink must observe exactly the pairs Emit would, with
-// runs actually batched under fanout, and per-pair results from the
-// migration paths delivered through the same sink.
+// A chunked SendBatch feed must deliver exactly the pairs a Send loop
+// does through the same EmitBatch sink, with runs actually batched
+// under fanout, migration results included.
 func TestEmitBatchReceivesAllResults(t *testing.T) {
 	tuples := migratingStream()
 	cfg := Config{J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true, Warmup: 500, Seed: 11}
@@ -266,7 +268,6 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 	var mu sync.Mutex
 	var flushes, maxRun int
 	cfg2 := cfg
-	cfg2.Emit = nil
 	cfg2.EmitBatch = func(ps []join.Pair) {
 		mu.Lock()
 		flushes++
@@ -274,18 +275,16 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 			maxRun = len(ps)
 		}
 		mu.Unlock()
-		for i := range ps {
-			got.emit(ps[i])
-		}
+		got.emit(ps)
 	}
-	op := NewOperator(cfg2)
+	op := mustOperator(t, cfg2)
 	op.Start()
 	feedChunks(DefaultBatchSize)(t, op, tuples)
 	if err := op.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if !got.equal(want) {
-		t.Fatalf("EmitBatch sink saw %d pairs, Emit reference %d", got.n, want.n)
+		t.Fatalf("SendBatch feed saw %d pairs, Send reference %d", got.n, want.n)
 	}
 	if flushes >= got.n {
 		t.Fatalf("EmitBatch never batched: %d flushes for %d pairs", flushes, got.n)
@@ -315,17 +314,15 @@ func TestEmitBatchPreservesLatencySampling(t *testing.T) {
 		switch mode {
 		case "emitbatch":
 			cfg.EmitBatch = func([]join.Pair) {}
-			op = NewOperator(cfg)
+			op = mustOperator(t, cfg)
 			op.Start()
 			feedChunks(DefaultBatchSize)(t, op, tuples)
 		case "sendbatch":
-			cfg.Emit = func(join.Pair) {}
-			op = NewOperator(cfg)
+			op = mustOperator(t, cfg)
 			op.Start()
 			feedChunks(DefaultBatchSize)(t, op, tuples)
 		default:
-			cfg.Emit = func(join.Pair) {}
-			op = NewOperator(cfg)
+			op = mustOperator(t, cfg)
 			op.Start()
 			feedSend(t, op, tuples)
 		}

@@ -86,7 +86,11 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 		Storage:        storage.Config{CapBytes: h.CapBytes, Dir: wcfg.SpillDir},
 		hosted:         hosted,
 	}
-	op := NewOperator(cfg)
+	op, err := NewOperator(cfg)
+	if err != nil {
+		_ = link.Close()
+		return &LinkError{Worker: "coordinator", Err: fmt.Errorf("hello: %w", err)}
+	}
 	peer := newRemotePeer("coordinator", link, op.stop, func(err error) { op.runner.Cancel(err) })
 	peer.release = dataflow.CloseOnDone(op.stop, link)
 	remote := make([]*remotePeer, h.J)
@@ -206,7 +210,7 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 
 	sessionDone := make(chan struct{})
 	op.runner.WatchContext(ctx, sessionDone)
-	err := op.runner.Wait()
+	err = op.runner.Wait()
 	close(sessionDone)
 	if err != nil {
 		// Best-effort typed report before the link drops; the

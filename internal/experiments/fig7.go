@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/baseline"
@@ -80,10 +79,7 @@ func Fig7b(o Options) []Table {
 		row := []string{q.Name}
 		for _, mode := range []string{"StaticMid", "Dynamic", "StaticOpt"} {
 			lat := metrics.NewLatencySampler(8)
-			cfg := core.Config{
-				J: j, Pred: q.Pred, Seed: o.Seed, Latency: lat,
-				Emit: func(join.Pair) {},
-			}
+			cfg := core.Config{J: j, Pred: q.Pred, Seed: o.Seed, Latency: lat}
 			switch mode {
 			case "Dynamic":
 				cfg.Adaptive = true
@@ -91,7 +87,11 @@ func Fig7b(o Options) []Table {
 			case "StaticOpt":
 				cfg.Initial = optimalMapping(j, r, s)
 			}
-			if _, err := driveEngine(core.NewOperator(cfg), q, g); err != nil {
+			op, err := core.NewOperator(cfg)
+			if err == nil {
+				_, err = driveEngine(op, q, g)
+			}
+			if err != nil {
 				row = append(row, "err")
 				continue
 			}
@@ -201,8 +201,10 @@ func Fig7d(o Options) []Table {
 func shjThroughputProbe(o Options) float64 {
 	g := gen(o, 0.005, 1.0)
 	q := workload.EQ5()
-	var n atomic.Int64
-	shj := baseline.NewSHJ(baseline.SHJConfig{J: 8, Pred: q.Pred, Emit: func(join.Pair) { n.Add(1) }})
+	shj, err := baseline.NewSHJ(core.Config{J: 8, Pred: q.Pred})
+	if err != nil {
+		return 0
+	}
 	start := time.Now()
 	total, err := driveEngine(shj, q, g)
 	if err != nil {

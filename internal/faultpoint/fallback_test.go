@@ -23,9 +23,7 @@ import (
 func runToTwoCheckpoints(t *testing.T, backend squall.Backend, pred squall.Predicate, tuples []squall.Tuple) (*squall.Operator, *shardLog) {
 	t.Helper()
 	run1 := newShardLog(64)
-	op := squall.NewOperator(squall.Config{
-		J: 4, Pred: pred, Seed: 21, Backend: backend, EmitShard: run1.emit,
-	})
+	op := newOperator(pred, run1.sink(), squall.WithJoiners(4), squall.WithSeed(21), squall.WithBackend(backend))
 	op.Start()
 	feed := func(ts []squall.Tuple) {
 		for _, tp := range ts {
@@ -224,10 +222,9 @@ func TestRestoreDeltaChainAcrossMigration(t *testing.T) {
 	}
 
 	run1 := newShardLog(64)
-	op := squall.NewOperator(squall.Config{
-		J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 23,
-		Backend: backend, EmitShard: run1.emit,
-	})
+	op := newOperator(pred, run1.sink(),
+		squall.WithJoiners(16), squall.WithAdaptive(), squall.WithWarmup(500), squall.WithSeed(23),
+		squall.WithBackend(backend))
 	op.Start()
 	feed := func(ts []squall.Tuple) {
 		for _, tp := range ts {

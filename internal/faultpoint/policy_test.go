@@ -25,12 +25,9 @@ func TestCheckpointDegradePolicy(t *testing.T) {
 	// CheckpointKeep 1 makes the trim horizon the newest committed
 	// generation, so the first post-outage success visibly shrinks the
 	// log (with a deeper keep the horizon trails the fallback set).
-	op := squall.NewOperator(squall.Config{
-		J: 4, Pred: pred, Seed: 17,
-		Backend: flaky, EmitShard: run.emit,
-		CheckpointPolicy: squall.Degrade,
-		CheckpointKeep:   1,
-	})
+	op := newOperator(pred, run.sink(),
+		squall.WithJoiners(4), squall.WithSeed(17), squall.WithBackend(flaky),
+		squall.WithCheckpointPolicy(squall.Degrade), squall.WithCheckpointKeep(1))
 	op.Start()
 	feed := func(ts []squall.Tuple) {
 		for _, tp := range ts {
@@ -100,11 +97,9 @@ func TestCheckpointFailStopPolicy(t *testing.T) {
 
 	mem := squall.NewMemBackend()
 	flaky := squall.NewFlakyBackend(mem, 0, 56)
-	op := squall.NewOperator(squall.Config{
-		J: 4, Pred: pred, Seed: 19,
-		Backend: flaky, EmitShard: newShardLog(64).emit,
-		CheckpointPolicy: squall.FailStop,
-	})
+	op := newOperator(pred, newShardLog(64).sink(),
+		squall.WithJoiners(4), squall.WithSeed(19), squall.WithBackend(flaky),
+		squall.WithCheckpointPolicy(squall.FailStop))
 	op.Start()
 	for _, tp := range tuples[:1000] {
 		if err := op.Send(tp); err != nil {

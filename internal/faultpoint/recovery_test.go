@@ -16,7 +16,6 @@ import (
 
 	squall "repro"
 	"repro/internal/faultpoint"
-	"repro/internal/storage"
 )
 
 // uKey identifies a result pair by the user-assigned unique ids of its
@@ -44,6 +43,11 @@ func (l *shardLog) emit(shard int, ps []squall.Pair) {
 }
 
 func (l *shardLog) sink() squall.Sink { return squall.Sharded(l.emit) }
+
+// newOperator builds a single-grid operator from options.
+func newOperator(pred squall.Predicate, sink squall.Sink, opts ...squall.Option) *squall.Operator {
+	return squall.NewEngine(pred, sink, opts...).(*squall.Operator)
+}
 
 // oracle computes the expected pair multiset over the full input.
 func oracle(pred squall.Predicate, tuples []squall.Tuple) map[uKey]int {
@@ -131,19 +135,18 @@ func lopsidedInput(rng *rand.Rand, nR, nS int, keys int64) []squall.Tuple {
 //     the unsent tail, and finish,
 //  5. splice shard i of run 1 cut at the restored checkpoint's
 //     Emitted[i] with all of run 2 and compare against the oracle.
-func crashAndRecover(t *testing.T, point string, cfg squall.Config, tuples []squall.Tuple, ckptAt, armAt int) {
-	crashAndRecoverBackend(t, point, cfg, tuples, ckptAt, armAt, nil)
+func crashAndRecover(t *testing.T, point string, pred squall.Predicate, tuples []squall.Tuple, ckptAt, armAt int, opts ...squall.Option) {
+	crashAndRecoverBackend(t, point, pred, tuples, ckptAt, armAt, nil, opts...)
 }
 
 // crashAndRecoverBackend is crashAndRecover with a backend decorator:
 // wrap (nil = identity) interposes on the FileBackend both for the
 // live operator's commits and for the restore walk, so the whole
 // cycle can run through a flaky/retrying storage stack.
-func crashAndRecoverBackend(t *testing.T, point string, cfg squall.Config, tuples []squall.Tuple, ckptAt, armAt int, wrap func(squall.Backend) squall.Backend) {
+func crashAndRecoverBackend(t *testing.T, point string, pred squall.Predicate, tuples []squall.Tuple, ckptAt, armAt int, wrap func(squall.Backend) squall.Backend, opts ...squall.Option) {
 	t.Helper()
 	defer faultpoint.Reset()
 
-	pred := cfg.Pred
 	want := oracle(pred, tuples)
 	dir := t.TempDir()
 	fileBackend, err := squall.NewFileBackend(dir)
@@ -156,9 +159,7 @@ func crashAndRecoverBackend(t *testing.T, point string, cfg squall.Config, tuple
 	}
 
 	run1 := newShardLog(64)
-	cfg.Backend = backend
-	cfg.EmitShard = run1.emit
-	op := squall.NewOperator(cfg)
+	op := newOperator(pred, run1.sink(), append(opts, squall.WithBackend(backend))...)
 	op.Start()
 
 	send := func(ts []squall.Tuple, unsent *[]squall.Tuple) {
@@ -245,8 +246,7 @@ func TestRecoveryFromCrashPoints(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			tuples := mixedInput(rng, 3000, 53)
-			cfg := squall.Config{J: 8, Pred: pred, Seed: 11}
-			crashAndRecover(t, point, cfg, tuples, 1200, 2100)
+			crashAndRecover(t, point, pred, tuples, 1200, 2100, squall.WithJoiners(8), squall.WithSeed(11))
 		})
 	}
 }
@@ -260,8 +260,8 @@ func TestRecoveryFromCrashAfterGCPrune(t *testing.T) {
 	pred := squall.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(36))
 	tuples := mixedInput(rng, 3000, 53)
-	cfg := squall.Config{J: 8, Pred: pred, Seed: 11, CheckpointKeep: 1}
-	crashAndRecover(t, faultpoint.GCBeforeFallback, cfg, tuples, 1200, 2100)
+	crashAndRecover(t, faultpoint.GCBeforeFallback, pred, tuples, 1200, 2100,
+		squall.WithJoiners(8), squall.WithSeed(11), squall.WithCheckpointKeep(1))
 }
 
 // TestRecoveryFromCrashPointsFlakyBackend replays the crash matrix
@@ -282,7 +282,6 @@ func TestRecoveryFromCrashPointsFlakyBackend(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(37))
 			tuples := mixedInput(rng, 3000, 53)
-			cfg := squall.Config{J: 8, Pred: pred, Seed: 11}
 			wrap := func(inner squall.Backend) squall.Backend {
 				flaky := squall.NewFlakyBackend(inner, 0.3, 101)
 				return squall.NewRetryBackend(flaky, squall.RetryOptions{
@@ -293,7 +292,7 @@ func TestRecoveryFromCrashPointsFlakyBackend(t *testing.T) {
 					Seed:       5,
 				})
 			}
-			crashAndRecoverBackend(t, point, cfg, tuples, 1200, 2100, wrap)
+			crashAndRecoverBackend(t, point, pred, tuples, 1200, 2100, wrap, squall.WithJoiners(8), squall.WithSeed(11))
 		})
 	}
 }
@@ -306,8 +305,8 @@ func TestRecoveryFromCrashMidMigration(t *testing.T) {
 	pred := squall.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(32))
 	tuples := lopsidedInput(rng, 150, 6000, 40)
-	cfg := squall.Config{J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 13}
-	crashAndRecover(t, faultpoint.MidMigration, cfg, tuples, 400, 450)
+	crashAndRecover(t, faultpoint.MidMigration, pred, tuples, 400, 450,
+		squall.WithJoiners(16), squall.WithAdaptive(), squall.WithWarmup(500), squall.WithSeed(13))
 }
 
 // TestRecoveryFromCorruptCheckpoint commits a checkpoint whose blob was
@@ -329,7 +328,7 @@ func TestRecoveryFromCorruptCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			run1 := newShardLog(64)
-			op := squall.NewOperator(squall.Config{J: 4, Pred: pred, Seed: 7, Backend: backend, EmitShard: run1.emit})
+			op := newOperator(pred, run1.sink(), squall.WithJoiners(4), squall.WithSeed(7), squall.WithBackend(backend))
 			op.Start()
 			for _, tp := range tuples[:1000] {
 				if err := op.Send(tp); err != nil {
@@ -369,7 +368,7 @@ func TestRecoveryFromCorruptCheckpoint(t *testing.T) {
 
 			// With no usable checkpoint, recovery is a from-scratch rerun.
 			run3 := newShardLog(64)
-			op3 := squall.NewOperator(squall.Config{J: 4, Pred: pred, Seed: 7, EmitShard: run3.emit})
+			op3 := newOperator(pred, run3.sink(), squall.WithJoiners(4), squall.WithSeed(7))
 			op3.Start()
 			for _, tp := range tuples {
 				if err := op3.Send(tp); err != nil {
@@ -433,11 +432,9 @@ func TestCrashedOperatorLeaksNoSpillFiles(t *testing.T) {
 	spillDir := t.TempDir()
 	rng := rand.New(rand.NewSource(34))
 	pred := squall.EquiJoin("eq", nil)
-	op := squall.NewOperator(squall.Config{
-		J: 4, Pred: pred, Seed: 3,
-		Backend: squall.NewMemBackend(),
-		Storage: storage.Config{CapBytes: 256, Dir: spillDir},
-	})
+	op := newOperator(pred, nil, squall.WithJoiners(4), squall.WithSeed(3),
+		squall.WithBackend(squall.NewMemBackend()),
+		squall.WithStorage(squall.StorageConfig{CapBytes: 256, Dir: spillDir}))
 	op.Start()
 	for _, tp := range mixedInput(rng, 1500, 31) {
 		if err := op.Send(tp); err != nil {
@@ -462,10 +459,8 @@ func TestCancelledOperatorLeaksNoSpillFiles(t *testing.T) {
 	spillDir := t.TempDir()
 	rng := rand.New(rand.NewSource(35))
 	pred := squall.EquiJoin("eq", nil)
-	op := squall.NewOperator(squall.Config{
-		J: 4, Pred: pred, Seed: 3,
-		Storage: storage.Config{CapBytes: 256, Dir: spillDir},
-	})
+	op := newOperator(pred, nil, squall.WithJoiners(4), squall.WithSeed(3),
+		squall.WithStorage(squall.StorageConfig{CapBytes: 256, Dir: spillDir}))
 	ctx, cancel := context.WithCancel(context.Background())
 	op.StartContext(ctx)
 	for _, tp := range mixedInput(rng, 1500, 31) {

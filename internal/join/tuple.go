@@ -81,15 +81,12 @@ type Pair struct {
 	R, S Tuple
 }
 
-// Emit receives join results. Implementations must be cheap; joiners
-// call it inline while processing tuples.
-type Emit func(Pair)
-
-// EmitBatch receives a run of join results in one call: the vectorized
-// form of Emit, letting sinks amortize their own per-result work the
-// way the batched message plane amortizes per-tuple synchronization.
-// The slice is only valid for the duration of the call — the emitter
-// reuses the backing buffer; sinks that retain results must copy them.
+// EmitBatch receives a run of join results in one call, letting sinks
+// amortize their own per-result work the way the batched message plane
+// amortizes per-tuple synchronization. Implementations must be cheap;
+// joiners call it inline. The slice is only valid for the duration of
+// the call — the emitter reuses the backing buffer; sinks that retain
+// results must copy them.
 type EmitBatch func([]Pair)
 
 // ShardedEmitBatch receives a run of join results tagged with the
@@ -100,11 +97,3 @@ type EmitBatch func([]Pair)
 // joiners deliver results without funneling through one sink mutex. The
 // slice is only valid for the duration of the call.
 type ShardedEmitBatch func(shard int, ps []Pair)
-
-// CountingEmit returns an Emit that only counts results, plus the
-// counter. Useful for benchmarks where materializing output would
-// dominate.
-func CountingEmit() (Emit, *int64) {
-	n := new(int64)
-	return func(Pair) { *n++ }, n
-}

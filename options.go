@@ -4,14 +4,16 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/join"
 )
 
 // Option configures one pipeline stage, or — passed to NewPipeline —
 // the defaults every stage of that pipeline inherits. Options are the
-// documented construction path for engines; the raw Config structs
-// remain as compatibility shims.
+// one construction path for engines: Pipeline.Run, NewEngine, NewSHJ
+// and Restore all resolve them into one core configuration, validated
+// before anything is built.
 type Option func(*stageConfig)
 
 // stageConfig is the resolved configuration of one stage before its
@@ -91,8 +93,8 @@ func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.c
 // store: Operator.Checkpoint (and the WithCheckpointEvery pacer)
 // snapshots joiner state, controller mapping, and ingest cursors
 // through it, and Restore rebuilds from its latest committed snapshot.
-// Only the single-grid operator supports it; a grouped stage
-// (non-power-of-two joiners, or WithGrouped) rejects it at build time.
+// Only the single-grid operator supports it: with a grouped stage
+// (non-power-of-two joiners, or WithGrouped) Run returns an error.
 func WithBackend(b Backend) Option { return func(sc *stageConfig) { sc.cfg.Backend = b } }
 
 // WithCheckpointEvery makes a backend-equipped stage checkpoint
@@ -199,58 +201,68 @@ func Theta(name string, pred func(r, s Tuple) bool) Predicate { return join.Thet
 // otherwise), and sink wires the result path (nil counts results
 // internally). Drive it with the Engine lifecycle: Start or
 // StartContext, Send/SendBatch, Finish.
+//
+// NewEngine has no error return: on invalid options it panics with the
+// configuration error itself (an error value, the one Pipeline.Run
+// returns wrapped with the stage index). Use a pipeline to handle
+// misconfiguration as an error.
 func NewEngine(pred Predicate, sink Sink, opts ...Option) Engine {
-	sc := newStageConfig(nil, opts)
-	return sc.build(pred, sink)
+	e, err := newStageConfig(nil, opts).build(pred, sink)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
-// build constructs the stage's engine. The grouped operator exposes a
-// narrower tuning surface; options it cannot honor fall back to its
-// defaults: batch sizes and linger, the initial mapping, elasticity,
-// dummy padding (WithPadDummies), and source lanes (WithSourceLanes —
-// cross-group consistency needs one shared arrival order).
-func (sc stageConfig) build(pred Predicate, sink Sink) Engine {
-	var emitBatch EmitBatch
-	var emitShard ShardedEmitBatch
+// NewSHJ builds the parallel symmetric hash join baseline from options:
+// WithJoiners sets its worker count (any positive count), WithStorage
+// its per-worker stores, and sink its result path (a Sharded sink's
+// shard is the worker index). The predicate must be an equi-join.
+// Options only the grid operator implements — WithBackend and
+// WithWorkers — are rejected; the grid's tuning options are ignored.
+func NewSHJ(pred Predicate, sink Sink, opts ...Option) (*SHJ, error) {
+	return baseline.NewSHJ(newStageConfig(nil, opts).coreConfig(pred, sink))
+}
+
+// coreConfig resolves the stage's options, predicate and sink into the
+// engine configuration every constructor validates.
+func (sc stageConfig) coreConfig(pred Predicate, sink Sink) core.Config {
+	cfg := sc.cfg
+	cfg.Pred = pred
 	if sink != nil {
 		// A sharded sink resolves to the engine's sharded hook (the
 		// assertion keeps Sink sealed); everything else to the
 		// vectorized batch hook.
 		if sh, ok := sink.(interface{ sinkSharded() ShardedEmitBatch }); ok {
-			emitShard = sh.sinkSharded()
+			cfg.EmitShard = sh.sinkSharded()
 		} else {
-			emitBatch = sink.sinkBatch()
+			cfg.EmitBatch = sink.sinkBatch()
 		}
 	}
-	if sc.grouped || !isPow2(sc.cfg.J) {
-		if len(sc.cfg.Workers) > 0 {
-			// Like WithBackend below: silently dropping WithWorkers would
-			// run everything locally, not just fall back on tuning.
-			panic("squall: WithWorkers requires the single-grid operator (power-of-two joiners, no WithGrouped)")
+	return cfg
+}
+
+// build constructs the stage's engine, or reports why it cannot. The
+// grouped operator exposes a narrower tuning surface; options it cannot
+// honor fall back to its defaults: batch sizes and linger, the initial
+// mapping, elasticity, dummy padding (WithPadDummies), and source lanes
+// (WithSourceLanes — cross-group consistency needs one shared arrival
+// order). WithBackend and WithWorkers change semantics, not tuning, so
+// the grouped operator rejects them instead.
+func (sc stageConfig) build(pred Predicate, sink Sink) (Engine, error) {
+	cfg := sc.coreConfig(pred, sink)
+	if sc.grouped || !isPow2(cfg.J) {
+		gr, err := core.NewGrouped(cfg)
+		if err != nil {
+			return nil, err
 		}
-		if sc.cfg.Backend != nil {
-			// Unlike the perf options above, silently dropping WithBackend
-			// would change durability semantics, not just tuning — refuse.
-			panic("squall: WithBackend requires the single-grid operator (power-of-two joiners, no WithGrouped)")
-		}
-		return core.NewGrouped(core.GroupedConfig{
-			J:         sc.cfg.J,
-			Pred:      pred,
-			Adaptive:  sc.cfg.Adaptive,
-			Warmup:    sc.cfg.Warmup,
-			Epsilon:   sc.cfg.Epsilon,
-			Storage:   sc.cfg.Storage,
-			EmitBatch: emitBatch,
-			EmitShard: emitShard,
-			Latency:   sc.cfg.Latency,
-			Seed:      sc.cfg.Seed,
-		})
+		return gr, nil
 	}
-	cfg := sc.cfg
-	cfg.Pred = pred
-	cfg.EmitBatch = emitBatch
-	cfg.EmitShard = emitShard
-	return core.NewOperator(cfg)
+	op, err := core.NewOperator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return op, nil
 }
 
 // batchSize returns the stage's effective data-plane batch size, which

@@ -178,9 +178,11 @@ func (p *Pipeline) Stages() []*Stream {
 }
 
 // Run builds every stage's engine (resolving pipeline defaults and
-// per-stage options) and starts all tasks under ctx. Cancelling ctx
-// stops every task in every stage; in-flight and subsequent sends
-// return the cancellation error, and Wait returns it.
+// per-stage options) and starts all tasks under ctx. If any stage's
+// options are invalid, Run returns that error before starting any
+// stage, and the pipeline stays not running. Cancelling ctx stops
+// every task in every stage; in-flight and subsequent sends return the
+// cancellation error, and Wait returns it.
 func (p *Pipeline) Run(ctx context.Context) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -196,17 +198,27 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	// Build engines children-first (stages is parent-before-child
-	// order) so every bridge has a live destination before its source
-	// stage exists.
+	// order) so every bridge has a destination before its source stage
+	// exists, and publish them only once every stage has built: a
+	// failed build leaves Send returning ErrNotRunning, never feeding
+	// an engine that will not start.
+	built := make(map[*Stream]Engine, len(p.stages))
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		s := p.stages[i]
 		sc := newStageConfig(p.defaults, s.opts)
 		s.bridges = s.bridges[:0]
 		for _, c := range s.children {
-			s.bridges = append(s.bridges, newBridge(c.rekey, c.eng(), c.batchSize))
+			s.bridges = append(s.bridges, newBridge(c.rekey, built[c], c.batchSize))
 		}
-		eng := sc.build(s.pred, s.runSink())
+		eng, err := sc.build(s.pred, s.runSink())
+		if err != nil {
+			return fmt.Errorf("squall: stage %d: %w", i, err)
+		}
 		s.batchSize = sc.batchSize()
+		built[s] = eng
+	}
+	for _, s := range p.stages {
+		eng := built[s]
 		s.engine.Store(&eng)
 	}
 	for _, s := range p.stages {

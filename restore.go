@@ -137,7 +137,9 @@ type RestoreInfo struct {
 // corrupt (the newest generation's failure is the one reported), and
 // with the backend's error verbatim on non-corruption I/O failures —
 // those are retryable, so Restore does not silently fall past them to
-// stale state. It never panics on corrupt input.
+// stale state. Options a checkpointing operator cannot honor
+// (WithGrouped, WithWorkers) are an error too. It never panics on
+// corrupt input or misconfiguration.
 func Restore(backend Backend, pred Predicate, sink Sink, opts ...Option) (*Operator, *RestoreInfo, error) {
 	gens, err := backend.Generations()
 	if err != nil {
@@ -150,19 +152,7 @@ func Restore(backend Backend, pred Predicate, sink Sink, opts ...Option) (*Opera
 	if sc.grouped {
 		return nil, nil, errors.New("squall: restore: the grouped operator does not support checkpointing")
 	}
-	var emitBatch EmitBatch
-	var emitShard ShardedEmitBatch
-	if sink != nil {
-		if sh, okSh := sink.(interface{ sinkSharded() ShardedEmitBatch }); okSh {
-			emitShard = sh.sinkSharded()
-		} else {
-			emitBatch = sink.sinkBatch()
-		}
-	}
-	cfg := sc.cfg
-	cfg.Pred = pred
-	cfg.EmitBatch = emitBatch
-	cfg.EmitShard = emitShard
+	cfg := sc.coreConfig(pred, sink)
 	cfg.Backend = backend
 
 	var skipped []uint64

@@ -49,30 +49,30 @@
 //	// feed R/S into rs, T into rst
 //
 // Below the pipeline sit the engines, all implementing Engine and all
-// drivable standalone (NewEngine, or the legacy constructors):
+// drivable standalone. Options are the one way to configure them:
+// NewEngine builds the grid operator (or, for non-power-of-two joiner
+// counts, the grouped one), NewSHJ the baseline, and Restore an
+// operator from a checkpoint. A misconfiguration is an error from
+// Pipeline.Run, NewSHJ and Restore, reported before any task starts;
+// NewEngine, which has no error return, panics with that error.
 //
-//   - Operator / Config — the concurrent grid operator: one goroutine
-//     per joiner and reshuffler task, with a batched message plane as
-//     the interconnect (per-destination tuple batches, pool-recycled
-//     envelopes; see Config.BatchSize and Config.BatchLinger). The
-//     migration plane ships relocated state as columnar arena blocks,
-//     the same bytes in-process and over TCP, and both ends of the
-//     operator are batched too: SendBatch ingests runs of tuples in pooled envelopes with
-//     one sequence-number fetch, and Config.EmitBatch receives join
-//     results a run at a time with per-flush accounting.
-//   - Grouped / GroupedConfig — the generalization to machine counts
-//     that are not powers of two (§4.2.2); the pipeline selects it
-//     automatically for non-power-of-two WithJoiners counts.
+//   - Operator — the concurrent grid operator: one goroutine per joiner
+//     and reshuffler task, with a batched message plane as the
+//     interconnect (per-destination tuple batches, pool-recycled
+//     envelopes; see WithBatchSize and WithBatchLinger). The migration
+//     plane ships relocated state as columnar arena blocks, the same
+//     bytes in-process and over TCP, and both ends of the operator are
+//     batched too: SendBatch ingests runs of tuples in pooled envelopes
+//     with one sequence-number fetch, and sinks receive join results a
+//     run at a time with per-flush accounting.
+//   - Grouped — the generalization to machine counts that are not
+//     powers of two (§4.2.2); the pipeline selects it automatically for
+//     non-power-of-two WithJoiners counts.
 //   - SHJ — the content-sensitive parallel symmetric-hash-join
 //     baseline the evaluation compares against.
 //   - Sim / SimConfig — a deterministic single-threaded replay used to
 //     regenerate the paper's tables and figures bit-identically (not
 //     an Engine: it is synchronous by design).
-//
-// The raw constructors (NewOperator, NewGrouped) and the Config
-// structs remain as compatibility shims for one release; see the
-// MIGRATION section of the README for the Config-field-to-option
-// mapping.
 package squall
 
 import (
@@ -92,15 +92,12 @@ type Tuple = join.Tuple
 // Pair is one join result.
 type Pair = join.Pair
 
-// Emit receives join results; implementations must not block.
-type Emit = join.Emit
-
-// EmitBatch receives join results a run at a time (Config.EmitBatch);
+// EmitBatch receives join results a run at a time (the Batches sink);
 // the slice is only valid for the duration of the call.
 type EmitBatch = join.EmitBatch
 
 // ShardedEmitBatch receives join results a run at a time, tagged with
-// the emitting shard (Config.EmitShard; see the Sharded sink): calls
+// the emitting shard (the Sharded sink): calls
 // within one shard are serialized, different shards run concurrently,
 // cross-shard order is unspecified.
 type ShardedEmitBatch = join.ShardedEmitBatch
@@ -166,18 +163,13 @@ func SquareMapping(j int) Mapping { return matrix.Square(j) }
 // NewEngine builds a standalone one.
 type Engine = core.Engine
 
-// Config configures an Operator. It remains as the compatibility shim
-// for direct NewOperator construction; new code should prefer the
-// pipeline/options API (NewPipeline, NewEngine). See core.Config for
-// field docs.
-type Config = core.Config
-
-// DefaultBatchSize is the data-plane batch envelope capacity used when
-// Config.BatchSize is 0; BatchSize 1 degenerates to per-message sends.
+// DefaultBatchSize is the data-plane batch envelope capacity used
+// without WithBatchSize; a batch size of 1 degenerates to per-message
+// sends.
 const DefaultBatchSize = core.DefaultBatchSize
 
-// DefaultBatchLinger is the partial-batch flush budget used when
-// Config.BatchLinger is 0.
+// DefaultBatchLinger is the partial-batch flush budget used without
+// WithBatchLinger.
 const DefaultBatchLinger = core.DefaultBatchLinger
 
 // Operator is the adaptive (or static) parallel online join operator.
@@ -187,23 +179,9 @@ type Operator = core.Operator
 // operator's input.
 var ErrFinished = core.ErrFinished
 
-// NewOperator builds an operator; call Start (or StartContext), then
-// Send (or SendBatch) tuples, then Finish. It remains as a
-// compatibility shim: new code should construct engines through
-// NewPipeline or NewEngine options.
-func NewOperator(cfg Config) *Operator { return core.NewOperator(cfg) }
-
-// GroupedConfig configures a Grouped operator.
-type GroupedConfig = core.GroupedConfig
-
 // Grouped generalizes the operator to arbitrary machine counts by
 // decomposing J into power-of-two groups (§4.2.2).
 type Grouped = core.Grouped
-
-// NewGrouped builds a grouped operator. It remains as a compatibility
-// shim: new code should pass a non-power-of-two WithJoiners count (or
-// WithGrouped) to NewPipeline/NewEngine instead.
-func NewGrouped(cfg GroupedConfig) *Grouped { return core.NewGrouped(cfg) }
 
 // SimConfig configures a deterministic simulation run.
 type SimConfig = core.SimConfig
@@ -218,45 +196,12 @@ func NewSim(cfg SimConfig) *Sim { return core.NewSim(cfg) }
 // SimResult summarizes a finished simulation.
 type SimResult = core.Result
 
-// SHJConfig configures the parallel symmetric hash join baseline.
-type SHJConfig = baseline.SHJConfig
-
 // SHJ is the content-sensitive baseline operator (equi-joins only).
 type SHJ = baseline.SHJ
-
-// NewSHJ builds the baseline operator.
-func NewSHJ(cfg SHJConfig) *SHJ { return baseline.NewSHJ(cfg) }
 
 // StorageConfig bounds per-joiner memory and configures the disk-spill
 // tier (the BerkeleyDB-substitute storage engine).
 type StorageConfig = storage.Config
-
-// Ripple is a local online ripple join [21] with running join-size
-// estimation — one of the non-blocking local algorithms a joiner may
-// adopt (§3.2).
-type Ripple = join.Ripple
-
-// NewRipple returns an empty ripple join.
-func NewRipple(p Predicate) *Ripple { return join.NewRipple(p) }
-
-// PMJ is a progressive-merge-join-style local algorithm [15]:
-// sort-based, non-blocking, natural for band and inequality joins.
-type PMJ = join.PMJ
-
-// NewPMJ returns a PMJ with the given per-side run budget.
-func NewPMJ(p Predicate, runBudget int) *PMJ { return join.NewPMJ(p, runBudget) }
-
-// RangeBand is the content-sensitive band-join prototype of the
-// paper's §6 future work: it materializes only the join-matrix cells
-// the band predicate can satisfy. Content sensitivity trades away the
-// grid operator's skew immunity — see the package tests.
-type RangeBand = baseline.RangeBand
-
-// RangeBandConfig configures a RangeBand.
-type RangeBandConfig = baseline.RangeBandConfig
-
-// NewRangeBand builds the prototype; call Start before Send.
-func NewRangeBand(cfg RangeBandConfig) *RangeBand { return baseline.NewRangeBand(cfg) }
 
 // OperatorMetrics exposes the per-joiner and operator-level counters.
 type OperatorMetrics = metrics.Operator

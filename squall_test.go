@@ -11,12 +11,8 @@ import (
 // The facade quickstart must work verbatim.
 func TestFacadeQuickstart(t *testing.T) {
 	var n atomic.Int64
-	op := squall.NewOperator(squall.Config{
-		J:        16,
-		Pred:     squall.EquiJoin("orders", nil),
-		Adaptive: true,
-		Emit:     func(p squall.Pair) { n.Add(1) },
-	})
+	op := squall.NewEngine(squall.EquiJoin("orders", nil), squall.Each(func(squall.Pair) { n.Add(1) }),
+		squall.WithJoiners(16), squall.WithAdaptive()).(*squall.Operator)
 	op.Start()
 	op.Send(squall.Tuple{Rel: squall.SideR, Key: 42})
 	op.Send(squall.Tuple{Rel: squall.SideS, Key: 42})
@@ -30,21 +26,17 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 // The batched message plane must be invisible at the public API:
-// BatchSize 1 (the degenerate per-message plane) and BatchSize > 1
-// produce identical join results through NewOperator/Send/Finish,
+// batch size 1 (the degenerate per-message plane) and batch size > 1
+// produce identical join results through NewEngine/Send/Finish,
 // including while an adaptive migration is relocating state.
 func TestFacadeBatchSizesIdenticalResults(t *testing.T) {
 	run := func(batchSize int, adaptive bool) (int64, *squall.Operator) {
 		var n atomic.Int64
-		op := squall.NewOperator(squall.Config{
-			J:         8,
-			Pred:      squall.EquiJoin("orders", nil),
-			Adaptive:  adaptive,
-			Warmup:    400,
-			Seed:      99,
-			BatchSize: batchSize,
-			Emit:      func(squall.Pair) { n.Add(1) },
-		})
+		opts := []squall.Option{squall.WithJoiners(8), squall.WithWarmup(400), squall.WithSeed(99), squall.WithBatchSize(batchSize)}
+		if adaptive {
+			opts = append(opts, squall.WithAdaptive())
+		}
+		op := squall.NewEngine(squall.EquiJoin("orders", nil), squall.Each(func(squall.Pair) { n.Add(1) }), opts...).(*squall.Operator)
 		op.Start()
 		rng := rand.New(rand.NewSource(6))
 		// Lopsided stream so the adaptive runs migrate mid-stream.
@@ -96,10 +88,11 @@ func TestFacadeSim(t *testing.T) {
 
 func TestFacadeSHJ(t *testing.T) {
 	var n atomic.Int64
-	shj := squall.NewSHJ(squall.SHJConfig{
-		J: 4, Pred: squall.EquiJoin("eq", nil),
-		Emit: func(squall.Pair) { n.Add(1) },
-	})
+	shj, err := squall.NewSHJ(squall.EquiJoin("eq", nil), squall.Each(func(squall.Pair) { n.Add(1) }),
+		squall.WithJoiners(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	shj.Start()
 	shj.Send(squall.Tuple{Rel: squall.SideR, Key: 1})
 	shj.Send(squall.Tuple{Rel: squall.SideS, Key: 1})
@@ -113,10 +106,8 @@ func TestFacadeSHJ(t *testing.T) {
 
 func TestFacadeGrouped(t *testing.T) {
 	var n atomic.Int64
-	gr := squall.NewGrouped(squall.GroupedConfig{
-		J: 5, Pred: squall.BandJoin("band", 1, nil),
-		Emit: func(squall.Pair) { n.Add(1) },
-	})
+	gr := squall.NewEngine(squall.BandJoin("band", 1, nil), squall.Each(func(squall.Pair) { n.Add(1) }),
+		squall.WithJoiners(5)).(*squall.Grouped)
 	gr.Start()
 	gr.Send(squall.Tuple{Rel: squall.SideR, Key: 10})
 	gr.Send(squall.Tuple{Rel: squall.SideS, Key: 11})
