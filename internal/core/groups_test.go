@@ -187,6 +187,18 @@ func TestGroupedPowerOfTwoSingleGroup(t *testing.T) {
 	}
 }
 
+// TestGroupedPanicsOnBadJ keeps its name from when NewGrouped panicked;
+// a bad J is now reported as an error, and no operator is built.
+func TestGroupedPanicsOnBadJ(t *testing.T) {
+	gr, err := NewGrouped(Config{J: 0, Pred: join.EquiJoin("eq", nil)})
+	if err == nil {
+		t.Fatal("NewGrouped accepted J=0")
+	}
+	if gr != nil {
+		t.Fatalf("NewGrouped returned an operator with error %v", err)
+	}
+}
+
 // Work distribution (§4.2.2): the probability that a specific joiner
 // evaluates a given pair is 1/J; aggregate output across joiners
 // should therefore be roughly uniform.

@@ -424,9 +424,6 @@ func TestOperatorConfigValidation(t *testing.T) {
 			t.Errorf("NewOperator accepted %+v", cfg)
 		}
 	}
-	if _, err := NewGrouped(Config{J: 0, Pred: eq}); err == nil {
-		t.Error("NewGrouped accepted J=0")
-	}
 }
 
 func TestOperatorLatencySamplerWired(t *testing.T) {
