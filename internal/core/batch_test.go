@@ -30,8 +30,10 @@ func TestBatchSizesProduceIdenticalResults(t *testing.T) {
 }
 
 // Batch boundaries must respect the epoch protocol: with adaptive
-// migrations mid-stream, pending batches flush before every epoch
-// signal, so old-epoch tuples never leak past a signal on any link.
+// migrations mid-stream, old-epoch tuples never leak past a signal on
+// any link. Whether a partial batch is pending when a signal is issued
+// depends on timing here; TestSignalFlushesPendingBatches pins the
+// flush itself.
 func TestBatchingAdaptiveMigrationExact(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	for _, bs := range []int{4, 32} {
@@ -53,8 +55,36 @@ func TestBatchingAdaptiveMigrationExact(t *testing.T) {
 		if op.Migrations() == 0 {
 			t.Fatalf("BatchSize=%d: expected migrations on a lopsided stream", bs)
 		}
-		if op.Metrics().BatchFlushSignal.Load() == 0 {
-			t.Fatalf("BatchSize=%d: no signal-barrier flushes despite %d migrations", bs, op.Migrations())
+	}
+}
+
+// An epoch command is a per-link barrier: the reshuffler ships every
+// pending partial batch, counted as a signal flush, ahead of the signal
+// on the same link. The reshuffler is driven by hand, so the batch is
+// pending when the command lands by construction rather than by timing.
+func TestSignalFlushesPendingBatches(t *testing.T) {
+	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
+	op := mustOperator(t, Config{J: 2, Pred: join.EquiJoin("eq", nil), Initial: from})
+	r := &reshuffler{
+		mapping: from, table: append([]int(nil), op.ctl.table...),
+		topo: op.topo, opm: op.met, batchSize: op.cfg.BatchSize, stop: op.stop,
+	}
+	// Under (2,1) an S tuple goes to both rows: one pending tuple per link.
+	r.routeBatch([]sourceItem{{t: join.Tuple{Rel: matrix.SideS, Key: 1, Seq: 1, U: 1}}})
+	if n := op.met.BatchesSent.Load(); n != 0 {
+		t.Fatalf("%d batches shipped before the command", n)
+	}
+	r.applyCtrl(ctrlMsg{kind: ctrlEpoch, epoch: 1, mapping: to})
+	if n := op.met.BatchFlushSignal.Load(); n != 2 {
+		t.Fatalf("BatchFlushSignal = %d, want 2 (one per link)", n)
+	}
+	for _, w := range op.joiners {
+		data, sig := <-w.dataIn, <-w.dataIn
+		if len(data) != 1 || data[0].kind != kTuple || data[0].epoch != 0 {
+			t.Fatalf("joiner %d: first envelope %+v, want the pending old-epoch tuple", w.id, data)
+		}
+		if len(sig) != 1 || sig[0].kind != kSignal || sig[0].epoch != 1 {
+			t.Fatalf("joiner %d: second envelope %+v, want the epoch-1 signal", w.id, sig)
 		}
 	}
 }

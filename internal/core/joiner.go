@@ -258,16 +258,32 @@ func (w *joiner) run() error {
 
 // handleBatch processes one data-plane envelope and recycles its
 // buffer. It is the only place a data tuple is processed, in every
-// epoch: maximal runs of data tuples sharing side, epoch tag and
-// probe-only mode are cut out of the envelope and each is driven
-// through the stores' batch APIs by runTuples — hash lookups, bounds
-// checks, and spill-tier dispatch amortize per run, and no per-tuple
-// or per-pair callback exists. Control messages end a run and go
-// through handle, so a signal that starts a migration, or a migration
-// message that completes one, changes the class of the next run, never
-// of one in progress. Replayed duplicates are dropped before they are
-// counted; the ILF counters and stored-state gauges are updated once
-// per envelope.
+// epoch: maximal stretches of data tuples sharing epoch tag and
+// probe-only mode are cut out of the envelope, and each stretch is
+// split by side into at most two runs — its R tuples, then its S
+// tuples, each in envelope order — driven through the stores' batch
+// APIs by runTuples. Hash lookups, bounds checks, and spill-tier
+// dispatch amortize per run, and no per-tuple or per-pair callback
+// exists. Cutting on side as well would leave runs of under two tuples
+// on an interleaved stream, too short for the stores' pipelined
+// directory walk to overlap any misses.
+//
+// Reordering the sides within a stretch is exact in every epoch.
+// Tuples of one relation never join each other, so only a pair (r, s)
+// with both members in the stretch could be affected. The stretch
+// shares one epoch class, so the S run probes the store the R run was
+// stored into (τ∪∆ in steady state and for ∆, ∆′ for new-epoch
+// arrivals): a stored pair is emitted exactly once, by s, where arrival
+// order had it emitted by the later of the two; a probe-only stretch is
+// stored nowhere, so neither order joins it here. Pairs with earlier
+// state are found exactly as before, and Keep and the ownership guard
+// are filters over each collected pair, blind to the order of the runs.
+//
+// Control messages end a stretch and go through handle, so a signal
+// that starts a migration, or a migration message that completes one,
+// changes the class of the next run, never of one in progress. Replayed
+// duplicates are dropped before they are counted; the ILF counters and
+// stored-state gauges are updated once per envelope.
 //
 // The 2:1 migrated-to-new processing ratio (§4.3.2) is kept at run
 // granularity: while a migration is in flight, the joiner services up
@@ -287,38 +303,45 @@ func (w *joiner) handleBatch(b []message) {
 	}
 	w.maybeReserve()
 	var tuples, bytes int64
+	boundary := false // whether a run or control message went before
 	for i := 0; i < len(b); {
-		if i > 0 && w.mig != nil {
-			for k := 0; k < 2; k++ {
-				if mm, ok := w.migIn.TryPop(); ok {
-					w.handle(mm)
-				}
-			}
-		}
 		m := &b[i]
 		if m.kind != kTuple {
+			w.pollMig(boundary)
 			w.handle(*m)
+			boundary = true
 			i++
 			continue
 		}
-		j := i + 1
-		for j < len(b) && b[j].kind == kTuple && b[j].epoch == m.epoch &&
-			b[j].tuple.Rel == m.tuple.Rel && b[j].probeOnly == m.probeOnly {
+		// Any Rel other than R is S, as the reshuffler routes it.
+		j, nR := i, 0
+		for j < len(b) && b[j].kind == kTuple && b[j].epoch == m.epoch && b[j].probeOnly == m.probeOnly {
+			if b[j].tuple.Rel == matrix.SideR {
+				nR++
+			}
 			j++
 		}
-		run := w.runBuf[:0]
-		for k := i; k < j; k++ {
-			if w.isReplayDup(&b[k].tuple) {
+		for _, isR := range [2]bool{true, false} {
+			if (isR && nR == 0) || (!isR && nR == j-i) {
 				continue
 			}
-			run = append(run, b[k].tuple)
-			bytes += b[k].tuple.Bytes()
+			// Poll before the run is extracted: a migrated block decodes
+			// into runBuf too.
+			w.pollMig(boundary)
+			boundary = true
+			run := w.runBuf[:0]
+			for k := i; k < j; k++ {
+				if t := &b[k].tuple; (t.Rel == matrix.SideR) == isR && !w.isReplayDup(t) {
+					run = append(run, *t)
+					bytes += t.Bytes()
+				}
+			}
+			tuples += int64(len(run))
+			if len(run) > 0 {
+				w.runTuples(run, m.epoch, m.probeOnly)
+			}
+			w.runBuf = run
 		}
-		tuples += int64(len(run))
-		if len(run) > 0 {
-			w.runTuples(run, m.epoch, m.probeOnly)
-		}
-		w.runBuf = run
 		i = j
 	}
 	if tuples > 0 {
@@ -334,14 +357,30 @@ func (w *joiner) handleBatch(b []message) {
 	putBatch(b)
 }
 
+// pollMig services up to two pending migration messages at a run
+// boundary (boundary false: the envelope's first item, which the task
+// loop's own polls precede) while a migration is in flight.
+func (w *joiner) pollMig(boundary bool) {
+	if !boundary || w.mig == nil {
+		return
+	}
+	for k := 0; k < 2; k++ {
+		if mm, ok := w.migIn.TryPop(); ok {
+			w.handle(mm)
+		}
+	}
+}
+
 // runTuples processes one run of same-side data tuples sharing an epoch
 // tag and probe-only mode — Alg. 3's HandleTuple1/HandleTuple2 for a
-// whole run, classified once — and ships its matches. Tuples of one
-// relation never join each other, so probing every store with the whole
-// run before storing any of it emits exactly the pairs per-tuple
-// probe-then-store would. Matches collect in pairBuf; a probe-only run's
-// are then cut to the ones this group owns (§4.2.2), and the run's
-// output flushes once.
+// whole run, classified once — and ships its matches. handleBatch hands
+// it at most two runs per stretch of an envelope, R before S. Tuples of
+// one relation never join each other, so probing every store with the
+// whole run before storing any of it emits exactly the pairs per-tuple
+// probe-then-store would; an S run that follows its stretch's stored R
+// run finds those R tuples in the store like any earlier state. Matches
+// collect in pairBuf; a probe-only run's are then cut to the ones this
+// group owns (§4.2.2), and the run's output flushes once.
 func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 	rel := run[0].Rel
 	n0 := len(w.pairBuf)

@@ -177,6 +177,12 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 // filter duplicates the pairs new-epoch tuples form with discarded old
 // state; dropping either direction of the ownership guard claims pairs
 // whose older member is probe-only.
+//
+// The stretches/ cases hold the probe-only mode over random spans of
+// the stream and deliver longer envelopes, so most envelopes carry
+// mixed-side stretches of one epoch and one mode — stored and
+// probe-only, ∆ and ∆′ — that the joiner splits into an R run and an S
+// run.
 func TestEpochRunsExact(t *testing.T) {
 	for _, pred := range []join.Predicate{
 		join.EquiJoin("eq", nil),
@@ -184,7 +190,10 @@ func TestEpochRunsExact(t *testing.T) {
 		join.ThetaJoin("neq", func(r, s join.Tuple) bool { return r.Key != s.Key }),
 	} {
 		for seed := int64(0); seed < 30; seed++ {
-			t.Run(fmt.Sprintf("%v/seed=%d", pred, seed), func(t *testing.T) { epochStepExact(t, pred, seed) })
+			t.Run(fmt.Sprintf("%v/seed=%d", pred, seed), func(t *testing.T) { epochStepExact(t, pred, seed, false) })
+		}
+		for seed := int64(0); seed < 10; seed++ {
+			t.Run(fmt.Sprintf("stretches/%v/seed=%d", pred, seed), func(t *testing.T) { epochStepExact(t, pred, seed, true) })
 		}
 	}
 	// With two reshufflers a stored µ tuple can be newer than buffered
@@ -214,8 +223,12 @@ func TestEpochRunsExact(t *testing.T) {
 	})
 }
 
-func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
+func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches bool) {
 	rng := rand.New(rand.NewSource(seed))
+	maxEnvelope := 8
+	if stretches {
+		maxEnvelope = 24
+	}
 	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
 	got := map[[2]uint64]int{}
 	op := mustOperator(t, Config{
@@ -235,13 +248,15 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
 	// has not processed yet; route appends n new tuples, each to its row
 	// (R) or column (S) under the epoch's mapping.
 	var links [2][]message
+	probeOnly := false
 	route := func(n int, epoch uint32) {
 		for ; n > 0; n-- {
-			it := item{
-				t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64(),
-					Seq: uint64(len(items) + 1), Size: 8},
-				probeOnly: rng.Intn(3) == 0,
+			it := item{t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64(),
+				Seq: uint64(len(items) + 1), Size: 8}}
+			if !stretches || rng.Intn(8) == 0 {
+				probeOnly = rng.Intn(3) == 0
 			}
+			it.probeOnly = probeOnly
 			items = append(items, it)
 			m, tbl := maps[epoch], tables[epoch]
 			for i := 0; i < m.J(); i++ {
@@ -253,16 +268,16 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64) {
 			}
 		}
 	}
-	// drive lets a random joiner take its next envelope of 1–8 messages
-	// until both links are empty; after each envelope a random joiner
-	// handles up to two pending migration messages.
+	// drive lets a random joiner take its next envelope of 1–maxEnvelope
+	// messages until both links are empty; after each envelope a random
+	// joiner handles up to two pending migration messages.
 	drive := func() {
 		for len(links[0])+len(links[1]) > 0 {
 			id := rng.Intn(2)
 			if len(links[id]) == 0 {
 				id = 1 - id
 			}
-			k := min(len(links[id]), 1+rng.Intn(8))
+			k := min(len(links[id]), 1+rng.Intn(maxEnvelope))
 			js[id].handleBatch(append([]message(nil), links[id][:k]...))
 			links[id] = links[id][k:]
 			w := js[rng.Intn(2)]
@@ -341,6 +356,60 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 	if n := w.met.InputTuples.Load(); n != 0 {
 		t.Fatalf("replayed duplicates counted as %d input tuples", n)
 	}
+}
+
+// TestAlternatingEnvelopeRunsPerStretch: an envelope whose sides
+// alternate tuple by tuple costs at most two runs per stretch of one
+// epoch and probe-only mode — its R tuples, then its S tuples — rather
+// than one run per side change, and stays exact. Every tuple shares its
+// key with state stored beforehand, so every run emits pairs and the
+// sink's call count is the run count.
+func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
+	calls := 0
+	got := map[[2]uint64]int{}
+	op := mustOperator(t, Config{
+		J: 1, Pred: join.EquiJoin("eq", nil),
+		EmitBatch: func(ps []join.Pair) { calls++; countPairs(got, ps) },
+	})
+	w := op.joiners[0]
+	type item struct {
+		t         join.Tuple
+		probeOnly bool
+	}
+	items := []item{{t: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}}, {t: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}}
+	for _, it := range items {
+		w.state.Insert(it.t)
+	}
+	// Three stretches, cut by the mode: stored R S R S, probe-only
+	// R S R S, stored R S.
+	var env []message
+	for i, po := range []bool{false, false, false, false, true, true, true, true, false, false} {
+		tp := join.Tuple{Rel: matrix.Side(i % 2), Key: 7, Seq: uint64(len(items) + 1), U: 1}
+		items = append(items, item{tp, po})
+		env = append(env, message{kind: kTuple, probeOnly: po, tuple: tp})
+	}
+	w.handleBatch(env)
+	if calls != 6 {
+		t.Fatalf("three alternating stretches took %d runs, want 6 (an R and an S run each)", calls)
+	}
+	// The grouped oracle: every pair whose older member is stored, except
+	// the one both of whose members were stored without probing.
+	want := map[[2]uint64]int{}
+	for _, r := range items {
+		for _, s := range items {
+			if r.t.Rel != matrix.SideR || s.t.Rel != matrix.SideS || r.t.Seq <= 2 && s.t.Seq <= 2 {
+				continue
+			}
+			older := r
+			if s.t.Seq < r.t.Seq {
+				older = s
+			}
+			if !older.probeOnly {
+				want[[2]uint64{r.t.Seq, s.t.Seq}]++
+			}
+		}
+	}
+	diffMultisets(t, got, want)
 }
 
 // Static operator with a sub-working-set cap: spill flagged and exact.

@@ -12,7 +12,10 @@ import (
 // hot: the struct orders fields by descending alignment and this test
 // pins the layout to the padding-free size — the embedded tuple and
 // mapping, one word for the sender id, then epoch+kind+expand+probeOnly
-// packed into a single word.
+// packed into a single word. It also pins the bytes every routed tuple
+// moves through the data plane on 64-bit: the 64-byte join.Tuple (its
+// Size, Rel and Dummy share one word), the source item and envelope
+// slot that embed it, and the result Pair.
 func TestMessageLayoutHasNoPadding(t *testing.T) {
 	var m message
 	tail := unsafe.Sizeof(m.from) + unsafe.Sizeof(m.epoch) +
@@ -23,6 +26,22 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 		tailWords*unsafe.Sizeof(uintptr(0))
 	if got := unsafe.Sizeof(m); got != want {
 		t.Fatalf("sizeof(message) = %d, want %d (padding crept into the layout)", got, want)
+	}
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the byte sizes below are the 64-bit layout")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"join.Tuple", unsafe.Sizeof(join.Tuple{}), 64},
+		{"join.Pair", unsafe.Sizeof(join.Pair{}), 128},
+		{"message", unsafe.Sizeof(message{}), 96},
+		{"sourceItem", unsafe.Sizeof(sourceItem{}), 72},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

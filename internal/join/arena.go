@@ -9,7 +9,7 @@ import (
 // The columnar tuple arena: the storage plane every index stores its
 // tuples in. Tuples are decomposed into parallel fixed-size column
 // blocks — Key, Aux, U, Seq, a packed meta word (Rel/Dummy/Size), and
-// an out-of-line payload column — instead of an array of 72-byte
+// an out-of-line payload column — instead of an array of 64-byte
 // Tuple structs. The layout buys three things on the hot path:
 //
 //   - inserts append only the hot scalar columns (40 bytes across five
@@ -181,7 +181,7 @@ func (a *tupleArena) grab() (*colChunk, int) {
 
 // append stores t and returns its offset; t is taken by pointer so
 // the call moves five machine words into the columns instead of
-// copying the 72-byte struct twice. Arena offsets are int32: a single
+// copying the 64-byte struct twice. Arena offsets are int32: a single
 // joiner index holding >2^31 tuples would exhaust memory long before
 // the offset space.
 func (a *tupleArena) append(t *Tuple) int32 {

@@ -101,10 +101,10 @@ const slotBytes = 8
 
 // probeHit is one gathered batch-probe candidate: which probe tuple of
 // the run hit, the arena offset of the stored tuple it hit, and the
-// stored tuple's packed meta word. Directory walking
-// (ProbeBatchCollect's first loop) produces these; pair materialization
-// consumes them in a tight second loop. Capturing meta during gather is
-// the arena-side analogue of the stride-8 directory touch: the load
+// stored tuple's packed meta word. The directory walk (walk) produces
+// these; pair materialization consumes them in a tight second loop.
+// Capturing meta during gather is the arena-side analogue of the
+// walk's chunked home-slot loads: the load
 // pulls the hit's block into cache while later probes are still walking
 // the directory, so materialization's column reads overlap with the
 // gather instead of serializing behind it — and the captured word lets
@@ -173,6 +173,9 @@ type HashIndex struct {
 	arena    tupleArena
 	bytes    int64
 	hits     []probeHit // batch-probe gather scratch
+	// touch keeps walk's cache-warming loads of this directory alive;
+	// its value means nothing.
+	touch uint32
 }
 
 // NewHashIndex returns an empty hash index.
@@ -465,7 +468,7 @@ func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit
 // contiguously), so the probe tuple loads once per group, not per hit;
 // each candidate is materialized straight into the output Pair slot
 // (truncated again if the predicate rejects it) instead of passing
-// 72-byte tuples through an intermediate copy chain. A plain equi
+// 64-byte tuples through an intermediate copy chain. A plain equi
 // predicate short-circuits entirely: the directory's key confirm
 // already guarantees key equality, leaving only the dummy flags to
 // check.
@@ -538,67 +541,104 @@ func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	}
 }
 
-// probeStride is the batch-probe vector width: hashes and first-slot
-// touches proceed eight probes at a time, so the eight directory cache
-// lines are in flight concurrently (memory-level parallelism) instead
-// of each probe's load stalling the next probe's hash.
-const probeStride = 8
+// walkChunk is the width of the pipelined directory walk: a chunk's
+// keys are all hashed and all their home slots loaded before the first
+// one resolves, so up to walkChunk directory misses are in flight at
+// once (memory-level parallelism) instead of each key's load stalling
+// the next key's hash.
+const walkChunk = 16
+
+// walk is the one directory walk behind both batch entry points: it
+// gathers into hits the chains of h that every non-dummy tuple of ts
+// hits (dummies never match, so they are not looked up), and, when own
+// is non-nil, stores each tuple into own right after its lookup — the
+// fused probe-then-insert step of Local.AddBatchCollect. own is the
+// opposite relation's index, never h, so h is not mutated during the
+// call. ts runs in chunks of up to walkChunk tuples, the last one
+// simply shorter (no scalar remainder), each in four passes:
+//
+//  1. hash every key of the chunk (pure ALU, no memory dependence);
+//  2. copy out each key's home slot in h — independent 8-byte loads
+//     the core overlaps; h does not change during the call, so the
+//     copies are safe to resolve from;
+//  3. load each key's home slot in own, only to pull its cache line in:
+//     an insert earlier in the chunk may fill such a slot, or grow
+//     own's directory and move every slot, so the loaded values never
+//     place a key (their sum goes to own.touch so the compiler keeps
+//     the loads — Go has no prefetch intrinsic);
+//  4. resolve each key in order: from the copied slot, an empty one is a
+//     miss (or an old-directory fallback mid-rehash), a confirmed tag
+//     match gathers at once, anything else walks on via walkFrom; then
+//     insertOffset it into own, which walks own's live directory.
+//
+// Tuples of one relation never join each other, so probing the
+// opposite side before each insert emits exactly the pairs the
+// probe-all-then-insert-all form would.
+func (h *HashIndex) walk(ts []Tuple, own *HashIndex, hits []probeHit) []probeHit {
+	var (
+		tags  [walkChunk]uint32
+		first [walkChunk]dslot
+		bytes int64
+	)
+	probe := h.used != 0
+	shift := h.shift & 31
+	for i := 0; i < len(ts); i += walkChunk {
+		chunk := ts[i:min(i+walkChunk, len(ts))]
+		for k := range chunk {
+			tags[k] = tagOf(chunk[k].Key)
+		}
+		if probe {
+			for k := range chunk {
+				first[k] = h.slots[tags[k]>>shift]
+			}
+		}
+		if own != nil && len(own.slots) != 0 {
+			var touch uint32
+			for k := range chunk {
+				touch += own.slots[tags[k]>>(own.shift&31)].head
+			}
+			own.touch = touch
+		}
+		for k := range chunk {
+			t := &chunk[k]
+			if probe && !t.Dummy {
+				tag, s := tags[k], first[k]
+				var head uint32
+				switch {
+				case s.head == 0:
+					head = h.oldHead(tag, t.Key)
+				case h.holds(s, tag, t.Key):
+					head = s.head
+				default:
+					head = h.walkFrom((tag>>shift+1)&h.mask, tag, t.Key)
+				}
+				if head != 0 {
+					hits = h.gather(head, int32(i+k), hits)
+				}
+			}
+			if own != nil {
+				own.insertOffset(tags[k], t.Key, own.arena.append(t))
+				bytes += t.Bytes()
+			}
+		}
+	}
+	if own != nil {
+		own.bytes += bytes
+	}
+	return hits
+}
 
 // ProbeBatchCollect probes every tuple of ps in order, appending
 // oriented predicate-passing pairs to *out. The run is processed in
-// two phases: a gather loop that walks the slot directory and the
-// per-key chains, collecting (probe, arena offset) hits, then a
-// materialize loop that reads the arena columns and builds pairs — so
-// directory cache lines and tuple columns each stream through once
-// instead of alternating per match.
-//
-// The gather loop is vectorized at probeStride: one pass hashes eight
-// keys back to back (pure ALU, no memory dependence), the next copies
-// out the eight home slots — eight independent 8-byte loads the core
-// overlaps — and only then does each probe resolve: an empty slot
-// means a miss (or an old-directory fallback mid-rehash), a confirmed
-// tag match on the home slot gathers immediately, and anything else
-// walks on via walkFrom. A scalar tail covers the last
-// len(ps) mod probeStride probes.
+// two phases: the pipelined directory walk (walk) collects (probe,
+// arena offset) hits, then a materialize loop reads the arena columns
+// and builds pairs — so directory cache lines and tuple columns each
+// stream through once instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	if h.used == 0 {
 		return
 	}
-	hits := h.hits[:0]
-	var (
-		tags  [probeStride]uint32
-		first [probeStride]dslot
-	)
-	shift := h.shift & 31
-	i := 0
-	for ; i+probeStride <= len(ps); i += probeStride {
-		for k := 0; k < probeStride; k++ {
-			tags[k] = tagOf(ps[i+k].Key)
-		}
-		for k := 0; k < probeStride; k++ {
-			first[k] = h.slots[tags[k]>>shift]
-		}
-		for k := 0; k < probeStride; k++ {
-			key, tag, s := ps[i+k].Key, tags[k], first[k]
-			var head uint32
-			switch {
-			case s.head == 0:
-				head = h.oldHead(tag, key)
-			case h.holds(s, tag, key):
-				head = s.head
-			default:
-				head = h.walkFrom((tag>>shift+1)&h.mask, tag, key)
-			}
-			if head != 0 {
-				hits = h.gather(head, int32(i+k), hits)
-			}
-		}
-	}
-	for ; i < len(ps); i++ {
-		if head := h.lookup(tagOf(ps[i].Key), ps[i].Key); head != 0 {
-			hits = h.gather(head, int32(i), hits)
-		}
-	}
+	hits := h.walk(ps, nil, h.hits[:0])
 	h.materialize(ps, hits, rel, p, out)
 	h.putHits(hits)
 }

@@ -216,8 +216,8 @@ func TestHashIndexDifferential(t *testing.T) {
 							}
 						}
 					case opProbeBatch:
-						// Off the stride boundary half of the time.
-						probes := make([]Tuple, 1+rng.Intn(3*probeStride))
+						// Off the chunk boundary most of the time.
+						probes := make([]Tuple, 1+rng.Intn(3*walkChunk))
 						var want []Tuple
 						var wantPairs int
 						for i := range probes {

@@ -457,11 +457,11 @@ func TestHashIndexMidRehash(t *testing.T) {
 	})
 }
 
-// TestHashIndexProbeBatchStride pins the vectorized gather loop of
-// ProbeBatchCollect: probe runs longer than probeStride (so the
-// eight-wide pass runs, not just the scalar tail), with lengths off
-// the stride boundary, keys mixing first-slot hits, collided chains,
-// spilled duplicate buckets, and misses — checked against the
+// TestHashIndexProbeBatchStride pins the pipelined walk behind
+// ProbeBatchCollect: probe runs shorter than, equal to and longer than
+// walkChunk (so full chunks and short tail chunks both run), with
+// lengths off the chunk boundary, keys mixing first-slot hits, collided
+// chains, spilled duplicate buckets, and misses — checked against the
 // scan-index reference both on a settled directory and mid-rehash
 // (where an empty new-directory slot must fall back to the draining
 // old one).
@@ -483,11 +483,11 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 		sort.Slice(got, less(got))
 		sort.Slice(want, less(want))
 		if len(got) != len(want) {
-			t.Fatalf("stride probe matched %d pairs, reference %d", len(got), len(want))
+			t.Fatalf("chunked probe matched %d pairs, reference %d", len(got), len(want))
 		}
 		for i := range got {
 			if !eqTuple(got[i].R, want[i].R) || !eqTuple(got[i].S, want[i].S) {
-				t.Fatalf("stride probe pair %d: %+v vs %+v", i, got[i], want[i])
+				t.Fatalf("chunked probe pair %d: %+v vs %+v", i, got[i], want[i])
 			}
 		}
 	}
@@ -509,7 +509,7 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 			h.Insert(tp)
 			ref.Insert(tp)
 		}
-		for _, n := range []int{probeStride - 1, probeStride, probeStride + 1, 3*probeStride + 5, 256} {
+		for _, n := range []int{walkChunk - 1, walkChunk, walkChunk + 1, 3*walkChunk + 5, 256} {
 			check(t, h, ref, mkProbes(rng, n, domain))
 		}
 	})
@@ -517,9 +517,9 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 		h, ref := buildMidRehash(t, 9)
 		rng := rand.New(rand.NewSource(902))
 		domain := int64(h.Len())
-		for _, n := range []int{probeStride, 2*probeStride + 3, 512} {
+		for _, n := range []int{walkChunk, 2*walkChunk + 3, 512} {
 			if !h.rehashing() {
-				t.Fatal("rehash drained before the stride probes ran")
+				t.Fatal("rehash drained before the chunked probes ran")
 			}
 			check(t, h, ref, mkProbes(rng, n, domain))
 		}

@@ -32,13 +32,13 @@ func (l *Local) Insert(t Tuple) {
 // (all ts share ts[0].Rel), appending every match to *out: the
 // symmetric join's probe-then-store step a run at a time (a one-tuple
 // run is the classic per-tuple step). When both sides are hash-indexed
-// (the equi-join hot path) the probe and the insert are fused per
-// tuple: the key is
-// hashed exactly once and the hash drives both the probe of the
-// opposite directory and the insert into the own-side one, instead of
-// a probe pass and an insert pass each re-hashing the run. Because
-// tuples of one relation never join each other, the fused walk emits
-// exactly the pairs the two-pass form would.
+// (the equi-join hot path) the probe and the insert are fused in the
+// same pipelined directory walk ProbeBatchCollect uses (HashIndex.walk):
+// each key is hashed once, and the hash drives both the probe of the
+// opposite directory and the insert into the own-side one, a chunk of
+// keys' directory misses at a time. Because tuples of one relation
+// never join each other, the fused walk emits exactly the pairs the
+// two-pass form would.
 func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	if len(ts) == 0 {
 		return
@@ -54,23 +54,10 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 		l.InsertBatch(ts)
 		return
 	}
-	hits := ph.hits[:0]
-	var bytes int64
-	for i := range ts {
-		t := &ts[i]
-		tag := tagOf(t.Key)
-		if !t.Dummy {
-			if head := ph.lookup(tag, t.Key); head != 0 {
-				hits = ph.gather(head, int32(i), hits)
-			}
-		}
-		oh.insertOffset(tag, t.Key, oh.arena.append(t))
-		bytes += t.Bytes()
-	}
-	oh.bytes += bytes
+	hits := ph.walk(ts, oh, ph.hits[:0])
 	// The gathered offsets point into the opposite side's arena, which
-	// the inserts above never touch, so materialization can run after
-	// the whole run is stored.
+	// the inserts never touch, so materialization can run after the
+	// whole run is stored.
 	ph.materialize(ts, hits, ts[0].Rel, l.pred, out)
 	ph.putHits(hits)
 }

@@ -18,16 +18,18 @@ import (
 // band attribute for band joins) and one secondary attribute into Aux
 // so residual predicates can run without decoding payloads on the hot
 // path.
+//
+// Fields are ordered by descending alignment so the struct packs into
+// 64 bytes — one cache line, with the three small fields sharing the
+// last word. Every envelope slot (message), source item and result
+// Pair embeds Tuples, so the layout is pinned by message_test.go in
+// internal/core; no codec depends on it (every encoder writes fields
+// explicitly).
 type Tuple struct {
-	// Rel is the side of the join matrix the tuple belongs to.
-	Rel matrix.Side
 	// Key is the primary join attribute.
 	Key int64
 	// Aux carries a secondary attribute for residual predicates.
 	Aux int64
-	// Size is the tuple's size in bytes for ILF and storage accounting.
-	// Payload need not be materialized for Size to be meaningful.
-	Size int32
 	// U is the routing randomness drawn once at ingestion. The tuple's
 	// partition under any (n,m)-mapping is a bit prefix of U, which is
 	// what makes migration keep/discard/exchange sets deterministic.
@@ -35,11 +37,16 @@ type Tuple struct {
 	// Seq is a monotone ingestion sequence number (used for latency
 	// sampling and the sequenced multi-group mode).
 	Seq uint64
+	// Payload optionally carries the encoded source row.
+	Payload []byte
+	// Size is the tuple's size in bytes for ILF and storage accounting.
+	// Payload need not be materialized for Size to be meaningful.
+	Size int32
+	// Rel is the side of the join matrix the tuple belongs to.
+	Rel matrix.Side
 	// Dummy marks padding tuples injected to keep the cardinality
 	// ratio within J (§4.2.2); they never match any predicate.
 	Dummy bool
-	// Payload optionally carries the encoded source row.
-	Payload []byte
 }
 
 func (t Tuple) String() string {
@@ -62,7 +69,7 @@ func (t Tuple) Bytes() int64 {
 // metaWord packs the tuple's small scalar fields — Size in the low 32
 // bits, Rel at bit 32, Dummy at bit 33 — into the columnar arena's one
 // meta word, so an insert appends five dense machine words instead of
-// a padded 72-byte struct.
+// a 64-byte struct.
 func (t Tuple) metaWord() uint64 {
 	m := uint64(uint32(t.Size)) | uint64(t.Rel&1)<<32
 	if t.Dummy {
