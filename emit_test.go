@@ -106,7 +106,6 @@ func TestShardedEmitExactness(t *testing.T) {
 				squall.WithWarmup(300),
 				squall.WithSeed(11),
 				squall.WithBatchSize(tc.batch),
-				squall.WithSourceLanes(4),
 			}
 			if tc.maxJoiners > 0 {
 				opts = append(opts, squall.WithElastic(600, tc.maxJoiners))

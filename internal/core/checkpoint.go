@@ -41,7 +41,7 @@ import (
 //     controller starts no migration or expansion while a checkpoint
 //     is in flight — until the coordinator reports its commit.
 //  4. The coordinator assembles the operator snapshot (mapping, table,
-//     cuts, lane cursors, per-joiner captures), encodes it into one
+//     cuts, per-joiner captures), encodes it into one
 //     exact-size blob — every joiner's region written in place, in
 //     parallel — commits it through the backend's atomic-rename path,
 //     and only then trims the replay log up to the cuts. A crash
@@ -335,7 +335,6 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 		NumRe:     cur.numRe,
 		Seq:       op.seq.Load(),
 		RouteSeed: op.cfg.Seed,
-		Lanes:     op.laneCursors(),
 		Cuts:      cur.cuts,
 		Joiners:   cur.joiners,
 	}
@@ -361,21 +360,6 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 	op.replay.Trim(op.cutHist[0].cuts)
 	op.met.Checkpoints.Add(1)
 	return nil
-}
-
-// laneCursors snapshots the sharded front end's sequence-grant
-// windows (informational: restore re-grants from the global counter).
-func (op *Operator) laneCursors() []storage.LaneCursor {
-	if op.lanes == nil {
-		return nil
-	}
-	cs := make([]storage.LaneCursor, len(op.lanes))
-	for i, ln := range op.lanes {
-		ln.mu.Lock()
-		cs[i] = storage.LaneCursor{Next: ln.next, End: ln.end}
-		ln.mu.Unlock()
-	}
-	return cs
 }
 
 // Checkpoint requests a barrier checkpoint and blocks until it commits
@@ -438,15 +422,11 @@ func (op *Operator) ReplayFrom(log *ReplayLog) error {
 	for d := range log.rings {
 		items := log.snapshotRing(d)
 		for len(items) > 0 {
-			n := len(items)
-			if n > replayChunk {
-				n = replayChunk
-			}
-			env := append(getItems(n), items[:n]...)
-			if err := op.sendItems(env); err != nil {
+			chunk := items[:min(len(items), replayChunk)]
+			if err := op.sendItems(len(chunk), func(i int) sourceItem { return chunk[i] }); err != nil {
 				return err
 			}
-			items = items[n:]
+			items = items[len(chunk):]
 		}
 	}
 	return nil

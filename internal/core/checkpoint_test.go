@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -95,10 +96,9 @@ func sendAll(t *testing.T, op *Operator, tuples []join.Tuple) {
 	}
 }
 
-// stampSeqs pre-assigns the sequence numbers Send would assign on the
-// single-lane front end, so the oracle and the operator agree on pair
-// identity. Must mirror Operator.Send's single-lane path: seq starts
-// at 1 and increments per tuple.
+// stampSeqs pre-assigns the sequence numbers a single feeder's Send
+// would assign, so the oracle and the operator agree on pair identity.
+// Must mirror Operator.Send: seq starts at 1 and increments per tuple.
 func stampSeqs(tuples []join.Tuple, from uint64) uint64 {
 	for i := range tuples {
 		from++
@@ -467,14 +467,13 @@ func TestCheckpointAfterFinish(t *testing.T) {
 }
 
 // TestCheckpointConcurrentWithSends exercises the request path under
-// concurrent feeding with sharded source lanes, under the race
-// detector in CI.
+// four concurrent feeders, under the race detector in CI.
 func TestCheckpointConcurrentWithSends(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	backend := storage.NewMemBackend()
 	var emitted sync.Map
 	op := mustOperator(t, Config{
-		J: 8, Pred: pred, Seed: 77, Backend: backend, SourceLanes: 4,
+		J: 8, Pred: pred, Seed: 77, Backend: backend,
 		EmitShard: func(shard int, ps []join.Pair) {
 			for _, p := range ps {
 				if _, dup := emitted.LoadOrStore(ckptKey(p), true); dup {
@@ -501,6 +500,12 @@ func TestCheckpointConcurrentWithSends(t *testing.T) {
 				}
 			}
 		}(f)
+	}
+	// Checkpoint only once the feeders are under way: three barriers
+	// can otherwise all commit before the first Send, leaving the
+	// latest snapshot's sequence cursor at 0.
+	for op.seq.Load() == 0 {
+		runtime.Gosched()
 	}
 	for c := 0; c < 3; c++ {
 		if err := op.Checkpoint(); err != nil {

@@ -7,8 +7,8 @@ import (
 	"repro/internal/stats"
 )
 
-// controller is the extra role of reshuffler 0 (§3.2): it watches the
-// exact sharded cardinality counts every reshuffler contributes to,
+// controller is the extra role of reshuffler 0 (§3.2): it estimates
+// the global cardinalities from its own sample of the stream (Alg. 1),
 // runs the migration-decision algorithm, and orchestrates mapping
 // changes. Migrations to a target
 // several steps away execute as a chain of elementary steps, each a
@@ -26,31 +26,19 @@ import (
 type controller struct {
 	dec      *Decider
 	adaptive bool
-	// ingest is the operator's exact sharded cardinality counter;
-	// lastR/lastS remember the counts consumed so far so each
-	// onObserved feeds the decider only the fresh delta.
-	//
-	// scale selects the observation mode. On the legacy deal front end
-	// (scale = numReshufflers > 0) the controller reads only its own
-	// cell and scales it: the pseudo-random deal makes that cell an
-	// unbiased 1/N sample of the stream *in arrival order*, so the
-	// decider reacts to fluctuation exactly as the per-tuple seed did
-	// even when scheduling lets other reshufflers run far ahead. With
-	// source lanes (scale = 0) affinity voids the unbiased-sample
-	// property — the controller's ring can see one lane only, or
-	// nothing — so the decider consumes the exact merged counts
-	// instead, trading fine-grained arrival order for exactness.
+	// ingest is the operator's sharded cardinality counter. Decisions
+	// read only cell 0, the controller reshuffler's own: the
+	// pseudo-random deal makes it an unbiased 1/N sample of the stream
+	// in arrival order, so scaled by N it estimates the global counts
+	// (Alg. 1) and the decider reacts to fluctuation as it arrives, even
+	// when scheduling lets other reshufflers run far ahead. lastR/lastS
+	// remember the cell counts consumed so far so each onObserved feeds
+	// the decider only the fresh delta.
 	ingest       *stats.Sharded
-	scale        int64
 	lastR, lastS int64
 
 	ackCh   chan int
 	drainCh chan int
-	// obsCh (cap 1) wakes the controller reshuffler when any other
-	// reshuffler observes ingest traffic: under lane affinity the
-	// controller's own ring may go quiet while the stream rages on, and
-	// without the tick no decision (or Reserve hint) would ever fire.
-	obsCh chan struct{}
 
 	resh []chan ctrlMsg // control links to every reshuffler
 	op   *Operator
@@ -79,6 +67,12 @@ type controller struct {
 	ckptPending   []chan error
 	ckptNext      uint64
 	ckptLastTotal int64
+	// pacerCh (cap 1) paces CheckpointEvery: every other reshuffler
+	// ticks it after each ingest run, so the controller re-checks the
+	// exact merged count even while its own ring is quiet — it may
+	// drain long before the others when they are scheduled behind it.
+	// Decisions never read it. nil when CheckpointEvery is 0.
+	pacerCh chan struct{}
 	// ckptChainLen mirrors the coordinator's committed delta-chain
 	// length (from the last ckptResult): 0 — nothing committed yet, so
 	// the next snapshot must be full; at CheckpointCompactEvery the
@@ -99,12 +93,11 @@ func newController(dec *Decider, adaptive bool, numJoiners int, op *Operator) *c
 	for i := range table {
 		table[i] = i
 	}
-	return &controller{
+	c := &controller{
 		dec:        dec,
 		adaptive:   adaptive,
 		ackCh:      make(chan int, 4*numJoiners+16),
 		drainCh:    make(chan int, numJoiners+1),
-		obsCh:      make(chan struct{}, 1),
 		ckptReqCh:  make(chan chan error, 16),
 		ckptDoneCh: make(chan ckptResult, 1),
 		ckptNext:   1,
@@ -112,6 +105,10 @@ func newController(dec *Decider, adaptive bool, numJoiners int, op *Operator) *c
 		deployed:   dec.Mapping(),
 		table:      table,
 	}
+	if op.cfg.CheckpointEvery > 0 {
+		c.pacerCh = make(chan struct{}, 1)
+	}
+	return c
 }
 
 // obsChunk bounds how many tuples one Evaluate call absorbs. Evaluate
@@ -122,39 +119,29 @@ func newController(dec *Decider, adaptive bool, numJoiners int, op *Operator) *c
 // from arbitrarily coarse snapshots.
 const obsChunk = 128
 
-// onObserved feeds the decision algorithm the exact-count delta since
-// the last merged snapshot and possibly initiates a migration (Alg. 1
-// line 6). It runs on the controller reshuffler's task, triggered by
-// its own ingest or by another reshuffler's obsCh tick; the delta is
+// onObserved feeds the decision algorithm the scaled delta of the
+// controller's own cell since the last call and possibly initiates a
+// migration (Alg. 1 line 6). It runs inline on the controller
+// reshuffler's task after each of its own ingest runs; the delta is
 // fed in obsChunk-bounded slices with the checkpoint condition
 // evaluated between slices, so the decider sees the same cumulative
 // counts — and checkpoints at the same cardinalities — as per-tuple
 // feeding would give. Nothing is decided while a previous migration
 // chain is still in flight or after every input has drained, but the
-// counts themselves always accumulate. Decisions stay live past the
-// controller's own drain while other reshufflers are still ingesting —
-// with lane affinity the controller's ring can empty long before the
-// stream ends, and the exact global counts keep moving until the last
-// ring drains.
+// counts themselves always accumulate.
 func (c *controller) onObserved() {
 	c.maybeAutoCkpt()
 	if !c.adaptive {
 		return
 	}
-	var snap stats.Snapshot
-	if c.scale > 0 {
-		snap = c.ingest.Cell(0) // the controller is reshuffler 0
-	} else {
-		snap = c.ingest.Snapshot()
-	}
+	snap := c.ingest.Cell(0) // the controller is reshuffler 0
 	nR, nS := snap.R-c.lastR, snap.S-c.lastS
 	if nR+nS == 0 {
 		return
 	}
 	c.lastR, c.lastS = snap.R, snap.S
-	if c.scale > 0 {
-		nR, nS = nR*c.scale, nS*c.scale
-	}
+	scale := int64(c.op.cfg.NumReshufflers)
+	nR, nS = nR*scale, nS*scale
 	for nR+nS > 0 {
 		dR, dS := nR, nS
 		if total := nR + nS; total > obsChunk {
@@ -188,9 +175,9 @@ func (c *controller) onObserved() {
 func (c *controller) migrating() bool { return c.acksPending > 0 }
 
 // maybeAutoCkpt queues a checkpoint once CheckpointEvery tuples have
-// been ingested since the last automatic issue. It rides the same
-// observation ticks the decision loop uses, so cadence works for
-// non-adaptive operators too.
+// been ingested since the last automatic issue, counted on the exact
+// merged cells. It runs after each of the controller's own ingest runs
+// and on each pacerCh tick, adaptive or not.
 func (c *controller) maybeAutoCkpt() {
 	every := c.op.cfg.CheckpointEvery
 	if c.ckptC == nil || every <= 0 {
@@ -357,9 +344,8 @@ func (c *controller) onAck(int) {
 }
 
 // onSourceDrained notes that the controller's own input is exhausted.
-// Decisions continue on obsCh ticks while other reshufflers still
-// ingest; queued migration steps are abandoned only once every input
-// has drained (noteAllDrained).
+// Queued migration steps are abandoned only once every input has
+// drained (noteAllDrained).
 func (c *controller) onSourceDrained() {
 	c.sourceDone = true
 	c.noteAllDrained()

@@ -53,8 +53,10 @@ type Grouped struct {
 	// sendMu serializes Send/SendBatch: the grouped mode's correctness
 	// rests on every group observing tuples in one arrival order, and
 	// the pipeline layer may interleave a chaining bridge's SendBatch
-	// with external sends from another goroutine.
+	// with external sends from another goroutine. It also guards us,
+	// SendBatch's routing-value scratch.
 	sendMu sync.Mutex
+	us     []uint64
 }
 
 // NewGrouped builds the operator, or reports why cfg cannot; call
@@ -77,7 +79,6 @@ func NewGrouped(cfg Config) (*Grouped, error) {
 			Pred:           cfg.Pred,
 			Adaptive:       cfg.Adaptive,
 			NumReshufflers: 1, // single router per group: total order
-			SourceLanes:    1, // Grouped assigns seqs itself; lanes would break the shared order
 			Epsilon:        cfg.Epsilon,
 			Warmup:         cfg.Warmup * int64(sz) / int64(cfg.J),
 			Storage:        cfg.Storage,
@@ -140,40 +141,18 @@ func (gr *Grouped) storingGroup(u uint64) int {
 }
 
 // Send feeds one tuple: it is stored in exactly one group and probes
-// the stored state of all others. Sends serialize internally — the
-// single arrival order every group observes is what keeps cross-group
-// results consistent (§4.2.2). After Finish it returns ErrFinished.
+// the stored state of all others. It is a one-tuple SendBatch.
 func (gr *Grouped) Send(t join.Tuple) error {
-	gr.sendMu.Lock()
-	defer gr.sendMu.Unlock()
-	if gr.done.Load() {
-		return ErrFinished
-	}
-	t.Seq = gr.seq.Add(1)
-	gr.assignU(&t)
-	owner := gr.storingGroup(t.U)
-	var first error
-	for i, op := range gr.groups {
-		var err error
-		if i == owner {
-			err = op.sendStored(t)
-		} else {
-			err = op.sendProbe(t)
-		}
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return gr.SendBatch([]join.Tuple{t})
 }
 
 // SendBatch feeds a run of tuples with one sequence-number fetch and
-// one envelope delivery per group: every group receives the whole run
-// in stream order (owner groups as stored items, the rest as
-// probe-only items), preserving the cross-group arrival-order
-// consistency Send provides tuple by tuple. Like Send it serializes
-// internally and may be freely interleaved with Send from any
-// goroutine.
+// one delivery per group: every group receives the whole run in stream
+// order (the owner group as stored items, the rest as probe-only
+// items). Sends serialize internally — the single arrival order every
+// group observes is what keeps cross-group results consistent
+// (§4.2.2) — so SendBatch and Send may be freely interleaved from any
+// goroutine. After Finish it returns ErrFinished.
 func (gr *Grouped) SendBatch(ts []join.Tuple) error {
 	gr.sendMu.Lock()
 	defer gr.sendMu.Unlock()
@@ -185,35 +164,38 @@ func (gr *Grouped) SendBatch(ts []join.Tuple) error {
 		return nil
 	}
 	base := gr.seq.Add(uint64(n)) - uint64(n) + 1
-	envs := make([][]sourceItem, len(gr.groups))
-	for g := range envs {
-		envs[g] = getItems(n)
-	}
-	for i := range ts {
-		t := ts[i]
-		t.Seq = base + uint64(i)
-		gr.assignU(&t)
-		owner := gr.storingGroup(t.U)
-		for g := range envs {
-			envs[g] = append(envs[g], sourceItem{t: t, probeOnly: g != owner})
+	// Draw every tuple's routing value once, in stream order: all groups
+	// must see the same U to agree on the owner.
+	us := gr.us[:0]
+	for range ts {
+		u := gr.rng.Uint64()
+		if u == 0 {
+			u = 1 // 0 means "unassigned" to the reshufflers
 		}
+		us = append(us, u)
 	}
 	var first error
 	for g, op := range gr.groups {
-		if err := op.sendItems(envs[g]); err != nil && first == nil {
+		err := op.sendItems(n, func(i int) sourceItem {
+			t := ts[i]
+			t.Seq = base + uint64(i)
+			t.U = us[i]
+			return sourceItem{t: t, probeOnly: gr.storingGroup(t.U) != g}
+		})
+		if err != nil && first == nil {
 			first = err
 		}
+	}
+	if cap(us) <= maxGroupedScratch {
+		gr.us = us
 	}
 	return first
 }
 
-// assignU draws the routing randomness for one tuple.
-func (gr *Grouped) assignU(t *join.Tuple) {
-	t.U = gr.rng.Uint64()
-	if t.U == 0 {
-		t.U = 1 // 0 means "unassigned" to the reshufflers
-	}
-}
+// maxGroupedScratch bounds the routing-value scratch a Grouped keeps
+// between SendBatch calls, so one oversized run does not become a
+// permanent memory tax.
+const maxGroupedScratch = 1 << 12
 
 // Finish drains and stops every group. It takes the send lock first,
 // so a Send/SendBatch racing Finish either completes its delivery to

@@ -154,19 +154,6 @@ type Config struct {
 	// worker takes the coordinator's count from its hello, a restore
 	// the snapshot's.
 	NumReshufflers int
-	// SourceLanes shards the ingest front end for concurrent feeders:
-	// with n > 1 lanes, each Send/SendBatch call acquires a lane holding
-	// a coarse grant of sequence numbers (refilled from the global
-	// counter once per seqGrant tuples) and delivers whole envelopes to
-	// the lane's home reshuffler ring, spilling to neighbors only under
-	// pressure — so N feeder goroutines stop contending on one atomic
-	// and one deal path. Sequence numbers stay globally unique and
-	// totally ordered (all the exactness invariant needs) but are no
-	// longer dense in arrival order, and routing is no longer the
-	// per-seq pseudo-random deal, so runs are not byte-reproducible
-	// across feeder interleavings. 0 or 1 keeps the legacy deterministic
-	// single-lane front end.
-	SourceLanes int
 	// Epsilon is Alg. 2's ε; 0 means 1 (the 1.25-competitive setting).
 	Epsilon float64
 	// Warmup is the minimum (estimated) input before the first
@@ -189,10 +176,9 @@ type Config struct {
 	// snapshot. nil disables checkpointing (Checkpoint returns
 	// ErrNoBackend) and removes all of its ingest-path cost.
 	Backend storage.Backend
-	// CheckpointEvery, with a Backend, triggers an automatic checkpoint
-	// after every n ingested tuples (measured at the controller's exact
-	// sharded counter, so the trigger composes with source lanes).
-	// 0 leaves checkpointing purely manual.
+	// CheckpointEvery triggers an automatic checkpoint after every n
+	// ingested tuples (measured at the exact merged ingest count). It
+	// requires a Backend; 0 leaves checkpointing purely manual.
 	CheckpointEvery int64
 	// CheckpointKeep is how many committed checkpoint generations the
 	// backend retains for last-good fallback restore. The replay log is
@@ -319,6 +305,12 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.DataQueueCap <= 0 {
 		c.DataQueueCap = 1024
 	}
+	if c.CheckpointEvery < 0 {
+		return fmt.Errorf("core: CheckpointEvery=%d, want 0 (manual) or a positive tuple count", c.CheckpointEvery)
+	}
+	if c.CheckpointEvery > 0 && c.Backend == nil {
+		return errors.New("core: CheckpointEvery requires a Backend")
+	}
 	if kind != GridEngine {
 		if c.Backend != nil {
 			return errors.New("core: checkpointing (a Backend) requires the single-grid operator")
@@ -364,9 +356,6 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.NumReshufflers <= 0 {
 		c.NumReshufflers = min(c.J, runtime.GOMAXPROCS(0))
 	}
-	if c.SourceLanes <= 0 {
-		c.SourceLanes = 1
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
@@ -403,32 +392,17 @@ type Operator struct {
 	runner dataflow.Runner
 
 	// sources holds one input ring per reshuffler, carrying pooled
-	// []sourceItem envelopes: Send deals tuples pseudo-randomly,
-	// modeling the paper's random tuple-to-reshuffler routing while
-	// guaranteeing every reshuffler (in particular the controller) sees
-	// an exact 1/numReshufflers sample at stream pace; SendBatch deals
-	// whole envelopes split per destination.
+	// []sourceItem envelopes. Every input is dealt pseudo-randomly by
+	// sequence number (sendItems), modeling the paper's random
+	// tuple-to-reshuffler routing: each reshuffler — in particular the
+	// controller — sees an unbiased 1/numReshufflers sample of the
+	// stream in arrival order.
 	sources []chan []sourceItem
 	ctl     *controller
 	hint    reserveHint
-	// ingest is the exact sharded cardinality counter: one cell per
-	// reshuffler, merged on snapshot. It replaces the per-reshuffler
-	// sampled Estimator — source-lane affinity breaks the uniform-deal
-	// assumption the 1/N sample scaling rested on, so the controller
-	// consumes exact global deltas instead.
+	// ingest holds one cardinality cell per reshuffler (see
+	// stats.Sharded for what reads them).
 	ingest *stats.Sharded
-
-	// lanes is the sharded ingest front end (nil when SourceLanes <= 1):
-	// each lane owns a seq-grant cursor and a home reshuffler ring.
-	// Feeders acquire lanes through lanePool, whose per-P caching makes
-	// a goroutine sticky to the lane (and hence the ring) it last used;
-	// laneRR hands lanes out round-robin when the pool comes up empty
-	// (startup, or after a GC purge). The pool may transiently hold the
-	// same lane twice — every use is under the lane's mutex, so a
-	// duplicate only costs a moment of sharing, never a lost grant.
-	lanes    []*sourceLane
-	lanePool sync.Pool
-	laneRR   atomic.Uint32
 
 	// replay is the ingest-edge replay log (nil without a Backend):
 	// every envelope entering a source ring is also appended to the
@@ -480,52 +454,6 @@ type Operator struct {
 	closed  bool
 }
 
-// seqGrant is the number of sequence numbers a lane takes from the
-// global counter per refill: large enough that the shared atomic is
-// touched once per ~thousand tuples per lane, small enough that an
-// abandoned grant leaves a negligible hole (holes are harmless — the
-// exactness invariant needs only uniqueness and a total order, and the
-// latency sampler keys by seq value, not density).
-const seqGrant = 1024
-
-// sourceLane is one shard of the ingest front end: a seq-grant cursor
-// and a home reshuffler ring. The mutex serializes the (rare) case of
-// two feeders drawing the same lane; the hot path is an uncontended
-// lock plus a lane-local cursor increment.
-//
-// The struct is padded past a cache line. Unpadded it is ~48 bytes, so
-// the allocator's size class can place two lanes' hot cursors on one
-// 64-byte line — and with one feeder core hammering each lane's mutex
-// and seq cursor, that false sharing is exactly the cross-core line
-// ping the lane sharding exists to avoid (it showed up as the j=4
-// procs=4 regression in the PR 6 scaling rows). The pad keeps every
-// lane's written fields on lines no other lane writes.
-type sourceLane struct {
-	mu   sync.Mutex
-	next uint64 // next unassigned seq of the current grant
-	end  uint64 // one past the grant's last seq
-	home int    // home reshuffler ring
-	// spill remembers the ring of this lane's last successful pressure
-	// spill (home when none yet). Retrying it first keeps a lane under
-	// sustained pressure feeding the ring that had room instead of
-	// re-scanning from home+1 — where every pressured lane would
-	// otherwise collide on the same neighbor.
-	spill atomic.Uint32
-	_     [64]byte
-}
-
-// nextSeq returns the lane's next sequence number, refilling the grant
-// from the global counter when exhausted. Caller holds ln.mu.
-func (ln *sourceLane) nextSeq(global *atomic.Uint64) uint64 {
-	if ln.next >= ln.end {
-		end := global.Add(seqGrant)
-		ln.next, ln.end = end-seqGrant+1, end+1
-	}
-	s := ln.next
-	ln.next++
-	return s
-}
-
 // NewOperator builds an operator, or reports why cfg cannot; call
 // Start before Send.
 func NewOperator(cfg Config) (*Operator, error) {
@@ -548,16 +476,6 @@ func NewOperator(cfg Config) (*Operator, error) {
 		op.sources[i] = make(chan []sourceItem, 512)
 	}
 	op.ingest = stats.NewSharded(cfg.NumReshufflers)
-	if cfg.SourceLanes > 1 {
-		op.lanes = make([]*sourceLane, cfg.SourceLanes)
-		for i := range op.lanes {
-			op.lanes[i] = &sourceLane{home: i % cfg.NumReshufflers}
-		}
-		op.lanePool.New = func() any {
-			i := op.laneRR.Add(1) - 1
-			return op.lanes[int(i)%len(op.lanes)]
-		}
-	}
 	dec := NewDecider(DeciderConfig{
 		J:            cfg.J,
 		Initial:      cfg.Initial,
@@ -575,11 +493,6 @@ func NewOperator(cfg Config) (*Operator, error) {
 		if ks, ok := cfg.Backend.(storage.KeepSetter); ok {
 			ks.SetKeep(cfg.CheckpointKeep)
 		}
-	}
-	if op.lanes == nil {
-		// Legacy deal front end: the controller's own cell is an
-		// unbiased in-order 1/N sample; feed it scaled, as the seed did.
-		op.ctl.scale = int64(cfg.NumReshufflers)
 	}
 
 	if len(cfg.Workers) > 0 {
@@ -751,7 +664,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 			rng:        rand.New(rand.NewSource(op.cfg.Seed ^ int64(i)*0x9e3779b9)),
 			ckptC:      op.ckptC,
 			ingest:     op.ingest,
-			obs:        op.ctl.obsCh,
+			pacer:      op.ctl.pacerCh,
 			mapping:    op.cfg.Initial,
 			table:      append([]int(nil), op.ctl.table...),
 			source:     op.sources[i],
@@ -786,121 +699,69 @@ func (op *Operator) StartContext(ctx context.Context) {
 // Send feeds one tuple into the operator, assigning its ingestion
 // sequence number. It blocks when the operator is backlogged and
 // returns ErrFinished (without delivering) once Finish has closed the
-// input.
+// input. Concurrent feeders share the one atomic sequence counter and
+// the deal.
 func (op *Operator) Send(t join.Tuple) error {
-	if op.lanes == nil {
-		t.Seq = op.seq.Add(1)
-		return op.deal(sourceItem{t: t})
-	}
-	op.lifeMu.RLock()
-	defer op.lifeMu.RUnlock()
-	if op.closed {
-		return ErrFinished
-	}
-	ln := op.lanePool.Get().(*sourceLane)
-	ln.mu.Lock()
-	t.Seq = ln.nextSeq(&op.seq)
-	ln.mu.Unlock()
-	op.lanePool.Put(ln)
-	env := append(getItems(1), sourceItem{t: t})
-	return op.pushAffine(ln, env)
-}
-
-// pushAffine delivers an envelope with reshuffler affinity: the home
-// ring first, then — only under pressure, when home is full — the
-// lane's remembered spill ring, then each successive ring non-blocking,
-// falling back to a blocking push on home when every ring is
-// backlogged. Light traffic stays core-local (one lane feeds one
-// reshuffler, whose batches stay warm in one cache); a firehose feeder
-// overflows its 512-envelope home ring and spills across the other
-// rings, re-parallelizing the fanout exactly when there is enough work
-// to justify it. The sticky spill cursor keeps concurrent pressured
-// lanes spread over different rings instead of convoying onto each
-// one's immediate neighbor.
-func (op *Operator) pushAffine(ln *sourceLane, env []sourceItem) error {
-	home := ln.home
-	if op.trySend(home, env) {
-		return nil
-	}
-	n := len(op.sources)
-	if d := int(ln.spill.Load()); d != home && d < n {
-		if op.trySend(d, env) {
-			op.met.LaneSpills.Add(1)
-			return nil
-		}
-	}
-	for k := 1; k < n; k++ {
-		d := home + k
-		if d >= n {
-			d -= n
-		}
-		if op.trySend(d, env) {
-			ln.spill.Store(uint32(d))
-			op.met.LaneSpills.Add(1)
-			return nil
-		}
-	}
-	return op.push(home, env)
+	t.Seq = op.seq.Add(1)
+	return op.sendItems(1, func(int) sourceItem { return sourceItem{t: t} })
 }
 
 // SendBatch feeds a run of tuples, assigning their ingestion sequence
-// numbers in one atomic add and delivering them in pooled envelopes —
-// one ring operation per destination reshuffler instead of one per
-// tuple, with each tuple copied exactly once, straight from the input
-// slice into its destination envelope. It is equivalent to calling
-// Send on each tuple in order and may be freely interleaved with Send.
-// The input slice is not retained.
+// numbers in one atomic add. It is equivalent to calling Send on each
+// tuple in order and may be freely interleaved with Send. The input
+// slice is not retained.
 func (op *Operator) SendBatch(ts []join.Tuple) error {
 	n := len(ts)
 	if n == 0 {
 		return nil
 	}
+	base := op.seq.Add(uint64(n)) - uint64(n) + 1
+	return op.sendItems(n, func(i int) sourceItem {
+		t := ts[i]
+		t.Seq = base + uint64(i)
+		return sourceItem{t: t}
+	})
+}
+
+// sendItems is the one path from the ingest edge into the source
+// rings: Send, SendBatch, Grouped's fan-out and ReplayFrom all deliver
+// through it. Item i, built by item(i) with its Seq already stamped,
+// goes to reshuffler dealTarget(Seq) — the paper's random
+// tuple-to-reshuffler routing (Alg. 1). Each destination's share ships
+// as one pooled envelope, so a run costs one ring operation per
+// destination, and each item is copied once, straight from where item
+// reads it into its destination envelope.
+func (op *Operator) sendItems(n int, item func(i int) sourceItem) error {
 	op.lifeMu.RLock()
 	defer op.lifeMu.RUnlock()
 	if op.closed {
 		return ErrFinished
 	}
-	if op.lanes != nil {
-		// Sharded front end: the whole run rides one envelope to the
-		// lane's home ring — no per-destination split, no shared-counter
-		// contention beyond one grant refill per seqGrant tuples.
-		ln := op.lanePool.Get().(*sourceLane)
-		ln.mu.Lock()
-		env := getItems(n)
-		for i := range ts {
-			t := ts[i]
-			t.Seq = ln.nextSeq(&op.seq)
-			env = append(env, sourceItem{t: t})
-		}
-		ln.mu.Unlock()
-		op.lanePool.Put(ln)
-		return op.pushAffine(ln, env)
+	if n == 1 {
+		// Nothing to split: skip the per-destination table, which costs
+		// an allocation past eight rings.
+		it := item(0)
+		return op.push(dealTarget(it.t.Seq, len(op.sources)), append(getItems(1), it))
 	}
-	base := op.seq.Add(uint64(n)) - uint64(n) + 1
-	if len(op.sources) == 1 {
-		env := getItems(n)
-		for i := range ts {
-			t := ts[i]
-			t.Seq = base + uint64(i)
-			env = append(env, sourceItem{t: t})
-		}
-		return op.push(0, env)
+	var small [8][]sourceItem
+	outs := small[:0]
+	if k := len(op.sources); k <= len(small) {
+		outs = small[:k]
+	} else {
+		outs = make([][]sourceItem, k)
 	}
-	outs := make([][]sourceItem, len(op.sources))
-	for i := range ts {
-		seq := base + uint64(i)
-		d := dealTarget(seq, len(op.sources))
+	for i := 0; i < n; i++ {
+		it := item(i)
+		d := dealTarget(it.t.Seq, len(outs))
 		if outs[d] == nil {
 			outs[d] = getItems(n)
 		}
-		t := ts[i]
-		t.Seq = seq
-		outs[d] = append(outs[d], sourceItem{t: t})
+		outs[d] = append(outs[d], it)
 	}
 	var firstErr error
-	for d := range outs {
-		if len(outs[d]) > 0 {
-			if err := op.push(d, outs[d]); err != nil && firstErr == nil {
+	for d, env := range outs {
+		if len(env) > 0 {
+			if err := op.push(d, env); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -942,43 +803,11 @@ func (op *Operator) push(d int, env []sourceItem) error {
 	case op.sources[d] <- env:
 		return nil
 	case <-op.stop:
-		rg.items = truncItems(rg.items, n0)
+		clear(rg.items[n0:]) // pin no payloads of the undelivered copies
+		rg.items = rg.items[:n0]
 		putItems(env)
 		return op.runner.Err()
 	}
-}
-
-// trySend is push's non-blocking variant, with the same
-// log-before-hand-off discipline. It reports whether the envelope was
-// delivered (and, with a replay log, kept in the log).
-func (op *Operator) trySend(d int, env []sourceItem) bool {
-	if op.replay == nil {
-		select {
-		case op.sources[d] <- env:
-			return true
-		default:
-			return false
-		}
-	}
-	rg := &op.replay.rings[d]
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	n0 := len(rg.items)
-	rg.items = append(rg.items, env...)
-	select {
-	case op.sources[d] <- env:
-		return true
-	default:
-		rg.items = truncItems(rg.items, n0)
-		return false
-	}
-}
-
-// truncItems cuts an undelivered envelope back out of a replay ring,
-// zeroing the dropped copies so they pin no payloads.
-func truncItems(items []sourceItem, n int) []sourceItem {
-	clear(items[n:])
-	return items[:n]
 }
 
 // dealTarget maps a sequence number to a reshuffler index: a
@@ -991,65 +820,6 @@ func truncItems(items []sourceItem, n int) []sourceItem {
 func dealTarget(seq uint64, n int) int {
 	h := seq * 0x9e3779b97f4a7c15
 	return int(((h >> 32) * uint64(n)) >> 32)
-}
-
-// deal routes one item to its pseudo-random reshuffler (the paper's
-// "randomly routed to a reshuffler task") in a pooled singleton
-// envelope.
-func (op *Operator) deal(item sourceItem) error {
-	op.lifeMu.RLock()
-	defer op.lifeMu.RUnlock()
-	if op.closed {
-		return ErrFinished
-	}
-	env := append(getItems(1), item)
-	return op.push(dealTarget(item.t.Seq, len(op.sources)), env)
-}
-
-// sendItems delivers a pooled envelope of items, splitting it per
-// destination reshuffler. It takes ownership of env (recycling it when
-// it cannot be forwarded whole).
-func (op *Operator) sendItems(env []sourceItem) error {
-	op.lifeMu.RLock()
-	defer op.lifeMu.RUnlock()
-	if op.closed {
-		putItems(env)
-		return ErrFinished
-	}
-	if len(op.sources) == 1 {
-		// Single reshuffler (the grouped mode): forward the envelope
-		// itself, no split and no copy.
-		return op.push(0, env)
-	}
-	outs := make([][]sourceItem, len(op.sources))
-	for i := range env {
-		d := dealTarget(env[i].t.Seq, len(op.sources))
-		if outs[d] == nil {
-			outs[d] = getItems(len(env))
-		}
-		outs[d] = append(outs[d], env[i])
-	}
-	putItems(env)
-	var firstErr error
-	for d := range outs {
-		if len(outs[d]) > 0 {
-			if err := op.push(d, outs[d]); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// sendProbe feeds a probe-only tuple (multi-group traffic); the caller
-// has already assigned Seq and U.
-func (op *Operator) sendProbe(t join.Tuple) error {
-	return op.deal(sourceItem{t: t, probeOnly: true})
-}
-
-// sendStored feeds a to-be-stored tuple with caller-assigned Seq/U.
-func (op *Operator) sendStored(t join.Tuple) error {
-	return op.deal(sourceItem{t: t})
 }
 
 // Finish closes the input and waits for all tasks to drain and stop.

@@ -71,7 +71,7 @@ func contentOf(p join.Pair) pairContent {
 }
 
 // withContent gives every tuple a random Aux and a 0–32-byte payload,
-// then stamps the seqs a single-lane Send (or Grouped.Send) assigns, so
+// then stamps the seqs a single-feeder Send (or Grouped.Send) assigns, so
 // the oracle and the engine agree on pair identity.
 func withContent(rng *rand.Rand, tuples []join.Tuple) {
 	for i := range tuples {

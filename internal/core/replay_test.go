@@ -74,27 +74,8 @@ func TestReplayLogSurvivesEnvelopeRecycle(t *testing.T) {
 		checkLogged(t, op, n)
 	})
 
-	t.Run("trySend", func(t *testing.T) {
-		op := stubRingOperator()
-		ready, done := make(chan struct{}), make(chan struct{})
-		go recycle(op, ready, done)
-		<-ready
-		// A non-blocking send needs the stub parked in its receive.
-		env := stubEnvelope(n)
-		for !op.trySend(0, env) {
-			checkLogged(t, op, 0)
-			runtime.Gosched()
-		}
-		<-done
-		checkLogged(t, op, n)
-	})
-
 	t.Run("undelivered", func(t *testing.T) {
 		op := stubRingOperator()
-		if op.trySend(0, stubEnvelope(n)) {
-			t.Fatal("trySend delivered with no reshuffler receiving")
-		}
-		checkLogged(t, op, 0)
 		op.runner.Cancel(errors.New("stopped"))
 		if err := op.push(0, stubEnvelope(n)); err == nil {
 			t.Fatal("push on a stopped operator reported delivery")

@@ -11,14 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// reshuffler is one reshuffler task (§3.2): it pulls tuples from its
-// source ring (pseudo-random deal on the legacy front end, lane
-// affinity with pressure spill on the sharded one), draws the routing
-// value u, maintains its cell of the operator's exact sharded
-// cardinality counts (the decentralized monitoring of Alg. 1, with
-// exact per-task cells replacing the sampled scaling), and fans each
-// tuple out to the joiners of its row or column partition. Reshuffler 0
-// additionally runs the controller (see controller.go).
+// reshuffler is one reshuffler task (§3.2): it pulls the tuples dealt
+// to its source ring, draws the routing value u, counts them in its
+// own cell of the operator's cardinality counters (the decentralized
+// monitoring of Alg. 1), and fans each tuple out to the joiners of its
+// row or column partition. Reshuffler 0 additionally runs the
+// controller (see controller.go).
 //
 // Routed messages are not pushed one at a time: each destination has a
 // pending batch buffer that ships as a single []message envelope (see
@@ -29,14 +27,11 @@ import (
 type reshuffler struct {
 	id  int
 	rng *rand.Rand
-	// ingest is the operator's exact sharded cardinality counter; this
-	// task writes cell id and the controller merges all cells. obs is
-	// the controller's wake-up channel (cap 1): after observing traffic
-	// a plain reshuffler ticks it non-blocking, so the controller
-	// reshuffler evaluates the decision algorithm even when lane
-	// affinity steers all traffic away from its own ring.
+	// ingest is the operator's sharded cardinality counter; this task
+	// writes cell id. pacer is the controller's CheckpointEvery pacer
+	// channel (nil when the pacer is off), ticked by noteObserved.
 	ingest *stats.Sharded
-	obs    chan struct{}
+	pacer  chan struct{}
 
 	mapping matrix.Mapping
 	table   []int
@@ -226,8 +221,8 @@ func (r *reshuffler) run() error {
 				}
 			case d := <-r.drainChan():
 				r.ctl.onDrained(d)
-			case <-r.obsChan():
-				r.ctl.onObserved()
+			case <-r.pacerChan():
+				r.ctl.maybeAutoCkpt()
 			case reply := <-r.ckptReqChan():
 				r.ctl.onCkptRequest(reply)
 			case res := <-r.ckptDoneChan():
@@ -267,8 +262,8 @@ func (r *reshuffler) run() error {
 			}
 		case d := <-r.drainChan():
 			r.ctl.onDrained(d)
-		case <-r.obsChan():
-			r.ctl.onObserved()
+		case <-r.pacerChan():
+			r.ctl.maybeAutoCkpt()
 		case reply := <-r.ckptReqChan():
 			r.ctl.onCkptRequest(reply)
 		case res := <-r.ckptDoneChan():
@@ -298,14 +293,14 @@ func (r *reshuffler) drainChan() <-chan int {
 	return r.ctl.drainCh
 }
 
-// obsChan returns the controller's observation wake-up channel, or nil
-// (never ready) on plain reshufflers — only the controller receives;
-// the others send through noteObserved.
-func (r *reshuffler) obsChan() <-chan struct{} {
+// pacerChan returns the CheckpointEvery pacer channel on the controller
+// reshuffler, or nil (never ready) on plain reshufflers and when the
+// pacer is off.
+func (r *reshuffler) pacerChan() <-chan struct{} {
 	if r.ctl == nil {
 		return nil
 	}
-	return r.obs
+	return r.ctl.pacerCh
 }
 
 // ckptReqChan returns the controller's checkpoint-request channel, or
@@ -455,11 +450,8 @@ func (r *reshuffler) drainLoop() error {
 			}
 		case d := <-r.drainChan():
 			r.ctl.onDrained(d)
-		case <-r.obsChan():
-			// Other reshufflers may still be ingesting after this one's
-			// input ended; the controller keeps absorbing their counts
-			// and deciding until every input drains.
-			r.ctl.onObserved()
+		case <-r.pacerChan():
+			r.ctl.maybeAutoCkpt()
 		case reply := <-r.ckptReqChan():
 			r.ctl.onCkptRequest(reply)
 		case res := <-r.ckptDoneChan():
@@ -522,7 +514,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 
 // ingestBatch processes one run of input tuples: statistics,
 // controller decision, then routing (Alg. 1). The per-tuple
-// bookkeeping of the seed's ingest — two estimator increments, a
+// bookkeeping of the seed's ingest — two counter increments, a
 // controller observation with a decision check, and an atomic
 // routed-message count — is hoisted to one update per run; the
 // decision algorithm sees the same cumulative counts, it just
@@ -562,19 +554,21 @@ func (r *reshuffler) ingestBatch(items []sourceItem) {
 	}
 }
 
-// noteObserved propagates a fresh ingest observation to the decision
-// loop: the controller reshuffler evaluates directly; every other
-// reshuffler ticks the controller's wake-up channel without blocking
-// (a pending tick already guarantees a future evaluation that will see
-// this observation — ObserveN happened before the send).
+// noteObserved hands a fresh ingest observation to the controller: the
+// controller reshuffler evaluates inline; every other reshuffler ticks
+// the CheckpointEvery pacer, when there is one, without blocking (a
+// pending tick already guarantees a future check that will see this
+// observation — ObserveN happened before the send).
 func (r *reshuffler) noteObserved() {
 	if r.ctl != nil {
 		r.ctl.onObserved()
 		return
 	}
-	select {
-	case r.obs <- struct{}{}:
-	default:
+	if r.pacer != nil {
+		select {
+		case r.pacer <- struct{}{}:
+		default:
+		}
 	}
 }
 

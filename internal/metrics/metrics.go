@@ -61,10 +61,10 @@ type Operator struct {
 	// DummyTuples counts padding tuples injected to bound the
 	// cardinality ratio.
 	DummyTuples atomic.Int64
-	// LaneSpills counts ingest envelopes a source lane delivered off its
-	// home reshuffler ring because the home ring was full: zero under
-	// light traffic (fanout stays core-local), rising exactly when
-	// pressure re-parallelizes the reshuffling across rings.
+	// LaneSpills is always 0: the source-lane front end that counted
+	// spills is gone. The field stays only because the benchmark
+	// harness (bench/rep.go) still reports it; it goes with the
+	// benchmark revision of ROADMAP item 14.
 	LaneSpills atomic.Int64
 
 	// BatchesSent counts data-plane batch envelopes shipped by

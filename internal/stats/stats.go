@@ -1,9 +1,15 @@
 // Package stats implements the decentralized statistics monitoring of
-// §4.1 (Algorithm 1). Incoming tuples are routed to reshufflers
-// uniformly at random, so each reshuffler sees an unbiased 1/J sample
-// of the global input; scaling its local counts by J yields global
-// cardinality estimates with no inter-node communication. Sharded is
-// the exact per-writer form the operator's controller consumes.
+// §4.1 (Algorithm 1). Incoming tuples are dealt to reshufflers
+// uniformly at random, so each reshuffler's count is an unbiased 1/N
+// sample of the global input. Sharded holds one counter cell per
+// reshuffler; the cells serve three readers:
+//
+//   - the controller, which scales its own cell by N to estimate the
+//     global cardinalities with no inter-task communication (Alg. 1);
+//   - the CheckpointEvery pacer and the storage Reserve hint, which
+//     merge every cell into the exact global counts;
+//   - dummy padding, where each reshuffler checks the cardinality ratio
+//     of its own cell.
 package stats
 
 import (
@@ -11,59 +17,11 @@ import (
 	"sync/atomic"
 )
 
-// Estimator maintains global cardinality estimates for the two join
-// inputs from one reshuffler's local sample (Algorithm 1). It is owned
-// by a single task and is not safe for concurrent use, exactly like the
-// per-task state in the paper.
-type Estimator struct {
-	j      int   // scale factor: number of machines
-	localR int64 // locally observed R tuples
-	localS int64
-}
-
-// NewEstimator returns an estimator scaling local counts by j.
-func NewEstimator(j int) *Estimator {
-	if j <= 0 {
-		panic(fmt.Sprintf("stats: non-positive machine count %d", j))
-	}
-	return &Estimator{j: j}
-}
-
-// ObserveR records one locally received R tuple (Alg. 1 line 3,
-// "scaled increment": the global estimate grows by J).
-func (e *Estimator) ObserveR() { e.localR++ }
-
-// ObserveS records one locally received S tuple.
-func (e *Estimator) ObserveS() { e.localS++ }
-
-// ObserveN records locally received tuples in bulk: the batch form of
-// ObserveR/ObserveS, one pair of adds per ingest envelope instead of
-// one call per tuple.
-func (e *Estimator) ObserveN(r, s int64) {
-	e.localR += r
-	e.localS += s
-}
-
-// R returns the global cardinality estimate for R: localR * J.
-func (e *Estimator) R() int64 { return e.localR * int64(e.j) }
-
-// S returns the global cardinality estimate for S.
-func (e *Estimator) S() int64 { return e.localS * int64(e.j) }
-
-// Local returns the raw local sample counts.
-func (e *Estimator) Local() (r, s int64) { return e.localR, e.localS }
-
-// Total returns the estimated total input cardinality |R| + |S|.
-func (e *Estimator) Total() int64 { return e.R() + e.S() }
-
-// Snapshot is an immutable copy of the estimates, safe to pass across
-// goroutines.
+// Snapshot is an immutable copy of a pair of counts, safe to pass
+// across goroutines.
 type Snapshot struct {
 	R, S int64
 }
-
-// Snapshot returns the current estimates.
-func (e *Estimator) Snapshot() Snapshot { return Snapshot{R: e.R(), S: e.S()} }
 
 // PerJoiner returns the expected stored-tuple count per joiner and per
 // side under an (n,m) grid: an R tuple is replicated to the m joiners
@@ -95,15 +53,13 @@ type shardCell struct {
 	_    [48]byte
 }
 
-// Sharded maintains exact global cardinality counts with per-writer
-// cells: each observer task owns one cell and increments it without
-// synchronizing with any other writer, and Snapshot merges the cells
-// into one global view. It replaces the sampled Estimator on paths
-// where tuples are no longer dealt uniformly across observers (source
-// lanes pin traffic to a home reshuffler, so no single task sees an
-// unbiased 1/N sample any more) — the counts are exact rather than
-// scaled estimates, so the decision algorithm consumes them with a
-// scale factor of 1.
+// Sharded maintains cardinality counts with per-writer cells: each
+// reshuffler owns one cell and increments it without synchronizing
+// with any other writer. Cell reads one writer's own counts — the
+// controller's Alg. 1 sample (scaled by the cell count) and each
+// reshuffler's dummy-padding ratio; Snapshot merges the cells into the
+// exact global counts the CheckpointEvery pacer and the Reserve hint
+// read.
 type Sharded struct {
 	cells []shardCell
 }
@@ -119,8 +75,8 @@ func NewSharded(n int) *Sharded {
 // Cells returns the number of writer cells.
 func (sh *Sharded) Cells() int { return len(sh.cells) }
 
-// ObserveN records tuples observed by the writer owning cell: the bulk
-// form, one pair of lane-local atomic adds per ingest run.
+// ObserveN records tuples observed by the writer owning cell: one pair
+// of cell-local atomic adds per ingest run.
 func (sh *Sharded) ObserveN(cell int, r, s int64) {
 	c := &sh.cells[cell]
 	if r != 0 {

@@ -1,58 +1,9 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
-
-func TestEstimatorScaling(t *testing.T) {
-	e := NewEstimator(16)
-	for i := 0; i < 10; i++ {
-		e.ObserveR()
-	}
-	for i := 0; i < 3; i++ {
-		e.ObserveS()
-	}
-	if e.R() != 160 || e.S() != 48 {
-		t.Fatalf("R=%d S=%d", e.R(), e.S())
-	}
-	if e.Total() != 208 {
-		t.Fatalf("Total=%d", e.Total())
-	}
-	lr, ls := e.Local()
-	if lr != 10 || ls != 3 {
-		t.Fatalf("Local=%d,%d", lr, ls)
-	}
-}
-
-func TestEstimatorPanicsOnBadJ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	NewEstimator(0)
-}
-
-// The scaled estimate from a random 1/J thinning must converge to the
-// true cardinality.
-func TestEstimatorConvergence(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const j = 16
-	const trueR = 200000
-	e := NewEstimator(j)
-	for i := 0; i < trueR; i++ {
-		if rng.Intn(j) == 0 { // tuple routed to this reshuffler
-			e.ObserveR()
-		}
-	}
-	got := float64(e.R())
-	if math.Abs(got-trueR)/trueR > 0.05 {
-		t.Fatalf("estimate %v too far from %v", got, trueR)
-	}
-}
 
 func TestSnapshotRatio(t *testing.T) {
 	s := Snapshot{R: 100, S: 50}

@@ -23,7 +23,8 @@ import (
 //	header   magic "SQLCKPT1", format version, checkpoint id
 //	meta     epoch, (n,m) grid, cell→joiner table, reshuffler count,
 //	         global sequence cursor
-//	lanes    per-lane ingest sequence grant cursors
+//	lanes    source-lane cursors; the operator, which no longer has
+//	         source lanes, writes it empty (format unchanged)
 //	cuts     per-reshuffler consumed-item counts at the barrier
 //	         (the replay-buffer trim cursors)
 //	joiner   one per joiner: id, emitted-pair count at the barrier,
@@ -52,7 +53,8 @@ const (
 )
 
 // LaneCursor is one source lane's private sequence-grant window at the
-// barrier.
+// barrier. The operator no longer has source lanes and writes none; the
+// type stays so older blobs decode and the record format is unchanged.
 type LaneCursor struct {
 	Next uint64 // next sequence number the lane would assign
 	End  uint64 // end of the granted window

@@ -1,7 +1,6 @@
 package squall
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/baseline"
@@ -98,8 +97,9 @@ func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.c
 func WithBackend(b Backend) Option { return func(sc *stageConfig) { sc.cfg.Backend = b } }
 
 // WithCheckpointEvery makes a backend-equipped stage checkpoint
-// automatically after every n ingested tuples. Requires WithBackend;
-// 0 (the default) leaves checkpointing purely manual.
+// automatically after every n ingested tuples. It requires
+// WithBackend, and n must not be negative: otherwise Run returns an
+// error. 0 (the default) leaves checkpointing purely manual.
 func WithCheckpointEvery(n int64) Option {
 	return func(sc *stageConfig) { sc.cfg.CheckpointEvery = n }
 }
@@ -151,22 +151,6 @@ func WithCheckpointPolicy(p CheckpointPolicy) Option {
 
 // WithLatency attaches a latency sampler to the stage.
 func WithLatency(l *LatencySampler) Option { return func(sc *stageConfig) { sc.cfg.Latency = l } }
-
-// WithSourceLanes shards the ingest front end for concurrent feeders:
-// each of the n lanes owns a private sequence-number window (granted
-// from the global counter in coarse blocks) and a home reshuffler
-// ring, so n goroutines calling Send/SendBatch do not contend on one
-// atomic counter and one deal path. n <= 0 resolves to
-// runtime.GOMAXPROCS(0). With one lane (the default) the stage keeps
-// the legacy deterministic front end: dense sequence numbers and the
-// pseudo-random deal. The grouped engine ignores it — cross-group
-// consistency needs the single shared arrival order.
-func WithSourceLanes(n int) Option {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return func(sc *stageConfig) { sc.cfg.SourceLanes = n }
-}
 
 // WithElastic enables 1-to-4 elastic expansion once any joiner stores
 // more than maxPerJoiner tuples, capped at maxJoiners total (0: no
@@ -245,10 +229,9 @@ func (sc stageConfig) coreConfig(pred Predicate, sink Sink) core.Config {
 // build constructs the stage's engine, or reports why it cannot. The
 // grouped operator exposes a narrower tuning surface; options it cannot
 // honor fall back to its defaults: batch sizes and linger, the initial
-// mapping, elasticity, dummy padding (WithPadDummies), and source lanes
-// (WithSourceLanes — cross-group consistency needs one shared arrival
-// order). WithBackend and WithWorkers change semantics, not tuning, so
-// the grouped operator rejects them instead.
+// mapping, elasticity and dummy padding (WithPadDummies). WithBackend
+// and WithWorkers change semantics, not tuning, so the grouped operator
+// rejects them instead.
 func (sc stageConfig) build(pred Predicate, sink Sink) (Engine, error) {
 	cfg := sc.coreConfig(pred, sink)
 	if sc.grouped || !isPow2(cfg.J) {

@@ -38,6 +38,9 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 		{"workers/placement-range", eq, workers(squall.WithPlacement(0, 0, 0, 0, 0, 0, 0, 5))},
 		{"grouped/backend", eq, []squall.Option{squall.WithJoiners(6), squall.WithBackend(squall.NewMemBackend())}},
 		{"grouped/workers", eq, workers(squall.WithGrouped())},
+		{"checkpoint-every/no-backend", eq, []squall.Option{squall.WithCheckpointEvery(1000)}},
+		{"checkpoint-every/negative", eq, []squall.Option{squall.WithBackend(squall.NewMemBackend()), squall.WithCheckpointEvery(-1)}},
+		{"grouped/checkpoint-every", eq, []squall.Option{squall.WithJoiners(6), squall.WithCheckpointEvery(1000)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
