@@ -5,8 +5,9 @@
 // funnels the hot keys to a handful of workers; the grid operator's
 // random routing keeps every machine equally loaded.
 //
-// Both operators implement squall.Engine, so one drive function runs
-// them identically — the uniform surface the pipeline layer builds on.
+// Both are the same squall.Operator on its two routes — NewSHJ builds
+// the hash route, NewEngine the grid — so one drive function runs them
+// identically, and the only difference measured is the partitioning.
 package main
 
 import (

@@ -1,3 +1,13 @@
+// Package baseline simulates the content-sensitive operator the
+// paper's evaluation compares against (§5): SHJ, the parallel symmetric
+// hash join of [19][33] that partitions both inputs by join key. SHJSim
+// is its cost-model simulator; the live SHJ is the core operator's hash
+// route (core.NewSHJ), and both partition with core.HashPartition. SHJ
+// balances perfectly on uniform keys and needs no replication, but
+// under skew a few workers receive most of the data — the failure mode
+// Table 2 quantifies. The static grid baselines StaticMid and StaticOpt
+// need no code of their own: they are the core operator without
+// adaptivity, pinned to the square or the optimal initial mapping.
 package baseline
 
 import (
@@ -42,7 +52,7 @@ func NewSHJSim(j int, cost metrics.CostModel, residualSelectivity float64) *SHJS
 
 // Process ingests one tuple with the given equi-join key.
 func (s *SHJSim) Process(side matrix.Side, key int64) {
-	w := int(hash64(uint64(key)) % uint64(s.j))
+	w := core.HashPartition(key, s.j)
 	s.inW[w]++
 	var matches int64
 	if side == matrix.SideR {

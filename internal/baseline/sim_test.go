@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -12,83 +11,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
-
-func refCount(p join.Predicate, tuples []join.Tuple) int64 {
-	var rs, ss []join.Tuple
-	for _, t := range tuples {
-		if t.Rel == matrix.SideR {
-			rs = append(rs, t)
-		} else {
-			ss = append(ss, t)
-		}
-	}
-	var n int64
-	for _, r := range rs {
-		for _, s := range ss {
-			if p.Matches(r, s) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func TestSHJExactEquiJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pred := join.EquiJoin("eq", nil)
-	var tuples []join.Tuple
-	for i := 0; i < 3000; i++ {
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideR, Key: rng.Int63n(60), Size: 8})
-		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(60), Size: 8})
-	}
-	want := refCount(pred, tuples)
-	var n atomic.Int64
-	shj, err := NewSHJ(core.Config{J: 7, Pred: pred, EmitBatch: func(ps []join.Pair) { n.Add(int64(len(ps))) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shj.Start()
-	for _, tp := range tuples {
-		shj.Send(tp)
-	}
-	if err := shj.Finish(); err != nil {
-		t.Fatalf("shj: %v", err)
-	}
-	if n.Load() != want {
-		t.Fatalf("emitted %d, reference %d", n.Load(), want)
-	}
-	// No replication: total input equals total sent.
-	if got := shj.Metrics().TotalInputTuples(); got != int64(len(tuples)) {
-		t.Fatalf("input %d, sent %d", got, len(tuples))
-	}
-}
-
-func TestSHJRejectsNonEqui(t *testing.T) {
-	if _, err := NewSHJ(core.Config{J: 4, Pred: join.BandJoin("b", 1, nil)}); err == nil {
-		t.Fatal("NewSHJ accepted a band join")
-	}
-}
-
-func TestSHJPartitionIsDeterministicAndSpread(t *testing.T) {
-	shj, err := NewSHJ(core.Config{J: 16, Pred: join.EquiJoin("eq", nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool)
-	for k := int64(0); k < 1000; k++ {
-		p := shj.Partition(k)
-		if p != shj.Partition(k) {
-			t.Fatal("partition not deterministic")
-		}
-		if p < 0 || p >= 16 {
-			t.Fatalf("partition %d out of range", p)
-		}
-		seen[p] = true
-	}
-	if len(seen) != 16 {
-		t.Fatalf("only %d of 16 partitions used", len(seen))
-	}
-}
 
 // The skew result behind Table 2: under Zipf keys, SHJ's most loaded
 // worker takes a large multiple of the mean, while the grid operator
@@ -191,14 +113,22 @@ func TestStaticBaselines(t *testing.T) {
 	}
 }
 
+// The hash-partitioned SHJ baseline is the operator's hash route,
+// core.NewSHJ; it refuses what it cannot run.
 func TestSHJConfigValidation(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{J: 0, Pred: join.EquiJoin("eq", nil)},
 		{J: 4, Pred: join.EquiJoin("eq", nil), Backend: storage.NewMemBackend()},
 		{J: 4, Pred: join.EquiJoin("eq", nil), Workers: []string{"127.0.0.1:1"}},
 	} {
-		if _, err := NewSHJ(cfg); err == nil {
+		if _, err := core.NewSHJ(cfg); err == nil {
 			t.Errorf("NewSHJ accepted %+v", cfg)
 		}
+	}
+}
+
+func TestSHJRejectsNonEqui(t *testing.T) {
+	if _, err := core.NewSHJ(core.Config{J: 4, Pred: join.BandJoin("b", 1, nil)}); err == nil {
+		t.Fatal("NewSHJ accepted a band join")
 	}
 }

@@ -457,6 +457,11 @@ func RestoreOperator(cfg Config, snap *storage.OperatorSnapshot) (*Operator, err
 	}
 	op.ctl.table = append([]int(nil), snap.Table...)
 	op.ctl.ckptNext = snap.ID + 1
+	// The generation restored from stays retained in the backend, so the
+	// log must stay replayable from it until it ages out. Its boundary in
+	// this operator's numbering is zero on every ring: replay re-sends
+	// the whole retained log, and the seq filter drops what it covers.
+	op.cutHist = []ckptCut{{id: snap.ID, cuts: make([]int64, snap.NumRe)}}
 	for idx, id := range snap.Table {
 		if id < 0 || id >= len(op.joiners) {
 			return nil, fmt.Errorf("core: restore: checkpoint table cell %d names joiner %d of %d: %w",

@@ -88,21 +88,24 @@ type controller struct {
 	table    []int
 }
 
-func newController(dec *Decider, adaptive bool, numJoiners int, op *Operator) *controller {
+// newController builds op's controller in op's initial mapping. dec is
+// nil on the hash route, which is never adaptive.
+func newController(dec *Decider, op *Operator) *controller {
+	numJoiners := op.cfg.J
 	table := make([]int, numJoiners)
 	for i := range table {
 		table[i] = i
 	}
 	c := &controller{
 		dec:        dec,
-		adaptive:   adaptive,
+		adaptive:   op.cfg.Adaptive,
 		ackCh:      make(chan int, 4*numJoiners+16),
 		drainCh:    make(chan int, numJoiners+1),
 		ckptReqCh:  make(chan chan error, 16),
 		ckptDoneCh: make(chan ckptResult, 1),
 		ckptNext:   1,
 		op:         op,
-		deployed:   dec.Mapping(),
+		deployed:   op.cfg.Initial,
 		table:      table,
 	}
 	if op.cfg.CheckpointEvery > 0 {

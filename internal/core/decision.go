@@ -54,7 +54,7 @@ func NewDecider(cfg DeciderConfig) *Decider {
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
 	}
-	if cfg.Epsilon < 0 || cfg.Epsilon > 1 {
+	if !(cfg.Epsilon > 0 && cfg.Epsilon <= 1) {
 		panic(fmt.Sprintf("core: epsilon %v outside (0,1]", cfg.Epsilon))
 	}
 	if cfg.MinDelta == 0 {

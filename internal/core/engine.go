@@ -7,9 +7,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Engine is the uniform driving surface over every join operator in
-// the system: the adaptive grid Operator, the Grouped power-of-two
-// decomposition, and the baseline SHJ all implement it. Sinks,
+// Engine is the uniform driving surface over the two engines in the
+// system: the Operator, on its grid or its hash (SHJ) route, and the
+// Grouped power-of-two decomposition built from Operators. Sinks,
 // metrics collectors, the pipeline layer, and the bench/experiment
 // harnesses drive an Engine without knowing which operator is behind
 // it.

@@ -127,13 +127,13 @@ type reserveHint struct {
 	perR, perS atomic.Int64
 }
 
-// Config configures every engine: the single-grid Operator, the
-// Grouped decomposition and the hash-partitioned baseline.SHJ. Each
-// constructor checks it with Validate before building anything, and
-// honors the fields its engine implements.
+// Config configures every engine: the Operator on its grid route
+// (NewOperator) or its hash route (NewSHJ), and the Grouped
+// decomposition. Each constructor checks it with Validate before
+// building anything, and honors the fields its engine implements.
 type Config struct {
-	// J is the number of joiners; the single-grid Operator needs a power
-	// of two, the other engines any positive count.
+	// J is the number of joiners; the grid route needs a power of two,
+	// the hash route and Grouped any positive count.
 	J int
 	// Pred is the join predicate.
 	Pred join.Predicate
@@ -218,9 +218,8 @@ type Config struct {
 	// Seed makes the random routing reproducible.
 	Seed int64
 	// DataQueueCap is the per-joiner data inbox capacity in messages
-	// (default 1024; SHJ's per-worker inbox in tuples); the inbox
-	// channel is sized in batches so buffered volume is independent of
-	// BatchSize.
+	// (default 1024); the inbox channel is sized in batches so buffered
+	// volume is independent of BatchSize.
 	DataQueueCap int
 	// BatchSize is the capacity of the reshuffler->joiner batch
 	// envelope in messages. Batches flush when full, before every
@@ -283,21 +282,21 @@ const DefaultBatchLinger = 200 * time.Microsecond
 type EngineKind uint8
 
 const (
-	// GridEngine is the single-grid Operator.
+	// GridEngine is the Operator's grid route (NewOperator).
 	GridEngine EngineKind = iota
 	// GroupedEngine is the power-of-two group decomposition (Grouped).
 	GroupedEngine
-	// HashEngine is the hash-partitioned baseline.SHJ.
+	// HashEngine is the Operator's hash route (NewSHJ).
 	HashEngine
 )
 
 // Validate checks c for the given engine and resolves zero-valued
 // knobs to their defaults; every constructor calls it before building
 // anything, so a misconfiguration is an error, never a half-built
-// engine. Features only the single-grid operator implements —
-// checkpointing and remote workers — are rejected by the others rather
-// than silently dropped, since dropping them would change durability
-// or placement, not just tuning.
+// engine. Features only the grid route implements — checkpointing and
+// remote workers — are rejected by the others rather than silently
+// dropped, since dropping them would change durability or placement,
+// not just tuning.
 func (c *Config) Validate(kind EngineKind) error {
 	if c.J <= 0 {
 		return fmt.Errorf("core: J=%d joiners, want at least one", c.J)
@@ -311,6 +310,11 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.CheckpointEvery > 0 && c.Backend == nil {
 		return errors.New("core: CheckpointEvery requires a Backend")
 	}
+	// Written so that NaN fails too: it would compare false against
+	// every threshold and silently disable migration.
+	if kind != HashEngine && !(c.Epsilon >= 0 && c.Epsilon <= 1) {
+		return fmt.Errorf("core: Epsilon=%v, want a value in [0,1] (0 means 1)", c.Epsilon)
+	}
 	if kind != GridEngine {
 		if c.Backend != nil {
 			return errors.New("core: checkpointing (a Backend) requires the single-grid operator")
@@ -318,19 +322,28 @@ func (c *Config) Validate(kind EngineKind) error {
 		if len(c.Workers) > 0 {
 			return errors.New("core: remote workers require the single-grid operator")
 		}
-		if kind == HashEngine && c.Pred.Kind != join.Equi {
+		if kind == GroupedEngine {
+			return nil
+		}
+		if c.Pred.Kind != join.Equi {
 			return fmt.Errorf("core: hash partitioning supports only equi-joins, got %v", c.Pred.Kind)
 		}
-		return nil
-	}
-	if c.J&(c.J-1) != 0 {
-		return fmt.Errorf("core: J=%d is not a power of two", c.J)
-	}
-	if c.Initial == (matrix.Mapping{}) {
-		c.Initial = matrix.Square(c.J)
-	}
-	if !c.Initial.Valid() || c.Initial.J() != c.J {
-		return fmt.Errorf("core: initial mapping %v invalid for J=%d", c.Initial, c.J)
+		// The hash route's joiners form one row that never migrates,
+		// grows or pads, so the grid's shape and adaptation knobs do not
+		// apply.
+		c.Initial = matrix.Mapping{N: 1, M: c.J}
+		c.Adaptive, c.PadDummies = false, false
+		c.MaxTuplesPerJoiner, c.MaxJoiners = 0, 0
+	} else {
+		if c.J&(c.J-1) != 0 {
+			return fmt.Errorf("core: J=%d is not a power of two", c.J)
+		}
+		if c.Initial == (matrix.Mapping{}) {
+			c.Initial = matrix.Square(c.J)
+		}
+		if !c.Initial.Valid() || c.Initial.J() != c.J {
+			return fmt.Errorf("core: initial mapping %v invalid for J=%d", c.Initial, c.J)
+		}
 	}
 	if len(c.Workers) > 0 {
 		if c.Backend != nil {
@@ -381,12 +394,22 @@ func (c *Config) Validate(kind EngineKind) error {
 // the operator's input.
 var ErrFinished = errors.New("core: operator is finished")
 
-// Operator is the adaptive (or, with Adaptive=false, static) parallel
-// online theta-join operator. Feed it interleaved R and S tuples with
-// Send or SendBatch; results flow to Config.EmitBatch (or EmitShard)
-// as they are discovered; Finish drains and stops all tasks.
+// Operator is the parallel online join operator. Feed it interleaved R
+// and S tuples with Send or SendBatch; results flow to Config.EmitBatch
+// (or EmitShard) as they are discovered; Finish drains and stops all
+// tasks.
+//
+// Its reshufflers take one of two routes, fixed at construction. The
+// grid route (NewOperator) is the paper's content-insensitive (n,m)
+// grid: each tuple goes to a random row or column of joiners, and with
+// Adaptive the controller reshapes the grid as cardinalities drift. The
+// hash route (NewSHJ) is the SHJ baseline the evaluation compares
+// against (§5): both relations are partitioned on the join key, so each
+// tuple goes to exactly one joiner — no replication, but under key skew
+// a few joiners receive most of the input.
 type Operator struct {
 	cfg    Config
+	hashed bool // the hash route: see NewSHJ
 	topo   *topology
 	met    *metrics.Operator
 	runner dataflow.Runner
@@ -454,14 +477,32 @@ type Operator struct {
 	closed  bool
 }
 
-// NewOperator builds an operator, or reports why cfg cannot; call
-// Start before Send.
+// NewOperator builds an operator on the grid route, or reports why cfg
+// cannot; call Start before Send.
 func NewOperator(cfg Config) (*Operator, error) {
 	if err := cfg.Validate(GridEngine); err != nil {
 		return nil, err
 	}
+	return newOperator(cfg, false), nil
+}
+
+// NewSHJ builds an operator on the hash route, or reports why cfg
+// cannot: J may be any positive count, Pred must be an equi-join, and
+// checkpointing and remote workers are rejected. A tuple goes to
+// joiner HashPartition(Key, J), whose id is also its EmitShard id.
+func NewSHJ(cfg Config) (*Operator, error) {
+	if err := cfg.Validate(HashEngine); err != nil {
+		return nil, err
+	}
+	return newOperator(cfg, true), nil
+}
+
+// newOperator builds an operator from a validated cfg on the given
+// route.
+func newOperator(cfg Config, hashed bool) *Operator {
 	op := &Operator{
 		cfg:        cfg,
+		hashed:     hashed,
 		topo:       &topology{},
 		met:        metrics.NewOperator(cfg.J),
 		finishedCh: make(chan struct{}),
@@ -476,14 +517,19 @@ func NewOperator(cfg Config) (*Operator, error) {
 		op.sources[i] = make(chan []sourceItem, 512)
 	}
 	op.ingest = stats.NewSharded(cfg.NumReshufflers)
-	dec := NewDecider(DeciderConfig{
-		J:            cfg.J,
-		Initial:      cfg.Initial,
-		Epsilon:      cfg.Epsilon,
-		Warmup:       cfg.Warmup,
-		MaxPerJoiner: cfg.MaxTuplesPerJoiner,
-	})
-	op.ctl = newController(dec, cfg.Adaptive, cfg.J, op)
+	var dec *Decider
+	if !hashed {
+		// The hash route is never adaptive, so its controller never
+		// consults a decider.
+		dec = NewDecider(DeciderConfig{
+			J:            cfg.J,
+			Initial:      cfg.Initial,
+			Epsilon:      cfg.Epsilon,
+			Warmup:       cfg.Warmup,
+			MaxPerJoiner: cfg.MaxTuplesPerJoiner,
+		})
+	}
+	op.ctl = newController(dec, op)
 	op.ctl.ingest = op.ingest
 	if cfg.Backend != nil {
 		op.replay = newReplayLog(cfg.NumReshufflers)
@@ -509,7 +555,7 @@ func NewOperator(cfg Config) (*Operator, error) {
 		}
 		op.joiners = append(op.joiners, op.newJoiner(id, cfg.Initial.CellOf(id), cfg.Initial, 0, nil))
 	}
-	return op, nil
+	return op
 }
 
 // hostsJoiner reports whether joiner id runs in this process: all of
@@ -674,13 +720,18 @@ func (op *Operator) StartContext(ctx context.Context) {
 			lat:        op.cfg.Latency,
 			drainCh:    op.ctl.drainCh,
 			padDummies: op.cfg.PadDummies,
+			hashed:     op.hashed,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,
 		}
 		if i == 0 {
 			r.ctl = op.ctl
-			r.hint = &op.hint
+			if !op.hashed {
+				// The hint forecasts per-joiner state under a grid; a hash
+				// route's is key-dependent, so it reserves nothing.
+				r.hint = &op.hint
+			}
 		}
 		op.ctl.resh = append(op.ctl.resh, r.ctrlCh)
 		op.runner.Go(fmt.Sprintf("reshuffler-%d", i), r.run)

@@ -12,11 +12,13 @@ import (
 )
 
 // reshuffler is one reshuffler task (§3.2): it pulls the tuples dealt
-// to its source ring, draws the routing value u, counts them in its
-// own cell of the operator's cardinality counters (the decentralized
-// monitoring of Alg. 1), and fans each tuple out to the joiners of its
-// row or column partition. Reshuffler 0 additionally runs the
-// controller (see controller.go).
+// to its source ring, counts them in its own cell of the operator's
+// cardinality counters (the decentralized monitoring of Alg. 1), and
+// routes each one: on the grid route it draws the routing value u and
+// fans the tuple out to the joiners of its row or column partition, on
+// the hash route it sends the tuple to the one joiner its key hashes
+// to. Reshuffler 0 additionally runs the controller (see
+// controller.go).
 //
 // Routed messages are not pushed one at a time: each destination has a
 // pending batch buffer that ships as a single []message envelope (see
@@ -86,6 +88,8 @@ type reshuffler struct {
 	// local cardinality-ratio estimate exceeds J, pad the smaller
 	// relation so Lemma 4.1's precondition holds physically.
 	padDummies bool
+	// hashed selects the hash route (hashBatch) over the grid route.
+	hashed bool
 
 	// batchSize is the per-destination envelope capacity; 1 degrades to
 	// the per-message plane. linger bounds the buffered residence time
@@ -588,14 +592,18 @@ func (r *reshuffler) publishHint() {
 	}
 }
 
-// routeBatch routes a run of tuples: each is assigned a random
-// partition of its relation and forwarded to every joiner of that
-// partition (m machines for an R tuple, n for an S tuple). Messages
-// land in per-destination batches, not directly on the wire; the
-// message prototype is built once per run and only its per-tuple
-// fields are patched, so no intermediate message value is constructed
-// per destination copy.
+// routeBatch routes a run of tuples. On the grid route each is
+// assigned a random partition of its relation and forwarded to every
+// joiner of that partition (m machines for an R tuple, n for an S
+// tuple). Messages land in per-destination batches, not directly on
+// the wire; the message prototype is built once per run and only its
+// per-tuple fields are patched, so no intermediate message value is
+// constructed per destination copy.
 func (r *reshuffler) routeBatch(items []sourceItem) {
+	if r.hashed {
+		r.hashBatch(items)
+		return
+	}
 	m := r.mapping
 	var routed int64
 	proto := message{kind: kTuple, epoch: r.epoch, from: r.id}
@@ -632,6 +640,26 @@ func (r *reshuffler) routeBatch(items []sourceItem) {
 	}
 	r.opm.RoutedMessages.Add(routed)
 }
+
+// hashBatch is the hash route's routeBatch: content-sensitive
+// partitioning of both relations on the join key, so matching tuples
+// always meet at one joiner — and popular keys always collide there.
+// The route never migrates, so a tuple's joiner id is its key's
+// HashPartition.
+func (r *reshuffler) hashBatch(items []sourceItem) {
+	j := r.mapping.J()
+	proto := message{kind: kTuple, epoch: r.epoch, from: r.id}
+	for i := range items {
+		proto.tuple = items[i].t
+		r.buffer(HashPartition(proto.tuple.Key, j), &proto)
+	}
+	r.opm.RoutedMessages.Add(int64(len(items)))
+}
+
+// HashPartition is the hash route's partition function: the joiner, of
+// j, that key hashes to (a splitmix64 finalizer of the key, uMix with a
+// zero seed, reduced modulo j).
+func HashPartition(key int64, j int) int { return int(uMix(0, uint64(key)) % uint64(j)) }
 
 // route routes one tuple (the dummy-injection path; data tuples go
 // through routeBatch).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -201,7 +200,7 @@ func Fig7d(o Options) []Table {
 func shjThroughputProbe(o Options) float64 {
 	g := gen(o, 0.005, 1.0)
 	q := workload.EQ5()
-	shj, err := baseline.NewSHJ(core.Config{J: 8, Pred: q.Pred})
+	shj, err := core.NewSHJ(core.Config{J: 8, Pred: q.Pred})
 	if err != nil {
 		return 0
 	}

@@ -113,6 +113,56 @@ func TestRestoreFallbackCorruptNewest(t *testing.T) {
 	}
 }
 
+// TestRecoveryFallbackPastRestoredCommit: a restored operator's first
+// commit must keep its replay log covering the generation it was
+// restored from. Run 2 restores gen 2, replays, feeds more and commits
+// gen 3; gen 3 is then found corrupt, so the next restore falls back to
+// gen 2 and replays run 2's log. Everything run 2 consumed between the
+// restore and gen 3's barrier must still be in that log: run 1 cut at
+// gen 2's barrier plus run 3 must equal the oracle.
+func TestRecoveryFallbackPastRestoredCommit(t *testing.T) {
+	pred := squall.EquiJoin("eq", nil)
+	rng := rand.New(rand.NewSource(46))
+	tuples := mixedInput(rng, 3600, 43)
+	backend := squall.NewMemBackend()
+
+	op1, run1 := runToTwoCheckpoints(t, backend, pred, tuples[:2400])
+
+	op2, _, err := squall.Restore(backend, pred, newShardLog(64).sink())
+	if err != nil {
+		t.Fatalf("restore gen 2: %v", err)
+	}
+	op2.Start()
+	if err := op2.ReplayFrom(op1.ReplayLog()); err != nil {
+		t.Fatalf("replay into run 2: %v", err)
+	}
+	if err := op2.SendBatch(tuples[2400:3000]); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := op2.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint 3: %v", err)
+	}
+	if err := op2.SendBatch(tuples[3000:]); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := op2.Finish(); err != nil {
+		t.Fatalf("finish run 2: %v", err)
+	}
+
+	gens, err := backend.Generations()
+	if err != nil || len(gens) != 2 {
+		t.Fatalf("generations = %v, %v, want 2 retained", gens, err)
+	}
+	if !backend.Corrupt(gens[0]) {
+		t.Fatalf("could not corrupt generation %d", gens[0])
+	}
+	info := recoverAndCheck(t, backend, pred, op2, run1, tuples)
+	if info.CheckpointID != gens[1] || len(info.SkippedGenerations) != 1 {
+		t.Fatalf("restored generation %d skipping %v, want fallback %d skipping [%d]",
+			info.CheckpointID, info.SkippedGenerations, gens[1], gens[0])
+	}
+}
+
 // TestRestoreFallbackMissingBlob is the GC-ordering regression table:
 // a committed manifest whose blob has vanished (the state a
 // delete-before-commit GC bug would leave behind) must load as

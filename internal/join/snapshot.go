@@ -283,83 +283,6 @@ func readTuple(r *snapReader) Tuple {
 	return t
 }
 
-// loadIndex installs one side's snapshot into idx, which must be
-// empty. Arena-backed kinds go through MergeFrom: the decoded blocks
-// are adopted wholesale and the directory is rebuilt from their key
-// columns, exactly like a migration-finalization merge.
-func loadIndex(r *snapReader, idx Index) error {
-	kind := r.u8("index kind")
-	if r.err != nil {
-		return r.err
-	}
-	switch kind {
-	case snapIdxHash:
-		h, ok := idx.(*HashIndex)
-		if !ok {
-			return fmt.Errorf("join: snapshot holds a hash index but the predicate builds %T", idx)
-		}
-		bytes := int64(r.u64("index bytes"))
-		donor := &HashIndex{arena: readArena(r), bytes: bytes}
-		if r.err != nil {
-			return r.err
-		}
-		h.MergeFrom(donor)
-	case snapIdxScan:
-		s, ok := idx.(*ScanIndex)
-		if !ok {
-			return fmt.Errorf("join: snapshot holds a scan index but the predicate builds %T", idx)
-		}
-		bytes := int64(r.u64("index bytes"))
-		donor := &ScanIndex{arena: readArena(r), bytes: bytes}
-		if r.err != nil {
-			return r.err
-		}
-		s.MergeFrom(donor)
-	case snapIdxOrdered:
-		n := int(r.u32("tuple count"))
-		for i := 0; i < n; i++ {
-			t := readTuple(r)
-			if r.err != nil {
-				return r.err
-			}
-			idx.Insert(t)
-		}
-	default:
-		return fmt.Errorf("join: snapshot has unknown index kind %d", kind)
-	}
-	return r.err
-}
-
-// AppendSnapshot appends the serialized state of both sides to buf and
-// returns the extended slice. The encoding is deterministic for a
-// given store state and self-delimiting; it carries no CRC or length
-// prefix of its own (the storage layer frames it).
-func (l *Local) AppendSnapshot(buf []byte) []byte {
-	c, _, _ := l.Capture(nil)
-	return c.AppendTo(slices.Grow(buf, c.Size()))
-}
-
-// LoadSnapshot installs a snapshot produced by AppendSnapshot into l,
-// which must be freshly constructed (empty). Returns the number of
-// bytes consumed, so callers embedding the snapshot in a larger record
-// can continue past it.
-func (l *Local) LoadSnapshot(data []byte) (int, error) {
-	if l.r.Len() != 0 || l.s.Len() != 0 {
-		return 0, fmt.Errorf("join: LoadSnapshot target is not empty")
-	}
-	r := &snapReader{data: data}
-	if v := r.u8("snapshot version"); r.err == nil && v != localSnapVersion {
-		return 0, fmt.Errorf("join: unsupported local snapshot version %d", v)
-	}
-	if err := loadIndex(r, l.r); err != nil {
-		return 0, err
-	}
-	if err := loadIndex(r, l.s); err != nil {
-		return 0, err
-	}
-	return r.off, r.err
-}
-
 // IndexWatermark names the frozen block prefix of one index at
 // snapshot time: a later delta snapshot ships only chunks at indexes
 // >= Chunks, provided the index kind and arena mutation generation
@@ -566,25 +489,28 @@ func parseSide(r *snapReader) (sideSnap, error) {
 	return s, r.err
 }
 
-// parseLocalPayload decodes one payload produced by AppendSnapshot or
-// AppendSnapshotSince into its two side records, returning the bytes
-// consumed.
-func parseLocalPayload(data []byte) (r, s sideSnap, consumed int, err error) {
+// parseLocalPayload decodes one payload written by LocalCapture.AppendTo
+// into its two side records. The payload is self-delimiting, so bytes
+// past its end mean the framing around it is wrong.
+func parseLocalPayload(data []byte) (r, s sideSnap, err error) {
 	rd := &snapReader{data: data}
 	v := rd.u8("snapshot version")
 	if rd.err == nil && v != localSnapVersion && v != localSnapVersionDelta {
-		return r, s, 0, fmt.Errorf("join: unsupported local snapshot version %d", v)
+		return r, s, fmt.Errorf("join: unsupported local snapshot version %d", v)
 	}
 	if r, err = parseSide(rd); err != nil {
-		return r, s, 0, err
+		return r, s, err
 	}
 	if s, err = parseSide(rd); err != nil {
-		return r, s, 0, err
+		return r, s, err
 	}
 	if v == localSnapVersion && (r.kind >= snapIdxHashDelta || s.kind >= snapIdxHashDelta) {
-		return r, s, 0, fmt.Errorf("join: version-1 snapshot contains delta records")
+		return r, s, fmt.Errorf("join: version-1 snapshot contains delta records")
 	}
-	return r, s, rd.off, rd.err
+	if rd.off != len(data) {
+		return r, s, fmt.Errorf("join: snapshot has %d trailing bytes", len(data)-rd.off)
+	}
+	return r, s, nil
 }
 
 // spliceChain folds a base-first chain of side records into one
@@ -640,7 +566,9 @@ func spliceChain(chain []sideSnap) (sideSnap, error) {
 }
 
 // installSide installs a resolved side record into idx, which must be
-// empty, through the same MergeFrom/adopt path loadIndex uses.
+// empty: arena-backed kinds through MergeFrom, which adopts the decoded
+// blocks wholesale and rebuilds the directory from their key columns,
+// exactly like a migration-finalization merge.
 func installSide(idx Index, rec sideSnap) error {
 	switch rec.kind {
 	case snapIdxHash:
@@ -682,7 +610,7 @@ func (l *Local) LoadSnapshotChain(payloads [][]byte) error {
 	ss := make([]sideSnap, len(payloads))
 	for i, p := range payloads {
 		var err error
-		if rs[i], ss[i], _, err = parseLocalPayload(p); err != nil {
+		if rs[i], ss[i], err = parseLocalPayload(p); err != nil {
 			return err
 		}
 	}

@@ -37,6 +37,16 @@ func storedMultiset(l *Local) map[snapTupleKey]int {
 	return out
 }
 
+// encodeLocal is the full snapshot payload of l, as a checkpoint
+// barrier with no earlier watermark captures and encodes it.
+func encodeLocal(l *Local) []byte {
+	c, _, _ := l.Capture(nil)
+	return c.AppendTo(nil)
+}
+
+// loadLocal installs one full payload into l.
+func loadLocal(l *Local, p []byte) error { return l.LoadSnapshotChain([][]byte{p}) }
+
 // fillLocal inserts a mixed population: keyed tuples on both sides,
 // some with payloads, some dummies, spread over enough tuples to span
 // multiple arena chunks.
@@ -78,14 +88,9 @@ func TestLocalSnapshotRoundTrip(t *testing.T) {
 			want := storedMultiset(src)
 			wantBytes := src.Bytes()
 
-			buf := src.AppendSnapshot(nil)
 			dst := NewLocal(tc.pred)
-			n, err := dst.LoadSnapshot(buf)
-			if err != nil {
+			if err := loadLocal(dst, encodeLocal(src)); err != nil {
 				t.Fatalf("load: %v", err)
-			}
-			if n != len(buf) {
-				t.Fatalf("load consumed %d of %d bytes", n, len(buf))
 			}
 			got := storedMultiset(dst)
 			if len(got) != len(want) {
@@ -112,9 +117,8 @@ func TestLocalSnapshotRoundTrip(t *testing.T) {
 
 func TestLocalSnapshotEmptyRoundTrip(t *testing.T) {
 	src := NewLocal(EquiJoin("eq", nil))
-	buf := src.AppendSnapshot(nil)
 	dst := NewLocal(EquiJoin("eq", nil))
-	if _, err := dst.LoadSnapshot(buf); err != nil {
+	if err := loadLocal(dst, encodeLocal(src)); err != nil {
 		t.Fatalf("load empty: %v", err)
 	}
 	if dst.TotalLen() != 0 {
@@ -122,51 +126,46 @@ func TestLocalSnapshotEmptyRoundTrip(t *testing.T) {
 	}
 }
 
+// The payload records its own end, so bytes past it are a framing
+// error the decoder reports rather than ignores.
 func TestLocalSnapshotSelfDelimiting(t *testing.T) {
 	src := NewLocal(EquiJoin("eq", nil))
 	fillLocal(src, rand.New(rand.NewSource(7)), 300)
-	buf := src.AppendSnapshot(nil)
-	trailer := []byte("TRAILING-RECORD")
-	buf = append(buf, trailer...)
-	dst := NewLocal(EquiJoin("eq", nil))
-	n, err := dst.LoadSnapshot(buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
+	buf := encodeLocal(src)
+	if err := loadLocal(NewLocal(EquiJoin("eq", nil)), append(buf, "TRAILING-RECORD"...)); err == nil {
+		t.Fatal("a payload with trailing bytes loaded")
 	}
-	if n != len(buf)-len(trailer) {
-		t.Fatalf("consumed %d bytes, want %d", n, len(buf)-len(trailer))
+	if err := loadLocal(NewLocal(EquiJoin("eq", nil)), buf); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 }
 
 func TestLocalSnapshotKindMismatch(t *testing.T) {
 	src := NewLocal(EquiJoin("eq", nil)) // hash indexes
 	fillLocal(src, rand.New(rand.NewSource(9)), 100)
-	buf := src.AppendSnapshot(nil)
 	dst := NewLocal(BandJoin("band", 2, nil)) // ordered indexes
-	if _, err := dst.LoadSnapshot(buf); err == nil {
+	if err := loadLocal(dst, encodeLocal(src)); err == nil {
 		t.Fatal("loading a hash snapshot into an ordered-index local succeeded")
 	}
 }
 
 func TestLocalSnapshotRejectsNonEmptyTarget(t *testing.T) {
 	src := NewLocal(EquiJoin("eq", nil))
-	buf := src.AppendSnapshot(nil)
 	dst := NewLocal(EquiJoin("eq", nil))
 	dst.Insert(Tuple{Rel: matrix.SideR, Key: 1, Seq: 1, Size: 8})
-	if _, err := dst.LoadSnapshot(buf); err == nil {
-		t.Fatal("LoadSnapshot into a non-empty local succeeded")
+	if err := loadLocal(dst, encodeLocal(src)); err == nil {
+		t.Fatal("loading into a non-empty local succeeded")
 	}
 }
 
 func TestLocalSnapshotTruncation(t *testing.T) {
 	src := NewLocal(EquiJoin("eq", nil))
 	fillLocal(src, rand.New(rand.NewSource(11)), 500)
-	buf := src.AppendSnapshot(nil)
+	buf := encodeLocal(src)
 	// Every proper prefix must fail cleanly (never panic). Stride keeps
 	// the test fast; the interesting boundaries are all hit modulo 13.
 	for cut := 0; cut < len(buf); cut += 13 {
-		dst := NewLocal(EquiJoin("eq", nil))
-		if _, err := dst.LoadSnapshot(buf[:cut]); err == nil {
+		if err := loadLocal(NewLocal(EquiJoin("eq", nil)), buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d loaded successfully", cut, len(buf))
 		}
 	}

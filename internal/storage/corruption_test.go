@@ -367,7 +367,7 @@ func TestStoreSnapshotRoundTripWithSpill(t *testing.T) {
 	}
 	want := count(src)
 
-	buf := src.AppendSnapshot(nil)
+	buf, _, _ := src.AppendSnapshotSince(nil, nil)
 	dst := NewStore(p, Config{})
 	defer dst.Close()
 	if err := dst.RestoreSnapshot(buf); err != nil {
@@ -400,7 +400,7 @@ func TestStoreRestoreSnapshotCorruption(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		add(src, tup(matrix.Side(i%2), int64(i%7), uint64(i)))
 	}
-	buf := src.AppendSnapshot(nil)
+	buf, _, _ := src.AppendSnapshotSince(nil, nil)
 
 	t.Run("trailing garbage", func(t *testing.T) {
 		dst := NewStore(p, Config{})

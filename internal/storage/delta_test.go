@@ -123,7 +123,8 @@ func TestStoreDeltaChainEquivalence(t *testing.T) {
 					t.Fatalf("ckpt %d: chain restore (%d links): %v", ckpts, len(chain), err)
 				}
 				fullDst := NewStore(p, Config{})
-				if err := fullDst.RestoreSnapshot(src.AppendSnapshot(nil)); err != nil {
+				whole, _, _ := src.AppendSnapshotSince(nil, nil)
+				if err := fullDst.RestoreSnapshot(whole); err != nil {
 					t.Fatalf("ckpt %d: full restore: %v", ckpts, err)
 				}
 

@@ -67,7 +67,7 @@ type JoinerSnapshot struct {
 	// the barrier: the cut position in its output stream.
 	Emitted int64
 	// State is the store snapshot payload committed in this generation
-	// (Store.AppendSnapshot or a delta from Store.AppendSnapshotSince).
+	// (a full or delta Store.Capture, encoded by StoreCapture.AppendTo).
 	// Decode fills it.
 	State []byte
 	// Capture, when set, is the encode-side form of State: the joiner's
@@ -604,15 +604,6 @@ func (c *StoreCapture) AppendTo(buf []byte) []byte {
 		buf = append(buf, sc.recs...)
 	}
 	return buf
-}
-
-// AppendSnapshot appends the store's full serialized state to buf: the
-// memory tier as whole arena blocks (join.Local.AppendSnapshot), then
-// each side's spilled records in append order, re-using the spill
-// segment's record encoding.
-func (s *Store) AppendSnapshot(buf []byte) []byte {
-	out, _, _ := s.AppendSnapshotSince(buf, nil)
-	return out
 }
 
 // AppendSnapshotSince is Capture followed by AppendTo on the calling

@@ -3,7 +3,6 @@ package squall
 import (
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/join"
 )
@@ -199,13 +198,17 @@ func NewEngine(pred Predicate, sink Sink, opts ...Option) Engine {
 }
 
 // NewSHJ builds the parallel symmetric hash join baseline from options:
-// WithJoiners sets its worker count (any positive count), WithStorage
-// its per-worker stores, and sink its result path (a Sharded sink's
-// shard is the worker index). The predicate must be an equi-join.
-// Options only the grid operator implements — WithBackend and
-// WithWorkers — are rejected; the grid's tuning options are ignored.
-func NewSHJ(pred Predicate, sink Sink, opts ...Option) (*SHJ, error) {
-	return baseline.NewSHJ(newStageConfig(nil, opts).coreConfig(pred, sink))
+// an Operator on its hash route, which sends each tuple to the one
+// joiner its key hashes to instead of a row or column of a grid.
+// WithJoiners sets its worker count (any positive count) and sink its
+// result path (a Sharded sink's shard is the worker index); storage,
+// batching, linger and latency options apply as to any stage. The
+// predicate must be an equi-join. Options only the grid route
+// implements — WithBackend and WithWorkers — are rejected; the grid's
+// shape and adaptation options (WithAdaptive, WithInitialMapping,
+// WithElastic, WithPadDummies) are ignored.
+func NewSHJ(pred Predicate, sink Sink, opts ...Option) (*Operator, error) {
+	return core.NewSHJ(newStageConfig(nil, opts).coreConfig(pred, sink))
 }
 
 // coreConfig resolves the stage's options, predicate and sink into the

@@ -3,6 +3,7 @@ package squall_test
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,6 +42,10 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 		{"checkpoint-every/no-backend", eq, []squall.Option{squall.WithCheckpointEvery(1000)}},
 		{"checkpoint-every/negative", eq, []squall.Option{squall.WithBackend(squall.NewMemBackend()), squall.WithCheckpointEvery(-1)}},
 		{"grouped/checkpoint-every", eq, []squall.Option{squall.WithJoiners(6), squall.WithCheckpointEvery(1000)}},
+		{"epsilon/above-one", eq, []squall.Option{squall.WithAdaptive(), squall.WithEpsilon(2)}},
+		{"epsilon/negative", eq, []squall.Option{squall.WithEpsilon(-0.5)}},
+		{"epsilon/nan", eq, []squall.Option{squall.WithAdaptive(), squall.WithEpsilon(math.NaN())}},
+		{"grouped/epsilon", eq, []squall.Option{squall.WithJoiners(6), squall.WithEpsilon(2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

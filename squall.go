@@ -48,15 +48,15 @@
 //	}).To(sink)
 //	// feed R/S into rs, T into rst
 //
-// Below the pipeline sit the engines, all implementing Engine and all
-// drivable standalone. Options are the one way to configure them:
+// Below the pipeline sit two engines, both implementing Engine and
+// both drivable standalone. Options are the one way to configure them:
 // NewEngine builds the grid operator (or, for non-power-of-two joiner
-// counts, the grouped one), NewSHJ the baseline, and Restore an
-// operator from a checkpoint. A misconfiguration is an error from
-// Pipeline.Run, NewSHJ and Restore, reported before any task starts;
-// NewEngine, which has no error return, panics with that error.
+// counts, the grouped one), NewSHJ the operator on its hash route, and
+// Restore an operator from a checkpoint. A misconfiguration is an error
+// from Pipeline.Run, NewSHJ and Restore, reported before any task
+// starts; NewEngine, which has no error return, panics with that error.
 //
-//   - Operator — the concurrent grid operator: one goroutine per joiner
+//   - Operator — the concurrent operator: one goroutine per joiner
 //     and reshuffler task, with a batched message plane as the
 //     interconnect (per-destination tuple batches, pool-recycled
 //     envelopes; see WithBatchSize and WithBatchLinger). The migration
@@ -64,19 +64,21 @@
 //     bytes in-process and over TCP, and both ends of the operator are
 //     batched too: SendBatch ingests runs of tuples in pooled envelopes
 //     with one sequence-number fetch, and sinks receive join results a
-//     run at a time with per-flush accounting.
+//     run at a time with per-flush accounting. Its reshufflers route
+//     on the paper's content-insensitive grid, or — built by NewSHJ —
+//     on the join key's hash: the parallel symmetric hash join (SHJ)
+//     the evaluation compares against, which sends each tuple to one
+//     joiner.
 //   - Grouped — the generalization to machine counts that are not
-//     powers of two (§4.2.2); the pipeline selects it automatically for
-//     non-power-of-two WithJoiners counts.
-//   - SHJ — the content-sensitive parallel symmetric-hash-join
-//     baseline the evaluation compares against.
+//     powers of two (§4.2.2), one grid Operator per power-of-two group;
+//     the pipeline selects it automatically for non-power-of-two
+//     WithJoiners counts.
 //   - Sim / SimConfig — a deterministic single-threaded replay used to
 //     regenerate the paper's tables and figures bit-identically (not
 //     an Engine: it is synchronous by design).
 package squall
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -157,7 +159,7 @@ func OptimalMapping(j int, r, s float64) Mapping { return matrix.Optimal(j, r, s
 func SquareMapping(j int) Mapping { return matrix.Square(j) }
 
 // Engine is the uniform driving surface over every operator in the
-// package: Operator, Grouped, and SHJ all implement it, so sinks,
+// package: Operator (on either route) and Grouped implement it, so sinks,
 // metrics collection, and the bench/experiment harnesses drive any of
 // them identically. The pipeline layer builds engines from options;
 // NewEngine builds a standalone one.
@@ -195,9 +197,6 @@ func NewSim(cfg SimConfig) *Sim { return core.NewSim(cfg) }
 
 // SimResult summarizes a finished simulation.
 type SimResult = core.Result
-
-// SHJ is the content-sensitive baseline operator (equi-joins only).
-type SHJ = baseline.SHJ
 
 // StorageConfig bounds per-joiner memory and configures the disk-spill
 // tier (the BerkeleyDB-substitute storage engine).
