@@ -59,31 +59,36 @@ func TestBatchingAdaptiveMigrationExact(t *testing.T) {
 }
 
 // An epoch command is a per-link barrier: the reshuffler ships every
-// pending partial batch, counted as a signal flush, ahead of the signal
-// on the same link. The reshuffler is driven by hand, so the batch is
-// pending when the command lands by construction rather than by timing.
+// pending partial envelope, counted as a signal flush, ahead of the
+// signal on the same links. The reshuffler is driven by hand, so the
+// envelope is pending when the command lands by construction rather
+// than by timing.
 func TestSignalFlushesPendingBatches(t *testing.T) {
 	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
 	op := mustOperator(t, Config{J: 2, Pred: join.EquiJoin("eq", nil), Initial: from})
-	r := &reshuffler{
-		mapping: from, table: append([]int(nil), op.ctl.table...),
-		topo: op.topo, opm: op.met, batchSize: op.cfg.BatchSize, stop: op.stop,
-	}
-	// Under (2,1) an S tuple goes to both rows: one pending tuple per link.
+	r := handReshuffler(op)
+	// Under (2,1) an S tuple goes to both rows: one pending envelope for
+	// the column, shared by both links.
 	r.routeBatch([]sourceItem{{t: join.Tuple{Rel: matrix.SideS, Key: 1, Seq: 1, U: 1}}})
 	if n := op.met.BatchesSent.Load(); n != 0 {
-		t.Fatalf("%d batches shipped before the command", n)
+		t.Fatalf("%d envelopes shipped before the command", n)
 	}
 	r.applyCtrl(ctrlMsg{kind: ctrlEpoch, epoch: 1, mapping: to})
-	if n := op.met.BatchFlushSignal.Load(); n != 2 {
-		t.Fatalf("BatchFlushSignal = %d, want 2 (one per link)", n)
+	if n := op.met.BatchFlushSignal.Load(); n != 1 {
+		t.Fatalf("BatchFlushSignal = %d, want 1 (the column's envelope)", n)
 	}
+	var shared *envelope
 	for _, w := range op.joiners {
 		data, sig := <-w.dataIn, <-w.dataIn
-		if len(data) != 1 || data[0].kind != kTuple || data[0].epoch != 0 {
+		if data.hdr.kind != kTuple || data.hdr.epoch != 0 || len(data.tuples) != 1 {
 			t.Fatalf("joiner %d: first envelope %+v, want the pending old-epoch tuple", w.id, data)
 		}
-		if len(sig) != 1 || sig[0].kind != kSignal || sig[0].epoch != 1 {
+		if shared == nil {
+			shared = data
+		} else if data != shared {
+			t.Fatalf("joiner %d got its own copy of the column's envelope", w.id)
+		}
+		if sig.hdr.kind != kSignal || sig.hdr.epoch != 1 || len(sig.tuples) != 0 {
 			t.Fatalf("joiner %d: second envelope %+v, want the epoch-1 signal", w.id, sig)
 		}
 	}
@@ -194,20 +199,30 @@ func TestJoinerPortsCapacityScalesWithBatchSize(t *testing.T) {
 	}
 }
 
-// Recycled buffers must come back empty and regrow cleanly.
+// Recycled envelopes must come back empty and regrow cleanly.
 func TestBatchPoolRoundTrip(t *testing.T) {
-	b := getBatch(8)
+	e := getEnvelope(8)
+	e.hdr = message{kind: kTuple, epoch: 3, probeOnly: true}
 	for i := 0; i < 8; i++ {
-		b = append(b, message{kind: kTuple, tuple: join.Tuple{Key: int64(i), Payload: []byte{1}}})
+		e.tuples = append(e.tuples, join.Tuple{Key: int64(i), Payload: []byte{1}})
 	}
-	putBatch(b)
-	b2 := getBatch(8)
-	if len(b2) != 0 {
-		t.Fatalf("pooled batch came back with len %d", len(b2))
+	body := e.tuples
+	e.refs.Store(1)
+	e.release()
+	if len(e.tuples) != 0 || e.hdr.epoch != 0 || e.hdr.probeOnly || e.bytes != 0 {
+		t.Fatalf("released envelope kept %d tuples, header %+v", len(e.tuples), e.hdr)
 	}
-	b2 = append(b2, message{kind: kEOS})
-	if b2[0].kind != kEOS {
-		t.Fatal("recycled batch corrupt")
+	if body[0].Payload != nil {
+		t.Fatal("released envelope pins a payload")
 	}
-	putBatch(b2)
+	e2 := getEnvelope(16)
+	if len(e2.tuples) != 0 || cap(e2.tuples) < 16 {
+		t.Fatalf("pooled envelope came back with len %d cap %d", len(e2.tuples), cap(e2.tuples))
+	}
+	e2.tuples = append(e2.tuples, join.Tuple{Key: 9})
+	if e2.tuples[0].Key != 9 {
+		t.Fatal("recycled envelope corrupt")
+	}
+	e2.refs.Store(1)
+	e2.release()
 }

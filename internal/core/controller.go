@@ -19,7 +19,7 @@ import (
 // Epoch signals ride the same FIFO data links as tuples, so with the
 // batched plane their ordering is a two-step contract: the controller
 // broadcasts ctrlEpoch on the control channels, and every reshuffler
-// flushes its pending per-destination batches before emitting the
+// flushes its pending row and column envelopes before emitting the
 // kSignal envelope (reshuffler.applyCtrl). A joiner therefore still
 // observes all of a reshuffler's old-epoch tuples strictly before that
 // reshuffler's signal, batching notwithstanding.

@@ -51,3 +51,35 @@ func runOperatorWithLatency(t *testing.T, cfg Config, tuples []join.Tuple) (int6
 	}
 	return n.Load(), op
 }
+
+// dataEnv builds a data envelope of one relation's tuples for a
+// hand-driven joiner, holding the one reference handleBatch releases.
+func dataEnv(epoch uint32, probeOnly bool, ts ...join.Tuple) *envelope {
+	e := getEnvelope(len(ts))
+	e.hdr = message{kind: kTuple, epoch: epoch, probeOnly: probeOnly}
+	for _, t := range ts {
+		e.tuples = append(e.tuples, t)
+		e.bytes += t.Bytes()
+	}
+	e.refs.Store(1)
+	return e
+}
+
+// ctrlEnv wraps a control message in a header-only envelope holding the
+// one reference handleBatch releases.
+func ctrlEnv(m message) *envelope {
+	e := getEnvelope(0)
+	e.hdr = m
+	e.refs.Store(1)
+	return e
+}
+
+// handReshuffler builds reshuffler 0 of an operator that was not
+// started, for a test that drives routing and control by hand and reads
+// the joiners' inboxes.
+func handReshuffler(op *Operator) *reshuffler {
+	return &reshuffler{
+		mapping: op.cfg.Initial, table: append([]int(nil), op.ctl.table...),
+		topo: op.topo, opm: op.met, batchSize: op.cfg.BatchSize, stop: op.stop,
+	}
+}

@@ -30,8 +30,9 @@ import (
 // the discards of the splitting relation are applied (Alg. 3 line 29).
 //
 // Every epoch rides the same batch path: a data tuple is only ever
-// processed as part of a same-side run (handleBatch, runTuples), and a
-// migrated-in block as one run per side (onMigBlocks). Which stores a
+// processed as part of a same-side run — one data envelope is one run
+// (handleBatch, runTuples) — and a migrated-in block as one run per
+// side (onMigBlocks). Which stores a
 // run probes and where it lands depend on the epoch; Keep and the
 // §4.2.2 ownership guard are filters over the pairs the run collected
 // (filterTail), never per-pair callbacks.
@@ -66,12 +67,13 @@ type joiner struct {
 	// until the first commit — the first snapshot is always full.
 	ckptWM atomic.Pointer[storage.StoreWatermark]
 
-	dataIn    chan []message
+	dataIn    chan *envelope
 	migIn     *dataflow.Queue[message]
 	migNotify chan struct{}
-	// runBuf is the reusable scratch buffer data envelopes and migrated
-	// blocks are extracted into as same-side runs for the stores' batch
-	// API.
+	// runBuf is the reusable scratch buffer for the runs a joiner must
+	// own: migrated blocks decode into it, and the replay-duplicate
+	// filter and the ∆ path's kept sub-run copy into it, since envelope
+	// bodies are shared with other joiners.
 	runBuf []join.Tuple
 	// pairBuf accumulates one run's matches until flushPending ships
 	// them right after the run, so it is empty between runs; emitBatch
@@ -210,9 +212,8 @@ type migState struct {
 // run is the joiner task loop. Migrated tuples are processed at least
 // at twice the rate of new tuples when both are pending (§4.3.2): two
 // migration messages, each carrying up to a block of tuples, per data
-// envelope here, and per run inside an envelope while a migration is in
-// flight (handleBatch). That preserves the 1.25 competitive ratio under
-// non-blocking operation (Thm 4.6).
+// envelope, and a data envelope is one run. That preserves the 1.25
+// competitive ratio under non-blocking operation (Thm 4.6).
 //
 // The deferred close releases the store's spill segments on every exit
 // path — cancellation, panic (including armed crash faultpoints), and
@@ -238,15 +239,15 @@ func (w *joiner) run() error {
 			}
 		}
 		select {
-		case b := <-w.dataIn:
-			w.handleBatch(b)
+		case e := <-w.dataIn:
+			w.handleBatch(e)
 			progressed = true
 		default:
 		}
 		if !progressed {
 			select {
-			case b := <-w.dataIn:
-				w.handleBatch(b)
+			case e := <-w.dataIn:
+				w.handleBatch(e)
 			case <-w.migNotify:
 			case <-w.stop:
 				return nil
@@ -256,97 +257,51 @@ func (w *joiner) run() error {
 	return nil
 }
 
-// handleBatch processes one data-plane envelope and recycles its
-// buffer. It is the only place a data tuple is processed, in every
-// epoch: maximal stretches of data tuples sharing epoch tag and
-// probe-only mode are cut out of the envelope, and each stretch is
-// split by side into at most two runs — its R tuples, then its S
-// tuples, each in envelope order — driven through the stores' batch
-// APIs by runTuples. Hash lookups, bounds checks, and spill-tier
-// dispatch amortize per run, and no per-tuple or per-pair callback
-// exists. Cutting on side as well would leave runs of under two tuples
-// on an interleaved stream, too short for the stores' pipelined
-// directory walk to overlap any misses.
+// handleBatch processes one data-plane envelope and releases this
+// joiner's reference to it. It is the only place a data tuple is
+// processed, in every epoch: a data envelope's body is a run of tuples
+// of one relation sharing the header's epoch tag and probe-only mode,
+// and it goes to runTuples whole, as one run, without a copy — the body
+// is shared with the other joiners of its row or column and nobody
+// writes it. A restored joiner's replay-duplicate filter copies the
+// surviving tuples into runBuf instead; the ∆ path copies its kept
+// sub-run there too (runTuples).
 //
-// Reordering the sides within a stretch is exact in every epoch.
-// Tuples of one relation never join each other, so only a pair (r, s)
-// with both members in the stretch could be affected. The stretch
-// shares one epoch class, so the S run probes the store the R run was
-// stored into (τ∪∆ in steady state and for ∆, ∆′ for new-epoch
-// arrivals): a stored pair is emitted exactly once, by s, where arrival
-// order had it emitted by the later of the two; a probe-only stretch is
-// stored nowhere, so neither order joins it here. Pairs with earlier
-// state are found exactly as before, and Keep and the ownership guard
-// are filters over each collected pair, blind to the order of the runs.
-//
-// Control messages end a stretch and go through handle, so a signal
+// A control envelope carries one message, handled alone, so a signal
 // that starts a migration, or a migration message that completes one,
-// changes the class of the next run, never of one in progress. Replayed
-// duplicates are dropped before they are counted; the ILF counters and
-// stored-state gauges are updated once per envelope.
-//
-// The 2:1 migrated-to-new processing ratio (§4.3.2) is kept at run
-// granularity: while a migration is in flight, the joiner services up
-// to two pending migration messages at every run boundary, so a large
-// envelope cannot starve a state exchange. Outside a migration the
-// queue polls are skipped — a kMigBegin can wait out the (bounded)
-// remainder of the envelope.
-func (w *joiner) handleBatch(b []message) {
-	if w.ckpt != nil && len(b) > 0 && w.ckpt.seen[b[0].from] {
+// changes the class of the next run, never of one in progress. The ILF
+// counters and stored-state gauges are updated once per envelope.
+func (w *joiner) handleBatch(e *envelope) {
+	if w.ckpt != nil && w.ckpt.seen[e.hdr.from] {
 		// Barrier alignment: this link's marker already arrived, so the
-		// envelope is post-barrier traffic — hold it aside (every message
-		// in a data envelope comes from one reshuffler) until the
-		// remaining markers land, then replay it. Other links keep
-		// flowing, so no joiner stalls the operator at the barrier.
-		w.ckpt.held = append(w.ckpt.held, b)
+		// envelope is post-barrier traffic — hold it aside (its reference
+		// with it) until the remaining markers land, then replay it. Other
+		// links keep flowing, so no joiner stalls the operator at the
+		// barrier.
+		w.ckpt.held = append(w.ckpt.held, e)
+		return
+	}
+	if e.hdr.kind != kTuple {
+		w.handle(e.hdr)
+		e.release()
 		return
 	}
 	w.maybeReserve()
-	var tuples, bytes int64
-	boundary := false // whether a run or control message went before
-	for i := 0; i < len(b); {
-		m := &b[i]
-		if m.kind != kTuple {
-			w.pollMig(boundary)
-			w.handle(*m)
-			boundary = true
-			i++
-			continue
+	run, bytes := e.tuples, e.bytes
+	if w.dedup != nil {
+		run, bytes = w.runBuf[:0], 0
+		for i := range e.tuples {
+			if t := &e.tuples[i]; !w.isReplayDup(t) {
+				run = append(run, *t)
+				bytes += t.Bytes()
+			}
 		}
-		// Any Rel other than R is S, as the reshuffler routes it.
-		j, nR := i, 0
-		for j < len(b) && b[j].kind == kTuple && b[j].epoch == m.epoch && b[j].probeOnly == m.probeOnly {
-			if b[j].tuple.Rel == matrix.SideR {
-				nR++
-			}
-			j++
-		}
-		for _, isR := range [2]bool{true, false} {
-			if (isR && nR == 0) || (!isR && nR == j-i) {
-				continue
-			}
-			// Poll before the run is extracted: a migrated block decodes
-			// into runBuf too.
-			w.pollMig(boundary)
-			boundary = true
-			run := w.runBuf[:0]
-			for k := i; k < j; k++ {
-				if t := &b[k].tuple; (t.Rel == matrix.SideR) == isR && !w.isReplayDup(t) {
-					run = append(run, *t)
-					bytes += t.Bytes()
-				}
-			}
-			tuples += int64(len(run))
-			if len(run) > 0 {
-				w.runTuples(run, m.epoch, m.probeOnly)
-			}
-			w.runBuf = run
-		}
-		i = j
+		w.runBuf = run
 	}
-	if tuples > 0 {
-		w.met.InputTuples.Add(tuples)
+	if len(run) > 0 {
+		w.met.InputTuples.Add(int64(len(run)))
 		w.met.InputBytes.Add(bytes)
+		w.runTuples(run, e.hdr.epoch, e.hdr.probeOnly)
 	}
 	if w.mig != nil {
 		// Ship the ∆ forwards buffered while processing this envelope;
@@ -354,33 +309,19 @@ func (w *joiner) handleBatch(b []message) {
 		w.migFlushAll()
 	}
 	w.updateStored()
-	putBatch(b)
-}
-
-// pollMig services up to two pending migration messages at a run
-// boundary (boundary false: the envelope's first item, which the task
-// loop's own polls precede) while a migration is in flight.
-func (w *joiner) pollMig(boundary bool) {
-	if !boundary || w.mig == nil {
-		return
-	}
-	for k := 0; k < 2; k++ {
-		if mm, ok := w.migIn.TryPop(); ok {
-			w.handle(mm)
-		}
-	}
+	e.release()
 }
 
 // runTuples processes one run of same-side data tuples sharing an epoch
 // tag and probe-only mode — Alg. 3's HandleTuple1/HandleTuple2 for a
 // whole run, classified once — and ships its matches. handleBatch hands
-// it at most two runs per stretch of an envelope, R before S. Tuples of
-// one relation never join each other, so probing every store with the
-// whole run before storing any of it emits exactly the pairs per-tuple
-// probe-then-store would; an S run that follows its stretch's stored R
-// run finds those R tuples in the store like any earlier state. Matches
-// collect in pairBuf; a probe-only run's are then cut to the ones this
-// group owns (§4.2.2), and the run's output flushes once.
+// it one envelope body per call. Tuples of one relation never join each
+// other, so probing every store with the whole run before storing any
+// of it emits exactly the pairs per-tuple probe-then-store would.
+// Matches collect in pairBuf; a probe-only run's are then cut to the
+// ones this group owns (§4.2.2), and the run's output flushes once. The
+// run may be a shared envelope body, so it is only read: the ∆ path's
+// kept sub-run is compacted into runBuf, not in place.
 func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 	rel := run[0].Rel
 	n0 := len(w.pairBuf)
@@ -403,14 +344,16 @@ func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 		if !probeOnly {
 			w.state.InsertBatch(run)
 		}
-		// Everything else is done with the whole run, so it compacts in
-		// place to the kept sub-run.
-		kept := run[:0]
+		// Everything else is done with the whole run, so its kept sub-run
+		// compacts into runBuf (in place when the run already lives there:
+		// the write index never passes the read index).
+		kept := w.runBuf[:0]
 		for i := range run {
 			if w.mig.keeps(rel, run[i].U) {
 				kept = append(kept, run[i])
 			}
 		}
+		w.runBuf = kept
 		w.mig.dp.ProbeBatchCollect(kept, &w.pairBuf) // Keep(∆) ⋈ ∆′
 	case epoch == w.mig.epoch:
 		// ∆′: new-epoch arrivals (Alg. 3 lines 12-14 / 24-26).
@@ -500,7 +443,7 @@ type ckptBarrier struct {
 	id    uint64
 	seen  []bool
 	count int
-	held  [][]message
+	held  []*envelope
 	// full forces a self-contained snapshot (chain compaction or the
 	// first checkpoint); it rides the markers' epoch field.
 	full bool
@@ -563,8 +506,8 @@ func (w *joiner) completeBarrier() {
 		return
 	}
 	faultpoint.Crash(faultpoint.AfterBarrier)
-	for _, b := range held {
-		w.handleBatch(b)
+	for _, e := range held {
+		w.handleBatch(e)
 	}
 }
 

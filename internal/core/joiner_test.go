@@ -136,13 +136,12 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	sender.handle(begin)
 	receiver.handle(begin)
 	// ∆′ at the receiver: stored S tuples older and newer than the probe.
-	receiver.handleBatch([]message{
-		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1}},
-		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1}},
-	})
+	receiver.handleBatch(dataEnv(1, false,
+		join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1},
+		join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1}))
 	// ∆ at the sender: a probe-only old-epoch R tuple, forwarded when the
 	// envelope ends.
-	sender.handleBatch([]message{{kind: kTuple, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}}})
+	sender.handleBatch(dataEnv(0, true, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}))
 
 	var kinds []msgKind
 	for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
@@ -165,24 +164,25 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	}
 }
 
-// TestEpochRunsExact drives two joiners by hand through one elementary
-// step, (2,1) -> (1,2), with every run class of the batch path: ∆ and ∆′
-// runs of both sides, stored and probe-only, in envelopes that straddle
-// the epoch signal and so mix them, while migrated blocks land between
-// runs at random points and the joiners advance in a random
-// interleaving. One reshuffler feeds both links in sequence order, as
-// in grouped mode, so the output must be the grouped oracle: every
-// matching pair whose older member is stored, exactly once — for a hash
-// (equi), an ordered (band) and a scan (neq) index. Dropping the Keep
-// filter duplicates the pairs new-epoch tuples form with discarded old
-// state; dropping either direction of the ownership guard claims pairs
-// whose older member is probe-only.
+// TestEpochRunsExact drives two joiners and their reshuffler by hand
+// through one elementary step, (2,1) -> (1,2), with every run class of
+// the batch path: ∆ and ∆′ runs of both sides, stored and probe-only,
+// in row and column envelopes of a random capacity that partial
+// flushes cut at random points, while migrated blocks land between
+// runs and the joiners advance in a random interleaving. One
+// reshuffler feeds both links, as in grouped mode, so the output must
+// be the grouped oracle: every matching pair whose older member is
+// stored, exactly once — for a hash (equi), an ordered (band) and a
+// scan (neq) index. Dropping the Keep filter duplicates the pairs
+// new-epoch tuples form with discarded old state; dropping either
+// direction of the ownership guard claims pairs whose older member is
+// probe-only.
 //
 // The stretches/ cases hold the probe-only mode over random spans of
-// the stream and deliver longer envelopes, so most envelopes carry
-// mixed-side stretches of one epoch and one mode — stored and
-// probe-only, ∆ and ∆′ — that the joiner splits into an R run and an S
-// run.
+// the stream and use larger envelopes, so stored and probe-only
+// envelopes of both relations are pending together — ∆ and ∆′ — and
+// the reshuffler's rule that ships the older stored envelopes of the
+// opposite relation before a probe-only one decides exactness.
 func TestEpochRunsExact(t *testing.T) {
 	for _, pred := range []join.Predicate{
 		join.EquiJoin("eq", nil),
@@ -209,11 +209,10 @@ func TestEpochRunsExact(t *testing.T) {
 		begin := message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}}
 		sender.handle(begin)
 		receiver.handle(begin)
-		receiver.handleBatch([]message{
-			{kind: kTuple, epoch: 1, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1 << 63}},
-			{kind: kTuple, epoch: 1, probeOnly: true, tuple: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1 << 63}},
-		})
-		sender.handleBatch([]message{{kind: kTuple, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}}})
+		receiver.handleBatch(dataEnv(1, true,
+			join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1 << 63},
+			join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1 << 63}))
+		sender.handleBatch(dataEnv(0, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}))
 		for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
 			receiver.handle(m)
 		}
@@ -233,53 +232,45 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 	got := map[[2]uint64]int{}
 	op := mustOperator(t, Config{
 		J: 2, Pred: pred, Initial: from, NumReshufflers: 1,
+		BatchSize: 1 + rng.Intn(maxEnvelope), DataQueueCap: 1 << 16,
 		EmitBatch: func(ps []join.Pair) { countPairs(got, ps) },
 	})
 	js := op.joiners
-	maps := [2]matrix.Mapping{from, to}
-	tables := [2][]int{op.ctl.table, stepTable(op.ctl.table, matrix.NewTransition(from, to))}
+	r := handReshuffler(op)
 
-	type item struct {
-		t         join.Tuple
-		probeOnly bool
-	}
-	var items []item
-	// links holds what the reshuffler has sent each joiner and the joiner
-	// has not processed yet; route appends n new tuples, each to its row
-	// (R) or column (S) under the epoch's mapping.
-	var links [2][]message
+	var items []sourceItem
 	probeOnly := false
-	route := func(n int, epoch uint32) {
-		for ; n > 0; n-- {
-			it := item{t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64(),
-				Seq: uint64(len(items) + 1), Size: 8}}
-			if !stretches || rng.Intn(8) == 0 {
-				probeOnly = rng.Intn(3) == 0
-			}
-			it.probeOnly = probeOnly
-			items = append(items, it)
-			m, tbl := maps[epoch], tables[epoch]
-			for i := 0; i < m.J(); i++ {
-				c := m.CellOf(i)
-				if (it.t.Rel == matrix.SideR && c.Row == m.RowOf(it.t.U)) ||
-					(it.t.Rel == matrix.SideS && c.Col == m.ColOf(it.t.U)) {
-					links[tbl[i]] = append(links[tbl[i]], message{kind: kTuple, epoch: epoch, probeOnly: it.probeOnly, tuple: it.t})
+	// route hands the reshuffler n new tuples in runs of random length,
+	// flushing its partial envelopes after some of them.
+	route := func(n int) {
+		for n > 0 {
+			run := make([]sourceItem, min(n, 1+rng.Intn(6)))
+			for i := range run {
+				if !stretches || rng.Intn(8) == 0 {
+					probeOnly = rng.Intn(3) == 0
 				}
+				run[i] = sourceItem{t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64() | 1,
+					Seq: uint64(len(items) + 1), Size: 8}, probeOnly: probeOnly}
+				items = append(items, run[i])
+			}
+			r.routeBatch(run)
+			n -= len(run)
+			if rng.Intn(4) == 0 {
+				r.flushAll(&op.met.BatchFlushIdle)
 			}
 		}
+		r.flushAll(&op.met.BatchFlushIdle)
 	}
-	// drive lets a random joiner take its next envelope of 1–maxEnvelope
-	// messages until both links are empty; after each envelope a random
-	// joiner handles up to two pending migration messages.
+	// drive lets a random joiner take its next envelope until both links
+	// are empty; after each envelope a random joiner handles up to two
+	// pending migration messages.
 	drive := func() {
-		for len(links[0])+len(links[1]) > 0 {
+		for len(js[0].dataIn)+len(js[1].dataIn) > 0 {
 			id := rng.Intn(2)
-			if len(links[id]) == 0 {
+			if len(js[id].dataIn) == 0 {
 				id = 1 - id
 			}
-			k := min(len(links[id]), 1+rng.Intn(maxEnvelope))
-			js[id].handleBatch(append([]message(nil), links[id][:k]...))
-			links[id] = links[id][k:]
+			js[id].handleBatch(<-js[id].dataIn)
 			w := js[rng.Intn(2)]
 			for p := rng.Intn(3); p > 0; p-- {
 				if m, ok := w.migIn.TryPop(); ok {
@@ -289,11 +280,9 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 		}
 	}
 
-	route(40, 0)
-	for id := range links {
-		links[id] = append(links[id], message{kind: kSignal, epoch: 1, mapping: to})
-	}
-	route(80, 1)
+	route(40)
+	r.applyCtrl(ctrlMsg{kind: ctrlEpoch, epoch: 1, mapping: to})
+	route(80)
 	drive()
 	for progressed := true; progressed; {
 		progressed = false
@@ -309,7 +298,7 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 			t.Fatalf("joiner %d did not finish the step (epoch %d)", w.id, w.epoch)
 		}
 	}
-	route(30, 1) // steady state on the merged stores
+	route(30) // steady state on the merged stores
 	drive()
 
 	want := map[[2]uint64]int{}
@@ -346,10 +335,8 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 	w.dedup = map[uint64]struct{}{2: {}, 3: {}}
 	w.dedupMax = 3
 	w.handle(message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}})
-	w.handleBatch([]message{
-		{kind: kTuple, epoch: 0, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2}}, // ∆
-		{kind: kTuple, epoch: 1, tuple: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 3}}, // ∆′
-	})
+	w.handleBatch(dataEnv(0, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2})) // ∆
+	w.handleBatch(dataEnv(1, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 3})) // ∆′
 	if pairs != 0 {
 		t.Fatalf("replayed duplicates emitted %d pairs", pairs)
 	}
@@ -358,39 +345,40 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 	}
 }
 
-// TestAlternatingEnvelopeRunsPerStretch: an envelope whose sides
-// alternate tuple by tuple costs at most two runs per stretch of one
-// epoch and probe-only mode — its R tuples, then its S tuples — rather
-// than one run per side change, and stays exact. Every tuple shares its
-// key with state stored beforehand, so every run emits pairs and the
-// sink's call count is the run count.
+// TestAlternatingEnvelopeRunsPerStretch: a stream whose sides
+// alternate tuple by tuple, in stretches of one probe-only mode, costs
+// one joiner run per envelope, and the reshuffler's row and column
+// slots cut it into at most one envelope per side and mode — not one
+// run per side change — while staying exact. Every tuple shares its key
+// with state stored beforehand, so every run emits pairs and the sink's
+// call count is the run count.
 func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
 	calls := 0
 	got := map[[2]uint64]int{}
 	op := mustOperator(t, Config{
-		J: 1, Pred: join.EquiJoin("eq", nil),
+		J: 1, Pred: join.EquiJoin("eq", nil), BatchSize: 64,
 		EmitBatch: func(ps []join.Pair) { calls++; countPairs(got, ps) },
 	})
 	w := op.joiners[0]
-	type item struct {
-		t         join.Tuple
-		probeOnly bool
-	}
-	items := []item{{t: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}}, {t: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}}
+	items := []sourceItem{{t: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}}, {t: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}}
 	for _, it := range items {
 		w.state.Insert(it.t)
 	}
 	// Three stretches, cut by the mode: stored R S R S, probe-only
 	// R S R S, stored R S.
-	var env []message
+	n0 := len(items)
 	for i, po := range []bool{false, false, false, false, true, true, true, true, false, false} {
 		tp := join.Tuple{Rel: matrix.Side(i % 2), Key: 7, Seq: uint64(len(items) + 1), U: 1}
-		items = append(items, item{tp, po})
-		env = append(env, message{kind: kTuple, probeOnly: po, tuple: tp})
+		items = append(items, sourceItem{t: tp, probeOnly: po})
 	}
-	w.handleBatch(env)
-	if calls != 6 {
-		t.Fatalf("three alternating stretches took %d runs, want 6 (an R and an S run each)", calls)
+	r := handReshuffler(op)
+	r.routeBatch(items[n0:])
+	r.flushAll(&op.met.BatchFlushIdle)
+	for len(w.dataIn) > 0 {
+		w.handleBatch(<-w.dataIn)
+	}
+	if calls != 4 {
+		t.Fatalf("the alternating stream took %d runs, want 4 (an R and an S run per mode)", calls)
 	}
 	// The grouped oracle: every pair whose older member is stored, except
 	// the one both of whose members were stored without probing.

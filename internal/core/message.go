@@ -20,7 +20,8 @@ import (
 type msgKind uint8
 
 const (
-	// kTuple is a data tuple routed by a reshuffler.
+	// kTuple marks a data envelope's header: its body holds routed data
+	// tuples.
 	kTuple msgKind = iota
 	// kSignal is an epoch-change signal a reshuffler sends each joiner
 	// when it adopts a new mapping; it separates old-epoch from
@@ -38,7 +39,7 @@ const (
 	// kMigDone marks the end of a sender's migration stream.
 	kMigDone
 	// kCkpt is a checkpoint barrier marker: each reshuffler emits one
-	// per joiner after flushing its pending batches, so a joiner that
+	// to every joiner after flushing its pending envelopes, so a joiner that
 	// has collected all numRe markers has seen exactly the pre-barrier
 	// prefix of every link (Chandy-Lamport alignment on FIFO links).
 	// The checkpoint id rides in tuple.Seq and the force-full flag in
@@ -57,12 +58,14 @@ const (
 	kMigBlocks
 )
 
-// message is the unit exchanged on all operator links. The data plane
-// (reshuffler->joiner) ships messages in pooled []message batch
-// envelopes (batch.go); the migration plane (joiner->joiner) ships them
-// one at a time, its bulk riding inside kMigBlocks. The field order is
-// descending by alignment to eliminate padding; message_test.go asserts
-// the layout stays tight.
+// message is the unit of the control and migration planes. On the data
+// plane (reshuffler->joiner) a control message is the header of a
+// header-only envelope and a data envelope's header uses the sender,
+// epoch and probe-only fields for its whole body (batch.go); data tuples
+// never travel as messages. The migration plane (joiner->joiner) ships
+// messages one at a time, its bulk riding inside kMigBlocks. The field
+// order is descending by alignment to eliminate padding;
+// message_test.go asserts the layout stays tight.
 type message struct {
 	tuple   join.Tuple
 	mapping matrix.Mapping // kSignal, kMigBegin: the target mapping

@@ -8,14 +8,17 @@ import (
 	"repro/internal/matrix"
 )
 
-// Envelopes carry both data and migration tuples, so message layout is
-// hot: the struct orders fields by descending alignment and this test
-// pins the layout to the padding-free size — the embedded tuple and
-// mapping, one word for the sender id, then epoch+kind+expand+probeOnly
-// packed into a single word. It also pins the bytes every routed tuple
-// moves through the data plane on 64-bit: the 64-byte join.Tuple (its
-// Size, Rel and Dummy share one word), the source item and envelope
-// slot that embed it, and the result Pair.
+// message is the control and migration planes' unit: the struct orders
+// fields by descending alignment and this test pins the layout to the
+// padding-free size — the embedded tuple and mapping, one word for the
+// sender id, then epoch+kind+expand+probeOnly packed into a single word.
+// It also pins, on 64-bit, the bytes every routed tuple moves through
+// the data plane: the 64-byte join.Tuple (its Size, Rel and Dummy share
+// one word), the source item that embeds it, and the result Pair. A
+// tuple lands once in the envelope of its grid row or column, which
+// every joiner of it shares, so on a (4,4) grid one input tuple costs a
+// source item plus one envelope body slot — 136 bytes, where four
+// per-joiner message copies cost 456.
 func TestMessageLayoutHasNoPadding(t *testing.T) {
 	var m message
 	tail := unsafe.Sizeof(m.from) + unsafe.Sizeof(m.epoch) +
@@ -30,6 +33,7 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the byte sizes below are the 64-bit layout")
 	}
+	var e envelope
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
@@ -38,6 +42,7 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 		{"join.Pair", unsafe.Sizeof(join.Pair{}), 128},
 		{"message", unsafe.Sizeof(message{}), 96},
 		{"sourceItem", unsafe.Sizeof(sourceItem{}), 72},
+		{"data-plane bytes per input tuple on a (4,4) grid", unsafe.Sizeof(sourceItem{}) + unsafe.Sizeof(e.tuples[0]), 136},
 	} {
 		if c.got != c.want {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
@@ -45,7 +50,7 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 	}
 }
 
-// The kind byte is on the wire (envelopes, kMigBlocks frames), so each
+// The kind byte is on the wire (envelope headers, migration frames), so each
 // kind keeps its value; slot 4 belongs to the retired per-tuple kind.
 func TestMessageKindWireValues(t *testing.T) {
 	got := []msgKind{kTuple, kSignal, kEOS, kMigBegin, kMigDone, kCkpt, kMigBlocks}

@@ -43,9 +43,9 @@ func (tp *topology) isRemote(id int) bool {
 }
 
 type joinerPorts struct {
-	// dataIn carries batch envelopes ([]message) rather than single
-	// messages: one channel operation moves up to BatchSize tuples.
-	dataIn chan []message
+	// dataIn carries shared envelopes: one channel operation moves up to
+	// BatchSize tuples, or one control message.
+	dataIn chan *envelope
 	// migIn carries single messages: the framing markers (kMigBegin,
 	// kMigDone) and migrated state, whose tuples already travel in bulk
 	// inside each kMigBlocks message.
@@ -53,15 +53,15 @@ type joinerPorts struct {
 	migNotify chan struct{}
 }
 
-// newJoinerPorts sizes the data inbox in batches so the buffered
-// message volume stays at dataCap regardless of batch size.
+// newJoinerPorts sizes the data inbox in envelopes so the buffered
+// tuple volume stays at dataCap regardless of batch size.
 func newJoinerPorts(dataCap, batchSize int) *joinerPorts {
 	capBatches := dataCap / batchSize
 	if capBatches < 1 {
 		capBatches = 1
 	}
 	return &joinerPorts{
-		dataIn:    make(chan []message, capBatches),
+		dataIn:    make(chan *envelope, capBatches),
 		migIn:     dataflow.NewQueue[message](),
 		migNotify: make(chan struct{}, 1),
 	}
@@ -77,22 +77,22 @@ func (tp *topology) add(ports []*joinerPorts) {
 	tp.ports.Store(&next)
 }
 
-// pushData delivers a batch on a joiner's (bounded) data link,
-// providing backpressure to reshufflers. The receiver owns the slice
-// and recycles it via putBatch after processing. When the operator is
-// cancelled mid-send the batch is dropped — the topology is unwinding
-// and exactness no longer applies.
-func (tp *topology) pushData(id int, b []message) {
+// pushData delivers one reference to envelope e on a joiner's (bounded)
+// data link, providing backpressure to reshufflers. The receiver
+// releases its reference after processing. When the operator is
+// cancelled mid-send the reference is dropped here — the topology is
+// unwinding and exactness no longer applies.
+func (tp *topology) pushData(id int, e *envelope) {
 	if tp.isRemote(id) {
 		// Blocking in the link write: the TCP window is the remote
 		// analogue of the bounded inbox's backpressure.
-		tp.remote[id].sendData(id, b)
+		tp.remote[id].sendData(id, e)
 		return
 	}
 	select {
-	case (*tp.ports.Load())[id].dataIn <- b:
+	case (*tp.ports.Load())[id].dataIn <- e:
 	case <-tp.stop:
-		putBatch(b)
+		e.release()
 	}
 }
 
@@ -217,18 +217,19 @@ type Config struct {
 	Latency *metrics.LatencySampler
 	// Seed makes the random routing reproducible.
 	Seed int64
-	// DataQueueCap is the per-joiner data inbox capacity in messages
-	// (default 1024); the inbox channel is sized in batches so buffered
-	// volume is independent of BatchSize.
+	// DataQueueCap is the per-joiner data inbox capacity in tuples
+	// (default 1024): the inbox channel holds DataQueueCap/BatchSize
+	// envelopes, so buffered volume is independent of BatchSize.
 	DataQueueCap int
-	// BatchSize is the capacity of the reshuffler->joiner batch
-	// envelope in messages. Batches flush when full, before every
-	// protocol barrier (epoch signal, EOS), when the reshuffler goes
-	// idle, and when BatchLinger expires. 0 means DefaultBatchSize;
-	// 1 degenerates to the unbatched per-message plane.
+	// BatchSize is the capacity of the reshuffler->joiner envelope in
+	// tuples of one relation: one envelope per grid row (R) or column (S),
+	// shared by every joiner of it. Envelopes flush when full, before
+	// every protocol barrier (epoch signal, checkpoint marker, EOS), when
+	// the reshuffler goes idle, and when BatchLinger expires. 0 means
+	// DefaultBatchSize; 1 ships every routed tuple alone.
 	BatchSize int
 	// BatchLinger bounds how long a routed tuple may wait in a partial
-	// batch while the reshuffler stays busy, keeping tail latency
+	// envelope while the reshuffler stays busy, keeping tail latency
 	// honest under trickle traffic. 0 means DefaultBatchLinger;
 	// negative disables the timer (idle and barrier flushes remain).
 	BatchLinger time.Duration

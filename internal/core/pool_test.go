@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/join"
+)
 
 // TestPoolRoundTripAllocFree pins that recycling a buffer through each
 // envelope pool allocates nothing once the pool holds one: a pool that
@@ -14,7 +18,12 @@ func TestPoolRoundTripAllocFree(t *testing.T) {
 		name string
 		trip func()
 	}{
-		{"batch", func() { putBatch(append(getBatch(DefaultBatchSize), message{})) }},
+		{"batch", func() {
+			e := getEnvelope(DefaultBatchSize)
+			e.tuples = append(e.tuples, join.Tuple{})
+			e.refs.Store(1)
+			e.release()
+		}},
 		{"items", func() { putItems(append(getItems(DefaultBatchSize), sourceItem{})) }},
 		{"wire", func() { putWire(append(getWire(), 1)) }},
 	}

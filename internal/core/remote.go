@@ -77,11 +77,12 @@ func newRemotePeer(name string, link transport.Link, stop <-chan struct{}, cance
 	return p
 }
 
-// sendData ships one data-plane envelope, blocking in the link write;
-// the batch recycles here, mirroring local delivery ownership.
-func (p *remotePeer) sendData(dest int, b []message) {
-	buf := appendEnvelope(getWire(), dest, b)
-	putBatch(b)
+// sendData ships one destination's reference to a data-plane envelope,
+// blocking in the link write. The reference is released as soon as the
+// envelope is encoded, as a local joiner releases it once processed.
+func (p *remotePeer) sendData(dest int, e *envelope) {
+	buf := appendData(getWire(), dest, e)
+	e.release()
 	err := p.link.Send(transport.Frame{Kind: transport.KindData, Payload: buf})
 	putWire(buf)
 	if err != nil {
@@ -98,11 +99,11 @@ func (p *remotePeer) queueFrame(f transport.Frame) {
 	}
 }
 
-// queueMig enqueues a migration-plane message as a one-message
-// envelope; never blocks, which is what keeps the pairwise state
-// exchange deadlock-free across links.
+// queueMig enqueues a migration-plane message as one frame; never
+// blocks, which is what keeps the pairwise state exchange deadlock-free
+// across links.
 func (p *remotePeer) queueMig(dest int, m message) {
-	payload := appendEnvelope(nil, dest, []message{m})
+	payload := appendMig(nil, dest, &m)
 	p.queueFrame(transport.Frame{Kind: transport.KindMig, Payload: payload})
 }
 
@@ -280,7 +281,7 @@ func (op *Operator) peerRecv(p *remotePeer) error {
 			sink(ps)
 			pairScratch = ps
 		case transport.KindMig:
-			dest, derr := envelopeDest(f.Payload)
+			dest, derr := frameDest(f.Payload)
 			if derr != nil {
 				return &LinkError{Worker: p.name, Err: derr}
 			}
@@ -292,14 +293,11 @@ func (op *Operator) peerRecv(p *remotePeer) error {
 				op.topo.remote[dest].queueFrame(f)
 				continue
 			}
-			_, b, derr := decodeEnvelope(f.Payload)
+			_, m, derr := decodeMig(f.Payload)
 			if derr != nil {
 				return &LinkError{Worker: p.name, Err: derr}
 			}
-			for _, m := range b {
-				op.topo.pushMig(dest, m)
-			}
-			putBatch(b)
+			op.topo.pushMig(dest, m)
 		case transport.KindDone:
 			close(p.peerDone)
 			return nil

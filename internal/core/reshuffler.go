@@ -20,12 +20,14 @@ import (
 // to. Reshuffler 0 additionally runs the controller (see
 // controller.go).
 //
-// Routed messages are not pushed one at a time: each destination has a
-// pending batch buffer that ships as a single []message envelope (see
-// batch.go). The flush discipline preserves the protocol's per-link
-// FIFO invariant: every buffered message is flushed before an epoch
-// signal or EOS is emitted on the same link, so a joiner still sees
-// all of a reshuffler's old-epoch tuples strictly before its signal.
+// Routed tuples are not pushed one at a time: on the grid route each
+// grid row (R) and grid column (S) has a pending envelope that ships,
+// when it flushes, to every joiner of that row or column (see batch.go);
+// the hash route keeps one per joiner and side. The flush discipline
+// preserves the protocol's per-link FIFO invariant: every pending
+// envelope is flushed before an epoch signal, checkpoint marker or EOS
+// is emitted on the same links, so a joiner still sees all of a
+// reshuffler's old-epoch tuples strictly before its signal.
 type reshuffler struct {
 	id  int
 	rng *rand.Rand
@@ -91,18 +93,19 @@ type reshuffler struct {
 	// hashed selects the hash route (hashBatch) over the grid route.
 	hashed bool
 
-	// batchSize is the per-destination envelope capacity; 1 degrades to
-	// the per-message plane. linger bounds the buffered residence time
+	// batchSize is the envelope capacity in tuples; 1 degrades to one
+	// envelope per routed tuple. linger bounds the buffered residence time
 	// of a tuple while the loop stays busy (<=0: no timer).
 	batchSize int
 	linger    time.Duration
 
-	// out holds the pending batch per destination joiner id (grown
-	// lazily under elastic expansion); dirty lists the ids with pending
-	// messages and inDirty dedupes it.
-	out     [][]message
+	// out holds the pending envelope per slot (see slotOf), sized lazily
+	// for the current mapping; dirty lists the slots holding tuples and
+	// inDirty dedupes it. dests is scratch for a column's joiner ids.
+	out     []*envelope
 	dirty   []int
 	inDirty []bool
+	dests   []int
 
 	lingerT     *time.Timer
 	lingerArmed bool
@@ -363,67 +366,124 @@ func (r *reshuffler) disarmLinger() {
 	r.lingerArmed = false
 }
 
-// buffer appends one routed message to the destination's pending batch,
-// shipping the batch when it reaches capacity. The message is passed by
-// pointer so the only copy made is the append into the batch slot.
-func (r *reshuffler) buffer(id int, m *message) {
-	if id >= len(r.out) {
-		grown := make([][]message, id+1)
-		copy(grown, r.out)
-		r.out = grown
-		grownDirty := make([]bool, id+1)
-		copy(grownDirty, r.inDirty)
-		r.inDirty = grownDirty
+// buffer appends one routed tuple, with its routing value u, to slot
+// s's pending envelope, shipping the envelope when it reaches capacity.
+// The append is the tuple's only copy on its way to the joiners.
+func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64, probeOnly bool) {
+	e := r.out[s]
+	if e == nil {
+		e = getEnvelope(r.batchSize)
+		e.hdr = message{kind: kTuple, from: r.id, epoch: r.epoch, probeOnly: probeOnly}
+		r.out[s] = e
 	}
-	b := r.out[id]
-	if b == nil {
-		b = getBatch(r.batchSize)
-	}
-	b = append(b, *m)
-	if len(b) >= r.batchSize {
-		r.out[id] = nil
-		r.opm.BatchFlushFull.Add(1)
-		r.push(id, b)
+	e.tuples = append(e.tuples, *t)
+	e.tuples[len(e.tuples)-1].U = u
+	e.bytes += t.Bytes()
+	if len(e.tuples) >= r.batchSize {
+		r.ship(s, &r.opm.BatchFlushFull)
 		return
 	}
-	r.out[id] = b
-	if !r.inDirty[id] {
-		r.inDirty[id] = true
-		r.dirty = append(r.dirty, id)
+	if !r.inDirty[s] {
+		r.inDirty[s] = true
+		r.dirty = append(r.dirty, s)
 	}
 	r.armLinger()
 }
 
-// flushAll ships every pending partial batch, crediting the flush to
+// flushAll ships every pending partial envelope, crediting the flush to
 // the given cause counter.
 func (r *reshuffler) flushAll(cause *atomic.Int64) {
 	if len(r.dirty) == 0 {
 		return
 	}
-	for _, id := range r.dirty {
-		if b := r.out[id]; len(b) > 0 {
-			r.out[id] = nil
-			cause.Add(1)
-			r.push(id, b)
+	for _, s := range r.dirty {
+		if r.out[s] != nil {
+			r.ship(s, cause)
 		}
-		r.inDirty[id] = false
+		r.inDirty[s] = false
 	}
 	r.dirty = r.dirty[:0]
 	r.disarmLinger()
 }
 
-// push ships one batch envelope on the destination's data link.
-func (r *reshuffler) push(id int, b []message) {
+// ship flushes slot s's pending envelope to every joiner of its row or
+// column (on the hash route, to its one joiner), crediting the flush to
+// cause.
+//
+// A probe-only envelope first ships every pending stored envelope of
+// the opposite relation. Grouped mode's ownership guard (storedOlder)
+// keeps a probe-only tuple's match only when the stored partner is the
+// older one, so that partner must reach the joiner first; rows and
+// columns flush independently, and an older stored tuple still pending
+// in the other relation's slot would otherwise arrive after the newer
+// probe, losing the pair.
+func (r *reshuffler) ship(s int, cause *atomic.Int64) {
+	e := r.out[s]
+	if e.hdr.probeOnly {
+		rel := e.tuples[0].Rel
+		for _, d := range r.dirty {
+			if o := r.out[d]; o != nil && !o.hdr.probeOnly && o.tuples[0].Rel != rel {
+				r.ship(d, cause)
+			}
+		}
+	}
+	r.out[s] = nil
+	cause.Add(1)
 	r.opm.BatchesSent.Add(1)
-	r.opm.BatchedMessages.Add(int64(len(b)))
-	r.topo.pushData(id, b)
+	r.opm.BatchedMessages.Add(int64(len(e.tuples)))
+	r.broadcast(r.slotDests(s), e)
 }
 
-// pushSingle ships a control message (signal, EOS) alone in its own
-// envelope; the caller has already flushed pending data for the link.
-func (r *reshuffler) pushSingle(id int, m message) {
-	b := append(getBatch(1), m)
-	r.push(id, b)
+// slotDests returns the joiner ids slot s ships to.
+func (r *reshuffler) slotDests(s int) []int {
+	if r.hashed {
+		r.dests = append(r.dests[:0], s/2)
+		return r.dests
+	}
+	m := r.mapping
+	p := s % (m.N + m.M)
+	if p < m.N {
+		return r.table[p*m.M : (p+1)*m.M]
+	}
+	r.dests = r.dests[:0]
+	for row := 0; row < m.N; row++ {
+		r.dests = append(r.dests, r.table[row*m.M+p-m.N])
+	}
+	return r.dests
+}
+
+// resetSlots sizes the pending-envelope slots for the current mapping.
+// On the grid route slots 0..N-1 are the rows (R tuples) and N..N+M-1
+// the columns (S tuples), and Grouped's probe-only traffic takes a
+// second bank of N+M, since an envelope carries one probe-only mode; on
+// the hash route slot 2·id+side belongs to joiner id. Called with
+// nothing pending.
+func (r *reshuffler) resetSlots() {
+	n := 2 * (r.mapping.N + r.mapping.M)
+	if r.hashed {
+		n = 2 * r.mapping.J()
+	}
+	r.out = make([]*envelope, n)
+	r.inDirty = make([]bool, n)
+}
+
+// broadcast pushes e onto the data link of every joiner in ids, each
+// holding one reference. All references are taken before the first
+// push, so no destination can recycle e while others still wait for it.
+func (r *reshuffler) broadcast(ids []int, e *envelope) {
+	e.refs.Store(int32(len(ids)))
+	for _, id := range ids {
+		r.topo.pushData(id, e)
+	}
+}
+
+// broadcastCtrl ships a control message (signal, checkpoint marker,
+// EOS) alone, in one header-only envelope shared by every joiner of the
+// current table; the caller has already flushed pending data.
+func (r *reshuffler) broadcastCtrl(m message) {
+	e := getEnvelope(0)
+	e.hdr = m
+	r.broadcast(r.table, e)
 }
 
 // drainLoop runs after this reshuffler's input is exhausted: it
@@ -473,9 +533,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 	r.flushAll(&r.opm.BatchFlushSignal)
 	switch c.kind {
 	case ctrlFinish:
-		for _, id := range r.table {
-			r.pushSingle(id, message{kind: kEOS, from: r.id})
-		}
+		r.broadcastCtrl(message{kind: kEOS, from: r.id})
 		return true
 	case ctrlCkpt:
 		// Barrier marker on every data link (pending batches are already
@@ -488,9 +546,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 		if c.full {
 			ep = 1
 		}
-		for _, id := range r.table {
-			r.pushSingle(id, message{kind: kCkpt, from: r.id, epoch: ep, tuple: join.Tuple{Seq: c.ckpt}})
-		}
+		r.broadcastCtrl(message{kind: kCkpt, from: r.id, epoch: ep, tuple: join.Tuple{Seq: c.ckpt}})
 		if r.ckptC != nil {
 			select {
 			case r.ckptC <- ckptEvent{kind: evCut, ckpt: c.ckpt, idx: r.id, cut: r.consumed}:
@@ -507,11 +563,10 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 			r.mapping = c.mapping
 		}
 		r.epoch = c.epoch
+		r.out = nil // the slots follow the new grid's shape
 		// Signal every joiner of the new grid (including expansion
 		// children) before routing anything under the new mapping.
-		for _, id := range r.table {
-			r.pushSingle(id, message{kind: kSignal, epoch: c.epoch, mapping: r.mapping, expand: c.expand, from: r.id})
-		}
+		r.broadcastCtrl(message{kind: kSignal, epoch: c.epoch, mapping: r.mapping, expand: c.expand, from: r.id})
 	}
 	return false
 }
@@ -595,48 +650,45 @@ func (r *reshuffler) publishHint() {
 // routeBatch routes a run of tuples. On the grid route each is
 // assigned a random partition of its relation and forwarded to every
 // joiner of that partition (m machines for an R tuple, n for an S
-// tuple). Messages land in per-destination batches, not directly on
-// the wire; the message prototype is built once per run and only its
-// per-tuple fields are patched, so no intermediate message value is
-// constructed per destination copy.
+// tuple) by landing once in the partition's pending envelope.
 func (r *reshuffler) routeBatch(items []sourceItem) {
+	if r.out == nil {
+		r.resetSlots()
+	}
 	if r.hashed {
 		r.hashBatch(items)
 		return
 	}
 	m := r.mapping
 	var routed int64
-	proto := message{kind: kTuple, epoch: r.epoch, from: r.id}
 	for i := range items {
-		t := items[i].t
-		if t.U == 0 {
+		t := &items[i].t
+		u := t.U
+		if u == 0 {
 			if t.Seq != 0 {
 				// Deterministic in (seed, seq): a replayed tuple routes to
 				// the same partition after a restore, so the joiners that
 				// restored it can drop it by sequence number.
-				t.U = uMix(r.seed, t.Seq)
+				u = uMix(r.seed, t.Seq)
 			} else {
 				// Reshuffler-generated dummies (Seq 0) keep the rng draw;
 				// they never match a predicate, so replay divergence is
 				// harmless.
-				t.U = r.rng.Uint64()
+				u = r.rng.Uint64()
 			}
 		}
-		proto.tuple = t
-		proto.probeOnly = items[i].probeOnly
+		s := 0
+		if items[i].probeOnly {
+			s = m.N + m.M
+		}
 		if t.Rel == matrix.SideR {
-			base := m.RowOf(t.U) * m.M
-			for c := 0; c < m.M; c++ {
-				r.buffer(r.table[base+c], &proto)
-			}
+			s += m.RowOf(u)
 			routed += int64(m.M)
 		} else {
-			col := m.ColOf(t.U)
-			for row := 0; row < m.N; row++ {
-				r.buffer(r.table[row*m.M+col], &proto)
-			}
+			s += m.N + m.ColOf(u)
 			routed += int64(m.N)
 		}
+		r.buffer(s, t, u, items[i].probeOnly)
 	}
 	r.opm.RoutedMessages.Add(routed)
 }
@@ -648,10 +700,13 @@ func (r *reshuffler) routeBatch(items []sourceItem) {
 // HashPartition.
 func (r *reshuffler) hashBatch(items []sourceItem) {
 	j := r.mapping.J()
-	proto := message{kind: kTuple, epoch: r.epoch, from: r.id}
 	for i := range items {
-		proto.tuple = items[i].t
-		r.buffer(HashPartition(proto.tuple.Key, j), &proto)
+		t := &items[i].t
+		s := 2 * HashPartition(t.Key, j)
+		if t.Rel != matrix.SideR {
+			s++
+		}
+		r.buffer(s, t, t.U, false)
 	}
 	r.opm.RoutedMessages.Add(int64(len(items)))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/join"
@@ -10,12 +11,23 @@ import (
 	"repro/internal/storage"
 )
 
-// Wire form of the operator's message plane. A batch envelope
-// ([]message) serializes as one transport frame payload: the
-// destination joiner id, the message count, and per message a small
-// fixed header plus the tuple in the spill segment's record encoding
-// (storage.AppendRecord) — one codec for disk and network. Framing,
-// CRC, and versioning live one layer down in internal/transport.
+// Wire form of the operator's planes, one transport frame payload per
+// hand-off. Every payload starts with the destination joiner id. A data
+// envelope (KindData) follows it with the envelope header in the
+// per-message form below, the tuple count, and each tuple in the spill
+// segment's record encoding (storage.AppendRecord) — one codec for disk
+// and network. A migration-plane message (KindMig) follows it with
+// itself in the per-message form: a small fixed header plus the tuple
+// as a record. Framing, CRC, and versioning live one layer down in
+// internal/transport.
+
+// ErrBadEnvelope is the error, wrapped with the details, that the frame
+// decoders return for a payload that does not parse: a truncated
+// header, a count the payload cannot hold, a bad record, or trailing
+// bytes. The transport CRC has already vouched for the bytes, so this
+// is a version-skewed or buggy peer, and it must surface as an error,
+// never a panic.
+var ErrBadEnvelope = errors.New("core: malformed envelope")
 
 // wirePool recycles encode scratch for the blocking data-plane sends,
 // which run on the reshuffler goroutines at stream pace.
@@ -29,88 +41,126 @@ func putWire(b []byte) { wirePool.put(b) }
 // (bit0 expand, bit1 probeOnly), from, epoch, mapping N, mapping M.
 const msgWireHeader = 1 + 1 + 4 + 4 + 4 + 4
 
-// appendEnvelope serializes dest plus the batch b onto buf.
-func appendEnvelope(buf []byte, dest int, b []message) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	for i := range b {
-		m := &b[i]
-		var flags byte
-		if m.expand {
-			flags |= 1
-		}
-		if m.probeOnly {
-			flags |= 2
-		}
-		buf = append(buf, byte(m.kind), flags)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.from))
-		buf = binary.LittleEndian.AppendUint32(buf, m.epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.N))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.M))
-		buf = storage.AppendRecord(buf, m.tuple)
+// appendMessage serializes m in the per-message form onto buf.
+func appendMessage(buf []byte, m *message) []byte {
+	var flags byte
+	if m.expand {
+		flags |= 1
 	}
-	return buf
+	if m.probeOnly {
+		flags |= 2
+	}
+	buf = append(buf, byte(m.kind), flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.from))
+	buf = binary.LittleEndian.AppendUint32(buf, m.epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.N))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.M))
+	return storage.AppendRecord(buf, m.tuple)
 }
 
-// envelopeDest peeks an envelope's destination without decoding the
-// batch, so the coordinator can forward worker→worker migration
-// envelopes untouched.
-func envelopeDest(payload []byte) (int, error) {
-	if len(payload) < 8 {
-		return 0, fmt.Errorf("core: envelope truncated: %d bytes", len(payload))
+// readMessage parses one message in the per-message form from the
+// front of payload, returning it and the bytes it took.
+func readMessage(payload []byte) (message, int, error) {
+	if len(payload) < msgWireHeader {
+		return message{}, 0, fmt.Errorf("%w: message header truncated at %d of %d bytes", ErrBadEnvelope, len(payload), msgWireHeader)
+	}
+	flags := payload[1]
+	m := message{
+		kind:      msgKind(payload[0]),
+		from:      int(binary.LittleEndian.Uint32(payload[2:])),
+		epoch:     binary.LittleEndian.Uint32(payload[6:]),
+		mapping:   matrix.Mapping{N: int(binary.LittleEndian.Uint32(payload[10:])), M: int(binary.LittleEndian.Uint32(payload[14:]))},
+		expand:    flags&1 != 0,
+		probeOnly: flags&2 != 0,
+	}
+	t, n, err := storage.ReadRecord(payload[msgWireHeader:])
+	if err != nil {
+		return message{}, 0, fmt.Errorf("%w: message tuple: %w", ErrBadEnvelope, err)
+	}
+	m.tuple = t
+	return m, msgWireHeader + n, nil
+}
+
+// frameDest peeks a payload's destination joiner id without decoding
+// the rest, so the coordinator can forward worker→worker migration
+// frames untouched.
+func frameDest(payload []byte) (int, error) {
+	if len(payload) < 4 {
+		return 0, fmt.Errorf("%w: destination truncated at %d bytes", ErrBadEnvelope, len(payload))
 	}
 	return int(binary.LittleEndian.Uint32(payload)), nil
 }
 
-// decodeEnvelope parses an envelope payload into a pooled batch; the
-// caller owns the returned slice (recycle via putBatch). Every read is
-// bounds-checked: the transport CRC has already vouched for the bytes,
-// but a version-skewed or buggy peer must surface as an error, not a
-// panic.
-func decodeEnvelope(payload []byte) (dest int, b []message, err error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("core: envelope truncated: %d bytes", len(payload))
+// appendMig serializes a migration-plane message for dest onto buf.
+func appendMig(buf []byte, dest int, m *message) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
+	return appendMessage(buf, m)
+}
+
+// decodeMig parses a migration-plane payload.
+func decodeMig(payload []byte) (dest int, m message, err error) {
+	if dest, err = frameDest(payload); err != nil {
+		return 0, message{}, err
 	}
-	dest = int(binary.LittleEndian.Uint32(payload))
-	count := int(binary.LittleEndian.Uint32(payload[4:]))
-	if count < 0 || count > (len(payload)-8)/(msgWireHeader+storage.RecordHeaderLen)+1 {
-		return 0, nil, fmt.Errorf("core: envelope claims %d messages in %d bytes", count, len(payload))
+	m, n, err := readMessage(payload[4:])
+	if err != nil {
+		return 0, message{}, err
 	}
-	b = getBatch(count)
-	off := 8
-	for i := 0; i < count; i++ {
-		if len(payload)-off < msgWireHeader {
-			putBatch(b)
-			return 0, nil, fmt.Errorf("core: envelope truncated in message %d header", i)
-		}
-		kind := msgKind(payload[off])
-		flags := payload[off+1]
-		from := int(binary.LittleEndian.Uint32(payload[off+2:]))
-		epoch := binary.LittleEndian.Uint32(payload[off+6:])
-		mapN := int(binary.LittleEndian.Uint32(payload[off+10:]))
-		mapM := int(binary.LittleEndian.Uint32(payload[off+14:]))
-		off += msgWireHeader
+	if 4+n != len(payload) {
+		return 0, message{}, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-4-n)
+	}
+	return dest, m, nil
+}
+
+// appendData serializes data envelope e for dest onto buf.
+func appendData(buf []byte, dest int, e *envelope) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
+	buf = appendMessage(buf, &e.hdr)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.tuples)))
+	for i := range e.tuples {
+		buf = storage.AppendRecord(buf, e.tuples[i])
+	}
+	return buf
+}
+
+// decodeData parses a data-envelope payload straight into a pooled
+// envelope holding one reference, which the caller hands on or
+// releases.
+func decodeData(payload []byte) (dest int, e *envelope, err error) {
+	if dest, err = frameDest(payload); err != nil {
+		return 0, nil, err
+	}
+	hdr, n, err := readMessage(payload[4:])
+	if err != nil {
+		return 0, nil, err
+	}
+	off := 4 + n
+	if len(payload)-off < 4 {
+		return 0, nil, fmt.Errorf("%w: tuple count truncated", ErrBadEnvelope)
+	}
+	count := uint64(binary.LittleEndian.Uint32(payload[off:]))
+	off += 4
+	if count > uint64((len(payload)-off)/storage.RecordHeaderLen) {
+		return 0, nil, fmt.Errorf("%w: %d tuples claimed in %d bytes", ErrBadEnvelope, count, len(payload)-off)
+	}
+	e = getEnvelope(int(count))
+	e.hdr = hdr
+	e.refs.Store(1)
+	for i := 0; i < int(count); i++ {
 		t, n, rerr := storage.ReadRecord(payload[off:])
 		if rerr != nil {
-			putBatch(b)
-			return 0, nil, fmt.Errorf("core: envelope message %d: %w", i, rerr)
+			e.release()
+			return 0, nil, fmt.Errorf("%w: tuple %d: %w", ErrBadEnvelope, i, rerr)
 		}
 		off += n
-		b = append(b, message{
-			tuple:     t,
-			mapping:   matrix.Mapping{N: mapN, M: mapM},
-			from:      from,
-			epoch:     epoch,
-			kind:      kind,
-			expand:    flags&1 != 0,
-			probeOnly: flags&2 != 0,
-		})
+		e.tuples = append(e.tuples, t)
+		e.bytes += t.Bytes()
 	}
 	if off != len(payload) {
-		putBatch(b)
-		return 0, nil, fmt.Errorf("core: envelope has %d trailing bytes", len(payload)-off)
+		e.release()
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-off)
 	}
-	return dest, b, nil
+	return dest, e, nil
 }
 
 // appendAck serializes a joiner's migration ack.

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -57,63 +60,106 @@ func sameMessage(a, b message) bool {
 		a.epoch == b.epoch && a.kind == b.kind && a.expand == b.expand && a.probeOnly == b.probeOnly
 }
 
-// TestEnvelopeRoundTrip encodes random batches — every message kind,
-// dummy tuples, payload-bearing tuples, empty batches — and requires
-// decodeEnvelope (and the envelopeDest peek) to reproduce them
-// exactly.
+// randomEnvelope builds a data envelope with a random header and up to
+// 40 random tuples, or, one time in four, a header-only control
+// envelope.
+func randomEnvelope(rng *rand.Rand) *envelope {
+	e := getEnvelope(0)
+	e.hdr = randomMessage(rng)
+	if rng.Intn(4) == 0 {
+		return e
+	}
+	e.hdr.kind, e.hdr.mapping, e.hdr.expand, e.hdr.tuple = kTuple, matrix.Mapping{}, false, join.Tuple{}
+	for n := rng.Intn(41); n > 0; n-- {
+		t := randomWireTuple(rng)
+		e.tuples = append(e.tuples, t)
+		e.bytes += t.Bytes()
+	}
+	return e
+}
+
+// TestEnvelopeRoundTrip encodes random data envelopes — data and
+// header-only control envelopes, dummy tuples, payload-bearing tuples,
+// empty bodies — and random migration-plane messages of every kind, and
+// requires decodeData and decodeMig (and the frameDest peek) to
+// reproduce them exactly.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 100; round++ {
 		dest := rng.Intn(256)
-		batch := make([]message, rng.Intn(40))
-		for i := range batch {
-			batch[i] = randomMessage(rng)
+		e := randomEnvelope(rng)
+		payload := appendData(nil, dest, e)
+		if d, err := frameDest(payload); err != nil || d != dest {
+			t.Fatalf("round %d: frameDest = %d, %v; want %d", round, d, err, dest)
 		}
-		payload := appendEnvelope(nil, dest, batch)
-
-		if d, err := envelopeDest(payload); err != nil || d != dest {
-			t.Fatalf("round %d: envelopeDest = %d, %v; want %d", round, d, err, dest)
-		}
-		d, got, err := decodeEnvelope(payload)
+		d, got, err := decodeData(payload)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if d != dest || len(got) != len(batch) {
-			t.Fatalf("round %d: dest=%d len=%d, want dest=%d len=%d", round, d, len(got), dest, len(batch))
+		if d != dest || !sameMessage(got.hdr, e.hdr) || len(got.tuples) != len(e.tuples) || got.bytes != e.bytes {
+			t.Fatalf("round %d: dest=%d header %+v, %d tuples, %d bytes; want dest=%d header %+v, %d tuples, %d bytes",
+				round, d, got.hdr, len(got.tuples), got.bytes, dest, e.hdr, len(e.tuples), e.bytes)
 		}
-		for i := range batch {
-			if !sameMessage(got[i], batch[i]) {
-				t.Fatalf("round %d message %d: got %+v, want %+v", round, i, got[i], batch[i])
+		for i := range e.tuples {
+			if !sameTuple(got.tuples[i], e.tuples[i]) {
+				t.Fatalf("round %d tuple %d: got %+v, want %+v", round, i, got.tuples[i], e.tuples[i])
 			}
 		}
-		putBatch(got)
+		if got.refs.Load() != 1 {
+			t.Fatalf("round %d: decoded envelope holds %d references, want 1", round, got.refs.Load())
+		}
+		got.release()
+
+		m := randomMessage(rng)
+		d, gm, err := decodeMig(appendMig(nil, dest, &m))
+		if err != nil || d != dest || !sameMessage(gm, m) {
+			t.Fatalf("round %d: migration message %+v decoded as %d, %+v, %v", round, m, d, gm, err)
+		}
 	}
 }
 
-// TestEnvelopeRejectsCorruption truncates an envelope at every byte
-// boundary and corrupts the count field: every case must return an
+// TestEnvelopeRejectsCorruption truncates a data envelope and a
+// migration message at every byte boundary, corrupts the tuple count
+// and appends trailing bytes: every case must return an ErrBadEnvelope
 // error, never panic or misparse. (On the wire the frame CRC catches
 // these first; this guards the codec against version-skewed or buggy
 // peers.)
 func TestEnvelopeRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	batch := []message{randomMessage(rng), randomMessage(rng), randomMessage(rng)}
-	payload := appendEnvelope(nil, 3, batch)
-
-	for cut := 0; cut < len(payload); cut++ {
-		if _, _, err := decodeEnvelope(payload[:cut]); err == nil {
-			t.Fatalf("cut=%d: truncated envelope decoded", cut)
+	e := getEnvelope(3)
+	e.hdr = message{kind: kTuple, from: 2, epoch: 7, probeOnly: true}
+	for i := 0; i < 3; i++ {
+		e.tuples = append(e.tuples, randomWireTuple(rng))
+	}
+	payload := appendData(nil, 3, e)
+	m := randomMessage(rng)
+	mig := appendMig(nil, 3, &m)
+	bad := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("%s: got %v, want an ErrBadEnvelope error", what, err)
 		}
 	}
-	huge := append([]byte(nil), payload...)
-	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := decodeEnvelope(huge); err == nil {
-		t.Fatal("absurd message count decoded")
+
+	for cut := 0; cut < len(payload); cut++ {
+		_, _, err := decodeData(payload[:cut])
+		bad(fmt.Sprintf("data cut=%d", cut), err)
 	}
-	trailing := append(append([]byte(nil), payload...), 0xAA)
-	if _, _, err := decodeEnvelope(trailing); err == nil {
-		t.Fatal("trailing bytes accepted")
+	for cut := 0; cut < len(mig); cut++ {
+		_, _, err := decodeMig(mig[:cut])
+		bad(fmt.Sprintf("migration cut=%d", cut), err)
 	}
+	countAt := 4 + len(appendMessage(nil, &e.hdr))
+	for _, count := range []uint32{4, 1 << 20, 0xffffffff} {
+		c := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(c[countAt:], count)
+		_, _, err := decodeData(c)
+		bad(fmt.Sprintf("count %d", count), err)
+	}
+	_, _, err := decodeData(append(append([]byte(nil), payload...), 0xAA))
+	bad("data trailing bytes", err)
+	_, _, err = decodeMig(append(append([]byte(nil), mig...), 0xAA))
+	bad("migration trailing bytes", err)
 }
 
 func TestAckRoundTrip(t *testing.T) {

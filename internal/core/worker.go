@@ -164,6 +164,7 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 
 	op.runner.Go("uplink-send", peer.writer)
 
+	hostedHere := func(id int) bool { return id >= 0 && id < h.J && hosted[id] }
 	op.runner.Go("uplink-recv", func() error {
 		for {
 			f, rerr := link.Recv()
@@ -183,23 +184,25 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 				return &LinkError{Worker: "coordinator", Err: rerr}
 			}
 			switch f.Kind {
-			case transport.KindData, transport.KindMig:
-				dest, b, derr := decodeEnvelope(f.Payload)
+			case transport.KindData:
+				dest, e, derr := decodeData(f.Payload)
 				if derr != nil {
 					return &LinkError{Worker: "coordinator", Err: derr}
 				}
-				if dest < 0 || dest >= h.J || !hosted[dest] {
-					putBatch(b)
+				if !hostedHere(dest) {
+					e.release()
 					return &LinkError{Worker: "coordinator", Err: fmt.Errorf("envelope for joiner %d, not hosted here", dest)}
 				}
-				if f.Kind == transport.KindData {
-					op.topo.pushData(dest, b)
-					continue
+				op.topo.pushData(dest, e)
+			case transport.KindMig:
+				dest, m, derr := decodeMig(f.Payload)
+				if derr != nil {
+					return &LinkError{Worker: "coordinator", Err: derr}
 				}
-				for _, m := range b {
-					op.topo.pushMig(dest, m)
+				if !hostedHere(dest) {
+					return &LinkError{Worker: "coordinator", Err: fmt.Errorf("migration message for joiner %d, not hosted here", dest)}
 				}
-				putBatch(b)
+				op.topo.pushMig(dest, m)
 			case transport.KindError:
 				return &LinkError{Worker: "coordinator", Err: fmt.Errorf("peer reported: %s", f.Payload)}
 			default:

@@ -21,9 +21,9 @@ import (
 //
 // Fields are ordered by descending alignment so the struct packs into
 // 64 bytes — one cache line, with the three small fields sharing the
-// last word. Every envelope slot (message), source item and result
-// Pair embeds Tuples, so the layout is pinned by message_test.go in
-// internal/core; no codec depends on it (every encoder writes fields
+// last word. Every envelope body slot, source item, control message and
+// result Pair embeds Tuples, so the layout is pinned by message_test.go
+// in internal/core; no codec depends on it (every encoder writes fields
 // explicitly).
 type Tuple struct {
 	// Key is the primary join attribute.

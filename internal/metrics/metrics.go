@@ -67,15 +67,16 @@ type Operator struct {
 	// benchmark revision of ROADMAP item 14.
 	LaneSpills atomic.Int64
 
-	// BatchesSent counts data-plane batch envelopes shipped by
-	// reshufflers; BatchedMessages counts the messages they carried, so
+	// BatchesSent counts data envelopes shipped by reshufflers (once
+	// each, however many joiners of a row or column share it);
+	// BatchedMessages counts the tuples they carried, so
 	// BatchedMessages/BatchesSent is the realized mean batch size.
 	BatchesSent     atomic.Int64
 	BatchedMessages atomic.Int64
 	// BatchFlush* break batch flushes down by cause: a full envelope,
 	// the linger-budget timer, an idle reshuffler, and the protocol
-	// barriers (epoch signal / EOS) that must separate old-epoch from
-	// new-epoch traffic on every link.
+	// barriers (epoch signal, checkpoint marker, EOS) that must separate
+	// old-epoch from new-epoch traffic on every link.
 	BatchFlushFull   atomic.Int64
 	BatchFlushLinger atomic.Int64
 	BatchFlushIdle   atomic.Int64
@@ -101,8 +102,8 @@ type Operator struct {
 	MigrationNanos atomic.Int64
 }
 
-// MeanBatchSize returns the realized mean messages per data-plane
-// envelope, or 0 before any batch has shipped.
+// MeanBatchSize returns the realized mean tuples per data envelope, or
+// 0 before any envelope has shipped.
 func (m *Operator) MeanBatchSize() float64 {
 	n := m.BatchesSent.Load()
 	if n == 0 {

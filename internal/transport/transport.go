@@ -34,7 +34,7 @@ const (
 	// KindHello is the coordinator's opening frame on a worker link:
 	// the job description (joiner ids hosted, predicate, batch sizes).
 	KindHello Kind = 1 + iota
-	// KindData carries one reshuffler→joiner batch envelope.
+	// KindData carries one reshuffler→joiner data envelope.
 	KindData
 	// KindMig carries one joiner→joiner migration-plane envelope.
 	KindMig

@@ -71,14 +71,14 @@ func WithInitialMapping(m Mapping) Option { return func(sc *stageConfig) { sc.cf
 // WithSeed makes the stage's routing randomness reproducible.
 func WithSeed(seed int64) Option { return func(sc *stageConfig) { sc.cfg.Seed = seed } }
 
-// WithBatchSize sets the data-plane batch envelope capacity in
-// messages (default DefaultBatchSize; 1 degenerates to the
-// per-message plane). Chained stages also size their inter-stage
-// forwarding buffers with it.
+// WithBatchSize sets the data-plane envelope capacity in tuples of one
+// relation (default DefaultBatchSize; 1 ships every routed tuple
+// alone). Chained stages also size their inter-stage forwarding
+// buffers with it.
 func WithBatchSize(n int) Option { return func(sc *stageConfig) { sc.cfg.BatchSize = n } }
 
 // WithBatchLinger bounds how long a routed tuple may wait in a partial
-// batch (default DefaultBatchLinger; negative disables the timer).
+// envelope (default DefaultBatchLinger; negative disables the timer).
 func WithBatchLinger(d time.Duration) Option {
 	return func(sc *stageConfig) { sc.cfg.BatchLinger = d }
 }

@@ -58,8 +58,8 @@
 //
 //   - Operator — the concurrent operator: one goroutine per joiner
 //     and reshuffler task, with a batched message plane as the
-//     interconnect (per-destination tuple batches, pool-recycled
-//     envelopes; see WithBatchSize and WithBatchLinger). The migration
+//     interconnect (one pool-recycled envelope per grid row or column,
+//     shared by its joiners; see WithBatchSize and WithBatchLinger). The migration
 //     plane ships relocated state as columnar arena blocks, the same
 //     bytes in-process and over TCP, and both ends of the operator are
 //     batched too: SendBatch ingests runs of tuples in pooled envelopes
