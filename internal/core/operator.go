@@ -25,11 +25,11 @@ type topology struct {
 	ports atomic.Pointer[[]*joinerPorts]
 	met   *metrics.Operator
 	// remote, when non-nil, maps joiner id -> the link peer hosting it
-	// (nil entry = in this process); pushData/pushMig consult it
-	// so senders are network-transparent. It is installed before Start
-	// and never grows — distributed mode rejects elastic expansion —
-	// and stays nil in single-process operators, where the only cost is
-	// one nil check per push.
+	// (nil entry = in this process); reshuffler.broadcast and pushMig
+	// consult it so senders are network-transparent. It is installed
+	// before Start and never grows — distributed mode rejects elastic
+	// expansion — and stays nil in single-process operators, where the
+	// only cost is one nil check per flush or migration message.
 	remote []*remotePeer
 	// stop is the operator's cancellation signal (the runner's Done
 	// channel): bounded-link sends select on it so a reshuffler can
@@ -77,18 +77,13 @@ func (tp *topology) add(ports []*joinerPorts) {
 	tp.ports.Store(&next)
 }
 
-// pushData delivers one reference to envelope e on a joiner's (bounded)
-// data link, providing backpressure to reshufflers. The receiver
-// releases its reference after processing. When the operator is
-// cancelled mid-send the reference is dropped here — the topology is
-// unwinding and exactness no longer applies.
+// pushData delivers one reference to envelope e on the (bounded) data
+// link of joiner id, which runs in this process, providing backpressure
+// to reshufflers. The receiver releases its reference after processing.
+// When the operator is cancelled mid-send the reference is dropped here
+// — the topology is unwinding and exactness no longer applies. Joiners
+// behind a worker link get their envelopes from remotePeer.sendData.
 func (tp *topology) pushData(id int, e *envelope) {
-	if tp.isRemote(id) {
-		// Blocking in the link write: the TCP window is the remote
-		// analogue of the bounded inbox's backpressure.
-		tp.remote[id].sendData(id, e)
-		return
-	}
 	select {
 	case (*tp.ports.Load())[id].dataIn <- e:
 	case <-tp.stop:
@@ -561,10 +556,11 @@ func newOperator(cfg Config, hashed bool) *Operator {
 
 // hostsJoiner reports whether joiner id runs in this process: all of
 // them in single-process mode, the locally placed subset on a
-// coordinator, the hello-masked subset on a worker.
+// coordinator, the hello-masked subset on a worker, where id may arrive
+// off the link out of range.
 func (op *Operator) hostsJoiner(id int) bool {
 	if op.cfg.hosted != nil {
-		return op.cfg.hosted[id]
+		return id >= 0 && id < len(op.cfg.hosted) && op.cfg.hosted[id]
 	}
 	return op.place == nil || op.place[id] < 0
 }

@@ -12,9 +12,11 @@ import (
 // Coordinator side of the distributed data plane. With Config.Workers
 // set, this process hosts the reshufflers, the controller, and the
 // user sink; joiners placed on a worker are reached through one
-// transport link per worker. The routing split lives in topology:
-// pushData/pushMig check the remote table and either deliver
-// in-process (the zero-regression local path) or through the link.
+// transport link per worker. The routing split lives in two places:
+// reshuffler.broadcast groups a flush's joiners by the peer hosting
+// them and hands each peer one reference (sendData), and pushMig checks
+// the remote table and either delivers in-process (the zero-regression
+// local path) or through the link.
 //
 // Deadlock-freedom mirrors the in-process argument. Data-plane sends
 // block in the TCP write — the network window is the backpressure the
@@ -45,6 +47,9 @@ const dialTimeout = 10 * time.Second
 type remotePeer struct {
 	name string
 	link transport.Link
+	// idx is the peer's index in Config.Workers (0 for a worker's one
+	// uplink): the key reshuffler.broadcast groups destinations by.
+	idx int
 
 	// out is the non-blocking outbound plane: migration envelopes,
 	// acks, pairs, and the final Done frame queue here and a writer
@@ -77,11 +82,14 @@ func newRemotePeer(name string, link transport.Link, stop <-chan struct{}, cance
 	return p
 }
 
-// sendData ships one destination's reference to a data-plane envelope,
-// blocking in the link write. The reference is released as soon as the
-// envelope is encoded, as a local joiner releases it once processed.
-func (p *remotePeer) sendData(dest int, e *envelope) {
-	buf := appendData(getWire(), dest, e)
+// sendData ships data-plane envelope e to the joiners in dests, all
+// hosted by this peer, as one frame, blocking in the link write — the
+// TCP window is the remote analogue of the bounded inbox's
+// backpressure. It holds one reference for the whole peer, released as
+// soon as the envelope is encoded, as a local joiner releases its own
+// once processed.
+func (p *remotePeer) sendData(dests []int, e *envelope) {
+	buf := appendData(getWire(), dests, e)
 	e.release()
 	err := p.link.Send(transport.Frame{Kind: transport.KindData, Payload: buf})
 	putWire(buf)
@@ -119,17 +127,26 @@ func (p *remotePeer) queueDone() {
 	p.queueFrame(transport.Frame{Kind: transport.KindDone})
 }
 
-// writer drains the out-queue into the link. It exits after sending a
-// Done frame (worker side), once the peer's own Done has arrived and
-// the queue is drained (coordinator side), or on stop.
+// writeBatchBytes caps the payload bytes the writer coalesces into one
+// link write; a single larger frame still goes out alone.
+const writeBatchBytes = 256 << 10
+
+// writer drains the out-queue into the link, everything queued at a
+// wake-up in one write (SendFrames) up to writeBatchBytes. It exits
+// after sending a Done frame (worker side), once the peer's own Done
+// has arrived and the queue is drained (coordinator side), or on stop.
 func (p *remotePeer) writer() error {
+	var batch []transport.Frame
 	for {
 		for {
-			f, ok := p.out.TryPop()
-			if !ok {
+			var done bool
+			batch, done = p.drain(batch[:0])
+			if len(batch) == 0 {
 				break
 			}
-			if err := p.link.Send(f); err != nil {
+			err := p.link.SendFrames(batch)
+			clear(batch) // the payloads are garbage once written
+			if err != nil {
 				select {
 				case <-p.stop:
 					return nil // unwinding; the cancel cause already stands
@@ -137,7 +154,7 @@ func (p *remotePeer) writer() error {
 				}
 				return &LinkError{Worker: p.name, Err: err}
 			}
-			if f.Kind == transport.KindDone {
+			if done {
 				return nil
 			}
 		}
@@ -147,14 +164,33 @@ func (p *remotePeer) writer() error {
 			return nil
 		case <-p.peerDone:
 			for {
-				f, ok := p.out.TryPop()
-				if !ok {
+				batch, _ = p.drain(batch[:0])
+				if len(batch) == 0 {
 					return nil
 				}
-				_ = p.link.Send(f)
+				_ = p.link.SendFrames(batch)
+				clear(batch)
 			}
 		}
 	}
+}
+
+// drain pops queued frames onto batch until the queue is empty, the
+// payloads reach writeBatchBytes, or a Done frame ends the stream.
+func (p *remotePeer) drain(batch []transport.Frame) ([]transport.Frame, bool) {
+	size := 0
+	for size < writeBatchBytes {
+		f, ok := p.out.TryPop()
+		if !ok {
+			break
+		}
+		batch = append(batch, f)
+		size += len(f.Payload)
+		if f.Kind == transport.KindDone {
+			return batch, true
+		}
+	}
+	return batch, false
 }
 
 // placementFor computes the joiner-id -> worker-index table (-1 =
@@ -213,6 +249,7 @@ func (op *Operator) connectWorkers() error {
 			return &LinkError{Worker: addr, Err: err}
 		}
 		p := newRemotePeer(addr, link, op.stop, cancel)
+		p.idx = wi
 		p.release = dataflow.CloseOnDone(op.stop, link)
 		peers[wi] = p
 	}

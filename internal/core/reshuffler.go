@@ -101,11 +101,14 @@ type reshuffler struct {
 
 	// out holds the pending envelope per slot (see slotOf), sized lazily
 	// for the current mapping; dirty lists the slots holding tuples and
-	// inDirty dedupes it. dests is scratch for a column's joiner ids.
+	// inDirty dedupes it. dests is scratch for a column's joiner ids;
+	// byPeer is broadcast's scratch for grouping them by the worker
+	// hosting them.
 	out     []*envelope
 	dirty   []int
 	inDirty []bool
 	dests   []int
+	byPeer  [][]int
 
 	lingerT     *time.Timer
 	lingerArmed bool
@@ -471,9 +474,49 @@ func (r *reshuffler) resetSlots() {
 // holding one reference. All references are taken before the first
 // push, so no destination can recycle e while others still wait for it.
 func (r *reshuffler) broadcast(ids []int, e *envelope) {
+	if r.topo.remote != nil {
+		r.broadcastRemote(ids, e)
+		return
+	}
 	e.refs.Store(int32(len(ids)))
 	for _, id := range ids {
 		r.topo.pushData(id, e)
+	}
+}
+
+// broadcastRemote is broadcast on a coordinator: ids are grouped by the
+// worker hosting them, and e crosses each worker's link once, as one
+// frame naming all of that worker's ids, so a row or column costs one
+// encoding per worker it spans, not one per joiner. Each local joiner
+// and each peer holds one reference. ids come from the current table,
+// so the grouping follows every migration step.
+func (r *reshuffler) broadcastRemote(ids []int, e *envelope) {
+	refs := 0
+	for _, id := range ids {
+		p := r.topo.remote[id]
+		if p == nil {
+			refs++
+			continue
+		}
+		for len(r.byPeer) <= p.idx {
+			r.byPeer = append(r.byPeer, nil)
+		}
+		if len(r.byPeer[p.idx]) == 0 {
+			refs++
+		}
+		r.byPeer[p.idx] = append(r.byPeer[p.idx], id)
+	}
+	e.refs.Store(int32(refs))
+	for _, id := range ids {
+		if r.topo.remote[id] == nil {
+			r.topo.pushData(id, e)
+		}
+	}
+	for i, d := range r.byPeer {
+		if len(d) > 0 {
+			r.topo.remote[d[0]].sendData(d, e)
+			r.byPeer[i] = d[:0]
+		}
 	}
 }
 

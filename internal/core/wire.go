@@ -12,14 +12,15 @@ import (
 )
 
 // Wire form of the operator's planes, one transport frame payload per
-// hand-off. Every payload starts with the destination joiner id. A data
-// envelope (KindData) follows it with the envelope header in the
-// per-message form below, the tuple count, and each tuple in the spill
-// segment's record encoding (storage.AppendRecord) — one codec for disk
-// and network. A migration-plane message (KindMig) follows it with
-// itself in the per-message form: a small fixed header plus the tuple
-// as a record. Framing, CRC, and versioning live one layer down in
-// internal/transport.
+// hand-off. A data envelope (KindData) crosses a worker link once for
+// all the joiners it reaches there: its payload is the destination
+// count and joiner ids, the envelope header in the per-message form
+// below, the tuple count, and each tuple in the spill segment's record
+// encoding (storage.AppendRecord) — one codec for disk and network. A
+// migration-plane message (KindMig) is its one destination joiner id
+// followed by the message in the per-message form: a small fixed header
+// plus the tuple as a record. Framing, CRC, and versioning live one
+// layer down in internal/transport.
 
 // ErrBadEnvelope is the error, wrapped with the details, that the frame
 // decoders return for a payload that does not parse: a truncated
@@ -81,9 +82,10 @@ func readMessage(payload []byte) (message, int, error) {
 	return m, msgWireHeader + n, nil
 }
 
-// frameDest peeks a payload's destination joiner id without decoding
-// the rest, so the coordinator can forward worker→worker migration
-// frames untouched.
+// frameDest peeks a KindMig payload's destination joiner id without
+// decoding the rest, so the coordinator can forward worker→worker
+// migration frames untouched. KindData payloads carry a destination
+// list instead (decodeData).
 func frameDest(payload []byte) (int, error) {
 	if len(payload) < 4 {
 		return 0, fmt.Errorf("%w: destination truncated at %d bytes", ErrBadEnvelope, len(payload))
@@ -112,9 +114,13 @@ func decodeMig(payload []byte) (dest int, m message, err error) {
 	return dest, m, nil
 }
 
-// appendData serializes data envelope e for dest onto buf.
-func appendData(buf []byte, dest int, e *envelope) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dest))
+// appendData serializes data envelope e for the joiners in dests onto
+// buf: the destination count and ids, then the envelope.
+func appendData(buf []byte, dests []int, e *envelope) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dests)))
+	for _, d := range dests {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
 	buf = appendMessage(buf, &e.hdr)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.tuples)))
 	for i := range e.tuples {
@@ -123,34 +129,49 @@ func appendData(buf []byte, dest int, e *envelope) []byte {
 	return buf
 }
 
-// decodeData parses a data-envelope payload straight into a pooled
-// envelope holding one reference, which the caller hands on or
-// releases.
-func decodeData(payload []byte) (dest int, e *envelope, err error) {
-	if dest, err = frameDest(payload); err != nil {
-		return 0, nil, err
+// decodeData parses a data-envelope payload: the destination ids,
+// appended onto dests[:0] so the receiver reuses one buffer across
+// frames, and the envelope, decoded straight into a pooled envelope
+// holding one reference, which the caller hands on or releases. A
+// payload naming no destination is malformed.
+func decodeData(dests []int, payload []byte) ([]int, *envelope, error) {
+	if len(payload) < 4 {
+		return nil, nil, fmt.Errorf("%w: destination count truncated at %d bytes", ErrBadEnvelope, len(payload))
 	}
-	hdr, n, err := readMessage(payload[4:])
+	nd := uint64(binary.LittleEndian.Uint32(payload))
+	if nd == 0 {
+		return nil, nil, fmt.Errorf("%w: no destinations", ErrBadEnvelope)
+	}
+	if nd > uint64((len(payload)-4)/4) {
+		return nil, nil, fmt.Errorf("%w: %d destinations claimed in %d bytes", ErrBadEnvelope, nd, len(payload)-4)
+	}
+	dests = dests[:0]
+	off := 4
+	for i := uint64(0); i < nd; i++ {
+		dests = append(dests, int(binary.LittleEndian.Uint32(payload[off:])))
+		off += 4
+	}
+	hdr, n, err := readMessage(payload[off:])
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	off := 4 + n
+	off += n
 	if len(payload)-off < 4 {
-		return 0, nil, fmt.Errorf("%w: tuple count truncated", ErrBadEnvelope)
+		return nil, nil, fmt.Errorf("%w: tuple count truncated", ErrBadEnvelope)
 	}
 	count := uint64(binary.LittleEndian.Uint32(payload[off:]))
 	off += 4
 	if count > uint64((len(payload)-off)/storage.RecordHeaderLen) {
-		return 0, nil, fmt.Errorf("%w: %d tuples claimed in %d bytes", ErrBadEnvelope, count, len(payload)-off)
+		return nil, nil, fmt.Errorf("%w: %d tuples claimed in %d bytes", ErrBadEnvelope, count, len(payload)-off)
 	}
-	e = getEnvelope(int(count))
+	e := getEnvelope(int(count))
 	e.hdr = hdr
 	e.refs.Store(1)
 	for i := 0; i < int(count); i++ {
 		t, n, rerr := storage.ReadRecord(payload[off:])
 		if rerr != nil {
 			e.release()
-			return 0, nil, fmt.Errorf("%w: tuple %d: %w", ErrBadEnvelope, i, rerr)
+			return nil, nil, fmt.Errorf("%w: tuple %d: %w", ErrBadEnvelope, i, rerr)
 		}
 		off += n
 		e.tuples = append(e.tuples, t)
@@ -158,9 +179,9 @@ func decodeData(payload []byte) (dest int, e *envelope, err error) {
 	}
 	if off != len(payload) {
 		e.release()
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-off)
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-off)
 	}
-	return dest, e, nil
+	return dests, e, nil
 }
 
 // appendAck serializes a joiner's migration ack.

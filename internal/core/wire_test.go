@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/join"
@@ -80,38 +81,46 @@ func randomEnvelope(rng *rand.Rand) *envelope {
 
 // TestEnvelopeRoundTrip encodes random data envelopes — data and
 // header-only control envelopes, dummy tuples, payload-bearing tuples,
-// empty bodies — and random migration-plane messages of every kind, and
-// requires decodeData and decodeMig (and the frameDest peek) to
-// reproduce them exactly.
+// empty bodies — for 1…W destinations, and random migration-plane
+// messages of every kind, and requires decodeData and decodeMig (and
+// the frameDest peek of a migration frame) to reproduce them exactly.
 func TestEnvelopeRoundTrip(t *testing.T) {
+	const maxDests = 16 // every joiner of a J=16 grid on one worker
 	rng := rand.New(rand.NewSource(3))
+	var scratch []int
 	for round := 0; round < 100; round++ {
-		dest := rng.Intn(256)
-		e := randomEnvelope(rng)
-		payload := appendData(nil, dest, e)
-		if d, err := frameDest(payload); err != nil || d != dest {
-			t.Fatalf("round %d: frameDest = %d, %v; want %d", round, d, err, dest)
+		dests := make([]int, 1+round%maxDests)
+		for i := range dests {
+			dests[i] = rng.Intn(256)
 		}
-		d, got, err := decodeData(payload)
+		e := randomEnvelope(rng)
+		payload := appendData(nil, dests, e)
+		got, de, err := decodeData(scratch, payload)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if d != dest || !sameMessage(got.hdr, e.hdr) || len(got.tuples) != len(e.tuples) || got.bytes != e.bytes {
-			t.Fatalf("round %d: dest=%d header %+v, %d tuples, %d bytes; want dest=%d header %+v, %d tuples, %d bytes",
-				round, d, got.hdr, len(got.tuples), got.bytes, dest, e.hdr, len(e.tuples), e.bytes)
+		if !slices.Equal(got, dests) || !sameMessage(de.hdr, e.hdr) || len(de.tuples) != len(e.tuples) || de.bytes != e.bytes {
+			t.Fatalf("round %d: dests=%v header %+v, %d tuples, %d bytes; want dests=%v header %+v, %d tuples, %d bytes",
+				round, got, de.hdr, len(de.tuples), de.bytes, dests, e.hdr, len(e.tuples), e.bytes)
 		}
 		for i := range e.tuples {
-			if !sameTuple(got.tuples[i], e.tuples[i]) {
-				t.Fatalf("round %d tuple %d: got %+v, want %+v", round, i, got.tuples[i], e.tuples[i])
+			if !sameTuple(de.tuples[i], e.tuples[i]) {
+				t.Fatalf("round %d tuple %d: got %+v, want %+v", round, i, de.tuples[i], e.tuples[i])
 			}
 		}
-		if got.refs.Load() != 1 {
-			t.Fatalf("round %d: decoded envelope holds %d references, want 1", round, got.refs.Load())
+		if de.refs.Load() != 1 {
+			t.Fatalf("round %d: decoded envelope holds %d references, want 1", round, de.refs.Load())
 		}
-		got.release()
+		de.release()
+		scratch = got // reuse across frames, like the worker does
 
+		dest := dests[0]
 		m := randomMessage(rng)
-		d, gm, err := decodeMig(appendMig(nil, dest, &m))
+		mig := appendMig(nil, dest, &m)
+		if d, err := frameDest(mig); err != nil || d != dest {
+			t.Fatalf("round %d: frameDest = %d, %v; want %d", round, d, err, dest)
+		}
+		d, gm, err := decodeMig(mig)
 		if err != nil || d != dest || !sameMessage(gm, m) {
 			t.Fatalf("round %d: migration message %+v decoded as %d, %+v, %v", round, m, d, gm, err)
 		}
@@ -119,8 +128,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestEnvelopeRejectsCorruption truncates a data envelope and a
-// migration message at every byte boundary, corrupts the tuple count
-// and appends trailing bytes: every case must return an ErrBadEnvelope
+// migration message at every byte boundary, corrupts the destination
+// and tuple counts — zero destinations, more than the payload holds, a
+// list cut short — and appends trailing bytes: every case must return an ErrBadEnvelope
 // error, never panic or misparse. (On the wire the frame CRC catches
 // these first; this guards the codec against version-skewed or buggy
 // peers.)
@@ -131,7 +141,8 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.tuples = append(e.tuples, randomWireTuple(rng))
 	}
-	payload := appendData(nil, 3, e)
+	dests := []int{3, 7, 11}
+	payload := appendData(nil, dests, e)
 	m := randomMessage(rng)
 	mig := appendMig(nil, 3, &m)
 	bad := func(what string, err error) {
@@ -140,23 +151,37 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: got %v, want an ErrBadEnvelope error", what, err)
 		}
 	}
+	// corrupt returns payload with the u32 at off replaced by v.
+	corrupt := func(off int, v uint32) []byte {
+		c := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(c[off:], v)
+		return c
+	}
 
 	for cut := 0; cut < len(payload); cut++ {
-		_, _, err := decodeData(payload[:cut])
+		_, _, err := decodeData(nil, payload[:cut])
 		bad(fmt.Sprintf("data cut=%d", cut), err)
 	}
 	for cut := 0; cut < len(mig); cut++ {
 		_, _, err := decodeMig(mig[:cut])
 		bad(fmt.Sprintf("migration cut=%d", cut), err)
 	}
-	countAt := 4 + len(appendMessage(nil, &e.hdr))
+	_, _, err := decodeData(nil, corrupt(0, 0))
+	bad("zero destinations", err)
+	_, _, err = decodeData(nil, payload[:4+4*len(dests)-2])
+	bad("cut inside the destination list", err)
+	for _, n := range []uint32{uint32(len(payload)), 1 << 20, 0xffffffff} {
+		_, _, err := decodeData(nil, corrupt(0, n))
+		bad(fmt.Sprintf("destination count %d", n), err)
+	}
+	// The tuple count sits right before the records: a header-only copy
+	// of the envelope encodes to everything up to and including it.
+	countAt := len(appendData(nil, dests, &envelope{hdr: e.hdr})) - 4
 	for _, count := range []uint32{4, 1 << 20, 0xffffffff} {
-		c := append([]byte(nil), payload...)
-		binary.LittleEndian.PutUint32(c[countAt:], count)
-		_, _, err := decodeData(c)
+		_, _, err := decodeData(nil, corrupt(countAt, count))
 		bad(fmt.Sprintf("count %d", count), err)
 	}
-	_, _, err := decodeData(append(append([]byte(nil), payload...), 0xAA))
+	_, _, err = decodeData(nil, append(append([]byte(nil), payload...), 0xAA))
 	bad("data trailing bytes", err)
 	_, _, err = decodeMig(append(append([]byte(nil), mig...), 0xAA))
 	bad("migration trailing bytes", err)

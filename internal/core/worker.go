@@ -164,8 +164,8 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 
 	op.runner.Go("uplink-send", peer.writer)
 
-	hostedHere := func(id int) bool { return id >= 0 && id < h.J && hosted[id] }
 	op.runner.Go("uplink-recv", func() error {
+		var dests []int
 		for {
 			f, rerr := link.Recv()
 			if rerr != nil {
@@ -185,21 +185,16 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 			}
 			switch f.Kind {
 			case transport.KindData:
-				dest, e, derr := decodeData(f.Payload)
-				if derr != nil {
+				var derr error
+				if dests, derr = op.fanOut(dests, f.Payload); derr != nil {
 					return &LinkError{Worker: "coordinator", Err: derr}
 				}
-				if !hostedHere(dest) {
-					e.release()
-					return &LinkError{Worker: "coordinator", Err: fmt.Errorf("envelope for joiner %d, not hosted here", dest)}
-				}
-				op.topo.pushData(dest, e)
 			case transport.KindMig:
 				dest, m, derr := decodeMig(f.Payload)
 				if derr != nil {
 					return &LinkError{Worker: "coordinator", Err: derr}
 				}
-				if !hostedHere(dest) {
+				if !op.hostsJoiner(dest) {
 					return &LinkError{Worker: "coordinator", Err: fmt.Errorf("migration message for joiner %d, not hosted here", dest)}
 				}
 				op.topo.pushMig(dest, m)
@@ -226,4 +221,28 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 		_ = w.state.Close()
 	}
 	return err
+}
+
+// fanOut decodes a KindData payload and hands the one decoded envelope
+// to every hosted joiner it names, by reference — the in-process
+// broadcast, on the far side of the link: the references are set before
+// the first push. A frame naming a joiner this process does not host is
+// rejected, its envelope released once. dests is the decode scratch,
+// returned for reuse.
+func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
+	dests, e, err := decodeData(dests, payload)
+	if err != nil {
+		return dests, err
+	}
+	for _, id := range dests {
+		if !op.hostsJoiner(id) {
+			e.release()
+			return dests, fmt.Errorf("core: envelope for joiner %d, not hosted here", id)
+		}
+	}
+	e.refs.Store(int32(len(dests)))
+	for _, id := range dests {
+		op.topo.pushData(id, e)
+	}
+	return dests, nil
 }

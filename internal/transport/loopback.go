@@ -70,6 +70,25 @@ func (lb *Loopback) roll() (drop, dup, short, delay bool) {
 }
 
 func (lb *Loopback) Send(f Frame) error {
+	_, err := lb.send(f)
+	return err
+}
+
+// SendFrames sends each frame through the fault wrapper on its own, so
+// every fault hits a single frame of the batch. A torn frame ends the
+// batch: the sender died mid-write and writes nothing after it.
+func (lb *Loopback) SendFrames(fs []Frame) error {
+	for _, f := range fs {
+		torn, err := lb.send(f)
+		if err != nil || torn {
+			return err
+		}
+	}
+	return nil
+}
+
+// send rolls f's fate and sends it, reporting whether it went out torn.
+func (lb *Loopback) send(f Frame) (torn bool, err error) {
 	drop, dup, short, delay := lb.roll()
 	if delay {
 		lb.count(&lb.Delayed)
@@ -78,11 +97,11 @@ func (lb *Loopback) Send(f Frame) error {
 	switch {
 	case drop:
 		lb.count(&lb.Dropped)
-		return nil
+		return false, nil
 	case dup:
 		lb.count(&lb.Duplicated)
 		if err := lb.inner.Send(f); err != nil {
-			return err
+			return false, err
 		}
 	case short && lb.raw != nil:
 		lb.count(&lb.ShortWrites)
@@ -90,10 +109,10 @@ func (lb *Loopback) Send(f Frame) error {
 		// Keep at least one byte so the receiver sees a torn frame, not
 		// a clean end of stream.
 		cut := 1 + int(lb.randN(len(enc)-1))
-		return lb.raw.sendRaw(enc[:cut])
+		return true, lb.raw.sendRaw(enc[:cut])
 	}
 	lb.count(&lb.Sent)
-	return lb.inner.Send(f)
+	return false, lb.inner.Send(f)
 }
 
 func (lb *Loopback) randN(n int) int64 {

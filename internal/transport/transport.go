@@ -8,8 +8,10 @@
 // versioned magic, so a truncated stream, a flipped bit, or a peer
 // speaking a future protocol revision surfaces as a typed error
 // (ErrBadFrame, ErrVersionSkew) instead of a misparse or a panic. The
-// frame payload is opaque here; internal/core serializes batch
-// envelopes into it reusing the spill segment's record encoding.
+// frame payload is opaque here; internal/core serializes its data
+// envelopes (one per worker and flush, naming every joiner it reaches
+// there), migration messages, acks and result pairs into it, reusing
+// the spill segment's record encoding.
 package transport
 
 import (
@@ -34,7 +36,8 @@ const (
 	// KindHello is the coordinator's opening frame on a worker link:
 	// the job description (joiner ids hosted, predicate, batch sizes).
 	KindHello Kind = 1 + iota
-	// KindData carries one reshuffler→joiner data envelope.
+	// KindData carries one reshuffler→joiner data envelope and the ids
+	// of every joiner on the receiving side it is for.
 	KindData
 	// KindMig carries one joiner→joiner migration-plane envelope.
 	KindMig
@@ -160,11 +163,14 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // Link is one bidirectional frame stream between two processes (or two
 // ends of an in-process pipe).
 //
-// Send is safe for concurrent use and does not retain f.Payload. Recv
-// must be called from a single goroutine. Close unblocks both; a Recv
-// or Send interrupted by Close returns an error wrapping ErrClosed.
+// Send is safe for concurrent use and does not retain f.Payload.
+// SendFrames sends fs in order and retains no payload either; a stream
+// implementation puts them on the wire in one write. Recv must be called from a single
+// goroutine. Close unblocks all three; a Recv or Send interrupted by
+// Close returns an error wrapping ErrClosed.
 type Link interface {
 	Send(f Frame) error
+	SendFrames(fs []Frame) error
 	Recv() (Frame, error)
 	Close() error
 }
@@ -217,9 +223,17 @@ func DialTimeout(addr string, d time.Duration) (Link, error) {
 	return newTCPLink(conn), nil
 }
 
-func (l *tcpLink) Send(f Frame) error {
+func (l *tcpLink) Send(f Frame) error { return l.SendFrames([]Frame{f}) }
+
+// SendFrames encodes every frame into the write buffer and hands the
+// kernel one write: a writer that drained many small frames (acks,
+// result pairs) pays one syscall for all of them.
+func (l *tcpLink) SendFrames(fs []Frame) error {
 	l.wmu.Lock()
-	l.wbuf = AppendFrame(l.wbuf[:0], f)
+	l.wbuf = l.wbuf[:0]
+	for _, f := range fs {
+		l.wbuf = AppendFrame(l.wbuf, f)
+	}
 	_, err := l.conn.Write(l.wbuf)
 	l.wmu.Unlock()
 	return l.sendErr(err)
@@ -319,6 +333,17 @@ func Pipe() (Link, Link) {
 
 func (p *pipeHalf) Send(f Frame) error {
 	return p.sendRaw(AppendFrame(nil, f))
+}
+
+// SendFrames sends each frame as its own pipe message, in order; a
+// concurrent sender's frame may land between two of them.
+func (p *pipeHalf) SendFrames(fs []Frame) error {
+	for _, f := range fs {
+		if err := p.Send(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (p *pipeHalf) sendRaw(b []byte) error {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -272,7 +273,8 @@ func chaosRate(t *testing.T) float64 {
 // wrapper. Drops and duplicates must change only the delivered count —
 // every frame that arrives arrives intact — and a torn (short-written)
 // frame must surface at the receiver as ErrBadFrame, never a misparse
-// or a hang.
+// or a hang. A multi-frame SendFrames takes its faults frame by frame,
+// and a tear ends it.
 func TestLoopbackChaos(t *testing.T) {
 	rate := chaosRate(t)
 
@@ -339,6 +341,100 @@ func TestLoopbackChaos(t *testing.T) {
 		case err := <-errc:
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("torn frame: got %v, want ErrBadFrame", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("receiver hung on torn frame")
+		}
+	})
+	t.Run("send-frames", func(t *testing.T) {
+		client, server := tcpPair(t)
+		lb := NewLoopback(client, LoopbackConfig{Seed: 41, Drop: rate, Dup: rate / 2})
+		const batches, per = 50, 8
+		recvDone := make(chan [batches]int, 1)
+		go func() {
+			var got [batches]int // frames delivered per batch
+			for {
+				f, err := server.Recv()
+				if err != nil {
+					recvDone <- got
+					return
+				}
+				if f.Kind != KindData || len(f.Payload) != 32 || int(f.Payload[0]) >= batches {
+					t.Errorf("corrupt delivery: kind=%v len=%d", f.Kind, len(f.Payload))
+					continue
+				}
+				got[f.Payload[0]]++
+			}
+		}()
+		fs := make([]Frame, per)
+		for b := 0; b < batches; b++ {
+			for i := range fs {
+				fs[i] = Frame{Kind: KindData, Payload: make([]byte, 32)}
+				fs[i].Payload[0], fs[i].Payload[1] = byte(b), byte(i)
+			}
+			if err := lb.SendFrames(fs); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+		}
+		lb.Close()
+		var got [batches]int
+		select {
+		case got = <-recvDone:
+		case <-time.After(30 * time.Second):
+			t.Fatal("receiver hung")
+		}
+		sent, dropped, duplicated, _, _ := lb.Counts()
+		total, partial := 0, 0
+		for _, n := range got {
+			total += n
+			if n != 0 && n != per {
+				partial++
+			}
+		}
+		if int64(total) != sent+duplicated {
+			t.Fatalf("delivered %d frames, counters say %d sent + %d duplicated (dropped %d)", total, sent, duplicated, dropped)
+		}
+		if rate > 0 && rate < 1 && partial == 0 {
+			t.Fatalf("no batch lost or gained only some of its frames at fault rate %v: faults must hit single frames", rate)
+		}
+	})
+
+	t.Run("send-frames-torn", func(t *testing.T) {
+		client, server := tcpPair(t)
+		lb := NewLoopback(client, LoopbackConfig{Seed: 43, ShortWrite: 0.5})
+		fs := make([]Frame, 8)
+		for i := range fs {
+			fs[i] = Frame{Kind: KindMig, Payload: make([]byte, 64)}
+		}
+		if err := lb.SendFrames(fs); err != nil {
+			t.Fatal(err)
+		}
+		sent, _, _, short, _ := lb.Counts()
+		if short != 1 {
+			t.Fatalf("%d torn frames, want exactly 1: a tear ends the batch", short)
+		}
+		lb.Close()
+		errc := make(chan error, 1)
+		go func() {
+			for i := int64(0); ; i++ {
+				f, err := server.Recv()
+				if err != nil {
+					if i != sent {
+						err = fmt.Errorf("%d intact frames before the tear, want %d: %w", i, sent, err)
+					}
+					errc <- err
+					return
+				}
+				if f.Kind != KindMig || len(f.Payload) != 64 {
+					errc <- fmt.Errorf("frame %d: kind=%v len=%d", i, f.Kind, len(f.Payload))
+					return
+				}
+			}
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("torn frame in a batch: got %v, want ErrBadFrame", err)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("receiver hung on torn frame")
