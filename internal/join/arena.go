@@ -1,16 +1,14 @@
 package join
 
-import (
-	"unsafe"
+import "unsafe"
 
-	"repro/internal/matrix"
-)
-
-// The columnar tuple arena: the storage plane every index stores its
-// tuples in. Tuples are decomposed into parallel fixed-size column
-// blocks — Key, Aux, U, Seq, a packed meta word (Rel/Dummy/Size), and
-// an out-of-line payload column — instead of an array of 64-byte
-// Tuple structs. The layout buys three things on the hot path:
+// The columnar tuple arena: the storage plane the hash and scan
+// indexes store their tuples in (the ordered index keeps its tuples in
+// its own key-ordered leaves, btree.go). Tuples are decomposed into
+// parallel fixed-size column blocks — Key, Aux, U, Seq, a packed meta
+// word (Rel/Dummy/Size), and an out-of-line payload column — instead
+// of an array of 64-byte Tuple structs. The layout buys three things on
+// the hot path:
 //
 //   - inserts append only the hot scalar columns (40 bytes across five
 //     dense arrays, no payload slice header unless a payload exists),
@@ -62,7 +60,7 @@ const maxReserve = 1 << 19
 // into parallel columns. n is the fill level; slots at positions
 // >= n are unwritten. The payload column is allocated lazily, on the
 // first payload-carrying tuple appended to the block. The chain column
-// belongs to HashIndex (ordered and scan indexes never allocate it):
+// belongs to HashIndex (scan indexes never allocate it):
 // next[pos] links the tuple at pos to the previously stored tuple of
 // the same key, as offset+1 with 0 ending the chain. It is its own
 // allocation because block plus chain would round up a size class
@@ -99,26 +97,18 @@ func (c *colChunk) links() *[arenaChunk]uint32 {
 	return c.next
 }
 
-// atInto materializes the tuple stored at pos directly into *dst,
-// overwriting every field: the single column-unpack in the codebase
-// (the inverse of the per-column writes in tupleArena.append; the meta
-// word layout is defined by Tuple.metaWord).
-func (c *colChunk) atInto(pos int32, dst *Tuple) {
-	c.atIntoMeta(pos, c.meta[pos], dst)
-}
-
-// atIntoMeta is atInto with the meta word supplied by the caller — the
+// atIntoMeta materializes the tuple stored at pos directly into *dst,
+// overwriting every field — the inverse of the per-column writes in
+// tupleArena.append — with the meta word supplied by the caller: the
 // batch probe captures it during the gather pass (an early touch of the
 // block that overlaps with the remaining directory walk), so
 // materialization skips the meta column read.
 func (c *colChunk) atIntoMeta(pos int32, m uint64, dst *Tuple) {
-	dst.Rel = matrix.Side(m >> 32 & 1)
+	dst.setMeta(m)
 	dst.Key = c.key[pos]
 	dst.Aux = c.aux[pos]
-	dst.Size = int32(uint32(m))
 	dst.U = c.u[pos]
 	dst.Seq = c.seq[pos]
-	dst.Dummy = metaDummy(m)
 	if c.payload != nil {
 		dst.Payload = c.payload[pos]
 	} else {
@@ -129,7 +119,7 @@ func (c *colChunk) atIntoMeta(pos int32, m uint64, dst *Tuple) {
 // at materializes the tuple stored at pos.
 func (c *colChunk) at(pos int32) Tuple {
 	var t Tuple
-	c.atInto(pos, &t)
+	c.atIntoMeta(pos, c.meta[pos], &t)
 	return t
 }
 
@@ -203,23 +193,10 @@ func (a *tupleArena) append(t *Tuple) int32 {
 	return int32(ci<<arenaShift | pos)
 }
 
-// at materializes the tuple at offset off.
-func (a *tupleArena) at(off int32) Tuple {
-	return a.chunks[off>>arenaShift].at(off & (arenaChunk - 1))
-}
-
 // keyAt reads only the key at offset off: the confirm step of a
 // directory tag hit.
 func (a *tupleArena) keyAt(off int32) int64 {
 	return a.chunks[off>>arenaShift].key[off&(arenaChunk-1)]
-}
-
-// atInto materializes the tuple at offset off directly into *dst,
-// overwriting every field — the copy-free form of at for hot loops
-// that gather into a caller-owned slot (e.g. a Pair being built in the
-// output buffer).
-func (a *tupleArena) atInto(off int32, dst *Tuple) {
-	a.chunks[off>>arenaShift].atInto(off&(arenaChunk-1), dst)
 }
 
 // atIntoMeta materializes the tuple at offset off using a meta word the

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -92,4 +93,50 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			runtime.KeepAlive(h)
 		})
 	}
+}
+
+// TestOrderedIndexFootprintBudget is the band index's counterpart:
+// 50 000 tuples under uniform random keys, inserted in batches the way
+// a joiner does, held against the live bytes per stored tuple the
+// B-tree it replaced kept on the same stream (66.9 B: a 42.5 B share of
+// a 512-tuple arena block plus node items, item slices and their
+// slack), and Footprint() held to within 2 % of the measured live heap:
+// leaves and inner nodes, as the allocator rounds them, are all the
+// index allocates.
+func TestOrderedIndexFootprintBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	const n, budget = 50_000, 66.9
+	rng := rand.New(rand.NewSource(50))
+	batch := make([]Tuple, 32)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	o := NewOrderedIndex(8)
+	for i := 0; i < n; i += len(batch) {
+		run := batch[:min(len(batch), n-i)]
+		for j := range run {
+			run[j] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(1 << 40), Size: 8, Seq: uint64(i + j + 1)}
+		}
+		o.InsertBatch(run)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc-before.HeapAlloc) / n
+	arena, dir := o.Footprint()
+	fp := float64(arena+dir) / n
+	t.Logf("%.1f B/tuple live (Footprint: %.1f leaves + %.1f inner nodes), %d leaves at %.1f tuples each, %d inner nodes",
+		live, float64(arena)/n, float64(dir)/n, o.leaves, float64(n)/float64(o.leaves), o.inners)
+	if live > budget {
+		t.Errorf("live heap %.1f B/tuple, budget %.1f", live, budget)
+	}
+	if fp < live*0.98 || fp > live*1.02 {
+		t.Errorf("Footprint reports %.1f B/tuple, measured live heap %.1f", fp, live)
+	}
+	runtime.KeepAlive(o)
 }

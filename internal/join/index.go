@@ -39,11 +39,12 @@ type Index interface {
 	// Bytes returns the accounted storage volume of stored tuples.
 	Bytes() int64
 	// Footprint returns, in O(1), the resident bytes the index holds:
-	// its arena blocks (reserved capacity included, as the allocator
-	// rounds them) and the directory structure on top (hash slots, tree
-	// items; zero for a scan index). Out-of-line payload bytes are the
-	// caller's and are not counted. (arena + directory) / Len is the
-	// resident cost of one stored tuple.
+	// its tuple storage (arena blocks with reserved capacity included,
+	// or tree leaves, as the allocator rounds them) and the directory
+	// structure on top (hash slots, inner tree nodes; zero for a scan
+	// index). Out-of-line payload bytes are the caller's and are not
+	// counted. (arena + directory) / Len is the resident cost of one
+	// stored tuple.
 	Footprint() (arenaBytes, directoryBytes int64)
 	// Scan calls fn for every stored tuple, in unspecified order,
 	// until fn returns false. Used by migration to enumerate state.
@@ -54,9 +55,8 @@ type Index interface {
 }
 
 // collectPair appends probe⋈stored to *out when the pair passes the
-// predicate, orienting the Pair by the probe's relation. It is shared
-// by every index's ProbeBatchCollect so the match test stays a single
-// inlinable call rather than a per-match closure.
+// predicate, orienting the Pair by the probe's relation: the scan
+// index's per-candidate step.
 func collectPair(probe, stored Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	if rel == matrix.SideR {
 		if p.Matches(probe, stored) {
@@ -70,7 +70,7 @@ func collectPair(probe, stored Tuple, rel matrix.Side, p Predicate, out *[]Pair)
 }
 
 // NewIndex returns the appropriate index implementation for a
-// predicate: hash for equi, ordered (B-tree) for band, scan for theta.
+// predicate: hash for equi, ordered (B+tree) for band, scan for theta.
 func NewIndex(p Predicate) Index {
 	switch p.Kind {
 	case Equi:
@@ -493,29 +493,38 @@ func (h *HashIndex) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p 
 				// a dummy hit never costs a materialization.
 				continue
 			}
-			n := len(buf)
-			if n < cap(buf) {
-				buf = buf[:n+1] // stale contents are fully overwritten
-			} else {
-				buf = append(buf, Pair{})
-			}
-			pr := &buf[n]
+			var pr *Pair
 			var stored *Tuple
-			if rel == matrix.SideR {
-				pr.R = *probe
-				stored = &pr.S
-			} else {
-				pr.S = *probe
-				stored = &pr.R
-			}
+			buf, pr, stored = pairSlot(buf, probe, rel)
 			h.arena.atIntoMeta(hits[k].off, hits[k].meta, stored)
 			if !plainEqui && !p.Matches(pr.R, pr.S) {
-				buf = buf[:n]
+				buf = buf[:len(buf)-1]
 			}
 		}
 		i = j
 	}
 	*out = buf
+}
+
+// pairSlot extends buf by one Pair, copies probe into the half rel
+// names and returns the slot and its other half, for the caller to
+// materialize the stored tuple into: the output step of every batch
+// probe, with no intermediate tuple copy. The slot's stale contents
+// are fully overwritten.
+func pairSlot(buf []Pair, probe *Tuple, rel matrix.Side) ([]Pair, *Pair, *Tuple) {
+	n := len(buf)
+	if n < cap(buf) {
+		buf = buf[:n+1]
+	} else {
+		buf = append(buf, Pair{})
+	}
+	pr := &buf[n]
+	if rel == matrix.SideR {
+		pr.R = *probe
+		return buf, pr, &pr.S
+	}
+	pr.S = *probe
+	return buf, pr, &pr.R
 }
 
 // putHits retires the gather scratch, capping the retained capacity.

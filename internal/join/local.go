@@ -109,31 +109,25 @@ func (l *Local) InsertBatch(ts []Tuple) {
 }
 
 // MergeFrom bulk-merges the other join's stored tuples into l,
-// consuming other. Hash indexes merge by stealing whole arena chunks;
-// other index kinds fall back to scan-and-insert.
+// consuming other. Both joins are built from the same predicate, so
+// each side merges through its own index kind's MergeFrom: hash and
+// scan indexes adopt the other's arena blocks, ordered indexes merge
+// their two leaf chains.
 func (l *Local) MergeFrom(other *Local) {
-	l.r = mergeIndex(l.r, other.r)
-	l.s = mergeIndex(l.s, other.s)
+	mergeIndex(l.r, other.r)
+	mergeIndex(l.s, other.s)
 }
 
-// mergeIndex merges src into dst, using the chunk-adopting bulk path
-// when both sides share an arena-backed implementation (hash or scan);
-// ordered indexes fall back to scan-and-insert.
-func mergeIndex(dst, src Index) Index {
-	if d, ok := dst.(*HashIndex); ok {
-		if s, ok := src.(*HashIndex); ok {
-			d.MergeFrom(s)
-			return d
-		}
+// mergeIndex merges src, an index of dst's own kind, into dst.
+func mergeIndex(dst, src Index) {
+	switch d := dst.(type) {
+	case *HashIndex:
+		d.MergeFrom(src.(*HashIndex))
+	case *ScanIndex:
+		d.MergeFrom(src.(*ScanIndex))
+	case *OrderedIndex:
+		d.MergeFrom(src.(*OrderedIndex))
 	}
-	if d, ok := dst.(*ScanIndex); ok {
-		if s, ok := src.(*ScanIndex); ok {
-			d.MergeFrom(s)
-			return d
-		}
-	}
-	src.Scan(func(t Tuple) bool { dst.Insert(t); return true })
-	return dst
 }
 
 // Len returns the stored tuple counts per side.

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-
-	"repro/internal/matrix"
 )
 
 // Checkpoint capture and serialization of the in-memory join state.
@@ -44,7 +42,7 @@ import (
 const (
 	snapIdxHash    = 0 // HashIndex: arena blocks, directory rebuilt on load
 	snapIdxScan    = 1 // ScanIndex: arena blocks, no directory
-	snapIdxOrdered = 2 // OrderedIndex: per-tuple fallback, tree rebuilt on load
+	snapIdxOrdered = 2 // OrderedIndex: tuples in key order, tree bulk-built on load
 	// Delta kinds carry only arena blocks appended past a recorded
 	// immutable-prefix watermark, plus the prefix they splice onto.
 	// Ordered indexes never ship deltas: their tree interleaves with
@@ -236,9 +234,10 @@ func readArena(r *snapReader) tupleArena {
 	return a
 }
 
-// appendOrdered encodes an ordered (band) index, which interleaves its
-// tree rebuild with tuple re-insertion, as a plain tuple sequence: the
-// complete side record, kind byte included.
+// appendOrdered encodes an ordered (band) index as its tuples in Scan
+// order — key order, ties in insertion order — which is exactly the
+// stream the restore side's bulk build takes: the complete side
+// record, kind byte included.
 func appendOrdered(buf []byte, idx Index) []byte {
 	buf = appendU8(buf, snapIdxOrdered)
 	buf = appendU32(buf, uint32(idx.Len()))
@@ -274,9 +273,7 @@ func readTuple(r *snapReader) Tuple {
 	if r.err != nil {
 		return t
 	}
-	t.Rel = matrix.Side(m >> 32 & 1)
-	t.Size = int32(uint32(m))
-	t.Dummy = metaDummy(m)
+	t.setMeta(m)
 	if ln > 0 {
 		t.Payload = append([]byte(nil), p...)
 	}
@@ -568,7 +565,9 @@ func spliceChain(chain []sideSnap) (sideSnap, error) {
 // installSide installs a resolved side record into idx, which must be
 // empty: arena-backed kinds through MergeFrom, which adopts the decoded
 // blocks wholesale and rebuilds the directory from their key columns,
-// exactly like a migration-finalization merge.
+// exactly like a migration-finalization merge; an ordered record, whose
+// tuples arrive in key order, through the tree's left-to-right bulk
+// build.
 func installSide(idx Index, rec sideSnap) error {
 	switch rec.kind {
 	case snapIdxHash:
@@ -586,9 +585,11 @@ func installSide(idx Index, rec sideSnap) error {
 		donor := &ScanIndex{arena: rec.arena, bytes: rec.bytes}
 		s.MergeFrom(donor)
 	case snapIdxOrdered:
-		for _, t := range rec.tuples {
-			idx.Insert(t)
+		o, ok := idx.(*OrderedIndex)
+		if !ok {
+			return fmt.Errorf("join: snapshot holds an ordered index but the predicate builds %T", idx)
 		}
+		return o.load(rec.tuples)
 	default:
 		return fmt.Errorf("join: cannot install snapshot record of kind %d", rec.kind)
 	}

@@ -147,6 +147,29 @@ func TestLocalSnapshotKindMismatch(t *testing.T) {
 	if err := loadLocal(dst, encodeLocal(src)); err == nil {
 		t.Fatal("loading a hash snapshot into an ordered-index local succeeded")
 	}
+	if err := loadLocal(NewLocal(EquiJoin("eq", nil)), encodeLocal(dst)); err == nil {
+		t.Fatal("loading an ordered snapshot into a hash-index local succeeded")
+	}
+}
+
+// An ordered record is bulk-built as it stands, so one whose tuples are
+// out of key order must fail to load rather than build a tree that
+// misses matches.
+func TestLocalSnapshotOrderedKeyDisorder(t *testing.T) {
+	p := appendU8(nil, localSnapVersion)
+	p = appendU8(p, snapIdxOrdered)
+	p = appendU32(p, 2)
+	p = appendTuple(p, Tuple{Rel: matrix.SideR, Key: 5, Seq: 1, Size: 8})
+	p = appendTuple(p, Tuple{Rel: matrix.SideR, Key: 3, Seq: 2, Size: 8})
+	p = appendU8(p, snapIdxOrdered)
+	p = appendU32(p, 0)
+	l := NewLocal(BandJoin("band", 2, nil))
+	if err := loadLocal(l, p); err == nil || !strings.Contains(err.Error(), "key order") {
+		t.Fatalf("loading an out-of-order ordered record: err = %v", err)
+	}
+	if l.TotalLen() != 0 {
+		t.Fatalf("a rejected record left %d tuples behind", l.TotalLen())
+	}
 }
 
 func TestLocalSnapshotRejectsNonEmptyTarget(t *testing.T) {

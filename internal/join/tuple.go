@@ -78,9 +78,16 @@ func (t Tuple) metaWord() uint64 {
 	return m
 }
 
+// setMeta is the inverse of metaWord: it unpacks Size, Rel and Dummy
+// from a meta word into t.
+func (t *Tuple) setMeta(m uint64) {
+	t.Rel = matrix.Side(m >> 32 & 1)
+	t.Size = int32(uint32(m))
+	t.Dummy = metaDummy(m)
+}
+
 // metaDummy reports the Dummy bit of a packed meta word without
-// materializing the tuple; the full inverse unpack lives in
-// colChunk.atInto.
+// materializing the tuple.
 func metaDummy(m uint64) bool { return m&(1<<33) != 0 }
 
 // Pair is one join result: the matched R and S tuples.
