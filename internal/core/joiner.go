@@ -144,7 +144,7 @@ func (w *joiner) filterTail(rel matrix.Side, n0 int, f tailFilter) {
 		case probeOlder:
 			ok = probe.Seq < stored.Seq
 		default:
-			ok = w.mig.keeps(stored.Rel, stored.U)
+			ok = w.mig.keep[stored.Rel].Has(stored.U)
 		}
 		if ok {
 			kept = append(kept, buf[i])
@@ -176,8 +176,12 @@ func (w *joiner) flushPending() {
 // probe-only ∆ forwards (grouped mode's cross-group traffic) in probe,
 // which the receiver only probes ∆′ with. Both ship as kMigBlocks.
 type migTarget struct {
-	dest   int
-	want   func(side matrix.Side, u uint64) bool
+	dest int
+	// want is, per side, the routing values of the old-epoch tuples the
+	// target gets: all of the merging relation and none of the
+	// splitting one for an elementary step's partner, the child's own
+	// partition of each relation for an expansion child.
+	want   [2]matrix.Top
 	blocks join.BlockEncoder
 	probe  join.BlockEncoder
 }
@@ -188,9 +192,9 @@ type migState struct {
 	newMapping matrix.Mapping
 	newCell    matrix.Cell
 	expand     bool
-	// keeps reports whether this machine retains a stored old-epoch
-	// tuple under the new mapping.
-	keeps   func(side matrix.Side, u uint64) bool
+	// keep is, per side, the routing values of the stored old-epoch
+	// tuples this machine retains under the new mapping.
+	keep    [2]matrix.Top
 	targets []migTarget
 	mu      *storage.Store // µ: migrated-in state
 	dp      *storage.Store // ∆′: new-epoch arrivals
@@ -338,9 +342,7 @@ func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 	case epoch == w.epoch:
 		// ∆: old-epoch arrivals during the migration (Alg. 3 lines 15-20).
 		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ (τ ∪ ∆)
-		for i := range run {
-			w.forwardMig(run[i], probeOnly) // Migrated(∆) to peers
-		}
+		w.forwardMig(run, probeOnly)               // Migrated(∆) to peers
 		if !probeOnly {
 			w.state.InsertBatch(run)
 		}
@@ -348,8 +350,9 @@ func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 		// compacts into runBuf (in place when the run already lives there:
 		// the write index never passes the read index).
 		kept := w.runBuf[:0]
+		keep := w.mig.keep[rel]
 		for i := range run {
-			if w.mig.keeps(rel, run[i].U) {
+			if keep.Has(run[i].U) {
 				kept = append(kept, run[i])
 			}
 		}
@@ -558,67 +561,85 @@ func (w *joiner) ensureMig(epoch uint32, newMapping matrix.Mapping, expand bool)
 		}
 		children := e.Children(w.cell)
 		mig.newCell = children[0] // the parent continues as child 0
-		mig.keeps = func(side matrix.Side, u uint64) bool { return e.Owns(children[0], side, u) }
-		for k := 1; k < 4; k++ {
-			child := children[k]
-			mig.targets = append(mig.targets, migTarget{
-				dest: childID(len(w.table), w.id, k-1),
-				want: func(side matrix.Side, u uint64) bool { return e.Owns(child, side, u) },
-			})
+		mig.targets = make([]migTarget, 3)
+		for k := range mig.targets {
+			mig.targets[k].dest = childID(len(w.table), w.id, k)
+		}
+		for _, side := range migSides {
+			mig.keep[side] = e.OwnTop(children[0], side)
+			for k := range mig.targets {
+				mig.targets[k].want[side] = e.OwnTop(children[k+1], side)
+			}
 		}
 		mig.expectedDones = 0
 	} else {
 		tr := matrix.NewTransition(w.mapping, newMapping)
 		mig.newCell = tr.NewCell(w.cell)
-		mig.keeps = func(side matrix.Side, u uint64) bool { return tr.Keeps(w.cell, side, u) }
-		partner := tr.Partner(w.cell)
-		mig.targets = []migTarget{{
-			dest: w.table[w.mapping.MachineOf(partner)],
-			want: func(side matrix.Side, u uint64) bool { return side == tr.Exchange },
-		}}
+		mig.targets = []migTarget{{dest: w.table[w.mapping.MachineOf(tr.Partner(w.cell))]}}
+		for _, side := range migSides {
+			mig.keep[side] = tr.KeepTop(w.cell, side)
+			mig.targets[0].want[side] = matrix.TopNone
+		}
+		mig.targets[0].want[tr.Exchange] = matrix.TopAll
 		mig.expectedDones = 1
 	}
 	w.mig = mig
 
-	// Announce, then snapshot-and-send τ (Alg. 3 line 3). Subsequent
+	// Announce, then snapshot-and-send τ (Alg. 3 line 3): per target
+	// and side, one pass over the stored u column copies the target's
+	// partition into its blocks, which ship as they fill. Subsequent
 	// old-epoch arrivals (∆) are forwarded on arrival.
 	for _, tgt := range mig.targets {
 		w.topo.pushMig(tgt.dest, message{kind: kMigBegin, epoch: epoch, mapping: newMapping, expand: expand, from: w.id})
 	}
-	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
-		w.state.Scan(side, func(t join.Tuple) bool {
-			w.forwardMig(t, false)
-			return true
-		})
+	for i := range mig.targets {
+		tgt := &mig.targets[i]
+		ship := func() { w.migShip(tgt.dest, &tgt.blocks, false) }
+		for _, side := range migSides {
+			n := w.state.SelectInto(side, tgt.want[side], &tgt.blocks, migBlockFlush, ship)
+			w.met.MigratedOut.Add(int64(n))
+		}
 	}
 	// Ship the snapshot promptly; later ∆ forwards flush per processed
 	// data envelope.
 	w.migFlushAll()
 }
 
+// migSides lists both relations, in the order migration state moves.
+var migSides = [2]matrix.Side{matrix.SideR, matrix.SideS}
+
 // migBlockFlush is how many tuples a migration target's encoder
 // accumulates before its blocks ship (one full columnar chunk).
 const migBlockFlush = 512
 
-// forwardMig buffers one old-epoch tuple into the arena blocks of every
-// migration target whose filter selects it, shipping blocks as they
-// fill. Local and remote targets take the same path: the receiver
-// decodes the same bytes whether they crossed a channel or a socket.
-func (w *joiner) forwardMig(t join.Tuple, probeOnly bool) {
+// forwardMig buffers a run of old-epoch tuples (∆) into the arena
+// blocks of every migration target whose filter selects them, shipping
+// blocks as they fill.
+func (w *joiner) forwardMig(run []join.Tuple, probeOnly bool) {
+	rel := run[0].Rel
 	for i := range w.mig.targets {
 		tgt := &w.mig.targets[i]
-		if !tgt.want(t.Rel, t.U) {
+		want := tgt.want[rel]
+		if want.None() {
 			continue
 		}
 		enc := &tgt.blocks
 		if probeOnly {
 			enc = &tgt.probe
-		} else {
-			w.met.MigratedOut.Add(1)
 		}
-		enc.Add(t)
-		if enc.Len() >= migBlockFlush {
-			w.migShip(tgt.dest, enc, probeOnly)
+		n := 0
+		for j := range run {
+			if !want.Has(run[j].U) {
+				continue
+			}
+			enc.Add(run[j])
+			n++
+			if enc.Len() >= migBlockFlush {
+				w.migShip(tgt.dest, enc, probeOnly)
+			}
+		}
+		if !probeOnly {
+			w.met.MigratedOut.Add(int64(n))
 		}
 	}
 }
@@ -633,17 +654,26 @@ func (w *joiner) migFlush(tgt *migTarget) {
 }
 
 // migShip sends enc's buffered tuples, if any, as one kMigBlocks
-// message, the serialized payload riding tuple.Payload.
+// message and resets enc. A target in this process gets the sealed
+// blocks by pointer, riding tuple.Payload as a zero-length handle
+// (join.BlockSet.AsPayload); only a target behind a link gets them
+// serialized.
 func (w *joiner) migShip(dest int, enc *join.BlockEncoder, probeOnly bool) {
 	if enc.Len() == 0 {
 		return
+	}
+	var payload []byte
+	if w.topo.isRemote(dest) {
+		payload = enc.AppendTo(nil)
+	} else {
+		payload = enc.Seal().AsPayload()
 	}
 	w.topo.pushMig(dest, message{
 		kind:      kMigBlocks,
 		epoch:     w.mig.epoch,
 		from:      w.id,
 		probeOnly: probeOnly,
-		tuple:     join.Tuple{Payload: enc.AppendTo(nil)},
+		tuple:     join.Tuple{Payload: payload},
 	})
 }
 
@@ -654,27 +684,38 @@ func (w *joiner) migFlushAll() {
 	}
 }
 
-// onMigBlocks processes migrated-in tuples shipped as serialized arena
-// blocks, each decoded side as one run. A run joins only ∆′ (Alg. 3
-// lines 10-11); its joins against old-epoch state were computed under
-// the old mapping by the sender's side of the matrix. Stored tuples
-// also complete the buffered probe-only ∆′ traffic and are then
-// installed into µ by whole-block adoption; probe-only ∆ forwards
-// (probeOnly) probe ∆′ under the ownership guard and install nothing.
+// onMigBlocks processes migrated-in tuples shipped as arena blocks —
+// by pointer from a sender in this process, serialized from one behind
+// a link — each side as one run. A run joins only ∆′ (Alg. 3 lines
+// 10-11); its joins against old-epoch state were computed under the old
+// mapping by the sender's side of the matrix. Stored tuples also
+// complete the buffered probe-only ∆′ traffic and are then installed
+// into µ by whole-block adoption; probe-only ∆ forwards (probeOnly)
+// probe ∆′ under the ownership guard and install nothing. A side's run
+// is materialized only when a store it joins holds tuples of the
+// opposite side: early in a migration none does, and τ's blocks go
+// straight into µ.
 func (w *joiner) onMigBlocks(m message) {
 	if w.mig == nil || m.epoch != w.mig.epoch {
 		panic(fmt.Sprintf("core: joiner %d: migration blocks for epoch %d outside migration", w.id, m.epoch))
 	}
-	bs, err := join.DecodeBlocks(m.tuple.Payload)
-	if err != nil {
-		// The sender's encoder (and, across processes, the transport
-		// CRC) vouch for the bytes, so this is a codec bug, not line
-		// noise; the runner converts the panic into an operator error.
-		panic(fmt.Sprintf("core: joiner %d: %v", w.id, err))
+	bs := join.PayloadBlocks(m.tuple.Payload)
+	if bs == nil {
+		var err error
+		if bs, err = join.DecodeBlocks(m.tuple.Payload); err != nil {
+			// The sender's encoder and the transport CRC vouch for the
+			// bytes, so this is a codec bug, not line noise; the runner
+			// converts the panic into an operator error.
+			panic(fmt.Sprintf("core: joiner %d: %v", w.id, err))
+		}
 	}
 	w.met.InputTuples.Add(int64(bs.Tuples()))
 	w.met.InputBytes.Add(bs.Bytes())
-	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+	for _, side := range migSides {
+		opp := side.Other()
+		if bs.Len(side) == 0 || (w.mig.dp.Len(opp) == 0 && (m.probeOnly || w.mig.probeBuf.Len(opp) == 0)) {
+			continue
+		}
 		run := bs.AppendSide(w.runBuf[:0], side)
 		n0 := len(w.pairBuf)
 		w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
@@ -710,9 +751,8 @@ func (w *joiner) maybeFinalize() {
 		return
 	}
 	faultpoint.Crash(faultpoint.MidMigration)
-	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
-		side := side
-		w.state.Retain(side, func(t join.Tuple) bool { return mig.keeps(side, t.U) })
+	for _, side := range migSides {
+		w.state.Retain(side, mig.keep[side])
 	}
 	// Bulk-merge µ and ∆′ into the surviving state: hash-indexed state
 	// is adopted by stealing whole arena chunks instead of re-inserting

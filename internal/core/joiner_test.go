@@ -10,6 +10,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 func TestStepTableRelabel(t *testing.T) {
@@ -162,6 +163,169 @@ func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
 	if n := receiver.mig.mu.TotalLen(); n != 0 || receiver.met.MigratedIn.Load() != 0 {
 		t.Fatalf("probe-only forward installed %d tuples into µ", n)
 	}
+}
+
+// TestMigrationBlocksByReference pins the two forms migrated blocks
+// take. An elementary step (2,1) -> (1,2) ships joiner 0's whole R
+// state (τ, more than one block) and then a ∆ run to joiner 1. In
+// process, every kMigBlocks message carries its block set by pointer
+// with zero payload bytes, the receiver adopts it on its own goroutine
+// while the sender goes on filling fresh blocks (under -race, any block
+// the two still shared would show), and the sender's encoder is empty
+// after every ship. With joiner 1 hosted behind a Pipe, the same
+// migration crosses as bytes that decode to block sets of the same
+// content, message for message, so the two forms cannot drift.
+func TestMigrationBlocksByReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mk := func(seq uint64) join.Tuple {
+		// Row 0 of (2,1): the top bit of u is clear.
+		tp := join.Tuple{Rel: matrix.SideR, Key: rng.Int63n(50), Seq: seq, U: rng.Uint64() >> 1, Size: int32(seq % 3 * 8)}
+		if seq%4 == 0 {
+			tp.Payload = []byte{byte(seq), byte(seq >> 8)}
+		}
+		return tp
+	}
+	var tau, delta []join.Tuple
+	for seq := uint64(1); seq <= 700; seq++ {
+		tau = append(tau, mk(seq))
+	}
+	for seq := uint64(701); seq <= 1000; seq++ {
+		delta = append(delta, mk(seq))
+	}
+	begin := message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}}
+	setup := func() (*Operator, *joiner) {
+		op := mustOperator(t, Config{
+			J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1},
+			EmitBatch: func([]join.Pair) {},
+		})
+		op.joiners[0].state.InsertBatch(tau)
+		return op, op.joiners[0]
+	}
+	// migrate runs the sender's side: τ on kMigBegin, then one ∆
+	// envelope, checking the encoder is empty after each, and ends the
+	// stream with a kMigDone the reader stops at.
+	migrate := func(op *Operator, sender *joiner) {
+		sender.handle(begin)
+		if n := sender.mig.targets[0].blocks.Len(); n != 0 {
+			t.Fatalf("the encoder holds %d tuples after τ shipped", n)
+		}
+		sender.handleBatch(dataEnv(0, false, delta...))
+		if n := sender.mig.targets[0].blocks.Len(); n != 0 {
+			t.Fatalf("the encoder holds %d tuples after the ∆ envelope shipped", n)
+		}
+		op.topo.pushMig(1, message{kind: kMigDone, epoch: 1, from: 0})
+	}
+
+	// In process: the receiver runs on its own goroutine.
+	op, sender := setup()
+	receiver := op.joiners[1]
+	receiver.handle(begin)
+	type batch struct {
+		tuples []join.Tuple
+		bytes  int64
+	}
+	var local []batch
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		for {
+			m, ok := receiver.migIn.TryPop()
+			if !ok {
+				<-receiver.migNotify
+				continue
+			}
+			if m.kind == kMigDone {
+				return
+			}
+			if m.kind == kMigBlocks {
+				bs := join.PayloadBlocks(m.tuple.Payload)
+				if bs == nil || len(m.tuple.Payload) != 0 {
+					t.Errorf("a local kMigBlocks message carries %d payload bytes and block set %p", len(m.tuple.Payload), bs)
+					return
+				}
+				local = append(local, batch{bs.AppendSide(nil, matrix.SideR), bs.Bytes()})
+			}
+			receiver.handle(m)
+		}
+	}()
+	migrate(op, sender)
+	<-received
+	if t.Failed() {
+		return
+	}
+	var adopted []join.Tuple
+	receiver.mig.mu.Scan(matrix.SideR, func(tp join.Tuple) bool { adopted = append(adopted, tp); return true })
+	if want := append(append([]join.Tuple(nil), tau...), delta...); !sameTuples(adopted, want) {
+		t.Fatalf("µ holds %d tuples after the local hand-over, want τ ∪ ∆ (%d)", len(adopted), len(want))
+	}
+
+	// Behind a Pipe: the same migration arrives as bytes.
+	op, sender = setup()
+	near, far := transport.Pipe()
+	defer near.Close()
+	peer := newRemotePeer("pipe", near, op.stop, func(err error) { t.Error(err) })
+	op.topo.remote = []*remotePeer{nil, peer}
+	migrate(op, sender)
+	peer.queueDone()
+	go func() { _ = peer.writer() }()
+	var remote []batch
+	for {
+		f, err := far.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind == transport.KindDone {
+			break
+		}
+		_, m, err := decodeMig(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.kind != kMigBlocks {
+			continue
+		}
+		if len(m.tuple.Payload) == 0 || join.PayloadBlocks(m.tuple.Payload) != nil {
+			t.Fatal("a kMigBlocks frame decoded to a block-set handle, not bytes")
+		}
+		bs, err := join.DecodeBlocks(m.tuple.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote = append(remote, batch{bs.AppendSide(nil, matrix.SideR), bs.Bytes()})
+	}
+	if len(remote) != len(local) || len(local) < 3 {
+		t.Fatalf("%d block messages crossed the Pipe, %d in process; want the same, at least 3", len(remote), len(local))
+	}
+	for i := range local {
+		l, r := local[i], remote[i]
+		if l.bytes != r.bytes || len(l.tuples) != len(r.tuples) {
+			t.Fatalf("message %d: %d tuples / %d B in process, %d / %d B over the Pipe", i, len(l.tuples), l.bytes, len(r.tuples), r.bytes)
+		}
+		for j := range l.tuples {
+			if !sameTuple(l.tuples[j], r.tuples[j]) {
+				t.Fatalf("message %d tuple %d: %+v in process, %+v over the Pipe", i, j, l.tuples[j], r.tuples[j])
+			}
+		}
+	}
+}
+
+// sameTuples reports whether got and want hold the same tuples,
+// matched by sequence number.
+func sameTuples(got, want []join.Tuple) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	bySeq := make(map[uint64]join.Tuple, len(want))
+	for _, tp := range want {
+		bySeq[tp.Seq] = tp
+	}
+	for _, tp := range got {
+		if w, ok := bySeq[tp.Seq]; !ok || !sameTuple(tp, w) {
+			return false
+		}
+		delete(bySeq, tp.Seq)
+	}
+	return true
 }
 
 // TestEpochRunsExact drives two joiners and their reshuffler by hand

@@ -47,14 +47,16 @@ const (
 	// marker carries no payload, and reusing the fields keeps the
 	// message layout unchanged (message_test.go pins it).
 	kCkpt
-	// kMigBlocks carries a run of relocated old-epoch tuples serialized
-	// as columnar arena blocks (join.BlockEncoder): the only form
-	// migrated state takes, with identical bytes whether the target
-	// joiner is in this process or behind a link. Stored tuples (τ and
-	// stored ∆) are adopted into µ whole; with probeOnly set the run is
-	// grouped mode's cross-group ∆ traffic, which only probes ∆′. The
-	// serialized blob rides in tuple.Payload; no new message fields
-	// (message_test.go pins the layout).
+	// kMigBlocks carries a run of relocated old-epoch tuples as
+	// columnar arena blocks (join.BlockEncoder): the only form migrated
+	// state takes. A target joiner in this process gets the sealed
+	// block set by pointer, as a zero-length tuple.Payload
+	// (join.BlockSet.AsPayload); a target behind a link gets the blocks
+	// serialized in tuple.Payload and decodes them into the same block
+	// set. Stored tuples (τ and stored ∆) are adopted into µ whole;
+	// with probeOnly set the run is grouped mode's cross-group ∆
+	// traffic, which only probes ∆′. Either form rides tuple.Payload;
+	// no new message fields (message_test.go pins the layout).
 	kMigBlocks
 )
 

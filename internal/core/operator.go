@@ -655,7 +655,7 @@ func (op *Operator) spawnChildren(table []int, epoch uint32, newMapping matrix.M
 				newMapping:    newMapping,
 				newCell:       cell,
 				expand:        true,
-				keeps:         func(matrix.Side, uint64) bool { return true },
+				keep:          [2]matrix.Top{matrix.TopAll, matrix.TopAll},
 				mu:            storage.NewStore(op.cfg.Pred, op.cfg.Storage),
 				dp:            storage.NewStore(op.cfg.Pred, op.cfg.Storage),
 				probeBuf:      join.NewLocal(op.cfg.Pred),

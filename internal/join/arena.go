@@ -1,6 +1,10 @@
 package join
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/matrix"
+)
 
 // The columnar tuple arena: the storage plane the hash and scan
 // indexes store their tuples in (the ordered index keeps its tuples in
@@ -37,10 +41,14 @@ import "unsafe"
 //	                             block carries one
 //
 // The five data columns are the 40 B/tuple every snapshot, delta,
-// migration block frame and spill record carries; they are written
-// once, at append. The chain column is derived state like the
-// directory: never serialized, rebuilt from the key column whenever
-// blocks are adopted.
+// spill record and migration block frame over a link carries; they are
+// written once, at append. A migration copies rows column by column
+// (appendRow) into blocks that a target in the same process adopts as
+// they are, never serialized. The u column is what the migration
+// filters read: the τ selection and the Retain discard test it alone
+// (retainTop) and build no Tuple. The chain column is derived state
+// like the directory: never serialized, rebuilt from the key column
+// whenever blocks are adopted.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -191,6 +199,64 @@ func (a *tupleArena) append(t *Tuple) int32 {
 	c.n++
 	a.n++
 	return int32(ci<<arenaShift | pos)
+}
+
+// appendRow copies the row at pos of src — its five data columns and
+// its payload — into a's tail block and returns the row's accounted
+// bytes: the copy behind Retain and the migration selection, which
+// never build a Tuple.
+func (a *tupleArena) appendRow(src *colChunk, pos int) int64 {
+	c, _ := a.grab()
+	i := c.n
+	c.key[i] = src.key[pos]
+	c.aux[i] = src.aux[pos]
+	c.u[i] = src.u[pos]
+	c.seq[i] = src.seq[pos]
+	m := src.meta[pos]
+	c.meta[i] = m
+	var p []byte
+	if src.payload != nil {
+		if p = src.payload[pos]; p != nil {
+			if c.payload == nil {
+				c.payload = make([][]byte, arenaChunk)
+			}
+			c.payload[i] = p
+		}
+	}
+	c.n++
+	a.n++
+	return metaBytes(m, p)
+}
+
+// retainTop is the arena half of Index.Retain: one pass over the u
+// column counts the rows keep drops, and when there are any, a second
+// copies the survivors row-wise, in block order, into fresh compact
+// blocks. It returns the fresh arena (empty when nothing is removed),
+// the removed count and the survivors' accounted bytes; installing the
+// arena, and bumping mutGen with it, is the caller's.
+func (a *tupleArena) retainTop(keep matrix.Top) (kept tupleArena, removed int, bytes int64) {
+	if keep.All() {
+		return kept, 0, 0
+	}
+	for _, c := range a.chunks {
+		for _, u := range c.u[:c.n] {
+			if !keep.Has(u) {
+				removed++
+			}
+		}
+	}
+	if removed == 0 {
+		return kept, 0, 0
+	}
+	kept.reserve(a.n - removed)
+	for _, c := range a.chunks {
+		for pos, u := range c.u[:c.n] {
+			if keep.Has(u) {
+				bytes += kept.appendRow(c, pos)
+			}
+		}
+	}
+	return kept, removed, bytes
 }
 
 // keyAt reads only the key at offset off: the confirm step of a

@@ -554,31 +554,40 @@ func (b *ordBuilder) finish() {
 	o.root = level[0]
 }
 
-// Retain keeps only tuples passing keep, rebuilding the tree in bulk:
-// migration discards remove large fractions of the state, so one
-// left-to-right pack of the survivors beats item-wise deletion and
-// leaves every leaf at the bulk fill. A counting pass runs first so the
-// common nothing-removed case (the non-splitting relation of a
-// migration) costs no allocation.
-func (o *OrderedIndex) Retain(keep func(Tuple) bool) int {
+// Retain keeps only the tuples whose u is in keep, rebuilding the tree
+// in bulk: migration discards remove large fractions of the state, so
+// one left-to-right pack of the survivors beats item-wise deletion and
+// leaves every leaf at the bulk fill. A counting pass over the u
+// columns runs first so the common nothing-removed case (the
+// non-splitting relation of a migration) costs no allocation.
+func (o *OrderedIndex) Retain(keep matrix.Top) int {
+	if keep.All() {
+		return 0
+	}
 	removed := 0
-	o.Scan(func(t Tuple) bool {
-		if !keep(t) {
-			removed++
+	for l := o.head; l != nil; l = l.next {
+		for _, u := range l.u[:l.n] {
+			if !keep.Has(u) {
+				removed++
+			}
 		}
-		return true
-	})
+	}
 	if removed == 0 {
 		return 0
 	}
 	fresh := NewOrderedIndex(o.width)
 	b := ordBuilder{o: fresh}
 	for l := o.head; l != nil; l = l.next {
-		for pos := 0; pos < l.n; pos++ {
-			if t := l.at(pos); keep(t) {
-				b.addFrom(l, pos)
-				fresh.bytes += t.Bytes()
+		for pos, u := range l.u[:l.n] {
+			if !keep.Has(u) {
+				continue
 			}
+			b.addFrom(l, pos)
+			var p []byte
+			if l.payload != nil {
+				p = l.payload[pos]
+			}
+			fresh.bytes += metaBytes(l.meta[pos], p)
 		}
 	}
 	b.finish()

@@ -194,7 +194,7 @@ func TestOrderedIndexDifferential(t *testing.T) {
 				}
 				mk := func(rel matrix.Side) Tuple {
 					seq++
-					tp := Tuple{Rel: rel, Key: nextKey(), Aux: int64(seq * 3), Size: int32(8 + seq%5), U: seq * 7, Seq: seq}
+					tp := Tuple{Rel: rel, Key: nextKey(), Aux: int64(seq * 3), Size: int32(8 + seq%5), U: hashKey(int64(seq)), Seq: seq}
 					if seq%7 == 0 {
 						tp.Payload = []byte{byte(seq), byte(tp.Key), 0xab}
 					}
@@ -269,13 +269,13 @@ func TestOrderedIndexDifferential(t *testing.T) {
 						o.ProbeBatchCollect(probes, stored.Other(), pred, &got)
 						samePairs(t, fmt.Sprintf("step %d: ProbeBatchCollect", step), got, ref.pairs(probes, stored.Other(), pred))
 					case opRetain:
-						mod := uint64(2 + rng.Intn(4))
-						res := uint64(rng.Int63n(int64(mod)))
-						keep := func(tp Tuple) bool { return tp.Seq%mod != res }
-						if rng.Intn(4) == 0 {
-							keep = func(Tuple) bool { return true } // the no-rebuild fast path
+						// Keep half or all: the tree must still grow tall
+						// enough to exercise spans across leaf parents.
+						keep := matrix.TopAll
+						if rng.Intn(2) == 0 {
+							keep = matrix.Top{Shift: 63, Val: rng.Uint64() >> 63}
 						}
-						if got, want := o.Retain(keep), ref.retain(keep); got != want {
+						if got, want := o.Retain(keep), ref.retain(func(tp Tuple) bool { return keep.Has(tp.U) }); got != want {
 							t.Fatalf("step %d: Retain removed %d, reference %d", step, got, want)
 						}
 					case opMerge:

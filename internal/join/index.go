@@ -49,9 +49,11 @@ type Index interface {
 	// Scan calls fn for every stored tuple, in unspecified order,
 	// until fn returns false. Used by migration to enumerate state.
 	Scan(fn func(Tuple) bool)
-	// Retain keeps only tuples for which keep returns true, returning
-	// the number removed. Used by migration discards.
-	Retain(keep func(Tuple) bool) int
+	// Retain keeps only the tuples whose routing value u is in keep,
+	// returning the number removed: the migration discard, whose every
+	// rule is a top-bits test on u (matrix.Top), so it reads the u
+	// column and builds no tuple.
+	Retain(keep matrix.Top) int
 }
 
 // collectPair appends probe⋈stored to *out when the pair passes the
@@ -142,10 +144,11 @@ const maxHitsCap = 1 << 15
 //
 // With d duplicates per key the directory share divides by d (4.2 B at
 // d = 4, against 16.8 B before). What remains after this layout: the
-// 8-byte meta word (34 bits used), the U column (only migration
-// discards read it), Reserve overshoot when the controller's forecast
-// runs ahead of the stream, the old directory while a rehash drains
-// (+50 % of the directory, briefly), and whatever headroom GOGC leaves
+// 8-byte meta word (34 bits used), the U column (only the migration
+// selection and discards read it), Reserve overshoot when the
+// controller's forecast runs ahead of the stream, the old directory
+// while a rehash drains (+50 % of the directory, briefly), and
+// whatever headroom GOGC leaves
 // on top of the live heap.
 //
 // Directory growth is incremental: instead of re-placing every
@@ -668,43 +671,24 @@ func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples.
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 
-// Retain drops tuples failing keep, compacting the arena and
-// rebuilding the slot directory. Migration discards touch on the
-// order of half the state, so the O(n) rebuild matches the old
-// per-bucket sweep; the rebuild is presized to the surviving count so
-// it performs no incremental growth of its own.
-func (h *HashIndex) Retain(keep func(Tuple) bool) int {
-	removed := 0
-	h.Scan(func(t Tuple) bool {
-		if !keep(t) {
-			removed++
-		}
-		return true
-	})
+// Retain drops the tuples whose u is outside keep: the u-column pass
+// of tupleArena.retainTop copies the survivors into compact blocks,
+// and the directory is rebuilt over them with MergeFrom's offset loop,
+// in block order, so each key's chain keeps its order. Migration
+// discards touch on the order of half the state, so the O(n) rebuild
+// matches an in-place sweep; the directory is presized to the
+// surviving key count so the rebuild performs no incremental growth.
+func (h *HashIndex) Retain(keep matrix.Top) int {
+	kept, removed, bytes := h.arena.retainTop(keep)
 	if removed == 0 {
 		return 0 // common for the non-splitting relation: no rebuild
 	}
+	// At most the current distinct-key count survives (Reserve's own
+	// distinct-fraction scaling cannot help here — fresh is empty).
+	keys := min(h.used, kept.n, maxReserve)
 	fresh := NewHashIndex()
-	// Presize from what the rebuild will actually hold: the surviving
-	// tuple count for the arena, and at most the current distinct-key
-	// count for the directory (Reserve's own distinct-fraction scaling
-	// cannot help here — fresh is empty).
-	kept := h.Len() - removed
-	keys := h.used
-	if keys > kept {
-		keys = kept
-	}
-	if keys > maxReserve {
-		keys = maxReserve
-	}
 	fresh.reserveSlots(keys)
-	fresh.reserveArena(kept)
-	h.Scan(func(t Tuple) bool {
-		if keep(t) {
-			fresh.Insert(t)
-		}
-		return true
-	})
+	fresh.MergeFrom(&HashIndex{arena: kept, bytes: bytes})
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
 	fresh.arena.mutGen = h.arena.mutGen + 1
@@ -809,35 +793,19 @@ func (s *ScanIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples in insertion order.
 func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }
 
-// Retain drops tuples failing keep, rebuilding the arena compactly.
-// A counting pass runs first so the common nothing-removed case (the
-// non-splitting relation of a migration) costs no allocation.
-func (s *ScanIndex) Retain(keep func(Tuple) bool) int {
-	removed := 0
-	s.arena.scan(func(t Tuple) bool {
-		if !keep(t) {
-			removed++
-		}
-		return true
-	})
+// Retain drops the tuples whose u is outside keep, rebuilding the
+// arena compactly (tupleArena.retainTop). The counting pass reads only
+// the u column, so the common nothing-removed case (the non-splitting
+// relation of a migration) costs no allocation.
+func (s *ScanIndex) Retain(keep matrix.Top) int {
+	kept, removed, bytes := s.arena.retainTop(keep)
 	if removed == 0 {
 		return 0
 	}
-	var fresh tupleArena
-	fresh.reserve(s.arena.n - removed)
-	var bytes int64
-	s.arena.scan(func(t Tuple) bool {
-		if keep(t) {
-			fresh.append(&t)
-			bytes += t.Bytes()
-		}
-		return true
-	})
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
-	fresh.mutGen = s.arena.mutGen + 1
-	s.arena = fresh
-	s.bytes = bytes
+	kept.mutGen = s.arena.mutGen + 1
+	s.arena, s.bytes = kept, bytes
 	return removed
 }
 

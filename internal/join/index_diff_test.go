@@ -119,7 +119,7 @@ func TestHashIndexDifferential(t *testing.T) {
 				}
 				mk := func(key int64) Tuple {
 					seq++
-					tp := Tuple{Rel: matrix.SideS, Key: key, Aux: int64(seq) * 3, Size: int32(8 + seq%5), U: seq * 7, Seq: seq}
+					tp := Tuple{Rel: matrix.SideS, Key: key, Aux: int64(seq) * 3, Size: int32(8 + seq%5), U: hashKey(int64(seq)), Seq: seq}
 					if rng.Intn(8) == 0 {
 						tp.Payload = []byte{byte(seq), byte(key)}
 					}
@@ -254,14 +254,10 @@ func TestHashIndexDifferential(t *testing.T) {
 							}
 						}
 					case opRetain:
-						mod := uint64(2 + rng.Intn(4))
-						res := uint64(rng.Int63n(int64(mod)))
-						// Seq-based, so chains are thinned, not only dropped whole.
-						keep := func(tp Tuple) bool { return (uint64(tp.Key)+tp.Seq)%mod != res }
-						if rng.Intn(4) == 0 {
-							keep = func(Tuple) bool { return true } // the no-rebuild fast path
-						}
-						if hr, rr := h.Retain(keep), ref.retain(keep); hr != rr {
+						// U is per tuple, so chains are thinned, not only
+						// dropped whole.
+						keep := randomTop(rng)
+						if hr, rr := h.Retain(keep), ref.retain(func(tp Tuple) bool { return keep.Has(tp.U) }); hr != rr {
 							t.Fatalf("step %d: Retain removed %d, reference %d", step, hr, rr)
 						}
 					case opMerge:

@@ -51,7 +51,7 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 		}
 		mk := func() Tuple {
 			seq++
-			tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(domain), Size: 8, Seq: seq}
+			tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(domain), Size: 8, Seq: seq, U: hashKey(int64(seq))}
 			// A quarter of the tuples carry a payload, exercising the
 			// arena's lazily allocated out-of-line payload column.
 			if rng.Intn(4) == 0 {
@@ -149,11 +149,9 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 						t.Fatalf("trial %d: scan[%d] = %+v, reference %+v", trial, i, got[i], want[i])
 					}
 				}
-			default: // Retain a random key stratum (a migration discard)
-				mod := int64(2 + rng.Intn(3))
-				res := rng.Int63n(mod)
-				keep := func(tp Tuple) bool { return tp.Key%mod != res }
-				if hr, rr := h.Retain(keep), ref.Retain(keep); hr != rr {
+			default: // Retain a random routing partition (a migration discard)
+				keep := randomTop(rng)
+				if hr, rr := h.Retain(keep), retainRef(ref, keep); hr != rr {
 					t.Fatalf("trial %d: Retain removed %d, reference %d", trial, hr, rr)
 				}
 			}
@@ -308,7 +306,7 @@ func buildMidRehash(t *testing.T, seed int64) (*HashIndex, *ScanIndex) {
 	seq := uint64(0)
 	ins := func(key int64) {
 		seq++
-		tp := Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: seq}
+		tp := Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: seq, U: hashKey(int64(seq))}
 		if rng.Intn(5) == 0 {
 			tp.Payload = []byte{byte(seq)}
 		}
@@ -409,8 +407,8 @@ func TestHashIndexMidRehash(t *testing.T) {
 	})
 	t.Run("retain", func(t *testing.T) {
 		h, ref := buildMidRehash(t, 2)
-		keep := func(tp Tuple) bool { return tp.Key%3 != 1 }
-		if hr, rr := h.Retain(keep), ref.Retain(keep); hr != rr {
+		keep := matrix.Top{Shift: 63, Val: 1}
+		if hr, rr := h.Retain(keep), retainRef(ref, keep); hr != rr {
 			t.Fatalf("Retain removed %d, reference %d", hr, rr)
 		}
 		assertSameContents(t, "after retain", h, ref)

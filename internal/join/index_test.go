@@ -39,9 +39,12 @@ func TestHashIndexBasics(t *testing.T) {
 func TestHashIndexRetain(t *testing.T) {
 	h := NewHashIndex()
 	for i := int64(0); i < 100; i++ {
-		h.Insert(mkTuple(matrix.SideR, i%10))
+		// Keys 5-9 route to the upper half of the u space.
+		tp := mkTuple(matrix.SideR, i%10)
+		tp.U = uint64(tp.Key/5) << 63
+		h.Insert(tp)
 	}
-	removed := h.Retain(func(t Tuple) bool { return t.Key < 5 })
+	removed := h.Retain(matrix.Top{Shift: 63, Val: 0})
 	if removed != 50 || h.Len() != 50 {
 		t.Fatalf("removed=%d len=%d", removed, h.Len())
 	}
@@ -153,9 +156,12 @@ func TestOrderedIndexScanIsSorted(t *testing.T) {
 func TestOrderedIndexRetain(t *testing.T) {
 	o := NewOrderedIndex(1)
 	for i := int64(0); i < 1000; i++ {
-		o.Insert(mkTuple(matrix.SideS, i))
+		// Odd keys route to the upper half of the u space.
+		tp := mkTuple(matrix.SideS, i)
+		tp.U = uint64(i%2) << 63
+		o.Insert(tp)
 	}
-	removed := o.Retain(func(t Tuple) bool { return t.Key%2 == 0 })
+	removed := o.Retain(matrix.Top{Shift: 63, Val: 0})
 	if removed != 500 || o.Len() != 500 {
 		t.Fatalf("removed=%d len=%d", removed, o.Len())
 	}

@@ -131,12 +131,7 @@ func mergeIndex(dst, src Index) {
 }
 
 // Len returns the stored tuple counts per side.
-func (l *Local) Len(side matrix.Side) int {
-	if side == matrix.SideR {
-		return l.r.Len()
-	}
-	return l.s.Len()
-}
+func (l *Local) Len(side matrix.Side) int { return l.index(side).Len() }
 
 // TotalLen returns the total stored tuple count.
 func (l *Local) TotalLen() int { return l.r.Len() + l.s.Len() }
@@ -153,19 +148,25 @@ func (l *Local) Footprint() (arenaBytes, directoryBytes int64) {
 }
 
 // Scan visits stored tuples of one side.
-func (l *Local) Scan(side matrix.Side, fn func(Tuple) bool) {
+func (l *Local) Scan(side matrix.Side, fn func(Tuple) bool) { l.index(side).Scan(fn) }
+
+// index returns the index holding side's tuples.
+func (l *Local) index(side matrix.Side) Index {
 	if side == matrix.SideR {
-		l.r.Scan(fn)
-	} else {
-		l.s.Scan(fn)
+		return l.r
 	}
+	return l.s
 }
 
-// Retain keeps only the tuples of the given side passing keep,
+// Retain keeps only the tuples of the given side whose u is in keep,
 // returning the number discarded. The other side is untouched.
-func (l *Local) Retain(side matrix.Side, keep func(Tuple) bool) int {
-	if side == matrix.SideR {
-		return l.r.Retain(keep)
-	}
-	return l.s.Retain(keep)
+func (l *Local) Retain(side matrix.Side, keep matrix.Top) int {
+	return l.index(side).Retain(keep)
+}
+
+// SelectInto copies the stored tuples of side whose u is in keep into
+// e, calling ship whenever e holds limit tuples, and returns how many
+// it copied (see BlockEncoder.addSelected).
+func (l *Local) SelectInto(side matrix.Side, keep matrix.Top, e *BlockEncoder, limit int, ship func()) int {
+	return e.addSelected(l.index(side), side, keep, limit, ship)
 }

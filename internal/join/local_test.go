@@ -140,13 +140,14 @@ func TestLocalDummyTuplesNeverMatch(t *testing.T) {
 func TestLocalRetainAndBytes(t *testing.T) {
 	l := NewLocal(EquiJoin("eq", nil))
 	for i := int64(0); i < 10; i++ {
-		l.Insert(Tuple{Rel: matrix.SideR, Key: i, Size: 8, U: uint64(i)})
-		l.Insert(Tuple{Rel: matrix.SideS, Key: i, Size: 4, U: uint64(i)})
+		// Keys 5-9 route to the upper half of the u space.
+		l.Insert(Tuple{Rel: matrix.SideR, Key: i, Size: 8, U: uint64(i/5) << 63})
+		l.Insert(Tuple{Rel: matrix.SideS, Key: i, Size: 4, U: uint64(i/5) << 63})
 	}
 	if l.Bytes() != 10*8+10*4 {
 		t.Fatalf("Bytes=%d", l.Bytes())
 	}
-	removed := l.Retain(matrix.SideS, func(t Tuple) bool { return t.U < 5 })
+	removed := l.Retain(matrix.SideS, matrix.Top{Shift: 63, Val: 0})
 	if removed != 5 || l.Len(matrix.SideS) != 5 || l.Len(matrix.SideR) != 10 {
 		t.Fatalf("removed=%d lens R=%d S=%d", removed, l.Len(matrix.SideR), l.Len(matrix.SideS))
 	}

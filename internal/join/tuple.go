@@ -86,6 +86,18 @@ func (t *Tuple) setMeta(m uint64) {
 	t.Dummy = metaDummy(m)
 }
 
+// metaBytes is Tuple.Bytes for a stored row, read from its packed meta
+// word and payload without materializing the tuple.
+func metaBytes(m uint64, payload []byte) int64 {
+	if size := int32(uint32(m)); size > 0 {
+		return int64(size)
+	}
+	if len(payload) > 0 {
+		return int64(len(payload))
+	}
+	return 1
+}
+
 // metaDummy reports the Dummy bit of a packed meta word without
 // materializing the tuple.
 func metaDummy(m uint64) bool { return m&(1<<33) != 0 }

@@ -2,16 +2,23 @@ package join
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/matrix"
 )
 
-// Wire form of migrated state: the sender accumulates the relocated
-// tuples into columnar arena blocks and ships whole blocks (the
-// snapshot codec's framing), whether the target joiner lives in this
-// process or another. The receiver decodes the blocks once and installs
-// them through the same adopt() path MergeFrom uses at migration
-// finalization — state lands without re-inserting tuple by tuple.
+// Migrated state moves as columnar arena blocks. The sender
+// accumulates the relocated tuples into blocks of its own (a
+// BlockEncoder): the stored old state (τ) is selected by one pass over
+// the u column that copies the survivors row-wise, and the old-epoch
+// arrivals (∆) are appended as they are processed. A target joiner in
+// the same process then receives the sealed blocks by pointer (Seal,
+// AsPayload) — nothing is encoded or decoded; only a target behind a
+// link gets bytes (AppendTo, the snapshot codec's framing), which its
+// receiver decodes (DecodeBlocks) into the same BlockSet. Either way the
+// blocks are installed through the adopt() path MergeFrom uses at
+// migration finalization — state lands without re-inserting tuple by
+// tuple.
 
 // blockWireVersion guards the block payload layout; the transport
 // frame already carries the outer protocol version and CRC, so this
@@ -20,8 +27,10 @@ import (
 const blockWireVersion = 1
 
 // BlockEncoder accumulates migrating tuples into per-side columnar
-// arenas and serializes them as one block payload. The zero value is
-// ready to use; AppendTo resets it for the next batch.
+// arenas and hands them over whole: as a BlockSet by pointer (Seal) to
+// an in-process receiver, or serialized as one block payload (AppendTo)
+// for a link. The zero value is ready to use; both hand-overs reset it
+// for the next batch.
 type BlockEncoder struct {
 	arenas [2]tupleArena
 	bytes  [2]int64
@@ -51,8 +60,75 @@ func (e *BlockEncoder) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// BlockSet is a decoded block payload: per side, an adoptable columnar
-// arena plus its tuple count and byte volume.
+// addSelected copies into e the tuples of idx, all of side, whose u is
+// in keep, calling ship each time e holds limit tuples, and returns how
+// many it copied. An arena-backed index (hash, scan) is read one u
+// column at a time and its survivors are copied row-wise into e's
+// blocks, with no Tuple built; an ordered index goes through Scan.
+func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top, limit int, ship func()) int {
+	if keep.None() {
+		return 0
+	}
+	var a *tupleArena
+	switch v := idx.(type) {
+	case *HashIndex:
+		a = &v.arena
+	case *ScanIndex:
+		a = &v.arena
+	default:
+		n := 0
+		idx.Scan(e.SelectFunc(keep, limit, ship, &n))
+		return n
+	}
+	dst := &e.arenas[side]
+	n := 0
+	for _, c := range a.chunks {
+		for pos, u := range c.u[:c.n] {
+			if !keep.Has(u) {
+				continue
+			}
+			e.bytes[side] += dst.appendRow(c, pos)
+			e.count++
+			if n++; e.count >= limit {
+				ship() // resets *e in place, so dst stays e's side arena
+			}
+		}
+	}
+	return n
+}
+
+// SelectFunc returns a Scan callback that adds each tuple whose u is in
+// keep to e, counting it in *n and calling ship whenever e holds limit
+// tuples: the selection for state not held in arena blocks (an ordered
+// index, a spill segment).
+func (e *BlockEncoder) SelectFunc(keep matrix.Top, limit int, ship func(), n *int) func(Tuple) bool {
+	return func(t Tuple) bool {
+		if keep.Has(t.U) {
+			e.Add(t)
+			if *n++; e.count >= limit {
+				ship()
+			}
+		}
+		return true
+	}
+}
+
+// Seal hands the buffered blocks over as a BlockSet — what an
+// in-process receiver adopts, with nothing encoded or decoded — and
+// resets the encoder. The blocks become the receiver's; the encoder
+// starts the next batch in fresh ones.
+func (e *BlockEncoder) Seal() *BlockSet {
+	bs := &BlockSet{arenas: e.arenas, bytes: e.bytes}
+	for side := range bs.arenas {
+		bs.counts[side] = bs.arenas[side].n
+	}
+	*e = BlockEncoder{}
+	return bs
+}
+
+// BlockSet is a block payload ready to install: per side, an adoptable
+// columnar arena plus its tuple count and byte volume. It comes from
+// Seal in process and from DecodeBlocks across a link.
 type BlockSet struct {
 	arenas [2]tupleArena
 	counts [2]int
@@ -86,13 +162,36 @@ func DecodeBlocks(data []byte) (*BlockSet, error) {
 	return bs, nil
 }
 
+// AsPayload returns bs as a zero-length byte slice whose data pointer
+// is bs itself: how a block set handed over in process rides the
+// payload field that carries serialized blocks across a link, without
+// widening the message that holds it. PayloadBlocks recovers bs. A
+// serialized payload is never empty, and the record decoder returns
+// nil, not an empty slice, for an empty payload, so bytes that crossed
+// a link never read as a block set.
+func (bs *BlockSet) AsPayload() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(bs)), 0)
+}
+
+// PayloadBlocks returns the block set p carries by pointer (see
+// AsPayload), or nil when p is serialized bytes for DecodeBlocks.
+func PayloadBlocks(p []byte) *BlockSet {
+	if len(p) != 0 || cap(p) != 0 || unsafe.SliceData(p) == nil {
+		return nil
+	}
+	return (*BlockSet)(unsafe.Pointer(unsafe.SliceData(p)))
+}
+
+// Len reports one side's tuple count.
+func (bs *BlockSet) Len(side matrix.Side) int { return bs.counts[side] }
+
 // Tuples reports the total tuple count across both sides.
 func (bs *BlockSet) Tuples() int { return bs.counts[0] + bs.counts[1] }
 
 // Bytes reports the total tuple byte volume across both sides.
 func (bs *BlockSet) Bytes() int64 { return bs.bytes[0] + bs.bytes[1] }
 
-// AppendSide appends one side's decoded tuples to dst, in block order,
+// AppendSide appends one side's tuples to dst, in block order,
 // and returns the extended slice: the run a receiver probes with.
 func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 	for _, c := range bs.arenas[side].chunks {
@@ -103,7 +202,7 @@ func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 	return dst
 }
 
-// AdoptBlocks installs the decoded blocks into l, consuming bs. Arena-
+// AdoptBlocks installs the blocks into l, consuming bs. Arena-
 // backed indexes (hash, scan) splice the blocks in wholesale — the
 // whole point of shipping blocks — and rebuild only their directories;
 // ordered (band) indexes fall back to scan-and-insert, since their
@@ -114,7 +213,7 @@ func (l *Local) AdoptBlocks(bs *BlockSet) {
 	*bs = BlockSet{}
 }
 
-// adoptIndex merges a bare decoded arena into dst through the existing
+// adoptIndex merges a bare block-set arena into dst through the existing
 // MergeFrom machinery by dressing it as a donor index of dst's own
 // kind. MergeFrom only reads the donor's arena, tuple count (a presize
 // hint), and byte volume, so no directory is built on the donor side.

@@ -85,6 +85,45 @@ func (g Mapping) RowOf(u uint64) int { return int(u >> (64 - uint(bits.TrailingZ
 // ColOf returns the S column partition for routing value u.
 func (g Mapping) ColOf(u uint64) int { return int(u >> (64 - uint(bits.TrailingZeros(uint(g.M))))) }
 
+// Top is a set of routing values given by their top bits: u belongs
+// when u>>Shift == Val. A row or column partition is one (RowTop,
+// ColTop), and so is every keep, discard and ownership rule of the
+// migration steps, which is what lets a store filter its state by
+// reading one column. With Shift 64 Go's u>>Shift reads 0 for every u,
+// so Val 0 selects the whole space (the partition of a dimension of
+// size 1, or TopAll) and any other Val selects nothing (TopNone).
+type Top struct {
+	Shift uint
+	Val   uint64
+}
+
+// TopAll selects every routing value; TopNone selects none.
+var (
+	TopAll  = Top{Shift: 64}
+	TopNone = Top{Shift: 64, Val: 1}
+)
+
+// Has reports whether u belongs to the set.
+func (t Top) Has(u uint64) bool { return u>>t.Shift == t.Val }
+
+// All reports whether the set is the whole space, so a filter by it
+// keeps everything without reading u.
+func (t Top) All() bool { return t.Shift >= 64 && t.Val == 0 }
+
+// None reports whether the set is empty.
+func (t Top) None() bool { return t.Shift >= 64 && t.Val != 0 }
+
+// RowTop returns R row partition row as a top-bits set: the u with
+// RowOf(u) == row.
+func (g Mapping) RowTop(row int) Top {
+	return Top{Shift: 64 - uint(bits.TrailingZeros(uint(g.N))), Val: uint64(row)}
+}
+
+// ColTop returns S column partition col as a top-bits set.
+func (g Mapping) ColTop(col int) Top {
+	return Top{Shift: 64 - uint(bits.TrailingZeros(uint(g.M))), Val: uint64(col)}
+}
+
 // ILF returns the input-load factor of the mapping for relation volumes
 // r and s (in the same unit, e.g. tuples or bytes): r/N + s/M (§3.3).
 func (g Mapping) ILF(r, s float64) float64 {

@@ -94,6 +94,21 @@ func (t Transition) Keeps(c Cell, side Side, u uint64) bool {
 	return t.To.ColOf(u) == nc.Col
 }
 
+// KeepTop is Keeps as a top-bits set: the routing values of side's
+// stored tuples the machine at cell c (under t.From) keeps. It is
+// TopAll for the merging relation and the new row or column partition
+// for the splitting one.
+func (t Transition) KeepTop(c Cell, side Side) Top {
+	if side == t.Exchange {
+		return TopAll
+	}
+	nc := t.NewCell(c)
+	if side == SideR {
+		return t.To.RowTop(nc.Row)
+	}
+	return t.To.ColTop(nc.Col)
+}
+
 // MigrationVolume returns the per-machine communication volume of the
 // step, in tuples, given relation cardinalities r and s: a machine
 // sends its full stored partition of the merging relation to its
@@ -142,4 +157,13 @@ func (e Expansion) Owns(child Cell, side Side, u uint64) bool {
 		return e.To.RowOf(u) == child.Row
 	}
 	return e.To.ColOf(u) == child.Col
+}
+
+// OwnTop is Owns as a top-bits set: the routing values of side's
+// tuples the child cell stores after the expansion.
+func (e Expansion) OwnTop(child Cell, side Side) Top {
+	if side == SideR {
+		return e.To.RowTop(child.Row)
+	}
+	return e.To.ColTop(child.Col)
 }

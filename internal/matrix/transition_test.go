@@ -207,3 +207,79 @@ func TestSideOther(t *testing.T) {
 		t.Error("String is wrong")
 	}
 }
+
+// The top-bits forms of the migration filters must select exactly the
+// routing values Keeps and Owns select, for every cell of every mapping
+// up to J = 64 — N = 1 and M = 1 included, where a partition's shift is
+// 64 and u>>64 must read 0 — on random u and on the partition
+// boundaries.
+func TestTopBitsAgreeWithKeepsAndOwns(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	us := []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for k := uint(1); k < 64; k++ {
+		us = append(us, 1<<k, 1<<k-1)
+	}
+	for i := 0; i < 200; i++ {
+		us = append(us, rng.Uint64())
+	}
+	for _, u := range us {
+		if !TopAll.Has(u) || TopNone.Has(u) {
+			t.Fatalf("TopAll/TopNone misread u=%x", u)
+		}
+	}
+	if !TopAll.All() || TopAll.None() || !TopNone.None() || TopNone.All() {
+		t.Fatal("TopAll/TopNone misreport themselves")
+	}
+	for j := 1; j <= 64; j *= 2 {
+		for n := 1; n <= j; n *= 2 {
+			from := Mapping{N: n, M: j / n}
+			for id := 0; id < from.J(); id++ {
+				c := from.CellOf(id)
+				for _, u := range us {
+					if from.RowTop(c.Row).Has(u) != (from.RowOf(u) == c.Row) ||
+						from.ColTop(c.Col).Has(u) != (from.ColOf(u) == c.Col) {
+						t.Fatalf("%v cell %v: RowTop/ColTop disagree with RowOf/ColOf at u=%x", from, c, u)
+					}
+				}
+			}
+			var steps []Transition
+			if from.N > 1 {
+				steps = append(steps, NewTransition(from, Mapping{N: from.N / 2, M: from.M * 2}))
+			}
+			if from.M > 1 {
+				steps = append(steps, NewTransition(from, Mapping{N: from.N * 2, M: from.M / 2}))
+			}
+			e := NewExpansion(from)
+			for id := 0; id < from.J(); id++ {
+				c := from.CellOf(id)
+				for _, side := range []Side{SideR, SideS} {
+					for _, tr := range steps {
+						top := tr.KeepTop(c, side)
+						if side == tr.Exchange && !top.All() {
+							t.Fatalf("%v->%v cell %v: merging side %v keeps %+v, want all", tr.From, tr.To, c, side, top)
+						}
+						for _, u := range us {
+							if top.Has(u) != tr.Keeps(c, side, u) {
+								t.Fatalf("%v->%v cell %v side %v: KeepTop %+v and Keeps disagree at u=%x",
+									tr.From, tr.To, c, side, top, u)
+							}
+						}
+					}
+					for _, ch := range e.Children(c) {
+						top := e.OwnTop(ch, side)
+						for _, u := range us {
+							if top.Has(u) != e.Owns(ch, side, u) {
+								t.Fatalf("expansion of %v child %v side %v: OwnTop %+v and Owns disagree at u=%x",
+									from, ch, side, top, u)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// A dimension of size 1 is the one partition: its shift is 64.
+	if top := (Mapping{N: 1, M: 64}).RowTop(0); top.Shift != 64 || !top.All() {
+		t.Fatalf("RowTop of N = 1 is %+v, want shift 64 selecting all", top)
+	}
+}

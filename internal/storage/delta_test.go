@@ -84,13 +84,14 @@ func TestStoreDeltaChainEquivalence(t *testing.T) {
 					key = 10 + int64(rng.Intn(200))
 				}
 				seq++
-				add(src, join.Tuple{Rel: matrix.Side(i % 2), Key: key, Size: 8, Seq: seq})
+				// Odd seqs route to the upper half of the u space.
+				add(src, join.Tuple{Rel: matrix.Side(i % 2), Key: key, Size: 8, Seq: seq, U: seq % 2 << 63})
 
 				// A Retain between checkpoints 7 and 8 models a migration
 				// handoff straddling the delta chain: indexes rebuild and
 				// spill segments rewrite, invalidating the watermark.
 				if i == 7*interval+13 {
-					src.Retain(matrix.SideR, func(tp join.Tuple) bool { return tp.Seq%2 == 0 })
+					src.Retain(matrix.SideR, matrix.Top{Shift: 63, Val: 0})
 					retains++
 				}
 

@@ -200,12 +200,14 @@ func (s *Store) Scan(side matrix.Side, fn func(join.Tuple) bool) {
 	}
 }
 
-// Retain keeps only tuples of the given side passing keep, across both
-// tiers, returning the number discarded. The disk segment is rewritten.
-func (s *Store) Retain(side matrix.Side, keep func(join.Tuple) bool) int {
+// Retain keeps only the tuples of the given side whose u is in keep,
+// across both tiers, returning the number discarded. The memory tier
+// reads its u columns (join.Index.Retain); the disk segment is
+// rewritten through its own scan.
+func (s *Store) Retain(side matrix.Side, keep matrix.Top) int {
 	removed := s.mem.Retain(side, keep)
 	if seg := s.segs[side]; seg != nil {
-		removed += seg.retain(keep, s.cfg, s.pred, &s.Metrics)
+		removed += seg.retain(func(t join.Tuple) bool { return keep.Has(t.U) }, s.cfg, s.pred, &s.Metrics)
 	}
 	return removed
 }

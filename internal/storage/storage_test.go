@@ -147,9 +147,12 @@ func TestStoreRetainAcrossTiers(t *testing.T) {
 	s := NewStore(join.EquiJoin("eq", nil), Config{CapBytes: 48, Dir: t.TempDir()})
 	defer s.Close()
 	for i := 0; i < 12; i++ {
-		s.Insert(tup(matrix.SideS, int64(i), uint64(i)))
+		// Odd keys route to the upper half of the u space.
+		tp := tup(matrix.SideS, int64(i), uint64(i))
+		tp.U = uint64(i%2) << 63
+		s.Insert(tp)
 	}
-	removed := s.Retain(matrix.SideS, func(tp join.Tuple) bool { return tp.Key%2 == 0 })
+	removed := s.Retain(matrix.SideS, matrix.Top{Shift: 63, Val: 0})
 	if removed != 6 {
 		t.Fatalf("removed=%d", removed)
 	}

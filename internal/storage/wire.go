@@ -49,10 +49,22 @@ func ReadRecord(buf []byte) (join.Tuple, int, error) {
 	return t, n, nil
 }
 
-// AdoptBlocks installs a decoded migrated-state block set, consuming
-// it. An unbudgeted store adopts the arena blocks wholesale (the
-// MergeFrom fast path); a budgeted store re-inserts per tuple so the
-// spill budget keeps applying.
+// SelectInto copies the stored tuples of side whose u is in keep into
+// e, calling ship whenever e holds limit tuples, and returns how many
+// it copied: the memory tier by its u columns
+// (join.Local.SelectInto), the disk segment through its own scan.
+func (s *Store) SelectInto(side matrix.Side, keep matrix.Top, e *join.BlockEncoder, limit int, ship func()) int {
+	n := s.mem.SelectInto(side, keep, e, limit, ship)
+	if seg := s.segs[side]; seg != nil && !keep.None() {
+		seg.scan(e.SelectFunc(keep, limit, ship, &n), &s.Metrics)
+	}
+	return n
+}
+
+// AdoptBlocks installs a migrated-state block set, consuming it. An
+// unbudgeted store adopts the arena blocks wholesale (the MergeFrom
+// fast path); a budgeted store re-inserts per tuple so the spill budget
+// keeps applying.
 func (s *Store) AdoptBlocks(bs *join.BlockSet) {
 	if s.cfg.CapBytes == 0 {
 		s.mem.AdoptBlocks(bs)
