@@ -210,9 +210,9 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	be := &sizeBackend{}
 	op := mustOperator(t, Config{
 		J: j, Pred: join.EquiJoin("ckpt-alloc", nil), Seed: 1,
-		Backend: be, CheckpointCompactEvery: 1, // every checkpoint full
-		EmitBatch: func([]join.Pair) {},
+		Backend: be, EmitBatch: func([]join.Pair) {},
 	})
+	op.ckptAlwaysFull = true // the measured second checkpoint is full too
 	op.Start()
 	rng := rand.New(rand.NewSource(3))
 	batch := make([]join.Tuple, DefaultBatchSize)

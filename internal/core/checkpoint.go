@@ -49,6 +49,16 @@ import (
 //     never a torn mix — and the log always covers everything after
 //     the newest durable cut. Each checkpoint encodes a fresh blob: a
 //     retrying backend may still be reading an abandoned attempt's.
+//     After the commit it rules on the next snapshot: a delta, unless
+//     the committed chain's blobs add up to more than two full
+//     snapshots as measured at this barrier (every capture knows its
+//     full size in O(blocks)) — more dead bytes than live ones. Dead
+//     bytes are superseded tail-block copies, ordered indexes
+//     re-encoded in every link and blocks a migration's Retain
+//     rebuilt. A full snapshot of F bytes is then paid for by at least
+//     F dead bytes already written, the amortization Lemma 4.4 makes
+//     for migrations: checkpoint bytes stay within twice the delta
+//     bytes, and a restore reads at most 2F plus one link.
 //
 // Restore rebuilds joiner state through the same MergeFrom/adopt()
 // whole-block install path migration finalization uses, then replays
@@ -80,20 +90,126 @@ func uMix(seed, seq uint64) uint64 {
 // happen under the same per-ring mutex as the ring send, so log order
 // equals consumption order and a reshuffler's consumed-count at its
 // barrier is exactly a log prefix length.
+//
+// A ring is a list of segments, so the feeder's append never copies
+// what is logged: when the newest segment is full the next one is
+// allocated at twice its capacity, from replaySegMin up to
+// replaySegMax. Growth is geometric because a segment allocation is a
+// memclr on the feeder's path — fixed small segments allocate often
+// enough to show in the send latency tail. Trim drops whole leading
+// segments and zeroes the slots it cuts from a partly covered one, and
+// the stop path's undo zeroes what it takes back, so the log pins no
+// payload it no longer holds. Len is O(1) per ring.
 type ReplayLog struct {
 	rings []replayRing
 }
+
+// Replay-log segment capacities, in items (72 bytes each): 36 KB for
+// the first segment of a ring, 4.5 MB at the cap.
+const (
+	replaySegMin = 512
+	replaySegMax = 1 << 16
+)
 
 type replayRing struct {
 	mu sync.Mutex
 	// base counts items already trimmed: the ring's consumed-cut of the
 	// newest durable checkpoint.
-	base  int64
-	items []sourceItem
+	base int64
+	// segs holds the retained items in order; each segment's length is
+	// its fill, and only the last one takes appends. head is how many
+	// leading items of segs[0] Trim has cut (and zeroed); n counts the
+	// retained items; next is the capacity of the next segment.
+	segs [][]sourceItem
+	head int
+	n    int
+	next int
 }
 
 func newReplayLog(numRings int) *ReplayLog {
 	return &ReplayLog{rings: make([]replayRing, numRings)}
+}
+
+// append logs items after the ring's retained ones, in order. The
+// caller holds rg.mu.
+func (rg *replayRing) append(items []sourceItem) {
+	rg.n += len(items)
+	for len(items) > 0 {
+		last := len(rg.segs) - 1
+		if last < 0 || len(rg.segs[last]) == cap(rg.segs[last]) {
+			rg.next = min(max(2*rg.next, replaySegMin), replaySegMax)
+			rg.segs = append(rg.segs, make([]sourceItem, 0, rg.next))
+			last++
+		}
+		seg := rg.segs[last]
+		k := copy(seg[len(seg):cap(seg)], items)
+		rg.segs[last] = seg[:len(seg)+k]
+		items = items[k:]
+	}
+}
+
+// truncate takes back the newest items until n remain, zeroing their
+// slots and dropping segments it empties: the stop path's undo of an
+// append whose send did not happen. The caller holds rg.mu.
+func (rg *replayRing) truncate(n int) {
+	for drop := rg.n - n; drop > 0; {
+		last := len(rg.segs) - 1
+		seg := rg.segs[last]
+		lo := 0
+		if last == 0 {
+			lo = rg.head
+		}
+		k := min(drop, len(seg)-lo)
+		clear(seg[len(seg)-k:])
+		rg.segs[last] = seg[:len(seg)-k]
+		drop -= k
+		if len(seg)-k == lo {
+			rg.segs[last] = nil
+			rg.segs = rg.segs[:last]
+			if last == 0 {
+				rg.head = 0
+			}
+		}
+	}
+	rg.n = n
+}
+
+// cut drops the oldest drop items (all of them when drop exceeds the
+// ring): whole leading segments are released, and the slots cut from a
+// partly covered one are zeroed. The caller holds rg.mu.
+func (rg *replayRing) cut(drop int64) {
+	k := 0 // leading segments cut whole
+	for ; k < len(rg.segs) && drop > 0; k++ {
+		seg := rg.segs[k]
+		avail := len(seg) - rg.head
+		if drop < int64(avail) {
+			clear(seg[rg.head : rg.head+int(drop)])
+			rg.head += int(drop)
+			rg.n -= int(drop)
+			break
+		}
+		rg.n -= avail // the segment drops whole: nothing reaches it
+		drop -= int64(avail)
+		rg.head = 0
+	}
+	if k > 0 {
+		m := copy(rg.segs, rg.segs[k:])
+		clear(rg.segs[m:])
+		rg.segs = rg.segs[:m]
+	}
+}
+
+// each calls fn on every retained item in log order. The caller holds
+// rg.mu.
+func (rg *replayRing) each(fn func(*sourceItem)) {
+	for i, seg := range rg.segs {
+		if i == 0 {
+			seg = seg[rg.head:]
+		}
+		for j := range seg {
+			fn(&seg[j])
+		}
+	}
 }
 
 // Trim drops, per ring, the items a durable checkpoint covers: the
@@ -107,11 +223,7 @@ func (l *ReplayLog) Trim(cuts []int64) {
 		rg := &l.rings[d]
 		rg.mu.Lock()
 		if drop := cuts[d] - rg.base; drop > 0 {
-			if drop >= int64(len(rg.items)) {
-				rg.items = rg.items[:0]
-			} else {
-				rg.items = append(rg.items[:0], rg.items[drop:]...)
-			}
+			rg.cut(drop)
 			rg.base = cuts[d]
 		}
 		rg.mu.Unlock()
@@ -124,7 +236,7 @@ func (l *ReplayLog) Len() int {
 	for d := range l.rings {
 		rg := &l.rings[d]
 		rg.mu.Lock()
-		n += len(rg.items)
+		n += rg.n
 		rg.mu.Unlock()
 	}
 	return n
@@ -135,7 +247,8 @@ func (l *ReplayLog) Len() int {
 func (l *ReplayLog) snapshotRing(d int) []sourceItem {
 	rg := &l.rings[d]
 	rg.mu.Lock()
-	items := append([]sourceItem(nil), rg.items...)
+	items := make([]sourceItem, 0, rg.n)
+	rg.each(func(it *sourceItem) { items = append(items, *it) })
 	rg.mu.Unlock()
 	return items
 }
@@ -146,11 +259,11 @@ func (l *ReplayLog) maxSeq() uint64 {
 	for d := range l.rings {
 		rg := &l.rings[d]
 		rg.mu.Lock()
-		for i := range rg.items {
-			if s := rg.items[i].t.Seq; s > max {
+		rg.each(func(it *sourceItem) {
+			if s := it.t.Seq; s > max {
 				max = s
 			}
-		}
+		})
 		rg.mu.Unlock()
 	}
 	return max
@@ -185,14 +298,20 @@ type ckptEvent struct {
 	full    bool // evBegin: force a full (chain-resetting) snapshot
 }
 
-// ckptResult reports one checkpoint's outcome back to the controller.
-// chainLen is the committed delta chain's length after this checkpoint
-// (unchanged on failure); the controller forces a full snapshot once
-// it reaches CheckpointCompactEvery.
+// ckptResult reports one checkpoint's outcome back to the controller,
+// with the coordinator's ruling on the next one (nextCkptFull).
 type ckptResult struct {
 	id       uint64
 	err      error
-	chainLen int
+	nextFull bool
+}
+
+// ckptCommit is one committed checkpoint's byte figures: the link's
+// blob, a full snapshot's size at its barrier, and the committed
+// chain's bytes with the link included.
+type ckptCommit struct {
+	id                uint64
+	blob, full, chain int64
 }
 
 // ckptBuild is the coordinator's in-progress assembly of one
@@ -304,7 +423,7 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 		id := cur.id
 		*cur = ckptBuild{}
 		select {
-		case op.ctl.ckptDoneCh <- ckptResult{id: id, err: err, chainLen: len(op.ckptChain)}:
+		case op.ctl.ckptDoneCh <- ckptResult{id: id, err: err, nextFull: op.nextCkptFull()}:
 		case <-op.ckptQuit:
 		case <-op.stop:
 		}
@@ -338,7 +457,8 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 		Cuts:      cur.cuts,
 		Joiners:   cur.joiners,
 	}
-	if err := op.cfg.Backend.Write(cur.id, snap.Encode(), deps); err != nil {
+	blob := snap.Encode()
+	if err := op.cfg.Backend.Write(cur.id, blob, deps); err != nil {
 		return fmt.Errorf("core: commit checkpoint %d: %w", cur.id, err)
 	}
 	// Committed: publish each joiner's watermark so the next barrier
@@ -351,8 +471,14 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 	}
 	if deps == nil {
 		op.ckptChain = op.ckptChain[:0]
+		op.ckptChainBytes = 0
 	}
 	op.ckptChain = append(op.ckptChain, cur.id)
+	op.ckptChainBytes += int64(len(blob))
+	op.ckptFullBytes = int64(snap.FullSize())
+	if op.ckptCommitted != nil {
+		op.ckptCommitted(ckptCommit{id: cur.id, blob: int64(len(blob)), full: op.ckptFullBytes, chain: op.ckptChainBytes})
+	}
 	op.cutHist = append(op.cutHist, ckptCut{id: cur.id, cuts: append([]int64(nil), cur.cuts...)})
 	if keep := op.cfg.CheckpointKeep; len(op.cutHist) > keep {
 		op.cutHist = append(op.cutHist[:0], op.cutHist[len(op.cutHist)-keep:]...)
@@ -360,6 +486,14 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 	op.replay.Trim(op.cutHist[0].cuts)
 	op.met.Checkpoints.Add(1)
 	return nil
+}
+
+// nextCkptFull is the compaction rule (protocol step 4): the next
+// snapshot is full when nothing is committed yet, or when the committed
+// chain holds more bytes than two full snapshots of the newest commit's
+// state.
+func (op *Operator) nextCkptFull() bool {
+	return op.ckptAlwaysFull || len(op.ckptChain) == 0 || op.ckptChainBytes > 2*op.ckptFullBytes
 }
 
 // Checkpoint requests a barrier checkpoint and blocks until it commits

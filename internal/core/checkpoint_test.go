@@ -275,7 +275,7 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 	full := newReplayLog(len(op.sources))
 	for i := range tuples {
 		d := dealTarget(tuples[i].Seq, len(op.sources))
-		full.rings[d].items = append(full.rings[d].items, sourceItem{t: tuples[i]})
+		full.rings[d].append([]sourceItem{{t: tuples[i]}})
 	}
 
 	snap := latestSnapshot(t, backend)
@@ -386,11 +386,11 @@ func TestAutoCheckpointEvery(t *testing.T) {
 }
 
 // TestCheckpointDefaultConfigNineGenerations runs nine checkpoints
-// through a file backend with nothing overridden — keep 2, compaction
-// every 8 — so generations 2 through 8 are deltas stacked on generation
-// 1 long after it left the keep window, and generation 9 compacts.
-// Every Checkpoint call must commit, and the newest generation must
-// decode with its whole chain; the backend GC used to forget the base's
+// through a file backend with nothing overridden — keep 2 — so later
+// generations are deltas stacked on generation 1 long after it left the
+// keep window (until the dead-bytes rule compacts the chain). Every
+// Checkpoint call must commit, and the newest generation must decode
+// with its whole chain; the backend GC used to forget the base's
 // metadata at generation 3 and fail every delta after it.
 func TestCheckpointDefaultConfigNineGenerations(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -410,8 +410,7 @@ func TestCheckpointDefaultConfigNineGenerations(t *testing.T) {
 		}
 		if i < 7 {
 			// Loading refreshes the backend's metadata cache, which
-			// would hide the defect; look only at the full-length chain
-			// and the compaction after it.
+			// would hide the defect; look only at the last two chains.
 			continue
 		}
 		stored := 0

@@ -73,11 +73,10 @@ type controller struct {
 	// drain long before the others when they are scheduled behind it.
 	// Decisions never read it. nil when CheckpointEvery is 0.
 	pacerCh chan struct{}
-	// ckptChainLen mirrors the coordinator's committed delta-chain
-	// length (from the last ckptResult): 0 — nothing committed yet, so
-	// the next snapshot must be full; at CheckpointCompactEvery the
-	// next one is forced full to fold the chain back to one base.
-	ckptChainLen int
+	// ckptNextFull is the coordinator's verdict from the last
+	// ckptResult: the next snapshot must be full — nothing is committed
+	// yet, or the chain holds more dead bytes than live ones.
+	ckptNextFull bool
 
 	sourceDone bool
 	drained    int
@@ -97,16 +96,17 @@ func newController(dec *Decider, op *Operator) *controller {
 		table[i] = i
 	}
 	c := &controller{
-		dec:        dec,
-		adaptive:   op.cfg.Adaptive,
-		ackCh:      make(chan int, 4*numJoiners+16),
-		drainCh:    make(chan int, numJoiners+1),
-		ckptReqCh:  make(chan chan error, 16),
-		ckptDoneCh: make(chan ckptResult, 1),
-		ckptNext:   1,
-		op:         op,
-		deployed:   op.cfg.Initial,
-		table:      table,
+		dec:          dec,
+		adaptive:     op.cfg.Adaptive,
+		ackCh:        make(chan int, 4*numJoiners+16),
+		drainCh:      make(chan int, numJoiners+1),
+		ckptReqCh:    make(chan chan error, 16),
+		ckptDoneCh:   make(chan ckptResult, 1),
+		ckptNext:     1,
+		ckptNextFull: true,
+		op:           op,
+		deployed:     op.cfg.Initial,
+		table:        table,
 	}
 	if op.cfg.CheckpointEvery > 0 {
 		c.pacerCh = make(chan struct{}, 1)
@@ -227,7 +227,7 @@ func (c *controller) maybeIssueCkpt() {
 	c.ckptPending = c.ckptPending[:0]
 	id := c.ckptNext
 	c.ckptNext++
-	full := c.ckptChainLen == 0 || c.ckptChainLen >= c.op.cfg.CheckpointCompactEvery
+	full := c.ckptNextFull
 	ev := ckptEvent{
 		kind:    evBegin,
 		ckpt:    id,
@@ -250,7 +250,7 @@ func (c *controller) maybeIssueCkpt() {
 // chain step, the finish — proceeds.
 func (c *controller) onCkptDone(res ckptResult) {
 	c.ckptInFlight = false
-	c.ckptChainLen = res.chainLen
+	c.ckptNextFull = res.nextFull
 	for _, reply := range c.ckptWaiters {
 		reply <- res.err
 	}

@@ -111,6 +111,6 @@ type ctrlMsg struct {
 	// full forces a full (non-incremental) snapshot for a ctrlCkpt
 	// command: joiners ignore their delta watermarks and serialize
 	// whole stores. Set on the first checkpoint after start/restore and
-	// on chain compaction (CheckpointCompactEvery).
+	// on chain compaction (commitCkpt's dead-bytes rule).
 	full bool
 }

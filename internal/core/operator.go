@@ -169,7 +169,9 @@ type Config struct {
 	// joiner stores, controller mapping/epoch, ingest cursors — through
 	// it, and RestoreOperator rebuilds from its latest committed
 	// snapshot. nil disables checkpointing (Checkpoint returns
-	// ErrNoBackend) and removes all of its ingest-path cost.
+	// ErrNoBackend) and removes all of its ingest-path cost. Snapshots
+	// are incremental; the chain is compacted by its dead bytes (see
+	// commitCkpt), so nothing about it is configurable.
 	Backend storage.Backend
 	// CheckpointEvery triggers an automatic checkpoint after every n
 	// ingested tuples (measured at the exact merged ingest count). It
@@ -181,12 +183,6 @@ type Config struct {
 	// retained generation stays replayable after a fallback. 0 means
 	// storage.DefaultKeep; values below 1 clamp to 1.
 	CheckpointKeep int
-	// CheckpointCompactEvery bounds the incremental-snapshot chain:
-	// once the committed delta chain reaches this length the next
-	// checkpoint is forced full, folding the chain back to a single
-	// base. 0 means DefaultCheckpointCompactEvery; 1 disables
-	// incremental checkpoints entirely (every snapshot full).
-	CheckpointCompactEvery int
 	// CheckpointPolicy selects the reaction to a checkpoint commit that
 	// fails even after the backend's own retries: CkptDegrade (the
 	// default) keeps joining and retries at the next boundary,
@@ -261,10 +257,6 @@ const (
 	// the wrapped backend error surfaces from Finish/Wait.
 	CkptFailStop
 )
-
-// DefaultCheckpointCompactEvery is the delta-chain length bound used
-// when Config.CheckpointCompactEvery is zero.
-const DefaultCheckpointCompactEvery = 8
 
 // DefaultBatchSize is the batch envelope capacity used when
 // Config.BatchSize is zero.
@@ -377,12 +369,6 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.CheckpointKeep < 1 {
 		c.CheckpointKeep = 1
 	}
-	if c.CheckpointCompactEvery == 0 {
-		c.CheckpointCompactEvery = DefaultCheckpointCompactEvery
-	}
-	if c.CheckpointCompactEvery < 1 {
-		c.CheckpointCompactEvery = 1
-	}
 	return nil
 }
 
@@ -436,13 +422,24 @@ type Operator struct {
 	ckptC    chan ckptEvent
 	ckptQuit chan struct{}
 	ckptWG   sync.WaitGroup
-	// ckptChain and cutHist are coordinator-goroutine-private
-	// incremental-checkpoint state: the committed delta chain (base
-	// first) the next snapshot's dependencies come from, and the
-	// retained generations' replay cuts (oldest first, capped at
-	// CheckpointKeep) bounding how far the replay log may be trimmed.
-	ckptChain []uint64
-	cutHist   []ckptCut
+	// ckptChain, ckptChainBytes, ckptFullBytes and cutHist are
+	// coordinator-goroutine-private incremental-checkpoint state: the
+	// committed delta chain (base first) the next snapshot's
+	// dependencies come from, the chain's total blob bytes, what a full
+	// snapshot measured at the newest commit (the compaction rule in
+	// commitCkpt compares the two), and the retained generations' replay
+	// cuts (oldest first, capped at CheckpointKeep) bounding how far the
+	// replay log may be trimmed.
+	ckptChain      []uint64
+	ckptChainBytes int64
+	ckptFullBytes  int64
+	cutHist        []ckptCut
+	// ckptAlwaysFull makes every checkpoint a full snapshot; tests set
+	// it before Start to measure one.
+	ckptAlwaysFull bool
+	// ckptCommitted, when set before Start, sees every commit's figures
+	// on the coordinator goroutine; tests read the chain bound with it.
+	ckptCommitted func(ckptCommit)
 
 	// stop is the runner's Done channel: closed on context
 	// cancellation or on the first task failure. Every blocking
@@ -845,14 +842,13 @@ func (op *Operator) push(d int, env []sourceItem) error {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	n0 := len(rg.items)
-	rg.items = append(rg.items, env...)
+	n0 := rg.n
+	rg.append(env)
 	select {
 	case op.sources[d] <- env:
 		return nil
 	case <-op.stop:
-		clear(rg.items[n0:]) // pin no payloads of the undelivered copies
-		rg.items = rg.items[:n0]
+		rg.truncate(n0) // pins no payloads of the undelivered copies
 		putItems(env)
 		return op.runner.Err()
 	}

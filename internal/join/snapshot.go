@@ -326,6 +326,10 @@ type sideCapture struct {
 	prefix uint32 // delta kinds: the chunk index the blocks splice at
 	chunks []*colChunk
 	enc    []byte
+	// full is the exact length of a full record of the same state: what
+	// this side would encode to had the capture been taken without a
+	// watermark.
+	full int
 }
 
 // captureArena records a's non-empty blocks from chunk index from on:
@@ -366,8 +370,10 @@ func captureSide(idx Index, wm *IndexWatermark) (sideCapture, bool) {
 	case *ScanIndex:
 		a, c.bytes, c.kind, deltaKind = &v.arena, v.bytes, snapIdxScan, snapIdxScanDelta
 	default:
-		return sideCapture{kind: snapIdxOrdered, enc: appendOrdered(nil, idx)}, false
+		enc := appendOrdered(nil, idx)
+		return sideCapture{kind: snapIdxOrdered, enc: enc, full: len(enc)}, false
 	}
+	c.full = fullArenaSize(a)
 	if !delta {
 		c.chunks = captureArena(a, 0)
 		return c, false
@@ -399,6 +405,19 @@ func (l *Local) Capture(wm *LocalWatermark) (c LocalCapture, next LocalWatermark
 	c.r, dr = captureSide(l.r, &wm.R)
 	c.s, ds = captureSide(l.s, &wm.S)
 	return c, next, dr || ds
+}
+
+// fullArenaSize is the exact length of a full side record of a's
+// blocks: O(blocks), plus a length read per payload in blocks that
+// carry payloads.
+func fullArenaSize(a *tupleArena) int {
+	n := 1 + 8 + 4 // kind, byte volume, block count
+	for _, ch := range a.chunks {
+		if ch.n > 0 {
+			n += blockSize(ch)
+		}
+	}
+	return n
 }
 
 // size is the exact length appendTo writes.
@@ -436,6 +455,12 @@ func (c *sideCapture) appendTo(buf []byte) []byte {
 // Size is the exact length AppendTo writes: callers encoding into a
 // preallocated buffer size it once, up front.
 func (c *LocalCapture) Size() int { return 1 + c.r.size() + c.s.size() }
+
+// FullSize is the exact length AppendTo would write had the capture
+// been full (Capture(nil) at the same barrier): the live bytes a delta
+// chain ending in this capture has to carry at the least. It encodes
+// nothing.
+func (c *LocalCapture) FullSize() int { return 1 + c.r.full + c.s.full }
 
 // AppendTo encodes the captured state onto buf — the snapshot payload
 // of the Local as it stood at capture time — and returns the extended

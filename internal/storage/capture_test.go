@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/matrix"
 )
 
 // TestCaptureThenMutate holds a barrier capture to the bytes of the
@@ -87,5 +89,50 @@ func TestCaptureThenMutate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCaptureFullSizeMatchesFullEncoding holds the size the compaction
+// rule reads to the bytes it stands for: at every barrier of a chain —
+// hash, scan, spilling and ordered stores, payloads and dummies, and a
+// Retain that invalidates the watermarks mid-chain — a delta capture's
+// FullSize equals the length of a full capture taken at the same
+// state, and OperatorSnapshot.FullSize equals the length of the blob
+// the full captures encode to.
+func TestCaptureFullSizeMatchesFullEncoding(t *testing.T) {
+	stores := ckptFixtureStores(t.TempDir())
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	wms := make([]*StoreWatermark, len(stores))
+	from := 0
+	for step, to := range []int{300, 700, 1100, 1400, 2000} {
+		ckptFixtureFeed(stores, from, to)
+		from = to
+		if step == 3 {
+			for _, s := range stores {
+				s.Retain(matrix.SideR, matrix.Top{Shift: 63, Val: 0})
+			}
+		}
+		var delta, full []JoinerSnapshot
+		for i, s := range stores {
+			c, next, _ := s.Capture(wms[i])
+			whole, _, _ := s.Capture(nil)
+			if got, want := c.FullSize(), whole.Size(); got != want {
+				t.Fatalf("step %d store %d: delta capture measures a full one at %d B, it is %d B", step, i, got, want)
+			}
+			if whole.FullSize() != whole.Size() {
+				t.Fatalf("step %d store %d: full capture measures itself at %d B, it is %d B", step, i, whole.FullSize(), whole.Size())
+			}
+			delta = append(delta, JoinerSnapshot{ID: i, Capture: c})
+			full = append(full, JoinerSnapshot{ID: i, Capture: whole})
+			wms[i] = &next
+		}
+		id := uint64(step + 1)
+		if got, want := ckptFixtureSnapshot(id, id-1, delta).FullSize(), len(ckptFixtureSnapshot(id, 0, full).Encode()); got != want {
+			t.Fatalf("step %d: snapshot measures a full blob at %d B, it is %d B", step, got, want)
+		}
 	}
 }

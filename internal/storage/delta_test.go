@@ -100,7 +100,7 @@ func TestStoreDeltaChainEquivalence(t *testing.T) {
 				}
 				ckpts++
 				// Compact every 5th checkpoint: fold the chain back to one
-				// full payload, as WithCheckpointCompactEvery does.
+				// full payload, as the operator's compaction rule does.
 				useWM := wm
 				if ckpts%5 == 0 {
 					useWM = nil

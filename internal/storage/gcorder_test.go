@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -85,58 +86,101 @@ func TestFileBackendGCNeverStrandsRetainedChains(t *testing.T) {
 
 // TestBackendsDefaultConfigNineCheckpoints replays what an operator
 // with default settings asks of a backend — keep 2 (nobody calls
-// SetKeep), chain compaction every 8: one full snapshot, seven deltas
-// each depending on everything since that base, then the next full —
-// and checks what the GC-ordering test above never did: that every
-// *next* Write is accepted, and that the newest generation loads its
-// whole chain. Nothing is loaded until the chain is at full length,
-// because Load refreshes FileBackend's metadata cache and an operator
-// never loads between commits. A GC that forgets a dropped generation's
+// SetKeep), one full snapshot, then deltas each depending on everything
+// since that base — and checks what the GC-ordering test above never
+// did: that every *next* Write is accepted, and that the newest
+// generation loads its whole chain. Two histories: a chain folded back
+// to a full snapshot at generation 9, and a 24-link chain on one base,
+// which is what an append-only stream gives under the dead-bytes
+// compaction rule (the base stays needed long after it left the keep
+// window). Nothing is loaded until the chain is at full length, because
+// Load refreshes FileBackend's metadata cache and an operator never
+// loads between commits. A GC that forgets a dropped generation's
 // metadata while a kept chain still builds on it fails here at
-// generation 4 ("depends on unknown generation 1").
+// generation 4 ("depends on unknown generation 1"). On disk, the file
+// backend must hold exactly the blobs the retained generations
+// reference.
 func TestBackendsDefaultConfigNineCheckpoints(t *testing.T) {
-	file, err := NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		suffix    string // appended to the backend's subtest name
+		gens      int
+		fold      int // chain length at which the next write is full; 0: never
+		loadsFrom int
+	}{
+		{"", 9, 8, 8},
+		{"-24-links", 24, 0, 24},
 	}
-	for name, b := range map[string]Backend{"mem": NewMemBackend(), "file": file} {
-		t.Run(name, func(t *testing.T) {
-			payload := func(gen uint64) []byte {
-				return bytes.Repeat([]byte{byte(gen)}, 64+int(gen))
-			}
-			var chain []uint64
-			for gen := uint64(1); gen <= 9; gen++ {
-				if len(chain) == 8 {
-					chain = chain[:0] // compaction: gen 9 is full again
+	for _, tc := range cases {
+		dir := t.TempDir()
+		file, err := NewFileBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string]Backend{"mem": NewMemBackend(), "file": file} {
+			t.Run(name+tc.suffix, func(t *testing.T) {
+				payload := func(gen uint64) []byte {
+					return bytes.Repeat([]byte{byte(gen)}, 64+int(gen))
 				}
-				if err := b.Write(gen, payload(gen), chain); err != nil {
-					t.Fatalf("write gen %d (deps %v): %v", gen, chain, err)
-				}
-				chain = append(chain, gen)
+				var chain []uint64
+				for gen := uint64(1); gen <= uint64(tc.gens); gen++ {
+					if tc.fold > 0 && len(chain) == tc.fold {
+						chain = chain[:0] // compaction: this generation is full again
+					}
+					if err := b.Write(gen, payload(gen), chain); err != nil {
+						t.Fatalf("write gen %d (deps %v): %v", gen, chain, err)
+					}
+					chain = append(chain, gen)
 
-				gens, err := b.Generations()
-				if err != nil {
-					t.Fatalf("generations after gen %d: %v", gen, err)
-				}
-				if want := min(int(gen), DefaultKeep); len(gens) != want || gens[0] != gen {
-					t.Fatalf("after gen %d: retained %v, want the newest %d", gen, gens, want)
-				}
-				if gen < 8 {
-					continue
-				}
-				blobs, err := b.Load(gen)
-				if err != nil {
-					t.Fatalf("load newest gen %d: %v", gen, err)
-				}
-				if len(blobs) != len(chain) {
-					t.Fatalf("gen %d loaded a chain of %d blobs, want %v", gen, len(blobs), chain)
-				}
-				for i, bl := range blobs {
-					if bl.Gen != chain[i] || !bytes.Equal(bl.Data, payload(chain[i])) {
-						t.Fatalf("gen %d chain link %d is generation %d, want %d intact", gen, i, bl.Gen, chain[i])
+					gens, err := b.Generations()
+					if err != nil {
+						t.Fatalf("generations after gen %d: %v", gen, err)
+					}
+					if want := min(int(gen), DefaultKeep); len(gens) != want || gens[0] != gen {
+						t.Fatalf("after gen %d: retained %v, want the newest %d", gen, gens, want)
+					}
+					if int(gen) < tc.loadsFrom {
+						continue
+					}
+					blobs, err := b.Load(gen)
+					if err != nil {
+						t.Fatalf("load newest gen %d: %v", gen, err)
+					}
+					if len(blobs) != len(chain) {
+						t.Fatalf("gen %d loaded a chain of %d blobs, want %v", gen, len(blobs), chain)
+					}
+					for i, bl := range blobs {
+						if bl.Gen != chain[i] || !bytes.Equal(bl.Data, payload(chain[i])) {
+							t.Fatalf("gen %d chain link %d is generation %d, want %d intact", gen, i, bl.Gen, chain[i])
+						}
 					}
 				}
-			}
-		})
+				if name != "file" {
+					return
+				}
+				live := make(map[string]bool)
+				gens, _ := b.Generations()
+				for _, g := range gens {
+					blobs, err := b.Load(g)
+					if err != nil {
+						t.Fatalf("load retained gen %d: %v", g, err)
+					}
+					for _, bl := range blobs {
+						live[fmt.Sprintf("ckpt-%016x.snap", bl.Gen)] = true
+					}
+				}
+				onDisk, err := filepath.Glob(filepath.Join(dir, "ckpt-*.snap"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range onDisk {
+					if !live[filepath.Base(p)] {
+						t.Fatalf("blob %s on disk, referenced by no retained generation", filepath.Base(p))
+					}
+				}
+				if len(onDisk) != len(live) {
+					t.Fatalf("%d blobs on disk, %d referenced by retained chains", len(onDisk), len(live))
+				}
+			})
+		}
 	}
 }

@@ -153,20 +153,13 @@ func (j *JoinerSnapshot) putRecord(rec []byte) {
 // records occupy disjoint, precomputed regions and are encoded in
 // parallel. The returned blob is never reused by the encoder.
 func (s *OperatorSnapshot) Encode() []byte {
-	fixed := [...]int{
-		len(snapMagic) + 4 + 8 + 8,       // header
-		4*4 + 8 + 8 + 4 + 4*len(s.Table), // meta
-		4 + 16*len(s.Lanes),              // lanes
-		4 + 8*len(s.Cuts),                // cuts
-	}
-	total := recFrame + 4 // trailer
-	for _, n := range fixed {
-		total += recFrame + n
-	}
+	fixed := s.fixedLens()
+	total := s.frameSize()
 	joinerLen := make([]int, len(s.Joiners))
 	for i := range s.Joiners {
-		joinerLen[i] = recFrame + joinerHead + s.Joiners[i].stateSize()
-		total += joinerLen[i]
+		n := s.Joiners[i].stateSize()
+		joinerLen[i] = recFrame + joinerHead + n
+		total += n
 	}
 	blob := make([]byte, total)
 	off := 0
@@ -220,6 +213,43 @@ func (s *OperatorSnapshot) Encode() []byte {
 	})
 	s.putJoiners(recs)
 	return blob
+}
+
+// fixedLens are the payload lengths of the header, meta, lanes and cuts
+// records.
+func (s *OperatorSnapshot) fixedLens() [4]int {
+	return [...]int{
+		len(snapMagic) + 4 + 8 + 8,       // header
+		4*4 + 8 + 8 + 4 + 4*len(s.Table), // meta
+		4 + 16*len(s.Lanes),              // lanes
+		4 + 8*len(s.Cuts),                // cuts
+	}
+}
+
+// frameSize is the blob's length outside the joiners' store payloads:
+// every fixed record, each joiner record's frame and head, the trailer.
+func (s *OperatorSnapshot) frameSize() int {
+	total := recFrame + 4 // trailer
+	for _, n := range s.fixedLens() {
+		total += recFrame + n
+	}
+	return total + len(s.Joiners)*(recFrame+joinerHead)
+}
+
+// FullSize is the exact length Encode would return had every joiner
+// captured its store in full at this barrier — the live bytes of the
+// checkpointed state. It encodes nothing: a capture knows its full size
+// in O(blocks). A joiner record without a capture counts its State.
+func (s *OperatorSnapshot) FullSize() int {
+	total := s.frameSize()
+	for i := range s.Joiners {
+		if c := s.Joiners[i].Capture; c != nil {
+			total += c.FullSize()
+		} else {
+			total += len(s.Joiners[i].State)
+		}
+	}
+	return total
 }
 
 // putJoiners writes every joiner record into its region of the blob
@@ -519,10 +549,12 @@ type StoreCapture struct {
 }
 
 // spillCapture is one side's spilled-record suffix: records [prev, cur)
-// of the segment, encoded (prev is 0 in a full payload).
+// of the segment, encoded (prev is 0 in a full payload). full is the
+// encoded length of all cur records, the segment's file length.
 type spillCapture struct {
 	prev, cur uint32
 	recs      []byte
+	full      int64
 }
 
 // Capture freezes the store for a snapshot that ships only state
@@ -560,7 +592,11 @@ func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermar
 			sc.prev = wm.Spill[side].N
 		}
 		seg := s.segs[side]
-		if seg == nil || sc.cur == sc.prev {
+		if seg == nil {
+			continue
+		}
+		sc.full = seg.off
+		if sc.cur == sc.prev {
 			continue
 		}
 		sc.recs = make([]byte, 0, int(sc.cur-sc.prev)*recordHeader)
@@ -586,6 +622,17 @@ func (c *StoreCapture) Size() int {
 		if c.kind == storeSnapDelta {
 			n += 4
 		}
+	}
+	return n
+}
+
+// FullSize is the exact length AppendTo would write had the capture been
+// full: the memory tier's LocalCapture.FullSize plus every spilled
+// record. It encodes nothing.
+func (c *StoreCapture) FullSize() int {
+	n := 1 + 4 + c.mem.FullSize()
+	for _, sc := range c.spill {
+		n += 4 + int(sc.full)
 	}
 	return n
 }

@@ -91,6 +91,12 @@ func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.c
 // store: Operator.Checkpoint (and the WithCheckpointEvery pacer)
 // snapshots joiner state, controller mapping, and ingest cursors
 // through it, and Restore rebuilds from its latest committed snapshot.
+// The first checkpoint is a full snapshot; each later one ships only
+// the state stored since the previous commit, and a full one is taken
+// again only once the chain of deltas holds more bytes than two full
+// snapshots would. Checkpoint bytes therefore stay within twice the
+// delta bytes, and a restore reads at most two full snapshots' worth
+// plus one delta. There is no knob for it.
 // Only the single-grid operator supports it: with a grouped stage
 // (non-power-of-two joiners, or WithGrouped) Run returns an error.
 func WithBackend(b Backend) Option { return func(sc *stageConfig) { sc.cfg.Backend = b } }
@@ -112,18 +118,6 @@ func WithCheckpointEvery(n int64) Option {
 // to 1.
 func WithCheckpointKeep(k int) Option {
 	return func(sc *stageConfig) { sc.cfg.CheckpointKeep = k }
-}
-
-// WithCheckpointCompactEvery bounds the incremental-checkpoint chain:
-// after n consecutive snapshots the next one is forced full, folding
-// the base+delta chain back to a single base. Between compactions each
-// checkpoint ships only arena blocks (and spill suffix) appended since
-// the previous committed one — the payload scales with the delta, not
-// the stored state. 0 (the default) means
-// core.DefaultCheckpointCompactEvery (8); 1 disables incremental
-// checkpoints (every snapshot full).
-func WithCheckpointCompactEvery(n int) Option {
-	return func(sc *stageConfig) { sc.cfg.CheckpointCompactEvery = n }
 }
 
 // CheckpointPolicy selects the operator's reaction to a checkpoint
