@@ -7,13 +7,14 @@
 //
 //	joinrun -query EQ5 -op dynamic -j 16 -sf 0.01 -zipf Z4
 //
-// Operators: dynamic, staticmid, staticopt, shj, grouped. Every
-// operator is driven through the uniform squall.Engine surface: one
-// ingest loop, one metrics report, regardless of which engine runs
-// behind it. -timeout aborts a runaway run through the engine's
-// context-aware lifecycle.
+// Operators: dynamic, staticmid, staticopt (the grid route) and shj
+// (the hash route). Every operator is driven through the uniform
+// squall.Engine surface: one ingest loop, one metrics report. A grid
+// operator runs the largest power of two ≤ -j joiners; the report
+// prints that count next to the requested one. -timeout aborts a
+// runaway run through the engine's context-aware lifecycle.
 //
-// Durability (single-grid operators only): -checkpoint-dir enables
+// Durability (grid operators only): -checkpoint-dir enables
 // barrier checkpointing against a FileBackend, -checkpoint-every n
 // paces automatic checkpoints by ingest volume, and -crash-at arms a
 // named fault-injection point so recovery drills can kill the run at a
@@ -24,7 +25,7 @@
 // -flaky-backend injects probabilistic backend failures so the retry
 // and degrade paths can be drilled from the command line.
 //
-// Distributed mode (single-grid operators only): -workers addr,addr
+// Distributed mode (grid operators only): -workers addr,addr
 // places the joiners on running worker processes (cmd/joinworker, or
 // joinrun -listen) over TCP links; -listen turns this process into
 // such a worker instead of driving a query. Distributed runs exclude
@@ -35,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -51,8 +53,8 @@ import (
 
 func main() {
 	query := flag.String("query", "EQ5", "query: EQ5, EQ7, BCI, BNCI, Fluct-Join")
-	opName := flag.String("op", "dynamic", "operator: dynamic, staticmid, staticopt, shj, grouped")
-	j := flag.Int("j", 16, "machine count (power of two except for grouped/shj)")
+	opName := flag.String("op", "dynamic", "operator: dynamic, staticmid, staticopt, shj")
+	j := flag.Int("j", 16, "machine count; grid operators run the largest power of two <= j, shj exactly j")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
 	zipf := flag.String("zipf", "Z0", "skew setting Z0..Z4")
 	seed := flag.Int64("seed", 42, "seed")
@@ -99,9 +101,9 @@ func main() {
 	var workerAddrs []string
 	if *workers != "" {
 		workerAddrs = strings.Split(*workers, ",")
-		if *opName == "shj" || *opName == "grouped" {
+		if *opName == "shj" {
 			// Fail fast instead of silently running single-process: only
-			// the single-grid operators place joiners on workers.
+			// the grid operators place joiners on workers.
 			fmt.Fprintf(os.Stderr, "joinrun: -workers is not supported by -op %s\n", *opName)
 			os.Exit(2)
 		}
@@ -111,9 +113,9 @@ func main() {
 		}
 	}
 	durable := *checkpointDir != "" || *checkpointEvery > 0 || *crashAt != ""
-	if durable && (*opName == "shj" || *opName == "grouped") {
+	if durable && *opName == "shj" {
 		// Fail fast instead of silently running undurable: only the
-		// single-grid operators checkpoint.
+		// grid operators checkpoint.
 		fmt.Fprintf(os.Stderr, "joinrun: -checkpoint-dir/-checkpoint-every/-crash-at are not supported by -op %s\n", *opName)
 		os.Exit(2)
 	}
@@ -223,14 +225,14 @@ func main() {
 	// ingest-through-drain window the metrics describe.
 	stopProfile()
 
-	fmt.Printf("query      %s on %s (J=%d, SF=%.3f, %s)\n", q.Name, *opName, *j, *sf, *zipf)
+	m := engine.Metrics()
+	fmt.Printf("query      %s on %s (J=%d of %d requested, SF=%.3f, %s)\n", q.Name, *opName, m.NumJoiners(), *j, *sf, *zipf)
 	fmt.Printf("input      |R|=%d |S|=%d (%d tuples)\n", r, s, total)
 	fmt.Printf("output     %d pairs\n", out.Load())
 	fmt.Printf("elapsed    %v (%.0f tuples/s)\n", elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds())
-	m := engine.Metrics()
 	fmt.Printf("ILF        %d tuples/machine (max; mean %d)\n",
-		m.MaxILFTuples(), m.TotalInputTuples()/int64(*j))
+		m.MaxILFTuples(), m.TotalInputTuples()/int64(m.NumJoiners()))
 	fmt.Printf("storage    %d bytes total, %d migrated tuples (migrations=%d)\n",
 		m.TotalStorageBytes(), m.TotalMigrated(), m.Migrations.Load())
 	if perTuple, dir := m.ResidentBytesPerTuple(); perTuple > 0 {
@@ -251,12 +253,8 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64,
 	workerAddrs []string, emit func(squall.Pair)) (squall.Engine, func()) {
 	switch name {
 	case "dynamic", "staticmid", "staticopt":
-		// Fail fast, like the raw constructor used to: a non-power-of-two
-		// count would silently select the grouped engine, dropping the
-		// staticopt initial mapping and breaking the report's
-		// DeployedMapping access.
-		if j <= 0 || j&(j-1) != 0 {
-			fmt.Fprintf(os.Stderr, "joinrun: -op %s needs a power-of-two -j (got %d); use -op grouped\n", name, j)
+		if j <= 0 {
+			fmt.Fprintf(os.Stderr, "joinrun: -op %s needs a positive -j (got %d)\n", name, j)
 			os.Exit(2)
 		}
 		opts := []squall.Option{squall.WithJoiners(j), squall.WithSeed(seed)}
@@ -264,7 +262,10 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64,
 		case "dynamic":
 			opts = append(opts, squall.WithAdaptive(), squall.WithWarmup((r+s)/100))
 		case "staticopt":
-			opts = append(opts, squall.WithInitialMapping(squall.OptimalMapping(j, float64(r), float64(s))))
+			// The grid runs the largest power of two <= j, and the
+			// optimal mapping must be one of that count's shapes.
+			grid := 1 << (bits.Len(uint(j)) - 1)
+			opts = append(opts, squall.WithInitialMapping(squall.OptimalMapping(grid, float64(r), float64(s))))
 		}
 		if len(workerAddrs) > 0 {
 			opts = append(opts, squall.WithWorkers(workerAddrs...))
@@ -290,16 +291,6 @@ func buildEngine(name string, q workload.Query, j int, r, s, seed int64,
 			os.Exit(2)
 		}
 		return e, func() {}
-	case "grouped":
-		opts := []squall.Option{
-			squall.WithJoiners(j), squall.WithGrouped(),
-			squall.WithAdaptive(), squall.WithWarmup((r + s) / 100), squall.WithSeed(seed),
-		}
-		e := squall.NewEngine(q.Pred, squall.Each(emit), opts...)
-		gr := e.(*squall.Grouped)
-		return e, func() {
-			fmt.Printf("groups     %v mappings %v\n", gr.Groups(), gr.GroupMappings())
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "joinrun: unknown operator %q\n", name)
 		os.Exit(2)

@@ -27,16 +27,18 @@ type LinkError = core.LinkError
 // WithWorkers places the stage's joiner tasks on worker processes at
 // the given addresses (see cmd/joinworker), turning this process into
 // the coordinator. Joiners spread over the workers in contiguous
-// blocks. Distributed stages require the single-grid operator
-// (power-of-two joiners, no WithGrouped) and a serializable predicate
-// (equi or band, no residual closure), and exclude WithBackend
-// checkpointing and WithElastic expansion.
+// blocks. Distributed stages run the grid operator (NewSHJ rejects
+// WithWorkers) on at most 1024 joiners, require a serializable
+// predicate (equi or band, no residual closure), and exclude
+// WithBackend checkpointing and WithElastic expansion.
 func WithWorkers(addrs ...string) Option {
 	return func(sc *stageConfig) { sc.cfg.Workers = append([]string(nil), addrs...) }
 }
 
 // WithPlacement pins each joiner id to a worker index from
 // WithWorkers, with -1 keeping that joiner in the coordinator process.
+// It takes one entry per joiner that runs: for WithJoiners(6), the
+// grid's 4.
 // Without it, joiners spread in contiguous blocks with none local.
 func WithPlacement(place ...int) Option {
 	return func(sc *stageConfig) { sc.cfg.Placement = append([]int(nil), place...) }

@@ -53,8 +53,8 @@ type emitShardRec struct {
 }
 
 // The sharded sink must be invisible in the result multiset: across
-// both engines (single-grid and grouped decomposition), batch sizes 1
-// and 32, and a single grid that expands elastically mid-stream, the
+// power-of-two and other joiner counts, batch sizes 1 and 32, and a
+// grid that expands elastically mid-stream, the
 // output matches the nested-loop oracle exactly — while migrations
 // relocate state, four feeders send concurrently, and the per-shard
 // serialization contract is actively checked. Each shard is one joiner
@@ -74,7 +74,7 @@ func TestShardedEmitExactness(t *testing.T) {
 	}{
 		{"operator/workers=0/batch=1", 8, 1, 0}, // power of two: single grid
 		{"operator/workers=0/batch=32", 8, 32, 0},
-		{"grouped/workers=0/batch=1", 6, 1, 0}, // 4+2 groups: cross-group shard offsets
+		{"grouped/workers=0/batch=1", 6, 1, 0}, // not a power of two: a grid of 4
 		{"grouped/workers=0/batch=32", 6, 32, 0},
 		// J = 8 under a per-joiner cap of 600 tuples: with the 300 R
 		// tuples stored, the first Alg. 2 check past ~1 000 S tuples

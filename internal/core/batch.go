@@ -12,8 +12,8 @@ import (
 // and a flush pushes the same envelope pointer onto the data link of
 // every joiner in that row or column — the grid's replication (§3) is
 // sharing, not copying. An envelope's body is a run of tuples of one
-// relation sharing the header's epoch and probe-only mode, so each data
-// envelope is exactly one joiner run. Envelopes recycle through a pool:
+// relation sharing the header's epoch, so each data envelope is exactly
+// one joiner run. Envelopes recycle through a pool:
 // the flush sets the reference count to the fan-out and the last
 // destination to release the envelope returns it, so steady state runs
 // without per-tuple (or per-envelope) allocations.
@@ -30,7 +30,7 @@ import (
 // it until the last release returns it to the pool.
 type envelope struct {
 	// hdr is the header. A data envelope has kind kTuple and carries the
-	// sender, epoch tag and probe-only mode of every tuple in the body; a
+	// sender and epoch tag of every tuple in the body; a
 	// control envelope's header is the control message itself (epoch
 	// signal, checkpoint marker or EOS) and its body is empty.
 	hdr message
@@ -115,7 +115,7 @@ func (p *slicePool[T]) put(b []T) {
 }
 
 // The ingest front end uses the same discipline one hop earlier:
-// Send/SendBatch wrap tuples in pooled []sourceItem envelopes, the
+// Send/SendBatch wrap tuples in pooled []join.Tuple envelopes, the
 // source rings carry whole envelopes, and the consuming reshuffler
 // returns each envelope after copying it out — so the producer-side
 // entry point also runs without per-tuple (or per-envelope, in steady
@@ -123,15 +123,15 @@ func (p *slicePool[T]) put(b []T) {
 
 // itemPool recycles source envelopes between senders (producers) and
 // reshufflers (consumers).
-var itemPool slicePool[sourceItem]
+var itemPool slicePool[join.Tuple]
 
 // getItems returns an empty source envelope with at least capHint
 // capacity.
-func getItems(capHint int) []sourceItem { return itemPool.get(capHint) }
+func getItems(capHint int) []join.Tuple { return itemPool.get(capHint) }
 
 // putItems recycles a consumed source envelope, clearing it first so
 // recycled buffers do not pin tuple payloads.
-func putItems(b []sourceItem) {
+func putItems(b []join.Tuple) {
 	clear(b)
 	itemPool.put(b)
 }

@@ -69,7 +69,7 @@ func TestSignalFlushesPendingBatches(t *testing.T) {
 	r := handReshuffler(op)
 	// Under (2,1) an S tuple goes to both rows: one pending envelope for
 	// the column, shared by both links.
-	r.routeBatch([]sourceItem{{t: join.Tuple{Rel: matrix.SideS, Key: 1, Seq: 1, U: 1}}})
+	r.routeBatch([]join.Tuple{{Rel: matrix.SideS, Key: 1, Seq: 1, U: 1}})
 	if n := op.met.BatchesSent.Load(); n != 0 {
 		t.Fatalf("%d envelopes shipped before the command", n)
 	}
@@ -114,7 +114,7 @@ func TestBatchingElasticExpansionExact(t *testing.T) {
 	}
 }
 
-// The grouped decomposition (probe-only cross-group traffic) must stay
+// A non-power-of-two J (12 runs an 8-joiner grid) must stay
 // exactly-once across batch sizes, including under migrations.
 func TestBatchingGroupedExact(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
@@ -130,9 +130,11 @@ func TestBatchingGroupedExact(t *testing.T) {
 		}
 	}
 	want := refCount(pred, tuples)
-	got, gr := runGrouped(t, Config{J: 12, Pred: pred, Adaptive: true, Seed: 9}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d (migrations=%d)", got, want, gr.Migrations())
+	for _, bs := range []int{1, 32} {
+		got, op := runOperator(t, Config{J: 12, Pred: pred, Adaptive: true, Seed: 9, BatchSize: bs}, tuples)
+		if got != want {
+			t.Fatalf("batch %d: emitted %d, reference %d (migrations=%d)", bs, got, want, op.Migrations())
+		}
 	}
 }
 
@@ -202,14 +204,14 @@ func TestJoinerPortsCapacityScalesWithBatchSize(t *testing.T) {
 // Recycled envelopes must come back empty and regrow cleanly.
 func TestBatchPoolRoundTrip(t *testing.T) {
 	e := getEnvelope(8)
-	e.hdr = message{kind: kTuple, epoch: 3, probeOnly: true}
+	e.hdr = message{kind: kTuple, epoch: 3, expand: true}
 	for i := 0; i < 8; i++ {
 		e.tuples = append(e.tuples, join.Tuple{Key: int64(i), Payload: []byte{1}})
 	}
 	body := e.tuples
 	e.refs.Store(1)
 	e.release()
-	if len(e.tuples) != 0 || e.hdr.epoch != 0 || e.hdr.probeOnly || e.bytes != 0 {
+	if len(e.tuples) != 0 || e.hdr.epoch != 0 || e.hdr.expand || e.bytes != 0 {
 		t.Fatalf("released envelope kept %d tuples, header %+v", len(e.tuples), e.hdr)
 	}
 	if body[0].Payload != nil {

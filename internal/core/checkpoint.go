@@ -120,7 +120,7 @@ type replayRing struct {
 	// its fill, and only the last one takes appends. head is how many
 	// leading items of segs[0] Trim has cut (and zeroed); n counts the
 	// retained items; next is the capacity of the next segment.
-	segs [][]sourceItem
+	segs [][]join.Tuple
 	head int
 	n    int
 	next int
@@ -132,13 +132,13 @@ func newReplayLog(numRings int) *ReplayLog {
 
 // append logs items after the ring's retained ones, in order. The
 // caller holds rg.mu.
-func (rg *replayRing) append(items []sourceItem) {
+func (rg *replayRing) append(items []join.Tuple) {
 	rg.n += len(items)
 	for len(items) > 0 {
 		last := len(rg.segs) - 1
 		if last < 0 || len(rg.segs[last]) == cap(rg.segs[last]) {
 			rg.next = min(max(2*rg.next, replaySegMin), replaySegMax)
-			rg.segs = append(rg.segs, make([]sourceItem, 0, rg.next))
+			rg.segs = append(rg.segs, make([]join.Tuple, 0, rg.next))
 			last++
 		}
 		seg := rg.segs[last]
@@ -201,7 +201,7 @@ func (rg *replayRing) cut(drop int64) {
 
 // each calls fn on every retained item in log order. The caller holds
 // rg.mu.
-func (rg *replayRing) each(fn func(*sourceItem)) {
+func (rg *replayRing) each(fn func(*join.Tuple)) {
 	for i, seg := range rg.segs {
 		if i == 0 {
 			seg = seg[rg.head:]
@@ -244,11 +244,11 @@ func (l *ReplayLog) Len() int {
 
 // snapshotRing copies one ring's retained items; callers replay from
 // the copy so the log's own locks stay short.
-func (l *ReplayLog) snapshotRing(d int) []sourceItem {
+func (l *ReplayLog) snapshotRing(d int) []join.Tuple {
 	rg := &l.rings[d]
 	rg.mu.Lock()
-	items := make([]sourceItem, 0, rg.n)
-	rg.each(func(it *sourceItem) { items = append(items, *it) })
+	items := make([]join.Tuple, 0, rg.n)
+	rg.each(func(t *join.Tuple) { items = append(items, *t) })
 	rg.mu.Unlock()
 	return items
 }
@@ -259,8 +259,8 @@ func (l *ReplayLog) maxSeq() uint64 {
 	for d := range l.rings {
 		rg := &l.rings[d]
 		rg.mu.Lock()
-		rg.each(func(it *sourceItem) {
-			if s := it.t.Seq; s > max {
+		rg.each(func(t *join.Tuple) {
+			if s := t.Seq; s > max {
 				max = s
 			}
 		})
@@ -535,8 +535,8 @@ func (op *Operator) ReplayLog() *ReplayLog {
 // (restored, started) operator: first the global sequence cursor is
 // bumped past every logged sequence number so fresh Sends can never
 // collide with a replayed one, then the items re-enter through the
-// normal ingest edge with their original sequence numbers and
-// probe-only flags. Call it after Start and before any new Send.
+// normal ingest edge with their original sequence numbers. Call it
+// after Start and before any new Send.
 // Replayed items that were already inside the restored checkpoint's
 // cut route to the joiners that restored them (deterministic routing)
 // and are dropped by their sequence filters, so replaying a
@@ -557,7 +557,7 @@ func (op *Operator) ReplayFrom(log *ReplayLog) error {
 		items := log.snapshotRing(d)
 		for len(items) > 0 {
 			chunk := items[:min(len(items), replayChunk)]
-			if err := op.sendItems(len(chunk), func(i int) sourceItem { return chunk[i] }); err != nil {
+			if err := op.sendItems(len(chunk), func(i int) join.Tuple { return chunk[i] }); err != nil {
 				return err
 			}
 			items = items[len(chunk):]

@@ -275,7 +275,7 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 	full := newReplayLog(len(op.sources))
 	for i := range tuples {
 		d := dealTarget(tuples[i].Seq, len(op.sources))
-		full.rings[d].append([]sourceItem{{t: tuples[i]}})
+		full.rings[d].append([]join.Tuple{tuples[i]})
 	}
 
 	snap := latestSnapshot(t, backend)

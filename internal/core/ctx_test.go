@@ -95,24 +95,25 @@ func TestOperatorTaskPanicSurfaces(t *testing.T) {
 	}
 }
 
-// Cancelling a grouped operator propagates to every group.
+// Cancelling an operator built for a non-power-of-two J (5 runs a
+// 4-joiner grid) stops it like any other.
 func TestGroupedContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	gr := mustGrouped(t, Config{J: 5, Pred: join.EquiJoin("ctx", nil), Seed: 2})
-	gr.StartContext(ctx)
+	op := mustOperator(t, Config{J: 5, Pred: join.EquiJoin("ctx", nil), Seed: 2})
+	op.StartContext(ctx)
 	cancel()
 
 	deadline := time.Now().Add(5 * time.Second)
 	var err error
 	for time.Now().Before(deadline) {
-		if err = gr.Send(join.Tuple{Rel: matrix.SideR, Key: 1}); err != nil {
+		if err = op.Send(join.Tuple{Rel: matrix.SideR, Key: 1}); err != nil {
 			break
 		}
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Send = %v, want context.Canceled", err)
 	}
-	if err := gr.Finish(); !errors.Is(err, context.Canceled) {
+	if err := op.Finish(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Finish = %v, want context.Canceled", err)
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Engine is the uniform driving surface over the two engines in the
-// system: the Operator, on its grid or its hash (SHJ) route, and the
-// Grouped power-of-two decomposition built from Operators. Sinks,
-// metrics collectors, the pipeline layer, and the bench/experiment
-// harnesses drive an Engine without knowing which operator is behind
-// it.
+// Engine is the driving surface of the Operator, on its grid or its
+// hash (SHJ) route. Sinks, metrics collectors, the pipeline layer, and
+// the bench/experiment harnesses drive an Engine without knowing which
+// route is behind it.
 //
 // The lifecycle is Start (or StartContext) → Send/SendBatch → Finish.
 // Send and SendBatch return ErrFinished after Finish and the
@@ -34,12 +32,8 @@ type Engine interface {
 	// Finish closes the input, drains, stops all tasks, and returns
 	// the first task error.
 	Finish() error
-	// Metrics exposes the engine's counters (for Grouped, a merged
-	// snapshot across its groups).
+	// Metrics exposes the engine's counters.
 	Metrics() *metrics.Operator
 }
 
-var (
-	_ Engine = (*Operator)(nil)
-	_ Engine = (*Grouped)(nil)
-)
+var _ Engine = (*Operator)(nil)

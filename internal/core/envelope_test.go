@@ -14,61 +14,6 @@ import (
 	"repro/internal/transport"
 )
 
-// TestProbeOnlyEnvelopeWaitsForOlderStored: grouped mode's ownership
-// guard keeps a probe-only tuple's match only when the stored partner is
-// older, so an older stored tuple must reach a joiner before a newer
-// probe-only tuple of the other relation. Stored S tuples wait in both
-// columns' envelopes while newer probe-only R tuples fill row 0's; the
-// full flush must ship the columns first, so on the link of every
-// joiner of row 0 — each intersects one column — the S envelope arrives
-// before the R one.
-func TestProbeOnlyEnvelopeWaitsForOlderStored(t *testing.T) {
-	const batch = 4
-	mp := matrix.Mapping{N: 2, M: 2}
-	op := mustOperator(t, Config{J: 4, Pred: join.EquiJoin("eq", nil), Initial: mp, BatchSize: batch})
-	rng := rand.New(rand.NewSource(1))
-	r := handReshuffler(op)
-	seq := uint64(0)
-	// next returns a tuple of rel routed to row (R) or column (S) part.
-	next := func(rel matrix.Side, part int, probeOnly bool) sourceItem {
-		seq++
-		for {
-			u := rng.Uint64()
-			if (rel == matrix.SideR && mp.RowOf(u) == part) || (rel == matrix.SideS && mp.ColOf(u) == part) {
-				return sourceItem{t: join.Tuple{Rel: rel, Key: 7, Seq: seq, U: u | 1}, probeOnly: probeOnly}
-			}
-		}
-	}
-	r.routeBatch([]sourceItem{next(matrix.SideS, 0, false), next(matrix.SideS, 1, false)})
-	var probes []sourceItem
-	for i := 0; i < batch; i++ {
-		probes = append(probes, next(matrix.SideR, 0, true))
-	}
-	r.routeBatch(probes)
-
-	for row := 0; row < mp.N; row++ {
-		for col := 0; col < mp.M; col++ {
-			id := op.ctl.table[row*mp.M+col]
-			in := op.joiners[id].dataIn
-			first := <-in
-			if first.hdr.probeOnly || first.tuples[0].Rel != matrix.SideS {
-				t.Fatalf("joiner %d (row %d): first envelope carries %v probe-only=%v, want the stored S tuple",
-					id, row, first.tuples[0].Rel, first.hdr.probeOnly)
-			}
-			if row == 0 {
-				second := <-in
-				if !second.hdr.probeOnly || second.tuples[0].Rel != matrix.SideR || len(second.tuples) != batch {
-					t.Fatalf("joiner %d: second envelope %v probe-only=%v with %d tuples, want the full probe-only R row",
-						id, second.tuples[0].Rel, second.hdr.probeOnly, len(second.tuples))
-				}
-			}
-			if n := len(in); n != 0 {
-				t.Fatalf("joiner %d (row %d): %d more envelopes, want none", id, row, n)
-			}
-		}
-	}
-}
-
 // TestEnvelopeLifetime: an envelope shipped to several joiners returns
 // to the pool exactly once, after the last destination releases it —
 // whether that reference was held aside at a checkpoint barrier and
@@ -83,7 +28,7 @@ func TestEnvelopeLifetime(t *testing.T) {
 	}
 	// shared builds a data envelope from link 0 holding refs references.
 	shared := func(refs int32) (*envelope, uint32) {
-		e := dataEnv(0, false, tuples...)
+		e := dataEnv(0, tuples...)
 		e.refs.Store(refs)
 		return e, e.recycled
 	}
@@ -198,7 +143,7 @@ func TestRemoteEnvelopeOneFramePerWorker(t *testing.T) {
 	}
 	rt, st := tuple(matrix.SideR, 1), tuple(matrix.SideS, 2)
 	r := handReshuffler(op)
-	r.routeBatch([]sourceItem{{t: rt}, {t: st}})
+	r.routeBatch([]join.Tuple{rt, st})
 	rowEnv, colEnv := r.out[1], r.out[mp.N]
 	rowGen, colGen := rowEnv.recycled, colEnv.recycled
 	r.flushAll(&op.met.BatchFlushIdle)

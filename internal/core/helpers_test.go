@@ -21,17 +21,6 @@ func mustOperator(t testing.TB, cfg Config) *Operator {
 	return op
 }
 
-// mustGrouped is NewGrouped for a configuration the test knows is
-// valid.
-func mustGrouped(t testing.TB, cfg Config) *Grouped {
-	t.Helper()
-	gr, err := NewGrouped(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gr
-}
-
 // counter is a sink adding each run's length to n.
 func counter(n *atomic.Int64) join.EmitBatch {
 	return func(ps []join.Pair) { n.Add(int64(len(ps))) }
@@ -54,9 +43,9 @@ func runOperatorWithLatency(t *testing.T, cfg Config, tuples []join.Tuple) (int6
 
 // dataEnv builds a data envelope of one relation's tuples for a
 // hand-driven joiner, holding the one reference handleBatch releases.
-func dataEnv(epoch uint32, probeOnly bool, ts ...join.Tuple) *envelope {
+func dataEnv(epoch uint32, ts ...join.Tuple) *envelope {
 	e := getEnvelope(len(ts))
-	e.hdr = message{kind: kTuple, epoch: epoch, probeOnly: probeOnly}
+	e.hdr = message{kind: kTuple, epoch: epoch}
 	for _, t := range ts {
 		e.tuples = append(e.tuples, t)
 		e.bytes += t.Bytes()

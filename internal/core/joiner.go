@@ -33,9 +33,9 @@ import (
 // processed as part of a same-side run — one data envelope is one run
 // (handleBatch, runTuples) — and a migrated-in block as one run per
 // side (onMigBlocks). Which stores a
-// run probes and where it lands depend on the epoch; Keep and the
-// §4.2.2 ownership guard are filters over the pairs the run collected
-// (filterTail), never per-pair callbacks.
+// run probes and where it lands depend on the epoch; Keep is a filter
+// over the pairs the run collected (filterKept), never a per-pair
+// callback.
 type joiner struct {
 	id    int
 	pred  join.Predicate
@@ -89,11 +89,8 @@ type joiner struct {
 	topo      *topology
 	ackCh     chan<- int
 	emitBatch join.EmitBatch
-	// shard is this joiner's sink shard id (id plus the group's shard
-	// base).
-	shard int
-	met   *metrics.Joiner
-	stCfg storage.Config
+	met       *metrics.Joiner
+	stCfg     storage.Config
 	// stop is the operator's cancellation signal; the task loop's
 	// blocking waits select on it.
 	stop   <-chan struct{}
@@ -107,46 +104,23 @@ type joiner struct {
 // turn one hot key into a permanent memory tax.
 const maxPairBufCap = 1 << 15
 
-// tailFilter names a rule filterTail applies to collected pairs.
-type tailFilter uint8
-
-const (
-	// storedOlder is the §4.2.2 ownership rule for probe-only traffic: a
-	// pair joins only in the group storing its earlier tuple, so a
-	// probe-only tuple keeps a match only when the stored one is older.
-	storedOlder tailFilter = iota
-	// probeOlder is the same rule seen from a stored µ tuple probing the
-	// buffered probe-only ∆′ traffic: the pair belongs here only when the
-	// µ tuple is the older one.
-	probeOlder
-	// storedKept is Keep(τ∪∆): a new-epoch tuple joins only the
-	// old-epoch state this machine retains under the new mapping.
-	storedKept
-)
-
-// filterTail applies f to the pairs a run of rel-side probes just
-// collected, pairBuf[n0:], compacting the survivors in place. The
-// probing member of every collected pair is the run's tuple, so each
-// rule is expressible over the pair alone; pairs before n0 belong to
-// other probes and pass through untouched.
-func (w *joiner) filterTail(rel matrix.Side, n0 int, f tailFilter) {
+// filterKept applies Keep(τ∪∆) to the pairs a run of rel-side probes
+// just collected from the old-epoch state, pairBuf[n0:], compacting the
+// survivors in place: a new-epoch tuple joins only the old-epoch state
+// this machine retains under the new mapping. The probing member of
+// every collected pair is the run's tuple, so the stored member is the
+// other side; pairs before n0 belong to other probes and pass through
+// untouched.
+func (w *joiner) filterKept(rel matrix.Side, n0 int) {
+	keep := w.mig.keep[rel.Other()]
 	buf := w.pairBuf
 	kept := buf[:n0]
 	for i := n0; i < len(buf); i++ {
-		stored, probe := &buf[i].R, &buf[i].S
+		stored := &buf[i].R
 		if rel == matrix.SideR {
-			stored, probe = probe, stored
+			stored = &buf[i].S
 		}
-		var ok bool
-		switch f {
-		case storedOlder:
-			ok = stored.Seq < probe.Seq
-		case probeOlder:
-			ok = probe.Seq < stored.Seq
-		default:
-			ok = w.mig.keep[stored.Rel].Has(stored.U)
-		}
-		if ok {
+		if keep.Has(stored.U) {
 			kept = append(kept, buf[i])
 		}
 	}
@@ -171,10 +145,8 @@ func (w *joiner) flushPending() {
 
 // migTarget is one destination of this joiner's outgoing state during
 // a migration, with the filter selecting which old-epoch tuples it
-// gets and the arena blocks under construction for it: stored tuples
-// (τ and stored ∆) in blocks, which the receiver adopts into µ, and
-// probe-only ∆ forwards (grouped mode's cross-group traffic) in probe,
-// which the receiver only probes ∆′ with. Both ship as kMigBlocks.
+// gets and the arena blocks (τ and ∆) under construction for it, which
+// ship as kMigBlocks and which the receiver adopts into µ.
 type migTarget struct {
 	dest int
 	// want is, per side, the routing values of the old-epoch tuples the
@@ -183,7 +155,6 @@ type migTarget struct {
 	// partition of each relation for an expansion child.
 	want   [2]matrix.Top
 	blocks join.BlockEncoder
-	probe  join.BlockEncoder
 }
 
 // migState is the in-flight migration context.
@@ -198,14 +169,7 @@ type migState struct {
 	targets []migTarget
 	mu      *storage.Store // µ: migrated-in state
 	dp      *storage.Store // ∆′: new-epoch arrivals
-	// probeBuf holds probe-only new-epoch tuples (multi-group
-	// traffic) until the migration completes: a probe-only ∆′ tuple
-	// that passes through before a matching µ tuple lands would
-	// otherwise miss it — stored tuples repair such races by being
-	// probed later, probe-only tuples cannot. Arriving stored µ
-	// tuples probe this buffer; it is discarded at finalization.
-	probeBuf *join.Local
-	signals  int
+	signals int
 	// expectedDones is how many kMigDone messages finalization awaits:
 	// 1 for an elementary step (the partner) and for an expansion
 	// child (the parent); 0 for an expansion parent.
@@ -264,10 +228,9 @@ func (w *joiner) run() error {
 // handleBatch processes one data-plane envelope and releases this
 // joiner's reference to it. It is the only place a data tuple is
 // processed, in every epoch: a data envelope's body is a run of tuples
-// of one relation sharing the header's epoch tag and probe-only mode,
-// and it goes to runTuples whole, as one run, without a copy — the body
-// is shared with the other joiners of its row or column and nobody
-// writes it. A restored joiner's replay-duplicate filter copies the
+// of one relation sharing the header's epoch tag, and it goes to
+// runTuples whole, as one run, without a copy — the body is shared with
+// the other joiners of its row or column and nobody writes it. A restored joiner's replay-duplicate filter copies the
 // surviving tuples into runBuf instead; the ∆ path copies its kept
 // sub-run there too (runTuples).
 //
@@ -305,7 +268,7 @@ func (w *joiner) handleBatch(e *envelope) {
 	if len(run) > 0 {
 		w.met.InputTuples.Add(int64(len(run)))
 		w.met.InputBytes.Add(bytes)
-		w.runTuples(run, e.hdr.epoch, e.hdr.probeOnly)
+		w.runTuples(run, e.hdr.epoch)
 	}
 	if w.mig != nil {
 		// Ship the ∆ forwards buffered while processing this envelope;
@@ -317,35 +280,27 @@ func (w *joiner) handleBatch(e *envelope) {
 }
 
 // runTuples processes one run of same-side data tuples sharing an epoch
-// tag and probe-only mode — Alg. 3's HandleTuple1/HandleTuple2 for a
-// whole run, classified once — and ships its matches. handleBatch hands
-// it one envelope body per call. Tuples of one relation never join each
-// other, so probing every store with the whole run before storing any
-// of it emits exactly the pairs per-tuple probe-then-store would.
-// Matches collect in pairBuf; a probe-only run's are then cut to the
-// ones this group owns (§4.2.2), and the run's output flushes once. The
-// run may be a shared envelope body, so it is only read: the ∆ path's
-// kept sub-run is compacted into runBuf, not in place.
-func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
+// tag — Alg. 3's HandleTuple1/HandleTuple2 for a whole run, classified
+// once — and ships its matches. handleBatch hands it one envelope body
+// per call. Tuples of one relation never join each other, so probing
+// every store with the whole run before storing any of it emits exactly
+// the pairs per-tuple probe-then-store would. Matches collect in
+// pairBuf, and the run's output flushes once. The run may be a shared
+// envelope body, so it is only read: the ∆ path's kept sub-run is
+// compacted into runBuf, not in place.
+func (w *joiner) runTuples(run []join.Tuple, epoch uint32) {
 	rel := run[0].Rel
-	n0 := len(w.pairBuf)
 	switch {
 	case w.mig == nil:
 		if epoch != w.epoch {
 			panic(fmt.Sprintf("core: joiner %d: tuple epoch %d outside migration (at %d)", w.id, epoch, w.epoch))
 		}
-		if probeOnly {
-			w.state.ProbeBatchCollect(run, &w.pairBuf)
-		} else {
-			w.state.AddBatchCollect(run, &w.pairBuf)
-		}
+		w.state.AddBatchCollect(run, &w.pairBuf)
 	case epoch == w.epoch:
 		// ∆: old-epoch arrivals during the migration (Alg. 3 lines 15-20).
 		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ (τ ∪ ∆)
-		w.forwardMig(run, probeOnly)               // Migrated(∆) to peers
-		if !probeOnly {
-			w.state.InsertBatch(run)
-		}
+		w.forwardMig(run)                          // Migrated(∆) to peers
+		w.state.InsertBatch(run)
 		// Everything else is done with the whole run, so its kept sub-run
 		// compacts into runBuf (in place when the run already lives there:
 		// the write index never passes the read index).
@@ -363,21 +318,11 @@ func (w *joiner) runTuples(run []join.Tuple, epoch uint32, probeOnly bool) {
 		w.mig.mu.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ µ
 		n1 := len(w.pairBuf)
 		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ Keep(τ ∪ ∆)
-		w.filterTail(rel, n1, storedKept)
-		if probeOnly {
-			w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
-			// Remember the probes so later-arriving µ tuples can complete
-			// the run ⋈ µ part they could not see yet.
-			w.mig.probeBuf.InsertBatch(run)
-		} else {
-			w.mig.dp.AddBatchCollect(run, &w.pairBuf) // run ⋈ ∆′, then store
-		}
+		w.filterKept(rel, n1)
+		w.mig.dp.AddBatchCollect(run, &w.pairBuf) // run ⋈ ∆′, then store
 	default:
 		panic(fmt.Sprintf("core: joiner %d: tuple epoch %d, joiner epoch %d, migration epoch %d",
 			w.id, epoch, w.epoch, w.mig.epoch))
-	}
-	if probeOnly {
-		w.filterTail(rel, n0, storedOlder)
 	}
 	w.flushPending()
 }
@@ -526,7 +471,7 @@ func (w *joiner) onSignal(m message) {
 			tgt := &w.mig.targets[i]
 			// Flush the pending blocks first so the done marker arrives
 			// after every migrated tuple on its link.
-			w.migFlush(tgt)
+			w.migShip(tgt)
 			w.topo.pushMig(tgt.dest, message{kind: kMigDone, epoch: w.mig.epoch, from: w.id})
 		}
 		w.maybeFinalize()
@@ -552,7 +497,6 @@ func (w *joiner) ensureMig(epoch uint32, newMapping matrix.Mapping, expand bool)
 		expand:     expand,
 		mu:         storage.NewStore(w.pred, w.stCfg),
 		dp:         storage.NewStore(w.pred, w.stCfg),
-		probeBuf:   join.NewLocal(w.pred),
 	}
 	if expand {
 		e := matrix.NewExpansion(w.mapping)
@@ -594,7 +538,7 @@ func (w *joiner) ensureMig(epoch uint32, newMapping matrix.Mapping, expand bool)
 	}
 	for i := range mig.targets {
 		tgt := &mig.targets[i]
-		ship := func() { w.migShip(tgt.dest, &tgt.blocks, false) }
+		ship := func() { w.migShip(tgt) }
 		for _, side := range migSides {
 			n := w.state.SelectInto(side, tgt.want[side], &tgt.blocks, migBlockFlush, ship)
 			w.met.MigratedOut.Add(int64(n))
@@ -615,7 +559,7 @@ const migBlockFlush = 512
 // forwardMig buffers a run of old-epoch tuples (∆) into the arena
 // blocks of every migration target whose filter selects them, shipping
 // blocks as they fill.
-func (w *joiner) forwardMig(run []join.Tuple, probeOnly bool) {
+func (w *joiner) forwardMig(run []join.Tuple) {
 	rel := run[0].Rel
 	for i := range w.mig.targets {
 		tgt := &w.mig.targets[i]
@@ -623,42 +567,28 @@ func (w *joiner) forwardMig(run []join.Tuple, probeOnly bool) {
 		if want.None() {
 			continue
 		}
-		enc := &tgt.blocks
-		if probeOnly {
-			enc = &tgt.probe
-		}
 		n := 0
 		for j := range run {
 			if !want.Has(run[j].U) {
 				continue
 			}
-			enc.Add(run[j])
+			tgt.blocks.Add(run[j])
 			n++
-			if enc.Len() >= migBlockFlush {
-				w.migShip(tgt.dest, enc, probeOnly)
+			if tgt.blocks.Len() >= migBlockFlush {
+				w.migShip(tgt)
 			}
 		}
-		if !probeOnly {
-			w.met.MigratedOut.Add(int64(n))
-		}
+		w.met.MigratedOut.Add(int64(n))
 	}
 }
 
-// migFlush ships one target's buffered blocks. Both precede any
-// kMigDone the caller sends next, which is all FIFO needs; their order
-// relative to each other is free, because stored and probe-only
-// forwards never join at the receiver (both are old-epoch).
-func (w *joiner) migFlush(tgt *migTarget) {
-	w.migShip(tgt.dest, &tgt.blocks, false)
-	w.migShip(tgt.dest, &tgt.probe, true)
-}
-
-// migShip sends enc's buffered tuples, if any, as one kMigBlocks
-// message and resets enc. A target in this process gets the sealed
-// blocks by pointer, riding tuple.Payload as a zero-length handle
-// (join.BlockSet.AsPayload); only a target behind a link gets them
-// serialized.
-func (w *joiner) migShip(dest int, enc *join.BlockEncoder, probeOnly bool) {
+// migShip sends tgt's buffered tuples, if any, as one kMigBlocks
+// message and resets its encoder. A target in this process gets the
+// sealed blocks by pointer, riding tuple.Payload as a zero-length
+// handle (join.BlockSet.AsPayload); only a target behind a link gets
+// them serialized.
+func (w *joiner) migShip(tgt *migTarget) {
+	enc, dest := &tgt.blocks, tgt.dest
 	if enc.Len() == 0 {
 		return
 	}
@@ -669,18 +599,17 @@ func (w *joiner) migShip(dest int, enc *join.BlockEncoder, probeOnly bool) {
 		payload = enc.Seal().AsPayload()
 	}
 	w.topo.pushMig(dest, message{
-		kind:      kMigBlocks,
-		epoch:     w.mig.epoch,
-		from:      w.id,
-		probeOnly: probeOnly,
-		tuple:     join.Tuple{Payload: payload},
+		kind:  kMigBlocks,
+		epoch: w.mig.epoch,
+		from:  w.id,
+		tuple: join.Tuple{Payload: payload},
 	})
 }
 
 // migFlushAll ships every target's buffered blocks.
 func (w *joiner) migFlushAll() {
 	for i := range w.mig.targets {
-		w.migFlush(&w.mig.targets[i])
+		w.migShip(&w.mig.targets[i])
 	}
 }
 
@@ -688,13 +617,10 @@ func (w *joiner) migFlushAll() {
 // by pointer from a sender in this process, serialized from one behind
 // a link — each side as one run. A run joins only ∆′ (Alg. 3 lines
 // 10-11); its joins against old-epoch state were computed under the old
-// mapping by the sender's side of the matrix. Stored tuples also
-// complete the buffered probe-only ∆′ traffic and are then installed
-// into µ by whole-block adoption; probe-only ∆ forwards (probeOnly)
-// probe ∆′ under the ownership guard and install nothing. A side's run
-// is materialized only when a store it joins holds tuples of the
-// opposite side: early in a migration none does, and τ's blocks go
-// straight into µ.
+// mapping by the sender's side of the matrix. The blocks are then
+// installed into µ by whole-block adoption. A side's run is
+// materialized only when ∆′ holds tuples of the opposite side: early in
+// a migration it does not, and τ's blocks go straight into µ.
 func (w *joiner) onMigBlocks(m message) {
 	if w.mig == nil || m.epoch != w.mig.epoch {
 		panic(fmt.Sprintf("core: joiner %d: migration blocks for epoch %d outside migration", w.id, m.epoch))
@@ -712,29 +638,14 @@ func (w *joiner) onMigBlocks(m message) {
 	w.met.InputTuples.Add(int64(bs.Tuples()))
 	w.met.InputBytes.Add(bs.Bytes())
 	for _, side := range migSides {
-		opp := side.Other()
-		if bs.Len(side) == 0 || (w.mig.dp.Len(opp) == 0 && (m.probeOnly || w.mig.probeBuf.Len(opp) == 0)) {
+		if bs.Len(side) == 0 || w.mig.dp.Len(side.Other()) == 0 {
 			continue
 		}
 		run := bs.AppendSide(w.runBuf[:0], side)
-		n0 := len(w.pairBuf)
 		w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
-		if m.probeOnly {
-			w.filterTail(side, n0, storedOlder)
-		} else {
-			// The buffered probes are probe-only, so the ownership guard
-			// applies from their side: only pairs where the µ tuple is the
-			// older, stored one belong to this group.
-			n1 := len(w.pairBuf)
-			w.mig.probeBuf.ProbeBatchCollect(run, &w.pairBuf)
-			w.filterTail(side, n1, probeOlder)
-		}
 		w.runBuf = run
 	}
 	w.flushPending()
-	if m.probeOnly {
-		return
-	}
 	w.met.MigratedIn.Add(int64(bs.Tuples()))
 	w.mig.mu.AdoptBlocks(bs)
 	w.updateStored()

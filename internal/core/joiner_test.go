@@ -119,52 +119,6 @@ func TestAdaptiveOperatorWithSpillExact(t *testing.T) {
 	})
 }
 
-// A probe-only ∆ forward (grouped mode's cross-group traffic arriving
-// at a joiner already in migration) ships as a probeOnly kMigBlocks
-// message; the receiver probes ∆′ under the ownership guard and
-// installs nothing. In a running operator this needs a joiner to enter
-// the migration on its partner's kMigBegin before its own signal, which
-// only some schedules produce, so the two joiners are driven by hand.
-func TestProbeOnlyForwardShipsAsBlocks(t *testing.T) {
-	var pairs []join.Pair
-	op := mustOperator(t, Config{
-		J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1},
-		EmitBatch: func(ps []join.Pair) { pairs = append(pairs, ps...) },
-	})
-	sender, receiver := op.joiners[0], op.joiners[1]
-	// (2,1) -> (1,2) merges R: the two joiners exchange their R state.
-	begin := message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}}
-	sender.handle(begin)
-	receiver.handle(begin)
-	// ∆′ at the receiver: stored S tuples older and newer than the probe.
-	receiver.handleBatch(dataEnv(1, false,
-		join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1},
-		join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1}))
-	// ∆ at the sender: a probe-only old-epoch R tuple, forwarded when the
-	// envelope ends.
-	sender.handleBatch(dataEnv(0, true, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}))
-
-	var kinds []msgKind
-	for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
-		kinds = append(kinds, m.kind)
-		if m.kind == kMigBlocks && !m.probeOnly {
-			t.Fatal("probe-only forward shipped as stored blocks")
-		}
-		receiver.handle(m)
-	}
-	if len(kinds) != 2 || kinds[0] != kMigBegin || kinds[1] != kMigBlocks {
-		t.Fatalf("migration link carried %v, want [kMigBegin kMigBlocks]", kinds)
-	}
-	// Only the stored partner older than the probe joins here; the newer
-	// one's pair belongs to the probe's own storing group.
-	if len(pairs) != 1 || pairs[0].R.Seq != 2 || pairs[0].S.Seq != 1 {
-		t.Fatalf("pairs %+v, want exactly (R seq 2, S seq 1)", pairs)
-	}
-	if n := receiver.mig.mu.TotalLen(); n != 0 || receiver.met.MigratedIn.Load() != 0 {
-		t.Fatalf("probe-only forward installed %d tuples into µ", n)
-	}
-}
-
 // TestMigrationBlocksByReference pins the two forms migrated blocks
 // take. An elementary step (2,1) -> (1,2) ships joiner 0's whole R
 // state (τ, more than one block) and then a ∆ run to joiner 1. In
@@ -209,7 +163,7 @@ func TestMigrationBlocksByReference(t *testing.T) {
 		if n := sender.mig.targets[0].blocks.Len(); n != 0 {
 			t.Fatalf("the encoder holds %d tuples after τ shipped", n)
 		}
-		sender.handleBatch(dataEnv(0, false, delta...))
+		sender.handleBatch(dataEnv(0, delta...))
 		if n := sender.mig.targets[0].blocks.Len(); n != 0 {
 			t.Fatalf("the encoder holds %d tuples after the ∆ envelope shipped", n)
 		}
@@ -330,23 +284,16 @@ func sameTuples(got, want []join.Tuple) bool {
 
 // TestEpochRunsExact drives two joiners and their reshuffler by hand
 // through one elementary step, (2,1) -> (1,2), with every run class of
-// the batch path: ∆ and ∆′ runs of both sides, stored and probe-only,
-// in row and column envelopes of a random capacity that partial
-// flushes cut at random points, while migrated blocks land between
-// runs and the joiners advance in a random interleaving. One
-// reshuffler feeds both links, as in grouped mode, so the output must
-// be the grouped oracle: every matching pair whose older member is
-// stored, exactly once — for a hash (equi), an ordered (band) and a
-// scan (neq) index. Dropping the Keep filter duplicates the pairs
-// new-epoch tuples form with discarded old state; dropping either
-// direction of the ownership guard claims pairs whose older member is
-// probe-only.
+// the batch path: ∆ and ∆′ runs of both sides, in row and column
+// envelopes of a random capacity that partial flushes cut at random
+// points, while migrated blocks land between runs and the joiners
+// advance in a random interleaving. The output must be every matching
+// pair exactly once — for a hash (equi), an ordered (band) and a scan
+// (neq) index. Dropping the Keep filter duplicates the pairs new-epoch
+// tuples form with discarded old state.
 //
-// The stretches/ cases hold the probe-only mode over random spans of
-// the stream and use larger envelopes, so stored and probe-only
-// envelopes of both relations are pending together — ∆ and ∆′ — and
-// the reshuffler's rule that ships the older stored envelopes of the
-// opposite relation before a probe-only one decides exactness.
+// The stretches/ cases use larger envelopes, so envelopes of both
+// relations, ∆ and ∆′, are pending together across the epoch signal.
 func TestEpochRunsExact(t *testing.T) {
 	for _, pred := range []join.Predicate{
 		join.EquiJoin("eq", nil),
@@ -360,30 +307,6 @@ func TestEpochRunsExact(t *testing.T) {
 			t.Run(fmt.Sprintf("stretches/%v/seed=%d", pred, seed), func(t *testing.T) { epochStepExact(t, pred, seed, true) })
 		}
 	}
-	// With two reshufflers a stored µ tuple can be newer than buffered
-	// probe-only ∆′ traffic; that pair belongs to the probe's own storing
-	// group, the older partner's here.
-	t.Run("probe-buffer-guard", func(t *testing.T) {
-		var pairs []join.Pair
-		op := mustOperator(t, Config{
-			J: 2, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 1}, NumReshufflers: 2,
-			EmitBatch: func(ps []join.Pair) { pairs = append(pairs, ps...) },
-		})
-		sender, receiver := op.joiners[0], op.joiners[1]
-		begin := message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}}
-		sender.handle(begin)
-		receiver.handle(begin)
-		receiver.handleBatch(dataEnv(1, true,
-			join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 1, U: 1 << 63},
-			join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 3, U: 1 << 63}))
-		sender.handleBatch(dataEnv(0, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2, U: 1}))
-		for m, ok := receiver.migIn.TryPop(); ok; m, ok = receiver.migIn.TryPop() {
-			receiver.handle(m)
-		}
-		if len(pairs) != 1 || pairs[0].R.Seq != 2 || pairs[0].S.Seq != 3 {
-			t.Fatalf("pairs %+v, want exactly (R seq 2, S seq 3)", pairs)
-		}
-	})
 }
 
 func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches bool) {
@@ -402,19 +325,15 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 	js := op.joiners
 	r := handReshuffler(op)
 
-	var items []sourceItem
-	probeOnly := false
+	var items []join.Tuple
 	// route hands the reshuffler n new tuples in runs of random length,
 	// flushing its partial envelopes after some of them.
 	route := func(n int) {
 		for n > 0 {
-			run := make([]sourceItem, min(n, 1+rng.Intn(6)))
+			run := make([]join.Tuple, min(n, 1+rng.Intn(6)))
 			for i := range run {
-				if !stretches || rng.Intn(8) == 0 {
-					probeOnly = rng.Intn(3) == 0
-				}
-				run[i] = sourceItem{t: join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64() | 1,
-					Seq: uint64(len(items) + 1), Size: 8}, probeOnly: probeOnly}
+				run[i] = join.Tuple{Rel: matrix.Side(rng.Intn(2)), Key: rng.Int63n(6), U: rng.Uint64() | 1,
+					Seq: uint64(len(items) + 1), Size: 8}
 				items = append(items, run[i])
 			}
 			r.routeBatch(run)
@@ -468,15 +387,8 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 	want := map[[2]uint64]int{}
 	for _, r := range items {
 		for _, s := range items {
-			if r.t.Rel != matrix.SideR || s.t.Rel != matrix.SideS || !pred.Matches(r.t, s.t) {
-				continue
-			}
-			older := r
-			if s.t.Seq < r.t.Seq {
-				older = s
-			}
-			if !older.probeOnly {
-				want[[2]uint64{r.t.Seq, s.t.Seq}]++
+			if r.Rel == matrix.SideR && s.Rel == matrix.SideS && pred.Matches(r, s) {
+				want[[2]uint64{r.Seq, s.Seq}]++
 			}
 		}
 	}
@@ -499,8 +411,8 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 	w.dedup = map[uint64]struct{}{2: {}, 3: {}}
 	w.dedupMax = 3
 	w.handle(message{kind: kMigBegin, epoch: 1, mapping: matrix.Mapping{N: 1, M: 2}})
-	w.handleBatch(dataEnv(0, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2})) // ∆
-	w.handleBatch(dataEnv(1, false, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 3})) // ∆′
+	w.handleBatch(dataEnv(0, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 2})) // ∆
+	w.handleBatch(dataEnv(1, join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 3})) // ∆′
 	if pairs != 0 {
 		t.Fatalf("replayed duplicates emitted %d pairs", pairs)
 	}
@@ -510,10 +422,9 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 }
 
 // TestAlternatingEnvelopeRunsPerStretch: a stream whose sides
-// alternate tuple by tuple, in stretches of one probe-only mode, costs
-// one joiner run per envelope, and the reshuffler's row and column
-// slots cut it into at most one envelope per side and mode — not one
-// run per side change — while staying exact. Every tuple shares its key
+// alternate tuple by tuple costs one joiner run per envelope, and the
+// reshuffler's row and column slots cut it into one envelope per side —
+// not one run per side change — while staying exact. Every tuple shares its key
 // with state stored beforehand, so every run emits pairs and the sink's
 // call count is the run count.
 func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
@@ -524,16 +435,13 @@ func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
 		EmitBatch: func(ps []join.Pair) { calls++; countPairs(got, ps) },
 	})
 	w := op.joiners[0]
-	items := []sourceItem{{t: join.Tuple{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}}, {t: join.Tuple{Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}}
+	items := []join.Tuple{{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}, {Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}
 	for _, it := range items {
-		w.state.Insert(it.t)
+		w.state.Insert(it)
 	}
-	// Three stretches, cut by the mode: stored R S R S, probe-only
-	// R S R S, stored R S.
 	n0 := len(items)
-	for i, po := range []bool{false, false, false, false, true, true, true, true, false, false} {
-		tp := join.Tuple{Rel: matrix.Side(i % 2), Key: 7, Seq: uint64(len(items) + 1), U: 1}
-		items = append(items, sourceItem{t: tp, probeOnly: po})
+	for i := 0; i < 10; i++ {
+		items = append(items, join.Tuple{Rel: matrix.Side(i % 2), Key: 7, Seq: uint64(len(items) + 1), U: 1})
 	}
 	r := handReshuffler(op)
 	r.routeBatch(items[n0:])
@@ -541,23 +449,16 @@ func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
 	for len(w.dataIn) > 0 {
 		w.handleBatch(<-w.dataIn)
 	}
-	if calls != 4 {
-		t.Fatalf("the alternating stream took %d runs, want 4 (an R and an S run per mode)", calls)
+	if calls != 2 {
+		t.Fatalf("the alternating stream took %d runs, want 2 (an R and an S run)", calls)
 	}
-	// The grouped oracle: every pair whose older member is stored, except
-	// the one both of whose members were stored without probing.
+	// Every pair, except the one both of whose members were stored
+	// without probing.
 	want := map[[2]uint64]int{}
 	for _, r := range items {
 		for _, s := range items {
-			if r.t.Rel != matrix.SideR || s.t.Rel != matrix.SideS || r.t.Seq <= 2 && s.t.Seq <= 2 {
-				continue
-			}
-			older := r
-			if s.t.Seq < r.t.Seq {
-				older = s
-			}
-			if !older.probeOnly {
-				want[[2]uint64{r.t.Seq, s.t.Seq}]++
+			if r.Rel == matrix.SideR && s.Rel == matrix.SideS && (r.Seq > 2 || s.Seq > 2) {
+				want[[2]uint64{r.Seq, s.Seq}]++
 			}
 		}
 	}

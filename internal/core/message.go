@@ -6,9 +6,9 @@
 // migration-decision algorithm (Alg. 2), relocates state with the
 // locality-aware pairwise exchange (Fig. 3), and keeps processing new
 // tuples throughout migrations using the eventually-consistent epoch
-// protocol (Alg. 3). Elastic 1-to-4 expansion (Fig. 5) and the
-// power-of-two group decomposition for arbitrary machine counts
-// (§4.2.2) are layered on the same machinery.
+// protocol (Alg. 3). Elastic 1-to-4 expansion (Fig. 5) is layered on
+// the same machinery; a machine count that is not a power of two runs
+// one grid on the largest power of two below it (Config.J).
 package core
 
 import (
@@ -53,17 +53,16 @@ const (
 	// block set by pointer, as a zero-length tuple.Payload
 	// (join.BlockSet.AsPayload); a target behind a link gets the blocks
 	// serialized in tuple.Payload and decodes them into the same block
-	// set. Stored tuples (τ and stored ∆) are adopted into µ whole;
-	// with probeOnly set the run is grouped mode's cross-group ∆
-	// traffic, which only probes ∆′. Either form rides tuple.Payload;
-	// no new message fields (message_test.go pins the layout).
+	// set; the receiver adopts them into µ whole. Either form rides
+	// tuple.Payload; no new message fields (message_test.go pins the
+	// layout).
 	kMigBlocks
 )
 
 // message is the unit of the control and migration planes. On the data
 // plane (reshuffler->joiner) a control message is the header of a
-// header-only envelope and a data envelope's header uses the sender,
-// epoch and probe-only fields for its whole body (batch.go); data tuples
+// header-only envelope and a data envelope's header uses the sender
+// and epoch fields for its whole body (batch.go); data tuples
 // never travel as messages. The migration plane (joiner->joiner) ships
 // messages one at a time, its bulk riding inside kMigBlocks. The field
 // order is descending by alignment to eliminate padding;
@@ -75,10 +74,6 @@ type message struct {
 	epoch   uint32
 	kind    msgKind
 	expand  bool // kSignal, kMigBegin: elastic expansion step
-	// probeOnly marks tuples that join against stored state but are
-	// not stored themselves: the cross-group traffic of the §4.2.2
-	// decomposition.
-	probeOnly bool
 }
 
 // ctrlKind discriminates controller->reshuffler commands.

@@ -11,18 +11,18 @@ import (
 // message is the control and migration planes' unit: the struct orders
 // fields by descending alignment and this test pins the layout to the
 // padding-free size — the embedded tuple and mapping, one word for the
-// sender id, then epoch+kind+expand+probeOnly packed into a single word.
-// It also pins, on 64-bit, the bytes every routed tuple moves through
-// the data plane: the 64-byte join.Tuple (its Size, Rel and Dummy share
-// one word), the source item that embeds it, and the result Pair. A
-// tuple lands once in the envelope of its grid row or column, which
-// every joiner of it shares, so on a (4,4) grid one input tuple costs a
-// source item plus one envelope body slot — 136 bytes, where four
-// per-joiner message copies cost 456.
+// sender id, then epoch+kind+expand packed into a single word. It also
+// pins, on 64-bit, the bytes every routed tuple moves through the data
+// plane: the 64-byte join.Tuple (its Size, Rel and Dummy share one
+// word), which is also the source ring's and the replay log's item, and
+// the result Pair. A tuple lands once in the envelope of its grid row
+// or column, which every joiner of it shares, so on a (4,4) grid one
+// input tuple costs a source slot plus one envelope body slot — 128
+// bytes, where four per-joiner message copies cost 448.
 func TestMessageLayoutHasNoPadding(t *testing.T) {
 	var m message
 	tail := unsafe.Sizeof(m.from) + unsafe.Sizeof(m.epoch) +
-		unsafe.Sizeof(m.kind) + unsafe.Sizeof(m.expand) + unsafe.Sizeof(m.probeOnly)
+		unsafe.Sizeof(m.kind) + unsafe.Sizeof(m.expand)
 	// The four trailing scalars round up to two words on 64-bit.
 	tailWords := (tail + unsafe.Sizeof(uintptr(0)) - 1) / unsafe.Sizeof(uintptr(0))
 	want := unsafe.Sizeof(join.Tuple{}) + unsafe.Sizeof(matrix.Mapping{}) +
@@ -41,8 +41,7 @@ func TestMessageLayoutHasNoPadding(t *testing.T) {
 		{"join.Tuple", unsafe.Sizeof(join.Tuple{}), 64},
 		{"join.Pair", unsafe.Sizeof(join.Pair{}), 128},
 		{"message", unsafe.Sizeof(message{}), 96},
-		{"sourceItem", unsafe.Sizeof(sourceItem{}), 72},
-		{"data-plane bytes per input tuple on a (4,4) grid", unsafe.Sizeof(sourceItem{}) + unsafe.Sizeof(e.tuples[0]), 136},
+		{"data-plane bytes per input tuple on a (4,4) grid", unsafe.Sizeof(join.Tuple{}) + unsafe.Sizeof(e.tuples[0]), 128},
 	} {
 		if c.got != c.want {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)

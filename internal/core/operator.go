@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -122,13 +123,20 @@ type reserveHint struct {
 	perR, perS atomic.Int64
 }
 
-// Config configures every engine: the Operator on its grid route
-// (NewOperator) or its hash route (NewSHJ), and the Grouped
-// decomposition. Each constructor checks it with Validate before
-// building anything, and honors the fields its engine implements.
+// Config configures the Operator on either of its routes: the grid
+// (NewOperator) and the hash route (NewSHJ). Each constructor checks it
+// with Validate before building anything.
 type Config struct {
-	// J is the number of joiners; the grid route needs a power of two,
-	// the hash route and Grouped any positive count.
+	// J is the number of joiners, any positive count. The hash route
+	// runs exactly J. The grid route runs the largest power of two ≤ J
+	// (Validate rounds it down): a 6-joiner grid is a (2,2) or (1,4)
+	// grid of 4. This replaces the paper's decomposition of J into
+	// power-of-two groups (§4.2.2), each seeing the whole stream: the
+	// largest group alone receives no more input per joiner than the
+	// groups do, and it composes with every other feature. What it gives
+	// up is storage spread: each joiner stores up to J/J′ < 2 times what
+	// a joiner of the decomposition would, which matters only against a
+	// per-joiner Storage.CapBytes.
 	J int
 	// Pred is the join predicate.
 	Pred join.Predicate
@@ -144,10 +152,8 @@ type Config struct {
 	// machine in §3.2), but here a reshuffler is a goroutine, and more of
 	// them than cores only splits every SendBatch into smaller envelopes,
 	// each a separate hand-off and wake-up, so joiner batches ship
-	// partly full. Routing does not depend on the count. The grouped
-	// operator uses 1 to obtain a total delivery order per group; a
-	// worker takes the coordinator's count from its hello, a restore
-	// the snapshot's.
+	// partly full. Routing does not depend on the count. A worker takes
+	// the coordinator's count from its hello, a restore the snapshot's.
 	NumReshufflers int
 	// Epsilon is Alg. 2's ε; 0 means 1 (the 1.25-competitive setting).
 	Epsilon float64
@@ -194,16 +200,12 @@ type Config struct {
 	// counts results internally.
 	EmitBatch join.EmitBatch
 	// EmitShard, if non-nil, takes precedence over EmitBatch: results
-	// arrive tagged with the emitting joiner's shard id
-	// (joiner id + EmitShardBase). Calls within one shard are
+	// arrive tagged with the emitting joiner's id as the shard id.
+	// Calls within one shard are
 	// serialized; different shards run concurrently with no cross-shard
 	// order — the sink form that lets J joiners emit without one shared
 	// mutex.
 	EmitShard join.ShardedEmitBatch
-	// EmitShardBase offsets this operator's shard ids; the grouped
-	// decomposition gives each power-of-two group a disjoint shard
-	// range.
-	EmitShardBase int
 	// Latency, if non-nil, samples tuple latencies.
 	Latency *metrics.LatencySampler
 	// Seed makes the random routing reproducible.
@@ -272,8 +274,6 @@ type EngineKind uint8
 const (
 	// GridEngine is the Operator's grid route (NewOperator).
 	GridEngine EngineKind = iota
-	// GroupedEngine is the power-of-two group decomposition (Grouped).
-	GroupedEngine
 	// HashEngine is the Operator's hash route (NewSHJ).
 	HashEngine
 )
@@ -281,13 +281,17 @@ const (
 // Validate checks c for the given engine and resolves zero-valued
 // knobs to their defaults; every constructor calls it before building
 // anything, so a misconfiguration is an error, never a half-built
-// engine. Features only the grid route implements — checkpointing and
-// remote workers — are rejected by the others rather than silently
+// engine. On the grid route it rounds J down to the largest power of
+// two ≤ J. Features only the grid route implements — checkpointing and
+// remote workers — are rejected by the hash route rather than silently
 // dropped, since dropping them would change durability or placement,
 // not just tuning.
 func (c *Config) Validate(kind EngineKind) error {
 	if c.J <= 0 {
 		return fmt.Errorf("core: J=%d joiners, want at least one", c.J)
+	}
+	if kind == GridEngine {
+		c.J = 1 << (bits.Len(uint(c.J)) - 1)
 	}
 	if c.DataQueueCap <= 0 {
 		c.DataQueueCap = 1024
@@ -303,15 +307,12 @@ func (c *Config) Validate(kind EngineKind) error {
 	if kind != HashEngine && !(c.Epsilon >= 0 && c.Epsilon <= 1) {
 		return fmt.Errorf("core: Epsilon=%v, want a value in [0,1] (0 means 1)", c.Epsilon)
 	}
-	if kind != GridEngine {
+	if kind == HashEngine {
 		if c.Backend != nil {
-			return errors.New("core: checkpointing (a Backend) requires the single-grid operator")
+			return errors.New("core: checkpointing (a Backend) requires the grid route")
 		}
 		if len(c.Workers) > 0 {
-			return errors.New("core: remote workers require the single-grid operator")
-		}
-		if kind == GroupedEngine {
-			return nil
+			return errors.New("core: remote workers require the grid route")
 		}
 		if c.Pred.Kind != join.Equi {
 			return fmt.Errorf("core: hash partitioning supports only equi-joins, got %v", c.Pred.Kind)
@@ -323,9 +324,6 @@ func (c *Config) Validate(kind EngineKind) error {
 		c.Adaptive, c.PadDummies = false, false
 		c.MaxTuplesPerJoiner, c.MaxJoiners = 0, 0
 	} else {
-		if c.J&(c.J-1) != 0 {
-			return fmt.Errorf("core: J=%d is not a power of two", c.J)
-		}
 		if c.Initial == (matrix.Mapping{}) {
 			c.Initial = matrix.Square(c.J)
 		}
@@ -369,6 +367,11 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.CheckpointKeep < 1 {
 		c.CheckpointKeep = 1
 	}
+	if len(c.Workers) > 0 {
+		if err := checkWorkerBounds(c.J, c.NumReshufflers, c.BatchSize, c.DataQueueCap); err != nil {
+			return fmt.Errorf("core: remote workers: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -397,12 +400,12 @@ type Operator struct {
 	runner dataflow.Runner
 
 	// sources holds one input ring per reshuffler, carrying pooled
-	// []sourceItem envelopes. Every input is dealt pseudo-randomly by
+	// []join.Tuple envelopes. Every input is dealt pseudo-randomly by
 	// sequence number (sendItems), modeling the paper's random
 	// tuple-to-reshuffler routing: each reshuffler — in particular the
 	// controller — sees an unbiased 1/numReshufflers sample of the
 	// stream in arrival order.
-	sources []chan []sourceItem
+	sources []chan []join.Tuple
 	ctl     *controller
 	hint    reserveHint
 	// ingest holds one cardinality cell per reshuffler (see
@@ -503,11 +506,11 @@ func newOperator(cfg Config, hashed bool) *Operator {
 	op.stop = op.runner.Done()
 	op.topo.met = op.met
 	op.topo.stop = op.stop
-	op.sources = make([]chan []sourceItem, cfg.NumReshufflers)
+	op.sources = make([]chan []join.Tuple, cfg.NumReshufflers)
 	for i := range op.sources {
 		// Sized in envelopes; a Send wraps one tuple per envelope, so
 		// per-tuple producers see the same buffered depth as before.
-		op.sources[i] = make(chan []sourceItem, 512)
+		op.sources[i] = make(chan []join.Tuple, 512)
 	}
 	op.ingest = stats.NewSharded(cfg.NumReshufflers)
 	var dec *Decider
@@ -585,7 +588,6 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 		ckptC:   op.ckptC,
 		stop:    op.stop,
 	}
-	w.shard = id + op.cfg.EmitShardBase
 	ports := (*op.topo.ports.Load())[id]
 	w.dataIn = ports.dataIn
 	w.migIn = ports.migIn
@@ -602,7 +604,7 @@ func (op *Operator) emitBatchFor(w *joiner) join.EmitBatch {
 	if shardFn := op.cfg.EmitShard; shardFn != nil {
 		// The joiner goroutine delivers its own shard's runs, so
 		// per-shard serialization holds by construction.
-		shard := w.shard
+		shard := w.id
 		userBatch = func(ps []join.Pair) { shardFn(shard, ps) }
 	}
 	lat := op.cfg.Latency
@@ -655,7 +657,6 @@ func (op *Operator) spawnChildren(table []int, epoch uint32, newMapping matrix.M
 				keep:          [2]matrix.Top{matrix.TopAll, matrix.TopAll},
 				mu:            storage.NewStore(op.cfg.Pred, op.cfg.Storage),
 				dp:            storage.NewStore(op.cfg.Pred, op.cfg.Storage),
-				probeBuf:      join.NewLocal(op.cfg.Pred),
 				expectedDones: 1, // the parent's MigDone
 			}
 			w := op.newJoiner(id, cell, oldMapping, epoch-1, birth)
@@ -748,7 +749,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 // the deal.
 func (op *Operator) Send(t join.Tuple) error {
 	t.Seq = op.seq.Add(1)
-	return op.sendItems(1, func(int) sourceItem { return sourceItem{t: t} })
+	return op.sendItems(1, func(int) join.Tuple { return t })
 }
 
 // SendBatch feeds a run of tuples, assigning their ingestion sequence
@@ -761,22 +762,22 @@ func (op *Operator) SendBatch(ts []join.Tuple) error {
 		return nil
 	}
 	base := op.seq.Add(uint64(n)) - uint64(n) + 1
-	return op.sendItems(n, func(i int) sourceItem {
+	return op.sendItems(n, func(i int) join.Tuple {
 		t := ts[i]
 		t.Seq = base + uint64(i)
-		return sourceItem{t: t}
+		return t
 	})
 }
 
 // sendItems is the one path from the ingest edge into the source
-// rings: Send, SendBatch, Grouped's fan-out and ReplayFrom all deliver
-// through it. Item i, built by item(i) with its Seq already stamped,
-// goes to reshuffler dealTarget(Seq) — the paper's random
-// tuple-to-reshuffler routing (Alg. 1). Each destination's share ships
-// as one pooled envelope, so a run costs one ring operation per
-// destination, and each item is copied once, straight from where item
-// reads it into its destination envelope.
-func (op *Operator) sendItems(n int, item func(i int) sourceItem) error {
+// rings: Send, SendBatch and ReplayFrom all deliver through it. Item
+// i, built by item(i) with its Seq already stamped, goes to reshuffler
+// dealTarget(Seq) — the paper's random tuple-to-reshuffler routing
+// (Alg. 1). Each destination's share ships as one pooled envelope, so
+// a run costs one ring operation per destination, and each item is
+// copied once, straight from where item reads it into its destination
+// envelope.
+func (op *Operator) sendItems(n int, item func(i int) join.Tuple) error {
 	op.lifeMu.RLock()
 	defer op.lifeMu.RUnlock()
 	if op.closed {
@@ -786,18 +787,18 @@ func (op *Operator) sendItems(n int, item func(i int) sourceItem) error {
 		// Nothing to split: skip the per-destination table, which costs
 		// an allocation past eight rings.
 		it := item(0)
-		return op.push(dealTarget(it.t.Seq, len(op.sources)), append(getItems(1), it))
+		return op.push(dealTarget(it.Seq, len(op.sources)), append(getItems(1), it))
 	}
-	var small [8][]sourceItem
+	var small [8][]join.Tuple
 	outs := small[:0]
 	if k := len(op.sources); k <= len(small) {
 		outs = small[:k]
 	} else {
-		outs = make([][]sourceItem, k)
+		outs = make([][]join.Tuple, k)
 	}
 	for i := 0; i < n; i++ {
 		it := item(i)
-		d := dealTarget(it.t.Seq, len(outs))
+		d := dealTarget(it.Seq, len(outs))
 		if outs[d] == nil {
 			outs[d] = getItems(n)
 		}
@@ -829,7 +830,7 @@ func (op *Operator) sendItems(n int, item func(i int) sourceItem) error {
 // send succeeded — the log is cut back when it does not, and a caller
 // whose Send errored knows its tuples are not covered by any future
 // checkpoint and must re-send them after a restore.
-func (op *Operator) push(d int, env []sourceItem) error {
+func (op *Operator) push(d int, env []join.Tuple) error {
 	if op.replay == nil {
 		select {
 		case op.sources[d] <- env:

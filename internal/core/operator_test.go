@@ -71,8 +71,8 @@ func contentOf(p join.Pair) pairContent {
 }
 
 // withContent gives every tuple a random Aux and a 0–32-byte payload,
-// then stamps the seqs a single-feeder Send (or Grouped.Send) assigns, so
-// the oracle and the engine agree on pair identity.
+// then stamps the seqs a single-feeder Send assigns, so the oracle and
+// the engine agree on pair identity.
 func withContent(rng *rand.Rand, tuples []join.Tuple) {
 	for i := range tuples {
 		tuples[i].Aux = rng.Int63()
@@ -408,20 +408,33 @@ func TestAdaptiveILFBeatsStaticMid(t *testing.T) {
 	}
 }
 
-// TestOperatorConfigValidation covers the rejections only a core
-// caller can reach: the options layer routes a non-power-of-two J to
-// the grouped engine, so J=12 on the grid operator never passes
-// through it. The rest of Validate's rejections are pinned at the
-// public surface (TestInvalidOptionsReturnErrors).
+// TestOperatorConfigValidation pins the grid route's J rounding (down
+// to the largest power of two, an initial mapping checked against the
+// rounded count) and its rejections; the rest of Validate's rejections
+// are pinned at the public surface (TestInvalidOptionsReturnErrors).
 func TestOperatorConfigValidation(t *testing.T) {
 	eq := join.EquiJoin("eq", nil)
 	for _, cfg := range []Config{
 		{J: 0, Pred: eq},
-		{J: 12, Pred: eq},
+		{J: -3, Pred: eq},
+		{J: 12, Pred: eq, Initial: matrix.Mapping{N: 4, M: 4}},
 		{J: 16, Pred: eq, Initial: matrix.Mapping{N: 2, M: 4}},
 	} {
 		if _, err := NewOperator(cfg); err == nil {
 			t.Errorf("NewOperator accepted %+v", cfg)
+		}
+	}
+	for j, want := range map[int]int{1: 1, 2: 2, 3: 2, 5: 4, 6: 4, 7: 4, 8: 8, 12: 8, 20: 16, 1023: 512, 1024: 1024} {
+		cfg := Config{J: j, Pred: eq}
+		if err := cfg.Validate(GridEngine); err != nil {
+			t.Fatalf("J=%d: %v", j, err)
+		}
+		if cfg.J != want || cfg.Initial.J() != want {
+			t.Errorf("grid J=%d runs %d joiners on %v, want %d", j, cfg.J, cfg.Initial, want)
+		}
+		hash := Config{J: j, Pred: eq}
+		if err := hash.Validate(HashEngine); err != nil || hash.J != j {
+			t.Errorf("hash J=%d validated to %d (%v), want it unchanged", j, hash.J, err)
 		}
 	}
 }

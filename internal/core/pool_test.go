@@ -24,7 +24,7 @@ func TestPoolRoundTripAllocFree(t *testing.T) {
 			e.refs.Store(1)
 			e.release()
 		}},
-		{"items", func() { putItems(append(getItems(DefaultBatchSize), sourceItem{})) }},
+		{"items", func() { putItems(append(getItems(DefaultBatchSize), join.Tuple{})) }},
 		{"wire", func() { putWire(append(getWire(), 1)) }},
 	}
 	for _, tc := range cases {

@@ -280,7 +280,7 @@ func (op *Operator) peerRecv(p *remotePeer) error {
 	emits := make(map[int]join.EmitBatch)
 	for id, w := range op.place {
 		if w >= 0 && op.peers[w] == p {
-			shadow := &joiner{id: id, met: op.met.JoinerStats(id), shard: id + op.cfg.EmitShardBase}
+			shadow := &joiner{id: id, met: op.met.JoinerStats(id)}
 			emits[id] = op.emitBatchFor(shadow)
 		}
 	}

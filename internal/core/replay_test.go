@@ -14,17 +14,17 @@ import (
 // the test plays as the reshuffler.
 func stubRingOperator() *Operator {
 	op := &Operator{
-		sources: []chan []sourceItem{make(chan []sourceItem)},
+		sources: []chan []join.Tuple{make(chan []join.Tuple)},
 		replay:  newReplayLog(1),
 	}
 	op.stop = op.runner.Done()
 	return op
 }
 
-func stubEnvelope(n int) []sourceItem {
+func stubEnvelope(n int) []join.Tuple {
 	env := getItems(n)
 	for i := 0; i < n; i++ {
-		env = append(env, sourceItem{t: join.Tuple{Rel: matrix.Side(i & 1), Key: int64(100 + i), Seq: uint64(i + 1), Size: 8}})
+		env = append(env, join.Tuple{Rel: matrix.Side(i & 1), Key: int64(100 + i), Seq: uint64(i + 1), Size: 8})
 	}
 	return env
 }
@@ -36,8 +36,8 @@ func checkLogged(t *testing.T, op *Operator, n int) {
 		t.Fatalf("replay log holds %d items, want %d", len(items), n)
 	}
 	for i, it := range items {
-		if it.t.Seq != uint64(i+1) || it.t.Key != int64(100+i) {
-			t.Fatalf("replay log item %d is %+v: the envelope was recycled before it was logged", i, it.t)
+		if it.Seq != uint64(i+1) || it.Key != int64(100+i) {
+			t.Fatalf("replay log item %d is %+v: the envelope was recycled before it was logged", i, it)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // semantics spelled out on it.
 type flatRing struct {
 	base  int64
-	items []sourceItem
+	items []join.Tuple
 }
 
 func (f *flatRing) trim(cut int64) {
@@ -28,20 +28,17 @@ func (f *flatRing) trim(cut int64) {
 // logItems builds n items in log order: Key numbers them from next,
 // Seq is random (maxSeq must find it anywhere), and each carries a
 // payload so a slot left holding one is visible.
-func logItems(rng *rand.Rand, next *int64, n int) []sourceItem {
-	out := make([]sourceItem, n)
+func logItems(rng *rand.Rand, next *int64, n int) []join.Tuple {
+	out := make([]join.Tuple, n)
 	for i := range out {
 		*next++
-		out[i] = sourceItem{
-			t:         join.Tuple{Key: *next, Seq: rng.Uint64()>>1 + 1, Payload: []byte{byte(*next)}},
-			probeOnly: *next%3 == 0,
-		}
+		out[i] = join.Tuple{Key: *next, Seq: rng.Uint64()>>1 + 1, Payload: []byte{byte(*next)}}
 	}
 	return out
 }
 
-func zeroItem(it *sourceItem) bool {
-	return it.t.Key == 0 && it.t.Seq == 0 && it.t.Payload == nil && !it.probeOnly
+func zeroItem(it *join.Tuple) bool {
+	return it.Key == 0 && it.Seq == 0 && it.Payload == nil
 }
 
 // checkRing compares one ring with its reference: Len, the items and
@@ -59,8 +56,8 @@ func checkRing(t *testing.T, step int, l *ReplayLog, d int, ref *flatRing) {
 		t.Fatalf("step %d ring %d: %d items (n %d), want %d", step, d, len(got), rg.n, len(ref.items))
 	}
 	for i := range got {
-		if got[i].t.Key != ref.items[i].t.Key || got[i].t.Seq != ref.items[i].t.Seq || got[i].probeOnly != ref.items[i].probeOnly {
-			t.Fatalf("step %d ring %d: item %d is %d, want %d", step, d, i, got[i].t.Key, ref.items[i].t.Key)
+		if got[i].Key != ref.items[i].Key || got[i].Seq != ref.items[i].Seq {
+			t.Fatalf("step %d ring %d: item %d is %d, want %d", step, d, i, got[i].Key, ref.items[i].Key)
 		}
 	}
 	for i, seg := range rg.segs {
@@ -69,7 +66,7 @@ func checkRing(t *testing.T, step int, l *ReplayLog, d int, ref *flatRing) {
 			lo = rg.head
 			for j := range seg[:lo] {
 				if !zeroItem(&seg[j]) {
-					t.Fatalf("step %d ring %d: trimmed slot %d still holds item %d", step, d, j, seg[j].t.Key)
+					t.Fatalf("step %d ring %d: trimmed slot %d still holds item %d", step, d, j, seg[j].Key)
 				}
 			}
 		}
@@ -82,7 +79,7 @@ func checkRing(t *testing.T, step int, l *ReplayLog, d int, ref *flatRing) {
 		if tail := seg[len(seg):cap(seg)]; i == len(rg.segs)-1 {
 			for j := range tail {
 				if !zeroItem(&tail[j]) {
-					t.Fatalf("step %d ring %d: slot %d past the fill holds item %d", step, d, len(seg)+j, tail[j].t.Key)
+					t.Fatalf("step %d ring %d: slot %d past the fill holds item %d", step, d, len(seg)+j, tail[j].Key)
 				}
 			}
 		}
@@ -161,8 +158,8 @@ func TestReplayLogSegmentsMatchFlatReference(t *testing.T) {
 		for _, f := range refs {
 			total += len(f.items)
 			for _, it := range f.items {
-				if it.t.Seq > max {
-					max = it.t.Seq
+				if it.Seq > max {
+					max = it.Seq
 				}
 			}
 		}
@@ -198,15 +195,15 @@ func TestReplayLogConcurrentTrim(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for sent := 0; sent < perFeeder; {
 				n := min(1+rng.Intn(300), perFeeder-sent)
-				items := make([]sourceItem, n)
+				items := make([]join.Tuple, n)
 				for i := range items {
 					k := next.Add(1)
-					items[i] = sourceItem{t: join.Tuple{Key: k, Seq: uint64(k), Payload: []byte{1}}}
+					items[i] = join.Tuple{Key: k, Seq: uint64(k), Payload: []byte{1}}
 				}
 				rg.mu.Lock()
 				rg.append(items)
 				for i := range items {
-					order = append(order, items[i].t.Key)
+					order = append(order, items[i].Key)
 				}
 				appended.Add(int64(n))
 				rg.mu.Unlock()
@@ -258,8 +255,8 @@ func TestReplayLogConcurrentTrim(t *testing.T) {
 		t.Fatalf("log holds %d items (Len %d), want %d past cut %d", len(got), l.Len(), len(want), cut)
 	}
 	for i := range got {
-		if got[i].t.Key != want[i] {
-			t.Fatalf("item %d is %d, want %d", i, got[i].t.Key, want[i])
+		if got[i].Key != want[i] {
+			t.Fatalf("item %d is %d, want %d", i, got[i].Key, want[i])
 		}
 	}
 	if wantMax := slices.Max(append([]int64{0}, want...)); l.maxSeq() != uint64(wantMax) {

@@ -53,7 +53,7 @@ type reshuffler struct {
 	consumed int64
 	ckptC    chan<- ckptEvent
 
-	source  <-chan []sourceItem
+	source  <-chan []join.Tuple
 	ctrlCh  chan ctrlMsg
 	topo    *topology
 	opm     *metrics.Operator
@@ -68,14 +68,14 @@ type reshuffler struct {
 	// each tuple in a singleton) into one ingest run per burst, so the
 	// per-envelope amortizations of ingestBatch apply even when the
 	// producer never batches.
-	inBuf []sourceItem
+	inBuf []join.Tuple
 	// pend/pendPos is a partially consumed oversized source envelope:
 	// a producer may SendBatch far more than sourceBurst tuples at
 	// once, and ingesting such an envelope whole would defer control
 	// servicing for a producer-chosen span. Instead it is drained in
 	// quota-bounded chunks across run-loop iterations, preserving the
 	// sourceBurst guarantee.
-	pend    []sourceItem
+	pend    []join.Tuple
 	pendPos int
 
 	// hint is the operator's shared Reserve-hint cell; non-nil only on
@@ -112,13 +112,6 @@ type reshuffler struct {
 
 	lingerT     *time.Timer
 	lingerArmed bool
-}
-
-// sourceItem is one operator input: a tuple plus the probe-only flag
-// used by the multi-group decomposition.
-type sourceItem struct {
-	t         join.Tuple
-	probeOnly bool
 }
 
 // sourceBurst bounds how many tuples the fast path may pull from the
@@ -372,11 +365,11 @@ func (r *reshuffler) disarmLinger() {
 // buffer appends one routed tuple, with its routing value u, to slot
 // s's pending envelope, shipping the envelope when it reaches capacity.
 // The append is the tuple's only copy on its way to the joiners.
-func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64, probeOnly bool) {
+func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	e := r.out[s]
 	if e == nil {
 		e = getEnvelope(r.batchSize)
-		e.hdr = message{kind: kTuple, from: r.id, epoch: r.epoch, probeOnly: probeOnly}
+		e.hdr = message{kind: kTuple, from: r.id, epoch: r.epoch}
 		r.out[s] = e
 	}
 	e.tuples = append(e.tuples, *t)
@@ -412,24 +405,8 @@ func (r *reshuffler) flushAll(cause *atomic.Int64) {
 // ship flushes slot s's pending envelope to every joiner of its row or
 // column (on the hash route, to its one joiner), crediting the flush to
 // cause.
-//
-// A probe-only envelope first ships every pending stored envelope of
-// the opposite relation. Grouped mode's ownership guard (storedOlder)
-// keeps a probe-only tuple's match only when the stored partner is the
-// older one, so that partner must reach the joiner first; rows and
-// columns flush independently, and an older stored tuple still pending
-// in the other relation's slot would otherwise arrive after the newer
-// probe, losing the pair.
 func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	e := r.out[s]
-	if e.hdr.probeOnly {
-		rel := e.tuples[0].Rel
-		for _, d := range r.dirty {
-			if o := r.out[d]; o != nil && !o.hdr.probeOnly && o.tuples[0].Rel != rel {
-				r.ship(d, cause)
-			}
-		}
-	}
 	r.out[s] = nil
 	cause.Add(1)
 	r.opm.BatchesSent.Add(1)
@@ -457,12 +434,10 @@ func (r *reshuffler) slotDests(s int) []int {
 
 // resetSlots sizes the pending-envelope slots for the current mapping.
 // On the grid route slots 0..N-1 are the rows (R tuples) and N..N+M-1
-// the columns (S tuples), and Grouped's probe-only traffic takes a
-// second bank of N+M, since an envelope carries one probe-only mode; on
-// the hash route slot 2·id+side belongs to joiner id. Called with
-// nothing pending.
+// the columns (S tuples); on the hash route slot 2·id+side belongs to
+// joiner id. Called with nothing pending.
 func (r *reshuffler) resetSlots() {
-	n := 2 * (r.mapping.N + r.mapping.M)
+	n := r.mapping.N + r.mapping.M
 	if r.hashed {
 		n = 2 * r.mapping.J()
 	}
@@ -622,13 +597,13 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 // decision algorithm sees the same cumulative counts, it just
 // evaluates its checkpoint condition once per run instead of once per
 // tuple, which moves a migration decision by at most a burst.
-func (r *reshuffler) ingestBatch(items []sourceItem) {
+func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	if len(items) == 0 {
 		return
 	}
 	var nR, nS int64
 	for i := range items {
-		if items[i].t.Rel == matrix.SideR {
+		if items[i].Rel == matrix.SideR {
 			nR++
 		} else {
 			nS++
@@ -641,7 +616,7 @@ func (r *reshuffler) ingestBatch(items []sourceItem) {
 	}
 	if r.lat != nil {
 		for i := range items {
-			r.lat.Arrive(items[i].t.Seq)
+			r.lat.Arrive(items[i].Seq)
 		}
 	}
 	r.noteObserved()
@@ -694,7 +669,7 @@ func (r *reshuffler) publishHint() {
 // assigned a random partition of its relation and forwarded to every
 // joiner of that partition (m machines for an R tuple, n for an S
 // tuple) by landing once in the partition's pending envelope.
-func (r *reshuffler) routeBatch(items []sourceItem) {
+func (r *reshuffler) routeBatch(items []join.Tuple) {
 	if r.out == nil {
 		r.resetSlots()
 	}
@@ -705,7 +680,7 @@ func (r *reshuffler) routeBatch(items []sourceItem) {
 	m := r.mapping
 	var routed int64
 	for i := range items {
-		t := &items[i].t
+		t := &items[i]
 		u := t.U
 		if u == 0 {
 			if t.Seq != 0 {
@@ -720,18 +695,15 @@ func (r *reshuffler) routeBatch(items []sourceItem) {
 				u = r.rng.Uint64()
 			}
 		}
-		s := 0
-		if items[i].probeOnly {
-			s = m.N + m.M
-		}
+		var s int
 		if t.Rel == matrix.SideR {
-			s += m.RowOf(u)
+			s = m.RowOf(u)
 			routed += int64(m.M)
 		} else {
-			s += m.N + m.ColOf(u)
+			s = m.N + m.ColOf(u)
 			routed += int64(m.N)
 		}
-		r.buffer(s, t, u, items[i].probeOnly)
+		r.buffer(s, t, u)
 	}
 	r.opm.RoutedMessages.Add(routed)
 }
@@ -741,15 +713,15 @@ func (r *reshuffler) routeBatch(items []sourceItem) {
 // always meet at one joiner — and popular keys always collide there.
 // The route never migrates, so a tuple's joiner id is its key's
 // HashPartition.
-func (r *reshuffler) hashBatch(items []sourceItem) {
+func (r *reshuffler) hashBatch(items []join.Tuple) {
 	j := r.mapping.J()
 	for i := range items {
-		t := &items[i].t
+		t := &items[i]
 		s := 2 * HashPartition(t.Key, j)
 		if t.Rel != matrix.SideR {
 			s++
 		}
-		r.buffer(s, t, t.U, false)
+		r.buffer(s, t, t.U)
 	}
 	r.opm.RoutedMessages.Add(int64(len(items)))
 }
@@ -761,8 +733,8 @@ func HashPartition(key int64, j int) int { return int(uMix(0, uint64(key)) % uin
 
 // route routes one tuple (the dummy-injection path; data tuples go
 // through routeBatch).
-func (r *reshuffler) route(t join.Tuple, probeOnly bool) {
-	r.routeBatch([]sourceItem{{t: t, probeOnly: probeOnly}})
+func (r *reshuffler) route(t join.Tuple) {
+	r.routeBatch([]join.Tuple{t})
 }
 
 // maybePad injects at most one dummy tuple into the smaller relation
@@ -793,5 +765,5 @@ func (r *reshuffler) maybePad() {
 	}
 	r.noteObserved()
 	r.opm.DummyTuples.Add(1)
-	r.route(dummy, false)
+	r.route(dummy)
 }

@@ -173,9 +173,8 @@ func TestSendBatchMatchesSendExact(t *testing.T) {
 	}
 }
 
-// The grouped operator's SendBatch must match its per-tuple Send
-// exactly, including the probe-only cross-group traffic and its
-// ownership guard.
+// For a non-power-of-two J (12 runs an 8-joiner grid), SendBatch must
+// match a per-tuple Send loop exactly under adaptive migration.
 func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var tuples []join.Tuple
@@ -190,11 +189,11 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 	}
 	run := func(batch int) *pairSet {
 		ps := newPairSet()
-		gr := mustGrouped(t, Config{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, EmitBatch: ps.emit})
-		gr.Start()
+		op := mustOperator(t, Config{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, EmitBatch: ps.emit})
+		op.Start()
 		if batch == 0 {
 			for _, tp := range tuples {
-				if err := gr.Send(tp); err != nil {
+				if err := op.Send(tp); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -204,12 +203,12 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 				if end > len(tuples) {
 					end = len(tuples)
 				}
-				if err := gr.SendBatch(tuples[start:end]); err != nil {
+				if err := op.SendBatch(tuples[start:end]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if err := gr.Finish(); err != nil {
+		if err := op.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		return ps
@@ -217,7 +216,7 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 	want := run(0)
 	for _, batch := range []int{1, 33} {
 		if got := run(batch); !got.equal(want) {
-			t.Fatalf("grouped SendBatch(%d): pair multiset differs from Send (%d vs %d pairs)", batch, got.n, want.n)
+			t.Fatalf("SendBatch(%d): pair multiset differs from Send (%d vs %d pairs)", batch, got.n, want.n)
 		}
 	}
 }
@@ -241,18 +240,6 @@ func TestSendAfterFinishReturnsError(t *testing.T) {
 	}
 	if err := op.Finish(); err != nil {
 		t.Fatalf("second Finish: %v", err)
-	}
-
-	gr := mustGrouped(t, Config{J: 3, Pred: join.EquiJoin("eq", nil), Seed: 2})
-	gr.Start()
-	if err := gr.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := gr.Send(join.Tuple{Rel: matrix.SideR, Key: 1}); !errors.Is(err, ErrFinished) {
-		t.Fatalf("grouped Send after Finish: err=%v, want ErrFinished", err)
-	}
-	if err := gr.SendBatch([]join.Tuple{{Rel: matrix.SideR, Key: 1}}); !errors.Is(err, ErrFinished) {
-		t.Fatalf("grouped SendBatch after Finish: err=%v, want ErrFinished", err)
 	}
 }
 

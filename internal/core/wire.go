@@ -38,8 +38,9 @@ func getWire() []byte { return wirePool.get(4096) }
 
 func putWire(b []byte) { wirePool.put(b) }
 
-// msgWireHeader is the per-message fixed prefix: kind, flags
-// (bit0 expand, bit1 probeOnly), from, epoch, mapping N, mapping M.
+// msgWireHeader is the per-message fixed prefix: kind, flags (bit0
+// expand; every other bit must be zero), from, epoch, mapping N,
+// mapping M.
 const msgWireHeader = 1 + 1 + 4 + 4 + 4 + 4
 
 // appendMessage serializes m in the per-message form onto buf.
@@ -47,9 +48,6 @@ func appendMessage(buf []byte, m *message) []byte {
 	var flags byte
 	if m.expand {
 		flags |= 1
-	}
-	if m.probeOnly {
-		flags |= 2
 	}
 	buf = append(buf, byte(m.kind), flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.from))
@@ -66,13 +64,15 @@ func readMessage(payload []byte) (message, int, error) {
 		return message{}, 0, fmt.Errorf("%w: message header truncated at %d of %d bytes", ErrBadEnvelope, len(payload), msgWireHeader)
 	}
 	flags := payload[1]
+	if flags&^1 != 0 {
+		return message{}, 0, fmt.Errorf("%w: message flags %#x", ErrBadEnvelope, flags)
+	}
 	m := message{
-		kind:      msgKind(payload[0]),
-		from:      int(binary.LittleEndian.Uint32(payload[2:])),
-		epoch:     binary.LittleEndian.Uint32(payload[6:]),
-		mapping:   matrix.Mapping{N: int(binary.LittleEndian.Uint32(payload[10:])), M: int(binary.LittleEndian.Uint32(payload[14:]))},
-		expand:    flags&1 != 0,
-		probeOnly: flags&2 != 0,
+		kind:    msgKind(payload[0]),
+		from:    int(binary.LittleEndian.Uint32(payload[2:])),
+		epoch:   binary.LittleEndian.Uint32(payload[6:]),
+		mapping: matrix.Mapping{N: int(binary.LittleEndian.Uint32(payload[10:])), M: int(binary.LittleEndian.Uint32(payload[14:]))},
+		expand:  flags&1 != 0,
 	}
 	t, n, err := storage.ReadRecord(payload[msgWireHeader:])
 	if err != nil {
@@ -270,13 +270,47 @@ func encodeHello(h helloMsg) []byte {
 	return b
 }
 
+// Bounds on the sizes a worker allocates from a hello before it runs
+// anything: J joiner ports and metrics cells, NumRe source rings and
+// each port's inbox of DataQueueCap/BatchSize envelopes. A coordinator
+// validates its own configuration against the same bounds
+// (checkWorkerBounds), so only a hostile or corrupt hello trips them on
+// the worker.
+const (
+	maxWorkerJoiners      = 1 << 10
+	maxWorkerReshufflers  = 1 << 10
+	maxWorkerBatchSize    = 1 << 16
+	maxWorkerDataQueueCap = 1 << 16
+)
+
+// checkWorkerBounds reports whether a distributed job's sizes fit the
+// worker bounds: J a power of two (the grid route's rounded count), at
+// least one reshuffler, and every size within its cap. A zero batch
+// size or queue capacity takes the worker's default.
+func checkWorkerBounds(j, numRe, batchSize, dataQueueCap int) error {
+	switch {
+	case j <= 0 || j > maxWorkerJoiners || j&(j-1) != 0:
+		return fmt.Errorf("J=%d, want a power of two in [1, %d]", j, maxWorkerJoiners)
+	case numRe <= 0 || numRe > maxWorkerReshufflers:
+		return fmt.Errorf("%d reshufflers, want [1, %d]", numRe, maxWorkerReshufflers)
+	case batchSize > maxWorkerBatchSize:
+		return fmt.Errorf("batch size %d, want at most %d", batchSize, maxWorkerBatchSize)
+	case dataQueueCap > maxWorkerDataQueueCap:
+		return fmt.Errorf("data queue capacity %d, want at most %d", dataQueueCap, maxWorkerDataQueueCap)
+	}
+	return nil
+}
+
 func decodeHello(payload []byte) (helloMsg, error) {
 	var h helloMsg
 	if err := json.Unmarshal(payload, &h); err != nil {
 		return helloMsg{}, fmt.Errorf("core: decode hello: %w", err)
 	}
-	if h.J <= 0 || h.NumRe <= 0 || len(h.Ids) == 0 {
-		return helloMsg{}, fmt.Errorf("core: hello names J=%d reshufflers=%d hosted=%d", h.J, h.NumRe, len(h.Ids))
+	if err := checkWorkerBounds(h.J, h.NumRe, h.BatchSize, h.DataQueueCap); err != nil {
+		return helloMsg{}, fmt.Errorf("core: hello: %w", err)
+	}
+	if len(h.Ids) == 0 {
+		return helloMsg{}, errors.New("core: hello hosts no joiners")
 	}
 	for _, id := range h.Ids {
 		if id < 0 || id >= h.J {

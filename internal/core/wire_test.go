@@ -35,13 +35,12 @@ func randomWireTuple(rng *rand.Rand) join.Tuple {
 func randomMessage(rng *rand.Rand) message {
 	kinds := []msgKind{kTuple, kSignal, kEOS, kMigBegin, kMigDone, kCkpt, kMigBlocks}
 	m := message{
-		tuple:     randomWireTuple(rng),
-		mapping:   matrix.Mapping{N: 1 << rng.Intn(4), M: 1 << rng.Intn(4)},
-		from:      rng.Intn(64),
-		epoch:     rng.Uint32(),
-		kind:      kinds[rng.Intn(len(kinds))],
-		expand:    rng.Intn(4) == 0,
-		probeOnly: rng.Intn(4) == 0,
+		tuple:   randomWireTuple(rng),
+		mapping: matrix.Mapping{N: 1 << rng.Intn(4), M: 1 << rng.Intn(4)},
+		from:    rng.Intn(64),
+		epoch:   rng.Uint32(),
+		kind:    kinds[rng.Intn(len(kinds))],
+		expand:  rng.Intn(4) == 0,
 	}
 	if m.kind == kMigBlocks {
 		// The serialized block blob rides the payload.
@@ -58,7 +57,7 @@ func sameTuple(a, b join.Tuple) bool {
 
 func sameMessage(a, b message) bool {
 	return sameTuple(a.tuple, b.tuple) && a.mapping == b.mapping && a.from == b.from &&
-		a.epoch == b.epoch && a.kind == b.kind && a.expand == b.expand && a.probeOnly == b.probeOnly
+		a.epoch == b.epoch && a.kind == b.kind && a.expand == b.expand
 }
 
 // randomEnvelope builds a data envelope with a random header and up to
@@ -130,14 +129,15 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 // TestEnvelopeRejectsCorruption truncates a data envelope and a
 // migration message at every byte boundary, corrupts the destination
 // and tuple counts — zero destinations, more than the payload holds, a
-// list cut short — and appends trailing bytes: every case must return an ErrBadEnvelope
-// error, never panic or misparse. (On the wire the frame CRC catches
+// list cut short — sets a flag bit other than expand, and appends
+// trailing bytes: every case must return an ErrBadEnvelope error, never
+// panic or misparse. (On the wire the frame CRC catches
 // these first; this guards the codec against version-skewed or buggy
 // peers.)
 func TestEnvelopeRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := getEnvelope(3)
-	e.hdr = message{kind: kTuple, from: 2, epoch: 7, probeOnly: true}
+	e.hdr = message{kind: kTuple, from: 2, epoch: 7, expand: true}
 	for i := 0; i < 3; i++ {
 		e.tuples = append(e.tuples, randomWireTuple(rng))
 	}
@@ -180,6 +180,16 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	for _, count := range []uint32{4, 1 << 20, 0xffffffff} {
 		_, _, err := decodeData(nil, corrupt(countAt, count))
 		bad(fmt.Sprintf("count %d", count), err)
+	}
+	for _, flags := range []byte{2, 3, 0x80} {
+		c := append([]byte(nil), payload...)
+		c[4+4*len(dests)+1] = flags
+		_, _, err = decodeData(nil, c)
+		bad(fmt.Sprintf("data flags %#x", flags), err)
+		c = append([]byte(nil), mig...)
+		c[4+1] = flags
+		_, _, err = decodeMig(c)
+		bad(fmt.Sprintf("migration flags %#x", flags), err)
 	}
 	_, _, err = decodeData(nil, append(append([]byte(nil), payload...), 0xAA))
 	bad("data trailing bytes", err)
@@ -260,6 +270,16 @@ func TestHelloRoundTrip(t *testing.T) {
 		{J: 8, NumRe: 1},
 		{J: 8, NumRe: 1, Ids: []int{8}},
 		{J: 8, NumRe: 1, Ids: []int{-1}},
+		// Sizes a worker would allocate before running anything: J
+		// must be a power of two, and every size stays under its cap.
+		{J: 6, NumRe: 1, Ids: []int{0}},
+		{J: 2 * maxWorkerJoiners, NumRe: 1, Ids: []int{0}},
+		{J: 1 << 40, NumRe: 1, Ids: []int{0}},
+		{J: 8, NumRe: maxWorkerReshufflers + 1, Ids: []int{0}},
+		{J: 8, NumRe: 1 << 30, Ids: []int{0}},
+		{J: 8, NumRe: 1, Ids: []int{0}, BatchSize: maxWorkerBatchSize + 1},
+		{J: 8, NumRe: 1, Ids: []int{0}, DataQueueCap: maxWorkerDataQueueCap + 1},
+		{J: 8, NumRe: 1, Ids: []int{0}, DataQueueCap: 1 << 40},
 	} {
 		if _, err := decodeHello(encodeHello(bad)); err == nil {
 			t.Fatalf("invalid hello %+v decoded", bad)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -97,4 +98,37 @@ func TestMixedPlacementExact(t *testing.T) {
 		t.Fatal("no migrations: the drill must regroup rows and columns across the links")
 	}
 	wait()
+}
+
+// TestWorkerRejectsHostileHello: a hello whose sizes a worker would
+// allocate before running anything — 2^40 joiner ports, 2^30 source
+// rings, a 2^40-tuple inbox — ends the session with a *LinkError
+// instead of running the worker out of memory.
+func TestWorkerRejectsHostileHello(t *testing.T) {
+	for _, h := range []helloMsg{
+		{J: 1 << 40, NumRe: 1, Ids: []int{0}},
+		{J: 8, NumRe: 1 << 30, Ids: []int{0}},
+		{J: 8, NumRe: 1, Ids: []int{0}, DataQueueCap: 1 << 40},
+	} {
+		lis, err := transport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = lis.Close() })
+		served := make(chan error, 1)
+		go func() { served <- ServeWorker(context.Background(), lis, WorkerConfig{}) }()
+		link, err := transport.Dial(lis.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = link.Close() })
+		if err := link.Send(transport.Frame{Kind: transport.KindHello, Payload: encodeHello(h)}); err != nil {
+			t.Fatal(err)
+		}
+		err = <-served
+		var le *LinkError
+		if !errors.As(err, &le) {
+			t.Fatalf("hello %+v: ServeWorker returned %v, want a *LinkError", h, err)
+		}
+	}
 }

@@ -45,9 +45,9 @@ func (o *Options) fill() {
 	}
 }
 
-// driveEngine streams one query through any live engine — the grid
-// operator, the grouped decomposition, or SHJ — over the uniform
-// core.Engine surface: start, feed the generated stream, finish. It
+// driveEngine streams one query through a live engine — the operator
+// on its grid or its hash (SHJ) route — over the uniform core.Engine
+// surface: start, feed the generated stream, finish. It
 // returns the tuple count fed and the first engine error.
 func driveEngine(e core.Engine, q workload.Query, g *tpch.Gen) (int64, error) {
 	e.Start()

@@ -71,9 +71,8 @@ func (l *Local) Reserve(r, s int) {
 
 // ProbeBatchCollect joins a run of same-side tuples against the stored
 // tuples of the opposite relation without storing them, appending
-// every match to *out as an oriented Pair: probe-only traffic in the
-// multi-group scheme (§4.2.2) and the epoch protocol, which controls
-// storage placement itself. Dummy padding tuples never match, so they
+// every match to *out as an oriented Pair: the epoch protocol's probes
+// of stores a run is not inserted into. Dummy padding tuples never match, so they
 // are skipped before reaching the index; in the common dummy-free run
 // this costs one scan and probes the run in a single index call.
 func (l *Local) ProbeBatchCollect(ts []Tuple, out *[]Pair) {

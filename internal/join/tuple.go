@@ -35,7 +35,8 @@ type Tuple struct {
 	// what makes migration keep/discard/exchange sets deterministic.
 	U uint64
 	// Seq is a monotone ingestion sequence number (used for latency
-	// sampling and the sequenced multi-group mode).
+	// sampling, replay routing and the restored joiners' duplicate
+	// filter).
 	Seq uint64
 	// Payload optionally carries the encoded source row.
 	Payload []byte
@@ -116,8 +117,7 @@ type Pair struct {
 type EmitBatch func([]Pair)
 
 // ShardedEmitBatch receives a run of join results tagged with the
-// emitting shard (the joiner id, offset per group under the grouped
-// decomposition). Calls within one shard never overlap, because each
+// emitting shard (the joiner id). Calls within one shard never overlap, because each
 // shard is one joiner task delivering its own results; different shards
 // run concurrently with no cross-shard order — the contract that lets J
 // joiners deliver results without funneling through one sink mutex. The

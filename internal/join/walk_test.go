@@ -95,7 +95,7 @@ func walkDifferential(t *testing.T) {
 		before := len(own.slots)
 		var got, want []Pair
 		if rng.Intn(4) == 0 {
-			// The probe-only form walks the same chunks without an own side.
+			// ProbeBatchCollect walks the same chunks without an own side.
 			l.ProbeBatchCollect(run, &got)
 			for i := range run {
 				ref.ProbeBatchCollect(run[i:i+1], &want)

@@ -21,8 +21,8 @@ import (
 
 // Mapping is an (n,m) grid mapping: N row partitions of R and M column
 // partitions of S, assigning J = N*M matrix regions to J machines.
-// Both N and M are always powers of two (§3.4); non-power-of-two machine
-// counts are handled one level up by group decomposition (§4.2.2).
+// Both N and M are always powers of two (§3.4); the grid route runs a
+// non-power-of-two machine count on the largest power of two below it.
 type Mapping struct {
 	N int // number of R (row) partitions
 	M int // number of S (column) partitions

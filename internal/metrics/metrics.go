@@ -119,51 +119,6 @@ func NewOperator(j int) *Operator {
 	return m
 }
 
-// Merged returns a point-in-time aggregation of several operators'
-// metrics: per-joiner counter blocks are copied and concatenated (so
-// the Max/Total derivations range over every joiner of every input)
-// and operator-level event counters are summed. The result is a
-// snapshot — counters that advance after the call are not tracked.
-// The grouped operator uses it to present its power-of-two groups as
-// one uniform metrics surface.
-func Merged(ms ...*Operator) *Operator {
-	out := &Operator{}
-	for _, m := range ms {
-		m.mu.RLock()
-		for _, j := range m.joiners {
-			nj := &Joiner{}
-			nj.InputTuples.Store(j.InputTuples.Load())
-			nj.InputBytes.Store(j.InputBytes.Load())
-			nj.StoredTuples.Store(j.StoredTuples.Load())
-			nj.StoredBytes.Store(j.StoredBytes.Load())
-			nj.OutputPairs.Store(j.OutputPairs.Load())
-			nj.MigratedIn.Store(j.MigratedIn.Load())
-			nj.MigratedOut.Store(j.MigratedOut.Load())
-			nj.SpilledTuples.Store(j.SpilledTuples.Load())
-			nj.ArenaBytes.Store(j.ArenaBytes.Load())
-			nj.DirectoryBytes.Store(j.DirectoryBytes.Load())
-			out.joiners = append(out.joiners, nj)
-		}
-		m.mu.RUnlock()
-		out.Migrations.Add(m.Migrations.Load())
-		out.Expansions.Add(m.Expansions.Load())
-		out.RoutedMessages.Add(m.RoutedMessages.Load())
-		out.DummyTuples.Add(m.DummyTuples.Load())
-		out.LaneSpills.Add(m.LaneSpills.Load())
-		out.BatchesSent.Add(m.BatchesSent.Load())
-		out.BatchedMessages.Add(m.BatchedMessages.Load())
-		out.BatchFlushFull.Add(m.BatchFlushFull.Load())
-		out.BatchFlushLinger.Add(m.BatchFlushLinger.Load())
-		out.BatchFlushIdle.Add(m.BatchFlushIdle.Load())
-		out.BatchFlushSignal.Add(m.BatchFlushSignal.Load())
-		out.Checkpoints.Add(m.Checkpoints.Load())
-		out.CheckpointFailures.Add(m.CheckpointFailures.Load())
-		out.MigBatchesSent.Add(m.MigBatchesSent.Load())
-		out.MigrationNanos.Add(m.MigrationNanos.Load())
-	}
-	return out
-}
-
 // Grow extends the joiner set (elastic expansion).
 func (m *Operator) Grow(to int) {
 	m.mu.Lock()
@@ -428,8 +383,8 @@ func (l *LatencySampler) Sampled(seq uint64) bool {
 }
 
 // Arrive records the arrival time of a sampled tuple. The first
-// arrival wins: when a tuple fans out to several tasks (multi-group
-// routing), latency is measured from its earliest ingestion.
+// arrival wins: a tuple replayed after a restore is measured from its
+// earliest ingestion.
 func (l *LatencySampler) Arrive(seq uint64) {
 	if !l.Sampled(seq) {
 		return

@@ -18,9 +18,6 @@ type Option func(*stageConfig)
 // engine is built.
 type stageConfig struct {
 	cfg core.Config
-	// grouped forces the power-of-two group decomposition even when J
-	// is a power of two (one group); it is implied when J is not.
-	grouped bool
 	// listen is the worker-mode listen address (WithListen), consumed
 	// by ServeWorker rather than a stage builder.
 	listen string
@@ -41,15 +38,15 @@ func newStageConfig(defaults, opts []Option) stageConfig {
 	return sc
 }
 
-// WithJoiners sets the machine (joiner-task) count. Powers of two run
-// the single-grid operator; any other count runs the power-of-two
-// group decomposition (§4.2.2) automatically.
+// WithJoiners sets the machine (joiner-task) count. A grid stage runs
+// the largest power of two ≤ j (WithJoiners(6) builds a 4-joiner grid;
+// Metrics().NumJoiners() reports the count that runs); NewSHJ runs
+// exactly j. Every option composes with every count. Against the
+// paper's decomposition of j into power-of-two groups (§4.2.2), the
+// grid receives no more input per joiner, but each joiner stores up to
+// j/j′ < 2 times as much, which matters only under a per-joiner
+// StorageConfig.CapBytes.
 func WithJoiners(j int) Option { return func(sc *stageConfig) { sc.cfg.J = j } }
-
-// WithGrouped forces the group-decomposed operator even for a
-// power-of-two joiner count (a single group); mostly useful for tests
-// comparing the two drive paths.
-func WithGrouped() Option { return func(sc *stageConfig) { sc.grouped = true } }
 
 // WithAdaptive enables the controller's migration decisions; without
 // it the stage runs a static grid.
@@ -96,9 +93,7 @@ func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.c
 // again only once the chain of deltas holds more bytes than two full
 // snapshots would. Checkpoint bytes therefore stay within twice the
 // delta bytes, and a restore reads at most two full snapshots' worth
-// plus one delta. There is no knob for it.
-// Only the single-grid operator supports it: with a grouped stage
-// (non-power-of-two joiners, or WithGrouped) Run returns an error.
+// plus one delta. There is no knob for it. NewSHJ rejects it.
 func WithBackend(b Backend) Option { return func(sc *stageConfig) { sc.cfg.Backend = b } }
 
 // WithCheckpointEvery makes a backend-equipped stage checkpoint
@@ -156,8 +151,7 @@ func WithElastic(maxPerJoiner int64, maxJoiners int) Option {
 }
 
 // WithPadDummies enables physical dummy-tuple padding, keeping the
-// cardinality ratio within J (§4.2.2). Only the single-grid engine
-// honors it; a grouped stage (non-power-of-two joiners) ignores it.
+// cardinality ratio within J (§4.2.2). NewSHJ ignores it.
 func WithPadDummies() Option { return func(sc *stageConfig) { sc.cfg.PadDummies = true } }
 
 // Equi returns an equality predicate on Tuple.Key — the pipeline-API
@@ -173,11 +167,10 @@ func Band(name string, width int64) Predicate { return join.BandJoin(name, width
 func Theta(name string, pred func(r, s Tuple) bool) Predicate { return join.ThetaJoin(name, pred) }
 
 // NewEngine builds a standalone engine from options, without a
-// pipeline: the operator implementation is chosen from the joiner
-// count (single grid for powers of two, group decomposition
-// otherwise), and sink wires the result path (nil counts results
-// internally). Drive it with the Engine lifecycle: Start or
-// StartContext, Send/SendBatch, Finish.
+// pipeline: an Operator on its grid route, whose joiner count is the
+// largest power of two ≤ WithJoiners' count, with sink wiring the
+// result path (nil counts results internally). Drive it with the Engine
+// lifecycle: Start or StartContext, Send/SendBatch, Finish.
 //
 // NewEngine has no error return: on invalid options it panics with the
 // configuration error itself (an error value, the one Pipeline.Run
@@ -223,22 +216,10 @@ func (sc stageConfig) coreConfig(pred Predicate, sink Sink) core.Config {
 	return cfg
 }
 
-// build constructs the stage's engine, or reports why it cannot. The
-// grouped operator exposes a narrower tuning surface; options it cannot
-// honor fall back to its defaults: batch sizes and linger, the initial
-// mapping, elasticity and dummy padding (WithPadDummies). WithBackend
-// and WithWorkers change semantics, not tuning, so the grouped operator
-// rejects them instead.
+// build constructs the stage's grid operator, or reports why it
+// cannot.
 func (sc stageConfig) build(pred Predicate, sink Sink) (Engine, error) {
-	cfg := sc.coreConfig(pred, sink)
-	if sc.grouped || !isPow2(cfg.J) {
-		gr, err := core.NewGrouped(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return gr, nil
-	}
-	op, err := core.NewOperator(cfg)
+	op, err := core.NewOperator(sc.coreConfig(pred, sink))
 	if err != nil {
 		return nil, err
 	}
@@ -253,5 +234,3 @@ func (sc stageConfig) batchSize() int {
 	}
 	return core.DefaultBatchSize
 }
-
-func isPow2(j int) bool { return j > 0 && j&(j-1) == 0 }

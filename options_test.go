@@ -37,10 +37,11 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 		{"workers/residual", squall.EquiJoin("x", always), workers()},
 		{"workers/placement-length", eq, workers(squall.WithPlacement(0, 0))},
 		{"workers/placement-range", eq, workers(squall.WithPlacement(0, 0, 0, 0, 0, 0, 0, 5))},
-		{"grouped/backend", eq, []squall.Option{squall.WithJoiners(6), squall.WithBackend(squall.NewMemBackend())}},
-		{"grouped/workers", eq, workers(squall.WithGrouped())},
+		{"workers/batch-size", eq, workers(squall.WithBatchSize(1 << 20))},
+		{"workers/joiners", eq, []squall.Option{squall.WithJoiners(1 << 12), squall.WithWorkers(addr)}},
 		{"checkpoint-every/no-backend", eq, []squall.Option{squall.WithCheckpointEvery(1000)}},
 		{"checkpoint-every/negative", eq, []squall.Option{squall.WithBackend(squall.NewMemBackend()), squall.WithCheckpointEvery(-1)}},
+		// grouped/: a non-power-of-two J is checked like any other.
 		{"grouped/checkpoint-every", eq, []squall.Option{squall.WithJoiners(6), squall.WithCheckpointEvery(1000)}},
 		{"epsilon/above-one", eq, []squall.Option{squall.WithAdaptive(), squall.WithEpsilon(2)}},
 		{"epsilon/negative", eq, []squall.Option{squall.WithEpsilon(-0.5)}},

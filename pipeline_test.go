@@ -163,10 +163,9 @@ func TestPipelineThreeWayOracle(t *testing.T) {
 	}
 }
 
-// Chaining into a grouped (non-power-of-two) downstream stage must
-// stay exact while the bridge's forwarded pairs and the external T
-// feed arrive concurrently — the grouped engine serializes them
-// internally.
+// Chaining into a downstream stage with a non-power-of-two joiner
+// count must stay exact while the bridge's forwarded pairs and the
+// external T feed arrive concurrently.
 func TestPipelineThreeWayGroupedTail(t *testing.T) {
 	const (
 		nR, nS, nT = 200, 1200, 300
@@ -193,7 +192,7 @@ func TestPipelineThreeWayGroupedTail(t *testing.T) {
 	}
 
 	// Feed T from a second goroutine while the R/S flood drives bridge
-	// traffic into the same grouped stage.
+	// traffic into the same stage.
 	tDone := make(chan error, 1)
 	go func() {
 		for start := 0; start < len(ts); start += 32 {
@@ -403,8 +402,8 @@ func TestPipelineMisuse(t *testing.T) {
 	}
 }
 
-// A non-power-of-two joiner count transparently runs the grouped
-// engine behind the same Stream surface.
+// A non-power-of-two joiner count runs a grid on the largest power of
+// two below it, behind the same Stream surface.
 func TestPipelineGroupedStage(t *testing.T) {
 	sink, n := squall.Counter()
 	p := squall.NewPipeline(squall.WithSeed(8))
@@ -428,6 +427,9 @@ func TestPipelineGroupedStage(t *testing.T) {
 		t.Fatalf("emitted %d, want 1", n.Load())
 	}
 	if got := st.Metrics().TotalOutputPairs(); got != 1 {
-		t.Fatalf("merged metrics report %d output pairs, want 1", got)
+		t.Fatalf("metrics report %d output pairs, want 1", got)
+	}
+	if j := st.Metrics().NumJoiners(); j != 4 {
+		t.Fatalf("WithJoiners(5) ran %d joiners, want 4", j)
 	}
 }

@@ -137,9 +137,9 @@ type RestoreInfo struct {
 // corrupt (the newest generation's failure is the one reported), and
 // with the backend's error verbatim on non-corruption I/O failures —
 // those are retryable, so Restore does not silently fall past them to
-// stale state. Options a checkpointing operator cannot honor
-// (WithGrouped, WithWorkers) are an error too. It never panics on
-// corrupt input or misconfiguration.
+// stale state. WithWorkers, which a checkpointing operator cannot
+// honor, is an error too. It never panics on corrupt input or
+// misconfiguration.
 func Restore(backend Backend, pred Predicate, sink Sink, opts ...Option) (*Operator, *RestoreInfo, error) {
 	gens, err := backend.Generations()
 	if err != nil {
@@ -148,11 +148,7 @@ func Restore(backend Backend, pred Predicate, sink Sink, opts ...Option) (*Opera
 	if len(gens) == 0 {
 		return nil, nil, ErrNoCheckpoint
 	}
-	sc := newStageConfig(nil, opts)
-	if sc.grouped {
-		return nil, nil, errors.New("squall: restore: the grouped operator does not support checkpointing")
-	}
-	cfg := sc.coreConfig(pred, sink)
+	cfg := newStageConfig(nil, opts).coreConfig(pred, sink)
 	cfg.Backend = backend
 
 	var skipped []uint64

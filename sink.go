@@ -73,9 +73,8 @@ func (s shardFunc) sinkBatch() EmitBatch {
 func (s shardFunc) sinkSharded() ShardedEmitBatch { return ShardedEmitBatch(s) }
 
 // Sharded returns a sink calling f once per flushed run of results,
-// tagged with the emitting shard (the joiner id, offset per group
-// under the grouped decomposition — elastic expansion mints new shard
-// ids beyond the initial joiner count). Calls within one shard never
+// tagged with the emitting shard (the joiner id — elastic expansion
+// mints new shard ids beyond the initial joiner count). Calls within one shard never
 // overlap — each shard is one joiner task delivering its own results;
 // different shards run concurrently with no cross-shard
 // ordering guarantee. This is the sink form that lets J joiners emit

@@ -48,11 +48,12 @@
 //	}).To(sink)
 //	// feed R/S into rs, T into rst
 //
-// Below the pipeline sit two engines, both implementing Engine and
-// both drivable standalone. Options are the one way to configure them:
-// NewEngine builds the grid operator (or, for non-power-of-two joiner
-// counts, the grouped one), NewSHJ the operator on its hash route, and
-// Restore an operator from a checkpoint. A misconfiguration is an error
+// Below the pipeline sits one engine, the Operator, on one of two
+// routes; it implements Engine and is drivable standalone. Options are
+// the one way to configure it: NewEngine builds the grid operator (on
+// the largest power of two ≤ the WithJoiners count), NewSHJ the
+// operator on its hash route, and Restore an operator from a
+// checkpoint. A misconfiguration is an error
 // from Pipeline.Run, NewSHJ and Restore, reported before any task
 // starts; NewEngine, which has no error return, panics with that error.
 //
@@ -69,10 +70,6 @@
 //     on the join key's hash: the parallel symmetric hash join (SHJ)
 //     the evaluation compares against, which sends each tuple to one
 //     joiner.
-//   - Grouped — the generalization to machine counts that are not
-//     powers of two (§4.2.2), one grid Operator per power-of-two group;
-//     the pipeline selects it automatically for non-power-of-two
-//     WithJoiners counts.
 //   - Sim / SimConfig — a deterministic single-threaded replay used to
 //     regenerate the paper's tables and figures bit-identically (not
 //     an Engine: it is synchronous by design).
@@ -158,10 +155,9 @@ func OptimalMapping(j int, r, s float64) Mapping { return matrix.Optimal(j, r, s
 // guess absent cardinality knowledge, and the paper's initialization.
 func SquareMapping(j int) Mapping { return matrix.Square(j) }
 
-// Engine is the uniform driving surface over every operator in the
-// package: Operator (on either route) and Grouped implement it, so sinks,
-// metrics collection, and the bench/experiment harnesses drive any of
-// them identically. The pipeline layer builds engines from options;
+// Engine is the driving surface of the Operator on either route, so
+// sinks, metrics collection, and the bench/experiment harnesses drive
+// either identically. The pipeline layer builds engines from options;
 // NewEngine builds a standalone one.
 type Engine = core.Engine
 
@@ -180,10 +176,6 @@ type Operator = core.Operator
 // ErrFinished is returned by Send/SendBatch once Finish has closed the
 // operator's input.
 var ErrFinished = core.ErrFinished
-
-// Grouped generalizes the operator to arbitrary machine counts by
-// decomposing J into power-of-two groups (§4.2.2).
-type Grouped = core.Grouped
 
 // SimConfig configures a deterministic simulation run.
 type SimConfig = core.SimConfig

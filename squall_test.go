@@ -104,15 +104,20 @@ func TestFacadeSHJ(t *testing.T) {
 	}
 }
 
+// TestFacadeGrouped: a non-power-of-two joiner count (5) builds the
+// grid Operator on the largest power of two below it.
 func TestFacadeGrouped(t *testing.T) {
 	var n atomic.Int64
-	gr := squall.NewEngine(squall.BandJoin("band", 1, nil), squall.Each(func(squall.Pair) { n.Add(1) }),
-		squall.WithJoiners(5)).(*squall.Grouped)
-	gr.Start()
-	gr.Send(squall.Tuple{Rel: squall.SideR, Key: 10})
-	gr.Send(squall.Tuple{Rel: squall.SideS, Key: 11})
-	gr.Send(squall.Tuple{Rel: squall.SideS, Key: 20})
-	if err := gr.Finish(); err != nil {
+	op := squall.NewEngine(squall.BandJoin("band", 1, nil), squall.Each(func(squall.Pair) { n.Add(1) }),
+		squall.WithJoiners(5)).(*squall.Operator)
+	if j := op.NumJoiners(); j != 4 {
+		t.Fatalf("WithJoiners(5) runs %d joiners, want 4", j)
+	}
+	op.Start()
+	op.Send(squall.Tuple{Rel: squall.SideR, Key: 10})
+	op.Send(squall.Tuple{Rel: squall.SideS, Key: 11})
+	op.Send(squall.Tuple{Rel: squall.SideS, Key: 20})
+	if err := op.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 1 {
