@@ -635,6 +635,18 @@ func RestoreOperator(cfg Config, snap *storage.OperatorSnapshot) (*Operator, err
 	return op, nil
 }
 
+// anyReplayDup reports whether run holds a replayed duplicate: only
+// then does handleBatch copy the run's survivors (and give up its
+// shared window).
+func (w *joiner) anyReplayDup(run []join.Tuple) bool {
+	for i := range run {
+		if w.isReplayDup(&run[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // isReplayDup reports whether a data tuple is a replayed duplicate the
 // restored state already covers. On a fresh operator dedup is nil and
 // the check is one pointer compare; on a restored one the map bounds

@@ -230,9 +230,11 @@ func (w *joiner) run() error {
 // processed, in every epoch: a data envelope's body is a run of tuples
 // of one relation sharing the header's epoch tag, and it goes to
 // runTuples whole, as one run, without a copy — the body is shared with
-// the other joiners of its row or column and nobody writes it. A restored joiner's replay-duplicate filter copies the
-// surviving tuples into runBuf instead; the ∆ path copies its kept
-// sub-run there too (runTuples).
+// the other joiners of its row or column and nobody writes it — along
+// with the shared window its columns were written into. A restored
+// joiner's replay-duplicate filter copies the surviving tuples of a
+// body that holds a duplicate into runBuf instead, and such a run has
+// no window; the ∆ path copies its kept sub-run there too (runTuples).
 //
 // A control envelope carries one message, handled alone, so a signal
 // that starts a migration, or a migration message that completes one,
@@ -254,9 +256,9 @@ func (w *joiner) handleBatch(e *envelope) {
 		return
 	}
 	w.maybeReserve()
-	run, bytes := e.tuples, e.bytes
-	if w.dedup != nil {
-		run, bytes = w.runBuf[:0], 0
+	run, bytes, win := e.tuples, e.bytes, e.win
+	if w.dedup != nil && w.anyReplayDup(run) {
+		run, bytes, win = w.runBuf[:0], 0, join.Window{}
 		for i := range e.tuples {
 			if t := &e.tuples[i]; !w.isReplayDup(t) {
 				run = append(run, *t)
@@ -268,7 +270,7 @@ func (w *joiner) handleBatch(e *envelope) {
 	if len(run) > 0 {
 		w.met.InputTuples.Add(int64(len(run)))
 		w.met.InputBytes.Add(bytes)
-		w.runTuples(run, e.hdr.epoch)
+		w.runTuples(run, win, e.hdr.epoch)
 	}
 	if w.mig != nil {
 		// Ship the ∆ forwards buffered while processing this envelope;
@@ -282,25 +284,28 @@ func (w *joiner) handleBatch(e *envelope) {
 // runTuples processes one run of same-side data tuples sharing an epoch
 // tag — Alg. 3's HandleTuple1/HandleTuple2 for a whole run, classified
 // once — and ships its matches. handleBatch hands it one envelope body
-// per call. Tuples of one relation never join each other, so probing
-// every store with the whole run before storing any of it emits exactly
-// the pairs per-tuple probe-then-store would. Matches collect in
-// pairBuf, and the run's output flushes once. The run may be a shared
-// envelope body, so it is only read: the ∆ path's kept sub-run is
-// compacted into runBuf, not in place.
-func (w *joiner) runTuples(run []join.Tuple, epoch uint32) {
+// per call, with the shared window its columns were written into (the
+// zero Window when there is none): wherever the whole run is stored —
+// the steady state, ∆ and ∆′ — the store keeps a view of the window
+// instead of a copy. Tuples of one relation never join each other, so
+// probing every store with the whole run before storing any of it
+// emits exactly the pairs per-tuple probe-then-store would. Matches
+// collect in pairBuf, and the run's output flushes once. The run may be
+// a shared envelope body, so it is only read: the ∆ path's kept sub-run
+// is compacted into runBuf, not in place.
+func (w *joiner) runTuples(run []join.Tuple, win join.Window, epoch uint32) {
 	rel := run[0].Rel
 	switch {
 	case w.mig == nil:
 		if epoch != w.epoch {
 			panic(fmt.Sprintf("core: joiner %d: tuple epoch %d outside migration (at %d)", w.id, epoch, w.epoch))
 		}
-		w.state.AddBatchCollect(run, &w.pairBuf)
+		w.state.AddWindowCollect(run, win, &w.pairBuf)
 	case epoch == w.epoch:
 		// ∆: old-epoch arrivals during the migration (Alg. 3 lines 15-20).
 		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ (τ ∪ ∆)
 		w.forwardMig(run)                          // Migrated(∆) to peers
-		w.state.InsertBatch(run)
+		w.state.InsertWindow(run, win)
 		// Everything else is done with the whole run, so its kept sub-run
 		// compacts into runBuf (in place when the run already lives there:
 		// the write index never passes the read index).
@@ -319,7 +324,7 @@ func (w *joiner) runTuples(run []join.Tuple, epoch uint32) {
 		n1 := len(w.pairBuf)
 		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ Keep(τ ∪ ∆)
 		w.filterKept(rel, n1)
-		w.mig.dp.AddBatchCollect(run, &w.pairBuf) // run ⋈ ∆′, then store
+		w.mig.dp.AddWindowCollect(run, win, &w.pairBuf) // run ⋈ ∆′, then store
 	default:
 		panic(fmt.Sprintf("core: joiner %d: tuple epoch %d, joiner epoch %d, migration epoch %d",
 			w.id, epoch, w.epoch, w.mig.epoch))

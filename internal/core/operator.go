@@ -716,6 +716,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 			drainCh:    op.ctl.drainCh,
 			padDummies: op.cfg.PadDummies,
 			hashed:     op.hashed,
+			share:      !op.hashed && op.cfg.Pred.Kind == join.Equi && op.cfg.Storage.CapBytes == 0,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,

@@ -104,7 +104,13 @@ type reshuffler struct {
 	// inDirty dedupes it. dests is scratch for a column's joiner ids;
 	// byPeer is broadcast's scratch for grouping them by the worker
 	// hosting them.
-	out     []*envelope
+	out []*envelope
+	// blocks is, per slot, the open shared block the slot writes each
+	// routed tuple's columns into once for all of its in-process joiners
+	// (join.BlockWriter); share enables it (grid route, equi predicate,
+	// unbudgeted stores: the joiners that store runs as views).
+	blocks  []join.BlockWriter
+	share   bool
 	dirty   []int
 	inDirty []bool
 	dests   []int
@@ -364,8 +370,17 @@ func (r *reshuffler) disarmLinger() {
 
 // buffer appends one routed tuple, with its routing value u, to slot
 // s's pending envelope, shipping the envelope when it reaches capacity.
-// The append is the tuple's only copy on its way to the joiners.
+// The append is the tuple's only copy on its way to the joiners; on a
+// sharing slot its columns are also written once into the slot's
+// shared block, which is where the joiners store it. An envelope's
+// window lies in one block, so when the block cannot take the tuple
+// (full, or a payload it has no column for) the pending envelope ships
+// first.
 func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
+	b := r.block(s)
+	if b != nil && r.out[s] != nil && !b.Fits(t) {
+		r.ship(s, &r.opm.BatchFlushFull)
+	}
 	e := r.out[s]
 	if e == nil {
 		e = getEnvelope(r.batchSize)
@@ -373,7 +388,11 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 		r.out[s] = e
 	}
 	e.tuples = append(e.tuples, *t)
-	e.tuples[len(e.tuples)-1].U = u
+	et := &e.tuples[len(e.tuples)-1]
+	et.U = u
+	if b != nil {
+		b.Append(et)
+	}
 	e.bytes += t.Bytes()
 	if len(e.tuples) >= r.batchSize {
 		r.ship(s, &r.opm.BatchFlushFull)
@@ -384,6 +403,15 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 		r.dirty = append(r.dirty, s)
 	}
 	r.armLinger()
+}
+
+// block returns slot s's shared-block writer, or nil when the slot
+// writes none.
+func (r *reshuffler) block(s int) *join.BlockWriter {
+	if r.blocks == nil || !r.blocks[s].Shared() {
+		return nil
+	}
+	return &r.blocks[s]
 }
 
 // flushAll ships every pending partial envelope, crediting the flush to
@@ -408,6 +436,9 @@ func (r *reshuffler) flushAll(cause *atomic.Int64) {
 func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	e := r.out[s]
 	r.out[s] = nil
+	if b := r.block(s); b != nil {
+		e.win = b.Window()
+	}
 	cause.Add(1)
 	r.opm.BatchesSent.Add(1)
 	r.opm.BatchedMessages.Add(int64(len(e.tuples)))
@@ -435,7 +466,11 @@ func (r *reshuffler) slotDests(s int) []int {
 // resetSlots sizes the pending-envelope slots for the current mapping.
 // On the grid route slots 0..N-1 are the rows (R tuples) and N..N+M-1
 // the columns (S tuples); on the hash route slot 2·id+side belongs to
-// joiner id. Called with nothing pending.
+// joiner id. A sharing operator also opens each slot's shared-block
+// writer for the slot's in-process fan-out, so a block's rows all go to
+// one set of joiners: a mapping change starts every slot on a new
+// block. A slot with fewer than two in-process joiners writes none.
+// Called with nothing pending.
 func (r *reshuffler) resetSlots() {
 	n := r.mapping.N + r.mapping.M
 	if r.hashed {
@@ -443,6 +478,24 @@ func (r *reshuffler) resetSlots() {
 	}
 	r.out = make([]*envelope, n)
 	r.inDirty = make([]bool, n)
+	if !r.share {
+		return
+	}
+	r.blocks = make([]join.BlockWriter, n)
+	for s := range r.blocks {
+		local := 0
+		for _, id := range r.slotDests(s) {
+			if !r.topo.isRemote(id) {
+				local++
+			}
+		}
+		if local < 2 {
+			// One in-process reader stores one copy either way: leave
+			// the copy to the joiner rather than the routing loop.
+			local = 0
+		}
+		r.blocks[s].Reset(local)
+	}
 }
 
 // broadcast pushes e onto the data link of every joiner in ids, each
@@ -581,7 +634,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 			r.mapping = c.mapping
 		}
 		r.epoch = c.epoch
-		r.out = nil // the slots follow the new grid's shape
+		r.out, r.blocks = nil, nil // the slots follow the new grid's shape
 		// Signal every joiner of the new grid (including expansion
 		// children) before routing anything under the new mapping.
 		r.broadcastCtrl(message{kind: kSignal, epoch: c.epoch, mapping: r.mapping, expand: c.expand, from: r.id})

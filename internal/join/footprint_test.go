@@ -27,6 +27,13 @@ import (
 //
 // It also holds Footprint(), the O(1) figure the joiner gauges export,
 // to within 2 % of the measured live heap.
+//
+// The shared cases build four indexes the way the four joiners of a
+// grid row do in one process: one stream written once through a
+// BlockWriter of fan-out 4 in windows of 32, each index storing views
+// of the windows. A replica then costs a quarter of the columns plus
+// its own chain link, views and directory: 36 B with distinct keys and
+// 24 B with four tuples per key.
 func TestHashIndexFootprintBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap")
@@ -34,40 +41,59 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		n, dups       int
-		live, alloced float64 // budgets, bytes per tuple
+		sharers       int     // 0: one index of private blocks
+		live, alloced float64 // budgets, bytes per stored replica
 	}{
-		{"125k-distinct", 125_000, 1, 64, 110},
-		{"1M-distinct", 1_000_000, 1, 64, 110},
-		{"125k-4dup", 125_000, 4, 52, 110},
-		{"1M-4dup", 1_000_000, 4, 52, 110},
+		{"125k-distinct", 125_000, 1, 0, 64, 110},
+		{"1M-distinct", 1_000_000, 1, 0, 64, 110},
+		{"125k-4dup", 125_000, 4, 0, 52, 110},
+		{"1M-4dup", 1_000_000, 4, 0, 52, 110},
+		{"125k-distinct-shared", 125_000, 1, 4, 36, 60},
+		{"125k-4dup-shared", 125_000, 4, 4, 24, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batch := make([]Tuple, 32)
+			stream := make([]Tuple, tc.n)
+			for i := range stream {
+				// Odd multiplier: a bijection on the key space, so
+				// exactly n/dups distinct keys in scattered order.
+				key := int64(uint64(i/tc.dups) * 0x9e3779b97f4a7c15)
+				stream[i] = Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: uint64(i + 1)}
+			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 
-			h := NewHashIndex()
-			for i := 0; i < tc.n; i += len(batch) {
-				run := batch[:min(len(batch), tc.n-i)]
-				for j := range run {
-					// Odd multiplier: a bijection on the key space, so
-					// exactly n/dups distinct keys in scattered order.
-					key := int64(uint64((i+j)/tc.dups) * 0x9e3779b97f4a7c15)
-					run[j] = Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: uint64(i + j + 1)}
+			idxs := []*HashIndex{NewHashIndex()}
+			if tc.sharers == 0 {
+				for i := 0; i < tc.n; i += 32 {
+					idxs[0].InsertBatch(stream[i:min(i+32, tc.n)])
 				}
-				h.InsertBatch(run)
+			} else {
+				for len(idxs) < tc.sharers {
+					idxs = append(idxs, NewHashIndex())
+				}
+				storeShared(stream, tc.sharers, 32, func(run []Tuple, w Window) {
+					for _, h := range idxs {
+						h.InsertWindow(run, w)
+					}
+				})
 			}
 
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			n := float64(tc.n)
+			h := idxs[0]
+			n := float64(tc.n * len(idxs))
 			live := float64(after.HeapAlloc-before.HeapAlloc) / n
 			alloced := float64(after.TotalAlloc-before.TotalAlloc) / n
 			mallocs := after.Mallocs - before.Mallocs
-			arena, dir := h.Footprint()
+			var arena, dir int64
+			for _, h := range idxs {
+				a, d := h.Footprint()
+				arena += a
+				dir += d
+			}
 			t.Logf("%.1f B/tuple live (Footprint: %.1f arena + %.1f directory), %.1f B/tuple allocated, %d mallocs, %d keys",
 				live, float64(arena)/n, float64(dir)/n, alloced, mallocs, h.used)
 
@@ -83,14 +109,15 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			// Two objects per block, then a logarithmic tail: directory
 			// generations (16 slots doubling to the final size), chunk
 			// list regrowths, the index itself and test scaffolding.
-			blocks := uint64(len(h.arena.chunks))
-			if limit := 2*blocks + 64; mallocs > limit {
+			blocks := uint64(h.nchains * len(idxs))
+			if limit := 2*blocks + 64*uint64(len(idxs)); mallocs > limit {
 				t.Errorf("%d mallocs for %d blocks, limit %d: something allocates per key", mallocs, blocks, limit)
 			}
 			if fp := float64(arena+dir) / n; fp < live*0.98 || fp > live*1.02 {
 				t.Errorf("Footprint reports %.1f B/tuple, measured live heap %.1f", fp, live)
 			}
-			runtime.KeepAlive(h)
+			runtime.KeepAlive(idxs)
+			runtime.KeepAlive(stream)
 		})
 	}
 }

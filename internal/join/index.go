@@ -29,18 +29,20 @@ type Index interface {
 	// and flush (accounting, user sink) once per run.
 	ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair)
 	// Reserve hints that the index will eventually hold about n tuples,
-	// letting it presize its directory and arena so steady ingest up to
-	// the hint neither rehashes nor allocates. Reserving less than the
-	// current size, or zero, is a no-op; overshooting costs bounded
-	// memory (the hint is clamped internally).
+	// letting it presize its directory and chain columns so steady
+	// ingest up to the hint does not rehash. Arena blocks are never
+	// preallocated. Reserving less than the current size, or zero, is a
+	// no-op; overshooting costs bounded memory (the hint is clamped
+	// internally).
 	Reserve(n int)
 	// Len returns the number of stored tuples.
 	Len() int
 	// Bytes returns the accounted storage volume of stored tuples.
 	Bytes() int64
 	// Footprint returns, in O(1), the resident bytes the index holds:
-	// its tuple storage (arena blocks with reserved capacity included,
-	// or tree leaves, as the allocator rounds them) and the directory
+	// its tuple storage (arena blocks and chain columns, or tree
+	// leaves, as the allocator rounds them; a shared block's rows
+	// divided among the arenas that view it) and the directory
 	// structure on top (hash slots, inner tree nodes; zero for a scan
 	// index). Out-of-line payload bytes are the caller's and are not
 	// counted. (arena + directory) / Len is the resident cost of one
@@ -123,33 +125,38 @@ type probeHit struct {
 const maxHitsCap = 1 << 15
 
 // HashIndex is a multimap from join key to tuples, the storage half of
-// a symmetric hash join [42]. Tuples live in the columnar arena; the
-// key directory is an open-addressed (linear probing) table of 8-byte
-// tagged slots, one per distinct key, and the tuples of one key form a
-// newest-first chain threaded through the arena blocks' next column.
-// Nothing in the directory or the chains is a Go pointer: the collector
-// traces one object per 512-tuple block and one per directory, never
+// a symmetric hash join [42]. Tuples live in the columnar arena —
+// private blocks, or views of blocks shared with the other joiners of
+// a grid row or column (shared.go); the key directory is an
+// open-addressed (linear probing) table of 8-byte tagged slots, one per
+// distinct key, and the tuples of one key form a newest-first chain
+// threaded through the index's own chain columns, one per arena entry
+// (entries viewing the same block share one). Nothing in the directory
+// or the chains is a Go pointer: the collector traces one object per
+// 512-tuple block, one per chain column and one per directory, never
 // one per key, and a duplicate is stored by writing two words (its next
 // link and the slot's head) with no list to regrow.
 //
-// Resident bytes per stored tuple, mostly-distinct keys (the sparse
-// equi-join: 125 k keys per side per joiner, directory load 0.48):
+// Resident bytes per stored replica, mostly-distinct keys (the sparse
+// equi-join: 125 k keys per side per joiner, directory load 0.48), on
+// a (4,4) grid whose joiners copy every tuple (private) or view the
+// reshuffler's shared blocks:
 //
-//	                    before (32-byte slots)   now
-//	arena columns        40.0                     40.0
-//	chain column          —                        4.0
-//	block rounding        2.5                      2.5   (20.0 KB in a 21.25 KB size class)
-//	directory            67.1                     16.8   (slot bytes / load)
-//	total               109.6                     63.3
+//	                    private   shared (m = 4)
+//	arena columns        40.0      10.0   (40 / m)
+//	block rounding        2.5       0.6   (20.0 KB in a 21.25 KB size class)
+//	chain column          4.0       4.0   (per replica: the chain is private)
+//	views                 0.0     0-0.5   (16 B per window a block's next one does not extend)
+//	directory            16.8      16.8   (slot bytes / load)
+//	total                63.3      31.5
 //
 // With d duplicates per key the directory share divides by d (4.2 B at
-// d = 4, against 16.8 B before). What remains after this layout: the
-// 8-byte meta word (34 bits used), the U column (only the migration
-// selection and discards read it), Reserve overshoot when the
-// controller's forecast runs ahead of the stream, the old directory
-// while a rehash drains (+50 % of the directory, briefly), and
-// whatever headroom GOGC leaves
-// on top of the live heap.
+// d = 4, for totals of 50.8 and 18.9 B). What remains after this
+// layout: the 8-byte meta word (34 bits used), the U column (only the
+// migration selection and discards read it), the old directory while a
+// rehash drains (+50 % of the directory, briefly), the unfilled rows of
+// each slot's open shared block, and whatever headroom GOGC leaves on
+// top of the live heap.
 //
 // Directory growth is incremental: instead of re-placing every
 // occupied slot at the moment the load threshold trips (a
@@ -174,8 +181,17 @@ type HashIndex struct {
 	oldShift uint8
 	migPos   int
 	arena    tupleArena
-	bytes    int64
-	hits     []probeHit // batch-probe gather scratch
+	// chains[ci] is arena entry ci's chain column: at block position
+	// pos, the link from the tuple there to the previously stored tuple
+	// of its key, as offset+1 with 0 ending the chain. Entries viewing
+	// the same shared block share a column (their rows are disjoint).
+	// spare holds columns Reserve allocated ahead of need; nchains
+	// counts the columns allocated, for Footprint.
+	chains  []*[arenaChunk]uint32
+	spare   []*[arenaChunk]uint32
+	nchains int
+	bytes   int64
+	hits    []probeHit // batch-probe gather scratch
 	// touch keeps walk's cache-warming loads of this directory alive;
 	// its value means nothing.
 	touch uint32
@@ -338,13 +354,68 @@ func (h *HashIndex) lookup(tag uint32, key int64) uint32 {
 }
 
 // chain prepends the tuple at off to the chain *s heads: its next link
-// takes the old head (0 for a new key) and the slot points at it. The
-// block's chain column is allocated on first use, which is how blocks
-// adopted from a snapshot, a migration frame, or another index kind
-// come to have one.
+// takes the old head (0 for a new key) and the slot points at it.
 func (h *HashIndex) chain(s *dslot, off int32) {
-	h.arena.chunks[off>>arenaShift].links()[off&(arenaChunk-1)] = s.head
+	h.chains[off>>arenaShift][off&(arenaChunk-1)] = s.head
 	s.head = uint32(off) + 1
+}
+
+// chainLookback bounds how far back syncChains looks for an earlier
+// entry viewing the same shared block: windows of one block reach a
+// joiner interleaved with at most one window per other reshuffler.
+const chainLookback = 16
+
+// syncChains gives every arena entry past the chain list its chain
+// column: an earlier entry's when it views the same shared block, a
+// spare one, or a fresh allocation.
+func (h *HashIndex) syncChains() {
+	for ci := len(h.chains); ci < len(h.arena.chunks); ci++ {
+		h.chains = append(h.chains, h.chainFor(ci))
+	}
+}
+
+// chainFor picks entry ci's chain column (see syncChains).
+func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
+	if c := h.arena.chunks[ci].c; c.sharers != 0 {
+		for k := ci - 1; k >= 0 && k >= ci-chainLookback; k-- {
+			if h.arena.chunks[k].c == c {
+				return h.chains[k]
+			}
+		}
+	}
+	if n := len(h.spare); n > 0 {
+		col := h.spare[n-1]
+		h.spare = h.spare[:n-1]
+		return col
+	}
+	h.nchains++
+	return new([arenaChunk]uint32)
+}
+
+// appendTuple copies t into a private block and returns its offset,
+// with the block's chain column in place.
+func (h *HashIndex) appendTuple(t *Tuple) int32 {
+	off := h.arena.append(t)
+	if len(h.chains) < len(h.arena.chunks) {
+		h.syncChains()
+	}
+	return off
+}
+
+// addWindow adds a view of the shared window w to the arena and
+// returns the offset of its first row; row i is at that offset + i.
+func (h *HashIndex) addWindow(w Window) int32 {
+	ci := h.arena.addWindow(w.c, w.lo, w.hi)
+	if len(h.chains) <= ci {
+		h.syncChains()
+	}
+	return int32(ci<<arenaShift) | w.lo
+}
+
+// windowed reports whether the rows of w can be added by reference:
+// w names exactly the n tuples of the run, and the entry space has room.
+func (h *HashIndex) windowed(w Window, n int) bool {
+	return w.c != nil && w.Len() == n && len(h.arena.chunks) < maxSharedEntries
 }
 
 // insertOffset records key -> off in the slot directory, reusing the
@@ -387,7 +458,7 @@ func (h *HashIndex) insertOffset(tag uint32, key int64, off int32) {
 
 // Insert stores t under its key.
 func (h *HashIndex) Insert(t Tuple) {
-	off := h.arena.append(&t)
+	off := h.appendTuple(&t)
 	h.insertOffset(tagOf(t.Key), t.Key, off)
 	h.bytes += t.Bytes()
 }
@@ -396,17 +467,36 @@ func (h *HashIndex) Insert(t Tuple) {
 func (h *HashIndex) InsertBatch(ts []Tuple) {
 	var bytes int64
 	for i := range ts {
-		off := h.arena.append(&ts[i])
+		off := h.appendTuple(&ts[i])
 		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, off)
 		bytes += ts[i].Bytes()
 	}
 	h.bytes += bytes
 }
 
-// Reserve presizes the directory and arena for about n stored tuples
-// (assuming distinct keys — a safe overestimate for the directory).
-// Ingest below the hint then neither rehashes nor allocates; the hint
-// is clamped so a wild estimate costs bounded memory.
+// InsertWindow stores the run ts whose columns were written into the
+// shared window w (row i holding ts[i]): the arena gains a view of the
+// window and only the directory and chain column are written. A window
+// that does not name exactly ts stores a copy instead.
+func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
+	if !h.windowed(w, len(ts)) {
+		h.InsertBatch(ts)
+		return
+	}
+	base := h.addWindow(w)
+	var bytes int64
+	for i := range ts {
+		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, base+int32(i))
+		bytes += ts[i].Bytes()
+	}
+	h.bytes += bytes
+}
+
+// Reserve presizes the directory and the chain columns for about n
+// stored tuples (assuming distinct keys — a safe overestimate for the
+// directory). Ingest below the hint then does not rehash; the hint is
+// clamped so a wild estimate costs bounded memory. No arena block is
+// preallocated: the blocks come from appends or shared windows.
 func (h *HashIndex) Reserve(n int) {
 	if n <= 0 {
 		return
@@ -424,7 +514,7 @@ func (h *HashIndex) Reserve(n int) {
 		keys = int(int64(n) * int64(h.used) / int64(h.arena.n))
 	}
 	h.reserveSlots(keys)
-	h.reserveArena(n)
+	h.reserveChains(n)
 }
 
 // reserveSlots presizes only the directory, for n distinct keys under
@@ -439,12 +529,17 @@ func (h *HashIndex) reserveSlots(n int) {
 	}
 }
 
-// reserveArena presizes only the arena, chain columns included, so
-// ingest up to n tuples allocates nothing.
-func (h *HashIndex) reserveArena(n int) {
-	h.arena.reserve(n)
-	for _, c := range h.arena.chunks[h.arena.tail:] {
-		c.links()
+// reserveChains stocks the chain columns, and room in the entry lists,
+// that n stored tuples in full blocks need.
+func (h *HashIndex) reserveChains(n int) {
+	blocks := (n - h.arena.n + arenaChunk - 1) / arenaChunk
+	for len(h.spare) < blocks {
+		h.spare = append(h.spare, new([arenaChunk]uint32))
+		h.nchains++
+	}
+	if want := len(h.arena.chunks) + blocks; want > cap(h.arena.chunks) {
+		h.arena.chunks = append(make([]view, 0, want), h.arena.chunks...)
+		h.chains = append(make([]*[arenaChunk]uint32, 0, want), h.chains...)
 	}
 }
 
@@ -456,10 +551,9 @@ func (h *HashIndex) reserveArena(n int) {
 func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit {
 	for head != 0 {
 		off := int32(head - 1)
-		c := h.arena.chunks[off>>arenaShift]
-		pos := off & (arenaChunk - 1)
-		head = c.next[pos]
-		hits = append(hits, probeHit{probe: probe, off: off, meta: c.meta[pos]})
+		ci, pos := off>>arenaShift, off&(arenaChunk-1)
+		head = h.chains[ci][pos]
+		hits = append(hits, probeHit{probe: probe, off: off, meta: h.arena.chunks[ci].c.meta[pos]})
 	}
 	return hits
 }
@@ -546,10 +640,9 @@ func (h *HashIndex) putHits(hits []probeHit) {
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	for head := h.lookup(tagOf(probe.Key), probe.Key); head != 0; {
 		off := int32(head - 1)
-		c := h.arena.chunks[off>>arenaShift]
-		pos := off & (arenaChunk - 1)
-		head = c.next[pos]
-		fn(c.at(pos))
+		ci, pos := off>>arenaShift, off&(arenaChunk-1)
+		head = h.chains[ci][pos]
+		fn(h.arena.chunks[ci].c.at(pos))
 	}
 }
 
@@ -564,10 +657,13 @@ const walkChunk = 16
 // gathers into hits the chains of h that every non-dummy tuple of ts
 // hits (dummies never match, so they are not looked up), and, when own
 // is non-nil, stores each tuple into own right after its lookup — the
-// fused probe-then-insert step of Local.AddBatchCollect. own is the
-// opposite relation's index, never h, so h is not mutated during the
-// call. ts runs in chunks of up to walkChunk tuples, the last one
-// simply shorter (no scalar remainder), each in four passes:
+// fused probe-then-insert step of Local.AddBatchCollect. With a shared
+// window w naming the run (Local.AddWindowCollect), the store adds a
+// view of it and writes no columns; otherwise each tuple is copied into
+// own's private blocks. own is the opposite relation's index, never h,
+// so h is not mutated during the call. ts runs in chunks of up to
+// walkChunk tuples, the last one simply shorter (no scalar remainder),
+// each in four passes:
 //
 //  1. hash every key of the chunk (pure ALU, no memory dependence);
 //  2. copy out each key's home slot in h — independent 8-byte loads
@@ -586,12 +682,16 @@ const walkChunk = 16
 // Tuples of one relation never join each other, so probing the
 // opposite side before each insert emits exactly the pairs the
 // probe-all-then-insert-all form would.
-func (h *HashIndex) walk(ts []Tuple, own *HashIndex, hits []probeHit) []probeHit {
+func (h *HashIndex) walk(ts []Tuple, own *HashIndex, w Window, hits []probeHit) []probeHit {
 	var (
 		tags  [walkChunk]uint32
 		first [walkChunk]dslot
 		bytes int64
 	)
+	base := int32(-1)
+	if own != nil && own.windowed(w, len(ts)) {
+		base = own.addWindow(w)
+	}
 	probe := h.used != 0
 	shift := h.shift & 31
 	for i := 0; i < len(ts); i += walkChunk {
@@ -629,7 +729,13 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, hits []probeHit) []probeHit
 				}
 			}
 			if own != nil {
-				own.insertOffset(tags[k], t.Key, own.arena.append(t))
+				var off int32
+				if base >= 0 {
+					off = base + int32(i+k)
+				} else {
+					off = own.appendTuple(t)
+				}
+				own.insertOffset(tags[k], t.Key, off)
 				bytes += t.Bytes()
 			}
 		}
@@ -650,7 +756,7 @@ func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, 
 	if h.used == 0 {
 		return
 	}
-	hits := h.walk(ps, nil, h.hits[:0])
+	hits := h.walk(ps, nil, Window{}, h.hits[:0])
 	h.materialize(ps, hits, rel, p, out)
 	h.putHits(hits)
 }
@@ -661,10 +767,11 @@ func (h *HashIndex) Len() int { return h.arena.n }
 // Bytes returns the accounted stored volume.
 func (h *HashIndex) Bytes() int64 { return h.bytes }
 
-// Footprint reports every block with its chain column, and both
-// directories while a rehash drains.
+// Footprint reports the arena's blocks (a shared block's rows divided
+// among its sharers) with the chain columns, and both directories
+// while a rehash drains.
 func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
-	return int64(len(h.arena.chunks)) * (chunkBytes + chainBytes),
+	return h.arena.footprint() + int64(h.nchains)*chainBytes,
 		int64(len(h.slots)+len(h.old)) * slotBytes
 }
 
@@ -697,18 +804,19 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 }
 
 // MergeFrom bulk-merges every tuple of o into h, consuming o (o must
-// not be used afterward). The source arena blocks are adopted
+// not be used afterward). The source arena entries are adopted
 // wholesale — no tuple is copied, only the derived state is built:
-// one pass over the adopted blocks' key columns places each key's
-// 8-byte slot and rewrites the blocks' chain columns in h's offset
-// space (a donor's own chains, if it had any, named its own chunk
-// indexes) — which is what makes migration finalization, snapshot
-// restore and block-frame adoption a directory rebuild instead of a
-// full re-insert. The (chunk,pos) offset encoding is what makes
-// adoption unconditional: a partially filled block is addressable
-// anywhere in the chunk list, so neither arena needs to end on a block
-// boundary, and either index may even be mid-rehash (h keeps draining
-// incrementally; o's directories are simply dropped).
+// one pass over the adopted entries' key columns places each key's
+// 8-byte slot and rewrites the chain columns in h's offset space (the
+// donor's own columns, when it has them, are taken over and
+// overwritten; a bare arena gets fresh ones) — which is what makes
+// migration finalization, snapshot restore and block-frame adoption a
+// directory rebuild instead of a full re-insert. The (entry,pos) offset
+// encoding is what makes adoption unconditional: a partially filled
+// view is addressable anywhere in the entry list, so neither arena
+// needs to end on a block boundary, and either index may even be
+// mid-rehash (h keeps draining incrementally; o's directories are
+// simply dropped).
 func (h *HashIndex) MergeFrom(o *HashIndex) {
 	if o.arena.n == 0 {
 		*o = HashIndex{}
@@ -720,11 +828,16 @@ func (h *HashIndex) MergeFrom(o *HashIndex) {
 		h.reserveSlots(n)
 	}
 	base := h.arena.adopt(&o.arena)
-	adopted := h.arena.chunks[base:]
-	for ci, c := range adopted {
-		for pos := 0; pos < c.n; pos++ {
-			key := c.key[pos]
-			h.insertOffset(tagOf(key), key, int32((base+ci)<<arenaShift|pos))
+	if len(o.chains) == len(h.arena.chunks)-base {
+		h.chains = append(h.chains, o.chains...)
+		h.spare = append(h.spare, o.spare...)
+		h.nchains += o.nchains
+	}
+	h.syncChains()
+	for ci, v := range h.arena.chunks[base:] {
+		for pos := v.lo; pos < v.hi; pos++ {
+			key := v.c.key[pos]
+			h.insertOffset(tagOf(key), key, int32((base+ci)<<arenaShift)|pos)
 		}
 	}
 	h.bytes += o.bytes
@@ -757,8 +870,9 @@ func (s *ScanIndex) InsertBatch(ts []Tuple) {
 	}
 }
 
-// Reserve preallocates arena blocks for about n stored tuples.
-func (s *ScanIndex) Reserve(n int) { s.arena.reserve(n) }
+// Reserve is a no-op: a scan index has no directory to presize and
+// never preallocates arena blocks.
+func (s *ScanIndex) Reserve(int) {}
 
 // Probe enumerates every stored tuple: all are structural candidates
 // under a theta predicate.
@@ -771,9 +885,9 @@ func (s *ScanIndex) Probe(_ Tuple, fn func(Tuple)) {
 // the arena blocks with no per-match callback.
 func (s *ScanIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	for i := range ps {
-		for _, c := range s.arena.chunks {
-			for pos := int32(0); pos < int32(c.n); pos++ {
-				collectPair(ps[i], c.at(pos), rel, p, out)
+		for _, v := range s.arena.chunks {
+			for pos := v.lo; pos < v.hi; pos++ {
+				collectPair(ps[i], v.c.at(pos), rel, p, out)
 			}
 		}
 	}
@@ -787,7 +901,7 @@ func (s *ScanIndex) Bytes() int64 { return s.bytes }
 
 // Footprint reports the arena blocks; a scan index has no directory.
 func (s *ScanIndex) Footprint() (arenaBytes, directoryBytes int64) {
-	return int64(len(s.arena.chunks)) * chunkBytes, 0
+	return s.arena.footprint(), 0
 }
 
 // Scan visits all stored tuples in insertion order.

@@ -40,6 +40,16 @@ func (l *Local) Insert(t Tuple) {
 // never join each other, the fused walk emits exactly the pairs the
 // two-pass form would.
 func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
+	l.AddWindowCollect(ts, Window{}, out)
+}
+
+// AddWindowCollect is AddBatchCollect for a run whose columns a
+// reshuffler already wrote into the shared window w (row i holding
+// ts[i]): the probe runs on ts as ever, and a hash-indexed side stores
+// the run as a view of w, writing only its directory and chain column.
+// Any other index kind, or a window that does not name exactly ts,
+// stores a copy. The zero Window is AddBatchCollect.
+func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 	if len(ts) == 0 {
 		return
 	}
@@ -51,10 +61,10 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	ph, oppHash := opp.(*HashIndex)
 	if !ownHash || !oppHash {
 		l.ProbeBatchCollect(ts, out)
-		l.InsertBatch(ts)
+		l.InsertWindow(ts, w)
 		return
 	}
-	hits := ph.walk(ts, oh, ph.hits[:0])
+	hits := ph.walk(ts, oh, w, ph.hits[:0])
 	// The gathered offsets point into the opposite side's arena, which
 	// the inserts never touch, so materialization can run after the
 	// whole run is stored.
@@ -63,7 +73,8 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 }
 
 // Reserve passes per-side expected-cardinality hints through to the
-// indexes, presizing their directories and arenas (see Index.Reserve).
+// indexes, presizing their directories and chain columns (see
+// Index.Reserve).
 func (l *Local) Reserve(r, s int) {
 	l.r.Reserve(r)
 	l.s.Reserve(s)
@@ -96,15 +107,21 @@ func (l *Local) ProbeBatchCollect(ts []Tuple, out *[]Pair) {
 }
 
 // InsertBatch stores a run of same-side tuples without probing.
-func (l *Local) InsertBatch(ts []Tuple) {
+func (l *Local) InsertBatch(ts []Tuple) { l.InsertWindow(ts, Window{}) }
+
+// InsertWindow stores a run of same-side tuples without probing, as a
+// view of the shared window w when the side is hash-indexed (see
+// AddWindowCollect).
+func (l *Local) InsertWindow(ts []Tuple, w Window) {
 	if len(ts) == 0 {
 		return
 	}
-	if ts[0].Rel == matrix.SideR {
-		l.r.InsertBatch(ts)
-	} else {
-		l.s.InsertBatch(ts)
+	idx := l.index(ts[0].Rel)
+	if h, ok := idx.(*HashIndex); ok {
+		h.InsertWindow(ts, w)
+		return
 	}
+	idx.InsertBatch(ts)
 }
 
 // MergeFrom bulk-merges the other join's stored tuples into l,

@@ -72,8 +72,8 @@ func retainStates() []retainState {
 	return []retainState{
 		{
 			// A hash index mid-rehash whose arena holds a partially
-			// filled block before an adopted partial tail, then reserved
-			// empty blocks.
+			// filled block before an adopted partial tail, then views of
+			// shared blocks.
 			name: "hash-mid-rehash",
 			build: func(t *testing.T) Index {
 				rng := rand.New(rand.NewSource(7))
@@ -95,10 +95,15 @@ func retainStates() []retainState {
 					donor.Insert(next(rng.Int63n(distinct)))
 				}
 				h.MergeFrom(donor)
-				h.arena.reserve(h.Len() + 2*arenaChunk)
+				partial := len(h.arena.chunks) - 1
+				shared := make([]Tuple, 60)
+				for i := range shared {
+					shared[i] = next(rng.Int63n(distinct))
+				}
+				storeShared(shared, 2, 13, h.InsertWindow)
 				a := &h.arena
-				if !h.rehashing() || a.chunks[a.tail-1].n == arenaChunk || a.chunks[len(a.chunks)-1].n != 0 {
-					t.Fatal("state lacks the rehash, the partial block before the adopted tail, or the reserved blocks")
+				if !h.rehashing() || a.chunks[partial].hi == arenaChunk || a.chunks[len(a.chunks)-1].c.sharers == 0 {
+					t.Fatal("state lacks the rehash, the partial block before the adopted tail, or the shared views")
 				}
 				return h
 			},

@@ -13,20 +13,23 @@ import (
 // and deserializes into a block that can be adopted wholesale.
 //
 // A snapshot is taken in two steps. Capture runs on the owning
-// goroutine at the checkpoint barrier and copies almost nothing: the
-// blocks below the arena's immutable prefix are recorded by pointer
-// (appends never touch them, and the one destructive rebuild that
-// could, Retain, only runs during migrations, which the operator never
-// starts while a checkpoint is uncommitted), the open tail block is
-// copied (at most one 20 KB block per side), and only an ordered index,
-// whose tree has no frozen block prefix, is encoded on the spot. The
-// owner then resumes mutating its indexes while any other goroutine
-// sizes the capture exactly (Size) and writes it (AppendTo), typically
-// straight into its slot of a preallocated checkpoint blob.
+// goroutine at the checkpoint barrier and copies almost nothing: it
+// records the arena's views by value — rows inside a view never change
+// and appends land past its hi, so the bytes a captured view names stay
+// put while the owner (or, for a shared block, its reshuffler) keeps
+// appending; Retain, the one rebuild, writes fresh blocks. The open
+// private tail is the exception: its owner may still add the block's
+// payload column, so that block is copied (at most one 20 KB block per
+// side). Only an ordered index, whose tree has no frozen block prefix,
+// is encoded on the spot. The owner then resumes mutating its indexes while any
+// other goroutine sizes the capture exactly (Size) and writes it
+// (AppendTo), typically straight into its slot of a preallocated
+// checkpoint blob. Each view is written as one block record, so a
+// shared block is written once per joiner that stores it.
 //
 // Restore goes through the same MergeFrom/adopt() path migration
-// finalization uses: the directory and the blocks' chain columns are
-// rebuilt from the adopted blocks' key columns, never shipped — the
+// finalization uses: the directory and the chain columns are rebuilt
+// from the adopted blocks' key columns, never shipped — the
 // snapshot carries tuple data only, so a format change in the derived
 // state (slot layout, growth state, chains) can never invalidate a
 // checkpoint; testdata/parent_* holds the proof for the last such
@@ -124,19 +127,19 @@ func (r *snapReader) bytes(n int, what string) []byte {
 	return v
 }
 
-// appendArena encodes every filled block of a: a block count, then
-// each block as appendBlock frames it.
+// appendArena encodes every non-empty entry of a: a block count, then
+// each entry as appendBlock frames it.
 func appendArena(buf []byte, a *tupleArena) []byte {
 	n := 0
-	for _, c := range a.chunks {
-		if c.n > 0 {
+	for _, v := range a.chunks {
+		if v.hi > v.lo {
 			n++
 		}
 	}
 	buf = appendU32(buf, uint32(n))
-	for _, c := range a.chunks {
-		if c.n > 0 {
-			buf = appendBlock(buf, c)
+	for _, v := range a.chunks {
+		if v.hi > v.lo {
+			buf = appendBlock(buf, v)
 		}
 	}
 	return buf
@@ -145,33 +148,35 @@ func appendArena(buf []byte, a *tupleArena) []byte {
 // tupleBytes is one stored tuple's five columns on the wire.
 const tupleBytes = 5 * 8
 
-// blockSize is the exact length appendBlock writes for c.
-func blockSize(c *colChunk) int {
-	n := 4 + 1 + tupleBytes*c.n
-	if c.payload != nil {
-		n += 4 * c.n
-		for _, p := range c.payload[:c.n] {
+// blockSize is the exact length appendBlock writes for v.
+func blockSize(v view) int {
+	fill := int(v.hi - v.lo)
+	n := 4 + 1 + tupleBytes*fill
+	if v.c.payload != nil {
+		n += 4 * fill
+		for _, p := range v.c.payload[v.lo:v.hi] {
 			n += len(p)
 		}
 	}
 	return n
 }
 
-// appendBlock encodes one non-empty block: the fill level, a
+// appendBlock encodes one non-empty view as a block: the fill level, a
 // payload-presence flag, the five columns of each tuple as
 // little-endian words, and the payload bytes when present.
-func appendBlock(buf []byte, c *colChunk) []byte {
-	buf = appendU32(buf, uint32(c.n))
+func appendBlock(buf []byte, v view) []byte {
+	c, fill := v.c, int(v.hi-v.lo)
+	buf = appendU32(buf, uint32(fill))
 	hasPayload := uint8(0)
 	if c.payload != nil {
 		hasPayload = 1
 	}
 	buf = appendU8(buf, hasPayload)
 	off := len(buf)
-	buf = slices.Grow(buf, tupleBytes*c.n)[:off+tupleBytes*c.n]
+	buf = slices.Grow(buf, tupleBytes*fill)[:off+tupleBytes*fill]
 	w := buf[off:]
-	for pos := 0; pos < c.n; pos++ {
-		t := w[pos*tupleBytes : pos*tupleBytes+tupleBytes]
+	for i, pos := 0, v.lo; pos < v.hi; i, pos = i+1, pos+1 {
+		t := w[i*tupleBytes : i*tupleBytes+tupleBytes]
 		binary.LittleEndian.PutUint64(t[0:], uint64(c.key[pos]))
 		binary.LittleEndian.PutUint64(t[8:], uint64(c.aux[pos]))
 		binary.LittleEndian.PutUint64(t[16:], c.u[pos])
@@ -179,7 +184,7 @@ func appendBlock(buf []byte, c *colChunk) []byte {
 		binary.LittleEndian.PutUint64(t[32:], c.meta[pos])
 	}
 	if hasPayload == 1 {
-		for _, p := range c.payload[:c.n] {
+		for _, p := range c.payload[v.lo:v.hi] {
 			buf = appendU32(buf, uint32(len(p)))
 			buf = append(buf, p...)
 		}
@@ -204,7 +209,13 @@ func readArena(r *snapReader) tupleArena {
 			r.err = fmt.Errorf("join: snapshot chunk %d has invalid fill %d", ci, n)
 			return a
 		}
-		c := &colChunk{n: n}
+		if len(r.data)-r.off < n*tupleBytes {
+			// Check before allocating: a header may name a block the
+			// input does not hold.
+			r.fail("block columns")
+			return a
+		}
+		c := newChunk(hasPayload == 1, 0)
 		for pos := 0; pos < n; pos++ {
 			c.key[pos] = int64(r.u64("key column"))
 			c.aux[pos] = int64(r.u64("aux column"))
@@ -213,7 +224,6 @@ func readArena(r *snapReader) tupleArena {
 			c.meta[pos] = r.u64("meta column")
 		}
 		if hasPayload == 1 {
-			c.payload = make([][]byte, arenaChunk)
 			for pos := 0; pos < n; pos++ {
 				ln := int(r.u32("payload length"))
 				p := r.bytes(ln, "payload bytes")
@@ -225,12 +235,11 @@ func readArena(r *snapReader) tupleArena {
 				}
 			}
 		}
-		a.chunks = append(a.chunks, c)
+		a.chunks = append(a.chunks, view{c: c, hi: int32(n)})
 		a.n += n
+		a.private++
 	}
-	if len(a.chunks) > 0 {
-		a.tail = len(a.chunks) - 1
-	}
+	a.own = len(a.chunks) > 0
 	return a
 }
 
@@ -317,14 +326,14 @@ type LocalCapture struct {
 }
 
 // sideCapture is one index's share of a capture: for arena-backed
-// kinds the index's byte volume and the non-empty blocks past the
-// delta prefix (frozen ones by pointer, the open tail as a copy); for
-// an ordered index the complete encoded side record.
+// kinds the index's byte volume and the non-empty views past the delta
+// prefix, by value; for an ordered index the complete encoded side
+// record.
 type sideCapture struct {
 	kind   uint8
 	bytes  int64
-	prefix uint32 // delta kinds: the chunk index the blocks splice at
-	chunks []*colChunk
+	prefix uint32 // delta kinds: the entry index the blocks splice at
+	chunks []view
 	enc    []byte
 	// full is the exact length of a full record of the same state: what
 	// this side would encode to had the capture been taken without a
@@ -332,25 +341,17 @@ type sideCapture struct {
 	full int
 }
 
-// captureArena records a's non-empty blocks from chunk index from on:
-// those below the immutable prefix by pointer, the rest (only the open
-// tail can be non-empty there) as copies. Chunks below from are never
-// empty (empty blocks only exist at or past the append cursor), so a
-// chunk index below the immutable prefix means the same thing in the
-// live list and the serialized one.
-func captureArena(a *tupleArena, from int) []*colChunk {
-	frozen := a.immutablePrefix()
-	out := make([]*colChunk, 0, len(a.chunks)-from)
-	for i, c := range a.chunks[from:] {
-		switch {
-		case c.n == 0:
-		case from+i < frozen:
-			out = append(out, c)
-		default:
-			tail := *c
-			tail.next = nil
-			out = append(out, &tail)
-		}
+// captureArena copies a's views from entry index from on. A view
+// names rows that never change (see the file comment), so the copy is
+// the capture — except for the open private tail, whose owner may
+// still give the block its payload column: that one block is copied.
+// No entry is ever empty, so an entry index means the same thing in
+// the live list and the serialized one.
+func captureArena(a *tupleArena, from int) []view {
+	out := slices.Clone(a.chunks[from:])
+	if k := len(out) - 1; k >= 0 && a.own && out[k].hi < arenaChunk {
+		tail := *out[k].c
+		out[k].c = &tail
 	}
 	return out
 }
@@ -412,9 +413,9 @@ func (l *Local) Capture(wm *LocalWatermark) (c LocalCapture, next LocalWatermark
 // carry payloads.
 func fullArenaSize(a *tupleArena) int {
 	n := 1 + 8 + 4 // kind, byte volume, block count
-	for _, ch := range a.chunks {
-		if ch.n > 0 {
-			n += blockSize(ch)
+	for _, v := range a.chunks {
+		if v.hi > v.lo {
+			n += blockSize(v)
 		}
 	}
 	return n
@@ -570,16 +571,10 @@ func spliceChain(chain []sideSnap) (sideSnap, error) {
 		if d.prefix < 0 || d.prefix > len(cur.arena.chunks) {
 			return sideSnap{}, fmt.Errorf("join: chain record %d splices at chunk %d of %d", i, d.prefix, len(cur.arena.chunks))
 		}
-		chunks := append(append([]*colChunk(nil), cur.arena.chunks[:d.prefix]...), d.arena.chunks...)
-		n := 0
-		for _, c := range chunks {
-			n += c.n
-		}
-		var a tupleArena
-		a.chunks = chunks
-		a.n = n
-		if len(chunks) > 0 {
-			a.tail = len(chunks) - 1
+		chunks := append(slices.Clip(cur.arena.chunks[:d.prefix]), d.arena.chunks...)
+		a := tupleArena{chunks: chunks, own: len(chunks) > 0, private: len(chunks)}
+		for _, v := range chunks {
+			a.n += int(v.hi - v.lo)
 		}
 		cur.arena = a
 		cur.bytes = d.bytes
@@ -600,14 +595,14 @@ func installSide(idx Index, rec sideSnap) error {
 		if !ok {
 			return fmt.Errorf("join: snapshot holds a hash index but the predicate builds %T", idx)
 		}
-		donor := &HashIndex{arena: rec.arena, bytes: rec.bytes}
+		donor := &HashIndex{arena: rec.arena.packed(), bytes: rec.bytes}
 		h.MergeFrom(donor)
 	case snapIdxScan:
 		s, ok := idx.(*ScanIndex)
 		if !ok {
 			return fmt.Errorf("join: snapshot holds a scan index but the predicate builds %T", idx)
 		}
-		donor := &ScanIndex{arena: rec.arena, bytes: rec.bytes}
+		donor := &ScanIndex{arena: rec.arena.packed(), bytes: rec.bytes}
 		s.MergeFrom(donor)
 	case snapIdxOrdered:
 		o, ok := idx.(*OrderedIndex)

@@ -82,12 +82,12 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 	}
 	dst := &e.arenas[side]
 	n := 0
-	for _, c := range a.chunks {
-		for pos, u := range c.u[:c.n] {
-			if !keep.Has(u) {
+	for _, v := range a.chunks {
+		for pos := v.lo; pos < v.hi; pos++ {
+			if !keep.Has(v.c.u[pos]) {
 				continue
 			}
-			e.bytes[side] += dst.appendRow(c, pos)
+			e.bytes[side] += dst.appendRow(v.c, pos)
 			e.count++
 			if n++; e.count >= limit {
 				ship() // resets *e in place, so dst stays e's side arena
@@ -194,9 +194,9 @@ func (bs *BlockSet) Bytes() int64 { return bs.bytes[0] + bs.bytes[1] }
 // AppendSide appends one side's tuples to dst, in block order,
 // and returns the extended slice: the run a receiver probes with.
 func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
-	for _, c := range bs.arenas[side].chunks {
-		for pos := int32(0); pos < int32(c.n); pos++ {
-			dst = append(dst, c.at(pos))
+	for _, v := range bs.arenas[side].chunks {
+		for pos := v.lo; pos < v.hi; pos++ {
+			dst = append(dst, v.c.at(pos))
 		}
 	}
 	return dst

@@ -69,15 +69,29 @@ func NewStore(p join.Predicate, cfg Config) *Store {
 // common case) takes the memory tier's fused probe-then-insert walk,
 // which hashes each key exactly once for both halves of the step.
 func (s *Store) AddBatchCollect(ts []join.Tuple, out *[]join.Pair) {
+	s.AddWindowCollect(ts, join.Window{}, out)
+}
+
+// AddWindowCollect is AddBatchCollect for a run whose columns were
+// written into the shared window w (join.Local.AddWindowCollect): the
+// unbudgeted, unspilled store keeps a view of the window instead of a
+// copy. A budgeted or spilled store copies, as AddBatchCollect does.
+func (s *Store) AddWindowCollect(ts []join.Tuple, w join.Window, out *[]join.Pair) {
 	if len(ts) == 0 {
 		return
 	}
-	if s.cfg.CapBytes == 0 && s.segs[0] == nil && s.segs[1] == nil {
-		s.mem.AddBatchCollect(ts, out)
+	if s.unbounded() {
+		s.mem.AddWindowCollect(ts, w, out)
 		return
 	}
 	s.ProbeBatchCollect(ts, out)
 	s.InsertBatch(ts)
+}
+
+// unbounded reports whether the store is the plain memory tier: no
+// budget and nothing spilled.
+func (s *Store) unbounded() bool {
+	return s.cfg.CapBytes == 0 && s.segs[0] == nil && s.segs[1] == nil
 }
 
 // ProbeBatchCollect joins a run of same-side tuples against all stored
@@ -103,6 +117,17 @@ func (s *Store) Reserve(r, sCount int) {
 		return
 	}
 	s.mem.Reserve(r, sCount)
+}
+
+// InsertWindow stores a run of same-side tuples written into the
+// shared window w, as a view of it when the store is the plain memory
+// tier, else as InsertBatch does.
+func (s *Store) InsertWindow(ts []join.Tuple, w join.Window) {
+	if s.unbounded() {
+		s.mem.InsertWindow(ts, w)
+		return
+	}
+	s.InsertBatch(ts)
 }
 
 // InsertBatch stores a run of same-side tuples. Unbudgeted stores (the
@@ -154,6 +179,10 @@ func (s *Store) Footprint() (arenaBytes, directoryBytes int64) {
 	}
 	return arenaBytes, directoryBytes
 }
+
+// Views lists the memory tier's arena entries of one side
+// (join.Local.Views).
+func (s *Store) Views(side matrix.Side) []join.BlockView { return s.mem.Views(side) }
 
 // Len returns the stored tuple count of one side across both tiers.
 func (s *Store) Len(side matrix.Side) int {

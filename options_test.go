@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	squall "repro"
 )
@@ -132,4 +136,102 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 			t.Fatalf("a failed Restore left %d goroutines, %d before", n, before)
 		}
 	})
+}
+
+// pairMultiset is a Batches sink folding pairs into an (R.Aux, S.Aux)
+// multiset, safe for the concurrent calls of several joiners; seen
+// counts the pairs delivered so far.
+type pairMultiset struct {
+	mu   sync.Mutex
+	got  map[[2]int64]int
+	seen atomic.Int64
+}
+
+func (m *pairMultiset) sink() squall.Sink {
+	m.got = map[[2]int64]int{}
+	return squall.Batches(func(ps []squall.Pair) {
+		m.mu.Lock()
+		for _, p := range ps {
+			m.got[[2]int64{p.R.Aux, p.S.Aux}]++
+		}
+		m.mu.Unlock()
+		m.seen.Add(int64(len(ps)))
+	})
+}
+
+func (m *pairMultiset) check(t *testing.T, want map[[2]int64]int) {
+	t.Helper()
+	if len(m.got) != len(want) {
+		t.Fatalf("%d distinct pairs, nested loop %d", len(m.got), len(want))
+	}
+	for k, n := range want {
+		if m.got[k] != n {
+			t.Fatalf("pair %v emitted %d times, nested loop %d", k, m.got[k], n)
+		}
+	}
+}
+
+// TestWithPadDummiesExact drives WithPadDummies on a stream whose
+// S:R ratio exceeds J: the reshufflers inject dummy R tuples (Seq 0,
+// the dummy bit set) that are routed, and stored in the slots' shared
+// blocks, like real ones but never match. The output must be the
+// nested-loop multiset exactly, and dummies must have been injected.
+func TestWithPadDummiesExact(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		tuples := emitStream(6, 4000, 12, 31)
+		var m pairMultiset
+		opts := []squall.Option{squall.WithJoiners(4), squall.WithSeed(3), squall.WithPadDummies()}
+		if adaptive {
+			opts = append(opts, squall.WithAdaptive(), squall.WithWarmup(500))
+		}
+		op := squall.NewEngine(squall.Equi("pad"), m.sink(), opts...).(*squall.Operator)
+		op.Start()
+		if err := op.SendBatch(tuples); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		m.check(t, emitOracle(tuples))
+		if op.Metrics().DummyTuples.Load() == 0 {
+			t.Fatalf("adaptive=%v: no dummy tuple injected at an S:R ratio of %d", adaptive, 4000/6)
+		}
+	}
+}
+
+// TestWithBatchLingerTrickleExact drives WithBatchLinger(50µs) with an
+// envelope far larger than the stream: a trickled feed never fills an
+// envelope, so every pair that arrives before Finish was shipped by a
+// linger (or idle) flush, which publishes a short window of the slot's
+// shared block. The output must be the nested-loop multiset exactly.
+func TestWithBatchLingerTrickleExact(t *testing.T) {
+	tuples := emitStream(150, 150, 20, 37)
+	rand.New(rand.NewSource(37)).Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
+	var m pairMultiset
+	op := squall.NewEngine(squall.Equi("linger"), m.sink(), squall.WithJoiners(16), squall.WithSeed(5),
+		squall.WithBatchSize(1<<14), squall.WithBatchLinger(50*time.Microsecond)).(*squall.Operator)
+	op.Start()
+	for i := range tuples {
+		if err := op.Send(tuples[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for m.seen.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	early := m.seen.Load()
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	m.check(t, emitOracle(tuples))
+	if early == 0 {
+		t.Fatal("no pair arrived before Finish: partial envelopes never flushed")
+	}
+	met := op.Metrics()
+	t.Logf("%d of %d pairs before Finish; flushes: %d linger, %d idle, %d full",
+		early, m.seen.Load(), met.BatchFlushLinger.Load(), met.BatchFlushIdle.Load(), met.BatchFlushFull.Load())
 }
