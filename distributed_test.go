@@ -110,7 +110,10 @@ func (w *worker) wait(t *testing.T) error {
 // multiset comparison against the nested-loop oracle. Remote
 // execution, envelope framing, block-shipped migration, and the
 // coordinator's per-joiner shadow sinks (which deliver the pairs a
-// worker returns) must all be invisible in the result. The reshuffler
+// worker returns) must all be invisible in the result, at the default
+// envelope size, at 1024 (past a block: a worker's joiners copy such
+// frame bodies) and at 1 (one-row windows of a worker's shared blocks).
+// The reshuffler
 // count a worker takes from the hello is pinned in internal/core
 // (TestWorkerTakesReshufflersFromHello).
 func TestDistributedExactness(t *testing.T) {
@@ -119,66 +122,81 @@ func TestDistributedExactness(t *testing.T) {
 	}
 	tuples := emitStream(300, 6000, 40, 7)
 	want := emitOracle(tuples)
-	t.Run("default", func(t *testing.T) {
-		w1, w2 := startWorker(t), startWorker(t)
+	for _, tc := range []struct {
+		name string
+		opts []squall.Option
+	}{
+		{"default", nil},
+		{"batch-1024", []squall.Option{squall.WithBatchSize(1024)}},
+		{"batch-1", []squall.Option{squall.WithBatchSize(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			distributedExact(t, tuples, want, tc.opts)
+		})
+	}
+}
 
-		var mu sync.Mutex
-		got := map[[2]int64]int{}
-		eng := squall.NewEngine(squall.EquiJoin("dist", nil), squall.Each(func(p squall.Pair) {
-			mu.Lock()
-			got[[2]int64{p.R.Aux, p.S.Aux}]++
-			mu.Unlock()
-		}),
-			squall.WithJoiners(8),
-			squall.WithSeed(99),
-			squall.WithAdaptive(),
-			squall.WithWarmup(400),
-			squall.WithWorkers(w1.addr, w2.addr),
-		)
-		eng.Start()
-		done := make(chan error, 1)
-		go func() {
-			for i := range tuples {
-				if err := eng.Send(tuples[i]); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- eng.Finish()
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("distributed run: %v\nworker1 stderr: %s\nworker2 stderr: %s",
-					err, w1.stderr.String(), w2.stderr.String())
-			}
-		case <-time.After(120 * time.Second):
-			t.Fatalf("distributed run hung\nworker1 stderr: %s\nworker2 stderr: %s",
-				w1.stderr.String(), w2.stderr.String())
-		}
+// distributedExact is one TestDistributedExactness run: the adaptive
+// J=8 engine on two spawned workers, with opts added.
+func distributedExact(t *testing.T, tuples []squall.Tuple, want map[[2]int64]int, opts []squall.Option) {
+	w1, w2 := startWorker(t), startWorker(t)
 
-		if migs := eng.Metrics().Migrations.Load(); migs == 0 {
-			t.Fatal("adaptive distributed run performed no migrations; the drill must cover remote state relocation")
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
+	var mu sync.Mutex
+	got := map[[2]int64]int{}
+	eng := squall.NewEngine(squall.EquiJoin("dist", nil), squall.Each(func(p squall.Pair) {
+		mu.Lock()
+		got[[2]int64{p.R.Aux, p.S.Aux}]++
+		mu.Unlock()
+	}), append([]squall.Option{
+		squall.WithJoiners(8),
+		squall.WithSeed(99),
+		squall.WithAdaptive(),
+		squall.WithWarmup(400),
+		squall.WithWorkers(w1.addr, w2.addr),
+	}, opts...)...)
+	eng.Start()
+	done := make(chan error, 1)
+	go func() {
+		for i := range tuples {
+			if err := eng.Send(tuples[i]); err != nil {
+				done <- err
+				return
 			}
 		}
+		done <- eng.Finish()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("distributed run: %v\nworker1 stderr: %s\nworker2 stderr: %s",
+				err, w1.stderr.String(), w2.stderr.String())
+		}
+	case <-time.After(120 * time.Second):
+		t.Fatalf("distributed run hung\nworker1 stderr: %s\nworker2 stderr: %s",
+			w1.stderr.String(), w2.stderr.String())
+	}
 
-		// Both workers must exit cleanly after a clean stream.
-		for i, w := range []*worker{w1, w2} {
-			if err := w.wait(t); err != nil {
-				t.Fatalf("worker %d exit: %v\nstderr: %s", i+1, err, w.stderr.String())
-			}
-			if !strings.Contains(w.stdout.String(), "session complete") {
-				t.Fatalf("worker %d did not report a complete session:\n%s", i+1, w.stdout.String())
-			}
+	if migs := eng.Metrics().Migrations.Load(); migs == 0 {
+		t.Fatal("adaptive distributed run performed no migrations; the drill must cover remote state relocation")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
 		}
-	})
+	}
+
+	// Both workers must exit cleanly after a clean stream.
+	for i, w := range []*worker{w1, w2} {
+		if err := w.wait(t); err != nil {
+			t.Fatalf("worker %d exit: %v\nstderr: %s", i+1, err, w.stderr.String())
+		}
+		if !strings.Contains(w.stdout.String(), "session complete") {
+			t.Fatalf("worker %d did not report a complete session:\n%s", i+1, w.stdout.String())
+		}
+	}
 }
 
 // TestDistributedWorkerCrash kills one worker process mid-stream and

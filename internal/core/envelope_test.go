@@ -244,6 +244,11 @@ func TestRemoteEnvelopeOneFramePerWorker(t *testing.T) {
 		if _, err := wop.fanOut(nil, split); err == nil {
 			t.Fatalf("worker %d accepted an envelope for a joiner hosted elsewhere", w)
 		}
+		// So is one from a reshuffler the job does not run.
+		stray := appendData(nil, want[w][0].dests, &envelope{hdr: message{kind: kTuple, from: wop.cfg.NumReshufflers}, tuples: []join.Tuple{rt}})
+		if _, err := wop.fanOut(nil, stray); err == nil {
+			t.Fatalf("worker %d accepted an envelope from reshuffler %d of %d", w, wop.cfg.NumReshufflers, wop.cfg.NumReshufflers)
+		}
 		for id, p := range ports {
 			if n := len(p.dataIn); n != 0 {
 				t.Fatalf("worker %d: joiner %d holds %d more envelopes, want none", w, id, n)

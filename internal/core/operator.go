@@ -457,6 +457,9 @@ type Operator struct {
 	// by StartContext.
 	place []int
 	peers []*remotePeer
+	// frameBlocks holds a worker's open shared block per data-frame slot
+	// (fanOut); only the session's receive loop touches it.
+	frameBlocks map[frameSlot]*slotBlock
 
 	mu      sync.Mutex
 	joiners []*joiner
@@ -563,6 +566,16 @@ func (op *Operator) hostsJoiner(id int) bool {
 		return id >= 0 && id < len(op.cfg.hosted) && op.cfg.hosted[id]
 	}
 	return op.place == nil || op.place[id] < 0
+}
+
+// sharesBlocks reports whether the operator's joiners store shared
+// windows, so that a reshuffler slot, or a worker's receive loop, writes
+// each tuple's columns once for the several joiners it ships them to:
+// on the grid route (the hash route replicates nothing), with an equi
+// predicate (hash-indexed stores keep views) and unbudgeted stores (a
+// budgeted one copies what it may spill).
+func (op *Operator) sharesBlocks() bool {
+	return !op.hashed && op.cfg.Pred.Kind == join.Equi && op.cfg.Storage.CapBytes == 0
 }
 
 // newJoiner constructs a joiner task; birth, when non-nil, pre-arms an
@@ -716,7 +729,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 			drainCh:    op.ctl.drainCh,
 			padDummies: op.cfg.PadDummies,
 			hashed:     op.hashed,
-			share:      !op.hashed && op.cfg.Pred.Kind == join.Equi && op.cfg.Storage.CapBytes == 0,
+			share:      op.sharesBlocks(),
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,

@@ -107,8 +107,7 @@ type reshuffler struct {
 	out []*envelope
 	// blocks is, per slot, the open shared block the slot writes each
 	// routed tuple's columns into once for all of its in-process joiners
-	// (join.BlockWriter); share enables it (grid route, equi predicate,
-	// unbudgeted stores: the joiners that store runs as views).
+	// (join.BlockWriter); share (Operator.sharesBlocks) enables it.
 	blocks  []join.BlockWriter
 	share   bool
 	dirty   []int

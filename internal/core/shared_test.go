@@ -238,3 +238,201 @@ func TestResidentGaugeMatchesHeap(t *testing.T) {
 	runtime.KeepAlive(op)
 	runtime.KeepAlive(tuples)
 }
+
+// TestWorkerSharedBlocksPerRow runs a static (4,4) grid on two
+// loopback workers and checks, on each worker, that the receive loop
+// wrote each frame body once for the joiners it names: the hosted
+// joiners of a grid row view the same R blocks, every S block is viewed
+// by the worker's two joiners of its column, and no hosted store holds
+// a private block.
+func TestWorkerSharedBlocksPerRow(t *testing.T) {
+	addrs, wait := serveWorkers(t, 2)
+	rng := rand.New(rand.NewSource(59))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 3000, 3000, 1<<20)
+	want := refCount(pred, tuples)
+	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, Workers: addrs}, tuples)
+	if got != want {
+		t.Fatalf("emitted %d, reference %d", got, want)
+	}
+	if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
+		t.Fatalf("mapping %v, want (4,4)", m)
+	}
+	for i, wop := range wait() {
+		rows := map[int]map[any]bool{}
+		for _, w := range wop.joiners {
+			set := map[any]bool{}
+			for _, side := range migSides {
+				for _, v := range w.state.Views(side) {
+					switch {
+					case v.Sharers == 0:
+						t.Fatalf("worker %d: joiner %d side %v holds a private block", i, w.id, side)
+					case side == matrix.SideS && v.Sharers != 2:
+						t.Fatalf("worker %d: joiner %d views an S block of %d sharers, want 2", i, w.id, v.Sharers)
+					case side == matrix.SideR && v.Sharers != 4:
+						t.Fatalf("worker %d: joiner %d views an R block of %d sharers, want 4", i, w.id, v.Sharers)
+					case side == matrix.SideR:
+						set[v.Block] = true
+					}
+				}
+			}
+			if len(set) == 0 {
+				t.Fatalf("worker %d: joiner %d stores no R block", i, w.id)
+			}
+			if ref, ok := rows[w.cell.Row]; !ok {
+				rows[w.cell.Row] = set
+			} else if !sameSet(ref, set) {
+				t.Fatalf("worker %d: joiner %d views other R blocks than its row's first hosted joiner", i, w.id)
+			}
+		}
+		if len(rows) != 2 {
+			t.Fatalf("worker %d hosts joiners of %d rows, want 2 whole rows", i, len(rows))
+		}
+	}
+}
+
+// TestWorkerSharedBlocksExact runs grids on two loopback workers and
+// requires the nested-loop multiset by content, payloads included:
+// an adaptive run whose migrations move state across the workers, so ∆
+// and ∆′ runs arrive with windows of blocks opened for each epoch; an
+// envelope size of 1024, past a block, whose frames the joiners copy
+// (the zero Window); and an envelope size of 1, whose one-row windows
+// extend one view per block.
+func TestWorkerSharedBlocksExact(t *testing.T) {
+	pred := join.EquiJoin("dist", nil)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// check inspects a worker's hosted joiners after the run.
+		check func(t *testing.T, js []*joiner)
+	}{
+		{"adaptive", Config{J: 16, Adaptive: true, Warmup: 400}, func(t *testing.T, js []*joiner) {
+			for _, w := range js {
+				for _, side := range migSides {
+					for _, v := range w.state.Views(side) {
+						if v.Sharers > 0 {
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no hosted joiner holds a shared view after the migrations")
+		}},
+		{"batch-1024", Config{J: 16, BatchSize: 1024, NumReshufflers: 1}, func(t *testing.T, js []*joiner) {
+			for _, w := range js {
+				for _, side := range migSides {
+					for _, v := range w.state.Views(side) {
+						if v.Sharers == 0 {
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no hosted joiner copied a frame body longer than a block")
+		}},
+		{"batch-1", Config{J: 16, BatchSize: 1, NumReshufflers: 1}, func(t *testing.T, js []*joiner) {
+			for _, w := range js {
+				for _, side := range migSides {
+					views, rows := w.state.Views(side), 0
+					for _, v := range views {
+						if v.Sharers == 0 {
+							t.Fatalf("joiner %d side %v holds a private block", w.id, side)
+						}
+						rows += v.Hi - v.Lo
+					}
+					if limit := (rows+511)/512 + 1; len(views) > limit {
+						t.Fatalf("joiner %d side %v: %d views for %d rows, want at most %d", w.id, side, len(views), rows, limit)
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, wait := serveWorkers(t, 2)
+			rng := rand.New(rand.NewSource(61))
+			tuples := lopsidedStream(rng)
+			want := refMultiset(pred, tuples, contentOf)
+			cfg := tc.cfg
+			cfg.Pred, cfg.Seed, cfg.Workers = pred, 17, addrs
+			got, op := runOperatorContentBatch(t, cfg, tuples)
+			diffMultisets(t, got, want)
+			if cfg.Adaptive && op.Migrations() == 0 {
+				t.Fatal("no migrations: the run must move state across the workers")
+			}
+			var js []*joiner
+			for _, wop := range wait() {
+				js = append(js, wop.joiners...)
+			}
+			tc.check(t, js)
+		})
+	}
+}
+
+// runOperatorContentBatch is runOperatorContent feeding the stream in
+// one SendBatch, so envelopes fill to their size before any flush.
+func runOperatorContentBatch(t *testing.T, cfg Config, tuples []join.Tuple) (map[pairContent]int, *Operator) {
+	t.Helper()
+	var got map[pairContent]int
+	cfg.EmitBatch, got = contentSink()
+	op := mustOperator(t, cfg)
+	op.Start()
+	if err := op.SendBatch(tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatalf("operator error: %v", err)
+	}
+	return got, op
+}
+
+// TestWorkerResidentGaugeMatchesHeap is TestResidentGaugeMatchesHeap
+// with the joiners on two loopback workers, which run in this process:
+// the workers' resident gauges — a block their receive loops wrote
+// charged once across the joiners viewing it — must match the live
+// heap the run grew by.
+func TestWorkerResidentGaugeMatchesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	addrs, wait := serveWorkers(t, 2)
+	rng := rand.New(rand.NewSource(67))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 100_000, 100_000, 1<<40)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	var n atomic.Int64
+	op := mustOperator(t, Config{J: 16, Pred: pred, Seed: 9, EmitBatch: counter(&n), Workers: addrs})
+	op.Start()
+	if err := op.SendBatch(tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wops := wait()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	var gauge, stored int64
+	for _, wop := range wops {
+		m := wop.Metrics()
+		for _, w := range wop.joiners {
+			js := m.JoinerStats(w.id)
+			gauge += js.ArenaBytes.Load() + js.DirectoryBytes.Load()
+			stored += js.StoredTuples.Load()
+		}
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("gauge %.1f MB, heap grew %.1f MB: %.1f and %.1f B per stored replica",
+		float64(gauge)/1e6, float64(grown)/1e6, float64(gauge)/float64(stored), float64(grown)/float64(stored))
+	if d := float64(gauge-grown) / float64(grown); d < -0.15 || d > 0.15 {
+		t.Fatalf("resident gauge %d B is %.0f%% off the heap growth %d B", gauge, 100*d, grown)
+	}
+	runtime.KeepAlive(op)
+	runtime.KeepAlive(wops)
+	runtime.KeepAlive(tuples)
+}

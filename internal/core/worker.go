@@ -37,6 +37,12 @@ type WorkerConfig struct {
 // coordinator link fails mid-stream. Cancelling ctx aborts the accept
 // and the session.
 func ServeWorker(ctx context.Context, lis transport.Listener, wcfg WorkerConfig) error {
+	return serveWorker(ctx, lis, wcfg, nil)
+}
+
+// serveWorker is ServeWorker handing the session's Operator, once
+// built, to built when that is non-nil.
+func serveWorker(ctx context.Context, lis transport.Listener, wcfg WorkerConfig, built func(*Operator)) error {
 	accepted := make(chan struct{})
 	go func() {
 		select {
@@ -67,10 +73,10 @@ func ServeWorker(ctx context.Context, lis transport.Listener, wcfg WorkerConfig)
 		_ = link.Close()
 		return &LinkError{Worker: "coordinator", Err: err}
 	}
-	return runWorkerSession(ctx, link, h, wcfg)
+	return runWorkerSession(ctx, link, h, wcfg, built)
 }
 
-func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg WorkerConfig) error {
+func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg WorkerConfig, built func(*Operator)) error {
 	hosted := make([]bool, h.J)
 	for _, id := range h.Ids {
 		hosted[id] = true
@@ -90,6 +96,9 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 	if err != nil {
 		_ = link.Close()
 		return &LinkError{Worker: "coordinator", Err: fmt.Errorf("hello: %w", err)}
+	}
+	if built != nil {
+		built(op)
 	}
 	peer := newRemotePeer("coordinator", link, op.stop, func(err error) { op.runner.Cancel(err) })
 	peer.release = dataflow.CloseOnDone(op.stop, link)
@@ -226,9 +235,14 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // fanOut decodes a KindData payload and hands the one decoded envelope
 // to every hosted joiner it names, by reference — the in-process
 // broadcast, on the far side of the link: the references are set before
-// the first push. A frame naming a joiner this process does not host is
-// rejected, its envelope released once. dests is the decode scratch,
-// returned for reuse.
+// the first push. A body naming two or more hosted joiners is first
+// written, whole, into the open shared block of its slot (frameBlock)
+// when the joiners store shared windows (sharesBlocks), and the
+// envelope carries the window, so those joiners store views of one copy
+// of its columns. A frame naming a joiner this process does not host,
+// or sent by a reshuffler the job does not run, is rejected, its
+// envelope released once. dests is the decode scratch, returned for
+// reuse. Only the session's receive loop calls it.
 func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 	dests, e, err := decodeData(dests, payload)
 	if err != nil {
@@ -240,9 +254,58 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 			return dests, fmt.Errorf("core: envelope for joiner %d, not hosted here", id)
 		}
 	}
+	if e.hdr.from < 0 || e.hdr.from >= op.cfg.NumReshufflers {
+		e.release()
+		return dests, fmt.Errorf("core: envelope from reshuffler %d of %d", e.hdr.from, op.cfg.NumReshufflers)
+	}
+	if len(dests) >= 2 && len(e.tuples) > 0 && op.sharesBlocks() {
+		e.win = op.frameBlock(e, dests).AppendRun(e.tuples)
+	}
 	e.refs.Store(int32(len(dests)))
 	for _, id := range dests {
 		op.topo.pushData(id, e)
 	}
 	return dests, nil
+}
+
+// frameSlot names the reshuffler slot a data frame's body comes from,
+// as a worker sees it: the sender, the body's side and the first joiner
+// the frame names. Within one epoch a slot's frames name the same
+// joiners, and two slots of one sender name different first joiners or
+// carry different sides.
+type frameSlot struct {
+	from  int
+	side  matrix.Side
+	first int
+}
+
+// slotBlock is a worker's open shared block for one frameSlot, with the
+// epoch and fan-out it was opened for.
+type slotBlock struct {
+	join.BlockWriter
+	epoch   uint32
+	sharers int
+}
+
+// frameBlock returns the shared-block writer of e's slot, reset — onto
+// a fresh block — when the frame's epoch or destination count differs
+// from the block's (a new slot's fan-out is 0), so a block's rows all
+// go to one set of joiners: as on a reshuffler, a mapping change starts
+// every slot on a new block. There is one writer per slot seen, at most
+// one per reshuffler, side and hosted joiner.
+func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
+	k := frameSlot{from: e.hdr.from, side: e.tuples[0].Rel, first: dests[0]}
+	b := op.frameBlocks[k]
+	if b == nil {
+		if op.frameBlocks == nil {
+			op.frameBlocks = make(map[frameSlot]*slotBlock)
+		}
+		b = new(slotBlock)
+		op.frameBlocks[k] = b
+	}
+	if b.epoch != e.hdr.epoch || b.sharers != len(dests) {
+		b.Reset(len(dests))
+		b.epoch, b.sharers = e.hdr.epoch, len(dests)
+	}
+	return &b.BlockWriter
 }

@@ -13,10 +13,12 @@ import (
 
 // serveWorkers starts n in-process workers behind loopback TCP
 // listeners and returns their addresses and a wait that fails the test
-// unless every worker session ended cleanly.
-func serveWorkers(t *testing.T, n int) (addrs []string, wait func()) {
+// unless every worker session ended cleanly. wait returns the workers'
+// operators, in address order, for inspection after the sessions.
+func serveWorkers(t *testing.T, n int) (addrs []string, wait func() []*Operator) {
 	t.Helper()
 	served := make(chan error, n)
+	ops := make([]*Operator, n)
 	for i := 0; i < n; i++ {
 		lis, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
@@ -24,15 +26,18 @@ func serveWorkers(t *testing.T, n int) (addrs []string, wait func()) {
 		}
 		t.Cleanup(func() { _ = lis.Close() })
 		addrs = append(addrs, lis.Addr())
-		go func() { served <- ServeWorker(context.Background(), lis, WorkerConfig{}) }()
+		go func() {
+			served <- serveWorker(context.Background(), lis, WorkerConfig{}, func(op *Operator) { ops[i] = op })
+		}()
 	}
-	return addrs, func() {
+	return addrs, func() []*Operator {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			if err := <-served; err != nil {
 				t.Fatalf("worker session: %v", err)
 			}
 		}
+		return ops
 	}
 }
 

@@ -12,11 +12,19 @@ import "repro/internal/matrix"
 // its arena instead of copying the tuples, and keeps a private
 // directory and chain column over it (HashIndex.addWindow).
 //
+// A worker process is a block writer too: its receive loop writes the
+// body of each data frame naming several hosted joiners once, whole,
+// into an open block kept for the frame's slot (AppendRun), and the
+// decoded envelope carries that window to every joiner the frame names.
+// A tuple is thus stored once per process that hosts its row or spans
+// its column.
+//
 // The invariants that make this race-free without locks or reference
 // counts:
 //
-//   - only the owning slot writes a block, and only at rows >= the
-//     last published hi, so no row a reader can reach ever changes;
+//   - only the owning writer (a slot, or a worker's receive loop)
+//     writes a block, and only at rows >= the last published hi, so no
+//     row a reader can reach ever changes;
 //   - a reader touches only its windows' [lo, hi) rows, which the
 //     envelope's channel send publishes;
 //   - no header field changes once a window is published: a
@@ -62,24 +70,57 @@ func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
 // rows already published, has no payload column. On false the caller
 // ships its pending window first; the next Append opens a fresh block.
 func (b *BlockWriter) Fits(t *Tuple) bool {
-	if b.c == nil {
-		return true
+	return b.c == nil || b.fits(1, t.Payload != nil)
+}
+
+// fits reports whether the open block can take n more rows of the
+// window being written, a payload among them when payload.
+func (b *BlockWriter) fits(n int32, payload bool) bool {
+	return b.c != nil && b.hi+n <= arenaChunk && (!payload || b.c.payload != nil || b.pub == 0)
+}
+
+// open makes room for n rows, a payload among them when payload: a
+// fresh block when the open one cannot take them (see Fits), else the
+// open one, given a payload column in place if it lacks one — until a
+// window of it is published the block has no reader.
+func (b *BlockWriter) open(n int32, payload bool) {
+	if !b.fits(n, payload) {
+		b.c, b.hi, b.pub = newChunk(payload, b.sharers), 0, 0
+	} else if payload && b.c.payload == nil {
+		b.c.payload = make([][]byte, arenaChunk)
 	}
-	return b.hi < arenaChunk && (t.Payload == nil || b.c.payload != nil || b.pub == 0)
 }
 
 // Append writes t as the next row, opening a fresh block when the
-// current one cannot take it (see Fits). Until a window of it is
-// published the block has no reader, so a payload column it lacks is
-// added in place.
+// current one cannot take it (see Fits).
 func (b *BlockWriter) Append(t *Tuple) {
-	if b.c == nil || !b.Fits(t) {
-		b.c, b.hi, b.pub = newChunk(t.Payload != nil, b.sharers), 0, 0
-	} else if t.Payload != nil && b.c.payload == nil {
-		b.c.payload = make([][]byte, arenaChunk)
-	}
+	b.open(1, t.Payload != nil)
 	b.c.put(b.hi, t)
 	b.hi++
+}
+
+// AppendRun writes run as consecutive rows of one block and publishes
+// them as one Window, row i holding run[i]; it opens a fresh block when
+// the open one cannot take the whole run (see Fits). A run longer than
+// a block, or an empty one, is not written and gets the zero Window, so
+// its readers copy it.
+func (b *BlockWriter) AppendRun(run []Tuple) Window {
+	if len(run) == 0 || len(run) > arenaChunk {
+		return Window{}
+	}
+	payload := false
+	for i := range run {
+		if run[i].Payload != nil {
+			payload = true
+			break
+		}
+	}
+	b.open(int32(len(run)), payload)
+	for i := range run {
+		b.c.put(b.hi, &run[i])
+		b.hi++
+	}
+	return b.Window()
 }
 
 // Window publishes the rows written since the last call.

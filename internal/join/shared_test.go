@@ -3,6 +3,7 @@ package join
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/matrix"
@@ -201,4 +202,87 @@ func TestCaptureWhileOwnerAddsPayloadColumn(t *testing.T) {
 			t.Fatalf("%s: the capture does not encode the state at the barrier", pred.Name)
 		}
 	}
+}
+
+// TestAppendRunWindows writes random same-side runs through AppendRun,
+// the way a worker's receive loop writes whole frame bodies: every run
+// that fits a block lands whole in one block, row i holding run[i], a
+// run continues its predecessor's block while it fits, a payload run
+// after published payload-free rows opens a fresh block, and a run
+// longer than a block gets the zero Window. Joins fed the windows must
+// emit what a join fed copies emits.
+func TestAppendRunWindows(t *testing.T) {
+	const sharers = 3
+	rng := rand.New(rand.NewSource(23))
+	pred := EquiJoin("eq", nil)
+	ref := NewLocal(pred)
+	locals := [sharers]*Local{NewLocal(pred), NewLocal(pred), NewLocal(pred)}
+	// One writer per side, as a worker keeps one per row and column.
+	var bws [2]BlockWriter
+	var prevs [2]Window
+	for i := range bws {
+		bws[i].Reset(sharers)
+	}
+	var refOut, out []Pair
+	seq := uint64(0)
+	for k := 0; k < 400; k++ {
+		n := 1 + rng.Intn(48)
+		switch rng.Intn(40) {
+		case 0:
+			n = arenaChunk + 1 + rng.Intn(64)
+		case 1:
+			n = arenaChunk
+		}
+		side := matrix.Side(rng.Intn(2))
+		bw, prev := &bws[side], &prevs[side]
+		run := make([]Tuple, n)
+		payload := false
+		for i := range run {
+			seq++
+			run[i] = diffTuple(rng, seq, rng.Int63n(200))
+			run[i].Rel = side
+			if k%2 == 0 {
+				run[i].Payload = nil
+			}
+			payload = payload || run[i].Payload != nil
+		}
+		w := bw.AppendRun(run)
+		switch {
+		case n > arenaChunk:
+			if w != (Window{}) {
+				t.Fatalf("run %d of %d rows got window %+v, want the zero Window", k, n, w)
+			}
+		case w.Len() != n:
+			t.Fatalf("run %d of %d rows got a window of %d", k, n, w.Len())
+		case prev.c != nil && w.c == prev.c && w.lo != prev.hi:
+			t.Fatalf("run %d starts at row %d of its block, previous window ended at %d", k, w.lo, prev.hi)
+		case prev.c != nil && w.c != prev.c && int(prev.hi)+n <= arenaChunk && (!payload || prev.c.payload != nil):
+			t.Fatalf("run %d of %d rows opened a block while the open one had room", k, n)
+		case w.c.sharers != sharers:
+			t.Fatalf("run %d landed in a block of fan-out %d, want %d", k, w.c.sharers, sharers)
+		}
+		for i := 0; i < w.Len(); i++ {
+			if got := w.c.at(w.lo + int32(i)); !reflect.DeepEqual(got, run[i]) {
+				t.Fatalf("run %d row %d holds %+v, want %+v", k, i, got, run[i])
+			}
+		}
+		if w.c != nil {
+			*prev = w
+		}
+		refOut = refOut[:0]
+		ref.AddBatchCollect(run, &refOut)
+		for _, l := range locals {
+			out = out[:0]
+			l.AddWindowCollect(run, w, &out)
+			comparePairs(t, refOut, out)
+		}
+	}
+	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+		for _, v := range locals[0].Views(side) {
+			if v.Sharers == 0 {
+				return
+			}
+		}
+	}
+	t.Fatal("the runs longer than a block left no private copy")
 }

@@ -352,19 +352,7 @@ func (b *FileBackend) Write(gen uint64, data []byte, deps []uint64) error {
 		faultpoint.Crash(faultpoint.MidDeltaCommit)
 	}
 
-	var m []byte
-	m = append(m, manifestMagic...)
-	m = binary.LittleEndian.AppendUint64(m, gen)
-	m = binary.LittleEndian.AppendUint32(m, uint32(len(chain)))
-	for i, e := range chain {
-		m = binary.LittleEndian.AppendUint64(m, chainGens[i])
-		m = binary.LittleEndian.AppendUint32(m, uint32(len(e.name)))
-		m = append(m, e.name...)
-		m = binary.LittleEndian.AppendUint64(m, e.size)
-		m = binary.LittleEndian.AppendUint32(m, e.crc)
-	}
-	m = binary.LittleEndian.AppendUint32(m, crc32.ChecksumIEEE(m))
-	if err := writeAtomic(b.dir, manifestName(gen), m); err != nil {
+	if err := writeAtomic(b.dir, manifestName(gen), appendManifest(nil, gen, chainGens, chain)); err != nil {
 		return fmt.Errorf("storage: write checkpoint manifest: %w", err)
 	}
 	b.meta[gen] = self
@@ -471,8 +459,7 @@ func (b *FileBackend) Generations() ([]uint64, error) {
 	return b.listGens(), nil
 }
 
-// parseManifest validates and decodes gen's manifest into chain
-// entries, base first. Caller holds b.mu.
+// parseManifest reads gen's manifest and decodes it (decodeManifest).
 func (b *FileBackend) parseManifest(gen uint64) ([]uint64, []blobMeta, error) {
 	m, err := os.ReadFile(filepath.Join(b.dir, manifestName(gen)))
 	if err != nil {
@@ -484,8 +471,37 @@ func (b *FileBackend) parseManifest(gen uint64) ([]uint64, []blobMeta, error) {
 		}
 		return nil, nil, fmt.Errorf("storage: read manifest for generation %d: %w", gen, err)
 	}
-	// magic + gen + count + >=1 entry(8+4+1+8+4) + manifestCRC
-	minLen := len(manifestMagic) + 8 + 4 + 25 + 4
+	return decodeManifest(gen, m)
+}
+
+// manifestEntryMin is the smallest chain entry: generation, name
+// length, a one-byte name, blob size and blob CRC.
+const manifestEntryMin = 8 + 4 + 1 + 8 + 4
+
+// appendManifest encodes gen's manifest — the chain of generations
+// gens, base first and ending at gen, with their blobs — onto m.
+func appendManifest(m []byte, gen uint64, gens []uint64, chain []blobMeta) []byte {
+	start := len(m)
+	m = append(m, manifestMagic...)
+	m = binary.LittleEndian.AppendUint64(m, gen)
+	m = binary.LittleEndian.AppendUint32(m, uint32(len(chain)))
+	for i, e := range chain {
+		m = binary.LittleEndian.AppendUint64(m, gens[i])
+		m = binary.LittleEndian.AppendUint32(m, uint32(len(e.name)))
+		m = append(m, e.name...)
+		m = binary.LittleEndian.AppendUint64(m, e.size)
+		m = binary.LittleEndian.AppendUint32(m, e.crc)
+	}
+	return binary.LittleEndian.AppendUint32(m, crc32.ChecksumIEEE(m[start:]))
+}
+
+// decodeManifest validates and decodes gen's manifest bytes m into
+// chain generations (base first) and their blob metadata. Any
+// structural problem is ErrCorrupt, and nothing is allocated for more
+// entries than m can hold.
+func decodeManifest(gen uint64, m []byte) ([]uint64, []blobMeta, error) {
+	// magic + gen + count + >=1 entry + manifestCRC
+	minLen := len(manifestMagic) + 8 + 4 + manifestEntryMin + 4
 	if len(m) < minLen {
 		return nil, nil, fmt.Errorf("storage: manifest for generation %d truncated (%d bytes): %w", gen, len(m), ErrCorrupt)
 	}
@@ -504,7 +520,7 @@ func (b *FileBackend) parseManifest(gen uint64) ([]uint64, []blobMeta, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
-	if count <= 0 || count > 1<<20 {
+	if count <= 0 || count > (len(body)-off)/manifestEntryMin {
 		return nil, nil, fmt.Errorf("storage: manifest for generation %d has implausible chain length %d: %w", gen, count, ErrCorrupt)
 	}
 	gens := make([]uint64, 0, count)

@@ -1,8 +1,13 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/join"
@@ -33,6 +38,44 @@ func FuzzDecodeOperatorSnapshot(f *testing.F) {
 			s := NewStore(pred, Config{})
 			_ = s.RestoreSnapshot(j.State)
 			_ = s.Close()
+		}
+	})
+}
+
+// FuzzParseManifest feeds the manifest decoder arbitrary bytes under an
+// arbitrary generation: a manifest file read back from a directory. It
+// must return an ErrCorrupt error or a chain that re-encodes to the
+// same bytes, never panic, and never allocate more than a few times the
+// bytes it was given, whatever chain length they claim.
+func FuzzParseManifest(f *testing.F) {
+	chain := []blobMeta{{name: snapName(1), size: 4096, crc: 7}, {name: snapName(3), size: 12, crc: 9}}
+	good := appendManifest(nil, 3, []uint64{1, 3}, chain)
+	f.Add(uint64(3), good)
+	f.Add(uint64(1), appendManifest(nil, 1, []uint64{1}, chain[:1]))
+	f.Add(uint64(4), good)
+	// A body claiming 2^20 entries with room for two, re-checksummed.
+	hostile := append([]byte(nil), good[:len(good)-4]...)
+	binary.LittleEndian.PutUint32(hostile[len(manifestMagic)+8:], 1<<20)
+	f.Add(uint64(3), binary.LittleEndian.AppendUint32(hostile, crc32.ChecksumIEEE(hostile)))
+	f.Fuzz(func(t *testing.T, gen uint64, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gens, metas, err := decodeManifest(gen, data)
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+64<<10); alloc > limit {
+			t.Fatalf("decode of %d bytes allocated %d, limit %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		if len(gens) != len(metas) || gens[len(gens)-1] != gen {
+			t.Fatalf("accepted chain %v with %d blobs for generation %d", gens, len(metas), gen)
+		}
+		if enc := appendManifest(nil, gen, gens, metas); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted manifest of %d bytes re-encodes to %d other bytes", len(data), len(enc))
 		}
 	})
 }

@@ -123,7 +123,9 @@ func AppendFrame(buf []byte, f Frame) []byte {
 // header byte returns io.EOF; a stream cut mid-frame, a corrupt
 // header, or a failed CRC returns an error wrapping ErrBadFrame; a
 // valid header from another protocol revision returns an error
-// wrapping ErrVersionSkew. The returned payload is freshly allocated.
+// wrapping ErrVersionSkew. The returned payload is freshly allocated,
+// and a header's length claim is not allocated before the bytes arrive
+// (readPayload).
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -150,14 +152,44 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, plen)
 	}
 	want := binary.LittleEndian.Uint32(hdr[10:])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(plen))
+	if err != nil {
 		return Frame{}, fmt.Errorf("%w: stream cut mid-payload: %v", ErrBadFrame, err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return Frame{}, fmt.Errorf("%w: payload crc %08x, header says %08x", ErrBadFrame, got, want)
 	}
 	return Frame{Kind: kind, Payload: payload}, nil
+}
+
+// payloadPiece is what ReadFrame allocates for a payload before any of
+// its bytes arrive.
+const payloadPiece = 1 << 20
+
+// readPayload reads an n-byte frame payload. One of at most
+// payloadPiece bytes lands in one exact allocation. A longer one
+// arrives in pieces, each as long as everything before it (the first
+// payloadPiece long), joined once complete: a header that claims more
+// than the stream holds costs at most twice the bytes that did arrive
+// plus payloadPiece, never its claim.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= payloadPiece {
+		p := make([]byte, n)
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	var pieces [][]byte
+	for got := 0; got < n; {
+		p := make([]byte, min(n-got, max(got, payloadPiece)))
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, p)
+		got += len(p)
+	}
+	return bytes.Join(pieces, nil), nil
 }
 
 // Link is one bidirectional frame stream between two processes (or two

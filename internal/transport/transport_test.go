@@ -158,6 +158,31 @@ func TestFrameOversizedLength(t *testing.T) {
 	}
 }
 
+// TestFrameLargePayloads round-trips payloads around and past the
+// first payload piece, which ReadFrame reads in growing pieces and
+// joins, and cuts each one short: a cut anywhere in the pieces must
+// surface as ErrBadFrame.
+func TestFrameLargePayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{payloadPiece - 1, payloadPiece, payloadPiece + 1, 2*payloadPiece + 3, 7<<20 + 5} {
+		payload := make([]byte, n)
+		rng.Read(payload)
+		enc := AppendFrame(nil, Frame{Kind: KindMig, Payload: payload})
+		got, err := ReadFrame(bytes.NewReader(enc))
+		if err != nil || got.Kind != KindMig || !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("%d-byte payload: kind %v, %d bytes, err %v", n, got.Kind, len(got.Payload), err)
+		}
+		for _, cut := range []int{headerSize + 1, headerSize + payloadPiece, len(enc) - 1} {
+			if cut >= len(enc) {
+				continue
+			}
+			if _, err := ReadFrame(bytes.NewReader(enc[:cut])); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%d-byte payload cut at %d: got %v, want ErrBadFrame", n, cut, err)
+			}
+		}
+	}
+}
+
 // exchange pushes frames both ways across a link pair and checks them.
 func exchange(t *testing.T, a, b Link) {
 	t.Helper()
