@@ -345,7 +345,10 @@ const reserveMin = 1 << 12
 // of the over-allocation outweighs the rehashes it avoids — and the
 // store's incremental rehash keeps the trailing doublings smooth
 // anyway. The publisher only moves the hint on >=25% growth, so the
-// Reserve call itself runs logarithmically often, not per envelope.
+// Reserve call itself runs logarithmically often, not per envelope. A
+// side that a live segment serves (join.HashIndex.Reserve) presizes
+// nothing: its slot's writer indexes its windows, and an empty private
+// directory per joiner would give back what sharing the index saves.
 func (w *joiner) maybeReserve() {
 	if w.hint == nil {
 		return

@@ -114,11 +114,15 @@ func (tp *topology) pushMig(id int, m message) {
 // reserveHint is the controller's published per-joiner stored-tuple
 // forecast, one cell per side. The controller reshuffler derives it
 // from the exact sharded cardinality counts (stats.Snapshot.PerJoiner)
-// and republishes on significant growth; joiners poll it once per
-// processed envelope and presize their store (hash directory and
-// columnar arena) ahead of the ingest that would otherwise grow them
-// incrementally. It is a hint in both directions: a zero or stale
-// value only means growth proceeds as usual.
+// and republishes on significant growth. Joiners poll it once per
+// processed envelope and presize their private hash directory and
+// chain columns ahead of the ingest that would otherwise grow them
+// incrementally — except on a side a live segment serves, whose
+// windows the slot's writer indexes (no arena block is preallocated
+// either way). Every grid reshuffler polls it too, and presizes the
+// slot index of each sharing slot for its 1/NumReshufflers share of a
+// row's or column's tuples. It is a hint in both directions: a zero or
+// stale value only means growth proceeds as usual.
 type reserveHint struct {
 	perR, perS atomic.Int64
 }
@@ -458,8 +462,13 @@ type Operator struct {
 	place []int
 	peers []*remotePeer
 	// frameBlocks holds a worker's open shared block per data-frame slot
-	// (fanOut); only the session's receive loop touches it.
-	frameBlocks map[frameSlot]*slotBlock
+	// of the newest epoch seen, frameEpoch (fanOut); frameMigrated
+	// records that a newer epoch has replaced the first one seen, after
+	// which the blocks keep no slot index (as on a reshuffler, see
+	// resetSlots). Only the session's receive loop touches them.
+	frameBlocks   map[frameSlot]*slotBlock
+	frameEpoch    uint32
+	frameMigrated bool
 
 	mu      sync.Mutex
 	joiners []*joiner
@@ -730,17 +739,18 @@ func (op *Operator) StartContext(ctx context.Context) {
 			padDummies: op.cfg.PadDummies,
 			hashed:     op.hashed,
 			share:      op.sharesBlocks(),
+			numRe:      op.cfg.NumReshufflers,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,
 		}
 		if i == 0 {
 			r.ctl = op.ctl
-			if !op.hashed {
-				// The hint forecasts per-joiner state under a grid; a hash
-				// route's is key-dependent, so it reserves nothing.
-				r.hint = &op.hint
-			}
+		}
+		if !op.hashed {
+			// The hint forecasts per-joiner state under a grid; a hash
+			// route's is key-dependent, so it reserves nothing.
+			r.hint = &op.hint
 		}
 		op.ctl.resh = append(op.ctl.resh, r.ctrlCh)
 		op.runner.Go(fmt.Sprintf("reshuffler-%d", i), r.run)

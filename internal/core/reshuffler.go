@@ -78,13 +78,18 @@ type reshuffler struct {
 	pend    []join.Tuple
 	pendPos int
 
-	// hint is the operator's shared Reserve-hint cell; non-nil only on
-	// the controller reshuffler, which republishes its per-joiner
+	// hint is the operator's shared Reserve-hint cell, nil on the hash
+	// route. The controller reshuffler republishes its per-joiner
 	// stored-tuple forecast whenever the estimate has grown by a
 	// quarter since the last publish (lastHintR/S), so the shared cache
-	// line is written logarithmically often, not per burst.
+	// line is written logarithmically often, not per burst. Every
+	// reshuffler presizes its slots' indexes from it (reserveBlocks):
+	// resR/resS are the forecasts last applied, and numRe divides them
+	// among the reshufflers.
 	hint                 *reserveHint
 	lastHintR, lastHintS int64
+	resR, resS           int64
+	numRe                int
 
 	// padDummies enables the §4.2.2 dummy-tuple padding: when the
 	// local cardinality-ratio estimate exceeds J, pad the smaller
@@ -114,6 +119,9 @@ type reshuffler struct {
 	inDirty []bool
 	dests   []int
 	byPeer  [][]int
+	// migrated records that the grid has changed epochs: from then on
+	// the slots write no slot index (see resetSlots).
+	migrated bool
 
 	lingerT     *time.Timer
 	lingerArmed bool
@@ -468,8 +476,14 @@ func (r *reshuffler) slotDests(s int) []int {
 // joiner id. A sharing operator also opens each slot's shared-block
 // writer for the slot's in-process fan-out, so a block's rows all go to
 // one set of joiners: a mapping change starts every slot on a new
-// block. A slot with fewer than two in-process joiners writes none.
-// Called with nothing pending.
+// block and a fresh slot index (presized by reserveBlocks) — until the
+// grid first migrates. Every
+// migration re-indexes what the joiners keep in their own directories
+// (Retain folds or rebuilds, MergeFrom indexes what it adopts), so an
+// index written after one would be paid for twice whenever another
+// follows; once migrated, the slots share blocks only. A slot with
+// fewer than two in-process joiners writes none. Called with nothing
+// pending.
 func (r *reshuffler) resetSlots() {
 	n := r.mapping.N + r.mapping.M
 	if r.hashed {
@@ -493,7 +507,7 @@ func (r *reshuffler) resetSlots() {
 			// the copy to the joiner rather than the routing loop.
 			local = 0
 		}
-		r.blocks[s].Reset(local)
+		r.blocks[s].Reset(local, !r.migrated)
 	}
 }
 
@@ -634,6 +648,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 		}
 		r.epoch = c.epoch
 		r.out, r.blocks = nil, nil // the slots follow the new grid's shape
+		r.migrated = true
 		// Signal every joiner of the new grid (including expansion
 		// children) before routing anything under the new mapping.
 		r.broadcastCtrl(message{kind: kSignal, epoch: c.epoch, mapping: r.mapping, expand: c.expand, from: r.id})
@@ -664,7 +679,12 @@ func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	r.consumed += int64(len(items))
 	r.ingest.ObserveN(r.id, nR, nS)
 	if r.hint != nil {
-		r.publishHint()
+		if r.ctl != nil {
+			r.publishHint()
+		}
+		if r.blocks != nil && !r.migrated {
+			r.reserveBlocks()
+		}
 	}
 	if r.lat != nil {
 		for i := range items {
@@ -714,6 +734,26 @@ func (r *reshuffler) publishHint() {
 	if perS > r.lastHintS+r.lastHintS/4 {
 		r.lastHintS = perS
 		r.hint.perS.Store(perS)
+	}
+}
+
+// reserveBlocks presizes the slot index of every sharing slot once the
+// forecast has grown past what was last applied: a row slot indexes
+// about 1/numRe of the R tuples each joiner of its row stores, a column
+// slot the same share of S.
+func (r *reshuffler) reserveBlocks() {
+	hr, hs := r.hint.perR.Load(), r.hint.perS.Load()
+	if hr <= r.resR && hs <= r.resS {
+		return
+	}
+	r.resR, r.resS = max(hr, r.resR), max(hs, r.resS)
+	n := int64(r.numRe)
+	for s := range r.blocks {
+		if s < r.mapping.N {
+			r.blocks[s].Reserve(int(hr / n))
+		} else {
+			r.blocks[s].Reserve(int(hs / n))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -67,6 +68,57 @@ func TestSharedBlocksPerRow(t *testing.T) {
 	limit := (len(tuples)+511)/512 + (m.N+m.M)*len(op.sources)
 	if len(distinct) > limit {
 		t.Fatalf("%d distinct blocks for %d input tuples, limit %d", len(distinct), len(tuples), limit)
+	}
+}
+
+// TestSharedIndexPerRow runs a static (4,4) grid on two reshufflers in
+// one process and checks that the joiners of a grid row (column) read
+// one slot index per reshuffler for their R (S) side — the same
+// indexes across the row, every segment still live — and keep no
+// private directory: each replicated tuple was indexed once, by the
+// slot that wrote it.
+func TestSharedIndexPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 3000, 3000, 1<<20)
+	want := refCount(pred, tuples)
+	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2}, tuples)
+	if got != want {
+		t.Fatalf("emitted %d, reference %d", got, want)
+	}
+	if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
+		t.Fatalf("mapping %v, want (4,4)", m)
+	}
+	checkSharedIndexes(t, "", op.joiners, 2)
+}
+
+// checkSharedIndexes requires every joiner of js to read numRe live
+// segments per side and index nothing itself, and the joiners of one
+// grid row (column) to read the same R (S) indexes.
+func checkSharedIndexes(t *testing.T, label string, js []*joiner, numRe int) {
+	t.Helper()
+	lines := [2]map[int]map[any]bool{{}, {}}
+	for _, w := range js {
+		for _, side := range migSides {
+			v := w.state.Segments(side)
+			if len(v.Indexes) != numRe || v.Live != numRe || v.Keys != 0 {
+				t.Fatalf("%sjoiner %d side %v reads %d segments (%d live) over a private directory of %d keys, want %d live over none",
+					label, w.id, side, len(v.Indexes), v.Live, v.Keys, numRe)
+			}
+			set := map[any]bool{}
+			for _, ix := range v.Indexes {
+				set[ix] = true
+			}
+			line := w.cell.Row
+			if side == matrix.SideS {
+				line = w.cell.Col
+			}
+			if ref, ok := lines[side][line]; !ok {
+				lines[side][line] = set
+			} else if !sameSet(ref, set) {
+				t.Fatalf("%sjoiner %d side %v reads other indexes than its grid line's first joiner", label, w.id, side)
+			}
+		}
 	}
 }
 
@@ -288,6 +340,66 @@ func TestWorkerSharedBlocksPerRow(t *testing.T) {
 		if len(rows) != 2 {
 			t.Fatalf("worker %d hosts joiners of %d rows, want 2 whole rows", i, len(rows))
 		}
+	}
+}
+
+// TestWorkerSharedIndexPerRow is TestSharedIndexPerRow on two loopback
+// workers: a worker's receive loop indexes each frame body once, in the
+// slot index of the frame's sender and side, and the hosted joiners the
+// frame names read that index instead of their own directories.
+func TestWorkerSharedIndexPerRow(t *testing.T) {
+	addrs, wait := serveWorkers(t, 2)
+	rng := rand.New(rand.NewSource(79))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 3000, 3000, 1<<20)
+	want := refCount(pred, tuples)
+	got, _ := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, Workers: addrs}, tuples)
+	if got != want {
+		t.Fatalf("emitted %d, reference %d", got, want)
+	}
+	for i, wop := range wait() {
+		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners, 2)
+	}
+}
+
+// TestWorkerDropsStaleFrameSlots runs an adaptive grid whose migrations
+// move state across two loopback workers while data keeps arriving,
+// and checks that afterwards each worker holds shared-block writers
+// only for slots of the newest epoch its frames carried: an older
+// epoch's open blocks and slot indexes are dropped when the first frame
+// of a newer one arrives.
+func TestWorkerDropsStaleFrameSlots(t *testing.T) {
+	addrs, wait := serveWorkers(t, 2)
+	rng := rand.New(rand.NewSource(83))
+	pred := join.EquiJoin("eq", nil)
+	// One R tuple in twenty, interleaved: the grid moves toward (1,16)
+	// early, and both sides keep arriving in the later epochs.
+	tuples := make([]join.Tuple, 6300)
+	for i := range tuples {
+		rel := matrix.SideS
+		if rng.Intn(21) == 0 {
+			rel = matrix.SideR
+		}
+		tuples[i] = join.Tuple{Rel: rel, Key: rng.Int63n(60), Size: 8}
+	}
+	withContent(rng, tuples)
+	want := refMultiset(pred, tuples, contentOf)
+	got, op := runOperatorContent(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13, Workers: addrs}, tuples)
+	diffMultisets(t, got, want)
+	if op.Migrations() == 0 {
+		t.Fatal("no migrations: the run must change epochs")
+	}
+	newer := false
+	for i, wop := range wait() {
+		newer = newer || wop.frameEpoch > 0
+		for k, b := range wop.frameBlocks {
+			if b.epoch != wop.frameEpoch {
+				t.Fatalf("worker %d keeps slot %+v of epoch %d past epoch %d", i, k, b.epoch, wop.frameEpoch)
+			}
+		}
+	}
+	if !newer {
+		t.Fatal("no worker saw a data frame of a later epoch")
 	}
 }
 

@@ -237,11 +237,12 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // broadcast, on the far side of the link: the references are set before
 // the first push. A body naming two or more hosted joiners is first
 // written, whole, into the open shared block of its slot (frameBlock)
-// when the joiners store shared windows (sharesBlocks), and the
-// envelope carries the window, so those joiners store views of one copy
-// of its columns. A frame naming a joiner this process does not host,
-// or sent by a reshuffler the job does not run, is rejected, its
-// envelope released once. dests is the decode scratch, returned for
+// when the joiners store shared windows (sharesBlocks), and indexed in
+// the slot's index; the envelope carries the window, so those joiners
+// store views of one copy of its columns and read one index over them.
+// A frame naming a joiner this process does not host, or sent by a
+// reshuffler the job does not run, is rejected, its envelope released
+// once. dests is the decode scratch, returned for
 // reuse. Only the session's receive loop calls it.
 func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 	dests, e, err := decodeData(dests, payload)
@@ -259,7 +260,9 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 		return dests, fmt.Errorf("core: envelope from reshuffler %d of %d", e.hdr.from, op.cfg.NumReshufflers)
 	}
 	if len(dests) >= 2 && len(e.tuples) > 0 && op.sharesBlocks() {
-		e.win = op.frameBlock(e, dests).AppendRun(e.tuples)
+		if b := op.frameBlock(e, dests); b != nil {
+			e.win = b.AppendRun(e.tuples)
+		}
 	}
 	e.refs.Store(int32(len(dests)))
 	for _, id := range dests {
@@ -288,24 +291,34 @@ type slotBlock struct {
 }
 
 // frameBlock returns the shared-block writer of e's slot, reset — onto
-// a fresh block — when the frame's epoch or destination count differs
-// from the block's (a new slot's fan-out is 0), so a block's rows all
-// go to one set of joiners: as on a reshuffler, a mapping change starts
-// every slot on a new block. There is one writer per slot seen, at most
-// one per reshuffler, side and hosted joiner.
+// a fresh block, and a fresh slot index until the grid first migrates
+// — when the frame's destination count differs from the block's (a new
+// slot's fan-out is 0), so a block's rows all go to one set of joiners.
+// The first frame of a newer epoch drops every slot of the older ones:
+// as on a reshuffler, a mapping change starts every slot on a new
+// block, and an old slot's open block and index would otherwise stay
+// pinned until the slot is seen again. A frame of an older epoch than
+// the newest seen — a ∆ run of a migration in progress — gets no writer
+// (nil) and its joiners copy it. There is one writer per slot of the
+// current epoch, at most one per reshuffler, side and hosted joiner.
 func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
+	switch epoch := e.hdr.epoch; {
+	case epoch < op.frameEpoch:
+		return nil
+	case epoch > op.frameEpoch || op.frameBlocks == nil:
+		op.frameMigrated = op.frameBlocks != nil
+		op.frameEpoch = epoch
+		op.frameBlocks = make(map[frameSlot]*slotBlock)
+	}
 	k := frameSlot{from: e.hdr.from, side: e.tuples[0].Rel, first: dests[0]}
 	b := op.frameBlocks[k]
 	if b == nil {
-		if op.frameBlocks == nil {
-			op.frameBlocks = make(map[frameSlot]*slotBlock)
-		}
-		b = new(slotBlock)
+		b = &slotBlock{epoch: op.frameEpoch}
 		op.frameBlocks[k] = b
 	}
-	if b.epoch != e.hdr.epoch || b.sharers != len(dests) {
-		b.Reset(len(dests))
-		b.epoch, b.sharers = e.hdr.epoch, len(dests)
+	if b.sharers != len(dests) {
+		b.Reset(len(dests), !op.frameMigrated)
+		b.sharers = len(dests)
 	}
 	return &b.BlockWriter
 }

@@ -52,8 +52,10 @@ import (
 //	meta               8 B       Rel (1 bit), Dummy (1 bit), Size (32 bits)
 //	payload            0 B       24 B + the bytes once any tuple of the
 //	                             block carries one
-//	chain              4 B       hash indexes only, per replica: the
-//	                             per-key chain, held by the index
+//	chain              4 B       hash indexes only: the per-key chain,
+//	                             held by the index per replica, or
+//	                             once per slot by the slot index a
+//	                             segment reads
 //	view               16 B      per entry: per 512 tuples for a private
 //	                             block, per window that does not extend
 //	                             the previous one for a shared block
@@ -68,8 +70,9 @@ import (
 // they are, never serialized. The u column is what the migration
 // filters read: the τ selection and the Retain discard test it alone
 // (retainTop) and build no Tuple. The chain column is derived state
-// like the directory: it belongs to HashIndex, is never serialized, and
-// is rebuilt from the key column whenever entries are adopted.
+// like the directory: it belongs to HashIndex (or to a SlotIndex), is
+// never serialized, and is rebuilt from the key column whenever
+// entries are adopted.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -275,10 +278,11 @@ func (a *tupleArena) appendRow(src *colChunk, pos int32) int64 {
 
 // addWindow appends the rows [lo, hi) of shared block c without
 // copying them and returns the entry they landed in: the last entry,
-// extended, when the window continues it, else a new one.
-func (a *tupleArena) addWindow(c *colChunk, lo, hi int32) int {
+// extended, when the window continues it and extend allows, else a new
+// one.
+func (a *tupleArena) addWindow(c *colChunk, lo, hi int32, extend bool) int {
 	k := len(a.chunks) - 1
-	if k >= 0 && a.chunks[k].c == c && a.chunks[k].hi == lo {
+	if extend && k >= 0 && a.chunks[k].c == c && a.chunks[k].hi == lo {
 		a.chunks[k].hi = hi
 	} else {
 		a.chunks = append(a.chunks, view{c: c, lo: lo, hi: hi})
@@ -333,13 +337,8 @@ func (a *tupleArena) keyAt(off int32) int64 {
 	return a.chunks[off>>arenaShift].c.key[off&(arenaChunk-1)]
 }
 
-// atIntoMeta materializes the tuple at offset off using a meta word the
-// caller already read (the batch probe captures it while walking the
-// chain, an early touch of the block that overlaps with the rest of the
-// gather pass).
-func (a *tupleArena) atIntoMeta(off int32, m uint64, dst *Tuple) {
-	a.chunks[off>>arenaShift].c.atIntoMeta(off&(arenaChunk-1), m, dst)
-}
+// block returns the block of entry ci (see blockSource).
+func (a *tupleArena) block(ci int32) *colChunk { return a.chunks[ci].c }
 
 // scan visits every stored tuple in entry order until fn returns
 // false, reporting whether the scan ran to completion.

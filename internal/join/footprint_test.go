@@ -31,9 +31,13 @@ import (
 // The shared cases build four indexes the way the four joiners of a
 // grid row do in one process: one stream written once through a
 // BlockWriter of fan-out 4 in windows of 32, each index storing views
-// of the windows. A replica then costs a quarter of the columns plus
-// its own chain link, views and directory: 36 B with distinct keys and
-// 24 B with four tuples per key.
+// of the windows. Without the writer's slot index (the layout a store
+// falls back to once its segment freezes) a replica costs a quarter of
+// the columns plus its own chain link, views and directory: 36 B with
+// distinct keys and 24 B with four tuples per key. The segment cases
+// read the writer's slot index instead, so the directory and chain
+// links are a quarter's share too: 18 B and 15 B. Their Footprint
+// charges each reader its share of the slot index.
 func TestHashIndexFootprintBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap")
@@ -42,14 +46,17 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 		name          string
 		n, dups       int
 		sharers       int     // 0: one index of private blocks
+		segment       bool    // the sharers read the writer's slot index
 		live, alloced float64 // budgets, bytes per stored replica
 	}{
-		{"125k-distinct", 125_000, 1, 0, 64, 110},
-		{"1M-distinct", 1_000_000, 1, 0, 64, 110},
-		{"125k-4dup", 125_000, 4, 0, 52, 110},
-		{"1M-4dup", 1_000_000, 4, 0, 52, 110},
-		{"125k-distinct-shared", 125_000, 1, 4, 36, 60},
-		{"125k-4dup-shared", 125_000, 4, 4, 24, 60},
+		{"125k-distinct", 125_000, 1, 0, false, 64, 110},
+		{"1M-distinct", 1_000_000, 1, 0, false, 64, 110},
+		{"125k-4dup", 125_000, 4, 0, false, 52, 110},
+		{"1M-4dup", 1_000_000, 4, 0, false, 52, 110},
+		{"125k-distinct-shared", 125_000, 1, 4, false, 36, 60},
+		{"125k-4dup-shared", 125_000, 4, 4, false, 24, 60},
+		{"125k-distinct-segment", 125_000, 1, 4, true, 18, 30},
+		{"125k-4dup-segment", 125_000, 4, 4, true, 15, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := make([]Tuple, tc.n)
@@ -65,6 +72,7 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 
 			idxs := []*HashIndex{NewHashIndex()}
+			var bw BlockWriter
 			if tc.sharers == 0 {
 				for i := 0; i < tc.n; i += 32 {
 					idxs[0].InsertBatch(stream[i:min(i+32, tc.n)])
@@ -73,7 +81,8 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 				for len(idxs) < tc.sharers {
 					idxs = append(idxs, NewHashIndex())
 				}
-				storeShared(stream, tc.sharers, 32, func(run []Tuple, w Window) {
+				bw.Reset(tc.sharers, tc.segment)
+				writeShared(&bw, stream, 32, func(run []Tuple, w Window) {
 					for _, h := range idxs {
 						h.InsertWindow(run, w)
 					}
@@ -94,11 +103,20 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 				arena += a
 				dir += d
 			}
+			// keys counts the directory the replicas probe: their own, or
+			// the writer's slot index, which each one's segment reads.
+			keys, blocks := h.used, uint64(h.nchains*len(idxs))
+			if tc.segment {
+				if len(h.segs) != 1 || h.used != 0 {
+					t.Fatalf("index reads %d segments over %d keys of its own, want 1 over none", len(h.segs), h.used)
+				}
+				keys, blocks = bw.ix.used, uint64(bw.ix.nblocks)
+			}
 			t.Logf("%.1f B/tuple live (Footprint: %.1f arena + %.1f directory), %.1f B/tuple allocated, %d mallocs, %d keys",
-				live, float64(arena)/n, float64(dir)/n, alloced, mallocs, h.used)
+				live, float64(arena)/n, float64(dir)/n, alloced, mallocs, keys)
 
-			if h.Len() != tc.n || h.used != (tc.n+tc.dups-1)/tc.dups {
-				t.Fatalf("built %d tuples under %d keys, want %d under %d", h.Len(), h.used, tc.n, (tc.n+tc.dups-1)/tc.dups)
+			if h.Len() != tc.n || keys != (tc.n+tc.dups-1)/tc.dups {
+				t.Fatalf("built %d tuples under %d keys, want %d under %d", h.Len(), keys, tc.n, (tc.n+tc.dups-1)/tc.dups)
 			}
 			if live > tc.live {
 				t.Errorf("live heap %.1f B/tuple, budget %.0f", live, tc.live)
@@ -106,10 +124,10 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			if alloced > tc.alloced {
 				t.Errorf("allocated %.1f B/tuple, budget %.0f", alloced, tc.alloced)
 			}
-			// Two objects per block, then a logarithmic tail: directory
-			// generations (16 slots doubling to the final size), chunk
-			// list regrowths, the index itself and test scaffolding.
-			blocks := uint64(h.nchains * len(idxs))
+			// Two objects per block (its columns and its chain column),
+			// then a logarithmic tail: directory generations (16 slots
+			// doubling to the final size), chunk list and block table
+			// regrowths, the index itself and test scaffolding.
 			if limit := 2*blocks + 64*uint64(len(idxs)); mallocs > limit {
 				t.Errorf("%d mallocs for %d blocks, limit %d: something allocates per key", mallocs, blocks, limit)
 			}
@@ -118,6 +136,7 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			}
 			runtime.KeepAlive(idxs)
 			runtime.KeepAlive(stream)
+			runtime.KeepAlive(&bw)
 		})
 	}
 }

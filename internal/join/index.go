@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 )
@@ -127,7 +128,9 @@ const maxHitsCap = 1 << 15
 // HashIndex is a multimap from join key to tuples, the storage half of
 // a symmetric hash join [42]. Tuples live in the columnar arena —
 // private blocks, or views of blocks shared with the other joiners of
-// a grid row or column (shared.go); the key directory is an
+// a grid row or column (shared.go), whose rows the writer's slot index
+// may serve instead of this index's directory (segments,
+// slotindex.go); the key directory is an
 // open-addressed (linear probing) table of 8-byte tagged slots, one per
 // distinct key, and the tuples of one key form a newest-first chain
 // threaded through the index's own chain columns, one per arena entry
@@ -139,19 +142,20 @@ const maxHitsCap = 1 << 15
 //
 // Resident bytes per stored replica, mostly-distinct keys (the sparse
 // equi-join: 125 k keys per side per joiner, directory load 0.48), on
-// a (4,4) grid whose joiners copy every tuple (private) or view the
-// reshuffler's shared blocks:
+// a (4,4) grid whose joiners copy every tuple (private), view the
+// reshuffler's shared blocks under their own directories (shared), or
+// view them and read the slot's index (segment, slotindex.go):
 //
-//	                    private   shared (m = 4)
-//	arena columns        40.0      10.0   (40 / m)
-//	block rounding        2.5       0.6   (20.0 KB in a 21.25 KB size class)
-//	chain column          4.0       4.0   (per replica: the chain is private)
-//	views                 0.0     0-0.5   (16 B per window a block's next one does not extend)
-//	directory            16.8      16.8   (slot bytes / load)
-//	total                63.3      31.5
+//	                    private   shared   segment (m = 4)
+//	arena columns        40.0      10.0     10.0   (40 / m)
+//	block rounding        2.5       0.6      0.6   (20.0 KB in a 21.25 KB size class)
+//	chain column          4.0       4.0      1.0   (per replica, or once per slot)
+//	views                 0.0     0-0.5    0-0.5   (16 B per window a block's next one does not extend)
+//	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per slot)
+//	total                63.3      31.5     15.9
 //
 // With d duplicates per key the directory share divides by d (4.2 B at
-// d = 4, for totals of 50.8 and 18.9 B). What remains after this
+// d = 4, for totals of 50.8, 18.9 and 12.8 B). What remains after this
 // layout: the 8-byte meta word (34 bits used), the U column (only the
 // migration selection and discards read it), the old directory while a
 // rehash drains (+50 % of the directory, briefly), the unfilled rows of
@@ -191,7 +195,12 @@ type HashIndex struct {
 	spare   []*[arenaChunk]uint32
 	nchains int
 	bytes   int64
-	hits    []probeHit // batch-probe gather scratch
+	// segs are the slot indexes that serve some of the arena's shared
+	// windows in place of the directory and chains (slotindex.go): a
+	// probe walks the directory, when it holds any key, and each
+	// segment as of its watermark.
+	segs []segment
+	hits []probeHit // batch-probe gather scratch
 	// touch keeps walk's cache-warming loads of this directory alive;
 	// its value means nothing.
 	touch uint32
@@ -377,8 +386,9 @@ func (h *HashIndex) syncChains() {
 // chainFor picks entry ci's chain column (see syncChains).
 func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
 	if c := h.arena.chunks[ci].c; c.sharers != 0 {
+		// A segment entry of the same block (nil) has no column to share.
 		for k := ci - 1; k >= 0 && k >= ci-chainLookback; k-- {
-			if h.arena.chunks[k].c == c {
+			if h.arena.chunks[k].c == c && h.chains[k] != nil {
 				return h.chains[k]
 			}
 		}
@@ -403,13 +413,22 @@ func (h *HashIndex) appendTuple(t *Tuple) int32 {
 }
 
 // addWindow adds a view of the shared window w to the arena and
-// returns the offset of its first row; row i is at that offset + i.
+// returns the offset of its first row; row i is at that offset + i. It
+// never extends an entry a segment serves (see segmentEntry).
 func (h *HashIndex) addWindow(w Window) int32 {
-	ci := h.arena.addWindow(w.c, w.lo, w.hi)
+	ci := h.arena.addWindow(w.c, w.lo, w.hi, !h.segmentEntry(len(h.arena.chunks)-1))
 	if len(h.chains) <= ci {
 		h.syncChains()
 	}
 	return int32(ci<<arenaShift) | w.lo
+}
+
+// segmentEntry reports whether arena entry ci holds rows a segment
+// serves: such an entry has no chain column (takeWindow adds it
+// without one), and the two kinds of rows never share an entry, so
+// fold can tell which rows h's own directory lacks.
+func (h *HashIndex) segmentEntry(ci int) bool {
+	return ci >= 0 && ci < len(h.chains) && h.chains[ci] == nil
 }
 
 // windowed reports whether the rows of w can be added by reference:
@@ -476,9 +495,13 @@ func (h *HashIndex) InsertBatch(ts []Tuple) {
 
 // InsertWindow stores the run ts whose columns were written into the
 // shared window w (row i holding ts[i]): the arena gains a view of the
-// window and only the directory and chain column are written. A window
-// that does not name exactly ts stores a copy instead.
+// window, and either a segment's watermark moves past it (takeWindow)
+// or the directory and chain column are written. A window that does
+// not name exactly ts stores a copy instead.
 func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
+	if h.takeWindow(ts, w) {
+		return
+	}
 	if !h.windowed(w, len(ts)) {
 		h.InsertBatch(ts)
 		return
@@ -496,9 +519,12 @@ func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
 // stored tuples (assuming distinct keys — a safe overestimate for the
 // directory). Ingest below the hint then does not rehash; the hint is
 // clamped so a wild estimate costs bounded memory. No arena block is
-// preallocated: the blocks come from appends or shared windows.
+// preallocated: the blocks come from appends or shared windows. An
+// index a live segment serves reserves nothing: its slot's writer
+// indexes the windows, and an empty presized directory would cost
+// what sharing the index saves.
 func (h *HashIndex) Reserve(n int) {
-	if n <= 0 {
+	if n <= 0 || h.serving() {
 		return
 	}
 	if n > maxReserve {
@@ -558,6 +584,10 @@ func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit
 	return hits
 }
 
+// blockSource resolves the block of a probe hit's offset: an arena
+// entry (tupleArena) or a slot index's block (slotTable).
+type blockSource interface{ block(ci int32) *colChunk }
+
 // materialize runs the gathered hits through the predicate, appending
 // passing pairs to *out: the tight second loop of the batch probe,
 // touching the arena columns only after all directory walking is done.
@@ -569,7 +599,7 @@ func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit
 // predicate short-circuits entirely: the directory's key confirm
 // already guarantees key equality, leaving only the dummy flags to
 // check.
-func (h *HashIndex) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
+func materialize[B blockSource](src B, ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
 	plainEqui := p.Kind == Equi && p.Residual == nil
 	buf := *out
 	for i := 0; i < len(hits); {
@@ -593,7 +623,8 @@ func (h *HashIndex) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p 
 			var pr *Pair
 			var stored *Tuple
 			buf, pr, stored = pairSlot(buf, probe, rel)
-			h.arena.atIntoMeta(hits[k].off, hits[k].meta, stored)
+			off := hits[k].off
+			src.block(off>>arenaShift).atIntoMeta(off&(arenaChunk-1), hits[k].meta, stored)
 			if !plainEqui && !p.Matches(pr.R, pr.S) {
 				buf = buf[:len(buf)-1]
 			}
@@ -632,13 +663,24 @@ func (h *HashIndex) putHits(hits []probeHit) {
 	h.hits = hits[:0]
 }
 
-// Probe enumerates stored tuples with key equal to the probe's key,
-// newest first: the chain is prepended to. Order within a key is not
-// part of any contract — the join's output is a pair multiset — and
-// blocks adopted by MergeFrom are linked in block order whatever their
-// tuples' original arrival order was.
+// Probe enumerates stored tuples with key equal to the probe's key:
+// the segments' rows first, newest segment first, then the
+// directory's; newest first within each, since every chain is
+// prepended to. Order within a key is not part of any contract — the
+// join's output is a pair multiset — and blocks adopted by MergeFrom
+// are linked in block order whatever their tuples' original arrival
+// order was.
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
-	for head := h.lookup(tagOf(probe.Key), probe.Key); head != 0; {
+	tag := tagOf(probe.Key)
+	for i := len(h.segs) - 1; i >= 0; i-- {
+		r := h.segs[i].reader()
+		home := tag >> (r.d.shift & 31)
+		head := r.findFrom(home, atomic.LoadUint64(&r.d.slots[home]), tag, probe.Key)
+		for _, hit := range r.gather(head, 0, h.hits[:0]) {
+			fn(r.tbl[hit.off>>arenaShift].c.at(hit.off & (arenaChunk - 1)))
+		}
+	}
+	for head := h.lookup(tag, probe.Key); head != 0; {
 		off := int32(head - 1)
 		ci, pos := off>>arenaShift, off&(arenaChunk-1)
 		head = h.chains[ci][pos]
@@ -747,18 +789,19 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, w Window, hits []probeHit) 
 }
 
 // ProbeBatchCollect probes every tuple of ps in order, appending
-// oriented predicate-passing pairs to *out. The run is processed in
+// oriented predicate-passing pairs to *out: the directory's pairs,
+// then each segment's. Each source is processed in
 // two phases: the pipelined directory walk (walk) collects (probe,
 // arena offset) hits, then a materialize loop reads the arena columns
 // and builds pairs — so directory cache lines and tuple columns each
 // stream through once instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
-	if h.used == 0 {
-		return
+	if h.used != 0 {
+		hits := h.walk(ps, nil, Window{}, h.hits[:0])
+		materialize(&h.arena, ps, hits, rel, p, out)
+		h.putHits(hits)
 	}
-	hits := h.walk(ps, nil, Window{}, h.hits[:0])
-	h.materialize(ps, hits, rel, p, out)
-	h.putHits(hits)
+	h.probeSegments(ps, rel, p, out)
 }
 
 // Len returns the number of stored tuples.
@@ -769,10 +812,17 @@ func (h *HashIndex) Bytes() int64 { return h.bytes }
 
 // Footprint reports the arena's blocks (a shared block's rows divided
 // among its sharers) with the chain columns, and both directories
-// while a rehash drains.
+// while a rehash drains; each segment adds its share of its slot
+// index's chain columns and directory.
 func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
-	return h.arena.footprint() + int64(h.nchains)*chainBytes,
-		int64(len(h.slots)+len(h.old)) * slotBytes
+	arenaBytes = h.arena.footprint() + int64(h.nchains)*chainBytes
+	directoryBytes = int64(len(h.slots)+len(h.old)) * slotBytes
+	for i := range h.segs {
+		c, d := h.segs[i].share()
+		arenaBytes += c
+		directoryBytes += d
+	}
+	return arenaBytes, directoryBytes
 }
 
 // Scan visits all stored tuples.
@@ -781,14 +831,20 @@ func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 // Retain drops the tuples whose u is outside keep: the u-column pass
 // of tupleArena.retainTop copies the survivors into compact blocks,
 // and the directory is rebuilt over them with MergeFrom's offset loop,
-// in block order, so each key's chain keeps its order. Migration
+// in block order, so each key's chain keeps its order. Retain is the
+// migration discard, run once every slot has moved to the new epoch,
+// so it leaves an index that reads no segment: rebuilt, or with the
+// segments folded into its directory when nothing is removed. Migration
 // discards touch on the order of half the state, so the O(n) rebuild
 // matches an in-place sweep; the directory is presized to the
 // surviving key count so the rebuild performs no incremental growth.
 func (h *HashIndex) Retain(keep matrix.Top) int {
 	kept, removed, bytes := h.arena.retainTop(keep)
 	if removed == 0 {
-		return 0 // common for the non-splitting relation: no rebuild
+		// Common for the non-splitting relation: no rebuild, but the
+		// rows the old epoch's segments served are indexed here now.
+		h.fold()
+		return 0
 	}
 	// At most the current distinct-key count survives (Reserve's own
 	// distinct-fraction scaling cannot help here — fresh is empty).
@@ -816,7 +872,8 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 // view is addressable anywhere in the entry list, so neither arena
 // needs to end on a block boundary, and either index may even be
 // mid-rehash (h keeps draining incrementally; o's directories are
-// simply dropped).
+// simply dropped, and so are its segments: the rows they served are
+// indexed in h's directory like the rest).
 func (h *HashIndex) MergeFrom(o *HashIndex) {
 	if o.arena.n == 0 {
 		*o = HashIndex{}
@@ -834,14 +891,45 @@ func (h *HashIndex) MergeFrom(o *HashIndex) {
 		h.nchains += o.nchains
 	}
 	h.syncChains()
-	for ci, v := range h.arena.chunks[base:] {
-		for pos := v.lo; pos < v.hi; pos++ {
-			key := v.c.key[pos]
-			h.insertOffset(tagOf(key), key, int32((base+ci)<<arenaShift)|pos)
-		}
+	for ci := base; ci < len(h.arena.chunks); ci++ {
+		h.indexEntry(ci)
 	}
 	h.bytes += o.bytes
 	*o = HashIndex{}
+}
+
+// indexEntry places every row of arena entry ci in h's own directory,
+// giving the entry a chain column first when a segment served it.
+func (h *HashIndex) indexEntry(ci int) {
+	if h.chains[ci] == nil {
+		h.chains[ci] = h.chainFor(ci)
+	}
+	v := h.arena.chunks[ci]
+	for pos := v.lo; pos < v.hi; pos++ {
+		key := v.c.key[pos]
+		h.insertOffset(tagOf(key), key, int32(ci<<arenaShift)|pos)
+	}
+}
+
+// fold indexes the rows h's segments serve in its own directory and
+// drops the segments: once their slots stop writing (a migration moved
+// every slot to a new epoch), a segment only adds a directory to every
+// probe.
+func (h *HashIndex) fold() {
+	if len(h.segs) == 0 {
+		return
+	}
+	keys := h.used
+	for i := range h.segs {
+		keys += int(h.segs[i].ix.keys.Load())
+	}
+	h.reserveSlots(min(keys, maxReserve))
+	h.segs = nil
+	for ci := range h.arena.chunks {
+		if h.segmentEntry(ci) {
+			h.indexEntry(ci)
+		}
+	}
 }
 
 // ScanIndex stores tuples in arrival order and matches every stored

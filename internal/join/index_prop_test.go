@@ -255,7 +255,8 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 // both directories included: every occupied slot's tag is its key's,
 // every chain holds one key only and descends strictly in arena offset
 // (newest first), no key owns two slots, the slot count is h.used, and
-// the chains together cover exactly the stored tuples.
+// the chains together — the directory's, and each segment's below its
+// watermark — cover exactly the stored tuples.
 func checkChains(t *testing.T, label string, h *HashIndex) {
 	t.Helper()
 	owner := map[int64]bool{}
@@ -287,9 +288,48 @@ func checkChains(t *testing.T, label string, h *HashIndex) {
 			}
 		}
 	}
+	for i := range h.segs {
+		linked += checkSegment(t, label, &h.segs[i])
+	}
 	if slots != h.used || linked != h.Len() {
 		t.Fatalf("%s: %d slots link %d tuples; index counts %d keys, %d tuples", label, slots, linked, h.used, h.Len())
 	}
+}
+
+// checkSegment is checkChains for the rows a segment serves: every
+// chain of its slot index holds one key and descends strictly in
+// position, and no key owns two slots. It returns how many rows below
+// the watermark the chains link.
+func checkSegment(t *testing.T, label string, s *segment) int {
+	t.Helper()
+	r := s.reader()
+	owner := map[int64]bool{}
+	linked := 0
+	for _, w := range r.d.slots {
+		if w == 0 {
+			continue
+		}
+		key := r.entry(uint32(w) - 1).c.key[(uint32(w)-1)&(arenaChunk-1)]
+		if uint32(w>>32) != tagOf(key) || owner[key] {
+			t.Fatalf("%s: segment slot of key %d carries tag %#x or a second slot", label, key, uint32(w>>32))
+		}
+		owner[key] = true
+		for l, prev := uint32(w), uint32(0); l != 0; {
+			pos := l - 1
+			if prev != 0 && l >= prev {
+				t.Fatalf("%s: segment chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, pos)
+			}
+			e := r.entry(pos)
+			if k := e.c.key[pos&(arenaChunk-1)]; k != key {
+				t.Fatalf("%s: segment chain of key %d holds a tuple of key %d", label, key, k)
+			}
+			if pos < s.w {
+				linked++
+			}
+			prev, l = l, e.next[pos&(arenaChunk-1)]
+		}
+	}
+	return linked
 }
 
 // buildMidRehash grows a hash index (mirrored into a scan-index

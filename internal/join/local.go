@@ -46,9 +46,11 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 // AddWindowCollect is AddBatchCollect for a run whose columns a
 // reshuffler already wrote into the shared window w (row i holding
 // ts[i]): the probe runs on ts as ever, and a hash-indexed side stores
-// the run as a view of w, writing only its directory and chain column.
-// Any other index kind, or a window that does not name exactly ts,
-// stores a copy. The zero Window is AddBatchCollect.
+// the run as a view of w — continuing a segment of the writer's slot
+// index when it can (HashIndex.takeWindow), else writing its own
+// directory and chain column. Any other index kind, or a window that
+// does not name exactly ts, stores a copy. The zero Window is
+// AddBatchCollect.
 func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 	if len(ts) == 0 {
 		return
@@ -64,12 +66,18 @@ func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 		l.InsertWindow(ts, w)
 		return
 	}
-	hits := ph.walk(ts, oh, w, ph.hits[:0])
-	// The gathered offsets point into the opposite side's arena, which
-	// the inserts never touch, so materialization can run after the
-	// whole run is stored.
-	ph.materialize(ts, hits, ts[0].Rel, l.pred, out)
-	ph.putHits(hits)
+	if oh.takeWindow(ts, w) {
+		oh = nil
+	}
+	if ph.used != 0 || oh != nil {
+		hits := ph.walk(ts, oh, w, ph.hits[:0])
+		// The gathered offsets point into the opposite side's arena,
+		// which the inserts never touch, so materialization can run
+		// after the whole run is stored.
+		materialize(&ph.arena, ts, hits, ts[0].Rel, l.pred, out)
+		ph.putHits(hits)
+	}
+	ph.probeSegments(ts, ts[0].Rel, l.pred, out)
 }
 
 // Reserve passes per-side expected-cardinality hints through to the

@@ -9,61 +9,105 @@ import "repro/internal/matrix"
 // of each tuple it routes once, into its open block (BlockWriter), and
 // the envelope it ships names the rows it added as a Window. Every
 // joiner that stores the envelope's body adds a view of the window to
-// its arena instead of copying the tuples, and keeps a private
-// directory and chain column over it (HashIndex.addWindow).
+// its arena instead of copying the tuples. The writer also indexes each
+// row once, in its slot index (SlotIndex, slotindex.go), and a joiner
+// that took every window of the slot reads that index as of its own
+// watermark (a segment) instead of building a directory and chain
+// column over the window (HashIndex.addWindow, the fallback).
 //
 // A worker process is a block writer too: its receive loop writes the
 // body of each data frame naming several hosted joiners once, whole,
 // into an open block kept for the frame's slot (AppendRun), and the
 // decoded envelope carries that window to every joiner the frame names.
-// A tuple is thus stored once per process that hosts its row or spans
-// its column.
+// A tuple is thus stored and indexed once per process that hosts its
+// row or spans its column.
 //
 // The invariants that make this race-free without locks or reference
 // counts:
 //
 //   - only the owning writer (a slot, or a worker's receive loop)
-//     writes a block, and only at rows >= the last published hi, so no
-//     row a reader can reach ever changes;
+//     writes a block and its slot index, and only at rows >= the last
+//     published hi, so no row a reader can reach ever changes;
 //   - a reader touches only its windows' [lo, hi) rows, which the
-//     envelope's channel send publishes;
+//     envelope's channel send publishes — except in the slot index,
+//     where a probe may meet newer rows at a chain's head, and reads
+//     nothing of them but their key and chain link, written before the
+//     directory word that names them;
+//   - directory words are 8-byte values the writer stores atomically
+//     and readers load atomically; a row's chain link is written before
+//     the word that names it;
+//   - the directory and the block table grow copy-on-write behind
+//     atomic pointers: a reader that loaded the old directory keeps a
+//     frozen one that holds every row published before the swap, so
+//     every row below its watermark;
+//   - a reader reads the index as of its watermark W, the position its
+//     last window ended at: chains run newest-first over increasing
+//     positions, so it skips the rows at or past W and sees exactly the
+//     rows of its own windows;
+//   - a gap — a window the reader did not take through the segment —
+//     freezes the segment at its W, and the slot's later windows go to
+//     the reader's own directory;
 //   - no header field changes once a window is published: a
 //     payload-carrying tuple arriving at a published block without the
 //     payload column opens a new block (BlockWriter.Fits);
-//   - nothing is pooled: the garbage collector frees a block once the
-//     last arena or envelope referencing it is gone.
+//   - nothing is pooled: the garbage collector frees a block or an index
+//     once the last arena, segment or envelope referencing it is gone.
 
 // Window is the run of rows [lo, hi) of a shared block that one
 // envelope's body was written into, row i holding body tuple i. The
-// zero Window names nothing: the body exists only as tuples.
+// zero Window names nothing: the body exists only as tuples. A window
+// of an indexing writer also names the writer's SlotIndex, the index
+// position of row lo (at), and the position the slot's previous window
+// ended at (prev, 0 for the slot's first window): a store whose segment
+// watermark equals prev continues the segment with it.
 type Window struct {
-	c      *colChunk
-	lo, hi int32
+	c        *colChunk
+	ix       *SlotIndex
+	lo, hi   int32
+	at, prev uint32
 }
 
 // Len reports how many rows w names.
 func (w Window) Len() int { return int(w.hi - w.lo) }
 
-// BlockWriter is a reshuffler slot's open shared block. The zero value
-// writes nothing (Shared is false) until Reset gives it a fan-out.
+// BlockWriter is a reshuffler slot's open shared block, with the slot
+// index over every block it wrote. The zero value writes nothing
+// (Shared is false) until Reset gives it a fan-out.
 type BlockWriter struct {
-	c *colChunk
+	c  *colChunk
+	ix *SlotIndex
 	// hi is the next row to write; pub the first row not yet published
 	// in a Window.
 	hi, pub int32
 	sharers int32
+	// base is the index position of the open block's row 0, and ixPub
+	// the position the last published window ended at.
+	base, ixPub uint32
 }
 
-// Reset drops the open block — a block in use stays alive through the
-// windows that reference it — and sets the fan-out the next block is
-// written for: the number of in-process joiners the slot ships to. A
-// fan-out of zero turns the writer off.
-func (b *BlockWriter) Reset(sharers int) {
+// Reset drops the open block and the slot index — a block or index in
+// use stays alive through the windows and segments that reference it —
+// and sets the fan-out the next block is written for: the number of
+// in-process joiners the slot ships to. A fan-out of zero turns the
+// writer off; any other starts a fresh, empty slot index when index is
+// set, and no index otherwise (its readers index the windows
+// themselves).
+func (b *BlockWriter) Reset(sharers int, index bool) {
 	*b = BlockWriter{sharers: int32(sharers)}
+	if sharers > 0 && index {
+		b.ix = newSlotIndex(int32(sharers))
+	}
 }
 
 // Shared reports whether the slot writes shared blocks at all.
 func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
+
+// Reserve presizes the slot index's directory for about n rows.
+func (b *BlockWriter) Reserve(n int) {
+	if b.ix != nil && n > 0 {
+		b.ix.reserve(n)
+	}
+}
 
 // Fits reports whether t can join the window being written: false when
 // the block is full, or when t carries a payload and the block, with
@@ -80,12 +124,19 @@ func (b *BlockWriter) fits(n int32, payload bool) bool {
 }
 
 // open makes room for n rows, a payload among them when payload: a
-// fresh block when the open one cannot take them (see Fits), else the
-// open one, given a payload column in place if it lacks one — until a
-// window of it is published the block has no reader.
+// fresh block, entered in the slot index, when the open one cannot
+// take them (see Fits), else the open one, given a payload column in
+// place if it lacks one — until a window of it is published the block
+// has no reader, and no index entry names it.
 func (b *BlockWriter) open(n int32, payload bool) {
 	if !b.fits(n, payload) {
 		b.c, b.hi, b.pub = newChunk(payload, b.sharers), 0, 0
+		if b.ix != nil {
+			var ok bool
+			if b.base, ok = b.ix.addBlock(b.c); !ok {
+				b.ix = nil
+			}
+		}
 	} else if payload && b.c.payload == nil {
 		b.c.payload = make([][]byte, arenaChunk)
 	}
@@ -123,9 +174,16 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 	return b.Window()
 }
 
-// Window publishes the rows written since the last call.
+// Window publishes the rows written since the last call, indexing them
+// in the slot index first: once a reader holds the window, every row of
+// it is in the index.
 func (b *BlockWriter) Window() Window {
 	w := Window{c: b.c, lo: b.pub, hi: b.hi}
+	if b.ix != nil && b.hi > b.pub {
+		w.ix, w.at, w.prev = b.ix, b.base|uint32(b.pub), b.ixPub
+		b.ix.add(b.base, b.pub, b.hi)
+		b.ixPub = w.at + uint32(w.Len())
+	}
 	b.pub = b.hi
 	return w
 }
@@ -157,4 +215,32 @@ func (l *Local) Views(side matrix.Side) []BlockView {
 		out[i] = BlockView{Block: v.c, Sharers: int(v.c.sharers), Lo: int(v.lo), Hi: int(v.hi)}
 	}
 	return out
+}
+
+// SegmentView describes how a hash-indexed store indexes its rows: the
+// slot indexes its segments read, oldest first (comparable, opaque
+// identities), how many of those segments still take windows, and the
+// distinct keys of the store's own directory. Diagnostics and tests use
+// it to see which indexes joiners share.
+type SegmentView struct {
+	Indexes []any
+	Live    int
+	Keys    int
+}
+
+// Segments describes side's index (see SegmentView); any index kind
+// but a hash index reads no segment and reports no keys.
+func (l *Local) Segments(side matrix.Side) SegmentView {
+	h, ok := l.index(side).(*HashIndex)
+	if !ok {
+		return SegmentView{}
+	}
+	v := SegmentView{Keys: h.used}
+	for _, s := range h.segs {
+		v.Indexes = append(v.Indexes, s.ix)
+		if s.live {
+			v.Live++
+		}
+	}
+	return v
 }

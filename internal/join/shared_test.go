@@ -15,7 +15,12 @@ import (
 // each window with its run to store.
 func storeShared(ts []Tuple, sharers, batch int, store func([]Tuple, Window)) {
 	var bw BlockWriter
-	bw.Reset(sharers)
+	bw.Reset(sharers, true)
+	writeShared(&bw, ts, batch, store)
+}
+
+// writeShared is storeShared through a given writer.
+func writeShared(bw *BlockWriter, ts []Tuple, batch int, store func([]Tuple, Window)) {
 	start := 0
 	for i := range ts {
 		if i > start && (!bw.Fits(&ts[i]) || i-start == batch) {
@@ -133,7 +138,7 @@ func comparePairs(t *testing.T, want, got []Pair) {
 func TestMergeFromAdoptsSharedViewThenExtends(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var bw BlockWriter
-	bw.Reset(3)
+	bw.Reset(3, true)
 	seq := uint64(0)
 	window := func(n int) ([]Tuple, Window) {
 		run := make([]Tuple, n)
@@ -221,7 +226,7 @@ func TestAppendRunWindows(t *testing.T) {
 	var bws [2]BlockWriter
 	var prevs [2]Window
 	for i := range bws {
-		bws[i].Reset(sharers)
+		bws[i].Reset(sharers, true)
 	}
 	var refOut, out []Pair
 	seq := uint64(0)

@@ -184,6 +184,10 @@ func (s *Store) Footprint() (arenaBytes, directoryBytes int64) {
 // (join.Local.Views).
 func (s *Store) Views(side matrix.Side) []join.BlockView { return s.mem.Views(side) }
 
+// Segments describes how the memory tier indexes one side
+// (join.Local.Segments).
+func (s *Store) Segments(side matrix.Side) join.SegmentView { return s.mem.Segments(side) }
+
 // Len returns the stored tuple count of one side across both tiers.
 func (s *Store) Len(side matrix.Side) int {
 	n := s.mem.Len(side)
