@@ -119,10 +119,9 @@ func (tp *topology) pushMig(id int, m message) {
 // chain columns ahead of the ingest that would otherwise grow them
 // incrementally — except on a side a live segment serves, whose
 // windows the slot's writer indexes (no arena block is preallocated
-// either way). Every grid reshuffler polls it too, and presizes the
-// slot index of each sharing slot for its 1/NumReshufflers share of a
-// row's or column's tuples. It is a hint in both directions: a zero or
-// stale value only means growth proceeds as usual.
+// either way). Slot indexes grow by doubling, unpresized. It is a hint
+// in both directions: a zero or stale value only means growth proceeds
+// as usual.
 type reserveHint struct {
 	perR, perS atomic.Int64
 }
@@ -463,9 +462,9 @@ type Operator struct {
 	peers []*remotePeer
 	// frameBlocks holds a worker's open shared block per data-frame slot
 	// of the newest epoch seen, frameEpoch (fanOut); frameMigrated
-	// records that a newer epoch has replaced the first one seen, after
-	// which the blocks keep no slot index (as on a reshuffler, see
-	// resetSlots). Only the session's receive loop touches them.
+	// records that a newer epoch has replaced the first one seen, which
+	// indexesSlots is asked with. Only the session's receive loop
+	// touches them.
 	frameBlocks   map[frameSlot]*slotBlock
 	frameEpoch    uint32
 	frameMigrated bool
@@ -585,6 +584,28 @@ func (op *Operator) hostsJoiner(id int) bool {
 // budgeted one copies what it may spill).
 func (op *Operator) sharesBlocks() bool {
 	return !op.hashed && op.cfg.Pred.Kind == join.Equi && op.cfg.Storage.CapBytes == 0
+}
+
+// maxIndexedReshufflers bounds the reshufflers whose sharing slots keep
+// slot indexes. A joiner's store reads one slot index per reshuffler
+// and side, and every probe walks them all: on one (4,4) grid at 2^22
+// uniform keys (BenchmarkRowInsertProbe, time per stored replica on 2
+// CPUs) slot indexes take 0.4x the private directories' time with one
+// reshuffler, 0.8x with two, break even with four and take 2x with
+// eight and 3.4x with sixteen; sparse_equi at four reshufflers ran a
+// third slower with them.
+const maxIndexedReshufflers = 2
+
+// indexesSlots is the one policy for slot indexes: whether a sharing
+// slot — a reshuffler's, or a worker's frame slot (frameBlock) — keeps
+// one (join.BlockWriter.Reset). Only an operator of at most
+// maxIndexedReshufflers reshufflers indexes slots, and a writer stops
+// once it has seen the epoch change (epochChanged): every migration
+// re-indexes what the joiners keep in their own directories (Retain
+// folds or rebuilds, MergeFrom indexes what it adopts), so an index
+// written after one would be paid for twice whenever another follows.
+func (op *Operator) indexesSlots(epochChanged bool) bool {
+	return !epochChanged && op.cfg.NumReshufflers <= maxIndexedReshufflers
 }
 
 // newJoiner constructs a joiner task; birth, when non-nil, pre-arms an
@@ -739,18 +760,18 @@ func (op *Operator) StartContext(ctx context.Context) {
 			padDummies: op.cfg.PadDummies,
 			hashed:     op.hashed,
 			share:      op.sharesBlocks(),
-			numRe:      op.cfg.NumReshufflers,
+			indexes:    op.indexesSlots,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,
 		}
 		if i == 0 {
 			r.ctl = op.ctl
-		}
-		if !op.hashed {
-			// The hint forecasts per-joiner state under a grid; a hash
-			// route's is key-dependent, so it reserves nothing.
-			r.hint = &op.hint
+			if !op.hashed {
+				// The hint forecasts per-joiner state under a grid; a hash
+				// route's is key-dependent, so it reserves nothing.
+				r.hint = &op.hint
+			}
 		}
 		op.ctl.resh = append(op.ctl.resh, r.ctrlCh)
 		op.runner.Go(fmt.Sprintf("reshuffler-%d", i), r.run)

@@ -149,11 +149,13 @@ func mixedStream(rng *rand.Rand, nR, nS int, keys int64) []join.Tuple {
 // directories below the 8 bytes a single slot costs: a joiner that
 // builds its own directory again (16.8 B per replica at this load)
 // fails. The operator-wide figure must stay below the 44 bytes a
-// private copy's columns and chain link would take alone.
+// private copy's columns and chain link would take alone. It runs two
+// reshufflers, as many as still index their slots
+// (maxIndexedReshufflers), at any GOMAXPROCS.
 func TestJoinerFootprintGauges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pred := join.EquiJoin("eq", nil)
-	_, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 7}, mixedStream(rng, 20000, 20000, 1<<40))
+	_, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 7, NumReshufflers: 2}, mixedStream(rng, 20000, 20000, 1<<40))
 	const m = 4 // every R tuple is stored by the m joiners of its row (and S by n = m)
 	const floor = 44 / m
 	met := op.Metrics()

@@ -78,18 +78,13 @@ type reshuffler struct {
 	pend    []join.Tuple
 	pendPos int
 
-	// hint is the operator's shared Reserve-hint cell, nil on the hash
-	// route. The controller reshuffler republishes its per-joiner
+	// hint is the operator's shared Reserve-hint cell; non-nil only on
+	// the controller reshuffler, which republishes its per-joiner
 	// stored-tuple forecast whenever the estimate has grown by a
 	// quarter since the last publish (lastHintR/S), so the shared cache
-	// line is written logarithmically often, not per burst. Every
-	// reshuffler presizes its slots' indexes from it (reserveBlocks):
-	// resR/resS are the forecasts last applied, and numRe divides them
-	// among the reshufflers.
+	// line is written logarithmically often, not per burst.
 	hint                 *reserveHint
 	lastHintR, lastHintS int64
-	resR, resS           int64
-	numRe                int
 
 	// padDummies enables the §4.2.2 dummy-tuple padding: when the
 	// local cardinality-ratio estimate exceeds J, pad the smaller
@@ -119,8 +114,10 @@ type reshuffler struct {
 	inDirty []bool
 	dests   []int
 	byPeer  [][]int
-	// migrated records that the grid has changed epochs: from then on
-	// the slots write no slot index (see resetSlots).
+	// indexes is Operator.indexesSlots, asked with migrated — the grid
+	// has changed epochs since this task started — whether a slot keeps
+	// a slot index.
+	indexes  func(epochChanged bool) bool
 	migrated bool
 
 	lingerT     *time.Timer
@@ -476,14 +473,9 @@ func (r *reshuffler) slotDests(s int) []int {
 // joiner id. A sharing operator also opens each slot's shared-block
 // writer for the slot's in-process fan-out, so a block's rows all go to
 // one set of joiners: a mapping change starts every slot on a new
-// block and a fresh slot index (presized by reserveBlocks) — until the
-// grid first migrates. Every
-// migration re-indexes what the joiners keep in their own directories
-// (Retain folds or rebuilds, MergeFrom indexes what it adopts), so an
-// index written after one would be paid for twice whenever another
-// follows; once migrated, the slots share blocks only. A slot with
-// fewer than two in-process joiners writes none. Called with nothing
-// pending.
+// block and, when Operator.indexesSlots says so, a fresh slot index.
+// A slot with fewer than two in-process joiners writes none. Called
+// with nothing pending.
 func (r *reshuffler) resetSlots() {
 	n := r.mapping.N + r.mapping.M
 	if r.hashed {
@@ -507,7 +499,7 @@ func (r *reshuffler) resetSlots() {
 			// the copy to the joiner rather than the routing loop.
 			local = 0
 		}
-		r.blocks[s].Reset(local, !r.migrated)
+		r.blocks[s].Reset(local, r.indexes(r.migrated))
 	}
 }
 
@@ -679,12 +671,7 @@ func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	r.consumed += int64(len(items))
 	r.ingest.ObserveN(r.id, nR, nS)
 	if r.hint != nil {
-		if r.ctl != nil {
-			r.publishHint()
-		}
-		if r.blocks != nil && !r.migrated {
-			r.reserveBlocks()
-		}
+		r.publishHint()
 	}
 	if r.lat != nil {
 		for i := range items {
@@ -734,26 +721,6 @@ func (r *reshuffler) publishHint() {
 	if perS > r.lastHintS+r.lastHintS/4 {
 		r.lastHintS = perS
 		r.hint.perS.Store(perS)
-	}
-}
-
-// reserveBlocks presizes the slot index of every sharing slot once the
-// forecast has grown past what was last applied: a row slot indexes
-// about 1/numRe of the R tuples each joiner of its row stores, a column
-// slot the same share of S.
-func (r *reshuffler) reserveBlocks() {
-	hr, hs := r.hint.perR.Load(), r.hint.perS.Load()
-	if hr <= r.resR && hs <= r.resS {
-		return
-	}
-	r.resR, r.resS = max(hr, r.resR), max(hs, r.resS)
-	n := int64(r.numRe)
-	for s := range r.blocks {
-		if s < r.mapping.N {
-			r.blocks[s].Reserve(int(hr / n))
-		} else {
-			r.blocks[s].Reserve(int(hs / n))
-		}
 	}
 }
 

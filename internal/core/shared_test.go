@@ -76,20 +76,34 @@ func TestSharedBlocksPerRow(t *testing.T) {
 // one slot index per reshuffler for their R (S) side — the same
 // indexes across the row, every segment still live — and keep no
 // private directory: each replicated tuple was indexed once, by the
-// slot that wrote it.
+// slot that wrote it. On more than maxIndexedReshufflers reshufflers
+// the slots index nothing and every joiner keeps its own directory.
 func TestSharedIndexPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
 	want := refCount(pred, tuples)
-	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
+	for _, numRe := range []int{2, maxIndexedReshufflers + 2} {
+		got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: numRe}, tuples)
+		if got != want {
+			t.Fatalf("%d reshufflers: emitted %d, reference %d", numRe, got, want)
+		}
+		if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
+			t.Fatalf("mapping %v, want (4,4)", m)
+		}
+		if numRe <= maxIndexedReshufflers {
+			checkSharedIndexes(t, "", op.joiners, numRe)
+			continue
+		}
+		for _, w := range op.joiners {
+			for _, side := range migSides {
+				if v := w.state.Segments(side); len(v.Indexes) != 0 || v.Keys == 0 {
+					t.Fatalf("%d reshufflers: joiner %d side %v reads %d segments over a private directory of %d keys, want none over its own",
+						numRe, w.id, side, len(v.Indexes), v.Keys)
+				}
+			}
+		}
 	}
-	if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
-		t.Fatalf("mapping %v, want (4,4)", m)
-	}
-	checkSharedIndexes(t, "", op.joiners, 2)
 }
 
 // checkSharedIndexes requires every joiner of js to read numRe live
@@ -359,6 +373,42 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 	}
 	for i, wop := range wait() {
 		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners, 2)
+	}
+}
+
+// TestWorkerSharedIndexLongFrames is TestWorkerSharedIndexPerRow with
+// batches of 1024 tuples: a frame body longer than a block gets no
+// window and stops its slot's index, so no joiner's segment may go on
+// serving: the joiners index those frames in their own directories,
+// and a store that a segment still serves skips presizing its own
+// (join.HashIndex.Reserve).
+func TestWorkerSharedIndexLongFrames(t *testing.T) {
+	addrs, wait := serveWorkers(t, 2)
+	rng := rand.New(rand.NewSource(89))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 10000, 10000, 1<<20)
+	want := refCount(pred, tuples)
+	var n atomic.Int64
+	op := mustOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, BatchSize: 1024, Workers: addrs, EmitBatch: counter(&n)})
+	op.Start()
+	if err := op.SendBatch(tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatalf("operator error: %v", err)
+	}
+	if got := n.Load(); got != want {
+		t.Fatalf("emitted %d, reference %d", got, want)
+	}
+	for i, wop := range wait() {
+		for _, w := range wop.joiners {
+			for _, side := range migSides {
+				if v := w.state.Segments(side); v.Live != 0 || v.Keys == 0 {
+					t.Fatalf("worker %d: joiner %d side %v has %d serving segments of %d over a private directory of %d keys, want none serving",
+						i, w.id, side, v.Live, len(v.Indexes), v.Keys)
+				}
+			}
+		}
 	}
 }
 

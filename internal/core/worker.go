@@ -291,9 +291,10 @@ type slotBlock struct {
 }
 
 // frameBlock returns the shared-block writer of e's slot, reset — onto
-// a fresh block, and a fresh slot index until the grid first migrates
-// — when the frame's destination count differs from the block's (a new
-// slot's fan-out is 0), so a block's rows all go to one set of joiners.
+// a fresh block, and a fresh slot index when Operator.indexesSlots
+// says so — when the frame's destination count differs from the
+// block's (a new slot's fan-out is 0), so a block's rows all go to one
+// set of joiners.
 // The first frame of a newer epoch drops every slot of the older ones:
 // as on a reshuffler, a mapping change starts every slot on a new
 // block, and an old slot's open block and index would otherwise stay
@@ -317,7 +318,7 @@ func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 		op.frameBlocks[k] = b
 	}
 	if b.sharers != len(dests) {
-		b.Reset(len(dests), !op.frameMigrated)
+		b.Reset(len(dests), op.indexesSlots(op.frameMigrated))
 		b.sharers = len(dests)
 	}
 	return &b.BlockWriter

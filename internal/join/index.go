@@ -848,7 +848,7 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 	}
 	// At most the current distinct-key count survives (Reserve's own
 	// distinct-fraction scaling cannot help here — fresh is empty).
-	keys := min(h.used, kept.n, maxReserve)
+	keys := min(h.keyCount(), kept.n, maxReserve)
 	fresh := NewHashIndex()
 	fresh.reserveSlots(keys)
 	fresh.MergeFrom(&HashIndex{arena: kept, bytes: bytes})
@@ -919,17 +919,24 @@ func (h *HashIndex) fold() {
 	if len(h.segs) == 0 {
 		return
 	}
-	keys := h.used
-	for i := range h.segs {
-		keys += int(h.segs[i].ix.keys.Load())
-	}
-	h.reserveSlots(min(keys, maxReserve))
+	h.reserveSlots(min(h.keyCount(), maxReserve))
 	h.segs = nil
 	for ci := range h.arena.chunks {
 		if h.segmentEntry(ci) {
 			h.indexEntry(ci)
 		}
 	}
+}
+
+// keyCount bounds the distinct keys h indexes: its own directory's
+// plus those each segment's slot index published, which may count keys
+// of rows past the segment's watermark.
+func (h *HashIndex) keyCount() int {
+	keys := h.used
+	for i := range h.segs {
+		keys += int(h.segs[i].ix.keys.Load())
+	}
+	return keys
 }
 
 // ScanIndex stores tuples in arrival order and matches every stored

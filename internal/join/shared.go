@@ -46,7 +46,8 @@ import "repro/internal/matrix"
 //     rows of its own windows;
 //   - a gap — a window the reader did not take through the segment —
 //     freezes the segment at its W, and the slot's later windows go to
-//     the reader's own directory;
+//     the reader's own directory; so does a writer that stops indexing
+//     (BlockWriter.stop), which marks its index closed for the readers;
 //   - no header field changes once a window is published: a
 //     payload-carrying tuple arriving at a published block without the
 //     payload column opens a new block (BlockWriter.Fits);
@@ -102,13 +103,6 @@ func (b *BlockWriter) Reset(sharers int, index bool) {
 // Shared reports whether the slot writes shared blocks at all.
 func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
 
-// Reserve presizes the slot index's directory for about n rows.
-func (b *BlockWriter) Reserve(n int) {
-	if b.ix != nil && n > 0 {
-		b.ix.reserve(n)
-	}
-}
-
 // Fits reports whether t can join the window being written: false when
 // the block is full, or when t carries a payload and the block, with
 // rows already published, has no payload column. On false the caller
@@ -134,7 +128,7 @@ func (b *BlockWriter) open(n int32, payload bool) {
 		if b.ix != nil {
 			var ok bool
 			if b.base, ok = b.ix.addBlock(b.c); !ok {
-				b.ix = nil
+				b.stop()
 			}
 		}
 	} else if payload && b.c.payload == nil {
@@ -154,8 +148,13 @@ func (b *BlockWriter) Append(t *Tuple) {
 // them as one Window, row i holding run[i]; it opens a fresh block when
 // the open one cannot take the whole run (see Fits). A run longer than
 // a block, or an empty one, is not written and gets the zero Window, so
-// its readers copy it.
+// its readers copy it; a run longer than a block also stops the slot
+// index, since a slot that ships such runs leaves most of its rows to
+// its readers' own directories.
 func (b *BlockWriter) AppendRun(run []Tuple) Window {
+	if len(run) > arenaChunk {
+		b.stop()
+	}
 	if len(run) == 0 || len(run) > arenaChunk {
 		return Window{}
 	}
@@ -172,6 +171,16 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 		b.hi++
 	}
 	return b.Window()
+}
+
+// stop ends the slot index: no later window names it, so the segments
+// that read it serve no more (HashIndex.serving) and the readers index
+// the slot's later windows themselves.
+func (b *BlockWriter) stop() {
+	if b.ix != nil {
+		b.ix.closed.Store(true)
+		b.ix = nil
+	}
 }
 
 // Window publishes the rows written since the last call, indexing them
@@ -238,7 +247,7 @@ func (l *Local) Segments(side matrix.Side) SegmentView {
 	v := SegmentView{Keys: h.used}
 	for _, s := range h.segs {
 		v.Indexes = append(v.Indexes, s.ix)
-		if s.live {
+		if s.serving() {
 			v.Live++
 		}
 	}

@@ -49,7 +49,6 @@ type SlotIndex struct {
 	blocks  []slotEntry
 	nblocks int
 	used    int // distinct keys
-	rows    int // indexed rows
 	sharers int32
 	// touch keeps add's cache-warming loads alive; its value means
 	// nothing.
@@ -58,6 +57,9 @@ type SlotIndex struct {
 	// its distinct-key count as of the last window, written by the
 	// writer and read by the readers' Footprint and fold.
 	dirBytes, chainBytes, keys atomic.Int64
+	// closed is set once the writer stops indexing (BlockWriter.stop):
+	// no later window names the index, so its segments serve no more.
+	closed atomic.Bool
 }
 
 // slotDir is one directory generation of a SlotIndex.
@@ -75,7 +77,8 @@ type slotEntry struct {
 
 // maxSlotBlocks bounds the blocks one index spans, keeping every
 // position below 2^31 (a probeHit offset); a writer past it stops
-// indexing and its readers index the rest themselves.
+// indexing (BlockWriter.stop) and its readers index the rest
+// themselves.
 const maxSlotBlocks = 1 << 22
 
 // newSlotIndex returns an empty index for blocks of fan-out sharers.
@@ -150,7 +153,6 @@ func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
 	if x.used >= len(d.slots)-len(d.slots)/4 {
 		d = x.grow(2 * len(d.slots))
 	}
-	x.rows++
 	head := uint64(tag)<<32 | uint64(pos+1)
 	for i := tag >> (d.shift & 31); ; i = (i + 1) & d.mask {
 		s := d.slots[i]
@@ -183,24 +185,6 @@ func (x *SlotIndex) grow(n int) *slotDir {
 	}
 	x.setDir(nd)
 	return nd
-}
-
-// reserve presizes the directory for about n rows, scaled by the
-// distinct-key fraction seen so far once it can be trusted (see
-// HashIndex.Reserve), and clamped at maxReserve.
-func (x *SlotIndex) reserve(n int) {
-	n = min(n, maxReserve)
-	keys := n
-	if x.rows >= 1024 {
-		keys = int(int64(n) * int64(x.used) / int64(x.rows))
-	}
-	target := len(x.cur.slots)
-	for target-target/4 < keys {
-		target <<= 1
-	}
-	if target > len(x.cur.slots) {
-		x.grow(target)
-	}
 }
 
 // segment is a store's read handle on a SlotIndex: the store consumed
@@ -345,15 +329,19 @@ func (h *HashIndex) segmentOf(ix *SlotIndex) *segment {
 
 // serving reports whether a live segment serves h: its slot's windows
 // still arrive indexed, so presizing a private directory would only
-// waste memory.
+// waste memory. A segment whose writer stopped indexing serves no
+// more, though no gap has frozen it yet.
 func (h *HashIndex) serving() bool {
 	for i := range h.segs {
-		if h.segs[i].live {
+		if h.segs[i].serving() {
 			return true
 		}
 	}
 	return false
 }
+
+// serving reports whether the segment still takes its slot's windows.
+func (s *segment) serving() bool { return s.live && !s.ix.closed.Load() }
 
 // takeWindow stores the run ts, written into the shared window w, as
 // the continuation of a segment — or the start of one, at the slot's

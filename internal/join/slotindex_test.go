@@ -28,12 +28,13 @@ type slotMsg struct {
 // yet in the table they loaded. The runs mix duplicate and distinct
 // keys under a narrowed tagMask (every home slot contested by keys of
 // one tag), payloads that force fresh blocks after published
-// payload-free rows, dummies, windows written row by row (a reshuffler
-// slot) and whole (a worker's AppendRun, a run past a block getting the
-// zero Window). Reader 0 takes every window; the others take gaps — a
-// window they never get, or a run a replay filter shortened and stored
-// as a copy — which freeze their segment, after which they index the
-// slot privately.
+// payload-free rows, dummies, and windows written row by row (a
+// reshuffler slot) and whole (a worker's AppendRun). Near the end a
+// whole run past a block gets the zero Window and stops the index, so
+// the last windows name none. Reader 0 takes every window; the others
+// take gaps — a window they never get, or a run a replay filter
+// shortened and stored as a copy — which freeze their segment, after
+// which they index the slot privately.
 func TestSlotIndexAsOf(t *testing.T) {
 	forceTagCollisions(t)
 	const readers, windows = 3, 800
@@ -55,9 +56,11 @@ func TestSlotIndexAsOf(t *testing.T) {
 				c <- slotMsg{run, w}
 			}
 		}
+		stopped := false
 		for k := 0; k < windows; {
 			n := 1 + rng.Intn(48)
-			if rng.Intn(60) == 0 {
+			long := !stopped && k >= windows-20
+			if long || rng.Intn(60) == 0 {
 				n = arenaChunk + 1 + rng.Intn(40)
 			}
 			run := make([]Tuple, n)
@@ -69,12 +72,17 @@ func TestSlotIndexAsOf(t *testing.T) {
 				}
 				run[i] = diffTuple(rng, seq, key)
 			}
-			before := bw.ix.dir.Load()
-			if rng.Intn(2) == 0 {
-				// A worker's frame body: the whole run, or the zero Window.
+			var before *slotDir
+			if bw.ix != nil {
+				before = bw.ix.dir.Load()
+			}
+			if long || (n <= arenaChunk && rng.Intn(2) == 0) {
+				// A worker's frame body: the whole run, or, past a block,
+				// the zero Window, after which the slot indexes nothing.
 				w := bw.AppendRun(run)
 				publish(run, w)
 				k++
+				stopped = stopped || long
 			} else {
 				// A reshuffler slot: rows one by one, a window shipped
 				// early when the block cannot take the next row.
@@ -83,7 +91,7 @@ func TestSlotIndexAsOf(t *testing.T) {
 					k++
 				})
 			}
-			if bw.ix.dir.Load() != before && n > 1 {
+			if before != nil && bw.ix != nil && bw.ix.dir.Load() != before && n > 1 {
 				swaps++
 			}
 		}
@@ -178,6 +186,9 @@ func readSlotWindows(id int, in <-chan slotMsg) error {
 	if live := h.segs[0].live; live == frozen {
 		return fmt.Errorf("segment live = %v, want %v", live, !frozen)
 	}
+	if h.serving() {
+		return fmt.Errorf("segment serves after its writer stopped indexing")
+	}
 	return nil
 }
 
@@ -218,68 +229,84 @@ func pairsMatch(got, want []Pair) error {
 }
 
 // BenchmarkRowInsertProbe is the layer ledger's row of the slot index:
-// the four joiners of one (4,4) grid row take the row's R tuples from
-// two writers (two reshufflers' row slots) in runs of 32, each run
-// probing the joiner's S state (2^16 distinct keys of 2^22) and then
-// stored — as views of the writers' blocks in both modes. In "private"
-// each joiner indexes every window in its own directory and chain
-// columns; in "slot" the writers index each row once and the joiners
-// read the two slot indexes. It reports the cost of one stored replica,
-// writer work included: ns/tuple of wall time and B/tuple of heap
-// growth (the R state: shares of the blocks, chain links and
+// the sixteen joiners of one (4,4) grid take a uniform stream (keys of
+// 2^22, R and S alternating) in runs of 32 from w reshufflers, each
+// with a writer per row and column slot, every run probing its
+// opposite side at the four joiners of its row or column and then
+// stored there — as views of the writers' blocks in both modes. In
+// "private" each joiner indexes every window in its own directory and
+// chain columns; in "slot" the writers index each row once and every
+// probe reads one slot index per reshuffler. It reports the cost of
+// one stored replica, writer work included: ns/tuple of wall time and
+// B/tuple of heap growth (shares of the blocks, chain links and
 // directories).
 func BenchmarkRowInsertProbe(b *testing.B) {
-	for _, slot := range []bool{false, true} {
-		name := "private"
-		if slot {
-			name = "slot"
+	for _, writers := range []int{1, 2, 4, 8, 16} {
+		for _, slot := range []bool{false, true} {
+			name := "private"
+			if slot {
+				name = "slot"
+			}
+			b.Run(fmt.Sprintf("%s/w=%d", name, writers), func(b *testing.B) {
+				benchGridInsertProbe(b, writers, slot)
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			const m, writers, run = 4, 2, 32
-			pred := EquiJoin("eq", nil)
-			rng := rand.New(rand.NewSource(1))
-			locals := make([]*Local, m)
-			for i := range locals {
-				locals[i] = NewLocal(pred)
-				ss := make([]Tuple, 1<<16)
-				for j := range ss {
-					ss[j] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(1 << 22), Size: 8, Seq: uint64(j + 1)}
-				}
-				locals[i].InsertBatch(ss)
-			}
-			stream := make([]Tuple, b.N)
-			for i := range stream {
-				stream[i] = Tuple{Rel: matrix.SideR, Key: rng.Int63n(1 << 22), Size: 8, Seq: uint64(i + 1)}
-			}
-			var bws [writers]BlockWriter
-			for k := range bws {
-				bws[k].Reset(m, slot)
-			}
-			var out []Pair
-			store := func(r []Tuple, w Window) {
-				for _, l := range locals {
-					out = out[:0]
-					l.AddWindowCollect(r, w, &out)
-				}
-			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i += run {
-				writeShared(&bws[(i/run)%writers], stream[i:min(i+run, b.N)], run, store)
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			replicas := float64(m * b.N)
-			b.ReportMetric(float64(elapsed.Nanoseconds())/replicas, "ns/tuple")
-			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/replicas, "B/tuple")
-			runtime.KeepAlive(locals)
-			runtime.KeepAlive(&bws)
-			runtime.KeepAlive(stream)
-		})
 	}
+}
+
+func benchGridInsertProbe(b *testing.B, writers int, slot bool) {
+	const side, run = 4, 32
+	pred := EquiJoin("eq", nil)
+	rng := rand.New(rand.NewSource(1))
+	var locals [side][side]*Local
+	for i := range locals {
+		for j := range locals[i] {
+			locals[i][j] = NewLocal(pred)
+		}
+	}
+	stream := make([]Tuple, b.N)
+	for i := range stream {
+		stream[i] = Tuple{Rel: matrix.Side((i / run) % 2), Key: rng.Int63n(1 << 22), Size: 8, Seq: uint64(i + 1)}
+	}
+	// bws[k][rel][p] is reshuffler k's writer of row (R) or column (S) p.
+	bws := make([][2][side]BlockWriter, writers)
+	for k := range bws {
+		for rel := range bws[k] {
+			for p := range bws[k][rel] {
+				bws[k][rel][p].Reset(side, slot)
+			}
+		}
+	}
+	var out []Pair
+	var line matrix.Side
+	var p int
+	store := func(r []Tuple, w Window) {
+		for q := 0; q < side; q++ {
+			l := locals[p][q]
+			if line == matrix.SideS {
+				l = locals[q][p]
+			}
+			out = out[:0]
+			l.AddWindowCollect(r, w, &out)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i += run {
+		line, p = stream[i].Rel, rng.Intn(side)
+		writeShared(&bws[(i/(2*run))%writers][line][p], stream[i:min(i+run, b.N)], run, store)
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	replicas := float64(side * b.N)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/replicas, "ns/tuple")
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/replicas, "B/tuple")
+	runtime.KeepAlive(&locals)
+	runtime.KeepAlive(bws)
+	runtime.KeepAlive(stream)
 }
