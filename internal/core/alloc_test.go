@@ -190,8 +190,8 @@ func (b *sizeBackend) Generations() ([]uint64, error) { return nil, nil }
 func (b *sizeBackend) Load(uint64) ([]storage.Blob, error) { return nil, storage.ErrCorrupt }
 
 // TestCheckpointAllocBudget pins what one full checkpoint allocates:
-// the blob, written once at its exact size, plus O(J) — per joiner a
-// copy of each side's open tail block and the barrier bookkeeping.
+// the blob, written once at its exact size, plus O(J) — per joiner the
+// captured entry lists and the barrier bookkeeping.
 // Serializing stores into append-grown slices and concatenating them
 // into an append-grown blob costs about ten times the blob.
 func TestCheckpointAllocBudget(t *testing.T) {
@@ -205,7 +205,7 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		j       = 16
 		tuples  = 200_000
 		slack   = 1.15
-		perJoin = 64 << 10 // two tail-block copies (2 x 21760 B) and bookkeeping
+		perJoin = 64 << 10 // entry lists and bookkeeping
 	)
 	be := &sizeBackend{}
 	op := mustOperator(t, Config{

@@ -13,10 +13,10 @@ import (
 // every joiner in that row or column — the grid's replication (§3) is
 // sharing, not copying. An envelope's body is a run of tuples of one
 // relation sharing the header's epoch, so each data envelope is exactly
-// one joiner run. On the in-process equi-join path the slot also wrote
-// the body's columns once into its shared block, and the envelope names
-// those rows (win): the joiners store the run as a view of them instead
-// of copying it, so a replicated tuple is stored once per process.
+// one joiner run. For in-process joiners the slot also wrote the
+// body's columns once into its block, and the envelope names those
+// rows (win): the joiners store the run as a view of them instead of
+// copying it, so a replicated tuple is stored once per process.
 // Envelopes recycle through a pool: the flush sets the reference count
 // to the fan-out and the last destination to release the envelope
 // returns it, so steady state runs without per-tuple (or per-envelope)
@@ -43,10 +43,10 @@ type envelope struct {
 	// bytes is the body's summed Tuple.Bytes, the joiners' input-volume
 	// accounting taken once per envelope instead of once per destination.
 	bytes int64
-	// win names the rows of the slot's shared block the body was written
-	// into (row i holding tuples[i]), or nothing (the zero Window) when
-	// the slot writes no shared block: a joiner behind a link, a hash
-	// route, a predicate or store kind that copies.
+	// win names the rows of the slot's block the body was written into
+	// (row i holding tuples[i]), or nothing (the zero Window) when the
+	// slot writes no block: every joiner behind a link, a band
+	// predicate or budgeted stores.
 	win join.Window
 	// refs counts the destinations that have not released the envelope.
 	refs atomic.Int32

@@ -30,9 +30,8 @@ import (
 //     whose marker already arrived are held aside; once all numRe
 //     markers are in, the joiner has seen exactly the pre-barrier
 //     prefix of every link. It captures its store (Store.Capture):
-//     the arena blocks below each index's immutable prefix by
-//     reference, a copy of each open tail block, and only the parts
-//     that cannot be held by reference — an ordered index, spilled
+//     the arena blocks past each index's delta watermark by
+//     reference, and only the parts that cannot be held by reference — an ordered index, spilled
 //     records — encoded. That is O(blocks), not O(bytes): the joiner
 //     hands the capture to the coordinator and drains the held
 //     envelopes, and other joiners never stall. Holding blocks by
@@ -53,8 +52,8 @@ import (
 //     the committed chain's blobs add up to more than two full
 //     snapshots as measured at this barrier (every capture knows its
 //     full size in O(blocks)) — more dead bytes than live ones. Dead
-//     bytes are superseded tail-block copies, ordered indexes
-//     re-encoded in every link and blocks a migration's Retain
+//     bytes are superseded views of partly filled blocks, ordered
+//     indexes re-encoded in every link and blocks a migration's Retain
 //     rebuilt. A full snapshot of F bytes is then paid for by at least
 //     F dead bytes already written, the amortization Lemma 4.4 makes
 //     for migrations: checkpoint bytes stay within twice the delta
@@ -419,7 +418,7 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 			}
 		}
 		// Drop the captures before the controller may start a migration:
-		// they pin the joiners' blocks and tail copies.
+		// they pin the joiners' blocks.
 		id := cur.id
 		*cur = ckptBuild{}
 		select {

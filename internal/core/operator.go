@@ -576,14 +576,14 @@ func (op *Operator) hostsJoiner(id int) bool {
 	return op.place == nil || op.place[id] < 0
 }
 
-// sharesBlocks reports whether the operator's joiners store shared
-// windows, so that a reshuffler slot, or a worker's receive loop, writes
-// each tuple's columns once for the several joiners it ships them to:
-// on the grid route (the hash route replicates nothing), with an equi
-// predicate (hash-indexed stores keep views) and unbudgeted stores (a
-// budgeted one copies what it may spill).
+// sharesBlocks reports whether the operator's joiners store windows,
+// so that a reshuffler slot, or a worker's receive loop, writes each
+// tuple's columns once for every in-process joiner it ships them to:
+// unless the predicate is a band (an ordered index keeps its tuples in
+// its own leaves) or the stores are budgeted (a budgeted store copies
+// what it may spill).
 func (op *Operator) sharesBlocks() bool {
-	return !op.hashed && op.cfg.Pred.Kind == join.Equi && op.cfg.Storage.CapBytes == 0
+	return op.cfg.Pred.Kind != join.Band && op.cfg.Storage.CapBytes == 0
 }
 
 // maxIndexedReshufflers bounds the reshufflers whose sharing slots keep

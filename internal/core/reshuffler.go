@@ -470,12 +470,12 @@ func (r *reshuffler) slotDests(s int) []int {
 // resetSlots sizes the pending-envelope slots for the current mapping.
 // On the grid route slots 0..N-1 are the rows (R tuples) and N..N+M-1
 // the columns (S tuples); on the hash route slot 2·id+side belongs to
-// joiner id. A sharing operator also opens each slot's shared-block
-// writer for the slot's in-process fan-out, so a block's rows all go to
-// one set of joiners: a mapping change starts every slot on a new
-// block and, when Operator.indexesSlots says so, a fresh slot index.
-// A slot with fewer than two in-process joiners writes none. Called
-// with nothing pending.
+// joiner id. A sharing operator also opens each slot's block writer
+// for the slot's in-process fan-out, so a block's rows all go to one
+// set of joiners: a mapping change starts every slot on a new block
+// and, when Operator.indexesSlots says so and the slot has two or more
+// in-process joiners, a fresh slot index. A slot with no in-process
+// joiner writes none. Called with nothing pending.
 func (r *reshuffler) resetSlots() {
 	n := r.mapping.N + r.mapping.M
 	if r.hashed {
@@ -493,11 +493,6 @@ func (r *reshuffler) resetSlots() {
 			if !r.topo.isRemote(id) {
 				local++
 			}
-		}
-		if local < 2 {
-			// One in-process reader stores one copy either way: leave
-			// the copy to the joiner rather than the routing loop.
-			local = 0
 		}
 		r.blocks[s].Reset(local, r.indexes(r.migrated))
 	}

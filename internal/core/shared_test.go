@@ -12,63 +12,127 @@ import (
 	"repro/internal/storage"
 )
 
-// TestSharedBlocksPerRow runs a static (4,4) grid in one process and
-// checks that the joiners of a grid row (column) store its R (S)
-// tuples as views of the same blocks — the reshuffler wrote each
-// tuple's columns once — and that the whole operator holds no more
-// blocks than the input fills plus one open block per slot and
-// reshuffler.
+// TestSharedBlocksPerRow runs grids in one process and checks that
+// every store holds only views of blocks a writer wrote, that the
+// joiners of a grid row (column) store its R (S) tuples as views of
+// the same blocks — the reshuffler wrote each tuple's columns once —
+// and that the whole operator holds no more blocks than the input
+// fills plus one open block per slot and reshuffler. It covers a
+// (4,4) equi-join, a (16,1) grid whose row slots have one reader each,
+// a theta predicate, whose scan-indexed stores view windows as hash
+// stores do, and the hash route, whose slots have one reader each.
 func TestSharedBlocksPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
-	want := refCount(pred, tuples)
-	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
-	m := op.cfg.Initial
-	if m.N != 4 || m.M != 4 {
-		t.Fatalf("mapping %v, want (4,4)", m)
-	}
-	// blocksOf lists the blocks of one joiner side, in order.
-	blocksOf := func(w *joiner, side matrix.Side) []any {
-		var out []any
-		for _, v := range w.state.Views(side) {
-			if v.Sharers == 0 {
-				t.Fatalf("joiner %d side %v holds a private block", w.id, side)
+	for _, tc := range sharedBlockCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refCount(tc.cfg.Pred, tuples)
+			cfg := tc.cfg
+			cfg.Seed = 3
+			var got int64
+			var op *Operator
+			if tc.hashed {
+				got, op = runSHJ(t, cfg, tuples)
+			} else {
+				got, op = runOperator(t, cfg, tuples)
 			}
-			if len(out) == 0 || out[len(out)-1] != v.Block {
-				out = append(out, v.Block)
+			if got != want {
+				t.Fatalf("emitted %d, reference %d", got, want)
 			}
-		}
-		return out
+			if m := op.cfg.Initial; !tc.hashed && m != tc.cfg.Initial {
+				t.Fatalf("mapping %v, want %v", m, tc.cfg.Initial)
+			}
+			distinct := checkLineBlocks(t, "", op.joiners, tc.hashed, nil)
+			slots := op.cfg.Initial.N + op.cfg.Initial.M
+			if tc.hashed {
+				slots = 2 * op.cfg.J
+			}
+			if limit := (len(tuples)+511)/512 + slots*len(op.sources); distinct > limit {
+				t.Fatalf("%d distinct blocks for %d input tuples, limit %d", distinct, len(tuples), limit)
+			}
+		})
 	}
+}
+
+// sharedBlockCase is one operator shape TestSharedBlocksPerRow and its
+// worker twin run: the hash route when hashed, else the grid cfg names.
+type sharedBlockCase struct {
+	name   string
+	cfg    Config
+	hashed bool
+}
+
+func sharedBlockCases() []sharedBlockCase {
+	eq := join.EquiJoin("eq", nil)
+	near := join.ThetaJoin("near", func(r, s join.Tuple) bool { d := r.Key - s.Key; return d >= 0 && d < 1<<10 })
+	return []sharedBlockCase{
+		{"equi-4x4", Config{J: 16, Pred: eq, Initial: matrix.Mapping{N: 4, M: 4}}, false},
+		{"equi-16x1", Config{J: 16, Pred: eq, Initial: matrix.Mapping{N: 16, M: 1}}, false},
+		{"theta-4x4", Config{J: 16, Pred: near, Initial: matrix.Mapping{N: 4, M: 4}}, false},
+		{"hash-route", Config{J: 16, Pred: eq}, true},
+	}
+}
+
+// runSHJ is runOperator on the hash route.
+func runSHJ(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Operator) {
+	t.Helper()
+	var n atomic.Int64
+	cfg.EmitBatch = counter(&n)
+	op, err := NewSHJ(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.Start()
+	for _, tp := range tuples {
+		op.Send(tp)
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatalf("operator error: %v", err)
+	}
+	return n.Load(), op
+}
+
+// checkLineBlocks requires every store of js to view only blocks a
+// writer wrote (Sharers >= 1) — of the fan-out sharers names for the
+// side, when it is set — and the joiners of one grid row (column) to
+// view the same R (S) blocks; on the hash route every joiner is a line
+// of its own. It returns how many distinct blocks the stores view.
+func checkLineBlocks(t *testing.T, label string, js []*joiner, hashed bool, sharers func(w *joiner, side matrix.Side) int) int {
+	t.Helper()
 	distinct := map[any]bool{}
-	rows := map[int]map[any]bool{}
-	cols := map[int]map[any]bool{}
-	for _, w := range op.joiners {
-		for side, groups := range map[matrix.Side]map[int]map[any]bool{matrix.SideR: rows, matrix.SideS: cols} {
-			key := w.cell.Row
-			if side == matrix.SideS {
-				key = w.cell.Col
-			}
+	lines := [2]map[int]map[any]bool{{}, {}}
+	for _, w := range js {
+		for _, side := range migSides {
 			set := map[any]bool{}
-			for _, b := range blocksOf(w, side) {
-				set[b] = true
-				distinct[b] = true
+			for _, v := range w.state.Views(side) {
+				if v.Sharers < 1 {
+					t.Fatalf("%sjoiner %d side %v views a block no writer wrote", label, w.id, side)
+				}
+				if sharers != nil && v.Sharers != sharers(w, side) {
+					t.Fatalf("%sjoiner %d side %v views a block of %d sharers, want %d", label, w.id, side, v.Sharers, sharers(w, side))
+				}
+				set[v.Block] = true
+				distinct[v.Block] = true
 			}
-			if ref, ok := groups[key]; !ok {
-				groups[key] = set
+			if len(set) == 0 {
+				t.Fatalf("%sjoiner %d side %v stores no block", label, w.id, side)
+			}
+			line := w.id
+			switch {
+			case hashed:
+			case side == matrix.SideR:
+				line = w.cell.Row
+			default:
+				line = w.cell.Col
+			}
+			if ref, ok := lines[side][line]; !ok {
+				lines[side][line] = set
 			} else if !sameSet(ref, set) {
-				t.Fatalf("joiner %d side %v views other blocks than its grid line's first joiner", w.id, side)
+				t.Fatalf("%sjoiner %d side %v views other blocks than its grid line's first joiner", label, w.id, side)
 			}
 		}
 	}
-	limit := (len(tuples)+511)/512 + (m.N+m.M)*len(op.sources)
-	if len(distinct) > limit {
-		t.Fatalf("%d distinct blocks for %d input tuples, limit %d", len(distinct), len(tuples), limit)
-	}
+	return len(distinct)
 }
 
 // TestSharedIndexPerRow runs a static (4,4) grid on two reshufflers in
@@ -248,7 +312,7 @@ func TestSharedBlocksAcrossMigrationExact(t *testing.T) {
 	for _, w := range op.joiners {
 		for _, side := range migSides {
 			for _, v := range w.state.Views(side) {
-				if v.Sharers > 0 {
+				if v.Sharers > 1 {
 					shared++
 				}
 			}
@@ -305,55 +369,47 @@ func TestResidentGaugeMatchesHeap(t *testing.T) {
 	runtime.KeepAlive(tuples)
 }
 
-// TestWorkerSharedBlocksPerRow runs a static (4,4) grid on two
-// loopback workers and checks, on each worker, that the receive loop
-// wrote each frame body once for the joiners it names: the hosted
-// joiners of a grid row view the same R blocks, every S block is viewed
-// by the worker's two joiners of its column, and no hosted store holds
-// a private block.
+// TestWorkerSharedBlocksPerRow runs TestSharedBlocksPerRow's equi
+// grids on two loopback workers (workers take neither the hash route
+// nor a theta predicate, which does not serialize) and
+// checks, on each worker, that the receive loop wrote each frame body
+// once for the joiners it names: every hosted store views only blocks
+// written for as many joiners as the worker hosts of its grid line, and
+// the hosted joiners of a row (column) view the same R (S) blocks.
 func TestWorkerSharedBlocksPerRow(t *testing.T) {
-	addrs, wait := serveWorkers(t, 2)
 	rng := rand.New(rand.NewSource(59))
-	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
-	want := refCount(pred, tuples)
-	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, Workers: addrs}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
-	if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
-		t.Fatalf("mapping %v, want (4,4)", m)
-	}
-	for i, wop := range wait() {
-		rows := map[int]map[any]bool{}
-		for _, w := range wop.joiners {
-			set := map[any]bool{}
-			for _, side := range migSides {
-				for _, v := range w.state.Views(side) {
-					switch {
-					case v.Sharers == 0:
-						t.Fatalf("worker %d: joiner %d side %v holds a private block", i, w.id, side)
-					case side == matrix.SideS && v.Sharers != 2:
-						t.Fatalf("worker %d: joiner %d views an S block of %d sharers, want 2", i, w.id, v.Sharers)
-					case side == matrix.SideR && v.Sharers != 4:
-						t.Fatalf("worker %d: joiner %d views an R block of %d sharers, want 4", i, w.id, v.Sharers)
-					case side == matrix.SideR:
-						set[v.Block] = true
-					}
+	for _, tc := range sharedBlockCases() {
+		if tc.hashed || tc.cfg.Pred.Kind != join.Equi {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, wait := serveWorkers(t, 2)
+			want := refCount(tc.cfg.Pred, tuples)
+			cfg := tc.cfg
+			cfg.Seed, cfg.Workers = 3, addrs
+			got, op := runOperator(t, cfg, tuples)
+			if got != want {
+				t.Fatalf("emitted %d, reference %d", got, want)
+			}
+			if m := op.cfg.Initial; m != tc.cfg.Initial {
+				t.Fatalf("mapping %v, want %v", m, tc.cfg.Initial)
+			}
+			for i, wop := range wait() {
+				// hosted counts the worker's joiners per row and column.
+				hosted := [2]map[int]int{{}, {}}
+				for _, w := range wop.joiners {
+					hosted[matrix.SideR][w.cell.Row]++
+					hosted[matrix.SideS][w.cell.Col]++
 				}
+				checkLineBlocks(t, fmt.Sprintf("worker %d: ", i), wop.joiners, false, func(w *joiner, side matrix.Side) int {
+					if side == matrix.SideR {
+						return hosted[side][w.cell.Row]
+					}
+					return hosted[side][w.cell.Col]
+				})
 			}
-			if len(set) == 0 {
-				t.Fatalf("worker %d: joiner %d stores no R block", i, w.id)
-			}
-			if ref, ok := rows[w.cell.Row]; !ok {
-				rows[w.cell.Row] = set
-			} else if !sameSet(ref, set) {
-				t.Fatalf("worker %d: joiner %d views other R blocks than its row's first hosted joiner", i, w.id)
-			}
-		}
-		if len(rows) != 2 {
-			t.Fatalf("worker %d hosts joiners of %d rows, want 2 whole rows", i, len(rows))
-		}
+		})
 	}
 }
 
@@ -472,7 +528,7 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 			for _, w := range js {
 				for _, side := range migSides {
 					for _, v := range w.state.Views(side) {
-						if v.Sharers > 0 {
+						if v.Sharers > 1 {
 							return
 						}
 					}
@@ -484,7 +540,10 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 			for _, w := range js {
 				for _, side := range migSides {
 					for _, v := range w.state.Views(side) {
-						if v.Sharers == 0 {
+						// On (4,4) every frame names two or four hosted
+						// joiners: a block written for one is a store's
+						// own copy.
+						if v.Sharers == 1 {
 							return
 						}
 					}
@@ -497,8 +556,8 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 				for _, side := range migSides {
 					views, rows := w.state.Views(side), 0
 					for _, v := range views {
-						if v.Sharers == 0 {
-							t.Fatalf("joiner %d side %v holds a private block", w.id, side)
+						if v.Sharers < 1 {
+							t.Fatalf("joiner %d side %v views a block no writer wrote", w.id, side)
 						}
 						rows += v.Hi - v.Lo
 					}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dataflow"
@@ -235,31 +236,26 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // fanOut decodes a KindData payload and hands the one decoded envelope
 // to every hosted joiner it names, by reference — the in-process
 // broadcast, on the far side of the link: the references are set before
-// the first push. A body naming two or more hosted joiners is first
-// written, whole, into the open shared block of its slot (frameBlock)
-// when the joiners store shared windows (sharesBlocks), and indexed in
-// the slot's index; the envelope carries the window, so those joiners
-// store views of one copy of its columns and read one index over them.
-// A frame naming a joiner this process does not host, or sent by a
-// reshuffler the job does not run, is rejected, its envelope released
-// once. dests is the decode scratch, returned for
-// reuse. Only the session's receive loop calls it.
+// the first push. A body is first written, whole, into the open block
+// of its slot (frameBlock) when the joiners store windows
+// (sharesBlocks), and indexed in the slot's index when it has one; the
+// envelope carries the window, so the joiners it names store views of
+// one copy of its columns and read one index over them. A frame naming
+// a joiner this process does not host, or one joiner twice, sent by a
+// reshuffler the job does not run, or whose body mixes R and S tuples
+// is rejected with ErrBadEnvelope, its envelope released once. dests is
+// the decode scratch, returned for reuse. Only the session's receive
+// loop calls it.
 func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 	dests, e, err := decodeData(dests, payload)
 	if err != nil {
 		return dests, err
 	}
-	for _, id := range dests {
-		if !op.hostsJoiner(id) {
-			e.release()
-			return dests, fmt.Errorf("core: envelope for joiner %d, not hosted here", id)
-		}
-	}
-	if e.hdr.from < 0 || e.hdr.from >= op.cfg.NumReshufflers {
+	if err := op.checkFrame(dests, e); err != nil {
 		e.release()
-		return dests, fmt.Errorf("core: envelope from reshuffler %d of %d", e.hdr.from, op.cfg.NumReshufflers)
+		return dests, err
 	}
-	if len(dests) >= 2 && len(e.tuples) > 0 && op.sharesBlocks() {
+	if len(e.tuples) > 0 && op.sharesBlocks() {
 		if b := op.frameBlock(e, dests); b != nil {
 			e.win = b.AppendRun(e.tuples)
 		}
@@ -269,6 +265,29 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 		op.topo.pushData(id, e)
 	}
 	return dests, nil
+}
+
+// checkFrame returns the error fanOut rejects a decoded frame with, or
+// nil. A joiner named twice would store and probe the body twice, and a
+// joiner stores a body as a run of its first tuple's side.
+func (op *Operator) checkFrame(dests []int, e *envelope) error {
+	for i, id := range dests {
+		if !op.hostsJoiner(id) {
+			return fmt.Errorf("%w: envelope for joiner %d, not hosted here", ErrBadEnvelope, id)
+		}
+		if slices.Contains(dests[:i], id) {
+			return fmt.Errorf("%w: envelope names joiner %d twice", ErrBadEnvelope, id)
+		}
+	}
+	if e.hdr.from < 0 || e.hdr.from >= op.cfg.NumReshufflers {
+		return fmt.Errorf("%w: envelope from reshuffler %d of %d", ErrBadEnvelope, e.hdr.from, op.cfg.NumReshufflers)
+	}
+	for i := range e.tuples {
+		if e.tuples[i].Rel != e.tuples[0].Rel {
+			return fmt.Errorf("%w: envelope body mixes R and S tuples", ErrBadEnvelope)
+		}
+	}
+	return nil
 }
 
 // frameSlot names the reshuffler slot a data frame's body comes from,
@@ -300,7 +319,7 @@ type slotBlock struct {
 // block, and an old slot's open block and index would otherwise stay
 // pinned until the slot is seen again. A frame of an older epoch than
 // the newest seen — a ∆ run of a migration in progress — gets no writer
-// (nil) and its joiners copy it. There is one writer per slot of the
+// (nil) and its joiners copy it through their own writers. There is one writer per slot of the
 // current epoch, at most one per reshuffler, side and hosted joiner.
 func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 	switch epoch := e.hdr.epoch; {

@@ -137,3 +137,46 @@ func TestWorkerRejectsHostileHello(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRejectsMalformedFrames: a data frame that names one hosted
+// joiner twice, or whose body mixes R and S tuples, would give wrong
+// pairs — the joiner would store and probe the body twice, or store
+// its S tuples in the R index — so the receive loop rejects both with
+// ErrBadEnvelope and hands nothing to any joiner; the well-formed
+// frame beside them goes through.
+func TestWorkerRejectsMalformedFrames(t *testing.T) {
+	cfg := Config{J: 4, Pred: join.EquiJoin("eq", nil), Initial: matrix.Mapping{N: 2, M: 2}, NumReshufflers: 1}
+	cfg.hosted = []bool{true, true, true, true}
+	wop := mustOperator(t, cfg)
+	ports := *wop.topo.ports.Load()
+	r := join.Tuple{Rel: matrix.SideR, Key: 1, Seq: 1, U: 1}
+	s := join.Tuple{Rel: matrix.SideS, Key: 1, Seq: 2, U: 1}
+	for _, tc := range []struct {
+		name  string
+		dests []int
+		body  []join.Tuple
+	}{
+		{"one joiner twice", []int{0, 1, 0}, []join.Tuple{r}},
+		{"R and S in one body", []int{0, 1}, []join.Tuple{r, s}},
+	} {
+		frame := appendData(nil, tc.dests, &envelope{hdr: message{kind: kTuple}, tuples: tc.body})
+		if _, err := wop.fanOut(nil, frame); !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("%s: fanOut returned %v, want ErrBadEnvelope", tc.name, err)
+		}
+		for id, p := range ports {
+			if n := len(p.dataIn); n != 0 {
+				t.Fatalf("%s: joiner %d got %d envelopes, want none", tc.name, id, n)
+			}
+		}
+	}
+	frame := appendData(nil, []int{0, 1}, &envelope{hdr: message{kind: kTuple}, tuples: []join.Tuple{r, r}})
+	if _, err := wop.fanOut(nil, frame); err != nil {
+		t.Fatalf("well-formed frame: %v", err)
+	}
+	for _, id := range []int{0, 1} {
+		if n := len(ports[id].dataIn); n != 1 {
+			t.Fatalf("joiner %d got %d envelopes of the well-formed frame, want 1", id, n)
+		}
+		(<-ports[id].dataIn).release()
+	}
+}

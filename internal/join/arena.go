@@ -25,18 +25,9 @@ import (
 //     interleaving hash walks with full-tuple copies.
 //
 // An arena is a list of views: an entry names a block and the rows
-// [lo, hi) of it the arena holds. A private block — one the arena
-// appended itself, decoded, or adopted — is the view [0, n) and belongs
-// to that one entry. A shared block is written once by a reshuffler
-// slot and read by every in-process joiner of its grid row or column
-// (BlockWriter): each joiner's arena holds views of the windows it was
-// sent, so a replicated tuple occupies one copy of its columns per
-// process however many joiners store it. Rows inside a view never
-// change, and a shared block's header (its payload column) is set
-// before any reader sees the block: that is what lets a checkpoint
-// capture hold views by value while the writer keeps appending past
-// them (only the open private tail, whose owner may still add its
-// payload column, is copied).
+// [lo, hi) of it the arena holds. Every block is written once, by a
+// BlockWriter, and an arena only ever views the windows writers
+// published (shared.go).
 //
 // Growth appends a fresh block — stored tuples are never relocated —
 // and an arena offset encodes its entry and block position explicitly
@@ -56,23 +47,23 @@ import (
 //	                             held by the index per replica, or
 //	                             once per slot by the slot index a
 //	                             segment reads
-//	view               16 B      per entry: per 512 tuples for a private
-//	                             block, per window that does not extend
-//	                             the previous one for a shared block
+//	view               16 B      per entry: per window that does not
+//	                             extend the previous one
 //
-// A replica's share of a shared block's columns is their bytes divided
-// by the block's sharers (10 B of the 40 on a (4,4) grid).
+// A replica's share of a block's columns is their bytes divided by the
+// block's sharers (10 B of the 40 on a (4,4) grid, all 40 for a block
+// of the store's own writer).
 //
 // The five data columns are the 40 B/tuple every snapshot, delta,
 // spill record and migration block frame over a link carries; they are
-// written once, at append. A migration copies rows column by column
-// (appendRow) into blocks that a target in the same process adopts as
-// they are, never serialized. The u column is what the migration
-// filters read: the τ selection and the Retain discard test it alone
-// (retainTop) and build no Tuple. The chain column is derived state
-// like the directory: it belongs to HashIndex (or to a SlotIndex), is
-// never serialized, and is rebuilt from the key column whenever
-// entries are adopted.
+// written once, by a writer. A migration copies rows column by column
+// (BlockWriter.copyRow) into blocks that a target in the same process
+// adopts as they are, never serialized. The u column is what the
+// migration filters read: the τ selection and the Retain discard test
+// it alone (retainTop) and build no Tuple. The chain column is derived
+// state like the directory: it belongs to HashIndex (or to a
+// SlotIndex), is never serialized, and is rebuilt from the key column
+// whenever entries are adopted.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -88,24 +79,25 @@ const (
 // arena blocks: a store fed by shared windows would never fill them.
 const maxReserve = 1 << 19
 
-// maxSharedEntries bounds the entries shared windows may add to one
-// arena. An offset holds the entry index in its top 22 bits, and an
-// unbatched stream adds an entry per tuple; past the bound windows are
-// copied into private blocks, which leaves the other half of the entry
-// space for 2^30 more tuples.
+// maxSharedEntries bounds the entries the views of other writers'
+// windows may add to one arena. An offset holds the entry index in its
+// top 22 bits, and an unbatched stream adds an entry per tuple; past
+// the bound windows are copied through the store's own writer, whose
+// consecutive windows extend one entry per block, which leaves the
+// other half of the entry space for 2^30 more tuples.
 const maxSharedEntries = 1 << 21
 
 // colChunk is one block of the arena: arenaChunk tuples decomposed
 // into parallel columns. Which rows hold tuples is the business of the
 // views that reference the block; the block itself has no fill level.
 // The payload column is allocated on the first payload-carrying tuple
-// written to the block; a shared block gets it before its first window
-// is published or never (BlockWriter), so no reader ever sees the
-// header change.
+// written to the block, before its first window is published or never
+// (BlockWriter), so no reader ever sees the header change.
 type colChunk struct {
 	payload [][]byte
-	// sharers is the fan-out of a shared block — how many arenas hold
-	// views of it — recorded at creation; 0 marks a private block.
+	// sharers is the number of arenas the block's writer wrote it for,
+	// recorded at creation: the joiners of a slot, or 1 for a store's
+	// own writer.
 	sharers int32
 	key     [arenaChunk]int64
 	aux     [arenaChunk]int64
@@ -149,11 +141,10 @@ func (c *colChunk) put(pos int32, t *Tuple) {
 }
 
 // atIntoMeta materializes the tuple stored at pos directly into *dst,
-// overwriting every field — the inverse of the per-column writes in
-// tupleArena.append — with the meta word supplied by the caller: the
-// batch probe captures it during the gather pass (an early touch of the
-// block that overlaps with the remaining directory walk), so
-// materialization skips the meta column read.
+// overwriting every field — the inverse of put — with the meta word
+// supplied by the caller: the batch probe captures it during the gather
+// pass (an early touch of the block that overlaps with the remaining
+// directory walk), so materialization skips the meta column read.
 func (c *colChunk) atIntoMeta(pos int32, m uint64, dst *Tuple) {
 	dst.setMeta(m)
 	dst.Key = c.key[pos]
@@ -180,22 +171,15 @@ type view struct {
 	lo, hi int32
 }
 
-// tupleArena is a chunked columnar tuple store: a list of views. The
-// zero value is an empty arena.
+// tupleArena is a chunked columnar tuple store: a list of views of
+// published windows. The zero value is an empty arena.
 type tupleArena struct {
 	chunks []view
-	// own reports that the last entry is a private block this arena
-	// appends to. Entries before the last never change: appends extend
-	// only the last one (a private tail, or a shared view whose next
-	// window continues it).
-	own bool
-	n   int
-	// private counts the private blocks, each charged whole; shared sums
-	// rows x chunkBytes / sharers over the views of shared blocks, so
-	// Footprint charges a shared block once across the arenas viewing it.
-	private int
-	shared  int64
-	// mutGen counts destructive rebuilds (Retain). Appends and
+	n      int
+	// charge sums rows x chunkBytes / sharers over the views, so
+	// Footprint charges a block once across the arenas viewing it.
+	charge int64
+	// mutGen counts destructive rebuilds (Retain). Added windows and
 	// adoptions leave it alone: they only extend the entry list, so an
 	// entry-prefix watermark taken before them still names the same
 	// bytes. A rebuild invalidates every outstanding watermark, which
@@ -216,97 +200,43 @@ func (a *tupleArena) immutablePrefix() int {
 	return p
 }
 
-// tail returns the private block the next append lands in, with its
-// entry index, opening a fresh one when the last entry is not this
-// arena's own or is full. A private block gets its payload column
-// lazily, on the first payload-carrying tuple appended to it (which is
-// why a checkpoint capture copies the open private tail, see
-// captureArena).
-func (a *tupleArena) tail(withPayload bool) (*view, int) {
-	k := len(a.chunks) - 1
-	if !a.own || a.chunks[k].hi == arenaChunk {
-		a.chunks = append(a.chunks, view{c: &colChunk{}})
-		a.own = true
-		a.private++
-		k++
-	}
-	v := &a.chunks[k]
-	if withPayload && v.c.payload == nil {
-		v.c.payload = make([][]byte, arenaChunk)
-	}
-	return v, k
+// viewable reports whether the window w can be added by reference for
+// a run of n tuples: w names exactly the run, and the entry space has
+// room.
+func (a *tupleArena) viewable(w Window, n int) bool {
+	return w.c != nil && w.Len() == n && len(a.chunks) < maxSharedEntries
 }
 
-// append stores t and returns its offset; t is taken by pointer so
-// the call moves five machine words into the columns instead of
-// copying the 64-byte struct twice. Arena offsets are int32: a single
-// joiner index holding >2^31 tuples would exhaust memory long before
-// the offset space.
-func (a *tupleArena) append(t *Tuple) int32 {
-	v, k := a.tail(t.Payload != nil)
-	pos := v.hi
-	v.c.put(pos, t)
-	v.hi++
-	a.n++
-	return int32(k<<arenaShift) | pos
-}
-
-// appendRow copies the row at pos of src — its five data columns and
-// its payload — into a's tail block and returns the row's accounted
-// bytes: the copy behind Retain and the migration selection, which
-// never build a Tuple.
-func (a *tupleArena) appendRow(src *colChunk, pos int32) int64 {
-	var p []byte
-	if src.payload != nil {
-		p = src.payload[pos]
-	}
-	v, _ := a.tail(p != nil)
-	c, i := v.c, v.hi
-	c.key[i] = src.key[pos]
-	c.aux[i] = src.aux[pos]
-	c.u[i] = src.u[pos]
-	c.seq[i] = src.seq[pos]
-	m := src.meta[pos]
-	c.meta[i] = m
-	if p != nil {
-		c.payload[i] = p
-	}
-	v.hi++
-	a.n++
-	return metaBytes(m, p)
-}
-
-// addWindow appends the rows [lo, hi) of shared block c without
+// addWindow appends the rows of the published window w without
 // copying them and returns the entry they landed in: the last entry,
 // extended, when the window continues it and extend allows, else a new
-// one.
-func (a *tupleArena) addWindow(c *colChunk, lo, hi int32, extend bool) int {
+// one. Arena offsets are int32: a single joiner index holding >2^31
+// tuples would exhaust memory long before the offset space.
+func (a *tupleArena) addWindow(w Window, extend bool) int {
 	k := len(a.chunks) - 1
-	if extend && k >= 0 && a.chunks[k].c == c && a.chunks[k].hi == lo {
-		a.chunks[k].hi = hi
+	if extend && k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo {
+		a.chunks[k].hi = w.hi
 	} else {
-		a.chunks = append(a.chunks, view{c: c, lo: lo, hi: hi})
-		a.own = false
+		a.chunks = append(a.chunks, view{c: w.c, lo: w.lo, hi: w.hi})
 		k++
 	}
-	a.n += int(hi - lo)
-	a.shared += int64(hi-lo) * chunkBytes / int64(c.sharers)
+	a.n += w.Len()
+	a.charge += int64(w.Len()) * chunkBytes / int64(w.c.sharers)
 	return k
 }
 
-// footprint is the arena's share of Index.Footprint: private blocks
-// whole, shared views by their rows divided among the block's sharers.
-func (a *tupleArena) footprint() int64 {
-	return int64(a.private)*chunkBytes + a.shared/arenaChunk
-}
+// footprint is the arena's share of Index.Footprint: every view's rows
+// divided among its block's sharers.
+func (a *tupleArena) footprint() int64 { return a.charge / arenaChunk }
 
 // retainTop is the arena half of Index.Retain: one pass over the u
 // column counts the rows keep drops, and when there are any, a second
-// copies the survivors row-wise, in entry order, into fresh compact
-// private blocks. It returns the fresh arena (empty when nothing is
-// removed), the removed count and the survivors' accounted bytes;
-// installing the arena, and bumping mutGen with it, is the caller's.
-func (a *tupleArena) retainTop(keep matrix.Top) (kept tupleArena, removed int, bytes int64) {
+// copies the survivors row-wise, in entry order, through w — the
+// store's own writer — into a fresh arena. It returns that arena (empty
+// when nothing is removed), the removed count and the survivors'
+// accounted bytes; installing the arena, and bumping mutGen with it, is
+// the caller's.
+func (a *tupleArena) retainTop(keep matrix.Top, w *BlockWriter) (kept tupleArena, removed int, bytes int64) {
 	if keep.All() {
 		return kept, 0, 0
 	}
@@ -320,14 +250,15 @@ func (a *tupleArena) retainTop(keep matrix.Top) (kept tupleArena, removed int, b
 	if removed == 0 {
 		return kept, 0, 0
 	}
-	kept.chunks = make([]view, 0, (a.n-removed+arenaChunk-1)/arenaChunk)
+	kept.chunks = make([]view, 0, (a.n-removed+arenaChunk-1)/arenaChunk+1)
 	for _, v := range a.chunks {
 		for pos := v.lo; pos < v.hi; pos++ {
 			if keep.Has(v.c.u[pos]) {
-				bytes += kept.appendRow(v.c, pos)
+				bytes += w.copyRow(&kept, v.c, pos)
 			}
 		}
 	}
+	w.flush(&kept)
 	return kept, removed, bytes
 }
 
@@ -357,8 +288,7 @@ func (a *tupleArena) scan(fn func(Tuple) bool) bool {
 // index a's entry list gained o's entries at: offset ci<<arenaShift|pos
 // in o becomes (base+ci)<<arenaShift|pos in a. No tuple is copied —
 // adoption is what makes migration finalization a directory rebuild
-// instead of a second ingest. a's previous last entry simply stays as
-// it is; only o's last one can still be extended.
+// instead of a second ingest.
 func (a *tupleArena) adopt(o *tupleArena) int {
 	base := len(a.chunks)
 	if base == 0 {
@@ -366,30 +296,8 @@ func (a *tupleArena) adopt(o *tupleArena) int {
 	} else {
 		a.chunks = append(a.chunks, o.chunks...)
 	}
-	if len(o.chunks) > 0 {
-		a.own = o.own
-	}
 	a.n += o.n
-	a.private += o.private
-	a.shared += o.shared
+	a.charge += o.charge
 	*o = tupleArena{}
 	return base
-}
-
-// packed returns a's tuples in dense private blocks when a holds far
-// more entries than its tuple count needs — the restore of a store
-// that held many short shared windows, each of which would otherwise
-// decode into a block of its own — and a itself otherwise.
-func (a *tupleArena) packed() tupleArena {
-	need := (a.n + arenaChunk - 1) / arenaChunk
-	if len(a.chunks) <= 2*need+1 {
-		return *a
-	}
-	out := tupleArena{chunks: make([]view, 0, need), mutGen: a.mutGen}
-	for _, v := range a.chunks {
-		for pos := v.lo; pos < v.hi; pos++ {
-			out.appendRow(v.c, pos)
-		}
-	}
-	return out
 }

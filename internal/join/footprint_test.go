@@ -45,7 +45,7 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		n, dups       int
-		sharers       int     // 0: one index of private blocks
+		sharers       int     // 0: one index copying through its own writer
 		segment       bool    // the sharers read the writer's slot index
 		live, alloced float64 // budgets, bytes per stored replica
 	}{

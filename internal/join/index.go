@@ -126,11 +126,12 @@ type probeHit struct {
 const maxHitsCap = 1 << 15
 
 // HashIndex is a multimap from join key to tuples, the storage half of
-// a symmetric hash join [42]. Tuples live in the columnar arena —
-// private blocks, or views of blocks shared with the other joiners of
-// a grid row or column (shared.go), whose rows the writer's slot index
-// may serve instead of this index's directory (segments,
-// slotindex.go); the key directory is an
+// a symmetric hash join [42]. Tuples live in the columnar arena, which
+// holds only views of windows a BlockWriter published (shared.go): a
+// reshuffler slot's or a worker's, shared with the other joiners of a
+// grid row or column, whose rows the writer's slot index may serve
+// instead of this index's directory (segments, slotindex.go), or the
+// index's own, for every row it copies. The key directory is an
 // open-addressed (linear probing) table of 8-byte tagged slots, one per
 // distinct key, and the tuples of one key form a newest-first chain
 // threaded through the index's own chain columns, one per arena entry
@@ -141,12 +142,13 @@ const maxHitsCap = 1 << 15
 // link and the slot's head) with no list to regrow.
 //
 // Resident bytes per stored replica, mostly-distinct keys (the sparse
-// equi-join: 125 k keys per side per joiner, directory load 0.48), on
-// a (4,4) grid whose joiners copy every tuple (private), view the
-// reshuffler's shared blocks under their own directories (shared), or
-// view them and read the slot's index (segment, slotindex.go):
+// equi-join: 125 k keys per side per joiner, directory load 0.48), for
+// an index of its own writer's blocks (own: a copying store, or one
+// slot reader), and on a (4,4) grid whose joiners view the
+// reshuffler's blocks under their own directories (shared) or read the
+// slot's index (segment, slotindex.go):
 //
-//	                    private   shared   segment (m = 4)
+//	                    own       shared   segment (m = 4)
 //	arena columns        40.0      10.0     10.0   (40 / m)
 //	block rounding        2.5       0.6      0.6   (20.0 KB in a 21.25 KB size class)
 //	chain column          4.0       4.0      1.0   (per replica, or once per slot)
@@ -185,6 +187,9 @@ type HashIndex struct {
 	oldShift uint8
 	migPos   int
 	arena    tupleArena
+	// own writes every row the index copies rather than views (see
+	// add), and Retain's survivors.
+	own BlockWriter
 	// chains[ci] is arena entry ci's chain column: at block position
 	// pos, the link from the tuple there to the previously stored tuple
 	// of its key, as offset+1 with 0 ending the chain. Entries viewing
@@ -385,12 +390,11 @@ func (h *HashIndex) syncChains() {
 
 // chainFor picks entry ci's chain column (see syncChains).
 func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
-	if c := h.arena.chunks[ci].c; c.sharers != 0 {
-		// A segment entry of the same block (nil) has no column to share.
-		for k := ci - 1; k >= 0 && k >= ci-chainLookback; k-- {
-			if h.arena.chunks[k].c == c && h.chains[k] != nil {
-				return h.chains[k]
-			}
+	// A segment entry of the same block (nil) has no column to share.
+	c := h.arena.chunks[ci].c
+	for k := ci - 1; k >= 0 && k >= ci-chainLookback; k-- {
+		if h.arena.chunks[k].c == c && h.chains[k] != nil {
+			return h.chains[k]
 		}
 	}
 	if n := len(h.spare); n > 0 {
@@ -402,25 +406,21 @@ func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
 	return new([arenaChunk]uint32)
 }
 
-// appendTuple copies t into a private block and returns its offset,
-// with the block's chain column in place.
-func (h *HashIndex) appendTuple(t *Tuple) int32 {
-	off := h.arena.append(t)
-	if len(h.chains) < len(h.arena.chunks) {
-		h.syncChains()
-	}
-	return off
-}
-
-// addWindow adds a view of the shared window w to the arena and
-// returns the offset of its first row; row i is at that offset + i. It
+// add stores the run ts in the arena — a view of w when w names
+// exactly ts and the entry space has room, else a copy written through
+// the index's own writer — and returns the arena offset of ts[0], with
+// the chain columns in place; ts[i] sits at that offset + i. A view
 // never extends an entry a segment serves (see segmentEntry).
-func (h *HashIndex) addWindow(w Window) int32 {
-	ci := h.arena.addWindow(w.c, w.lo, w.hi, !h.segmentEntry(len(h.arena.chunks)-1))
-	if len(h.chains) <= ci {
-		h.syncChains()
+func (h *HashIndex) add(ts []Tuple, w Window) int32 {
+	var base int32
+	if h.arena.viewable(w, len(ts)) {
+		ci := h.arena.addWindow(w, !h.segmentEntry(len(h.arena.chunks)-1))
+		base = int32(ci<<arenaShift) | w.lo
+	} else {
+		base = h.own.copyRun(&h.arena, ts)
 	}
-	return int32(ci<<arenaShift) | w.lo
+	h.syncChains()
+	return base
 }
 
 // segmentEntry reports whether arena entry ci holds rows a segment
@@ -429,12 +429,6 @@ func (h *HashIndex) addWindow(w Window) int32 {
 // fold can tell which rows h's own directory lacks.
 func (h *HashIndex) segmentEntry(ci int) bool {
 	return ci >= 0 && ci < len(h.chains) && h.chains[ci] == nil
-}
-
-// windowed reports whether the rows of w can be added by reference:
-// w names exactly the n tuples of the run, and the entry space has room.
-func (h *HashIndex) windowed(w Window, n int) bool {
-	return w.c != nil && w.Len() == n && len(h.arena.chunks) < maxSharedEntries
 }
 
 // insertOffset records key -> off in the slot directory, reusing the
@@ -476,37 +470,21 @@ func (h *HashIndex) insertOffset(tag uint32, key int64, off int32) {
 }
 
 // Insert stores t under its key.
-func (h *HashIndex) Insert(t Tuple) {
-	off := h.appendTuple(&t)
-	h.insertOffset(tagOf(t.Key), t.Key, off)
-	h.bytes += t.Bytes()
-}
+func (h *HashIndex) Insert(t Tuple) { h.InsertWindow([]Tuple{t}, Window{}) }
 
 // InsertBatch stores every tuple of ts.
-func (h *HashIndex) InsertBatch(ts []Tuple) {
-	var bytes int64
-	for i := range ts {
-		off := h.appendTuple(&ts[i])
-		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, off)
-		bytes += ts[i].Bytes()
-	}
-	h.bytes += bytes
-}
+func (h *HashIndex) InsertBatch(ts []Tuple) { h.InsertWindow(ts, Window{}) }
 
 // InsertWindow stores the run ts whose columns were written into the
-// shared window w (row i holding ts[i]): the arena gains a view of the
-// window, and either a segment's watermark moves past it (takeWindow)
-// or the directory and chain column are written. A window that does
-// not name exactly ts stores a copy instead.
+// window w (row i holding ts[i]; the zero Window when none was): the
+// arena gains a view of the window, or of a copy when w does not name
+// exactly ts (add), and either a segment's watermark moves past it
+// (takeWindow) or the directory and chain column are written.
 func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
 	if h.takeWindow(ts, w) {
 		return
 	}
-	if !h.windowed(w, len(ts)) {
-		h.InsertBatch(ts)
-		return
-	}
-	base := h.addWindow(w)
+	base := h.add(ts, w)
 	var bytes int64
 	for i := range ts {
 		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, base+int32(i))
@@ -519,7 +497,7 @@ func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
 // stored tuples (assuming distinct keys — a safe overestimate for the
 // directory). Ingest below the hint then does not rehash; the hint is
 // clamped so a wild estimate costs bounded memory. No arena block is
-// preallocated: the blocks come from appends or shared windows. An
+// preallocated: the blocks come from windows. An
 // index a live segment serves reserves nothing: its slot's writer
 // indexes the windows, and an empty presized directory would cost
 // what sharing the index saves.
@@ -698,12 +676,11 @@ const walkChunk = 16
 // walk is the one directory walk behind both batch entry points: it
 // gathers into hits the chains of h that every non-dummy tuple of ts
 // hits (dummies never match, so they are not looked up), and, when own
-// is non-nil, stores each tuple into own right after its lookup — the
-// fused probe-then-insert step of Local.AddBatchCollect. With a shared
-// window w naming the run (Local.AddWindowCollect), the store adds a
-// view of it and writes no columns; otherwise each tuple is copied into
-// own's private blocks. own is the opposite relation's index, never h,
-// so h is not mutated during the call. ts runs in chunks of up to
+// is non-nil, indexes each tuple in own right after its lookup — the
+// fused probe-then-insert step of Local.AddBatchCollect, over a run
+// own's arena already holds from offset base on (HashIndex.add). own is
+// the opposite relation's index, never h, so h is not mutated during
+// the call. ts runs in chunks of up to
 // walkChunk tuples, the last one simply shorter (no scalar remainder),
 // each in four passes:
 //
@@ -719,21 +696,18 @@ const walkChunk = 16
 //  4. resolve each key in order: from the copied slot, an empty one is a
 //     miss (or an old-directory fallback mid-rehash), a confirmed tag
 //     match gathers at once, anything else walks on via walkFrom; then
-//     insertOffset it into own, which walks own's live directory.
+//     insertOffset it into own at base plus its position in ts, which
+//     walks own's live directory.
 //
 // Tuples of one relation never join each other, so probing the
 // opposite side before each insert emits exactly the pairs the
 // probe-all-then-insert-all form would.
-func (h *HashIndex) walk(ts []Tuple, own *HashIndex, w Window, hits []probeHit) []probeHit {
+func (h *HashIndex) walk(ts []Tuple, own *HashIndex, base int32, hits []probeHit) []probeHit {
 	var (
 		tags  [walkChunk]uint32
 		first [walkChunk]dslot
 		bytes int64
 	)
-	base := int32(-1)
-	if own != nil && own.windowed(w, len(ts)) {
-		base = own.addWindow(w)
-	}
 	probe := h.used != 0
 	shift := h.shift & 31
 	for i := 0; i < len(ts); i += walkChunk {
@@ -771,13 +745,7 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, w Window, hits []probeHit) 
 				}
 			}
 			if own != nil {
-				var off int32
-				if base >= 0 {
-					off = base + int32(i+k)
-				} else {
-					off = own.appendTuple(t)
-				}
-				own.insertOffset(tags[k], t.Key, off)
+				own.insertOffset(tags[k], t.Key, base+int32(i+k))
 				bytes += t.Bytes()
 			}
 		}
@@ -797,7 +765,7 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, w Window, hits []probeHit) 
 // stream through once instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	if h.used != 0 {
-		hits := h.walk(ps, nil, Window{}, h.hits[:0])
+		hits := h.walk(ps, nil, 0, h.hits[:0])
 		materialize(&h.arena, ps, hits, rel, p, out)
 		h.putHits(hits)
 	}
@@ -810,7 +778,7 @@ func (h *HashIndex) Len() int { return h.arena.n }
 // Bytes returns the accounted stored volume.
 func (h *HashIndex) Bytes() int64 { return h.bytes }
 
-// Footprint reports the arena's blocks (a shared block's rows divided
+// Footprint reports the arena's blocks (a block's viewed rows divided
 // among its sharers) with the chain columns, and both directories
 // while a rehash drains; each segment adds its share of its slot
 // index's chain columns and directory.
@@ -829,8 +797,8 @@ func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 
 // Retain drops the tuples whose u is outside keep: the u-column pass
-// of tupleArena.retainTop copies the survivors into compact blocks,
-// and the directory is rebuilt over them with MergeFrom's offset loop,
+// of tupleArena.retainTop copies the survivors through the index's own
+// writer into compact blocks, and the directory is rebuilt over them with MergeFrom's offset loop,
 // in block order, so each key's chain keeps its order. Retain is the
 // migration discard, run once every slot has moved to the new epoch,
 // so it leaves an index that reads no segment: rebuilt, or with the
@@ -839,7 +807,7 @@ func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 // matches an in-place sweep; the directory is presized to the
 // surviving key count so the rebuild performs no incremental growth.
 func (h *HashIndex) Retain(keep matrix.Top) int {
-	kept, removed, bytes := h.arena.retainTop(keep)
+	kept, removed, bytes := h.arena.retainTop(keep, &h.own)
 	if removed == 0 {
 		// Common for the non-splitting relation: no rebuild, but the
 		// rows the old epoch's segments served are indexed here now.
@@ -855,6 +823,7 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
 	fresh.arena.mutGen = h.arena.mutGen + 1
+	fresh.own = h.own
 	*h = *fresh
 	return removed
 }
@@ -890,12 +859,18 @@ func (h *HashIndex) MergeFrom(o *HashIndex) {
 		h.spare = append(h.spare, o.spare...)
 		h.nchains += o.nchains
 	}
+	h.indexFrom(base)
+	h.bytes += o.bytes
+	*o = HashIndex{}
+}
+
+// indexFrom places every row of the arena entries from base on in h's
+// own directory, with their chain columns.
+func (h *HashIndex) indexFrom(base int) {
 	h.syncChains()
 	for ci := base; ci < len(h.arena.chunks); ci++ {
 		h.indexEntry(ci)
 	}
-	h.bytes += o.bytes
-	*o = HashIndex{}
 }
 
 // indexEntry places every row of arena entry ci in h's own directory,
@@ -942,9 +917,11 @@ func (h *HashIndex) keyCount() int {
 // ScanIndex stores tuples in arrival order and matches every stored
 // tuple on probe: the storage half of a nested-loop theta join. Joiners
 // fall back to it for arbitrary predicates, where no index structure
-// can restrict candidates.
+// can restrict candidates. Its arena holds views as a hash index's
+// does: of the windows it is given, or of its own writer's copies.
 type ScanIndex struct {
 	arena tupleArena
+	own   BlockWriter
 	bytes int64
 }
 
@@ -952,21 +929,27 @@ type ScanIndex struct {
 func NewScanIndex() *ScanIndex { return &ScanIndex{} }
 
 // Insert appends t.
-func (s *ScanIndex) Insert(t Tuple) {
-	s.arena.append(&t)
-	s.bytes += t.Bytes()
-}
+func (s *ScanIndex) Insert(t Tuple) { s.InsertWindow([]Tuple{t}, Window{}) }
 
 // InsertBatch appends every tuple of ts.
-func (s *ScanIndex) InsertBatch(ts []Tuple) {
+func (s *ScanIndex) InsertBatch(ts []Tuple) { s.InsertWindow(ts, Window{}) }
+
+// InsertWindow appends the run ts whose columns were written into the
+// window w: a view of w when it names exactly ts and the entry space
+// has room, else a copy written through the index's own writer.
+func (s *ScanIndex) InsertWindow(ts []Tuple, w Window) {
+	if s.arena.viewable(w, len(ts)) {
+		s.arena.addWindow(w, true)
+	} else {
+		s.own.copyRun(&s.arena, ts)
+	}
 	for i := range ts {
-		s.arena.append(&ts[i])
 		s.bytes += ts[i].Bytes()
 	}
 }
 
-// Reserve is a no-op: a scan index has no directory to presize and
-// never preallocates arena blocks.
+// Reserve is a no-op: a scan index has no directory to presize, and
+// arena blocks come from writers.
 func (s *ScanIndex) Reserve(int) {}
 
 // Probe enumerates every stored tuple: all are structural candidates
@@ -1002,12 +985,13 @@ func (s *ScanIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples in insertion order.
 func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }
 
-// Retain drops the tuples whose u is outside keep, rebuilding the
-// arena compactly (tupleArena.retainTop). The counting pass reads only
+// Retain drops the tuples whose u is outside keep, copying the
+// survivors compactly through the index's own writer
+// (tupleArena.retainTop). The counting pass reads only
 // the u column, so the common nothing-removed case (the non-splitting
 // relation of a migration) costs no allocation.
 func (s *ScanIndex) Retain(keep matrix.Top) int {
-	kept, removed, bytes := s.arena.retainTop(keep)
+	kept, removed, bytes := s.arena.retainTop(keep, &s.own)
 	if removed == 0 {
 		return 0
 	}

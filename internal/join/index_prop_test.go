@@ -205,10 +205,12 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 		src.Scan(func(tp Tuple) bool { ref.Insert(tp); return true })
 		if bare {
 			rd := &snapReader{data: appendArena(nil, &src.arena)}
-			src = &HashIndex{arena: readArena(rd), bytes: src.bytes}
+			recs, _ := readBlocks(rd)
 			if rd.err != nil {
 				t.Fatal(rd.err)
 			}
+			src = &HashIndex{bytes: src.bytes}
+			writeBlocks(recs, &src.own, &src.arena)
 			if len(src.chains) != 0 {
 				t.Fatal("a decoded arena carries chain columns: they are derived state")
 			}

@@ -43,14 +43,13 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	l.AddWindowCollect(ts, Window{}, out)
 }
 
-// AddWindowCollect is AddBatchCollect for a run whose columns a
-// reshuffler already wrote into the shared window w (row i holding
-// ts[i]): the probe runs on ts as ever, and a hash-indexed side stores
-// the run as a view of w — continuing a segment of the writer's slot
-// index when it can (HashIndex.takeWindow), else writing its own
-// directory and chain column. Any other index kind, or a window that
-// does not name exactly ts, stores a copy. The zero Window is
-// AddBatchCollect.
+// AddWindowCollect is AddBatchCollect for a run whose columns a writer
+// already wrote into the window w (row i holding ts[i]): the probe runs
+// on ts as ever, and the run is stored as a view of w, which a hash
+// side indexes through a segment of the writer's slot index when it
+// can (HashIndex.takeWindow). A window that does not name exactly ts,
+// the zero Window among them, is stored as a view of the side's own
+// copy; an ordered side copies into its leaves.
 func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 	if len(ts) == 0 {
 		return
@@ -66,11 +65,14 @@ func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 		l.InsertWindow(ts, w)
 		return
 	}
+	var base int32
 	if oh.takeWindow(ts, w) {
 		oh = nil
+	} else {
+		base = oh.add(ts, w)
 	}
 	if ph.used != 0 || oh != nil {
-		hits := ph.walk(ts, oh, w, ph.hits[:0])
+		hits := ph.walk(ts, oh, base, ph.hits[:0])
 		// The gathered offsets point into the opposite side's arena,
 		// which the inserts never touch, so materialization can run
 		// after the whole run is stored.
@@ -118,18 +120,19 @@ func (l *Local) ProbeBatchCollect(ts []Tuple, out *[]Pair) {
 func (l *Local) InsertBatch(ts []Tuple) { l.InsertWindow(ts, Window{}) }
 
 // InsertWindow stores a run of same-side tuples without probing, as a
-// view of the shared window w when the side is hash-indexed (see
-// AddWindowCollect).
+// view of the window w (see AddWindowCollect).
 func (l *Local) InsertWindow(ts []Tuple, w Window) {
 	if len(ts) == 0 {
 		return
 	}
-	idx := l.index(ts[0].Rel)
-	if h, ok := idx.(*HashIndex); ok {
-		h.InsertWindow(ts, w)
-		return
+	switch idx := l.index(ts[0].Rel).(type) {
+	case *HashIndex:
+		idx.InsertWindow(ts, w)
+	case *ScanIndex:
+		idx.InsertWindow(ts, w)
+	default:
+		idx.InsertBatch(ts)
 	}
-	idx.InsertBatch(ts)
 }
 
 // MergeFrom bulk-merges the other join's stored tuples into l,

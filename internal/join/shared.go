@@ -2,32 +2,41 @@ package join
 
 import "repro/internal/matrix"
 
-// Shared column blocks: on the grid route every R tuple is stored by
-// all m joiners of its row and every S tuple by all n joiners of its
-// column, and in one process those replicas are byte-identical. A
-// reshuffler slot (a grid row or column) therefore writes the columns
-// of each tuple it routes once, into its open block (BlockWriter), and
-// the envelope it ships names the rows it added as a Window. Every
+// Blocks and their writers: a BlockWriter is the one code path that
+// writes arena rows. On the grid route every R tuple is stored by all m
+// joiners of its row and every S tuple by all n joiners of its column,
+// and in one process those replicas are byte-identical. A reshuffler
+// slot (a grid row or column, or a hash-route joiner's side) therefore
+// writes the columns of each tuple it routes once, into its open block,
+// and the envelope it ships names the rows it added as a Window. Every
 // joiner that stores the envelope's body adds a view of the window to
-// its arena instead of copying the tuples. The writer also indexes each
-// row once, in its slot index (SlotIndex, slotindex.go), and a joiner
-// that took every window of the slot reads that index as of its own
-// watermark (a segment) instead of building a directory and chain
-// column over the window (HashIndex.addWindow, the fallback).
+// its arena instead of copying the tuples. A writer for two or more
+// readers also indexes each row once, in its slot index (SlotIndex,
+// slotindex.go), and a joiner that took every window of the slot reads
+// that index as of its own watermark (a segment) instead of building a
+// directory and chain column over the window (HashIndex.add, the
+// fallback).
 //
 // A worker process is a block writer too: its receive loop writes the
-// body of each data frame naming several hosted joiners once, whole,
-// into an open block kept for the frame's slot (AppendRun), and the
-// decoded envelope carries that window to every joiner the frame names.
-// A tuple is thus stored and indexed once per process that hosts its
-// row or spans its column.
+// body of each data frame once, whole, into an open block kept for the
+// frame's slot (AppendRun), and the decoded envelope carries that
+// window to every joiner the frame names. A tuple is thus stored and
+// indexed once per process that hosts its row or spans its column.
+//
+// Every store owns one more writer, for one reader and with no slot
+// index, through which it copies what it cannot view (copyRun,
+// copyRow): a run without a window, Retain's survivors, a restored
+// snapshot. The migration encoder and the block decoder write the same
+// way. Only a checkpoint capture hands such a writer's windows to
+// another goroutine, so its block is sealed then (seal).
 //
 // The invariants that make this race-free without locks or reference
 // counts:
 //
-//   - only the owning writer (a slot, or a worker's receive loop)
-//     writes a block and its slot index, and only at rows >= the last
-//     published hi, so no row a reader can reach ever changes;
+//   - only the owning writer (a slot, a worker's receive loop, or a
+//     store's own writer) writes a block and its slot index, and only
+//     at rows >= the last published hi, so no row a reader can reach
+//     ever changes;
 //   - a reader touches only its windows' [lo, hi) rows, which the
 //     envelope's channel send publishes — except in the slot index,
 //     where a probe may meet newer rows at a chain's head, and reads
@@ -48,9 +57,10 @@ import "repro/internal/matrix"
 //     freezes the segment at its W, and the slot's later windows go to
 //     the reader's own directory; so does a writer that stops indexing
 //     (BlockWriter.stop), which marks its index closed for the readers;
-//   - no header field changes once a window is published: a
-//     payload-carrying tuple arriving at a published block without the
-//     payload column opens a new block (BlockWriter.Fits);
+//   - no header field changes once another goroutine may hold a window
+//     of the block (the writer sealed it): a payload-carrying tuple
+//     arriving at a sealed block without the payload column opens a new
+//     block (BlockWriter.Fits);
 //   - nothing is pooled: the garbage collector frees a block or an index
 //     once the last arena, segment or envelope referencing it is gone.
 
@@ -71,9 +81,11 @@ type Window struct {
 // Len reports how many rows w names.
 func (w Window) Len() int { return int(w.hi - w.lo) }
 
-// BlockWriter is a reshuffler slot's open shared block, with the slot
-// index over every block it wrote. The zero value writes nothing
-// (Shared is false) until Reset gives it a fan-out.
+// BlockWriter is the open block of a writer, with the slot index over
+// every block it wrote when it keeps one. A slot's writer writes
+// nothing (Shared is false) until Reset gives it a fan-out; the zero
+// value, used through copyRun, copyRow and next, is a store's own
+// writer: blocks for one reader, no slot index.
 type BlockWriter struct {
 	c  *colChunk
 	ix *SlotIndex
@@ -81,6 +93,9 @@ type BlockWriter struct {
 	// in a Window.
 	hi, pub int32
 	sharers int32
+	// sealed reports that another goroutine may hold a window of the
+	// open block, so its header (the payload column) is frozen.
+	sealed bool
 	// base is the index position of the open block's row 0, and ixPub
 	// the position the last published window ended at.
 	base, ixPub uint32
@@ -90,12 +105,13 @@ type BlockWriter struct {
 // use stays alive through the windows and segments that reference it —
 // and sets the fan-out the next block is written for: the number of
 // in-process joiners the slot ships to. A fan-out of zero turns the
-// writer off; any other starts a fresh, empty slot index when index is
-// set, and no index otherwise (its readers index the windows
-// themselves).
+// writer off; a fan-out of two or more starts a fresh, empty slot index
+// when index is set. Otherwise the readers index the windows
+// themselves: one reader would index them at the same cost through a
+// slot index as through its own directory.
 func (b *BlockWriter) Reset(sharers int, index bool) {
 	*b = BlockWriter{sharers: int32(sharers)}
-	if sharers > 0 && index {
+	if sharers > 1 && index {
 		b.ix = newSlotIndex(int32(sharers))
 	}
 }
@@ -104,8 +120,8 @@ func (b *BlockWriter) Reset(sharers int, index bool) {
 func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
 
 // Fits reports whether t can join the window being written: false when
-// the block is full, or when t carries a payload and the block, with
-// rows already published, has no payload column. On false the caller
+// the block is full, or when t carries a payload and the block, sealed
+// by a published window, has no payload column. On false the caller
 // ships its pending window first; the next Append opens a fresh block.
 func (b *BlockWriter) Fits(t *Tuple) bool {
 	return b.c == nil || b.fits(1, t.Payload != nil)
@@ -114,17 +130,17 @@ func (b *BlockWriter) Fits(t *Tuple) bool {
 // fits reports whether the open block can take n more rows of the
 // window being written, a payload among them when payload.
 func (b *BlockWriter) fits(n int32, payload bool) bool {
-	return b.c != nil && b.hi+n <= arenaChunk && (!payload || b.c.payload != nil || b.pub == 0)
+	return b.c != nil && b.hi+n <= arenaChunk && (!payload || b.c.payload != nil || !b.sealed)
 }
 
 // open makes room for n rows, a payload among them when payload: a
 // fresh block, entered in the slot index, when the open one cannot
 // take them (see Fits), else the open one, given a payload column in
-// place if it lacks one — until a window of it is published the block
-// has no reader, and no index entry names it.
+// place if it lacks one — until the block is sealed no other goroutine
+// holds a window of it, and no index entry names it.
 func (b *BlockWriter) open(n int32, payload bool) {
 	if !b.fits(n, payload) {
-		b.c, b.hi, b.pub = newChunk(payload, b.sharers), 0, 0
+		b.c, b.hi, b.pub, b.sealed = newChunk(payload, max(b.sharers, 1)), 0, 0, false
 		if b.ix != nil {
 			var ok bool
 			if b.base, ok = b.ix.addBlock(b.c); !ok {
@@ -148,9 +164,9 @@ func (b *BlockWriter) Append(t *Tuple) {
 // them as one Window, row i holding run[i]; it opens a fresh block when
 // the open one cannot take the whole run (see Fits). A run longer than
 // a block, or an empty one, is not written and gets the zero Window, so
-// its readers copy it; a run longer than a block also stops the slot
-// index, since a slot that ships such runs leaves most of its rows to
-// its readers' own directories.
+// each reader copies it through its own writer; a run longer than a
+// block also stops the slot index, since a slot that ships such runs
+// leaves most of its rows to its readers' own directories.
 func (b *BlockWriter) AppendRun(run []Tuple) Window {
 	if len(run) > arenaChunk {
 		b.stop()
@@ -158,14 +174,7 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 	if len(run) == 0 || len(run) > arenaChunk {
 		return Window{}
 	}
-	payload := false
-	for i := range run {
-		if run[i].Payload != nil {
-			payload = true
-			break
-		}
-	}
-	b.open(int32(len(run)), payload)
+	b.open(int32(len(run)), hasPayload(run))
 	for i := range run {
 		b.c.put(b.hi, &run[i])
 		b.hi++
@@ -183,10 +192,21 @@ func (b *BlockWriter) stop() {
 	}
 }
 
-// Window publishes the rows written since the last call, indexing them
-// in the slot index first: once a reader holds the window, every row of
-// it is in the index.
+// hasPayload reports whether any tuple of ts carries a payload.
+func hasPayload(ts []Tuple) bool {
+	for i := range ts {
+		if ts[i].Payload != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// Window publishes the rows written since the last call to the slot's
+// readers, indexing them in the slot index first — once a reader holds
+// the window, every row of it is in the index — and seals the block.
 func (b *BlockWriter) Window() Window {
+	b.sealed = b.sealed || b.hi > b.pub
 	w := Window{c: b.c, lo: b.pub, hi: b.hi}
 	if b.ix != nil && b.hi > b.pub {
 		w.ix, w.at, w.prev = b.ix, b.base|uint32(b.pub), b.ixPub
@@ -197,10 +217,77 @@ func (b *BlockWriter) Window() Window {
 	return w
 }
 
+// copyRun writes ts through b into a (see next) and returns the arena
+// offset of ts[0]: the copy path of a store's own writer. Offsets run
+// on, ts[i] sitting at that offset + i, because the run's payload
+// column is asked for from its first row: every window but the last
+// fills its block, and the next starts at row 0 of a fresh block in the
+// next entry.
+func (b *BlockWriter) copyRun(a *tupleArena, ts []Tuple) int32 {
+	payload := hasPayload(ts)
+	for i := range ts {
+		c, pos := b.next(a, payload)
+		c.put(pos, &ts[i])
+	}
+	b.flush(a)
+	return int32(len(a.chunks)-1)<<arenaShift | (b.hi - 1) - int32(len(ts)-1)
+}
+
+// next makes room for one more row, one that carries a payload when
+// payload, and returns the block and the row to write it at: the step
+// of a row-at-a-time copy, which adds the window it has written so far
+// to a whenever the open block cannot take the row, and the rest with
+// flush.
+func (b *BlockWriter) next(a *tupleArena, payload bool) (*colChunk, int32) {
+	if !b.fits(1, payload) {
+		b.flush(a)
+	}
+	b.open(1, payload)
+	b.hi++
+	return b.c, b.hi - 1
+}
+
+// flush adds the rows written since the last window to a, as one
+// window that leaves the block's header open: only the writer's
+// goroutine reads it until the next seal.
+func (b *BlockWriter) flush(a *tupleArena) {
+	if b.hi > b.pub {
+		a.addWindow(Window{c: b.c, lo: b.pub, hi: b.hi}, true)
+		b.pub = b.hi
+	}
+}
+
+// seal freezes the header of the open block once a window of it is
+// published: a capture on the writer's goroutine is about to hand views
+// of the block to another goroutine.
+func (b *BlockWriter) seal() { b.sealed = b.sealed || b.pub > 0 }
+
+// copyRow copies the row at pos of src — its five data columns and its
+// payload — through b into a (see next) and returns the row's accounted
+// bytes: the copy behind Retain and the migration selection, which
+// never build a Tuple.
+func (b *BlockWriter) copyRow(a *tupleArena, src *colChunk, pos int32) int64 {
+	var p []byte
+	if src.payload != nil {
+		p = src.payload[pos]
+	}
+	c, i := b.next(a, p != nil)
+	c.key[i] = src.key[pos]
+	c.aux[i] = src.aux[pos]
+	c.u[i] = src.u[pos]
+	c.seq[i] = src.seq[pos]
+	m := src.meta[pos]
+	c.meta[i] = m
+	if p != nil {
+		c.payload[i] = p
+	}
+	return metaBytes(m, p)
+}
+
 // BlockView describes one arena entry: the identity of the block it
-// views (comparable, opaque), the block's fan-out (0 for a private
-// block) and the rows [Lo, Hi) it holds. Diagnostics and tests use it
-// to see which blocks joiners share.
+// views (comparable, opaque), the fan-out its writer wrote it for (1
+// for a store's own writer) and the rows [Lo, Hi) it holds.
+// Diagnostics and tests use it to see which blocks joiners share.
 type BlockView struct {
 	Block   any
 	Sharers int

@@ -78,7 +78,7 @@ func TestSharedWindowsMatchPrivateCopies(t *testing.T) {
 		storeShared(run, sharers, len(run), store)
 	}
 	// A snapshot writes each view as a block; the restore packs the
-	// short windows back into dense private blocks.
+	// short windows into dense blocks of the store's own writer.
 	restored := NewLocal(pred)
 	if err := loadLocal(restored, encodeLocal(locals[0])); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSharedWindowsMatchPrivateCopies(t *testing.T) {
 			assertSameContents(t, "shared", h, contents[side])
 			for _, v := range h.arena.chunks {
 				if v.c.sharers != sharers {
-					t.Fatalf("local %d side %v holds a private block", i, side)
+					t.Fatalf("local %d side %v holds a copy", i, side)
 				}
 			}
 			other := locals[0].index(side).(*HashIndex)
@@ -178,12 +178,13 @@ func TestMergeFromAdoptsSharedViewThenExtends(t *testing.T) {
 	assertSameContents(t, "merged, then extended", state, ref)
 }
 
-// TestCaptureWhileOwnerAddsPayloadColumn encodes a capture on another
-// goroutine while the owner keeps appending to the open private tail
-// it captured, the first of them a payload-carrying tuple that gives
-// the block its payload column. The capture must hold a copy of that
-// block (the race detector flags a capture that shares its header) and
-// encode exactly the tuples stored at the barrier.
+// TestCaptureWhileOwnerAddsPayloadColumn: a store copies payload-free
+// rows through its own writer, and a capture is taken; while another
+// goroutine encodes the capture, the owner stores payload-carrying
+// tuples, which would give the open block its payload column. The
+// capture sealed the block, so they must land in a fresh block of the
+// same writer — the race detector flags a header written under the
+// encoder — and the encoding must equal the state at the barrier.
 func TestCaptureWhileOwnerAddsPayloadColumn(t *testing.T) {
 	for _, pred := range []Predicate{EquiJoin("eq", nil), ThetaJoin("any", func(r, s Tuple) bool { return true })} {
 		l := NewLocal(pred)
@@ -205,6 +206,13 @@ func TestCaptureWhileOwnerAddsPayloadColumn(t *testing.T) {
 		}
 		if !bytes.Equal(encodeLocal(got), encodeLocal(want)) {
 			t.Fatalf("%s: the capture does not encode the state at the barrier", pred.Name)
+		}
+		views := l.Views(matrix.SideS)
+		if len(views) != 2 || views[0].Block == views[1].Block || views[0].Hi != 100 || views[1].Lo != 0 {
+			t.Fatalf("%s: the store views %+v, want rows [0, 100) of one block, then a fresh one", pred.Name, views)
+		}
+		if views[0].Block.(*colChunk).payload != nil {
+			t.Fatalf("%s: the captured block gained a payload column", pred.Name)
 		}
 	}
 }
@@ -284,10 +292,118 @@ func TestAppendRunWindows(t *testing.T) {
 	}
 	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
 		for _, v := range locals[0].Views(side) {
-			if v.Sharers == 0 {
+			if v.Sharers == 1 {
 				return
 			}
 		}
 	}
-	t.Fatal("the runs longer than a block left no private copy")
+	t.Fatal("the runs longer than a block left no copy of the store's own writer")
+}
+
+// TestEveryViewIsAWriterWindow drives a hash-indexed and a
+// scan-indexed join through every way rows enter a store — runs with
+// and without windows, a run longer than a block, single inserts,
+// Retain, in-process and decoded migration blocks, MergeFrom and a
+// snapshot restore — and requires every arena entry of the result, and
+// of its restore, to be a non-empty view of a block a BlockWriter
+// wrote (Sharers >= 1), over exactly the tuples stored.
+func TestEveryViewIsAWriterWindow(t *testing.T) {
+	near := ThetaJoin("near", func(r, s Tuple) bool { return r.Key-s.Key < 3 && s.Key-r.Key < 3 })
+	for _, pred := range []Predicate{EquiJoin("eq", nil), near} {
+		rng := rand.New(rand.NewSource(97))
+		seq := uint64(0)
+		want := map[uint64]bool{}
+		// stream returns n fresh tuples of side, counted as stored when
+		// keep holds their u.
+		stream := func(side matrix.Side, n int, keep matrix.Top) []Tuple {
+			ts := make([]Tuple, n)
+			for i := range ts {
+				seq++
+				ts[i] = diffTuple(rng, seq, rng.Int63n(50))
+				ts[i].Rel = side
+				want[seq] = keep.Has(ts[i].U)
+			}
+			return ts
+		}
+		// Retain keeps the S tuples stored before it whose top u bit is 1.
+		retained := matrix.Top{Shift: 63, Val: 1}
+		l := NewLocal(pred)
+		var out []Pair
+		l.AddBatchCollect(stream(matrix.SideS, arenaChunk+77, retained), &out)
+		for _, tp := range stream(matrix.SideR, 40, matrix.TopAll) {
+			tp.Payload = nil
+			l.Insert(tp)
+		}
+		// A capture seals the own writer's block, which has no payload
+		// column: a run whose payloads start past its first row must
+		// still land at consecutive offsets.
+		l.Capture(nil)
+		late := stream(matrix.SideR, 60, matrix.TopAll)
+		for i := range late {
+			late[i].Payload = nil
+			if i >= 30 {
+				late[i].Payload = []byte{byte(i)}
+			}
+		}
+		l.AddBatchCollect(late, &out)
+		storeShared(stream(matrix.SideR, 300, matrix.TopAll), 3, 32, func(run []Tuple, w Window) {
+			l.AddWindowCollect(run, w, &out)
+		})
+		mismatched := stream(matrix.SideS, 20, retained)
+		var bw BlockWriter
+		bw.Reset(2, false)
+		l.InsertWindow(mismatched, bw.AppendRun(mismatched[:10]))
+		l.Retain(matrix.SideS, retained)
+
+		// Migration blocks: the selection of the donor's tuples whose top
+		// u bit is 0, R handed over in process, S across a link.
+		selected := matrix.Top{Shift: 63, Val: 0}
+		donor := NewLocal(pred)
+		for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+			donor.InsertBatch(stream(side, 600, selected))
+		}
+		var enc BlockEncoder
+		donor.SelectInto(matrix.SideR, selected, &enc, 1<<20, func() {})
+		l.AdoptBlocks(enc.Seal())
+		donor.SelectInto(matrix.SideS, selected, &enc, 1<<20, func() {})
+		bs, err := DecodeBlocks(enc.AppendTo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.AdoptBlocks(bs)
+
+		merged := NewLocal(pred)
+		for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+			merged.InsertBatch(stream(side, 200, matrix.TopAll))
+		}
+		l.MergeFrom(merged)
+		restored := NewLocal(pred)
+		if err := loadLocal(restored, encodeLocal(l)); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*Local{"built": l, "restored": restored} {
+			for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+				for _, v := range got.Views(side) {
+					if v.Sharers < 1 || v.Lo >= v.Hi || v.Hi > arenaChunk {
+						t.Fatalf("%s %s: side %v views %+v, want a non-empty window of a writer's block", pred.Name, name, side, v)
+					}
+				}
+				if h, ok := got.index(side).(*HashIndex); ok {
+					checkChains(t, name, h)
+				}
+			}
+			seen := map[uint64]bool{}
+			for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
+				got.Scan(side, func(tp Tuple) bool { seen[tp.Seq] = true; return true })
+			}
+			for s, stored := range want {
+				if seen[s] != stored {
+					t.Fatalf("%s %s: tuple %d stored %v, want %v", pred.Name, name, s, seen[s], stored)
+				}
+			}
+			if n := got.TotalLen(); n != len(seen) {
+				t.Fatalf("%s %s: %d stored rows over %d distinct tuples", pred.Name, name, n, len(seen))
+			}
+		}
+	}
 }

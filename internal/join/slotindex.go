@@ -348,10 +348,10 @@ func (s *segment) serving() bool { return s.live && !s.ix.closed.Load() }
 // first window — and reports whether it did: the arena gains the
 // window's view, the segment's watermark moves to the window's end,
 // and h writes no directory or chain entry. Any other window, or one
-// h cannot add by reference, is left to the private path, and a
+// h cannot add by reference, is left to HashIndex.add, and a
 // segment it does not continue stays frozen at its watermark.
 func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
-	if w.ix == nil || !h.windowed(w, len(ts)) {
+	if w.ix == nil || !h.arena.viewable(w, len(ts)) {
 		return false
 	}
 	s := h.segmentOf(w.ix)
@@ -366,7 +366,7 @@ func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
 		}
 		return false
 	}
-	h.arena.addWindow(w.c, w.lo, w.hi, h.segmentEntry(len(h.arena.chunks)-1))
+	h.arena.addWindow(w, h.segmentEntry(len(h.arena.chunks)-1))
 	for len(h.chains) < len(h.arena.chunks) {
 		h.chains = append(h.chains, nil)
 	}

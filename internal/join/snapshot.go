@@ -13,23 +13,23 @@ import (
 // and deserializes into a block that can be adopted wholesale.
 //
 // A snapshot is taken in two steps. Capture runs on the owning
-// goroutine at the checkpoint barrier and copies almost nothing: it
-// records the arena's views by value — rows inside a view never change
-// and appends land past its hi, so the bytes a captured view names stay
-// put while the owner (or, for a shared block, its reshuffler) keeps
-// appending; Retain, the one rebuild, writes fresh blocks. The open
-// private tail is the exception: its owner may still add the block's
-// payload column, so that block is copied (at most one 20 KB block per
-// side). Only an ordered index, whose tree has no frozen block prefix,
-// is encoded on the spot. The owner then resumes mutating its indexes while any
+// goroutine at the checkpoint barrier and copies nothing but the entry
+// list: it records the arena's views by value and seals the store's
+// own writer (BlockWriter.seal). Rows inside a view never change, a
+// sealed block's header never changes, and every writer, the store's
+// own included, writes only past the rows it published, so the bytes a
+// captured view names stay put while the block's writer keeps
+// appending. Only an ordered index,
+// whose tree has no frozen block prefix, is encoded on the spot. The owner then resumes mutating its indexes while any
 // other goroutine sizes the capture exactly (Size) and writes it
 // (AppendTo), typically straight into its slot of a preallocated
 // checkpoint blob. Each view is written as one block record, so a
 // shared block is written once per joiner that stores it.
 //
-// Restore goes through the same MergeFrom/adopt() path migration
-// finalization uses: the directory and the chain columns are rebuilt
-// from the adopted blocks' key columns, never shipped — the
+// Restore writes the decoded rows through the restored index's own
+// writer, which packs a store's short windows into dense blocks, and
+// rebuilds the directory and the chain columns from their key columns
+// as migration finalization does: derived state is never shipped — the
 // snapshot carries tuple data only, so a format change in the derived
 // state (slot layout, growth state, chains) can never invalidate a
 // checkpoint; testdata/parent_* holds the proof for the last such
@@ -192,55 +192,65 @@ func appendBlock(buf []byte, v view) []byte {
 	return buf
 }
 
-// readArena decodes blocks written by appendArena into a fresh arena.
-func readArena(r *snapReader) tupleArena {
-	var a tupleArena
+// blockRecord is one block record appendArena wrote, checked against
+// the input and not yet decoded: its rows' five little-endian columns
+// and, when the block had a payload column (payloads is non-nil), each
+// row's payload as a u32 length and its bytes.
+type blockRecord struct{ cols, payloads []byte }
+
+// readBlocks reads the block records appendArena wrote, checking each
+// against the input, and returns them undecoded with their row count:
+// a restore splices the records of a delta chain before it decodes the
+// ones that survive (spliceChain, writeBlocks).
+func readBlocks(r *snapReader) (recs []blockRecord, n int) {
 	nChunks := int(r.u32("chunk count"))
-	if r.err != nil || nChunks < 0 {
-		return a
-	}
-	for ci := 0; ci < nChunks; ci++ {
-		n := int(r.u32("chunk fill"))
-		hasPayload := r.u8("payload flag")
+	for ci := 0; ci < nChunks && r.err == nil; ci++ {
+		fill := int(r.u32("chunk fill"))
+		hasPayload := r.u8("payload flag") == 1
 		if r.err != nil {
-			return a
+			break
 		}
-		if n <= 0 || n > arenaChunk {
-			r.err = fmt.Errorf("join: snapshot chunk %d has invalid fill %d", ci, n)
-			return a
+		if fill <= 0 || fill > arenaChunk {
+			r.err = fmt.Errorf("join: snapshot chunk %d has invalid fill %d", ci, fill)
+			break
 		}
-		if len(r.data)-r.off < n*tupleBytes {
-			// Check before allocating: a header may name a block the
-			// input does not hold.
-			r.fail("block columns")
-			return a
+		rec := blockRecord{cols: r.bytes(fill*tupleBytes, "block columns")}
+		if hasPayload {
+			start := r.off
+			for pos := 0; pos < fill; pos++ {
+				r.bytes(int(r.u32("payload length")), "payload bytes")
+			}
+			rec.payloads = r.data[start:r.off]
 		}
-		c := newChunk(hasPayload == 1, 0)
-		for pos := 0; pos < n; pos++ {
-			c.key[pos] = int64(r.u64("key column"))
-			c.aux[pos] = int64(r.u64("aux column"))
-			c.u[pos] = r.u64("u column")
-			c.seq[pos] = r.u64("seq column")
-			c.meta[pos] = r.u64("meta column")
-		}
-		if hasPayload == 1 {
-			for pos := 0; pos < n; pos++ {
-				ln := int(r.u32("payload length"))
-				p := r.bytes(ln, "payload bytes")
-				if r.err != nil {
-					return a
-				}
+		recs = append(recs, rec)
+		n += fill
+	}
+	return recs, n
+}
+
+// writeBlocks decodes the rows of recs through w into a, in order: a
+// record of a block with a payload column asks for one (BlockWriter.next).
+func writeBlocks(recs []blockRecord, w *BlockWriter, a *tupleArena) {
+	for _, rec := range recs {
+		p := rec.payloads
+		for i := 0; i < len(rec.cols)/tupleBytes; i++ {
+			c, pos := w.next(a, rec.payloads != nil)
+			t := rec.cols[i*tupleBytes : (i+1)*tupleBytes]
+			c.key[pos] = int64(binary.LittleEndian.Uint64(t[0:]))
+			c.aux[pos] = int64(binary.LittleEndian.Uint64(t[8:]))
+			c.u[pos] = binary.LittleEndian.Uint64(t[16:])
+			c.seq[pos] = binary.LittleEndian.Uint64(t[24:])
+			c.meta[pos] = binary.LittleEndian.Uint64(t[32:])
+			if rec.payloads != nil {
+				ln := int(binary.LittleEndian.Uint32(p))
 				if ln > 0 {
-					c.payload[pos] = append([]byte(nil), p...)
+					c.payload[pos] = append([]byte(nil), p[4:4+ln]...)
 				}
+				p = p[4+ln:]
 			}
 		}
-		a.chunks = append(a.chunks, view{c: c, hi: int32(n)})
-		a.n += n
-		a.private++
 	}
-	a.own = len(a.chunks) > 0
-	return a
+	w.flush(a)
 }
 
 // appendOrdered encodes an ordered (band) index as its tuples in Scan
@@ -341,24 +351,12 @@ type sideCapture struct {
 	full int
 }
 
-// captureArena copies a's views from entry index from on. A view
-// names rows that never change (see the file comment), so the copy is
-// the capture — except for the open private tail, whose owner may
-// still give the block its payload column: that one block is copied.
-// No entry is ever empty, so an entry index means the same thing in
-// the live list and the serialized one.
-func captureArena(a *tupleArena, from int) []view {
-	out := slices.Clone(a.chunks[from:])
-	if k := len(out) - 1; k >= 0 && a.own && out[k].hi < arenaChunk {
-		tail := *out[k].c
-		out[k].c = &tail
-	}
-	return out
-}
-
 // captureSide freezes one index, as a delta past wm when wm still names
-// this arena's frozen prefix (nil wm: full). It reports whether the
-// record is a delta.
+// this arena's frozen prefix (nil wm: full), and reports whether the
+// record is a delta. A view names rows that never change (see the file
+// comment), so copying the entry list is the capture; no entry is ever
+// empty, so an entry index means the same thing in the live list and
+// the serialized one.
 func captureSide(idx Index, wm *IndexWatermark) (sideCapture, bool) {
 	cur := indexWatermark(idx)
 	delta := wm != nil && wm.Kind == cur.Kind && wm.MutGen == cur.MutGen && wm.Chunks <= cur.Chunks
@@ -368,27 +366,29 @@ func captureSide(idx Index, wm *IndexWatermark) (sideCapture, bool) {
 	switch v := idx.(type) {
 	case *HashIndex:
 		a, c.bytes, c.kind, deltaKind = &v.arena, v.bytes, snapIdxHash, snapIdxHashDelta
+		v.own.seal()
 	case *ScanIndex:
 		a, c.bytes, c.kind, deltaKind = &v.arena, v.bytes, snapIdxScan, snapIdxScanDelta
+		v.own.seal()
 	default:
 		enc := appendOrdered(nil, idx)
 		return sideCapture{kind: snapIdxOrdered, enc: enc, full: len(enc)}, false
 	}
 	c.full = fullArenaSize(a)
 	if !delta {
-		c.chunks = captureArena(a, 0)
+		c.chunks = slices.Clone(a.chunks)
 		return c, false
 	}
 	c.kind, c.prefix = deltaKind, wm.Chunks
-	c.chunks = captureArena(a, int(wm.Chunks))
+	c.chunks = slices.Clone(a.chunks[wm.Chunks:])
 	return c, true
 }
 
 // Capture freezes both sides for a snapshot that ships only blocks
 // appended since wm was taken, where possible. A nil wm captures a full
 // snapshot; a watermark invalidated by a rebuild degrades that side to
-// a full record. The work is O(blocks) plus one tail-block copy per
-// side (an ordered side is encoded in full). The returned watermark is
+// a full record. The work is O(blocks) (an ordered side is encoded in
+// full). The returned watermark is
 // what the next delta should be taken against — but only once the
 // snapshot encoded from this capture has durably committed, or the
 // chain on disk would have a hole. delta reports whether any side is a
@@ -474,13 +474,13 @@ func (c *LocalCapture) AppendTo(buf []byte) []byte {
 }
 
 // sideSnap is one parsed index record of a snapshot payload, full or
-// delta, held decoded so a chain of payloads can be spliced before any
-// index is built.
+// delta, held as checked, undecoded block records so a chain of
+// payloads can be spliced before any index is built.
 type sideSnap struct {
 	kind   uint8
 	bytes  int64
 	prefix int
-	arena  tupleArena
+	blocks []blockRecord
 	tuples []Tuple
 }
 
@@ -493,11 +493,11 @@ func parseSide(r *snapReader) (sideSnap, error) {
 	switch s.kind {
 	case snapIdxHash, snapIdxScan:
 		s.bytes = int64(r.u64("index bytes"))
-		s.arena = readArena(r)
+		s.blocks, _ = readBlocks(r)
 	case snapIdxHashDelta, snapIdxScanDelta:
 		s.bytes = int64(r.u64("index bytes"))
 		s.prefix = int(r.u32("delta prefix"))
-		s.arena = readArena(r)
+		s.blocks, _ = readBlocks(r)
 	case snapIdxOrdered:
 		n := int(r.u32("tuple count"))
 		for i := 0; i < n && r.err == nil; i++ {
@@ -568,26 +568,21 @@ func spliceChain(chain []sideSnap) (sideSnap, error) {
 		if d.kind != wantDelta {
 			return sideSnap{}, fmt.Errorf("join: chain record %d has kind %d, cannot extend kind %d", i, d.kind, cur.kind)
 		}
-		if d.prefix < 0 || d.prefix > len(cur.arena.chunks) {
-			return sideSnap{}, fmt.Errorf("join: chain record %d splices at chunk %d of %d", i, d.prefix, len(cur.arena.chunks))
+		if d.prefix < 0 || d.prefix > len(cur.blocks) {
+			return sideSnap{}, fmt.Errorf("join: chain record %d splices at chunk %d of %d", i, d.prefix, len(cur.blocks))
 		}
-		chunks := append(slices.Clip(cur.arena.chunks[:d.prefix]), d.arena.chunks...)
-		a := tupleArena{chunks: chunks, own: len(chunks) > 0, private: len(chunks)}
-		for _, v := range chunks {
-			a.n += int(v.hi - v.lo)
-		}
-		cur.arena = a
+		cur.blocks = append(slices.Clip(cur.blocks[:d.prefix]), d.blocks...)
 		cur.bytes = d.bytes
 	}
 	return cur, nil
 }
 
 // installSide installs a resolved side record into idx, which must be
-// empty: arena-backed kinds through MergeFrom, which adopts the decoded
-// blocks wholesale and rebuilds the directory from their key columns,
-// exactly like a migration-finalization merge; an ordered record, whose
-// tuples arrive in key order, through the tree's left-to-right bulk
-// build.
+// empty: arena-backed kinds decode the blocks through their own writer
+// (writeBlocks), and a hash index then builds its directory from the
+// key columns, exactly like a migration-finalization merge; an ordered
+// record, whose tuples arrive in key order, through the tree's
+// left-to-right bulk build.
 func installSide(idx Index, rec sideSnap) error {
 	switch rec.kind {
 	case snapIdxHash:
@@ -595,15 +590,16 @@ func installSide(idx Index, rec sideSnap) error {
 		if !ok {
 			return fmt.Errorf("join: snapshot holds a hash index but the predicate builds %T", idx)
 		}
-		donor := &HashIndex{arena: rec.arena.packed(), bytes: rec.bytes}
-		h.MergeFrom(donor)
+		writeBlocks(rec.blocks, &h.own, &h.arena)
+		h.bytes = rec.bytes
+		h.indexFrom(0)
 	case snapIdxScan:
 		s, ok := idx.(*ScanIndex)
 		if !ok {
 			return fmt.Errorf("join: snapshot holds a scan index but the predicate builds %T", idx)
 		}
-		donor := &ScanIndex{arena: rec.arena.packed(), bytes: rec.bytes}
-		s.MergeFrom(donor)
+		writeBlocks(rec.blocks, &s.own, &s.arena)
+		s.bytes = rec.bytes
 	case snapIdxOrdered:
 		o, ok := idx.(*OrderedIndex)
 		if !ok {

@@ -7,16 +7,16 @@ import (
 	"repro/internal/matrix"
 )
 
-// Migrated state moves as columnar arena blocks. The sender
-// accumulates the relocated tuples into blocks of its own (a
-// BlockEncoder): the stored old state (τ) is selected by one pass over
-// the u column that copies the survivors row-wise, and the old-epoch
-// arrivals (∆) are appended as they are processed. A target joiner in
-// the same process then receives the sealed blocks by pointer (Seal,
-// AsPayload) — nothing is encoded or decoded; only a target behind a
-// link gets bytes (AppendTo, the snapshot codec's framing), which its
-// receiver decodes (DecodeBlocks) into the same BlockSet. Either way the
-// blocks are installed through the adopt() path MergeFrom uses at
+// Migrated state moves as columnar arena blocks. The sender writes the
+// relocated tuples through writers of its own (a BlockEncoder): the
+// stored old state (τ) is selected by one pass over the u column that
+// copies the survivors row-wise, and the old-epoch arrivals (∆) are
+// written as they are processed. A target joiner in the same process
+// then receives the sealed blocks by pointer (Seal, AsPayload) —
+// nothing is encoded or decoded; only a target behind a link gets bytes
+// (AppendTo, the snapshot codec's framing), which its receiver decodes
+// (DecodeBlocks) through a writer into the same BlockSet. Either way
+// the blocks are installed through the adopt() path MergeFrom uses at
 // migration finalization — state lands without re-inserting tuple by
 // tuple.
 
@@ -26,22 +26,32 @@ import (
 // otherwise valid frame.
 const blockWireVersion = 1
 
-// BlockEncoder accumulates migrating tuples into per-side columnar
-// arenas and hands them over whole: as a BlockSet by pointer (Seal) to
-// an in-process receiver, or serialized as one block payload (AppendTo)
-// for a link. The zero value is ready to use; both hand-overs reset it
-// for the next batch.
+// BlockEncoder writes migrating tuples through one writer per side
+// into per-side columnar arenas and hands them over whole: as a
+// BlockSet by pointer (Seal) to an in-process receiver, or serialized
+// as one block payload (AppendTo) for a link. The zero value is ready
+// to use; both hand-overs reset it for the next batch.
 type BlockEncoder struct {
-	arenas [2]tupleArena
-	bytes  [2]int64
-	count  int
+	arenas  [2]tupleArena
+	writers [2]BlockWriter
+	bytes   [2]int64
+	count   int
 }
 
 // Add buffers one tuple.
 func (e *BlockEncoder) Add(t Tuple) {
-	e.arenas[t.Rel].append(&t)
+	c, pos := e.writers[t.Rel].next(&e.arenas[t.Rel], t.Payload != nil)
+	c.put(pos, &t)
 	e.bytes[t.Rel] += t.Bytes()
 	e.count++
+}
+
+// flush adds the rows each side's writer holds unpublished to its
+// arena: the first step of either hand-over.
+func (e *BlockEncoder) flush() {
+	for side := range e.writers {
+		e.writers[side].flush(&e.arenas[side])
+	}
 }
 
 // Len reports how many tuples are buffered.
@@ -50,6 +60,7 @@ func (e *BlockEncoder) Len() int { return e.count }
 // AppendTo serializes the buffered blocks onto buf and resets the
 // encoder.
 func (e *BlockEncoder) AppendTo(buf []byte) []byte {
+	e.flush()
 	buf = appendU8(buf, blockWireVersion)
 	for side := range e.arenas {
 		buf = appendU32(buf, uint32(e.arenas[side].n))
@@ -80,17 +91,17 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 		idx.Scan(e.SelectFunc(keep, limit, ship, &n))
 		return n
 	}
-	dst := &e.arenas[side]
+	dst, w := &e.arenas[side], &e.writers[side]
 	n := 0
 	for _, v := range a.chunks {
 		for pos := v.lo; pos < v.hi; pos++ {
 			if !keep.Has(v.c.u[pos]) {
 				continue
 			}
-			e.bytes[side] += dst.appendRow(v.c, pos)
+			e.bytes[side] += w.copyRow(dst, v.c, pos)
 			e.count++
 			if n++; e.count >= limit {
-				ship() // resets *e in place, so dst stays e's side arena
+				ship() // resets *e in place, so dst and w stay e's side's
 			}
 		}
 	}
@@ -118,20 +129,17 @@ func (e *BlockEncoder) SelectFunc(keep matrix.Top, limit int, ship func(), n *in
 // resets the encoder. The blocks become the receiver's; the encoder
 // starts the next batch in fresh ones.
 func (e *BlockEncoder) Seal() *BlockSet {
+	e.flush()
 	bs := &BlockSet{arenas: e.arenas, bytes: e.bytes}
-	for side := range bs.arenas {
-		bs.counts[side] = bs.arenas[side].n
-	}
 	*e = BlockEncoder{}
 	return bs
 }
 
 // BlockSet is a block payload ready to install: per side, an adoptable
-// columnar arena plus its tuple count and byte volume. It comes from
-// Seal in process and from DecodeBlocks across a link.
+// columnar arena and its byte volume. It comes from Seal in process and
+// from DecodeBlocks across a link.
 type BlockSet struct {
 	arenas [2]tupleArena
-	counts [2]int
 	bytes  [2]int64
 }
 
@@ -142,22 +150,26 @@ func DecodeBlocks(data []byte) (*BlockSet, error) {
 		return nil, fmt.Errorf("join: block payload version %d, want %d", v, blockWireVersion)
 	}
 	bs := &BlockSet{}
+	var recs [2][]blockRecord
 	for side := range bs.arenas {
 		n := int(r.u32("block tuple count"))
 		bytes := int64(r.u64("block byte count"))
-		bs.arenas[side] = readArena(r)
+		var got int
+		recs[side], got = readBlocks(r)
 		if r.err != nil {
 			return nil, r.err
 		}
-		if bs.arenas[side].n != n {
-			return nil, fmt.Errorf("join: block payload side %d holds %d tuples, header says %d",
-				side, bs.arenas[side].n, n)
+		if got != n {
+			return nil, fmt.Errorf("join: block payload side %d holds %d tuples, header says %d", side, got, n)
 		}
-		bs.counts[side] = n
 		bs.bytes[side] = bytes
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("join: block payload has %d trailing bytes", len(data)-r.off)
+	}
+	for side := range bs.arenas {
+		var w BlockWriter
+		writeBlocks(recs[side], &w, &bs.arenas[side])
 	}
 	return bs, nil
 }
@@ -183,10 +195,10 @@ func PayloadBlocks(p []byte) *BlockSet {
 }
 
 // Len reports one side's tuple count.
-func (bs *BlockSet) Len(side matrix.Side) int { return bs.counts[side] }
+func (bs *BlockSet) Len(side matrix.Side) int { return bs.arenas[side].n }
 
 // Tuples reports the total tuple count across both sides.
-func (bs *BlockSet) Tuples() int { return bs.counts[0] + bs.counts[1] }
+func (bs *BlockSet) Tuples() int { return bs.arenas[0].n + bs.arenas[1].n }
 
 // Bytes reports the total tuple byte volume across both sides.
 func (bs *BlockSet) Bytes() int64 { return bs.bytes[0] + bs.bytes[1] }
@@ -208,8 +220,8 @@ func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 // ordered (band) indexes fall back to scan-and-insert, since their
 // tree interleaves with tuple order.
 func (l *Local) AdoptBlocks(bs *BlockSet) {
-	l.r = adoptIndex(l.r, &bs.arenas[matrix.SideR], bs.counts[matrix.SideR], bs.bytes[matrix.SideR])
-	l.s = adoptIndex(l.s, &bs.arenas[matrix.SideS], bs.counts[matrix.SideS], bs.bytes[matrix.SideS])
+	adoptIndex(l.r, &bs.arenas[matrix.SideR], bs.bytes[matrix.SideR])
+	adoptIndex(l.s, &bs.arenas[matrix.SideS], bs.bytes[matrix.SideS])
 	*bs = BlockSet{}
 }
 
@@ -217,19 +229,13 @@ func (l *Local) AdoptBlocks(bs *BlockSet) {
 // MergeFrom machinery by dressing it as a donor index of dst's own
 // kind. MergeFrom only reads the donor's arena, tuple count (a presize
 // hint), and byte volume, so no directory is built on the donor side.
-func adoptIndex(dst Index, a *tupleArena, count int, bytes int64) Index {
-	if a.n == 0 {
-		return dst
-	}
+func adoptIndex(dst Index, a *tupleArena, bytes int64) {
 	switch d := dst.(type) {
 	case *HashIndex:
-		d.MergeFrom(&HashIndex{arena: *a, used: count, bytes: bytes})
-		return d
+		d.MergeFrom(&HashIndex{arena: *a, used: a.n, bytes: bytes})
 	case *ScanIndex:
 		d.MergeFrom(&ScanIndex{arena: *a, bytes: bytes})
-		return d
 	default:
 		a.scan(func(t Tuple) bool { dst.Insert(t); return true })
-		return dst
 	}
 }

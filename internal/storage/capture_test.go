@@ -12,7 +12,7 @@ import (
 // moment it was taken while its store keeps changing: another goroutine
 // encodes the captures — store by store and as one operator blob —
 // over and over while 10 000 more tuples go into every store, so the
-// open tail blocks fill, new blocks (and a reserve's empty ones)
+// stores' own open blocks fill, new blocks (and a reserve's empty ones)
 // appear behind them and the spill segment grows. Every encode must
 // equal the bytes serialized before the first insert, for a full and
 // for a delta capture. Run it under -race: the capture shares every

@@ -534,8 +534,8 @@ func (s *Store) spillMark(side matrix.Side) SpillMark {
 }
 
 // StoreCapture is a Store's state frozen at a checkpoint barrier by
-// Capture: the memory tier as a join.LocalCapture (arena blocks by
-// reference plus a copy of each open tail block) and the spilled
+// Capture: the memory tier as a join.LocalCapture (arena views by
+// value, their blocks by reference) and the spilled
 // records past the watermark, already encoded — a spill segment is a
 // file the owner keeps appending to, so its records cannot be held by
 // reference. Size and AppendTo only read the capture, so the encode may
