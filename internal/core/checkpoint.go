@@ -40,8 +40,13 @@ import (
 //     controller starts no migration or expansion while a checkpoint
 //     is in flight — until the coordinator reports its commit.
 //  4. The coordinator assembles the operator snapshot (mapping, table,
-//     cuts, per-joiner captures), encodes it into one
-//     exact-size blob — every joiner's region written in place, in
+//     cuts, per-joiner captures) and collects the views of every
+//     capture into a block table: a block that two or more joiners view
+//     — a grid row's or column's shared slot block — is encoded once,
+//     as a table entry, and each joiner's record references it, so the
+//     blob holds each stored tuple's columns about once, not once per
+//     replica. It encodes the snapshot into one exact-size blob — the
+//     table's and every joiner's regions written in place, in
 //     parallel — commits it through the backend's atomic-rename path,
 //     and only then trims the replay log up to the cuts. A crash
 //     anywhere leaves either the previous checkpoint or the new one —
@@ -51,7 +56,9 @@ import (
 //     After the commit it rules on the next snapshot: a delta, unless
 //     the committed chain's blobs add up to more than two full
 //     snapshots as measured at this barrier (every capture knows its
-//     full size in O(blocks)) — more dead bytes than live ones. Dead
+//     full size in O(blocks), and OperatorSnapshot.FullSize counts each
+//     shared block once, as the table would) — more dead bytes than
+//     live ones. Dead
 //     bytes are superseded views of partly filled blocks, ordered
 //     indexes re-encoded in every link and blocks a migration's Retain
 //     rebuilt. A full snapshot of F bytes is then paid for by at least
@@ -60,8 +67,9 @@ import (
 //     bytes, and a restore reads at most 2F plus one link.
 //
 // Restore rebuilds joiner state through the same MergeFrom/adopt()
-// whole-block install path migration finalization uses, then replays
-// the log. Routing is deterministic in (seed, seq) — see uMix — so a
+// whole-block install path migration finalization uses — each table
+// entry decoded once, into one block every joiner that names it views —
+// then replays the log. Routing is deterministic in (seed, seq) — see uMix — so a
 // replayed tuple that was already inside the cut lands on the joiners
 // that restored it and is dropped by their sequence-number filter.
 
@@ -611,11 +619,7 @@ func RestoreOperator(cfg Config, snap *storage.OperatorSnapshot) (*Operator, err
 				js.ID, storage.ErrCorrupt)
 		}
 		w := op.joiners[js.ID]
-		chain := js.StateChain
-		if chain == nil {
-			chain = [][]byte{js.State}
-		}
-		if err := w.state.RestoreSnapshotChain(chain); err != nil {
+		if err := js.Restore(w.state); err != nil {
 			return nil, fmt.Errorf("core: restore joiner %d: %w", js.ID, err)
 		}
 		if seqs := w.state.SnapshotSeqs(nil); len(seqs) > 0 {

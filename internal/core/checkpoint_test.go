@@ -416,7 +416,7 @@ func TestCheckpointDefaultConfigNineGenerations(t *testing.T) {
 		stored := 0
 		for _, js := range latestSnapshot(t, backend).Joiners {
 			st := storage.NewStore(pred, storage.Config{})
-			if err := st.RestoreSnapshotChain(js.StateChain); err != nil {
+			if err := js.Restore(st); err != nil {
 				t.Fatalf("checkpoint %d: joiner %d state chain: %v", i+1, js.ID, err)
 			}
 			stored += st.TotalLen()

@@ -228,3 +228,130 @@ func TestCheckpointChainBytesBounded(t *testing.T) {
 		}
 	})
 }
+
+// TestCheckpointWritesEachBlockOnce holds the checkpoints of a shared
+// grid to the bytes of the state they hold. On a static (4,4) equi grid
+// the four joiners of a row (column) view the same blocks for every R
+// (S) tuple; a checkpoint writes each such block once, in its block
+// table, and each joiner's view of it as a reference. So the full
+// snapshot and the delta after it each stay within 1.1 x 40 B per
+// distinct tuple stored, plus framing — four times that if every
+// joiner wrote the blocks it views. The chain must restore
+// oracle-exact after ReplayFrom, and the restored row-mates must view
+// the same blocks again (checkRestoredSharing).
+func TestCheckpointWritesEachBlockOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	tuples := mixedStream(rng, 10_000, 10_000, 1<<20)
+	stampSeqs(tuples, 0)
+	be := newSizeRecorder()
+	run1 := newShardRecorder(16)
+	pred := join.EquiJoin("eq", nil)
+	op := mustOperator(t, Config{
+		J: 16, Pred: pred, Initial: matrix.Mapping{N: 4, M: 4}, NumReshufflers: 2, Seed: 9,
+		Backend: be, EmitShard: run1.emit,
+	})
+	op.Start()
+	half := len(tuples) / 2
+	for k := 0; k < 2; k++ {
+		sendAll(t, op, tuples[k*half:(k+1)*half])
+		if err := op.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", k+1, err)
+		}
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if len(be.writes) != 2 || len(be.writes[0].deps) != 0 || len(be.writes[1].deps) != 1 {
+		t.Fatalf("want a full snapshot and a delta on it, backend got %+v", be.writes)
+	}
+	// Framing: the fixed records, a record frame and head per joiner and
+	// per blocks record, an entry head per block and a 13-byte reference
+	// per view — a view per envelope, about 30 tuples on each of four
+	// joiners.
+	const framing = 4 << 10
+	for k, w := range be.writes {
+		blobs, err := be.Load(w.id)
+		if err != nil {
+			t.Fatalf("load checkpoint %d: %v", w.id, err)
+		}
+		s, err := storage.DecodeOperatorSnapshot(w.id, blobs[len(blobs)-1].Data)
+		if err != nil {
+			t.Fatalf("decode checkpoint %d: %v", w.id, err)
+		}
+		stored := 0 // the tuples the reshufflers had routed at the barrier
+		for _, c := range s.Cuts {
+			stored += int(c)
+		}
+		if limit := int(1.1*40*float64(stored)) + framing; w.size > limit {
+			t.Fatalf("checkpoint %d of %d distinct tuples wrote %d B, limit %d", k+1, stored, w.size, limit)
+		}
+		t.Logf("checkpoint %d: %d B for %d distinct tuples (%.1f B/tuple)", k+1, w.size, stored, float64(w.size)/float64(stored))
+	}
+
+	snap := latestSnapshot(t, be)
+	run2 := newShardRecorder(16)
+	op2, err := RestoreOperator(Config{Pred: pred, Backend: be, EmitShard: run2.emit}, snap)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	checkRestoredSharing(t, op2.joiners, 0.9)
+	op2.Start()
+	if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := op2.Finish(); err != nil {
+		t.Fatalf("finish restored: %v", err)
+	}
+	diffMultisets(t, combineCutAndReplay(snap, run1, run2), equiPairs(tuples))
+}
+
+// checkRestoredSharing requires the stores of a restored grid to keep
+// the sharing their checkpoints tabled: at least minShared of every
+// store's rows lie in views of blocks restored for two or more stores,
+// and each such block is viewed by exactly that many stores, all of one
+// grid row (R) or column (S). A restored view of a block is unshared
+// only where the chain's links tabled the block's rows apart (a delta
+// re-ships a joiner's newest view, and row-mates may take their
+// envelopes in another order).
+func checkRestoredSharing(t *testing.T, js []*joiner, minShared float64) {
+	t.Helper()
+	type use struct{ sharers, stores, line int }
+	blocks := map[any]*use{}
+	for _, w := range js {
+		for _, side := range migSides {
+			line := w.cell.Row
+			if side == matrix.SideS {
+				line = w.cell.Col
+			}
+			rows, shared := 0, 0
+			seen := map[any]bool{}
+			for _, v := range w.state.Views(side) {
+				rows += v.Hi - v.Lo
+				if v.Sharers < 2 {
+					continue
+				}
+				shared += v.Hi - v.Lo
+				u := blocks[v.Block]
+				if u == nil {
+					u = &use{sharers: v.Sharers, line: line}
+					blocks[v.Block] = u
+				}
+				if u.line != line {
+					t.Fatalf("joiner %d side %v views a restored block of grid line %d, its own is %d", w.id, side, u.line, line)
+				}
+				if !seen[v.Block] {
+					seen[v.Block] = true
+					u.stores++
+				}
+			}
+			if rows == 0 || float64(shared) < minShared*float64(rows) {
+				t.Fatalf("joiner %d side %v holds %d of %d restored rows in shared blocks, want %.0f%%", w.id, side, shared, rows, 100*minShared)
+			}
+		}
+	}
+	for _, u := range blocks {
+		if u.stores != u.sharers {
+			t.Fatalf("a restored block of %d sharers is viewed by %d stores", u.sharers, u.stores)
+		}
+	}
+}

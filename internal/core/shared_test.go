@@ -214,10 +214,12 @@ func sameSet(a, b map[any]bool) bool {
 
 // TestSharedBlocksCaptureWhileAppending takes checkpoints while one
 // feeder keeps sending: each capture holds views of the reshufflers'
-// open shared blocks, which the coordinator encodes while the
-// reshufflers keep appending rows past them (the race detector watches
-// both). The newest checkpoint must restore and, with the replay log,
-// recover the stream exactly.
+// open shared blocks, which the coordinator collects into the
+// checkpoint's block table and encodes, table entries and references,
+// while the reshufflers keep appending rows past the captured hi (the
+// race detector watches both). The newest checkpoint must restore with
+// its row-mates viewing shared blocks again (checkRestoredSharing) and,
+// with the replay log, recover the stream exactly.
 func TestSharedBlocksCaptureWhileAppending(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pred := join.EquiJoin("eq", nil)
@@ -269,6 +271,7 @@ func TestSharedBlocksCaptureWhileAppending(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	checkRestoredSharing(t, op2.joiners, 0.75)
 	op2.Start()
 	if err := op2.ReplayFrom(op.ReplayLog()); err != nil {
 		t.Fatalf("replay: %v", err)

@@ -196,7 +196,7 @@ func TestCaptureWhileOwnerAddsPayloadColumn(t *testing.T) {
 		}
 		c, _, _ := l.Capture(nil)
 		enc := make(chan []byte)
-		go func() { enc <- c.AppendTo(nil) }()
+		go func() { enc <- c.AppendTo(nil, nil) }()
 		for i := 100; i < 200; i++ {
 			l.Insert(Tuple{Rel: matrix.SideS, Key: int64(i % 7), Size: 8, Seq: uint64(i + 1), Payload: []byte{byte(i)}})
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Checkpoint capture and serialization of the in-memory join state.
@@ -23,13 +24,21 @@ import (
 // whose tree has no frozen block prefix, is encoded on the spot. The owner then resumes mutating its indexes while any
 // other goroutine sizes the capture exactly (Size) and writes it
 // (AppendTo), typically straight into its slot of a preallocated
-// checkpoint blob. Each view is written as one block record, so a
-// shared block is written once per joiner that stores it.
+// checkpoint blob. On its own a capture writes each view as one block
+// record. An operator checkpoint first collects the views of all its
+// joiners' captures into a BlockTable: a block that two or more of them
+// name is written once, as a table entry, and each view of it as a
+// reference to that entry — a shared block is
+// written once per checkpoint, not once per joiner that stores it.
 //
-// Restore writes the decoded rows through the restored index's own
-// writer, which packs a store's short windows into dense blocks, and
-// rebuilds the directory and the chain columns from their key columns
-// as migration finalization does: derived state is never shipped — the
+// Restore writes the decoded rows of a store's own block records
+// through the restored index's own writer, which packs a store's short
+// windows into dense blocks. A table entry is decoded once, on the
+// first install that names it, into one block that every restored
+// joiner naming it views (SharedTable, LoadSharedChain), so the sharing
+// survives a restore. The directory and the chain columns are rebuilt
+// from their key columns as migration finalization does: derived state
+// is never shipped — the
 // snapshot carries tuple data only, so a format change in the derived
 // state (slot layout, growth state, chains) can never invalidate a
 // checkpoint; testdata/parent_* holds the proof for the last such
@@ -37,7 +46,7 @@ import (
 //
 // Framing, CRCs, and manifest-level atomicity live one layer up in
 // internal/storage; this file defines only the raw encoding of one
-// Local's two indexes.
+// Local's two indexes and of a checkpoint's block table entries.
 
 // Snapshot index kinds. The kind byte records the concrete index type
 // so a restore into a differently-predicated Local fails loudly
@@ -79,6 +88,9 @@ type snapReader struct {
 	data []byte
 	off  int
 	err  error
+	// tab resolves the block references of a checkpoint payload; a
+	// reader without one rejects every reference.
+	tab *SharedTable
 }
 
 func (r *snapReader) fail(what string) {
@@ -161,15 +173,26 @@ func blockSize(v view) int {
 	return n
 }
 
+// Block-record flag values: the byte after the fill level.
+const (
+	blockPlain   = 0 // the rows' five columns
+	blockPayload = 1 // the columns, then each row's payload
+	blockRef     = 2 // a reference to rows of a block table entry
+)
+
+// refSize is the length of a reference record: the fill level, the
+// flag, the table entry and the first row.
+const refSize = 4 + 1 + 4 + 4
+
 // appendBlock encodes one non-empty view as a block: the fill level, a
 // payload-presence flag, the five columns of each tuple as
 // little-endian words, and the payload bytes when present.
 func appendBlock(buf []byte, v view) []byte {
 	c, fill := v.c, int(v.hi-v.lo)
 	buf = appendU32(buf, uint32(fill))
-	hasPayload := uint8(0)
+	hasPayload := uint8(blockPlain)
 	if c.payload != nil {
-		hasPayload = 1
+		hasPayload = blockPayload
 	}
 	buf = appendU8(buf, hasPayload)
 	off := len(buf)
@@ -183,7 +206,7 @@ func appendBlock(buf []byte, v view) []byte {
 		binary.LittleEndian.PutUint64(t[24:], c.seq[pos])
 		binary.LittleEndian.PutUint64(t[32:], c.meta[pos])
 	}
-	if hasPayload == 1 {
+	if hasPayload == blockPayload {
 		for _, p := range c.payload[v.lo:v.hi] {
 			buf = appendU32(buf, uint32(len(p)))
 			buf = append(buf, p...)
@@ -192,11 +215,67 @@ func appendBlock(buf []byte, v view) []byte {
 	return buf
 }
 
+// appendRef encodes v, a view of the block of table entry e, as a
+// reference to its rows.
+func appendRef(buf []byte, v view, e int32) []byte {
+	buf = appendU32(buf, uint32(v.hi-v.lo))
+	buf = appendU8(buf, blockRef)
+	buf = appendU32(buf, uint32(e))
+	return appendU32(buf, uint32(v.lo))
+}
+
 // blockRecord is one block record appendArena wrote, checked against
 // the input and not yet decoded: its rows' five little-endian columns
 // and, when the block had a payload column (payloads is non-nil), each
-// row's payload as a u32 length and its bytes.
-type blockRecord struct{ cols, payloads []byte }
+// row's payload as a u32 length and its bytes. A reference record has
+// no bytes of its own: it names rows [lo, hi) of the block of a table
+// entry (shared), in that block's row numbering.
+type blockRecord struct {
+	cols, payloads []byte
+	shared         *sharedEntry
+	lo, hi         int32
+}
+
+// readBlock reads one block record, checking it against the input and
+// a reference against r's table.
+func readBlock(r *snapReader) (rec blockRecord, fill int) {
+	fill = int(r.u32("chunk fill"))
+	flag := r.u8("payload flag")
+	if r.err != nil {
+		return rec, 0
+	}
+	if fill <= 0 || fill > arenaChunk || flag > blockRef {
+		r.err = fmt.Errorf("join: snapshot block has invalid fill %d or flag %d", fill, flag)
+		return rec, 0
+	}
+	if flag == blockRef {
+		e, lo := r.u32("table entry"), r.u32("reference row")
+		switch {
+		case r.err != nil:
+		case r.tab == nil:
+			r.err = fmt.Errorf("join: snapshot block references table entry %d without a block table", e)
+		case int64(e) >= int64(len(r.tab.entries)):
+			r.err = fmt.Errorf("join: snapshot block references table entry %d of %d", e, len(r.tab.entries))
+		default:
+			se := r.tab.entries[e]
+			if int64(lo) < int64(se.lo) || int64(lo)+int64(fill) > int64(se.hi) {
+				r.err = fmt.Errorf("join: snapshot block references rows [%d, %d) of table entry %d, which holds [%d, %d)",
+					lo, int64(lo)+int64(fill), e, se.lo, se.hi)
+			}
+			rec = blockRecord{shared: se, lo: int32(lo), hi: int32(lo) + int32(fill)}
+		}
+		return rec, fill
+	}
+	rec.cols = r.bytes(fill*tupleBytes, "block columns")
+	if flag == blockPayload {
+		start := r.off
+		for pos := 0; pos < fill; pos++ {
+			r.bytes(int(r.u32("payload length")), "payload bytes")
+		}
+		rec.payloads = r.data[start:r.off]
+	}
+	return rec, fill
+}
 
 // readBlocks reads the block records appendArena wrote, checking each
 // against the input, and returns them undecoded with their row count:
@@ -205,22 +284,9 @@ type blockRecord struct{ cols, payloads []byte }
 func readBlocks(r *snapReader) (recs []blockRecord, n int) {
 	nChunks := int(r.u32("chunk count"))
 	for ci := 0; ci < nChunks && r.err == nil; ci++ {
-		fill := int(r.u32("chunk fill"))
-		hasPayload := r.u8("payload flag") == 1
+		rec, fill := readBlock(r)
 		if r.err != nil {
 			break
-		}
-		if fill <= 0 || fill > arenaChunk {
-			r.err = fmt.Errorf("join: snapshot chunk %d has invalid fill %d", ci, fill)
-			break
-		}
-		rec := blockRecord{cols: r.bytes(fill*tupleBytes, "block columns")}
-		if hasPayload {
-			start := r.off
-			for pos := 0; pos < fill; pos++ {
-				r.bytes(int(r.u32("payload length")), "payload bytes")
-			}
-			rec.payloads = r.data[start:r.off]
 		}
 		recs = append(recs, rec)
 		n += fill
@@ -228,26 +294,47 @@ func readBlocks(r *snapReader) (recs []blockRecord, n int) {
 	return recs, n
 }
 
+// decodeRow writes one row — its five columns t and, when p is
+// non-nil, the payload p starts with — as row pos of c, and returns the
+// rest of p.
+func decodeRow(c *colChunk, pos int32, t, p []byte) []byte {
+	c.key[pos] = int64(binary.LittleEndian.Uint64(t[0:]))
+	c.aux[pos] = int64(binary.LittleEndian.Uint64(t[8:]))
+	c.u[pos] = binary.LittleEndian.Uint64(t[16:])
+	c.seq[pos] = binary.LittleEndian.Uint64(t[24:])
+	c.meta[pos] = binary.LittleEndian.Uint64(t[32:])
+	if p == nil {
+		return nil
+	}
+	ln := int(binary.LittleEndian.Uint32(p))
+	if ln > 0 {
+		c.payload[pos] = append([]byte(nil), p[4:4+ln]...)
+	}
+	return p[4+ln:]
+}
+
 // writeBlocks decodes the rows of recs through w into a, in order: a
 // record of a block with a payload column asks for one (BlockWriter.next).
+// A reference record adds a view of its table entry's block instead,
+// or copies its rows once the entry space is spent (viewable).
 func writeBlocks(recs []blockRecord, w *BlockWriter, a *tupleArena) {
 	for _, rec := range recs {
+		if rec.shared != nil {
+			win := Window{c: rec.shared.block(), lo: rec.lo, hi: rec.hi}
+			if !a.viewable(win, win.Len()) {
+				for pos := win.lo; pos < win.hi; pos++ {
+					w.copyRow(a, win.c, pos)
+				}
+				continue
+			}
+			w.flush(a)
+			a.addWindow(win, true)
+			continue
+		}
 		p := rec.payloads
 		for i := 0; i < len(rec.cols)/tupleBytes; i++ {
 			c, pos := w.next(a, rec.payloads != nil)
-			t := rec.cols[i*tupleBytes : (i+1)*tupleBytes]
-			c.key[pos] = int64(binary.LittleEndian.Uint64(t[0:]))
-			c.aux[pos] = int64(binary.LittleEndian.Uint64(t[8:]))
-			c.u[pos] = binary.LittleEndian.Uint64(t[16:])
-			c.seq[pos] = binary.LittleEndian.Uint64(t[24:])
-			c.meta[pos] = binary.LittleEndian.Uint64(t[32:])
-			if rec.payloads != nil {
-				ln := int(binary.LittleEndian.Uint32(p))
-				if ln > 0 {
-					c.payload[pos] = append([]byte(nil), p[4:4+ln]...)
-				}
-				p = p[4+ln:]
-			}
+			p = decodeRow(c, pos, rec.cols[i*tupleBytes:(i+1)*tupleBytes], p)
 		}
 	}
 	w.flush(a)
@@ -344,6 +431,11 @@ type sideCapture struct {
 	bytes  int64
 	prefix uint32 // delta kinds: the entry index the blocks splice at
 	chunks []view
+	// frozen is the entry list below the delta prefix (nil in a full
+	// capture): the views a full record of the same state would write
+	// ahead of chunks. They are frozen, so the capture shares them with
+	// the live arena instead of copying them.
+	frozen []view
 	enc    []byte
 	// full is the exact length of a full record of the same state: what
 	// this side would encode to had the capture been taken without a
@@ -380,6 +472,7 @@ func captureSide(idx Index, wm *IndexWatermark) (sideCapture, bool) {
 		return c, false
 	}
 	c.kind, c.prefix = deltaKind, wm.Chunks
+	c.frozen = a.chunks[:wm.Chunks:wm.Chunks]
 	c.chunks = slices.Clone(a.chunks[wm.Chunks:])
 	return c, true
 }
@@ -422,7 +515,7 @@ func fullArenaSize(a *tupleArena) int {
 }
 
 // size is the exact length appendTo writes.
-func (c *sideCapture) size() int {
+func (c *sideCapture) size(t *BlockTable) int {
 	if c.kind == snapIdxOrdered {
 		return len(c.enc)
 	}
@@ -430,14 +523,37 @@ func (c *sideCapture) size() int {
 	if c.kind >= snapIdxHashDelta {
 		n += 4 // prefix
 	}
-	for _, ch := range c.chunks {
-		n += blockSize(ch)
+	return n + viewsSize(c.chunks, t.shipped(c))
+}
+
+// fullSize is the exact length of a full record of the captured state
+// in a checkpoint with block table t, built over full views.
+func (c *sideCapture) fullSize(t *BlockTable) int {
+	refs := t.whole(c)
+	if refs == nil {
+		return c.full
+	}
+	n := 1 + 8 + 4 // kind, byte volume, block count
+	return n + viewsSize(c.frozen, refs) + viewsSize(c.chunks, refs[len(c.frozen):])
+}
+
+// viewsSize is the length of the block records of vs, view i a
+// reference when refs[i] names a table entry.
+func viewsSize(vs []view, refs []int32) int {
+	n := 0
+	for i, v := range vs {
+		if refs != nil && refs[i] >= 0 {
+			n += refSize
+		} else {
+			n += blockSize(v)
+		}
 	}
 	return n
 }
 
-// appendTo encodes the side record.
-func (c *sideCapture) appendTo(buf []byte) []byte {
+// appendTo encodes the side record, each view of a block t tables as a
+// reference.
+func (c *sideCapture) appendTo(buf []byte, t *BlockTable) []byte {
 	if c.kind == snapIdxOrdered {
 		return append(buf, c.enc...)
 	}
@@ -447,30 +563,181 @@ func (c *sideCapture) appendTo(buf []byte) []byte {
 		buf = appendU32(buf, c.prefix)
 	}
 	buf = appendU32(buf, uint32(len(c.chunks)))
-	for _, ch := range c.chunks {
-		buf = appendBlock(buf, ch)
+	refs := t.shipped(c)
+	for i, v := range c.chunks {
+		if refs != nil && refs[i] >= 0 {
+			buf = appendRef(buf, v, refs[i])
+		} else {
+			buf = appendBlock(buf, v)
+		}
 	}
 	return buf
 }
 
-// Size is the exact length AppendTo writes: callers encoding into a
-// preallocated buffer size it once, up front.
-func (c *LocalCapture) Size() int { return 1 + c.r.size() + c.s.size() }
+// Size is the exact length AppendTo writes with block table t: callers
+// encoding into a preallocated buffer size it once, up front.
+func (c *LocalCapture) Size(t *BlockTable) int { return 1 + c.r.size(t) + c.s.size(t) }
 
 // FullSize is the exact length AppendTo would write had the capture
 // been full (Capture(nil) at the same barrier): the live bytes a delta
 // chain ending in this capture has to carry at the least. It encodes
-// nothing.
-func (c *LocalCapture) FullSize() int { return 1 + c.r.full + c.s.full }
+// nothing. A non-nil t must have been built over full views
+// (NewBlockTable): each view of a block t tables then counts as a
+// reference, the block's bytes counting once, in the table.
+func (c *LocalCapture) FullSize(t *BlockTable) int { return 1 + c.r.fullSize(t) + c.s.fullSize(t) }
 
 // AppendTo encodes the captured state onto buf — the snapshot payload
 // of the Local as it stood at capture time — and returns the extended
-// slice. It only reads the capture, so it may run on any goroutine
-// while the captured Local keeps taking appends.
-func (c *LocalCapture) AppendTo(buf []byte) []byte {
+// slice, every view of a block t tables written as a reference to its
+// entry (nil t: every view written whole). It only reads the capture,
+// so it may run on any goroutine while the captured Local keeps taking
+// appends.
+func (c *LocalCapture) AppendTo(buf []byte, t *BlockTable) []byte {
 	buf = appendU8(buf, c.version)
-	buf = c.r.appendTo(buf)
-	return c.s.appendTo(buf)
+	buf = c.r.appendTo(buf, t)
+	return c.s.appendTo(buf, t)
+}
+
+// BlockTable is the block table of one operator checkpoint: every
+// block that the views of two or more of its joiners' captures name,
+// each once, over the union of the rows they name. A checkpoint writes
+// each entry once and each view of a tabled block as a reference, so a
+// block the joiners of a grid row share costs its bytes once, not once
+// per joiner. The table resolves block identity once, when it is built:
+// it keeps, per captured side, the entry each view references. It only
+// reads the captures, so it may be built and used on any goroutine,
+// like AppendTo. The nil table tables nothing.
+type BlockTable struct {
+	entries []view
+	// sides maps each side capture the table was built over to the entry
+	// of each of its views, in order (-1: the view stays inline). The
+	// list covers the side's frozen views too when the table is full.
+	sides map[*sideCapture][]int32
+	full  bool
+}
+
+// shipped returns the entries of the views c ships (its chunks), or nil
+// when t resolves none of them: t is nil, or c is not among the
+// captures it was built over.
+func (t *BlockTable) shipped(c *sideCapture) []int32 {
+	if t == nil {
+		return nil
+	}
+	refs := t.sides[c]
+	if t.full && refs != nil {
+		refs = refs[len(c.frozen):]
+	}
+	return refs
+}
+
+// whole returns the entries of every view of a full record of c, its
+// frozen views first, or nil unless t is a full table that resolves c.
+func (t *BlockTable) whole(c *sideCapture) []int32 {
+	if t == nil || !t.full {
+		return nil
+	}
+	return t.sides[c]
+}
+
+// NewBlockTable tables the blocks that two or more of caps name in the
+// views they write — every view of a full record of their state when
+// full — in order of first appearance, and returns nil when no block is
+// shared. A block one capture names in several views stays that
+// capture's own.
+func NewBlockTable(caps []*LocalCapture, full bool) *BlockTable {
+	type use struct {
+		c      *colChunk
+		lo, hi int32
+		names  int32
+		last   int // 1 + the index of the last capture naming the block
+	}
+	var (
+		at   = make(map[*colChunk]int32)
+		uses []use
+		// A side's views alternate between the open blocks of a few slot
+		// writers: the last two blocks looked up skip most map lookups.
+		memo [2]struct {
+			c *colChunk
+			k int32
+		}
+	)
+	sides := make(map[*sideCapture][]int32, 2*len(caps))
+	name := func(refs []int32, vs []view, ci int) []int32 {
+		for _, v := range vs {
+			var k int32
+			switch v.c {
+			case memo[0].c:
+				k = memo[0].k
+			case memo[1].c:
+				k = memo[1].k
+			default:
+				var ok bool
+				if k, ok = at[v.c]; !ok {
+					k = int32(len(uses))
+					at[v.c] = k
+					uses = append(uses, use{c: v.c, lo: v.lo, hi: v.hi})
+				}
+				memo[1], memo[0] = memo[0], memo[1]
+				memo[0].c, memo[0].k = v.c, k
+			}
+			u := &uses[k]
+			u.lo, u.hi = min(u.lo, v.lo), max(u.hi, v.hi)
+			if u.last != ci {
+				u.last = ci
+				u.names++
+			}
+			refs = append(refs, k)
+		}
+		return refs
+	}
+	for i, c := range caps {
+		for _, sc := range [2]*sideCapture{&c.r, &c.s} {
+			if sc.kind == snapIdxOrdered {
+				continue
+			}
+			refs := make([]int32, 0, len(sc.frozen)+len(sc.chunks))
+			if full {
+				refs = name(refs, sc.frozen, i+1)
+			}
+			sides[sc] = name(refs, sc.chunks, i+1)
+		}
+	}
+	t := &BlockTable{sides: sides, full: full}
+	entry := make([]int32, len(uses))
+	for k, u := range uses {
+		entry[k] = -1
+		if u.names >= 2 {
+			entry[k] = int32(len(t.entries))
+			t.entries = append(t.entries, view{c: u.c, lo: u.lo, hi: u.hi})
+		}
+	}
+	if len(t.entries) == 0 {
+		return nil
+	}
+	for _, refs := range sides {
+		for i, k := range refs {
+			refs[i] = entry[k]
+		}
+	}
+	return t
+}
+
+// Len reports the table's entries.
+func (t *BlockTable) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.entries)
+}
+
+// EntrySize is the exact length AppendEntry writes for entry i.
+func (t *BlockTable) EntrySize(i int) int { return 4 + blockSize(t.entries[i]) }
+
+// AppendEntry encodes entry i onto buf: the row its rows start at, then
+// its rows as one block record.
+func (t *BlockTable) AppendEntry(buf []byte, i int) []byte {
+	v := t.entries[i]
+	return appendBlock(appendU32(buf, uint32(v.lo)), v)
 }
 
 // sideSnap is one parsed index record of a snapshot payload, full or
@@ -513,10 +780,12 @@ func parseSide(r *snapReader) (sideSnap, error) {
 }
 
 // parseLocalPayload decodes one payload written by LocalCapture.AppendTo
-// into its two side records. The payload is self-delimiting, so bytes
-// past its end mean the framing around it is wrong.
-func parseLocalPayload(data []byte) (r, s sideSnap, err error) {
-	rd := &snapReader{data: data}
+// into its two side records, resolving its references in tab (nil: a
+// payload written without a block table). The payload is
+// self-delimiting, so bytes past its end mean the framing around it is
+// wrong.
+func parseLocalPayload(data []byte, tab *SharedTable) (r, s sideSnap, err error) {
+	rd := &snapReader{data: data, tab: tab}
 	v := rd.u8("snapshot version")
 	if rd.err == nil && v != localSnapVersion && v != localSnapVersionDelta {
 		return r, s, fmt.Errorf("join: unsupported local snapshot version %d", v)
@@ -617,25 +886,20 @@ func installSide(idx Index, rec sideSnap) error {
 // l, which must be freshly constructed (empty). A full payload later
 // in the chain simply supersedes everything before it.
 func (l *Local) LoadSnapshotChain(payloads [][]byte) error {
+	return l.LoadSharedChain(payloads, nil)
+}
+
+// LoadSharedChain is LoadSnapshotChain for payloads of operator
+// checkpoints with block tables: tables[i] resolves the references of
+// payloads[i] (nil: its checkpoint has none; a nil slice: none has).
+// Each view of a table entry's block is restored as a view of the one
+// block the entry decodes into, which every Local restored from the
+// same tables shares.
+func (l *Local) LoadSharedChain(payloads [][]byte, tables []*SharedTable) error {
 	if l.r.Len() != 0 || l.s.Len() != 0 {
 		return fmt.Errorf("join: LoadSnapshotChain target is not empty")
 	}
-	if len(payloads) == 0 {
-		return fmt.Errorf("join: empty snapshot chain")
-	}
-	rs := make([]sideSnap, len(payloads))
-	ss := make([]sideSnap, len(payloads))
-	for i, p := range payloads {
-		var err error
-		if rs[i], ss[i], err = parseLocalPayload(p); err != nil {
-			return err
-		}
-	}
-	rRec, err := spliceChain(rs)
-	if err != nil {
-		return err
-	}
-	sRec, err := spliceChain(ss)
+	rRec, sRec, err := resolveChain(payloads, tables)
 	if err != nil {
 		return err
 	}
@@ -643,6 +907,138 @@ func (l *Local) LoadSnapshotChain(payloads [][]byte) error {
 		return err
 	}
 	return installSide(l.s, sRec)
+}
+
+// resolveChain parses a base-first payload chain against its tables and
+// splices each side into one resolved record.
+func resolveChain(payloads [][]byte, tables []*SharedTable) (r, s sideSnap, err error) {
+	if len(payloads) == 0 {
+		return r, s, fmt.Errorf("join: empty snapshot chain")
+	}
+	if tables != nil && len(tables) != len(payloads) {
+		return r, s, fmt.Errorf("join: %d block tables for a chain of %d payloads", len(tables), len(payloads))
+	}
+	rs := make([]sideSnap, len(payloads))
+	ss := make([]sideSnap, len(payloads))
+	for i, p := range payloads {
+		var tab *SharedTable
+		if tables != nil {
+			tab = tables[i]
+		}
+		if rs[i], ss[i], err = parseLocalPayload(p, tab); err != nil {
+			return r, s, err
+		}
+	}
+	if r, err = spliceChain(rs); err != nil {
+		return r, s, err
+	}
+	s, err = spliceChain(ss)
+	return r, s, err
+}
+
+// SharedTable is the decode side of one checkpoint's block table
+// (BlockTable): its entries, checked and undecoded. An entry decodes on
+// the first install that names it, into one block that every later
+// install naming it views.
+type SharedTable struct {
+	entries []*sharedEntry
+}
+
+// sharedEntry is one table entry: rows [lo, hi) of a block, as one
+// block record.
+type sharedEntry struct {
+	lo, hi int32
+	rec    blockRecord
+	// named reports that a payload of the entry's own checkpoint names
+	// it (Name); sharers counts the stores that view it once their
+	// chains are spliced (CountSharers).
+	named   bool
+	sharers int32
+	once    sync.Once
+	c       *colChunk
+}
+
+// ReadEntry parses one table entry as AppendEntry wrote it and appends
+// it to t.
+func (t *SharedTable) ReadEntry(data []byte) error {
+	r := &snapReader{data: data}
+	lo := r.u32("table entry row")
+	rec, fill := readBlock(r)
+	if r.err != nil {
+		return r.err
+	}
+	if int64(lo)+int64(fill) > arenaChunk {
+		return fmt.Errorf("join: block table entry holds rows [%d, %d) of a %d-row block", lo, int64(lo)+int64(fill), arenaChunk)
+	}
+	if r.off != len(data) {
+		return fmt.Errorf("join: block table entry has %d trailing bytes", len(data)-r.off)
+	}
+	t.entries = append(t.entries, &sharedEntry{lo: int32(lo), hi: int32(lo) + int32(fill), rec: rec})
+	return nil
+}
+
+// Name checks every reference of payload, a Local payload of t's own
+// checkpoint, against t and marks the entries it names.
+func (t *SharedTable) Name(payload []byte) error {
+	r, s, err := parseLocalPayload(payload, t)
+	if err != nil {
+		return err
+	}
+	for _, side := range [2]sideSnap{r, s} {
+		for _, b := range side.blocks {
+			if b.shared != nil {
+				b.shared.named = true
+			}
+		}
+	}
+	return nil
+}
+
+// CheckNamed fails when some entry of t is named by no payload Name
+// was given: a table entry no joiner of its checkpoint references.
+func (t *SharedTable) CheckNamed() error {
+	for i, e := range t.entries {
+		if !e.named {
+			return fmt.Errorf("join: block table entry %d of %d is referenced by no store", i, len(t.entries))
+		}
+	}
+	return nil
+}
+
+// CountSharers resolves one store's payload chain against its tables
+// (see LoadSharedChain) and adds the store as a sharer of every entry
+// a view of its resolved state names — once per side that names it.
+// Counting every store of a checkpoint before any is installed gives
+// each restored block the fan-out it is shared by.
+func CountSharers(payloads [][]byte, tables []*SharedTable) error {
+	r, s, err := resolveChain(payloads, tables)
+	if err != nil {
+		return err
+	}
+	for _, side := range [2]sideSnap{r, s} {
+		seen := map[*sharedEntry]bool{}
+		for _, b := range side.blocks {
+			if e := b.shared; e != nil && !seen[e] {
+				seen[e] = true
+				e.sharers++
+			}
+		}
+	}
+	return nil
+}
+
+// block returns the entry's block, decoding it on the first call: the
+// entry's rows at their own row numbers, for max(sharers, 1) stores.
+func (e *sharedEntry) block() *colChunk {
+	e.once.Do(func() {
+		c := newChunk(e.rec.payloads != nil, max(e.sharers, 1))
+		p := e.rec.payloads
+		for i := int32(0); i < e.hi-e.lo; i++ {
+			p = decodeRow(c, e.lo+i, e.rec.cols[i*tupleBytes:(i+1)*tupleBytes], p)
+		}
+		e.c = c
+	})
+	return e.c
 }
 
 // SnapshotSeqs appends the sequence number of every stored non-dummy

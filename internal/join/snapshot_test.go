@@ -41,7 +41,7 @@ func storedMultiset(l *Local) map[snapTupleKey]int {
 // barrier with no earlier watermark captures and encodes it.
 func encodeLocal(l *Local) []byte {
 	c, _, _ := l.Capture(nil)
-	return c.AppendTo(nil)
+	return c.AppendTo(nil, nil)
 }
 
 // loadLocal installs one full payload into l.

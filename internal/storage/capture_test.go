@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/join"
 	"repro/internal/matrix"
 )
 
@@ -55,7 +56,7 @@ func TestCaptureThenMutate(t *testing.T) {
 				rounds := 0
 				for {
 					for j := range captured {
-						if got := captured[j].Capture.AppendTo(nil); !bytes.Equal(got, want[j]) {
+						if got := captured[j].Capture.AppendTo(nil, nil); !bytes.Equal(got, want[j]) {
 							result <- fmt.Sprintf("store %d: capture drifted after %d encodes", j, rounds)
 							return
 						}
@@ -84,7 +85,7 @@ func TestCaptureThenMutate(t *testing.T) {
 			}
 			for j, s := range stores {
 				c, _, _ := s.Capture(nil)
-				if c.Size() == len(want[j]) {
+				if c.Size(nil) == len(want[j]) {
 					t.Fatalf("store %d did not change under the capture", j)
 				}
 			}
@@ -98,41 +99,118 @@ func TestCaptureThenMutate(t *testing.T) {
 // Retain that invalidates the watermarks mid-chain — a delta capture's
 // FullSize equals the length of a full capture taken at the same
 // state, and OperatorSnapshot.FullSize equals the length of the blob
-// the full captures encode to.
+// the full captures encode to. In the shared case three stores view the
+// same writers' windows, so the blob writes those blocks once, in its
+// block table, and FullSize must count them once too.
 func TestCaptureFullSizeMatchesFullEncoding(t *testing.T) {
-	stores := ckptFixtureStores(t.TempDir())
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-	wms := make([]*StoreWatermark, len(stores))
-	from := 0
-	for step, to := range []int{300, 700, 1100, 1400, 2000} {
-		ckptFixtureFeed(stores, from, to)
-		from = to
-		if step == 3 {
-			for _, s := range stores {
-				s.Retain(matrix.SideR, matrix.Top{Shift: 63, Val: 0})
+	for _, shared := range []bool{false, true} {
+		t.Run(map[bool]string{false: "private", true: "shared"}[shared], func(t *testing.T) {
+			stores := ckptFixtureStores(t.TempDir())
+			feed := func(from, to int) { ckptFixtureFeed(stores, from, to) }
+			if shared {
+				stores = sharedFixtureStores()
+				var ws sharedFixtureWriters
+				feed = func(from, to int) { ws.feed(stores, from, to) }
 			}
-		}
-		var delta, full []JoinerSnapshot
-		for i, s := range stores {
-			c, next, _ := s.Capture(wms[i])
-			whole, _, _ := s.Capture(nil)
-			if got, want := c.FullSize(), whole.Size(); got != want {
-				t.Fatalf("step %d store %d: delta capture measures a full one at %d B, it is %d B", step, i, got, want)
+			defer func() {
+				for _, s := range stores {
+					s.Close()
+				}
+			}()
+			wms := make([]*StoreWatermark, len(stores))
+			from := 0
+			for step, to := range []int{300, 700, 1100, 1400, 2000} {
+				feed(from, to)
+				from = to
+				if step == 3 {
+					for _, s := range stores {
+						s.Retain(matrix.SideR, matrix.Top{Shift: 63, Val: 0})
+					}
+				}
+				var delta, full []JoinerSnapshot
+				for i, s := range stores {
+					c, next, _ := s.Capture(wms[i])
+					whole, _, _ := s.Capture(nil)
+					if got, want := c.FullSize(nil), whole.Size(nil); got != want {
+						t.Fatalf("step %d store %d: delta capture measures a full one at %d B, it is %d B", step, i, got, want)
+					}
+					if whole.FullSize(nil) != whole.Size(nil) {
+						t.Fatalf("step %d store %d: full capture measures itself at %d B, it is %d B", step, i, whole.FullSize(nil), whole.Size(nil))
+					}
+					delta = append(delta, JoinerSnapshot{ID: i, Capture: c})
+					full = append(full, JoinerSnapshot{ID: i, Capture: whole})
+					wms[i] = &next
+				}
+				id := uint64(step + 1)
+				blob := ckptFixtureSnapshot(id, 0, full).Encode()
+				if got, want := ckptFixtureSnapshot(id, id-1, delta).FullSize(), len(blob); got != want {
+					t.Fatalf("step %d: snapshot measures a full blob at %d B, it is %d B", step, got, want)
+				}
+				if got, want := ckptFixtureSnapshot(id, 0, full).FullSize(), len(blob); got != want {
+					t.Fatalf("step %d: full snapshot measures itself at %d B, it is %d B", step, got, want)
+				}
+				if tabled := blobHasTable(t, blob); tabled != shared {
+					t.Fatalf("step %d: blob has a block table: %v, want %v", step, tabled, shared)
+				}
 			}
-			if whole.FullSize() != whole.Size() {
-				t.Fatalf("step %d store %d: full capture measures itself at %d B, it is %d B", step, i, whole.FullSize(), whole.Size())
-			}
-			delta = append(delta, JoinerSnapshot{ID: i, Capture: c})
-			full = append(full, JoinerSnapshot{ID: i, Capture: whole})
-			wms[i] = &next
+		})
+	}
+}
+
+// sharedFixtureStores builds four equi stores for the shared fixture:
+// the first three view the same windows, as the joiners of a grid row
+// do, and the fourth copies every tuple through its own writer.
+func sharedFixtureStores() []*Store {
+	stores := make([]*Store, 4)
+	for i := range stores {
+		stores[i] = NewStore(join.EquiJoin("fx-shared", nil), Config{})
+	}
+	return stores
+}
+
+// sharedFixtureWriters are the shared fixture's two slot writers, one
+// per side.
+type sharedFixtureWriters [2]join.BlockWriter
+
+// feed writes tuples [from, to) of the fixture stream (ckptFixtureTuple)
+// side by side, in runs of up to five, through the side's writer, and
+// stores each run as a view of its window in the first three stores and
+// as a copy in the last.
+func (ws *sharedFixtureWriters) feed(stores []*Store, from, to int) {
+	var runs [2][]join.Tuple
+	for i := from; i < to; i++ {
+		tp := ckptFixtureTuple(i)
+		runs[tp.Rel] = append(runs[tp.Rel], tp)
+	}
+	for side, ts := range runs {
+		bw := &ws[side]
+		if !bw.Shared() {
+			bw.Reset(len(stores)-1, false)
 		}
-		id := uint64(step + 1)
-		if got, want := ckptFixtureSnapshot(id, id-1, delta).FullSize(), len(ckptFixtureSnapshot(id, 0, full).Encode()); got != want {
-			t.Fatalf("step %d: snapshot measures a full blob at %d B, it is %d B", step, got, want)
+		for len(ts) > 0 {
+			run := ts[:min(5, len(ts))]
+			ts = ts[len(run):]
+			w := bw.AppendRun(run)
+			for _, s := range stores[:len(stores)-1] {
+				s.InsertWindow(run, w)
+			}
+			stores[len(stores)-1].InsertBatch(run)
 		}
 	}
+}
+
+// blobHasTable reports whether a checkpoint blob holds a blocks record.
+func blobHasTable(t testing.TB, blob []byte) bool {
+	t.Helper()
+	for off := 0; off < len(blob); {
+		typ, _, next, err := nextRecord(blob, off)
+		if err != nil {
+			t.Fatalf("blob: %v", err)
+		}
+		if typ == recBlocks {
+			return true
+		}
+		off = next
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -507,4 +508,212 @@ func TestFileBackendTransientReadErrorIsNotCorrupt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sharedFixtureChain feeds the shared fixture's stores (see
+// sharedFixtureWriters) and returns them with the blobs of a full
+// checkpoint after fixtureFullN tuples and a delta on it after
+// fixtureDeltaN, generations 1 and 2.
+func sharedFixtureChain(t testing.TB) (stores []*Store, full, delta []byte) {
+	t.Helper()
+	stores = sharedFixtureStores()
+	var ws sharedFixtureWriters
+	ws.feed(stores, 0, fixtureFullN)
+	joiners := make([]JoinerSnapshot, len(stores))
+	wms := make([]StoreWatermark, len(stores))
+	for j, s := range stores {
+		var c *StoreCapture
+		c, wms[j], _ = s.Capture(nil)
+		joiners[j] = JoinerSnapshot{ID: j, Emitted: int64(j), Capture: c}
+	}
+	full = ckptFixtureSnapshot(1, 0, joiners).Encode()
+	ws.feed(stores, fixtureFullN, fixtureDeltaN)
+	for j, s := range stores {
+		c, _, _ := s.Capture(&wms[j])
+		joiners[j] = JoinerSnapshot{ID: j, Emitted: int64(j), Capture: c}
+	}
+	delta = ckptFixtureSnapshot(2, 1, joiners).Encode()
+	if !blobHasTable(t, full) || !blobHasTable(t, delta) {
+		t.Fatal("shared fixture blobs have no block table")
+	}
+	return stores, full, delta
+}
+
+// TestSharedBlocksRestoreShared restores the shared fixture's chain: every
+// store must hold what it held at the delta's barrier, and the three
+// stores that viewed the same windows must view the same restored
+// blocks again, each block counting its three viewers as sharers.
+func TestSharedBlocksRestoreShared(t *testing.T) {
+	stores, full, delta := sharedFixtureChain(t)
+	snap, err := DecodeOperatorSnapshotChain([]Blob{{Gen: 1, Data: full}, {Gen: 2, Data: delta}})
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	restored := sharedFixtureStores()
+	for j, js := range snap.Joiners {
+		if err := js.Restore(restored[j]); err != nil {
+			t.Fatalf("store %d: restore: %v", j, err)
+		}
+		diffCounts(t, fmt.Sprintf("store %d", j), storeCounts(restored[j]), storeCounts(stores[j]))
+	}
+	for _, side := range []matrix.Side{matrix.SideR, matrix.SideS} {
+		blocks := map[any]int{}
+		for j, s := range restored[:3] {
+			for _, v := range s.Views(side) {
+				if v.Sharers != 3 {
+					t.Fatalf("store %d side %v views a restored block of %d sharers, want 3", j, side, v.Sharers)
+				}
+				blocks[v.Block] |= 1 << j
+			}
+		}
+		for _, seen := range blocks {
+			if seen != 0b111 {
+				t.Fatalf("side %v: a restored block is viewed by stores %03b, want all three", side, seen)
+			}
+		}
+		for _, v := range restored[3].Views(side) {
+			if blocks[v.Block] != 0 || v.Sharers != 1 {
+				t.Fatalf("side %v: the private store views a shared block", side)
+			}
+		}
+	}
+	for _, s := range append(stores, restored...) {
+		s.Close()
+	}
+}
+
+// rewriteRecord returns a copy of blob whose n-th record of type typ
+// carries edit(payload) as its payload, framed and checksummed anew.
+func rewriteRecord(t *testing.T, blob []byte, typ byte, n int, edit func(p []byte) []byte) []byte {
+	t.Helper()
+	var out []byte
+	for off := 0; off < len(blob); {
+		rt, payload, next, err := nextRecord(blob, off)
+		if err != nil {
+			t.Fatalf("blob: %v", err)
+		}
+		if rt == typ {
+			if n == 0 {
+				payload = edit(append([]byte(nil), payload...))
+			}
+			n--
+		}
+		out = appendRecord(out, rt, payload)
+		off = next
+	}
+	if n >= 0 {
+		t.Fatalf("blob has no record %d of type %d", n, typ)
+	}
+	return out
+}
+
+// appendRecord frames payload as a record of type typ onto buf.
+func appendRecord(buf []byte, typ byte, payload []byte) []byte {
+	rec := make([]byte, recFrame+len(payload))
+	putRecord(rec, typ, func(p []byte) []byte { return append(p, payload...) })
+	return append(buf, rec...)
+}
+
+// Offsets into the shared fixture's records: the first block record of
+// joiner 0's R side — a reference, since the store's first R view is of
+// a shared block — behind the joiner head, the store payload's kind and
+// memory length, the Local payload's version and the side's kind, byte
+// volume and block count; and an entry's fill in a blocks record,
+// behind the entry's first row.
+const (
+	refAt       = joinerHead + 1 + 4 + 1 + 1 + 8 + 4
+	refEntryAt  = refAt + 4 + 1
+	refRowAt    = refEntryAt + 4
+	entryFillAt = 4
+)
+
+// TestDecodeSnapshotBadBlockReferences corrupts the block table of a
+// checkpoint and its references, each record re-checksummed so only
+// the cross-record check can see it: every case must fail decode with
+// ErrCorrupt, never panic, and a chain must fail before any joiner is
+// built.
+func TestDecodeSnapshotBadBlockReferences(t *testing.T) {
+	stores, full, delta := sharedFixtureChain(t)
+	for _, s := range stores {
+		s.Close()
+	}
+	joiner0 := func(edit func(p []byte)) []byte {
+		return rewriteRecord(t, full, recJoiner, 0, func(p []byte) []byte {
+			if p[refAt+4] != 2 {
+				t.Fatalf("joiner 0's first R block record has flag %d, not a reference", p[refAt+4])
+			}
+			edit(p)
+			return p
+		})
+	}
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"reference past the table", joiner0(func(p []byte) {
+			binary.LittleEndian.PutUint32(p[refEntryAt:], 1<<20)
+		})},
+		{"row range outside its entry", joiner0(func(p []byte) {
+			binary.LittleEndian.PutUint32(p[refRowAt:], 510)
+		})},
+		{"empty table entry", rewriteRecord(t, full, recBlocks, 0, func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p[entryFillAt:], 0)
+			return p
+		})},
+		{"table record no joiner names", func() []byte {
+			// A second copy of the first blocks record: its entry follows
+			// the table's, and no reference names it.
+			var blocks []byte
+			rewriteRecord(t, full, recBlocks, 0, func(p []byte) []byte { blocks = p; return p })
+			out := rewriteRecord(t, full, recTrailer, 0, func(p []byte) []byte {
+				binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)+1)
+				return p
+			})
+			return append(appendRecord(nil, recBlocks, blocks), out...)
+		}()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DecodeOperatorSnapshot(1, tc.blob)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode: error %v does not wrap ErrCorrupt", err)
+			}
+			_, err = DecodeOperatorSnapshotChain([]Blob{{Gen: 1, Data: tc.blob}, {Gen: 2, Data: delta}})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("chain decode: error %v does not wrap ErrCorrupt", err)
+			}
+		})
+	}
+	t.Run("reference without a table", func(t *testing.T) {
+		// Drop the blocks record and fix the trailer count. The blob
+		// decodes, having no table to check the joiner records against;
+		// a joiner whose record still references the table fails its
+		// restore.
+		var blob []byte
+		n := 0
+		for off := 0; off < len(full); {
+			typ, payload, next, err := nextRecord(full, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != recBlocks {
+				blob = appendRecord(blob, typ, payload)
+				n++
+			}
+			off = next
+		}
+		blob = rewriteRecord(t, blob, recTrailer, 0, func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p, uint32(n))
+			return p
+		})
+		snap, err := DecodeOperatorSnapshotChain([]Blob{{Gen: 1, Data: blob}})
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		s := NewStore(join.EquiJoin("eq", nil), Config{})
+		defer s.Close()
+		if err := snap.Joiners[0].Restore(s); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("restore: error %v does not wrap ErrCorrupt", err)
+		}
+	})
 }

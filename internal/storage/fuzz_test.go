@@ -17,13 +17,21 @@ import (
 // bytes under an arbitrary committed id: a checkpoint blob read back
 // from a backend. It must return an error or a snapshot, never panic;
 // every joiner state of a snapshot it accepts must in turn restore
-// into a store or fail with an error.
+// into a store, through the blob's block table, or fail with an error.
+// The seeds include the shared fixture's blobs, whose joiner records
+// reference a block table.
 func FuzzDecodeOperatorSnapshot(f *testing.F) {
 	for id, name := range map[uint64]string{1: "parent_full.ckpt", 2: "parent_delta.ckpt"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
 			f.Add(id, data)
 		}
 	}
+	stores, full, delta := sharedFixtureChain(f)
+	for _, s := range stores {
+		s.Close()
+	}
+	f.Add(uint64(1), full)
+	f.Add(uint64(2), delta)
 	f.Add(uint64(0), []byte{})
 	pred := join.EquiJoin("fuzz", nil)
 	f.Fuzz(func(t *testing.T, id uint64, data []byte) {
@@ -36,7 +44,7 @@ func FuzzDecodeOperatorSnapshot(f *testing.F) {
 		}
 		for _, j := range snap.Joiners {
 			s := NewStore(pred, Config{})
-			_ = s.RestoreSnapshot(j.State)
+			_ = j.Restore(s)
 			_ = s.Close()
 		}
 	})

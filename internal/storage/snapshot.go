@@ -27,9 +27,20 @@ import (
 //	         source lanes, writes it empty (format unchanged)
 //	cuts     per-reshuffler consumed-item counts at the barrier
 //	         (the replay-buffer trim cursors)
+//	blocks   one per entry of the block table, which holds every block
+//	         two or more joiners name, once: the entry's first row and
+//	         its rows as one block record
 //	joiner   one per joiner: id, emitted-pair count at the barrier,
-//	         store state (arena blocks + spilled records)
+//	         store state (arena blocks + spilled records); a view of a
+//	         tabled block is a reference (table entry, first row, row
+//	         count), not its column bytes
 //	trailer  total record count
+//
+// A checkpoint without a shared block has no blocks record, and its
+// joiner records are exactly the payloads Store.AppendSnapshotSince
+// writes. Every reference must name rows of an entry of its own
+// blob's table, and every entry must be referenced, or the blob fails
+// decode like a torn one.
 //
 // A record that fails its CRC, a missing trailer, or an id that does
 // not match the manifest all fail decode with an error wrapping
@@ -50,6 +61,7 @@ const (
 	recCuts    = 4
 	recJoiner  = 5
 	recTrailer = 6
+	recBlocks  = 7
 )
 
 // LaneCursor is one source lane's private sequence-grant window at the
@@ -79,6 +91,21 @@ type JoinerSnapshot struct {
 	// fills it; a single-generation decode leaves it nil and State is
 	// the full story.
 	StateChain [][]byte
+	// tables are the block tables that resolve the references of
+	// StateChain's payloads, one per payload (nil where its checkpoint
+	// has none), or of State alone after a single-generation decode.
+	tables []*join.SharedTable
+}
+
+// Restore installs the joiner's decoded state — StateChain, or State
+// after a single-generation decode — into s, which must be freshly
+// constructed. A block its checkpoint chain tabled is restored as one
+// block shared by every joiner of the snapshot that views it.
+func (j *JoinerSnapshot) Restore(s *Store) error {
+	if j.StateChain == nil {
+		return s.restoreChain([][]byte{j.State}, j.tables)
+	}
+	return s.restoreChain(j.StateChain, j.tables)
 }
 
 // OperatorSnapshot is a decoded checkpoint: everything needed to
@@ -102,6 +129,8 @@ type OperatorSnapshot struct {
 	Lanes     []LaneCursor
 	Cuts      []int64 // per-reshuffler replay trim cursors
 	Joiners   []JoinerSnapshot
+	// blocks is a decoded blob's block table, nil when it has none.
+	blocks *join.SharedTable
 }
 
 // recFrame is a record's framing ahead of its payload: u32 len, u32
@@ -126,39 +155,61 @@ func putRecord(rec []byte, typ byte, fill func([]byte) []byte) {
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
 }
 
-// stateSize is the length of the joiner's store payload.
-func (j *JoinerSnapshot) stateSize() int {
+// stateSize is the length of the joiner's store payload in a checkpoint
+// with block table t.
+func (j *JoinerSnapshot) stateSize(t *join.BlockTable) int {
 	if j.Capture != nil {
-		return j.Capture.Size()
+		return j.Capture.Size(t)
 	}
 	return len(j.State)
 }
 
 // putRecord writes the joiner's record into rec, sized for it.
-func (j *JoinerSnapshot) putRecord(rec []byte) {
+func (j *JoinerSnapshot) putRecord(rec []byte, t *join.BlockTable) {
 	putRecord(rec, recJoiner, func(p []byte) []byte {
 		p = binary.LittleEndian.AppendUint32(p, uint32(j.ID))
 		p = binary.LittleEndian.AppendUint64(p, uint64(j.Emitted))
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(rec)-recFrame-joinerHead))
 		if j.Capture != nil {
-			return j.Capture.AppendTo(p)
+			return j.Capture.AppendTo(p, t)
 		}
 		return append(p, j.State...)
 	})
 }
 
-// Encode serializes the snapshot into one blob. Every record is sized
-// first, so the blob is allocated once at its exact length and each
-// record — joiner stores included — is written in place; the joiner
-// records occupy disjoint, precomputed regions and are encoded in
-// parallel. The returned blob is never reused by the encoder.
+// blockTable tables the blocks two or more of the joiners' captures
+// name (join.NewBlockTable): in the records the captures write, or in
+// a full record of their state when full.
+func (s *OperatorSnapshot) blockTable(full bool) *join.BlockTable {
+	caps := make([]*join.LocalCapture, 0, len(s.Joiners))
+	for i := range s.Joiners {
+		if c := s.Joiners[i].Capture; c != nil {
+			caps = append(caps, &c.mem)
+		}
+	}
+	return join.NewBlockTable(caps, full)
+}
+
+// Encode serializes the snapshot into one blob. The joiners' views are
+// collected into a block table first, so a block several joiners share
+// is written once. Every record is sized next, so the blob is allocated
+// once at its exact length and each record — table and joiner stores
+// included — is written in place; the table and joiner records occupy
+// disjoint, precomputed regions and are encoded in parallel. The
+// returned blob is never reused by the encoder.
 func (s *OperatorSnapshot) Encode() []byte {
+	tab := s.blockTable(false)
+	entries := tab.Len()
 	fixed := s.fixedLens()
 	total := s.frameSize()
-	joinerLen := make([]int, len(s.Joiners))
+	regionLen := make([]int, 0, entries+len(s.Joiners))
+	for i := range entries {
+		regionLen = append(regionLen, recFrame+tab.EntrySize(i))
+		total += recFrame + tab.EntrySize(i)
+	}
 	for i := range s.Joiners {
-		n := s.Joiners[i].stateSize()
-		joinerLen[i] = recFrame + joinerHead + n
+		n := s.Joiners[i].stateSize(tab)
+		regionLen = append(regionLen, recFrame+joinerHead+n)
 		total += n
 	}
 	blob := make([]byte, total)
@@ -203,15 +254,21 @@ func (s *OperatorSnapshot) Encode() []byte {
 		}
 		return p
 	})
-	recs := make([][]byte, len(s.Joiners))
-	for i, n := range joinerLen {
+	recs := make([][]byte, len(regionLen))
+	for i, n := range regionLen {
 		recs[i] = next(n)
 	}
 	putRecord(next(recFrame+4), recTrailer, func(p []byte) []byte {
-		// header + meta + lanes + cuts + joiners + trailer itself
-		return binary.LittleEndian.AppendUint32(p, uint32(5+len(s.Joiners)))
+		// header + meta + lanes + cuts + blocks + joiners + trailer itself
+		return binary.LittleEndian.AppendUint32(p, uint32(5+len(recs)))
 	})
-	s.putJoiners(recs)
+	putRegions(len(recs), func(i int) {
+		if i < entries {
+			putRecord(recs[i], recBlocks, func(p []byte) []byte { return tab.AppendEntry(p, i) })
+		} else {
+			s.Joiners[i-entries].putRecord(recs[i], tab)
+		}
+	})
 	return blob
 }
 
@@ -226,8 +283,9 @@ func (s *OperatorSnapshot) fixedLens() [4]int {
 	}
 }
 
-// frameSize is the blob's length outside the joiners' store payloads:
-// every fixed record, each joiner record's frame and head, the trailer.
+// frameSize is the blob's length outside the block table and the
+// joiners' store payloads: every fixed record, each joiner record's
+// frame and head, the trailer.
 func (s *OperatorSnapshot) frameSize() int {
 	total := recFrame + 4 // trailer
 	for _, n := range s.fixedLens() {
@@ -238,13 +296,18 @@ func (s *OperatorSnapshot) frameSize() int {
 
 // FullSize is the exact length Encode would return had every joiner
 // captured its store in full at this barrier — the live bytes of the
-// checkpointed state. It encodes nothing: a capture knows its full size
-// in O(blocks). A joiner record without a capture counts its State.
+// checkpointed state, each block its joiners share counted once. It
+// encodes nothing: a capture knows its full size in O(blocks). A joiner
+// record without a capture counts its State.
 func (s *OperatorSnapshot) FullSize() int {
+	tab := s.blockTable(true)
 	total := s.frameSize()
+	for i := range tab.Len() {
+		total += recFrame + tab.EntrySize(i)
+	}
 	for i := range s.Joiners {
 		if c := s.Joiners[i].Capture; c != nil {
-			total += c.FullSize()
+			total += c.FullSize(tab)
 		} else {
 			total += len(s.Joiners[i].State)
 		}
@@ -252,14 +315,15 @@ func (s *OperatorSnapshot) FullSize() int {
 	return total
 }
 
-// putJoiners writes every joiner record into its region of the blob
-// over min(J, GOMAXPROCS) goroutines. A panic in one of them (a capture
-// whose encoding disagrees with its size) re-raises on the caller.
-func (s *OperatorSnapshot) putJoiners(recs [][]byte) {
+// putRegions runs put(i) for every i < n over min(n, GOMAXPROCS)
+// goroutines: each writes one record into its region of the blob. A
+// panic in one of them (a capture whose encoding disagrees with its
+// size) re-raises on the caller.
+func putRegions(n int, put func(i int)) {
 	var next atomic.Int64
 	var failed atomic.Pointer[any]
 	var wg sync.WaitGroup
-	for w := min(len(recs), runtime.GOMAXPROCS(0)); w > 0; w-- {
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -268,8 +332,8 @@ func (s *OperatorSnapshot) putJoiners(recs [][]byte) {
 					failed.CompareAndSwap(nil, &p)
 				}
 			}()
-			for i := int(next.Add(1) - 1); i < len(recs); i = int(next.Add(1) - 1) {
-				s.Joiners[i].putRecord(recs[i])
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				put(i)
 			}
 		}()
 	}
@@ -417,6 +481,14 @@ func DecodeOperatorSnapshot(id uint64, data []byte) (*OperatorSnapshot, error) {
 				return nil, corruptf("checkpoint joiner record truncated")
 			}
 			s.Joiners = append(s.Joiners, j)
+		case recBlocks:
+			if s.blocks == nil {
+				s.blocks = &join.SharedTable{}
+			}
+			// Held past decode, like a joiner's State: a copy.
+			if err := s.blocks.ReadEntry(append([]byte(nil), payload...)); err != nil {
+				return nil, fmt.Errorf("storage: checkpoint blocks record: %w: %w", err, ErrCorrupt)
+			}
 		case recTrailer:
 			want := int(r.u32())
 			if r.bad || want != count {
@@ -446,7 +518,35 @@ func DecodeOperatorSnapshot(id uint64, data []byte) (*OperatorSnapshot, error) {
 	if len(s.Joiners) != len(s.Table) {
 		return nil, corruptf("checkpoint has %d joiner records for %d cells", len(s.Joiners), len(s.Table))
 	}
+	if err := s.checkBlocks(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// checkBlocks validates the blob's block table against its joiner
+// records, before any joiner is built: every reference must name rows
+// of a table entry, and every entry must be named. It hands each joiner
+// the table.
+func (s *OperatorSnapshot) checkBlocks() error {
+	if s.blocks == nil {
+		return nil
+	}
+	for i := range s.Joiners {
+		j := &s.Joiners[i]
+		j.tables = []*join.SharedTable{s.blocks}
+		mem, err := storeMem(j.State)
+		if err != nil {
+			return err
+		}
+		if err := s.blocks.Name(mem); err != nil {
+			return fmt.Errorf("storage: checkpoint joiner %d: %w: %w", j.ID, err, ErrCorrupt)
+		}
+	}
+	if err := s.blocks.CheckNamed(); err != nil {
+		return fmt.Errorf("storage: checkpoint blocks record: %w: %w", err, ErrCorrupt)
+	}
+	return nil
 }
 
 // DecodeOperatorSnapshotChain decodes a base-first blob chain as
@@ -477,19 +577,43 @@ func DecodeOperatorSnapshotChain(blobs []Blob) (*OperatorSnapshot, error) {
 				snaps[i].ID, snaps[i].BaseID, snaps[i-1].ID)
 		}
 	}
+	shared := false
+	for _, s := range snaps {
+		shared = shared || s.blocks != nil
+	}
 	head := snaps[len(snaps)-1]
 	for ji := range head.Joiners {
 		j := &head.Joiners[ji]
 		var chain [][]byte
+		var tables []*join.SharedTable
 		for _, s := range snaps {
 			for k := range s.Joiners {
 				if s.Joiners[k].ID == j.ID {
 					chain = append(chain, s.Joiners[k].State)
+					tables = append(tables, s.blocks)
 					break
 				}
 			}
 		}
 		j.StateChain = chain
+		j.tables = nil
+		if !shared {
+			continue
+		}
+		// Every joiner is counted before any is restored, so each
+		// surviving table entry decodes into a block whose fan-out is
+		// the number of joiners that view it.
+		j.tables = tables
+		mems := make([][]byte, len(chain))
+		for i, p := range chain {
+			var err error
+			if mems[i], err = storeMem(p); err != nil {
+				return nil, err
+			}
+		}
+		if err := join.CountSharers(mems, tables); err != nil {
+			return nil, fmt.Errorf("storage: checkpoint chain joiner %d: %w: %w", j.ID, err, ErrCorrupt)
+		}
 	}
 	return head, nil
 }
@@ -614,9 +738,9 @@ func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermar
 	return c, next, full
 }
 
-// Size is the exact length AppendTo writes.
-func (c *StoreCapture) Size() int {
-	n := 1 + 4 + c.mem.Size()
+// Size is the exact length AppendTo writes with block table t.
+func (c *StoreCapture) Size(t *join.BlockTable) int {
+	n := 1 + 4 + c.mem.Size(t)
 	for _, sc := range c.spill {
 		n += 4 + len(sc.recs)
 		if c.kind == storeSnapDelta {
@@ -626,11 +750,12 @@ func (c *StoreCapture) Size() int {
 	return n
 }
 
-// FullSize is the exact length AppendTo would write had the capture been
-// full: the memory tier's LocalCapture.FullSize plus every spilled
-// record. It encodes nothing.
-func (c *StoreCapture) FullSize() int {
-	n := 1 + 4 + c.mem.FullSize()
+// FullSize is the exact length AppendTo would write with block table
+// t, built over full views, had the capture been full: the memory
+// tier's LocalCapture.FullSize plus every spilled record. It encodes
+// nothing.
+func (c *StoreCapture) FullSize(t *join.BlockTable) int {
+	n := 1 + 4 + c.mem.FullSize(t)
 	for _, sc := range c.spill {
 		n += 4 + int(sc.full)
 	}
@@ -638,11 +763,13 @@ func (c *StoreCapture) FullSize() int {
 }
 
 // AppendTo encodes the captured payload onto buf, in the store payload
-// framing above, and returns the extended slice.
-func (c *StoreCapture) AppendTo(buf []byte) []byte {
+// framing above, and returns the extended slice. The memory tier
+// writes each view of a block t tables as a reference (nil t: the
+// payload stands alone, as AppendSnapshotSince writes it).
+func (c *StoreCapture) AppendTo(buf []byte, t *join.BlockTable) []byte {
 	buf = append(buf, c.kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.mem.Size()))
-	buf = c.mem.AppendTo(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.mem.Size(t)))
+	buf = c.mem.AppendTo(buf, t)
 	for _, sc := range c.spill {
 		if c.kind == storeSnapDelta {
 			buf = binary.LittleEndian.AppendUint32(buf, sc.prev)
@@ -657,7 +784,7 @@ func (c *StoreCapture) AppendTo(buf []byte) []byte {
 // goroutine: the payload a checkpoint of this store would commit.
 func (s *Store) AppendSnapshotSince(buf []byte, wm *StoreWatermark) (out []byte, next StoreWatermark, full bool) {
 	c, next, full := s.Capture(wm)
-	return c.AppendTo(slices.Grow(buf, c.Size())), next, full
+	return c.AppendTo(slices.Grow(buf, c.Size(nil)), nil), next, full
 }
 
 // storeSnap is one parsed store payload, held decoded so a chain can
@@ -672,22 +799,29 @@ type storeSnap struct {
 	recs [2][]join.Tuple
 }
 
-func parseStoreSnapshot(data []byte) (storeSnap, error) {
-	var ss storeSnap
+// storeMem returns the memory-tier payload of a store payload.
+func storeMem(data []byte) ([]byte, error) {
 	if len(data) < 5 {
-		return ss, corruptf("store snapshot truncated (%d bytes)", len(data))
+		return nil, corruptf("store snapshot truncated (%d bytes)", len(data))
 	}
-	ss.kind = data[0]
-	if ss.kind != storeSnapFull && ss.kind != storeSnapDelta {
-		return ss, corruptf("store snapshot has unknown kind %d", ss.kind)
+	if kind := data[0]; kind != storeSnapFull && kind != storeSnapDelta {
+		return nil, corruptf("store snapshot has unknown kind %d", kind)
 	}
 	memLen := int(binary.LittleEndian.Uint32(data[1:]))
-	off := 5
-	if memLen < 0 || off+memLen > len(data) {
-		return ss, corruptf("store snapshot memory tier claims %d bytes, %d remain", memLen, len(data)-off)
+	if memLen < 0 || 5+memLen > len(data) {
+		return nil, corruptf("store snapshot memory tier claims %d bytes, %d remain", memLen, len(data)-5)
 	}
-	ss.mem = data[off : off+memLen]
-	off += memLen
+	return data[5 : 5+memLen], nil
+}
+
+func parseStoreSnapshot(data []byte) (storeSnap, error) {
+	var ss storeSnap
+	mem, err := storeMem(data)
+	if err != nil {
+		return ss, err
+	}
+	ss.kind, ss.mem = data[0], mem
+	off := 5 + len(mem)
 	for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
 		var cnt int
 		if ss.kind == storeSnapDelta {
@@ -743,6 +877,12 @@ func (s *Store) RestoreSnapshot(data []byte) error {
 // exceed CapBytes when the snapshot was taken unbudgeted — the budget
 // gates inserts, not installs.
 func (s *Store) RestoreSnapshotChain(payloads [][]byte) error {
+	return s.restoreChain(payloads, nil)
+}
+
+// restoreChain is RestoreSnapshotChain with the block tables that
+// resolve the payloads' references (join.LoadSharedChain).
+func (s *Store) restoreChain(payloads [][]byte, tables []*join.SharedTable) error {
 	if len(payloads) == 0 {
 		return corruptf("empty store snapshot chain")
 	}
@@ -757,7 +897,7 @@ func (s *Store) RestoreSnapshotChain(payloads [][]byte) error {
 	for i := range parsed {
 		mems[i] = parsed[i].mem
 	}
-	if err := s.mem.LoadSnapshotChain(mems); err != nil {
+	if err := s.mem.LoadSharedChain(mems, tables); err != nil {
 		// Join-level chain decode failures (bad splice prefix, mixed
 		// record kinds, no full base) are corruption the CRCs cannot see:
 		// classify them so Restore falls back to an older generation
