@@ -189,10 +189,14 @@ type migState struct {
 // temp files. Close is idempotent, so the post-Wait sweep in
 // Operator.Finish double-closing the steady-state store is harmless;
 // the migration stores (µ, ∆′) are reachable only here when a crash
-// lands mid-exchange.
-func (w *joiner) run() error {
+// lands mid-exchange. The store's Close error (a spill read that
+// failed) becomes run's, so Finish reports it instead of a short
+// result.
+func (w *joiner) run() (err error) {
 	defer func() {
-		_ = w.state.Close()
+		if cerr := w.state.Close(); err == nil {
+			err = cerr
+		}
 		if w.mig != nil {
 			_ = w.mig.mu.Close()
 			_ = w.mig.dp.Close()
@@ -342,9 +346,8 @@ const reserveMin = 1 << 12
 // grown past what was last applied, presizes the store to it. The
 // forecast is reserved exactly: it trails the stream, so a multiple
 // would skip the next growth doubling too, but the measured GC cost
-// of the over-allocation outweighs the rehashes it avoids — and the
-// store's incremental rehash keeps the trailing doublings smooth
-// anyway. The publisher only moves the hint on >=25% growth, so the
+// of the over-allocation outweighs the growths it avoids. The
+// publisher only moves the hint on >=25% growth, so the
 // Reserve call itself runs logarithmically often, not per envelope. A
 // side that a live segment serves (join.HashIndex.Reserve) presizes
 // nothing: its slot's writer indexes its windows, and an empty private

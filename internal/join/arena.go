@@ -75,7 +75,7 @@ const (
 // for, bounding what a wild cardinality estimate can balloon a joiner
 // by: at the cap, a 2^20-slot directory (8 MB) for a mostly-distinct
 // key set plus 1024 chain columns (2 MB) per side. Beyond the cap the
-// index simply resumes incremental growth. Reserve never preallocates
+// directory grows as inserts fill it. Reserve never preallocates
 // arena blocks: a store fed by shared windows would never fill them.
 const maxReserve = 1 << 19
 

@@ -87,22 +87,70 @@ func NewIndex(p Predicate) Index {
 	}
 }
 
-// dslot is one open-addressing directory slot: eight bytes, no
-// pointers, no key. tag is the high 32 bits of the key's hash — its top
-// bits are the slot's home index, so a rehash re-places a slot from the
-// slot alone — and head links to the key's newest stored tuple (arena
-// offset + 1; 0 marks an empty slot, so a freshly allocated directory
-// is empty without being written, and its untouched pages stay out of
-// the resident set). The key itself lives only in the arena: a tag hit
-// is confirmed against the key column, which a probe hit is about to
-// read anyway, and a miss never leaves the slot's cache line.
-type dslot struct {
-	tag  uint32
-	head uint32
+// slotDir is the key directory of both hash indexes, a HashIndex's own
+// and a slot's SlotIndex: an open-addressed (linear probing) table of
+// 8-byte words, tag<<32 | head, with no pointer and no key. tag is the
+// high 32 bits of the key's hash — its top bits are the word's home
+// slot, so growth re-places a word from the word alone — and head links
+// to the key's newest stored row (its offset or position + 1; 0 marks
+// an empty slot, so a freshly allocated directory is empty without
+// being written, and its untouched pages stay out of the resident set).
+// The key itself lives only in the blocks: a tag hit is confirmed
+// against the key column, which a probe hit is about to read anyway,
+// and a miss never leaves the slot's cache line.
+type slotDir struct {
+	slots []uint64
+	mask  uint32 // len(slots) - 1
+	shift uint8  // home slot of a tag = tag >> shift
 }
 
 // slotBytes is the resident size of one directory slot.
 const slotBytes = 8
+
+// minSlots is the smallest directory.
+const minSlots = 16
+
+// dirSlots is the one sizing rule: the slots a directory needs to hold
+// n distinct keys at a load of at most 3/4.
+func dirSlots(n int) int {
+	slots := minSlots
+	for slots-slots/4 < n {
+		slots <<= 1
+	}
+	return slots
+}
+
+// newDir returns an empty directory sized for n distinct keys.
+func newDir(n int) slotDir {
+	slots := dirSlots(n)
+	return slotDir{slots: make([]uint64, slots), mask: uint32(slots - 1), shift: uint8(32 - bits.TrailingZeros(uint(slots)))}
+}
+
+// full reports whether a directory holding used keys must grow before
+// it takes another one: the sizing rule seen from the insert side.
+func (d *slotDir) full(used int) bool { return used >= len(d.slots)-len(d.slots)/4 }
+
+// home returns the slot a tag's probe sequence starts at.
+func (d *slotDir) home(tag uint32) uint32 { return tag >> (d.shift & 31) }
+
+// grown is the one growth routine: it places every word of d into a
+// fresh directory sized for n keys, at least twice d's size when it
+// grows a full one. Home slots scale with the directory, so the pass
+// writes the new directory nearly front to back; d itself is left
+// untouched for whoever still reads it.
+func (d *slotDir) grown(n int) slotDir {
+	nd := newDir(n)
+	for _, s := range d.slots {
+		if s != 0 {
+			j := nd.home(uint32(s >> 32))
+			for nd.slots[j] != 0 {
+				j = (j + 1) & nd.mask
+			}
+			nd.slots[j] = s
+		}
+	}
+	return nd
+}
 
 // probeHit is one gathered batch-probe candidate: which probe tuple of
 // the run hit, the arena offset of the stored tuple it hit, and the
@@ -131,15 +179,15 @@ const maxHitsCap = 1 << 15
 // reshuffler slot's or a worker's, shared with the other joiners of a
 // grid row or column, whose rows the writer's slot index may serve
 // instead of this index's directory (segments, slotindex.go), or the
-// index's own, for every row it copies. The key directory is an
-// open-addressed (linear probing) table of 8-byte tagged slots, one per
-// distinct key, and the tuples of one key form a newest-first chain
-// threaded through the index's own chain columns, one per arena entry
-// (entries viewing the same block share one). Nothing in the directory
-// or the chains is a Go pointer: the collector traces one object per
-// 512-tuple block, one per chain column and one per directory, never
-// one per key, and a duplicate is stored by writing two words (its next
-// link and the slot's head) with no list to regrow.
+// index's own, for every row it copies. The key directory is a slotDir
+// of 8-byte tagged words, one per distinct key, and the tuples of one
+// key form a newest-first chain threaded through the index's own chain
+// columns, one per arena entry (entries viewing the same block share
+// one). Nothing in the directory or the chains is a Go pointer: the
+// collector traces one object per 512-tuple block, one per chain column
+// and one per directory, never one per key, and a duplicate is stored
+// by writing two words (its next link and the slot's head) with no list
+// to regrow.
 //
 // Resident bytes per stored replica, mostly-distinct keys (the sparse
 // equi-join: 125 k keys per side per joiner, directory load 0.48), for
@@ -159,34 +207,18 @@ const maxHitsCap = 1 << 15
 // With d duplicates per key the directory share divides by d (4.2 B at
 // d = 4, for totals of 50.8, 18.9 and 12.8 B). What remains after this
 // layout: the 8-byte meta word (34 bits used), the U column (only the
-// migration selection and discards read it), the old directory while a
-// rehash drains (+50 % of the directory, briefly), the unfilled rows of
-// each slot's open shared block, and whatever headroom GOGC leaves on
-// top of the live heap.
+// migration selection and discards read it), the unfilled rows of each
+// slot's open shared block, and whatever headroom GOGC leaves on top of
+// the live heap.
 //
-// Directory growth is incremental: instead of re-placing every
-// occupied slot at the moment the load threshold trips (a
-// stop-the-world pause proportional to the directory), growth installs
-// a fresh directory and keeps the old one frozen, migrating a bounded
-// run of old slots on every subsequent insert until the old directory
-// drains. A key therefore lives in exactly one of the two directories:
-// lookups check the new one first and fall back to the old; inserts of
-// a key still resident in the old directory prepend to its chain in
-// place (the slot migrates later, head and all), while new keys always
-// enter the new directory. Reserve short-circuits the whole dance by
-// presizing the directory to an expected cardinality up front.
+// The directory grows as a SlotIndex's does: when the next distinct key
+// would pass the 3/4 load, every word is re-placed into a directory
+// twice the size (slotDir.grown) and the old one is dropped. Reserve
+// presizes it to an expected cardinality up front.
 type HashIndex struct {
-	slots []dslot
-	mask  uint32 // len(slots) - 1
-	shift uint8  // home slot of a tag = tag >> shift
-	used  int    // occupied slots (distinct keys), across both directories
-	// old is the draining directory of an in-flight incremental rehash
-	// (nil otherwise); slots [0, migPos) have been re-placed into the
-	// new directory, the rest still serve lookups.
-	old      []dslot
-	oldShift uint8
-	migPos   int
-	arena    tupleArena
+	dir   slotDir
+	used  int // occupied slots (distinct keys)
+	arena tupleArena
 	// own writes every row the index copies rather than views (see
 	// add), and Retain's survivors.
 	own BlockWriter
@@ -208,7 +240,7 @@ type HashIndex struct {
 	hits []probeHit // batch-probe gather scratch
 	// touch keeps walk's cache-warming loads of this directory alive;
 	// its value means nothing.
-	touch uint32
+	touch uint64
 }
 
 // NewHashIndex returns an empty hash index.
@@ -235,143 +267,43 @@ var tagMask = ^uint32(0)
 // tagOf is the directory's view of a key: the high half of its hash.
 func tagOf(k int64) uint32 { return uint32(hashKey(k)>>32) & tagMask }
 
-// minSlots is the initial directory size.
-const minSlots = 16
-
-// rehashStep is how many old-directory slots each insert migrates
-// while a rehash is draining. The step picks the bounded-latency point
-// in a three-way trade: total migration work is len(old) slots
-// regardless, but while the drain lasts every lookup miss probes both
-// directories, so a larger step shortens that double-probe window; in
-// the other direction the step bounds the per-insert pause (64 slots
-// is a 512-byte scan). The new directory holds at least twice the old
-// one, so the next growth cannot trip before len(old)/0.25 further
-// distinct-key inserts — draining at rehashStep slots per insert
-// finishes two orders of magnitude earlier, and growTo's forced drain
-// is only a safety valve.
-const rehashStep = 64
-
-// growTo installs a directory of newCap slots (a power of two) and
-// starts the incremental migration of the current one. The rare caller
-// that grows while a previous rehash is still draining (an extreme
-// Reserve, or adversarial duplicate-free ingest) pays a forced drain
-// first, preserving the two-directory invariant.
-func (h *HashIndex) growTo(newCap int) {
-	if newCap < minSlots {
-		newCap = minSlots
-	}
-	if h.old != nil {
-		h.migrate(len(h.old))
-	}
-	if h.used != 0 {
-		h.old, h.oldShift, h.migPos = h.slots, h.shift, 0
-	}
-	h.slots = make([]dslot, newCap)
-	h.mask = uint32(newCap - 1)
-	h.shift = uint8(32 - bits.TrailingZeros(uint(newCap)))
+// holds reports whether the chain the word s heads is key's: the tag
+// filters (one compare on the slot's own cache line), the arena's key
+// column decides. Every tuple of a chain shares the key, so the head
+// speaks for all of them.
+func (h *HashIndex) holds(s uint64, tag uint32, key int64) bool {
+	return uint32(s>>32) == tag && h.arena.keyAt(int32(uint32(s)-1)) == key
 }
 
-// migrate re-places up to k slots of the draining old directory into
-// the new one, retiring the old directory once fully scanned. Only the
-// 8-byte slots move, each to the home its own tag names: chains travel
-// with their head link, tuples never relocate, and the arena is not
-// read.
-func (h *HashIndex) migrate(k int) {
-	end := h.migPos + k
-	if end > len(h.old) {
-		end = len(h.old)
-	}
-	for _, s := range h.old[h.migPos:end] {
-		if s.head != 0 {
-			// The key cannot already be in the new directory (a key
-			// lives in exactly one), so this is a pure placement walk.
-			j := s.tag >> (h.shift & 31)
-			for h.slots[j].head != 0 {
-				j = (j + 1) & h.mask
-			}
-			h.slots[j] = s
-		}
-	}
-	h.migPos = end
-	if h.migPos >= len(h.old) {
-		h.old, h.oldShift, h.migPos = nil, 0, 0
-	}
-}
-
-// rehashing reports whether an incremental rehash is mid-drain
-// (exposed for the property tests, which pin Scan/Retain/MergeFrom
-// behavior at exactly this state).
-func (h *HashIndex) rehashing() bool { return h.old != nil }
-
-// holds reports whether the chain s heads is key's: the tag filters
-// (one compare on the slot's own cache line), the arena's key column
-// decides. Every tuple of a chain shares the key, so the head speaks
-// for all of them.
-func (h *HashIndex) holds(s dslot, tag uint32, key int64) bool {
-	return s.tag == tag && h.arena.keyAt(int32(s.head-1)) == key
-}
-
-// oldFind returns the slot holding key in the draining directory, or
-// nil. The old directory is frozen (no new keys), so its probe chains
-// stay intact throughout the drain.
-func (h *HashIndex) oldFind(tag uint32, key int64) *dslot {
-	mask := uint32(len(h.old) - 1)
-	i := tag >> (h.oldShift & 31)
-	for {
-		s := &h.old[i]
-		if s.head == 0 {
-			return nil
-		}
-		if h.holds(*s, tag, key) {
-			return s
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// walkFrom continues a linear-probe walk of the new directory from slot
-// i, falling back to the draining old directory on an empty slot, and
-// returns the head link of key's chain (0 when the key is absent).
+// walkFrom continues a linear-probe walk of the directory from slot i
+// and returns the head link of key's chain (0 when the key is absent).
 func (h *HashIndex) walkFrom(i, tag uint32, key int64) uint32 {
 	for {
-		s := h.slots[i]
-		if s.head == 0 {
-			break
+		s := h.dir.slots[i]
+		if s == 0 {
+			return 0
 		}
 		if h.holds(s, tag, key) {
-			return s.head
+			return uint32(s)
 		}
-		i = (i + 1) & h.mask
+		i = (i + 1) & h.dir.mask
 	}
-	return h.oldHead(tag, key)
 }
 
-// oldHead is the fallback of a lookup that ended on an empty slot of
-// the new directory: the head link of key's chain if the key is still
-// resident in the draining directory, else 0.
-func (h *HashIndex) oldHead(tag uint32, key int64) uint32 {
-	if h.old != nil {
-		if s := h.oldFind(tag, key); s != nil {
-			return s.head
-		}
-	}
-	return 0
-}
-
-// lookup returns the head link of key's chain — new directory first,
-// then the draining old one — or 0.
+// lookup returns the head link of key's chain, or 0.
 func (h *HashIndex) lookup(tag uint32, key int64) uint32 {
 	if h.used == 0 {
 		return 0
 	}
-	return h.walkFrom(tag>>(h.shift&31), tag, key)
+	return h.walkFrom(h.dir.home(tag), tag, key)
 }
 
-// chain prepends the tuple at off to the chain *s heads: its next link
-// takes the old head (0 for a new key) and the slot points at it.
-func (h *HashIndex) chain(s *dslot, off int32) {
-	h.chains[off>>arenaShift][off&(arenaChunk-1)] = s.head
-	s.head = uint32(off) + 1
+// chain prepends the tuple at off to the chain the word *s heads (an
+// empty word for a new key): its next link takes the old head and the
+// word names it.
+func (h *HashIndex) chain(s *uint64, tag uint32, off int32) {
+	h.chains[off>>arenaShift][off&(arenaChunk-1)] = uint32(*s)
+	*s = uint64(tag)<<32 | uint64(uint32(off)+1)
 }
 
 // chainLookback bounds how far back syncChains looks for an earlier
@@ -434,38 +366,18 @@ func (h *HashIndex) segmentEntry(ci int) bool {
 // insertOffset records key -> off in the slot directory, reusing the
 // caller's tag (probe-then-insert steps hash each key exactly once).
 func (h *HashIndex) insertOffset(tag uint32, key int64, off int32) {
-	// Grow on distinct-key load: 3/4 of the directory. used counts keys
-	// across both directories — exactly the population the new
-	// directory must hold once the drain completes.
-	if h.used >= len(h.slots)-len(h.slots)/4 {
-		h.growTo(2 * len(h.slots))
+	if h.dir.full(h.used) {
+		h.dir = h.dir.grown(h.used + 1)
 	}
-	if h.old != nil {
-		h.migrate(rehashStep)
-	}
-	i := tag >> (h.shift & 31)
-	for {
-		s := &h.slots[i]
-		if s.head == 0 {
-			if h.old != nil {
-				// Not in the new directory; the key may still be
-				// resident in the draining one — prepend there in place,
-				// the slot migrates later.
-				if os := h.oldFind(tag, key); os != nil {
-					h.chain(os, off)
-					return
-				}
-			}
-			s.tag = tag
-			h.chain(s, off)
+	for i := h.dir.home(tag); ; i = (i + 1) & h.dir.mask {
+		s := &h.dir.slots[i]
+		if *s == 0 {
 			h.used++
-			return
+		} else if !h.holds(*s, tag, key) {
+			continue
 		}
-		if h.holds(*s, tag, key) {
-			h.chain(s, off)
-			return
-		}
-		i = (i + 1) & h.mask
+		h.chain(s, tag, off)
+		return
 	}
 }
 
@@ -521,15 +433,10 @@ func (h *HashIndex) Reserve(n int) {
 	h.reserveChains(n)
 }
 
-// reserveSlots presizes only the directory, for n distinct keys under
-// the 3/4 load threshold.
+// reserveSlots presizes only the directory, for n distinct keys.
 func (h *HashIndex) reserveSlots(n int) {
-	target := minSlots
-	for target-target/4 < n {
-		target <<= 1
-	}
-	if target > len(h.slots) {
-		h.growTo(target)
+	if dirSlots(n) > len(h.dir.slots) {
+		h.dir = h.dir.grown(n)
 	}
 }
 
@@ -652,7 +559,7 @@ func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	tag := tagOf(probe.Key)
 	for i := len(h.segs) - 1; i >= 0; i-- {
 		r := h.segs[i].reader()
-		home := tag >> (r.d.shift & 31)
+		home := r.d.home(tag)
 		head := r.findFrom(home, atomic.LoadUint64(&r.d.slots[home]), tag, probe.Key)
 		for _, hit := range r.gather(head, 0, h.hits[:0]) {
 			fn(r.tbl[hit.off>>arenaShift].c.at(hit.off & (arenaChunk - 1)))
@@ -694,8 +601,8 @@ const walkChunk = 16
 //     place a key (their sum goes to own.touch so the compiler keeps
 //     the loads — Go has no prefetch intrinsic);
 //  4. resolve each key in order: from the copied slot, an empty one is a
-//     miss (or an old-directory fallback mid-rehash), a confirmed tag
-//     match gathers at once, anything else walks on via walkFrom; then
+//     miss, a confirmed tag match gathers at once, anything else walks
+//     on via walkFrom; then
 //     insertOffset it into own at base plus its position in ts, which
 //     walks own's live directory.
 //
@@ -705,11 +612,10 @@ const walkChunk = 16
 func (h *HashIndex) walk(ts []Tuple, own *HashIndex, base int32, hits []probeHit) []probeHit {
 	var (
 		tags  [walkChunk]uint32
-		first [walkChunk]dslot
+		first [walkChunk]uint64
 		bytes int64
 	)
 	probe := h.used != 0
-	shift := h.shift & 31
 	for i := 0; i < len(ts); i += walkChunk {
 		chunk := ts[i:min(i+walkChunk, len(ts))]
 		for k := range chunk {
@@ -717,13 +623,13 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, base int32, hits []probeHit
 		}
 		if probe {
 			for k := range chunk {
-				first[k] = h.slots[tags[k]>>shift]
+				first[k] = h.dir.slots[h.dir.home(tags[k])]
 			}
 		}
-		if own != nil && len(own.slots) != 0 {
-			var touch uint32
+		if own != nil && len(own.dir.slots) != 0 {
+			var touch uint64
 			for k := range chunk {
-				touch += own.slots[tags[k]>>(own.shift&31)].head
+				touch += own.dir.slots[own.dir.home(tags[k])]
 			}
 			own.touch = touch
 		}
@@ -733,12 +639,11 @@ func (h *HashIndex) walk(ts []Tuple, own *HashIndex, base int32, hits []probeHit
 				tag, s := tags[k], first[k]
 				var head uint32
 				switch {
-				case s.head == 0:
-					head = h.oldHead(tag, t.Key)
+				case s == 0:
 				case h.holds(s, tag, t.Key):
-					head = s.head
+					head = uint32(s)
 				default:
-					head = h.walkFrom((tag>>shift+1)&h.mask, tag, t.Key)
+					head = h.walkFrom((h.dir.home(tag)+1)&h.dir.mask, tag, t.Key)
 				}
 				if head != 0 {
 					hits = h.gather(head, int32(i+k), hits)
@@ -779,12 +684,12 @@ func (h *HashIndex) Len() int { return h.arena.n }
 func (h *HashIndex) Bytes() int64 { return h.bytes }
 
 // Footprint reports the arena's blocks (a block's viewed rows divided
-// among its sharers) with the chain columns, and both directories
-// while a rehash drains; each segment adds its share of its slot
-// index's chain columns and directory.
+// among its sharers) with the chain columns, and the directory; each
+// segment adds its share of its slot index's chain columns and
+// directory.
 func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 	arenaBytes = h.arena.footprint() + int64(h.nchains)*chainBytes
-	directoryBytes = int64(len(h.slots)+len(h.old)) * slotBytes
+	directoryBytes = int64(len(h.dir.slots)) * slotBytes
 	for i := range h.segs {
 		c, d := h.segs[i].share()
 		arenaBytes += c
@@ -805,7 +710,7 @@ func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 // segments folded into its directory when nothing is removed. Migration
 // discards touch on the order of half the state, so the O(n) rebuild
 // matches an in-place sweep; the directory is presized to the
-// surviving key count so the rebuild performs no incremental growth.
+// surviving key count so the rebuild does not grow it.
 func (h *HashIndex) Retain(keep matrix.Top) int {
 	kept, removed, bytes := h.arena.retainTop(keep, &h.own)
 	if removed == 0 {
@@ -839,10 +744,9 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 // directory rebuild instead of a full re-insert. The (entry,pos) offset
 // encoding is what makes adoption unconditional: a partially filled
 // view is addressable anywhere in the entry list, so neither arena
-// needs to end on a block boundary, and either index may even be
-// mid-rehash (h keeps draining incrementally; o's directories are
-// simply dropped, and so are its segments: the rows they served are
-// indexed in h's directory like the rest).
+// needs to end on a block boundary. o's directory is simply dropped,
+// and so are its segments: the rows they served are indexed in h's
+// directory like the rest.
 func (h *HashIndex) MergeFrom(o *HashIndex) {
 	if o.arena.n == 0 {
 		*o = HashIndex{}

@@ -12,9 +12,9 @@ import (
 // forceTagCollisions narrows tagMask for the rest of the test so the
 // directory sees only 4096 distinct tags: with tens of thousands of
 // keys, every home slot is contested by several keys carrying the same
-// tag, so lookups, inserts and both rehash directories can only tell
-// them apart by the arena key confirm. (Under the real mask two keys
-// share a tag once in 2^32 pairs and that branch would go untested.)
+// tag, so lookups, inserts and growth can only tell them apart by the
+// arena key confirm. (Under the real mask two keys share a tag once in
+// 2^32 pairs and that branch would go untested.)
 func forceTagCollisions(t *testing.T) {
 	t.Helper()
 	saved := tagMask
@@ -81,13 +81,13 @@ func sameBySeq(t *testing.T, label string, got, want []Tuple) {
 // directory or the chains — Insert, InsertBatch, Probe,
 // ProbeBatchCollect, Retain, MergeFrom, Reserve — over the three key
 // distributions that shape them differently: unique keys (one slot per
-// tuple, the directory grows and rehashes constantly), Zipf (a few long
-// chains among many short ones), and a single hot key whose chain
-// passes 10 000 links. Every tenth operation is pinned mid-rehash — a
-// rehash into an equally sized directory is started if none is
-// draining — so each operation kind demonstrably runs in the
-// two-directory state. Each distribution runs once under the real hash
-// and once with tags forced to collide.
+// tuple, the directory grows constantly), Zipf (a few long chains among
+// many short ones), and a single hot key whose chain passes 10 000
+// links. Every fifth operation runs on a directory a forced growth
+// (forceGrowth) has just re-placed, so each operation kind demonstrably
+// meets a directory whose words growth placed rather than inserts.
+// Each distribution runs once under the real hash and once with tags
+// forced to collide.
 func TestHashIndexDifferential(t *testing.T) {
 	pred := EquiJoin("diff", nil)
 	for _, dist := range []string{"unique", "zipf", "hot"} {
@@ -171,10 +171,11 @@ func TestHashIndexDifferential(t *testing.T) {
 					opReserve
 					numOps
 				)
-				var midRehash [numOps]int
+				var afterGrowth [numOps]int
 				for step := 0; step < 800; step++ {
-					if step%10 == 0 && !h.rehashing() && h.used > 0 {
-						h.growTo(len(h.slots))
+					grown := step%5 == 0 && h.used > 0
+					if grown {
+						forceGrowth(h)
 					}
 					var op int
 					switch r := rng.Intn(100); {
@@ -193,8 +194,8 @@ func TestHashIndexDifferential(t *testing.T) {
 					default:
 						op = opReserve
 					}
-					if h.rehashing() {
-						midRehash[op]++
+					if grown {
+						afterGrowth[op]++
 					}
 					switch op {
 					case opInsert:
@@ -280,9 +281,9 @@ func TestHashIndexDifferential(t *testing.T) {
 						checkChains(t, fmt.Sprintf("step %d", step), h)
 					}
 				}
-				for op, n := range midRehash {
+				for op, n := range afterGrowth {
 					if n == 0 {
-						t.Errorf("operation %d never ran mid-rehash", op)
+						t.Errorf("operation %d never ran right after a forced growth", op)
 					}
 				}
 

@@ -253,8 +253,8 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 	}
 }
 
-// checkChains verifies the derived state of a hash index structurally,
-// both directories included: every occupied slot's tag is its key's,
+// checkChains verifies the derived state of a hash index structurally:
+// every occupied slot's tag is its key's,
 // every chain holds one key only and descends strictly in arena offset
 // (newest first), no key owns two slots, the slot count is h.used, and
 // the chains together — the directory's, and each segment's below its
@@ -263,31 +263,29 @@ func checkChains(t *testing.T, label string, h *HashIndex) {
 	t.Helper()
 	owner := map[int64]bool{}
 	linked, slots := 0, 0
-	for _, dir := range [2][]dslot{h.slots, h.old[min(h.migPos, len(h.old)):]} {
-		for _, s := range dir {
-			if s.head == 0 {
-				continue
+	for _, s := range h.dir.slots {
+		if s == 0 {
+			continue
+		}
+		slots++
+		key := h.arena.keyAt(int32(uint32(s) - 1))
+		if tag := uint32(s >> 32); tag != tagOf(key) {
+			t.Fatalf("%s: slot of key %d carries tag %#x, want %#x", label, key, tag, tagOf(key))
+		}
+		if owner[key] {
+			t.Fatalf("%s: key %d owns two slots", label, key)
+		}
+		owner[key] = true
+		for l, prev := uint32(s), uint32(0); l != 0; {
+			off := int32(l - 1)
+			if prev != 0 && l >= prev {
+				t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, off)
 			}
-			slots++
-			key := h.arena.keyAt(int32(s.head - 1))
-			if s.tag != tagOf(key) {
-				t.Fatalf("%s: slot of key %d carries tag %#x, want %#x", label, key, s.tag, tagOf(key))
+			if k := h.arena.keyAt(off); k != key {
+				t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
 			}
-			if owner[key] {
-				t.Fatalf("%s: key %d owns two slots", label, key)
-			}
-			owner[key] = true
-			for l, prev := s.head, uint32(0); l != 0; {
-				off := int32(l - 1)
-				if prev != 0 && l >= prev {
-					t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, off)
-				}
-				if k := h.arena.keyAt(off); k != key {
-					t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
-				}
-				linked++
-				prev, l = l, h.chains[off>>arenaShift][off&(arenaChunk-1)]
-			}
+			linked++
+			prev, l = l, h.chains[off>>arenaShift][off&(arenaChunk-1)]
 		}
 	}
 	for i := range h.segs {
@@ -296,6 +294,19 @@ func checkChains(t *testing.T, label string, h *HashIndex) {
 	if slots != h.used || linked != h.Len() {
 		t.Fatalf("%s: %d slots link %d tuples; index counts %d keys, %d tuples", label, slots, linked, h.used, h.Len())
 	}
+}
+
+// forceGrowth runs the growth routine on h's directory between
+// inserts: it re-places every word into a directory twice the size, as
+// an insert into a full one does, or, once the directory is eight times
+// the size its keys need, into that size, so growth forced every few
+// steps keeps the directory bounded.
+func forceGrowth(h *HashIndex) {
+	n := len(h.dir.slots) // dirSlots(n) is twice n slots
+	if n >= 8*dirSlots(h.used) {
+		n = h.used
+	}
+	h.dir = h.dir.grown(n)
 }
 
 // checkSegment is checkChains for the rows a segment serves: every
@@ -332,65 +343,6 @@ func checkSegment(t *testing.T, label string, s *segment) int {
 		}
 	}
 	return linked
-}
-
-// buildMidRehash grows a hash index (mirrored into a scan-index
-// reference) with distinct keys until an incremental rehash is
-// mid-drain, then layers duplicates on top — scattered ones, and a
-// 40-long chain on one key — so prepends to slots still resident in the
-// draining directory, and their later migration head and all, are both
-// exercised.
-func buildMidRehash(t *testing.T, seed int64) (*HashIndex, *ScanIndex) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	h := NewHashIndex()
-	ref := NewScanIndex()
-	seq := uint64(0)
-	ins := func(key int64) {
-		seq++
-		tp := Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: seq, U: hashKey(int64(seq))}
-		if rng.Intn(5) == 0 {
-			tp.Payload = []byte{byte(seq)}
-		}
-		h.Insert(tp)
-		ref.Insert(tp)
-	}
-	for key := int64(0); ; key++ {
-		ins(key)
-		// Distinct keys eventually trip the load threshold; stop while
-		// the old directory is still draining, once it is big enough
-		// that the duplicate layer below cannot finish the drain.
-		if key > 1<<16 {
-			t.Fatal("never entered a mid-rehash state")
-		}
-		if h.rehashing() && len(h.old) > 64*rehashStep {
-			break
-		}
-	}
-	// Duplicates of keys resident in the draining directory append to
-	// it in place — the mid-rehash path the two-directory scheme must
-	// keep consistent.
-	distinct := int64(h.Len())
-	for i := 0; i < 50 && h.rehashing(); i++ {
-		ins(rng.Int63n(distinct))
-	}
-	// The slots migrate in index order, so the key whose old-directory
-	// slot is last in line is still resident there for the whole layer.
-	last := len(h.old) - 1
-	for h.old[last].head == 0 {
-		last--
-	}
-	resident := h.arena.keyAt(int32(h.old[last].head - 1))
-	for i := 0; i < 40; i++ {
-		ins(resident)
-	}
-	if !h.rehashing() {
-		t.Fatal("duplicate layer drained the rehash; shrink it")
-	}
-	if got := h.old[last].head; h.arena.keyAt(int32(got-1)) != resident || h.lookup(tagOf(resident), resident) != got {
-		t.Fatal("duplicates of an old-resident key were not prepended in the draining directory")
-	}
-	return h, ref
 }
 
 // assertSameContents compares the hash index against the scan-index
@@ -437,74 +389,12 @@ func assertSameContents(t *testing.T, label string, h *HashIndex, ref *ScanIndex
 	}
 }
 
-// TestHashIndexMidRehash pins every directory operation at the state
-// the incremental growth scheme introduces: an old directory mid-drain
-// alongside the new one. Scans, probes, Retain rebuilds, Reserve
-// (which force-drains), and MergeFrom in both roles must all behave as
-// if the rehash had never been split across inserts.
-func TestHashIndexMidRehash(t *testing.T) {
-	t.Run("scan-probe", func(t *testing.T) {
-		h, ref := buildMidRehash(t, 1)
-		assertSameContents(t, "mid-rehash", h, ref)
-	})
-	t.Run("retain", func(t *testing.T) {
-		h, ref := buildMidRehash(t, 2)
-		keep := matrix.Top{Shift: 63, Val: 1}
-		if hr, rr := h.Retain(keep), retainRef(ref, keep); hr != rr {
-			t.Fatalf("Retain removed %d, reference %d", hr, rr)
-		}
-		assertSameContents(t, "after retain", h, ref)
-	})
-	t.Run("reserve-force-drain", func(t *testing.T) {
-		h, ref := buildMidRehash(t, 3)
-		// Reserving past the current size force-drains the in-flight
-		// rehash and starts a fresh incremental one toward the larger
-		// directory; contents must be unaffected at every point.
-		h.Reserve(4 * h.Len())
-		ref.Reserve(4 * ref.Len())
-		assertSameContents(t, "after reserve", h, ref)
-		for h.rehashing() {
-			// Drive the new drain to completion through ordinary inserts.
-			tp := Tuple{Rel: matrix.SideS, Key: int64(h.Len()), Size: 8, Seq: uint64(h.Len())}
-			h.Insert(tp)
-			ref.Insert(tp)
-		}
-		assertSameContents(t, "after drain", h, ref)
-	})
-	t.Run("merge-into-midrehash", func(t *testing.T) {
-		h, ref := buildMidRehash(t, 4)
-		src := NewHashIndex()
-		rng := rand.New(rand.NewSource(40))
-		for i := 0; i < arenaChunk+33; i++ {
-			tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(512), Size: 8, Seq: uint64(1e6) + uint64(i)}
-			src.Insert(tp)
-			ref.Insert(tp)
-		}
-		h.MergeFrom(src)
-		assertSameContents(t, "merged into mid-rehash dst", h, ref)
-	})
-	t.Run("merge-from-midrehash", func(t *testing.T) {
-		src, ref := buildMidRehash(t, 5)
-		h := NewHashIndex()
-		rng := rand.New(rand.NewSource(50))
-		for i := 0; i < arenaChunk/2; i++ {
-			tp := Tuple{Rel: matrix.SideS, Key: rng.Int63n(512), Size: 8, Seq: uint64(2e6) + uint64(i)}
-			h.Insert(tp)
-			ref.Insert(tp)
-		}
-		h.MergeFrom(src)
-		assertSameContents(t, "adopted mid-rehash src", h, ref)
-	})
-}
-
 // TestHashIndexProbeBatchStride pins the pipelined walk behind
 // ProbeBatchCollect: probe runs shorter than, equal to and longer than
 // walkChunk (so full chunks and short tail chunks both run), with
 // lengths off the chunk boundary, keys mixing first-slot hits, collided
 // chains, spilled duplicate buckets, and misses — checked against the
-// scan-index reference both on a settled directory and mid-rehash
-// (where an empty new-directory slot must fall back to the draining
-// old one).
+// scan-index reference.
 func TestHashIndexProbeBatchStride(t *testing.T) {
 	pred := EquiJoin("stride", nil)
 	check := func(t *testing.T, h *HashIndex, ref *ScanIndex, probes []Tuple) {
@@ -550,17 +440,6 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 			ref.Insert(tp)
 		}
 		for _, n := range []int{walkChunk - 1, walkChunk, walkChunk + 1, 3*walkChunk + 5, 256} {
-			check(t, h, ref, mkProbes(rng, n, domain))
-		}
-	})
-	t.Run("mid-rehash", func(t *testing.T) {
-		h, ref := buildMidRehash(t, 9)
-		rng := rand.New(rand.NewSource(902))
-		domain := int64(h.Len())
-		for _, n := range []int{walkChunk, 2*walkChunk + 3, 512} {
-			if !h.rehashing() {
-				t.Fatal("rehash drained before the chunked probes ran")
-			}
 			check(t, h, ref, mkProbes(rng, n, domain))
 		}
 	})

@@ -71,19 +71,17 @@ func diffTuple(rng *rand.Rand, seq uint64, key int64) Tuple {
 func retainStates() []retainState {
 	return []retainState{
 		{
-			// A hash index mid-rehash whose arena holds a partially
-			// filled block before an adopted partial tail, then views of
-			// shared blocks.
+			// A hash index whose directory has just grown to 16 Ki
+			// slots and whose arena holds a partially filled block
+			// before an adopted partial tail, then views of shared
+			// blocks. (The name predates the single growth rule.)
 			name: "hash-mid-rehash",
 			build: func(t *testing.T) Index {
 				rng := rand.New(rand.NewSource(7))
 				h := NewHashIndex()
 				seq := uint64(0)
 				next := func(key int64) Tuple { seq++; return diffTuple(rng, seq, key) }
-				for key := int64(0); !h.rehashing() || len(h.old) <= 64*rehashStep; key++ {
-					if key > 1<<16 {
-						t.Fatal("never entered a mid-rehash state")
-					}
+				for key := int64(0); key <= 6144; key++ {
 					h.Insert(next(key))
 				}
 				distinct := int64(h.Len())
@@ -102,8 +100,8 @@ func retainStates() []retainState {
 				}
 				storeShared(shared, 2, 13, h.InsertWindow)
 				a := &h.arena
-				if !h.rehashing() || a.chunks[partial].hi == arenaChunk || a.chunks[len(a.chunks)-1].c.sharers == 0 {
-					t.Fatal("state lacks the rehash, the partial block before the adopted tail, or the shared views")
+				if a.chunks[partial].hi == arenaChunk || a.chunks[len(a.chunks)-1].c.sharers == 0 {
+					t.Fatal("state lacks the partial block before the adopted tail, or the shared views")
 				}
 				return h
 			},
@@ -160,10 +158,10 @@ func mutGenOf(idx Index) (gen uint64, ok bool) {
 // TestRetainAndSelectMatchScanReference holds the two u-column paths of
 // a migration — the τ selection that copies a partition's survivors
 // into a BlockEncoder, and the finalize discard Retain — to the
-// Scan + keep(Tuple) reference, for a hash index mid-rehash (reserved
-// empty trailing blocks, an adopted partial tail, payload-carrying rows
-// and dummies), a scan index and an ordered index. The selection must
-// hand over exactly the reference survivors in Scan order, shipping
+// Scan + keep(Tuple) reference, for a hash index (a freshly grown
+// directory, an adopted partial tail, shared views, payload-carrying
+// rows and dummies), a scan index and an ordered index. The selection
+// must hand over exactly the reference survivors in Scan order, shipping
 // every full batch at the limit; Retain must leave the same tuples,
 // Len and Bytes as the reference, every key's probe order of an index
 // rebuilt from the survivors in Scan order (how Retain used to rebuild),

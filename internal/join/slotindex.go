@@ -1,7 +1,6 @@
 package join
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/matrix"
@@ -18,15 +17,15 @@ import (
 // An index position names a row of the writer's block sequence,
 // block<<arenaShift | row, and grows with every row written, so the
 // newest-first chains of the index run over decreasing positions. The
-// directory is HashIndex's layout made lock-free for one writer and any
-// number of readers: 8-byte words, tag<<32 | head (position+1 of the
-// key's newest row), that the writer stores atomically and readers load
-// atomically. A row's chain link (the position+1 of the key's previous
-// row) lives in a per-block chain column and is written before the
-// directory word that names the row.
+// directory is HashIndex's slotDir made lock-free for one writer and
+// any number of readers: the writer stores its words (head = position+1
+// of the key's newest row) atomically and readers load them atomically.
+// A row's chain link (the position+1 of the key's previous row) lives
+// in a per-block chain column and is written before the directory word
+// that names the row.
 //
-// Growth is copy-on-write: the writer places every word into a fresh
-// directory twice the size and publishes it behind an atomic pointer;
+// Growth follows HashIndex's rule (slotDir.grown) and is copy-on-write:
+// the writer publishes the grown directory behind an atomic pointer;
 // the old one stays frozen for the readers that loaded it, and holds
 // every row published before the swap. The block table grows the same
 // way. Resident bytes per indexed row, mostly-distinct keys:
@@ -62,13 +61,6 @@ type SlotIndex struct {
 	closed atomic.Bool
 }
 
-// slotDir is one directory generation of a SlotIndex.
-type slotDir struct {
-	slots []uint64
-	mask  uint32
-	shift uint8 // home slot of a tag = tag >> shift
-}
-
 // slotEntry is one block of a SlotIndex with its chain column.
 type slotEntry struct {
 	c    *colChunk
@@ -84,19 +76,15 @@ const maxSlotBlocks = 1 << 22
 // newSlotIndex returns an empty index for blocks of fan-out sharers.
 func newSlotIndex(sharers int32) *SlotIndex {
 	x := &SlotIndex{sharers: sharers}
-	x.setDir(newSlotDir(minSlots))
+	x.setDir(newDir(0))
 	return x
-}
-
-func newSlotDir(n int) *slotDir {
-	return &slotDir{slots: make([]uint64, n), mask: uint32(n - 1), shift: uint8(32 - bits.TrailingZeros(uint(n)))}
 }
 
 // setDir installs d as the directory writers insert into and readers
 // load.
-func (x *SlotIndex) setDir(d *slotDir) {
-	x.cur = d
-	x.dir.Store(d)
+func (x *SlotIndex) setDir(d slotDir) {
+	x.cur = &d
+	x.dir.Store(&d)
 	x.dirBytes.Store(int64(len(d.slots)) * slotBytes)
 }
 
@@ -131,7 +119,7 @@ func (x *SlotIndex) add(base uint32, lo, hi int32) {
 		var touch uint64
 		for row := start; row < end; row++ {
 			tags[row-start] = tagOf(e.c.key[row])
-			touch += d.slots[tags[row-start]>>(d.shift&31)]
+			touch += d.slots[d.home(tags[row-start])]
 		}
 		x.touch = touch
 		for row := start; row < end; row++ {
@@ -149,12 +137,12 @@ func (x *SlotIndex) keyAt(pos uint32) int64 {
 // insert links the row at pos as the newest of key's chain: its link
 // takes the old head, then the directory word names it.
 func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
-	d := x.cur
-	if x.used >= len(d.slots)-len(d.slots)/4 {
-		d = x.grow(2 * len(d.slots))
+	if x.cur.full(x.used) {
+		x.setDir(x.cur.grown(x.used + 1))
 	}
+	d := x.cur
 	head := uint64(tag)<<32 | uint64(pos+1)
-	for i := tag >> (d.shift & 31); ; i = (i + 1) & d.mask {
+	for i := d.home(tag); ; i = (i + 1) & d.mask {
 		s := d.slots[i]
 		if s == 0 {
 			atomic.StoreUint64(&d.slots[i], head)
@@ -167,24 +155,6 @@ func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
 			return
 		}
 	}
-}
-
-// grow places every word of the current directory into a fresh one of
-// n slots and publishes it; readers that loaded the old one keep a
-// frozen directory that holds every row published so far.
-func (x *SlotIndex) grow(n int) *slotDir {
-	nd := newSlotDir(n)
-	for _, s := range x.cur.slots {
-		if s != 0 {
-			j := uint32(s>>32) >> (nd.shift & 31)
-			for nd.slots[j] != 0 {
-				j = (j + 1) & nd.mask
-			}
-			nd.slots[j] = s
-		}
-	}
-	x.setDir(nd)
-	return nd
 }
 
 // segment is a store's read handle on a SlotIndex: the store consumed
@@ -282,18 +252,17 @@ func (r *slotReader) walk(ts []Tuple, hits []probeHit) []probeHit {
 		tags  [walkChunk]uint32
 		first [walkChunk]uint64
 	)
-	shift := r.d.shift & 31
 	for i := 0; i < len(ts); i += walkChunk {
 		chunk := ts[i:min(i+walkChunk, len(ts))]
 		for k := range chunk {
 			tags[k] = tagOf(chunk[k].Key)
-			first[k] = atomic.LoadUint64(&r.d.slots[tags[k]>>shift])
+			first[k] = atomic.LoadUint64(&r.d.slots[r.d.home(tags[k])])
 		}
 		for k := range chunk {
 			if chunk[k].Dummy || first[k] == 0 {
 				continue
 			}
-			if head := r.findFrom(tags[k]>>shift, first[k], tags[k], chunk[k].Key); head != 0 {
+			if head := r.findFrom(r.d.home(tags[k]), first[k], tags[k], chunk[k].Key); head != 0 {
 				hits = r.gather(head, int32(i+k), hits)
 			}
 		}

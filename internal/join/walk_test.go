@@ -16,12 +16,12 @@ import (
 // from 1 to 40 (under, at and across walkChunk), mix dummies, repeat
 // one key inside a chunk (so a later insert of the chunk must see the
 // slot an earlier one just filled, not the chunk's stale home-slot
-// copy), and are pinned with the opposite and own directories
-// mid-rehash; unique keys keep both directories growing, so a growTo
-// lands inside a chunk. After every run the pair multisets (tuple
-// contents included) must agree, and checkChains must pass on both of
-// the batched Local's directories. Each case runs under the real hash
-// and with tags forced to collide.
+// copy), and run right after forced growths (forceGrowth) of the
+// opposite and own directories; unique keys keep both directories
+// growing, so a growth also lands inside a chunk. After every run the
+// pair multisets (tuple contents included) must agree, and checkChains
+// must pass on both of the batched Local's directories. Each case runs
+// under the real hash and with tags forced to collide.
 func TestPipelinedWalkDifferential(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
@@ -40,13 +40,14 @@ func walkDifferential(t *testing.T) {
 	sides := func(x *Local) [2]*HashIndex { return [2]*HashIndex{x.r.(*HashIndex), x.s.(*HashIndex)} }
 	var seq uint64
 	var fresh int64
-	var oppMid, ownMid, grewMid, dummies, repeats int
+	var oppGrown, ownGrown, grewMid, dummies, repeats int
 	for step := 0; step < 800; step++ {
+		var grown [2]bool
 		if step%10 == 0 {
-			// Pin both directories mid-rehash.
-			for _, h := range sides(l) {
-				if !h.rehashing() && h.used > 0 {
-					h.growTo(len(h.slots))
+			// Grow both directories between runs.
+			for i, h := range sides(l) {
+				if grown[i] = h.used > 0; grown[i] {
+					forceGrowth(h)
 				}
 			}
 		}
@@ -83,16 +84,16 @@ func walkDifferential(t *testing.T) {
 			repeats++
 		}
 
-		own, opp := sides(l)[rel], sides(l)[rel.Other()]
+		own := sides(l)[rel]
 		if len(run) > 1 {
-			if opp.rehashing() {
-				oppMid++
+			if grown[rel.Other()] {
+				oppGrown++
 			}
-			if own.rehashing() {
-				ownMid++
+			if grown[rel] {
+				ownGrown++
 			}
 		}
-		before := len(own.slots)
+		before := len(own.dir.slots)
 		var got, want []Pair
 		if rng.Intn(4) == 0 {
 			// ProbeBatchCollect walks the same chunks without an own side.
@@ -105,7 +106,7 @@ func walkDifferential(t *testing.T) {
 			for i := range run {
 				ref.AddBatchCollect(run[i:i+1], &want)
 			}
-			if len(run) > 1 && before != 0 && len(own.slots) != before {
+			if len(run) > 1 && before != 0 && len(own.dir.slots) != before {
 				grewMid++
 			}
 		}
@@ -120,7 +121,7 @@ func walkDifferential(t *testing.T) {
 		}
 	}
 	for name, n := range map[string]int{
-		"opposite directory mid-rehash": oppMid, "own directory mid-rehash": ownMid,
+		"opposite directory just grown": oppGrown, "own directory just grown": ownGrown,
 		"growth inside a run": grewMid, "dummies": dummies, "repeated-key runs": repeats,
 	} {
 		if n == 0 {

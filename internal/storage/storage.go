@@ -11,7 +11,9 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -153,16 +155,15 @@ func (s *Store) Insert(t join.Tuple) {
 	seg := s.segs[t.Rel]
 	if seg == nil {
 		var err error
-		seg, err = newSegment(s.cfg.Dir, s.pred)
-		if err != nil {
-			// Spill tier unavailable: degrade to memory rather than
-			// lose data; the budget is advisory, as in any cache.
-			s.mem.Insert(t)
-			return
+		if seg, err = newSegment(s.cfg.Dir, s.pred); err == nil {
+			s.segs[t.Rel] = seg
 		}
-		s.segs[t.Rel] = seg
 	}
-	seg.append(t, &s.Metrics)
+	if seg == nil || !seg.append(t, &s.Metrics) {
+		// Spill tier unavailable: degrade to memory rather than lose
+		// data; the budget is advisory, as in any cache.
+		s.mem.Insert(t)
+	}
 }
 
 // Footprint returns the resident bytes of the memory tier plus the
@@ -240,7 +241,9 @@ func (s *Store) Scan(side matrix.Side, fn func(join.Tuple) bool) {
 func (s *Store) Retain(side matrix.Side, keep matrix.Top) int {
 	removed := s.mem.Retain(side, keep)
 	if seg := s.segs[side]; seg != nil {
-		removed += seg.retain(func(t join.Tuple) bool { return keep.Has(t.U) }, s.cfg, s.pred, &s.Metrics)
+		n, unwritten := seg.retain(func(t join.Tuple) bool { return keep.Has(t.U) }, s.pred, &s.Metrics)
+		removed += n
+		s.mem.InsertBatch(unwritten)
 	}
 	return removed
 }
@@ -265,18 +268,19 @@ func (s *Store) MergeFrom(src *Store) {
 	}
 }
 
-// Close releases disk resources. The store must not be used afterward.
+// Close releases disk resources and reports the first spill read that
+// failed, if any (a probe then missed pairs, or a scan missed tuples),
+// along with any failure to release them. The store must not be used
+// afterward.
 func (s *Store) Close() error {
-	var first error
+	var errs []error
 	for i, seg := range s.segs {
 		if seg != nil {
-			if err := seg.close(); err != nil && first == nil {
-				first = err
-			}
+			errs = append(errs, seg.err, seg.close())
 			s.segs[i] = nil
 		}
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // segment is one side's disk tier: an append-only record file plus an
@@ -301,6 +305,8 @@ type segment struct {
 	// hits is the reusable batch-probe gather buffer of (probe index,
 	// file offset) candidates.
 	hits []segHit
+	// err is the first failed read, which Store.Close reports.
+	err error
 }
 
 // segHit is one gathered spill-probe candidate.
@@ -365,11 +371,14 @@ func decodeRecord(buf []byte) (join.Tuple, int) {
 	return t, recordHeader + plen
 }
 
-func (g *segment) append(t join.Tuple, m *Metrics) {
+// append writes t's record at the end of the file and indexes it,
+// reporting whether the write succeeded; on failure nothing of t is
+// kept and the caller stores it elsewhere.
+func (g *segment) append(t join.Tuple, m *Metrics) bool {
 	g.scratch = encodeRecordInto(g.scratch, t)
 	rec := g.scratch
 	if _, err := g.f.WriteAt(rec, g.off); err != nil {
-		return // best effort; the directory entry is only added on success
+		return false
 	}
 	skeleton := join.Tuple{Key: t.Key, U: t.U, Aux: g.off, Rel: t.Rel, Seq: t.Seq}
 	g.dir.Insert(skeleton)
@@ -379,11 +388,20 @@ func (g *segment) append(t join.Tuple, m *Metrics) {
 	m.SpilledTuples.Add(1)
 	m.SpilledBytes.Add(t.Bytes())
 	m.DiskWrites.Add(1)
+	return true
+}
+
+// fail keeps err as the segment's first failed read.
+func (g *segment) fail(err error) {
+	if g.err == nil {
+		g.err = fmt.Errorf("storage: read spill segment %s: %w", filepath.Base(g.path), err)
+	}
 }
 
 func (g *segment) readAt(off int64, m *Metrics) (join.Tuple, bool) {
 	var hdr [recordHeader]byte
 	if _, err := g.f.ReadAt(hdr[:], off); err != nil {
+		g.fail(err)
 		return join.Tuple{}, false
 	}
 	plen := int(binary.LittleEndian.Uint32(hdr[38:]))
@@ -391,6 +409,7 @@ func (g *segment) readAt(off int64, m *Metrics) (join.Tuple, bool) {
 	if plen > 0 {
 		full := make([]byte, recordHeader+plen)
 		if _, err := g.f.ReadAt(full, off); err != nil {
+			g.fail(err)
 			return join.Tuple{}, false
 		}
 		buf = full
@@ -457,27 +476,38 @@ const maxSegHitsCap = 1 << 15
 
 func (g *segment) len() int { return g.n }
 
-func (g *segment) scan(fn func(join.Tuple) bool, m *Metrics) {
+// scan calls fn for every record in append order until fn returns
+// false, and reports whether the file could be read; a failed read is
+// kept (fail) and visits nothing.
+func (g *segment) scan(fn func(join.Tuple) bool, m *Metrics) bool {
 	buf, err := os.ReadFile(g.path)
+	if err == nil && int64(len(buf)) < g.off {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
-		return
+		g.fail(err)
+		return false
 	}
 	m.DiskReads.Add(int64(g.n))
 	for pos := 0; pos < int(g.off); {
 		t, sz := decodeRecord(buf[pos:])
 		pos += sz
 		if !fn(t) {
-			return
+			break
 		}
 	}
+	return true
 }
 
-// retain rewrites the segment keeping only passing tuples.
-func (g *segment) retain(keep func(join.Tuple) bool, cfg Config, p join.Predicate, m *Metrics) int {
-	var kept []join.Tuple
+// retain rewrites the segment keeping only passing tuples, and returns
+// how many it removed and the kept ones the rewrite could not write
+// back, for the caller to store elsewhere. A segment whose file cannot
+// be read is left as it is.
+func (g *segment) retain(keep func(join.Tuple) bool, p join.Predicate, m *Metrics) (int, []join.Tuple) {
+	var kept, unwritten []join.Tuple
 	removed := 0
 	var removedBytes int64
-	g.scan(func(t join.Tuple) bool {
+	ok := g.scan(func(t join.Tuple) bool {
 		if keep(t) {
 			kept = append(kept, t)
 		} else {
@@ -486,6 +516,9 @@ func (g *segment) retain(keep func(join.Tuple) bool, cfg Config, p join.Predicat
 		}
 		return true
 	}, m)
+	if !ok {
+		return 0, nil
+	}
 	// Rewrite from scratch. Records relocate, so outstanding spill
 	// watermarks must stop validating.
 	_ = g.f.Truncate(0)
@@ -494,12 +527,16 @@ func (g *segment) retain(keep func(join.Tuple) bool, cfg Config, p join.Predicat
 	g.dir = join.NewIndex(p)
 	mm := &Metrics{} // rewrite is not a new spill; count only the writes
 	for _, t := range kept {
-		g.append(t, mm)
+		if !g.append(t, mm) {
+			unwritten = append(unwritten, t)
+			m.SpilledTuples.Add(-1)
+			m.SpilledBytes.Add(-t.Bytes())
+		}
 	}
 	m.DiskWrites.Add(mm.DiskWrites.Load())
 	m.SpilledTuples.Add(int64(-removed))
 	m.SpilledBytes.Add(-removedBytes)
-	return removed
+	return removed, unwritten
 }
 
 func (g *segment) close() error {

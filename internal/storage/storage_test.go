@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/join"
@@ -233,5 +236,70 @@ func TestStoreCloseIsIdempotentEnough(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// spillSome returns a store over dir holding n S tuples of keys 0..n-1,
+// most of them in its spill segment.
+func spillSome(t *testing.T, n int) *Store {
+	t.Helper()
+	s := NewStore(join.EquiJoin("eq", nil), Config{CapBytes: 48, Dir: t.TempDir()})
+	for i := 0; i < n; i++ {
+		s.Insert(tup(matrix.SideS, int64(i), uint64(i+1)))
+	}
+	if s.segs[matrix.SideS] == nil || s.segs[matrix.SideS].len() == 0 {
+		t.Fatal("nothing spilled")
+	}
+	return s
+}
+
+// A spill write that fails keeps the tuple in the memory tier, and a
+// spill read that fails is reported by Close.
+func TestStoreSpillWriteErrorKeepsTuples(t *testing.T) {
+	s := spillSome(t, 8)
+	if err := s.segs[matrix.SideS].f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 100; i < 110; i++ {
+		s.Insert(tup(matrix.SideS, int64(i), uint64(i)))
+	}
+	if n := s.Len(matrix.SideS); n != 18 {
+		t.Fatalf("Len %d after inserts into a closed segment, want 18", n)
+	}
+	for i := 100; i < 110; i++ {
+		if n := probeCount(s, tup(matrix.SideR, int64(i), uint64(1000+i))); n != 1 {
+			t.Fatalf("key %d: %d pairs, want 1", i, n)
+		}
+	}
+	// A tuple spilled before the close cannot be read back: the probe
+	// misses it, and Close says so.
+	probeCount(s, tup(matrix.SideR, 7, 2000))
+	if err := s.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close = %v, want a read error wrapping os.ErrClosed", err)
+	}
+}
+
+// A segment whose file cannot be read survives Retain whole, and Close
+// reports the failed read.
+func TestStoreRetainKeepsUnreadableSegment(t *testing.T) {
+	s := spillSome(t, 8)
+	seg := s.segs[matrix.SideS]
+	spilled := seg.len()
+	if err := os.Remove(seg.path); err != nil {
+		t.Fatal(err)
+	}
+	if removed := s.Retain(matrix.SideS, matrix.Top{Shift: 63, Val: 0}); removed != 0 {
+		t.Fatalf("Retain removed %d, want 0", removed)
+	}
+	if s.segs[matrix.SideS].len() != spilled || s.Len(matrix.SideS) != 8 {
+		t.Fatalf("segment holds %d of %d, store %d of 8", s.segs[matrix.SideS].len(), spilled, s.Len(matrix.SideS))
+	}
+	for i := 0; i < 8; i++ {
+		if n := probeCount(s, tup(matrix.SideR, int64(i), uint64(1000+i))); n != 1 {
+			t.Fatalf("key %d: %d pairs, want 1", i, n)
+		}
+	}
+	if err := s.Close(); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Close = %v, want an error wrapping fs.ErrNotExist", err)
 	}
 }

@@ -5,8 +5,9 @@
 # Usage: scripts/abpairs.sh <git-ref> <workload> [pairs]
 #        (make bench-ab REF=<git-ref> WORKLOAD=<workload> [PAIRS=n])
 #
-# The ref is checked out with `git worktree add` into a temporary
-# directory, removed again on exit. Each pair runs
+# The ref's tree is exported with `git archive` into a temporary
+# directory, removed again on exit; nothing is written into .git. Each
+# pair runs
 #   sh bench/run.sh --workload W
 # once in each tree, alternating which side goes first; bench/ applies
 # its own seed and run length. Every run's result line is printed
@@ -30,15 +31,11 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 tmp=$(mktemp -d)
 parent="$tmp/parent"
-cleanup() {
-  git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-  git -C "$root" worktree prune 2>/dev/null || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-git worktree add --quiet --detach "$parent" "$ref"
+mkdir "$parent"
+git archive "$ref" | tar -x -C "$parent"
 results="$tmp/results"
 : >"$results"
 
