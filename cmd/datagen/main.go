@@ -34,7 +34,6 @@ func main() {
 	}
 	g := tpch.NewGen(tpch.Config{SF: *sf, Zipf: z, Seed: *seed})
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 
 	switch *table {
 	case "region":
@@ -80,5 +79,11 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "datagen: unknown table %q\n", *table)
 		os.Exit(2)
+	}
+	// A write to stdout that failed, a closed pipe say, sticks in w and
+	// surfaces here.
+	if err := w.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: write: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -197,7 +197,7 @@ func main() {
 		}
 		stopProfile = func() {
 			pprof.StopCPUProfile()
-			_ = f.Close()
+			_ = f.Close() // drop: the profile is diagnostic output; its close must not change the run's result
 		}
 	}
 
@@ -309,7 +309,7 @@ func serveWorker(addr, spillDir string) {
 		fmt.Fprintf(os.Stderr, "joinrun: %v\n", err)
 		os.Exit(1)
 	}
-	defer ws.Close()
+	defer ws.Close() // drop: Serve has returned the session's result; this only releases the listener on exit
 	fmt.Printf("joinrun: listening %s\n", ws.Addr())
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

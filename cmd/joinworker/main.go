@@ -36,7 +36,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "joinworker: %v\n", err)
 		os.Exit(1)
 	}
-	defer ws.Close()
+	defer ws.Close() // drop: Serve has returned the session's result; this only releases the listener on exit
 	fmt.Printf("joinworker: listening %s\n", ws.Addr())
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -95,6 +95,6 @@ func ServeWorker(ctx context.Context, opts ...Option) error {
 	if err != nil {
 		return fmt.Errorf("squall: worker listen: %w", err)
 	}
-	defer ws.Close()
+	defer ws.Close() // drop: Serve's result is returned; this only releases the listener
 	return ws.Serve(ctx)
 }

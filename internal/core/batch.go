@@ -13,8 +13,8 @@ import (
 // every joiner in that row or column — the grid's replication (§3) is
 // sharing, not copying. An envelope's body is a run of tuples of one
 // relation sharing the header's epoch, so each data envelope is exactly
-// one joiner run. For in-process joiners the slot also wrote the
-// body's columns once into its block, and the envelope names those
+// one joiner run. For in-process joiners the line's writer also wrote
+// the body's columns once into its block, and the envelope names those
 // rows (win): the joiners store the run as a view of them instead of
 // copying it, so a replicated tuple is stored once per process.
 // Envelopes recycle through a pool: the flush sets the reference count
@@ -43,9 +43,9 @@ type envelope struct {
 	// bytes is the body's summed Tuple.Bytes, the joiners' input-volume
 	// accounting taken once per envelope instead of once per destination.
 	bytes int64
-	// win names the rows of the slot's block the body was written into
+	// win names the rows of the line's block the body was written into
 	// (row i holding tuples[i]), or nothing (the zero Window) when the
-	// slot writes no block: every joiner behind a link, a band
+	// line writes no block: every joiner behind a link, a band
 	// predicate or budgeted stores.
 	win join.Window
 	// refs counts the destinations that have not released the envelope.

@@ -25,24 +25,32 @@ import (
 //     ctrlCkpt broadcast. Each reshuffler flushes its pending batches,
 //     emits a kCkpt marker to every joiner on the same FIFO links that
 //     carry epoch signals, and reports its consumed-item count (the
-//     replay cut) to the coordinator.
-//  3. Each joiner aligns Chandy-Lamport style: envelopes from links
-//     whose marker already arrived are held aside; once all numRe
-//     markers are in, the joiner has seen exactly the pre-barrier
-//     prefix of every link. It captures its store (Store.Capture):
-//     the arena blocks past each index's delta watermark by
-//     reference, and only the parts that cannot be held by reference — an ordered index, spilled
-//     records — encoded. That is O(blocks), not O(bytes): the joiner
-//     hands the capture to the coordinator and drains the held
-//     envelopes, and other joiners never stall. Holding blocks by
-//     reference is safe because blocks below the prefix change only
-//     through Retain, which runs only in migrations, and the
-//     controller starts no migration or expansion while a checkpoint
-//     is in flight — until the coordinator reports its commit.
+//     replay cut) to the coordinator. It then ingests nothing until
+//     every cut, so every marker, is in (ckptEvent.allCut).
+//  3. Each joiner aligns Chandy-Lamport style, trivially after step 2:
+//     one inbox carries every link, so all numRe markers arrive before
+//     any post-barrier envelope, and the joiner has seen exactly the
+//     pre-barrier prefix of every link. That prefix is also a prefix of
+//     each grid line's window order, which every joiner of the line
+//     takes in writer order (shared.go), so the barrier freezes no
+//     segment. Alg. 3's hand-off needs no wait: a line belongs to one
+//     epoch, and each reshuffler's old-epoch windows precede its
+//     signal. The joiner captures its store (Store.Capture): the arena
+//     blocks past each index's delta watermark by reference, and only
+//     the parts that cannot be held by reference — an ordered index,
+//     spilled records — encoded; a spilled record it cannot read back
+//     fails the checkpoint as a failed backend write does. That is
+//     O(blocks), not O(bytes): the joiner hands the capture to the
+//     coordinator and goes on, and other joiners never stall. Holding
+//     blocks by reference is safe because blocks below the prefix
+//     change only through Retain, which runs only in migrations, and
+//     the controller starts no migration or expansion while a
+//     checkpoint is in flight — until the coordinator reports its
+//     commit.
 //  4. The coordinator assembles the operator snapshot (mapping, table,
 //     cuts, per-joiner captures) and collects the views of every
 //     capture into a block table: a block that two or more joiners view
-//     — a grid row's or column's shared slot block — is encoded once,
+//     — a grid row's or column's shared line block — is encoded once,
 //     as a table entry, and each joiner's record references it, so the
 //     blob holds each stored tuple's columns about once, not once per
 //     replica. It encodes the snapshot into one exact-size blob — the
@@ -291,6 +299,9 @@ type ckptEvent struct {
 	cut     int64 // evCut
 	emitted int64 // evSnap: OutputPairs at the barrier
 	capture *storage.StoreCapture
+	// err (evSnap) is the capture's failure: a spilled record that
+	// could not be read back, so the checkpoint must not commit.
+	err error
 	// evSnap: the watermark a later delta may be taken against once
 	// this payload commits, and the joiner's cell to publish it into.
 	// The cell pointer rides the event so the coordinator never reads
@@ -302,7 +313,8 @@ type ckptEvent struct {
 	numRe   int
 	mapping matrix.Mapping
 	table   []int
-	full    bool // evBegin: force a full (chain-resetting) snapshot
+	full    bool          // evBegin: force a full (chain-resetting) snapshot
+	allCut  chan struct{} // evBegin: closed once every cut, so every marker, is in
 }
 
 // ckptResult reports one checkpoint's outcome back to the controller,
@@ -337,6 +349,8 @@ type ckptBuild struct {
 	snapsGot int
 	begun    bool
 	full     bool
+	err      error // the first failed capture
+	allCut   chan struct{}
 }
 
 // ckptCut remembers one committed checkpoint's replay cuts. The
@@ -392,6 +406,7 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 			wmCells: make([]*atomic.Pointer[storage.StoreWatermark], len(ev.table)),
 			begun:   true,
 			full:    ev.full,
+			allCut:  ev.allCut,
 		}
 		return
 	case evCut:
@@ -399,7 +414,9 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 			return
 		}
 		cur.cuts[ev.idx] = ev.cut
-		cur.cutsGot++
+		if cur.cutsGot++; cur.cutsGot == cur.numRe {
+			close(cur.allCut)
+		}
 	case evSnap:
 		if !cur.begun || ev.ckpt != cur.id || ev.idx >= len(cur.joiners) {
 			return
@@ -408,10 +425,17 @@ func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
 		cur.wms[ev.idx] = ev.wm
 		cur.wmCells[ev.idx] = ev.wmCell
 		cur.snapsGot++
+		if ev.err != nil && cur.err == nil {
+			cur.err = fmt.Errorf("core: capture checkpoint %d of joiner %d: %w", cur.id, ev.idx, ev.err)
+		}
 	}
 	if cur.begun && cur.cutsGot == cur.numRe && cur.snapsGot == len(cur.table) {
-		err := op.commitCkpt(cur)
+		err := cur.err
+		if err == nil {
+			err = op.commitCkpt(cur)
+		}
 		if err != nil {
+			// A failed capture or write fails the checkpoint alike.
 			// Graceful degradation: the snapshot is lost but nothing
 			// durable moved — watermarks stay unpublished (the next delta
 			// re-covers the same suffix) and the replay log stays

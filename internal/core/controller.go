@@ -228,6 +228,7 @@ func (c *controller) maybeIssueCkpt() {
 	id := c.ckptNext
 	c.ckptNext++
 	full := c.ckptNextFull
+	allCut := make(chan struct{})
 	ev := ckptEvent{
 		kind:    evBegin,
 		ckpt:    id,
@@ -236,13 +237,14 @@ func (c *controller) maybeIssueCkpt() {
 		mapping: c.deployed,
 		table:   append([]int(nil), c.table...),
 		full:    full,
+		allCut:  allCut,
 	}
 	select {
 	case c.ckptC <- ev:
 	case <-c.op.stop:
 		return
 	}
-	c.broadcast(ctrlMsg{kind: ctrlCkpt, ckpt: id, full: full})
+	c.broadcast(ctrlMsg{kind: ctrlCkpt, ckpt: id, full: full, cut: allCut})
 }
 
 // onCkptDone completes the in-flight checkpoint: waiters get its
@@ -281,7 +283,7 @@ func (c *controller) issueNext() {
 		c.acksPending = len(c.table)
 		c.op.met.Migrations.Add(1)
 		c.stepStart = time.Now()
-		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: next})
+		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: next, lines: c.op.newLines(next, c.table, indexesSlots(true))})
 		return
 	}
 	if c.wantExpand {
@@ -303,7 +305,8 @@ func (c *controller) issueNext() {
 		c.acksPending = len(c.table)
 		c.op.met.Expansions.Add(1)
 		c.stepStart = time.Now()
-		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: newMapping, expand: true})
+		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: newMapping, expand: true,
+			lines: c.op.newLines(newMapping, c.table, indexesSlots(true))})
 		return
 	}
 	c.tryFinish()

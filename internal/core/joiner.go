@@ -96,6 +96,10 @@ type joiner struct {
 	stop   <-chan struct{}
 	eos    int
 	exited bool
+	// err is the first failure a handler met that the task must end
+	// with: a migration store's spill read that failed while
+	// maybeFinalize merged it. run returns it, so Finish reports it.
+	err error
 }
 
 // maxPairBufCap bounds how much flushed pair-buffer capacity a joiner
@@ -189,20 +193,22 @@ type migState struct {
 // temp files. Close is idempotent, so the post-Wait sweep in
 // Operator.Finish double-closing the steady-state store is harmless;
 // the migration stores (µ, ∆′) are reachable only here when a crash
-// lands mid-exchange. The store's Close error (a spill read that
-// failed) becomes run's, so Finish reports it instead of a short
+// lands mid-exchange. The stores' Close errors (a spill read that
+// failed) become run's, so Finish reports them instead of a short
 // result.
 func (w *joiner) run() (err error) {
 	defer func() {
-		if cerr := w.state.Close(); err == nil {
-			err = cerr
-		}
+		stores := []*storage.Store{w.state}
 		if w.mig != nil {
-			_ = w.mig.mu.Close()
-			_ = w.mig.dp.Close()
+			stores = append(stores, w.mig.mu, w.mig.dp)
+		}
+		for _, st := range stores {
+			if cerr := st.Close(); err == nil {
+				err = cerr
+			}
 		}
 	}()
-	for !w.finished() {
+	for w.err == nil && !w.finished() {
 		progressed := false
 		for i := 0; i < 2; i++ {
 			if m, ok := w.migIn.TryPop(); ok {
@@ -226,7 +232,7 @@ func (w *joiner) run() (err error) {
 			}
 		}
 	}
-	return nil
+	return w.err
 }
 
 // handleBatch processes one data-plane envelope and releases this
@@ -246,13 +252,10 @@ func (w *joiner) run() (err error) {
 // counters and stored-state gauges are updated once per envelope.
 func (w *joiner) handleBatch(e *envelope) {
 	if w.ckpt != nil && w.ckpt.seen[e.hdr.from] {
-		// Barrier alignment: this link's marker already arrived, so the
-		// envelope is post-barrier traffic — hold it aside (its reference
-		// with it) until the remaining markers land, then replay it. Other
-		// links keep flowing, so no joiner stalls the operator at the
-		// barrier.
-		w.ckpt.held = append(w.ckpt.held, e)
-		return
+		// Post-barrier traffic before the barrier completed: no
+		// reshuffler sends past its marker until every marker is out
+		// (ckptEvent.allCut), and one inbox carries every link.
+		panic(fmt.Sprintf("core: joiner %d: envelope from reshuffler %d past its checkpoint marker", w.id, e.hdr.from))
 	}
 	if e.hdr.kind != kTuple {
 		w.handle(e.hdr)
@@ -350,7 +353,7 @@ const reserveMin = 1 << 12
 // publisher only moves the hint on >=25% growth, so the
 // Reserve call itself runs logarithmically often, not per envelope. A
 // side that a live segment serves (join.HashIndex.Reserve) presizes
-// nothing: its slot's writer indexes its windows, and an empty private
+// nothing: its line's writer indexes its windows, and an empty private
 // directory per joiner would give back what sharing the index saves.
 func (w *joiner) maybeReserve() {
 	if w.hint == nil {
@@ -396,13 +399,11 @@ func (w *joiner) handle(m message) {
 }
 
 // ckptBarrier is an in-progress checkpoint alignment: which links'
-// markers have arrived, and the post-barrier envelopes held aside from
-// them.
+// markers have arrived.
 type ckptBarrier struct {
 	id    uint64
 	seen  []bool
 	count int
-	held  []*envelope
 	// full forces a self-contained snapshot (chain compaction or the
 	// first checkpoint); it rides the markers' epoch field.
 	full bool
@@ -439,25 +440,24 @@ func (w *joiner) onCkptMarker(m message) {
 // is the cut position in this joiner's output stream. It captures its
 // store — incrementally past the last committed watermark when one
 // exists and the barrier doesn't force a full; frozen arena blocks by
-// reference, so this is O(blocks) — hands the capture to the
-// coordinator, which encodes it, and replays the held post-barrier
-// envelopes.
+// reference, so this is O(blocks) — and hands the capture to the
+// coordinator, which encodes it.
 func (w *joiner) completeBarrier() {
 	var wm *storage.StoreWatermark
 	if !w.ckpt.full {
 		wm = w.ckptWM.Load()
 	}
-	capture, next, _ := w.state.Capture(wm)
+	capture, next, _, err := w.state.Capture(wm)
 	ev := ckptEvent{
 		kind:    evSnap,
 		ckpt:    w.ckpt.id,
 		idx:     w.id,
 		emitted: w.met.OutputPairs.Load(),
 		capture: capture,
+		err:     err,
 		wm:      next,
 		wmCell:  &w.ckptWM,
 	}
-	held := w.ckpt.held
 	w.ckpt = nil
 	select {
 	case w.ckptC <- ev:
@@ -465,9 +465,6 @@ func (w *joiner) completeBarrier() {
 		return
 	}
 	faultpoint.Crash(faultpoint.AfterBarrier)
-	for _, e := range held {
-		w.handleBatch(e)
-	}
 }
 
 // onSignal processes one reshuffler's epoch-change signal. The first
@@ -666,7 +663,8 @@ func (w *joiner) onMigBlocks(m message) {
 // tuples (all reshuffler signals) or migrated tuples (all MigDone
 // markers) can arrive: apply discards, merge µ and ∆′ into the state,
 // adopt the new mapping, and acknowledge the controller (Alg. 3
-// FinalizeMigration).
+// FinalizeMigration). A merged store whose spill read failed ends the
+// task with the error (w.err).
 func (w *joiner) maybeFinalize() {
 	mig := w.mig
 	if mig == nil || mig.signals < w.numRe || mig.dones < mig.expectedDones {
@@ -682,7 +680,9 @@ func (w *joiner) maybeFinalize() {
 	// a second ingest of the migrated volume.
 	for _, src := range [2]*storage.Store{mig.mu, mig.dp} {
 		w.state.MergeFrom(src)
-		_ = src.Close()
+		if err := src.Close(); err != nil && w.err == nil {
+			w.err = fmt.Errorf("core: joiner %d: merge migration state: %w", w.id, err)
+		}
 	}
 	// Adopt the new placement.
 	if mig.expand {

@@ -108,4 +108,7 @@ type ctrlMsg struct {
 	// whole stores. Set on the first checkpoint after start/restore and
 	// on chain compaction (commitCkpt's dead-bytes rule).
 	full bool
+	// A ctrlEpoch's line writers (Operator.newLines); a ctrlCkpt's allCut.
+	lines []line
+	cut   <-chan struct{}
 }

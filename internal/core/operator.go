@@ -118,7 +118,7 @@ func (tp *topology) pushMig(id int, m message) {
 // processed envelope and presize their private hash directory and
 // chain columns ahead of the ingest that would otherwise grow them
 // incrementally — except on a side a live segment serves, whose
-// windows the slot's writer indexes (no arena block is preallocated
+// windows the line's writer indexes (no arena block is preallocated
 // either way). Slot indexes grow by doubling, unpresized. It is a hint
 // in both directions: a zero or stale value only means growth proceeds
 // as usual.
@@ -460,7 +460,7 @@ type Operator struct {
 	// by StartContext.
 	place []int
 	peers []*remotePeer
-	// frameBlocks holds a worker's open shared block per data-frame slot
+	// frameBlocks holds a worker's open shared block per data-frame line
 	// of the newest epoch seen, frameEpoch (fanOut); frameMigrated
 	// records that a newer epoch has replaced the first one seen, which
 	// indexesSlots is asked with. Only the session's receive loop
@@ -577,7 +577,7 @@ func (op *Operator) hostsJoiner(id int) bool {
 }
 
 // sharesBlocks reports whether the operator's joiners store windows,
-// so that a reshuffler slot, or a worker's receive loop, writes each
+// so that a grid line's writer, or a worker's receive loop, writes each
 // tuple's columns once for every in-process joiner it ships them to:
 // unless the predicate is a band (an ordered index keeps its tuples in
 // its own leaves) or the stores are budgeted (a budgeted store copies
@@ -586,26 +586,42 @@ func (op *Operator) sharesBlocks() bool {
 	return op.cfg.Pred.Kind != join.Band && op.cfg.Storage.CapBytes == 0
 }
 
-// maxIndexedReshufflers bounds the reshufflers whose sharing slots keep
-// slot indexes. A joiner's store reads one slot index per reshuffler
-// and side, and every probe walks them all: on one (4,4) grid at 2^22
-// uniform keys (BenchmarkRowInsertProbe, time per stored replica on 2
-// CPUs) slot indexes take 0.4x the private directories' time with one
-// reshuffler, 0.8x with two, break even with four and take 2x with
-// eight and 3.4x with sixteen; sparse_equi at four reshufflers ran a
-// third slower with them.
-const maxIndexedReshufflers = 2
+// indexesSlots is the one policy for slot indexes: whether a line's
+// writer (newLines, or a worker's frameBlock) keeps one. Only the first
+// epoch's writers do: every migration re-indexes what the joiners keep
+// in their own directories (Retain folds or rebuilds, MergeFrom indexes
+// what it adopts), so an index written after one would be paid for
+// twice whenever another follows.
+func indexesSlots(epochChanged bool) bool { return !epochChanged }
 
-// indexesSlots is the one policy for slot indexes: whether a sharing
-// slot — a reshuffler's, or a worker's frame slot (frameBlock) — keeps
-// one (join.BlockWriter.Reset). Only an operator of at most
-// maxIndexedReshufflers reshufflers indexes slots, and a writer stops
-// once it has seen the epoch change (epochChanged): every migration
-// re-indexes what the joiners keep in their own directories (Retain
-// folds or rebuilds, MergeFrom indexes what it adopts), so an index
-// written after one would be paid for twice whenever another follows.
-func (op *Operator) indexesSlots(epochChanged bool) bool {
-	return !epochChanged && op.cfg.NumReshufflers <= maxIndexedReshufflers
+// line is the block writer of one grid line in this process, for its
+// in-process joiners; a reshuffler writes through w holding mu.
+type line struct {
+	mu sync.Mutex
+	w  join.BlockWriter
+}
+
+// newLines returns a writer per line (reshuffler slot) of grid m over
+// the joiner table, for the line's in-process joiners, with slot
+// indexes when index is set; nil when the joiners store no windows.
+// Every reshuffler of the epoch writes through the same ones.
+func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
+	if !op.sharesBlocks() {
+		return nil
+	}
+	slots := reshuffler{mapping: m, table: table, hashed: op.hashed}
+	slots.resetSlots()
+	lines := make([]line, len(slots.out))
+	for s := range lines {
+		local := 0
+		for _, id := range slots.slotDests(s) {
+			if !op.topo.isRemote(id) {
+				local++
+			}
+		}
+		lines[s].w.Reset(local, index)
+	}
+	return lines
 }
 
 // newJoiner constructs a joiner task; birth, when non-nil, pre-arms an
@@ -741,6 +757,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 	for _, w := range op.joiners {
 		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), w.run)
 	}
+	lines := op.newLines(op.cfg.Initial, op.ctl.table, indexesSlots(false))
 	for i := 0; i < op.cfg.NumReshufflers; i++ {
 		r := &reshuffler{
 			id:         i,
@@ -759,8 +776,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 			drainCh:    op.ctl.drainCh,
 			padDummies: op.cfg.PadDummies,
 			hashed:     op.hashed,
-			share:      op.sharesBlocks(),
-			indexes:    op.indexesSlots,
+			lines:      lines,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,
@@ -941,11 +957,11 @@ func (op *Operator) Finish() error {
 		if p.release != nil {
 			p.release()
 		}
-		_ = p.link.Close()
+		_ = p.link.Close() // drop: every task has exited, so nothing more crosses the link
 	}
 	op.mu.Lock()
 	for _, w := range op.joiners {
-		_ = w.state.Close()
+		_ = w.state.Close() // drop: a joiner that ran closed its store and returned the error; this releases the rest
 	}
 	op.mu.Unlock()
 	return err

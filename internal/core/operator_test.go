@@ -143,15 +143,14 @@ func mixedStream(rng *rand.Rand, nR, nS int, keys int64) []join.Tuple {
 // publish with their stored-state counters: after a static run on a
 // (4,4) grid every joiner reports the arena blocks and directories
 // behind what it stores. The joiners of a row (column) view one copy
-// of its tuples' columns and read one slot index over them per
-// reshuffler, so a stored replica costs at least its share of the
-// columns and chain links, 44/4 bytes, and a share of the slot
-// directories below the 8 bytes a single slot costs: a joiner that
-// builds its own directory again (16.8 B per replica at this load)
-// fails. The operator-wide figure must stay below the 44 bytes a
-// private copy's columns and chain link would take alone. It runs two
-// reshufflers, as many as still index their slots
-// (maxIndexedReshufflers), at any GOMAXPROCS.
+// of its tuples' columns and read the line's one slot index over them,
+// so a stored replica costs at least its share of the columns and
+// chain links, 44/4 bytes, and a share of the line's directory below
+// the 8 bytes a single slot costs: a joiner that builds its own
+// directory again (16.8 B per replica at this load) fails. The
+// operator-wide figure must stay below the 44 bytes a private copy's
+// columns and chain link would take alone. It runs two reshufflers at
+// any GOMAXPROCS.
 func TestJoinerFootprintGauges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pred := join.EquiJoin("eq", nil)

@@ -245,7 +245,7 @@ func (op *Operator) connectWorkers() error {
 			CapBytes:     op.cfg.Storage.CapBytes,
 		}
 		if err := link.Send(transport.Frame{Kind: transport.KindHello, Payload: encodeHello(h)}); err != nil {
-			_ = link.Close()
+			_ = link.Close() // drop: the failed send is returned; the link is discarded
 			return &LinkError{Worker: addr, Err: err}
 		}
 		p := newRemotePeer(addr, link, op.stop, cancel)

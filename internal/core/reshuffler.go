@@ -99,26 +99,23 @@ type reshuffler struct {
 	batchSize int
 	linger    time.Duration
 
-	// out holds the pending envelope per slot (see slotOf), sized lazily
-	// for the current mapping; dirty lists the slots holding tuples and
-	// inDirty dedupes it. dests is scratch for a column's joiner ids;
-	// byPeer is broadcast's scratch for grouping them by the worker
-	// hosting them.
-	out []*envelope
-	// blocks is, per slot, the open shared block the slot writes each
-	// routed tuple's columns into once for all of its in-process joiners
-	// (join.BlockWriter); share (Operator.sharesBlocks) enables it.
-	blocks  []join.BlockWriter
-	share   bool
+	// out holds the pending envelope per slot (see slotDests), sized
+	// lazily for the current mapping; dirty lists the slots holding
+	// tuples and inDirty dedupes it. dests is scratch for a column's
+	// joiner ids; byPeer is broadcast's scratch for grouping them by the
+	// worker hosting them.
+	out     []*envelope
 	dirty   []int
 	inDirty []bool
 	dests   []int
 	byPeer  [][]int
-	// indexes is Operator.indexesSlots, asked with migrated — the grid
-	// has changed epochs since this task started — whether a slot keeps
-	// a slot index.
-	indexes  func(epochChanged bool) bool
-	migrated bool
+	// lines is, per slot, the writer of the slot's grid line in the
+	// current epoch, shared with every other reshuffler
+	// (Operator.newLines); nil when the joiners store no windows.
+	lines []line
+	// cut closes once every reshuffler has pushed the checkpoint marker
+	// this task pushed last; nil when no barrier holds its ingest.
+	cut <-chan struct{}
 
 	lingerT     *time.Timer
 	lingerArmed bool
@@ -211,53 +208,62 @@ func (r *reshuffler) pullBurst() (dry, eos bool) {
 
 func (r *reshuffler) run() error {
 	for {
-		// Fast path: a two-case receive is far cheaper than the full
-		// five-way select, and on the ingest hot path the source is the
-		// only channel that matters. dry records whether the burst ended
-		// because the source ran out — only then is the loop idle and
-		// allowed to flush partial batches; exhausting the burst quota
-		// under a hot source is not idleness.
-		dry, eos := r.pullBurst()
-		if eos {
-			return r.drainLoop()
-		}
-		// Pump pending control traffic without blocking.
-		for pumping := true; pumping; {
-			select {
-			case c := <-r.ctrlCh:
-				if r.applyCtrl(c) {
-					return nil
-				}
-			case ack, ok := <-r.ackChan():
-				if ok {
-					r.ctl.onAck(ack)
-				}
-			case d := <-r.drainChan():
-				r.ctl.onDrained(d)
-			case <-r.pacerChan():
-				r.ctl.maybeAutoCkpt()
-			case reply := <-r.ckptReqChan():
-				r.ctl.onCkptRequest(reply)
-			case res := <-r.ckptDoneChan():
-				r.ctl.onCkptDone(res)
-			case <-r.lingerCh():
-				r.lingerArmed = false
-				r.flushAll(&r.opm.BatchFlushLinger)
-			default:
-				pumping = false
+		// A checkpoint barrier (cut) holds ingest: only the select runs.
+		if r.cut == nil {
+			// Fast path: a two-case receive is far cheaper than the full
+			// five-way select, and on the ingest hot path the source is
+			// the only channel that matters. dry records whether the
+			// burst ended because the source ran out — only then is the
+			// loop idle and allowed to flush partial batches; exhausting
+			// the burst quota under a hot source is not idleness.
+			dry, eos := r.pullBurst()
+			if eos {
+				return r.drainLoop()
 			}
+			// Pump pending control traffic without blocking.
+			for pumping := true; pumping; {
+				select {
+				case c := <-r.ctrlCh:
+					if r.applyCtrl(c) {
+						return nil
+					}
+				case ack, ok := <-r.ackChan():
+					if ok {
+						r.ctl.onAck(ack)
+					}
+				case d := <-r.drainChan():
+					r.ctl.onDrained(d)
+				case <-r.pacerChan():
+					r.ctl.maybeAutoCkpt()
+				case reply := <-r.ckptReqChan():
+					r.ctl.onCkptRequest(reply)
+				case res := <-r.ckptDoneChan():
+					r.ctl.onCkptDone(res)
+				case <-r.lingerCh():
+					r.lingerArmed = false
+					r.flushAll(&r.opm.BatchFlushLinger)
+				default:
+					pumping = false
+				}
+			}
+			if !dry {
+				continue // source still hot: keep the envelopes filling
+			}
+			// Idle: ship partial batches, then block for the next event.
+			r.flushAll(&r.opm.BatchFlushIdle)
 		}
-		if !dry {
-			continue // source still hot: keep the envelopes filling
+		source := r.source // nil while a barrier holds, even one begun above
+		if r.cut != nil {
+			source = nil
 		}
-		// Idle: ship partial batches, then block for the next event.
-		r.flushAll(&r.opm.BatchFlushIdle)
 		select {
 		case c := <-r.ctrlCh:
 			if r.applyCtrl(c) {
 				return nil
 			}
-		case env, ok := <-r.source:
+		case <-r.cut:
+			r.cut = nil
+		case env, ok := <-source:
 			if !ok {
 				return r.drainLoop()
 			}
@@ -373,18 +379,11 @@ func (r *reshuffler) disarmLinger() {
 }
 
 // buffer appends one routed tuple, with its routing value u, to slot
-// s's pending envelope, shipping the envelope when it reaches capacity.
-// The append is the tuple's only copy on its way to the joiners; on a
-// sharing slot its columns are also written once into the slot's
-// shared block, which is where the joiners store it. An envelope's
-// window lies in one block, so when the block cannot take the tuple
-// (full, or a payload it has no column for) the pending envelope ships
-// first.
+// s's pending envelope, shipping the envelope when it reaches capacity:
+// the batch size, or on a line with a writer a block (join.WindowRows),
+// since a window lies in one block, which is where the joiners store
+// the tuple.
 func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
-	b := r.block(s)
-	if b != nil && r.out[s] != nil && !b.Fits(t) {
-		r.ship(s, &r.opm.BatchFlushFull)
-	}
 	e := r.out[s]
 	if e == nil {
 		e = getEnvelope(r.batchSize)
@@ -392,13 +391,9 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 		r.out[s] = e
 	}
 	e.tuples = append(e.tuples, *t)
-	et := &e.tuples[len(e.tuples)-1]
-	et.U = u
-	if b != nil {
-		b.Append(et)
-	}
+	e.tuples[len(e.tuples)-1].U = u
 	e.bytes += t.Bytes()
-	if len(e.tuples) >= r.batchSize {
+	if n := len(e.tuples); n >= r.batchSize || n == join.WindowRows && r.line(s) != nil {
 		r.ship(s, &r.opm.BatchFlushFull)
 		return
 	}
@@ -409,13 +404,13 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	r.armLinger()
 }
 
-// block returns slot s's shared-block writer, or nil when the slot
-// writes none.
-func (r *reshuffler) block(s int) *join.BlockWriter {
-	if r.blocks == nil || !r.blocks[s].Shared() {
+// line returns the writer of slot s's line, or nil when the line
+// writes no shared blocks.
+func (r *reshuffler) line(s int) *line {
+	if r.lines == nil || !r.lines[s].w.Shared() {
 		return nil
 	}
-	return &r.blocks[s]
+	return &r.lines[s]
 }
 
 // flushAll ships every pending partial envelope, crediting the flush to
@@ -436,16 +431,22 @@ func (r *reshuffler) flushAll(cause *atomic.Int64) {
 
 // ship flushes slot s's pending envelope to every joiner of its row or
 // column (on the hash route, to its one joiner), crediting the flush to
-// cause.
+// cause. On a line with a writer it writes the body as one window and
+// pushes the envelope under the line's lock, so the line's joiners take
+// its windows in writer order, whichever reshuffler shipped them. The
+// push may block on a full inbox with the lock held: joiners never wait
+// on a reshuffler, and pushData gives up once the operator stops.
 func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	e := r.out[s]
 	r.out[s] = nil
-	if b := r.block(s); b != nil {
-		e.win = b.Window()
-	}
 	cause.Add(1)
 	r.opm.BatchesSent.Add(1)
 	r.opm.BatchedMessages.Add(int64(len(e.tuples)))
+	if l := r.line(s); l != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		e.win = l.w.AppendRun(e.tuples)
+	}
 	r.broadcast(r.slotDests(s), e)
 }
 
@@ -470,12 +471,7 @@ func (r *reshuffler) slotDests(s int) []int {
 // resetSlots sizes the pending-envelope slots for the current mapping.
 // On the grid route slots 0..N-1 are the rows (R tuples) and N..N+M-1
 // the columns (S tuples); on the hash route slot 2·id+side belongs to
-// joiner id. A sharing operator also opens each slot's block writer
-// for the slot's in-process fan-out, so a block's rows all go to one
-// set of joiners: a mapping change starts every slot on a new block
-// and, when Operator.indexesSlots says so and the slot has two or more
-// in-process joiners, a fresh slot index. A slot with no in-process
-// joiner writes none. Called with nothing pending.
+// joiner id. Called with nothing pending.
 func (r *reshuffler) resetSlots() {
 	n := r.mapping.N + r.mapping.M
 	if r.hashed {
@@ -483,19 +479,6 @@ func (r *reshuffler) resetSlots() {
 	}
 	r.out = make([]*envelope, n)
 	r.inDirty = make([]bool, n)
-	if !r.share {
-		return
-	}
-	r.blocks = make([]join.BlockWriter, n)
-	for s := range r.blocks {
-		local := 0
-		for _, id := range r.slotDests(s) {
-			if !r.topo.isRemote(id) {
-				local++
-			}
-		}
-		r.blocks[s].Reset(local, r.indexes(r.migrated))
-	}
 }
 
 // broadcast pushes e onto the data link of every joiner in ids, each
@@ -611,7 +594,8 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 		// flushed, so each joiner sees exactly this task's pre-barrier
 		// tuples before the marker), then the replay cut — how many
 		// items this task consumed before the barrier — to the
-		// coordinator. The marker's checkpoint id rides in tuple.Seq and
+		// coordinator. The task ingests nothing more until every
+		// reshuffler's cut is in (ckptEvent.allCut). The marker's checkpoint id rides in tuple.Seq and
 		// the force-full flag in epoch.
 		ep := uint32(0)
 		if c.full {
@@ -623,6 +607,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 			case r.ckptC <- ckptEvent{kind: evCut, ckpt: c.ckpt, idx: r.id, cut: r.consumed}:
 			case <-r.stop:
 			}
+			r.cut = c.cut
 		}
 	case ctrlEpoch:
 		if c.expand {
@@ -634,8 +619,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 			r.mapping = c.mapping
 		}
 		r.epoch = c.epoch
-		r.out, r.blocks = nil, nil // the slots follow the new grid's shape
-		r.migrated = true
+		r.out, r.lines = nil, c.lines // the slots follow the new grid's shape
 		// Signal every joiner of the new grid (including expansion
 		// children) before routing anything under the new mapping.
 		r.broadcastCtrl(message{kind: kSignal, epoch: c.epoch, mapping: r.mapping, expand: c.expand, from: r.id})

@@ -15,12 +15,14 @@ import (
 // TestSharedBlocksPerRow runs grids in one process and checks that
 // every store holds only views of blocks a writer wrote, that the
 // joiners of a grid row (column) store its R (S) tuples as views of
-// the same blocks — the reshuffler wrote each tuple's columns once —
+// the same blocks — the line's writer wrote each tuple's columns once —
 // and that the whole operator holds no more blocks than the input
-// fills plus one open block per slot and reshuffler. It covers a
-// (4,4) equi-join, a (16,1) grid whose row slots have one reader each,
-// a theta predicate, whose scan-indexed stores view windows as hash
-// stores do, and the hash route, whose slots have one reader each.
+// fills plus one per line and reshuffler (each line's open block, and
+// the rows a run left unused when it did not fit a block's rest). It
+// covers a (4,4) equi-join, a (16,1) grid whose row lines have one
+// reader each, a theta predicate, whose scan-indexed stores view
+// windows as hash stores do, and the hash route, whose lines have one
+// reader each.
 func TestSharedBlocksPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
@@ -135,19 +137,18 @@ func checkLineBlocks(t *testing.T, label string, js []*joiner, hashed bool, shar
 	return len(distinct)
 }
 
-// TestSharedIndexPerRow runs a static (4,4) grid on two reshufflers in
-// one process and checks that the joiners of a grid row (column) read
-// one slot index per reshuffler for their R (S) side — the same
-// indexes across the row, every segment still live — and keep no
-// private directory: each replicated tuple was indexed once, by the
-// slot that wrote it. On more than maxIndexedReshufflers reshufflers
-// the slots index nothing and every joiner keeps its own directory.
+// TestSharedIndexPerRow runs a static (4,4) grid in one process on 1,
+// 2, 4 and 8 reshufflers and checks that the joiners of a grid row
+// (column) read one slot index for their R (S) side — the line's, the
+// same across the row, still live — and keep no private directory:
+// each replicated tuple was indexed once, by the line's writer,
+// whichever reshuffler shipped it.
 func TestSharedIndexPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
 	want := refCount(pred, tuples)
-	for _, numRe := range []int{2, maxIndexedReshufflers + 2} {
+	for _, numRe := range []int{1, 2, 4, 8} {
 		got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: numRe}, tuples)
 		if got != want {
 			t.Fatalf("%d reshufflers: emitted %d, reference %d", numRe, got, want)
@@ -155,33 +156,46 @@ func TestSharedIndexPerRow(t *testing.T) {
 		if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
 			t.Fatalf("mapping %v, want (4,4)", m)
 		}
-		if numRe <= maxIndexedReshufflers {
-			checkSharedIndexes(t, "", op.joiners, numRe)
-			continue
-		}
-		for _, w := range op.joiners {
-			for _, side := range migSides {
-				if v := w.state.Segments(side); len(v.Indexes) != 0 || v.Keys == 0 {
-					t.Fatalf("%d reshufflers: joiner %d side %v reads %d segments over a private directory of %d keys, want none over its own",
-						numRe, w.id, side, len(v.Indexes), v.Keys)
-				}
-			}
-		}
+		checkSharedIndexes(t, fmt.Sprintf("%d reshufflers: ", numRe), op.joiners)
 	}
 }
 
-// checkSharedIndexes requires every joiner of js to read numRe live
-// segments per side and index nothing itself, and the joiners of one
-// grid row (column) to read the same R (S) indexes.
-func checkSharedIndexes(t *testing.T, label string, js []*joiner, numRe int) {
+// TestSharedIndexAcrossCheckpoints runs a (4,4) grid on two reshufflers
+// that checkpoints every 1000 tuples while the stream flows. The
+// barrier must keep each line's window order consistent with the cut
+// (ckptEvent.allCut): a joiner that got one reshuffler's post-barrier window
+// ahead of another's pre-barrier window of the same line would freeze
+// its segment and index the rest of the line itself. After Finish every
+// joiner must still read one live segment per side over an empty
+// private directory, and the output must equal the oracle's.
+func TestSharedIndexAcrossCheckpoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	pred := join.EquiJoin("eq", nil)
+	tuples := mixedStream(rng, 6000, 6000, 1<<20)
+	want := refCount(pred, tuples)
+	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2,
+		Backend: storage.NewMemBackend(), CheckpointEvery: 1000}, tuples)
+	if got != want {
+		t.Fatalf("emitted %d, reference %d", got, want)
+	}
+	if n := op.Metrics().Checkpoints.Load(); n < 2 {
+		t.Fatalf("%d checkpoints committed, want at least 2", n)
+	}
+	checkSharedIndexes(t, "", op.joiners)
+}
+
+// checkSharedIndexes requires every joiner of js to read one live
+// segment per side — its line's — and index nothing itself, and the
+// joiners of one grid row (column) to read the same R (S) index.
+func checkSharedIndexes(t *testing.T, label string, js []*joiner) {
 	t.Helper()
 	lines := [2]map[int]map[any]bool{{}, {}}
 	for _, w := range js {
 		for _, side := range migSides {
 			v := w.state.Segments(side)
-			if len(v.Indexes) != numRe || v.Live != numRe || v.Keys != 0 {
-				t.Fatalf("%sjoiner %d side %v reads %d segments (%d live) over a private directory of %d keys, want %d live over none",
-					label, w.id, side, len(v.Indexes), v.Live, v.Keys, numRe)
+			if len(v.Indexes) != 1 || v.Live != 1 || v.Keys != 0 {
+				t.Fatalf("%sjoiner %d side %v reads %d segments (%d live) over a private directory of %d keys, want one live over none",
+					label, w.id, side, len(v.Indexes), v.Live, v.Keys)
 			}
 			set := map[any]bool{}
 			for _, ix := range v.Indexes {
@@ -228,7 +242,7 @@ func TestSharedBlocksCaptureWhileAppending(t *testing.T) {
 	for i := range tuples {
 		if i%3 != 0 {
 			// Payload-free tuples between payload-carrying ones: a
-			// slot's block opened without a payload column must be
+			// line's block opened without a payload column must be
 			// sealed by the first payload that follows a published
 			// window.
 			tuples[i].Payload = nil
@@ -284,7 +298,7 @@ func TestSharedBlocksCaptureWhileAppending(t *testing.T) {
 
 // TestSharedBlocksAcrossMigrationExact runs an adaptive grid through
 // several migrations at the default envelope size: new-epoch runs land
-// in ∆′ as views of the new slots' shared blocks, finalization adopts
+// in ∆′ as views of the new lines' shared blocks, finalization adopts
 // them into the state with MergeFrom, and later windows of the same
 // blocks extend the adopted views. The output must be the nested-loop
 // multiset by content, payloads included, and the final state must
@@ -418,8 +432,9 @@ func TestWorkerSharedBlocksPerRow(t *testing.T) {
 
 // TestWorkerSharedIndexPerRow is TestSharedIndexPerRow on two loopback
 // workers: a worker's receive loop indexes each frame body once, in the
-// slot index of the frame's sender and side, and the hosted joiners the
-// frame names read that index instead of their own directories.
+// slot index of the frame's line, whichever of the two reshufflers sent
+// it, and the hosted joiners the frame names read that one index
+// instead of their own directories.
 func TestWorkerSharedIndexPerRow(t *testing.T) {
 	addrs, wait := serveWorkers(t, 2)
 	rng := rand.New(rand.NewSource(79))
@@ -431,13 +446,13 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 		t.Fatalf("emitted %d, reference %d", got, want)
 	}
 	for i, wop := range wait() {
-		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners, 2)
+		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 	}
 }
 
 // TestWorkerSharedIndexLongFrames is TestWorkerSharedIndexPerRow with
 // batches of 1024 tuples: a frame body longer than a block gets no
-// window and stops its slot's index, so no joiner's segment may go on
+// window and stops its line's index, so no joiner's segment may go on
 // serving: the joiners index those frames in their own directories,
 // and a store that a segment still serves skips presizing its own
 // (join.HashIndex.Reserve).

@@ -48,7 +48,7 @@ func serveWorker(ctx context.Context, lis transport.Listener, wcfg WorkerConfig,
 	go func() {
 		select {
 		case <-ctx.Done():
-			_ = lis.Close()
+			_ = lis.Close() // drop: it only unblocks Accept, whose caller returns ctx.Err()
 		case <-accepted:
 		}
 	}()
@@ -62,16 +62,16 @@ func serveWorker(ctx context.Context, lis transport.Listener, wcfg WorkerConfig,
 	}
 	hf, err := link.Recv()
 	if err != nil {
-		_ = link.Close()
+		_ = link.Close() // drop: the session fails with the error returned next
 		return &LinkError{Worker: "coordinator", Err: err}
 	}
 	if hf.Kind != transport.KindHello {
-		_ = link.Close()
+		_ = link.Close() // drop: the session fails with the error returned next
 		return &LinkError{Worker: "coordinator", Err: fmt.Errorf("first frame is %v, want hello", hf.Kind)}
 	}
 	h, err := decodeHello(hf.Payload)
 	if err != nil {
-		_ = link.Close()
+		_ = link.Close() // drop: the session fails with the error returned next
 		return &LinkError{Worker: "coordinator", Err: err}
 	}
 	return runWorkerSession(ctx, link, h, wcfg, built)
@@ -95,7 +95,7 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 	}
 	op, err := NewOperator(cfg)
 	if err != nil {
-		_ = link.Close()
+		_ = link.Close() // drop: the session fails with the error returned next
 		return &LinkError{Worker: "coordinator", Err: fmt.Errorf("hello: %w", err)}
 	}
 	if built != nil {
@@ -226,9 +226,9 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 		_ = link.Send(transport.Frame{Kind: transport.KindError, Payload: []byte(err.Error())})
 	}
 	peer.release()
-	_ = link.Close()
+	_ = link.Close() // drop: the session is over and returns err; nothing more crosses the link
 	for _, w := range op.joiners {
-		_ = w.state.Close()
+		_ = w.state.Close() // drop: a joiner that ran closed its store and returned the error; this releases the rest
 	}
 	return err
 }
@@ -237,8 +237,8 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // to every hosted joiner it names, by reference — the in-process
 // broadcast, on the far side of the link: the references are set before
 // the first push. A body is first written, whole, into the open block
-// of its slot (frameBlock) when the joiners store windows
-// (sharesBlocks), and indexed in the slot's index when it has one; the
+// of its line (frameBlock) when the joiners store windows
+// (sharesBlocks), and indexed in the line's index when it has one; the
 // envelope carries the window, so the joiners it names store views of
 // one copy of its columns and read one index over them. A frame naming
 // a joiner this process does not host, or one joiner twice, sent by a
@@ -290,18 +290,17 @@ func (op *Operator) checkFrame(dests []int, e *envelope) error {
 	return nil
 }
 
-// frameSlot names the reshuffler slot a data frame's body comes from,
-// as a worker sees it: the sender, the body's side and the first joiner
-// the frame names. Within one epoch a slot's frames name the same
-// joiners, and two slots of one sender name different first joiners or
-// carry different sides.
+// frameSlot names the grid line of a data frame's body as a worker sees
+// it: the body's side and the first joiner the frame names, the same
+// for every reshuffler's frames of the line within one epoch. The
+// receive loop is the line's one writer and pushes each body in the
+// order it wrote them.
 type frameSlot struct {
-	from  int
 	side  matrix.Side
 	first int
 }
 
-// slotBlock is a worker's open shared block for one frameSlot, with the
+// slotBlock is a worker's open shared block for one frame line, with the
 // epoch and fan-out it was opened for.
 type slotBlock struct {
 	join.BlockWriter
@@ -309,18 +308,16 @@ type slotBlock struct {
 	sharers int
 }
 
-// frameBlock returns the shared-block writer of e's slot, reset — onto
-// a fresh block, and a fresh slot index when Operator.indexesSlots
-// says so — when the frame's destination count differs from the
-// block's (a new slot's fan-out is 0), so a block's rows all go to one
-// set of joiners.
-// The first frame of a newer epoch drops every slot of the older ones:
-// as on a reshuffler, a mapping change starts every slot on a new
-// block, and an old slot's open block and index would otherwise stay
-// pinned until the slot is seen again. A frame of an older epoch than
+// frameBlock returns the shared-block writer of e's line, reset — onto
+// a fresh block, and a fresh slot index when indexesSlots says so —
+// when the frame's destination count differs from the block's (a new
+// line's fan-out is 0), so a block's rows all go to one set of joiners.
+// The first frame of a newer epoch drops every line of the older ones:
+// as in the coordinator, a mapping change starts every line on a new
+// block, and an old line's open block and index would otherwise stay
+// pinned until the line is seen again. A frame of an older epoch than
 // the newest seen — a ∆ run of a migration in progress — gets no writer
-// (nil) and its joiners copy it through their own writers. There is one writer per slot of the
-// current epoch, at most one per reshuffler, side and hosted joiner.
+// (nil) and its joiners copy it through their own writers.
 func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 	switch epoch := e.hdr.epoch; {
 	case epoch < op.frameEpoch:
@@ -330,14 +327,14 @@ func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 		op.frameEpoch = epoch
 		op.frameBlocks = make(map[frameSlot]*slotBlock)
 	}
-	k := frameSlot{from: e.hdr.from, side: e.tuples[0].Rel, first: dests[0]}
+	k := frameSlot{side: e.tuples[0].Rel, first: dests[0]}
 	b := op.frameBlocks[k]
 	if b == nil {
 		b = &slotBlock{epoch: op.frameEpoch}
 		op.frameBlocks[k] = b
 	}
 	if b.sharers != len(dests) {
-		b.Reset(len(dests), op.indexesSlots(op.frameMigrated))
+		b.Reset(len(dests), indexesSlots(op.frameMigrated))
 		b.sharers = len(dests)
 	}
 	return &b.BlockWriter

@@ -20,7 +20,7 @@ func CloseOnDone(done <-chan struct{}, c io.Closer) (release func()) {
 	go func() {
 		select {
 		case <-done:
-			_ = c.Close()
+			_ = c.Close() // drop: it only unblocks the owner's pending I/O; the owner reports the stop cause
 		case <-stop:
 		}
 	}()

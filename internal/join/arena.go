@@ -45,7 +45,7 @@ import (
 //	                             block carries one
 //	chain              4 B       hash indexes only: the per-key chain,
 //	                             held by the index per replica, or
-//	                             once per slot by the slot index a
+//	                             once per line by the slot index a
 //	                             segment reads
 //	view               16 B      per entry: per window that does not
 //	                             extend the previous one

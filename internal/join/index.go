@@ -176,7 +176,7 @@ const maxHitsCap = 1 << 15
 // HashIndex is a multimap from join key to tuples, the storage half of
 // a symmetric hash join [42]. Tuples live in the columnar arena, which
 // holds only views of windows a BlockWriter published (shared.go): a
-// reshuffler slot's or a worker's, shared with the other joiners of a
+// grid line's or a worker's, shared with the other joiners of a
 // grid row or column, whose rows the writer's slot index may serve
 // instead of this index's directory (segments, slotindex.go), or the
 // index's own, for every row it copies. The key directory is a slotDir
@@ -193,22 +193,22 @@ const maxHitsCap = 1 << 15
 // equi-join: 125 k keys per side per joiner, directory load 0.48), for
 // an index of its own writer's blocks (own: a copying store, or one
 // slot reader), and on a (4,4) grid whose joiners view the
-// reshuffler's blocks under their own directories (shared) or read the
-// slot's index (segment, slotindex.go):
+// line's blocks under their own directories (shared) or read the
+// line's index (segment, slotindex.go):
 //
 //	                    own       shared   segment (m = 4)
 //	arena columns        40.0      10.0     10.0   (40 / m)
 //	block rounding        2.5       0.6      0.6   (20.0 KB in a 21.25 KB size class)
-//	chain column          4.0       4.0      1.0   (per replica, or once per slot)
+//	chain column          4.0       4.0      1.0   (per replica, or once per line)
 //	views                 0.0     0-0.5    0-0.5   (16 B per window a block's next one does not extend)
-//	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per slot)
+//	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per line)
 //	total                63.3      31.5     15.9
 //
 // With d duplicates per key the directory share divides by d (4.2 B at
 // d = 4, for totals of 50.8, 18.9 and 12.8 B). What remains after this
 // layout: the 8-byte meta word (34 bits used), the U column (only the
 // migration selection and discards read it), the unfilled rows of each
-// slot's open shared block, and whatever headroom GOGC leaves on top of
+// line's open shared block, and whatever headroom GOGC leaves on top of
 // the live heap.
 //
 // The directory grows as a SlotIndex's does: when the next distinct key
@@ -308,7 +308,7 @@ func (h *HashIndex) chain(s *uint64, tag uint32, off int32) {
 
 // chainLookback bounds how far back syncChains looks for an earlier
 // entry viewing the same shared block: windows of one block reach a
-// joiner interleaved with at most one window per other reshuffler.
+// joiner interleaved with at most the copies of runs it could not view.
 const chainLookback = 16
 
 // syncChains gives every arena entry past the chain list its chain
@@ -410,7 +410,7 @@ func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
 // directory). Ingest below the hint then does not rehash; the hint is
 // clamped so a wild estimate costs bounded memory. No arena block is
 // preallocated: the blocks come from windows. An
-// index a live segment serves reserves nothing: its slot's writer
+// index a live segment serves reserves nothing: its line's writer
 // indexes the windows, and an empty presized directory would cost
 // what sharing the index saves.
 func (h *HashIndex) Reserve(n int) {

@@ -46,7 +46,7 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 // AddWindowCollect is AddBatchCollect for a run whose columns a writer
 // already wrote into the window w (row i holding ts[i]): the probe runs
 // on ts as ever, and the run is stored as a view of w, which a hash
-// side indexes through a segment of the writer's slot index when it
+// side indexes through a segment of the line's slot index when it
 // can (HashIndex.takeWindow). A window that does not name exactly ts,
 // the zero Window among them, is stored as a view of the side's own
 // copy; an ordered side copies into its leaves.

@@ -5,21 +5,21 @@ import "repro/internal/matrix"
 // Blocks and their writers: a BlockWriter is the one code path that
 // writes arena rows. On the grid route every R tuple is stored by all m
 // joiners of its row and every S tuple by all n joiners of its column,
-// and in one process those replicas are byte-identical. A reshuffler
-// slot (a grid row or column, or a hash-route joiner's side) therefore
-// writes the columns of each tuple it routes once, into its open block,
-// and the envelope it ships names the rows it added as a Window. Every
-// joiner that stores the envelope's body adds a view of the window to
-// its arena instead of copying the tuples. A writer for two or more
-// readers also indexes each row once, in its slot index (SlotIndex,
-// slotindex.go), and a joiner that took every window of the slot reads
-// that index as of its own watermark (a segment) instead of building a
+// and in one process those replicas are byte-identical. So each grid
+// line (a row for R, a column for S, or a hash-route joiner's side) of
+// an epoch has one writer per process, which writes each shipped body
+// once (AppendRun); the envelope names those rows as a Window, and
+// every joiner that stores the body adds a view of the window to its
+// arena instead of copying the tuples. A writer for two or more readers
+// also indexes each row once, in the line's slot index (SlotIndex,
+// slotindex.go); a joiner that took every window of the line reads that
+// index as of its own watermark (a segment) instead of building a
 // directory and chain column over the window (HashIndex.add, the
-// fallback).
+// fallback), so a probe walks one directory per side and epoch.
 //
 // A worker process is a block writer too: its receive loop writes the
 // body of each data frame once, whole, into an open block kept for the
-// frame's slot (AppendRun), and the decoded envelope carries that
+// frame's line (AppendRun), and the decoded envelope carries that
 // window to every joiner the frame names. A tuple is thus stored and
 // indexed once per process that hosts its row or spans its column.
 //
@@ -30,13 +30,16 @@ import "repro/internal/matrix"
 // way. Only a checkpoint capture hands such a writer's windows to
 // another goroutine, so its block is sealed then (seal).
 //
-// The invariants that make this race-free without locks or reference
-// counts:
+// The invariants that make this race-free without reference counts:
 //
-//   - only the owning writer (a slot, a worker's receive loop, or a
-//     store's own writer) writes a block and its slot index, and only
-//     at rows >= the last published hi, so no row a reader can reach
-//     ever changes;
+//   - one writer per line — the reshuffler holding the line's lock, a
+//     worker's receive loop, or a store's own writer — writing only at
+//     rows >= the last published hi, so no row a reader can reach ever
+//     changes;
+//   - the readers of a line take its windows in writer order: a
+//     reshuffler pushes the envelope before it releases the lock, into
+//     inboxes that are FIFO channels (a worker's receive loop writes
+//     and pushes in one order);
 //   - a reader touches only its windows' [lo, hi) rows, which the
 //     envelope's channel send publishes — except in the slot index,
 //     where a probe may meet newer rows at a chain's head, and reads
@@ -54,13 +57,21 @@ import "repro/internal/matrix"
 //     positions, so it skips the rows at or past W and sees exactly the
 //     rows of its own windows;
 //   - a gap — a window the reader did not take through the segment —
-//     freezes the segment at its W, and the slot's later windows go to
+//     freezes the segment at its W, and the line's later windows go to
 //     the reader's own directory; so does a writer that stops indexing
 //     (BlockWriter.stop), which marks its index closed for the readers;
+//   - line order agrees with a checkpoint's cut: a reshuffler that has
+//     pushed its marker publishes no window until every marker is out
+//     (core's ckptEvent.allCut);
+//   - a line belongs to one epoch, so Alg. 3's ∆ windows continue the
+//     old lines' segments and ∆′ windows arrive on new lines, which
+//     index nothing; each reshuffler pushes its old-epoch windows before
+//     its signal, so by the last signal a joiner holds every old-epoch
+//     window its segments name;
 //   - no header field changes once another goroutine may hold a window
-//     of the block (the writer sealed it): a payload-carrying tuple
+//     of the block (the writer sealed it): a payload-carrying run
 //     arriving at a sealed block without the payload column opens a new
-//     block (BlockWriter.Fits);
+//     block (fits);
 //   - nothing is pooled: the garbage collector frees a block or an index
 //     once the last arena, segment or envelope referencing it is gone.
 
@@ -68,8 +79,8 @@ import "repro/internal/matrix"
 // envelope's body was written into, row i holding body tuple i. The
 // zero Window names nothing: the body exists only as tuples. A window
 // of an indexing writer also names the writer's SlotIndex, the index
-// position of row lo (at), and the position the slot's previous window
-// ended at (prev, 0 for the slot's first window): a store whose segment
+// position of row lo (at), and the position the line's previous window
+// ended at (prev, 0 for the line's first window): a store whose segment
 // watermark equals prev continues the segment with it.
 type Window struct {
 	c        *colChunk
@@ -82,7 +93,7 @@ type Window struct {
 func (w Window) Len() int { return int(w.hi - w.lo) }
 
 // BlockWriter is the open block of a writer, with the slot index over
-// every block it wrote when it keeps one. A slot's writer writes
+// every block it wrote when it keeps one. A line's writer writes
 // nothing (Shared is false) until Reset gives it a fan-out; the zero
 // value, used through copyRun, copyRow and next, is a store's own
 // writer: blocks for one reader, no slot index.
@@ -104,7 +115,7 @@ type BlockWriter struct {
 // Reset drops the open block and the slot index — a block or index in
 // use stays alive through the windows and segments that reference it —
 // and sets the fan-out the next block is written for: the number of
-// in-process joiners the slot ships to. A fan-out of zero turns the
+// in-process joiners the line ships to. A fan-out of zero turns the
 // writer off; a fan-out of two or more starts a fresh, empty slot index
 // when index is set. Otherwise the readers index the windows
 // themselves: one reader would index them at the same cost through a
@@ -116,26 +127,20 @@ func (b *BlockWriter) Reset(sharers int, index bool) {
 	}
 }
 
-// Shared reports whether the slot writes shared blocks at all.
+// Shared reports whether the line writes shared blocks at all.
 func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
 
-// Fits reports whether t can join the window being written: false when
-// the block is full, or when t carries a payload and the block, sealed
-// by a published window, has no payload column. On false the caller
-// ships its pending window first; the next Append opens a fresh block.
-func (b *BlockWriter) Fits(t *Tuple) bool {
-	return b.c == nil || b.fits(1, t.Payload != nil)
-}
-
 // fits reports whether the open block can take n more rows of the
-// window being written, a payload among them when payload.
+// window being written, a payload among them when payload: false when
+// the block is full, or when the block, sealed by a published window,
+// has no payload column.
 func (b *BlockWriter) fits(n int32, payload bool) bool {
 	return b.c != nil && b.hi+n <= arenaChunk && (!payload || b.c.payload != nil || !b.sealed)
 }
 
 // open makes room for n rows, a payload among them when payload: a
 // fresh block, entered in the slot index, when the open one cannot
-// take them (see Fits), else the open one, given a payload column in
+// take them (see fits), else the open one, given a payload column in
 // place if it lacks one — until the block is sealed no other goroutine
 // holds a window of it, and no index entry names it.
 func (b *BlockWriter) open(n int32, payload bool) {
@@ -152,39 +157,44 @@ func (b *BlockWriter) open(n int32, payload bool) {
 	}
 }
 
-// Append writes t as the next row, opening a fresh block when the
-// current one cannot take it (see Fits).
-func (b *BlockWriter) Append(t *Tuple) {
-	b.open(1, t.Payload != nil)
-	b.c.put(b.hi, t)
-	b.hi++
-}
+// WindowRows is the longest run AppendRun writes as a window: a block.
+const WindowRows = arenaChunk
 
 // AppendRun writes run as consecutive rows of one block and publishes
-// them as one Window, row i holding run[i]; it opens a fresh block when
-// the open one cannot take the whole run (see Fits). A run longer than
-// a block, or an empty one, is not written and gets the zero Window, so
-// each reader copies it through its own writer; a run longer than a
-// block also stops the slot index, since a slot that ships such runs
-// leaves most of its rows to its readers' own directories.
+// them to the line's readers as one Window, row i holding run[i],
+// indexed in the slot index and with the block sealed; it opens a fresh
+// block when the open one cannot take the whole run (see fits). A run longer than
+// a block (WindowRows), or an empty one, is not written and gets the
+// zero Window, so each reader copies it through its own writer; a run
+// longer than a block also stops the slot index, since a line that
+// ships such runs leaves most of its rows to its readers' own
+// directories.
 func (b *BlockWriter) AppendRun(run []Tuple) Window {
-	if len(run) > arenaChunk {
+	if len(run) > WindowRows {
 		b.stop()
 	}
-	if len(run) == 0 || len(run) > arenaChunk {
+	if len(run) == 0 || len(run) > WindowRows {
 		return Window{}
 	}
 	b.open(int32(len(run)), hasPayload(run))
+	w := Window{c: b.c, lo: b.hi}
 	for i := range run {
 		b.c.put(b.hi, &run[i])
 		b.hi++
 	}
-	return b.Window()
+	w.hi, b.pub, b.sealed = b.hi, b.hi, true
+	if b.ix != nil {
+		// Indexed before any reader holds the window.
+		w.ix, w.at, w.prev = b.ix, b.base|uint32(w.lo), b.ixPub
+		b.ix.add(b.base, w.lo, w.hi)
+		b.ixPub = w.at + uint32(len(run))
+	}
+	return w
 }
 
 // stop ends the slot index: no later window names it, so the segments
 // that read it serve no more (HashIndex.serving) and the readers index
-// the slot's later windows themselves.
+// the line's later windows themselves.
 func (b *BlockWriter) stop() {
 	if b.ix != nil {
 		b.ix.closed.Store(true)
@@ -200,21 +210,6 @@ func hasPayload(ts []Tuple) bool {
 		}
 	}
 	return false
-}
-
-// Window publishes the rows written since the last call to the slot's
-// readers, indexing them in the slot index first — once a reader holds
-// the window, every row of it is in the index — and seals the block.
-func (b *BlockWriter) Window() Window {
-	b.sealed = b.sealed || b.hi > b.pub
-	w := Window{c: b.c, lo: b.pub, hi: b.hi}
-	if b.ix != nil && b.hi > b.pub {
-		w.ix, w.at, w.prev = b.ix, b.base|uint32(b.pub), b.ixPub
-		b.ix.add(b.base, b.pub, b.hi)
-		b.ixPub = w.at + uint32(w.Len())
-	}
-	b.pub = b.hi
-	return w
 }
 
 // copyRun writes ts through b into a (see next) and returns the arena

@@ -10,8 +10,8 @@ import (
 )
 
 // storeShared writes ts through a BlockWriter of fan-out sharers the
-// way a reshuffler slot does — windows of at most batch rows, a window
-// shipped early when the block cannot take the next tuple — and hands
+// way a line's writer does — a window per run of at most batch rows,
+// in a fresh block when the open one cannot take the run — and hands
 // each window with its run to store.
 func storeShared(ts []Tuple, sharers, batch int, store func([]Tuple, Window)) {
 	var bw BlockWriter
@@ -21,16 +21,9 @@ func storeShared(ts []Tuple, sharers, batch int, store func([]Tuple, Window)) {
 
 // writeShared is storeShared through a given writer.
 func writeShared(bw *BlockWriter, ts []Tuple, batch int, store func([]Tuple, Window)) {
-	start := 0
-	for i := range ts {
-		if i > start && (!bw.Fits(&ts[i]) || i-start == batch) {
-			store(ts[start:i], bw.Window())
-			start = i
-		}
-		bw.Append(&ts[i])
-	}
-	if start < len(ts) {
-		store(ts[start:], bw.Window())
+	for start := 0; start < len(ts); start += batch {
+		run := ts[start:min(start+batch, len(ts))]
+		store(run, bw.AppendRun(run))
 	}
 }
 
@@ -145,9 +138,8 @@ func TestMergeFromAdoptsSharedViewThenExtends(t *testing.T) {
 		for i := range run {
 			seq++
 			run[i] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(40), Size: 8, Seq: seq, U: rng.Uint64()}
-			bw.Append(&run[i])
 		}
-		return run, bw.Window()
+		return run, bw.AppendRun(run)
 	}
 	ref := NewScanIndex()
 	state := NewHashIndex()

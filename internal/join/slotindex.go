@@ -7,12 +7,12 @@ import (
 )
 
 // SlotIndex is the hash index a sharing block writer (BlockWriter)
-// keeps over the blocks it writes: one per slot, side and epoch, so a
-// row replicated to m joiners of one process is indexed once, not m
-// times. The writer inserts each row when it publishes the window
-// naming it; the joiners that store the windows read the index as of
-// their own watermark instead of indexing the rows themselves (see
-// segment).
+// keeps over the blocks it writes: one per grid line and epoch in each
+// process, so a row replicated to m joiners of one process is indexed
+// once, not m times. The writer — whichever reshuffler holds the
+// line's lock — inserts each row before it publishes the window naming
+// it; the joiners that store the windows read the index as of their
+// own watermark instead of indexing the rows themselves (see segment).
 //
 // An index position names a row of the writer's block sequence,
 // block<<arenaShift | row, and grows with every row written, so the
@@ -34,7 +34,7 @@ import (
 //	chain        4 B   one uint32 link per row, in per-block columns
 //	table        16 B per 512 rows
 //
-// so a row of a (4,4) grid's slot costs each of its m = 4 readers a
+// so a row of a (4,4) grid's line costs each of its m = 4 readers a
 // quarter of that.
 type SlotIndex struct {
 	// dir and table are what readers load; cur and blocks are the
@@ -166,7 +166,7 @@ func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
 // sees what a private index over the same windows would hold. A window
 // that does not continue the segment — one the store did not get, got
 // filtered, or copied instead — leaves w where it is (live turns false)
-// and the rest of the slot's windows are indexed privately.
+// and the rest of the line's windows are indexed privately.
 type segment struct {
 	ix   *SlotIndex
 	w    uint32
@@ -174,9 +174,9 @@ type segment struct {
 }
 
 // maxSegments bounds the segments one store reads, each a directory
-// every probe walks; a store at the bound indexes new slots' windows
-// itself. In the operator a store holds one per reshuffler (or worker
-// frame slot) and epoch it received windows from.
+// every probe walks; a store at the bound indexes new lines' windows
+// itself. In the operator a store holds one per epoch whose line
+// writers indexed (today only the first epoch's do).
 const maxSegments = 64
 
 // share returns the segment's share of its index's resident bytes:
@@ -296,7 +296,7 @@ func (h *HashIndex) segmentOf(ix *SlotIndex) *segment {
 	return nil
 }
 
-// serving reports whether a live segment serves h: its slot's windows
+// serving reports whether a live segment serves h: its line's windows
 // still arrive indexed, so presizing a private directory would only
 // waste memory. A segment whose writer stopped indexing serves no
 // more, though no gap has frozen it yet.
@@ -309,11 +309,11 @@ func (h *HashIndex) serving() bool {
 	return false
 }
 
-// serving reports whether the segment still takes its slot's windows.
+// serving reports whether the segment still takes its line's windows.
 func (s *segment) serving() bool { return s.live && !s.ix.closed.Load() }
 
 // takeWindow stores the run ts, written into the shared window w, as
-// the continuation of a segment — or the start of one, at the slot's
+// the continuation of a segment — or the start of one, at the line's
 // first window — and reports whether it did: the arena gains the
 // window's view, the segment's watermark moves to the window's end,
 // and h writes no directory or chain entry. Any other window, or one

@@ -19,82 +19,105 @@ type slotMsg struct {
 }
 
 // TestSlotIndexAsOf is the property behind segments: over random
-// interleavings of one writer's appends and several readers' windows,
-// every probe a reader makes of its store — segments read as of its
-// watermark plus its private directory — returns exactly what a private
-// HashIndex built from the same windows returns. The writer runs ahead
-// of the readers on its own goroutine, so their probes meet rows at and
-// past their watermarks, directories swapped under them and blocks not
-// yet in the table they loaded. The runs mix duplicate and distinct
-// keys under a narrowed tagMask (every home slot contested by keys of
-// one tag), payloads that force fresh blocks after published
-// payload-free rows, dummies, and windows written row by row (a
-// reshuffler slot) and whole (a worker's AppendRun). Near the end a
-// whole run past a block gets the zero Window and stops the index, so
-// the last windows name none. Reader 0 takes every window; the others
-// take gaps — a window they never get, or a run a replay filter
-// shortened and stored as a copy — which freeze their segment, after
-// which they index the slot privately.
+// interleavings of several writers' appends and several readers'
+// windows, every probe a reader makes of its store — segments read as
+// of its watermark plus its private directory — returns exactly what a
+// private HashIndex built from the same windows returns. The writers
+// take turns on one BlockWriter under a lock, as the reshufflers of a
+// grid line do, and push each window to every reader before they
+// release it, so every reader takes the line's windows in writer order.
+// They run ahead of the readers on their own goroutines, so the
+// readers' probes meet rows at and past their watermarks, directories
+// swapped under them and blocks not yet in the table they loaded, each
+// reader at its own watermark. The runs mix duplicate and distinct keys
+// under a narrowed tagMask (every home slot contested by keys of one
+// tag), payloads that force fresh blocks after published payload-free
+// rows, and dummies; a run is published whole or split into several
+// windows. Near the end a whole run past a block gets the zero Window
+// and stops the index, so the last windows name none. Reader 0 takes
+// every window; the others take gaps — a window they never get, or a
+// run a replay filter shortened and stored as a copy — which freeze
+// their segment, after which they index the line privately.
 func TestSlotIndexAsOf(t *testing.T) {
 	forceTagCollisions(t)
-	const readers, windows = 3, 800
+	const readers, writers, windows = 3, 3, 800
 	chans := make([]chan slotMsg, readers)
 	for i := range chans {
-		// Room for the writer to run a few blocks ahead of each reader,
-		// as a reshuffler runs ahead of its joiners' inboxes, so probes
+		// Room for the writers to run a few blocks ahead of each reader,
+		// as reshufflers run ahead of their joiners' inboxes, so probes
 		// meet rows past their watermarks.
 		chans[i] = make(chan slotMsg, 256)
 	}
-	var swaps int
-	go func() {
-		rng := rand.New(rand.NewSource(71))
-		var bw BlockWriter
-		bw.Reset(readers, true)
-		seq := uint64(0)
-		publish := func(run []Tuple, w Window) {
-			for _, c := range chans {
-				c <- slotMsg{run, w}
-			}
+	var (
+		mu      sync.Mutex // the line's lock: guards bw, k, stopped, swaps
+		bw      BlockWriter
+		k       int
+		stopped bool
+		swaps   int
+		wwg     sync.WaitGroup
+	)
+	bw.Reset(readers, true)
+	publish := func(run []Tuple, w Window) {
+		for _, c := range chans {
+			c <- slotMsg{run, w}
 		}
-		stopped := false
-		for k := 0; k < windows; {
-			n := 1 + rng.Intn(48)
-			long := !stopped && k >= windows-20
-			if long || rng.Intn(60) == 0 {
-				n = arenaChunk + 1 + rng.Intn(40)
+		k++
+	}
+	newRun := func(rng *rand.Rand, seq *uint64, n int) []Tuple {
+		run := make([]Tuple, n)
+		for i := range run {
+			*seq++
+			key := rng.Int63n(512)
+			if rng.Intn(3) == 0 {
+				key = rng.Int63n(1 << 40)
 			}
-			run := make([]Tuple, n)
-			for i := range run {
-				seq++
-				key := rng.Int63n(512)
-				if rng.Intn(3) == 0 {
-					key = rng.Int63n(1 << 40)
+			run[i] = diffTuple(rng, *seq, key)
+		}
+		return run
+	}
+	for wid := 0; wid < writers; wid++ {
+		wwg.Add(1)
+		go func(wid int) {
+			defer wwg.Done()
+			rng := rand.New(rand.NewSource(int64(71 + wid)))
+			seq := uint64(wid) << 32 // disjoint sequence numbers per writer
+			for {
+				n := 1 + rng.Intn(48)
+				if rng.Intn(60) == 0 {
+					n = arenaChunk + 1 + rng.Intn(40)
 				}
-				run[i] = diffTuple(rng, seq, key)
+				run := newRun(rng, &seq, n)
+				mu.Lock()
+				if k >= windows && stopped {
+					mu.Unlock()
+					return
+				}
+				long := !stopped && k >= windows-20
+				if long {
+					run = newRun(rng, &seq, arenaChunk+1+rng.Intn(40))
+				}
+				var before *slotDir
+				if bw.ix != nil {
+					before = bw.ix.dir.Load()
+				}
+				if long || (len(run) <= arenaChunk && rng.Intn(2) == 0) {
+					// The whole run as one window, or, past a block, the
+					// zero Window, after which the line indexes nothing.
+					publish(run, bw.AppendRun(run))
+					stopped = stopped || long
+				} else {
+					// The run split into windows of at most a block.
+					writeShared(&bw, run, 1+rng.Intn(min(len(run), arenaChunk)), publish)
+				}
+				if before != nil && bw.ix != nil && bw.ix.dir.Load() != before && len(run) > 1 {
+					swaps++
+				}
+				mu.Unlock()
 			}
-			var before *slotDir
-			if bw.ix != nil {
-				before = bw.ix.dir.Load()
-			}
-			if long || (n <= arenaChunk && rng.Intn(2) == 0) {
-				// A worker's frame body: the whole run, or, past a block,
-				// the zero Window, after which the slot indexes nothing.
-				w := bw.AppendRun(run)
-				publish(run, w)
-				k++
-				stopped = stopped || long
-			} else {
-				// A reshuffler slot: rows one by one, a window shipped
-				// early when the block cannot take the next row.
-				writeShared(&bw, run, n, func(r []Tuple, w Window) {
-					publish(r, w)
-					k++
-				})
-			}
-			if before != nil && bw.ix != nil && bw.ix.dir.Load() != before && n > 1 {
-				swaps++
-			}
-		}
+		}(wid)
+	}
+	go func() {
+		wwg.Wait()
 		for _, c := range chans {
 			close(c)
 		}
@@ -108,8 +131,8 @@ func TestSlotIndexAsOf(t *testing.T) {
 			defer wg.Done()
 			errs[id] = readSlotWindows(id, chans[id])
 			for range chans[id] {
-				// A reader that failed drains its channel, so the writer
-				// is never left blocked.
+				// A reader that failed drains its channel, so no writer
+				// is left blocked.
 			}
 		}(id)
 	}
@@ -153,6 +176,10 @@ func readSlotWindows(id int, in <-chan slotMsg) error {
 		h.InsertWindow(run, w)
 		ref.InsertBatch(run)
 		taken++
+		if id == 2 && taken%64 == 0 {
+			// A slow reader: the writers run up to its inbox's depth ahead.
+			time.Sleep(50 * time.Microsecond)
+		}
 
 		// Probe keys of the run (hits, some on the window's own rows), an
 		// older key and a miss.
@@ -181,7 +208,7 @@ func readSlotWindows(id int, in <-chan slotMsg) error {
 		return fmt.Errorf("stores %d tuples (%d B), reference %d (%d B)", h.Len(), h.Bytes(), ref.Len(), ref.Bytes())
 	}
 	if len(h.segs) != 1 {
-		return fmt.Errorf("reads %d segments, want the slot's one", len(h.segs))
+		return fmt.Errorf("reads %d segments, want the line's one", len(h.segs))
 	}
 	if live := h.segs[0].live; live == frozen {
 		return fmt.Errorf("segment live = %v, want %v", live, !frozen)

@@ -44,7 +44,7 @@ func TestCaptureThenMutate(t *testing.T) {
 					wm = nil
 				}
 				want[j], _, _ = s.AppendSnapshotSince(nil, wm)
-				c, _, _ := s.Capture(wm)
+				c, _, _, _ := s.Capture(wm)
 				captured[j] = JoinerSnapshot{ID: j, Capture: c}
 				encoded[j] = JoinerSnapshot{ID: j, State: want[j]}
 			}
@@ -84,7 +84,7 @@ func TestCaptureThenMutate(t *testing.T) {
 				t.Fatal(msg)
 			}
 			for j, s := range stores {
-				c, _, _ := s.Capture(nil)
+				c, _, _, _ := s.Capture(nil)
 				if c.Size(nil) == len(want[j]) {
 					t.Fatalf("store %d did not change under the capture", j)
 				}
@@ -129,8 +129,8 @@ func TestCaptureFullSizeMatchesFullEncoding(t *testing.T) {
 				}
 				var delta, full []JoinerSnapshot
 				for i, s := range stores {
-					c, next, _ := s.Capture(wms[i])
-					whole, _, _ := s.Capture(nil)
+					c, next, _, _ := s.Capture(wms[i])
+					whole, _, _, _ := s.Capture(nil)
 					if got, want := c.FullSize(nil), whole.Size(nil); got != want {
 						t.Fatalf("step %d store %d: delta capture measures a full one at %d B, it is %d B", step, i, got, want)
 					}

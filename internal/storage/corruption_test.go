@@ -523,13 +523,13 @@ func sharedFixtureChain(t testing.TB) (stores []*Store, full, delta []byte) {
 	wms := make([]StoreWatermark, len(stores))
 	for j, s := range stores {
 		var c *StoreCapture
-		c, wms[j], _ = s.Capture(nil)
+		c, wms[j], _, _ = s.Capture(nil)
 		joiners[j] = JoinerSnapshot{ID: j, Emitted: int64(j), Capture: c}
 	}
 	full = ckptFixtureSnapshot(1, 0, joiners).Encode()
 	ws.feed(stores, fixtureFullN, fixtureDeltaN)
 	for j, s := range stores {
-		c, _, _ := s.Capture(&wms[j])
+		c, _, _, _ := s.Capture(&wms[j])
 		joiners[j] = JoinerSnapshot{ID: j, Emitted: int64(j), Capture: c}
 	}
 	delta = ckptFixtureSnapshot(2, 1, joiners).Encode()

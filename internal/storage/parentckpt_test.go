@@ -191,7 +191,7 @@ func TestParentEncodedCheckpointBlobs(t *testing.T) {
 	joiners := make([]JoinerSnapshot, len(stores))
 	wms := make([]StoreWatermark, len(stores))
 	for j, s := range stores {
-		c, wm, fullPayload := s.Capture(nil)
+		c, wm, fullPayload, _ := s.Capture(nil)
 		if !fullPayload {
 			t.Fatalf("joiner %d: capture without a watermark is not full", j)
 		}
@@ -204,7 +204,7 @@ func TestParentEncodedCheckpointBlobs(t *testing.T) {
 
 	ckptFixtureFeed(stores, fixtureFullN, fixtureDeltaN)
 	for j, s := range stores {
-		c, _, _ := s.Capture(&wms[j])
+		c, _, _, _ := s.Capture(&wms[j])
 		joiners[j] = JoinerSnapshot{ID: j, Emitted: int64(20 * j), Capture: c}
 	}
 	if got := ckptFixtureSnapshot(2, 1, joiners).Encode(); !bytes.Equal(got, tiesInSeqOrder(t, delta, fixtureOrderedJoiner)) {

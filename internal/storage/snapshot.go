@@ -687,8 +687,10 @@ type spillCapture struct {
 // (per-index rebuilds degrade just that index inside the memory
 // payload). The returned watermark is valid to delta against only once
 // the payload encoded from this capture has durably committed. full
-// reports whether the payload is self-contained.
-func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermark, full bool) {
+// reports whether the payload is self-contained. A spilled record that
+// cannot be read back fails the capture (err), which would otherwise
+// be short: the checkpoint must not commit it.
+func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermark, full bool, err error) {
 	sides := [2]matrix.Side{matrix.SideR, matrix.SideS}
 	next.Spill[matrix.SideR] = s.spillMark(matrix.SideR)
 	next.Spill[matrix.SideS] = s.spillMark(matrix.SideS)
@@ -726,7 +728,7 @@ func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermar
 		sc.recs = make([]byte, 0, int(sc.cur-sc.prev)*recordHeader)
 		var scratch []byte
 		i := uint32(0)
-		seg.scan(func(t join.Tuple) bool {
+		read := seg.scan(func(t join.Tuple) bool {
 			if i >= sc.prev {
 				scratch = encodeRecordInto(scratch, t)
 				sc.recs = append(sc.recs, scratch...)
@@ -734,8 +736,11 @@ func (s *Store) Capture(wm *StoreWatermark) (c *StoreCapture, next StoreWatermar
 			i++
 			return true
 		}, &s.Metrics)
+		if !read {
+			return nil, next, full, seg.err
+		}
 	}
-	return c, next, full
+	return c, next, full, nil
 }
 
 // Size is the exact length AppendTo writes with block table t.
@@ -781,9 +786,13 @@ func (c *StoreCapture) AppendTo(buf []byte, t *join.BlockTable) []byte {
 }
 
 // AppendSnapshotSince is Capture followed by AppendTo on the calling
-// goroutine: the payload a checkpoint of this store would commit.
+// goroutine: the payload a checkpoint of this store would commit. A
+// capture that fails appends nothing, and Close reports its read.
 func (s *Store) AppendSnapshotSince(buf []byte, wm *StoreWatermark) (out []byte, next StoreWatermark, full bool) {
-	c, next, full := s.Capture(wm)
+	c, next, full, err := s.Capture(wm)
+	if err != nil {
+		return buf, next, full
+	}
 	return c.AppendTo(slices.Grow(buf, c.Size(nil)), nil), next, full
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -276,6 +277,21 @@ func TestStoreSpillWriteErrorKeepsTuples(t *testing.T) {
 	probeCount(s, tup(matrix.SideR, 7, 2000))
 	if err := s.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Close = %v, want a read error wrapping os.ErrClosed", err)
+	}
+}
+
+// A capture that cannot read its spilled records back fails instead of
+// returning a short capture, and Close still reports the read.
+func TestStoreCaptureFailsOnUnreadableSpill(t *testing.T) {
+	s := spillSome(t, 8)
+	if err := os.Truncate(s.segs[matrix.SideS].path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c, _, _, err := s.Capture(nil); c != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Capture = %v, %v; want no capture and the failed read", c, err)
+	}
+	if err := s.Close(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Close = %v, want the failed read", err)
 	}
 }
 
