@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test race bench-ab profile lint fmt recover-smoke dist-smoke
+.PHONY: all build build-examples test race race-shared recovery-oracles bench-ab profile lint fmt recover-smoke dist-smoke
 
 all: build lint test
 
@@ -25,6 +25,22 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The exactness oracles of the durability plane, the migration paths,
+# the shared blocks and the slot indexes (CI's recovery-gomaxprocs job
+# runs this at GOMAXPROCS 1, 2, 4 and 8; set GOMAXPROCS to match).
+recovery-oracles:
+	$(GO) test -count=3 ./internal/faultpoint/
+	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots' ./internal/core/
+	$(GO) test -count=3 -run '^TestSlotIndexAsOf$$' ./internal/join/
+	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
+
+# Twenty race-detector runs of the tests whose goroutines share
+# envelopes, blocks and slot indexes (the same CI job, after the
+# oracles).
+race-shared:
+	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestRemoteEnvelopeOneFramePerWorker|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames)$$' ./internal/core/
+	$(GO) test -race -count=20 -run '^(TestSlotIndexAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/
 
 # The crash-recovery drill (mirrored by CI's recovery-smoke job): kill
 # the operator at every armed faultpoint under the race detector,

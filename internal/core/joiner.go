@@ -80,12 +80,6 @@ type joiner struct {
 	// runs on this goroutine and the buffer is reused.
 	pairBuf []join.Pair
 
-	// hint is the operator's shared Reserve-hint cell (see operator.go);
-	// resR/resS remember what this joiner last reserved per side so the
-	// forecast is reapplied only after it has clearly outgrown it.
-	hint       *reserveHint
-	resR, resS int64
-
 	topo      *topology
 	ackCh     chan<- int
 	emitBatch join.EmitBatch
@@ -262,7 +256,6 @@ func (w *joiner) handleBatch(e *envelope) {
 		e.release()
 		return
 	}
-	w.maybeReserve()
 	run, bytes, win := e.tuples, e.bytes, e.win
 	if w.dedup != nil && w.anyReplayDup(run) {
 		run, bytes, win = w.runBuf[:0], 0, join.Window{}
@@ -337,40 +330,6 @@ func (w *joiner) runTuples(run []join.Tuple, win join.Window, epoch uint32) {
 			w.id, epoch, w.epoch, w.mig.epoch))
 	}
 	w.flushPending()
-}
-
-// reserveMin is the smallest per-side forecast worth acting on:
-// below it the directory is a few pages at most and natural growth is
-// cheaper than hint bookkeeping.
-const reserveMin = 1 << 12
-
-// maybeReserve polls the controller's published per-joiner forecast
-// (two atomic loads per envelope) and, when a side's forecast has
-// grown past what was last applied, presizes the store to it. The
-// forecast is reserved exactly: it trails the stream, so a multiple
-// would skip the next growth doubling too, but the measured GC cost
-// of the over-allocation outweighs the growths it avoids. The
-// publisher only moves the hint on >=25% growth, so the
-// Reserve call itself runs logarithmically often, not per envelope. A
-// side that a live segment serves (join.HashIndex.Reserve) presizes
-// nothing: its line's writer indexes its windows, and an empty private
-// directory per joiner would give back what sharing the index saves.
-func (w *joiner) maybeReserve() {
-	if w.hint == nil {
-		return
-	}
-	changed := false
-	if hr := w.hint.perR.Load(); hr >= reserveMin && hr > w.resR {
-		w.resR = hr
-		changed = true
-	}
-	if hs := w.hint.perS.Load(); hs >= reserveMin && hs > w.resS {
-		w.resS = hs
-		changed = true
-	}
-	if changed {
-		w.state.Reserve(int(w.resR), int(w.resS))
-	}
 }
 
 func (w *joiner) finished() bool { return w.eos >= w.numRe && w.mig == nil }

@@ -111,21 +111,6 @@ func (tp *topology) pushMig(id int, m message) {
 	}
 }
 
-// reserveHint is the controller's published per-joiner stored-tuple
-// forecast, one cell per side. The controller reshuffler derives it
-// from the exact sharded cardinality counts (stats.Snapshot.PerJoiner)
-// and republishes on significant growth. Joiners poll it once per
-// processed envelope and presize their private hash directory and
-// chain columns ahead of the ingest that would otherwise grow them
-// incrementally — except on a side a live segment serves, whose
-// windows the line's writer indexes (no arena block is preallocated
-// either way). Slot indexes grow by doubling, unpresized. It is a hint
-// in both directions: a zero or stale value only means growth proceeds
-// as usual.
-type reserveHint struct {
-	perR, perS atomic.Int64
-}
-
 // Config configures the Operator on either of its routes: the grid
 // (NewOperator) and the hash route (NewSHJ). Each constructor checks it
 // with Validate before building anything.
@@ -222,7 +207,9 @@ type Config struct {
 	// shared by every joiner of it. Envelopes flush when full, before
 	// every protocol barrier (epoch signal, checkpoint marker, EOS), when
 	// the reshuffler goes idle, and when BatchLinger expires. 0 means
-	// DefaultBatchSize; 1 ships every routed tuple alone.
+	// DefaultBatchSize; 1 ships every routed tuple alone. When the
+	// joiners store shared windows (not band, not budgeted), an envelope
+	// holds a block (join.WindowRows) at most, whatever the size.
 	BatchSize int
 	// BatchLinger bounds how long a routed tuple may wait in a partial
 	// envelope while the reshuffler stays busy, keeping tail latency
@@ -410,7 +397,6 @@ type Operator struct {
 	// stream in arrival order.
 	sources []chan []join.Tuple
 	ctl     *controller
-	hint    reserveHint
 	// ingest holds one cardinality cell per reshuffler (see
 	// stats.Sharded for what reads them).
 	ingest *stats.Sharded
@@ -643,7 +629,6 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 		met:     op.met.JoinerStats(id),
 		stCfg:   op.cfg.Storage,
 		mig:     birth,
-		hint:    &op.hint,
 		ckptC:   op.ckptC,
 		stop:    op.stop,
 	}
@@ -783,11 +768,6 @@ func (op *Operator) StartContext(ctx context.Context) {
 		}
 		if i == 0 {
 			r.ctl = op.ctl
-			if !op.hashed {
-				// The hint forecasts per-joiner state under a grid; a hash
-				// route's is key-dependent, so it reserves nothing.
-				r.hint = &op.hint
-			}
 		}
 		op.ctl.resh = append(op.ctl.resh, r.ctrlCh)
 		op.runner.Go(fmt.Sprintf("reshuffler-%d", i), r.run)

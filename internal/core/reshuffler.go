@@ -78,14 +78,6 @@ type reshuffler struct {
 	pend    []join.Tuple
 	pendPos int
 
-	// hint is the operator's shared Reserve-hint cell; non-nil only on
-	// the controller reshuffler, which republishes its per-joiner
-	// stored-tuple forecast whenever the estimate has grown by a
-	// quarter since the last publish (lastHintR/S), so the shared cache
-	// line is written logarithmically often, not per burst.
-	hint                 *reserveHint
-	lastHintR, lastHintS int64
-
 	// padDummies enables the §4.2.2 dummy-tuple padding: when the
 	// local cardinality-ratio estimate exceeds J, pad the smaller
 	// relation so Lemma 4.1's precondition holds physically.
@@ -380,9 +372,10 @@ func (r *reshuffler) disarmLinger() {
 
 // buffer appends one routed tuple, with its routing value u, to slot
 // s's pending envelope, shipping the envelope when it reaches capacity:
-// the batch size, or on a line with a writer a block (join.WindowRows),
-// since a window lies in one block, which is where the joiners store
-// the tuple.
+// the batch size, or a block (join.WindowRows) on every line of an
+// operator whose joiners store windows, since a window lies in one
+// block — a line's writer here or a worker's receive loop writes the
+// body as one.
 func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	e := r.out[s]
 	if e == nil {
@@ -393,7 +386,7 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	e.tuples = append(e.tuples, *t)
 	e.tuples[len(e.tuples)-1].U = u
 	e.bytes += t.Bytes()
-	if n := len(e.tuples); n >= r.batchSize || n == join.WindowRows && r.line(s) != nil {
+	if n := len(e.tuples); n >= r.batchSize || n == join.WindowRows && r.lines != nil {
 		r.ship(s, &r.opm.BatchFlushFull)
 		return
 	}
@@ -649,9 +642,6 @@ func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	}
 	r.consumed += int64(len(items))
 	r.ingest.ObserveN(r.id, nR, nS)
-	if r.hint != nil {
-		r.publishHint()
-	}
 	if r.lat != nil {
 		for i := range items {
 			r.lat.Arrive(items[i].Seq)
@@ -684,22 +674,6 @@ func (r *reshuffler) noteObserved() {
 		case r.pacer <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// publishHint refreshes the operator's shared Reserve-hint cell with
-// the per-joiner stored-tuple forecast under the current mapping. Only
-// significant growth (a quarter over the last published value)
-// republishes, keeping writes to the joiner-polled cache line rare.
-func (r *reshuffler) publishHint() {
-	perR, perS := r.ingest.Snapshot().PerJoiner(r.mapping.N, r.mapping.M)
-	if perR > r.lastHintR+r.lastHintR/4 {
-		r.lastHintR = perR
-		r.hint.perR.Store(perR)
-	}
-	if perS > r.lastHintS+r.lastHintS/4 {
-		r.lastHintS = perS
-		r.hint.perS.Store(perS)
 	}
 }
 

@@ -451,11 +451,10 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 }
 
 // TestWorkerSharedIndexLongFrames is TestWorkerSharedIndexPerRow with
-// batches of 1024 tuples: a frame body longer than a block gets no
-// window and stops its line's index, so no joiner's segment may go on
-// serving: the joiners index those frames in their own directories,
-// and a store that a segment still serves skips presizing its own
-// (join.HashIndex.Reserve).
+// a batch size of 1024, past a block: the reshufflers cap every
+// envelope at a block (join.WindowRows), remote-only lines included, so
+// each frame body is one window of its worker line and every hosted
+// joiner still reads one live segment per side over no private key.
 func TestWorkerSharedIndexLongFrames(t *testing.T) {
 	addrs, wait := serveWorkers(t, 2)
 	rng := rand.New(rand.NewSource(89))
@@ -475,14 +474,7 @@ func TestWorkerSharedIndexLongFrames(t *testing.T) {
 		t.Fatalf("emitted %d, reference %d", got, want)
 	}
 	for i, wop := range wait() {
-		for _, w := range wop.joiners {
-			for _, side := range migSides {
-				if v := w.state.Segments(side); v.Live != 0 || v.Keys == 0 {
-					t.Fatalf("worker %d: joiner %d side %v has %d serving segments of %d over a private directory of %d keys, want none serving",
-						i, w.id, side, v.Live, len(v.Indexes), v.Keys)
-				}
-			}
-		}
+		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 	}
 }
 
@@ -531,9 +523,9 @@ func TestWorkerDropsStaleFrameSlots(t *testing.T) {
 // requires the nested-loop multiset by content, payloads included:
 // an adaptive run whose migrations move state across the workers, so ∆
 // and ∆′ runs arrive with windows of blocks opened for each epoch; an
-// envelope size of 1024, past a block, whose frames the joiners copy
-// (the zero Window); and an envelope size of 1, whose one-row windows
-// extend one view per block.
+// envelope size of 1024, past a block, which the reshuffler caps at a
+// block so that every frame body is a window no joiner copies; and an
+// envelope size of 1, whose one-row windows extend one view per block.
 func TestWorkerSharedBlocksExact(t *testing.T) {
 	pred := join.EquiJoin("dist", nil)
 	for _, tc := range []struct {
@@ -562,12 +554,11 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 						// joiners: a block written for one is a store's
 						// own copy.
 						if v.Sharers == 1 {
-							return
+							t.Fatalf("joiner %d side %v copied a frame body into its own block", w.id, side)
 						}
 					}
 				}
 			}
-			t.Fatal("no hosted joiner copied a frame body longer than a block")
 		}},
 		{"batch-1", Config{J: 16, BatchSize: 1, NumReshufflers: 1}, func(t *testing.T, js []*joiner) {
 			for _, w := range js {

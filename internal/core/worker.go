@@ -242,8 +242,9 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // envelope carries the window, so the joiners it names store views of
 // one copy of its columns and read one index over them. A frame naming
 // a joiner this process does not host, or one joiner twice, sent by a
-// reshuffler the job does not run, or whose body mixes R and S tuples
-// is rejected with ErrBadEnvelope, its envelope released once. dests is
+// reshuffler the job does not run, whose body mixes R and S tuples or,
+// when the joiners store windows, outgrows a block is rejected with
+// ErrBadEnvelope, its envelope released once. dests is
 // the decode scratch, returned for reuse. Only the session's receive
 // loop calls it.
 func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
@@ -268,8 +269,10 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 }
 
 // checkFrame returns the error fanOut rejects a decoded frame with, or
-// nil. A joiner named twice would store and probe the body twice, and a
-// joiner stores a body as a run of its first tuple's side.
+// nil. A joiner named twice would store and probe the body twice, a
+// joiner stores a body as a run of its first tuple's side, and a body
+// its line writes as one window must fit a block: the coordinator's
+// reshufflers cap every envelope of such a job at one.
 func (op *Operator) checkFrame(dests []int, e *envelope) error {
 	for i, id := range dests {
 		if !op.hostsJoiner(id) {
@@ -281,6 +284,9 @@ func (op *Operator) checkFrame(dests []int, e *envelope) error {
 	}
 	if e.hdr.from < 0 || e.hdr.from >= op.cfg.NumReshufflers {
 		return fmt.Errorf("%w: envelope from reshuffler %d of %d", ErrBadEnvelope, e.hdr.from, op.cfg.NumReshufflers)
+	}
+	if len(e.tuples) > join.WindowRows && op.sharesBlocks() {
+		return fmt.Errorf("%w: envelope body of %d tuples, past a block of %d", ErrBadEnvelope, len(e.tuples), join.WindowRows)
 	}
 	for i := range e.tuples {
 		if e.tuples[i].Rel != e.tuples[0].Rel {

@@ -141,7 +141,9 @@ func TestWorkerRejectsHostileHello(t *testing.T) {
 // TestWorkerRejectsMalformedFrames: a data frame that names one hosted
 // joiner twice, or whose body mixes R and S tuples, would give wrong
 // pairs — the joiner would store and probe the body twice, or store
-// its S tuples in the R index — so the receive loop rejects both with
+// its S tuples in the R index — and a body past a block cannot be
+// written as one window of its line, which a block-sharing job's
+// reshufflers never send; so the receive loop rejects all three with
 // ErrBadEnvelope and hands nothing to any joiner; the well-formed
 // frame beside them goes through.
 func TestWorkerRejectsMalformedFrames(t *testing.T) {
@@ -151,6 +153,10 @@ func TestWorkerRejectsMalformedFrames(t *testing.T) {
 	ports := *wop.topo.ports.Load()
 	r := join.Tuple{Rel: matrix.SideR, Key: 1, Seq: 1, U: 1}
 	s := join.Tuple{Rel: matrix.SideS, Key: 1, Seq: 2, U: 1}
+	long := make([]join.Tuple, join.WindowRows+1)
+	for i := range long {
+		long[i] = r
+	}
 	for _, tc := range []struct {
 		name  string
 		dests []int
@@ -158,6 +164,7 @@ func TestWorkerRejectsMalformedFrames(t *testing.T) {
 	}{
 		{"one joiner twice", []int{0, 1, 0}, []join.Tuple{r}},
 		{"R and S in one body", []int{0, 1}, []join.Tuple{r, s}},
+		{"body past a block", []int{0, 1}, long},
 	} {
 		frame := appendData(nil, tc.dests, &envelope{hdr: message{kind: kTuple}, tuples: tc.body})
 		if _, err := wop.fanOut(nil, frame); !errors.Is(err, ErrBadEnvelope) {

@@ -71,12 +71,11 @@ const (
 	arenaShift = 9 // log2(arenaChunk)
 )
 
-// maxReserve caps how many tuples a single Reserve hint may presize
-// for, bounding what a wild cardinality estimate can balloon a joiner
-// by: at the cap, a 2^20-slot directory (8 MB) for a mostly-distinct
-// key set plus 1024 chain columns (2 MB) per side. Beyond the cap the
-// directory grows as inserts fill it. Reserve never preallocates
-// arena blocks: a store fed by shared windows would never fill them.
+// maxReserve caps the distinct keys a rebuild (Retain, MergeFrom,
+// fold) presizes its directory for (reserveSlots), bounding what an
+// overcounted key set — keyCount adds each segment's index-wide count —
+// can balloon a joiner by: at the cap, a 2^20-slot directory (8 MB).
+// Beyond the cap the directory grows as inserts fill it.
 const maxReserve = 1 << 19
 
 // maxSharedEntries bounds the entries the views of other writers'

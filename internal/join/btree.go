@@ -129,10 +129,6 @@ func (o *OrderedIndex) Footprint() (arenaBytes, directoryBytes int64) {
 	return int64(o.leaves) * ordLeafBytes, int64(o.inners) * ordInnerBytes
 }
 
-// Reserve is a no-op: leaves are allocated by the splits that need
-// them, so there is no arena or directory to presize.
-func (o *OrderedIndex) Reserve(int) {}
-
 func (o *OrderedIndex) newLeaf() *ordLeaf {
 	o.leaves++
 	return &ordLeaf{}

@@ -11,7 +11,7 @@ import (
 // TestHashIndexFootprintBudget is the gate on resident bytes per stored
 // tuple: the number the paper's per-machine storage objective prices
 // and the spill cliff of §5 depends on. It builds one HashIndex the way
-// a joiner does (batched inserts, no Reserve) and holds the measured
+// a joiner does (batched inserts) and holds the measured
 // heap against a budget per tuple, so a slot that regrows a field, a
 // chain that moves back onto the heap, or a per-key object fails here
 // instead of in a benchmark run:

@@ -29,13 +29,6 @@ type Index interface {
 	// callback at all; matches accumulate in the caller's pair buffer
 	// and flush (accounting, user sink) once per run.
 	ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair)
-	// Reserve hints that the index will eventually hold about n tuples,
-	// letting it presize its directory and chain columns so steady
-	// ingest up to the hint does not rehash. Arena blocks are never
-	// preallocated. Reserving less than the current size, or zero, is a
-	// no-op; overshooting costs bounded memory (the hint is clamped
-	// internally).
-	Reserve(n int)
 	// Len returns the number of stored tuples.
 	Len() int
 	// Bytes returns the accounted storage volume of stored tuples.
@@ -213,8 +206,9 @@ const maxHitsCap = 1 << 15
 //
 // The directory grows as a SlotIndex's does: when the next distinct key
 // would pass the 3/4 load, every word is re-placed into a directory
-// twice the size (slotDir.grown) and the old one is dropped. Reserve
-// presizes it to an expected cardinality up front.
+// twice the size (slotDir.grown) and the old one is dropped. Only a
+// rebuild (Retain, MergeFrom, fold), which knows the keys it is about
+// to place, presizes it (reserveSlots).
 type HashIndex struct {
 	dir   slotDir
 	used  int // occupied slots (distinct keys)
@@ -226,10 +220,8 @@ type HashIndex struct {
 	// pos, the link from the tuple there to the previously stored tuple
 	// of its key, as offset+1 with 0 ending the chain. Entries viewing
 	// the same shared block share a column (their rows are disjoint).
-	// spare holds columns Reserve allocated ahead of need; nchains
-	// counts the columns allocated, for Footprint.
+	// nchains counts the columns allocated, for Footprint.
 	chains  []*[arenaChunk]uint32
-	spare   []*[arenaChunk]uint32
 	nchains int
 	bytes   int64
 	// segs are the slot indexes that serve some of the arena's shared
@@ -312,8 +304,8 @@ func (h *HashIndex) chain(s *uint64, tag uint32, off int32) {
 const chainLookback = 16
 
 // syncChains gives every arena entry past the chain list its chain
-// column: an earlier entry's when it views the same shared block, a
-// spare one, or a fresh allocation.
+// column: an earlier entry's when it views the same shared block, or a
+// fresh allocation.
 func (h *HashIndex) syncChains() {
 	for ci := len(h.chains); ci < len(h.arena.chunks); ci++ {
 		h.chains = append(h.chains, h.chainFor(ci))
@@ -328,11 +320,6 @@ func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
 		if h.arena.chunks[k].c == c && h.chains[k] != nil {
 			return h.chains[k]
 		}
-	}
-	if n := len(h.spare); n > 0 {
-		col := h.spare[n-1]
-		h.spare = h.spare[:n-1]
-		return col
 	}
 	h.nchains++
 	return new([arenaChunk]uint32)
@@ -405,52 +392,10 @@ func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
 	h.bytes += bytes
 }
 
-// Reserve presizes the directory and the chain columns for about n
-// stored tuples (assuming distinct keys — a safe overestimate for the
-// directory). Ingest below the hint then does not rehash; the hint is
-// clamped so a wild estimate costs bounded memory. No arena block is
-// preallocated: the blocks come from windows. An
-// index a live segment serves reserves nothing: its line's writer
-// indexes the windows, and an empty presized directory would cost
-// what sharing the index saves.
-func (h *HashIndex) Reserve(n int) {
-	if n <= 0 || h.serving() {
-		return
-	}
-	if n > maxReserve {
-		n = maxReserve
-	}
-	// The hint counts tuples; the directory holds distinct keys. Scale
-	// by the observed distinct fraction once enough tuples have arrived
-	// to trust it — presizing a duplicate-heavy index for one key per
-	// tuple would spread a few hot slots over a mostly-empty directory,
-	// wasting memory and cache reach.
-	keys := n
-	if h.arena.n >= 1024 {
-		keys = int(int64(n) * int64(h.used) / int64(h.arena.n))
-	}
-	h.reserveSlots(keys)
-	h.reserveChains(n)
-}
-
-// reserveSlots presizes only the directory, for n distinct keys.
+// reserveSlots presizes the directory for n distinct keys.
 func (h *HashIndex) reserveSlots(n int) {
 	if dirSlots(n) > len(h.dir.slots) {
 		h.dir = h.dir.grown(n)
-	}
-}
-
-// reserveChains stocks the chain columns, and room in the entry lists,
-// that n stored tuples in full blocks need.
-func (h *HashIndex) reserveChains(n int) {
-	blocks := (n - h.arena.n + arenaChunk - 1) / arenaChunk
-	for len(h.spare) < blocks {
-		h.spare = append(h.spare, new([arenaChunk]uint32))
-		h.nchains++
-	}
-	if want := len(h.arena.chunks) + blocks; want > cap(h.arena.chunks) {
-		h.arena.chunks = append(make([]view, 0, want), h.arena.chunks...)
-		h.chains = append(make([]*[arenaChunk]uint32, 0, want), h.chains...)
 	}
 }
 
@@ -719,8 +664,7 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 		h.fold()
 		return 0
 	}
-	// At most the current distinct-key count survives (Reserve's own
-	// distinct-fraction scaling cannot help here — fresh is empty).
+	// At most the current distinct-key count survives.
 	keys := min(h.keyCount(), kept.n, maxReserve)
 	fresh := NewHashIndex()
 	fresh.reserveSlots(keys)
@@ -760,7 +704,6 @@ func (h *HashIndex) MergeFrom(o *HashIndex) {
 	base := h.arena.adopt(&o.arena)
 	if len(o.chains) == len(h.arena.chunks)-base {
 		h.chains = append(h.chains, o.chains...)
-		h.spare = append(h.spare, o.spare...)
 		h.nchains += o.nchains
 	}
 	h.indexFrom(base)
@@ -851,10 +794,6 @@ func (s *ScanIndex) InsertWindow(ts []Tuple, w Window) {
 		s.bytes += ts[i].Bytes()
 	}
 }
-
-// Reserve is a no-op: a scan index has no directory to presize, and
-// arena blocks come from writers.
-func (s *ScanIndex) Reserve(int) {}
 
 // Probe enumerates every stored tuple: all are structural candidates
 // under a theta predicate.

@@ -79,7 +79,7 @@ func sameBySeq(t *testing.T, label string, got, want []Tuple) {
 // TestHashIndexDifferential drives one HashIndex and a map[int64][]Tuple
 // through random interleavings of every operation that touches the
 // directory or the chains — Insert, InsertBatch, Probe,
-// ProbeBatchCollect, Retain, MergeFrom, Reserve — over the three key
+// ProbeBatchCollect, Retain, MergeFrom — over the three key
 // distributions that shape them differently: unique keys (one slot per
 // tuple, the directory grows constantly), Zipf (a few long chains among
 // many short ones), and a single hot key whose chain passes 10 000
@@ -168,7 +168,6 @@ func TestHashIndexDifferential(t *testing.T) {
 					opProbeBatch
 					opRetain
 					opMerge
-					opReserve
 					numOps
 				)
 				var afterGrowth [numOps]int
@@ -189,10 +188,8 @@ func TestHashIndexDifferential(t *testing.T) {
 						op = opProbeBatch
 					case r < 89:
 						op = opRetain
-					case r < 95:
-						op = opMerge
 					default:
-						op = opReserve
+						op = opMerge
 					}
 					if grown {
 						afterGrowth[op]++
@@ -263,15 +260,10 @@ func TestHashIndexDifferential(t *testing.T) {
 						}
 					case opMerge:
 						src := NewHashIndex()
-						if rng.Intn(2) == 0 {
-							src.Reserve(rng.Intn(3000))
-						}
 						run := mkRun(rng.Intn(1200))
 						src.InsertBatch(run)
 						ref.insert(run...)
 						h.MergeFrom(src)
-					case opReserve:
-						h.Reserve([]int{0, h.Len(), 2*h.Len() + 100, 5 * h.Len()}[rng.Intn(4)])
 					}
 					if h.Len() != ref.n || h.Bytes() != ref.bytes || h.used != len(ref.byKey) {
 						t.Fatalf("step %d (op %d): Len/Bytes/keys %d/%d/%d, reference %d/%d/%d",

@@ -2,7 +2,6 @@ package join
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -125,16 +124,6 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 						t.Fatalf("trial %d: batch probe hit %d: %+v vs %+v", trial, i, got[i], want[i])
 					}
 				}
-			case r < 88: // Reserve hint (zero, exact, or a 2x overshoot)
-				hint := 0
-				switch rng.Intn(3) {
-				case 1:
-					hint = h.Len()
-				case 2:
-					hint = 2*h.Len() + 100
-				}
-				h.Reserve(hint)
-				ref.Reserve(hint)
 			case r < 93: // interleaved Scan: full contents must agree
 				var got, want []Tuple
 				h.Scan(func(tp Tuple) bool { got = append(got, tp); return true })
@@ -443,59 +432,4 @@ func TestHashIndexProbeBatchStride(t *testing.T) {
 			check(t, h, ref, mkProbes(rng, n, domain))
 		}
 	})
-}
-
-// TestHashIndexReserveHints drives the same stream through indexes
-// reserved with nothing, the exact cardinality, and a large
-// overestimate (plus a mid-stream re-reserve), checking contents stay
-// identical to the unreserved reference: a hint may only move
-// allocations around, never change semantics. Where the hint covers the
-// stream the chain columns and the directory are in place before the
-// first insert, and ingest allocates only the arena blocks, which
-// Reserve never preallocates (a store fed by shared windows would never
-// fill them).
-func TestHashIndexReserveHints(t *testing.T) {
-	const n = 3000
-	for _, tc := range []struct {
-		name string
-		pre  int
-		mid  int
-	}{
-		{"zero", 0, 0},
-		{"exact", n, 0},
-		{"over", 4 * n, 0},
-		{"midstream", 0, 2 * n},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			h := NewHashIndex()
-			ref := NewScanIndex()
-			h.Reserve(tc.pre)
-			if len(h.arena.chunks) != 0 {
-				t.Fatal("Reserve preallocated arena blocks")
-			}
-			if want := (tc.pre + arenaChunk - 1) / arenaChunk; len(h.spare) != min(want, maxReserve/arenaChunk) {
-				t.Fatalf("Reserve(%d) stocked %d chain columns, want %d", tc.pre, len(h.spare), want)
-			}
-			stream := make([]Tuple, n)
-			for i := range stream {
-				stream[i] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(2000), Size: 8, Seq: uint64(i + 1)}
-				ref.Insert(stream[i])
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i, tp := range stream {
-				h.Insert(tp)
-				if tc.mid != 0 && i == n/2 {
-					h.Reserve(tc.mid)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			blocks := uint64(len(h.arena.chunks))
-			if got := after.Mallocs - before.Mallocs; tc.pre >= n && got != blocks && !raceEnabled {
-				t.Errorf("ingest of %d tuples under Reserve(%d) made %d allocations for %d blocks", n, tc.pre, got, blocks)
-			}
-			assertSameContents(t, tc.name, h, ref)
-		})
-	}
 }

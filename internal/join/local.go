@@ -82,14 +82,6 @@ func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 	ph.probeSegments(ts, ts[0].Rel, l.pred, out)
 }
 
-// Reserve passes per-side expected-cardinality hints through to the
-// indexes, presizing their directories and chain columns (see
-// Index.Reserve).
-func (l *Local) Reserve(r, s int) {
-	l.r.Reserve(r)
-	l.s.Reserve(s)
-}
-
 // ProbeBatchCollect joins a run of same-side tuples against the stored
 // tuples of the opposite relation without storing them, appending
 // every match to *out as an oriented Pair: the epoch protocol's probes

@@ -123,7 +123,6 @@ func retainStates() []retainState {
 					donor.Insert(diffTuple(rng, seq, rng.Int63n(50)))
 				}
 				s.MergeFrom(donor)
-				s.Reserve(s.Len() + 1000)
 				return s
 			},
 			fresh: func() Index { return NewScanIndex() },

@@ -56,10 +56,12 @@ import "repro/internal/matrix"
 //     last window ended at: chains run newest-first over increasing
 //     positions, so it skips the rows at or past W and sees exactly the
 //     rows of its own windows;
+//   - every body a line ships is one window, indexed: a reshuffler of
+//     a sharing operator ships at most a block per envelope, and a
+//     worker rejects a longer frame body as malformed;
 //   - a gap — a window the reader did not take through the segment —
 //     freezes the segment at its W, and the line's later windows go to
-//     the reader's own directory; so does a writer that stops indexing
-//     (BlockWriter.stop), which marks its index closed for the readers;
+//     the reader's own directory;
 //   - line order agrees with a checkpoint's cut: a reshuffler that has
 //     pushed its marker publishes no window until every marker is out
 //     (core's ckptEvent.allCut);
@@ -149,7 +151,7 @@ func (b *BlockWriter) open(n int32, payload bool) {
 		if b.ix != nil {
 			var ok bool
 			if b.base, ok = b.ix.addBlock(b.c); !ok {
-				b.stop()
+				b.ix = nil
 			}
 		}
 	} else if payload && b.c.payload == nil {
@@ -163,17 +165,11 @@ const WindowRows = arenaChunk
 // AppendRun writes run as consecutive rows of one block and publishes
 // them to the line's readers as one Window, row i holding run[i],
 // indexed in the slot index and with the block sealed; it opens a fresh
-// block when the open one cannot take the whole run (see fits). A run longer than
-// a block (WindowRows), or an empty one, is not written and gets the
-// zero Window, so each reader copies it through its own writer; a run
-// longer than a block also stops the slot index, since a line that
-// ships such runs leaves most of its rows to its readers' own
-// directories.
+// block when the open one cannot take the whole run (see fits). An
+// empty run gets the zero Window. A run must fit a block (WindowRows):
+// its callers cap every shared body at one.
 func (b *BlockWriter) AppendRun(run []Tuple) Window {
-	if len(run) > WindowRows {
-		b.stop()
-	}
-	if len(run) == 0 || len(run) > WindowRows {
+	if len(run) == 0 {
 		return Window{}
 	}
 	b.open(int32(len(run)), hasPayload(run))
@@ -190,16 +186,6 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 		b.ixPub = w.at + uint32(len(run))
 	}
 	return w
-}
-
-// stop ends the slot index: no later window names it, so the segments
-// that read it serve no more (HashIndex.serving) and the readers index
-// the line's later windows themselves.
-func (b *BlockWriter) stop() {
-	if b.ix != nil {
-		b.ix.closed.Store(true)
-		b.ix = nil
-	}
 }
 
 // hasPayload reports whether any tuple of ts carries a payload.
@@ -329,7 +315,7 @@ func (l *Local) Segments(side matrix.Side) SegmentView {
 	v := SegmentView{Keys: h.used}
 	for _, s := range h.segs {
 		v.Indexes = append(v.Indexes, s.ix)
-		if s.serving() {
+		if s.live {
 			v.Live++
 		}
 	}

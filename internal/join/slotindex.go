@@ -56,9 +56,6 @@ type SlotIndex struct {
 	// its distinct-key count as of the last window, written by the
 	// writer and read by the readers' Footprint and fold.
 	dirBytes, chainBytes, keys atomic.Int64
-	// closed is set once the writer stops indexing (BlockWriter.stop):
-	// no later window names the index, so its segments serve no more.
-	closed atomic.Bool
 }
 
 // slotEntry is one block of a SlotIndex with its chain column.
@@ -68,9 +65,8 @@ type slotEntry struct {
 }
 
 // maxSlotBlocks bounds the blocks one index spans, keeping every
-// position below 2^31 (a probeHit offset); a writer past it stops
-// indexing (BlockWriter.stop) and its readers index the rest
-// themselves.
+// position below 2^31 (a probeHit offset); a writer past it drops its
+// index, and its readers index the line's later windows themselves.
 const maxSlotBlocks = 1 << 22
 
 // newSlotIndex returns an empty index for blocks of fan-out sharers.
@@ -295,22 +291,6 @@ func (h *HashIndex) segmentOf(ix *SlotIndex) *segment {
 	}
 	return nil
 }
-
-// serving reports whether a live segment serves h: its line's windows
-// still arrive indexed, so presizing a private directory would only
-// waste memory. A segment whose writer stopped indexing serves no
-// more, though no gap has frozen it yet.
-func (h *HashIndex) serving() bool {
-	for i := range h.segs {
-		if h.segs[i].serving() {
-			return true
-		}
-	}
-	return false
-}
-
-// serving reports whether the segment still takes its line's windows.
-func (s *segment) serving() bool { return s.live && !s.ix.closed.Load() }
 
 // takeWindow stores the run ts, written into the shared window w, as
 // the continuation of a segment — or the start of one, at the line's

@@ -33,8 +33,7 @@ type slotMsg struct {
 // under a narrowed tagMask (every home slot contested by keys of one
 // tag), payloads that force fresh blocks after published payload-free
 // rows, and dummies; a run is published whole or split into several
-// windows. Near the end a whole run past a block gets the zero Window
-// and stops the index, so the last windows name none. Reader 0 takes
+// windows, a run past a block always split. Reader 0 takes
 // every window; the others take gaps — a window they never get, or a
 // run a replay filter shortened and stored as a copy — which freeze
 // their segment, after which they index the line privately.
@@ -49,12 +48,11 @@ func TestSlotIndexAsOf(t *testing.T) {
 		chans[i] = make(chan slotMsg, 256)
 	}
 	var (
-		mu      sync.Mutex // the line's lock: guards bw, k, stopped, swaps
-		bw      BlockWriter
-		k       int
-		stopped bool
-		swaps   int
-		wwg     sync.WaitGroup
+		mu    sync.Mutex // the line's lock: guards bw, k, swaps
+		bw    BlockWriter
+		k     int
+		swaps int
+		wwg   sync.WaitGroup
 	)
 	bw.Reset(readers, true)
 	publish := func(run []Tuple, w Window) {
@@ -88,28 +86,19 @@ func TestSlotIndexAsOf(t *testing.T) {
 				}
 				run := newRun(rng, &seq, n)
 				mu.Lock()
-				if k >= windows && stopped {
+				if k >= windows {
 					mu.Unlock()
 					return
 				}
-				long := !stopped && k >= windows-20
-				if long {
-					run = newRun(rng, &seq, arenaChunk+1+rng.Intn(40))
-				}
-				var before *slotDir
-				if bw.ix != nil {
-					before = bw.ix.dir.Load()
-				}
-				if long || (len(run) <= arenaChunk && rng.Intn(2) == 0) {
-					// The whole run as one window, or, past a block, the
-					// zero Window, after which the line indexes nothing.
+				before := bw.ix.dir.Load()
+				if len(run) <= arenaChunk && rng.Intn(2) == 0 {
+					// The whole run as one window.
 					publish(run, bw.AppendRun(run))
-					stopped = stopped || long
 				} else {
 					// The run split into windows of at most a block.
 					writeShared(&bw, run, 1+rng.Intn(min(len(run), arenaChunk)), publish)
 				}
-				if before != nil && bw.ix != nil && bw.ix.dir.Load() != before && len(run) > 1 {
+				if bw.ix.dir.Load() != before && len(run) > 1 {
 					swaps++
 				}
 				mu.Unlock()
@@ -212,9 +201,6 @@ func readSlotWindows(id int, in <-chan slotMsg) error {
 	}
 	if live := h.segs[0].live; live == frozen {
 		return fmt.Errorf("segment live = %v, want %v", live, !frozen)
-	}
-	if h.serving() {
-		return fmt.Errorf("segment serves after its writer stopped indexing")
 	}
 	return nil
 }

@@ -6,8 +6,8 @@
 //
 //   - the controller, which scales its own cell by N to estimate the
 //     global cardinalities with no inter-task communication (Alg. 1);
-//   - the CheckpointEvery pacer and the storage Reserve hint, which
-//     merge every cell into the exact global counts;
+//   - the CheckpointEvery pacer, the only reader that merges every cell
+//     into the exact global counts;
 //   - dummy padding, where each reshuffler checks the cardinality ratio
 //     of its own cell.
 package stats
@@ -21,19 +21,6 @@ import (
 // across goroutines.
 type Snapshot struct {
 	R, S int64
-}
-
-// PerJoiner returns the expected stored-tuple count per joiner and per
-// side under an (n,m) grid: an R tuple is replicated to the m joiners
-// of its random row, so each of the n·m joiners stores |R|·m/(n·m) =
-// |R|/n of them; symmetrically each stores |S|/m S tuples. Joiners use
-// the forecast as a storage Reserve hint, presizing their hash
-// directories and arenas so steady ingest rarely rehashes.
-func (s Snapshot) PerJoiner(n, m int) (r, sCount int64) {
-	if n <= 0 || m <= 0 {
-		return 0, 0
-	}
-	return s.R / int64(n), s.S / int64(m)
 }
 
 // Ratio returns |R|/|S| with S floored at 1 to avoid division by zero.
@@ -58,8 +45,7 @@ type shardCell struct {
 // with any other writer. Cell reads one writer's own counts — the
 // controller's Alg. 1 sample (scaled by the cell count) and each
 // reshuffler's dummy-padding ratio; Snapshot merges the cells into the
-// exact global counts the CheckpointEvery pacer and the Reserve hint
-// read.
+// exact global counts the CheckpointEvery pacer reads.
 type Sharded struct {
 	cells []shardCell
 }

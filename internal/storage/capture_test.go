@@ -13,8 +13,8 @@ import (
 // moment it was taken while its store keeps changing: another goroutine
 // encodes the captures — store by store and as one operator blob —
 // over and over while 10 000 more tuples go into every store, so the
-// stores' own open blocks fill, new blocks (and a reserve's empty ones)
-// appear behind them and the spill segment grows. Every encode must
+// stores' own open blocks fill, new blocks appear behind them and the
+// spill segment grows. Every encode must
 // equal the bytes serialized before the first insert, for a full and
 // for a delta capture. Run it under -race: the capture shares every
 // frozen block with the live store.
@@ -74,9 +74,6 @@ func TestCaptureThenMutate(t *testing.T) {
 					}
 				}
 			}()
-			for _, s := range stores {
-				s.Reserve(2*next, 2*next)
-			}
 			ckptFixtureFeed(stores, next, next+10_000)
 			next += 10_000
 			close(stop)

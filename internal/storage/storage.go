@@ -111,16 +111,6 @@ func (s *Store) ProbeBatchCollect(ts []join.Tuple, out *[]join.Pair) {
 	}
 }
 
-// Reserve passes an expected per-side stored-tuple forecast through to
-// the memory tier (see join.Index.Reserve). Budgeted stores ignore the
-// hint: their memory tier is bounded by CapBytes, not by the stream.
-func (s *Store) Reserve(r, sCount int) {
-	if s.cfg.CapBytes != 0 {
-		return
-	}
-	s.mem.Reserve(r, sCount)
-}
-
 // InsertWindow stores a run of same-side tuples written into the
 // shared window w, as a view of it when the store is the plain memory
 // tier, else as InsertBatch does.
