@@ -119,8 +119,8 @@ type ReplayLog struct {
 	rings []replayRing
 }
 
-// Replay-log segment capacities, in items (72 bytes each): 36 KB for
-// the first segment of a ring, 4.5 MB at the cap.
+// Replay-log segment capacities, in items (64-byte join.Tuples): 32 KB
+// for the first segment of a ring, 4 MB at the cap.
 const (
 	replaySegMin = 512
 	replaySegMax = 1 << 16

@@ -575,8 +575,8 @@ func (op *Operator) sharesBlocks() bool {
 // indexesSlots is the one policy for slot indexes: whether a line's
 // writer (newLines, or a worker's frameBlock) keeps one. Only the first
 // epoch's writers do: every migration re-indexes what the joiners keep
-// in their own directories (Retain folds or rebuilds, MergeFrom indexes
-// what it adopts), so an index written after one would be paid for
+// in their own slot indexes (Retain folds or rebuilds, MergeFrom indexes
+// what it adopts), so a line index written after one would be paid for
 // twice whenever another follows.
 func indexesSlots(epochChanged bool) bool { return !epochChanged }
 

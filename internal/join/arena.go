@@ -20,7 +20,7 @@ import (
 //     the 20 KB of columns behind it are pointer-free, so the garbage
 //     collector skips stored state instead of scanning a slice header
 //     per tuple, and
-//   - batch probes can gather match offsets from the directory first
+//   - batch probes can gather match positions from a directory first
 //     and materialize result pairs in a tight second loop, rather than
 //     interleaving hash walks with full-tuple copies.
 //
@@ -30,10 +30,9 @@ import (
 // published (shared.go).
 //
 // Growth appends a fresh block — stored tuples are never relocated —
-// and an arena offset encodes its entry and block position explicitly
-// (off = entry<<arenaShift | pos) rather than as a global index, so an
-// entry may sit anywhere in the list whatever its fill. That is what
-// lets adopt() splice another arena's entries in wholesale at
+// and nothing addresses a row by its place in the arena: a hash index
+// names rows by the positions of its slot indexes, whose tables name
+// the blocks. So another arena's entries can be added as they are at
 // migration finalization, whatever fill level either arena ends at.
 //
 // What one stored tuple costs (see index.go for the hash directory's
@@ -44,9 +43,9 @@ import (
 //	payload            0 B       24 B + the bytes once any tuple of the
 //	                             block carries one
 //	chain              4 B       hash indexes only: the per-key chain,
-//	                             held by the index per replica, or
-//	                             once per line by the slot index a
-//	                             segment reads
+//	                             held by the store's own slot index
+//	                             per replica, or once per line by the
+//	                             slot index a segment reads
 //	view               16 B      per entry: per window that does not
 //	                             extend the previous one
 //
@@ -60,10 +59,10 @@ import (
 // (BlockWriter.copyRow) into blocks that a target in the same process
 // adopts as they are, never serialized. The u column is what the
 // migration filters read: the τ selection and the Retain discard test
-// it alone (retainTop) and build no Tuple. The chain column is derived
-// state like the directory: it belongs to HashIndex (or to a
-// SlotIndex), is never serialized, and is rebuilt from the key column
-// whenever entries are adopted.
+// it alone (dropped, retain) and build no Tuple. The chain column is
+// derived state like the directory: it belongs to a SlotIndex, is never
+// serialized, and is rebuilt from the key column whenever entries are
+// adopted.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -71,19 +70,14 @@ const (
 	arenaShift = 9 // log2(arenaChunk)
 )
 
-// maxReserve caps the distinct keys a rebuild (Retain, MergeFrom,
-// fold) presizes its directory for (reserveSlots), bounding what an
-// overcounted key set — keyCount adds each segment's index-wide count —
-// can balloon a joiner by: at the cap, a 2^20-slot directory (8 MB).
-// Beyond the cap the directory grows as inserts fill it.
-const maxReserve = 1 << 19
-
 // maxSharedEntries bounds the entries the views of other writers'
-// windows may add to one arena. An offset holds the entry index in its
-// top 22 bits, and an unbatched stream adds an entry per tuple; past
-// the bound windows are copied through the store's own writer, whose
-// consecutive windows extend one entry per block, which leaves the
-// other half of the entry space for 2^30 more tuples.
+// windows may add to one arena; past it windows are copied through the
+// store's own writer, whose consecutive windows extend one entry per
+// block. It bounds a hash store's own slot index with it, which enters
+// at most one block per arena entry: an unbatched stream adds an entry
+// per tuple, and a position holds the block index in its top 22 bits
+// (maxSlotBlocks), which leaves the other half of that space for 2^30
+// more tuples.
 const maxSharedEntries = 1 << 21
 
 // colChunk is one block of the arena: arenaChunk tuples decomposed
@@ -207,37 +201,28 @@ func (a *tupleArena) viewable(w Window, n int) bool {
 }
 
 // addWindow appends the rows of the published window w without
-// copying them and returns the entry they landed in: the last entry,
-// extended, when the window continues it and extend allows, else a new
-// one. Arena offsets are int32: a single joiner index holding >2^31
-// tuples would exhaust memory long before the offset space.
-func (a *tupleArena) addWindow(w Window, extend bool) int {
+// copying them: the last entry is extended when the window continues
+// it, else a new one is added.
+func (a *tupleArena) addWindow(w Window) {
 	k := len(a.chunks) - 1
-	if extend && k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo {
+	if k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo {
 		a.chunks[k].hi = w.hi
 	} else {
 		a.chunks = append(a.chunks, view{c: w.c, lo: w.lo, hi: w.hi})
-		k++
 	}
 	a.n += w.Len()
 	a.charge += int64(w.Len()) * chunkBytes / int64(w.c.sharers)
-	return k
 }
 
 // footprint is the arena's share of Index.Footprint: every view's rows
 // divided among its block's sharers.
 func (a *tupleArena) footprint() int64 { return a.charge / arenaChunk }
 
-// retainTop is the arena half of Index.Retain: one pass over the u
-// column counts the rows keep drops, and when there are any, a second
-// copies the survivors row-wise, in entry order, through w — the
-// store's own writer — into a fresh arena. It returns that arena (empty
-// when nothing is removed), the removed count and the survivors'
-// accounted bytes; installing the arena, and bumping mutGen with it, is
-// the caller's.
-func (a *tupleArena) retainTop(keep matrix.Top, w *BlockWriter) (kept tupleArena, removed int, bytes int64) {
+// dropped counts the rows whose u is outside keep: the first pass of
+// Index.Retain, which reads the u column alone.
+func (a *tupleArena) dropped(keep matrix.Top) (removed int) {
 	if keep.All() {
-		return kept, 0, 0
+		return 0
 	}
 	for _, v := range a.chunks {
 		for _, u := range v.c.u[v.lo:v.hi] {
@@ -246,10 +231,16 @@ func (a *tupleArena) retainTop(keep matrix.Top, w *BlockWriter) (kept tupleArena
 			}
 		}
 	}
-	if removed == 0 {
-		return kept, 0, 0
-	}
-	kept.chunks = make([]view, 0, (a.n-removed+arenaChunk-1)/arenaChunk+1)
+	return removed
+}
+
+// retain is the second pass of Index.Retain: it copies the rows whose
+// u is in keep row-wise, in entry order, through w — the store's own
+// writer — into a fresh arena, and returns that arena and the rows'
+// accounted bytes; installing the arena, and bumping mutGen with it, is
+// the caller's.
+func (a *tupleArena) retain(keep matrix.Top, w *BlockWriter) (kept tupleArena, bytes int64) {
+	kept.chunks = make([]view, 0, a.n/arenaChunk+1)
 	for _, v := range a.chunks {
 		for pos := v.lo; pos < v.hi; pos++ {
 			if keep.Has(v.c.u[pos]) {
@@ -258,17 +249,8 @@ func (a *tupleArena) retainTop(keep matrix.Top, w *BlockWriter) (kept tupleArena
 		}
 	}
 	w.flush(&kept)
-	return kept, removed, bytes
+	return kept, bytes
 }
-
-// keyAt reads only the key at offset off: the confirm step of a
-// directory tag hit.
-func (a *tupleArena) keyAt(off int32) int64 {
-	return a.chunks[off>>arenaShift].c.key[off&(arenaChunk-1)]
-}
-
-// block returns the block of entry ci (see blockSource).
-func (a *tupleArena) block(ci int32) *colChunk { return a.chunks[ci].c }
 
 // scan visits every stored tuple in entry order until fn returns
 // false, reporting whether the scan ran to completion.
@@ -283,14 +265,11 @@ func (a *tupleArena) scan(fn func(Tuple) bool) bool {
 	return true
 }
 
-// adopt splices every entry of o onto a, consuming o, and returns the
-// index a's entry list gained o's entries at: offset ci<<arenaShift|pos
-// in o becomes (base+ci)<<arenaShift|pos in a. No tuple is copied —
-// adoption is what makes migration finalization a directory rebuild
-// instead of a second ingest.
-func (a *tupleArena) adopt(o *tupleArena) int {
-	base := len(a.chunks)
-	if base == 0 {
+// adopt splices every entry of o onto a, consuming o. No tuple is
+// copied — adoption is what makes a scan store's migration finalization
+// a splice instead of a second ingest.
+func (a *tupleArena) adopt(o *tupleArena) {
+	if len(a.chunks) == 0 {
 		a.chunks = o.chunks
 	} else {
 		a.chunks = append(a.chunks, o.chunks...)
@@ -298,5 +277,4 @@ func (a *tupleArena) adopt(o *tupleArena) int {
 	a.n += o.n
 	a.charge += o.charge
 	*o = tupleArena{}
-	return base
 }

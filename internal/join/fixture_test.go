@@ -91,7 +91,7 @@ func TestParentEncodedStateDecodes(t *testing.T) {
 			if side == matrix.SideS {
 				idx = got.s
 			}
-			checkChains(t, label, idx.(*HashIndex))
+			checkStore(t, label, idx.(*HashIndex))
 		}
 		pairs := joinedPairs(got)
 		if len(pairs) != len(oracle) {

@@ -105,10 +105,10 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 			}
 			// keys counts the directory the replicas probe: their own, or
 			// the writer's slot index, which each one's segment reads.
-			keys, blocks := h.used, uint64(h.nchains*len(idxs))
+			keys, blocks := h.own.ix.used, uint64(h.own.ix.nblocks*len(idxs))
 			if tc.segment {
-				if len(h.segs) != 1 || h.used != 0 {
-					t.Fatalf("index reads %d segments over %d keys of its own, want 1 over none", len(h.segs), h.used)
+				if len(h.segs) != 1 || h.own.ix.used != 0 {
+					t.Fatalf("index reads %d segments over %d keys of its own, want 1 over none", len(h.segs), h.own.ix.used)
 				}
 				keys, blocks = bw.ix.used, uint64(bw.ix.nblocks)
 			}

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/matrix"
@@ -80,81 +79,16 @@ func NewIndex(p Predicate) Index {
 	}
 }
 
-// slotDir is the key directory of both hash indexes, a HashIndex's own
-// and a slot's SlotIndex: an open-addressed (linear probing) table of
-// 8-byte words, tag<<32 | head, with no pointer and no key. tag is the
-// high 32 bits of the key's hash — its top bits are the word's home
-// slot, so growth re-places a word from the word alone — and head links
-// to the key's newest stored row (its offset or position + 1; 0 marks
-// an empty slot, so a freshly allocated directory is empty without
-// being written, and its untouched pages stay out of the resident set).
-// The key itself lives only in the blocks: a tag hit is confirmed
-// against the key column, which a probe hit is about to read anyway,
-// and a miss never leaves the slot's cache line.
-type slotDir struct {
-	slots []uint64
-	mask  uint32 // len(slots) - 1
-	shift uint8  // home slot of a tag = tag >> shift
-}
-
-// slotBytes is the resident size of one directory slot.
-const slotBytes = 8
-
-// minSlots is the smallest directory.
-const minSlots = 16
-
-// dirSlots is the one sizing rule: the slots a directory needs to hold
-// n distinct keys at a load of at most 3/4.
-func dirSlots(n int) int {
-	slots := minSlots
-	for slots-slots/4 < n {
-		slots <<= 1
-	}
-	return slots
-}
-
-// newDir returns an empty directory sized for n distinct keys.
-func newDir(n int) slotDir {
-	slots := dirSlots(n)
-	return slotDir{slots: make([]uint64, slots), mask: uint32(slots - 1), shift: uint8(32 - bits.TrailingZeros(uint(slots)))}
-}
-
-// full reports whether a directory holding used keys must grow before
-// it takes another one: the sizing rule seen from the insert side.
-func (d *slotDir) full(used int) bool { return used >= len(d.slots)-len(d.slots)/4 }
-
-// home returns the slot a tag's probe sequence starts at.
-func (d *slotDir) home(tag uint32) uint32 { return tag >> (d.shift & 31) }
-
-// grown is the one growth routine: it places every word of d into a
-// fresh directory sized for n keys, at least twice d's size when it
-// grows a full one. Home slots scale with the directory, so the pass
-// writes the new directory nearly front to back; d itself is left
-// untouched for whoever still reads it.
-func (d *slotDir) grown(n int) slotDir {
-	nd := newDir(n)
-	for _, s := range d.slots {
-		if s != 0 {
-			j := nd.home(uint32(s >> 32))
-			for nd.slots[j] != 0 {
-				j = (j + 1) & nd.mask
-			}
-			nd.slots[j] = s
-		}
-	}
-	return nd
-}
-
 // probeHit is one gathered batch-probe candidate: which probe tuple of
-// the run hit, the arena offset of the stored tuple it hit, and the
-// stored tuple's packed meta word. The directory walk (walk) produces
-// these; pair materialization consumes them in a tight second loop.
-// Capturing meta during gather is the arena-side analogue of the
-// walk's chunked home-slot loads: the load
-// pulls the hit's block into cache while later probes are still walking
-// the directory, so materialization's column reads overlap with the
-// gather instead of serializing behind it — and the captured word lets
-// materialize reject dummy hits before touching the arena at all.
+// the run hit, the index position of the stored row it hit, and the
+// stored row's packed meta word. The directory walk (slotReader.walk)
+// produces these; pair materialization consumes them in a tight second
+// loop. Capturing meta during gather is the block-side analogue of the
+// walk's chunked home-slot loads: the load pulls the hit's block into
+// cache while later probes are still walking the directory, so
+// materialization's column reads overlap with the gather instead of
+// serializing behind it — and the captured word lets materialize
+// reject dummy hits before touching the block at all.
 type probeHit struct {
 	probe int32
 	off   int32
@@ -167,27 +101,29 @@ type probeHit struct {
 const maxHitsCap = 1 << 15
 
 // HashIndex is a multimap from join key to tuples, the storage half of
-// a symmetric hash join [42]. Tuples live in the columnar arena, which
+// a symmetric hash join [42]: an arena that stores the rows and a list
+// of slot indexes (SlotIndex, slotindex.go) that index them. The arena
 // holds only views of windows a BlockWriter published (shared.go): a
-// grid line's or a worker's, shared with the other joiners of a
-// grid row or column, whose rows the writer's slot index may serve
-// instead of this index's directory (segments, slotindex.go), or the
-// index's own, for every row it copies. The key directory is a slotDir
-// of 8-byte tagged words, one per distinct key, and the tuples of one
-// key form a newest-first chain threaded through the index's own chain
-// columns, one per arena entry (entries viewing the same block share
-// one). Nothing in the directory or the chains is a Go pointer: the
-// collector traces one object per 512-tuple block, one per chain column
-// and one per directory, never one per key, and a duplicate is stored
-// by writing two words (its next link and the slot's head) with no list
-// to regrow.
+// grid line's or a worker's, shared with the other joiners of a grid
+// row or column, or the index's own writer's, for every row it copies.
+// The line's writer indexes its rows once in the line's slot index,
+// which the index reads as of its own watermark (a segment); every other
+// row — each copy, and each viewed window no live segment continues —
+// goes into the index's own slot index, which its own writer keeps and
+// a probe reads like any segment's, with no watermark. A slot index is
+// a directory of 8-byte tagged words, one per distinct key, over
+// newest-first chains threaded through per-block chain columns. Nothing
+// in it is a Go pointer but one per block: the collector traces one
+// object per 512-tuple block, one per chain column and one per
+// directory, never one per key, and a duplicate is stored by writing
+// two words (its next link and the slot's head) with no list to regrow.
 //
 // Resident bytes per stored replica, mostly-distinct keys (the sparse
 // equi-join: 125 k keys per side per joiner, directory load 0.48), for
 // an index of its own writer's blocks (own: a copying store, or one
-// slot reader), and on a (4,4) grid whose joiners view the
-// line's blocks under their own directories (shared) or read the
-// line's index (segment, slotindex.go):
+// slot reader), and on a (4,4) grid whose joiners view the line's
+// blocks and index them in their own slot indexes (shared) or read the
+// line's index (segment):
 //
 //	                    own       shared   segment (m = 4)
 //	arena columns        40.0      10.0     10.0   (40 / m)
@@ -197,46 +133,34 @@ const maxHitsCap = 1 << 15
 //	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per line)
 //	total                63.3      31.5     15.9
 //
-// With d duplicates per key the directory share divides by d (4.2 B at
-// d = 4, for totals of 50.8, 18.9 and 12.8 B). What remains after this
-// layout: the 8-byte meta word (34 bits used), the U column (only the
-// migration selection and discards read it), the unfilled rows of each
-// line's open shared block, and whatever headroom GOGC leaves on top of
-// the live heap.
+// BenchmarkRowInsertProbe measures the shared and segment columns on a
+// whole grid with one writer per line: 31.5 B ("own") and 15.9 B
+// ("slot") per stored replica. With d duplicates per key the directory
+// share divides by d (4.2 B at d = 4, for totals of 50.8, 18.9 and
+// 12.8 B). What remains after this layout: the 8-byte meta word (34
+// bits used), the U column (only the migration selection and discards
+// read it), the unfilled rows of each line's open shared block, and
+// whatever headroom GOGC leaves on top of the live heap.
 //
-// The directory grows as a SlotIndex's does: when the next distinct key
-// would pass the 3/4 load, every word is re-placed into a directory
-// twice the size (slotDir.grown) and the old one is dropped. Only a
-// rebuild (Retain, MergeFrom, fold), which knows the keys it is about
-// to place, presizes it (reserveSlots).
+// Every directory grows by one rule: when the next distinct key would
+// pass the 3/4 load, every word is re-placed into a directory twice the
+// size (slotDir.grown). Nothing is presized.
 type HashIndex struct {
-	dir   slotDir
-	used  int // occupied slots (distinct keys)
 	arena tupleArena
-	// own writes every row the index copies rather than views (see
-	// add), and Retain's survivors.
-	own BlockWriter
-	// chains[ci] is arena entry ci's chain column: at block position
-	// pos, the link from the tuple there to the previously stored tuple
-	// of its key, as offset+1 with 0 ending the chain. Entries viewing
-	// the same shared block share a column (their rows are disjoint).
-	// nchains counts the columns allocated, for Footprint.
-	chains  []*[arenaChunk]uint32
-	nchains int
-	bytes   int64
-	// segs are the slot indexes that serve some of the arena's shared
-	// windows in place of the directory and chains (slotindex.go): a
-	// probe walks the directory, when it holds any key, and each
-	// segment as of its watermark.
+	// own writes every row the index copies rather than views, and
+	// indexes it, with every viewed window no segment serves, in its
+	// slot index own.ix.
+	own   BlockWriter
+	bytes int64
+	// segs are the line indexes that serve the arena's other windows
+	// (segment): a probe walks the own index, when it holds any key, and
+	// each segment as of its watermark.
 	segs []segment
 	hits []probeHit // batch-probe gather scratch
-	// touch keeps walk's cache-warming loads of this directory alive;
-	// its value means nothing.
-	touch uint64
 }
 
 // NewHashIndex returns an empty hash index.
-func NewHashIndex() *HashIndex { return &HashIndex{} }
+func NewHashIndex() *HashIndex { return &HashIndex{own: BlockWriter{ix: newSlotIndex(1)}} }
 
 // hashKey mixes the key bits (splitmix64 finalizer) so linear probing
 // works on adversarial key sets, e.g. sequential keys.
@@ -259,115 +183,6 @@ var tagMask = ^uint32(0)
 // tagOf is the directory's view of a key: the high half of its hash.
 func tagOf(k int64) uint32 { return uint32(hashKey(k)>>32) & tagMask }
 
-// holds reports whether the chain the word s heads is key's: the tag
-// filters (one compare on the slot's own cache line), the arena's key
-// column decides. Every tuple of a chain shares the key, so the head
-// speaks for all of them.
-func (h *HashIndex) holds(s uint64, tag uint32, key int64) bool {
-	return uint32(s>>32) == tag && h.arena.keyAt(int32(uint32(s)-1)) == key
-}
-
-// walkFrom continues a linear-probe walk of the directory from slot i
-// and returns the head link of key's chain (0 when the key is absent).
-func (h *HashIndex) walkFrom(i, tag uint32, key int64) uint32 {
-	for {
-		s := h.dir.slots[i]
-		if s == 0 {
-			return 0
-		}
-		if h.holds(s, tag, key) {
-			return uint32(s)
-		}
-		i = (i + 1) & h.dir.mask
-	}
-}
-
-// lookup returns the head link of key's chain, or 0.
-func (h *HashIndex) lookup(tag uint32, key int64) uint32 {
-	if h.used == 0 {
-		return 0
-	}
-	return h.walkFrom(h.dir.home(tag), tag, key)
-}
-
-// chain prepends the tuple at off to the chain the word *s heads (an
-// empty word for a new key): its next link takes the old head and the
-// word names it.
-func (h *HashIndex) chain(s *uint64, tag uint32, off int32) {
-	h.chains[off>>arenaShift][off&(arenaChunk-1)] = uint32(*s)
-	*s = uint64(tag)<<32 | uint64(uint32(off)+1)
-}
-
-// chainLookback bounds how far back syncChains looks for an earlier
-// entry viewing the same shared block: windows of one block reach a
-// joiner interleaved with at most the copies of runs it could not view.
-const chainLookback = 16
-
-// syncChains gives every arena entry past the chain list its chain
-// column: an earlier entry's when it views the same shared block, or a
-// fresh allocation.
-func (h *HashIndex) syncChains() {
-	for ci := len(h.chains); ci < len(h.arena.chunks); ci++ {
-		h.chains = append(h.chains, h.chainFor(ci))
-	}
-}
-
-// chainFor picks entry ci's chain column (see syncChains).
-func (h *HashIndex) chainFor(ci int) *[arenaChunk]uint32 {
-	// A segment entry of the same block (nil) has no column to share.
-	c := h.arena.chunks[ci].c
-	for k := ci - 1; k >= 0 && k >= ci-chainLookback; k-- {
-		if h.arena.chunks[k].c == c && h.chains[k] != nil {
-			return h.chains[k]
-		}
-	}
-	h.nchains++
-	return new([arenaChunk]uint32)
-}
-
-// add stores the run ts in the arena — a view of w when w names
-// exactly ts and the entry space has room, else a copy written through
-// the index's own writer — and returns the arena offset of ts[0], with
-// the chain columns in place; ts[i] sits at that offset + i. A view
-// never extends an entry a segment serves (see segmentEntry).
-func (h *HashIndex) add(ts []Tuple, w Window) int32 {
-	var base int32
-	if h.arena.viewable(w, len(ts)) {
-		ci := h.arena.addWindow(w, !h.segmentEntry(len(h.arena.chunks)-1))
-		base = int32(ci<<arenaShift) | w.lo
-	} else {
-		base = h.own.copyRun(&h.arena, ts)
-	}
-	h.syncChains()
-	return base
-}
-
-// segmentEntry reports whether arena entry ci holds rows a segment
-// serves: such an entry has no chain column (takeWindow adds it
-// without one), and the two kinds of rows never share an entry, so
-// fold can tell which rows h's own directory lacks.
-func (h *HashIndex) segmentEntry(ci int) bool {
-	return ci >= 0 && ci < len(h.chains) && h.chains[ci] == nil
-}
-
-// insertOffset records key -> off in the slot directory, reusing the
-// caller's tag (probe-then-insert steps hash each key exactly once).
-func (h *HashIndex) insertOffset(tag uint32, key int64, off int32) {
-	if h.dir.full(h.used) {
-		h.dir = h.dir.grown(h.used + 1)
-	}
-	for i := h.dir.home(tag); ; i = (i + 1) & h.dir.mask {
-		s := &h.dir.slots[i]
-		if *s == 0 {
-			h.used++
-		} else if !h.holds(*s, tag, key) {
-			continue
-		}
-		h.chain(s, tag, off)
-		return
-	}
-}
-
 // Insert stores t under its key.
 func (h *HashIndex) Insert(t Tuple) { h.InsertWindow([]Tuple{t}, Window{}) }
 
@@ -375,53 +190,28 @@ func (h *HashIndex) Insert(t Tuple) { h.InsertWindow([]Tuple{t}, Window{}) }
 func (h *HashIndex) InsertBatch(ts []Tuple) { h.InsertWindow(ts, Window{}) }
 
 // InsertWindow stores the run ts whose columns were written into the
-// window w (row i holding ts[i]; the zero Window when none was): the
-// arena gains a view of the window, or of a copy when w does not name
-// exactly ts (add), and either a segment's watermark moves past it
-// (takeWindow) or the directory and chain column are written.
+// window w (row i holding ts[i]; the zero Window when none was): as the
+// continuation of a segment (takeWindow), else in the own index — a
+// view of w when it names exactly ts, a copy through the own writer
+// when it does not.
 func (h *HashIndex) InsertWindow(ts []Tuple, w Window) {
-	if h.takeWindow(ts, w) {
-		return
+	if !h.takeWindow(ts, w) {
+		if h.arena.viewable(w, len(ts)) {
+			h.own.view(&h.arena, w)
+		} else {
+			h.own.copyRun(&h.arena, ts)
+		}
 	}
-	base := h.add(ts, w)
-	var bytes int64
 	for i := range ts {
-		h.insertOffset(tagOf(ts[i].Key), ts[i].Key, base+int32(i))
-		bytes += ts[i].Bytes()
-	}
-	h.bytes += bytes
-}
-
-// reserveSlots presizes the directory for n distinct keys.
-func (h *HashIndex) reserveSlots(n int) {
-	if dirSlots(n) > len(h.dir.slots) {
-		h.dir = h.dir.grown(n)
+		h.bytes += ts[i].Bytes()
 	}
 }
-
-// gather walks the chain starting at link head, appending each tuple's
-// arena offset to hits, tagged with the probe index that matched and
-// the stored tuple's meta word (see probeHit for why the gather pass
-// reads the arena early). The next link is loaded before the meta word
-// so the following hop's miss overlaps this one's.
-func (h *HashIndex) gather(head uint32, probe int32, hits []probeHit) []probeHit {
-	for head != 0 {
-		off := int32(head - 1)
-		ci, pos := off>>arenaShift, off&(arenaChunk-1)
-		head = h.chains[ci][pos]
-		hits = append(hits, probeHit{probe: probe, off: off, meta: h.arena.chunks[ci].c.meta[pos]})
-	}
-	return hits
-}
-
-// blockSource resolves the block of a probe hit's offset: an arena
-// entry (tupleArena) or a slot index's block (slotTable).
-type blockSource interface{ block(ci int32) *colChunk }
 
 // materialize runs the gathered hits through the predicate, appending
 // passing pairs to *out: the tight second loop of the batch probe,
-// touching the arena columns only after all directory walking is done.
-// Hits arrive grouped by probe (gather appends one probe's offsets
+// touching the blocks of tbl, the walked index's table, only after all
+// directory walking is done.
+// Hits arrive grouped by probe (gather appends one probe's positions
 // contiguously), so the probe tuple loads once per group, not per hit;
 // each candidate is materialized straight into the output Pair slot
 // (truncated again if the predicate rejects it) instead of passing
@@ -429,7 +219,7 @@ type blockSource interface{ block(ci int32) *colChunk }
 // predicate short-circuits entirely: the directory's key confirm
 // already guarantees key equality, leaving only the dummy flags to
 // check.
-func materialize[B blockSource](src B, ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
+func materialize(tbl []slotEntry, ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
 	plainEqui := p.Kind == Equi && p.Residual == nil
 	buf := *out
 	for i := 0; i < len(hits); {
@@ -440,7 +230,7 @@ func materialize[B blockSource](src B, ps []Tuple, hits []probeHit, rel matrix.S
 		}
 		probe := &ps[pi]
 		if plainEqui && probe.Dummy {
-			// The whole group is rejected without reading the arena.
+			// The whole group is rejected without reading a block.
 			i = j
 			continue
 		}
@@ -454,7 +244,7 @@ func materialize[B blockSource](src B, ps []Tuple, hits []probeHit, rel matrix.S
 			var stored *Tuple
 			buf, pr, stored = pairSlot(buf, probe, rel)
 			off := hits[k].off
-			src.block(off>>arenaShift).atIntoMeta(off&(arenaChunk-1), hits[k].meta, stored)
+			tbl[off>>arenaShift].c.atIntoMeta(off&(arenaChunk-1), hits[k].meta, stored)
 			if !plainEqui && !p.Matches(pr.R, pr.S) {
 				buf = buf[:len(buf)-1]
 			}
@@ -493,29 +283,32 @@ func (h *HashIndex) putHits(hits []probeHit) {
 	h.hits = hits[:0]
 }
 
-// Probe enumerates stored tuples with key equal to the probe's key:
-// the segments' rows first, newest segment first, then the
-// directory's; newest first within each, since every chain is
-// prepended to. Order within a key is not part of any contract — the
-// join's output is a pair multiset — and blocks adopted by MergeFrom
-// are linked in block order whatever their tuples' original arrival
-// order was.
+// readers calls fn with a reader of each index that holds h's rows:
+// the own index — skipped while it holds no key, so a store whose rows
+// all sit in segments walks one directory per segment — then each
+// segment's as of its watermark.
+func (h *HashIndex) readers(fn func(r slotReader)) {
+	if h.own.ix.used != 0 {
+		fn(h.own.ix.reader(allRows))
+	}
+	for i := range h.segs {
+		fn(h.segs[i].ix.reader(h.segs[i].w))
+	}
+}
+
+// Probe enumerates stored tuples with key equal to the probe's key,
+// index by index (see readers), newest first within each, since every
+// chain is prepended to. Order within a key is not part of any
+// contract — the join's output is a pair multiset.
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	tag := tagOf(probe.Key)
-	for i := len(h.segs) - 1; i >= 0; i-- {
-		r := h.segs[i].reader()
+	h.readers(func(r slotReader) {
 		home := r.d.home(tag)
 		head := r.findFrom(home, atomic.LoadUint64(&r.d.slots[home]), tag, probe.Key)
 		for _, hit := range r.gather(head, 0, h.hits[:0]) {
 			fn(r.tbl[hit.off>>arenaShift].c.at(hit.off & (arenaChunk - 1)))
 		}
-	}
-	for head := h.lookup(tag, probe.Key); head != 0; {
-		off := int32(head - 1)
-		ci, pos := off>>arenaShift, off&(arenaChunk-1)
-		head = h.chains[ci][pos]
-		fn(h.arena.chunks[ci].c.at(pos))
-	}
+	})
 }
 
 // walkChunk is the width of the pipelined directory walk: a chunk's
@@ -525,101 +318,19 @@ func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 // the next key's hash.
 const walkChunk = 16
 
-// walk is the one directory walk behind both batch entry points: it
-// gathers into hits the chains of h that every non-dummy tuple of ts
-// hits (dummies never match, so they are not looked up), and, when own
-// is non-nil, indexes each tuple in own right after its lookup — the
-// fused probe-then-insert step of Local.AddBatchCollect, over a run
-// own's arena already holds from offset base on (HashIndex.add). own is
-// the opposite relation's index, never h, so h is not mutated during
-// the call. ts runs in chunks of up to
-// walkChunk tuples, the last one simply shorter (no scalar remainder),
-// each in four passes:
-//
-//  1. hash every key of the chunk (pure ALU, no memory dependence);
-//  2. copy out each key's home slot in h — independent 8-byte loads
-//     the core overlaps; h does not change during the call, so the
-//     copies are safe to resolve from;
-//  3. load each key's home slot in own, only to pull its cache line in:
-//     an insert earlier in the chunk may fill such a slot, or grow
-//     own's directory and move every slot, so the loaded values never
-//     place a key (their sum goes to own.touch so the compiler keeps
-//     the loads — Go has no prefetch intrinsic);
-//  4. resolve each key in order: from the copied slot, an empty one is a
-//     miss, a confirmed tag match gathers at once, anything else walks
-//     on via walkFrom; then
-//     insertOffset it into own at base plus its position in ts, which
-//     walks own's live directory.
-//
-// Tuples of one relation never join each other, so probing the
-// opposite side before each insert emits exactly the pairs the
-// probe-all-then-insert-all form would.
-func (h *HashIndex) walk(ts []Tuple, own *HashIndex, base int32, hits []probeHit) []probeHit {
-	var (
-		tags  [walkChunk]uint32
-		first [walkChunk]uint64
-		bytes int64
-	)
-	probe := h.used != 0
-	for i := 0; i < len(ts); i += walkChunk {
-		chunk := ts[i:min(i+walkChunk, len(ts))]
-		for k := range chunk {
-			tags[k] = tagOf(chunk[k].Key)
-		}
-		if probe {
-			for k := range chunk {
-				first[k] = h.dir.slots[h.dir.home(tags[k])]
-			}
-		}
-		if own != nil && len(own.dir.slots) != 0 {
-			var touch uint64
-			for k := range chunk {
-				touch += own.dir.slots[own.dir.home(tags[k])]
-			}
-			own.touch = touch
-		}
-		for k := range chunk {
-			t := &chunk[k]
-			if probe && !t.Dummy {
-				tag, s := tags[k], first[k]
-				var head uint32
-				switch {
-				case s == 0:
-				case h.holds(s, tag, t.Key):
-					head = uint32(s)
-				default:
-					head = h.walkFrom((h.dir.home(tag)+1)&h.dir.mask, tag, t.Key)
-				}
-				if head != 0 {
-					hits = h.gather(head, int32(i+k), hits)
-				}
-			}
-			if own != nil {
-				own.insertOffset(tags[k], t.Key, base+int32(i+k))
-				bytes += t.Bytes()
-			}
-		}
-	}
-	if own != nil {
-		own.bytes += bytes
-	}
-	return hits
-}
-
 // ProbeBatchCollect probes every tuple of ps in order, appending
-// oriented predicate-passing pairs to *out: the directory's pairs,
-// then each segment's. Each source is processed in
-// two phases: the pipelined directory walk (walk) collects (probe,
-// arena offset) hits, then a materialize loop reads the arena columns
-// and builds pairs — so directory cache lines and tuple columns each
-// stream through once instead of alternating per match.
+// oriented predicate-passing pairs to *out, index by index (see
+// readers). Each index is processed in two phases: the pipelined
+// directory walk (slotReader.walk) collects (probe, position) hits, then
+// a materialize loop reads the block columns and builds pairs — so
+// directory cache lines and tuple columns each stream through once
+// instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
-	if h.used != 0 {
-		hits := h.walk(ps, nil, 0, h.hits[:0])
-		materialize(&h.arena, ps, hits, rel, p, out)
+	h.readers(func(r slotReader) {
+		hits := r.walk(ps, h.hits[:0])
+		materialize(r.tbl, ps, hits, rel, p, out)
 		h.putHits(hits)
-	}
-	h.probeSegments(ps, rel, p, out)
+	})
 }
 
 // Len returns the number of stored tuples.
@@ -629,14 +340,14 @@ func (h *HashIndex) Len() int { return h.arena.n }
 func (h *HashIndex) Bytes() int64 { return h.bytes }
 
 // Footprint reports the arena's blocks (a block's viewed rows divided
-// among its sharers) with the chain columns, and the directory; each
-// segment adds its share of its slot index's chain columns and
-// directory.
+// among its sharers) with the own index's chain columns, and its
+// directory; each segment adds its share of its line index's chain
+// columns and directory.
 func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
-	arenaBytes = h.arena.footprint() + int64(h.nchains)*chainBytes
-	directoryBytes = int64(len(h.dir.slots)) * slotBytes
+	arenaBytes, directoryBytes = h.own.ix.share()
+	arenaBytes += h.arena.footprint()
 	for i := range h.segs {
-		c, d := h.segs[i].share()
+		c, d := h.segs[i].ix.share()
 		arenaBytes += c
 		directoryBytes += d
 	}
@@ -647,118 +358,60 @@ func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 
 // Retain drops the tuples whose u is outside keep: the u-column pass
-// of tupleArena.retainTop copies the survivors through the index's own
-// writer into compact blocks, and the directory is rebuilt over them with MergeFrom's offset loop,
-// in block order, so each key's chain keeps its order. Retain is the
-// migration discard, run once every slot has moved to the new epoch,
-// so it leaves an index that reads no segment: rebuilt, or with the
-// segments folded into its directory when nothing is removed. Migration
-// discards touch on the order of half the state, so the O(n) rebuild
-// matches an in-place sweep; the directory is presized to the
-// surviving key count so the rebuild does not grow it.
+// of tupleArena.retain copies the survivors through the index's own
+// writer into compact blocks of a fresh arena, which index them in a
+// fresh own index, in block order, so each key's chain keeps its order.
+// Retain is the migration discard, run once every slot has moved to the
+// new epoch, so it leaves an index that reads no segment: rebuilt, or
+// with the segments folded into the own index when nothing is removed.
+// Migration discards touch on the order of half the state, so the O(n)
+// rebuild matches an in-place sweep.
 func (h *HashIndex) Retain(keep matrix.Top) int {
-	kept, removed, bytes := h.arena.retainTop(keep, &h.own)
+	removed := h.arena.dropped(keep)
 	if removed == 0 {
 		// Common for the non-splitting relation: no rebuild, but the
 		// rows the old epoch's segments served are indexed here now.
 		h.fold()
 		return 0
 	}
-	// At most the current distinct-key count survives.
-	keys := min(h.keyCount(), kept.n, maxReserve)
-	fresh := NewHashIndex()
-	fresh.reserveSlots(keys)
-	fresh.MergeFrom(&HashIndex{arena: kept, bytes: bytes})
+	h.own.ix, h.segs = newSlotIndex(1), nil
+	kept, bytes := h.arena.retain(keep, &h.own)
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
-	fresh.arena.mutGen = h.arena.mutGen + 1
-	fresh.own = h.own
-	*h = *fresh
+	kept.mutGen = h.arena.mutGen + 1
+	h.arena, h.bytes = kept, bytes
 	return removed
 }
 
 // MergeFrom bulk-merges every tuple of o into h, consuming o (o must
-// not be used afterward). The source arena entries are adopted
-// wholesale — no tuple is copied, only the derived state is built:
-// one pass over the adopted entries' key columns places each key's
-// 8-byte slot and rewrites the chain columns in h's offset space (the
-// donor's own columns, when it has them, are taken over and
-// overwritten; a bare arena gets fresh ones) — which is what makes
-// migration finalization, snapshot restore and block-frame adoption a
-// directory rebuild instead of a full re-insert. The (entry,pos) offset
-// encoding is what makes adoption unconditional: a partially filled
-// view is addressable anywhere in the entry list, so neither arena
-// needs to end on a block boundary. o's directory is simply dropped,
-// and so are its segments: the rows they served are indexed in h's
-// directory like the rest.
+// not be used afterward). The donor's arena entries are viewed as they
+// are — no tuple is copied while the entry space has room — and
+// indexed block by block in h's own index, which is what makes
+// migration finalization, snapshot restore and block-frame adoption an
+// index build instead of a full re-insert. o's own index is simply
+// dropped, and so are its segments: the rows they served are indexed
+// in h's own index like the rest.
 func (h *HashIndex) MergeFrom(o *HashIndex) {
-	if o.arena.n == 0 {
-		*o = HashIndex{}
-		return
+	for _, v := range o.arena.chunks {
+		h.own.take(&h.arena, Window{c: v.c, lo: v.lo, hi: v.hi})
 	}
-	// Presize the directory (not the arena — its blocks arrive by
-	// adoption) so the offset rebuild below rarely grows mid-loop.
-	if n := h.used + o.used; n <= maxReserve {
-		h.reserveSlots(n)
-	}
-	base := h.arena.adopt(&o.arena)
-	if len(o.chains) == len(h.arena.chunks)-base {
-		h.chains = append(h.chains, o.chains...)
-		h.nchains += o.nchains
-	}
-	h.indexFrom(base)
 	h.bytes += o.bytes
 	*o = HashIndex{}
 }
 
-// indexFrom places every row of the arena entries from base on in h's
-// own directory, with their chain columns.
-func (h *HashIndex) indexFrom(base int) {
-	h.syncChains()
-	for ci := base; ci < len(h.arena.chunks); ci++ {
-		h.indexEntry(ci)
-	}
-}
-
-// indexEntry places every row of arena entry ci in h's own directory,
-// giving the entry a chain column first when a segment served it.
-func (h *HashIndex) indexEntry(ci int) {
-	if h.chains[ci] == nil {
-		h.chains[ci] = h.chainFor(ci)
-	}
-	v := h.arena.chunks[ci]
-	for pos := v.lo; pos < v.hi; pos++ {
-		key := v.c.key[pos]
-		h.insertOffset(tagOf(key), key, int32(ci<<arenaShift)|pos)
-	}
-}
-
-// fold indexes the rows h's segments serve in its own directory and
-// drops the segments: once their slots stop writing (a migration moved
-// every slot to a new epoch), a segment only adds a directory to every
-// probe.
+// fold indexes the rows h's segments serve in its own index and drops
+// the segments: once their lines stop writing (a migration moved every
+// line to a new epoch), a segment only adds a directory to every
+// probe. The own index is rebuilt over the whole arena, so the arena's
+// entries — and a checkpoint's watermark on them — stay as they are.
 func (h *HashIndex) fold() {
 	if len(h.segs) == 0 {
 		return
 	}
-	h.reserveSlots(min(h.keyCount(), maxReserve))
-	h.segs = nil
-	for ci := range h.arena.chunks {
-		if h.segmentEntry(ci) {
-			h.indexEntry(ci)
-		}
+	h.own.ix, h.segs = newSlotIndex(1), nil
+	for _, v := range h.arena.chunks {
+		h.own.ix.index(v.c, v.lo, v.hi)
 	}
-}
-
-// keyCount bounds the distinct keys h indexes: its own directory's
-// plus those each segment's slot index published, which may count keys
-// of rows past the segment's watermark.
-func (h *HashIndex) keyCount() int {
-	keys := h.used
-	for i := range h.segs {
-		keys += int(h.segs[i].ix.keys.Load())
-	}
-	return keys
 }
 
 // ScanIndex stores tuples in arrival order and matches every stored
@@ -786,7 +439,7 @@ func (s *ScanIndex) InsertBatch(ts []Tuple) { s.InsertWindow(ts, Window{}) }
 // has room, else a copy written through the index's own writer.
 func (s *ScanIndex) InsertWindow(ts []Tuple, w Window) {
 	if s.arena.viewable(w, len(ts)) {
-		s.arena.addWindow(w, true)
+		s.own.view(&s.arena, w)
 	} else {
 		s.own.copyRun(&s.arena, ts)
 	}
@@ -830,14 +483,15 @@ func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }
 
 // Retain drops the tuples whose u is outside keep, copying the
 // survivors compactly through the index's own writer
-// (tupleArena.retainTop). The counting pass reads only
-// the u column, so the common nothing-removed case (the non-splitting
-// relation of a migration) costs no allocation.
+// (tupleArena.retain). The counting pass reads only the u column, so
+// the common nothing-removed case (the non-splitting relation of a
+// migration) costs no allocation.
 func (s *ScanIndex) Retain(keep matrix.Top) int {
-	kept, removed, bytes := s.arena.retainTop(keep, &s.own)
+	removed := s.arena.dropped(keep)
 	if removed == 0 {
 		return 0
 	}
+	kept, bytes := s.arena.retain(keep, &s.own)
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
 	kept.mutGen = s.arena.mutGen + 1

@@ -172,7 +172,7 @@ func TestHashIndexDifferential(t *testing.T) {
 				)
 				var afterGrowth [numOps]int
 				for step := 0; step < 800; step++ {
-					grown := step%5 == 0 && h.used > 0
+					grown := step%5 == 0 && h.own.ix.used > 0
 					if grown {
 						forceGrowth(h)
 					}
@@ -265,12 +265,12 @@ func TestHashIndexDifferential(t *testing.T) {
 						ref.insert(run...)
 						h.MergeFrom(src)
 					}
-					if h.Len() != ref.n || h.Bytes() != ref.bytes || h.used != len(ref.byKey) {
+					if h.Len() != ref.n || h.Bytes() != ref.bytes || h.own.ix.used != len(ref.byKey) {
 						t.Fatalf("step %d (op %d): Len/Bytes/keys %d/%d/%d, reference %d/%d/%d",
-							step, op, h.Len(), h.Bytes(), h.used, ref.n, ref.bytes, len(ref.byKey))
+							step, op, h.Len(), h.Bytes(), h.own.ix.used, ref.n, ref.bytes, len(ref.byKey))
 					}
 					if step%100 == 99 {
-						checkChains(t, fmt.Sprintf("step %d", step), h)
+						checkStore(t, fmt.Sprintf("step %d", step), h)
 					}
 				}
 				for op, n := range afterGrowth {
@@ -280,7 +280,7 @@ func TestHashIndexDifferential(t *testing.T) {
 				}
 
 				// Final sweep: structure, full contents, every key.
-				checkChains(t, "final", h)
+				checkStore(t, "final", h)
 				var all, want []Tuple
 				h.Scan(func(tp Tuple) bool { all = append(all, tp); return true })
 				for key, ts := range ref.byKey {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -152,14 +153,13 @@ func TestHashIndexMatchesScanIndexReference(t *testing.T) {
 	}
 }
 
-// TestHashIndexMergeFrom exercises the chunk-adopting bulk merge with
-// the destination arena ending on and off block boundaries (including
-// the empty destination): the (chunk,pos) offset encoding must keep
-// every adopted tuple addressable in all cases. The donor comes in the
-// two shapes adoption meets: a built index, whose chain columns name
-// its own chunk indexes and must be rewritten, and a bare decoded arena
-// (snapshot restore, a migration block frame), which has no chain
-// columns at all until the merge allocates them.
+// TestHashIndexMergeFrom exercises the bulk merge with the destination
+// arena ending on and off block boundaries (including the empty
+// destination): every adopted tuple must land in the destination's own
+// index, whatever either arena's fill. The donor comes in the two
+// shapes adoption meets: a built index, whose own index is dropped, and
+// a bare decoded arena (snapshot restore, a migration block frame),
+// which has none.
 func TestHashIndexMergeFrom(t *testing.T) {
 	for _, bare := range []bool{false, true} {
 		testHashIndexMergeFrom(t, bare)
@@ -200,13 +200,10 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 			}
 			src = &HashIndex{bytes: src.bytes}
 			writeBlocks(recs, &src.own, &src.arena)
-			if len(src.chains) != 0 {
-				t.Fatal("a decoded arena carries chain columns: they are derived state")
-			}
 		}
 
 		h.MergeFrom(src)
-		checkChains(t, "merged", h)
+		checkStore(t, "merged", h)
 		if h.Len() != dstN+srcN {
 			t.Fatalf("dstN=%d: merged Len %d, want %d", dstN, h.Len(), dstN+srcN)
 		}
@@ -238,26 +235,28 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 		if h.Len() != dstN+srcN+10 {
 			t.Fatalf("dstN=%d: post-merge inserts broke Len: %d", dstN, h.Len())
 		}
-		checkChains(t, "merged, then extended", h)
+		checkStore(t, "merged, then extended", h)
 	}
 }
 
-// checkChains verifies the derived state of a hash index structurally:
-// every occupied slot's tag is its key's,
-// every chain holds one key only and descends strictly in arena offset
-// (newest first), no key owns two slots, the slot count is h.used, and
-// the chains together — the directory's, and each segment's below its
-// watermark — cover exactly the stored tuples.
-func checkChains(t *testing.T, label string, h *HashIndex) {
+// checkIndex verifies a slot index structurally, as of watermark w:
+// every occupied word's tag is its key's and each key has one word,
+// used counts the words, and every chain holds one key and runs
+// newest-first over decreasing positions. It returns how many rows
+// below w the chains link, which the caller holds against the rows the
+// index should hold (checkStore).
+func checkIndex(t *testing.T, label string, x *SlotIndex, w uint32) int {
 	t.Helper()
+	r := x.reader(w)
 	owner := map[int64]bool{}
-	linked, slots := 0, 0
-	for _, s := range h.dir.slots {
+	linked, words := 0, 0
+	for _, s := range r.d.slots {
 		if s == 0 {
 			continue
 		}
-		slots++
-		key := h.arena.keyAt(int32(uint32(s) - 1))
+		words++
+		pos := uint32(s) - 1
+		key := r.entry(pos).c.key[pos&(arenaChunk-1)]
 		if tag := uint32(s >> 32); tag != tagOf(key) {
 			t.Fatalf("%s: slot of key %d carries tag %#x, want %#x", label, key, tag, tagOf(key))
 		}
@@ -266,79 +265,59 @@ func checkChains(t *testing.T, label string, h *HashIndex) {
 		}
 		owner[key] = true
 		for l, prev := uint32(s), uint32(0); l != 0; {
-			off := int32(l - 1)
-			if prev != 0 && l >= prev {
-				t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, off)
-			}
-			if k := h.arena.keyAt(off); k != key {
-				t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
-			}
-			linked++
-			prev, l = l, h.chains[off>>arenaShift][off&(arenaChunk-1)]
-		}
-	}
-	for i := range h.segs {
-		linked += checkSegment(t, label, &h.segs[i])
-	}
-	if slots != h.used || linked != h.Len() {
-		t.Fatalf("%s: %d slots link %d tuples; index counts %d keys, %d tuples", label, slots, linked, h.used, h.Len())
-	}
-}
-
-// forceGrowth runs the growth routine on h's directory between
-// inserts: it re-places every word into a directory twice the size, as
-// an insert into a full one does, or, once the directory is eight times
-// the size its keys need, into that size, so growth forced every few
-// steps keeps the directory bounded.
-func forceGrowth(h *HashIndex) {
-	n := len(h.dir.slots) // dirSlots(n) is twice n slots
-	if n >= 8*dirSlots(h.used) {
-		n = h.used
-	}
-	h.dir = h.dir.grown(n)
-}
-
-// checkSegment is checkChains for the rows a segment serves: every
-// chain of its slot index holds one key and descends strictly in
-// position, and no key owns two slots. It returns how many rows below
-// the watermark the chains link.
-func checkSegment(t *testing.T, label string, s *segment) int {
-	t.Helper()
-	r := s.reader()
-	owner := map[int64]bool{}
-	linked := 0
-	for _, w := range r.d.slots {
-		if w == 0 {
-			continue
-		}
-		key := r.entry(uint32(w) - 1).c.key[(uint32(w)-1)&(arenaChunk-1)]
-		if uint32(w>>32) != tagOf(key) || owner[key] {
-			t.Fatalf("%s: segment slot of key %d carries tag %#x or a second slot", label, key, uint32(w>>32))
-		}
-		owner[key] = true
-		for l, prev := uint32(w), uint32(0); l != 0; {
 			pos := l - 1
 			if prev != 0 && l >= prev {
-				t.Fatalf("%s: segment chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, pos)
+				t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, pos)
 			}
 			e := r.entry(pos)
 			if k := e.c.key[pos&(arenaChunk-1)]; k != key {
-				t.Fatalf("%s: segment chain of key %d holds a tuple of key %d", label, key, k)
+				t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
 			}
-			if pos < s.w {
+			if l <= w {
 				linked++
 			}
 			prev, l = l, e.next[pos&(arenaChunk-1)]
 		}
 	}
+	if words != x.used {
+		t.Fatalf("%s: %d words, index counts %d keys", label, words, x.used)
+	}
 	return linked
+}
+
+// checkStore runs checkIndex on every index of a hash store — its own,
+// and each segment's line index as of the segment's watermark — and
+// checks that together they link exactly the stored tuples.
+func checkStore(t *testing.T, label string, h *HashIndex) {
+	t.Helper()
+	linked := checkIndex(t, label+" (own index)", h.own.ix, allRows)
+	for i := range h.segs {
+		linked += checkIndex(t, fmt.Sprintf("%s (segment %d)", label, i), h.segs[i].ix, h.segs[i].w)
+	}
+	if linked != h.Len() {
+		t.Fatalf("%s: the indexes link %d tuples, the store holds %d", label, linked, h.Len())
+	}
+}
+
+// forceGrowth runs the growth routine on h's own index between
+// inserts: it re-places every word into a directory twice the size, as
+// an insert into a full one does, or, once the directory is eight times
+// the size its keys need, into that size, so growth forced every few
+// steps keeps the directory bounded.
+func forceGrowth(h *HashIndex) {
+	x := h.own.ix
+	n := len(x.cur.slots) // dirSlots(n) is twice n slots
+	if n >= 8*dirSlots(x.used) {
+		n = x.used
+	}
+	x.setDir(x.cur.grown(n))
 }
 
 // assertSameContents compares the hash index against the scan-index
 // reference via Scan, Len/Bytes, and per-key probes.
 func assertSameContents(t *testing.T, label string, h *HashIndex, ref *ScanIndex) {
 	t.Helper()
-	checkChains(t, label, h)
+	checkStore(t, label, h)
 	if h.Len() != ref.Len() || h.Bytes() != ref.Bytes() {
 		t.Fatalf("%s: Len/Bytes %d/%d vs reference %d/%d", label, h.Len(), h.Bytes(), ref.Len(), ref.Bytes())
 	}

@@ -31,55 +31,24 @@ func (l *Local) Insert(t Tuple) {
 // AddBatchCollect probes and then stores a run of same-side tuples
 // (all ts share ts[0].Rel), appending every match to *out: the
 // symmetric join's probe-then-store step a run at a time (a one-tuple
-// run is the classic per-tuple step). When both sides are hash-indexed
-// (the equi-join hot path) the probe and the insert are fused in the
-// same pipelined directory walk ProbeBatchCollect uses (HashIndex.walk):
-// each key is hashed once, and the hash drives both the probe of the
-// opposite directory and the insert into the own-side one, a chunk of
-// keys' directory misses at a time. Because tuples of one relation
-// never join each other, the fused walk emits exactly the pairs the
-// two-pass form would.
+// run is the classic per-tuple step). Because tuples of one relation
+// never join each other, probing the whole run before storing it emits
+// exactly the pairs the per-tuple form would.
 func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	l.AddWindowCollect(ts, Window{}, out)
 }
 
 // AddWindowCollect is AddBatchCollect for a run whose columns a writer
-// already wrote into the window w (row i holding ts[i]): the probe runs
-// on ts as ever, and the run is stored as a view of w, which a hash
-// side indexes through a segment of the line's slot index when it
-// can (HashIndex.takeWindow). A window that does not name exactly ts,
-// the zero Window among them, is stored as a view of the side's own
-// copy; an ordered side copies into its leaves.
+// already wrote into the window w (row i holding ts[i]): the run probes
+// the opposite side's indexes, and is then stored as a view of w, which
+// a hash side indexes through a segment of the line's slot index when
+// it can (HashIndex.takeWindow) and in its own slot index when it
+// cannot. A window that does not name exactly ts, the zero Window
+// among them, is stored as a view of the side's own copy; an ordered
+// side copies into its leaves.
 func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
-	if len(ts) == 0 {
-		return
-	}
-	own, opp := l.s, l.r
-	if ts[0].Rel == matrix.SideR {
-		own, opp = l.r, l.s
-	}
-	oh, ownHash := own.(*HashIndex)
-	ph, oppHash := opp.(*HashIndex)
-	if !ownHash || !oppHash {
-		l.ProbeBatchCollect(ts, out)
-		l.InsertWindow(ts, w)
-		return
-	}
-	var base int32
-	if oh.takeWindow(ts, w) {
-		oh = nil
-	} else {
-		base = oh.add(ts, w)
-	}
-	if ph.used != 0 || oh != nil {
-		hits := ph.walk(ts, oh, base, ph.hits[:0])
-		// The gathered offsets point into the opposite side's arena,
-		// which the inserts never touch, so materialization can run
-		// after the whole run is stored.
-		materialize(&ph.arena, ts, hits, ts[0].Rel, l.pred, out)
-		ph.putHits(hits)
-	}
-	ph.probeSegments(ts, ts[0].Rel, l.pred, out)
+	l.ProbeBatchCollect(ts, out)
+	l.InsertWindow(ts, w)
 }
 
 // ProbeBatchCollect joins a run of same-side tuples against the stored

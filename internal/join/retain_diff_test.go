@@ -256,7 +256,7 @@ func TestRetainAndSelectMatchScanReference(t *testing.T) {
 					}
 				}
 				if h, ok := idx.(*HashIndex); ok {
-					checkChains(t, "after Retain", h)
+					checkStore(t, "after Retain", h)
 				}
 			})
 		}

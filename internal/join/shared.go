@@ -13,9 +13,9 @@ import "repro/internal/matrix"
 // arena instead of copying the tuples. A writer for two or more readers
 // also indexes each row once, in the line's slot index (SlotIndex,
 // slotindex.go); a joiner that took every window of the line reads that
-// index as of its own watermark (a segment) instead of building a
-// directory and chain column over the window (HashIndex.add, the
-// fallback), so a probe walks one directory per side and epoch.
+// index as of its own watermark (a segment) instead of indexing the
+// window's rows in its own slot index (the fallback), so a probe walks
+// one directory per side and epoch.
 //
 // A worker process is a block writer too: its receive loop writes the
 // body of each data frame once, whole, into an open block kept for the
@@ -23,12 +23,16 @@ import "repro/internal/matrix"
 // window to every joiner the frame names. A tuple is thus stored and
 // indexed once per process that hosts its row or spans its column.
 //
-// Every store owns one more writer, for one reader and with no slot
-// index, through which it copies what it cannot view (copyRun,
-// copyRow): a run without a window, Retain's survivors, a restored
-// snapshot. The migration encoder and the block decoder write the same
-// way. Only a checkpoint capture hands such a writer's windows to
-// another goroutine, so its block is sealed then (seal).
+// Every store owns one more writer, for one reader, through which it
+// copies what it cannot view (copyRun, copyRow): a run without a
+// window, Retain's survivors, a restored snapshot. A hash store's own
+// writer indexes too: it keeps the store's own slot index and indexes
+// in it every window it adds to the store's arena, its own copies when
+// it flushes them and every other writer's window that no live segment
+// continues (view, take). The migration encoder and the block decoder
+// write the same way, without an index. Only a checkpoint capture hands
+// an own writer's windows to another goroutine, so its block is sealed
+// then (seal); the own index never leaves the store's goroutine.
 //
 // The invariants that make this race-free without reference counts:
 //
@@ -61,7 +65,7 @@ import "repro/internal/matrix"
 //     worker rejects a longer frame body as malformed;
 //   - a gap — a window the reader did not take through the segment —
 //     freezes the segment at its W, and the line's later windows go to
-//     the reader's own directory;
+//     the reader's own slot index;
 //   - line order agrees with a checkpoint's cut: a reshuffler that has
 //     pushed its marker publishes no window until every marker is out
 //     (core's ckptEvent.allCut);
@@ -75,7 +79,8 @@ import "repro/internal/matrix"
 //     arriving at a sealed block without the payload column opens a new
 //     block (fits);
 //   - nothing is pooled: the garbage collector frees a block or an index
-//     once the last arena, segment or envelope referencing it is gone.
+//     once the last arena, index, segment or envelope referencing it is
+//     gone.
 
 // Window is the run of rows [lo, hi) of a shared block that one
 // envelope's body was written into, row i holding body tuple i. The
@@ -96,9 +101,11 @@ func (w Window) Len() int { return int(w.hi - w.lo) }
 
 // BlockWriter is the open block of a writer, with the slot index over
 // every block it wrote when it keeps one. A line's writer writes
-// nothing (Shared is false) until Reset gives it a fan-out; the zero
-// value, used through copyRun, copyRow and next, is a store's own
-// writer: blocks for one reader, no slot index.
+// nothing (Shared is false) until Reset gives it a fan-out. A store's
+// own writer, used through copyRun, copyRow, next and view, writes
+// blocks for one reader and indexes every window it adds to the
+// store's arena in the store's own slot index; without an index (a scan
+// store's writer, an encoder's or a decoder's) it only adds them.
 type BlockWriter struct {
 	c  *colChunk
 	ix *SlotIndex
@@ -109,9 +116,9 @@ type BlockWriter struct {
 	// sealed reports that another goroutine may hold a window of the
 	// open block, so its header (the payload column) is frozen.
 	sealed bool
-	// base is the index position of the open block's row 0, and ixPub
-	// the position the last published window ended at.
-	base, ixPub uint32
+	// ixPub is the index position the line's last published window
+	// ended at.
+	ixPub uint32
 }
 
 // Reset drops the open block and the slot index — a block or index in
@@ -121,7 +128,7 @@ type BlockWriter struct {
 // writer off; a fan-out of two or more starts a fresh, empty slot index
 // when index is set. Otherwise the readers index the windows
 // themselves: one reader would index them at the same cost through a
-// slot index as through its own directory.
+// line's slot index as through its own.
 func (b *BlockWriter) Reset(sharers int, index bool) {
 	*b = BlockWriter{sharers: int32(sharers)}
 	if sharers > 1 && index {
@@ -141,18 +148,16 @@ func (b *BlockWriter) fits(n int32, payload bool) bool {
 }
 
 // open makes room for n rows, a payload among them when payload: a
-// fresh block, entered in the slot index, when the open one cannot
-// take them (see fits), else the open one, given a payload column in
-// place if it lacks one — until the block is sealed no other goroutine
-// holds a window of it, and no index entry names it.
+// fresh block when the open one cannot take them (see fits), else the
+// open one, given a payload column in place if it lacks one — until the
+// block is sealed no other goroutine holds a window of it, and no index
+// entry names it. A line's writer whose index spans maxSlotBlocks drops
+// the index at a fresh block.
 func (b *BlockWriter) open(n int32, payload bool) {
 	if !b.fits(n, payload) {
 		b.c, b.hi, b.pub, b.sealed = newChunk(payload, max(b.sharers, 1)), 0, 0, false
-		if b.ix != nil {
-			var ok bool
-			if b.base, ok = b.ix.addBlock(b.c); !ok {
-				b.ix = nil
-			}
+		if b.sharers > 1 && b.ix != nil && b.ix.nblocks >= maxSlotBlocks {
+			b.ix = nil
 		}
 	} else if payload && b.c.payload == nil {
 		b.c.payload = make([][]byte, arenaChunk)
@@ -181,8 +186,7 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 	w.hi, b.pub, b.sealed = b.hi, b.hi, true
 	if b.ix != nil {
 		// Indexed before any reader holds the window.
-		w.ix, w.at, w.prev = b.ix, b.base|uint32(w.lo), b.ixPub
-		b.ix.add(b.base, w.lo, w.hi)
+		w.ix, w.at, w.prev = b.ix, b.ix.index(b.c, w.lo, w.hi), b.ixPub
 		b.ixPub = w.at + uint32(len(run))
 	}
 	return w
@@ -198,20 +202,15 @@ func hasPayload(ts []Tuple) bool {
 	return false
 }
 
-// copyRun writes ts through b into a (see next) and returns the arena
-// offset of ts[0]: the copy path of a store's own writer. Offsets run
-// on, ts[i] sitting at that offset + i, because the run's payload
-// column is asked for from its first row: every window but the last
-// fills its block, and the next starts at row 0 of a fresh block in the
-// next entry.
-func (b *BlockWriter) copyRun(a *tupleArena, ts []Tuple) int32 {
+// copyRun writes ts through b into a (see next): the copy path of a
+// store's own writer.
+func (b *BlockWriter) copyRun(a *tupleArena, ts []Tuple) {
 	payload := hasPayload(ts)
 	for i := range ts {
 		c, pos := b.next(a, payload)
 		c.put(pos, &ts[i])
 	}
 	b.flush(a)
-	return int32(len(a.chunks)-1)<<arenaShift | (b.hi - 1) - int32(len(ts)-1)
 }
 
 // next makes room for one more row, one that carries a payload when
@@ -233,9 +232,34 @@ func (b *BlockWriter) next(a *tupleArena, payload bool) (*colChunk, int32) {
 // goroutine reads it until the next seal.
 func (b *BlockWriter) flush(a *tupleArena) {
 	if b.hi > b.pub {
-		a.addWindow(Window{c: b.c, lo: b.pub, hi: b.hi}, true)
+		b.view(a, Window{c: b.c, lo: b.pub, hi: b.hi})
 		b.pub = b.hi
 	}
+}
+
+// view adds the rows of the window w to a without copying them, and
+// indexes them when b keeps an index: every row a store's own writer
+// adds goes through here, its own windows (flush) and other writers'.
+func (b *BlockWriter) view(a *tupleArena, w Window) {
+	a.addWindow(w)
+	if b.ix != nil {
+		b.ix.index(w.c, w.lo, w.hi)
+	}
+}
+
+// take adds the rows of another writer's published window w to a, after
+// the rows b holds unpublished: a view while a's entry space has room
+// (viewable), else a copy through b.
+func (b *BlockWriter) take(a *tupleArena, w Window) {
+	b.flush(a)
+	if a.viewable(w, w.Len()) {
+		b.view(a, w)
+		return
+	}
+	for pos := w.lo; pos < w.hi; pos++ {
+		b.copyRow(a, w.c, pos)
+	}
+	b.flush(a)
 }
 
 // seal freezes the header of the open block once a window of it is
@@ -295,10 +319,10 @@ func (l *Local) Views(side matrix.Side) []BlockView {
 }
 
 // SegmentView describes how a hash-indexed store indexes its rows: the
-// slot indexes its segments read, oldest first (comparable, opaque
+// line indexes its segments read, oldest first (comparable, opaque
 // identities), how many of those segments still take windows, and the
-// distinct keys of the store's own directory. Diagnostics and tests use
-// it to see which indexes joiners share.
+// distinct keys of the store's own index, which is not one of Indexes.
+// Diagnostics and tests use it to see which indexes joiners share.
 type SegmentView struct {
 	Indexes []any
 	Live    int
@@ -312,7 +336,7 @@ func (l *Local) Segments(side matrix.Side) SegmentView {
 	if !ok {
 		return SegmentView{}
 	}
-	v := SegmentView{Keys: h.used}
+	v := SegmentView{Keys: h.own.ix.used}
 	for _, s := range h.segs {
 		v.Indexes = append(v.Indexes, s.ix)
 		if s.live {

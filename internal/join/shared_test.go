@@ -363,7 +363,7 @@ func TestEveryViewIsAWriterWindow(t *testing.T) {
 					}
 				}
 				if h, ok := got.index(side).(*HashIndex); ok {
-					checkChains(t, name, h)
+					checkStore(t, name, h)
 				}
 			}
 			seen := map[uint64]bool{}

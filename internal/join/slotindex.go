@@ -1,38 +1,46 @@
 package join
 
 import (
+	"math/bits"
 	"sync/atomic"
-
-	"repro/internal/matrix"
 )
 
-// SlotIndex is the hash index a sharing block writer (BlockWriter)
-// keeps over the blocks it writes: one per grid line and epoch in each
-// process, so a row replicated to m joiners of one process is indexed
-// once, not m times. The writer — whichever reshuffler holds the
-// line's lock — inserts each row before it publishes the window naming
-// it; the joiners that store the windows read the index as of their
-// own watermark instead of indexing the rows themselves (see segment).
+// SlotIndex is the one hash index kind: a directory over newest-first
+// chains of rows that one writer indexes while any number of readers
+// probe it. Two kinds of writer keep one:
 //
-// An index position names a row of the writer's block sequence,
-// block<<arenaShift | row, and grows with every row written, so the
-// newest-first chains of the index run over decreasing positions. The
-// directory is HashIndex's slotDir made lock-free for one writer and
-// any number of readers: the writer stores its words (head = position+1
-// of the key's newest row) atomically and readers load them atomically.
-// A row's chain link (the position+1 of the key's previous row) lives
-// in a per-block chain column and is written before the directory word
-// that names the row.
+//   - a sharing block writer (BlockWriter) of a grid line and epoch in
+//     one process, over the blocks it writes, so a row replicated to m
+//     joiners of one process is indexed once, not m times. The writer —
+//     whichever reshuffler holds the line's lock — indexes each row
+//     before it publishes the window naming it; the joiners that store
+//     the windows read the index as of their own watermark (a segment);
+//   - a HashIndex's own writer, for its one reader: every row the store
+//     copies, and every window it views that no segment serves.
 //
-// Growth follows HashIndex's rule (slotDir.grown) and is copy-on-write:
-// the writer publishes the grown directory behind an atomic pointer;
-// the old one stays frozen for the readers that loaded it, and holds
-// every row published before the swap. The block table grows the same
-// way. Resident bytes per indexed row, mostly-distinct keys:
+// An index position names a row of the index's block table,
+// block<<arenaShift | row. A block is entered in the table when a
+// window of it is first indexed, and again when windows of other blocks
+// were indexed since, so positions only grow and the newest-first
+// chains run over decreasing positions. The directory (slotDir) is
+// lock-free for one writer and any number of readers: the writer
+// stores its words (head = position+1 of the key's newest row)
+// atomically and readers load them atomically. A row's chain link (the
+// position+1 of the key's previous row) lives in its block's chain
+// column and is written before the directory word that names the row.
+// A store's own index, read only on its writer's goroutine between
+// inserts, stores its words plainly and replaces its directory in
+// place.
+//
+// Growth is copy-on-write: the writer publishes the grown directory
+// (slotDir.grown) behind an atomic pointer; the old one stays frozen
+// for the readers that loaded it, and holds every row published before
+// the swap. The block table grows the same way. Resident bytes per
+// indexed row, mostly-distinct keys:
 //
 //	directory    8 B / load (10.7-21.3 B at the 3/4 growth threshold)
 //	chain        4 B   one uint32 link per row, in per-block columns
-//	table        16 B per 512 rows
+//	table        16 B per entry (512 rows when the entry's block is full)
 //
 // so a row of a (4,4) grid's line costs each of its m = 4 readers a
 // quarter of that.
@@ -52,10 +60,73 @@ type SlotIndex struct {
 	// touch keeps add's cache-warming loads alive; its value means
 	// nothing.
 	touch uint64
-	// dirBytes and chainBytes are the index's resident bytes, and keys
-	// its distinct-key count as of the last window, written by the
-	// writer and read by the readers' Footprint and fold.
-	dirBytes, chainBytes, keys atomic.Int64
+	// dirBytes and chainBytes are the index's resident bytes, written
+	// by the writer and read by the readers' Footprint.
+	dirBytes, chainBytes atomic.Int64
+}
+
+// slotDir is the key directory of a SlotIndex: an open-addressed (linear probing) table of
+// 8-byte words, tag<<32 | head, with no pointer and no key. tag is the
+// high 32 bits of the key's hash — its top bits are the word's home
+// slot, so growth re-places a word from the word alone — and head links
+// to the key's newest stored row (its position + 1; 0 marks
+// an empty slot, so a freshly allocated directory is empty without
+// being written, and its untouched pages stay out of the resident set).
+// The key itself lives only in the blocks: a tag hit is confirmed
+// against the key column, which a probe hit is about to read anyway,
+// and a miss never leaves the slot's cache line.
+type slotDir struct {
+	slots []uint64
+	mask  uint32 // len(slots) - 1
+	shift uint8  // home slot of a tag = tag >> shift
+}
+
+// slotBytes is the resident size of one directory slot.
+const slotBytes = 8
+
+// minSlots is the smallest directory.
+const minSlots = 16
+
+// dirSlots is the one sizing rule: the slots a directory needs to hold
+// n distinct keys at a load of at most 3/4.
+func dirSlots(n int) int {
+	slots := minSlots
+	for slots-slots/4 < n {
+		slots <<= 1
+	}
+	return slots
+}
+
+// newDir returns an empty directory sized for n distinct keys.
+func newDir(n int) slotDir {
+	slots := dirSlots(n)
+	return slotDir{slots: make([]uint64, slots), mask: uint32(slots - 1), shift: uint8(32 - bits.TrailingZeros(uint(slots)))}
+}
+
+// full reports whether a directory holding used keys must grow before
+// it takes another one: the sizing rule seen from the insert side.
+func (d *slotDir) full(used int) bool { return used >= len(d.slots)-len(d.slots)/4 }
+
+// home returns the slot a tag's probe sequence starts at.
+func (d *slotDir) home(tag uint32) uint32 { return tag >> (d.shift & 31) }
+
+// grown is the one growth routine: it places every word of d into a
+// fresh directory sized for n keys, at least twice d's size when it
+// grows a full one. Home slots scale with the directory, so the pass
+// writes the new directory nearly front to back; d itself is left
+// untouched for whoever still reads it.
+func (d *slotDir) grown(n int) slotDir {
+	nd := newDir(n)
+	for _, s := range d.slots {
+		if s != 0 {
+			j := nd.home(uint32(s >> 32))
+			for nd.slots[j] != 0 {
+				j = (j + 1) & nd.mask
+			}
+			nd.slots[j] = s
+		}
+	}
+	return nd
 }
 
 // slotEntry is one block of a SlotIndex with its chain column.
@@ -64,48 +135,90 @@ type slotEntry struct {
 	next *[arenaChunk]uint32
 }
 
-// maxSlotBlocks bounds the blocks one index spans, keeping every
-// position below 2^31 (a probeHit offset); a writer past it drops its
-// index, and its readers index the line's later windows themselves.
-const maxSlotBlocks = 1 << 22
+// noBlocks is the table of an index that holds no block yet.
+var noBlocks []slotEntry
+
+// maxSlotBlocks bounds the blocks one line's index spans, keeping every
+// position below 2^31 (a probeHit offset); a line writer past it drops
+// its index, and its readers index the line's later windows in their
+// own indexes. A store's own index has no such bound to meet: it enters
+// at most one block per arena entry (see maxSharedEntries). A variable
+// only so that tests can narrow it.
+var maxSlotBlocks = 1 << 22
 
 // newSlotIndex returns an empty index for blocks of fan-out sharers.
 func newSlotIndex(sharers int32) *SlotIndex {
 	x := &SlotIndex{sharers: sharers}
 	x.setDir(newDir(0))
+	x.table.Store(&noBlocks)
 	return x
 }
 
-// setDir installs d as the directory writers insert into and readers
-// load.
+// setDir installs d as the directory the writer inserts into and
+// readers load. A line's readers may still walk the old one, which
+// stays frozen; a store's own index (one sharer) has its one reader on
+// the writer's goroutine, between inserts, so its directory is replaced
+// in place.
 func (x *SlotIndex) setDir(d slotDir) {
-	x.cur = &d
-	x.dir.Store(&d)
+	if x.cur != nil && x.sharers == 1 {
+		*x.cur = d
+	} else {
+		p := new(slotDir)
+		*p = d
+		x.cur = p
+		x.dir.Store(p)
+	}
 	x.dirBytes.Store(int64(len(d.slots)) * slotBytes)
 }
 
-// addBlock enters c as the next block of the index and returns the
-// position of its row 0, or false once the index spans maxSlotBlocks.
-func (x *SlotIndex) addBlock(c *colChunk) (uint32, bool) {
-	if x.nblocks == maxSlotBlocks {
-		return 0, false
-	}
+// entryLookback bounds how far back addBlock looks for an earlier entry
+// of the same block: windows of several blocks can reach a store
+// interleaved (its own copies between viewed windows, or several
+// writers' lines), and each such block then pays one chain column
+// however often it is entered.
+const entryLookback = 16
+
+// addBlock enters c as the next block of the index, sharing the chain
+// column of an earlier entry of c within entryLookback (the two hold
+// disjoint rows) or allocating one.
+func (x *SlotIndex) addBlock(c *colChunk) {
 	if x.nblocks == len(x.blocks) {
 		grown := make([]slotEntry, max(16, 2*len(x.blocks)))
 		copy(grown, x.blocks)
 		x.blocks = grown
 		x.table.Store(&grown)
 	}
-	x.blocks[x.nblocks] = slotEntry{c: c, next: new([arenaChunk]uint32)}
+	e := slotEntry{c: c}
+	for k := x.nblocks - 1; k >= max(0, x.nblocks-entryLookback) && e.next == nil; k-- {
+		if x.blocks[k].c == c {
+			e.next = x.blocks[k].next
+		}
+	}
+	if e.next == nil {
+		e.next = new([arenaChunk]uint32)
+		x.chainBytes.Add(chainBytes)
+	}
+	x.blocks[x.nblocks] = e
 	x.nblocks++
-	x.chainBytes.Add(chainBytes)
-	return uint32(x.nblocks-1) << arenaShift, true
 }
 
-// add indexes rows [lo, hi) of the block at position base: the
-// writer's step at publication, before any reader can hold a watermark
-// past them. Each chunk's home slots are loaded before the first insert
-// resolves, as HashIndex.walk does, so their misses overlap.
+// index indexes rows [lo, hi) of block c, entering c as the next block
+// unless it is the last one entered, and returns the position of row
+// lo: the writer's step at publication, before any reader can hold a
+// watermark past them. The windows of a block reach an index in row
+// order, so positions only grow.
+func (x *SlotIndex) index(c *colChunk, lo, hi int32) uint32 {
+	if x.nblocks == 0 || x.blocks[x.nblocks-1].c != c {
+		x.addBlock(c)
+	}
+	base := uint32(x.nblocks-1) << arenaShift
+	x.add(base, lo, hi)
+	return base | uint32(lo)
+}
+
+// add indexes rows [lo, hi) of the block at position base. Each
+// chunk's home slots are loaded before the first insert resolves, as
+// slotReader.walk does, so their misses overlap.
 func (x *SlotIndex) add(base uint32, lo, hi int32) {
 	e := x.blocks[base>>arenaShift]
 	var tags [walkChunk]uint32
@@ -122,7 +235,6 @@ func (x *SlotIndex) add(base uint32, lo, hi int32) {
 			x.insert(tags[row-start], e.c.key[row], base|uint32(row), &e.next[row])
 		}
 	}
-	x.keys.Store(int64(x.used))
 }
 
 // keyAt reads the key of the row at pos (writer side).
@@ -139,30 +251,42 @@ func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
 	d := x.cur
 	head := uint64(tag)<<32 | uint64(pos+1)
 	for i := d.home(tag); ; i = (i + 1) & d.mask {
-		s := d.slots[i]
-		if s == 0 {
-			atomic.StoreUint64(&d.slots[i], head)
+		switch s := d.slots[i]; {
+		case s == 0:
 			x.used++
-			return
-		}
-		if uint32(s>>32) == tag && x.keyAt(uint32(s)-1) == key {
+		case uint32(s>>32) == tag && x.keyAt(uint32(s)-1) == key:
 			*link = uint32(s)
-			atomic.StoreUint64(&d.slots[i], head)
-			return
+		default:
+			continue
 		}
+		if x.sharers > 1 {
+			atomic.StoreUint64(&d.slots[i], head)
+		} else {
+			// A store's own index: its one reader runs on this goroutine.
+			d.slots[i] = head
+		}
+		return
 	}
+}
+
+// share returns one reader's share of the index's resident bytes:
+// chain columns and directory divided among the blocks' readers.
+func (x *SlotIndex) share() (chainBytes, dirBytes int64) {
+	n := int64(x.sharers)
+	return x.chainBytes.Load() / n, x.dirBytes.Load() / n
 }
 
 // segment is a store's read handle on a SlotIndex: the store consumed
 // every window of the index from its first one up to position w, so
 // the index's rows below w are exactly the rows of those windows, and
 // the store indexes none of them itself. Chains run newest-first over
-// increasing positions, so a probe skips the few rows at or past w that
+// decreasing positions, so a probe skips the few rows at or past w that
 // other readers' windows, or windows still in flight, have added, and
-// sees what a private index over the same windows would hold. A window
-// that does not continue the segment — one the store did not get, got
-// filtered, or copied instead — leaves w where it is (live turns false)
-// and the rest of the line's windows are indexed privately.
+// sees what an index of the store's own over the same windows would
+// hold. A window that does not continue the segment — one the store did
+// not get, got filtered, or copied instead — leaves w where it is (live
+// turns false), and the rest of the line's windows go to the store's
+// own index.
 type segment struct {
 	ix   *SlotIndex
 	w    uint32
@@ -175,15 +299,8 @@ type segment struct {
 // writers indexed (today only the first epoch's do).
 const maxSegments = 64
 
-// share returns the segment's share of its index's resident bytes:
-// chain columns and directory divided among the blocks' readers.
-func (s *segment) share() (chainBytes, dirBytes int64) {
-	n := int64(s.ix.sharers)
-	return s.ix.chainBytes.Load() / n, s.ix.dirBytes.Load() / n
-}
-
-// slotReader probes one segment's index as of its watermark. It loads
-// the directory once per run; the block table is reloaded only when a
+// slotReader probes one index as of a watermark. It loads the
+// directory once per run; the block table is reloaded only when a
 // position (an in-flight head) names a block past the loaded one.
 type slotReader struct {
 	ix  *SlotIndex
@@ -192,8 +309,13 @@ type slotReader struct {
 	w   uint32
 }
 
-func (s *segment) reader() slotReader {
-	return slotReader{ix: s.ix, d: s.ix.dir.Load(), tbl: *s.ix.table.Load(), w: s.w}
+// allRows is the watermark that reads every row: a store's own index
+// has no rows in flight.
+const allRows = ^uint32(0)
+
+// reader returns a reader of x as of watermark w.
+func (x *SlotIndex) reader(w uint32) slotReader {
+	return slotReader{ix: x, d: x.dir.Load(), tbl: *x.table.Load(), w: w}
 }
 
 // entry returns the block table entry of position pos.
@@ -241,8 +363,9 @@ func (r *slotReader) gather(head uint32, probe int32, hits []probeHit) []probeHi
 }
 
 // walk gathers into hits the rows below the watermark that every
-// non-dummy tuple of ts hits, a chunk of home-slot loads at a time as
-// HashIndex.walk does.
+// non-dummy tuple of ts hits, a chunk of walkChunk keys at a time: the
+// chunk's keys are all hashed and their home slots all loaded before
+// the first one resolves.
 func (r *slotReader) walk(ts []Tuple, hits []probeHit) []probeHit {
 	var (
 		tags  [walkChunk]uint32
@@ -266,22 +389,6 @@ func (r *slotReader) walk(ts []Tuple, hits []probeHit) []probeHit {
 	return hits
 }
 
-// slotTable resolves probe-hit offsets that are index positions.
-type slotTable []slotEntry
-
-func (t slotTable) block(ci int32) *colChunk { return t[ci].c }
-
-// probeSegments appends the pairs that the run ps makes with the rows
-// every segment of h serves, one segment at a time.
-func (h *HashIndex) probeSegments(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
-	for i := range h.segs {
-		r := h.segs[i].reader()
-		hits := r.walk(ps, h.hits[:0])
-		materialize(slotTable(r.tbl), ps, hits, rel, p, out)
-		h.putHits(hits)
-	}
-}
-
 // segmentOf returns h's segment on ix, or nil.
 func (h *HashIndex) segmentOf(ix *SlotIndex) *segment {
 	for i := len(h.segs) - 1; i >= 0; i-- {
@@ -295,10 +402,10 @@ func (h *HashIndex) segmentOf(ix *SlotIndex) *segment {
 // takeWindow stores the run ts, written into the shared window w, as
 // the continuation of a segment — or the start of one, at the line's
 // first window — and reports whether it did: the arena gains the
-// window's view, the segment's watermark moves to the window's end,
-// and h writes no directory or chain entry. Any other window, or one
-// h cannot add by reference, is left to HashIndex.add, and a
-// segment it does not continue stays frozen at its watermark.
+// window's view and the segment's watermark moves to the window's end;
+// h's own index takes nothing. Any other window, or one h cannot add by
+// reference, is left to the own index, and a segment it does not
+// continue stays frozen at its watermark.
 func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
 	if w.ix == nil || !h.arena.viewable(w, len(ts)) {
 		return false
@@ -315,15 +422,7 @@ func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
 		}
 		return false
 	}
-	h.arena.addWindow(w, h.segmentEntry(len(h.arena.chunks)-1))
-	for len(h.chains) < len(h.arena.chunks) {
-		h.chains = append(h.chains, nil)
-	}
+	h.arena.addWindow(w)
 	s.w = w.at + uint32(w.Len())
-	var bytes int64
-	for i := range ts {
-		bytes += ts[i].Bytes()
-	}
-	h.bytes += bytes
 	return true
 }

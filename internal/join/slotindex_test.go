@@ -21,8 +21,8 @@ type slotMsg struct {
 // TestSlotIndexAsOf is the property behind segments: over random
 // interleavings of several writers' appends and several readers'
 // windows, every probe a reader makes of its store — segments read as
-// of its watermark plus its private directory — returns exactly what a
-// private HashIndex built from the same windows returns. The writers
+// of its watermark plus its own index — returns exactly what a
+// HashIndex that copies the same runs returns. The writers
 // take turns on one BlockWriter under a lock, as the reshufflers of a
 // grid line do, and push each window to every reader before they
 // release it, so every reader takes the line's windows in writer order.
@@ -36,7 +36,9 @@ type slotMsg struct {
 // windows, a run past a block always split. Reader 0 takes
 // every window; the others take gaps — a window they never get, or a
 // run a replay filter shortened and stored as a copy — which freeze
-// their segment, after which they index the line privately.
+// their segment, after which they index the line in their own index.
+// At the end the line's index itself must pass the structural check
+// and link every row the writers published.
 func TestSlotIndexAsOf(t *testing.T) {
 	forceTagCollisions(t)
 	const readers, writers, windows = 3, 3, 800
@@ -48,9 +50,10 @@ func TestSlotIndexAsOf(t *testing.T) {
 		chans[i] = make(chan slotMsg, 256)
 	}
 	var (
-		mu    sync.Mutex // the line's lock: guards bw, k, swaps
+		mu    sync.Mutex // the line's lock: guards bw, k, rows, swaps
 		bw    BlockWriter
 		k     int
+		rows  int
 		swaps int
 		wwg   sync.WaitGroup
 	)
@@ -60,6 +63,7 @@ func TestSlotIndexAsOf(t *testing.T) {
 			c <- slotMsg{run, w}
 		}
 		k++
+		rows += len(run)
 	}
 	newRun := func(rng *rand.Rand, seq *uint64, n int) []Tuple {
 		run := make([]Tuple, n)
@@ -134,6 +138,9 @@ func TestSlotIndexAsOf(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("no directory grew while a window was indexed")
 	}
+	if linked := checkIndex(t, "line index", bw.ix, allRows); linked != rows {
+		t.Fatalf("the line index links %d rows, the writers published %d", linked, rows)
+	}
 }
 
 // readSlotWindows is one reader of TestSlotIndexAsOf: it stores the
@@ -205,6 +212,198 @@ func readSlotWindows(id int, in <-chan slotMsg) error {
 	return nil
 }
 
+// TestProbeSkipsEmptyOwnIndex: a store whose every window continues
+// its segment leaves its own index without a key, and a probe walks the
+// segment's directory alone — one per side, as the shared layout's
+// joiners do — without loading a word of the own index; once the store
+// copies a run, its probes walk both. Every probe matches a store that
+// copies the same runs.
+func TestProbeSkipsEmptyOwnIndex(t *testing.T) {
+	pred := EquiJoin("eq", nil)
+	rng := rand.New(rand.NewSource(58))
+	stream := make([]Tuple, 3*arenaChunk)
+	for i := range stream {
+		stream[i] = diffTuple(rng, uint64(i+1), rng.Int63n(700))
+	}
+	var bw BlockWriter
+	bw.Reset(2, true)
+	stores := []*HashIndex{NewHashIndex(), NewHashIndex()}
+	ref := NewHashIndex()
+	writeShared(&bw, stream, 32, func(run []Tuple, w Window) {
+		for _, h := range stores {
+			h.InsertWindow(run, w)
+		}
+		ref.InsertBatch(run)
+	})
+	walks := func(h *HashIndex) int {
+		n := 0
+		h.readers(func(slotReader) { n++ })
+		return n
+	}
+	probes := make([]Tuple, 200)
+	for i := range probes {
+		probes[i] = Tuple{Rel: matrix.SideR, Key: rng.Int63n(800), Seq: uint64(1e6 + i)}
+	}
+	same := func(label string, h *HashIndex) {
+		t.Helper()
+		var got, want []Pair
+		h.ProbeBatchCollect(probes, matrix.SideR, pred, &got)
+		ref.ProbeBatchCollect(probes, matrix.SideR, pred, &want)
+		if err := pairsMatch(got, want); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, p := range probes[:20] {
+			var g, r []Tuple
+			h.Probe(p, func(s Tuple) { g = append(g, s) })
+			ref.Probe(p, func(s Tuple) { r = append(r, s) })
+			if err := sameSeqs(g, r); err != nil {
+				t.Fatalf("%s: probe of key %d: %v", label, p.Key, err)
+			}
+		}
+	}
+	for i, h := range stores {
+		if h.own.ix.used != 0 || len(h.segs) != 1 {
+			t.Fatalf("store %d: %d keys in its own index, %d segments; want none and one", i, h.own.ix.used, len(h.segs))
+		}
+		if n := walks(h); n != 1 {
+			t.Fatalf("store %d: a probe walks %d directories, want the segment's one", i, n)
+		}
+		// A probe that loaded a word of the emptied directory would panic.
+		saved := *h.own.ix.cur
+		*h.own.ix.cur = slotDir{}
+		same(fmt.Sprintf("store %d, own index emptied", i), h)
+		*h.own.ix.cur = saved
+		checkStore(t, fmt.Sprintf("store %d", i), h)
+	}
+	extra := make([]Tuple, 40)
+	for i := range extra {
+		extra[i] = diffTuple(rng, uint64(len(stream)+i+1), rng.Int63n(700))
+	}
+	stores[0].InsertBatch(extra)
+	ref.InsertBatch(extra)
+	if n := walks(stores[0]); n != 2 {
+		t.Fatalf("after a copied run a probe walks %d directories, want the own index's and the segment's", n)
+	}
+	same("after a copied run", stores[0])
+	checkStore(t, "after a copied run", stores[0])
+}
+
+// TestEmptySlotIndexReads: an index that holds no block yet publishes
+// an empty table, so a reader made of it walks, gathers and finds
+// nothing instead of dereferencing a table that was never stored.
+func TestEmptySlotIndexReads(t *testing.T) {
+	for _, x := range []*SlotIndex{newSlotIndex(1), newSlotIndex(4)} {
+		r := x.reader(allRows)
+		if len(r.tbl) != 0 {
+			t.Fatalf("an empty index publishes %d table entries", len(r.tbl))
+		}
+		ps := []Tuple{{Rel: matrix.SideR, Key: 1}, {Rel: matrix.SideR, Key: -7}}
+		if hits := r.walk(ps, nil); len(hits) != 0 {
+			t.Fatalf("an empty index yields %d hits", len(hits))
+		}
+		if linked := checkIndex(t, "empty", x, allRows); linked != 0 {
+			t.Fatalf("an empty index links %d rows", linked)
+		}
+	}
+}
+
+// TestOwnIndexNeverDrops narrows maxSlotBlocks: a line's writer past it
+// drops its index, and its readers index the line's later windows in
+// their own indexes, while a store's own index spans any number of
+// blocks and keeps indexing every row it copies or views.
+func TestOwnIndexNeverDrops(t *testing.T) {
+	saved := maxSlotBlocks
+	maxSlotBlocks = 2
+	t.Cleanup(func() { maxSlotBlocks = saved })
+	rng := rand.New(rand.NewSource(59))
+	pred := EquiJoin("eq", nil)
+	var bw BlockWriter
+	bw.Reset(2, true)
+	viewer, copier, ref := NewHashIndex(), NewHashIndex(), NewHashIndex()
+	stream := make([]Tuple, 6*arenaChunk)
+	for i := range stream {
+		stream[i] = diffTuple(rng, uint64(i+1), rng.Int63n(3000))
+	}
+	dropped := false
+	writeShared(&bw, stream, 64, func(run []Tuple, w Window) {
+		dropped = dropped || w.ix == nil
+		viewer.InsertWindow(run, w)
+		copier.InsertBatch(run)
+		ref.InsertBatch(run)
+	})
+	if !dropped || bw.ix != nil {
+		t.Fatal("the line's writer kept its index past maxSlotBlocks")
+	}
+	for _, c := range []struct {
+		name string
+		h    *HashIndex
+	}{{"viewer", viewer}, {"copier", copier}} {
+		if c.h.own.ix.nblocks <= maxSlotBlocks {
+			t.Fatalf("%s: own index spans %d blocks, want more than %d", c.name, c.h.own.ix.nblocks, maxSlotBlocks)
+		}
+		checkStore(t, c.name, c.h)
+		var got, want []Pair
+		c.h.ProbeBatchCollect(stream, matrix.SideS, pred, &got)
+		ref.ProbeBatchCollect(stream, matrix.SideS, pred, &want)
+		if err := pairsMatch(got, want); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	if viewer.own.ix.used == 0 || len(viewer.segs) != 1 {
+		t.Fatalf("viewer: %d keys in its own index over %d segments; want the line's later windows in its own index", viewer.own.ix.used, len(viewer.segs))
+	}
+}
+
+// TestInterleavedBlocksShareChainColumns: windows of two lines' blocks
+// and copies between them reach one store interleaved, so its own index
+// enters each block many times; all entries of a block share its one
+// chain column, and the store still indexes every row.
+func TestInterleavedBlocksShareChainColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	var a, b BlockWriter
+	a.Reset(2, false)
+	b.Reset(2, false)
+	h, ref := NewHashIndex(), NewHashIndex()
+	var seq uint64
+	for i := 0; i < 300; i++ {
+		run := make([]Tuple, 16)
+		for j := range run {
+			seq++
+			run[j] = diffTuple(rng, seq, rng.Int63n(500))
+		}
+		var w Window // every third run is a copy
+		switch i % 3 {
+		case 0:
+			w = a.AppendRun(run)
+		case 1:
+			w = b.AppendRun(run)
+		}
+		h.InsertWindow(run, w)
+		ref.InsertBatch(run)
+	}
+	blocks := map[*colChunk]bool{}
+	for _, v := range h.arena.chunks {
+		blocks[v.c] = true
+	}
+	if h.own.ix.nblocks <= 2*len(blocks) {
+		t.Fatalf("%d index entries over %d blocks: the blocks never interleaved", h.own.ix.nblocks, len(blocks))
+	}
+	if cols := h.own.ix.chainBytes.Load() / chainBytes; cols != int64(len(blocks)) {
+		t.Fatalf("%d chain columns for %d blocks", cols, len(blocks))
+	}
+	checkStore(t, "interleaved", h)
+	probes := make([]Tuple, 100)
+	for i := range probes {
+		probes[i] = Tuple{Rel: matrix.SideR, Key: rng.Int63n(520), Seq: uint64(1e6 + i)}
+	}
+	var got, want []Pair
+	h.ProbeBatchCollect(probes, matrix.SideR, EquiJoin("eq", nil), &got)
+	ref.ProbeBatchCollect(probes, matrix.SideR, EquiJoin("eq", nil), &want)
+	if err := pairsMatch(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sameSeqs compares two tuple multisets whose Seq values are unique.
 func sameSeqs(got, want []Tuple) error {
 	if len(got) != len(want) {
@@ -247,16 +446,15 @@ func pairsMatch(got, want []Pair) error {
 // with a writer per row and column slot, every run probing its
 // opposite side at the four joiners of its row or column and then
 // stored there — as views of the writers' blocks in both modes. In
-// "private" each joiner indexes every window in its own directory and
-// chain columns; in "slot" the writers index each row once and every
-// probe reads one slot index per reshuffler. It reports the cost of
-// one stored replica, writer work included: ns/tuple of wall time and
-// B/tuple of heap growth (shares of the blocks, chain links and
-// directories).
+// "own" each joiner indexes every window in its own slot index; in
+// "slot" the writers index each row once and every probe reads one
+// line index per reshuffler. It reports the cost of one stored
+// replica, writer work included: ns/tuple of wall time and B/tuple of
+// heap growth (shares of the blocks, chain links and directories).
 func BenchmarkRowInsertProbe(b *testing.B) {
 	for _, writers := range []int{1, 2, 4, 8, 16} {
 		for _, slot := range []bool{false, true} {
-			name := "private"
+			name := "own"
 			if slot {
 				name = "slot"
 			}

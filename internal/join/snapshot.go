@@ -315,20 +315,12 @@ func decodeRow(c *colChunk, pos int32, t, p []byte) []byte {
 
 // writeBlocks decodes the rows of recs through w into a, in order: a
 // record of a block with a payload column asks for one (BlockWriter.next).
-// A reference record adds a view of its table entry's block instead,
-// or copies its rows once the entry space is spent (viewable).
+// A reference record adds its table entry's block through w instead
+// (BlockWriter.take). A writer that keeps an index indexes every row.
 func writeBlocks(recs []blockRecord, w *BlockWriter, a *tupleArena) {
 	for _, rec := range recs {
 		if rec.shared != nil {
-			win := Window{c: rec.shared.block(), lo: rec.lo, hi: rec.hi}
-			if !a.viewable(win, win.Len()) {
-				for pos := win.lo; pos < win.hi; pos++ {
-					w.copyRow(a, win.c, pos)
-				}
-				continue
-			}
-			w.flush(a)
-			a.addWindow(win, true)
+			w.take(a, Window{c: rec.shared.block(), lo: rec.lo, hi: rec.hi})
 			continue
 		}
 		p := rec.payloads
@@ -848,8 +840,8 @@ func spliceChain(chain []sideSnap) (sideSnap, error) {
 
 // installSide installs a resolved side record into idx, which must be
 // empty: arena-backed kinds decode the blocks through their own writer
-// (writeBlocks), and a hash index then builds its directory from the
-// key columns, exactly like a migration-finalization merge; an ordered
+// (writeBlocks), which for a hash index indexes every row in its own
+// slot index, exactly like a migration-finalization merge; an ordered
 // record, whose tuples arrive in key order, through the tree's
 // left-to-right bulk build.
 func installSide(idx Index, rec sideSnap) error {
@@ -861,7 +853,6 @@ func installSide(idx Index, rec sideSnap) error {
 		}
 		writeBlocks(rec.blocks, &h.own, &h.arena)
 		h.bytes = rec.bytes
-		h.indexFrom(0)
 	case snapIdxScan:
 		s, ok := idx.(*ScanIndex)
 		if !ok {

@@ -9,19 +9,21 @@ import (
 	"repro/internal/matrix"
 )
 
-// TestPipelinedWalkDifferential holds the chunked probe-insert walk
-// (Local.AddBatchCollect on whole runs) against the classic symmetric
-// join step: a twin Local fed the same tuples one AddBatchCollect call
-// per tuple, so no chunk ever holds two keys. Runs take every length
-// from 1 to 40 (under, at and across walkChunk), mix dummies, repeat
-// one key inside a chunk (so a later insert of the chunk must see the
-// slot an earlier one just filled, not the chunk's stale home-slot
-// copy), and run right after forced growths (forceGrowth) of the
-// opposite and own directories; unique keys keep both directories
-// growing, so a growth also lands inside a chunk. After every run the
-// pair multisets (tuple contents included) must agree, and checkChains
-// must pass on both of the batched Local's directories. Each case runs
-// under the real hash and with tags forced to collide.
+// TestPipelinedWalkDifferential holds the probe-then-insert step
+// (Local.AddBatchCollect on whole runs: the chunked walk of the
+// opposite side's indexes, then the run indexed in the own side's slot
+// index) against the classic symmetric join step: a twin Local fed the
+// same tuples one AddBatchCollect call per tuple, so no chunk ever
+// holds two keys. Runs take every length from 1 to 40 (under, at and
+// across walkChunk), mix dummies, repeat one key inside a chunk (so a
+// later insert of the chunk must see the slot an earlier one just
+// filled, not the chunk's stale home-slot load), and run right after
+// forced growths (forceGrowth) of the opposite and own indexes; unique
+// keys keep both directories growing, so a growth also lands inside a
+// run. After every run the pair multisets (tuple contents included)
+// must agree, and checkStore must pass on both of the batched Local's
+// sides. Each case runs under the real hash and with tags forced to
+// collide.
 func TestPipelinedWalkDifferential(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
@@ -46,7 +48,7 @@ func walkDifferential(t *testing.T) {
 		if step%10 == 0 {
 			// Grow both directories between runs.
 			for i, h := range sides(l) {
-				if grown[i] = h.used > 0; grown[i] {
+				if grown[i] = h.own.ix.used > 0; grown[i] {
 					forceGrowth(h)
 				}
 			}
@@ -93,10 +95,10 @@ func walkDifferential(t *testing.T) {
 				ownGrown++
 			}
 		}
-		before := len(own.dir.slots)
+		before := len(own.own.ix.cur.slots)
 		var got, want []Pair
 		if rng.Intn(4) == 0 {
-			// ProbeBatchCollect walks the same chunks without an own side.
+			// ProbeBatchCollect walks the same chunks and stores nothing.
 			l.ProbeBatchCollect(run, &got)
 			for i := range run {
 				ref.ProbeBatchCollect(run[i:i+1], &want)
@@ -106,13 +108,13 @@ func walkDifferential(t *testing.T) {
 			for i := range run {
 				ref.AddBatchCollect(run[i:i+1], &want)
 			}
-			if len(run) > 1 && before != 0 && len(own.dir.slots) != before {
+			if len(run) > 1 && before != 0 && len(own.own.ix.cur.slots) != before {
 				grewMid++
 			}
 		}
 		samePairs(t, fmt.Sprintf("step %d (%d×%v)", step, len(run), rel), got, want)
 		for _, h := range sides(l) {
-			checkChains(t, fmt.Sprintf("step %d", step), h)
+			checkStore(t, fmt.Sprintf("step %d", step), h)
 		}
 	}
 	for i, h := range sides(l) {
@@ -130,10 +132,10 @@ func walkDifferential(t *testing.T) {
 	}
 }
 
-// The walk allocates nothing of its own: once the gather scratch and
-// the pair buffer are warm, probe-insert runs on both sides make no
-// allocation but the blocks, chain columns and directory growths that
-// storing them takes, fewer than one per run.
+// The probe-then-insert step allocates nothing of its own: once the
+// gather scratch and the pair buffer are warm, runs on both sides make
+// no allocation but the blocks, chain columns, table and directory
+// growths that storing them takes, fewer than one per run.
 func TestPipelinedWalkAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

@@ -215,8 +215,8 @@ func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 }
 
 // AdoptBlocks installs the blocks into l, consuming bs. Arena-
-// backed indexes (hash, scan) splice the blocks in wholesale — the
-// whole point of shipping blocks — and rebuild only their directories;
+// backed indexes (hash, scan) view the blocks as they are — the whole
+// point of shipping blocks — and a hash index indexes their rows;
 // ordered (band) indexes fall back to scan-and-insert, since their
 // tree interleaves with tuple order.
 func (l *Local) AdoptBlocks(bs *BlockSet) {
@@ -227,12 +227,12 @@ func (l *Local) AdoptBlocks(bs *BlockSet) {
 
 // adoptIndex merges a bare block-set arena into dst through the existing
 // MergeFrom machinery by dressing it as a donor index of dst's own
-// kind. MergeFrom only reads the donor's arena, tuple count (a presize
-// hint), and byte volume, so no directory is built on the donor side.
+// kind. MergeFrom only reads the donor's arena and byte volume, so no
+// index is built on the donor side.
 func adoptIndex(dst Index, a *tupleArena, bytes int64) {
 	switch d := dst.(type) {
 	case *HashIndex:
-		d.MergeFrom(&HashIndex{arena: *a, used: a.n, bytes: bytes})
+		d.MergeFrom(&HashIndex{arena: *a, bytes: bytes})
 	case *ScanIndex:
 		d.MergeFrom(&ScanIndex{arena: *a, bytes: bytes})
 	default:

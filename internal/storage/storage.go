@@ -68,8 +68,8 @@ func NewStore(p join.Predicate, cfg Config) *Store {
 // relation never join each other, probing the whole run before storing
 // it collects exactly the pairs per-tuple probe-then-insert steps
 // would. The unbudgeted, unspilled store (the
-// common case) takes the memory tier's fused probe-then-insert walk,
-// which hashes each key exactly once for both halves of the step.
+// common case) runs the memory tier's step (join.Local.AddBatchCollect)
+// directly.
 func (s *Store) AddBatchCollect(ts []join.Tuple, out *[]join.Pair) {
 	s.AddWindowCollect(ts, join.Window{}, out)
 }
