@@ -57,7 +57,7 @@ import "repro/internal/matrix"
 //     frozen one that holds every row published before the swap, so
 //     every row below its watermark;
 //   - a reader reads the index as of its watermark W, the position its
-//     last window ended at: chains run newest-first over increasing
+//     last window ended at: chains run newest-first over decreasing
 //     positions, so it skips the rows at or past W and sees exactly the
 //     rows of its own windows;
 //   - every body a line ships is one window, indexed: a reshuffler of

@@ -29,8 +29,7 @@ import (
 // position+1 of the key's previous row) lives in its block's chain
 // column and is written before the directory word that names the row.
 // A store's own index, read only on its writer's goroutine between
-// inserts, stores its words plainly and replaces its directory in
-// place.
+// inserts, replaces its directory in place.
 //
 // Growth is copy-on-write: the writer publishes the grown directory
 // (slotDir.grown) behind an atomic pointer; the old one stays frozen
@@ -259,12 +258,7 @@ func (x *SlotIndex) insert(tag uint32, key int64, pos uint32, link *uint32) {
 		default:
 			continue
 		}
-		if x.sharers > 1 {
-			atomic.StoreUint64(&d.slots[i], head)
-		} else {
-			// A store's own index: its one reader runs on this goroutine.
-			d.slots[i] = head
-		}
+		atomic.StoreUint64(&d.slots[i], head)
 		return
 	}
 }
