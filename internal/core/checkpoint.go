@@ -20,13 +20,16 @@ import (
 //     Operator.Checkpoint, automatic via Config.CheckpointEvery) and
 //     issues one only while no migration is in flight — between chain
 //     steps, never during one — so every joiner is at a stable epoch
-//     with mig == nil when its barrier completes.
-//  2. Issue = a begin event to the checkpoint coordinator, then a
-//     ctrlCkpt broadcast. Each reshuffler flushes its pending batches,
-//     emits a kCkpt marker to every joiner on the same FIFO links that
-//     carry epoch signals, and reports its consumed-item count (the
-//     replay cut) to the coordinator. It then ingests nothing until
-//     every cut, so every marker, is in (ckptEvent.allCut).
+//     with mig == nil when its barrier completes. On an adaptive
+//     operator a manual request also waits until the decisions the
+//     input sent before it fires are taken (sampleGate).
+//  2. Issue = the controller sets up the checkpoint's assembly
+//     (ckptBuild), then broadcasts ctrlCkpt. Each reshuffler flushes
+//     its pending batches, emits a kCkpt marker to every joiner on the
+//     same FIFO links that carry epoch signals, and reports its
+//     consumed-item count (the replay cut) to the controller. It then
+//     ingests nothing until every cut, so every marker, is in
+//     (ckptBuild.allCut).
 //  3. Each joiner aligns Chandy-Lamport style, trivially after step 2:
 //     one inbox carries every link, so all numRe markers arrive before
 //     any post-barrier envelope, and the joiner has seen exactly the
@@ -41,13 +44,12 @@ import (
 //     spilled records — encoded; a spilled record it cannot read back
 //     fails the checkpoint as a failed backend write does. That is
 //     O(blocks), not O(bytes): the joiner hands the capture to the
-//     coordinator and goes on, and other joiners never stall. Holding
+//     controller and goes on, and other joiners never stall. Holding
 //     blocks by reference is safe because blocks below the prefix
 //     change only through Retain, which runs only in migrations, and
 //     the controller starts no migration or expansion while a
-//     checkpoint is in flight — until the coordinator reports its
-//     commit.
-//  4. The coordinator assembles the operator snapshot (mapping, table,
+//     checkpoint is in flight — until it has committed it.
+//  4. The controller assembles the operator snapshot (mapping, table,
 //     cuts, per-joiner captures) and collects the views of every
 //     capture into a block table: a block that two or more joiners view
 //     — a grid row's or column's shared line block — is encoded once,
@@ -163,6 +165,15 @@ func (rg *replayRing) append(items []join.Tuple) {
 	}
 }
 
+// dealt counts the items ever dealt to ring d: the trimmed ones and the
+// retained ones.
+func (l *ReplayLog) dealt(d int) int64 {
+	rg := &l.rings[d]
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	return rg.base + int64(rg.n)
+}
+
 // truncate takes back the newest items until n remain, zeroing their
 // slots and dropping segments it empties: the stop path's undo of an
 // append whose send did not happen. The caller holds rg.mu.
@@ -228,7 +239,7 @@ func (rg *replayRing) each(fn func(*join.Tuple)) {
 }
 
 // Trim drops, per ring, the items a durable checkpoint covers: the
-// first cuts[d]-base items of ring d. Called by the coordinator only
+// first cuts[d]-base items of ring d. Called by the control task only
 // after the backend committed the snapshot.
 func (l *ReplayLog) Trim(cuts []int64) {
 	for d := range l.rings {
@@ -284,17 +295,17 @@ func (l *ReplayLog) maxSeq() uint64 {
 	return max
 }
 
-// Checkpoint-coordinator event kinds.
+// Checkpoint event kinds: the barrier contributions the control task
+// assembles.
 const (
-	evBegin = iota // controller: a checkpoint was issued
-	evCut          // reshuffler: consumed-count at its barrier
-	evSnap         // joiner: state blob at its barrier
+	evCut  = iota // reshuffler: consumed-count at its barrier
+	evSnap        // joiner: state capture at its barrier
 )
 
-// ckptEvent is one message on the coordinator's assembly channel.
+// ckptEvent is one message on the control task's assembly channel,
+// for the one checkpoint in flight.
 type ckptEvent struct {
 	kind    int
-	ckpt    uint64
 	idx     int   // reshuffler id (evCut) or joiner id (evSnap)
 	cut     int64 // evCut
 	emitted int64 // evSnap: OutputPairs at the barrier
@@ -304,25 +315,10 @@ type ckptEvent struct {
 	err error
 	// evSnap: the watermark a later delta may be taken against once
 	// this payload commits, and the joiner's cell to publish it into.
-	// The cell pointer rides the event so the coordinator never reads
-	// op.joiners (which spawnChildren mutates concurrently).
+	// The cell pointer rides the event, so the control task needs no
+	// joiner lookup by id.
 	wm     storage.StoreWatermark
 	wmCell *atomic.Pointer[storage.StoreWatermark]
-	// evBegin fields:
-	epoch   uint32
-	numRe   int
-	mapping matrix.Mapping
-	table   []int
-	full    bool          // evBegin: force a full (chain-resetting) snapshot
-	allCut  chan struct{} // evBegin: closed once every cut, so every marker, is in
-}
-
-// ckptResult reports one checkpoint's outcome back to the controller,
-// with the coordinator's ruling on the next one (nextCkptFull).
-type ckptResult struct {
-	id       uint64
-	err      error
-	nextFull bool
 }
 
 // ckptCommit is one committed checkpoint's byte figures: the link's
@@ -333,28 +329,27 @@ type ckptCommit struct {
 	blob, full, chain int64
 }
 
-// ckptBuild is the coordinator's in-progress assembly of one
-// checkpoint.
+// ckptBuild is the control task's assembly of the in-flight checkpoint:
+// the barrier's shape as issued, the contributions so far, and the
+// Checkpoint calls its outcome answers.
 type ckptBuild struct {
 	id       uint64
 	epoch    uint32
-	numRe    int
 	mapping  matrix.Mapping
 	table    []int
-	cuts     []int64
+	cuts     []int64 // one per reshuffler
 	cutsGot  int
 	joiners  []storage.JoinerSnapshot
-	wms      []storage.StoreWatermark
-	wmCells  []*atomic.Pointer[storage.StoreWatermark]
+	snaps    []ckptEvent // each joiner's evSnap, for its watermark
 	snapsGot int
-	begun    bool
 	full     bool
 	err      error // the first failed capture
 	allCut   chan struct{}
+	waiters  []chan error
 }
 
 // ckptCut remembers one committed checkpoint's replay cuts. The
-// coordinator keeps the newest CheckpointKeep of them (mirroring the
+// control task keeps the newest CheckpointKeep of them (mirroring the
 // backend's keep-K generation retention) and trims the replay log only
 // to the OLDEST retained one, so a fallback restore to any retained
 // generation still finds the log covering everything past its cut.
@@ -363,102 +358,126 @@ type ckptCut struct {
 	cuts []int64
 }
 
-// runCkptCoordinator assembles barrier contributions into snapshots
-// and commits them. It is a plain goroutine, not a runner task (it
-// must outlive runner.Wait so Finish can stop it last), so it recovers
-// its own panics — in particular the mid-snapshot crash faultpoint
-// inside FileBackend.Write — and converts them into operator
-// cancellation, exactly like a task death.
-func (op *Operator) runCkptCoordinator() {
-	defer op.ckptWG.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			op.runner.Cancel(fmt.Errorf("core: checkpoint coordinator: %v", p))
-		}
-	}()
-	var cur ckptBuild
-	for {
-		select {
-		case ev := <-op.ckptC:
-			op.ckptApply(&cur, ev)
-		case <-op.ckptQuit:
-			return
-		case <-op.stop:
-			return
-		}
+// maybeAutoCkpt queues a checkpoint once CheckpointEvery tuples have
+// been ingested since the last checkpoint was issued, counted on the
+// exact merged cells. It runs on every tick and drain report.
+func (c *controller) maybeAutoCkpt() {
+	every := c.op.cfg.CheckpointEvery
+	if c.ckptC == nil || every <= 0 {
+		return
+	}
+	if snap := c.ingest.Snapshot(); snap.R+snap.S-c.ckptLastTotal >= every {
+		c.ckptQueued = true
+		c.maybeIssueCkpt()
 	}
 }
 
-// ckptApply folds one event into the assembly, committing when the
-// last contribution lands.
-func (op *Operator) ckptApply(cur *ckptBuild, ev ckptEvent) {
-	switch ev.kind {
-	case evBegin:
-		*cur = ckptBuild{
-			id:      ev.ckpt,
-			epoch:   ev.epoch,
-			numRe:   ev.numRe,
-			mapping: ev.mapping,
-			table:   ev.table,
-			cuts:    make([]int64, ev.numRe),
-			joiners: make([]storage.JoinerSnapshot, len(ev.table)),
-			wms:     make([]storage.StoreWatermark, len(ev.table)),
-			wmCells: make([]*atomic.Pointer[storage.StoreWatermark], len(ev.table)),
-			begun:   true,
-			full:    ev.full,
-			allCut:  ev.allCut,
-		}
+// onCkptRequest services one Operator.Checkpoint call: the reply is
+// queued for the next issued checkpoint, whose barrier covers
+// everything sent before the request. On an adaptive operator it waits
+// for the decisions that input fires (releaseHold).
+func (c *controller) onCkptRequest(reply chan error) {
+	if c.ckptC == nil {
+		reply <- ErrNoBackend
 		return
+	}
+	if c.finished {
+		reply <- ErrFinished
+		return
+	}
+	c.ckptPending = append(c.ckptPending, reply)
+	c.ckptQueued = true
+	if c.adaptive {
+		c.holdAt = max(c.holdAt, c.op.replay.dealt(0))
+	}
+	c.maybeIssueCkpt()
+}
+
+// maybeIssueCkpt issues the queued checkpoint if nothing blocks it: a
+// hold defers it to releaseHold, a migration step to the step's last
+// ack (onAck), an in-flight checkpoint to its commit (onCkptEvent). The
+// assembly is set up before the ctrlCkpt broadcast, so it knows the
+// barrier's shape before any cut or capture arrives. Every issue,
+// manual or automatic, restarts the CheckpointEvery count, and counts
+// from the issue, not from when the checkpoint was queued: one queued
+// behind a migration step covers what arrived meanwhile.
+func (c *controller) maybeIssueCkpt() {
+	if !c.ckptQueued || c.holdAt > 0 || c.ckpt != nil || c.migrating() || c.finished {
+		return
+	}
+	c.ckptQueued = false
+	snap := c.ingest.Snapshot()
+	c.ckptLastTotal = snap.R + snap.S
+	j := len(c.table)
+	cur := &ckptBuild{
+		id:      c.ckptNext,
+		epoch:   c.epoch,
+		mapping: c.deployed,
+		table:   append([]int(nil), c.table...),
+		cuts:    make([]int64, len(c.resh)),
+		joiners: make([]storage.JoinerSnapshot, j),
+		snaps:   make([]ckptEvent, j),
+		full:    c.op.nextCkptFull(),
+		allCut:  make(chan struct{}),
+		waiters: c.ckptPending,
+	}
+	c.ckpt = cur
+	c.ckptPending = nil
+	c.ckptNext++
+	c.broadcast(ctrlMsg{kind: ctrlCkpt, ckpt: cur.id, full: cur.full, cut: cur.allCut})
+}
+
+// onCkptEvent folds one contribution into the in-flight checkpoint. The
+// last cut releases every reshuffler's ingest; the last contribution
+// commits the checkpoint, answers its waiters, and lets deferred work —
+// a request queued mid-flight, the next chain step, the finish —
+// proceed.
+func (c *controller) onCkptEvent(ev ckptEvent) {
+	cur := c.ckpt
+	switch ev.kind {
 	case evCut:
-		if !cur.begun || ev.ckpt != cur.id || ev.idx >= len(cur.cuts) {
-			return
-		}
 		cur.cuts[ev.idx] = ev.cut
-		if cur.cutsGot++; cur.cutsGot == cur.numRe {
+		if cur.cutsGot++; cur.cutsGot == len(cur.cuts) {
 			close(cur.allCut)
 		}
 	case evSnap:
-		if !cur.begun || ev.ckpt != cur.id || ev.idx >= len(cur.joiners) {
-			return
-		}
 		cur.joiners[ev.idx] = storage.JoinerSnapshot{ID: ev.idx, Emitted: ev.emitted, Capture: ev.capture}
-		cur.wms[ev.idx] = ev.wm
-		cur.wmCells[ev.idx] = ev.wmCell
+		cur.snaps[ev.idx] = ev
 		cur.snapsGot++
 		if ev.err != nil && cur.err == nil {
 			cur.err = fmt.Errorf("core: capture checkpoint %d of joiner %d: %w", cur.id, ev.idx, ev.err)
 		}
 	}
-	if cur.begun && cur.cutsGot == cur.numRe && cur.snapsGot == len(cur.table) {
-		err := cur.err
-		if err == nil {
-			err = op.commitCkpt(cur)
-		}
-		if err != nil {
-			// A failed capture or write fails the checkpoint alike.
-			// Graceful degradation: the snapshot is lost but nothing
-			// durable moved — watermarks stay unpublished (the next delta
-			// re-covers the same suffix) and the replay log stays
-			// untrimmed, so the previous checkpoint remains fully
-			// recoverable. Degrade keeps joining and retries at the next
-			// boundary; FailStop surfaces the error through Wait.
-			op.met.CheckpointFailures.Add(1)
-			if op.cfg.CheckpointPolicy == CkptFailStop {
-				op.runner.Cancel(err)
-			} else {
-				log.Printf("core: checkpoint %d failed (degrading, replay log kept): %v", cur.id, err)
-			}
-		}
-		// Drop the captures before the controller may start a migration:
-		// they pin the joiners' blocks.
-		id := cur.id
-		*cur = ckptBuild{}
-		select {
-		case op.ctl.ckptDoneCh <- ckptResult{id: id, err: err, nextFull: op.nextCkptFull()}:
-		case <-op.ckptQuit:
-		case <-op.stop:
+	if cur.cutsGot < len(cur.cuts) || cur.snapsGot < len(cur.table) {
+		return
+	}
+	// Drop the captures before a migration may start: they pin the
+	// joiners' blocks.
+	c.ckpt = nil
+	err := cur.err
+	if err == nil {
+		err = c.op.commitCkpt(cur)
+	}
+	if err != nil {
+		// A failed capture or write fails the checkpoint alike.
+		// Graceful degradation: the snapshot is lost but nothing
+		// durable moved — watermarks stay unpublished (the next delta
+		// re-covers the same suffix) and the replay log stays
+		// untrimmed, so the previous checkpoint remains fully
+		// recoverable. Degrade keeps joining and retries at the next
+		// boundary; FailStop surfaces the error through Wait.
+		c.op.met.CheckpointFailures.Add(1)
+		if c.op.cfg.CheckpointPolicy == CkptFailStop {
+			c.op.runner.Cancel(err)
+		} else {
+			log.Printf("core: checkpoint %d failed (degrading, replay log kept): %v", cur.id, err)
 		}
 	}
+	for _, reply := range cur.waiters {
+		reply <- err
+	}
+	c.maybeIssueCkpt()
+	c.issueNext()
 }
 
 // commitCkpt encodes and durably writes one assembled checkpoint, then
@@ -482,7 +501,7 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 		Epoch:     cur.epoch,
 		Mapping:   cur.mapping,
 		Table:     cur.table,
-		NumRe:     cur.numRe,
+		NumRe:     len(cur.cuts),
 		Seq:       op.seq.Load(),
 		RouteSeed: op.cfg.Seed,
 		Cuts:      cur.cuts,
@@ -494,10 +513,10 @@ func (op *Operator) commitCkpt(cur *ckptBuild) error {
 	}
 	// Committed: publish each joiner's watermark so the next barrier
 	// can delta against this (now durable) payload.
-	for i, cell := range cur.wmCells {
-		if cell != nil {
-			wm := cur.wms[i]
-			cell.Store(&wm)
+	for _, ev := range cur.snaps {
+		if ev.wmCell != nil {
+			wm := ev.wm
+			ev.wmCell.Store(&wm)
 		}
 	}
 	if deps == nil {

@@ -119,12 +119,7 @@ type Outcome struct {
 // performing the migration (possibly as a chain of elementary steps).
 func (d *Decider) Evaluate() Outcome {
 	r, s := d.Counts()
-	if r+s < d.warmup {
-		return Outcome{Target: d.mapping}
-	}
-	thresholdR := maxI64(int64(d.epsilon*float64(d.baseR)), d.minDelta)
-	thresholdS := maxI64(int64(d.epsilon*float64(d.baseS)), d.minDelta)
-	if d.deltaR < thresholdR && d.deltaS < thresholdS {
+	if needR, needS, needTotal := d.Until(); needTotal > 0 || needR > 0 && needS > 0 {
 		return Outcome{Target: d.mapping}
 	}
 	d.checks++
@@ -147,6 +142,16 @@ func (d *Decider) Evaluate() Outcome {
 		}
 	}
 	return out
+}
+
+// Until returns how many more arrivals Evaluate needs before it can
+// fire: it fires once r more R tuples or s more S tuples have arrived,
+// and total more in all (the warmup). Zero means no more are needed.
+func (d *Decider) Until() (r, s, total int64) {
+	cr, cs := d.Counts()
+	thresholdR := maxI64(int64(d.epsilon*float64(d.baseR)), d.minDelta)
+	thresholdS := maxI64(int64(d.epsilon*float64(d.baseS)), d.minDelta)
+	return maxI64(thresholdR-d.deltaR, 0), maxI64(thresholdS-d.deltaS, 0), maxI64(d.warmup-cr-cs, 0)
 }
 
 // NoteExpanded informs the decider that the operator expanded: both

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/matrix"
@@ -203,5 +204,41 @@ func TestDeciderCountsAndStats(t *testing.T) {
 	d.Evaluate()
 	if d.Checks() != 1 {
 		t.Fatalf("checks %d", d.Checks())
+	}
+}
+
+// TestDeciderUntilPredictsFiring holds Until to what the decision gate
+// reads it as: Evaluate fires after Observe(dR, dS) exactly when dR or
+// dS reaches its relation's Until count and dR+dS reaches the total.
+// A gate that waited too long would delay decisions; one that opened
+// too early would cost a hand-off per run.
+func TestDeciderUntilPredictsFiring(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, cfg := range []DeciderConfig{
+		{J: 16, Initial: matrix.Square(16)},
+		{J: 16, Initial: matrix.Square(16), Warmup: 5000, Epsilon: 0.5},
+		{J: 64, Initial: matrix.Square(64), MinDelta: 1, Epsilon: 0.25},
+	} {
+		d := NewDecider(cfg)
+		fired := 0
+		for step := 0; step < 2000; step++ {
+			needR, needS, needTotal := d.Until()
+			dR, dS := rng.Int63n(300), rng.Int63n(300)
+			if rng.Intn(3) == 0 {
+				dR = 0 // one-sided runs, as a fluctuating stream deals them
+			}
+			want := (dR >= needR || dS >= needS) && dR+dS >= needTotal
+			d.Observe(dR, dS)
+			if got := d.Evaluate().Checked; got != want {
+				t.Fatalf("%+v step %d: Until (%d, %d, %d), Observe(%d, %d): fired %v, want %v",
+					cfg, step, needR, needS, needTotal, dR, dS, got, want)
+			}
+			if want {
+				fired++
+			}
+		}
+		if fired == 0 {
+			t.Fatalf("%+v: no evaluation fired", cfg)
+		}
 	}
 }

@@ -50,7 +50,7 @@ type joiner struct {
 	mig   *migState
 
 	// ckpt is the in-progress checkpoint barrier alignment (nil
-	// otherwise); ckptC the coordinator's assembly channel (nil without
+	// otherwise); ckptC the control task's assembly channel (nil without
 	// a backend). dedup/dedupMax is the restored sequence filter: the
 	// seqs this joiner's restored state already holds, so replayed
 	// duplicates are dropped instead of re-stored and re-probed. nil on
@@ -60,7 +60,7 @@ type joiner struct {
 	dedup    map[uint64]struct{}
 	dedupMax uint64
 	// ckptWM is the store watermark of this joiner's newest *committed*
-	// checkpoint payload: the coordinator publishes it only after the
+	// checkpoint payload: the control task publishes it only after the
 	// backend write succeeds, so the next barrier's delta is always
 	// taken against durable state (a failed commit leaves the cell
 	// untouched and the following delta re-covers the same suffix). nil
@@ -248,7 +248,7 @@ func (w *joiner) handleBatch(e *envelope) {
 	if w.ckpt != nil && w.ckpt.seen[e.hdr.from] {
 		// Post-barrier traffic before the barrier completed: no
 		// reshuffler sends past its marker until every marker is out
-		// (ckptEvent.allCut), and one inbox carries every link.
+		// (ckptBuild.allCut), and one inbox carries every link.
 		panic(fmt.Sprintf("core: joiner %d: envelope from reshuffler %d past its checkpoint marker", w.id, e.hdr.from))
 	}
 	if e.hdr.kind != kTuple {
@@ -400,7 +400,7 @@ func (w *joiner) onCkptMarker(m message) {
 // store — incrementally past the last committed watermark when one
 // exists and the barrier doesn't force a full; frozen arena blocks by
 // reference, so this is O(blocks) — and hands the capture to the
-// coordinator, which encodes it.
+// control task, which encodes it.
 func (w *joiner) completeBarrier() {
 	var wm *storage.StoreWatermark
 	if !w.ckpt.full {
@@ -409,7 +409,6 @@ func (w *joiner) completeBarrier() {
 	capture, next, _, err := w.state.Capture(wm)
 	ev := ckptEvent{
 		kind:    evSnap,
-		ckpt:    w.ckpt.id,
 		idx:     w.id,
 		emitted: w.met.OutputPairs.Load(),
 		capture: capture,

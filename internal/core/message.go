@@ -87,7 +87,7 @@ const (
 	ctrlFinish
 	// ctrlCkpt instructs reshufflers to flush pending batches, emit a
 	// kCkpt barrier marker to every joiner, and report their consumed
-	// cut position to the checkpoint coordinator. Issued only between
+	// cut position to the control task. Issued only between
 	// migrations (never while acks are pending), so every joiner is at
 	// a stable epoch when its barrier completes.
 	ctrlCkpt

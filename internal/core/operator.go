@@ -159,7 +159,7 @@ type Config struct {
 	// Storage configures the per-joiner store (memory cap, spill dir).
 	Storage storage.Config
 	// Backend, when non-nil, enables barrier checkpointing: Checkpoint
-	// (and the CheckpointEvery pacer) snapshots the whole operator —
+	// (and CheckpointEvery) snapshots the whole operator —
 	// joiner stores, controller mapping/epoch, ingest cursors — through
 	// it, and RestoreOperator rebuilds from its latest committed
 	// snapshot. nil disables checkpointing (Checkpoint returns
@@ -167,9 +167,11 @@ type Config struct {
 	// are incremental; the chain is compacted by its dead bytes (see
 	// commitCkpt), so nothing about it is configurable.
 	Backend storage.Backend
-	// CheckpointEvery triggers an automatic checkpoint after every n
-	// ingested tuples (measured at the exact merged ingest count). It
-	// requires a Backend; 0 leaves checkpointing purely manual.
+	// CheckpointEvery triggers an automatic checkpoint once n tuples
+	// have been ingested since the last checkpoint was issued (measured
+	// at the exact merged ingest count); any checkpoint, a manual one
+	// included, restarts the count. It requires a Backend; 0 leaves
+	// checkpointing purely manual.
 	CheckpointEvery int64
 	// CheckpointKeep is how many committed checkpoint generations the
 	// backend retains for last-good fallback restore. The replay log is
@@ -392,9 +394,9 @@ type Operator struct {
 	// sources holds one input ring per reshuffler, carrying pooled
 	// []join.Tuple envelopes. Every input is dealt pseudo-randomly by
 	// sequence number (sendItems), modeling the paper's random
-	// tuple-to-reshuffler routing: each reshuffler — in particular the
-	// controller — sees an unbiased 1/numReshufflers sample of the
-	// stream in arrival order.
+	// tuple-to-reshuffler routing: each reshuffler — in particular
+	// reshuffler 0, whose cell the controller samples — sees an unbiased
+	// 1/numReshufflers sample of the stream in arrival order.
 	sources []chan []join.Tuple
 	ctl     *controller
 	// ingest holds one cardinality cell per reshuffler (see
@@ -407,15 +409,8 @@ type Operator struct {
 	// order equals delivery order. Checkpoints record each ring's
 	// consumed cut and trim the log to it once the snapshot is durable.
 	replay *ReplayLog
-	// ckptC fans checkpoint events (reshuffler cuts, joiner snapshots)
-	// into the coordinator goroutine; ckptQuit/ckptWG bound its
-	// lifetime — it must outlive runner.Wait, because it is the party
-	// that recovers a mid-snapshot crash into a runner cancellation.
-	ckptC    chan ckptEvent
-	ckptQuit chan struct{}
-	ckptWG   sync.WaitGroup
-	// ckptChain, ckptChainBytes, ckptFullBytes and cutHist are
-	// coordinator-goroutine-private incremental-checkpoint state: the
+	// ckptChain, ckptChainBytes, ckptFullBytes and cutHist are the
+	// control task's private incremental-checkpoint state: the
 	// committed delta chain (base first) the next snapshot's
 	// dependencies come from, the chain's total blob bytes, what a full
 	// snapshot measured at the newest commit (the compaction rule in
@@ -430,7 +425,7 @@ type Operator struct {
 	// it before Start to measure one.
 	ckptAlwaysFull bool
 	// ckptCommitted, when set before Start, sees every commit's figures
-	// on the coordinator goroutine; tests read the chain bound with it.
+	// on the control task; tests read the chain bound with it.
 	ckptCommitted func(ckptCommit)
 
 	// stop is the runner's Done channel: closed on context
@@ -523,12 +518,8 @@ func newOperator(cfg Config, hashed bool) *Operator {
 		})
 	}
 	op.ctl = newController(dec, op)
-	op.ctl.ingest = op.ingest
 	if cfg.Backend != nil {
 		op.replay = newReplayLog(cfg.NumReshufflers)
-		op.ckptC = make(chan ckptEvent, 64)
-		op.ckptQuit = make(chan struct{})
-		op.ctl.ckptC = op.ckptC
 		if ks, ok := cfg.Backend.(storage.KeepSetter); ok {
 			ks.SetKeep(cfg.CheckpointKeep)
 		}
@@ -629,7 +620,7 @@ func (op *Operator) newJoiner(id int, cell matrix.Cell, mapping matrix.Mapping, 
 		met:     op.met.JoinerStats(id),
 		stCfg:   op.cfg.Storage,
 		mig:     birth,
-		ckptC:   op.ckptC,
+		ckptC:   op.ctl.ckptC,
 		stop:    op.stop,
 	}
 	ports := (*op.topo.ports.Load())[id]
@@ -714,8 +705,9 @@ func (op *Operator) spawnChildren(table []int, epoch uint32, newMapping matrix.M
 // context: the operator stops only via Finish.
 func (op *Operator) Start() { op.StartContext(context.Background()) }
 
-// StartContext launches all tasks under ctx. When ctx is cancelled
-// every joiner and reshuffler task stops promptly (without draining),
+// StartContext launches all tasks under ctx: the joiners, one
+// reshuffler per source ring, and the control task. When ctx is
+// cancelled every task stops promptly (without draining),
 // in-flight and subsequent Send/SendBatch calls return the
 // cancellation error, and Finish returns it too. A task panic or error
 // cancels the remaining tasks the same way, so a crashed joiner
@@ -748,9 +740,9 @@ func (op *Operator) StartContext(ctx context.Context) {
 			id:         i,
 			seed:       uint64(op.cfg.Seed),
 			rng:        rand.New(rand.NewSource(op.cfg.Seed ^ int64(i)*0x9e3779b9)),
-			ckptC:      op.ckptC,
+			ckptC:      op.ctl.ckptC,
 			ingest:     op.ingest,
-			pacer:      op.ctl.pacerCh,
+			ticks:      op.ctl.ticks,
 			mapping:    op.cfg.Initial,
 			table:      append([]int(nil), op.ctl.table...),
 			source:     op.sources[i],
@@ -766,20 +758,13 @@ func (op *Operator) StartContext(ctx context.Context) {
 			linger:     op.cfg.BatchLinger,
 			stop:       op.stop,
 		}
-		if i == 0 {
-			r.ctl = op.ctl
+		if i == 0 && op.cfg.Adaptive {
+			r.gate = op.ctl.gate // Alg. 1's sample
 		}
 		op.ctl.resh = append(op.ctl.resh, r.ctrlCh)
 		op.runner.Go(fmt.Sprintf("reshuffler-%d", i), r.run)
 	}
-	if op.cfg.Backend != nil {
-		// The coordinator is a plain goroutine, not a runner task: it
-		// must outlive runner.Wait (its quit closes after Wait returns)
-		// and it recovers its own backend-write panics into a runner
-		// cancellation rather than dying as a task.
-		op.ckptWG.Add(1)
-		go op.runCkptCoordinator()
-	}
+	op.runner.Go("control", op.ctl.run)
 	op.runner.WatchContext(ctx, op.finishedCh)
 }
 
@@ -814,10 +799,10 @@ func (op *Operator) SendBatch(ts []join.Tuple) error {
 // rings: Send, SendBatch and ReplayFrom all deliver through it. Item
 // i, built by item(i) with its Seq already stamped, goes to reshuffler
 // dealTarget(Seq) — the paper's random tuple-to-reshuffler routing
-// (Alg. 1). Each destination's share ships as one pooled envelope, so
-// a run costs one ring operation per destination, and each item is
-// copied once, straight from where item reads it into its destination
-// envelope.
+// (Alg. 1). Each destination's share ships in pooled envelopes of at
+// most sourceBurst items, so a run costs about one ring operation per
+// destination and burst, and each item is copied once, straight from
+// where item reads it into its destination envelope.
 func (op *Operator) sendItems(n int, item func(i int) join.Tuple) error {
 	op.lifeMu.RLock()
 	defer op.lifeMu.RUnlock()
@@ -837,20 +822,26 @@ func (op *Operator) sendItems(n int, item func(i int) join.Tuple) error {
 	} else {
 		outs = make([][]join.Tuple, k)
 	}
+	var firstErr error
+	ship := func(d int) {
+		if err := op.push(d, outs[d]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		outs[d] = nil
+	}
 	for i := 0; i < n; i++ {
 		it := item(i)
 		d := dealTarget(it.Seq, len(outs))
 		if outs[d] == nil {
-			outs[d] = getItems(n)
+			outs[d] = getItems(min(n, sourceBurst))
 		}
-		outs[d] = append(outs[d], it)
+		if outs[d] = append(outs[d], it); len(outs[d]) == sourceBurst {
+			ship(d)
+		}
 	}
-	var firstErr error
-	for d, env := range outs {
-		if len(env) > 0 {
-			if err := op.push(d, env); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for d := range outs {
+		if outs[d] != nil {
+			ship(d)
 		}
 	}
 	return firstErr
@@ -924,13 +915,6 @@ func (op *Operator) Finish() error {
 	op.lifeMu.Unlock()
 	err := op.runner.Wait()
 	close(op.finishedCh)
-	if op.cfg.Backend != nil {
-		// All tasks have exited, so no further ckpt events can arrive;
-		// release the coordinator and wait it out (closed guards this
-		// against running twice).
-		close(op.ckptQuit)
-		op.ckptWG.Wait()
-	}
 	// All tasks (including per-peer receivers and writers) have exited;
 	// detach the cancellation watchers and close the worker links.
 	for _, p := range op.peers {

@@ -17,8 +17,11 @@ import (
 // routes each one: on the grid route it draws the routing value u and
 // fans the tuple out to the joiners of its row or column partition, on
 // the hash route it sends the tuple to the one joiner its key hashes
-// to. Reshuffler 0 additionally runs the controller (see
-// controller.go).
+// to. Decisions, epochs and checkpoints belong to the control task
+// (controller.go); a reshuffler only reports to it: a tick after each
+// ingest run when CheckpointEvery paces checkpoints, its barrier cuts,
+// and its drain. Reshuffler 0 also hands its cell to the decider at
+// the runs that can fire a decision (sampleGate).
 //
 // Routed tuples are not pushed one at a time: on the grid route each
 // grid row (R) and grid column (S) has a pending envelope that ships,
@@ -32,10 +35,13 @@ type reshuffler struct {
 	id  int
 	rng *rand.Rand
 	// ingest is the operator's sharded cardinality counter; this task
-	// writes cell id. pacer is the controller's CheckpointEvery pacer
-	// channel (nil when the pacer is off), ticked by noteObserved.
+	// writes cell id. ticks takes a note of each ingest run (nil unless
+	// CheckpointEvery is set), and gate is the decider's hand-off (nil
+	// unless this is reshuffler 0 of an adaptive operator); both serve
+	// noteObserved.
 	ingest *stats.Sharded
-	pacer  chan struct{}
+	ticks  chan<- struct{}
+	gate   *sampleGate
 
 	mapping matrix.Mapping
 	table   []int
@@ -48,35 +54,27 @@ type reshuffler struct {
 	seed uint64
 	// consumed counts the items this task has ingested from its source
 	// ring, in ring order: its barrier cut into the replay log. ckptC
-	// is the checkpoint coordinator's assembly channel (nil without a
+	// is the control task's checkpoint assembly channel (nil without a
 	// backend).
 	consumed int64
 	ckptC    chan<- ckptEvent
 
+	// source is nil once the ring is closed and drained.
 	source  <-chan []join.Tuple
 	ctrlCh  chan ctrlMsg
 	topo    *topology
 	opm     *metrics.Operator
 	lat     *metrics.LatencySampler
-	ctl     *controller // non-nil on the controller reshuffler
 	drainCh chan<- int
 	// stop is the operator's cancellation signal; every blocking wait
 	// in the task loop selects on it.
 	stop <-chan struct{}
 
-	// inBuf coalesces small source envelopes (per-tuple Send wraps
-	// each tuple in a singleton) into one ingest run per burst, so the
-	// per-envelope amortizations of ingestBatch apply even when the
-	// producer never batches.
+	// inBuf coalesces source envelopes (per-tuple Send wraps each
+	// tuple in a singleton) into one ingest run per burst, so the
+	// per-run amortizations of ingestBatch apply even when the producer
+	// never batches.
 	inBuf []join.Tuple
-	// pend/pendPos is a partially consumed oversized source envelope:
-	// a producer may SendBatch far more than sourceBurst tuples at
-	// once, and ingesting such an envelope whole would defer control
-	// servicing for a producer-chosen span. Instead it is drained in
-	// quota-bounded chunks across run-loop iterations, preserving the
-	// sourceBurst guarantee.
-	pend    []join.Tuple
-	pendPos int
 
 	// padDummies enables the §4.2.2 dummy-tuple padding: when the
 	// local cardinality-ratio estimate exceeds J, pad the smaller
@@ -113,104 +111,60 @@ type reshuffler struct {
 	lingerArmed bool
 }
 
-// sourceBurst bounds how many tuples the fast path may pull from the
-// source before servicing the control/ack/linger channels again, so a
-// firehose source cannot stall epoch commands indefinitely.
+// sourceBurst bounds how many tuples the loop ingests before servicing
+// the control and linger channels again, so a firehose source cannot
+// stall epoch commands indefinitely: sendItems caps every source
+// envelope at sourceBurst tuples, and a burst stops taking envelopes
+// once it holds that many.
 const sourceBurst = 64
 
-// maxInBufCap bounds the coalescing buffer capacity a reshuffler
-// retains between bursts, so one oversized run does not become a
-// permanent per-task memory tax. Stale items beyond the next burst's
-// length are not cleared — they pin at most maxInBufCap tuples'
-// payloads, and a per-burst memset would cost more than that bound is
-// worth.
-const maxInBufCap = 4 * sourceBurst
-
-// drainPend ingests up to quota items from the stashed oversized
-// envelope, recycling it once fully consumed, and returns the number
-// ingested.
-func (r *reshuffler) drainPend(quota int) int {
-	if r.pend == nil || quota <= 0 {
-		return 0
-	}
-	end := r.pendPos + quota
-	if end > len(r.pend) {
-		end = len(r.pend)
-	}
-	r.ingestBatch(r.pend[r.pendPos:end])
-	ingested := end - r.pendPos
-	r.pendPos = end
-	if r.pendPos >= len(r.pend) {
-		putItems(r.pend)
-		r.pend, r.pendPos = nil, 0
-	}
-	return ingested
-}
-
-// pullBurst drains up to sourceBurst tuples' worth of envelopes from
-// the source — small ones coalesced into one ingest run, oversized
-// ones ingested in place in quota-bounded chunks — and returns
-// dry=true when the burst ended because the source ran out (the only
-// state that counts as idle) and eos=true when the source is closed.
-// A pending oversized envelope always resumes first, preserving the
-// per-reshuffler FIFO order.
-func (r *reshuffler) pullBurst() (dry, eos bool) {
-	n := r.drainPend(sourceBurst)
-	if r.pend != nil {
-		return false, false // quota went to the envelope's remainder
-	}
+// pullBurst ingests env, when non-nil, and the envelopes the source
+// holds after it, coalesced into one run of fewer than 2·sourceBurst
+// tuples. It returns dry=true when the burst ended because the source
+// ran out (the only state that counts as idle) and eos=true when the
+// source is closed and drained.
+func (r *reshuffler) pullBurst(env []join.Tuple) (dry, eos bool) {
 	buf := r.inBuf[:0]
-	for n < sourceBurst {
+	for {
+		buf = append(buf, env...)
+		putItems(env)
+		if len(buf) >= sourceBurst {
+			break
+		}
+		var ok bool
 		select {
-		case env, ok := <-r.source:
-			if !ok {
-				eos = true
-			} else if len(env) >= sourceBurst/2 {
-				// A large producer envelope: ship what is already
-				// coalesced (FIFO), then ingest the envelope in place —
-				// no coalescing copy — up to the remaining quota.
-				r.ingestBatch(buf)
-				buf = buf[:0]
-				n += len(env)
-				r.pend, r.pendPos = env, 0
-				r.drainPend(sourceBurst - (n - len(env)))
-				if r.pend != nil {
-					r.inBuf = buf
-					return false, false
-				}
-				continue
-			} else {
-				n += len(env)
-				buf = append(buf, env...)
-				putItems(env)
+		case env, ok = <-r.source:
+			if ok {
 				continue
 			}
+			eos = true
 		default:
 			dry = true
 		}
 		break
 	}
 	r.ingestBatch(buf)
-	if cap(buf) > maxInBufCap {
-		buf = nil
-	}
 	r.inBuf = buf[:0]
 	return dry, eos
 }
 
+// run is the reshuffler task: bursts of ingest while the source is hot,
+// the control and linger channels between bursts, and a blocking wait
+// when it is idle. A checkpoint barrier (cut) holds ingest: only the
+// blocking wait runs. Once its input is drained, the task reports it
+// and serves control commands until the finish.
 func (r *reshuffler) run() error {
+	var env []join.Tuple // taken by the blocking wait; the next burst ingests it first
 	for {
-		// A checkpoint barrier (cut) holds ingest: only the select runs.
 		if r.cut == nil {
-			// Fast path: a two-case receive is far cheaper than the full
-			// five-way select, and on the ingest hot path the source is
-			// the only channel that matters. dry records whether the
-			// burst ended because the source ran out — only then is the
-			// loop idle and allowed to flush partial batches; exhausting
-			// the burst quota under a hot source is not idleness.
-			dry, eos := r.pullBurst()
+			// dry records whether the burst ended because the source ran
+			// out — only then is the loop idle and allowed to flush
+			// partial batches; exhausting the burst quota under a hot
+			// source is not idleness.
+			dry, eos := r.pullBurst(env)
+			env = nil
 			if eos {
-				return r.drainLoop()
+				r.endInput()
 			}
 			// Pump pending control traffic without blocking.
 			for pumping := true; pumping; {
@@ -219,18 +173,6 @@ func (r *reshuffler) run() error {
 					if r.applyCtrl(c) {
 						return nil
 					}
-				case ack, ok := <-r.ackChan():
-					if ok {
-						r.ctl.onAck(ack)
-					}
-				case d := <-r.drainChan():
-					r.ctl.onDrained(d)
-				case <-r.pacerChan():
-					r.ctl.maybeAutoCkpt()
-				case reply := <-r.ckptReqChan():
-					r.ctl.onCkptRequest(reply)
-				case res := <-r.ckptDoneChan():
-					r.ctl.onCkptDone(res)
 				case <-r.lingerCh():
 					r.lingerArmed = false
 					r.flushAll(&r.opm.BatchFlushLinger)
@@ -238,7 +180,7 @@ func (r *reshuffler) run() error {
 					pumping = false
 				}
 			}
-			if !dry {
+			if !dry && !eos {
 				continue // source still hot: keep the envelopes filling
 			}
 			// Idle: ship partial batches, then block for the next event.
@@ -255,30 +197,11 @@ func (r *reshuffler) run() error {
 			}
 		case <-r.cut:
 			r.cut = nil
-		case env, ok := <-source:
+		case e, ok := <-source:
 			if !ok {
-				return r.drainLoop()
+				r.endInput()
 			}
-			if len(env) >= sourceBurst/2 {
-				// Oversized: the next pullBurst drains it in
-				// quota-bounded chunks.
-				r.pend, r.pendPos = env, 0
-			} else {
-				r.ingestBatch(env)
-				putItems(env)
-			}
-		case ack, okAck := <-r.ackChan():
-			if okAck {
-				r.ctl.onAck(ack)
-			}
-		case d := <-r.drainChan():
-			r.ctl.onDrained(d)
-		case <-r.pacerChan():
-			r.ctl.maybeAutoCkpt()
-		case reply := <-r.ckptReqChan():
-			r.ctl.onCkptRequest(reply)
-		case res := <-r.ckptDoneChan():
-			r.ctl.onCkptDone(res)
+			env = e
 		case <-r.lingerCh():
 			r.lingerArmed = false
 			r.flushAll(&r.opm.BatchFlushLinger)
@@ -288,48 +211,15 @@ func (r *reshuffler) run() error {
 	}
 }
 
-// ackChan returns the controller's ack channel, or nil (never ready)
-// on plain reshufflers.
-func (r *reshuffler) ackChan() <-chan int {
-	if r.ctl == nil {
-		return nil
-	}
-	return r.ctl.ackCh
-}
-
-func (r *reshuffler) drainChan() <-chan int {
-	if r.ctl == nil {
-		return nil
-	}
-	return r.ctl.drainCh
-}
-
-// pacerChan returns the CheckpointEvery pacer channel on the controller
-// reshuffler, or nil (never ready) on plain reshufflers and when the
-// pacer is off.
-func (r *reshuffler) pacerChan() <-chan struct{} {
-	if r.ctl == nil {
-		return nil
-	}
-	return r.ctl.pacerCh
-}
-
-// ckptReqChan returns the controller's checkpoint-request channel, or
-// nil (never ready) on plain reshufflers and backend-less operators.
-func (r *reshuffler) ckptReqChan() <-chan chan error {
-	if r.ctl == nil || r.ctl.ckptC == nil {
-		return nil
-	}
-	return r.ctl.ckptReqCh
-}
-
-// ckptDoneChan returns the coordinator's completion channel, guarded
-// like ckptReqChan.
-func (r *reshuffler) ckptDoneChan() <-chan ckptResult {
-	if r.ctl == nil || r.ctl.ckptC == nil {
-		return nil
-	}
-	return r.ctl.ckptDoneCh
+// endInput runs once the source ring is closed and drained: it ships
+// the partial envelopes and reports the drain to the control task. The
+// task must not exit yet — joiners wait for its signals during any
+// still-running migration — so it keeps serving control commands until
+// the finish, when it EOSes every joiner.
+func (r *reshuffler) endInput() {
+	r.source = nil
+	r.flushAll(&r.opm.BatchFlushIdle)
+	r.drainCh <- r.id // never blocks: one slot per reshuffler
 }
 
 // lingerCh returns the linger timer's channel, or nil (never ready)
@@ -533,46 +423,6 @@ func (r *reshuffler) broadcastCtrl(m message) {
 	r.broadcast(r.table, e)
 }
 
-// drainLoop runs after this reshuffler's input is exhausted: it
-// reports to the controller and keeps forwarding epoch signals until
-// the controller declares the operator finished, at which point it
-// EOS-es every joiner. A reshuffler must not exit earlier — joiners
-// wait for its signals during any still-running migration.
-func (r *reshuffler) drainLoop() error {
-	r.flushAll(&r.opm.BatchFlushIdle)
-	if r.ctl != nil {
-		r.ctl.onSourceDrained()
-	} else {
-		select {
-		case r.drainCh <- r.id:
-		case <-r.stop:
-			return nil
-		}
-	}
-	for {
-		select {
-		case c := <-r.ctrlCh:
-			if r.applyCtrl(c) {
-				return nil
-			}
-		case ack, ok := <-r.ackChan():
-			if ok {
-				r.ctl.onAck(ack)
-			}
-		case d := <-r.drainChan():
-			r.ctl.onDrained(d)
-		case <-r.pacerChan():
-			r.ctl.maybeAutoCkpt()
-		case reply := <-r.ckptReqChan():
-			r.ctl.onCkptRequest(reply)
-		case res := <-r.ckptDoneChan():
-			r.ctl.onCkptDone(res)
-		case <-r.stop:
-			return nil
-		}
-	}
-}
-
 // applyCtrl handles a controller command, returning true on finish.
 // Both commands are per-link barriers: pending batches flush first so
 // every already-routed tuple precedes the signal or EOS on its link.
@@ -586,10 +436,10 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 		// Barrier marker on every data link (pending batches are already
 		// flushed, so each joiner sees exactly this task's pre-barrier
 		// tuples before the marker), then the replay cut — how many
-		// items this task consumed before the barrier — to the
-		// coordinator. The task ingests nothing more until every
-		// reshuffler's cut is in (ckptEvent.allCut). The marker's checkpoint id rides in tuple.Seq and
-		// the force-full flag in epoch.
+		// items this task consumed before the barrier — to the control
+		// task. The task ingests nothing more until every reshuffler's
+		// cut is in (ckptBuild.allCut). The marker's checkpoint id rides
+		// in tuple.Seq and the force-full flag in epoch.
 		ep := uint32(0)
 		if c.full {
 			ep = 1
@@ -597,7 +447,7 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 		r.broadcastCtrl(message{kind: kCkpt, from: r.id, epoch: ep, tuple: join.Tuple{Seq: c.ckpt}})
 		if r.ckptC != nil {
 			select {
-			case r.ckptC <- ckptEvent{kind: evCut, ckpt: c.ckpt, idx: r.id, cut: r.consumed}:
+			case r.ckptC <- ckptEvent{kind: evCut, idx: r.id, cut: r.consumed}:
 			case <-r.stop:
 			}
 			r.cut = c.cut
@@ -620,14 +470,12 @@ func (r *reshuffler) applyCtrl(c ctrlMsg) bool {
 	return false
 }
 
-// ingestBatch processes one run of input tuples: statistics,
-// controller decision, then routing (Alg. 1). The per-tuple
+// ingestBatch processes one run of input tuples: statistics, the
+// control task's notes, then routing (Alg. 1). The per-tuple
 // bookkeeping of the seed's ingest — two counter increments, a
-// controller observation with a decision check, and an atomic
-// routed-message count — is hoisted to one update per run; the
-// decision algorithm sees the same cumulative counts, it just
-// evaluates its checkpoint condition once per run instead of once per
-// tuple, which moves a migration decision by at most a burst.
+// controller observation and an atomic routed-message count — is
+// hoisted to one update per run; the decision algorithm still sees the
+// same cumulative counts, fed in obsChunk slices (controller.observe).
 func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	if len(items) == 0 {
 		return
@@ -659,21 +507,19 @@ func (r *reshuffler) ingestBatch(items []join.Tuple) {
 	}
 }
 
-// noteObserved hands a fresh ingest observation to the controller: the
-// controller reshuffler evaluates inline; every other reshuffler ticks
-// the CheckpointEvery pacer, when there is one, without blocking (a
-// pending tick already guarantees a future check that will see this
-// observation — ObserveN happened before the send).
+// noteObserved tells the control task that this task ingested a run:
+// a tick, without blocking (a pending one already makes the pacer read
+// the merged counts, this run's included), and on reshuffler 0 its
+// cell through the decider's gate.
 func (r *reshuffler) noteObserved() {
-	if r.ctl != nil {
-		r.ctl.onObserved()
-		return
-	}
-	if r.pacer != nil {
+	if r.ticks != nil {
 		select {
-		case r.pacer <- struct{}{}:
+		case r.ticks <- struct{}{}:
 		default:
 		}
+	}
+	if r.gate != nil {
+		r.gate.pass(r.ingest.Cell(r.id), r.consumed, r.stop)
 	}
 }
 

@@ -140,7 +140,7 @@ func checkLineBlocks(t *testing.T, label string, js []*joiner, hashed bool, shar
 // TestSharedIndexPerRow runs a static (4,4) grid in one process on 1,
 // 2, 4 and 8 reshufflers and checks that the joiners of a grid row
 // (column) read one slot index for their R (S) side — the line's, the
-// same across the row, still live — and keep no private directory:
+// same across the row, still live — and keep an empty own index:
 // each replicated tuple was indexed once, by the line's writer,
 // whichever reshuffler shipped it.
 func TestSharedIndexPerRow(t *testing.T) {
@@ -163,11 +163,11 @@ func TestSharedIndexPerRow(t *testing.T) {
 // TestSharedIndexAcrossCheckpoints runs a (4,4) grid on two reshufflers
 // that checkpoints every 1000 tuples while the stream flows. The
 // barrier must keep each line's window order consistent with the cut
-// (ckptEvent.allCut): a joiner that got one reshuffler's post-barrier window
+// (ckptBuild.allCut): a joiner that got one reshuffler's post-barrier window
 // ahead of another's pre-barrier window of the same line would freeze
 // its segment and index the rest of the line itself. After Finish every
-// joiner must still read one live segment per side over an empty
-// private directory, and the output must equal the oracle's.
+// joiner must still read one live segment per side over an empty own
+// index, and the output must equal the oracle's.
 func TestSharedIndexAcrossCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	pred := join.EquiJoin("eq", nil)
@@ -194,7 +194,7 @@ func checkSharedIndexes(t *testing.T, label string, js []*joiner) {
 		for _, side := range migSides {
 			v := w.state.Segments(side)
 			if len(v.Indexes) != 1 || v.Live != 1 || v.Keys != 0 {
-				t.Fatalf("%sjoiner %d side %v reads %d segments (%d live) over a private directory of %d keys, want one live over none",
+				t.Fatalf("%sjoiner %d side %v reads %d segments (%d live) over an own index of %d keys, want one live over none",
 					label, w.id, side, len(v.Indexes), v.Live, v.Keys)
 			}
 			set := map[any]bool{}
@@ -454,7 +454,7 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 // a batch size of 1024, past a block: the reshufflers cap every
 // envelope at a block (join.WindowRows), remote-only lines included, so
 // each frame body is one window of its worker line and every hosted
-// joiner still reads one live segment per side over no private key.
+// joiner still reads one live segment per side over an empty own index.
 func TestWorkerSharedIndexLongFrames(t *testing.T) {
 	addrs, wait := serveWorkers(t, 2)
 	rng := rand.New(rand.NewSource(89))

@@ -4,8 +4,8 @@
 // sample of the global input. Sharded holds one counter cell per
 // reshuffler; the cells serve three readers:
 //
-//   - the controller, which scales its own cell by N to estimate the
-//     global cardinalities with no inter-task communication (Alg. 1);
+//   - the controller, which scales reshuffler 0's cell by N to
+//     estimate the global cardinalities (Alg. 1);
 //   - the CheckpointEvery pacer, the only reader that merges every cell
 //     into the exact global counts;
 //   - dummy padding, where each reshuffler checks the cardinality ratio

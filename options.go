@@ -97,7 +97,8 @@ func WithStorage(cfg StorageConfig) Option { return func(sc *stageConfig) { sc.c
 func WithBackend(b Backend) Option { return func(sc *stageConfig) { sc.cfg.Backend = b } }
 
 // WithCheckpointEvery makes a backend-equipped stage checkpoint
-// automatically after every n ingested tuples. It requires
+// automatically once n tuples have been ingested since the last
+// checkpoint, manual ones included. It requires
 // WithBackend, and n must not be negative: otherwise Run returns an
 // error. 0 (the default) leaves checkpointing purely manual.
 func WithCheckpointEvery(n int64) Option {
