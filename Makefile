@@ -36,11 +36,13 @@ recovery-oracles:
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
 # Twenty race-detector runs of the tests whose goroutines share
-# envelopes, blocks and slot indexes, then of those that hand work to
-# the control task, each set in its own run to keep it well inside go
-# test's default timeout (the same CI job, after the oracles).
+# envelopes, blocks and slot indexes — in one process, then on loopback
+# workers — then of those that hand work to the control task, each set
+# in its own run to keep it well inside go test's default timeout (the
+# same CI job, after the oracles).
 race-shared:
-	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestRemoteEnvelopeOneFramePerWorker|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames)$$' ./internal/core/
+	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns)$$' ./internal/core/
+	$(GO) test -race -count=20 -run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames)$$' ./internal/core/
 	$(GO) test -race -count=20 -run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/
 	$(GO) test -race -count=20 -run '^(TestSlotIndexAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/
 

@@ -14,9 +14,12 @@ import (
 // sharing, not copying. An envelope's body is a run of tuples of one
 // relation sharing the header's epoch, so each data envelope is exactly
 // one joiner run. For in-process joiners the line's writer also wrote
-// the body's columns once into its block, and the envelope names those
-// rows (win): the joiners store the run as a view of them instead of
-// copying it, so a replicated tuple is stored once per process.
+// the body's columns once into its blocks, filling the open block
+// before it opens the next, and the envelope names those rows (win and
+// rest): the joiners store the run as views of them instead of copying
+// it, so a replicated tuple is stored once per process. An envelope
+// holds up to a block's rows (DefaultBatchSize), so on a busy line it
+// is one window, or two that meet at a block boundary.
 // Envelopes recycle through a pool: the flush sets the reference count
 // to the fan-out and the last destination to release the envelope
 // returns it, so steady state runs without per-tuple (or per-envelope)
@@ -46,8 +49,11 @@ type envelope struct {
 	// win names the rows of the line's block the body was written into
 	// (row i holding tuples[i]), or nothing (the zero Window) when the
 	// line writes no block: every joiner behind a link, a band
-	// predicate or budgeted stores.
-	win join.Window
+	// predicate or budgeted stores. rest names the rows of a fresh
+	// block that hold the body's tail the open block could not take
+	// (row i holding tuples[win.Len()+i]), else nothing
+	// (join.BlockWriter.AppendPacked).
+	win, rest join.Window
 	// refs counts the destinations that have not released the envelope.
 	refs atomic.Int32
 	// recycled counts the envelope's returns to the pool. Only the last
@@ -81,7 +87,7 @@ func (e *envelope) release() {
 	e.tuples = e.tuples[:0]
 	e.hdr = message{}
 	e.bytes = 0
-	e.win = join.Window{}
+	e.win, e.rest = join.Window{}, join.Window{}
 	e.recycled++
 	envPool.Put(e)
 }

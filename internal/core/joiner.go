@@ -34,7 +34,7 @@ import (
 // (handleBatch, runTuples) — and a migrated-in block as one run per
 // side (onMigBlocks). Which stores a
 // run probes and where it lands depend on the epoch; Keep is a filter
-// over the pairs the run collected (filterKept), never a per-pair
+// over the pairs a sub-run collected (filterKept), never a per-pair
 // callback.
 type joiner struct {
 	id    int
@@ -75,9 +75,9 @@ type joiner struct {
 	// filter and the ∆ path's kept sub-run copy into it, since envelope
 	// bodies are shared with other joiners.
 	runBuf []join.Tuple
-	// pairBuf accumulates one run's matches until flushPending ships
-	// them right after the run, so it is empty between runs; emitBatch
-	// runs on this goroutine and the buffer is reused.
+	// pairBuf accumulates the matches of at most probeRun probe tuples
+	// until flushPending ships them (probeEach), so it is empty between
+	// runs; emitBatch runs on this goroutine and the buffer is reused.
 	pairBuf []join.Pair
 
 	topo      *topology
@@ -125,9 +125,9 @@ func (w *joiner) filterKept(rel matrix.Side, n0 int) {
 	w.pairBuf = kept
 }
 
-// flushPending ships the run's filtered pairs: accounting and the user
-// sink run on this goroutine via emitBatch, and the buffer is reused
-// for the next run.
+// flushPending ships the filtered pairs collected since the last
+// flush: accounting and the user sink run on this goroutine via
+// emitBatch, and the buffer is reused for the next sub-run.
 func (w *joiner) flushPending() {
 	buf := w.pairBuf
 	if len(buf) == 0 {
@@ -235,10 +235,10 @@ func (w *joiner) run() (err error) {
 // of one relation sharing the header's epoch tag, and it goes to
 // runTuples whole, as one run, without a copy — the body is shared with
 // the other joiners of its row or column and nobody writes it — along
-// with the shared window its columns were written into. A restored
+// with the shared windows its columns were written into. A restored
 // joiner's replay-duplicate filter copies the surviving tuples of a
 // body that holds a duplicate into runBuf instead, and such a run has
-// no window; the ∆ path copies its kept sub-run there too (runTuples).
+// no windows; the ∆ path copies its kept sub-run there too (runTuples).
 //
 // A control envelope carries one message, handled alone, so a signal
 // that starts a migration, or a migration message that completes one,
@@ -256,9 +256,9 @@ func (w *joiner) handleBatch(e *envelope) {
 		e.release()
 		return
 	}
-	run, bytes, win := e.tuples, e.bytes, e.win
+	run, bytes, win, rest := e.tuples, e.bytes, e.win, e.rest
 	if w.dedup != nil && w.anyReplayDup(run) {
-		run, bytes, win = w.runBuf[:0], 0, join.Window{}
+		run, bytes, win, rest = w.runBuf[:0], 0, join.Window{}, join.Window{}
 		for i := range e.tuples {
 			if t := &e.tuples[i]; !w.isReplayDup(t) {
 				run = append(run, *t)
@@ -270,7 +270,7 @@ func (w *joiner) handleBatch(e *envelope) {
 	if len(run) > 0 {
 		w.met.InputTuples.Add(int64(len(run)))
 		w.met.InputBytes.Add(bytes)
-		w.runTuples(run, win, e.hdr.epoch)
+		w.runTuples(run, win, rest, e.hdr.epoch)
 	}
 	if w.mig != nil {
 		// Ship the ∆ forwards buffered while processing this envelope;
@@ -284,28 +284,36 @@ func (w *joiner) handleBatch(e *envelope) {
 // runTuples processes one run of same-side data tuples sharing an epoch
 // tag — Alg. 3's HandleTuple1/HandleTuple2 for a whole run, classified
 // once — and ships its matches. handleBatch hands it one envelope body
-// per call, with the shared window its columns were written into (the
-// zero Window when there is none): wherever the whole run is stored —
-// the steady state, ∆ and ∆′ — the store keeps a view of the window
-// instead of a copy. Tuples of one relation never join each other, so
-// probing every store with the whole run before storing any of it
-// emits exactly the pairs per-tuple probe-then-store would. Matches
-// collect in pairBuf, and the run's output flushes once. The run may be
-// a shared envelope body, so it is only read: the ∆ path's kept sub-run
-// is compacted into runBuf, not in place.
-func (w *joiner) runTuples(run []join.Tuple, win join.Window, epoch uint32) {
+// per call, with the shared windows its columns were written into (win
+// holding the first win.Len() tuples and rest the others; zero Windows
+// when there are none): wherever the whole run is stored — the steady
+// state, ∆ and ∆′ — the store keeps views of the windows instead of a
+// copy. Tuples of one relation never join each other, so probing every
+// store with the whole run before storing any of it emits exactly the
+// pairs per-tuple probe-then-store would. The probes run in sub-runs of
+// at most probeRun tuples, each filtered and shipped before the next
+// (probeEach), so a run of a block's tuples under a high fan-out never
+// holds all of its pairs at once. The run may be a shared envelope
+// body, so it is only read: the ∆ path's kept sub-run is compacted into
+// runBuf, not in place.
+func (w *joiner) runTuples(run []join.Tuple, win, rest join.Window, epoch uint32) {
 	rel := run[0].Rel
 	switch {
 	case w.mig == nil:
 		if epoch != w.epoch {
 			panic(fmt.Sprintf("core: joiner %d: tuple epoch %d outside migration (at %d)", w.id, epoch, w.epoch))
 		}
-		w.state.AddWindowCollect(run, win, &w.pairBuf)
+		w.probeEach(run, func(sub []join.Tuple) {
+			w.state.ProbeBatchCollect(sub, &w.pairBuf)
+		})
+		storeRun(w.state, run, win, rest)
 	case epoch == w.epoch:
 		// ∆: old-epoch arrivals during the migration (Alg. 3 lines 15-20).
-		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ (τ ∪ ∆)
-		w.forwardMig(run)                          // Migrated(∆) to peers
-		w.state.InsertWindow(run, win)
+		w.probeEach(run, func(sub []join.Tuple) {
+			w.state.ProbeBatchCollect(sub, &w.pairBuf) // run ⋈ (τ ∪ ∆)
+		})
+		w.forwardMig(run) // Migrated(∆) to peers
+		storeRun(w.state, run, win, rest)
 		// Everything else is done with the whole run, so its kept sub-run
 		// compacts into runBuf (in place when the run already lives there:
 		// the write index never passes the read index).
@@ -317,19 +325,50 @@ func (w *joiner) runTuples(run []join.Tuple, win join.Window, epoch uint32) {
 			}
 		}
 		w.runBuf = kept
-		w.mig.dp.ProbeBatchCollect(kept, &w.pairBuf) // Keep(∆) ⋈ ∆′
+		w.probeEach(kept, func(sub []join.Tuple) {
+			w.mig.dp.ProbeBatchCollect(sub, &w.pairBuf) // Keep(∆) ⋈ ∆′
+		})
 	case epoch == w.mig.epoch:
 		// ∆′: new-epoch arrivals (Alg. 3 lines 12-14 / 24-26).
-		w.mig.mu.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ µ
-		n1 := len(w.pairBuf)
-		w.state.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ Keep(τ ∪ ∆)
-		w.filterKept(rel, n1)
-		w.mig.dp.AddWindowCollect(run, win, &w.pairBuf) // run ⋈ ∆′, then store
+		w.probeEach(run, func(sub []join.Tuple) {
+			w.mig.mu.ProbeBatchCollect(sub, &w.pairBuf) // run ⋈ µ
+			n1 := len(w.pairBuf)
+			w.state.ProbeBatchCollect(sub, &w.pairBuf) // run ⋈ Keep(τ ∪ ∆)
+			w.filterKept(rel, n1)
+			w.mig.dp.ProbeBatchCollect(sub, &w.pairBuf) // run ⋈ ∆′
+		})
+		storeRun(w.mig.dp, run, win, rest)
 	default:
 		panic(fmt.Sprintf("core: joiner %d: tuple epoch %d, joiner epoch %d, migration epoch %d",
 			w.id, epoch, w.epoch, w.mig.epoch))
 	}
-	w.flushPending()
+}
+
+// probeRun bounds how many probe tuples' matches a joiner collects
+// before it ships them: a run of a block's tuples against a band index
+// at tens of matches each would otherwise hold tens of thousands of
+// pairs per joiner.
+const probeRun = 32
+
+// probeEach calls probe with each sub-run of at most probeRun tuples of
+// run, in order, and ships the pairs each call collects before the
+// next.
+func (w *joiner) probeEach(run []join.Tuple, probe func(sub []join.Tuple)) {
+	for len(run) > 0 {
+		n := min(len(run), probeRun)
+		probe(run[:n])
+		w.flushPending()
+		run = run[n:]
+	}
+}
+
+// storeRun stores run in st as views of its windows: win holds its
+// first win.Len() tuples and rest the others. With no windows (zero
+// win and rest) st copies the whole run.
+func storeRun(st *storage.Store, run []join.Tuple, win, rest join.Window) {
+	n := win.Len()
+	st.InsertWindow(run[:n], win)
+	st.InsertWindow(run[n:], rest)
 }
 
 func (w *joiner) finished() bool { return w.eos >= w.numRe && w.mig == nil }
@@ -608,10 +647,11 @@ func (w *joiner) onMigBlocks(m message) {
 			continue
 		}
 		run := bs.AppendSide(w.runBuf[:0], side)
-		w.mig.dp.ProbeBatchCollect(run, &w.pairBuf) // run ⋈ ∆′
+		w.probeEach(run, func(sub []join.Tuple) {
+			w.mig.dp.ProbeBatchCollect(sub, &w.pairBuf) // run ⋈ ∆′
+		})
 		w.runBuf = run
 	}
-	w.flushPending()
 	w.met.MigratedIn.Add(int64(bs.Tuples()))
 	w.mig.mu.AdoptBlocks(bs)
 	w.updateStored()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -564,5 +565,86 @@ func TestDoubleExpansionExact(t *testing.T) {
 	}
 	if op.NumJoiners() < 16 {
 		t.Fatalf("joiners %d after double expansion", op.NumJoiners())
+	}
+}
+
+// TestJoinerEmitsBoundedSubRuns feeds band streams in envelopes of a
+// block's rows and requires every EmitShard call to carry the pairs of
+// at most probeRun probe tuples, in a pair buffer within maxPairBufCap,
+// and the output to be exact. In the static case every S tuple is sent
+// before the first R tuple, and every R tuple matches 30 or more stored
+// S tuples at each joiner of its row: a joiner that shipped a whole
+// run's pairs at once would hand the sink tens of thousands. The
+// adaptive case migrates, so ∆ and ∆′ runs and migrated blocks probe
+// too. A call's pairs all share their probe member's side, so the probe
+// tuples it carries are the fewer of its distinct R and S members.
+func TestJoinerEmitsBoundedSubRuns(t *testing.T) {
+	pred := join.BandJoin("band", 17, nil)
+	rng := rand.New(rand.NewSource(107))
+	var static []join.Tuple
+	for k := int64(0); k < 1000; k++ {
+		for c := 0; c < 4; c++ {
+			static = append(static, join.Tuple{Rel: matrix.SideS, Key: k, Size: 8})
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		static = append(static, join.Tuple{Rel: matrix.SideR, Key: 17 + rng.Int63n(1000-34), Size: 8})
+	}
+	stampSeqs(static, 0)
+	adaptive := make([]join.Tuple, 6300)
+	for i := range adaptive {
+		rel := matrix.SideS
+		if rng.Intn(21) == 0 {
+			rel = matrix.SideR
+		}
+		adaptive[i] = join.Tuple{Rel: rel, Key: rng.Int63n(400), Size: 8}
+	}
+	stampSeqs(adaptive, 0)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		tuples []join.Tuple
+	}{
+		{"static", Config{J: 4, Initial: matrix.Mapping{N: 2, M: 2}, NumReshufflers: 1}, static},
+		{"adaptive", Config{J: 16, Adaptive: true, Warmup: 400}, adaptive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			got := map[[2]uint64]int{}
+			var bad error
+			cfg := tc.cfg
+			cfg.Pred, cfg.Seed, cfg.BatchSize = pred, 5, join.WindowRows
+			cfg.EmitShard = func(shard int, ps []join.Pair) {
+				rs, ss := map[uint64]bool{}, map[uint64]bool{}
+				for _, p := range ps {
+					rs[p.R.Seq], ss[p.S.Seq] = true, true
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				countPairs(got, ps)
+				switch n := min(len(rs), len(ss)); {
+				case bad != nil:
+				case n > probeRun:
+					bad = fmt.Errorf("joiner %d emitted the pairs of %d probe tuples in one call, want at most %d", shard, n, probeRun)
+				case cap(ps) > maxPairBufCap:
+					bad = fmt.Errorf("joiner %d emitted from a pair buffer of capacity %d, past %d", shard, cap(ps), maxPairBufCap)
+				}
+			}
+			op := mustOperator(t, cfg)
+			op.Start()
+			if err := op.SendBatch(tc.tuples); err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Finish(); err != nil {
+				t.Fatalf("operator error: %v", err)
+			}
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if cfg.Adaptive && op.Migrations() == 0 {
+				t.Fatal("no migrations: the run must probe during one")
+			}
+			diffMultisets(t, got, refPairs(pred, tc.tuples))
+		})
 	}
 }

@@ -202,16 +202,19 @@ type Config struct {
 	Seed int64
 	// DataQueueCap is the per-joiner data inbox capacity in tuples
 	// (default 1024): the inbox channel holds DataQueueCap/BatchSize
-	// envelopes, so buffered volume is independent of BatchSize.
+	// envelopes, at least one, so buffered volume is independent of
+	// BatchSize; at the defaults that is 2 envelopes.
 	DataQueueCap int
 	// BatchSize is the capacity of the reshuffler->joiner envelope in
 	// tuples of one relation: one envelope per grid row (R) or column (S),
 	// shared by every joiner of it. Envelopes flush when full, before
 	// every protocol barrier (epoch signal, checkpoint marker, EOS), when
 	// the reshuffler goes idle, and when BatchLinger expires. 0 means
-	// DefaultBatchSize; 1 ships every routed tuple alone. When the
-	// joiners store shared windows (not band, not budgeted), an envelope
-	// holds a block (join.WindowRows) at most, whatever the size.
+	// DefaultBatchSize (a block, join.WindowRows); 1 ships every routed
+	// tuple alone. When the joiners store shared windows (not band, not
+	// budgeted), an envelope holds a block at most, whatever the size.
+	// Under load a tuple may wait up to BatchLinger in a partial
+	// envelope.
 	BatchSize int
 	// BatchLinger bounds how long a routed tuple may wait in a partial
 	// envelope while the reshuffler stays busy, keeping tail latency
@@ -253,8 +256,12 @@ const (
 )
 
 // DefaultBatchSize is the batch envelope capacity used when
-// Config.BatchSize is zero.
-const DefaultBatchSize = 32
+// Config.BatchSize is zero: a block's rows, so that an envelope is one
+// window of its line's block, or two where it crosses into the next
+// (join.BlockWriter.AppendPacked), and each envelope's fixed costs —
+// the line's lock, the window's index entry, the inbox sends and
+// joiner wake-ups — are spread over up to a block's rows.
+const DefaultBatchSize = join.WindowRows
 
 // DefaultBatchLinger is the partial-batch flush budget used when
 // Config.BatchLinger is zero.

@@ -245,11 +245,13 @@ func reshufflerCases(t *testing.T, j int, run func(t *testing.T, numRe int)) {
 	t.Run(fmt.Sprintf("reshufflers=%d", j), func(t *testing.T) { run(t, j) })
 }
 
-// batchCases runs a migration oracle at both ends of the envelope
-// size: BatchSize 1, where every run is one tuple, and the default,
-// where runs of both epochs share envelopes.
+// batchCases runs a migration oracle at three envelope sizes: BatchSize
+// 1, where every run is one tuple; probeRun, where a run of one epoch's
+// tuples of one relation is probed as one sub-run; and the default
+// (DefaultBatchSize, a block), where a run spans several sub-runs
+// (joiner.probeEach).
 func batchCases(t *testing.T, run func(t *testing.T, bs int)) {
-	for _, bs := range []int{1, DefaultBatchSize} {
+	for _, bs := range []int{1, probeRun, DefaultBatchSize} {
 		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) { run(t, bs) })
 	}
 }

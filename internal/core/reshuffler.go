@@ -263,9 +263,9 @@ func (r *reshuffler) disarmLinger() {
 // buffer appends one routed tuple, with its routing value u, to slot
 // s's pending envelope, shipping the envelope when it reaches capacity:
 // the batch size, or a block (join.WindowRows) on every line of an
-// operator whose joiners store windows, since a window lies in one
-// block — a line's writer here or a worker's receive loop writes the
-// body as one.
+// operator whose joiners store windows, since a line's writer here or
+// a worker's receive loop writes a body into at most two blocks, the
+// open one and the next.
 func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	e := r.out[s]
 	if e == nil {
@@ -314,7 +314,8 @@ func (r *reshuffler) flushAll(cause *atomic.Int64) {
 
 // ship flushes slot s's pending envelope to every joiner of its row or
 // column (on the hash route, to its one joiner), crediting the flush to
-// cause. On a line with a writer it writes the body as one window and
+// cause. On a line with a writer it writes the body into the line's
+// blocks, as one window or two (join.BlockWriter.AppendPacked), and
 // pushes the envelope under the line's lock, so the line's joiners take
 // its windows in writer order, whichever reshuffler shipped them. The
 // push may block on a full inbox with the lock held: joiners never wait
@@ -328,7 +329,7 @@ func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	if l := r.line(s); l != nil {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		e.win = l.w.AppendRun(e.tuples)
+		e.win, e.rest = l.w.AppendPacked(e.tuples)
 	}
 	r.broadcast(r.slotDests(s), e)
 }

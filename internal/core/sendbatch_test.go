@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -151,17 +152,12 @@ func TestSendBatchMatchesSendExact(t *testing.T) {
 		if refOp.Migrations() == 0 {
 			t.Fatalf("BatchSize=%d: reference run had no migrations", bs)
 		}
-		feeds := map[string]feedFn{
-			"chunk=1":  feedChunks(1),
-			"chunk=7":  feedChunks(7),
-			"chunk=31": feedChunks(DefaultBatchSize - 1),
-			"chunk=32": feedChunks(DefaultBatchSize),
-			"chunk=33": feedChunks(DefaultBatchSize + 1),
-			// Far beyond the reshuffler burst quota: per-destination
-			// envelopes overflow into the pend cursor and drain across
-			// several run-loop iterations.
-			"chunk=4096": feedChunks(4096),
-			"mixed":      feedMixed,
+		feeds := map[string]feedFn{"mixed": feedMixed}
+		// The chunk sizes straddle the envelope capacity, and 4096 runs
+		// far past the reshuffler's burst quota: sendItems splits such a
+		// chunk into source envelopes of sourceBurst tuples.
+		for _, n := range []int{1, 7, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1, 4096} {
+			feeds[fmt.Sprintf("chunk=%d", n)] = feedChunks(n)
 		}
 		for name, feed := range feeds {
 			got, op := runFeed(t, cfg, tuples, feed)

@@ -666,3 +666,62 @@ func TestWorkerResidentGaugeMatchesHeap(t *testing.T) {
 	runtime.KeepAlive(wops)
 	runtime.KeepAlive(tuples)
 }
+
+// TestSharedBlocksPacked ships envelopes of 100 tuples, which do not
+// divide a block, through the lines of a (4,4) grid written by two
+// reshufflers, in one process and on two loopback workers (whose
+// receive loops write each frame line's blocks). A line's writer puts
+// what the open block can take of each body into it and the rest at
+// the head of a fresh block (join.BlockWriter.AppendPacked), so every
+// block a joiner views but the last — its line's open block — holds a
+// block's rows. The output must be the nested-loop multiset by
+// content, payloads included.
+func TestSharedBlocksPacked(t *testing.T) {
+	pred := join.EquiJoin("eq", nil)
+	rng := rand.New(rand.NewSource(101))
+	tuples := mixedStream(rng, 4000, 4000, 4000)
+	withContent(rng, tuples)
+	want := refMultiset(pred, tuples, contentOf)
+	cfg := Config{J: 16, Pred: pred, Initial: matrix.Mapping{N: 4, M: 4}, NumReshufflers: 2, BatchSize: 100, Seed: 7}
+	t.Run("in-process", func(t *testing.T) {
+		got, op := runOperatorContentBatch(t, cfg, tuples)
+		diffMultisets(t, got, want)
+		checkPackedBlocks(t, "", op.joiners)
+	})
+	t.Run("workers", func(t *testing.T) {
+		addrs, wait := serveWorkers(t, 2)
+		cfg := cfg
+		cfg.Workers = addrs
+		got, _ := runOperatorContentBatch(t, cfg, tuples)
+		diffMultisets(t, got, want)
+		for i, wop := range wait() {
+			checkPackedBlocks(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
+		}
+	})
+}
+
+// checkPackedBlocks requires every block a store of js views, but the
+// block of its last view, to hold join.WindowRows rows across the
+// store's views of it.
+func checkPackedBlocks(t *testing.T, label string, js []*joiner) {
+	t.Helper()
+	for _, w := range js {
+		for _, side := range migSides {
+			views := w.state.Views(side)
+			if len(views) == 0 {
+				t.Fatalf("%sjoiner %d side %v stores no block", label, w.id, side)
+			}
+			rows := map[any]int{}
+			for _, v := range views {
+				rows[v.Block] += v.Hi - v.Lo
+			}
+			open := views[len(views)-1].Block
+			for _, v := range views {
+				if n := rows[v.Block]; v.Block != open && n != join.WindowRows {
+					t.Fatalf("%sjoiner %d side %v: a block of its line holds %d rows, want %d (%d blocks)",
+						label, w.id, side, n, join.WindowRows, len(rows))
+				}
+			}
+		}
+	}
+}

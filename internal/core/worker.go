@@ -236,11 +236,12 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // fanOut decodes a KindData payload and hands the one decoded envelope
 // to every hosted joiner it names, by reference — the in-process
 // broadcast, on the far side of the link: the references are set before
-// the first push. A body is first written, whole, into the open block
-// of its line (frameBlock) when the joiners store windows
-// (sharesBlocks), and indexed in the line's index when it has one; the
-// envelope carries the window, so the joiners it names store views of
-// one copy of its columns and read one index over them. A frame naming
+// the first push. A body is first written into the blocks of its line
+// (frameBlock), as much as the open block takes and the rest into a
+// fresh one, when the joiners store windows (sharesBlocks), and indexed
+// in the line's index when it has one; the envelope carries the
+// windows, so the joiners it names store views of one copy of its
+// columns and read one index over them. A frame naming
 // a joiner this process does not host, or one joiner twice, sent by a
 // reshuffler the job does not run, whose body mixes R and S tuples or,
 // when the joiners store windows, outgrows a block is rejected with
@@ -258,7 +259,7 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 	}
 	if len(e.tuples) > 0 && op.sharesBlocks() {
 		if b := op.frameBlock(e, dests); b != nil {
-			e.win = b.AppendRun(e.tuples)
+			e.win, e.rest = b.AppendPacked(e.tuples)
 		}
 	}
 	e.refs.Store(int32(len(dests)))
@@ -271,7 +272,7 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 // checkFrame returns the error fanOut rejects a decoded frame with, or
 // nil. A joiner named twice would store and probe the body twice, a
 // joiner stores a body as a run of its first tuple's side, and a body
-// its line writes as one window must fit a block: the coordinator's
+// its line writes into its blocks must fit one: the coordinator's
 // reshufflers cap every envelope of such a job at one.
 func (op *Operator) checkFrame(dests []int, e *envelope) error {
 	for i, id := range dests {

@@ -8,8 +8,9 @@ import "repro/internal/matrix"
 // and in one process those replicas are byte-identical. So each grid
 // line (a row for R, a column for S, or a hash-route joiner's side) of
 // an epoch has one writer per process, which writes each shipped body
-// once (AppendRun); the envelope names those rows as a Window, and
-// every joiner that stores the body adds a view of the window to its
+// once, filling the line's open block before it opens the next
+// (AppendPacked); the envelope names those rows as one or two Windows,
+// and every joiner that stores the body adds a view of them to its
 // arena instead of copying the tuples. A writer for two or more readers
 // also indexes each row once, in the line's slot index (SlotIndex,
 // slotindex.go); a joiner that took every window of the line reads that
@@ -18,9 +19,9 @@ import "repro/internal/matrix"
 // one directory per side and epoch.
 //
 // A worker process is a block writer too: its receive loop writes the
-// body of each data frame once, whole, into an open block kept for the
-// frame's line (AppendRun), and the decoded envelope carries that
-// window to every joiner the frame names. A tuple is thus stored and
+// body of each data frame once into the open block kept for the
+// frame's line (AppendPacked), and the decoded envelope carries the
+// windows to every joiner the frame names. A tuple is thus stored and
 // indexed once per process that hosts its row or spans its column.
 //
 // Every store owns one more writer, for one reader, through which it
@@ -60,7 +61,8 @@ import "repro/internal/matrix"
 //     last window ended at: chains run newest-first over decreasing
 //     positions, so it skips the rows at or past W and sees exactly the
 //     rows of its own windows;
-//   - every body a line ships is one window, indexed: a reshuffler of
+//   - every body a line ships is one window, or two that follow each
+//     other in the slot index (AppendPacked), indexed: a reshuffler of
 //     a sharing operator ships at most a block per envelope, and a
 //     worker rejects a longer frame body as malformed;
 //   - a gap — a window the reader did not take through the segment —
@@ -190,6 +192,19 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 		b.ixPub = w.at + uint32(len(run))
 	}
 	return w
+}
+
+// AppendPacked is AppendRun for a line that keeps its blocks full: it
+// writes the rows of run that the open block can take as one Window
+// and the rest, if any, as a second Window at the head of a fresh
+// block, which continues the first in the slot index. A run the open
+// block takes whole, or none of (see fits), gets a zero second Window.
+func (b *BlockWriter) AppendPacked(run []Tuple) (w, rest Window) {
+	n := len(run)
+	if b.fits(1, hasPayload(run)) {
+		n = min(n, int(arenaChunk-b.hi))
+	}
+	return b.AppendRun(run[:n]), b.AppendRun(run[n:])
 }
 
 // hasPayload reports whether any tuple of ts carries a payload.

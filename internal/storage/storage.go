@@ -67,25 +67,8 @@ func NewStore(p join.Predicate, cfg Config) *Store {
 // it (accounting, user sink) once per run. Because tuples of one
 // relation never join each other, probing the whole run before storing
 // it collects exactly the pairs per-tuple probe-then-insert steps
-// would. The unbudgeted, unspilled store (the
-// common case) runs the memory tier's step (join.Local.AddBatchCollect)
-// directly.
+// would.
 func (s *Store) AddBatchCollect(ts []join.Tuple, out *[]join.Pair) {
-	s.AddWindowCollect(ts, join.Window{}, out)
-}
-
-// AddWindowCollect is AddBatchCollect for a run whose columns were
-// written into the shared window w (join.Local.AddWindowCollect): the
-// unbudgeted, unspilled store keeps a view of the window instead of a
-// copy. A budgeted or spilled store copies, as AddBatchCollect does.
-func (s *Store) AddWindowCollect(ts []join.Tuple, w join.Window, out *[]join.Pair) {
-	if len(ts) == 0 {
-		return
-	}
-	if s.unbounded() {
-		s.mem.AddWindowCollect(ts, w, out)
-		return
-	}
 	s.ProbeBatchCollect(ts, out)
 	s.InsertBatch(ts)
 }

@@ -71,7 +71,9 @@ func WithSeed(seed int64) Option { return func(sc *stageConfig) { sc.cfg.Seed = 
 // WithBatchSize sets the data-plane envelope capacity in tuples of one
 // relation (default DefaultBatchSize; 1 ships every routed tuple
 // alone). Chained stages also size their inter-stage forwarding
-// buffers with it.
+// buffers with it; without it a forwarding buffer holds 32 tuples, not
+// DefaultBatchSize, since it has no linger timer and ships only when
+// full or when the parent stage finishes.
 func WithBatchSize(n int) Option { return func(sc *stageConfig) { sc.cfg.BatchSize = n } }
 
 // WithBatchLinger bounds how long a routed tuple may wait in a partial
@@ -227,11 +229,19 @@ func (sc stageConfig) build(pred Predicate, sink Sink) (Engine, error) {
 	return op, nil
 }
 
-// batchSize returns the stage's effective data-plane batch size, which
-// also sizes inter-stage forwarding buffers.
-func (sc stageConfig) batchSize() int {
+// bridgeBatchSize sizes a chained stage's forwarding buffers when
+// WithBatchSize is unset. A bridge has no linger timer — a buffer ships
+// when full or when the parent stage finishes — so its size bounds how
+// long a forwarded pair waits under trickle traffic, and it does not
+// follow DefaultBatchSize.
+const bridgeBatchSize = 32
+
+// bridgeSize returns the size of the stage's inter-stage forwarding
+// buffers: its batch size when WithBatchSize set one, else
+// bridgeBatchSize.
+func (sc stageConfig) bridgeSize() int {
 	if sc.cfg.BatchSize > 0 {
 		return sc.cfg.BatchSize
 	}
-	return core.DefaultBatchSize
+	return bridgeBatchSize
 }

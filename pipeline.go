@@ -78,10 +78,10 @@ type Stream struct {
 	// still starting stages, and an unsynchronized interface write
 	// would be a data race.
 	engine atomic.Pointer[Engine]
-	// batchSize is the stage's effective ingest batch size, resolved
-	// at Run; parents size their bridge buffers with it.
-	batchSize int
-	bridges   []*bridge // one per child, in children order
+	// bridgeSize is the size of the forwarding buffers of the bridges
+	// that feed this stage (stageConfig.bridgeSize), resolved at Run.
+	bridgeSize int
+	bridges    []*bridge // one per child, in children order
 }
 
 // eng returns the stage's engine, or nil before Run published it.
@@ -208,13 +208,13 @@ func (p *Pipeline) Run(ctx context.Context) error {
 		sc := newStageConfig(p.defaults, s.opts)
 		s.bridges = s.bridges[:0]
 		for _, c := range s.children {
-			s.bridges = append(s.bridges, newBridge(c.rekey, built[c], c.batchSize))
+			s.bridges = append(s.bridges, newBridge(c.rekey, built[c], c.bridgeSize))
 		}
 		eng, err := sc.build(s.pred, s.runSink())
 		if err != nil {
 			return fmt.Errorf("squall: stage %d: %w", i, err)
 		}
-		s.batchSize = sc.batchSize()
+		s.bridgeSize = sc.bridgeSize()
 		built[s] = eng
 	}
 	for _, s := range p.stages {
@@ -298,7 +298,7 @@ func (p *Pipeline) Wait() error {
 // bridge forwards one stage's result pairs into a downstream engine:
 // pairs are re-keyed into per-shard tuple buffers that ship through the
 // destination's pooled SendBatch envelopes whenever they reach the
-// destination's batch size — chaining rides the batched ingest front
+// destination's bridge size — chaining rides the batched ingest front
 // end end to end, never a per-tuple path. Each emitting shard (joiner)
 // owns a private buffer, so concurrent emits from different shards
 // never contend: the only shared state is the copy-on-grow shard list

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -431,5 +432,42 @@ func TestPipelineGroupedStage(t *testing.T) {
 	}
 	if j := st.Metrics().NumJoiners(); j != 4 {
 		t.Fatalf("WithJoiners(5) ran %d joiners, want 4", j)
+	}
+}
+
+// Without WithBatchSize a chained stage's bridge forwards its parent's
+// pairs in buffers of 32, not DefaultBatchSize: a bridge has no linger
+// timer, so it ships a buffer only when full or when the parent
+// finishes. One parent joiner emits 40 pairs; the child must have
+// joined some of them with its stored T tuple before Wait.
+func TestPipelineBridgeForwardsBeforeFinish(t *testing.T) {
+	var n atomic.Int64
+	p := squall.NewPipeline(squall.WithSeed(5))
+	rsStage := p.Join(squall.Equi("r-s"), squall.WithJoiners(1))
+	rstStage := rsStage.Join(squall.Equi("rs-t"), rekeyRS, squall.WithJoiners(1))
+	rstStage.To(squall.Each(func(squall.Pair) { n.Add(1) }))
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rstStage.Send(squall.Tuple{Rel: squall.SideS, Key: 0, Size: 8}); err != nil {
+		t.Fatal(err)
+	}
+	in := []squall.Tuple{{Rel: squall.SideR, Key: 0, Size: 8}}
+	for i := 0; i < 40; i++ {
+		in = append(in, squall.Tuple{Rel: squall.SideS, Key: 0, Aux: int64(i) * 1024, Size: 8})
+	}
+	if err := rsStage.SendBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); n.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no forwarded pair reached the chained stage before Wait")
+		}
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != 40 {
+		t.Fatalf("chained stage emitted %d pairs, want 40", got)
 	}
 }

@@ -162,8 +162,9 @@ func SquareMapping(j int) Mapping { return matrix.Square(j) }
 type Engine = core.Engine
 
 // DefaultBatchSize is the data-plane batch envelope capacity used
-// without WithBatchSize; a batch size of 1 degenerates to per-message
-// sends.
+// without WithBatchSize: a block's rows (512), so an envelope is one
+// window of its grid line's block; a batch size of 1 degenerates to
+// per-message sends.
 const DefaultBatchSize = core.DefaultBatchSize
 
 // DefaultBatchLinger is the partial-batch flush budget used without
