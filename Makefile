@@ -27,24 +27,25 @@ race:
 	$(GO) test -race ./...
 
 # The exactness oracles of the durability plane, the migration paths,
-# the shared blocks and the slot indexes (CI's recovery-gomaxprocs job
-# runs this at GOMAXPROCS 1, 2, 4 and 8; set GOMAXPROCS to match).
+# the shared blocks, the slot indexes and the band line trees (CI's
+# recovery-gomaxprocs job runs this at GOMAXPROCS 1, 2, 4 and 8; set
+# GOMAXPROCS to match).
 recovery-oracles:
 	$(GO) test -count=3 ./internal/faultpoint/
-	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots' ./internal/core/
-	$(GO) test -count=3 -run '^TestSlotIndexAsOf$$' ./internal/join/
+	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots|BandLine' ./internal/core/
+	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf)$$' ./internal/join/
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
 # Twenty race-detector runs of the tests whose goroutines share
-# envelopes, blocks and slot indexes — in one process, then on loopback
-# workers — then of those that hand work to the control task, each set
+# envelopes, blocks, slot indexes and line trees — in one process, then
+# on loopback workers — then of those that hand work to the control task, each set
 # in its own run to keep it well inside go test's default timeout (the
 # same CI job, after the oracles).
 race-shared:
-	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns)$$' ./internal/core/
+	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/
 	$(GO) test -race -count=20 -run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames)$$' ./internal/core/
 	$(GO) test -race -count=20 -run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/
-	$(GO) test -race -count=20 -run '^(TestSlotIndexAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/
+	$(GO) test -race -count=20 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/
 
 # The crash-recovery drill (mirrored by CI's recovery-smoke job): kill
 # the operator at every armed faultpoint under the race detector,

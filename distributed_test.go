@@ -113,6 +113,9 @@ func (w *worker) wait(t *testing.T) error {
 // worker returns) must all be invisible in the result, at the default
 // envelope size, at 1024 (past a block: a worker's joiners copy such
 // frame bodies) and at 1 (one-row windows of a worker's shared blocks).
+// The band case (width 2) runs the same drill over ordered state: the
+// workers' band stores select and adopt migrated tuples one by one
+// (BlockEncoder.SelectFunc) and ship them as blocks over the links.
 // The reshuffler
 // count a worker takes from the hello is pinned in internal/core
 // (TestWorkerTakesReshufflersFromHello).
@@ -121,29 +124,49 @@ func TestDistributedExactness(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	tuples := emitStream(300, 6000, 40, 7)
-	want := emitOracle(tuples)
+	equi := emitOracle(tuples)
 	for _, tc := range []struct {
 		name string
+		pred squall.Predicate
+		want map[[2]int64]int
 		opts []squall.Option
 	}{
-		{"default", nil},
-		{"batch-1024", []squall.Option{squall.WithBatchSize(1024)}},
-		{"batch-1", []squall.Option{squall.WithBatchSize(1)}},
+		{"default", squall.EquiJoin("dist", nil), equi, nil},
+		{"batch-1024", squall.EquiJoin("dist", nil), equi, []squall.Option{squall.WithBatchSize(1024)}},
+		{"batch-1", squall.EquiJoin("dist", nil), equi, []squall.Option{squall.WithBatchSize(1)}},
+		{"band", squall.BandJoin("dist", 2, nil), bandOracle(tuples, 2), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			distributedExact(t, tuples, want, tc.opts)
+			distributedExact(t, tc.pred, tuples, tc.want, tc.opts)
 		})
 	}
 }
 
+// bandOracle is emitOracle for a band predicate: every R and S tuple
+// whose keys lie within width of each other.
+func bandOracle(tuples []squall.Tuple, width int64) map[[2]int64]int {
+	want := map[[2]int64]int{}
+	for i := range tuples {
+		if tuples[i].Rel != squall.SideR {
+			continue
+		}
+		for j := range tuples {
+			if d := tuples[i].Key - tuples[j].Key; tuples[j].Rel == squall.SideS && d >= -width && d <= width {
+				want[[2]int64{tuples[i].Aux, tuples[j].Aux}]++
+			}
+		}
+	}
+	return want
+}
+
 // distributedExact is one TestDistributedExactness run: the adaptive
-// J=8 engine on two spawned workers, with opts added.
-func distributedExact(t *testing.T, tuples []squall.Tuple, want map[[2]int64]int, opts []squall.Option) {
+// J=8 engine for pred on two spawned workers, with opts added.
+func distributedExact(t *testing.T, pred squall.Predicate, tuples []squall.Tuple, want map[[2]int64]int, opts []squall.Option) {
 	w1, w2 := startWorker(t), startWorker(t)
 
 	var mu sync.Mutex
 	got := map[[2]int64]int{}
-	eng := squall.NewEngine(squall.EquiJoin("dist", nil), squall.Each(func(p squall.Pair) {
+	eng := squall.NewEngine(pred, squall.Each(func(p squall.Pair) {
 		mu.Lock()
 		got[[2]int64{p.R.Aux, p.S.Aux}]++
 		mu.Unlock()

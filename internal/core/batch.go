@@ -47,12 +47,13 @@ type envelope struct {
 	// accounting taken once per envelope instead of once per destination.
 	bytes int64
 	// win names the rows of the line's block the body was written into
-	// (row i holding tuples[i]), or nothing (the zero Window) when the
-	// line writes no block: every joiner behind a link, a band
-	// predicate or budgeted stores. rest names the rows of a fresh
-	// block that hold the body's tail the open block could not take
-	// (row i holding tuples[win.Len()+i]), else nothing
-	// (join.BlockWriter.AppendPacked).
+	// (row i holding tuples[i]) — on a band line, the body's positions
+	// in the line's tree (join.LineTree.Append) — or nothing (the zero
+	// Window) when the line writes neither: every joiner behind a link,
+	// a band predicate past the first epoch or budgeted stores. rest
+	// names the rows of a fresh block that hold the body's tail the open
+	// block could not take (row i holding tuples[win.Len()+i]), else
+	// nothing (join.BlockWriter.AppendPacked).
 	win, rest join.Window
 	// refs counts the destinations that have not released the envelope.
 	refs atomic.Int32

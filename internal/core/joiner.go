@@ -363,8 +363,10 @@ func (w *joiner) probeEach(run []join.Tuple, probe func(sub []join.Tuple)) {
 }
 
 // storeRun stores run in st as views of its windows: win holds its
-// first win.Len() tuples and rest the others. With no windows (zero
-// win and rest) st copies the whole run.
+// first win.Len() tuples and rest the others. A band line's window
+// names the whole run in the line's tree, which a band store reads
+// through its segment instead of inserting the run. With no windows
+// (zero win and rest) st copies the whole run.
 func storeRun(st *storage.Store, run []join.Tuple, win, rest join.Window) {
 	n := win.Len()
 	st.InsertWindow(run[:n], win)

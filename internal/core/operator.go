@@ -564,33 +564,49 @@ func (op *Operator) hostsJoiner(id int) bool {
 // so that a grid line's writer, or a worker's receive loop, writes each
 // tuple's columns once for every in-process joiner it ships them to:
 // unless the predicate is a band (an ordered index keeps its tuples in
-// its own leaves) or the stores are budgeted (a budgeted store copies
-// what it may spill).
+// its own leaves, and a band line shares a tree instead: sharesTrees)
+// or the stores are budgeted (a budgeted store copies what it may
+// spill).
 func (op *Operator) sharesBlocks() bool {
 	return op.cfg.Pred.Kind != join.Band && op.cfg.Storage.CapBytes == 0
 }
 
-// indexesSlots is the one policy for slot indexes: whether a line's
-// writer (newLines, or a worker's frameBlock) keeps one. Only the first
-// epoch's writers do: every migration re-indexes what the joiners keep
-// in their own slot indexes (Retain folds or rebuilds, MergeFrom indexes
-// what it adopts), so a line index written after one would be paid for
-// twice whenever another follows.
+// sharesTrees reports whether the lines of a band operator's indexing
+// epochs (indexesSlots) keep one ordered index per line and process
+// (join.LineTree), which the line's in-process joiners read as of their
+// watermarks: unless the stores are budgeted. A worker's frame lines
+// keep none; its joiners insert into their own trees.
+func (op *Operator) sharesTrees() bool {
+	return op.cfg.Pred.Kind == join.Band && op.cfg.Storage.CapBytes == 0
+}
+
+// indexesSlots is the one policy for line indexes: whether a line's
+// writer (newLines, or a worker's frameBlock) keeps a slot index, and
+// whether a band line keeps a tree at all. Only the first epoch's
+// writers do: every migration re-indexes what the joiners keep in their
+// own indexes (Retain folds or rebuilds, MergeFrom indexes what it
+// adopts), so a line index written after one would be paid for twice
+// whenever another follows.
 func indexesSlots(epochChanged bool) bool { return !epochChanged }
 
-// line is the block writer of one grid line in this process, for its
-// in-process joiners; a reshuffler writes through w holding mu.
+// line is the writer of one grid line in this process, for its
+// in-process joiners: a block writer, or on a band operator's indexing
+// epoch a line tree (nil on a line of fewer than two in-process
+// joiners). A reshuffler writes through it holding mu.
 type line struct {
-	mu sync.Mutex
-	w  join.BlockWriter
+	mu   sync.Mutex
+	w    join.BlockWriter
+	tree *join.LineTree
 }
 
 // newLines returns a writer per line (reshuffler slot) of grid m over
 // the joiner table, for the line's in-process joiners, with slot
-// indexes when index is set; nil when the joiners store no windows.
-// Every reshuffler of the epoch writes through the same ones.
+// indexes — or for a band operator, line trees — when index is set;
+// nil when the epoch's lines write nothing. Every reshuffler of the
+// epoch writes through the same ones.
 func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
-	if !op.sharesBlocks() {
+	trees := op.sharesTrees() && index
+	if !op.sharesBlocks() && !trees {
 		return nil
 	}
 	slots := reshuffler{mapping: m, table: table, hashed: op.hashed}
@@ -603,7 +619,14 @@ func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
 				local++
 			}
 		}
-		lines[s].w.Reset(local, index)
+		switch {
+		case !trees:
+			lines[s].w.Reset(local, index)
+		case local > 1:
+			// One reader would insert each row at the same cost into its
+			// own tree.
+			lines[s].tree = join.NewLineTree(local)
+		}
 	}
 	return lines
 }
@@ -763,6 +786,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 			lines:      lines,
 			batchSize:  op.cfg.BatchSize,
 			linger:     op.cfg.BatchLinger,
+			blockCap:   op.sharesBlocks(),
 			stop:       op.stop,
 		}
 		if i == 0 && op.cfg.Adaptive {

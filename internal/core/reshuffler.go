@@ -85,9 +85,11 @@ type reshuffler struct {
 
 	// batchSize is the envelope capacity in tuples; 1 degrades to one
 	// envelope per routed tuple. linger bounds the buffered residence time
-	// of a tuple while the loop stays busy (<=0: no timer).
+	// of a tuple while the loop stays busy (<=0: no timer). blockCap
+	// caps every envelope at a block as well (Operator.sharesBlocks).
 	batchSize int
 	linger    time.Duration
+	blockCap  bool
 
 	// out holds the pending envelope per slot (see slotDests), sized
 	// lazily for the current mapping; dirty lists the slots holding
@@ -101,7 +103,7 @@ type reshuffler struct {
 	byPeer  [][]int
 	// lines is, per slot, the writer of the slot's grid line in the
 	// current epoch, shared with every other reshuffler
-	// (Operator.newLines); nil when the joiners store no windows.
+	// (Operator.newLines); nil when the epoch's lines write nothing.
 	lines []line
 	// cut closes once every reshuffler has pushed the checkpoint marker
 	// this task pushed last; nil when no barrier holds its ingest.
@@ -276,7 +278,7 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 	e.tuples = append(e.tuples, *t)
 	e.tuples[len(e.tuples)-1].U = u
 	e.bytes += t.Bytes()
-	if n := len(e.tuples); n >= r.batchSize || n == join.WindowRows && r.lines != nil {
+	if n := len(e.tuples); n >= r.batchSize || n == join.WindowRows && r.blockCap {
 		r.ship(s, &r.opm.BatchFlushFull)
 		return
 	}
@@ -288,9 +290,9 @@ func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
 }
 
 // line returns the writer of slot s's line, or nil when the line
-// writes no shared blocks.
+// writes neither shared blocks nor a line tree.
 func (r *reshuffler) line(s int) *line {
-	if r.lines == nil || !r.lines[s].w.Shared() {
+	if r.lines == nil || !r.lines[s].w.Shared() && r.lines[s].tree == nil {
 		return nil
 	}
 	return &r.lines[s]
@@ -315,11 +317,14 @@ func (r *reshuffler) flushAll(cause *atomic.Int64) {
 // ship flushes slot s's pending envelope to every joiner of its row or
 // column (on the hash route, to its one joiner), crediting the flush to
 // cause. On a line with a writer it writes the body into the line's
-// blocks, as one window or two (join.BlockWriter.AppendPacked), and
+// blocks, as one window or two (join.BlockWriter.AppendPacked), or on a
+// band line inserts it into the line's tree under the tree's write lock
+// (join.LineTree.Append, which releases that lock before the push), and
 // pushes the envelope under the line's lock, so the line's joiners take
 // its windows in writer order, whichever reshuffler shipped them. The
-// push may block on a full inbox with the lock held: joiners never wait
-// on a reshuffler, and pushData gives up once the operator stops.
+// push may block on a full inbox with the line's lock held: joiners
+// never wait on a reshuffler, nor hold a tree's read lock while they
+// wait on anything, and pushData gives up once the operator stops.
 func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	e := r.out[s]
 	r.out[s] = nil
@@ -329,7 +334,11 @@ func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 	if l := r.line(s); l != nil {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		e.win, e.rest = l.w.AppendPacked(e.tuples)
+		if l.tree != nil {
+			e.win = l.tree.Append(e.tuples)
+		} else {
+			e.win, e.rest = l.w.AppendPacked(e.tuples)
+		}
 	}
 	r.broadcast(r.slotDests(s), e)
 }

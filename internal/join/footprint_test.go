@@ -149,40 +149,86 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 // slack), and Footprint() held to within 2 % of the measured live heap:
 // leaves and inner nodes, as the allocator rounds them, are all the
 // index allocates.
+//
+// The line-shared case builds four indexes the way the four joiners of
+// a grid row do in one process: the stream is inserted once, into a
+// LineTree of four readers, in windows of 32, and each index reads the
+// tree through its segment. The tree's nodes are charged once per line,
+// divided among its readers, so a replica costs a quarter of the
+// budget, and the readers' Footprints together hold the tree once.
 func TestOrderedIndexFootprintBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap")
 	}
-	const n, budget = 50_000, 66.9
-	rng := rand.New(rand.NewSource(50))
-	batch := make([]Tuple, 32)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	for _, tc := range []struct {
+		name    string
+		sharers int // 0: one index inserting into its own tree
+		budget  float64
+	}{
+		{"own", 0, 66.9},
+		{"line-shared", 4, 66.9 / 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 50_000
+			rng := rand.New(rand.NewSource(50))
+			stream := make([]Tuple, n)
+			for i := range stream {
+				stream[i] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(1 << 40), Size: 8, Seq: uint64(i + 1)}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
 
-	o := NewOrderedIndex(8)
-	for i := 0; i < n; i += len(batch) {
-		run := batch[:min(len(batch), n-i)]
-		for j := range run {
-			run[j] = Tuple{Rel: matrix.SideS, Key: rng.Int63n(1 << 40), Size: 8, Seq: uint64(i + j + 1)}
-		}
-		o.InsertBatch(run)
-	}
+			idxs := []*OrderedIndex{NewOrderedIndex(8)}
+			var lt *LineTree
+			if tc.sharers == 0 {
+				for i := 0; i < n; i += 32 {
+					idxs[0].InsertBatch(stream[i:min(i+32, n)])
+				}
+			} else {
+				for len(idxs) < tc.sharers {
+					idxs = append(idxs, NewOrderedIndex(8))
+				}
+				lt = NewLineTree(tc.sharers)
+				for i := 0; i < n; i += 32 {
+					run := stream[i:min(i+32, n)]
+					w := lt.Append(run)
+					for _, o := range idxs {
+						o.InsertWindow(run, w)
+					}
+				}
+			}
 
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	live := float64(after.HeapAlloc-before.HeapAlloc) / n
-	arena, dir := o.Footprint()
-	fp := float64(arena+dir) / n
-	t.Logf("%.1f B/tuple live (Footprint: %.1f leaves + %.1f inner nodes), %d leaves at %.1f tuples each, %d inner nodes",
-		live, float64(arena)/n, float64(dir)/n, o.leaves, float64(n)/float64(o.leaves), o.inners)
-	if live > budget {
-		t.Errorf("live heap %.1f B/tuple, budget %.1f", live, budget)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			replicas := float64(n * len(idxs))
+			live := float64(after.HeapAlloc-before.HeapAlloc) / replicas
+			var arena, dir int64
+			for _, o := range idxs {
+				a, d := o.Footprint()
+				arena += a
+				dir += d
+			}
+			fp := float64(arena+dir) / replicas
+			tree := &idxs[0].ordTree
+			if lt != nil {
+				tree = &lt.t
+				if o := idxs[0]; o.line != lt || o.n != 0 || o.Len() != n {
+					t.Fatalf("index reads the line's tree %v over %d own rows, %d in all; want it over none, %d in all", o.line == lt, o.n, o.Len(), n)
+				}
+			}
+			t.Logf("%.1f B/tuple live (Footprint: %.1f leaves + %.1f inner nodes), %d leaves at %.1f tuples each, %d inner nodes",
+				live, float64(arena)/replicas, float64(dir)/replicas, tree.leaves, float64(n)/float64(tree.leaves), tree.inners)
+			if live > tc.budget {
+				t.Errorf("live heap %.1f B/tuple, budget %.1f", live, tc.budget)
+			}
+			if fp < live*0.98 || fp > live*1.02 {
+				t.Errorf("Footprint reports %.1f B/tuple, measured live heap %.1f", fp, live)
+			}
+			runtime.KeepAlive(idxs)
+			runtime.KeepAlive(stream)
+		})
 	}
-	if fp < live*0.98 || fp > live*1.02 {
-		t.Errorf("Footprint reports %.1f B/tuple, measured live heap %.1f", fp, live)
-	}
-	runtime.KeepAlive(o)
 }

@@ -44,8 +44,10 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 // a hash side indexes through a segment of the line's slot index when
 // it can (HashIndex.takeWindow) and in its own slot index when it
 // cannot. A window that does not name exactly ts, the zero Window
-// among them, is stored as a view of the side's own copy; an ordered
-// side copies into its leaves.
+// among them, is stored as a view of the side's own copy. An ordered
+// side takes a band line's window through a segment of the line's tree
+// (OrderedIndex.takeWindow), and inserts any other run into its own
+// tree.
 func (l *Local) AddWindowCollect(ts []Tuple, w Window, out *[]Pair) {
 	l.ProbeBatchCollect(ts, out)
 	l.InsertWindow(ts, w)
@@ -91,8 +93,8 @@ func (l *Local) InsertWindow(ts []Tuple, w Window) {
 		idx.InsertWindow(ts, w)
 	case *ScanIndex:
 		idx.InsertWindow(ts, w)
-	default:
-		idx.InsertBatch(ts)
+	case *OrderedIndex:
+		idx.InsertWindow(ts, w)
 	}
 }
 

@@ -16,7 +16,10 @@ import "repro/internal/matrix"
 // slotindex.go); a joiner that took every window of the line reads that
 // index as of its own watermark (a segment) instead of indexing the
 // window's rows in its own slot index (the fallback), so a probe walks
-// one directory per side and epoch.
+// one directory per side and epoch. A band line writes no blocks: its
+// writer inserts each body once into the line's ordered index
+// (LineTree, btree.go), and its joiners read that tree the same way,
+// as of their watermarks.
 //
 // A worker process is a block writer too: its receive loop writes the
 // body of each data frame once into the open block kept for the
@@ -90,16 +93,48 @@ import "repro/internal/matrix"
 // of an indexing writer also names the writer's SlotIndex, the index
 // position of row lo (at), and the position the line's previous window
 // ended at (prev, 0 for the line's first window): a store whose segment
-// watermark equals prev continues the segment with it.
+// watermark equals prev continues the segment with it (lineMark.take).
+// A band line's window names no block but the line's LineTree, which
+// holds the body's rows at line positions [at, at+hi), lo being 0.
 type Window struct {
 	c        *colChunk
 	ix       *SlotIndex
+	tree     *LineTree
 	lo, hi   int32
 	at, prev uint32
 }
 
 // Len reports how many rows w names.
 func (w Window) Len() int { return int(w.hi - w.lo) }
+
+// lineMark is a store's watermark on one line index — a line's
+// SlotIndex or LineTree —: the position its last window of the line
+// ended at (w), and whether its windows still continue the line (live).
+// The store reads the index as of w, so it sees exactly the rows of
+// the windows it took.
+type lineMark struct {
+	w    uint32
+	live bool
+}
+
+// opensLine reports whether w is its line's first window: the only one
+// a store starts reading a line's index at, with a live mark at 0.
+func opensLine(w Window) bool { return w.prev == 0 }
+
+// take is the one continuation rule of both index kinds: a store reads
+// a line's index only while it has taken every window of the line since
+// the first, so w continues the mark when it starts where the store's
+// last window of the line ended (prev), and the mark moves to w's end.
+// Any other window — after a gap, a replay-filtered run or a window the
+// store could not add — stops the mark for good.
+func (m *lineMark) take(w Window) bool {
+	if !m.live || m.w != w.prev {
+		m.live = false
+		return false
+	}
+	m.w = w.at + uint32(w.Len())
+	return true
+}
 
 // BlockWriter is the open block of a writer, with the slot index over
 // every block it wrote when it keeps one. A line's writer writes
@@ -333,20 +368,28 @@ func (l *Local) Views(side matrix.Side) []BlockView {
 	return out
 }
 
-// SegmentView describes how a hash-indexed store indexes its rows: the
-// line indexes its segments read, oldest first (comparable, opaque
+// SegmentView describes how a store indexes its rows: the line
+// indexes its segments read, oldest first (comparable, opaque
 // identities), how many of those segments still take windows, and the
-// distinct keys of the store's own index, which is not one of Indexes.
-// Diagnostics and tests use it to see which indexes joiners share.
+// distinct keys of the store's own index (for an ordered index, the
+// rows of its own tree), which is not one of Indexes. Diagnostics and
+// tests use it to see which indexes joiners share.
 type SegmentView struct {
 	Indexes []any
 	Live    int
 	Keys    int
 }
 
-// Segments describes side's index (see SegmentView); any index kind
-// but a hash index reads no segment and reports no keys.
+// Segments describes side's index (see SegmentView); a scan index
+// reads no segment and reports no keys.
 func (l *Local) Segments(side matrix.Side) SegmentView {
+	if o, ok := l.index(side).(*OrderedIndex); ok {
+		v := SegmentView{Keys: o.n}
+		if o.line != nil {
+			v.Indexes, v.Live = []any{o.line}, 1
+		}
+		return v
+	}
 	h, ok := l.index(side).(*HashIndex)
 	if !ok {
 		return SegmentView{}

@@ -277,14 +277,13 @@ func (x *SlotIndex) share() (chainBytes, dirBytes int64) {
 // decreasing positions, so a probe skips the few rows at or past w that
 // other readers' windows, or windows still in flight, have added, and
 // sees what an index of the store's own over the same windows would
-// hold. A window that does not continue the segment — one the store did
-// not get, got filtered, or copied instead — leaves w where it is (live
-// turns false), and the rest of the line's windows go to the store's
-// own index.
+// hold. A window that does not continue the segment (lineMark.take) —
+// one the store did not get, got filtered, or copied instead — leaves w
+// where it is (live turns false), and the rest of the line's windows go
+// to the store's own index.
 type segment struct {
-	ix   *SlotIndex
-	w    uint32
-	live bool
+	ix *SlotIndex
+	lineMark
 }
 
 // maxSegments bounds the segments one store reads, each a directory
@@ -405,18 +404,16 @@ func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
 		return false
 	}
 	s := h.segmentOf(w.ix)
-	switch {
-	case s != nil && s.live && s.w == w.prev:
-	case s == nil && w.prev == 0 && len(h.segs) < maxSegments:
-		h.segs = append(h.segs, segment{ix: w.ix, live: true})
-		s = &h.segs[len(h.segs)-1]
-	default:
-		if s != nil {
-			s.live = false
+	if s == nil {
+		if !opensLine(w) || len(h.segs) >= maxSegments {
+			return false
 		}
+		h.segs = append(h.segs, segment{ix: w.ix, lineMark: lineMark{live: true}})
+		s = &h.segs[len(h.segs)-1]
+	}
+	if !s.take(w) {
 		return false
 	}
 	h.arena.addWindow(w)
-	s.w = w.at + uint32(w.Len())
 	return true
 }

@@ -521,3 +521,78 @@ func benchGridInsertProbe(b *testing.B, writers int, slot bool) {
 	runtime.KeepAlive(bws)
 	runtime.KeepAlive(stream)
 }
+
+// BenchmarkBandLineShare is the layer ledger's row of the line trees:
+// the sixteen joiners of one (4,4) grid take a band stream (width 8,
+// keys of 50 000, R and S alternating) in runs of 512, each run probing
+// its opposite side at the four joiners of its row or column in
+// sub-runs of 32 and then being stored by all four — into four private
+// trees ("private"), or once into the line's tree, which the four read
+// through their segments ("line"). It reports insert and probe time per
+// input tuple; -benchtime=400000x runs the 400 k-tuple stream.
+func BenchmarkBandLineShare(b *testing.B) {
+	for _, shared := range []bool{false, true} {
+		name := "private"
+		if shared {
+			name = "line"
+		}
+		b.Run(name, func(b *testing.B) { benchBandLines(b, shared) })
+	}
+}
+
+func benchBandLines(b *testing.B, shared bool) {
+	const side, run, sub, keys, width = 4, 512, 32, 50_000, 8
+	pred := BandJoin("band", width, nil)
+	rng := rand.New(rand.NewSource(1))
+	var locals [side][side]*Local
+	for i := range locals {
+		for j := range locals[i] {
+			locals[i][j] = NewLocal(pred)
+		}
+	}
+	// trees[rel][p] is the tree of row (R) or column (S) p.
+	var trees [2][side]*LineTree
+	for rel := range trees {
+		for p := range trees[rel] {
+			trees[rel][p] = NewLineTree(side)
+		}
+	}
+	stream := make([]Tuple, b.N)
+	for i := range stream {
+		stream[i] = Tuple{Rel: matrix.Side((i / run) % 2), Key: rng.Int63n(keys), Size: 8, Seq: uint64(i + 1)}
+	}
+	var out []Pair
+	var insert, probe time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i += run {
+		r := stream[i:min(i+run, b.N)]
+		rel, p := r[0].Rel, rng.Intn(side)
+		line := func(q int) *Local {
+			if rel == matrix.SideS {
+				return locals[q][p]
+			}
+			return locals[p][q]
+		}
+		t0 := time.Now()
+		for q := 0; q < side; q++ {
+			for s := 0; s < len(r); s += sub {
+				out = out[:0]
+				line(q).ProbeBatchCollect(r[s:min(s+sub, len(r))], &out)
+			}
+		}
+		t1 := time.Now()
+		var w Window
+		if shared {
+			w = trees[rel][p].Append(r)
+		}
+		for q := 0; q < side; q++ {
+			line(q).InsertWindow(r, w)
+		}
+		probe += t1.Sub(t0)
+		insert += time.Since(t1)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(insert.Nanoseconds())/float64(b.N), "insert-ns/tuple")
+	b.ReportMetric(float64(probe.Nanoseconds())/float64(b.N), "probe-ns/tuple")
+	runtime.KeepAlive(&locals)
+}

@@ -87,6 +87,11 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 	case *ScanIndex:
 		a = &v.arena
 	default:
+		if o, ok := idx.(*OrderedIndex); ok {
+			// ship may block, so no line tree's read lock may be held
+			// across it: the segment folds into the own tree first.
+			o.unshare()
+		}
 		n := 0
 		idx.Scan(e.SelectFunc(keep, limit, ship, &n))
 		return n
