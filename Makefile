@@ -37,15 +37,36 @@ recovery-oracles:
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
 # Twenty race-detector runs of the tests whose goroutines share
-# envelopes, blocks, slot indexes and line trees — in one process, then
-# on loopback workers — then of those that hand work to the control task, each set
-# in its own run to keep it well inside go test's default timeout (the
-# same CI job, after the oracles).
+# envelopes, blocks, slot indexes, line trees and recycled link buffers
+# — in one process, then on loopback workers — then of those that hand
+# work to the control task, each set in its own run to keep it well
+# inside go test's default timeout (the same CI job, after the oracles).
+# Each run's -v output is kept in $(RACE_LOGS)/<set>.log; a failing run
+# prints its --- FAIL, DATA RACE and panic lines with the lines around
+# them (a test's failure message comes just before its --- FAIL line)
+# and the log's path.
+RACE_LOGS ?= race-logs
+
 race-shared:
-	$(GO) test -race -count=20 -run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/
-	$(GO) test -race -count=20 -run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames)$$' ./internal/core/
-	$(GO) test -race -count=20 -run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/
-	$(GO) test -race -count=20 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/
+	@mkdir -p $(RACE_LOGS)
+	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
+	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias)$$' ./internal/core/)
+	@$(call race_run,core-control,-run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/)
+	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/)
+
+# race_run,<set>,<go test arguments>: one -race -count=20 -v run into
+# $(RACE_LOGS)/<set>.log, reporting its wall time.
+define race_run
+	echo "race-shared $(1): go test -race -count=20 -v $(2)"; \
+	start=$$(date +%s); \
+	if $(GO) test -race -count=20 -v $(2) >$(RACE_LOGS)/$(1).log 2>&1; then \
+		echo "race-shared $(1): ok in $$(($$(date +%s) - start)) s"; \
+	else \
+		grep -E -B4 -A4 -e '--- FAIL' -e 'DATA RACE' -e '^panic:' $(RACE_LOGS)/$(1).log | head -n 200; \
+		echo "race-shared $(1): FAILED after $$(($$(date +%s) - start)) s; full output in $(RACE_LOGS)/$(1).log"; \
+		exit 1; \
+	fi
+endef
 
 # The crash-recovery drill (mirrored by CI's recovery-smoke job): kill
 # the operator at every armed faultpoint under the race detector,

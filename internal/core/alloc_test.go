@@ -297,3 +297,79 @@ func TestSendBatchAllocBudget(t *testing.T) {
 		t.Fatalf("SendBatch path allocates %.3f per tuple, budget %.1f", perTuple, sendBatchAllocBudget)
 	}
 }
+
+// workerLinkAllocBudget is the enforced allocation budget per input
+// tuple of a steady equi stream whose joiners all sit behind two
+// loopback-TCP worker links, counted over the whole process
+// (coordinator and both workers). Every data, pair and ack frame
+// buffer is recycled, so what is left is arena blocks and index growth
+// (about 0.007 per tuple here) and pool refills: measured 0.008–0.016
+// on 2 CPUs at GOMAXPROCS 1–8. Allocating each frame's payload, as the
+// links once did, reads 0.56 here.
+const workerLinkAllocBudget = 0.02
+
+// TestWorkerLinkAllocBudget pins the link plane's garbage: a frame's
+// payload buffer, on either side of a link, must not cost an
+// allocation. The stream runs in rounds of 20k tuples, each fed whole
+// and then waited for until every pair it makes has reached the sink.
+// Every S tuple matches exactly one R tuple, so pair frames cross the
+// links at a steady rate. The first round fills the pools, the free
+// list and the links' buffers; the budget holds the least of the next
+// six, because the worker's out-queue backs up by a different number
+// of pair frames each round and a pool grows to the largest backlog
+// once, while a per-frame allocation shows up in every round.
+func TestWorkerLinkAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the budget is measured without -race")
+	}
+	if testing.Short() {
+		t.Skip("a 140k-tuple distributed run is not short")
+	}
+	addrs, wait := serveWorkers(t, 2)
+	var pairs atomic.Int64
+	op := mustOperator(t, Config{
+		J: 16, Pred: join.EquiJoin("link-alloc", nil), Seed: 1,
+		Workers: addrs, EmitBatch: counter(&pairs),
+	})
+	op.Start()
+	rng := rand.New(rand.NewSource(21))
+	const roundTuples = 20000
+	tuples := make([]join.Tuple, roundTuples)
+	round := func() {
+		for i := 0; i < len(tuples); i += 2 {
+			k := rng.Int63n(1 << 40)
+			tuples[i] = join.Tuple{Rel: matrix.SideR, Key: k, Size: 8}
+			tuples[i+1] = join.Tuple{Rel: matrix.SideS, Key: k, Size: 8}
+		}
+		want := pairs.Load() + roundTuples/2
+		for i := 0; i < len(tuples); i += DefaultBatchSize {
+			if err := op.SendBatch(tuples[i:min(i+DefaultBatchSize, len(tuples))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(time.Minute); pairs.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d pairs after a minute", pairs.Load(), want)
+			}
+		}
+	}
+	round()
+	best := -1.0
+	for r := 0; r < 6; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		round()
+		runtime.ReadMemStats(&after)
+		if perTuple := float64(after.Mallocs-before.Mallocs) / roundTuples; best < 0 || perTuple < best {
+			best = perTuple
+		}
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	t.Logf("worker links: %.4f allocations per input tuple (budget %.2f)", best, workerLinkAllocBudget)
+	if best > workerLinkAllocBudget {
+		t.Fatalf("worker links allocate %.4f per input tuple, budget %.2f", best, workerLinkAllocBudget)
+	}
+}

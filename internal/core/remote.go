@@ -24,6 +24,21 @@ import (
 // (migration messages, acks, result pairs) rides an unbounded
 // out-queue drained by a dedicated writer goroutine, so a joiner never
 // blocks on a peer and every reader always drains.
+//
+// Every data, pair and ack frame buffer has an owner that hands it
+// back, so a steady stream allocates none. Outbound, sendData encodes a
+// data frame into a wire buffer (getWire) and returns it once the link
+// has sent it; queuePairs and queueAck encode into wire buffers too,
+// and the writer returns them after SendFrames has copied them onto the
+// link (recycleSent). Inbound, a TCP link reads each data and pairs
+// payload into a buffer of its free list, and the receiver hands it
+// back with transport.Recycle once it has decoded it: the worker's
+// receive loop after fanOut (the envelope holds copies of every record,
+// payload bytes included) and peerRecv after a pairs frame's sink
+// returns (decodePairsInto copies too). Migration frames, hello and
+// error frames are read into fresh buffers and recycled by no one: the
+// coordinator relays a worker→worker migration frame as it arrived,
+// and the frame waits in the other peer's out-queue until written.
 
 // LinkError is the typed failure of a worker link: the worker's
 // address and the underlying transport error. It is what Finish (or
@@ -115,12 +130,14 @@ func (p *remotePeer) queueMig(dest int, m message) {
 	p.queueFrame(transport.Frame{Kind: transport.KindMig, Payload: payload})
 }
 
+// queueAck and queuePairs encode into wire buffers (getWire), which
+// the writer returns once the link has sent them (recycleSent).
 func (p *remotePeer) queueAck(id int) {
-	p.queueFrame(transport.Frame{Kind: transport.KindAck, Payload: appendAck(nil, id)})
+	p.queueFrame(transport.Frame{Kind: transport.KindAck, Payload: appendAck(getWire(), id)})
 }
 
 func (p *remotePeer) queuePairs(id int, ps []join.Pair) {
-	p.queueFrame(transport.Frame{Kind: transport.KindPairs, Payload: appendPairs(nil, id, ps)})
+	p.queueFrame(transport.Frame{Kind: transport.KindPairs, Payload: appendPairs(getWire(), id, ps)})
 }
 
 func (p *remotePeer) queueDone() {
@@ -145,7 +162,7 @@ func (p *remotePeer) writer() error {
 				break
 			}
 			err := p.link.SendFrames(batch)
-			clear(batch) // the payloads are garbage once written
+			recycleSent(batch)
 			if err != nil {
 				select {
 				case <-p.stop:
@@ -169,10 +186,24 @@ func (p *remotePeer) writer() error {
 					return nil
 				}
 				_ = p.link.SendFrames(batch)
-				clear(batch)
+				recycleSent(batch)
 			}
 		}
 	}
+}
+
+// recycleSent returns the wire buffers of a batch the link has sent —
+// the pair and ack payloads queuePairs and queueAck encoded — to the
+// wire pool, and clears batch so it pins no payload. Every other
+// payload (a migration message, a relayed frame) is garbage once
+// written.
+func recycleSent(batch []transport.Frame) {
+	for _, f := range batch {
+		if f.Kind == transport.KindPairs || f.Kind == transport.KindAck {
+			putWire(f.Payload)
+		}
+	}
+	clear(batch)
 }
 
 // drain pops queued frames onto batch until the queue is empty, the
@@ -317,6 +348,7 @@ func (op *Operator) peerRecv(p *remotePeer) error {
 			}
 			sink(ps)
 			pairScratch = ps
+			transport.Recycle(f.Payload) // the pairs own copies of their payload bytes
 		case transport.KindMig:
 			dest, derr := frameDest(f.Payload)
 			if derr != nil {

@@ -196,7 +196,9 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 			switch f.Kind {
 			case transport.KindData:
 				var derr error
-				if dests, derr = op.fanOut(dests, f.Payload); derr != nil {
+				dests, derr = op.fanOut(dests, f.Payload)
+				transport.Recycle(f.Payload) // the envelope owns copies of its tuples
+				if derr != nil {
 					return &LinkError{Worker: "coordinator", Err: derr}
 				}
 			case transport.KindMig:

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/join"
@@ -186,4 +190,87 @@ func TestWorkerRejectsMalformedFrames(t *testing.T) {
 		}
 		(<-ports[id].dataIn).release()
 	}
+}
+
+// TestLinkRecycledPayloadsDoNotAlias: a received data or pairs payload
+// goes back to the link's free list once decoded, and the next frame
+// of any link in the process may be read into it. Nothing decoded from
+// it may alias it, and no frame still queued may be recycled: a
+// migration frame the coordinator relays from one worker to the other
+// waits in the out-queue. An adaptive J=8 stream with a distinct
+// payload per tuple crosses two loopback-TCP workers that host
+// alternate joiners, so buffers turn over thousands of times while
+// state moves worker to worker through the coordinator. The sink keeps
+// every pair's payload slices as given; after Finish each must still
+// hold its tuple's bytes, and the pairs must match the nested-loop
+// oracle. A recycle that comes too early corrupts a frame only when
+// another receive loop takes the buffer in time, so the drill runs
+// three times.
+func TestLinkRecycledPayloadsDoNotAlias(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { recycledPayloadsDrill(t, seed) })
+	}
+}
+
+func recycledPayloadsDrill(t *testing.T, seed int64) {
+	addrs, wait := serveWorkers(t, 2)
+	pred := join.EquiJoin("recycle", nil)
+	rng := rand.New(rand.NewSource(seed))
+	tuples := make([]join.Tuple, 16000)
+	payloads := make([][]byte, len(tuples))
+	for i := range tuples {
+		side := matrix.SideS
+		if i < 800 {
+			side = matrix.SideR
+		}
+		payloads[i] = make([]byte, 8+rng.Intn(25))
+		binary.LittleEndian.PutUint64(payloads[i], uint64(i))
+		rng.Read(payloads[i][8:])
+		tuples[i] = join.Tuple{Rel: side, Key: rng.Int63n(200), Aux: int64(i), Size: 8,
+			Payload: append([]byte(nil), payloads[i]...)}
+	}
+	type kept struct {
+		r, s       int64
+		rPay, sPay []byte
+	}
+	var (
+		mu   sync.Mutex
+		got  []kept
+		want = refMultiset(pred, tuples, func(p join.Pair) [2]int64 { return [2]int64{p.R.Aux, p.S.Aux} })
+	)
+	op := mustOperator(t, Config{
+		J: 8, Pred: pred, Seed: seed, Adaptive: true, Warmup: 400,
+		Workers: addrs, Placement: []int{0, 1, 0, 1, 1, 0, 1, 0},
+		EmitBatch: func(ps []join.Pair) {
+			mu.Lock()
+			for _, p := range ps {
+				got = append(got, kept{p.R.Aux, p.S.Aux, p.R.Payload, p.S.Payload})
+			}
+			mu.Unlock()
+		},
+	})
+	op.Start()
+	for i := 0; i < len(tuples); i += 64 {
+		if err := op.SendBatch(tuples[i:min(i+64, len(tuples))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := op.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if op.Migrations() == 0 {
+		t.Fatal("no migrations: the drill must move state between the workers")
+	}
+	intact := func(aux int64, pay []byte) bool {
+		return aux >= 0 && aux < int64(len(payloads)) && bytes.Equal(pay, payloads[aux])
+	}
+	gotSet := make(map[[2]int64]int)
+	for _, k := range got {
+		if !intact(k.r, k.rPay) || !intact(k.s, k.sPay) {
+			t.Fatalf("pair (%d, %d): payloads read %x and %x after Finish", k.r, k.s, k.rPay, k.sPay)
+		}
+		gotSet[[2]int64{k.r, k.s}]++
+	}
+	diffMultisets(t, gotSet, want)
 }

@@ -128,6 +128,12 @@ func AppendFrame(buf []byte, f Frame) []byte {
 // (readPayload).
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerSize]byte
+	return readFrame(r, &hdr, false)
+}
+
+// readFrame is ReadFrame reading the header into hdr and, when pooled
+// is set, a data or pairs payload into a recycled buffer (takeBuf).
+func readFrame(r io.Reader, hdr *[headerSize]byte, pooled bool) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
@@ -152,7 +158,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, plen)
 	}
 	want := binary.LittleEndian.Uint32(hdr[10:])
-	payload, err := readPayload(r, int(plen))
+	payload, err := readPayload(r, int(plen), pooled && (kind == KindData || kind == KindPairs))
 	if err != nil {
 		return Frame{}, fmt.Errorf("%w: stream cut mid-payload: %v", ErrBadFrame, err)
 	}
@@ -167,14 +173,21 @@ func ReadFrame(r io.Reader) (Frame, error) {
 const payloadPiece = 1 << 20
 
 // readPayload reads an n-byte frame payload. One of at most
-// payloadPiece bytes lands in one exact allocation. A longer one
-// arrives in pieces, each as long as everything before it (the first
-// payloadPiece long), joined once complete: a header that claims more
-// than the stream holds costs at most twice the bytes that did arrive
-// plus payloadPiece, never its claim.
-func readPayload(r io.Reader, n int) ([]byte, error) {
+// payloadPiece bytes lands in one buffer: a recycled one when pooled is
+// set and the free list holds one large enough (takeBuf), else one
+// exact allocation. A longer one arrives in pieces, each as long as
+// everything before it (the first payloadPiece long), joined once
+// complete: a header that claims more than the stream holds costs at
+// most twice the bytes that did arrive plus payloadPiece, never its
+// claim.
+func readPayload(r io.Reader, n int, pooled bool) ([]byte, error) {
 	if n <= payloadPiece {
-		p := make([]byte, n)
+		var p []byte
+		if pooled {
+			p = takeBuf(n)
+		} else {
+			p = make([]byte, n)
+		}
 		if _, err := io.ReadFull(r, p); err != nil {
 			return nil, err
 		}
@@ -192,14 +205,90 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return bytes.Join(pieces, nil), nil
 }
 
+// The free list of received payload buffers: a TCP link reads each data
+// and pairs payload — the frames a stream is made of — into the
+// smallest free buffer that holds it, and its receiver hands the buffer
+// back (Recycle) once nothing it decoded aliases it, so a steady stream
+// allocates no payload buffer. It is one list per process, for every
+// link: a receive loop holds one payload at a time, so a few buffers
+// serve all of them. It holds at most freeBufs buffers of at most
+// freeBufMax bytes each, so idle links pin at most freeBufs ×
+// freeBufMax bytes.
+const (
+	freeBufs   = 16
+	freeBufMax = 256 << 10
+)
+
+var freeList struct {
+	sync.Mutex
+	bufs [freeBufs][]byte
+	n    int
+}
+
+// takeBuf returns an n-byte buffer: the smallest free one whose
+// capacity holds n bytes, or a fresh one of exactly n.
+func takeBuf(n int) []byte {
+	if n == 0 || n > freeBufMax {
+		return make([]byte, n)
+	}
+	freeList.Lock()
+	best := -1
+	for i, b := range freeList.bufs[:freeList.n] {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(freeList.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		freeList.Unlock()
+		return make([]byte, n)
+	}
+	b := freeList.bufs[best]
+	freeList.n--
+	freeList.bufs[best] = freeList.bufs[freeList.n]
+	freeList.bufs[freeList.n] = nil
+	freeList.Unlock()
+	return b[:n]
+}
+
+// Recycle hands a received payload back to the free list its link's
+// Recv takes buffers from. The caller must hold the only reference to
+// p's bytes: nothing it decoded from them may alias them, and p itself
+// may not be used or recycled again. A payload from any Link may be
+// handed back, whatever its kind; one past freeBufMax bytes is dropped,
+// and so is one no larger than every buffer of a full list (the
+// smallest is dropped for a larger one).
+func Recycle(p []byte) {
+	if cap(p) == 0 || cap(p) > freeBufMax {
+		return
+	}
+	freeList.Lock()
+	if freeList.n < freeBufs {
+		freeList.bufs[freeList.n] = p[:0]
+		freeList.n++
+	} else {
+		small := 0
+		for i, b := range freeList.bufs {
+			if cap(b) < cap(freeList.bufs[small]) {
+				small = i
+			}
+		}
+		if cap(p) > cap(freeList.bufs[small]) {
+			freeList.bufs[small] = p[:0]
+		}
+	}
+	freeList.Unlock()
+}
+
 // Link is one bidirectional frame stream between two processes (or two
 // ends of an in-process pipe).
 //
 // Send is safe for concurrent use and does not retain f.Payload.
 // SendFrames sends fs in order and retains no payload either; a stream
 // implementation puts them on the wire in one write. Recv must be called from a single
-// goroutine. Close unblocks all three; a Recv or Send interrupted by
-// Close returns an error wrapping ErrClosed.
+// goroutine. The payload it returns belongs to the caller, which may
+// hand it to Recycle once nothing decoded from it aliases it. Close
+// unblocks all three; a Recv or Send interrupted by Close returns an
+// error wrapping ErrClosed.
 type Link interface {
 	Send(f Frame) error
 	SendFrames(fs []Frame) error
@@ -227,6 +316,8 @@ type Listener interface {
 type tcpLink struct {
 	conn net.Conn
 	br   *bufio.Reader
+	// hdr is Recv's frame header scratch.
+	hdr [headerSize]byte
 
 	wmu    sync.Mutex
 	wbuf   []byte
@@ -288,8 +379,13 @@ func (l *tcpLink) sendErr(err error) error {
 	return fmt.Errorf("transport: send: %w", err)
 }
 
+// Recv reads the next frame. It reads the header into the link's
+// scratch and a data or pairs payload into a buffer from the free list
+// when one is large enough (takeBuf); the receiver hands it back with
+// Recycle once it has decoded the frame. Every other kind's payload is
+// a fresh allocation, as ReadFrame returns it.
 func (l *tcpLink) Recv() (Frame, error) {
-	f, err := ReadFrame(l.br)
+	f, err := readFrame(l.br, &l.hdr, true)
 	if err != nil && l.closed.Load() {
 		return Frame{}, fmt.Errorf("%w: %v", ErrClosed, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -277,6 +278,66 @@ func TestTCPLink(t *testing.T) {
 	}
 	if err := client.Send(Frame{Kind: KindData}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send on closed link: got %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPRecvRecyclesPayloads: a TCP link reads a data or pairs
+// payload into the smallest free buffer that holds it, and any other
+// kind into a fresh one; the free list keeps at most freeBufs buffers
+// of at most freeBufMax bytes, trading its smallest for a larger one
+// when full.
+func TestTCPRecvRecyclesPayloads(t *testing.T) {
+	freeList.Lock()
+	freeList.bufs, freeList.n = [freeBufs][]byte{}, 0
+	freeList.Unlock()
+	client, server := tcpPair(t)
+	rng := rand.New(rand.NewSource(5))
+	recv := func(kind Kind, n int) []byte {
+		t.Helper()
+		want := make([]byte, n)
+		rng.Read(want)
+		if err := client.Send(Frame{Kind: kind, Payload: want}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := server.Recv()
+		if err != nil || got.Kind != kind || !bytes.Equal(got.Payload, want) {
+			t.Fatalf("%v frame of %d bytes: got %v, %d bytes, err %v", kind, n, got.Kind, len(got.Payload), err)
+		}
+		return got.Payload
+	}
+	same := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+
+	small, large := recv(KindData, 600), recv(KindPairs, 3000)
+	Recycle(large)
+	Recycle(small)
+	if p := recv(KindPairs, 500); !same(p, small) {
+		t.Fatal("a 500-byte pairs payload did not take the smallest free buffer that holds it")
+	} else {
+		Recycle(p)
+	}
+	if p := recv(KindData, 2000); !same(p, large) {
+		t.Fatal("a 2000-byte data payload did not take the one free buffer that holds it")
+	}
+	if p := recv(KindMig, 100); same(p, small) {
+		t.Fatal("a migration payload was read into a free buffer")
+	}
+	if p := recv(KindData, 700); same(p, small) || cap(p) != 700 {
+		t.Fatalf("a 700-byte payload with no free buffer that holds it got capacity %d, want a fresh 700", cap(p))
+	}
+
+	Recycle(make([]byte, freeBufMax+1))
+	for i := 1; i < freeBufs; i++ {
+		Recycle(make([]byte, 1000+i))
+	}
+	Recycle(make([]byte, 5000))
+	freeList.Lock()
+	n, caps := freeList.n, make([]int, 0, freeBufs)
+	for _, b := range freeList.bufs[:freeList.n] {
+		caps = append(caps, cap(b))
+	}
+	freeList.Unlock()
+	if n != freeBufs || slices.Contains(caps, 600) || !slices.Contains(caps, 5000) || slices.Contains(caps, freeBufMax+1) {
+		t.Fatalf("free list after overfilling holds capacities %v", caps)
 	}
 }
 
