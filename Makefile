@@ -52,7 +52,7 @@ race-shared:
 	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
 	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias)$$' ./internal/core/)
 	@$(call race_run,core-control,-run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/)
-	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestEveryViewIsAWriterWindow)$$' ./internal/join/)
+	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestCaptureWhileOwnerAddsUMetaColumn|TestBlockLayoutDifferential|TestEveryViewIsAWriterWindow)$$' ./internal/join/)
 
 # race_run,<set>,<go test arguments>: one -race -count=20 -v run into
 # $(RACE_LOGS)/<set>.log, reporting its wall time.

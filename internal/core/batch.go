@@ -55,6 +55,11 @@ type envelope struct {
 	// block could not take (row i holding tuples[win.Len()+i]), else
 	// nothing (join.BlockWriter.AppendPacked).
 	win, rest join.Window
+	// derived reports that every body tuple's U is join.UMix(seed, Seq) for
+	// the operator seed: the reshuffler derived each one, so the line's
+	// writer stores the seed instead of testing every row
+	// (join.BlockWriter.AppendPacked).
+	derived bool
 	// refs counts the destinations that have not released the envelope.
 	refs atomic.Int32
 	// recycled counts the envelope's returns to the pool. Only the last
@@ -89,6 +94,7 @@ func (e *envelope) release() {
 	e.hdr = message{}
 	e.bytes = 0
 	e.win, e.rest = join.Window{}, join.Window{}
+	e.derived = false
 	e.recycled++
 	envPool.Put(e)
 }

@@ -79,27 +79,13 @@ import (
 // Restore rebuilds joiner state through the same MergeFrom/adopt()
 // whole-block install path migration finalization uses — each table
 // entry decoded once, into one block every joiner that names it views —
-// then replays the log. Routing is deterministic in (seed, seq) — see uMix — so a
+// then replays the log. Routing is deterministic in (seed, seq) — see join.UMix — so a
 // replayed tuple that was already inside the cut lands on the joiners
 // that restored it and is dropped by their sequence-number filter.
 
 // ErrNoBackend is returned by Checkpoint when the operator was built
 // without a storage backend.
 var ErrNoBackend = errors.New("core: checkpointing requires a storage backend (Config.Backend)")
-
-// uMix derives a tuple's routing value from the operator seed and the
-// tuple's ingestion sequence number (splitmix64 finalizer): the same
-// tuple routes to the same partition on replay, no matter which
-// reshuffler handles it, which is what lets restored joiners filter
-// replayed duplicates by sequence number alone.
-func uMix(seed, seq uint64) uint64 {
-	z := seq + seed*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
-}
 
 // ReplayLog is the upstream backup on the ingest edge (§4.3.3): one
 // append-only ring per reshuffler source ring, holding every accepted

@@ -621,7 +621,7 @@ func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
 		}
 		switch {
 		case !trees:
-			lines[s].w.Reset(local, index)
+			lines[s].w.Reset(local, index, uint64(op.cfg.Seed))
 		case local > 1:
 			// One reader would insert each row at the same cost into its
 			// own tree.

@@ -145,11 +145,13 @@ func mixedStream(rng *rand.Rand, nR, nS int, keys int64) []join.Tuple {
 // behind what it stores. On the equi grid the joiners of a row
 // (column) view one copy of its tuples' columns and read the line's one
 // slot index over them, so a stored replica costs at least its share of
-// the columns and chain links, 44/4 bytes, and a share of the line's
-// directory below the 8 bytes a single slot costs: a joiner that builds
-// its own directory again (16.8 B per replica at this load) fails. The
-// operator-wide figure must stay below the 44 bytes a private copy's
-// columns and chain link would take alone. On the band grid the joiners
+// the columns and chain links, 28/4 bytes (a row's key, aux and seq
+// columns, 24 B, its block deriving u and meta, and its 4-byte chain
+// link), and a share of the line's directory below the 8 bytes a single
+// slot costs: a joiner that builds its own directory again (16.8 B per
+// replica at this load) fails. The operator-wide figure must stay below
+// the 28 bytes a private copy's columns and chain link would take
+// alone. On the band grid the joiners
 // of a line read the line's one tree, charged once per line: a replica
 // costs at least a quarter of the 40 leaf bytes a row takes, a share of
 // the inner nodes below 8 bytes, and less in all than the 40 bytes of
@@ -162,7 +164,7 @@ func TestJoinerFootprintGauges(t *testing.T) {
 		pred  join.Predicate
 		whole float64 // bytes per row of a private copy's columns
 	}{
-		{"equi", join.EquiJoin("eq", nil), 44},
+		{"equi", join.EquiJoin("eq", nil), 28},
 		{"band", join.BandJoin("band", 8, nil), 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,6 +26,7 @@ func TestPoolRoundTripAllocFree(t *testing.T) {
 		}},
 		{"items", func() { putItems(append(getItems(DefaultBatchSize), join.Tuple{})) }},
 		{"wire", func() { putWire(append(getWire(), 1)) }},
+		{"queued", func() { putQueued(append(getQueued(92), 1)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,9 +28,10 @@ import (
 // Every data, pair and ack frame buffer has an owner that hands it
 // back, so a steady stream allocates none. Outbound, sendData encodes a
 // data frame into a wire buffer (getWire) and returns it once the link
-// has sent it; queuePairs and queueAck encode into wire buffers too,
-// and the writer returns them after SendFrames has copied them onto the
-// link (recycleSent). Inbound, a TCP link reads each data and pairs
+// has sent it; queuePairs and queueAck encode into buffers sized to
+// their frames (getQueued), since a frame may wait in the out-queue
+// behind many others, and the writer returns them after SendFrames has
+// copied them onto the link (recycleSent). Inbound, a TCP link reads each data and pairs
 // payload into a buffer of its free list, and the receiver hands it
 // back with transport.Recycle once it has decoded it: the worker's
 // receive loop after fanOut (the envelope holds copies of every record,
@@ -130,14 +131,16 @@ func (p *remotePeer) queueMig(dest int, m message) {
 	p.queueFrame(transport.Frame{Kind: transport.KindMig, Payload: payload})
 }
 
-// queueAck and queuePairs encode into wire buffers (getWire), which
-// the writer returns once the link has sent them (recycleSent).
+// queueAck and queuePairs encode into buffers of less than twice their
+// frame's bytes (getQueued), which the writer returns once the link has
+// sent them (recycleSent): a backed-up out-queue pins what it holds,
+// not a wire buffer per frame.
 func (p *remotePeer) queueAck(id int) {
-	p.queueFrame(transport.Frame{Kind: transport.KindAck, Payload: appendAck(getWire(), id)})
+	p.queueFrame(transport.Frame{Kind: transport.KindAck, Payload: appendAck(getQueued(4), id)})
 }
 
 func (p *remotePeer) queuePairs(id int, ps []join.Pair) {
-	p.queueFrame(transport.Frame{Kind: transport.KindPairs, Payload: appendPairs(getWire(), id, ps)})
+	p.queueFrame(transport.Frame{Kind: transport.KindPairs, Payload: appendPairs(getQueued(pairsSize(ps)), id, ps)})
 }
 
 func (p *remotePeer) queueDone() {
@@ -192,15 +195,15 @@ func (p *remotePeer) writer() error {
 	}
 }
 
-// recycleSent returns the wire buffers of a batch the link has sent —
-// the pair and ack payloads queuePairs and queueAck encoded — to the
-// wire pool, and clears batch so it pins no payload. Every other
+// recycleSent returns the buffers of a batch the link has sent — the
+// pair and ack payloads queuePairs and queueAck encoded — to their
+// pools, and clears batch so it pins no payload. Every other
 // payload (a migration message, a relayed frame) is garbage once
 // written.
 func recycleSent(batch []transport.Frame) {
 	for _, f := range batch {
 		if f.Kind == transport.KindPairs || f.Kind == transport.KindAck {
-			putWire(f.Payload)
+			putQueued(f.Payload)
 		}
 	}
 	clear(batch)

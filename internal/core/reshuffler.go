@@ -47,7 +47,7 @@ type reshuffler struct {
 	table   []int
 	epoch   uint32
 
-	// seed feeds the deterministic routing mix (uMix): every reshuffler
+	// seed feeds the deterministic routing mix (join.UMix): every reshuffler
 	// shares the operator seed, so a tuple's partition depends only on
 	// its sequence number — replay after restore routes it identically
 	// no matter which reshuffler handles it the second time.
@@ -262,19 +262,22 @@ func (r *reshuffler) disarmLinger() {
 	r.lingerArmed = false
 }
 
-// buffer appends one routed tuple, with its routing value u, to slot
-// s's pending envelope, shipping the envelope when it reaches capacity:
+// buffer appends one routed tuple, with its routing value u — derived
+// when the reshuffler computed it as join.UMix(seed, Seq) — to slot s's
+// pending envelope, shipping the envelope when it reaches capacity:
 // the batch size, or a block (join.WindowRows) on every line of an
 // operator whose joiners store windows, since a line's writer here or
 // a worker's receive loop writes a body into at most two blocks, the
 // open one and the next.
-func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64) {
+func (r *reshuffler) buffer(s int, t *join.Tuple, u uint64, derived bool) {
 	e := r.out[s]
 	if e == nil {
 		e = getEnvelope(r.batchSize)
 		e.hdr = message{kind: kTuple, from: r.id, epoch: r.epoch}
+		e.derived = true
 		r.out[s] = e
 	}
+	e.derived = e.derived && derived
 	e.tuples = append(e.tuples, *t)
 	e.tuples[len(e.tuples)-1].U = u
 	e.bytes += t.Bytes()
@@ -337,7 +340,7 @@ func (r *reshuffler) ship(s int, cause *atomic.Int64) {
 		if l.tree != nil {
 			e.win = l.tree.Append(e.tuples)
 		} else {
-			e.win, e.rest = l.w.AppendPacked(e.tuples)
+			e.win, e.rest = l.w.AppendPacked(e.tuples, e.derived)
 		}
 	}
 	r.broadcast(r.slotDests(s), e)
@@ -550,12 +553,13 @@ func (r *reshuffler) routeBatch(items []join.Tuple) {
 	for i := range items {
 		t := &items[i]
 		u := t.U
+		derived := false
 		if u == 0 {
 			if t.Seq != 0 {
 				// Deterministic in (seed, seq): a replayed tuple routes to
 				// the same partition after a restore, so the joiners that
 				// restored it can drop it by sequence number.
-				u = uMix(r.seed, t.Seq)
+				u, derived = join.UMix(r.seed, t.Seq), true
 			} else {
 				// Reshuffler-generated dummies (Seq 0) keep the rng draw;
 				// they never match a predicate, so replay divergence is
@@ -571,7 +575,7 @@ func (r *reshuffler) routeBatch(items []join.Tuple) {
 			s = m.N + m.ColOf(u)
 			routed += int64(m.N)
 		}
-		r.buffer(s, t, u)
+		r.buffer(s, t, u, derived)
 	}
 	r.opm.RoutedMessages.Add(routed)
 }
@@ -589,15 +593,15 @@ func (r *reshuffler) hashBatch(items []join.Tuple) {
 		if t.Rel != matrix.SideR {
 			s++
 		}
-		r.buffer(s, t, t.U)
+		r.buffer(s, t, t.U, false)
 	}
 	r.opm.RoutedMessages.Add(int64(len(items)))
 }
 
 // HashPartition is the hash route's partition function: the joiner, of
-// j, that key hashes to (a splitmix64 finalizer of the key, uMix with a
+// j, that key hashes to (a splitmix64 finalizer of the key, join.UMix with a
 // zero seed, reduced modulo j).
-func HashPartition(key int64, j int) int { return int(uMix(0, uint64(key)) % uint64(j)) }
+func HashPartition(key int64, j int) int { return int(join.UMix(0, uint64(key)) % uint64(j)) }
 
 // route routes one tuple (the dummy-injection path; data tuples go
 // through routeBatch).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -698,6 +699,68 @@ func TestSharedBlocksPacked(t *testing.T) {
 			checkPackedBlocks(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 		}
 	})
+}
+
+// TestWorkerEmptyPayloadStretches feeds alternating stretches of 1 500
+// tuples with empty payloads and with payload bytes through two
+// loopback workers. A frame of empty payloads must open its line's
+// block with a payload column, as in process, so every block but a
+// line's open one still holds a block's rows; and every sink must see
+// the nil or empty payloads an in-process sink sees.
+func TestWorkerEmptyPayloadStretches(t *testing.T) {
+	pred := join.EquiJoin("eq", nil)
+	rng := rand.New(rand.NewSource(65))
+	tuples := mixedStream(rng, 6000, 6000, 3000)
+	for i := range tuples {
+		tuples[i].Aux = int64(i)
+		tuples[i].Payload = []byte{}
+		if i/1500%2 == 1 {
+			tuples[i].Payload = []byte{byte(i), byte(i >> 8)}
+		}
+	}
+	stampSeqs(tuples, 0)
+	// nilness maps each pair, by its tuples' Aux, to whether its R and
+	// S payloads are nil.
+	run := func(cfg Config) (map[[2]int64][2]bool, *Operator) {
+		var mu sync.Mutex
+		got := map[[2]int64][2]bool{}
+		cfg.EmitBatch = func(ps []join.Pair) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, p := range ps {
+				got[[2]int64{p.R.Aux, p.S.Aux}] = [2]bool{p.R.Payload == nil, p.S.Payload == nil}
+			}
+		}
+		op := mustOperator(t, cfg)
+		op.Start()
+		if err := op.SendBatch(tuples); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Finish(); err != nil {
+			t.Fatalf("operator error: %v", err)
+		}
+		return got, op
+	}
+	// One reshuffler: every line's frames arrive in stream order, so a
+	// block opened by a stretch of empty payloads meets the next
+	// stretch's payloads before it fills.
+	cfg := Config{J: 16, Pred: pred, Initial: matrix.Mapping{N: 4, M: 4}, NumReshufflers: 1, BatchSize: 100, Seed: 7}
+	want, op := run(cfg)
+	checkPackedBlocks(t, "", op.joiners)
+	addrs, wait := serveWorkers(t, 2)
+	cfg.Workers = addrs
+	got, _ := run(cfg)
+	for i, wop := range wait() {
+		checkPackedBlocks(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
+	}
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("workers emitted %d pairs, in process %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Fatalf("pair %v: payloads nil %v over workers, %v in process", k, g, w)
+		}
+	}
 }
 
 // checkPackedBlocks requires every block a store of js views, but the

@@ -101,7 +101,7 @@ func TestSHJShardIsKeyHash(t *testing.T) {
 	total := 0
 	for shard, ps := range rec.pairs {
 		for _, p := range ps {
-			if want := int(uMix(0, uint64(p.R.Key)) % j); shard != want {
+			if want := int(join.UMix(0, uint64(p.R.Key)) % j); shard != want {
 				t.Fatalf("key %d emitted on shard %d, hashes to %d", p.R.Key, shard, want)
 			}
 		}
@@ -121,7 +121,7 @@ func TestSHJInputIsKeyHashHistogram(t *testing.T) {
 	op.Start()
 	want := make([]int64, j)
 	for k := int64(0); k < 1000; k++ {
-		want[uMix(0, uint64(k))%j] += 2
+		want[join.UMix(0, uint64(k))%j] += 2
 		for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
 			if err := op.Send(join.Tuple{Rel: side, Key: k, Size: 8}); err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/join"
 	"repro/internal/matrix"
@@ -37,6 +38,38 @@ var wirePool slicePool[byte]
 func getWire() []byte { return wirePool.get(4096) }
 
 func putWire(b []byte) { wirePool.put(b) }
+
+// queuedPools recycles the buffers of the frames that wait in a peer's
+// out-queue (pairs and acks), one pool per power-of-two capacity from
+// 4 B to 256 KiB, so a queued frame pins less than twice its bytes
+// however far the queue backs up.
+var queuedPools [maxQueuedShift - minQueuedShift + 1]slicePool[byte]
+
+const (
+	minQueuedShift = 2  // an ack's 4 bytes
+	maxQueuedShift = 18 // writeBatchBytes
+)
+
+// getQueued returns an empty buffer for an n-byte queued frame: its
+// capacity is the power of two at or above n (at least 4), so below 2n,
+// from the pool of that size. A frame past 256 KiB gets a buffer of its
+// own, which putQueued drops.
+func getQueued(n int) []byte {
+	k := max(bits.Len(uint(max(n, 1)-1)), minQueuedShift)
+	if k > maxQueuedShift {
+		return make([]byte, 0, n)
+	}
+	return queuedPools[k-minQueuedShift].get(1 << k)
+}
+
+// putQueued recycles a buffer getQueued returned into the pool of its
+// capacity.
+func putQueued(b []byte) {
+	k := bits.Len(uint(cap(b))) - 1
+	if k >= minQueuedShift && k <= maxQueuedShift && cap(b) == 1<<k {
+		queuedPools[k-minQueuedShift].put(b)
+	}
+}
 
 // msgWireHeader is the per-message fixed prefix: kind, flags (bit0
 // expand; every other bit must be zero), from, epoch, mapping N,
@@ -77,6 +110,12 @@ func readMessage(payload []byte) (message, int, error) {
 	t, n, err := storage.ReadRecord(payload[msgWireHeader:])
 	if err != nil {
 		return message{}, 0, fmt.Errorf("%w: message tuple: %w", ErrBadEnvelope, err)
+	}
+	if t.Payload != nil && len(t.Payload) == 0 {
+		// No message ships an empty payload, and in process an empty
+		// payload on a kMigBlocks message is a block set's handle
+		// (join.PayloadBlocks): bytes off a link must never read as one.
+		return message{}, 0, fmt.Errorf("%w: message tuple with an empty payload", ErrBadEnvelope)
 	}
 	m.tuple = t
 	return m, msgWireHeader + n, nil
@@ -194,6 +233,15 @@ func decodeAck(payload []byte) (int, error) {
 		return 0, fmt.Errorf("core: ack payload is %d bytes, want 4", len(payload))
 	}
 	return int(binary.LittleEndian.Uint32(payload)), nil
+}
+
+// pairsSize is the length appendPairs encodes ps in.
+func pairsSize(ps []join.Pair) int {
+	n := 8 + 2*storage.RecordHeaderLen*len(ps)
+	for i := range ps {
+		n += len(ps[i].R.Payload) + len(ps[i].S.Payload)
+	}
+	return n
 }
 
 // appendPairs serializes a remote joiner's result run: the joiner id,

@@ -294,3 +294,78 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("hello with a retired field: %v", err)
 	}
 }
+
+// TestRecordsKeepEmptyPayloads: data frames, pairs frames and messages
+// carry a tuple's payload as it was — none, empty or bytes — so a
+// worker's frame line and a coordinator's sink see what an in-process
+// line and sink see. A message with an empty payload is malformed: in
+// process that is a block set's handle (join.PayloadBlocks).
+func TestRecordsKeepEmptyPayloads(t *testing.T) {
+	payloads := [][]byte{nil, {}, {7}, nil, {}, {}}
+	e := getEnvelope(0)
+	e.hdr = message{kind: kTuple}
+	var ps []join.Pair
+	for i, p := range payloads {
+		tp := join.Tuple{Rel: matrix.SideS, Key: int64(i), Seq: uint64(i + 1), Payload: p}
+		e.tuples = append(e.tuples, tp)
+		ps = append(ps, join.Pair{R: join.Tuple{Key: int64(i), Payload: payloads[len(payloads)-1-i]}, S: tp})
+	}
+	same := func(what string, i int, got, want []byte) {
+		t.Helper()
+		if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("%s %d: payload %#v, want %#v", what, i, got, want)
+		}
+	}
+	_, d, err := decodeData(nil, appendData(nil, []int{0}, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range e.tuples {
+		same("data tuple", i, d.tuples[i].Payload, e.tuples[i].Payload)
+	}
+	_, got, err := decodePairsInto(nil, appendPairs(nil, 3, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ps {
+		same("pair R", i, got[i].R.Payload, ps[i].R.Payload)
+		same("pair S", i, got[i].S.Payload, ps[i].S.Payload)
+	}
+	m := message{kind: kMigBlocks, tuple: join.Tuple{Payload: []byte{}}}
+	if _, _, err := decodeMig(appendMig(nil, 1, &m)); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("a message with an empty payload decoded: %v", err)
+	}
+}
+
+// TestQueuedPairsPinTheirBytes backs up an uplink's out-queue with
+// one-pair frames, as a worker does while its writer waits on a slow
+// link: the queue must pin at most twice the frames' encoded bytes, not
+// a 4 KiB wire buffer per 100-byte frame.
+func TestQueuedPairsPinTheirBytes(t *testing.T) {
+	p := newRemotePeer("test", nil, nil, func(error) {})
+	rng := rand.New(rand.NewSource(65))
+	for i := 0; i < 1000; i++ {
+		pr := join.Pair{
+			R: join.Tuple{Rel: matrix.SideR, Key: int64(i), Seq: uint64(2*i + 1)},
+			S: join.Tuple{Rel: matrix.SideS, Key: int64(i), Seq: uint64(2*i + 2)},
+		}
+		if rng.Intn(2) == 0 {
+			pr.S.Payload = make([]byte, rng.Intn(200))
+		}
+		p.queuePairs(i%16, []join.Pair{pr})
+	}
+	p.queueAck(3)
+	var held, pinned int
+	for {
+		f, ok := p.out.TryPop()
+		if !ok {
+			break
+		}
+		held += len(f.Payload)
+		pinned += cap(f.Payload)
+	}
+	if pinned > 2*held {
+		t.Fatalf("the queue pins %d bytes for %d bytes of frames", pinned, held)
+	}
+	t.Logf("the queue pins %d bytes for %d bytes of frames", pinned, held)
+}

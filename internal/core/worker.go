@@ -261,7 +261,7 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 	}
 	if len(e.tuples) > 0 && op.sharesBlocks() {
 		if b := op.frameBlock(e, dests); b != nil {
-			e.win, e.rest = b.AppendPacked(e.tuples)
+			e.win, e.rest = b.AppendPacked(e.tuples, false)
 		}
 	}
 	e.refs.Store(int32(len(dests)))
@@ -343,7 +343,7 @@ func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 		op.frameBlocks[k] = b
 	}
 	if b.sharers != len(dests) {
-		b.Reset(len(dests), indexesSlots(op.frameMigrated))
+		b.Reset(len(dests), indexesSlots(op.frameMigrated), uint64(op.cfg.Seed))
 		b.sharers = len(dests)
 	}
 	return &b.BlockWriter

@@ -13,17 +13,22 @@ import (
 // and the spill cliff of §5 depends on. It builds one HashIndex the way
 // a joiner does (batched inserts) and holds the measured
 // heap against a budget per tuple, so a slot that regrows a field, a
-// chain that moves back onto the heap, or a per-key object fails here
-// instead of in a benchmark run:
+// chain that moves back onto the heap, a block that stores a u or meta
+// column its rows do not need, or a per-key object fails here instead
+// of in a benchmark run:
 //
-//   - live heap (HeapAlloc delta after two collections): 64 B with
-//     distinct keys — 40 B columns + 4 B chain + 2.5 B size-class
-//     rounding + 16.8 B directory at load 0.48 — and 52 B with four
-//     tuples per key, where the directory's share divides by four;
-//   - allocated in total (TotalAlloc delta): 110 B, which every
-//     directory generation discarded by doubling counts against;
-//   - objects (Mallocs delta): two per block, one per directory
-//     generation, the chunk list's regrowths — nothing per key.
+//   - live heap (HeapAlloc delta after two collections): 48 B with
+//     distinct keys — 24 B columns (key, aux, seq; the block derives
+//     every u and the one meta word) + 4 B chain + 2.5 B header and
+//     size-class rounding + 16.8 B directory at load 0.48 — and 36 B
+//     with four tuples per key, where the directory's share divides by
+//     four; u values derived from a seed cost what zeros do, and
+//     caller-set ones 8 B more for the block's u column;
+//   - allocated in total (TotalAlloc delta): every directory generation
+//     discarded by doubling counts against it;
+//   - objects (Mallocs delta): two per block (three with a u column),
+//     one per directory generation, the chunk list's regrowths —
+//     nothing per key.
 //
 // It also holds Footprint(), the O(1) figure the joiner gauges export,
 // to within 2 % of the measured live heap.
@@ -33,10 +38,10 @@ import (
 // BlockWriter of fan-out 4 in windows of 32, each index storing views
 // of the windows. Without the writer's slot index (the layout a store
 // falls back to once its segment freezes) a replica costs a quarter of
-// the columns plus its own chain link, views and directory: 36 B with
-// distinct keys and 24 B with four tuples per key. The segment cases
+// the columns plus its own chain link, views and directory: 29 B with
+// distinct keys and 16 B with four tuples per key. The segment cases
 // read the writer's slot index instead, so the directory and chain
-// links are a quarter's share too: 18 B and 15 B. Their Footprint
+// links are a quarter's share too: 13 B and 10 B. Their Footprint
 // charges each reader its share of the slot index.
 func TestHashIndexFootprintBudget(t *testing.T) {
 	if raceEnabled {
@@ -47,16 +52,19 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 		n, dups       int
 		sharers       int     // 0: one index copying through its own writer
 		segment       bool    // the sharers read the writer's slot index
+		u             string  // the tuples' u: "zero", "derived" (UMix of a seed) or "caller" (drawn)
 		live, alloced float64 // budgets, bytes per stored replica
 	}{
-		{"125k-distinct", 125_000, 1, 0, false, 64, 110},
-		{"1M-distinct", 1_000_000, 1, 0, false, 64, 110},
-		{"125k-4dup", 125_000, 4, 0, false, 52, 110},
-		{"1M-4dup", 1_000_000, 4, 0, false, 52, 110},
-		{"125k-distinct-shared", 125_000, 1, 4, false, 36, 60},
-		{"125k-4dup-shared", 125_000, 4, 4, false, 24, 60},
-		{"125k-distinct-segment", 125_000, 1, 4, true, 18, 30},
-		{"125k-4dup-segment", 125_000, 4, 4, true, 15, 30},
+		{"125k-distinct", 125_000, 1, 0, false, "zero", 48, 70},
+		{"1M-distinct", 1_000_000, 1, 0, false, "zero", 48, 70},
+		{"125k-4dup", 125_000, 4, 0, false, "zero", 36, 44},
+		{"1M-4dup", 1_000_000, 4, 0, false, "zero", 36, 44},
+		{"125k-distinct-derived-u", 125_000, 1, 0, false, "derived", 48, 70},
+		{"125k-distinct-caller-u", 125_000, 1, 0, false, "caller", 56, 78},
+		{"125k-distinct-shared", 125_000, 1, 4, false, "zero", 29, 48},
+		{"125k-4dup-shared", 125_000, 4, 4, false, "zero", 16, 22},
+		{"125k-distinct-segment", 125_000, 1, 4, true, "zero", 13, 18},
+		{"125k-4dup-segment", 125_000, 4, 4, true, "zero", 10, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := make([]Tuple, tc.n)
@@ -65,6 +73,12 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 				// exactly n/dups distinct keys in scattered order.
 				key := int64(uint64(i/tc.dups) * 0x9e3779b97f4a7c15)
 				stream[i] = Tuple{Rel: matrix.SideS, Key: key, Size: 8, Seq: uint64(i + 1)}
+				switch tc.u {
+				case "derived":
+					stream[i].U = UMix(2014, stream[i].Seq)
+				case "caller":
+					stream[i].U = hashKey(int64(i)) | 1
+				}
 			}
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -81,7 +95,7 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 				for len(idxs) < tc.sharers {
 					idxs = append(idxs, NewHashIndex())
 				}
-				bw.Reset(tc.sharers, tc.segment)
+				bw.Reset(tc.sharers, tc.segment, 0)
 				writeShared(&bw, stream, 32, func(run []Tuple, w Window) {
 					for _, h := range idxs {
 						h.InsertWindow(run, w)
@@ -125,10 +139,15 @@ func TestHashIndexFootprintBudget(t *testing.T) {
 				t.Errorf("allocated %.1f B/tuple, budget %.0f", alloced, tc.alloced)
 			}
 			// Two objects per block (its columns and its chain column),
-			// then a logarithmic tail: directory generations (16 slots
-			// doubling to the final size), chunk list and block table
-			// regrowths, the index itself and test scaffolding.
-			if limit := 2*blocks + 64*uint64(len(idxs)); mallocs > limit {
+			// three with a u column, then a logarithmic tail: directory
+			// generations (16 slots doubling to the final size), chunk
+			// list and block table regrowths, the index itself and test
+			// scaffolding.
+			perBlock := uint64(2)
+			if tc.u == "caller" {
+				perBlock = 3
+			}
+			if limit := perBlock*blocks + 64*uint64(len(idxs)); mallocs > limit {
 				t.Errorf("%d mallocs for %d blocks, limit %d: something allocates per key", mallocs, blocks, limit)
 			}
 			if fp := float64(arena+dir) / n; fp < live*0.98 || fp > live*1.02 {

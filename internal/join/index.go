@@ -81,14 +81,15 @@ func NewIndex(p Predicate) Index {
 
 // probeHit is one gathered batch-probe candidate: which probe tuple of
 // the run hit, the index position of the stored row it hit, and the
-// stored row's packed meta word. The directory walk (slotReader.walk)
-// produces these; pair materialization consumes them in a tight second
-// loop. Capturing meta during gather is the block-side analogue of the
-// walk's chunked home-slot loads: the load pulls the hit's block into
-// cache while later probes are still walking the directory, so
-// materialization's column reads overlap with the gather instead of
+// stored row's packed meta word (its block's one word, or its meta
+// column's). The directory walk (slotReader.walk) produces these; pair
+// materialization consumes them in a tight second loop. Capturing meta
+// during gather is the block-side analogue of the walk's chunked
+// home-slot loads: the load pulls the hit's block header into cache
+// while later probes are still walking the directory, so
+// materialization's reads overlap with the gather instead of
 // serializing behind it — and the captured word lets materialize
-// reject dummy hits before touching the block at all.
+// reject dummy hits before touching the block's columns at all.
 type probeHit struct {
 	probe int32
 	off   int32
@@ -126,21 +127,25 @@ const maxHitsCap = 1 << 15
 // line's index (segment):
 //
 //	                    own       shared   segment (m = 4)
-//	arena columns        40.0      10.0     10.0   (40 / m)
-//	block rounding        2.5       0.6      0.6   (20.0 KB in a 21.25 KB size class)
+//	arena columns        24.0       6.0      6.0   (key, aux, seq; 24 / m)
+//	block rounding        2.5       0.6      0.6   (12.1 KB in a 13.25 KB size class)
 //	chain column          4.0       4.0      1.0   (per replica, or once per line)
 //	views                 0.0     0-0.5    0-0.5   (16 B per window a block's next one does not extend)
 //	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per line)
-//	total                63.3      31.5     15.9
+//	total                47.3      27.4     11.8
 //
-// BenchmarkRowInsertProbe measures the shared and segment columns on a
-// whole grid with one writer per line: 31.5 B ("own") and 15.9 B
-// ("slot") per stored replica. With d duplicates per key the directory
-// share divides by d (4.2 B at d = 4, for totals of 50.8, 18.9 and
-// 12.8 B). What remains after this layout: the 8-byte meta word (34
-// bits used), the U column (only the migration selection and discards
-// read it), the unfilled rows of each line's open shared block, and
-// whatever headroom GOGC leaves on top of the live heap.
+// The block header derives every row's u (zero, or UMix of its seed
+// and the row's seq) and meta word; a block whose rows need them pays
+// 8 B a row for an explicit u column and 8 B for a meta column
+// (arena.go): 55.5 B for an own index of caller-set u values.
+// TestHashIndexFootprintBudget measures 47.5, 27.5 and 11.9 B, the
+// same with derived u values; BenchmarkRowInsertProbe measures the shared
+// and segment columns on a whole grid with one writer per line ("own"
+// and "slot"). With d duplicates per key the directory share divides by
+// d (4.2 B at d = 4, for totals of 34.9, 14.9 and 8.8 B measured). What
+// remains after this layout: the unfilled rows of each line's open
+// shared block, and whatever headroom GOGC leaves on top of the live
+// heap.
 //
 // Every directory grows by one rule: when the next distinct key would
 // pass the 3/4 load, every word is re-placed into a directory twice the
@@ -357,8 +362,9 @@ func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples.
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 
-// Retain drops the tuples whose u is outside keep: the u-column pass
-// of tupleArena.retain copies the survivors through the index's own
+// Retain drops the tuples whose u is outside keep: the u pass
+// (tupleArena.filter) finds them, deriving each derived u once, and
+// tupleArena.retain copies the survivors through the index's own
 // writer into compact blocks of a fresh arena, which index them in a
 // fresh own index, in block order, so each key's chain keeps its order.
 // Retain is the migration discard, run once every slot has moved to the
@@ -367,7 +373,7 @@ func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 // Migration discards touch on the order of half the state, so the O(n)
 // rebuild matches an in-place sweep.
 func (h *HashIndex) Retain(keep matrix.Top) int {
-	removed := h.arena.dropped(keep)
+	kept, removed := h.arena.filter(keep)
 	if removed == 0 {
 		// Common for the non-splitting relation: no rebuild, but the
 		// rows the old epoch's segments served are indexed here now.
@@ -375,11 +381,11 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 		return 0
 	}
 	h.own.ix, h.segs = newSlotIndex(1), nil
-	kept, bytes := h.arena.retain(keep, &h.own)
+	arena, bytes := h.arena.retain(kept, &h.own)
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
-	kept.mutGen = h.arena.mutGen + 1
-	h.arena, h.bytes = kept, bytes
+	arena.mutGen = h.arena.mutGen + 1
+	h.arena, h.bytes = arena, bytes
 	return removed
 }
 
@@ -483,19 +489,19 @@ func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }
 
 // Retain drops the tuples whose u is outside keep, copying the
 // survivors compactly through the index's own writer
-// (tupleArena.retain). The counting pass reads only the u column, so
-// the common nothing-removed case (the non-splitting relation of a
-// migration) costs no allocation.
+// (tupleArena.retain). The counting pass reads only the u values
+// (tupleArena.filter), so the common nothing-removed case (the
+// non-splitting relation of a migration) costs no allocation.
 func (s *ScanIndex) Retain(keep matrix.Top) int {
-	removed := s.arena.dropped(keep)
+	kept, removed := s.arena.filter(keep)
 	if removed == 0 {
 		return 0
 	}
-	kept, bytes := s.arena.retain(keep, &s.own)
+	arena, bytes := s.arena.retain(kept, &s.own)
 	// The rebuild relocated every survivor: invalidate block-prefix
 	// watermarks taken against the old arena.
-	kept.mutGen = s.arena.mutGen + 1
-	s.arena, s.bytes = kept, bytes
+	arena.mutGen = s.arena.mutGen + 1
+	s.arena, s.bytes = arena, bytes
 	return removed
 }
 

@@ -27,6 +27,12 @@ import "repro/internal/matrix"
 // windows to every joiner the frame names. A tuple is thus stored and
 // indexed once per process that hosts its row or spans its column.
 //
+// A writer stores each row's key, aux and seq (24 bytes) and lets the
+// block's header derive its u and meta word (arena.go): a line's
+// writer is told by its reshuffler when every u of a run is the routing
+// mix of the operator seed it was Reset with; every other writer infers
+// the rule from a run's first row and tests the others once.
+//
 // Every store owns one more writer, for one reader, through which it
 // copies what it cannot view (copyRun, copyRow): a run without a
 // window, Retain's survivors, a restored snapshot. A hash store's own
@@ -80,9 +86,15 @@ import "repro/internal/matrix"
 //     its signal, so by the last signal a joiner holds every old-epoch
 //     window its segments name;
 //   - no header field changes once another goroutine may hold a window
-//     of the block (the writer sealed it): a payload-carrying run
-//     arriving at a sealed block without the payload column opens a new
-//     block (fits);
+//     of the block (the writer sealed it): the header — the payload, u
+//     and meta columns, the seed and the meta word — says how every
+//     row's u and meta are read, so a run whose rows need a column the
+//     sealed block lacks (a payload, a u the seed does not derive, a
+//     meta word other than the block's) opens a new block (fits), with
+//     every u or meta column the writer has needed before (open); an
+//     unsealed block gains the column in place (colChunk.widen), its
+//     written rows' derived values filled in before any reader can
+//     hold them;
 //   - nothing is pooled: the garbage collector frees a block or an index
 //     once the last arena, index, segment or envelope referencing it is
 //     gone.
@@ -151,23 +163,34 @@ type BlockWriter struct {
 	hi, pub int32
 	sharers int32
 	// sealed reports that another goroutine may hold a window of the
-	// open block, so its header (the payload column) is frozen.
+	// open block, so its header (the optional columns) is frozen.
 	sealed bool
+	// uCol and metaCol report that a block of the writer has needed an
+	// explicit u or meta column: every later block opens with it, so
+	// rows that alternate shapes cannot leave a trail of short blocks.
+	uCol, metaCol bool
+	// holds is a block whose every row the open block can take as it is
+	// (copyRow), or nil.
+	holds *colChunk
 	// ixPub is the index position the line's last published window
 	// ended at.
 	ixPub uint32
+	// seed is the routing seed of the runs AppendPacked is told are
+	// derived.
+	seed uint64
 }
 
 // Reset drops the open block and the slot index — a block or index in
 // use stays alive through the windows and segments that reference it —
 // and sets the fan-out the next block is written for: the number of
-// in-process joiners the line ships to. A fan-out of zero turns the
-// writer off; a fan-out of two or more starts a fresh, empty slot index
-// when index is set. Otherwise the readers index the windows
+// in-process joiners the line ships to, and the routing seed of the
+// runs its caller vouches are derived (AppendPacked). A fan-out of zero
+// turns the writer off; a fan-out of two or more starts a fresh, empty
+// slot index when index is set. Otherwise the readers index the windows
 // themselves: one reader would index them at the same cost through a
 // line's slot index as through its own.
-func (b *BlockWriter) Reset(sharers int, index bool) {
-	*b = BlockWriter{sharers: int32(sharers)}
+func (b *BlockWriter) Reset(sharers int, index bool, seed uint64) {
+	*b = BlockWriter{sharers: int32(sharers), seed: seed}
 	if sharers > 1 && index {
 		b.ix = newSlotIndex(int32(sharers))
 	}
@@ -176,29 +199,30 @@ func (b *BlockWriter) Reset(sharers int, index bool) {
 // Shared reports whether the line writes shared blocks at all.
 func (b *BlockWriter) Shared() bool { return b.sharers > 0 }
 
-// fits reports whether the open block can take n more rows of the
-// window being written, a payload among them when payload: false when
-// the block is full, or when the block, sealed by a published window,
-// has no payload column.
-func (b *BlockWriter) fits(n int32, payload bool) bool {
-	return b.c != nil && b.hi+n <= arenaChunk && (!payload || b.c.payload != nil || !b.sealed)
+// fits reports whether the open block can take n more rows of shape sh:
+// false when the block is full, or when the block, sealed by a
+// published window, lacks a column the rows need.
+func (b *BlockWriter) fits(n int32, sh rowShape) bool {
+	return b.c != nil && b.hi+n <= arenaChunk && (!b.sealed || b.c.holds(sh))
 }
 
-// open makes room for n rows, a payload among them when payload: a
-// fresh block when the open one cannot take them (see fits), else the
-// open one, given a payload column in place if it lacks one — until the
-// block is sealed no other goroutine holds a window of it, and no index
-// entry names it. A line's writer whose index spans maxSlotBlocks drops
-// the index at a fresh block.
-func (b *BlockWriter) open(n int32, payload bool) {
-	if !b.fits(n, payload) {
-		b.c, b.hi, b.pub, b.sealed = newChunk(payload, max(b.sharers, 1)), 0, 0, false
+// open makes room for n rows of shape sh: a fresh block when the open
+// one cannot take them (see fits), with every column the writer has
+// needed before, else the open one, given the columns it lacks in place
+// — until the block is sealed no other goroutine holds a window of it,
+// and no index entry reads anything but its keys. A line's writer whose
+// index spans maxSlotBlocks drops the index at a fresh block.
+func (b *BlockWriter) open(n int32, sh rowShape) {
+	if !b.fits(n, sh) {
+		sh.uCol, sh.metaCol = sh.uCol || b.uCol, sh.metaCol || b.metaCol
+		b.c, b.hi, b.pub, b.sealed, b.holds = newChunk(sh, max(b.sharers, 1)), 0, 0, false, nil
 		if b.sharers > 1 && b.ix != nil && b.ix.nblocks >= maxSlotBlocks {
 			b.ix = nil
 		}
-	} else if payload && b.c.payload == nil {
-		b.c.payload = make([][]byte, arenaChunk)
+	} else if !b.c.holds(sh) {
+		b.c.widen(sh, b.hi)
 	}
+	b.uCol, b.metaCol = b.uCol || b.c.u != nil, b.metaCol || b.c.meta != nil
 }
 
 // WindowRows is the longest run AppendRun writes as a window: a block.
@@ -207,14 +231,23 @@ const WindowRows = arenaChunk
 // AppendRun writes run as consecutive rows of one block and publishes
 // them to the line's readers as one Window, row i holding run[i],
 // indexed in the slot index and with the block sealed; it opens a fresh
-// block when the open one cannot take the whole run (see fits). An
-// empty run gets the zero Window. A run must fit a block (WindowRows):
-// its callers cap every shared body at one.
+// block when the open one cannot take the whole run (see fits). Each
+// row's u rule is inferred (runShape). An empty run gets the zero
+// Window. A run must fit a block (WindowRows): its callers cap every
+// shared body at one.
 func (b *BlockWriter) AppendRun(run []Tuple) Window {
 	if len(run) == 0 {
 		return Window{}
 	}
-	b.open(int32(len(run)), hasPayload(run))
+	return b.appendRun(run, runShape(run, false, 0))
+}
+
+// appendRun is AppendRun for rows of shape sh.
+func (b *BlockWriter) appendRun(run []Tuple, sh rowShape) Window {
+	if len(run) == 0 {
+		return Window{}
+	}
+	b.open(int32(len(run)), sh)
 	w := Window{c: b.c, lo: b.hi}
 	for i := range run {
 		b.c.put(b.hi, &run[i])
@@ -234,47 +267,56 @@ func (b *BlockWriter) AppendRun(run []Tuple) Window {
 // and the rest, if any, as a second Window at the head of a fresh
 // block, which continues the first in the slot index. A run the open
 // block takes whole, or none of (see fits), gets a zero second Window.
-func (b *BlockWriter) AppendPacked(run []Tuple) (w, rest Window) {
+// When derived is set the caller vouches that every row's U is
+// UMix(seed, Seq) for the seed the writer was Reset with — the routed
+// path knows which u it derived — and no row's u is tested.
+func (b *BlockWriter) AppendPacked(run []Tuple, derived bool) (w, rest Window) {
+	if len(run) == 0 {
+		return Window{}, Window{}
+	}
+	sh := runShape(run, derived, b.seed)
 	n := len(run)
-	if b.fits(1, hasPayload(run)) {
+	if b.fits(1, sh) {
 		n = min(n, int(arenaChunk-b.hi))
 	}
-	return b.AppendRun(run[:n]), b.AppendRun(run[n:])
+	return b.appendRun(run[:n], sh), b.appendRun(run[n:], sh)
 }
 
-// hasPayload reports whether any tuple of ts carries a payload.
-func hasPayload(ts []Tuple) bool {
-	for i := range ts {
-		if ts[i].Payload != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// copyRun writes ts through b into a (see next): the copy path of a
-// store's own writer.
+// copyRun writes ts through b into a, a block's worth at a time, and
+// adds what it wrote as windows: the copy path of a store's own writer.
 func (b *BlockWriter) copyRun(a *tupleArena, ts []Tuple) {
-	payload := hasPayload(ts)
-	for i := range ts {
-		c, pos := b.next(a, payload)
-		c.put(pos, &ts[i])
+	if len(ts) == 0 {
+		return
+	}
+	sh := runShape(ts, false, 0)
+	for len(ts) > 0 {
+		b.room(a, sh)
+		n := min(len(ts), int(arenaChunk-b.hi))
+		for i := range ts[:n] {
+			b.c.put(b.hi, &ts[i])
+			b.hi++
+		}
+		ts = ts[n:]
 	}
 	b.flush(a)
 }
 
-// next makes room for one more row, one that carries a payload when
-// payload, and returns the block and the row to write it at: the step
-// of a row-at-a-time copy, which adds the window it has written so far
-// to a whenever the open block cannot take the row, and the rest with
-// flush.
-func (b *BlockWriter) next(a *tupleArena, payload bool) (*colChunk, int32) {
-	if !b.fits(1, payload) {
-		b.flush(a)
-	}
-	b.open(1, payload)
+// next makes room for one more row of shape sh and returns the block
+// and the row to write it at: the step of a row-at-a-time copy.
+func (b *BlockWriter) next(a *tupleArena, sh rowShape) (*colChunk, int32) {
+	b.room(a, sh)
 	b.hi++
 	return b.c, b.hi - 1
+}
+
+// room makes the open block ready for one more row of shape sh, first
+// adding the window written so far to a whenever the open block cannot
+// take the row; flush adds the rest.
+func (b *BlockWriter) room(a *tupleArena, sh rowShape) {
+	if !b.fits(1, sh) {
+		b.flush(a)
+	}
+	b.open(1, sh)
 }
 
 // flush adds the rows written since the last window to a, as one
@@ -317,23 +359,33 @@ func (b *BlockWriter) take(a *tupleArena, w Window) {
 // of the block to another goroutine.
 func (b *BlockWriter) seal() { b.sealed = b.sealed || b.pub > 0 }
 
-// copyRow copies the row at pos of src — its five data columns and its
-// payload — through b into a (see next) and returns the row's accounted
-// bytes: the copy behind Retain and the migration selection, which
-// never build a Tuple.
+// copyRow copies the row at pos of src — its columns and its payload —
+// through b into a and returns the row's accounted bytes: the copy
+// behind Retain and the migration selection, which never build a
+// Tuple. The open block is given every column src has, with src's seed
+// and meta word (colChunk.shape), once per source block, so a derived
+// row stays derived with nothing recomputed, and each row is copied
+// without a test of its own.
 func (b *BlockWriter) copyRow(a *tupleArena, src *colChunk, pos int32) int64 {
+	if src != b.holds || b.hi == arenaChunk {
+		b.room(a, src.shape())
+		b.holds = src
+	}
+	c, i := b.c, b.hi
+	b.hi++
+	c.key[i] = src.key[pos]
+	c.aux[i] = src.aux[pos]
+	c.seq[i] = src.seq[pos]
+	if c.u != nil {
+		c.u[i] = src.uAt(pos)
+	}
+	m := src.metaAt(pos)
+	if c.meta != nil {
+		c.meta[i] = m
+	}
 	var p []byte
 	if src.payload != nil {
 		p = src.payload[pos]
-	}
-	c, i := b.next(a, p != nil)
-	c.key[i] = src.key[pos]
-	c.aux[i] = src.aux[pos]
-	c.u[i] = src.u[pos]
-	c.seq[i] = src.seq[pos]
-	m := src.meta[pos]
-	c.meta[i] = m
-	if p != nil {
 		c.payload[i] = p
 	}
 	return metaBytes(m, p)

@@ -15,7 +15,7 @@ import (
 // each window with its run to store.
 func storeShared(ts []Tuple, sharers, batch int, store func([]Tuple, Window)) {
 	var bw BlockWriter
-	bw.Reset(sharers, true)
+	bw.Reset(sharers, true, 0)
 	writeShared(&bw, ts, batch, store)
 }
 
@@ -131,7 +131,7 @@ func comparePairs(t *testing.T, want, got []Pair) {
 func TestMergeFromAdoptsSharedViewThenExtends(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var bw BlockWriter
-	bw.Reset(3, true)
+	bw.Reset(3, true, 0)
 	seq := uint64(0)
 	window := func(n int) ([]Tuple, Window) {
 		run := make([]Tuple, n)
@@ -225,7 +225,7 @@ func TestAppendRunWindows(t *testing.T) {
 	var bws [2]BlockWriter
 	var prevs [2]Window
 	for i := range bws {
-		bws[i].Reset(sharers, true)
+		bws[i].Reset(sharers, true, 0)
 	}
 	var refOut, out []Pair
 	seq := uint64(0)
@@ -325,7 +325,7 @@ func TestEveryViewIsAWriterWindow(t *testing.T) {
 		})
 		mismatched := stream(matrix.SideS, 20, retained)
 		var bw BlockWriter
-		bw.Reset(2, false)
+		bw.Reset(2, false, 0)
 		l.InsertWindow(mismatched, bw.AppendRun(mismatched[:10]))
 		l.Retain(matrix.SideS, retained)
 

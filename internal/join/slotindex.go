@@ -350,7 +350,7 @@ func (r *slotReader) gather(head uint32, probe int32, hits []probeHit) []probeHi
 		pos := head - 1
 		e, row := &r.tbl[pos>>arenaShift], pos&(arenaChunk-1)
 		head = e.next[row]
-		hits = append(hits, probeHit{probe: probe, off: int32(pos), meta: e.c.meta[row]})
+		hits = append(hits, probeHit{probe: probe, off: int32(pos), meta: e.c.metaAt(int32(row))})
 	}
 	return hits
 }

@@ -57,7 +57,7 @@ func TestSlotIndexAsOf(t *testing.T) {
 		swaps int
 		wwg   sync.WaitGroup
 	)
-	bw.Reset(readers, true)
+	bw.Reset(readers, true, 0)
 	publish := func(run []Tuple, w Window) {
 		for _, c := range chans {
 			c <- slotMsg{run, w}
@@ -226,7 +226,7 @@ func TestProbeSkipsEmptyOwnIndex(t *testing.T) {
 		stream[i] = diffTuple(rng, uint64(i+1), rng.Int63n(700))
 	}
 	var bw BlockWriter
-	bw.Reset(2, true)
+	bw.Reset(2, true, 0)
 	stores := []*HashIndex{NewHashIndex(), NewHashIndex()}
 	ref := NewHashIndex()
 	writeShared(&bw, stream, 32, func(run []Tuple, w Window) {
@@ -318,7 +318,7 @@ func TestOwnIndexNeverDrops(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	pred := EquiJoin("eq", nil)
 	var bw BlockWriter
-	bw.Reset(2, true)
+	bw.Reset(2, true, 0)
 	viewer, copier, ref := NewHashIndex(), NewHashIndex(), NewHashIndex()
 	stream := make([]Tuple, 6*arenaChunk)
 	for i := range stream {
@@ -361,8 +361,8 @@ func TestOwnIndexNeverDrops(t *testing.T) {
 func TestInterleavedBlocksShareChainColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	var a, b BlockWriter
-	a.Reset(2, false)
-	b.Reset(2, false)
+	a.Reset(2, false, 0)
+	b.Reset(2, false, 0)
 	h, ref := NewHashIndex(), NewHashIndex()
 	var seq uint64
 	for i := 0; i < 300; i++ {
@@ -484,7 +484,7 @@ func benchGridInsertProbe(b *testing.B, writers int, slot bool) {
 	for k := range bws {
 		for rel := range bws[k] {
 			for p := range bws[k][rel] {
-				bws[k][rel][p].Reset(side, slot)
+				bws[k][rel][p].Reset(side, slot, 0)
 			}
 		}
 	}

@@ -8,10 +8,13 @@ import (
 )
 
 // Checkpoint capture and serialization of the in-memory join state.
-// The columnar arena is the unit of transfer: a colChunk is five
-// parallel columns of machine words plus an optional out-of-line
-// payload column, so a block serializes as a near-memcpy column dump
-// and deserializes into a block that can be adopted wholesale.
+// The columnar arena is the unit of transfer: a colChunk is three
+// parallel columns of machine words, a header that derives each row's
+// u and meta word unless the block has columns for them, and an
+// optional out-of-line payload column. A block serializes as five
+// words per row, derived ones written out, and deserializes into a
+// block of the header its rows need (recordShape), which can be adopted
+// wholesale.
 //
 // A snapshot is taken in two steps. Capture runs on the owning
 // goroutine at the checkpoint barrier and copies nothing but the entry
@@ -186,7 +189,8 @@ const refSize = 4 + 1 + 4 + 4
 
 // appendBlock encodes one non-empty view as a block: the fill level, a
 // payload-presence flag, the five columns of each tuple as
-// little-endian words, and the payload bytes when present.
+// little-endian words — u and meta as the block's header derives them
+// when it has no column for them — and the payload bytes when present.
 func appendBlock(buf []byte, v view) []byte {
 	c, fill := v.c, int(v.hi-v.lo)
 	buf = appendU32(buf, uint32(fill))
@@ -198,13 +202,15 @@ func appendBlock(buf []byte, v view) []byte {
 	off := len(buf)
 	buf = slices.Grow(buf, tupleBytes*fill)[:off+tupleBytes*fill]
 	w := buf[off:]
+	var ubuf [arenaChunk]uint64
+	us := c.uRows(v.lo, v.hi, &ubuf)
 	for i, pos := 0, v.lo; pos < v.hi; i, pos = i+1, pos+1 {
 		t := w[i*tupleBytes : i*tupleBytes+tupleBytes]
 		binary.LittleEndian.PutUint64(t[0:], uint64(c.key[pos]))
 		binary.LittleEndian.PutUint64(t[8:], uint64(c.aux[pos]))
-		binary.LittleEndian.PutUint64(t[16:], c.u[pos])
+		binary.LittleEndian.PutUint64(t[16:], us[i])
 		binary.LittleEndian.PutUint64(t[24:], c.seq[pos])
-		binary.LittleEndian.PutUint64(t[32:], c.meta[pos])
+		binary.LittleEndian.PutUint64(t[32:], c.metaAt(pos))
 	}
 	if hasPayload == blockPayload {
 		for _, p := range c.payload[v.lo:v.hi] {
@@ -294,15 +300,44 @@ func readBlocks(r *snapReader) (recs []blockRecord, n int) {
 	return recs, n
 }
 
+// recordShape is the shape of the rows of cols, a block record's
+// five-word rows, in a block with a payload column when payload: the u
+// rule is inferred from the first row (seedOf) and every row is tested
+// against it once, as runShape tests a run.
+func recordShape(cols []byte, payload bool) rowShape {
+	if len(cols) < tupleBytes {
+		return rowShape{payload: payload}
+	}
+	sh := rowShape{payload: payload, meta: binary.LittleEndian.Uint64(cols[32:])}
+	if u := binary.LittleEndian.Uint64(cols[16:]); u != 0 {
+		sh.derived, sh.seed = true, seedOf(u, binary.LittleEndian.Uint64(cols[24:]))
+	}
+	var uDiff, metaDiff uint64
+	for t := cols; len(t) >= tupleBytes; t = t[tupleBytes:] {
+		u, seq := binary.LittleEndian.Uint64(t[16:]), binary.LittleEndian.Uint64(t[24:])
+		if sh.derived {
+			u ^= UMix(sh.seed, seq)
+		}
+		uDiff |= u
+		metaDiff |= binary.LittleEndian.Uint64(t[32:]) ^ sh.meta
+	}
+	sh.uCol, sh.metaCol = uDiff != 0, metaDiff != 0
+	return sh
+}
+
 // decodeRow writes one row — its five columns t and, when p is
-// non-nil, the payload p starts with — as row pos of c, and returns the
-// rest of p.
+// non-nil, the payload p starts with — as row pos of c, whose header
+// holds the row's shape, and returns the rest of p.
 func decodeRow(c *colChunk, pos int32, t, p []byte) []byte {
 	c.key[pos] = int64(binary.LittleEndian.Uint64(t[0:]))
 	c.aux[pos] = int64(binary.LittleEndian.Uint64(t[8:]))
-	c.u[pos] = binary.LittleEndian.Uint64(t[16:])
 	c.seq[pos] = binary.LittleEndian.Uint64(t[24:])
-	c.meta[pos] = binary.LittleEndian.Uint64(t[32:])
+	if c.u != nil {
+		c.u[pos] = binary.LittleEndian.Uint64(t[16:])
+	}
+	if c.meta != nil {
+		c.meta[pos] = binary.LittleEndian.Uint64(t[32:])
+	}
 	if p == nil {
 		return nil
 	}
@@ -314,18 +349,20 @@ func decodeRow(c *colChunk, pos int32, t, p []byte) []byte {
 }
 
 // writeBlocks decodes the rows of recs through w into a, in order: a
-// record of a block with a payload column asks for one (BlockWriter.next).
-// A reference record adds its table entry's block through w instead
-// (BlockWriter.take). A writer that keeps an index indexes every row.
+// record asks for the shape of its rows (recordShape), a payload column
+// among it when its block had one. A reference record adds its table
+// entry's block through w instead (BlockWriter.take). A writer that
+// keeps an index indexes every row.
 func writeBlocks(recs []blockRecord, w *BlockWriter, a *tupleArena) {
 	for _, rec := range recs {
 		if rec.shared != nil {
 			w.take(a, Window{c: rec.shared.block(), lo: rec.lo, hi: rec.hi})
 			continue
 		}
+		sh := recordShape(rec.cols, rec.payloads != nil)
 		p := rec.payloads
 		for i := 0; i < len(rec.cols)/tupleBytes; i++ {
-			c, pos := w.next(a, rec.payloads != nil)
+			c, pos := w.next(a, sh)
 			p = decodeRow(c, pos, rec.cols[i*tupleBytes:(i+1)*tupleBytes], p)
 		}
 	}
@@ -1022,7 +1059,7 @@ func CountSharers(payloads [][]byte, tables []*SharedTable) error {
 // entry's rows at their own row numbers, for max(sharers, 1) stores.
 func (e *sharedEntry) block() *colChunk {
 	e.once.Do(func() {
-		c := newChunk(e.rec.payloads != nil, max(e.sharers, 1))
+		c := newChunk(recordShape(e.rec.cols, e.rec.payloads != nil), max(e.sharers, 1))
 		p := e.rec.payloads
 		for i := int32(0); i < e.hi-e.lo; i++ {
 			p = decodeRow(c, e.lo+i, e.rec.cols[i*tupleBytes:(i+1)*tupleBytes], p)

@@ -68,9 +68,8 @@ func (t Tuple) Bytes() int64 {
 }
 
 // metaWord packs the tuple's small scalar fields — Size in the low 32
-// bits, Rel at bit 32, Dummy at bit 33 — into the columnar arena's one
-// meta word, so an insert appends five dense machine words instead of
-// a 64-byte struct.
+// bits, Rel at bit 32, Dummy at bit 33 — into one word: a block keeps
+// one for all its rows unless they differ (arena.go).
 func (t Tuple) metaWord() uint64 {
 	m := uint64(uint32(t.Size)) | uint64(t.Rel&1)<<32
 	if t.Dummy {
@@ -85,6 +84,59 @@ func (t *Tuple) setMeta(m uint64) {
 	t.Rel = matrix.Side(m >> 32 & 1)
 	t.Size = int32(uint32(m))
 	t.Dummy = metaDummy(m)
+}
+
+// UMix derives a tuple's routing value from an operator seed and the
+// tuple's ingestion sequence number (splitmix64 finalizer): the u of
+// every routed tuple whose caller left U zero. The same tuple routes to
+// the same partition on replay, whichever reshuffler handles it, which
+// is what lets restored joiners filter replayed duplicates by sequence
+// number alone. It is a bijection in the seed for a fixed seq (seedOf
+// inverts it), so a block whose rows all carry derived values stores
+// one seed instead of a u column.
+func UMix(seed, seq uint64) uint64 {
+	z := seq + seed*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// The multiplicative inverses, mod 2^64, of UMix's odd constants.
+var (
+	invGolden = inverse64(0x9e3779b97f4a7c15)
+	invMix1   = inverse64(0xbf58476d1ce4e5b9)
+	invMix2   = inverse64(0x94d049bb133111eb)
+)
+
+// inverse64 returns the inverse of odd a mod 2^64 by Newton's
+// iteration: a is its own inverse mod 8, and each step doubles the
+// correct low bits (3, 6, 12, 24, 48, 96).
+func inverse64(a uint64) uint64 {
+	x := a
+	for i := 0; i < 5; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// unshift inverts z ^= z >> s.
+func unshift(z uint64, s uint) uint64 {
+	for t := z >> s; t != 0; t >>= s {
+		z ^= t
+	}
+	return z
+}
+
+// seedOf returns the one seed for which UMix(seed, seq) == u: how a
+// writer infers a block's seed from its first row when no caller vouches
+// for it.
+func seedOf(u, seq uint64) uint64 {
+	z := unshift(u, 31) * invMix2
+	z = unshift(z, 27) * invMix1
+	z = unshift(z, 30)
+	return (z-seq)*invGolden - 1
 }
 
 // metaBytes is Tuple.Bytes for a stored row, read from its packed meta

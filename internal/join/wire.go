@@ -40,7 +40,7 @@ type BlockEncoder struct {
 
 // Add buffers one tuple.
 func (e *BlockEncoder) Add(t Tuple) {
-	c, pos := e.writers[t.Rel].next(&e.arenas[t.Rel], t.Payload != nil)
+	c, pos := e.writers[t.Rel].next(&e.arenas[t.Rel], tupleShape(&t))
 	c.put(pos, &t)
 	e.bytes[t.Rel] += t.Bytes()
 	e.count++
@@ -73,9 +73,10 @@ func (e *BlockEncoder) AppendTo(buf []byte) []byte {
 
 // addSelected copies into e the tuples of idx, all of side, whose u is
 // in keep, calling ship each time e holds limit tuples, and returns how
-// many it copied. An arena-backed index (hash, scan) is read one u
-// column at a time and its survivors are copied row-wise into e's
-// blocks, with no Tuple built; an ordered index goes through Scan.
+// many it copied. An arena-backed index (hash, scan) is read one
+// block's u values at a time (uRows) and its survivors are copied
+// row-wise into e's blocks, with no Tuple built; an ordered index goes
+// through Scan.
 func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top, limit int, ship func()) int {
 	if keep.None() {
 		return 0
@@ -98,12 +99,13 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 	}
 	dst, w := &e.arenas[side], &e.writers[side]
 	n := 0
+	var buf [arenaChunk]uint64
 	for _, v := range a.chunks {
-		for pos := v.lo; pos < v.hi; pos++ {
-			if !keep.Has(v.c.u[pos]) {
+		for i, u := range v.c.uRows(v.lo, v.hi, &buf) {
+			if !keep.Has(u) {
 				continue
 			}
-			e.bytes[side] += w.copyRow(dst, v.c, pos)
+			e.bytes[side] += w.copyRow(dst, v.c, v.lo+int32(i))
 			e.count++
 			if n++; e.count >= limit {
 				ship() // resets *e in place, so dst and w stay e's side's
@@ -183,9 +185,9 @@ func DecodeBlocks(data []byte) (*BlockSet, error) {
 // is bs itself: how a block set handed over in process rides the
 // payload field that carries serialized blocks across a link, without
 // widening the message that holds it. PayloadBlocks recovers bs. A
-// serialized payload is never empty, and the record decoder returns
-// nil, not an empty slice, for an empty payload, so bytes that crossed
-// a link never read as a block set.
+// serialized payload is never empty, and core's message decoder rejects
+// a message whose payload is empty, so bytes that crossed a link never
+// read as a block set.
 func (bs *BlockSet) AsPayload() []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(bs)), 0)
 }

@@ -182,7 +182,7 @@ func (ws *sharedFixtureWriters) feed(stores []*Store, from, to int) {
 	for side, ts := range runs {
 		bw := &ws[side]
 		if !bw.Shared() {
-			bw.Reset(len(stores)-1, false)
+			bw.Reset(len(stores)-1, false, 0)
 		}
 		for len(ts) > 0 {
 			run := ts[:min(5, len(ts))]

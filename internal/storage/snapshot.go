@@ -860,6 +860,9 @@ func parseStoreSnapshot(data []byte) (storeSnap, error) {
 			if plen < 0 || off+recordHeader+plen > len(data) {
 				return ss, corruptf("store snapshot spill record %d/%d payload truncated", i, cnt)
 			}
+			if err := checkRecord(data[off:]); err != nil {
+				return ss, corruptf("store snapshot spill record %d/%d: %v", i, cnt, err)
+			}
 			t, consumed := decodeRecord(data[off:])
 			off += consumed
 			ss.recs[side] = append(ss.recs[side], t)

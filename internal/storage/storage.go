@@ -299,7 +299,31 @@ func newSegment(dir string, p join.Predicate) (*segment, error) {
 	return &segment{f: f, path: f.Name(), dir: join.NewIndex(p)}, nil
 }
 
-const recordHeader = 8 + 8 + 8 + 8 + 4 + 1 + 1 + 4 // key aux u seq size rel dummy payloadLen
+const recordHeader = 8 + 8 + 8 + 8 + 4 + 1 + 1 + 4 // key aux u seq size rel flags payloadLen
+
+// Record flag bits, the header byte after rel. An empty payload is
+// kept apart from none: a sink sees the same nil or empty payload
+// whether its pair was joined in this process or behind a link, and a
+// block writer gives a run of empty payloads the payload column a later
+// run of its block needs.
+const (
+	recDummy        = 1 << 0
+	recEmptyPayload = 1 << 1 // a non-nil payload of length zero
+)
+
+// checkRecord reports what is wrong with the header of the record at
+// the front of buf, which holds at least recordHeader bytes: a flag bit
+// no encoder writes, or a payload flagged empty with a length.
+func checkRecord(buf []byte) error {
+	flags := buf[37]
+	if flags&^(recDummy|recEmptyPayload) != 0 {
+		return fmt.Errorf("storage: record flags %#x", flags)
+	}
+	if flags&recEmptyPayload != 0 && binary.LittleEndian.Uint32(buf[38:]) != 0 {
+		return fmt.Errorf("storage: record flags an empty payload of %d bytes", binary.LittleEndian.Uint32(buf[38:]))
+	}
+	return nil
+}
 
 // encodeRecordInto serializes t into buf (grown as needed) and returns
 // the filled slice; callers reuse one scratch buffer across records.
@@ -316,12 +340,16 @@ func encodeRecordInto(buf []byte, t join.Tuple) []byte {
 	binary.LittleEndian.PutUint64(buf[24:], t.Seq)
 	binary.LittleEndian.PutUint32(buf[32:], uint32(t.Size))
 	buf[36] = byte(t.Rel)
-	// The buffer is reused, so the dummy byte must be written on both
-	// branches — a stale 1 from a previous record would otherwise leak.
-	buf[37] = 0
+	// The buffer is reused, so the flags byte is written whole — a
+	// stale bit from a previous record would otherwise leak.
+	var flags byte
 	if t.Dummy {
-		buf[37] = 1
+		flags |= recDummy
 	}
+	if t.Payload != nil && len(t.Payload) == 0 {
+		flags |= recEmptyPayload
+	}
+	buf[37] = flags
 	binary.LittleEndian.PutUint32(buf[38:], uint32(len(t.Payload)))
 	copy(buf[recordHeader:], t.Payload)
 	return buf
@@ -335,11 +363,13 @@ func decodeRecord(buf []byte) (join.Tuple, int) {
 		Seq:   binary.LittleEndian.Uint64(buf[24:]),
 		Size:  int32(binary.LittleEndian.Uint32(buf[32:])),
 		Rel:   matrix.Side(buf[36]),
-		Dummy: buf[37] == 1,
+		Dummy: buf[37]&recDummy != 0,
 	}
 	plen := int(binary.LittleEndian.Uint32(buf[38:]))
 	if plen > 0 {
 		t.Payload = append([]byte(nil), buf[recordHeader:recordHeader+plen]...)
+	} else if buf[37]&recEmptyPayload != 0 {
+		t.Payload = []byte{}
 	}
 	return t, recordHeader + plen
 }

@@ -229,6 +229,36 @@ func TestEncodeDecodeRecord(t *testing.T) {
 	}
 }
 
+// TestRecordFlags: the record keeps an empty payload apart from none,
+// and ReadRecord rejects a flag bit no encoder writes and an empty
+// payload flagged with a length.
+func TestRecordFlags(t *testing.T) {
+	for _, p := range [][]byte{nil, {}, {9}} {
+		for _, dummy := range []bool{false, true} {
+			in := join.Tuple{Rel: matrix.SideS, Key: 3, Seq: 4, Dummy: dummy, Payload: p}
+			out, n, err := ReadRecord(AppendRecord(nil, in))
+			if err != nil || n != recordHeader+len(p) {
+				t.Fatalf("payload %#v: read %d bytes, %v", p, n, err)
+			}
+			if out.Dummy != dummy || (out.Payload == nil) != (p == nil) || len(out.Payload) != len(p) {
+				t.Fatalf("payload %#v dummy %v: read back %#v dummy %v", p, dummy, out.Payload, out.Dummy)
+			}
+		}
+	}
+	for bit := 2; bit < 8; bit++ {
+		buf := AppendRecord(nil, join.Tuple{Key: 1})
+		buf[37] |= 1 << bit
+		if _, _, err := ReadRecord(buf); err == nil {
+			t.Fatalf("flag bit %d read", bit)
+		}
+	}
+	buf := AppendRecord(nil, join.Tuple{Key: 1, Payload: []byte{5}})
+	buf[37] |= recEmptyPayload
+	if _, _, err := ReadRecord(buf); err == nil {
+		t.Fatal("a one-byte payload flagged empty read")
+	}
+}
+
 func TestStoreCloseIsIdempotentEnough(t *testing.T) {
 	s := NewStore(join.EquiJoin("eq", nil), Config{CapBytes: 1, Dir: t.TempDir()})
 	s.Insert(tup(matrix.SideR, 1, 1))

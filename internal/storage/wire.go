@@ -35,11 +35,15 @@ func AppendRecord(buf []byte, t join.Tuple) []byte {
 // ReadRecord decodes one record from the front of buf, returning the
 // tuple and the bytes consumed. Unlike the spill tier's internal
 // decoder — which reads records it wrote at offsets it knows — this
-// entry point bounds-checks, so a truncated network payload surfaces
-// as an error instead of a panic.
+// entry point bounds-checks, and rejects flag bits no encoder writes,
+// so a truncated or skewed network payload surfaces as an error instead
+// of a panic or a misread.
 func ReadRecord(buf []byte) (join.Tuple, int, error) {
 	if len(buf) < recordHeader {
 		return join.Tuple{}, 0, fmt.Errorf("storage: record truncated: %d of %d header bytes", len(buf), recordHeader)
+	}
+	if err := checkRecord(buf); err != nil {
+		return join.Tuple{}, 0, err
 	}
 	plen := int(binary.LittleEndian.Uint32(buf[38:]))
 	if len(buf) < recordHeader+plen {

@@ -80,7 +80,9 @@ func (k Kind) String() string {
 // Version is the wire protocol revision, carried in every frame
 // header. A reader that sees a different version rejects the frame
 // with ErrVersionSkew — cleanly, because the magic still matched.
-const Version = 1
+// Version 2 added the record encoding's empty-payload flag, which a
+// version-1 reader would take for a non-dummy tuple with no payload.
+const Version = 2
 
 // Frame header: magic "SQW" + version byte, kind, reserved, payload
 // length (LE u32), CRC-32 (IEEE) of the payload (LE u32).
