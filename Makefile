@@ -32,7 +32,7 @@ race:
 # GOMAXPROCS to match).
 recovery-oracles:
 	$(GO) test -count=3 ./internal/faultpoint/
-	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots|BandLine' ./internal/core/
+	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|DataFrame|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots|BandLine' ./internal/core/
 	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf)$$' ./internal/join/
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
@@ -50,7 +50,7 @@ RACE_LOGS ?= race-logs
 race-shared:
 	@mkdir -p $(RACE_LOGS)
 	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
-	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias)$$' ./internal/core/)
+	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias|TestWorkerEmptyPayloadStretches|TestDataFrameBytesPerRow|TestEnvelopeRoundTrip|TestEnvelopeRejectsCorruption)$$' ./internal/core/)
 	@$(call race_run,core-control,-run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/)
 	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestCaptureWhileOwnerAddsUMetaColumn|TestBlockLayoutDifferential|TestEveryViewIsAWriterWindow)$$' ./internal/join/)
 

@@ -118,13 +118,16 @@ func TestShardedEmitExactness(t *testing.T) {
 				// The controller decides asynchronously and drops a pending
 				// expansion once the input has drained: feed the R tuples
 				// and the first 2 500 S tuples (past the check that splits),
-				// wait for the expansion to be issued, then feed the rest on
-				// the expanded grid.
+				// wait until a child joiner (id >= J) reports input — its
+				// share of the split state, which its parent sends once a
+				// reshuffler's signal for the expanded grid reaches it —
+				// then feed the rest on that grid. An issued expansion
+				// (Expansions > 0) is not yet one a reshuffler routes on.
 				feedConcurrently(t, e, rest[:2800])
 				rest = rest[2800:]
-				for deadline := time.Now().Add(30 * time.Second); e.Metrics().Expansions.Load() == 0; {
+				for deadline := time.Now().Add(30 * time.Second); !childHasInput(e.Metrics(), tc.joiners); {
 					if time.Now().After(deadline) {
-						t.Fatal("the elastic expansion was never issued")
+						t.Fatalf("no child joiner reported input; expansions issued: %d", e.Metrics().Expansions.Load())
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -174,6 +177,17 @@ func TestShardedEmitExactness(t *testing.T) {
 			}
 		})
 	}
+}
+
+// childHasInput reports whether a joiner an expansion spawned — an id
+// at or past j — has counted input.
+func childHasInput(m *squall.OperatorMetrics, j int) bool {
+	for id := j; id < m.NumJoiners(); id++ {
+		if m.JoinerStats(id).InputTuples.Load() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // feedConcurrently splits ts over four feeder goroutines, each sending

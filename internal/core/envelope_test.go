@@ -98,7 +98,7 @@ func TestRemoteEnvelopeOneFramePerWorker(t *testing.T) {
 	for w := range far {
 		near, f := transport.Pipe()
 		far[w] = f
-		p := newRemotePeer(fmt.Sprintf("worker-%d", w), near, op.stop, func(err error) { t.Error(err) })
+		p := newRemotePeer(fmt.Sprintf("worker-%d", w), near, op.met, op.stop, func(err error) { t.Error(err) })
 		p.idx = w
 		defer near.Close()
 		for id, pw := range place {

@@ -17,35 +17,34 @@ import (
 
 func FuzzDecodeData(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 8; round++ {
-		dests := make([]int, 1+round)
-		for i := range dests {
-			dests[i] = rng.Intn(256)
-		}
-		e := randomEnvelope(rng)
-		f.Add(appendData(nil, dests, e))
+	for i, sh := range bodyShapes() {
+		e := shapedEnvelope(rng, sh, 1+rng.Intn(40))
+		f.Add(appendData(nil, []int{i, i + 1}, e))
 		e.refs.Store(1)
 		e.release()
 	}
+	e := randomEnvelope(rng)
+	e.tuples = e.tuples[:0]
+	f.Add(appendData(nil, []int{0}, e))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		dests, e, err := decodeData(nil, payload)
+		dests, e, _, err := decodeData(nil, payload, wireSeed)
 		if err != nil {
 			return
 		}
 		if len(dests) == 0 || e.refs.Load() != 1 {
 			t.Fatalf("accepted %d destinations, %d references", len(dests), e.refs.Load())
 		}
-		again, e2, err := decodeData(nil, appendData(nil, dests, e))
+		again, e2, _, err := decodeData(nil, appendData(nil, dests, e), wireSeed)
 		if err != nil {
 			t.Fatalf("re-encoded envelope rejected: %v", err)
 		}
-		if !slices.Equal(again, dests) || !sameMessage(e2.hdr, e.hdr) || len(e2.tuples) != len(e.tuples) {
+		if !slices.Equal(again, dests) || !sameMessage(e2.hdr, e.hdr) || len(e2.tuples) != len(e.tuples) || e2.bytes != e.bytes {
 			t.Fatalf("envelope changed across a re-encoding: %+v vs %+v", e2.hdr, e.hdr)
 		}
 		for i := range e.tuples {
-			if !sameTuple(e2.tuples[i], e.tuples[i]) {
+			if !sameTuple(e2.tuples[i], e.tuples[i]) || (e2.tuples[i].Payload == nil) != (e.tuples[i].Payload == nil) {
 				t.Fatalf("tuple %d changed across a re-encoding", i)
 			}
 		}

@@ -218,7 +218,7 @@ func TestMigrationBlocksByReference(t *testing.T) {
 	op, sender = setup()
 	near, far := transport.Pipe()
 	defer near.Close()
-	peer := newRemotePeer("pipe", near, op.stop, func(err error) { t.Error(err) })
+	peer := newRemotePeer("pipe", near, op.met, op.stop, func(err error) { t.Error(err) })
 	op.topo.remote = []*remotePeer{nil, peer}
 	migrate(op, sender)
 	peer.queueDone()

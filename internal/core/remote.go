@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/join"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -34,12 +35,14 @@ import (
 // copied them onto the link (recycleSent). Inbound, a TCP link reads each data and pairs
 // payload into a buffer of its free list, and the receiver hands it
 // back with transport.Recycle once it has decoded it: the worker's
-// receive loop after fanOut (the envelope holds copies of every record,
-// payload bytes included) and peerRecv after a pairs frame's sink
-// returns (decodePairsInto copies too). Migration frames, hello and
-// error frames are read into fresh buffers and recycled by no one: the
-// coordinator relays a worker→worker migration frame as it arrived,
-// and the frame waits in the other peer's out-queue until written.
+// receive loop after fanOut (decodeData reads the body's columns into
+// the envelope's tuples and copies each payload out of the frame, and
+// the frame line's blocks take those tuples) and peerRecv after a
+// pairs frame's sink returns (decodePairsInto copies each record's
+// payload). Migration frames, hello and error frames are read into
+// fresh buffers and recycled by no one: the coordinator relays a
+// worker→worker migration frame as it arrived, and the frame waits in
+// the other peer's out-queue until written.
 
 // LinkError is the typed failure of a worker link: the worker's
 // address and the underlying transport error. It is what Finish (or
@@ -83,12 +86,16 @@ type remotePeer struct {
 	fail func(error)
 	// release detaches the CloseOnDone watcher on the clean path.
 	release func()
+	// met is the operator's metrics: sendData counts its frames' bytes
+	// there.
+	met *metrics.Operator
 }
 
-func newRemotePeer(name string, link transport.Link, stop <-chan struct{}, cancel func(error)) *remotePeer {
+func newRemotePeer(name string, link transport.Link, met *metrics.Operator, stop <-chan struct{}, cancel func(error)) *remotePeer {
 	p := &remotePeer{
 		name:     name,
 		link:     link,
+		met:      met,
 		out:      dataflow.NewQueue[transport.Frame](),
 		notify:   make(chan struct{}, 1),
 		stop:     stop,
@@ -103,10 +110,12 @@ func newRemotePeer(name string, link transport.Link, stop <-chan struct{}, cance
 // TCP window is the remote analogue of the bounded inbox's
 // backpressure. It holds one reference for the whole peer, released as
 // soon as the envelope is encoded, as a local joiner releases its own
-// once processed.
+// once processed. The frame's payload bytes count in
+// DataFrameBytes.
 func (p *remotePeer) sendData(dests []int, e *envelope) {
 	buf := appendData(getWire(), dests, e)
 	e.release()
+	p.met.DataFrameBytes.Add(int64(len(buf)))
 	err := p.link.Send(transport.Frame{Kind: transport.KindData, Payload: buf})
 	putWire(buf)
 	if err != nil {
@@ -282,7 +291,7 @@ func (op *Operator) connectWorkers() error {
 			_ = link.Close() // drop: the failed send is returned; the link is discarded
 			return &LinkError{Worker: addr, Err: err}
 		}
-		p := newRemotePeer(addr, link, op.stop, cancel)
+		p := newRemotePeer(addr, link, op.met, op.stop, cancel)
 		p.idx = wi
 		p.release = dataflow.CloseOnDone(op.stop, link)
 		peers[wi] = p

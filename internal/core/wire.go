@@ -15,12 +15,19 @@ import (
 // Wire form of the operator's planes, one transport frame payload per
 // hand-off. A data envelope (KindData) crosses a worker link once for
 // all the joiners it reaches there: its payload is the destination
-// count and joiner ids, the envelope header in the per-message form
-// below, the tuple count, and each tuple in the spill segment's record
-// encoding (storage.AppendRecord) — one codec for disk and network. A
+// count and joiner ids, the envelope header (the per-message form's
+// fixed prefix below and a checkpoint marker's id), and the body as
+// one column record (join.AppendColumnRecord): the key, aux and seq
+// columns, 24 bytes a row, behind a header whose rule derives every u
+// from the job's seed, which the hello already carried, or leaves it
+// zero, and holds one meta word; a u, meta or payload column follows
+// only when some row needs it. The worker reads the columns straight
+// into the envelope's tuples and writes them into its frame line under
+// the header's rule (fanOut), testing no row. A
 // migration-plane message (KindMig) is its one destination joiner id
-// followed by the message in the per-message form: a small fixed header
-// plus the tuple as a record. Framing, CRC, and versioning live one
+// followed by the message in the per-message form: a small fixed
+// header plus the tuple as a spill record (storage.AppendRecord), the
+// codec result pairs use too. Framing, CRC, and versioning live one
 // layer down in internal/transport.
 
 // ErrBadEnvelope is the error, wrapped with the details, that the frame
@@ -76,8 +83,13 @@ func putQueued(b []byte) {
 // mapping M.
 const msgWireHeader = 1 + 1 + 4 + 4 + 4 + 4
 
-// appendMessage serializes m in the per-message form onto buf.
-func appendMessage(buf []byte, m *message) []byte {
+// dataWireHeader is a data envelope header's form: the fixed prefix and
+// the one tuple field a data-plane header uses, a checkpoint marker's
+// id in tuple.Seq (message.go); no other header carries a tuple.
+const dataWireHeader = msgWireHeader + 8
+
+// appendHeader serializes m's fixed prefix onto buf.
+func appendHeader(buf []byte, m *message) []byte {
 	var flags byte
 	if m.expand {
 		flags |= 1
@@ -86,26 +98,40 @@ func appendMessage(buf []byte, m *message) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.from))
 	buf = binary.LittleEndian.AppendUint32(buf, m.epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.N))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.M))
-	return storage.AppendRecord(buf, m.tuple)
+	return binary.LittleEndian.AppendUint32(buf, uint32(m.mapping.M))
 }
 
-// readMessage parses one message in the per-message form from the
-// front of payload, returning it and the bytes it took.
-func readMessage(payload []byte) (message, int, error) {
+// readHeader parses a message's fixed prefix from the front of
+// payload.
+func readHeader(payload []byte) (message, error) {
 	if len(payload) < msgWireHeader {
-		return message{}, 0, fmt.Errorf("%w: message header truncated at %d of %d bytes", ErrBadEnvelope, len(payload), msgWireHeader)
+		return message{}, fmt.Errorf("%w: message header truncated at %d of %d bytes", ErrBadEnvelope, len(payload), msgWireHeader)
 	}
 	flags := payload[1]
 	if flags&^1 != 0 {
-		return message{}, 0, fmt.Errorf("%w: message flags %#x", ErrBadEnvelope, flags)
+		return message{}, fmt.Errorf("%w: message flags %#x", ErrBadEnvelope, flags)
 	}
-	m := message{
+	return message{
 		kind:    msgKind(payload[0]),
 		from:    int(binary.LittleEndian.Uint32(payload[2:])),
 		epoch:   binary.LittleEndian.Uint32(payload[6:]),
 		mapping: matrix.Mapping{N: int(binary.LittleEndian.Uint32(payload[10:])), M: int(binary.LittleEndian.Uint32(payload[14:]))},
 		expand:  flags&1 != 0,
+	}, nil
+}
+
+// appendMessage serializes m in the per-message form onto buf: the
+// fixed prefix, then the tuple as a record.
+func appendMessage(buf []byte, m *message) []byte {
+	return storage.AppendRecord(appendHeader(buf, m), m.tuple)
+}
+
+// readMessage parses one message in the per-message form from the
+// front of payload, returning it and the bytes it took.
+func readMessage(payload []byte) (message, int, error) {
+	m, err := readHeader(payload)
+	if err != nil {
+		return message{}, 0, err
 	}
 	t, n, err := storage.ReadRecord(payload[msgWireHeader:])
 	if err != nil {
@@ -154,35 +180,38 @@ func decodeMig(payload []byte) (dest int, m message, err error) {
 }
 
 // appendData serializes data envelope e for the joiners in dests onto
-// buf: the destination count and ids, then the envelope.
+// buf: the destination count and ids, the envelope header
+// (dataWireHeader), then the body as one column record, under the
+// derived rule when the reshuffler derived every u (envelope.derived),
+// so no row's u is written or tested.
 func appendData(buf []byte, dests []int, e *envelope) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dests)))
 	for _, d := range dests {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 	}
-	buf = appendMessage(buf, &e.hdr)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.tuples)))
-	for i := range e.tuples {
-		buf = storage.AppendRecord(buf, e.tuples[i])
-	}
-	return buf
+	buf = appendHeader(buf, &e.hdr)
+	buf = binary.LittleEndian.AppendUint64(buf, e.hdr.tuple.Seq)
+	return join.AppendColumnRecord(buf, e.tuples, e.derived)
 }
 
 // decodeData parses a data-envelope payload: the destination ids,
 // appended onto dests[:0] so the receiver reuses one buffer across
-// frames, and the envelope, decoded straight into a pooled envelope
-// holding one reference, which the caller hands on or releases. A
-// payload naming no destination is malformed.
-func decodeData(dests []int, payload []byte) ([]int, *envelope, error) {
+// frames, and the envelope, its body read from the column record
+// straight into a pooled envelope holding one reference, which the
+// caller hands on or releases, with derived u values taken from seed,
+// the job's. It returns the body's record header too, which says how
+// the rows' u and meta read. A payload naming no destination is
+// malformed.
+func decodeData(dests []int, payload []byte, seed uint64) ([]int, *envelope, join.ColumnRecord, error) {
 	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("%w: destination count truncated at %d bytes", ErrBadEnvelope, len(payload))
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: destination count truncated at %d bytes", ErrBadEnvelope, len(payload))
 	}
 	nd := uint64(binary.LittleEndian.Uint32(payload))
 	if nd == 0 {
-		return nil, nil, fmt.Errorf("%w: no destinations", ErrBadEnvelope)
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: no destinations", ErrBadEnvelope)
 	}
 	if nd > uint64((len(payload)-4)/4) {
-		return nil, nil, fmt.Errorf("%w: %d destinations claimed in %d bytes", ErrBadEnvelope, nd, len(payload)-4)
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: %d destinations claimed in %d bytes", ErrBadEnvelope, nd, len(payload)-4)
 	}
 	dests = dests[:0]
 	off := 4
@@ -190,37 +219,30 @@ func decodeData(dests []int, payload []byte) ([]int, *envelope, error) {
 		dests = append(dests, int(binary.LittleEndian.Uint32(payload[off:])))
 		off += 4
 	}
-	hdr, n, err := readMessage(payload[off:])
+	hdr, err := readHeader(payload[off:])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, join.ColumnRecord{}, err
 	}
-	off += n
-	if len(payload)-off < 4 {
-		return nil, nil, fmt.Errorf("%w: tuple count truncated", ErrBadEnvelope)
+	if len(payload)-off < dataWireHeader {
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: data header truncated at %d of %d bytes", ErrBadEnvelope, len(payload)-off, dataWireHeader)
 	}
-	count := uint64(binary.LittleEndian.Uint32(payload[off:]))
-	off += 4
-	if count > uint64((len(payload)-off)/storage.RecordHeaderLen) {
-		return nil, nil, fmt.Errorf("%w: %d tuples claimed in %d bytes", ErrBadEnvelope, count, len(payload)-off)
-	}
-	e := getEnvelope(int(count))
-	e.hdr = hdr
+	hdr.tuple.Seq = binary.LittleEndian.Uint64(payload[off+msgWireHeader:])
+	off += dataWireHeader
+	e := getEnvelope(0)
 	e.refs.Store(1)
-	for i := 0; i < int(count); i++ {
-		t, n, rerr := storage.ReadRecord(payload[off:])
-		if rerr != nil {
-			e.release()
-			return nil, nil, fmt.Errorf("%w: tuple %d: %w", ErrBadEnvelope, i, rerr)
-		}
-		off += n
-		e.tuples = append(e.tuples, t)
-		e.bytes += t.Bytes()
-	}
-	if off != len(payload) {
+	body, tuples, err := join.ReadColumnRecord(payload[off:], seed, e.tuples)
+	if err != nil {
 		e.release()
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-off)
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: body: %w", ErrBadEnvelope, err)
 	}
-	return dests, e, nil
+	e.tuples = tuples
+	if off += body.Size(); off != len(payload) {
+		e.release()
+		return nil, nil, join.ColumnRecord{}, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(payload)-off)
+	}
+	e.hdr = hdr
+	e.bytes = body.Bytes()
+	return dests, e, body, nil
 }
 
 // appendAck serializes a joiner's migration ack.

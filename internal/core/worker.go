@@ -101,7 +101,7 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 	if built != nil {
 		built(op)
 	}
-	peer := newRemotePeer("coordinator", link, op.stop, func(err error) { op.runner.Cancel(err) })
+	peer := newRemotePeer("coordinator", link, op.met, op.stop, func(err error) { op.runner.Cancel(err) })
 	peer.release = dataflow.CloseOnDone(op.stop, link)
 	remote := make([]*remotePeer, h.J)
 	for id := range remote {
@@ -197,7 +197,7 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 			case transport.KindData:
 				var derr error
 				dests, derr = op.fanOut(dests, f.Payload)
-				transport.Recycle(f.Payload) // the envelope owns copies of its tuples
+				transport.Recycle(f.Payload) // the envelope holds copies of its rows and payload bytes
 				if derr != nil {
 					return &LinkError{Worker: "coordinator", Err: derr}
 				}
@@ -240,28 +240,29 @@ func runWorkerSession(ctx context.Context, link transport.Link, h helloMsg, wcfg
 // broadcast, on the far side of the link: the references are set before
 // the first push. A body is first written into the blocks of its line
 // (frameBlock), as much as the open block takes and the rest into a
-// fresh one, when the joiners store windows (sharesBlocks), and indexed
-// in the line's index when it has one; the envelope carries the
-// windows, so the joiners it names store views of one copy of its
-// columns and read one index over them. A frame naming
+// fresh one, under the rule its column record's header states
+// (join.BlockWriter.AppendRecord), when the joiners store windows
+// (sharesBlocks), and indexed in the line's index when it has one; the
+// envelope carries the windows, so the joiners it names store views of
+// one copy of its columns and read one index over them. A frame naming
 // a joiner this process does not host, or one joiner twice, sent by a
 // reshuffler the job does not run, whose body mixes R and S tuples or,
 // when the joiners store windows, outgrows a block is rejected with
-// ErrBadEnvelope, its envelope released once. dests is
-// the decode scratch, returned for reuse. Only the session's receive
-// loop calls it.
+// ErrBadEnvelope, its envelope released once. dests is the decode
+// scratch, returned for reuse. Only the session's receive loop calls
+// it.
 func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
-	dests, e, err := decodeData(dests, payload)
+	dests, e, body, err := decodeData(dests, payload, uint64(op.cfg.Seed))
 	if err != nil {
 		return dests, err
 	}
-	if err := op.checkFrame(dests, e); err != nil {
+	if err := op.checkFrame(dests, e, body); err != nil {
 		e.release()
 		return dests, err
 	}
-	if len(e.tuples) > 0 && op.sharesBlocks() {
-		if b := op.frameBlock(e, dests); b != nil {
-			e.win, e.rest = b.AppendPacked(e.tuples, false)
+	if body.Len() > 0 && op.sharesBlocks() {
+		if b := op.frameBlock(e.hdr.epoch, body.Side(), dests); b != nil {
+			e.win, e.rest = b.AppendRecord(e.tuples, body)
 		}
 	}
 	e.refs.Store(int32(len(dests)))
@@ -273,10 +274,12 @@ func (op *Operator) fanOut(dests []int, payload []byte) ([]int, error) {
 
 // checkFrame returns the error fanOut rejects a decoded frame with, or
 // nil. A joiner named twice would store and probe the body twice, a
-// joiner stores a body as a run of its first tuple's side, and a body
-// its line writes into its blocks must fit one: the coordinator's
-// reshufflers cap every envelope of such a job at one.
-func (op *Operator) checkFrame(dests []int, e *envelope) error {
+// joiner stores a body as a run of the side its record's header names,
+// and a body its line writes into its blocks must fit one: the
+// coordinator's reshufflers cap every envelope of such a job at one.
+// Only a body whose rows carry meta words of their own can mix sides,
+// so only such a body's rows are read.
+func (op *Operator) checkFrame(dests []int, e *envelope, body join.ColumnRecord) error {
 	for i, id := range dests {
 		if !op.hostsJoiner(id) {
 			return fmt.Errorf("%w: envelope for joiner %d, not hosted here", ErrBadEnvelope, id)
@@ -288,12 +291,15 @@ func (op *Operator) checkFrame(dests []int, e *envelope) error {
 	if e.hdr.from < 0 || e.hdr.from >= op.cfg.NumReshufflers {
 		return fmt.Errorf("%w: envelope from reshuffler %d of %d", ErrBadEnvelope, e.hdr.from, op.cfg.NumReshufflers)
 	}
-	if len(e.tuples) > join.WindowRows && op.sharesBlocks() {
-		return fmt.Errorf("%w: envelope body of %d tuples, past a block of %d", ErrBadEnvelope, len(e.tuples), join.WindowRows)
+	if body.Len() > join.WindowRows && op.sharesBlocks() {
+		return fmt.Errorf("%w: envelope body of %d tuples, past a block of %d", ErrBadEnvelope, body.Len(), join.WindowRows)
 	}
-	for i := range e.tuples {
-		if e.tuples[i].Rel != e.tuples[0].Rel {
-			return fmt.Errorf("%w: envelope body mixes R and S tuples", ErrBadEnvelope)
+	if body.MetaColumn() {
+		side := body.Side()
+		for i := range e.tuples {
+			if e.tuples[i].Rel != side {
+				return fmt.Errorf("%w: envelope body mixes R and S tuples", ErrBadEnvelope)
+			}
 		}
 	}
 	return nil
@@ -317,7 +323,8 @@ type slotBlock struct {
 	sharers int
 }
 
-// frameBlock returns the shared-block writer of e's line, reset — onto
+// frameBlock returns the shared-block writer of the line of a frame of
+// epoch whose body is of side and names dests, reset — onto
 // a fresh block, and a fresh slot index when indexesSlots says so —
 // when the frame's destination count differs from the block's (a new
 // line's fan-out is 0), so a block's rows all go to one set of joiners.
@@ -327,8 +334,8 @@ type slotBlock struct {
 // pinned until the line is seen again. A frame of an older epoch than
 // the newest seen — a ∆ run of a migration in progress — gets no writer
 // (nil) and its joiners copy it through their own writers.
-func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
-	switch epoch := e.hdr.epoch; {
+func (op *Operator) frameBlock(epoch uint32, side matrix.Side, dests []int) *join.BlockWriter {
+	switch {
 	case epoch < op.frameEpoch:
 		return nil
 	case epoch > op.frameEpoch || op.frameBlocks == nil:
@@ -336,7 +343,7 @@ func (op *Operator) frameBlock(e *envelope, dests []int) *join.BlockWriter {
 		op.frameEpoch = epoch
 		op.frameBlocks = make(map[frameSlot]*slotBlock)
 	}
-	k := frameSlot{side: e.tuples[0].Rel, first: dests[0]}
+	k := frameSlot{side: side, first: dests[0]}
 	b := op.frameBlocks[k]
 	if b == nil {
 		b = &slotBlock{epoch: op.frameEpoch}

@@ -170,8 +170,8 @@ func tupleShape(t *Tuple) rowShape {
 // vouches that every row's u is UMix(seed, Seq) and no u is tested;
 // otherwise the rule is inferred from the first row (tupleShape) and
 // every row's u is tested against it once. The loops fold differences
-// into words instead of branching per row: a worker's receive loop
-// runs one per frame.
+// into words instead of branching per row: a line's writer runs one
+// per envelope.
 func runShape(run []Tuple, derived bool, seed uint64) rowShape {
 	sh := rowShape{derived: true, seed: seed, meta: run[0].metaWord()}
 	if !derived {

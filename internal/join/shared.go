@@ -23,15 +23,17 @@ import "repro/internal/matrix"
 //
 // A worker process is a block writer too: its receive loop writes the
 // body of each data frame once into the open block kept for the
-// frame's line (AppendPacked), and the decoded envelope carries the
+// frame's line (AppendRecord), and the decoded envelope carries the
 // windows to every joiner the frame names. A tuple is thus stored and
 // indexed once per process that hosts its row or spans its column.
 //
 // A writer stores each row's key, aux and seq (24 bytes) and lets the
 // block's header derive its u and meta word (arena.go): a line's
 // writer is told by its reshuffler when every u of a run is the routing
-// mix of the operator seed it was Reset with; every other writer infers
-// the rule from a run's first row and tests the others once.
+// mix of the operator seed it was Reset with, and a worker's frame line
+// takes the rule the body's column record states (record.go); every
+// other writer infers the rule from a run's first row and tests the
+// others once.
 //
 // Every store owns one more writer, for one reader, through which it
 // copies what it cannot view (copyRun, copyRow): a run without a
@@ -274,7 +276,21 @@ func (b *BlockWriter) AppendPacked(run []Tuple, derived bool) (w, rest Window) {
 	if len(run) == 0 {
 		return Window{}, Window{}
 	}
-	sh := runShape(run, derived, b.seed)
+	return b.appendPacked(run, runShape(run, derived, b.seed))
+}
+
+// AppendRecord is AppendPacked for run as ReadColumnRecord decoded it
+// from rec, with the seed the writer was Reset with: the rows take the
+// rule of the record's header, and none is tested.
+func (b *BlockWriter) AppendRecord(run []Tuple, rec ColumnRecord) (w, rest Window) {
+	if len(run) == 0 {
+		return Window{}, Window{}
+	}
+	return b.appendPacked(run, rec.shape(b.seed))
+}
+
+// appendPacked is AppendPacked for rows of shape sh.
+func (b *BlockWriter) appendPacked(run []Tuple, sh rowShape) (w, rest Window) {
 	n := len(run)
 	if b.fits(1, sh) {
 		n = min(n, int(arenaChunk-b.hi))

@@ -100,6 +100,12 @@ type Operator struct {
 	// under Alg. 3. Divide by Migrations+Expansions for a per-step
 	// figure.
 	MigrationNanos atomic.Int64
+	// DataFrameBytes counts the payload bytes of the data frames a
+	// coordinator sent over its worker links — destination ids,
+	// envelope header and body, the transport's frame header aside —
+	// so DataFrameBytes over the tuples they carried is the wire cost
+	// of a routed tuple.
+	DataFrameBytes atomic.Int64
 }
 
 // MeanBatchSize returns the realized mean tuples per data envelope, or

@@ -8,11 +8,12 @@ import (
 	"repro/internal/matrix"
 )
 
-// The spill segment's record encoding doubles as the tuple wire format
-// of the distributed data plane: internal/core serializes batch
-// envelopes (and result pairs) record by record through these exported
-// wrappers, so one codec covers disk and network and a format change
-// cannot fork the two.
+// The spill segment's record encoding doubles as a tuple wire format
+// of the distributed data plane: internal/core serializes result pairs
+// and migration messages record by record through these exported
+// wrappers, so one codec covers disk and those frames and a format
+// change cannot fork them. A data envelope's body crosses a link as a
+// column record instead (join.AppendColumnRecord).
 
 // RecordHeaderLen is the fixed prefix of an encoded record; the full
 // record is RecordHeaderLen plus the payload length it encodes.

@@ -10,8 +10,8 @@
 // (ErrBadFrame, ErrVersionSkew) instead of a misparse or a panic. The
 // frame payload is opaque here; internal/core serializes its data
 // envelopes (one per worker and flush, naming every joiner it reaches
-// there), migration messages, acks and result pairs into it, reusing
-// the spill segment's record encoding.
+// there, the body as one column record), migration messages, acks and
+// result pairs (in the spill segment's record encoding) into it.
 package transport
 
 import (
@@ -82,7 +82,10 @@ func (k Kind) String() string {
 // with ErrVersionSkew — cleanly, because the magic still matched.
 // Version 2 added the record encoding's empty-payload flag, which a
 // version-1 reader would take for a non-dummy tuple with no payload.
-const Version = 2
+// Version 3 sends a data frame's body as one column record (key, aux
+// and seq columns behind a header rule) instead of a record per tuple,
+// which a version-2 reader would take for a tuple count and records.
+const Version = 3
 
 // Frame header: magic "SQW" + version byte, kind, reserved, payload
 // length (LE u32), CRC-32 (IEEE) of the payload (LE u32).

@@ -137,6 +137,32 @@ func TestFrameVersionSkew(t *testing.T) {
 	}
 }
 
+// TestFrameVersion2Refused hand-builds a data frame as a version-2
+// peer sends it, its body a tuple count and per-tuple records: this
+// build must refuse it with ErrVersionSkew instead of handing the
+// payload to a column record decoder, read alone and off a TCP link,
+// whose receive path reads data payloads into recycled buffers.
+func TestFrameVersion2Refused(t *testing.T) {
+	if Version != 3 {
+		t.Fatalf("Version = %d; this test pins the step from 2 to 3", Version)
+	}
+	enc := AppendFrame(nil, Frame{Kind: KindData, Payload: []byte{1, 0, 0, 0, 0, 0, 0, 0}})
+	enc[3] = 2
+	_, err := ReadFrame(bytes.NewReader(enc))
+	if !errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version-2 frame: got %v, want ErrVersionSkew", err)
+	}
+	peer, link := tcpPair(t)
+	defer peer.Close()
+	defer link.Close()
+	if err := peer.(*tcpLink).sendRaw(enc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Recv(); !errors.Is(err, ErrVersionSkew) {
+		t.Fatalf("version-2 frame over TCP: got %v, want ErrVersionSkew", err)
+	}
+}
+
 // TestFrameBadKind covers the kind bounds: zero (a zeroed buffer must
 // never parse) and the first value past the last defined kind.
 func TestFrameBadKind(t *testing.T) {
