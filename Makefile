@@ -49,7 +49,7 @@ RACE_LOGS ?= race-logs
 
 race-shared:
 	@mkdir -p $(RACE_LOGS)
-	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
+	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestReplayLogBlocksMatchFlatReference|TestReplayLogReleasesCutPayloads|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
 	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias|TestWorkerEmptyPayloadStretches|TestDataFrameBytesPerRow|TestEnvelopeRoundTrip|TestEnvelopeRejectsCorruption)$$' ./internal/core/)
 	@$(call race_run,core-control,-run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/)
 	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestCaptureWhileOwnerAddsUMetaColumn|TestBlockLayoutDifferential|TestEveryViewIsAWriterWindow)$$' ./internal/join/)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -58,9 +59,10 @@ import (
 //     replica. It encodes the snapshot into one exact-size blob — the
 //     table's and every joiner's regions written in place, in
 //     parallel — commits it through the backend's atomic-rename path,
-//     and only then trims the replay log up to the cuts. A crash
-//     anywhere leaves either the previous checkpoint or the new one —
-//     never a torn mix — and the log always covers everything after
+//     and only then trims the replay log up to the cuts of the oldest
+//     generation it retains (ReplayLog; no snapshot holds the log). A
+//     crash anywhere leaves either the previous checkpoint or the new
+//     one — never a torn mix — and the log always covers everything after
 //     the newest durable cut. Each checkpoint encodes a fresh blob: a
 //     retrying backend may still be reading an abandoned attempt's.
 //     After the commit it rules on the next snapshot: a delta, unless
@@ -79,7 +81,8 @@ import (
 // Restore rebuilds joiner state through the same MergeFrom/adopt()
 // whole-block install path migration finalization uses — each table
 // entry decoded once, into one block every joiner that names it views —
-// then replays the log. Routing is deterministic in (seed, seq) — see join.UMix — so a
+// then replays the log, streamed from each ring's blocks a chunk at a
+// time. Routing is deterministic in (seed, seq) — see join.UMix — so a
 // replayed tuple that was already inside the cut lands on the joiners
 // that restored it and is dropped by their sequence-number filter.
 
@@ -92,63 +95,55 @@ var ErrNoBackend = errors.New("core: checkpointing requires a storage backend (C
 // input item until a checkpoint covering it commits durably. Appends
 // happen under the same per-ring mutex as the ring send, so log order
 // equals consumption order and a reshuffler's consumed-count at its
-// barrier is exactly a log prefix length.
+// barrier is exactly a log prefix length. Trim cuts only to the oldest
+// retained generation's cuts, so with CheckpointKeep k a ring holds
+// about k checkpoint intervals of input.
 //
-// A ring is a list of segments, so the feeder's append never copies
-// what is logged: when the newest segment is full the next one is
-// allocated at twice its capacity, from replaySegMin up to
-// replaySegMax. Growth is geometric because a segment allocation is a
-// memclr on the feeder's path — fixed small segments allocate often
-// enough to show in the send latency tail. Trim drops whole leading
-// segments and zeroes the slots it cuts from a partly covered one, and
-// the stop path's undo zeroes what it takes back, so the log pins no
-// payload it no longer holds. Len is O(1) per ring.
+// A ring keeps its items as rows of arena blocks (join.BlockLog): key,
+// aux and seq, 24 bytes a row, with the u and meta word its block's
+// header derives — logged items carry U zero unless their caller set
+// it, and R and S rows alternate, so a block has a meta column (33 B an
+// item in all) and a u or payload column only when some row needs one.
+// The feeder's append writes a block's worth of rows at a time, into
+// blocks allocated a group at a time; Trim and the stop path's undo
+// release the blocks they empty and clear the payload slots they cut,
+// so the log pins no payload it no longer holds. Len is O(1) per ring,
+// and the operator's ReplayLogItems and ReplayLogBytes gauges follow
+// every append, trim and undo.
 type ReplayLog struct {
 	rings []replayRing
 }
-
-// Replay-log segment capacities, in items (64-byte join.Tuples): 32 KB
-// for the first segment of a ring, 4 MB at the cap.
-const (
-	replaySegMin = 512
-	replaySegMax = 1 << 16
-)
 
 type replayRing struct {
 	mu sync.Mutex
 	// base counts items already trimmed: the ring's consumed-cut of the
 	// newest durable checkpoint.
 	base int64
-	// segs holds the retained items in order; each segment's length is
-	// its fill, and only the last one takes appends. head is how many
-	// leading items of segs[0] Trim has cut (and zeroed); n counts the
-	// retained items; next is the capacity of the next segment.
-	segs [][]join.Tuple
-	head int
-	n    int
-	next int
+	log  join.BlockLog
+	met  *metrics.Operator
 }
 
-func newReplayLog(numRings int) *ReplayLog {
-	return &ReplayLog{rings: make([]replayRing, numRings)}
+func newReplayLog(numRings int, met *metrics.Operator) *ReplayLog {
+	l := &ReplayLog{rings: make([]replayRing, numRings)}
+	for d := range l.rings {
+		l.rings[d].met = met
+	}
+	return l
+}
+
+// change runs fn on the ring's log and moves the gauges by what it
+// changed. The caller holds rg.mu.
+func (rg *replayRing) change(fn func(*join.BlockLog)) {
+	n0, b0 := rg.log.Len(), rg.log.Bytes()
+	fn(&rg.log)
+	rg.met.ReplayLogItems.Add(int64(rg.log.Len() - n0))
+	rg.met.ReplayLogBytes.Add(rg.log.Bytes() - b0)
 }
 
 // append logs items after the ring's retained ones, in order. The
 // caller holds rg.mu.
 func (rg *replayRing) append(items []join.Tuple) {
-	rg.n += len(items)
-	for len(items) > 0 {
-		last := len(rg.segs) - 1
-		if last < 0 || len(rg.segs[last]) == cap(rg.segs[last]) {
-			rg.next = min(max(2*rg.next, replaySegMin), replaySegMax)
-			rg.segs = append(rg.segs, make([]join.Tuple, 0, rg.next))
-			last++
-		}
-		seg := rg.segs[last]
-		k := copy(seg[len(seg):cap(seg)], items)
-		rg.segs[last] = seg[:len(seg)+k]
-		items = items[k:]
-	}
+	rg.change(func(l *join.BlockLog) { l.Append(items) })
 }
 
 // dealt counts the items ever dealt to ring d: the trimmed ones and the
@@ -157,71 +152,13 @@ func (l *ReplayLog) dealt(d int) int64 {
 	rg := &l.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	return rg.base + int64(rg.n)
+	return rg.base + int64(rg.log.Len())
 }
 
-// truncate takes back the newest items until n remain, zeroing their
-// slots and dropping segments it empties: the stop path's undo of an
-// append whose send did not happen. The caller holds rg.mu.
+// truncate takes back the newest items until n remain: the stop path's
+// undo of an append whose send did not happen. The caller holds rg.mu.
 func (rg *replayRing) truncate(n int) {
-	for drop := rg.n - n; drop > 0; {
-		last := len(rg.segs) - 1
-		seg := rg.segs[last]
-		lo := 0
-		if last == 0 {
-			lo = rg.head
-		}
-		k := min(drop, len(seg)-lo)
-		clear(seg[len(seg)-k:])
-		rg.segs[last] = seg[:len(seg)-k]
-		drop -= k
-		if len(seg)-k == lo {
-			rg.segs[last] = nil
-			rg.segs = rg.segs[:last]
-			if last == 0 {
-				rg.head = 0
-			}
-		}
-	}
-	rg.n = n
-}
-
-// cut drops the oldest drop items (all of them when drop exceeds the
-// ring): whole leading segments are released, and the slots cut from a
-// partly covered one are zeroed. The caller holds rg.mu.
-func (rg *replayRing) cut(drop int64) {
-	k := 0 // leading segments cut whole
-	for ; k < len(rg.segs) && drop > 0; k++ {
-		seg := rg.segs[k]
-		avail := len(seg) - rg.head
-		if drop < int64(avail) {
-			clear(seg[rg.head : rg.head+int(drop)])
-			rg.head += int(drop)
-			rg.n -= int(drop)
-			break
-		}
-		rg.n -= avail // the segment drops whole: nothing reaches it
-		drop -= int64(avail)
-		rg.head = 0
-	}
-	if k > 0 {
-		m := copy(rg.segs, rg.segs[k:])
-		clear(rg.segs[m:])
-		rg.segs = rg.segs[:m]
-	}
-}
-
-// each calls fn on every retained item in log order. The caller holds
-// rg.mu.
-func (rg *replayRing) each(fn func(*join.Tuple)) {
-	for i, seg := range rg.segs {
-		if i == 0 {
-			seg = seg[rg.head:]
-		}
-		for j := range seg {
-			fn(&seg[j])
-		}
-	}
+	rg.change(func(l *join.BlockLog) { l.DropNewest(l.Len() - n) })
 }
 
 // Trim drops, per ring, the items a durable checkpoint covers: the
@@ -235,7 +172,7 @@ func (l *ReplayLog) Trim(cuts []int64) {
 		rg := &l.rings[d]
 		rg.mu.Lock()
 		if drop := cuts[d] - rg.base; drop > 0 {
-			rg.cut(drop)
+			rg.change(func(l *join.BlockLog) { l.DropOldest(int(min(drop, int64(l.Len())))) })
 			rg.base = cuts[d]
 		}
 		rg.mu.Unlock()
@@ -248,37 +185,32 @@ func (l *ReplayLog) Len() int {
 	for d := range l.rings {
 		rg := &l.rings[d]
 		rg.mu.Lock()
-		n += rg.n
+		n += rg.log.Len()
 		rg.mu.Unlock()
 	}
 	return n
 }
 
-// snapshotRing copies one ring's retained items; callers replay from
-// the copy so the log's own locks stay short.
-func (l *ReplayLog) snapshotRing(d int) []join.Tuple {
+// read copies ring d's retained items from index from on into dst and
+// returns how many it copied, so a replay streams the ring a chunk at a
+// time and the log's lock stays short.
+func (l *ReplayLog) read(d, from int, dst []join.Tuple) int {
 	rg := &l.rings[d]
 	rg.mu.Lock()
-	items := make([]join.Tuple, 0, rg.n)
-	rg.each(func(t *join.Tuple) { items = append(items, *t) })
-	rg.mu.Unlock()
-	return items
+	defer rg.mu.Unlock()
+	return rg.log.Read(from, dst)
 }
 
 // maxSeq returns the largest ingestion sequence number retained.
 func (l *ReplayLog) maxSeq() uint64 {
-	var max uint64
+	var m uint64
 	for d := range l.rings {
 		rg := &l.rings[d]
 		rg.mu.Lock()
-		rg.each(func(t *join.Tuple) {
-			if s := t.Seq; s > max {
-				max = s
-			}
-		})
+		m = max(m, rg.log.MaxSeq())
 		rg.mu.Unlock()
 	}
-	return max
+	return m
 }
 
 // Checkpoint event kinds: the barrier contributions the control task
@@ -572,7 +504,9 @@ func (op *Operator) ReplayLog() *ReplayLog {
 // bumped past every logged sequence number so fresh Sends can never
 // collide with a replayed one, then the items re-enter through the
 // normal ingest edge with their original sequence numbers. Call it
-// after Start and before any new Send.
+// after Start and before any new Send. Each ring is re-sent a chunk at
+// a time, straight from its blocks, so the log must be one no operator
+// appends to or trims any more: a stopped one's.
 // Replayed items that were already inside the restored checkpoint's
 // cut route to the joiners that restored them (deterministic routing)
 // and are dropped by their sequence filters, so replaying a
@@ -589,14 +523,17 @@ func (op *Operator) ReplayFrom(log *ReplayLog) error {
 		}
 	}
 	const replayChunk = 256
+	chunk := make([]join.Tuple, replayChunk)
 	for d := range log.rings {
-		items := log.snapshotRing(d)
-		for len(items) > 0 {
-			chunk := items[:min(len(items), replayChunk)]
-			if err := op.sendItems(len(chunk), func(i int) join.Tuple { return chunk[i] }); err != nil {
+		for from := 0; ; {
+			n := log.read(d, from, chunk)
+			if n == 0 {
+				break
+			}
+			if err := op.sendItems(n, func(i int) join.Tuple { return chunk[i] }); err != nil {
 				return err
 			}
-			items = items[len(chunk):]
+			from += n
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -272,7 +273,7 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 
 	// Un-trim: rebuild a log holding the ENTIRE input, as if no trim had
 	// happened before the crash.
-	full := newReplayLog(len(op.sources))
+	full := newReplayLog(len(op.sources), new(metrics.Operator))
 	for i := range tuples {
 		d := dealTarget(tuples[i].Seq, len(op.sources))
 		full.rings[d].append([]join.Tuple{tuples[i]})

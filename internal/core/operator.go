@@ -526,7 +526,7 @@ func newOperator(cfg Config, hashed bool) *Operator {
 	}
 	op.ctl = newController(dec, op)
 	if cfg.Backend != nil {
-		op.replay = newReplayLog(cfg.NumReshufflers)
+		op.replay = newReplayLog(cfg.NumReshufflers, op.met)
 		if ks, ok := cfg.Backend.(storage.KeepSetter); ok {
 			ks.SetKeep(cfg.CheckpointKeep)
 		}
@@ -906,7 +906,7 @@ func (op *Operator) push(d int, env []join.Tuple) error {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	n0 := rg.n
+	n0 := rg.log.Len()
 	rg.append(env)
 	select {
 	case op.sources[d] <- env:

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/matrix"
+	"repro/internal/metrics"
 )
 
 // stubRingOperator is the ingest edge alone: one source ring with a
@@ -15,7 +16,7 @@ import (
 func stubRingOperator() *Operator {
 	op := &Operator{
 		sources: []chan []join.Tuple{make(chan []join.Tuple)},
-		replay:  newReplayLog(1),
+		replay:  newReplayLog(1, new(metrics.Operator)),
 	}
 	op.stop = op.runner.Done()
 	return op
@@ -31,7 +32,7 @@ func stubEnvelope(n int) []join.Tuple {
 
 func checkLogged(t *testing.T, op *Operator, n int) {
 	t.Helper()
-	items := op.replay.snapshotRing(0)
+	items := ringItems(op.replay, 0)
 	if len(items) != n {
 		t.Fatalf("replay log holds %d items, want %d", len(items), n)
 	}

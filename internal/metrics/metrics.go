@@ -106,6 +106,12 @@ type Operator struct {
 	// so DataFrameBytes over the tuples they carried is the wire cost
 	// of a routed tuple.
 	DataFrameBytes atomic.Int64
+	// ReplayLogItems and ReplayLogBytes gauge a checkpointing
+	// operator's replay log: the items it retains and what the
+	// allocator holds for its blocks, spare ones included (payload
+	// bytes aside). Every append, trim and stop-path undo moves them.
+	ReplayLogItems atomic.Int64
+	ReplayLogBytes atomic.Int64
 }
 
 // MeanBatchSize returns the realized mean tuples per data envelope, or
