@@ -172,7 +172,7 @@ func (l *ReplayLog) Trim(cuts []int64) {
 		rg := &l.rings[d]
 		rg.mu.Lock()
 		if drop := cuts[d] - rg.base; drop > 0 {
-			rg.change(func(l *join.BlockLog) { l.DropOldest(int(min(drop, int64(l.Len())))) })
+			rg.change(func(l *join.BlockLog) { l.DropOldest(int(drop)) })
 			rg.base = cuts[d]
 		}
 		rg.mu.Unlock()

@@ -14,11 +14,11 @@ import (
 // sender id, then epoch+kind+expand packed into a single word. It also
 // pins, on 64-bit, the bytes every routed tuple moves through the data
 // plane: the 64-byte join.Tuple (its Size, Rel and Dummy share one
-// word), which is also the source ring's and the replay log's item, and
-// the result Pair. A tuple lands once in the envelope of its grid row
-// or column, which every joiner of it shares, so on a (4,4) grid one
-// input tuple costs a source slot plus one envelope body slot — 128
-// bytes, where four per-joiner message copies cost 448.
+// word), which is also the source ring's item, and the result Pair. A
+// tuple lands once in the envelope of its grid row or column, which
+// every joiner of it shares, so on a (4,4) grid one input tuple costs a
+// source slot plus one envelope body slot — 128 bytes, where four
+// per-joiner message copies cost 448.
 func TestMessageLayoutHasNoPadding(t *testing.T) {
 	var m message
 	tail := unsafe.Sizeof(m.from) + unsafe.Sizeof(m.epoch) +
