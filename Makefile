@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test race race-shared recovery-oracles bench-ab profile lint fmt recover-smoke dist-smoke
+.PHONY: all build build-examples test test-slow race race-shared recovery-oracles bench-ab profile lint fmt recover-smoke dist-smoke
 
 all: build lint test
 
@@ -22,6 +22,17 @@ build-examples:
 
 test:
 	$(GO) test ./...
+
+# The 15 slowest tests (package, name, seconds): one verbose tier-1 run
+# kept in $(SLOW_LOG), listed by scripts/slowtests.sh. The target fails
+# when a test fails, after listing.
+SLOW_LOG ?= test-v.log
+
+test-slow:
+	@$(GO) test -count=1 -v ./... >$(SLOW_LOG) 2>&1; status=$$?; \
+	sh ./scripts/slowtests.sh $(SLOW_LOG); \
+	if [ $$status -ne 0 ]; then grep -E -e '--- FAIL' -e '^FAIL' $(SLOW_LOG); echo "test-slow: tests failed; full output in $(SLOW_LOG)"; fi; \
+	exit $$status
 
 race:
 	$(GO) test -race ./...

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 // TestNonPowerOfTwoJoinersCompose: a grid stage built with a joiner
@@ -29,7 +30,7 @@ func TestNonPowerOfTwoJoinersCompose(t *testing.T) {
 		t.Run(fmt.Sprintf("J=%d/adaptive", j), func(t *testing.T) {
 			ts := fluctuatingStream(int64(j))
 			e, got := c.run(t, ts, squall.WithAdaptive(), squall.WithWarmup(400))
-			checkPairs(t, got, emitOracle(ts))
+			exact.Equal(t, got, emitOracle(ts))
 			if e.Metrics().Migrations.Load() == 0 {
 				t.Fatal("no migrations: the stream must exercise the migration plane")
 			}
@@ -56,7 +57,7 @@ func TestNonPowerOfTwoJoinersCompose(t *testing.T) {
 					t.Fatalf("worker session: %v", err)
 				}
 			}
-			checkPairs(t, got, emitOracle(ts))
+			exact.Equal(t, got, emitOracle(ts))
 		})
 		t.Run(fmt.Sprintf("J=%d/elastic", j), func(t *testing.T) {
 			ts := emitStream(300, 4000, 40, int64(j)+200)
@@ -80,12 +81,12 @@ func TestNonPowerOfTwoJoinersCompose(t *testing.T) {
 			if n := e.Metrics().NumJoiners(); n != 4*grid {
 				t.Fatalf("after the expansion %d joiners run, want %d", n, 4*grid)
 			}
-			checkPairs(t, log.pairs(), emitOracle(ts))
+			exact.Equal(t, log.pairs(), emitOracle(ts))
 		})
 		t.Run(fmt.Sprintf("J=%d/batch=1", j), func(t *testing.T) {
 			ts := fluctuatingStream(int64(j) + 300)
 			_, got := c.run(t, ts, squall.WithAdaptive(), squall.WithWarmup(400), squall.WithBatchSize(1))
-			checkPairs(t, got, emitOracle(ts))
+			exact.Equal(t, got, emitOracle(ts))
 		})
 	}
 }
@@ -108,7 +109,7 @@ func (c composeCase) build(t *testing.T, sink squall.Sink, opts ...squall.Option
 
 // run drives ts through a fresh engine and returns it with the
 // multiset of emitted pairs.
-func (c composeCase) run(t *testing.T, ts []squall.Tuple, opts ...squall.Option) (squall.Engine, map[[2]int64]int) {
+func (c composeCase) run(t *testing.T, ts []squall.Tuple, opts ...squall.Option) (squall.Engine, [][2]uint64) {
 	t.Helper()
 	log := newPairLog()
 	e := c.build(t, log.sink(), opts...)
@@ -167,48 +168,43 @@ func (c composeCase) checkpointRestore(t *testing.T) {
 	if err := rop.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	got := first.cut(info.Emitted)
-	for p, n := range second.pairs() {
-		got[p] += n
-	}
-	checkPairs(t, got, emitOracle(ts))
+	exact.Equal(t, append(first.cut(info.Emitted), second.pairs()...), emitOracle(ts))
 }
 
 // pairLog collects the (R.Aux, S.Aux) identity of every emitted pair,
-// per shard in emission order.
+// per shard in emission order. The lock guards the map, which gains a
+// shard when an expansion mints a joiner id.
 type pairLog struct {
 	mu     sync.Mutex
-	shards map[int][][2]int64
+	shards map[int][][2]uint64
 }
 
-func newPairLog() *pairLog { return &pairLog{shards: map[int][][2]int64{}} }
+func newPairLog() *pairLog { return &pairLog{shards: map[int][][2]uint64{}} }
 
 func (l *pairLog) sink() squall.Sink {
 	return squall.Sharded(func(shard int, ps []squall.Pair) {
 		l.mu.Lock()
 		for i := range ps {
-			l.shards[shard] = append(l.shards[shard], [2]int64{ps[i].R.Aux, ps[i].S.Aux})
+			l.shards[shard] = append(l.shards[shard], auxKey(&ps[i].R, &ps[i].S))
 		}
 		l.mu.Unlock()
 	})
 }
 
-// pairs returns the multiset of every shard's pairs.
-func (l *pairLog) pairs() map[[2]int64]int { return l.cut(nil) }
+// pairs returns every shard's pairs.
+func (l *pairLog) pairs() [][2]uint64 { return l.cut(nil) }
 
-// cut returns the multiset of each shard's first keep[shard] pairs, or
-// of all of them when keep is nil.
-func (l *pairLog) cut(keep []int64) map[[2]int64]int {
+// cut returns each shard's first keep[shard] pairs, or all of them when
+// keep is nil.
+func (l *pairLog) cut(keep []int64) [][2]uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := map[[2]int64]int{}
+	var out [][2]uint64
 	for shard, ps := range l.shards {
 		if keep != nil {
 			ps = ps[:min(int64(len(ps)), keep[shard])]
 		}
-		for _, p := range ps {
-			out[p]++
-		}
+		out = append(out, ps...)
 	}
 	return out
 }
@@ -222,19 +218,6 @@ func sendAll(t *testing.T, e squall.Engine, ts []squall.Tuple) {
 			t.Fatal(err)
 		}
 		ts = ts[n:]
-	}
-}
-
-// checkPairs fails unless got and want are the same multiset.
-func checkPairs(t *testing.T, got, want map[[2]int64]int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
-		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 // workerBin builds cmd/joinworker once per test binary and returns its
@@ -128,13 +129,13 @@ func TestDistributedExactness(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pred squall.Predicate
-		want map[[2]int64]int
+		want [][2]uint64
 		opts []squall.Option
 	}{
 		{"default", squall.EquiJoin("dist", nil), equi, nil},
 		{"batch-1024", squall.EquiJoin("dist", nil), equi, []squall.Option{squall.WithBatchSize(1024)}},
 		{"batch-1", squall.EquiJoin("dist", nil), equi, []squall.Option{squall.WithBatchSize(1)}},
-		{"band", squall.BandJoin("dist", 2, nil), bandOracle(tuples, 2), nil},
+		{"band", squall.BandJoin("dist", 2, nil), auxPairs(squall.Band("oracle", 2), tuples), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			distributedExact(t, tc.pred, tuples, tc.want, tc.opts)
@@ -142,33 +143,16 @@ func TestDistributedExactness(t *testing.T) {
 	}
 }
 
-// bandOracle is emitOracle for a band predicate: every R and S tuple
-// whose keys lie within width of each other.
-func bandOracle(tuples []squall.Tuple, width int64) map[[2]int64]int {
-	want := map[[2]int64]int{}
-	for i := range tuples {
-		if tuples[i].Rel != squall.SideR {
-			continue
-		}
-		for j := range tuples {
-			if d := tuples[i].Key - tuples[j].Key; tuples[j].Rel == squall.SideS && d >= -width && d <= width {
-				want[[2]int64{tuples[i].Aux, tuples[j].Aux}]++
-			}
-		}
-	}
-	return want
-}
-
 // distributedExact is one TestDistributedExactness run: the adaptive
 // J=8 engine for pred on two spawned workers, with opts added.
-func distributedExact(t *testing.T, pred squall.Predicate, tuples []squall.Tuple, want map[[2]int64]int, opts []squall.Option) {
+func distributedExact(t *testing.T, pred squall.Predicate, tuples []squall.Tuple, want [][2]uint64, opts []squall.Option) {
 	w1, w2 := startWorker(t), startWorker(t)
 
 	var mu sync.Mutex
-	got := map[[2]int64]int{}
+	var got [][2]uint64
 	eng := squall.NewEngine(pred, squall.Each(func(p squall.Pair) {
 		mu.Lock()
-		got[[2]int64{p.R.Aux, p.S.Aux}]++
+		got = append(got, auxKey(&p.R, &p.S))
 		mu.Unlock()
 	}), append([]squall.Option{
 		squall.WithJoiners(8),
@@ -202,14 +186,7 @@ func distributedExact(t *testing.T, pred squall.Predicate, tuples []squall.Tuple
 	if migs := eng.Metrics().Migrations.Load(); migs == 0 {
 		t.Fatal("adaptive distributed run performed no migrations; the drill must cover remote state relocation")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
-		}
-	}
+	exact.Equal(t, got, want)
 
 	// Both workers must exit cleanly after a clean stream.
 	for i, w := range []*worker{w1, w2} {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 // emitStream builds a lopsided R-then-S-flood equi-join input (the
@@ -25,22 +26,31 @@ func emitStream(nR, nS int, dom, seed int64) []squall.Tuple {
 	return out
 }
 
-// emitOracle is the nested-loop ground truth: the multiset of
-// (R.Aux, S.Aux) identities of every matching pair.
-func emitOracle(tuples []squall.Tuple) map[[2]int64]int {
-	want := map[[2]int64]int{}
-	for i := range tuples {
-		if tuples[i].Rel != squall.SideR {
-			continue
-		}
-		for j := range tuples {
-			if tuples[j].Rel == squall.SideS && tuples[i].Key == tuples[j].Key {
-				want[[2]int64{tuples[i].Aux, tuples[j].Aux}]++
-			}
-		}
+// auxPairs is exact's pair multiset of pred over tuples, each pair
+// keyed by its members' Aux identities: a sort-merge for a
+// residual-free equi or band predicate, a nested loop over Matches
+// otherwise.
+func auxPairs(pred squall.Predicate, tuples []squall.Tuple) [][2]uint64 {
+	var sides [2][]squall.Tuple
+	for _, t := range tuples {
+		sides[t.Rel] = append(sides[t.Rel], t)
 	}
-	return want
+	if pred.Residual != nil || pred.Kind == squall.KindTheta {
+		match := func(r, s *squall.Tuple) bool { return pred.Matches(*r, *s) }
+		return exact.Theta(sides[squall.SideR], sides[squall.SideS], match, auxKey)
+	}
+	w := pred.Width
+	if pred.Kind == squall.KindEqui {
+		w = 0
+	}
+	key := func(t *squall.Tuple) (int64, bool) { return t.Key, !t.Dummy }
+	return exact.Band(sides[squall.SideR], sides[squall.SideS], w, key, auxKey)
 }
+
+// emitOracle is auxPairs of the equi-join on Key.
+func emitOracle(tuples []squall.Tuple) [][2]uint64 { return auxPairs(squall.Equi("oracle"), tuples) }
+
+func auxKey(r, s *squall.Tuple) [2]uint64 { return [2]uint64{uint64(r.Aux), uint64(s.Aux)} }
 
 // emitShardRec accumulates one shard's output. The appends are
 // deliberately unsynchronized: the Sharded contract serializes
@@ -48,7 +58,7 @@ func emitOracle(tuples []squall.Tuple) map[[2]int64]int {
 // detected race, and the CAS flag catches overlap even in non-race runs.
 type emitShardRec struct {
 	inFlight atomic.Bool
-	pairs    [][2]int64
+	pairs    [][2]uint64
 	_        [64]byte
 }
 
@@ -95,7 +105,7 @@ func TestShardedEmitExactness(t *testing.T) {
 					violations.Add(1)
 				}
 				for i := range ps {
-					sh.pairs = append(sh.pairs, [2]int64{ps[i].R.Aux, ps[i].S.Aux})
+					sh.pairs = append(sh.pairs, auxKey(&ps[i].R, &ps[i].S))
 				}
 				sh.inFlight.Store(false)
 			})
@@ -148,7 +158,7 @@ func TestShardedEmitExactness(t *testing.T) {
 			} else if m.Migrations.Load() == 0 {
 				t.Fatal("no migrations; the test must cover emission during state relocation")
 			}
-			got := map[[2]int64]int{}
+			var got [][2]uint64
 			activeShards, childShards := 0, 0
 			for id, sh := range shards {
 				if len(sh.pairs) > 0 {
@@ -157,9 +167,7 @@ func TestShardedEmitExactness(t *testing.T) {
 						childShards++
 					}
 				}
-				for _, pr := range sh.pairs {
-					got[pr]++
-				}
+				got = append(got, sh.pairs...)
 			}
 			if activeShards < 2 {
 				t.Fatalf("results arrived on %d shard(s); want the fanout spread across joiners", activeShards)
@@ -167,14 +175,7 @@ func TestShardedEmitExactness(t *testing.T) {
 			if tc.maxJoiners > 0 && childShards == 0 {
 				t.Fatalf("no shard id >= J=%d received pairs; expansion children must emit under fresh ids", tc.joiners)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("got %d distinct pairs, oracle %d", len(got), len(want))
-			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Fatalf("pair %v: got %d, oracle %d", k, got[k], n)
-				}
-			}
+			exact.Equal(t, got, want)
 		})
 	}
 }

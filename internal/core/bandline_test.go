@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -20,11 +21,11 @@ func TestBandLineTreePerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	pred := join.BandJoin("band", 3, nil)
 	tuples := mixedStream(rng, 3000, 3000, 20_000)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	for _, numRe := range []int{1, 2, 4, 8} {
 		got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: numRe}, tuples)
-		if got != want {
-			t.Fatalf("%d reshufflers: emitted %d, reference %d", numRe, got, want)
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("%d reshufflers: %s", numRe, msg)
 		}
 		if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
 			t.Fatalf("mapping %v, want (4,4)", m)
@@ -44,12 +45,10 @@ func TestBandLineTreeAcrossCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	pred := join.BandJoin("band", 2, nil)
 	tuples := mixedStream(rng, 3000, 3000, 20_000)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2,
 		Backend: storage.NewMemBackend(), CheckpointEvery: 500}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	if n := op.Metrics().Checkpoints.Load(); n < 2 {
 		t.Fatalf("%d checkpoints committed, want at least 2", n)
 	}
@@ -77,9 +76,8 @@ func TestBandLineTreeAcrossMigrationExact(t *testing.T) {
 		tuples[i] = join.Tuple{Rel: rel, Key: rng.Int63n(400), Size: 8}
 	}
 	withContent(rng, tuples)
-	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13}, tuples)
-	diffMultisets(t, got, want)
+	want := wantPairs(pred, tuples, contentOf)
+	op := runContentExact(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13}, tuples, want)
 	if op.Migrations() == 0 {
 		t.Fatal("no migration on a lopsided stream")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 )
@@ -17,11 +18,11 @@ func TestBatchSizesProduceIdenticalResults(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(41))
 	tuples := mixedStream(rng, 2500, 2500, 90)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	for _, bs := range []int{1, 2, 7, 32, 1024} {
 		got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 7, BatchSize: bs}, tuples)
-		if got != want {
-			t.Fatalf("BatchSize=%d: emitted %d, reference %d", bs, got, want)
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("BatchSize=%d: %s", bs, msg)
 		}
 		if op.Metrics().BatchesSent.Load() == 0 {
 			t.Fatalf("BatchSize=%d: no batches recorded", bs)
@@ -45,12 +46,12 @@ func TestBatchingAdaptiveMigrationExact(t *testing.T) {
 		for i := 0; i < 11000; i++ {
 			tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(60), Size: 8})
 		}
-		want := refCount(pred, tuples)
+		want := stampedPairs(pred, tuples)
 		got, op := runOperator(t, Config{
 			J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 11, BatchSize: bs,
 		}, tuples)
-		if got != want {
-			t.Fatalf("BatchSize=%d: emitted %d, reference %d (migrations=%d)", bs, got, want, op.Migrations())
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("BatchSize=%d: %s (migrations=%d)", bs, msg, op.Migrations())
 		}
 		if op.Migrations() == 0 {
 			t.Fatalf("BatchSize=%d: expected migrations on a lopsided stream", bs)
@@ -100,7 +101,7 @@ func TestBatchingElasticExpansionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 80)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{
 		J: 4, Pred: pred, Adaptive: true, Seed: 17, BatchSize: 16,
 		Warmup:             600,
@@ -109,9 +110,7 @@ func TestBatchingElasticExpansionExact(t *testing.T) {
 	if op.Metrics().Expansions.Load() == 0 {
 		t.Fatal("expected an elastic expansion")
 	}
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 }
 
 // A non-power-of-two J (12 runs an 8-joiner grid) must stay
@@ -129,11 +128,11 @@ func TestBatchingGroupedExact(t *testing.T) {
 			tuples = append(tuples, join.Tuple{Rel: side, Key: rng.Int63n(150), Size: 8})
 		}
 	}
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	for _, bs := range []int{1, 32} {
 		got, op := runOperator(t, Config{J: 12, Pred: pred, Adaptive: true, Seed: 9, BatchSize: bs}, tuples)
-		if got != want {
-			t.Fatalf("batch %d: emitted %d, reference %d (migrations=%d)", bs, got, want, op.Migrations())
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("batch %d: %s (migrations=%d)", bs, msg, op.Migrations())
 		}
 	}
 }

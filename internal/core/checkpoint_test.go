@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -16,72 +18,61 @@ import (
 // ckptKey identifies one result pair by the sequence numbers of its
 // members — unique per (r, s) combination, so multisets of keys detect
 // both lost and duplicated pairs.
-func ckptKey(p join.Pair) [2]uint64 { return [2]uint64{p.R.Seq, p.S.Seq} }
+func ckptKey(r, s *join.Tuple) [2]uint64 { return [2]uint64{r.Seq, s.Seq} }
 
-// shardRecorder is a sharded sink that keeps every emitted pair per
-// shard, in emission order — the per-shard order is what lets a test
-// truncate a shard's output to a checkpoint's emitted-count cut.
+// shardRecorder is a sharded sink that keeps every emitted pair's
+// ckptKey per shard, in emission order — the per-shard order is what
+// lets a test truncate a shard's output to a checkpoint's emitted-count
+// cut. It takes no lock: the EmitShard contract serializes same-shard
+// calls, so under -race a violation shows as a data race.
 type shardRecorder struct {
-	mu    []sync.Mutex
-	pairs [][]join.Pair
+	keys [][][2]uint64
 }
 
 func newShardRecorder(shards int) *shardRecorder {
-	return &shardRecorder{mu: make([]sync.Mutex, shards), pairs: make([][]join.Pair, shards)}
+	return &shardRecorder{keys: make([][][2]uint64, shards)}
 }
 
 func (r *shardRecorder) emit(shard int, ps []join.Pair) {
-	r.mu[shard].Lock()
-	r.pairs[shard] = append(r.pairs[shard], ps...)
-	r.mu[shard].Unlock()
-}
-
-// countPairs folds pairs into a multiset keyed by member seqs.
-func countPairs(dst map[[2]uint64]int, ps []join.Pair) {
-	for _, p := range ps {
-		dst[ckptKey(p)]++
+	for i := range ps {
+		r.keys[shard] = append(r.keys[shard], ckptKey(&ps[i].R, &ps[i].S))
 	}
 }
 
-// refPairs computes the nested-loop oracle multiset over the final
-// sequence-stamped tuples.
-func refPairs(p join.Predicate, tuples []join.Tuple) map[[2]uint64]int {
-	return refMultiset(p, tuples, ckptKey)
-}
+// all is every shard's keys in one slice.
+func (r *shardRecorder) all() [][2]uint64 { return slices.Concat(r.keys...) }
 
-// refMultiset is the nested-loop oracle with each pair folded by key.
-func refMultiset[K comparable](p join.Predicate, tuples []join.Tuple, key func(join.Pair) K) map[K]int {
-	var rs, ss []join.Tuple
+// wantPairs is exact's multiset of pred over tuples, one key per pair:
+// a sort-merge on the key for a residual-free equi or band predicate, a
+// nested loop over Matches otherwise.
+func wantPairs[K any](pred join.Predicate, tuples []join.Tuple, key func(r, s *join.Tuple) K) []K {
+	var sides [2][]join.Tuple
 	for _, t := range tuples {
-		if t.Rel == matrix.SideR {
-			rs = append(rs, t)
-		} else {
-			ss = append(ss, t)
-		}
+		sides[t.Rel] = append(sides[t.Rel], t)
 	}
-	out := make(map[K]int)
-	for _, r := range rs {
-		for _, s := range ss {
-			if p.Matches(r, s) {
-				out[key(join.Pair{R: r, S: s})]++
-			}
-		}
+	if pred.Residual != nil || pred.Kind == join.Theta {
+		match := func(r, s *join.Tuple) bool { return pred.Matches(*r, *s) }
+		return exact.Theta(sides[matrix.SideR], sides[matrix.SideS], match, key)
 	}
-	return out
+	w := pred.Width
+	if pred.Kind == join.Equi {
+		w = 0
+	}
+	joinKey := func(t *join.Tuple) (int64, bool) { return t.Key, !t.Dummy }
+	return exact.Band(sides[matrix.SideR], sides[matrix.SideS], w, joinKey, key)
 }
 
-func diffMultisets[K comparable](t *testing.T, got, want map[K]int) {
-	t.Helper()
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("pair %v: got %d, want %d", k, got[k], n)
-		}
-	}
-	for k, n := range got {
-		if want[k] != n {
-			t.Fatalf("pair %v: got %d, want %d", k, n, want[k])
-		}
-	}
+// refPairs is exact's multiset over the final sequence-stamped tuples,
+// keyed by member seqs.
+func refPairs(p join.Predicate, tuples []join.Tuple) [][2]uint64 {
+	return wantPairs(p, tuples, ckptKey)
+}
+
+// stampedPairs stamps tuples with the seqs a single feeder's Send
+// assigns and returns refPairs over them.
+func stampedPairs(p join.Predicate, tuples []join.Tuple) [][2]uint64 {
+	stampSeqs(tuples, 0)
+	return refPairs(p, tuples)
 }
 
 // sendAll sends tuples one by one, recording each tuple as it was
@@ -130,24 +121,20 @@ func latestSnapshot(t *testing.T, b storage.Backend) *storage.OperatorSnapshot {
 	return snap
 }
 
-// combineCutAndReplay builds the recovered output multiset: shard i of
-// the first run truncated to the snapshot's emitted cut, plus the whole
+// combineCutAndReplay builds the recovered output: shard i of the
+// first run truncated to the snapshot's emitted cut, plus the whole
 // second run.
-func combineCutAndReplay(snap *storage.OperatorSnapshot, run1, run2 *shardRecorder) map[[2]uint64]int {
+func combineCutAndReplay(snap *storage.OperatorSnapshot, run1, run2 *shardRecorder) [][2]uint64 {
 	emitted := make(map[int]int64, len(snap.Joiners))
 	for _, js := range snap.Joiners {
 		emitted[js.ID] = js.Emitted
 	}
-	got := make(map[[2]uint64]int)
-	for shard, ps := range run1.pairs {
-		cut := emitted[shard]
-		if cut > int64(len(ps)) {
-			cut = int64(len(ps))
-		}
-		countPairs(got, ps[:cut])
+	var got [][2]uint64
+	for shard, ks := range run1.keys {
+		got = append(got, ks[:min(emitted[shard], int64(len(ks)))]...)
 	}
-	for _, ps := range run2.pairs {
-		countPairs(got, ps)
+	for _, ks := range run2.keys {
+		got = append(got, ks...)
 	}
 	return got
 }
@@ -199,7 +186,7 @@ func TestCheckpointRestoreReplayExact(t *testing.T) {
 			t.Fatalf("finish restored: %v", err)
 		}
 
-		diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+		exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 	})
 }
 
@@ -244,7 +231,7 @@ func TestRestoreKeepsCheckpointReshufflers(t *testing.T) {
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 }
 
 // TestCheckpointReplayWholeLogIsIdempotent replays a log whose prefix
@@ -292,7 +279,7 @@ func TestCheckpointReplayWholeLogIsIdempotent(t *testing.T) {
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 }
 
 // TestCheckpointStraddlesMigrations requests checkpoints while an
@@ -355,7 +342,7 @@ func TestCheckpointStraddlesMigrations(t *testing.T) {
 		if err := op2.Finish(); err != nil {
 			t.Fatalf("finish restored: %v", err)
 		}
-		diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+		exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 	})
 }
 
@@ -476,8 +463,8 @@ func TestCheckpointConcurrentWithSends(t *testing.T) {
 		J: 8, Pred: pred, Seed: 77, Backend: backend,
 		EmitShard: func(shard int, ps []join.Pair) {
 			for _, p := range ps {
-				if _, dup := emitted.LoadOrStore(ckptKey(p), true); dup {
-					t.Errorf("duplicate pair %v", ckptKey(p))
+				if _, dup := emitted.LoadOrStore(ckptKey(&p.R, &p.S), true); dup {
+					t.Errorf("duplicate pair %v", ckptKey(&p.R, &p.S))
 				}
 			}
 		},

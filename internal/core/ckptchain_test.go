@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -52,26 +53,6 @@ func (b *sizeRecorder) chainBytes(w recordedWrite) int64 {
 	return n
 }
 
-// equiPairs is the equi-join oracle by key grouping, for streams too
-// long for the nested loop.
-func equiPairs(tuples []join.Tuple) map[[2]uint64]int {
-	byKey := make(map[int64][]uint64)
-	for _, t := range tuples {
-		if t.Rel == matrix.SideR {
-			byKey[t.Key] = append(byKey[t.Key], t.Seq)
-		}
-	}
-	out := make(map[[2]uint64]int)
-	for _, t := range tuples {
-		if t.Rel == matrix.SideS {
-			for _, r := range byKey[t.Key] {
-				out[[2]uint64{r, t.Seq}]++
-			}
-		}
-	}
-	return out
-}
-
 // chainRun is what one checkpointed run left behind: the operator's
 // commit figures, the backend's writes and the migrations between
 // consecutive checkpoints.
@@ -90,7 +71,7 @@ type chainRun struct {
 // commit's) plus its newest link. Last it restores from the newest
 // generation, replays the log and compares the recovered output with
 // want.
-func runCheckpointChain(t *testing.T, cfg Config, tuples []join.Tuple, ckpts int, want map[[2]uint64]int) chainRun {
+func runCheckpointChain(t *testing.T, cfg Config, tuples []join.Tuple, ckpts int, want [][2]uint64) chainRun {
 	t.Helper()
 	be := newSizeRecorder()
 	run1 := newShardRecorder(64)
@@ -158,7 +139,7 @@ func runCheckpointChain(t *testing.T, cfg Config, tuples []join.Tuple, ckpts int
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 	return res
 }
 
@@ -185,7 +166,7 @@ func TestCheckpointChainBytesBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(451))
 		tuples := mixedStream(rng, 30_000, 30_000, 1<<20)
 		stampSeqs(tuples, 0)
-		res := runCheckpointChain(t, Config{J: 4, Pred: join.EquiJoin("eq", nil), Seed: 7}, tuples, ckpts, equiPairs(tuples))
+		res := runCheckpointChain(t, Config{J: 4, Pred: join.EquiJoin("eq", nil), Seed: 7}, tuples, ckpts, refPairs(join.EquiJoin("eq", nil), tuples))
 		if n := res.fulls(); n != 1 {
 			t.Fatalf("%d full snapshots in %d checkpoints of an append-only stream, want 1", n, ckpts)
 		}
@@ -302,7 +283,7 @@ func TestCheckpointWritesEachBlockOnce(t *testing.T) {
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), equiPairs(tuples))
+	exact.Equal(t, combineCutAndReplay(snap, run1, run2), refPairs(pred, tuples))
 }
 
 // checkRestoredSharing requires the stores of a restored grid to keep

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -73,8 +73,8 @@ func TestOperatorTaskGraph(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Pred, cfg.NumReshufflers, cfg.Seed = pred, 3, 7
-			var n atomic.Int64
-			cfg.EmitBatch = counter(&n)
+			var got *[][2]uint64
+			cfg.EmitBatch, got = keySink(ckptKey, 0)
 			var op *Operator
 			var err error
 			if tc.hash {
@@ -109,8 +109,8 @@ func TestOperatorTaskGraph(t *testing.T) {
 				}
 			case err != nil:
 				t.Fatal(err)
-			case n.Load() != refCount(pred, tuples):
-				t.Fatalf("emitted %d, reference %d", n.Load(), refCount(pred, tuples))
+			default:
+				exact.Equal(t, *got, stampedPairs(pred, tuples))
 			}
 			waitGoroutines(t, base)
 		})
@@ -126,15 +126,15 @@ func TestExpansionPastAckBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 5000, 5000, 200)
-	want := refCount(pred, tuples)
-	var n atomic.Int64
+	want := stampedPairs(pred, tuples)
+	emit, got := keySink(ckptKey, 0)
 	op := mustOperator(t, Config{
 		J: 1, Pred: pred, Adaptive: true, Seed: 5,
 		Warmup:             100,
 		MaxTuplesPerJoiner: 400,
 		MaxJoiners:         64,
 		DataQueueCap:       1,
-		EmitBatch:          counter(&n),
+		EmitBatch:          emit,
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -179,9 +179,7 @@ func TestExpansionPastAckBuffer(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("hung at J = %d after %d expansions", op.NumJoiners(), op.Metrics().Expansions.Load())
 	}
-	if got := n.Load(); got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, *got, want)
 	if e := op.Metrics().Expansions.Load(); e != 3 || op.NumJoiners() != 64 {
 		t.Fatalf("%d expansions to J = %d, want 3 to 64", e, op.NumJoiners())
 	}

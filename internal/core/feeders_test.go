@@ -1,86 +1,36 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 )
 
-// feederPairKey is the stable identity of an emitted pair under
-// concurrent feeders: feeder interleaving decides sequence numbers and
-// routing values, so only the caller-chosen fields identify a tuple
-// across runs. Tests below give every tuple a unique Aux, making
-// (rAux, sAux) a full pair identity.
-type feederPairKey struct {
-	rAux, sAux int64
-}
-
-// feederPairSet is a concurrency-safe multiset of pair identities that
-// also records each tuple's observed sequence number, so the exactness
-// checks can additionally pin Aux→Seq consistency.
-type feederPairSet struct {
+// feederPairs collects emitted pairs as (rAux, sAux, rSeq, sSeq), safe
+// for the concurrent calls of several joiners. Feeder interleaving
+// decides sequence numbers and routing values, so only the
+// caller-chosen Aux, unique per tuple in the tests below, identifies a
+// pair across runs; the seqs pin Aux→Seq consistency.
+type feederPairs struct {
 	mu   sync.Mutex
-	m    map[feederPairKey]int
-	n    int
-	rSeq map[int64]uint64 // rAux -> Seq observed in pairs
-	sSeq map[int64]uint64
-	bad  bool // an Aux was seen with two different Seqs
+	keys [][4]uint64
 }
 
-func newFeederPairSet() *feederPairSet {
-	return &feederPairSet{
-		m:    make(map[feederPairKey]int),
-		rSeq: make(map[int64]uint64),
-		sSeq: make(map[int64]uint64),
-	}
-}
-
-func (ps *feederPairSet) emit(batch []join.Pair) {
+func (ps *feederPairs) emit(batch []join.Pair) {
 	ps.mu.Lock()
 	for _, p := range batch {
-		ps.m[feederPairKey{rAux: p.R.Aux, sAux: p.S.Aux}]++
-		ps.n++
-		if seq, ok := ps.rSeq[p.R.Aux]; ok && seq != p.R.Seq {
-			ps.bad = true
-		}
-		ps.rSeq[p.R.Aux] = p.R.Seq
-		if seq, ok := ps.sSeq[p.S.Aux]; ok && seq != p.S.Seq {
-			ps.bad = true
-		}
-		ps.sSeq[p.S.Aux] = p.S.Seq
+		ps.keys = append(ps.keys, [4]uint64{uint64(p.R.Aux), uint64(p.S.Aux), p.R.Seq, p.S.Seq})
 	}
 	ps.mu.Unlock()
-}
-
-// feederOracle returns the exact pair multiset of a symmetric equi-join
-// over tuples: every key-matching (r, s) combination exactly once,
-// regardless of arrival order (the exactness theorem — the stored
-// symmetric join's output is the full match set, so it is
-// interleaving- and migration-invariant).
-func feederOracle(tuples []join.Tuple) map[feederPairKey]int {
-	byKey := make(map[int64][]join.Tuple)
-	out := make(map[feederPairKey]int)
-	for _, tp := range tuples {
-		if tp.Rel == matrix.SideS {
-			continue
-		}
-		byKey[tp.Key] = append(byKey[tp.Key], tp)
-	}
-	for _, tp := range tuples {
-		if tp.Rel != matrix.SideS {
-			continue
-		}
-		for _, r := range byKey[tp.Key] {
-			out[feederPairKey{rAux: r.Aux, sAux: tp.Aux}]++
-		}
-	}
-	return out
 }
 
 // feederStream builds a lopsided stream (R prefix, S flood — several
@@ -98,25 +48,33 @@ func feederStream(nR, nS int, keys int64, seed int64) []join.Tuple {
 	return tuples
 }
 
-// assertFeederExact compares the emitted multiset against the oracle
-// of the accepted tuples.
-func assertFeederExact(t *testing.T, got *feederPairSet, accepted []join.Tuple) {
+// assertFeederExact requires the emitted pairs, by Aux, to be exactly
+// exact's over the accepted tuples — the symmetric join's output is
+// the full match set whatever the arrival order, so it is interleaving-
+// and migration-invariant — and every tuple to surface with one
+// sequence number, and no two tuples with the same one: the
+// stored-partner-is-older ownership rule exactness rests on needs the
+// shared counter's numbers to be unique.
+func assertFeederExact(t *testing.T, got *feederPairs, accepted []join.Tuple) {
 	t.Helper()
-	want := feederOracle(accepted)
-	wantN := 0
-	for _, v := range want {
-		wantN += v
+	pairs := make([][2]uint64, len(got.keys))
+	var members [][2]uint64 // (Aux, Seq) of every pair member
+	for i, k := range got.keys {
+		pairs[i] = [2]uint64{k[0], k[1]}
+		members = append(members, [2]uint64{k[0], k[2]}, [2]uint64{k[1], k[3]})
 	}
-	if got.bad {
-		t.Fatal("a tuple Aux surfaced with two different sequence numbers")
+	exact.Equal(t, pairs, wantPairs(join.EquiJoin("eq", nil), accepted, auxKey))
+	slices.SortFunc(members, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	members = slices.Compact(members)
+	for i := 1; i < len(members); i++ {
+		if members[i][0] == members[i-1][0] {
+			t.Fatalf("tuple Aux %d surfaced with sequence numbers %d and %d", members[i][0], members[i-1][1], members[i][1])
+		}
 	}
-	if got.n != wantN || len(got.m) != len(want) {
-		t.Fatalf("emitted %d pairs (%d distinct), oracle %d (%d distinct)",
-			got.n, len(got.m), wantN, len(want))
-	}
-	for k, v := range want {
-		if got.m[k] != v {
-			t.Fatalf("pair %+v emitted %d times, oracle %d", k, got.m[k], v)
+	slices.SortFunc(members, func(a, b [2]uint64) int { return cmp.Compare(a[1], b[1]) })
+	for i := 1; i < len(members); i++ {
+		if members[i][1] == members[i-1][1] {
+			t.Fatalf("seq %d stamped on both aux %d and %d", members[i][1], members[i-1][0], members[i][0])
 		}
 	}
 }
@@ -166,7 +124,7 @@ func TestConcurrentFeedersExact(t *testing.T) {
 	reshufflerCases(t, 16, func(t *testing.T, numRe int) {
 		const feeders = 4
 		tuples := feederStream(220, 9000, 50, 77)
-		ps := newFeederPairSet()
+		ps := new(feederPairs)
 		op := mustOperator(t, Config{
 			J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true,
 			Seed: 7, EmitBatch: ps.emit, NumReshufflers: numRe,
@@ -189,16 +147,6 @@ func TestConcurrentFeedersExact(t *testing.T) {
 			t.Fatal("expected migrations on a lopsided stream")
 		}
 		assertFeederExact(t, ps, tuples)
-
-		seen := make(map[uint64]int64)
-		for _, seqs := range []map[int64]uint64{ps.rSeq, ps.sSeq} {
-			for aux, seq := range seqs {
-				if prev, ok := seen[seq]; ok {
-					t.Fatalf("seq %d stamped on both aux %d and %d", seq, prev, aux)
-				}
-				seen[seq] = aux
-			}
-		}
 	})
 }
 
@@ -211,7 +159,7 @@ func TestFinishRaceExact(t *testing.T) {
 	reshufflerCases(t, 8, func(t *testing.T, numRe int) {
 		const feeders = 4
 		tuples := feederStream(150, 12000, 40, 99)
-		ps := newFeederPairSet()
+		ps := new(feederPairs)
 		op := mustOperator(t, Config{
 			J: 8, Pred: join.EquiJoin("eq", nil), Adaptive: true,
 			Seed: 3, EmitBatch: ps.emit, NumReshufflers: numRe,

@@ -3,11 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -103,13 +104,12 @@ func TestAdaptiveOperatorWithSpillExact(t *testing.T) {
 		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(40), Size: 64})
 	}
 	withContent(rng, tuples)
-	want := refMultiset(pred, tuples, contentOf)
+	want := wantPairs(pred, tuples, contentOf)
 	batchCases(t, func(t *testing.T, bs int) {
-		got, op := runOperatorContent(t, Config{
+		op := runContentExact(t, Config{
 			J: 4, Pred: pred, Adaptive: true, Warmup: 500, Seed: 3, BatchSize: bs,
 			Storage: storage.Config{CapBytes: 16 * 1024, Dir: t.TempDir()},
-		}, tuples)
-		diffMultisets(t, got, want)
+		}, tuples, want)
 		if op.Migrations() == 0 {
 			t.Fatal("no migrations; test does not exercise spill relocation")
 		}
@@ -317,11 +317,11 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 		maxEnvelope = 24
 	}
 	from, to := matrix.Mapping{N: 2, M: 1}, matrix.Mapping{N: 1, M: 2}
-	got := map[[2]uint64]int{}
+	emit, got := keySink(ckptKey, 0)
 	op := mustOperator(t, Config{
 		J: 2, Pred: pred, Initial: from, NumReshufflers: 1,
 		BatchSize: 1 + rng.Intn(maxEnvelope), DataQueueCap: 1 << 16,
-		EmitBatch: func(ps []join.Pair) { countPairs(got, ps) },
+		EmitBatch: emit,
 	})
 	js := op.joiners
 	r := handReshuffler(op)
@@ -385,15 +385,7 @@ func epochStepExact(t *testing.T, pred join.Predicate, seed int64, stretches boo
 	route(30) // steady state on the merged stores
 	drive()
 
-	want := map[[2]uint64]int{}
-	for _, r := range items {
-		for _, s := range items {
-			if r.Rel == matrix.SideR && s.Rel == matrix.SideS && pred.Matches(r, s) {
-				want[[2]uint64{r.Seq, s.Seq}]++
-			}
-		}
-	}
-	diffMultisets(t, got, want)
+	exact.Equal(t, *got, refPairs(pred, items))
 }
 
 // TestReplayDupsUncountedDuringMigration: a replayed duplicate that
@@ -430,10 +422,11 @@ func TestReplayDupsUncountedDuringMigration(t *testing.T) {
 // call count is the run count.
 func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
 	calls := 0
-	got := map[[2]uint64]int{}
+	pred := join.EquiJoin("eq", nil)
+	emit, got := keySink(ckptKey, 0)
 	op := mustOperator(t, Config{
-		J: 1, Pred: join.EquiJoin("eq", nil), BatchSize: 64,
-		EmitBatch: func(ps []join.Pair) { calls++; countPairs(got, ps) },
+		J: 1, Pred: pred, BatchSize: 64,
+		EmitBatch: func(ps []join.Pair) { calls++; emit(ps) },
 	})
 	w := op.joiners[0]
 	items := []join.Tuple{{Rel: matrix.SideR, Key: 7, Seq: 1, U: 1}, {Rel: matrix.SideS, Key: 7, Seq: 2, U: 1}}
@@ -455,15 +448,8 @@ func TestAlternatingEnvelopeRunsPerStretch(t *testing.T) {
 	}
 	// Every pair, except the one both of whose members were stored
 	// without probing.
-	want := map[[2]uint64]int{}
-	for _, r := range items {
-		for _, s := range items {
-			if r.Rel == matrix.SideR && s.Rel == matrix.SideS && (r.Seq > 2 || s.Seq > 2) {
-				want[[2]uint64{r.Seq, s.Seq}]++
-			}
-		}
-	}
-	diffMultisets(t, got, want)
+	want := slices.DeleteFunc(refPairs(pred, items), func(k [2]uint64) bool { return k == [2]uint64{1, 2} })
+	exact.Equal(t, *got, want)
 }
 
 // Static operator with a sub-working-set cap: spill flagged and exact.
@@ -471,14 +457,12 @@ func TestStaticOperatorWithSpillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pred := join.BandJoin("band", 1, nil)
 	tuples := mixedStream(rng, 1200, 1200, 200)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{
 		J: 4, Pred: pred, Seed: 5,
 		Storage: storage.Config{CapBytes: 4 * 1024, Dir: t.TempDir()},
 	}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	if !op.Metrics().AnySpill() {
 		t.Fatal("expected spill")
 	}
@@ -505,16 +489,16 @@ func TestDoubleExpansionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 13000, 13000, 70)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	// Per-joiner state passes M/2 at J=1 and J=4; MaxJoiners stops the
 	// growth at J=16.
-	var n atomic.Int64
+	emit, got := keySink(ckptKey, 0)
 	op := mustOperator(t, Config{
 		J: 1, Pred: pred, Adaptive: true, Seed: 9,
 		Warmup:             200,
 		MaxTuplesPerJoiner: 10000,
 		MaxJoiners:         16,
-		EmitBatch:          counter(&n),
+		EmitBatch:          emit,
 	})
 	op.Start()
 	// Alg. 2 checks whenever a side's count doubles since the last check,
@@ -556,9 +540,7 @@ func TestDoubleExpansionExact(t *testing.T) {
 	if err := op.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Load(); got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, *got, want)
 	if op.Metrics().Expansions.Load() < 2 {
 		t.Fatalf("expansions %d, want >= 2 (J grew to %d)",
 			op.Metrics().Expansions.Load(), op.NumJoiners())
@@ -610,7 +592,7 @@ func TestJoinerEmitsBoundedSubRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
-			got := map[[2]uint64]int{}
+			rec := newShardRecorder(16)
 			var bad error
 			cfg := tc.cfg
 			cfg.Pred, cfg.Seed, cfg.BatchSize = pred, 5, join.WindowRows
@@ -619,9 +601,9 @@ func TestJoinerEmitsBoundedSubRuns(t *testing.T) {
 				for _, p := range ps {
 					rs[p.R.Seq], ss[p.S.Seq] = true, true
 				}
+				rec.emit(shard, ps)
 				mu.Lock()
 				defer mu.Unlock()
-				countPairs(got, ps)
 				switch n := min(len(rs), len(ss)); {
 				case bad != nil:
 				case n > probeRun:
@@ -644,7 +626,7 @@ func TestJoinerEmitsBoundedSubRuns(t *testing.T) {
 			if cfg.Adaptive && op.Migrations() == 0 {
 				t.Fatal("no migrations: the run must probe during one")
 			}
-			diffMultisets(t, got, refPairs(pred, tc.tuples))
+			exact.Equal(t, rec.all(), refPairs(pred, tc.tuples))
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 )
@@ -33,13 +34,13 @@ func TestGroupedExactness(t *testing.T) {
 	for _, j := range []int{3, 5, 6, 20} {
 		rng := rand.New(rand.NewSource(int64(j)))
 		tuples := mixedStream(rng, 1500, 1500, 60)
-		want := refCount(pred, tuples)
+		want := stampedPairs(pred, tuples)
 		got, op := runOperator(t, Config{J: j, Pred: pred, Seed: int64(j)}, tuples)
 		if n := op.NumJoiners(); n != roundJ(j) {
 			t.Fatalf("J=%d runs %d joiners, want %d", j, n, roundJ(j))
 		}
-		if got != want {
-			t.Fatalf("J=%d: emitted %d, reference %d", j, got, want)
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("J=%d: %s", j, msg)
 		}
 	}
 }
@@ -65,20 +66,9 @@ func TestGroupedExactnessUnderMigrations(t *testing.T) {
 					}
 				}
 				withContent(rng, tuples)
-				want := refMultiset(pred, tuples, contentOf)
+				want := wantPairs(pred, tuples, contentOf)
 				batchCases(t, func(t *testing.T, bs int) {
-					emit, got := contentSink()
-					op := mustOperator(t, Config{J: j, Pred: pred, Adaptive: true, Seed: seed, BatchSize: bs, EmitBatch: emit})
-					op.Start()
-					for _, tp := range tuples {
-						if err := op.Send(tp); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := op.Finish(); err != nil {
-						t.Fatalf("operator: %v", err)
-					}
-					diffMultisets(t, got, want)
+					op := runContentExact(t, Config{J: j, Pred: pred, Adaptive: true, Seed: seed, BatchSize: bs}, tuples, want)
 					if op.Migrations() == 0 {
 						t.Fatal("expected migrations under bursty input")
 					}
@@ -93,11 +83,9 @@ func TestGroupedBandJoin(t *testing.T) {
 	pred := join.BandJoin("band", 2, nil)
 	rng := rand.New(rand.NewSource(31))
 	tuples := mixedStream(rng, 1200, 1200, 500)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, _ := runOperator(t, Config{J: 6, Pred: pred, Seed: 4}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 }
 
 // TestGroupedStorageProportional: on the rounded (n,m) grid every R
@@ -136,14 +124,12 @@ func TestGroupedPowerOfTwoSingleGroup(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(3))
 	tuples := mixedStream(rng, 800, 800, 40)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 8, Pred: pred, Seed: 1}, tuples)
 	if n := op.Metrics().NumJoiners(); n != 8 {
 		t.Fatalf("J=8 runs %d joiners", n)
 	}
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 }
 
 // TestGroupedPanicsOnBadJ: a J with no power of two below it is an
@@ -167,13 +153,14 @@ func TestGroupedOutputDistribution(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	rng := rand.New(rand.NewSource(8))
 	tuples := mixedStream(rng, 4000, 4000, 10) // dense keys: many joins
-	var n atomic.Int64
+	rec := newShardRecorder(8)
 	var badShard atomic.Int64
 	op := mustOperator(t, Config{J: 12, Pred: pred, Seed: 21, EmitShard: func(shard int, ps []join.Pair) {
 		if shard < 0 || shard >= 8 {
 			badShard.Store(int64(shard) + 1)
+			return
 		}
-		n.Add(int64(len(ps)))
+		rec.emit(shard, ps)
 	}})
 	op.Start()
 	for _, tp := range tuples {
@@ -185,10 +172,7 @@ func TestGroupedOutputDistribution(t *testing.T) {
 	if s := badShard.Load(); s != 0 {
 		t.Fatalf("pairs emitted on shard %d of an 8-joiner grid", s-1)
 	}
-	want := refCount(pred, tuples)
-	if n.Load() != want {
-		t.Fatalf("emitted %d, reference %d", n.Load(), want)
-	}
+	exact.Equal(t, rec.all(), stampedPairs(pred, tuples))
 	m := op.Metrics()
 	if m.NumJoiners() != 8 {
 		t.Fatalf("J=12 runs %d joiners, want 8", m.NumJoiners())

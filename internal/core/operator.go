@@ -295,6 +295,11 @@ func (c *Config) Validate(kind EngineKind) error {
 	if c.DataQueueCap <= 0 {
 		c.DataQueueCap = 1024
 	}
+	// A negative band width joins nothing, and a worker would take it
+	// from the hello's PredWidth all the same.
+	if c.Pred.Kind == join.Band && c.Pred.Width < 0 {
+		return fmt.Errorf("core: band width %d, want 0 or more", c.Pred.Width)
+	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: CheckpointEvery=%d, want 0 (manual) or a positive tuple count", c.CheckpointEvery)
 	}

@@ -2,72 +2,77 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 )
 
-// runOperator pushes the given tuples through an operator and returns
-// the emitted result count.
-func runOperator(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Operator) {
+// keySink is an EmitBatch appending each emitted pair's key to *got,
+// which starts with capacity n, under a lock: safe for the concurrent
+// calls of several joiners.
+func keySink[K any](key func(r, s *join.Tuple) K, n int) (join.EmitBatch, *[]K) {
+	var mu sync.Mutex
+	got := new([]K)
+	*got = make([]K, 0, n)
+	return func(ps []join.Pair) {
+		mu.Lock()
+		for i := range ps {
+			*got = append(*got, key(&ps[i].R, &ps[i].S))
+		}
+		mu.Unlock()
+	}, got
+}
+
+// runKeyed pushes tuples through an operator built from cfg by one
+// feeder — a Send loop, or one SendBatch when batch is set — and
+// returns the emitted pairs as key gives them, collected by keySink
+// with capacity n.
+func runKeyed[K any](t *testing.T, cfg Config, tuples []join.Tuple, key func(r, s *join.Tuple) K, n int, batch bool) ([]K, *Operator) {
 	t.Helper()
-	var n atomic.Int64
-	cfg.EmitBatch = counter(&n)
+	var got *[]K
+	cfg.EmitBatch, got = keySink(key, n)
 	op := mustOperator(t, cfg)
 	op.Start()
-	for _, tp := range tuples {
-		op.Send(tp)
+	if batch {
+		if err := op.SendBatch(tuples); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		sendAll(t, op, tuples)
 	}
 	if err := op.Finish(); err != nil {
 		t.Fatalf("operator error: %v", err)
 	}
-	return n.Load(), op
+	return *got, op
 }
 
-func refCount(p join.Predicate, tuples []join.Tuple) int64 {
-	var rs, ss []join.Tuple
-	for _, t := range tuples {
-		if t.Rel == matrix.SideR {
-			rs = append(rs, t)
-		} else {
-			ss = append(ss, t)
-		}
-	}
-	var n int64
-	for _, r := range rs {
-		for _, s := range ss {
-			if p.Matches(r, s) {
-				n++
-			}
-		}
-	}
-	return n
+// runOperator returns the pairs a Send loop emits, keyed by member
+// seqs, for stampedPairs.
+func runOperator(t *testing.T, cfg Config, tuples []join.Tuple) ([][2]uint64, *Operator) {
+	t.Helper()
+	return runKeyed(t, cfg, tuples, ckptKey, 0, false)
 }
 
 // pairContent identifies one result pair by its members' seqs and by
-// the columns a state codec could drop without changing any count:
-// Aux and the payload bytes (hashed).
-type pairContent struct {
-	rSeq, sSeq uint64
-	rAux, sAux int64
-	rPay, sPay uint64
-}
+// the columns a state codec could drop without changing any count: Aux
+// and the payload bytes (hashed), in that order, R's before S's.
+type pairContent [6]uint64
 
-func payloadHash(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
+// payloadSeed seeds the payload hash: one per test binary, so the
+// oracle's keys and the emitted ones hash alike.
+var payloadSeed = maphash.MakeSeed()
 
-func contentOf(p join.Pair) pairContent {
-	return pairContent{p.R.Seq, p.S.Seq, p.R.Aux, p.S.Aux, payloadHash(p.R.Payload), payloadHash(p.S.Payload)}
+func payloadHash(b []byte) uint64 { return maphash.Bytes(payloadSeed, b) }
+
+func contentOf(r, s *join.Tuple) pairContent {
+	return pairContent{r.Seq, s.Seq, uint64(r.Aux), uint64(s.Aux), payloadHash(r.Payload), payloadHash(s.Payload)}
 }
 
 // withContent gives every tuple a random Aux and a 0–32-byte payload,
@@ -82,33 +87,22 @@ func withContent(rng *rand.Rand, tuples []join.Tuple) {
 	stampSeqs(tuples, 0)
 }
 
-// contentSink is an EmitBatch folding pairs into a pairContent multiset;
-// safe for the concurrent calls of several joiners.
-func contentSink() (join.EmitBatch, map[pairContent]int) {
-	var mu sync.Mutex
-	got := make(map[pairContent]int)
-	return func(ps []join.Pair) {
-		mu.Lock()
-		for _, p := range ps {
-			got[contentOf(p)]++
-		}
-		mu.Unlock()
-	}, got
+// runContentExact runs tuples through a Send loop and fails t unless
+// the emitted pairs, by content, are exactly want.
+func runContentExact(t *testing.T, cfg Config, tuples []join.Tuple, want []pairContent) *Operator {
+	t.Helper()
+	got, op := runKeyed(t, cfg, tuples, contentOf, len(want), false)
+	exact.Equal(t, got, want)
+	return op
 }
 
-// runOperatorContent is runOperator returning the emitted multiset by
-// content instead of a count.
-func runOperatorContent(t *testing.T, cfg Config, tuples []join.Tuple) (map[pairContent]int, *Operator) {
+// runContentBatchExact is runContentExact feeding the stream in one
+// SendBatch, so envelopes fill to their size before any flush.
+func runContentBatchExact(t *testing.T, cfg Config, tuples []join.Tuple, want []pairContent) *Operator {
 	t.Helper()
-	var got map[pairContent]int
-	cfg.EmitBatch, got = contentSink()
-	op := mustOperator(t, cfg)
-	op.Start()
-	sendAll(t, op, tuples)
-	if err := op.Finish(); err != nil {
-		t.Fatalf("operator error: %v", err)
-	}
-	return got, op
+	got, op := runKeyed(t, cfg, tuples, contentOf, len(want), true)
+	exact.Equal(t, got, want)
+	return op
 }
 
 // checkMigrationConserved asserts that migration moved stored state
@@ -192,11 +186,9 @@ func TestStaticOperatorEquiJoinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 2000, 2000, 97)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 7}, tuples)
-	if got != want {
-		t.Fatalf("static operator emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	if op.Migrations() != 0 {
 		t.Fatalf("static operator migrated %d times", op.Migrations())
 	}
@@ -206,22 +198,18 @@ func TestStaticOperatorBandJoinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pred := join.BandJoin("band", 2, func(r, s join.Tuple) bool { return r.Aux > 20 })
 	tuples := mixedStream(rng, 1500, 1500, 300)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, _ := runOperator(t, Config{J: 4, Pred: pred, Seed: 3}, tuples)
-	if got != want {
-		t.Fatalf("band operator emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 }
 
 func TestStaticOperatorThetaJoinExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pred := join.ThetaJoin("neq", func(r, s join.Tuple) bool { return r.Key != s.Key })
 	tuples := mixedStream(rng, 300, 300, 10)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, _ := runOperator(t, Config{J: 8, Pred: pred, Seed: 5}, tuples)
-	if got != want {
-		t.Fatalf("theta operator emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 }
 
 // The central correctness theorem (Thm 4.5): with adaptivity on and
@@ -239,10 +227,10 @@ func TestAdaptiveOperatorMigratesAndStaysExact(t *testing.T) {
 	for i := 0; i < 12000; i++ {
 		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(50), Size: 8})
 	}
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 500, Seed: 11}, tuples)
-	if got != want {
-		t.Fatalf("adaptive operator emitted %d, reference %d (migrations=%d)", got, want, op.Migrations())
+	if msg := exact.Diff(got, want); msg != "" {
+		t.Fatalf("adaptive operator: %s (migrations=%d)", msg, op.Migrations())
 	}
 	if op.Migrations() == 0 {
 		t.Fatal("expected at least one migration on a lopsided stream")
@@ -300,7 +288,8 @@ func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
 		{join.EquiJoin("eq", nil), 2500, uniform},
 		{join.BandJoin("band", 1, nil), 2500, uniform},
 		// ≠ matches nearly every pair of uniform keys; a hot key holding
-		// ~98% of the stream keeps the oracle to a few percent of pairs.
+		// 499 in 500 tuples keeps the oracle to a few tenths of a
+		// percent of pairs.
 		{join.ThetaJoin("neq", func(r, s join.Tuple) bool { return r.Key != s.Key }), 2500,
 			func(rng *rand.Rand) int64 {
 				if rng.Intn(500) != 0 {
@@ -312,24 +301,23 @@ func TestAdaptiveOperatorFluctuationExact(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.pred.String(), func(t *testing.T) {
-			reshufflerCases(t, 8, func(t *testing.T, numRe int) {
-				rng := rand.New(rand.NewSource(5))
-				var tuples []join.Tuple
-				// Alternating bursts: R-heavy, then S-heavy, repeatedly.
-				for burst := 0; burst < 6; burst++ {
-					side := matrix.SideR
-					if burst%2 == 1 {
-						side = matrix.SideS
-					}
-					for i := 0; i < tc.burst; i++ {
-						tuples = append(tuples, join.Tuple{Rel: side, Key: tc.key(rng), Size: 8})
-					}
+			rng := rand.New(rand.NewSource(5))
+			var tuples []join.Tuple
+			// Alternating bursts: R-heavy, then S-heavy, repeatedly.
+			for burst := 0; burst < 6; burst++ {
+				side := matrix.SideR
+				if burst%2 == 1 {
+					side = matrix.SideS
 				}
-				withContent(rng, tuples)
-				want := refMultiset(tc.pred, tuples, contentOf)
+				for i := 0; i < tc.burst; i++ {
+					tuples = append(tuples, join.Tuple{Rel: side, Key: tc.key(rng), Size: 8})
+				}
+			}
+			withContent(rng, tuples)
+			want := wantPairs(tc.pred, tuples, contentOf)
+			reshufflerCases(t, 8, func(t *testing.T, numRe int) {
 				batchCases(t, func(t *testing.T, bs int) {
-					got, op := runOperatorContent(t, Config{J: 8, Pred: tc.pred, Adaptive: true, Seed: 13, NumReshufflers: numRe, BatchSize: bs}, tuples)
-					diffMultisets(t, got, want)
+					op := runContentExact(t, Config{J: 8, Pred: tc.pred, Adaptive: true, Seed: 13, NumReshufflers: numRe, BatchSize: bs}, tuples, want)
 					if op.Migrations() < 2 {
 						t.Fatalf("only %d migrations under fluctuation", op.Migrations())
 					}
@@ -347,11 +335,10 @@ func TestAdaptiveOperatorManySmallRuns(t *testing.T) {
 		nR := 50 + rng.Intn(3000)
 		nS := 50 + rng.Intn(3000)
 		tuples := mixedStream(rng, nR, nS, 40)
-		want := refCount(pred, tuples)
+		want := stampedPairs(pred, tuples)
 		got, op := runOperator(t, Config{J: 4, Pred: pred, Adaptive: true, Seed: seed}, tuples)
-		if got != want {
-			t.Fatalf("seed %d (R=%d S=%d migs=%d): emitted %d, reference %d",
-				seed, nR, nS, op.Migrations(), got, want)
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("seed %d (R=%d S=%d migs=%d): %s", seed, nR, nS, op.Migrations(), msg)
 		}
 	}
 }
@@ -362,31 +349,19 @@ func TestElasticExpansionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 80)
-	want := refCount(pred, tuples)
-	var n atomic.Int64
-	cfg := Config{
+	want := stampedPairs(pred, tuples)
+	got, op := runOperator(t, Config{
 		J: 4, Pred: pred, Adaptive: true, Seed: 17,
 		Warmup:             600, // first checkpoint lands past M/2 ...
 		MaxTuplesPerJoiner: 400, // ... forcing expansion mid-stream
-		EmitBatch:          counter(&n),
-	}
-	op := mustOperator(t, cfg)
-	op.Start()
-	for _, tp := range tuples {
-		op.Send(tp)
-	}
-	if err := op.Finish(); err != nil {
-		t.Fatalf("operator error: %v", err)
-	}
+	}, tuples)
 	if op.Metrics().Expansions.Load() == 0 {
 		t.Fatal("expected an elastic expansion")
 	}
 	if op.NumJoiners() < 16 {
 		t.Fatalf("joiners after expansion: %d", op.NumJoiners())
 	}
-	if n.Load() != want {
-		t.Fatalf("emitted %d, reference %d", n.Load(), want)
-	}
+	exact.Equal(t, got, want)
 }
 
 // Dummy padding (§4.2.2): with one relation absurdly larger, dummies
@@ -401,11 +376,9 @@ func TestDummyPaddingExact(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		tuples = append(tuples, join.Tuple{Rel: matrix.SideS, Key: rng.Int63n(10), Size: 8})
 	}
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 4, Pred: pred, Adaptive: true, PadDummies: true, Seed: 19}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	if op.Metrics().DummyTuples.Load() == 0 {
 		t.Fatal("no dummies injected despite extreme ratio")
 	}
@@ -446,6 +419,7 @@ func TestOperatorConfigValidation(t *testing.T) {
 		{J: -3, Pred: eq},
 		{J: 12, Pred: eq, Initial: matrix.Mapping{N: 4, M: 4}},
 		{J: 16, Pred: eq, Initial: matrix.Mapping{N: 2, M: 4}},
+		{J: 4, Pred: join.BandJoin("band", -1, nil)},
 	} {
 		if _, err := NewOperator(cfg); err == nil {
 			t.Errorf("NewOperator accepted %+v", cfg)

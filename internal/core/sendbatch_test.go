@@ -7,55 +7,20 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 )
 
 // pairKey is the full value identity of an emitted pair: every field
-// that survives the pipeline, so two runs agreeing on the multiset of
-// pairKeys produced byte-identical results (our test tuples carry no
-// payload).
-type pairKey struct {
-	rKey, rAux, sKey, sAux int64
-	rSeq, sSeq, rU, sU     uint64
-}
+// that survives the pipeline (seqs, keys, Aux and U of both members),
+// so two runs agreeing on the multiset of pairKeys produced
+// byte-identical results (our test tuples carry no payload).
+type pairKey [8]uint64
 
-func keyOf(p join.Pair) pairKey {
-	return pairKey{
-		rKey: p.R.Key, rAux: p.R.Aux, sKey: p.S.Key, sAux: p.S.Aux,
-		rSeq: p.R.Seq, sSeq: p.S.Seq, rU: p.R.U, sU: p.S.U,
-	}
-}
-
-// pairSet is a concurrency-safe pair multiset collector.
-type pairSet struct {
-	mu sync.Mutex
-	m  map[pairKey]int
-	n  int
-}
-
-func newPairSet() *pairSet { return &pairSet{m: make(map[pairKey]int)} }
-
-func (ps *pairSet) emit(batch []join.Pair) {
-	ps.mu.Lock()
-	for _, p := range batch {
-		ps.m[keyOf(p)]++
-	}
-	ps.n += len(batch)
-	ps.mu.Unlock()
-}
-
-func (ps *pairSet) equal(other *pairSet) bool {
-	if ps.n != other.n || len(ps.m) != len(other.m) {
-		return false
-	}
-	for k, v := range ps.m {
-		if other.m[k] != v {
-			return false
-		}
-	}
-	return true
+func keyOf(r, s *join.Tuple) pairKey {
+	return pairKey{r.Seq, s.Seq, uint64(r.Key), uint64(s.Key), uint64(r.Aux), uint64(s.Aux), r.U, s.U}
 }
 
 // migratingStream is the lopsided stream the adaptive exactness tests
@@ -125,17 +90,17 @@ func feedMixed(t *testing.T, op *Operator, tuples []join.Tuple) {
 	}
 }
 
-func runFeed(t *testing.T, cfg Config, tuples []join.Tuple, feed feedFn) (*pairSet, *Operator) {
+func runFeed(t *testing.T, cfg Config, tuples []join.Tuple, feed feedFn) ([]pairKey, *Operator) {
 	t.Helper()
-	ps := newPairSet()
-	cfg.EmitBatch = ps.emit
+	var got *[]pairKey
+	cfg.EmitBatch, got = keySink(keyOf, 0)
 	op := mustOperator(t, cfg)
 	op.Start()
 	feed(t, op, tuples)
 	if err := op.Finish(); err != nil {
 		t.Fatalf("operator error: %v", err)
 	}
-	return ps, op
+	return *got, op
 }
 
 // SendBatch must be byte-identical to per-tuple Send: sequence numbers,
@@ -161,9 +126,8 @@ func TestSendBatchMatchesSendExact(t *testing.T) {
 		}
 		for name, feed := range feeds {
 			got, op := runFeed(t, cfg, tuples, feed)
-			if !got.equal(want) {
-				t.Fatalf("BatchSize=%d %s: pair multiset differs from per-tuple Send (%d vs %d pairs, migrations=%d)",
-					bs, name, got.n, want.n, op.Migrations())
+			if msg := exact.Diff(got, want); msg != "" {
+				t.Fatalf("BatchSize=%d %s (migrations=%d), against per-tuple Send: %s", bs, name, op.Migrations(), msg)
 			}
 		}
 	}
@@ -183,9 +147,9 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 			tuples = append(tuples, join.Tuple{Rel: side, Key: rng.Int63n(150), Size: 8})
 		}
 	}
-	run := func(batch int) *pairSet {
-		ps := newPairSet()
-		op := mustOperator(t, Config{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, EmitBatch: ps.emit})
+	run := func(batch int) []pairKey {
+		emit, got := keySink(keyOf, 0)
+		op := mustOperator(t, Config{J: 12, Pred: join.EquiJoin("eq", nil), Adaptive: true, Seed: 9, EmitBatch: emit})
 		op.Start()
 		if batch == 0 {
 			for _, tp := range tuples {
@@ -207,12 +171,12 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 		if err := op.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		return ps
+		return *got
 	}
 	want := run(0)
 	for _, batch := range []int{1, 33} {
-		if got := run(batch); !got.equal(want) {
-			t.Fatalf("SendBatch(%d): pair multiset differs from Send (%d vs %d pairs)", batch, got.n, want.n)
+		if msg := exact.Diff(run(batch), want); msg != "" {
+			t.Fatalf("SendBatch(%d), against Send: %s", batch, msg)
 		}
 	}
 }
@@ -247,7 +211,7 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 	cfg := Config{J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true, Warmup: 500, Seed: 11}
 	want, _ := runFeed(t, cfg, tuples, feedSend)
 
-	got := newPairSet()
+	emit, got := keySink(keyOf, 0)
 	var mu sync.Mutex
 	var flushes, maxRun int
 	cfg2 := cfg
@@ -258,7 +222,7 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 			maxRun = len(ps)
 		}
 		mu.Unlock()
-		got.emit(ps)
+		emit(ps)
 	}
 	op := mustOperator(t, cfg2)
 	op.Start()
@@ -266,17 +230,18 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 	if err := op.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if !got.equal(want) {
-		t.Fatalf("SendBatch feed saw %d pairs, Send reference %d", got.n, want.n)
+	n := len(*got)
+	if msg := exact.Diff(*got, want); msg != "" {
+		t.Fatalf("SendBatch feed, against Send: %s", msg)
 	}
-	if flushes >= got.n {
-		t.Fatalf("EmitBatch never batched: %d flushes for %d pairs", flushes, got.n)
+	if flushes >= n {
+		t.Fatalf("EmitBatch never batched: %d flushes for %d pairs", flushes, n)
 	}
 	if maxRun < 2 {
 		t.Fatalf("EmitBatch max run %d, want >= 2", maxRun)
 	}
-	if pairs := op.Metrics().TotalOutputPairs(); pairs != int64(got.n) {
-		t.Fatalf("OutputPairs accounting %d, sink saw %d", pairs, got.n)
+	if pairs := op.Metrics().TotalOutputPairs(); pairs != int64(n) {
+		t.Fatalf("OutputPairs accounting %d, sink saw %d", pairs, n)
 	}
 }
 

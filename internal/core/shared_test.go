@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -29,19 +30,17 @@ func TestSharedBlocksPerRow(t *testing.T) {
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
 	for _, tc := range sharedBlockCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			want := refCount(tc.cfg.Pred, tuples)
+			want := stampedPairs(tc.cfg.Pred, tuples)
 			cfg := tc.cfg
 			cfg.Seed = 3
-			var got int64
+			var got [][2]uint64
 			var op *Operator
 			if tc.hashed {
 				got, op = runSHJ(t, cfg, tuples)
 			} else {
 				got, op = runOperator(t, cfg, tuples)
 			}
-			if got != want {
-				t.Fatalf("emitted %d, reference %d", got, want)
-			}
+			exact.Equal(t, got, want)
 			if m := op.cfg.Initial; !tc.hashed && m != tc.cfg.Initial {
 				t.Fatalf("mapping %v, want %v", m, tc.cfg.Initial)
 			}
@@ -77,22 +76,17 @@ func sharedBlockCases() []sharedBlockCase {
 }
 
 // runSHJ is runOperator on the hash route.
-func runSHJ(t *testing.T, cfg Config, tuples []join.Tuple) (int64, *Operator) {
+func runSHJ(t *testing.T, cfg Config, tuples []join.Tuple) ([][2]uint64, *Operator) {
 	t.Helper()
-	var n atomic.Int64
-	cfg.EmitBatch = counter(&n)
-	op, err := NewSHJ(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got *[][2]uint64
+	cfg.EmitBatch, got = keySink(ckptKey, 0)
+	op := mustSHJ(t, cfg)
 	op.Start()
-	for _, tp := range tuples {
-		op.Send(tp)
-	}
+	sendAll(t, op, tuples)
 	if err := op.Finish(); err != nil {
 		t.Fatalf("operator error: %v", err)
 	}
-	return n.Load(), op
+	return *got, op
 }
 
 // checkLineBlocks requires every store of js to view only blocks a
@@ -148,11 +142,11 @@ func TestSharedIndexPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	for _, numRe := range []int{1, 2, 4, 8} {
 		got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: numRe}, tuples)
-		if got != want {
-			t.Fatalf("%d reshufflers: emitted %d, reference %d", numRe, got, want)
+		if msg := exact.Diff(got, want); msg != "" {
+			t.Fatalf("%d reshufflers: %s", numRe, msg)
 		}
 		if m := op.cfg.Initial; m.N != 4 || m.M != 4 {
 			t.Fatalf("mapping %v, want (4,4)", m)
@@ -173,12 +167,10 @@ func TestSharedIndexAcrossCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 6000, 6000, 1<<20)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2,
 		Backend: storage.NewMemBackend(), CheckpointEvery: 1000}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	if n := op.Metrics().Checkpoints.Load(); n < 2 {
 		t.Fatalf("%d checkpoints committed, want at least 2", n)
 	}
@@ -294,7 +286,7 @@ func TestSharedBlocksCaptureWhileAppending(t *testing.T) {
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored: %v", err)
 	}
-	diffMultisets(t, combineCutAndReplay(snap, run1, run2), want)
+	exact.Equal(t, combineCutAndReplay(snap, run1, run2), want)
 }
 
 // TestSharedBlocksAcrossMigrationExact runs an adaptive grid through
@@ -319,9 +311,8 @@ func TestSharedBlocksAcrossMigrationExact(t *testing.T) {
 		tuples[i] = join.Tuple{Rel: rel, Key: rng.Int63n(60), Size: 8}
 	}
 	withContent(rng, tuples)
-	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13}, tuples)
-	diffMultisets(t, got, want)
+	want := wantPairs(pred, tuples, contentOf)
+	op := runContentExact(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13}, tuples, want)
 	if op.Migrations() == 0 {
 		t.Fatal("no migration on a lopsided stream")
 	}
@@ -403,13 +394,11 @@ func TestWorkerSharedBlocksPerRow(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			addrs, wait := serveWorkers(t, 2)
-			want := refCount(tc.cfg.Pred, tuples)
+			want := stampedPairs(tc.cfg.Pred, tuples)
 			cfg := tc.cfg
 			cfg.Seed, cfg.Workers = 3, addrs
 			got, op := runOperator(t, cfg, tuples)
-			if got != want {
-				t.Fatalf("emitted %d, reference %d", got, want)
-			}
+			exact.Equal(t, got, want)
 			if m := op.cfg.Initial; m != tc.cfg.Initial {
 				t.Fatalf("mapping %v, want %v", m, tc.cfg.Initial)
 			}
@@ -441,11 +430,9 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
-	want := refCount(pred, tuples)
+	want := stampedPairs(pred, tuples)
 	got, _ := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, Workers: addrs}, tuples)
-	if got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, got, want)
 	for i, wop := range wait() {
 		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 	}
@@ -461,9 +448,9 @@ func TestWorkerSharedIndexLongFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 10000, 10000, 1<<20)
-	want := refCount(pred, tuples)
-	var n atomic.Int64
-	op := mustOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, BatchSize: 1024, Workers: addrs, EmitBatch: counter(&n)})
+	want := stampedPairs(pred, tuples)
+	emit, got := keySink(ckptKey, 0)
+	op := mustOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, BatchSize: 1024, Workers: addrs, EmitBatch: emit})
 	op.Start()
 	if err := op.SendBatch(tuples); err != nil {
 		t.Fatal(err)
@@ -471,9 +458,7 @@ func TestWorkerSharedIndexLongFrames(t *testing.T) {
 	if err := op.Finish(); err != nil {
 		t.Fatalf("operator error: %v", err)
 	}
-	if got := n.Load(); got != want {
-		t.Fatalf("emitted %d, reference %d", got, want)
-	}
+	exact.Equal(t, *got, want)
 	for i, wop := range wait() {
 		checkSharedIndexes(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 	}
@@ -500,9 +485,8 @@ func TestWorkerDropsStaleFrameSlots(t *testing.T) {
 		tuples[i] = join.Tuple{Rel: rel, Key: rng.Int63n(60), Size: 8}
 	}
 	withContent(rng, tuples)
-	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13, Workers: addrs}, tuples)
-	diffMultisets(t, got, want)
+	want := wantPairs(pred, tuples, contentOf)
+	op := runContentExact(t, Config{J: 16, Pred: pred, Adaptive: true, Warmup: 400, Seed: 13, Workers: addrs}, tuples, want)
 	if op.Migrations() == 0 {
 		t.Fatal("no migrations: the run must change epochs")
 	}
@@ -582,11 +566,10 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 			addrs, wait := serveWorkers(t, 2)
 			rng := rand.New(rand.NewSource(61))
 			tuples := lopsidedStream(rng)
-			want := refMultiset(pred, tuples, contentOf)
+			want := wantPairs(pred, tuples, contentOf)
 			cfg := tc.cfg
 			cfg.Pred, cfg.Seed, cfg.Workers = pred, 17, addrs
-			got, op := runOperatorContentBatch(t, cfg, tuples)
-			diffMultisets(t, got, want)
+			op := runContentBatchExact(t, cfg, tuples, want)
 			if cfg.Adaptive && op.Migrations() == 0 {
 				t.Fatal("no migrations: the run must move state across the workers")
 			}
@@ -597,23 +580,6 @@ func TestWorkerSharedBlocksExact(t *testing.T) {
 			tc.check(t, js)
 		})
 	}
-}
-
-// runOperatorContentBatch is runOperatorContent feeding the stream in
-// one SendBatch, so envelopes fill to their size before any flush.
-func runOperatorContentBatch(t *testing.T, cfg Config, tuples []join.Tuple) (map[pairContent]int, *Operator) {
-	t.Helper()
-	var got map[pairContent]int
-	cfg.EmitBatch, got = contentSink()
-	op := mustOperator(t, cfg)
-	op.Start()
-	if err := op.SendBatch(tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := op.Finish(); err != nil {
-		t.Fatalf("operator error: %v", err)
-	}
-	return got, op
 }
 
 // TestWorkerResidentGaugeMatchesHeap is TestResidentGaugeMatchesHeap
@@ -682,19 +648,17 @@ func TestSharedBlocksPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	tuples := mixedStream(rng, 4000, 4000, 4000)
 	withContent(rng, tuples)
-	want := refMultiset(pred, tuples, contentOf)
+	want := wantPairs(pred, tuples, contentOf)
 	cfg := Config{J: 16, Pred: pred, Initial: matrix.Mapping{N: 4, M: 4}, NumReshufflers: 2, BatchSize: 100, Seed: 7}
 	t.Run("in-process", func(t *testing.T) {
-		got, op := runOperatorContentBatch(t, cfg, tuples)
-		diffMultisets(t, got, want)
+		op := runContentBatchExact(t, cfg, tuples, want)
 		checkPackedBlocks(t, "", op.joiners)
 	})
 	t.Run("workers", func(t *testing.T) {
 		addrs, wait := serveWorkers(t, 2)
 		cfg := cfg
 		cfg.Workers = addrs
-		got, _ := runOperatorContentBatch(t, cfg, tuples)
-		diffMultisets(t, got, want)
+		runContentBatchExact(t, cfg, tuples, want)
 		for i, wop := range wait() {
 			checkPackedBlocks(t, fmt.Sprintf("worker %d: ", i), wop.joiners)
 		}

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/storage"
@@ -23,7 +25,7 @@ func shjInput(seed int64, n int, keys int64) []join.Tuple {
 	return out
 }
 
-func auxKey(p join.Pair) [2]int64 { return [2]int64{p.R.Aux, p.S.Aux} }
+func auxKey(r, s *join.Tuple) [2]uint64 { return [2]uint64{uint64(r.Aux), uint64(s.Aux)} }
 
 // mustSHJ is NewSHJ for a configuration the test knows is valid.
 func mustSHJ(t testing.TB, cfg Config) *Operator {
@@ -43,20 +45,13 @@ func mustSHJ(t testing.TB, cfg Config) *Operator {
 func TestSHJExactEquiJoin(t *testing.T) {
 	pred := join.EquiJoin("eq", nil)
 	tuples := shjInput(1, 6000, 60)
-	want := refMultiset(pred, tuples, auxKey)
+	want := wantPairs(pred, tuples, auxKey)
 	for _, j := range []int{1, 7, 16} {
 		for _, batch := range []int{1, 0} {
 			for _, feed := range []string{"Send", "SendBatch"} {
 				t.Run(fmt.Sprintf("J=%d/batch=%d/%s", j, batch, feed), func(t *testing.T) {
-					var mu sync.Mutex
-					got := make(map[[2]int64]int)
-					op := mustSHJ(t, Config{J: j, Pred: pred, BatchSize: batch, EmitBatch: func(ps []join.Pair) {
-						mu.Lock()
-						for _, p := range ps {
-							got[auxKey(p)]++
-						}
-						mu.Unlock()
-					}})
+					emit, got := keySink(auxKey, 0)
+					op := mustSHJ(t, Config{J: j, Pred: pred, BatchSize: batch, EmitBatch: emit})
 					op.Start()
 					if feed == "Send" {
 						for _, tp := range tuples {
@@ -74,7 +69,7 @@ func TestSHJExactEquiJoin(t *testing.T) {
 					if err := op.Finish(); err != nil {
 						t.Fatal(err)
 					}
-					diffMultisets(t, got, want)
+					exact.Equal(t, *got, want)
 					if in := op.Metrics().TotalInputTuples(); in != int64(len(tuples)) {
 						t.Fatalf("joiners took %d tuples, %d sent: the hash route replicated", in, len(tuples))
 					}
@@ -88,8 +83,18 @@ func TestSHJExactEquiJoin(t *testing.T) {
 // the shard of the joiner its key hashes to.
 func TestSHJShardIsKeyHash(t *testing.T) {
 	const j = 7
-	rec := newShardRecorder(j)
-	op := mustSHJ(t, Config{J: j, Pred: join.EquiJoin("eq", nil), EmitShard: rec.emit})
+	got := make([][][2]uint64, j)
+	var bad atomic.Pointer[string]
+	op := mustSHJ(t, Config{J: j, Pred: join.EquiJoin("eq", nil), EmitShard: func(shard int, ps []join.Pair) {
+		for i := range ps {
+			p := &ps[i]
+			if want := int(join.UMix(0, uint64(p.R.Key)) % j); shard != want {
+				msg := fmt.Sprintf("key %d emitted on shard %d, hashes to %d", p.R.Key, shard, want)
+				bad.CompareAndSwap(nil, &msg)
+			}
+			got[shard] = append(got[shard], auxKey(&p.R, &p.S))
+		}
+	}})
 	op.Start()
 	tuples := shjInput(2, 4000, 40)
 	if err := op.SendBatch(tuples); err != nil {
@@ -98,18 +103,10 @@ func TestSHJShardIsKeyHash(t *testing.T) {
 	if err := op.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for shard, ps := range rec.pairs {
-		for _, p := range ps {
-			if want := int(join.UMix(0, uint64(p.R.Key)) % j); shard != want {
-				t.Fatalf("key %d emitted on shard %d, hashes to %d", p.R.Key, shard, want)
-			}
-		}
-		total += len(ps)
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(*msg)
 	}
-	if want := len(refMultiset(join.EquiJoin("eq", nil), tuples, auxKey)); total != want {
-		t.Fatalf("%d pairs emitted, oracle %d", total, want)
-	}
+	exact.Equal(t, slices.Concat(got...), wantPairs(join.EquiJoin("eq", nil), tuples, auxKey))
 }
 
 // TestSHJInputIsKeyHashHistogram: each joiner's input is exactly the

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/transport"
@@ -73,12 +74,11 @@ func TestWorkerTakesReshufflersFromHello(t *testing.T) {
 	pred := join.EquiJoin("dist", nil)
 	rng := rand.New(rand.NewSource(7))
 	tuples := lopsidedStream(rng)
-	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{
+	want := wantPairs(pred, tuples, contentOf)
+	op := runContentExact(t, Config{
 		J: 8, Pred: pred, Seed: 99, Adaptive: true, Warmup: 400,
 		NumReshufflers: 3, Workers: addrs,
-	}, tuples)
-	diffMultisets(t, got, want)
+	}, tuples, want)
 	if op.Migrations() == 0 {
 		t.Fatal("no migrations: the drill must relocate state across the links")
 	}
@@ -97,12 +97,11 @@ func TestMixedPlacementExact(t *testing.T) {
 	pred := join.EquiJoin("mixed", nil)
 	rng := rand.New(rand.NewSource(11))
 	tuples := lopsidedStream(rng)
-	want := refMultiset(pred, tuples, contentOf)
-	got, op := runOperatorContent(t, Config{
+	want := wantPairs(pred, tuples, contentOf)
+	op := runContentExact(t, Config{
 		J: 8, Pred: pred, Seed: 5, Adaptive: true, Warmup: 400,
 		Workers: addrs, Placement: []int{-1, 0, 1, 0, -1, 1, 1, -1},
-	}, tuples)
-	diffMultisets(t, got, want)
+	}, tuples, want)
 	if op.Migrations() == 0 {
 		t.Fatal("no migrations: the drill must regroup rows and columns across the links")
 	}
@@ -236,7 +235,7 @@ func recycledPayloadsDrill(t *testing.T, seed int64) {
 	var (
 		mu   sync.Mutex
 		got  []kept
-		want = refMultiset(pred, tuples, func(p join.Pair) [2]int64 { return [2]int64{p.R.Aux, p.S.Aux} })
+		want = wantPairs(pred, tuples, auxKey)
 	)
 	op := mustOperator(t, Config{
 		J: 8, Pred: pred, Seed: seed, Adaptive: true, Warmup: 400,
@@ -265,12 +264,12 @@ func recycledPayloadsDrill(t *testing.T, seed int64) {
 	intact := func(aux int64, pay []byte) bool {
 		return aux >= 0 && aux < int64(len(payloads)) && bytes.Equal(pay, payloads[aux])
 	}
-	gotSet := make(map[[2]int64]int)
-	for _, k := range got {
+	keys := make([][2]uint64, len(got))
+	for i, k := range got {
 		if !intact(k.r, k.rPay) || !intact(k.s, k.sPay) {
 			t.Fatalf("pair (%d, %d): payloads read %x and %x after Finish", k.r, k.s, k.rPay, k.sPay)
 		}
-		gotSet[[2]int64{k.r, k.s}]++
+		keys[i] = [2]uint64{uint64(k.r), uint64(k.s)}
 	}
-	diffMultisets(t, gotSet, want)
+	exact.Equal(t, keys, want)
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 // runToTwoCheckpoints feeds tuples through an operator committing two
@@ -66,21 +67,7 @@ func recoverAndCheck(t *testing.T, backend squall.Backend, pred squall.Predicate
 	if err := op2.Finish(); err != nil {
 		t.Fatalf("finish restored operator: %v", err)
 	}
-	got := make(map[uKey]int)
-	for shard, ps := range run1.pairs {
-		cut := int64(0)
-		if shard < len(info.Emitted) {
-			cut = info.Emitted[shard]
-		}
-		if cut > int64(len(ps)) {
-			cut = int64(len(ps))
-		}
-		countInto(got, ps[:cut])
-	}
-	for _, ps := range run2.pairs {
-		countInto(got, ps)
-	}
-	checkMultiset(t, got, want)
+	exact.Equal(t, append(run1.cut(info.Emitted), run2.cut(nil)...), want)
 	return info
 }
 

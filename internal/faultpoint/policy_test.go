@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 func TestCheckpointDegradePolicy(t *testing.T) {
@@ -75,11 +76,7 @@ func TestCheckpointDegradePolicy(t *testing.T) {
 	if err := op.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	got := make(map[uKey]int)
-	for _, ps := range run.pairs {
-		countInto(got, ps)
-	}
-	checkMultiset(t, got, want)
+	exact.Equal(t, run.cut(nil), want)
 
 	// The post-outage checkpoint is restorable: no durability was
 	// silently lost while degraded.

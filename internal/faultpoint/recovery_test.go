@@ -10,11 +10,11 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 	"repro/internal/faultpoint"
 )
 
@@ -24,75 +24,68 @@ import (
 // the harness controls.
 type uKey [2]uint64
 
-// shardLog records emitted pairs per sink shard in emission order:
-// per-shard order is what lets the harness truncate a shard's stream
-// to a checkpoint's emitted-count cut.
+// shardLog records emitted pairs' uKeys per sink shard in emission
+// order: per-shard order is what lets the harness truncate a shard's
+// stream to a checkpoint's emitted-count cut. It takes no lock: the
+// Sharded contract serializes same-shard calls, so under -race a
+// violation shows as a data race.
 type shardLog struct {
-	mu    []sync.Mutex
-	pairs [][]squall.Pair
+	keys [][]uKey
 }
 
 func newShardLog(shards int) *shardLog {
-	return &shardLog{mu: make([]sync.Mutex, shards), pairs: make([][]squall.Pair, shards)}
+	return &shardLog{keys: make([][]uKey, shards)}
 }
 
 func (l *shardLog) emit(shard int, ps []squall.Pair) {
-	l.mu[shard].Lock()
-	l.pairs[shard] = append(l.pairs[shard], ps...)
-	l.mu[shard].Unlock()
+	for _, p := range ps {
+		l.keys[shard] = append(l.keys[shard], uKey{p.R.U, p.S.U})
+	}
 }
 
 func (l *shardLog) sink() squall.Sink { return squall.Sharded(l.emit) }
+
+// cut is every shard's keys, shard i truncated to cuts[i] (none past
+// len(cuts)); a nil cuts keeps them all.
+func (l *shardLog) cut(cuts []int64) []uKey {
+	var out []uKey
+	for shard, ks := range l.keys {
+		n := int64(len(ks))
+		if cuts != nil {
+			n = 0
+			if shard < len(cuts) {
+				n = min(cuts[shard], int64(len(ks)))
+			}
+		}
+		out = append(out, ks[:n]...)
+	}
+	return out
+}
 
 // newOperator builds a single-grid operator from options.
 func newOperator(pred squall.Predicate, sink squall.Sink, opts ...squall.Option) *squall.Operator {
 	return squall.NewEngine(pred, sink, opts...).(*squall.Operator)
 }
 
-// oracle computes the expected pair multiset over the full input.
-func oracle(pred squall.Predicate, tuples []squall.Tuple) map[uKey]int {
-	var rs, ss []squall.Tuple
+// oracle is exact's pair multiset over the full input, keyed by the
+// members' U ids: a sort-merge for a residual-free equi or band
+// predicate, a nested loop over Matches otherwise.
+func oracle(pred squall.Predicate, tuples []squall.Tuple) []uKey {
+	var sides [2][]squall.Tuple
 	for _, t := range tuples {
-		if t.Rel == squall.SideR {
-			rs = append(rs, t)
-		} else {
-			ss = append(ss, t)
-		}
+		sides[t.Rel] = append(sides[t.Rel], t)
 	}
-	out := make(map[uKey]int)
-	for _, r := range rs {
-		for _, s := range ss {
-			if pred.Matches(r, s) {
-				out[uKey{r.U, s.U}]++
-			}
-		}
+	pair := func(r, s *squall.Tuple) uKey { return uKey{r.U, s.U} }
+	if pred.Residual != nil || pred.Kind == squall.KindTheta {
+		match := func(r, s *squall.Tuple) bool { return pred.Matches(*r, *s) }
+		return exact.Theta(sides[squall.SideR], sides[squall.SideS], match, pair)
 	}
-	return out
-}
-
-func countInto(dst map[uKey]int, ps []squall.Pair) {
-	for _, p := range ps {
-		dst[uKey{p.R.U, p.S.U}]++
+	w := pred.Width
+	if pred.Kind == squall.KindEqui {
+		w = 0
 	}
-}
-
-func checkMultiset(t *testing.T, got, want map[uKey]int) {
-	t.Helper()
-	missing, extra := 0, 0
-	for k, n := range want {
-		if got[k] < n {
-			missing += n - got[k]
-		}
-	}
-	for k, n := range got {
-		if want[k] < n {
-			extra += n - want[k]
-		}
-	}
-	if missing != 0 || extra != 0 {
-		t.Fatalf("recovered output differs from oracle: %d pairs missing, %d duplicated/spurious (oracle %d)",
-			missing, extra, len(want))
-	}
+	key := func(t *squall.Tuple) (int64, bool) { return t.Key, !t.Dummy }
+	return exact.Band(sides[squall.SideR], sides[squall.SideS], w, key, pair)
 }
 
 // mixedInput builds an interleaved two-sided stream with unique U ids.
@@ -215,21 +208,7 @@ func crashAndRecoverBackend(t *testing.T, point string, pred squall.Predicate, t
 		t.Fatalf("finish restored operator: %v", err)
 	}
 
-	got := make(map[uKey]int)
-	for shard, ps := range run1.pairs {
-		cut := int64(0)
-		if shard < len(info.Emitted) {
-			cut = info.Emitted[shard]
-		}
-		if cut > int64(len(ps)) {
-			cut = int64(len(ps))
-		}
-		countInto(got, ps[:cut])
-	}
-	for _, ps := range run2.pairs {
-		countInto(got, ps)
-	}
-	checkMultiset(t, got, want)
+	exact.Equal(t, append(run1.cut(info.Emitted), run2.cut(nil)...), want)
 }
 
 func TestRecoveryFromCrashPoints(t *testing.T) {
@@ -353,11 +332,7 @@ func TestRecoveryFromCorruptCheckpoint(t *testing.T) {
 				t.Fatalf("finish: %v", err)
 			}
 			// The undamaged first run is exact.
-			full := make(map[uKey]int)
-			for _, ps := range run1.pairs {
-				countInto(full, ps)
-			}
-			checkMultiset(t, full, want)
+			exact.Equal(t, run1.cut(nil), want)
 
 			// Restore must detect the rot.
 			if _, _, rerr := squall.Restore(backend, pred, newShardLog(64).sink()); rerr == nil {
@@ -378,11 +353,7 @@ func TestRecoveryFromCorruptCheckpoint(t *testing.T) {
 			if err := op3.Finish(); err != nil {
 				t.Fatalf("rerun finish: %v", err)
 			}
-			got := make(map[uKey]int)
-			for _, ps := range run3.pairs {
-				countInto(got, ps)
-			}
-			checkMultiset(t, got, want)
+			exact.Equal(t, run3.cut(nil), want)
 		})
 	}
 }

@@ -69,10 +69,13 @@ import (
 // block's sharers (6.6 B of the 26.5 on a (4,4) grid, all 26.5 for a
 // block of the store's own writer).
 //
-// Every snapshot, delta, spill record and migration block frame over a
-// link still carries five 8-byte words per row, 40 B: the encoders
-// write the derived u and meta values, so the codecs do not depend on
-// the in-memory layout. Blocks are written once, by a writer. A
+// The codecs do not depend on the in-memory layout. Snapshots, deltas
+// and migration block frames carry five 8-byte words a row, 40 B: the
+// encoders write the derived u and meta values. A spill record is
+// storage's 42-byte per-tuple record (plus payload). A worker data
+// frame's body is a column record (record.go), 24 B a row when every
+// u is derived, whose header carries the rule. Blocks are written
+// once, by a writer. A
 // migration copies rows column by column (BlockWriter.copyRow) into
 // blocks that a target in the same process adopts as they are, never
 // serialized; a row copied into a block with the header it came from

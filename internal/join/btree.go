@@ -532,8 +532,8 @@ func (t *ordTree) probe(probe Tuple, width int64, lim uint64, fn func(Tuple)) {
 	if t.n == 0 {
 		return
 	}
-	hi := probe.Key + width
-	l, pos := t.seek(probe.Key - width)
+	lo, hi := bandBounds(probe.Key, width)
+	l, pos := t.seek(lo)
 	for ; l != nil; l, pos = l.next, 0 {
 		for ; pos < l.n; pos++ {
 			if l.key[pos] > hi {
@@ -579,8 +579,8 @@ func (t *ordTree) collect(ps []Tuple, rel matrix.Side, p Predicate, width int64,
 		if plainBand && probe.Dummy {
 			continue
 		}
-		hi := probe.Key + width
-		l, pos := t.seek(probe.Key - width)
+		lo, hi := bandBounds(probe.Key, width)
+		l, pos := t.seek(lo)
 	sweep:
 		for ; l != nil; l, pos = l.next, 0 {
 			for ; pos < l.n; pos++ {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/matrix"
 )
 
@@ -31,18 +32,13 @@ func fixtureTuple(i int) Tuple {
 }
 
 // joinedPairs runs the join the stored state answers: every stored R
-// tuple probes the S side. The result is a multiset keyed by the pair's
-// sequence numbers.
-func joinedPairs(l *Local) map[[2]uint64]int {
+// tuple probes the S side. Each pair is keyed by its sequence numbers.
+func joinedPairs(l *Local) [][2]uint64 {
 	var rs []Tuple
 	l.Scan(matrix.SideR, func(r Tuple) bool { rs = append(rs, r); return true })
 	var ps []Pair
 	l.ProbeBatchCollect(rs, &ps)
-	out := map[[2]uint64]int{}
-	for _, p := range ps {
-		out[[2]uint64{p.R.Seq, p.S.Seq}]++
-	}
-	return out
+	return seqKeys(ps)
 }
 
 // TestParentEncodedStateDecodes is the compatibility gate on the bytes
@@ -64,23 +60,15 @@ func TestParentEncodedStateDecodes(t *testing.T) {
 
 	// expect checks got against a Local this code builds by plain
 	// inserts of the same tuples: stored contents per side, and the
-	// pair multiset against a nested loop.
+	// pair multiset against exact's.
 	expect := func(label string, got *Local, n int) *Local {
 		t.Helper()
 		want := NewLocal(pred)
-		oracle := map[[2]uint64]int{}
+		var sides [2][]Tuple
 		for i := 0; i < n; i++ {
 			tp := fixtureTuple(i)
 			want.Insert(tp)
-			for j := 0; j < i; j++ {
-				if o := fixtureTuple(j); o.Rel != tp.Rel && o.Key == tp.Key && !o.Dummy && !tp.Dummy {
-					r, s := tp, o
-					if r.Rel != matrix.SideR {
-						r, s = o, tp
-					}
-					oracle[[2]uint64{r.Seq, s.Seq}]++
-				}
-			}
+			sides[tp.Rel] = append(sides[tp.Rel], tp)
 		}
 		for _, side := range [2]matrix.Side{matrix.SideR, matrix.SideS} {
 			var g, w []Tuple
@@ -93,14 +81,8 @@ func TestParentEncodedStateDecodes(t *testing.T) {
 			}
 			checkStore(t, label, idx.(*HashIndex))
 		}
-		pairs := joinedPairs(got)
-		if len(pairs) != len(oracle) {
-			t.Fatalf("%s: %d distinct pairs, nested loop %d", label, len(pairs), len(oracle))
-		}
-		for k, c := range oracle {
-			if pairs[k] != c {
-				t.Fatalf("%s: pair %v joined %d times, nested loop %d", label, k, pairs[k], c)
-			}
+		if msg := exact.Diff(joinedPairs(got), oracle(pred, sides[matrix.SideR], sides[matrix.SideS])); msg != "" {
+			t.Fatalf("%s: %s", label, msg)
 		}
 		return want
 	}

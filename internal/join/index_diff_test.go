@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/matrix"
 )
 
@@ -217,11 +218,13 @@ func TestHashIndexDifferential(t *testing.T) {
 						// Off the chunk boundary most of the time.
 						probes := make([]Tuple, 1+rng.Intn(3*walkChunk))
 						var want []Tuple
-						var wantPairs int
+						var wantPairs [][2]uint64
 						for i := range probes {
 							probes[i] = Tuple{Rel: matrix.SideR, Key: probeKey(), Size: 8, Seq: uint64(1e12) + uint64(i)}
 							want = append(want, ref.byKey[probes[i].Key]...)
-							wantPairs += len(ref.byKey[probes[i].Key])
+							for _, s := range ref.byKey[probes[i].Key] {
+								wantPairs = append(wantPairs, [2]uint64{probes[i].Seq, s.Seq})
+							}
 						}
 						var pairs []Pair
 						h.ProbeBatchCollect(probes, matrix.SideR, pred, &pairs)
@@ -234,22 +237,8 @@ func TestHashIndexDifferential(t *testing.T) {
 						}
 						// The same stored tuple may answer several probes
 						// of one run: compare as multisets of (probe, seq).
-						if len(pairs) != wantPairs {
-							t.Fatalf("step %d: batch probe produced %d pairs, reference %d", step, len(pairs), wantPairs)
-						}
-						count := map[[2]uint64]int{}
-						for _, pr := range pairs {
-							count[[2]uint64{pr.R.Seq, pr.S.Seq}]++
-						}
-						for i := range probes {
-							for _, s := range ref.byKey[probes[i].Key] {
-								count[[2]uint64{probes[i].Seq, s.Seq}]--
-							}
-						}
-						for k, n := range count {
-							if n != 0 {
-								t.Fatalf("step %d: batch probe pair %v off by %d", step, k, n)
-							}
+						if msg := exact.Diff(seqKeys(pairs), wantPairs); msg != "" {
+							t.Fatalf("step %d: batch probe: %s", step, msg)
 						}
 					case opRetain:
 						// U is per tuple, so chains are thinned, not only

@@ -1,30 +1,46 @@
 package join
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exact"
 	"repro/internal/matrix"
 )
 
-// referenceJoin computes R ⋈ S by nested loops over the full inputs.
-func referenceJoin(p Predicate, rs, ss []Tuple) int {
-	n := 0
-	for _, r := range rs {
-		for _, s := range ss {
-			if p.Matches(r, s) {
-				n++
-			}
-		}
+// oracle is exact's multiset of p over rs × ss, each pair keyed by its
+// members' seqs: a sort-merge for a residual-free equi or band
+// predicate, a nested loop over Matches otherwise.
+func oracle(p Predicate, rs, ss []Tuple) [][2]uint64 {
+	if p.Residual != nil || p.Kind == Theta {
+		return exact.Theta(rs, ss, func(r, s *Tuple) bool { return p.Matches(*r, *s) }, seqPair)
 	}
-	return n
+	w := p.Width
+	if p.Kind == Equi {
+		w = 0
+	}
+	return exact.Band(rs, ss, w, func(t *Tuple) (int64, bool) { return t.Key, !t.Dummy }, seqPair)
 }
 
-func randTuples(rng *rand.Rand, rel matrix.Side, n int, keyRange int64) []Tuple {
+func seqPair(r, s *Tuple) [2]uint64 { return [2]uint64{r.Seq, s.Seq} }
+
+// seqKeys keys emitted pairs as oracle does.
+func seqKeys(ps []Pair) [][2]uint64 {
+	out := make([][2]uint64, len(ps))
+	for i := range ps {
+		out[i] = seqPair(&ps[i].R, &ps[i].S)
+	}
+	return out
+}
+
+// randTuples draws n tuples of rel over keyRange, with seqs from seq0+1
+// on.
+func randTuples(rng *rand.Rand, rel matrix.Side, n int, keyRange int64, seq0 uint64) []Tuple {
 	ts := make([]Tuple, n)
 	for i := range ts {
-		ts[i] = Tuple{Rel: rel, Key: rng.Int63n(keyRange), Aux: rng.Int63n(100), Size: 8, U: rng.Uint64()}
+		ts[i] = Tuple{Rel: rel, Key: rng.Int63n(keyRange), Aux: rng.Int63n(100), Size: 8, U: rng.Uint64(), Seq: seq0 + uint64(i) + 1}
 	}
 	return ts
 }
@@ -50,62 +66,94 @@ func probe(l *Local, t Tuple) int {
 func TestLocalEquiMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := EquiJoin("eq", nil)
-	rs := randTuples(rng, matrix.SideR, 300, 50)
-	ss := randTuples(rng, matrix.SideS, 400, 50)
-	want := referenceJoin(p, rs, ss)
+	rs := randTuples(rng, matrix.SideR, 300, 50, 0)
+	ss := randTuples(rng, matrix.SideS, 400, 50, 300)
 
 	l := NewLocal(p)
-	n := 0
+	var out []Pair
 	// Random interleave.
 	ri, si := 0, 0
 	for ri < len(rs) || si < len(ss) {
 		if si >= len(ss) || (ri < len(rs) && rng.Intn(2) == 0) {
-			n += add(l, rs[ri])
+			l.AddBatchCollect(rs[ri:ri+1], &out)
 			ri++
 		} else {
-			n += add(l, ss[si])
+			l.AddBatchCollect(ss[si:si+1], &out)
 			si++
 		}
 	}
-	if n != want {
-		t.Fatalf("symmetric join output %d, reference %d", n, want)
-	}
+	exact.Equal(t, seqKeys(out), oracle(p, rs, ss))
 }
 
 func TestLocalBandMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := BandJoin("band", 2, func(r, s Tuple) bool { return r.Aux > 10 })
-	rs := randTuples(rng, matrix.SideR, 250, 200)
-	ss := randTuples(rng, matrix.SideS, 250, 200)
-	want := referenceJoin(p, rs, ss)
+	rs := randTuples(rng, matrix.SideR, 250, 200, 0)
+	ss := randTuples(rng, matrix.SideS, 250, 200, 250)
 
 	l := NewLocal(p)
-	n := 0
+	var out []Pair
 	for i := 0; i < len(rs); i++ {
-		n += add(l, rs[i])
-		n += add(l, ss[i])
+		l.AddBatchCollect(rs[i:i+1], &out)
+		l.AddBatchCollect(ss[i:i+1], &out)
 	}
-	if n != want {
-		t.Fatalf("band join output %d, reference %d", n, want)
-	}
+	exact.Equal(t, seqKeys(out), oracle(p, rs, ss))
 }
 
 func TestLocalThetaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// The paper's Fig. 1a predicate: r != s.
 	p := ThetaJoin("neq", func(r, s Tuple) bool { return r.Key != s.Key })
-	rs := randTuples(rng, matrix.SideR, 100, 20)
-	ss := randTuples(rng, matrix.SideS, 100, 20)
-	want := referenceJoin(p, rs, ss)
+	rs := randTuples(rng, matrix.SideR, 100, 20, 0)
+	ss := randTuples(rng, matrix.SideS, 100, 20, 100)
 
 	l := NewLocal(p)
-	n := 0
+	var out []Pair
 	for i := range rs {
-		n += add(l, ss[i])
-		n += add(l, rs[i])
+		l.AddBatchCollect(ss[i:i+1], &out)
+		l.AddBatchCollect(rs[i:i+1], &out)
 	}
-	if n != want {
-		t.Fatalf("theta join output %d, reference %d", n, want)
+	exact.Equal(t, seqKeys(out), oracle(p, rs, ss))
+}
+
+// Band keys at the int64 extremes join by their true distance: a probe
+// window that would pass either bound saturates instead of wrapping,
+// and Matches never takes an overflowed difference. Both hold through
+// a store's own tree and through a line's shared tree, for batch and
+// callback probes, and for the residual path that calls Matches.
+func TestBandAtInt64Extremes(t *testing.T) {
+	for _, w := range []int64{0, 1, 3} {
+		var rs, ss []Tuple
+		for _, k := range []int64{math.MinInt64, math.MinInt64 + w, math.MaxInt64 - w, math.MaxInt64, 0} {
+			for dup := 0; dup < 2; dup++ {
+				rs = append(rs, Tuple{Rel: matrix.SideR, Key: k, Size: 8, Seq: uint64(len(rs) + 1)})
+				ss = append(ss, Tuple{Rel: matrix.SideS, Key: k, Size: 8, Seq: uint64(len(ss) + 101)})
+			}
+		}
+		plain := BandJoin("band", w, nil)
+		want := oracle(plain, rs, ss)
+		for _, p := range []Predicate{plain, BandJoin("band-residual", w, func(r, s Tuple) bool { return true })} {
+			l := NewLocal(p)
+			var own []Pair
+			l.AddBatchCollect(rs, &own)
+			l.AddBatchCollect(ss, &own)
+			exact.Equal(t, seqKeys(own), want)
+
+			lt, o := NewLineTree(1), NewOrderedIndex(w)
+			o.InsertWindow(ss, lt.Append(ss))
+			var line []Pair
+			o.ProbeBatchCollect(rs, matrix.SideR, p, &line)
+			exact.Equal(t, seqKeys(line), want)
+
+			var each []Pair
+			for _, r := range rs {
+				o.Probe(r, func(s Tuple) { each = append(each, Pair{R: r, S: s}) })
+			}
+			exact.Equal(t, seqKeys(each), want)
+		}
+	}
+	if BandJoin("band", 1, nil).Matches(Tuple{Key: math.MinInt64}, Tuple{Key: math.MaxInt64}) {
+		t.Fatal("MinInt64 and MaxInt64 matched at width 1")
 	}
 }
 
@@ -172,16 +220,16 @@ func TestQuickLocalEqualsReference(t *testing.T) {
 		}
 		var rs, ss []Tuple
 		for _, k := range rKeys {
-			rs = append(rs, Tuple{Rel: matrix.SideR, Key: int64(k % 32)})
+			rs = append(rs, Tuple{Rel: matrix.SideR, Key: int64(k % 32), Seq: uint64(len(rs) + 1)})
 		}
 		for _, k := range sKeys {
-			ss = append(ss, Tuple{Rel: matrix.SideS, Key: int64(k % 32)})
+			ss = append(ss, Tuple{Rel: matrix.SideS, Key: int64(k % 32), Seq: uint64(len(rKeys) + len(ss) + 1)})
 		}
 		l := NewLocal(p)
 		var out []Pair
 		l.AddBatchCollect(rs, &out)
 		l.AddBatchCollect(ss, &out)
-		return len(out) == referenceJoin(p, rs, ss)
+		return exact.Diff(seqKeys(out), oracle(p, rs, ss)) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

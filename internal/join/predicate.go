@@ -1,6 +1,9 @@
 package join
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind classifies the structure of a join predicate. The joiner picks
 // its local index by kind: hash index for equi, ordered index for band,
@@ -59,12 +62,38 @@ func (p Predicate) Matches(r, s Tuple) bool {
 			return false
 		}
 	case Band:
-		d := r.Key - s.Key
-		if d < -p.Width || d > p.Width {
+		if !withinBand(r.Key, s.Key, p.Width) {
 			return false
 		}
 	}
 	return p.Residual == nil || p.Residual(r, s)
+}
+
+// withinBand reports |a - b| <= w without overflow: the distance of
+// two int64 values always fits in a uint64. A negative w matches
+// nothing.
+func withinBand(a, b, w int64) bool {
+	if a < b {
+		a, b = b, a
+	}
+	return w >= 0 && uint64(a)-uint64(b) <= uint64(w)
+}
+
+// bandBounds is the key range [key-w, key+w] a band probe sweeps,
+// saturated at the int64 bounds instead of wrapping. A negative w gives
+// an empty range.
+func bandBounds(key, w int64) (lo, hi int64) {
+	if w < 0 {
+		return math.MaxInt64, math.MinInt64
+	}
+	lo, hi = key-w, key+w
+	if key < math.MinInt64+w {
+		lo = math.MinInt64
+	}
+	if key > math.MaxInt64-w {
+		hi = math.MaxInt64
+	}
+	return lo, hi
 }
 
 func (p Predicate) String() string {

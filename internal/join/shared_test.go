@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/matrix"
 )
 
@@ -105,23 +106,11 @@ func TestSharedWindowsMatchPrivateCopies(t *testing.T) {
 	}
 }
 
-// comparePairs requires two runs' pair lists to hold the same pairs.
+// comparePairs requires a run through windows (got) to emit the pairs,
+// by member seqs, of the same run through copies (want).
 func comparePairs(t *testing.T, want, got []Pair) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("run emitted %d pairs through a window, %d through copies", len(got), len(want))
-	}
-	count := map[[2]uint64]int{}
-	for _, p := range want {
-		count[[2]uint64{p.R.Seq, p.S.Seq}]++
-	}
-	for _, p := range got {
-		k := [2]uint64{p.R.Seq, p.S.Seq}
-		if count[k] == 0 {
-			t.Fatalf("window run emitted pair %v not in the copy run", k)
-		}
-		count[k]--
-	}
+	exact.Equal(t, seqKeys(got), seqKeys(want))
 }
 
 // TestMergeFromAdoptsSharedViewThenExtends covers a migration's ∆′

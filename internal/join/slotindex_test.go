@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/matrix"
 )
 
@@ -423,19 +425,8 @@ func sameSeqs(got, want []Tuple) error {
 
 // pairsMatch compares two pair multisets by their tuples' Seq values.
 func pairsMatch(got, want []Pair) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d pairs, reference %d", len(got), len(want))
-	}
-	count := map[[2]uint64]int{}
-	for _, p := range want {
-		count[[2]uint64{p.R.Seq, p.S.Seq}]++
-	}
-	for _, p := range got {
-		k := [2]uint64{p.R.Seq, p.S.Seq}
-		if count[k] == 0 {
-			return fmt.Errorf("pair %v not in the reference", k)
-		}
-		count[k]--
+	if msg := exact.Diff(seqKeys(got), seqKeys(want)); msg != "" {
+		return errors.New(msg)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 )
@@ -86,16 +87,12 @@ func ckptFixtureSnapshot(id, base uint64, joiners []JoinerSnapshot) *OperatorSna
 
 // storePairs is the join a store answers: every stored R tuple (both
 // tiers) probes the S side, keyed by the pair's sequence numbers.
-func storePairs(s *Store) map[[2]uint64]int {
+func storePairs(s *Store) [][2]uint64 {
 	var rs []join.Tuple
 	s.Scan(matrix.SideR, func(r join.Tuple) bool { rs = append(rs, r); return true })
 	var ps []join.Pair
 	s.ProbeBatchCollect(rs, &ps)
-	out := map[[2]uint64]int{}
-	for _, p := range ps {
-		out[[2]uint64{p.R.Seq, p.S.Seq}]++
-	}
-	return out
+	return seqKeys(ps)
 }
 
 // fixtureOrderedJoiner is the fixture's band joiner, whose ordered
@@ -226,13 +223,8 @@ func TestParentEncodedCheckpointBlobs(t *testing.T) {
 		if len(exp) == 0 {
 			t.Fatalf("joiner %d: fixture joins nothing", j)
 		}
-		if len(got) != len(exp) {
-			t.Fatalf("joiner %d: %d distinct pairs restored, never-checkpointed store %d", j, len(got), len(exp))
-		}
-		for k, n := range exp {
-			if got[k] != n {
-				t.Fatalf("joiner %d: pair %v joined %d times, want %d", j, k, got[k], n)
-			}
+		if msg := exact.Diff(got, exp); msg != "" {
+			t.Fatalf("joiner %d, restored against never-checkpointed: %s", j, msg)
 		}
 		diffCounts(t, "restored contents", storeCounts(restored[j]), storeCounts(want[j]))
 		restored[j].Close()

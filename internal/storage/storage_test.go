@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/join"
 	"repro/internal/matrix"
 )
@@ -24,16 +25,29 @@ func add(s *Store, t join.Tuple) int64 {
 	return int64(len(out))
 }
 
-func refJoin(p join.Predicate, rs, ss []join.Tuple) int {
-	n := 0
-	for _, r := range rs {
-		for _, s := range ss {
-			if p.Matches(r, s) {
-				n++
-			}
-		}
+// oracle is exact's multiset of p over rs × ss, each pair keyed by its
+// members' seqs: a sort-merge for a residual-free equi or band
+// predicate, a nested loop over Matches otherwise.
+func oracle(p join.Predicate, rs, ss []join.Tuple) [][2]uint64 {
+	if p.Residual != nil || p.Kind == join.Theta {
+		return exact.Theta(rs, ss, func(r, s *join.Tuple) bool { return p.Matches(*r, *s) }, seqPair)
 	}
-	return n
+	w := p.Width
+	if p.Kind == join.Equi {
+		w = 0
+	}
+	return exact.Band(rs, ss, w, func(t *join.Tuple) (int64, bool) { return t.Key, !t.Dummy }, seqPair)
+}
+
+func seqPair(r, s *join.Tuple) [2]uint64 { return [2]uint64{r.Seq, s.Seq} }
+
+// seqKeys keys emitted pairs as oracle does.
+func seqKeys(ps []join.Pair) [][2]uint64 {
+	out := make([][2]uint64, len(ps))
+	for i := range ps {
+		out[i] = seqPair(&ps[i].R, &ps[i].S)
+	}
+	return out
 }
 
 func TestStoreInMemoryJoin(t *testing.T) {
@@ -62,24 +76,20 @@ func TestStoreSpillPreservesJoinResult(t *testing.T) {
 	defer s.Close()
 
 	var rs, ss []join.Tuple
+	var out []join.Pair
 	seq := uint64(0)
-	var n int64
 	for i := 0; i < 300; i++ {
 		seq++
-		r := tup(matrix.SideR, int64(rng.Intn(40)), seq)
-		rs = append(rs, r)
-		n += add(s, r)
+		rs = append(rs, tup(matrix.SideR, int64(rng.Intn(40)), seq))
+		s.AddBatchCollect(rs[i:i+1], &out)
 		seq++
-		sv := tup(matrix.SideS, int64(rng.Intn(40)), seq)
-		ss = append(ss, sv)
-		n += add(s, sv)
+		ss = append(ss, tup(matrix.SideS, int64(rng.Intn(40)), seq))
+		s.AddBatchCollect(ss[i:i+1], &out)
 	}
 	if !s.Spilled() {
 		t.Fatal("expected spill with 200-byte cap")
 	}
-	if want := refJoin(p, rs, ss); int(n) != want {
-		t.Fatalf("join with spill emitted %d, reference %d", n, want)
-	}
+	exact.Equal(t, seqKeys(out), oracle(p, rs, ss))
 	if s.Metrics.DiskReads.Load() == 0 {
 		t.Fatal("no disk reads recorded despite spilled probes")
 	}
@@ -91,18 +101,14 @@ func TestStoreSpillBandJoin(t *testing.T) {
 	s := NewStore(p, Config{CapBytes: 160, Dir: t.TempDir()})
 	defer s.Close()
 	var rs, ss []join.Tuple
-	var n int64
+	var out []join.Pair
 	for i := 0; i < 200; i++ {
-		r := tup(matrix.SideR, int64(rng.Intn(100)), uint64(2*i))
-		sv := tup(matrix.SideS, int64(rng.Intn(100)), uint64(2*i+1))
-		rs = append(rs, r)
-		ss = append(ss, sv)
-		n += add(s, r)
-		n += add(s, sv)
+		rs = append(rs, tup(matrix.SideR, int64(rng.Intn(100)), uint64(2*i)))
+		ss = append(ss, tup(matrix.SideS, int64(rng.Intn(100)), uint64(2*i+1)))
+		s.AddBatchCollect(rs[i:i+1], &out)
+		s.AddBatchCollect(ss[i:i+1], &out)
 	}
-	if want := refJoin(p, rs, ss); int(n) != want {
-		t.Fatalf("band join with spill emitted %d, reference %d", n, want)
-	}
+	exact.Equal(t, seqKeys(out), oracle(p, rs, ss))
 }
 
 func TestStoreLenAndBytesAcrossTiers(t *testing.T) {

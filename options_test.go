@@ -13,6 +13,7 @@ import (
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
 // TestInvalidOptionsReturnErrors pins the construction surface's
@@ -34,6 +35,7 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 		opts []squall.Option
 	}{
 		{"J=0", eq, []squall.Option{squall.WithJoiners(0)}},
+		{"band/negative-width", squall.Band("x", -1), nil},
 		{"initial-mapping", eq, []squall.Option{squall.WithJoiners(16), squall.WithInitialMapping(squall.Mapping{N: 2, M: 4})}},
 		{"workers/backend", eq, workers(squall.WithBackend(squall.NewMemBackend()))},
 		{"workers/elastic", eq, workers(squall.WithElastic(100, 0))},
@@ -138,37 +140,29 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 	})
 }
 
-// pairMultiset is a Batches sink folding pairs into an (R.Aux, S.Aux)
-// multiset, safe for the concurrent calls of several joiners; seen
-// counts the pairs delivered so far.
+// pairMultiset is a Batches sink collecting each pair's (R.Aux, S.Aux)
+// key, safe for the concurrent calls of several joiners; seen counts
+// the pairs delivered so far.
 type pairMultiset struct {
 	mu   sync.Mutex
-	got  map[[2]int64]int
+	got  [][2]uint64
 	seen atomic.Int64
 }
 
 func (m *pairMultiset) sink() squall.Sink {
-	m.got = map[[2]int64]int{}
 	return squall.Batches(func(ps []squall.Pair) {
 		m.mu.Lock()
-		for _, p := range ps {
-			m.got[[2]int64{p.R.Aux, p.S.Aux}]++
+		for i := range ps {
+			m.got = append(m.got, auxKey(&ps[i].R, &ps[i].S))
 		}
 		m.mu.Unlock()
 		m.seen.Add(int64(len(ps)))
 	})
 }
 
-func (m *pairMultiset) check(t *testing.T, want map[[2]int64]int) {
+func (m *pairMultiset) check(t *testing.T, want [][2]uint64) {
 	t.Helper()
-	if len(m.got) != len(want) {
-		t.Fatalf("%d distinct pairs, nested loop %d", len(m.got), len(want))
-	}
-	for k, n := range want {
-		if m.got[k] != n {
-			t.Fatalf("pair %v emitted %d times, nested loop %d", k, m.got[k], n)
-		}
-	}
+	exact.Equal(t, m.got, want)
 }
 
 // TestWithPadDummiesExact drives WithPadDummies on a stream whose

@@ -5,17 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	squall "repro"
+	"repro/internal/exact"
 )
 
-// triple identifies one R ⋈ S ⋈ T result by its source-tuple ids.
-type triple struct{ rid, sid, tid int64 }
+// triple identifies one R ⋈ S ⋈ T result by its source-tuple ids:
+// rid, sid and tid.
+type triple [3]uint64
+
+// tripleOf is the triple of one (R ⋈ S) ⋈ T pair: its R member is
+// rekeyRS's tuple.
+func tripleOf(rs, t *squall.Tuple) triple {
+	return triple{uint64(rs.Aux / 1_000_000), uint64(rs.Aux % 1_000_000), uint64(t.Aux)}
+}
 
 // threeWayInputs builds the R, S, T streams for the multi-way tests:
 // R and S join on k1; S carries the second join key k2 in its Aux
@@ -47,35 +54,12 @@ func rekeyRS(p squall.Pair) squall.Tuple {
 	}
 }
 
-// oracleThreeWay computes the exact R ⋈ S ⋈ T result by nested loops.
+// oracleThreeWay is exact's R ⋈ S ⋈ T: the R ⋈ S pairs on k1, rekeyed
+// by rekeyRS, joined with T on k2.
 func oracleThreeWay(rs, ss, ts []squall.Tuple) []triple {
-	var out []triple
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Key != s.Key {
-				continue
-			}
-			k2 := s.Aux % 1024
-			for _, t := range ts {
-				if t.Key == k2 {
-					out = append(out, triple{rid: r.Aux, sid: s.Aux / 1024, tid: t.Aux})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func sortTriples(x []triple) {
-	sort.Slice(x, func(i, j int) bool {
-		if x[i].rid != x[j].rid {
-			return x[i].rid < x[j].rid
-		}
-		if x[i].sid != x[j].sid {
-			return x[i].sid < x[j].sid
-		}
-		return x[i].tid < x[j].tid
-	})
+	key := func(t *squall.Tuple) (int64, bool) { return t.Key, true }
+	rekeyed := exact.Band(rs, ss, 0, key, func(r, s *squall.Tuple) squall.Tuple { return rekeyRS(squall.Pair{R: *r, S: *s}) })
+	return exact.Band(rekeyed, ts, 0, key, tripleOf)
 }
 
 // A three-relation chained pipeline must match the nested-loop oracle
@@ -89,7 +73,6 @@ func TestPipelineThreeWayOracle(t *testing.T) {
 	)
 	rs, ss, ts := threeWayInputs(nR, nS, nT, k1Dom, k2Dom, 17)
 	want := oracleThreeWay(rs, ss, ts)
-	sortTriples(want)
 
 	for _, batchSize := range []int{1, 32} {
 		batchSize := batchSize
@@ -106,7 +89,7 @@ func TestPipelineThreeWayOracle(t *testing.T) {
 			rsStage := p.Join(squall.Equi("r-s"), squall.WithWarmup(300))
 			rstStage := rsStage.Join(squall.Equi("rs-t"), rekeyRS, squall.WithWarmup(500))
 			rstStage.To(squall.Each(func(pr squall.Pair) {
-				tr := triple{rid: pr.R.Aux / 1_000_000, sid: pr.R.Aux % 1_000_000, tid: pr.S.Aux}
+				tr := tripleOf(&pr.R, &pr.S)
 				mu.Lock()
 				got = append(got, tr)
 				mu.Unlock()
@@ -151,15 +134,7 @@ func TestPipelineThreeWayOracle(t *testing.T) {
 				t.Fatal("second stage performed no migrations; the test must cover adaptive chaining")
 			}
 
-			sortTriples(got)
-			if len(got) != len(want) {
-				t.Fatalf("pipeline emitted %d triples, oracle %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("triple %d: got %+v, want %+v", i, got[i], want[i])
-				}
-			}
+			exact.Equal(t, got, want)
 		})
 	}
 }
@@ -175,7 +150,6 @@ func TestPipelineThreeWayGroupedTail(t *testing.T) {
 	)
 	rs, ss, ts := threeWayInputs(nR, nS, nT, k1Dom, k2Dom, 29)
 	want := oracleThreeWay(rs, ss, ts)
-	sortTriples(want)
 
 	var mu sync.Mutex
 	var got []triple
@@ -183,7 +157,7 @@ func TestPipelineThreeWayGroupedTail(t *testing.T) {
 	rsStage := p.Join(squall.Equi("r-s"), squall.WithJoiners(8), squall.WithWarmup(200))
 	rstStage := rsStage.Join(squall.Equi("rs-t"), rekeyRS, squall.WithJoiners(5))
 	rstStage.To(squall.Each(func(pr squall.Pair) {
-		tr := triple{rid: pr.R.Aux / 1_000_000, sid: pr.R.Aux % 1_000_000, tid: pr.S.Aux}
+		tr := tripleOf(&pr.R, &pr.S)
 		mu.Lock()
 		got = append(got, tr)
 		mu.Unlock()
@@ -229,15 +203,7 @@ func TestPipelineThreeWayGroupedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sortTriples(got)
-	if len(got) != len(want) {
-		t.Fatalf("pipeline emitted %d triples, oracle %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("triple %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	exact.Equal(t, got, want)
 }
 
 // Each, Batches, and Counter sinks must observe identical result
