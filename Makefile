@@ -44,7 +44,7 @@ race:
 recovery-oracles:
 	$(GO) test -count=3 ./internal/faultpoint/
 	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|DataFrame|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots|BandLine' ./internal/core/
-	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf)$$' ./internal/join/
+	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestRetainAndSelectMatchScanReference|TestRetainNarrowsFilters|TestMergeFromHandsOverIndexes|TestCompactionBoundsIndexesAndGarbage|TestFrozenLineFilterSharedAcrossReaders)$$' ./internal/join/
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
 # Twenty race-detector runs of the tests whose goroutines share
@@ -63,7 +63,7 @@ race-shared:
 	@$(call race_run,core-shared,-run '^(TestEnvelopeLifetime|TestMigrationBlocksByReference|TestReplayLogConcurrentTrim|TestReplayLogBlocksMatchFlatReference|TestReplayLogReleasesCutPayloads|TestSharedBlocksPerRow|TestSharedBlocksCaptureWhileAppending|TestCheckpointWritesEachBlockOnce|TestSharedBlocksAcrossMigrationExact|TestSharedIndexPerRow|TestSharedIndexAcrossCheckpoints|TestSharedBlocksPacked|TestJoinerEmitsBoundedSubRuns|TestBandLineTreePerRow|TestBandLineTreeAcrossCheckpoints|TestBandLineTreeAcrossMigrationExact)$$' ./internal/core/)
 	@$(call race_run,core-workers,-run '^(TestRemoteEnvelopeOneFramePerWorker|TestWorkerSharedBlocksPerRow|TestWorkerSharedBlocksExact|TestWorkerSharedIndexPerRow|TestWorkerSharedIndexLongFrames|TestWorkerDropsStaleFrameSlots|TestWorkerRejectsMalformedFrames|TestLinkRecycledPayloadsDoNotAlias|TestWorkerEmptyPayloadStretches|TestDataFrameBytesPerRow|TestEnvelopeRoundTrip|TestEnvelopeRejectsCorruption)$$' ./internal/core/)
 	@$(call race_run,core-control,-run '^(TestCheckpointConcurrentWithSends|TestAutoCheckpointEvery|TestCheckpointStraddlesMigrations|TestOperatorTaskGraph|TestExpansionPastAckBuffer|TestCheckpointFollowsDecisions)$$' ./internal/core/)
-	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestCaptureWhileOwnerAddsUMetaColumn|TestBlockLayoutDifferential|TestEveryViewIsAWriterWindow)$$' ./internal/join/)
+	@$(call race_run,join,-run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestCaptureWhileOwnerAddsPayloadColumn|TestCaptureWhileOwnerAddsUMetaColumn|TestBlockLayoutDifferential|TestEveryViewIsAWriterWindow|TestFrozenLineFilterSharedAcrossReaders)$$' ./internal/join/)
 
 # race_run,<set>,<go test arguments>: one -race -count=20 -v run into
 # $(RACE_LOGS)/<set>.log, reporting its wall time.

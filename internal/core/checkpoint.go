@@ -46,8 +46,9 @@ import (
 //     fails the checkpoint as a failed backend write does. That is
 //     O(blocks), not O(bytes): the joiner hands the capture to the
 //     controller and goes on, and other joiners never stall. Holding
-//     blocks by reference is safe because blocks below the prefix
-//     change only through Retain, which runs only in migrations, and
+//     blocks by reference is safe because entries below the prefix
+//     change only through Retain and a merge's compaction, which run
+//     only in migrations, and
 //     the controller starts no migration or expansion while a
 //     checkpoint is in flight — until it has committed it.
 //  4. The controller assembles the operator snapshot (mapping, table,
@@ -72,14 +73,14 @@ import (
 //     shared block once, as the table would) — more dead bytes than
 //     live ones. Dead
 //     bytes are superseded views of partly filled blocks, ordered
-//     indexes re-encoded in every link and blocks a migration's Retain
-//     rebuilt. A full snapshot of F bytes is then paid for by at least
+//     indexes re-encoded in every link and entries a migration's Retain
+//     narrowed or a compaction copied. A full snapshot of F bytes is then paid for by at least
 //     F dead bytes already written, the amortization Lemma 4.4 makes
 //     for migrations: checkpoint bytes stay within twice the delta
 //     bytes, and a restore reads at most 2F plus one link.
 //
-// Restore rebuilds joiner state through the same MergeFrom/adopt()
-// whole-block install path migration finalization uses — each table
+// Restore rebuilds joiner state through the whole-block install path
+// migrated blocks take (adopt, indexed in the store's own slot index) — each table
 // entry decoded once, into one block every joiner that names it views —
 // then replays the log, streamed from each ring's blocks a chunk at a
 // time. Routing is deterministic in (seed, seq) — see join.UMix — so a

@@ -313,7 +313,7 @@ func (c *controller) issueNext() {
 		c.acksPending = len(c.table)
 		c.op.met.Migrations.Add(1)
 		c.stepStart = time.Now()
-		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: next, lines: c.op.newLines(next, c.table, indexesSlots(true))})
+		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: next, lines: c.op.newLines(next, c.table, false)})
 		return
 	}
 	if c.wantExpand {
@@ -336,7 +336,7 @@ func (c *controller) issueNext() {
 		c.op.met.Expansions.Add(1)
 		c.stepStart = time.Now()
 		c.broadcast(ctrlMsg{kind: ctrlEpoch, epoch: c.epoch, mapping: newMapping, expand: true,
-			lines: c.op.newLines(newMapping, c.table, indexesSlots(true))})
+			lines: c.op.newLines(newMapping, c.table, false)})
 		return
 	}
 	c.tryFinish()

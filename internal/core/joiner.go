@@ -674,10 +674,11 @@ func (w *joiner) maybeFinalize() {
 	for _, side := range migSides {
 		w.state.Retain(side, mig.keep[side])
 	}
-	// Bulk-merge µ and ∆′ into the surviving state: hash-indexed state
-	// is adopted by stealing whole arena chunks instead of re-inserting
-	// tuple by tuple, so finalization cost is a directory rebuild, not
-	// a second ingest of the migrated volume.
+	// Merge µ and ∆′ into the surviving state: hash-indexed state is
+	// handed over as its views and slot indexes — the discard above
+	// narrowed filters instead of copying, and ∆′'s segment on the new
+	// line stays live — so finalization re-indexes nothing but what a
+	// compaction folds.
 	for _, src := range [2]*storage.Store{mig.mu, mig.dp} {
 		w.state.MergeFrom(src)
 		if err := src.Close(); err != nil && w.err == nil {

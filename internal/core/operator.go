@@ -454,13 +454,10 @@ type Operator struct {
 	place []int
 	peers []*remotePeer
 	// frameBlocks holds a worker's open shared block per data-frame line
-	// of the newest epoch seen, frameEpoch (fanOut); frameMigrated
-	// records that a newer epoch has replaced the first one seen, which
-	// indexesSlots is asked with. Only the session's receive loop
-	// touches them.
-	frameBlocks   map[frameSlot]*slotBlock
-	frameEpoch    uint32
-	frameMigrated bool
+	// of the newest epoch seen, frameEpoch (fanOut). Only the session's
+	// receive loop touches them.
+	frameBlocks map[frameSlot]*slotBlock
+	frameEpoch  uint32
 
 	mu      sync.Mutex
 	joiners []*joiner
@@ -576,23 +573,21 @@ func (op *Operator) sharesBlocks() bool {
 	return op.cfg.Pred.Kind != join.Band && op.cfg.Storage.CapBytes == 0
 }
 
-// sharesTrees reports whether the lines of a band operator's indexing
-// epochs (indexesSlots) keep one ordered index per line and process
-// (join.LineTree), which the line's in-process joiners read as of their
-// watermarks: unless the stores are budgeted. A worker's frame lines
-// keep none; its joiners insert into their own trees.
+// indexesLines reports whether the operator's block lines keep a slot
+// index, in every epoch: an equi-join's hash stores read it through
+// their segments, and a theta join's scan stores read none.
+func (op *Operator) indexesLines() bool { return op.cfg.Pred.Kind == join.Equi }
+
+// sharesTrees reports whether the lines of a band operator's first
+// epoch keep one ordered index per line and process (join.LineTree),
+// which the line's in-process joiners read as of their watermarks:
+// unless the stores are budgeted. Later epochs' band lines keep none: a
+// migration folds a joiner's tree segment into its own tree, so a line
+// tree written after one would be paid for twice. A worker's frame
+// lines keep none; its joiners insert into their own trees.
 func (op *Operator) sharesTrees() bool {
 	return op.cfg.Pred.Kind == join.Band && op.cfg.Storage.CapBytes == 0
 }
-
-// indexesSlots is the one policy for line indexes: whether a line's
-// writer (newLines, or a worker's frameBlock) keeps a slot index, and
-// whether a band line keeps a tree at all. Only the first epoch's
-// writers do: every migration re-indexes what the joiners keep in their
-// own indexes (Retain folds or rebuilds, MergeFrom indexes what it
-// adopts), so a line index written after one would be paid for twice
-// whenever another follows.
-func indexesSlots(epochChanged bool) bool { return !epochChanged }
 
 // line is the writer of one grid line in this process, for its
 // in-process joiners: a block writer, or on a band operator's indexing
@@ -605,12 +600,14 @@ type line struct {
 }
 
 // newLines returns a writer per line (reshuffler slot) of grid m over
-// the joiner table, for the line's in-process joiners, with slot
-// indexes — or for a band operator, line trees — when index is set;
-// nil when the epoch's lines write nothing. Every reshuffler of the
-// epoch writes through the same ones.
-func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
-	trees := op.sharesTrees() && index
+// the joiner table, for the line's in-process joiners, with a slot
+// index in every epoch when indexesLines: a migration hands a joiner's line segments over
+// as they are, filtered, and re-indexes nothing (join.HashIndex.Retain,
+// MergeFrom). A band operator's lines keep line trees instead, in the
+// first epoch only (sharesTrees). nil when the epoch's lines write
+// nothing. Every reshuffler of the epoch writes through the same ones.
+func (op *Operator) newLines(m matrix.Mapping, table []int, first bool) []line {
+	trees := op.sharesTrees() && first
 	if !op.sharesBlocks() && !trees {
 		return nil
 	}
@@ -626,7 +623,7 @@ func (op *Operator) newLines(m matrix.Mapping, table []int, index bool) []line {
 		}
 		switch {
 		case !trees:
-			lines[s].w.Reset(local, index, uint64(op.cfg.Seed))
+			lines[s].w.Reset(local, op.indexesLines(), uint64(op.cfg.Seed))
 		case local > 1:
 			// One reader would insert each row at the same cost into its
 			// own tree.
@@ -769,7 +766,7 @@ func (op *Operator) StartContext(ctx context.Context) {
 	for _, w := range op.joiners {
 		op.runner.Go(fmt.Sprintf("joiner-%d", w.id), w.run)
 	}
-	lines := op.newLines(op.cfg.Initial, op.ctl.table, indexesSlots(false))
+	lines := op.newLines(op.cfg.Initial, op.ctl.table, true)
 	for i := 0; i < op.cfg.NumReshufflers; i++ {
 		r := &reshuffler{
 			id:         i,

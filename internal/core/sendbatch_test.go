@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,6 +22,34 @@ type pairKey [8]uint64
 
 func keyOf(r, s *join.Tuple) pairKey {
 	return pairKey{r.Seq, s.Seq, uint64(r.Key), uint64(s.Key), uint64(r.Aux), uint64(s.Aux), r.U, s.U}
+}
+
+// oracleKeys is exact's pair multiset for tuples as a single feeder's
+// Send stamps them, as pairKeys without the routing values, which the
+// operator draws.
+func oracleKeys(pred join.Predicate, tuples []join.Tuple) []pairKey {
+	ts := slices.Clone(tuples)
+	stampSeqs(ts, 0)
+	return wantPairs(pred, ts, func(r, s *join.Tuple) pairKey { return withoutU(keyOf(r, s)) })
+}
+
+// withoutU drops a pairKey's routing values.
+func withoutU(k pairKey) pairKey {
+	k[6], k[7] = 0, 0
+	return k
+}
+
+// checkOracle holds a reference run's pairs to the oracle, so that a
+// fault every run of a differential shares fails it too.
+func checkOracle(t *testing.T, label string, pred join.Predicate, tuples []join.Tuple, got []pairKey) {
+	t.Helper()
+	ks := make([]pairKey, len(got))
+	for i := range got {
+		ks[i] = withoutU(got[i])
+	}
+	if msg := exact.Diff(ks, oracleKeys(pred, tuples)); msg != "" {
+		t.Fatalf("%s, against the oracle: %s", label, msg)
+	}
 }
 
 // migratingStream is the lopsided stream the adaptive exactness tests
@@ -117,6 +146,7 @@ func TestSendBatchMatchesSendExact(t *testing.T) {
 		if refOp.Migrations() == 0 {
 			t.Fatalf("BatchSize=%d: reference run had no migrations", bs)
 		}
+		checkOracle(t, fmt.Sprintf("BatchSize=%d per-tuple Send", bs), cfg.Pred, tuples, want)
 		feeds := map[string]feedFn{"mixed": feedMixed}
 		// The chunk sizes straddle the envelope capacity, and 4096 runs
 		// far past the reshuffler's burst quota: sendItems splits such a
@@ -174,6 +204,7 @@ func TestGroupedSendBatchMatchesSendExact(t *testing.T) {
 		return *got
 	}
 	want := run(0)
+	checkOracle(t, "per-tuple Send", join.EquiJoin("eq", nil), tuples, want)
 	for _, batch := range []int{1, 33} {
 		if msg := exact.Diff(run(batch), want); msg != "" {
 			t.Fatalf("SendBatch(%d), against Send: %s", batch, msg)
@@ -210,6 +241,7 @@ func TestEmitBatchReceivesAllResults(t *testing.T) {
 	tuples := migratingStream()
 	cfg := Config{J: 16, Pred: join.EquiJoin("eq", nil), Adaptive: true, Warmup: 500, Seed: 11}
 	want, _ := runFeed(t, cfg, tuples, feedSend)
+	checkOracle(t, "per-tuple Send", cfg.Pred, tuples, want)
 
 	emit, got := keySink(keyOf, 0)
 	var mu sync.Mutex

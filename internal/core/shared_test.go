@@ -167,6 +167,7 @@ func TestSharedIndexAcrossCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 6000, 6000, 1<<20)
+	withDenseStretch(rng, tuples, 5000, 6200)
 	want := stampedPairs(pred, tuples)
 	got, op := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2,
 		Backend: storage.NewMemBackend(), CheckpointEvery: 1000}, tuples)
@@ -175,6 +176,17 @@ func TestSharedIndexAcrossCheckpoints(t *testing.T) {
 		t.Fatalf("%d checkpoints committed, want at least 2", n)
 	}
 	checkSharedIndexes(t, "", op.joiners)
+}
+
+// withDenseStretch redraws the keys of ts[from:to] from 32 keys, so
+// that the stretch's probes match tens of stored rows each and joiners
+// ship runs of many pairs, which the sparse stream around it, at a few
+// dozen pairs in all, never does: a pair a flush drops or repeats then
+// shows in the pair multiset.
+func withDenseStretch(rng *rand.Rand, ts []join.Tuple, from, to int) {
+	for i := from; i < to; i++ {
+		ts[i].Key = rng.Int63n(32)
+	}
 }
 
 // checkSharedIndexes requires every joiner of js to read one live
@@ -388,6 +400,7 @@ func TestResidentGaugeMatchesHeap(t *testing.T) {
 func TestWorkerSharedBlocksPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
+	withDenseStretch(rng, tuples, 2500, 3100)
 	for _, tc := range sharedBlockCases() {
 		if tc.hashed || tc.cfg.Pred.Kind != join.Equi {
 			continue
@@ -430,6 +443,7 @@ func TestWorkerSharedIndexPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	pred := join.EquiJoin("eq", nil)
 	tuples := mixedStream(rng, 3000, 3000, 1<<20)
+	withDenseStretch(rng, tuples, 2500, 3100)
 	want := stampedPairs(pred, tuples)
 	got, _ := runOperator(t, Config{J: 16, Pred: pred, Seed: 3, NumReshufflers: 2, Workers: addrs}, tuples)
 	exact.Equal(t, got, want)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/join"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 )
@@ -156,8 +157,12 @@ func (sm *Sim) Process(side matrix.Side, key int64) {
 		if side == matrix.SideS {
 			opp = sm.rKeys
 		}
-		for k := key - sm.cfg.MatchWidth; k <= key+sm.cfg.MatchWidth; k++ {
+		// The sweep stops at hi itself: at math.MaxInt64, k++ wraps.
+		for k, hi := join.BandBounds(key, sm.cfg.MatchWidth); k <= hi; k++ {
 			matches += opp[k]
+			if k == hi {
+				break
+			}
 		}
 		if side == matrix.SideR {
 			sm.rKeys[key]++

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -150,6 +152,34 @@ func TestSimOutputCountingBand(t *testing.T) {
 	res := sim.Finish()
 	if res.OutputPairs != 0.5*3 {
 		t.Fatalf("output %v, want 1.5", res.OutputPairs)
+	}
+}
+
+// TestSimBandAtInt64Extremes: a band sweep around a key at
+// math.MaxInt64 or math.MinInt64 saturates its range and stops at its
+// end instead of wrapping (k++ past MaxInt64 would never end), and
+// counts the exact matches there.
+func TestSimBandAtInt64Extremes(t *testing.T) {
+	done := make(chan float64)
+	go func() {
+		sim := NewSim(SimConfig{J: 4, MatchWidth: 2})
+		sim.Process(matrix.SideR, math.MaxInt64)
+		sim.Process(matrix.SideR, math.MaxInt64-2)
+		sim.Process(matrix.SideR, math.MaxInt64-3)
+		sim.Process(matrix.SideS, math.MaxInt64) // r(Max), r(Max-2)
+		sim.Process(matrix.SideR, math.MinInt64)
+		sim.Process(matrix.SideS, math.MinInt64+1) // r(Min)
+		sim.Process(matrix.SideS, math.MinInt64)   // r(Min)
+		sim.Process(matrix.SideR, math.MinInt64+3) // s(Min+1)
+		done <- sim.Finish().OutputPairs
+	}()
+	select {
+	case got := <-done:
+		if got != 5 {
+			t.Fatalf("output %v at the int64 extremes, want 5", got)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Process did not return: the band sweep wrapped at an int64 bound")
 	}
 }
 

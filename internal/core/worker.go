@@ -325,8 +325,8 @@ type slotBlock struct {
 
 // frameBlock returns the shared-block writer of the line of a frame of
 // epoch whose body is of side and names dests, reset — onto
-// a fresh block, and a fresh slot index when indexesSlots says so —
-// when the frame's destination count differs from the block's (a new
+// a fresh block, and a fresh slot index in every epoch when
+// indexesLines — when the frame's destination count differs from the block's (a new
 // line's fan-out is 0), so a block's rows all go to one set of joiners.
 // The first frame of a newer epoch drops every line of the older ones:
 // as in the coordinator, a mapping change starts every line on a new
@@ -339,7 +339,6 @@ func (op *Operator) frameBlock(epoch uint32, side matrix.Side, dests []int) *joi
 	case epoch < op.frameEpoch:
 		return nil
 	case epoch > op.frameEpoch || op.frameBlocks == nil:
-		op.frameMigrated = op.frameBlocks != nil
 		op.frameEpoch = epoch
 		op.frameBlocks = make(map[frameSlot]*slotBlock)
 	}
@@ -350,7 +349,7 @@ func (op *Operator) frameBlock(epoch uint32, side matrix.Side, dests []int) *joi
 		op.frameBlocks[k] = b
 	}
 	if b.sharers != len(dests) {
-		b.Reset(len(dests), indexesSlots(op.frameMigrated), uint64(op.cfg.Seed))
+		b.Reset(len(dests), op.indexesLines(), uint64(op.cfg.Seed))
 		b.sharers = len(dests)
 	}
 	return &b.BlockWriter

@@ -35,10 +35,15 @@ import (
 // open block while no other goroutine holds a window of it; otherwise
 // the rows open a fresh block (BlockWriter.open, shared.go).
 //
-// An arena is a list of views: an entry names a block and the rows
-// [lo, hi) of it the arena holds. Every block is written once, by a
+// An arena is a list of views: an entry names a block, the rows
+// [lo, hi) of it the arena holds, the keep filter on u a migration
+// discard narrowed (the arena holds the rows of [lo, hi) it keeps), and
+// the slot index that indexes them. Every block is written once, by a
 // BlockWriter, and an arena only ever views the windows writers
-// published (shared.go).
+// published (shared.go). A discard copies nothing; only the compaction
+// rule copies (compactViews): a view that keeps under half of its share
+// of its block's rows is copied to its survivors when its slot index is
+// folded, which bounds the rows filters pin.
 //
 // Growth appends a fresh block — stored tuples are never relocated —
 // and nothing addresses a row by its place in the arena: a hash index
@@ -80,11 +85,12 @@ import (
 // blocks that a target in the same process adopts as they are, never
 // serialized; a row copied into a block with the header it came from
 // stays derived, with nothing recomputed. The u values are what the
-// migration filters read: the τ selection and the Retain discard test
-// them alone (uRows: the u column, or the seq column through the
-// block's seed) and build no Tuple. The chain column is derived state
-// like the directory: it belongs to a SlotIndex, is never serialized,
-// and is rebuilt from the key column whenever entries are adopted.
+// migration filters read: the τ selection, the Retain discard and a
+// filtered view or reader test them alone (uRows: the u column, or the
+// seq column through the block's seed) and build no Tuple. The chain
+// column is derived state like the directory: it belongs to a
+// SlotIndex, is never serialized, and is rebuilt from the key column
+// whenever entries are adopted or folded.
 
 // arenaChunk sizes the arena's fixed blocks.
 const (
@@ -350,24 +356,110 @@ func (c *colChunk) at(pos int32) Tuple {
 	return t
 }
 
-// view is one arena entry: rows [lo, hi) of block c.
+// keepSet is the keep filter of a view or a slot-index reader: the rows
+// whose u the top-bits set matrix.Top{Shift: 64 - bits, Val: val}
+// holds. Its zero value keeps every row, so an unfiltered view or
+// segment sets nothing. A migration discard narrows it (meet) and
+// copies nothing: prefix sets are nested or disjoint, so any number of
+// discards leave one top-bits test.
+type keepSet struct {
+	bits uint8
+	val  uint64
+}
+
+// keepOf returns t as a keepSet.
+func keepOf(t matrix.Top) keepSet {
+	if t.Shift >= 64 {
+		return keepSet{val: min(t.Val, 1)}
+	}
+	return keepSet{bits: uint8(64 - t.Shift), val: t.Val}
+}
+
+// top returns k as a matrix.Top.
+func (k keepSet) top() matrix.Top { return matrix.Top{Shift: 64 - uint(k.bits), Val: k.val} }
+
+// all reports whether k keeps every row.
+func (k keepSet) all() bool { return k == keepSet{} }
+
+// has reports whether k keeps a row of routing value u. With bits 0,
+// u >> 64 reads 0, so val 0 keeps every row and val 1 none.
+func (k keepSet) has(u uint64) bool { return u>>(64-uint(k.bits)) == k.val }
+
+// meet returns k narrowed by t.
+func (k keepSet) meet(t matrix.Top) keepSet { return keepOf(k.top().Meet(t)) }
+
+// within reports whether every row k keeps is in t, so a discard by t
+// removes none of them and need not read a u.
+func (k keepSet) within(t matrix.Top) bool { return k.meet(t) == k }
+
+// view is one arena entry: the rows [lo, hi) of block c that keep
+// holds, and the slot index that indexes them (ix: a segment's line
+// index or the store's own; nil in a scan store, an encoder or a
+// decoder). A migration discard narrows keep instead of copying the
+// survivors (tupleArena.narrow).
 type view struct {
 	c      *colChunk
+	ix     *SlotIndex
 	lo, hi int32
+	keep   keepSet
 }
+
+// rows returns the rows of v that its filter keeps, in order, in buf:
+// every row of [lo, hi) for an unfiltered view (rowNums), else the rows
+// whose u keep holds, each derived u computed once.
+func (v *view) rows(buf *[arenaChunk]int32) []int32 {
+	if v.keep.all() {
+		return rowNums[v.lo:v.hi]
+	}
+	var ubuf [arenaChunk]uint64
+	n := 0
+	for i, u := range v.c.uRows(v.lo, v.hi, &ubuf) {
+		if v.keep.has(u) {
+			buf[n] = v.lo + int32(i)
+			n++
+		}
+	}
+	return buf[:n]
+}
+
+// sparse reports whether v, keeping kept rows, holds under half of its
+// share of its block's rows (a block's rows divided among its
+// sharers): the compaction rule. Such a view is copied to its survivors
+// and dropped when its rows are next indexed anew (compactViews), which
+// bounds the filtered-out rows a view pins at twice its kept ones. A
+// view of a line block the joiners of a grid row each keep a part of
+// is not sparse: between them they keep the block's rows.
+func (v *view) sparse(kept int) bool {
+	return 2*kept*int(v.c.sharers) < int(v.hi-v.lo)
+}
+
+// rowNums holds every row number of a block, for the rows of an
+// unfiltered view.
+var rowNums = func() (r [arenaChunk]int32) {
+	for i := range r {
+		r[i] = int32(i)
+	}
+	return r
+}()
+
+// viewBytes is the resident size of one arena entry.
+const viewBytes = int64(unsafe.Sizeof(view{}))
 
 // tupleArena is a chunked columnar tuple store: a list of views of
 // published windows. The zero value is an empty arena.
 type tupleArena struct {
 	chunks []view
-	n      int
-	// charge sums rows x chunkBytes / sharers over the views, so
-	// Footprint charges a block once across the arenas viewing it.
+	// n counts the rows the views keep.
+	n int
+	// charge sums rows x chunkBytes / sharers over the views' windows,
+	// filtered-out rows included, so Footprint charges a block once
+	// across the arenas viewing it and shows the rows a filter pins.
 	charge int64
-	// mutGen counts destructive rebuilds (Retain). Added windows and
+	// mutGen counts the changes that alter what an entry holds (a
+	// discard narrowing a filter, a compaction). Added windows and
 	// adoptions leave it alone: they only extend the entry list, so an
 	// entry-prefix watermark taken before them still names the same
-	// bytes. A rebuild invalidates every outstanding watermark, which
+	// bytes. A change invalidates every outstanding watermark, which
 	// the incremental-checkpoint plane detects by comparing mutGen.
 	mutGen uint64
 }
@@ -392,83 +484,130 @@ func (a *tupleArena) viewable(w Window, n int) bool {
 	return w.c != nil && w.Len() == n && len(a.chunks) < maxSharedEntries
 }
 
-// addWindow appends the rows of the published window w without
-// copying them: the last entry is extended when the window continues
-// it, else a new one is added.
-func (a *tupleArena) addWindow(w Window) {
+// addWindow appends the rows of the published window w, indexed in ix,
+// without copying them: the last entry is extended when the window
+// continues it, else a new one is added.
+func (a *tupleArena) addWindow(w Window, ix *SlotIndex) {
 	k := len(a.chunks) - 1
-	if k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo {
+	if k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo && a.chunks[k].ix == ix && a.chunks[k].keep.all() {
 		a.chunks[k].hi = w.hi
 	} else {
-		a.chunks = append(a.chunks, view{c: w.c, lo: w.lo, hi: w.hi})
+		a.chunks = append(a.chunks, view{c: w.c, ix: ix, lo: w.lo, hi: w.hi})
 	}
 	a.n += w.Len()
-	a.charge += int64(w.Len()) * w.c.bytes() / int64(w.c.sharers)
+	a.charge += chargeOf(w.c, w.Len())
 }
 
-// footprint is the arena's share of Index.Footprint: every view's rows
-// divided among its block's sharers.
-func (a *tupleArena) footprint() int64 { return a.charge / arenaChunk }
+// chargeOf is what rows rows of c add to an arena's charge.
+func chargeOf(c *colChunk, rows int) int64 {
+	return int64(rows) * c.bytes() / int64(c.sharers)
+}
 
-// filter is the first pass of Index.Retain: it tests every row's u
-// against keep, in entry order, deriving each derived u once, and
-// returns how many rows keep drops and, when it drops any, which rows
-// it keeps (bit i of kept for the arena's i-th row), for retain to
-// copy without testing again.
-func (a *tupleArena) filter(keep matrix.Top) (kept []uint64, removed int) {
-	if keep.All() {
-		return nil, 0
-	}
-	var buf [arenaChunk]uint64
-	i := 0
+// footprint is the arena's share of Index.Footprint: every view's
+// rows divided among its block's sharers, and the entry list.
+func (a *tupleArena) footprint() int64 {
+	return a.charge/arenaChunk + int64(cap(a.chunks))*viewBytes
+}
+
+// narrow is the migration discard of Index.Retain: it narrows the
+// filter of every view that holds a row whose u is outside keep,
+// copying nothing, and drops each view that keeps no row. It returns
+// how many rows keep drops and their accounted bytes, and calls lost
+// with the slot index of each view that lost a row, for the caller to
+// narrow that index's readers alike. A view whose filter already lies
+// inside keep loses nothing and has no u read; a discard that drops a
+// row moves mutGen, since the entries no longer hold what a watermark
+// taken before it names.
+func (a *tupleArena) narrow(keep matrix.Top, lost func(ix *SlotIndex)) (removed int, bytes int64) {
+	var ubuf [arenaChunk]uint64
+	out := a.chunks[:0]
 	for _, v := range a.chunks {
-		for _, u := range v.c.uRows(v.lo, v.hi, &buf) {
-			switch {
-			case keep.Has(u):
-				if kept != nil {
-					kept[i>>6] |= 1 << (i & 63)
-				}
-			case kept == nil:
-				// The first row dropped: every row before it is kept.
-				kept = make([]uint64, (a.n+63)/64)
-				for k := 0; k < i; k++ {
-					kept[k>>6] |= 1 << (k & 63)
-				}
-				removed++
-			default:
-				removed++
-			}
-			i++
+		if v.keep.within(keep) {
+			out = append(out, v)
+			continue
 		}
+		nk := v.keep.meet(keep)
+		had, gone := 0, 0
+		for i, u := range v.c.uRows(v.lo, v.hi, &ubuf) {
+			if !v.keep.has(u) {
+				continue
+			}
+			had++
+			if !nk.has(u) {
+				pos := v.lo + int32(i)
+				var p []byte
+				if v.c.payload != nil {
+					p = v.c.payload[pos]
+				}
+				bytes += metaBytes(v.c.metaAt(pos), p)
+				gone++
+			}
+		}
+		if gone > 0 && lost != nil {
+			lost(v.ix)
+		}
+		removed += gone
+		if gone == had {
+			// Nothing of the view is left: drop the entry, whose block the
+			// slot index still names as filtered out.
+			a.charge -= chargeOf(v.c, int(v.hi-v.lo))
+			continue
+		}
+		v.keep = nk
+		out = append(out, v)
 	}
-	return kept, removed
+	clear(a.chunks[len(out):])
+	a.chunks = out
+	a.n -= removed
+	if removed > 0 {
+		a.mutGen++
+	}
+	return removed, bytes
 }
 
-// retain is the second pass of Index.Retain: it copies the rows filter
-// kept row-wise, in entry order, through w — the store's own writer —
-// into a fresh arena, and returns that arena and the rows' accounted
-// bytes; installing the arena, and bumping mutGen with it, is the
-// caller's.
-func (a *tupleArena) retain(kept []uint64, w *BlockWriter) (arena tupleArena, bytes int64) {
-	arena.chunks = make([]view, 0, a.n/arenaChunk+1)
-	i := 0
-	for _, v := range a.chunks {
-		for pos := v.lo; pos < v.hi; pos++ {
-			if kept[i>>6]&(1<<(i&63)) != 0 {
-				bytes += w.copyRow(&arena, v.c, pos)
-			}
-			i++
+// compactViews copies the kept rows of each view that sel selects and
+// that is sparse through w — the store's own writer, which indexes
+// them when it keeps an index — and drops the view: the one copy path
+// left to a discard, paid in proportion to the rows filters pinned,
+// not per migration. For every other selected view it calls keepView
+// with the view (its ix may be set) and its kept rows. It reports
+// whether it copied anything; the entries then no longer hold what a
+// watermark names, which the caller's mutGen records.
+func (a *tupleArena) compactViews(w *BlockWriter, sel func(v *view) bool, keepView func(v *view, rows []int32)) (copied bool) {
+	var buf [arenaChunk]int32
+	old := a.chunks
+	a.chunks = make([]view, 0, len(old))
+	for _, v := range old {
+		if !sel(&v) {
+			a.chunks = append(a.chunks, v)
+			continue
 		}
+		rows := v.rows(&buf)
+		if !v.sparse(len(rows)) {
+			keepView(&v, rows)
+			a.chunks = append(a.chunks, v)
+			continue
+		}
+		// The copies come back as windows of w's blocks (addWindow), in
+		// the view's place: the entries keep their order.
+		copied = true
+		a.n -= len(rows)
+		a.charge -= chargeOf(v.c, int(v.hi-v.lo))
+		for _, pos := range rows {
+			w.copyRow(a, v.c, pos)
+		}
+		w.flush(a)
 	}
-	w.flush(&arena)
-	return arena, bytes
+	return copied
 }
 
-// scan visits every stored tuple in entry order until fn returns
-// false, reporting whether the scan ran to completion.
+// scan visits every stored tuple — every row a view keeps — in entry
+// order until fn returns false, reporting whether the scan ran to
+// completion.
 func (a *tupleArena) scan(fn func(Tuple) bool) bool {
+	var buf [arenaChunk]int32
 	for _, v := range a.chunks {
-		for pos := v.lo; pos < v.hi; pos++ {
+		for _, pos := range v.rows(&buf) {
 			if !fn(v.c.at(pos)) {
 				return false
 			}

@@ -532,7 +532,7 @@ func (t *ordTree) probe(probe Tuple, width int64, lim uint64, fn func(Tuple)) {
 	if t.n == 0 {
 		return
 	}
-	lo, hi := bandBounds(probe.Key, width)
+	lo, hi := BandBounds(probe.Key, width)
 	l, pos := t.seek(lo)
 	for ; l != nil; l, pos = l.next, 0 {
 		for ; pos < l.n; pos++ {
@@ -579,7 +579,7 @@ func (t *ordTree) collect(ps []Tuple, rel matrix.Side, p Predicate, width int64,
 		if plainBand && probe.Dummy {
 			continue
 		}
-		lo, hi := bandBounds(probe.Key, width)
+		lo, hi := BandBounds(probe.Key, width)
 		l, pos := t.seek(lo)
 	sweep:
 		for ; l != nil; l, pos = l.next, 0 {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/matrix"
@@ -108,10 +109,24 @@ const maxHitsCap = 1 << 15
 // grid line's or a worker's, shared with the other joiners of a grid
 // row or column, or the index's own writer's, for every row it copies.
 // The line's writer indexes its rows once in the line's slot index,
-// which the index reads as of its own watermark (a segment); every other
-// row — each copy, and each viewed window no live segment continues —
-// goes into the index's own slot index, which its own writer keeps and
-// a probe reads like any segment's, with no watermark. A slot index is
+// which the index reads as of its own watermark (a segment), in every
+// epoch; every other row — each copy, and each viewed window no live
+// segment continues — goes into the index's own slot index, which its
+// own writer keeps and a probe reads like any segment's, with no
+// watermark. Each view names the slot index that indexes its rows.
+//
+// A migration narrows filters instead of copying: its discard (Retain)
+// narrows the keep filter of every view and segment that holds a
+// dropped row and freezes the store's own index into a segment, and its
+// merges (MergeFrom) hand µ's and ∆′'s slot indexes over as they are,
+// so a store after a few migrations reads its line's segment and frozen
+// ones. A frozen segment carries a tag filter and every slot index its
+// key range, so most probes of a key it lacks read nothing of it. One
+// compaction rule bounds both costs, as an LSM tree's merges bound its
+// runs (O'Neil et al., The Log-Structured Merge-Tree, 1996): a merge
+// that would leave more than maxDirs slot indexes folds the frozen
+// ones into one (compact), copying the views that keep under half their
+// share of their block. A slot index is
 // a directory of 8-byte tagged words, one per distinct key, over
 // newest-first chains threaded through per-block chain columns. Nothing
 // in it is a Go pointer but one per block: the collector traces one
@@ -157,11 +172,14 @@ type HashIndex struct {
 	// slot index own.ix.
 	own   BlockWriter
 	bytes int64
-	// segs are the line indexes that serve the arena's other windows
-	// (segment): a probe walks the own index, when it holds any key, and
-	// each segment as of its watermark.
+	// segs are the slot indexes that serve the arena's other views
+	// (segment): line indexes, live or frozen, and frozen own indexes of
+	// this store or of merged ones. A probe walks the own index, when it
+	// holds any key, and each segment as of its watermark, through its
+	// filters.
 	segs []segment
 	hits []probeHit // batch-probe gather scratch
+	tags []uint32   // batch-probe tag scratch
 }
 
 // NewHashIndex returns an empty hash index.
@@ -291,13 +309,16 @@ func (h *HashIndex) putHits(hits []probeHit) {
 // readers calls fn with a reader of each index that holds h's rows:
 // the own index — skipped while it holds no key, so a store whose rows
 // all sit in segments walks one directory per segment — then each
-// segment's as of its watermark.
+// segment's as of its watermark, through its filter.
 func (h *HashIndex) readers(fn func(r slotReader)) {
 	if h.own.ix.used != 0 {
-		fn(h.own.ix.reader(allRows))
+		fn(h.own.ix.reader(allRows, keepSet{}))
 	}
 	for i := range h.segs {
-		fn(h.segs[i].ix.reader(h.segs[i].w))
+		s := &h.segs[i]
+		r := s.ix.reader(s.w, s.keep)
+		r.filter = s.filter
+		fn(r)
 	}
 }
 
@@ -308,6 +329,9 @@ func (h *HashIndex) readers(fn func(r slotReader)) {
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	tag := tagOf(probe.Key)
 	h.readers(func(r slotReader) {
+		if !r.holds(probe.Key) || r.filter != nil && !r.filter.has(tag) {
+			return
+		}
 		home := r.d.home(tag)
 		head := r.findFrom(home, atomic.LoadUint64(&r.d.slots[home]), tag, probe.Key)
 		for _, hit := range r.gather(head, 0, h.hits[:0]) {
@@ -331,11 +355,15 @@ const walkChunk = 16
 // directory cache lines and tuple columns each stream through once
 // instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
+	tags := tagsOf(ps, h.tags)
 	h.readers(func(r slotReader) {
-		hits := r.walk(ps, h.hits[:0])
+		hits := r.walk(ps, tags, h.hits[:0])
 		materialize(r.tbl, ps, hits, rel, p, out)
 		h.putHits(hits)
 	})
+	if cap(tags) <= maxHitsCap {
+		h.tags = tags
+	}
 }
 
 // Len returns the number of stored tuples.
@@ -345,16 +373,16 @@ func (h *HashIndex) Len() int { return h.arena.n }
 func (h *HashIndex) Bytes() int64 { return h.bytes }
 
 // Footprint reports the arena's blocks (a block's viewed rows divided
-// among its sharers) with the own index's chain columns, and its
-// directory; each segment adds its share of its line index's chain
-// columns and directory.
+// among its sharers, filtered-out rows included) and entries with the
+// own index's chain columns, and its directory; each segment adds its
+// share of its line index's chain columns and directory.
 func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 	arenaBytes, directoryBytes = h.own.ix.share()
 	arenaBytes += h.arena.footprint()
 	for i := range h.segs {
 		c, d := h.segs[i].ix.share()
 		arenaBytes += c
-		directoryBytes += d
+		directoryBytes += d + h.segs[i].filter.bytes()
 	}
 	return arenaBytes, directoryBytes
 }
@@ -362,62 +390,152 @@ func (h *HashIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples.
 func (h *HashIndex) Scan(fn func(Tuple) bool) { h.arena.scan(fn) }
 
-// Retain drops the tuples whose u is outside keep: the u pass
-// (tupleArena.filter) finds them, deriving each derived u once, and
-// tupleArena.retain copies the survivors through the index's own
-// writer into compact blocks of a fresh arena, which index them in a
-// fresh own index, in block order, so each key's chain keeps its order.
-// Retain is the migration discard, run once every slot has moved to the
-// new epoch, so it leaves an index that reads no segment: rebuilt, or
-// with the segments folded into the own index when nothing is removed.
-// Migration discards touch on the order of half the state, so the O(n)
-// rebuild matches an in-place sweep.
+// Retain drops the tuples whose u is outside keep by narrowing
+// filters, copying and indexing nothing: each view that holds such a
+// row narrows its filter (tupleArena.narrow), and so does each reader
+// of the slot index that indexes it — a segment narrows its keep, and
+// the own index, whose writer adds rows later that no filter may hide,
+// becomes a frozen segment with keep and is replaced by an empty one.
+// The cost is a u read per row of the views keep cuts, and nothing for
+// the relation a migration does not split. Retain is the migration
+// discard, run once every line the store reads has ended, so it
+// freezes every segment (segment.freeze): a later window of its line
+// goes to the own index. It moves mutGen when it drops anything, which
+// makes the next checkpoint of the index full.
 func (h *HashIndex) Retain(keep matrix.Top) int {
-	kept, removed := h.arena.filter(keep)
+	for i := range h.segs {
+		h.segs[i].freeze()
+	}
+	var lost []*SlotIndex
+	removed, bytes := h.arena.narrow(keep, func(ix *SlotIndex) {
+		if !slices.Contains(lost, ix) {
+			lost = append(lost, ix)
+		}
+	})
 	if removed == 0 {
-		// Common for the non-splitting relation: no rebuild, but the
-		// rows the old epoch's segments served are indexed here now.
-		h.fold()
 		return 0
 	}
-	h.own.ix, h.segs = newSlotIndex(1), nil
-	arena, bytes := h.arena.retain(kept, &h.own)
-	// The rebuild relocated every survivor: invalidate block-prefix
-	// watermarks taken against the old arena.
-	arena.mutGen = h.arena.mutGen + 1
-	h.arena, h.bytes = arena, bytes
+	h.bytes -= bytes
+	for i := range h.segs {
+		if slices.Contains(lost, h.segs[i].ix) {
+			h.segs[i].keep = h.segs[i].keep.meet(keep)
+		}
+	}
+	if slices.Contains(lost, h.own.ix) {
+		h.segs = append(h.segs, frozenSegment(h.own.ix, keepOf(keep)))
+		h.own.ix = newSlotIndex(1)
+	}
 	return removed
 }
 
 // MergeFrom bulk-merges every tuple of o into h, consuming o (o must
-// not be used afterward). The donor's arena entries are viewed as they
-// are — no tuple is copied while the entry space has room — and
-// indexed block by block in h's own index, which is what makes
-// migration finalization, snapshot restore and block-frame adoption an
-// index build instead of a full re-insert. o's own index is simply
-// dropped, and so are its segments: the rows they served are indexed
-// in h's own index like the rest.
+// not be used afterward): migration finalization's hand-over of µ and
+// ∆′. o's views join h's arena as they are, filters and all, and o's
+// slot indexes join h's readers as they are, with nothing copied or
+// re-indexed: each segment with its watermark — a ∆′ store's segment on
+// a line of the new epoch stays live, so h continues that line's
+// windows after the merge — and o's own index as a frozen segment.
+// compact then bounds the indexes a probe walks. A donor with no slot
+// index at all (a bare decoded arena: a snapshot record, a migration
+// block frame) has its views indexed in h's own index instead, as
+// AdoptBlocks does.
 func (h *HashIndex) MergeFrom(o *HashIndex) {
-	for _, v := range o.arena.chunks {
-		h.own.take(&h.arena, Window{c: v.c, lo: v.lo, hi: v.hi})
-	}
-	h.bytes += o.bytes
-	*o = HashIndex{}
-}
-
-// fold indexes the rows h's segments serve in its own index and drops
-// the segments: once their lines stop writing (a migration moved every
-// line to a new epoch), a segment only adds a directory to every
-// probe. The own index is rebuilt over the whole arena, so the arena's
-// entries — and a checkpoint's watermark on them — stay as they are.
-func (h *HashIndex) fold() {
-	if len(h.segs) == 0 {
+	if o.own.ix == nil {
+		for _, v := range o.arena.chunks {
+			h.own.take(&h.arena, Window{c: v.c, lo: v.lo, hi: v.hi})
+		}
+		h.bytes += o.bytes
+		*o = HashIndex{}
 		return
 	}
-	h.own.ix, h.segs = newSlotIndex(1), nil
-	for _, v := range h.arena.chunks {
-		h.own.ix.index(v.c, v.lo, v.hi)
+	h.arena.adopt(&o.arena)
+	h.bytes += o.bytes
+	if o.own.ix.used != 0 {
+		h.segs = append(h.segs, frozenSegment(o.own.ix, keepSet{}))
 	}
+	h.segs = append(h.segs, o.segs...)
+	*o = HashIndex{}
+	h.compact()
+}
+
+// maxDirs bounds the slot indexes a probe of one store walks once a
+// merge has compacted it.
+const maxDirs = 3
+
+// dirs counts the slot indexes a probe walks (readers).
+func (h *HashIndex) dirs() int {
+	n := len(h.segs)
+	if h.own.ix.used != 0 {
+		n++
+	}
+	return n
+}
+
+// compact is the index half of the compaction rule, as an LSM tree
+// merges its frozen runs: when a probe would walk more than maxDirs
+// slot indexes, the kept rows of the frozen segments are indexed into
+// one fresh index, sized once for the distinct keys they bring (at most
+// what each segment's directory holds, and at most the rows its views
+// span), so no directory grows key by key, and that index replaces them
+// as one frozen segment. The largest frozen segment stays out when its
+// views span as many rows as the others' together and the bound allows
+// it, so a row is indexed again a logarithmic number of times, not at
+// every migration. The folded segments' views go through
+// tupleArena.compactViews: a sparse one is copied through a writer of
+// the new index, and every other one keeps its filter and has its kept
+// rows indexed. A compaction that copies moves mutGen.
+func (h *HashIndex) compact() {
+	if h.dirs() <= maxDirs {
+		return
+	}
+	var frozen []*SlotIndex
+	for _, s := range h.segs {
+		if !s.live {
+			frozen = append(frozen, s.ix)
+		}
+	}
+	// Rows are counted by the views' spans, kept rows and those their
+	// filters hide alike: a bound that reads no u.
+	rows := make([]int, len(frozen))
+	total := 0
+	for _, v := range h.arena.chunks {
+		if k := slices.Index(frozen, v.ix); k >= 0 {
+			rows[k] += int(v.hi - v.lo)
+			total += int(v.hi - v.lo)
+		}
+	}
+	if big := slices.Index(rows, slices.Max(rows)); len(frozen) > 2 && 2*rows[big] >= total && h.dirs()-len(frozen)+2 <= maxDirs {
+		frozen = slices.Delete(frozen, big, big+1)
+		rows = slices.Delete(rows, big, big+1)
+	}
+	if len(frozen) < 2 {
+		return
+	}
+	// A line's key count is its writer's; its directory, loaded
+	// atomically, bounds it at 3/4 of its slots.
+	keys := 0
+	for k, ix := range frozen {
+		keys += min(len(ix.dir.Load().slots)*3/4, rows[k])
+	}
+	x := newSlotIndex(1)
+	x.setDir(newDir(keys))
+	w := BlockWriter{ix: x}
+	copied := h.arena.compactViews(&w, func(v *view) bool { return slices.Contains(frozen, v.ix) },
+		func(v *view, rows []int32) {
+			x.indexRows(v.c, rows)
+			v.ix = x
+		})
+	if copied {
+		h.arena.mutGen++
+	}
+	segs := h.segs[:0]
+	for _, s := range h.segs {
+		if !slices.Contains(frozen, s.ix) {
+			segs = append(segs, s)
+		}
+	}
+	clear(h.segs[len(segs):])
+	h.segs = append(segs, frozenSegment(x, keepSet{}))
 }
 
 // ScanIndex stores tuples in arrival order and matches every stored
@@ -462,12 +580,14 @@ func (s *ScanIndex) Probe(_ Tuple, fn func(Tuple)) {
 
 // ProbeBatchCollect probes every tuple of ps in order, appending
 // oriented predicate-passing pairs to *out: a plain nested loop over
-// the arena blocks with no per-match callback.
+// the arena blocks' kept rows with no per-match callback.
 func (s *ScanIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	for i := range ps {
 		for _, v := range s.arena.chunks {
 			for pos := v.lo; pos < v.hi; pos++ {
-				collectPair(ps[i], v.c.at(pos), rel, p, out)
+				if v.keep.all() || v.keep.has(v.c.uAt(pos)) {
+					collectPair(ps[i], v.c.at(pos), rel, p, out)
+				}
 			}
 		}
 	}
@@ -487,21 +607,18 @@ func (s *ScanIndex) Footprint() (arenaBytes, directoryBytes int64) {
 // Scan visits all stored tuples in insertion order.
 func (s *ScanIndex) Scan(fn func(Tuple) bool) { s.arena.scan(fn) }
 
-// Retain drops the tuples whose u is outside keep, copying the
-// survivors compactly through the index's own writer
-// (tupleArena.retain). The counting pass reads only the u values
-// (tupleArena.filter), so the common nothing-removed case (the
-// non-splitting relation of a migration) costs no allocation.
+// Retain drops the tuples whose u is outside keep by narrowing the
+// filters of the views that hold them (tupleArena.narrow), then applies
+// the compaction rule to those views: a sparse one is copied through
+// the index's own writer and dropped. The relation a migration does not
+// split has no u read at all.
 func (s *ScanIndex) Retain(keep matrix.Top) int {
-	kept, removed := s.arena.filter(keep)
+	removed, bytes := s.arena.narrow(keep, nil)
 	if removed == 0 {
 		return 0
 	}
-	arena, bytes := s.arena.retain(kept, &s.own)
-	// The rebuild relocated every survivor: invalidate block-prefix
-	// watermarks taken against the old arena.
-	arena.mutGen = s.arena.mutGen + 1
-	s.arena, s.bytes = arena, bytes
+	s.bytes -= bytes
+	s.arena.compactViews(&s.own, func(v *view) bool { return !v.keep.all() }, func(*view, []int32) {})
 	return removed
 }
 

@@ -247,7 +247,14 @@ func testHashIndexMergeFrom(t *testing.T, bare bool) {
 // index should hold (checkStore).
 func checkIndex(t *testing.T, label string, x *SlotIndex, w uint32) int {
 	t.Helper()
-	r := x.reader(w)
+	return checkKept(t, label, x, w, keepSet{})
+}
+
+// checkKept is checkIndex for a reader that keeps the rows keep holds:
+// it counts only those.
+func checkKept(t *testing.T, label string, x *SlotIndex, w uint32, keep keepSet) int {
+	t.Helper()
+	r := x.reader(w, keep)
 	owner := map[int64]bool{}
 	linked, words := 0, 0
 	for _, s := range r.d.slots {
@@ -270,13 +277,14 @@ func checkIndex(t *testing.T, label string, x *SlotIndex, w uint32) int {
 				t.Fatalf("%s: chain of key %d runs %d -> %d: not newest-first", label, key, prev-1, pos)
 			}
 			e := r.entry(pos)
-			if k := e.c.key[pos&(arenaChunk-1)]; k != key {
+			row := int32(pos & (arenaChunk - 1))
+			if k := e.c.key[row]; k != key {
 				t.Fatalf("%s: chain of key %d holds a tuple of key %d", label, key, k)
 			}
-			if l <= w {
+			if l <= w && keep.has(e.c.uAt(row)) {
 				linked++
 			}
-			prev, l = l, e.next[pos&(arenaChunk-1)]
+			prev, l = l, e.next[row]
 		}
 	}
 	if words != x.used {
@@ -285,17 +293,38 @@ func checkIndex(t *testing.T, label string, x *SlotIndex, w uint32) int {
 	return linked
 }
 
+// kept counts the rows of v its filter keeps.
+func (v *view) kept() int {
+	var buf [arenaChunk]int32
+	return len(v.rows(&buf))
+}
+
 // checkStore runs checkIndex on every index of a hash store — its own,
-// and each segment's line index as of the segment's watermark — and
-// checks that together they link exactly the stored tuples.
+// and each segment's slot index as of the segment's watermark, through
+// its filter — and checks that each links exactly the rows the views
+// naming it keep, so that together they link the stored tuples once.
 func checkStore(t *testing.T, label string, h *HashIndex) {
 	t.Helper()
-	linked := checkIndex(t, label+" (own index)", h.own.ix, allRows)
-	for i := range h.segs {
-		linked += checkIndex(t, fmt.Sprintf("%s (segment %d)", label, i), h.segs[i].ix, h.segs[i].w)
+	want := map[*SlotIndex]int{}
+	for i := range h.arena.chunks {
+		v := &h.arena.chunks[i]
+		if v.ix == nil {
+			t.Fatalf("%s: view %d names no slot index", label, i)
+		}
+		want[v.ix] += v.kept()
 	}
-	if linked != h.Len() {
-		t.Fatalf("%s: the indexes link %d tuples, the store holds %d", label, linked, h.Len())
+	check := func(name string, x *SlotIndex, w uint32, keep keepSet) {
+		if n := checkKept(t, label+" ("+name+")", x, w, keep); n != want[x] {
+			t.Fatalf("%s: the %s links %d tuples, its views keep %d", label, name, n, want[x])
+		}
+		delete(want, x)
+	}
+	check("own index", h.own.ix, allRows, keepSet{})
+	for i := range h.segs {
+		check(fmt.Sprintf("segment %d", i), h.segs[i].ix, h.segs[i].w, h.segs[i].keep)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%s: %d views name a slot index no probe reads", label, len(want))
 	}
 }
 

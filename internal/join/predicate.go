@@ -79,10 +79,11 @@ func withinBand(a, b, w int64) bool {
 	return w >= 0 && uint64(a)-uint64(b) <= uint64(w)
 }
 
-// bandBounds is the key range [key-w, key+w] a band probe sweeps,
+// BandBounds is the key range [key-w, key+w] a band probe sweeps,
 // saturated at the int64 bounds instead of wrapping. A negative w gives
-// an empty range.
-func bandBounds(key, w int64) (lo, hi int64) {
+// an empty range (lo > hi). A loop over the range must stop after
+// k == hi: k++ past math.MaxInt64 wraps.
+func BandBounds(key, w int64) (lo, hi int64) {
 	if w < 0 {
 		return math.MaxInt64, math.MinInt64
 	}

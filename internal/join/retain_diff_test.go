@@ -158,14 +158,18 @@ func mutGenOf(idx Index) (gen uint64, ok bool) {
 // a migration — the τ selection that copies a partition's survivors
 // into a BlockEncoder, and the finalize discard Retain — to the
 // Scan + keep(Tuple) reference, for a hash index (a freshly grown
-// directory, an adopted partial tail, shared views, payload-carrying
+// directory, a merged donor's index, shared views, payload-carrying
 // rows and dummies), a scan index and an ordered index. The selection
 // must hand over exactly the reference survivors in Scan order, shipping
 // every full batch at the limit; Retain must leave the same tuples,
-// Len and Bytes as the reference, every key's probe order of an index
-// rebuilt from the survivors in Scan order (how Retain used to rebuild),
-// and, when it removed anything, a bumped mutGen — what makes the next
-// checkpoint of the index full.
+// Len and Bytes as the reference, every key's probe matches of an index
+// built from the survivors (in the same order but for a hash index,
+// whose matches come slot index by slot index), and, when it removed
+// anything, a bumped mutGen — what makes the next checkpoint of the
+// index full. Each filter is then run again under a second one, nested
+// in it or disjoint from it, so the checks also read views and readers
+// whose filters two discards narrowed, and a hash index then merges a
+// donor, whose hand-over may compact it.
 func TestRetainAndSelectMatchScanReference(t *testing.T) {
 	tops := []matrix.Top{
 		{Shift: 63, Val: 0}, {Shift: 63, Val: 1}, {Shift: 62, Val: 2}, {Shift: 61, Val: 5},
@@ -174,91 +178,142 @@ func TestRetainAndSelectMatchScanReference(t *testing.T) {
 	for _, st := range retainStates() {
 		for _, keep := range tops {
 			t.Run(fmt.Sprintf("%s/shift=%d,val=%d", st.name, keep.Shift, keep.Val), func(t *testing.T) {
-				idx := st.build(t)
-				want := scanSelect(idx, keep)
-				var wantBytes int64
-				for _, tp := range want {
-					wantBytes += tp.Bytes()
-				}
-
-				// Selection: a limit well below a block, so batches ship
-				// mid-block and the copy resumes in the encoder's fresh blocks.
-				const limit = 100
-				var enc BlockEncoder
-				var sets []*BlockSet
-				n := enc.addSelected(idx, matrix.SideS, keep, limit, func() { sets = append(sets, enc.Seal()) })
-				if enc.Len() > 0 {
-					sets = append(sets, enc.Seal())
-				}
-				if enc.Len() != 0 {
-					t.Fatal("Seal left tuples in the encoder")
-				}
-				var got []Tuple
-				var gotBytes int64
-				for i, bs := range sets {
-					if i < len(sets)-1 && bs.Tuples() != limit {
-						t.Fatalf("batch %d shipped %d tuples, want the limit %d", i, bs.Tuples(), limit)
+				checkRetain(t, st, st.build(t), keep)
+				// Filters on filters: a nested and a disjoint second discard.
+				for _, then := range []matrix.Top{{Shift: 61, Val: 2}, {Shift: 62, Val: 3}} {
+					idx := st.build(t)
+					checkRetain(t, st, idx, keep)
+					want2 := checkRetain(t, st, idx, then)
+					h, ok := idx.(*HashIndex)
+					if !ok {
+						continue
 					}
-					if bs.Len(matrix.SideR) != 0 {
-						t.Fatalf("batch %d holds %d R tuples from an S index", i, bs.Len(matrix.SideR))
+					donor := NewHashIndex()
+					rng := rand.New(rand.NewSource(int64(then.Val)))
+					for seq := uint64(1 << 40); seq < 1<<40+700; seq++ {
+						tp := diffTuple(rng, seq, rng.Int63n(3000))
+						donor.Insert(tp)
+						want2 = append(want2, tp)
 					}
-					got = bs.AppendSide(got, matrix.SideS)
-					gotBytes += bs.Bytes()
-				}
-				if n != len(want) || len(got) != len(want) || gotBytes != wantBytes {
-					t.Fatalf("selection copied %d (%d delivered, %d B), reference %d (%d B)", n, len(got), gotBytes, len(want), wantBytes)
-				}
-				for i := range got {
-					if !eqTuple(got[i], want[i]) {
-						t.Fatalf("selection[%d] = %+v, reference %+v", i, got[i], want[i])
-					}
-				}
-
-				// Retain.
-				before := idx.Len()
-				gen, hasGen := mutGenOf(idx)
-				if removed := idx.Retain(keep); removed != before-len(want) {
-					t.Fatalf("Retain removed %d, reference %d", removed, before-len(want))
-				}
-				if idx.Len() != len(want) || idx.Bytes() != wantBytes {
-					t.Fatalf("Len/Bytes %d/%d after Retain, reference %d/%d", idx.Len(), idx.Bytes(), len(want), wantBytes)
-				}
-				if hasGen {
-					wantGen := gen
-					if len(want) < before {
-						wantGen++
-					}
-					if g, _ := mutGenOf(idx); g != wantGen {
-						t.Fatalf("mutGen %d after Retain, want %d", g, wantGen)
-					}
-				}
-				var all []Tuple
-				idx.Scan(func(tp Tuple) bool { all = append(all, tp); return true })
-				sameBySeq(t, "Scan after Retain", all, want)
-				ref := st.fresh()
-				ref.InsertBatch(want)
-				keys := map[int64]bool{-1: true} // one guaranteed miss
-				for _, tp := range want {
-					keys[tp.Key] = true
-				}
-				for key := range keys {
-					probe := Tuple{Rel: matrix.SideR, Key: key}
-					var g, w []Tuple
-					idx.Probe(probe, func(s Tuple) { g = append(g, s) })
-					ref.Probe(probe, func(s Tuple) { w = append(w, s) })
-					if len(g) != len(w) {
-						t.Fatalf("probe(%d) matched %d, reference %d", key, len(g), len(w))
-					}
-					for i := range g {
-						if !eqTuple(g[i], w[i]) {
-							t.Fatalf("probe(%d)[%d] = %+v, reference %+v (probe order moved)", key, i, g[i], w[i])
-						}
-					}
-				}
-				if h, ok := idx.(*HashIndex); ok {
-					checkStore(t, "after Retain", h)
+					h.MergeFrom(donor)
+					checkContents(t, st, "merged after two discards", idx, want2)
 				}
 			})
 		}
+	}
+}
+
+// checkRetain selects keep's survivors of idx into encoder blocks, then
+// applies Retain(keep) to idx, holding both to the Scan + keep
+// reference, and returns the survivors.
+func checkRetain(t *testing.T, st retainState, idx Index, keep matrix.Top) []Tuple {
+	t.Helper()
+	want := scanSelect(idx, keep)
+	var wantBytes int64
+	for _, tp := range want {
+		wantBytes += tp.Bytes()
+	}
+
+	// Selection: a limit well below a block, so batches ship
+	// mid-block and the copy resumes in the encoder's fresh blocks.
+	const limit = 100
+	var enc BlockEncoder
+	var sets []*BlockSet
+	n := enc.addSelected(idx, matrix.SideS, keep, limit, func() { sets = append(sets, enc.Seal()) })
+	if enc.Len() > 0 {
+		sets = append(sets, enc.Seal())
+	}
+	if enc.Len() != 0 {
+		t.Fatal("Seal left tuples in the encoder")
+	}
+	var got []Tuple
+	var gotBytes int64
+	for i, bs := range sets {
+		if i < len(sets)-1 && bs.Tuples() != limit {
+			t.Fatalf("batch %d shipped %d tuples, want the limit %d", i, bs.Tuples(), limit)
+		}
+		if bs.Len(matrix.SideR) != 0 {
+			t.Fatalf("batch %d holds %d R tuples from an S index", i, bs.Len(matrix.SideR))
+		}
+		got = bs.AppendSide(got, matrix.SideS)
+		gotBytes += bs.Bytes()
+	}
+	if n != len(want) || len(got) != len(want) || gotBytes != wantBytes {
+		t.Fatalf("selection copied %d (%d delivered, %d B), reference %d (%d B)", n, len(got), gotBytes, len(want), wantBytes)
+	}
+	for i := range got {
+		if !eqTuple(got[i], want[i]) {
+			t.Fatalf("selection[%d] = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+
+	// Retain.
+	before := idx.Len()
+	gen, hasGen := mutGenOf(idx)
+	if removed := idx.Retain(keep); removed != before-len(want) {
+		t.Fatalf("Retain removed %d, reference %d", removed, before-len(want))
+	}
+	if hasGen {
+		wantGen := gen
+		if len(want) < before {
+			wantGen++
+		}
+		if g, _ := mutGenOf(idx); g != wantGen {
+			t.Fatalf("mutGen %d after Retain, want %d", g, wantGen)
+		}
+	}
+	checkContents(t, st, "after Retain", idx, want)
+	return want
+}
+
+// checkContents holds idx to want: Len and Bytes, Scan (in want's order
+// but for a hash index) and every key's probe matches against an index
+// of st's kind built from want, in the same order but for a hash index.
+func checkContents(t *testing.T, st retainState, label string, idx Index, want []Tuple) {
+	t.Helper()
+	var wantBytes int64
+	for _, tp := range want {
+		wantBytes += tp.Bytes()
+	}
+	if idx.Len() != len(want) || idx.Bytes() != wantBytes {
+		t.Fatalf("%s: Len/Bytes %d/%d, reference %d/%d", label, idx.Len(), idx.Bytes(), len(want), wantBytes)
+	}
+	h, isHash := idx.(*HashIndex)
+	var all []Tuple
+	idx.Scan(func(tp Tuple) bool { all = append(all, tp); return true })
+	sameBySeq(t, label+": Scan", all, want)
+	if _, ok := idx.(*ScanIndex); ok {
+		for i := range all {
+			if !eqTuple(all[i], want[i]) {
+				t.Fatalf("%s: Scan[%d] = %+v, reference %+v (scan order moved)", label, i, all[i], want[i])
+			}
+		}
+	}
+	ref := st.fresh()
+	ref.InsertBatch(want)
+	keys := map[int64]bool{-1: true} // one guaranteed miss
+	for _, tp := range want {
+		keys[tp.Key] = true
+	}
+	for key := range keys {
+		probe := Tuple{Rel: matrix.SideR, Key: key}
+		var g, w []Tuple
+		idx.Probe(probe, func(s Tuple) { g = append(g, s) })
+		ref.Probe(probe, func(s Tuple) { w = append(w, s) })
+		if isHash {
+			sameBySeq(t, fmt.Sprintf("%s: probe(%d)", label, key), g, w)
+			continue
+		}
+		if len(g) != len(w) {
+			t.Fatalf("%s: probe(%d) matched %d, reference %d", label, key, len(g), len(w))
+		}
+		for i := range g {
+			if !eqTuple(g[i], w[i]) {
+				t.Fatalf("%s: probe(%d)[%d] = %+v, reference %+v (probe order moved)", label, key, i, g[i], w[i])
+			}
+		}
+	}
+	if isHash {
+		checkStore(t, label, h)
 	}
 }

@@ -37,7 +37,7 @@ import "repro/internal/matrix"
 //
 // Every store owns one more writer, for one reader, through which it
 // copies what it cannot view (copyRun, copyRow): a run without a
-// window, Retain's survivors, a restored snapshot. A hash store's own
+// window, a restored snapshot. A hash store's own
 // writer indexes too: it keeps the store's own slot index and indexes
 // in it every window it adds to the store's arena, its own copies when
 // it flushes them and every other writer's window that no live segment
@@ -83,10 +83,11 @@ import "repro/internal/matrix"
 //     pushed its marker publishes no window until every marker is out
 //     (core's ckptEvent.allCut);
 //   - a line belongs to one epoch, so Alg. 3's ∆ windows continue the
-//     old lines' segments and ∆′ windows arrive on new lines, which
-//     index nothing; each reshuffler pushes its old-epoch windows before
-//     its signal, so by the last signal a joiner holds every old-epoch
-//     window its segments name;
+//     old lines' segments and ∆′ windows open segments on the new lines,
+//     which finalize hands to the state live; each reshuffler pushes its
+//     old-epoch windows before its signal, so by the last signal no
+//     writer adds to an old line, and a joiner holds every old-epoch
+//     window its segments name and may freeze them;
 //   - no header field changes once another goroutine may hold a window
 //     of the block (the writer sealed it): the header — the payload, u
 //     and meta columns, the seed and the meta word — says how every
@@ -349,7 +350,7 @@ func (b *BlockWriter) flush(a *tupleArena) {
 // indexes them when b keeps an index: every row a store's own writer
 // adds goes through here, its own windows (flush) and other writers'.
 func (b *BlockWriter) view(a *tupleArena, w Window) {
-	a.addWindow(w)
+	a.addWindow(w, b.ix)
 	if b.ix != nil {
 		b.ix.index(w.c, w.lo, w.hi)
 	}

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -10,13 +11,21 @@ import (
 // probe it. Two kinds of writer keep one:
 //
 //   - a sharing block writer (BlockWriter) of a grid line and epoch in
-//     one process, over the blocks it writes, so a row replicated to m
-//     joiners of one process is indexed once, not m times. The writer —
+//     one process — every epoch's, so a migration hands the index over
+//     instead of re-indexing it — over the blocks it writes, so a row
+//     replicated to m joiners of one process is indexed once, not m
+//     times. The writer —
 //     whichever reshuffler holds the line's lock — indexes each row
 //     before it publishes the window naming it; the joiners that store
 //     the windows read the index as of their own watermark (a segment);
 //   - a HashIndex's own writer, for its one reader: every row the store
 //     copies, and every window it views that no segment serves.
+//
+// A reader reads an index through a keep filter on u, which a
+// migration discard narrows, so a frozen index serves only the rows its
+// store still holds; once frozen, through a tag filter too. Every index
+// keeps the key range of its rows, and a probe skips an index whose
+// range or tag filter rules its key out.
 //
 // An index position names a row of the index's block table,
 // block<<arenaShift | row. A block is entered in the table when a
@@ -54,6 +63,8 @@ type SlotIndex struct {
 	// the whole capacity, so appending a block publishes nothing new.
 	blocks  []slotEntry
 	nblocks int
+	// tail is one past the last row indexed in the last block entered.
+	tail    int32
 	used    int // distinct keys
 	sharers int32
 	// touch keeps add's cache-warming loads alive; its value means
@@ -62,6 +73,17 @@ type SlotIndex struct {
 	// dirBytes and chainBytes are the index's resident bytes, written
 	// by the writer and read by the readers' Footprint.
 	dirBytes, chainBytes atomic.Int64
+	// filter is the tag filter the last reader that froze a segment on
+	// the index built (segment.freeze), for the others to share.
+	filter atomic.Pointer[tagFilter]
+	// minKey and maxKey bound the keys of the rows indexed so far
+	// (minKey > maxKey while there is none): the writer widens them
+	// before it publishes the rows, and a probe of a key outside them
+	// skips the index without reading its directory, as a lookup in an
+	// LSM tree skips a run whose key range misses it. Keys that grow
+	// with arrival time (sequential ids, timestamps) leave an old
+	// epoch's index and the live line's ranges apart.
+	minKey, maxKey atomic.Int64
 }
 
 // slotDir is the key directory of a SlotIndex: an open-addressed (linear probing) table of
@@ -150,6 +172,8 @@ func newSlotIndex(sharers int32) *SlotIndex {
 	x := &SlotIndex{sharers: sharers}
 	x.setDir(newDir(0))
 	x.table.Store(&noBlocks)
+	x.minKey.Store(math.MaxInt64)
+	x.maxKey.Store(math.MinInt64)
 	return x
 }
 
@@ -207,31 +231,54 @@ func (x *SlotIndex) addBlock(c *colChunk) {
 // watermark past them. The windows of a block reach an index in row
 // order, so positions only grow.
 func (x *SlotIndex) index(c *colChunk, lo, hi int32) uint32 {
-	if x.nblocks == 0 || x.blocks[x.nblocks-1].c != c {
+	return x.indexRows(c, rowNums[lo:hi]) | uint32(lo)
+}
+
+// indexRows indexes the rows of block c listed in rows, in increasing
+// order, as index does, and returns the position of the block's row 0.
+// Rows of c below ones already indexed (a fold meets a block's views in
+// arena order, not row order) enter c again, so positions still only
+// grow.
+func (x *SlotIndex) indexRows(c *colChunk, rows []int32) uint32 {
+	if len(rows) == 0 {
+		return uint32(max(x.nblocks-1, 0)) << arenaShift
+	}
+	if x.nblocks == 0 || x.blocks[x.nblocks-1].c != c || rows[0] < x.tail {
 		x.addBlock(c)
 	}
 	base := uint32(x.nblocks-1) << arenaShift
-	x.add(base, lo, hi)
-	return base | uint32(lo)
+	x.add(base, rows)
+	x.tail = rows[len(rows)-1] + 1
+	return base
 }
 
-// add indexes rows [lo, hi) of the block at position base. Each
+// add indexes the listed rows of the block at position base. Each
 // chunk's home slots are loaded before the first insert resolves, as
 // slotReader.walk does, so their misses overlap.
-func (x *SlotIndex) add(base uint32, lo, hi int32) {
+func (x *SlotIndex) add(base uint32, rows []int32) {
 	e := x.blocks[base>>arenaShift]
+	lo, hi := x.minKey.Load(), x.maxKey.Load()
+	for _, row := range rows {
+		lo, hi = min(lo, e.c.key[row]), max(hi, e.c.key[row])
+	}
+	if lo < x.minKey.Load() {
+		x.minKey.Store(lo)
+	}
+	if hi > x.maxKey.Load() {
+		x.maxKey.Store(hi)
+	}
 	var tags [walkChunk]uint32
-	for start := lo; start < hi; start += walkChunk {
-		end := min(start+walkChunk, hi)
+	for start := 0; start < len(rows); start += walkChunk {
+		chunk := rows[start:min(start+walkChunk, len(rows))]
 		d := x.cur
 		var touch uint64
-		for row := start; row < end; row++ {
-			tags[row-start] = tagOf(e.c.key[row])
-			touch += d.slots[d.home(tags[row-start])]
+		for k, row := range chunk {
+			tags[k] = tagOf(e.c.key[row])
+			touch += d.slots[d.home(tags[k])]
 		}
 		x.touch = touch
-		for row := start; row < end; row++ {
-			x.insert(tags[row-start], e.c.key[row], base|uint32(row), &e.next[row])
+		for k, row := range chunk {
+			x.insert(tags[k], e.c.key[row], base|uint32(row), &e.next[row])
 		}
 	}
 }
@@ -280,36 +327,137 @@ func (x *SlotIndex) share() (chainBytes, dirBytes int64) {
 // hold. A window that does not continue the segment (lineMark.take) —
 // one the store did not get, got filtered, or copied instead — leaves w
 // where it is (live turns false), and the rest of the line's windows go
-// to the store's own index.
+// to the store's own index. A migration discard narrows keep, the rows
+// the store still holds (HashIndex.Retain); a segment also reads a
+// frozen own index of the store's or of a merged store's (w allRows).
 type segment struct {
 	ix *SlotIndex
 	lineMark
+	keep keepSet
+	// filter, once the segment is frozen (it takes no more windows), is
+	// a membership filter over the tags of its index's rows, which a
+	// probe tests before it reads the directory (tagFilter).
+	filter *tagFilter
+}
+
+// freeze stops the segment taking windows and gives it a tag filter:
+// the store reads the index as it stands from now on. The readers of a
+// line that has ended share one filter: a filter built as of watermark
+// w serves every segment whose watermark is at or below w.
+func (s *segment) freeze() {
+	s.live = false
+	if s.filter != nil {
+		return
+	}
+	if f := s.ix.filter.Load(); f != nil && f.w >= s.w {
+		s.filter = f
+		return
+	}
+	s.filter = newTagFilter(s.ix, s.w)
+	s.ix.filter.Store(s.filter)
+}
+
+// frozenSegment returns a segment that reads every row of x, an index
+// nothing writes any more (a store's own index narrowed by a discard,
+// a merged store's own index, a compaction's), through keep.
+func frozenSegment(x *SlotIndex, keep keepSet) segment {
+	s := segment{ix: x, lineMark: lineMark{w: allRows}, keep: keep}
+	s.freeze()
+	return s
+}
+
+// tagFilter is a frozen segment's membership filter, the Bloom filter
+// of an LSM tree's frozen runs: two bits of one 64-bit word per key,
+// set from the key's tag, at a byte or two per key, so the filter of a
+// store's frozen indexes stays in cache where their directories do
+// not. A probe whose tag misses either bit skips the directory; about
+// one absent key in twenty passes. It is built from the directory's
+// words, which hold every indexed key's tag, so it holds every row the
+// segment reads whatever the watermark.
+type tagFilter struct {
+	words []uint64
+	mask  uint32
+	// w is the watermark the filter was built for: it holds every row
+	// below it.
+	w uint32
+}
+
+// newTagFilter builds the filter of x's keys as its directory holds
+// them now, for a reader at watermark w: every row below w was indexed
+// before the reader's windows were published, so the directory the
+// reader loads holds its tag. It is sized for the most keys the
+// directory holds (3/4 of its slots), a byte a key, so it takes 3/32 of
+// the directory's bytes.
+func newTagFilter(x *SlotIndex, w uint32) *tagFilter {
+	d := x.dir.Load()
+	n := 1
+	for n*8 < len(d.slots)*3/4 {
+		n <<= 1
+	}
+	f := &tagFilter{words: make([]uint64, n), mask: uint32(n - 1), w: w}
+	for i := range d.slots {
+		// Branch-free: an empty word (s 0) sets no bit.
+		s := atomic.LoadUint64(&d.slots[i])
+		tag := uint32(s >> 32)
+		f.words[tag&f.mask] |= tagBits(tag) & -min(s, 1)
+	}
+	return f
+}
+
+// bytes is the filter's resident size.
+func (f *tagFilter) bytes() int64 {
+	if f == nil {
+		return 0
+	}
+	return int64(8 * len(f.words))
+}
+
+// tagBits is the two bits of a tag's word: from its top twelve bits,
+// while its low bits pick the word.
+func tagBits(tag uint32) uint64 { return 1<<(tag>>20&63) | 1<<(tag>>26) }
+
+// has reports whether a key of tag may be in the segment.
+func (f *tagFilter) has(tag uint32) bool {
+	b := tagBits(tag)
+	return f.words[tag&f.mask]&b == b
 }
 
 // maxSegments bounds the segments one store reads, each a directory
 // every probe walks; a store at the bound indexes new lines' windows
-// itself. In the operator a store holds one per epoch whose line
-// writers indexed (today only the first epoch's do).
+// itself. In the operator a migration's finalize leaves a store at most
+// maxDirs directories (HashIndex.compact).
 const maxSegments = 64
 
-// slotReader probes one index as of a watermark. It loads the
-// directory once per run; the block table is reloaded only when a
-// position (an in-flight head) names a block past the loaded one.
+// slotReader probes one index as of a watermark, keeping the rows keep
+// holds. It loads the directory once per run; the block table is
+// reloaded only when a position (an in-flight head) names a block past
+// the loaded one.
 type slotReader struct {
-	ix  *SlotIndex
-	d   *slotDir
-	tbl []slotEntry
-	w   uint32
+	ix   *SlotIndex
+	d    *slotDir
+	tbl  []slotEntry
+	w    uint32
+	keep keepSet
+	// minKey and maxKey are the index's key range as loaded: a key
+	// outside it has no row below the watermark.
+	minKey, maxKey int64
+	// filter is a frozen segment's tag filter, or nil.
+	filter *tagFilter
 }
 
 // allRows is the watermark that reads every row: a store's own index
 // has no rows in flight.
 const allRows = ^uint32(0)
 
-// reader returns a reader of x as of watermark w.
-func (x *SlotIndex) reader(w uint32) slotReader {
-	return slotReader{ix: x, d: x.dir.Load(), tbl: *x.table.Load(), w: w}
+// reader returns a reader of x as of watermark w, keeping the rows
+// keep holds.
+func (x *SlotIndex) reader(w uint32, keep keepSet) slotReader {
+	return slotReader{ix: x, d: x.dir.Load(), tbl: *x.table.Load(), w: w, keep: keep,
+		minKey: x.minKey.Load(), maxKey: x.maxKey.Load()}
 }
+
+// holds reports whether key lies in the reader's key range.
+func (r *slotReader) holds(key int64) bool { return key >= r.minKey && key <= r.maxKey }
 
 // entry returns the block table entry of position pos.
 func (r *slotReader) entry(pos uint32) *slotEntry {
@@ -340,11 +488,16 @@ func (r *slotReader) findFrom(i uint32, s uint64, tag uint32, key int64) uint32 
 }
 
 // gather appends the hits of key's chain that head starts, skipping
-// the rows at or past the watermark (all at the chain's head).
+// the rows at or past the watermark (all at the chain's head) and, for
+// a filtered reader, the rows keep does not hold: the one u read a
+// filter costs, on hits only.
 func (r *slotReader) gather(head uint32, probe int32, hits []probeHit) []probeHit {
 	for head > r.w {
 		pos := head - 1
 		head = r.entry(pos).next[pos&(arenaChunk-1)]
+	}
+	if !r.keep.all() {
+		return r.gatherKept(head, probe, hits)
 	}
 	for head != 0 {
 		pos := head - 1
@@ -355,31 +508,56 @@ func (r *slotReader) gather(head uint32, probe int32, hits []probeHit) []probeHi
 	return hits
 }
 
+// gatherKept is gather's loop for a filtered reader.
+func (r *slotReader) gatherKept(head uint32, probe int32, hits []probeHit) []probeHit {
+	for head != 0 {
+		pos := head - 1
+		e, row := &r.tbl[pos>>arenaShift], int32(pos&(arenaChunk-1))
+		head = e.next[row]
+		if r.keep.has(e.c.uAt(row)) {
+			hits = append(hits, probeHit{probe: probe, off: int32(pos), meta: e.c.metaAt(row)})
+		}
+	}
+	return hits
+}
+
 // walk gathers into hits the rows below the watermark that every
-// non-dummy tuple of ts hits, a chunk of walkChunk keys at a time: the
-// chunk's keys are all hashed and their home slots all loaded before
-// the first one resolves.
-func (r *slotReader) walk(ts []Tuple, hits []probeHit) []probeHit {
-	var (
-		tags  [walkChunk]uint32
-		first [walkChunk]uint64
-	)
+// non-dummy tuple of ts hits, given each one's tag (tags[i] =
+// tagOf(ts[i].Key), hashed once for every index a run walks), a chunk
+// of walkChunk keys at a time: the chunk's home slots are all loaded
+// before the first one resolves. A key outside the index's key range,
+// or one a frozen segment's tag filter rules out, reads nothing of the
+// directory.
+func (r *slotReader) walk(ts []Tuple, tags []uint32, hits []probeHit) []probeHit {
+	slots, mask, shift := r.d.slots, r.d.mask, r.d.shift&31
+	var first [walkChunk]uint64
 	for i := 0; i < len(ts); i += walkChunk {
 		chunk := ts[i:min(i+walkChunk, len(ts))]
 		for k := range chunk {
-			tags[k] = tagOf(chunk[k].Key)
-			first[k] = atomic.LoadUint64(&r.d.slots[r.d.home(tags[k])])
+			first[k] = 0
+			if !chunk[k].Dummy && r.holds(chunk[k].Key) && (r.filter == nil || r.filter.has(tags[i+k])) {
+				first[k] = atomic.LoadUint64(&slots[tags[i+k]>>shift&mask])
+			}
 		}
 		for k := range chunk {
-			if chunk[k].Dummy || first[k] == 0 {
+			if first[k] == 0 {
 				continue
 			}
-			if head := r.findFrom(r.d.home(tags[k]), first[k], tags[k], chunk[k].Key); head != 0 {
+			if head := r.findFrom(tags[i+k]>>shift, first[k], tags[i+k], chunk[k].Key); head != 0 {
 				hits = r.gather(head, int32(i+k), hits)
 			}
 		}
 	}
 	return hits
+}
+
+// tagsOf returns the tag of every key of ts in buf, grown as needed.
+func tagsOf(ts []Tuple, buf []uint32) []uint32 {
+	buf = buf[:0]
+	for i := range ts {
+		buf = append(buf, tagOf(ts[i].Key))
+	}
+	return buf
 }
 
 // segmentOf returns h's segment on ix, or nil.
@@ -414,6 +592,6 @@ func (h *HashIndex) takeWindow(ts []Tuple, w Window) bool {
 	if !s.take(w) {
 		return false
 	}
-	h.arena.addWindow(w)
+	h.arena.addWindow(w, w.ix)
 	return true
 }

@@ -295,12 +295,12 @@ func TestProbeSkipsEmptyOwnIndex(t *testing.T) {
 // nothing instead of dereferencing a table that was never stored.
 func TestEmptySlotIndexReads(t *testing.T) {
 	for _, x := range []*SlotIndex{newSlotIndex(1), newSlotIndex(4)} {
-		r := x.reader(allRows)
+		r := x.reader(allRows, keepSet{})
 		if len(r.tbl) != 0 {
 			t.Fatalf("an empty index publishes %d table entries", len(r.tbl))
 		}
 		ps := []Tuple{{Rel: matrix.SideR, Key: 1}, {Rel: matrix.SideR, Key: -7}}
-		if hits := r.walk(ps, nil); len(hits) != 0 {
+		if hits := r.walk(ps, tagsOf(ps, nil), nil); len(hits) != 0 {
 			t.Fatalf("an empty index yields %d hits", len(hits))
 		}
 		if linked := checkIndex(t, "empty", x, allRows); linked != 0 {

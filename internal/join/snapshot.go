@@ -165,12 +165,13 @@ const tupleBytes = 5 * 8
 
 // blockSize is the exact length appendBlock writes for v.
 func blockSize(v view) int {
-	fill := int(v.hi - v.lo)
-	n := 4 + 1 + tupleBytes*fill
+	var buf [arenaChunk]int32
+	rows := v.rows(&buf)
+	n := 4 + 1 + tupleBytes*len(rows)
 	if v.c.payload != nil {
-		n += 4 * fill
-		for _, p := range v.c.payload[v.lo:v.hi] {
-			n += len(p)
+		n += 4 * len(rows)
+		for _, pos := range rows {
+			n += len(v.c.payload[pos])
 		}
 	}
 	return n
@@ -191,8 +192,12 @@ const refSize = 4 + 1 + 4 + 4
 // payload-presence flag, the five columns of each tuple as
 // little-endian words — u and meta as the block's header derives them
 // when it has no column for them — and the payload bytes when present.
+// A filtered view writes the rows its filter keeps, so a record never
+// holds a row a discard dropped and the format has no filter in it.
 func appendBlock(buf []byte, v view) []byte {
-	c, fill := v.c, int(v.hi-v.lo)
+	var rbuf [arenaChunk]int32
+	rows := v.rows(&rbuf)
+	c, fill := v.c, len(rows)
 	buf = appendU32(buf, uint32(fill))
 	hasPayload := uint8(blockPlain)
 	if c.payload != nil {
@@ -204,18 +209,18 @@ func appendBlock(buf []byte, v view) []byte {
 	w := buf[off:]
 	var ubuf [arenaChunk]uint64
 	us := c.uRows(v.lo, v.hi, &ubuf)
-	for i, pos := 0, v.lo; pos < v.hi; i, pos = i+1, pos+1 {
+	for i, pos := range rows {
 		t := w[i*tupleBytes : i*tupleBytes+tupleBytes]
 		binary.LittleEndian.PutUint64(t[0:], uint64(c.key[pos]))
 		binary.LittleEndian.PutUint64(t[8:], uint64(c.aux[pos]))
-		binary.LittleEndian.PutUint64(t[16:], us[i])
+		binary.LittleEndian.PutUint64(t[16:], us[pos-v.lo])
 		binary.LittleEndian.PutUint64(t[24:], c.seq[pos])
 		binary.LittleEndian.PutUint64(t[32:], c.metaAt(pos))
 	}
 	if hasPayload == blockPayload {
-		for _, p := range c.payload[v.lo:v.hi] {
-			buf = appendU32(buf, uint32(len(p)))
-			buf = append(buf, p...)
+		for _, pos := range rows {
+			buf = appendU32(buf, uint32(len(c.payload[pos])))
+			buf = append(buf, c.payload[pos]...)
 		}
 	}
 	return buf
@@ -418,8 +423,9 @@ func readTuple(r *snapReader) Tuple {
 // IndexWatermark names the frozen block prefix of one index at
 // snapshot time: a later delta snapshot ships only chunks at indexes
 // >= Chunks, provided the index kind and arena mutation generation
-// still match (a Retain rebuild relocates tuples and bumps
-// MutGen, invalidating the watermark).
+// still match (a discard that narrows a filter, or a compaction that
+// copies, changes what entries hold and bumps MutGen, invalidating the
+// watermark).
 type IndexWatermark struct {
 	Kind   uint8
 	MutGen uint64
@@ -693,6 +699,11 @@ func NewBlockTable(caps []*LocalCapture, full bool) *BlockTable {
 	sides := make(map[*sideCapture][]int32, 2*len(caps))
 	name := func(refs []int32, vs []view, ci int) []int32 {
 		for _, v := range vs {
+			if !v.keep.all() {
+				// A filtered view is written as its kept rows, inline.
+				refs = append(refs, -1)
+				continue
+			}
 			var k int32
 			switch v.c {
 			case memo[0].c:
@@ -745,7 +756,9 @@ func NewBlockTable(caps []*LocalCapture, full bool) *BlockTable {
 	}
 	for _, refs := range sides {
 		for i, k := range refs {
-			refs[i] = entry[k]
+			if k >= 0 {
+				refs[i] = entry[k]
+			}
 		}
 	}
 	return t

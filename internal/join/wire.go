@@ -74,9 +74,9 @@ func (e *BlockEncoder) AppendTo(buf []byte) []byte {
 // addSelected copies into e the tuples of idx, all of side, whose u is
 // in keep, calling ship each time e holds limit tuples, and returns how
 // many it copied. An arena-backed index (hash, scan) is read one
-// block's u values at a time (uRows) and its survivors are copied
-// row-wise into e's blocks, with no Tuple built; an ordered index goes
-// through Scan.
+// block's u values at a time (uRows), each tested against keep and the
+// view's filter at once, and its survivors are copied row-wise into
+// e's blocks, with no Tuple built; an ordered index goes through Scan.
 func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top, limit int, ship func()) int {
 	if keep.None() {
 		return 0
@@ -101,8 +101,14 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 	n := 0
 	var buf [arenaChunk]uint64
 	for _, v := range a.chunks {
+		// A view's rows are the ones its filter keeps, so the selection
+		// is the meet of the two sets: one top-bits test.
+		sel := v.keep.meet(keep)
+		if sel.top().None() {
+			continue
+		}
 		for i, u := range v.c.uRows(v.lo, v.hi, &buf) {
-			if !keep.Has(u) {
+			if !sel.has(u) {
 				continue
 			}
 			e.bytes[side] += w.copyRow(dst, v.c, v.lo+int32(i))
@@ -223,9 +229,10 @@ func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 
 // AdoptBlocks installs the blocks into l, consuming bs. Arena-
 // backed indexes (hash, scan) view the blocks as they are — the whole
-// point of shipping blocks — and a hash index indexes their rows;
-// ordered (band) indexes fall back to scan-and-insert, since their
-// tree interleaves with tuple order.
+// point of shipping blocks — and a hash index indexes their rows in its
+// own slot index, which a migration's finalize then hands over with
+// the rest of µ (HashIndex.MergeFrom); ordered (band) indexes fall back
+// to scan-and-insert, since their tree interleaves with tuple order.
 func (l *Local) AdoptBlocks(bs *BlockSet) {
 	adoptIndex(l.r, &bs.arenas[matrix.SideR], bs.bytes[matrix.SideR])
 	adoptIndex(l.s, &bs.arenas[matrix.SideS], bs.bytes[matrix.SideS])
@@ -234,8 +241,7 @@ func (l *Local) AdoptBlocks(bs *BlockSet) {
 
 // adoptIndex merges a bare block-set arena into dst through the existing
 // MergeFrom machinery by dressing it as a donor index of dst's own
-// kind. MergeFrom only reads the donor's arena and byte volume, so no
-// index is built on the donor side.
+// kind with no slot index, whose views a hash index indexes in its own.
 func adoptIndex(dst Index, a *tupleArena, bytes int64) {
 	switch d := dst.(type) {
 	case *HashIndex:

@@ -113,6 +113,24 @@ func (t Top) All() bool { return t.Shift >= 64 && t.Val == 0 }
 // None reports whether the set is empty.
 func (t Top) None() bool { return t.Shift >= 64 && t.Val != 0 }
 
+// Meet returns the intersection of t and o. Two prefix sets are nested
+// or disjoint, so it is again one Top: the narrower of the two when it
+// lies inside the wider, else TopNone. A filter narrowed by any number
+// of migration discards thus stays one top-bits test.
+func (t Top) Meet(o Top) Top {
+	if t.Shift > o.Shift {
+		t, o = o, t
+	}
+	// t is the narrower (or equal) prefix: it lies inside o exactly when
+	// its prefix extends o's. A Val too wide for its Shift selects
+	// nothing and fails the test, since o.Val never exceeds the bits
+	// the shifted prefix keeps.
+	if t.Val>>(o.Shift-t.Shift) != o.Val || t.Shift < 64 && t.Val>>(64-t.Shift) != 0 {
+		return TopNone
+	}
+	return t
+}
+
 // RowTop returns R row partition row as a top-bits set: the u with
 // RowOf(u) == row.
 func (g Mapping) RowTop(row int) Top {

@@ -73,17 +73,18 @@ func CountOutput(q Query, g *tpch.Gen) (in, out int64) {
 	w := q.MatchWidth
 	q.Stream(g, func(tp join.Tuple) bool {
 		in++
-		if tp.Rel == matrix.SideR {
-			for k := tp.Key - w; k <= tp.Key+w; k++ {
-				out += sKeys[k]
-			}
-			rKeys[tp.Key]++
-		} else {
-			for k := tp.Key - w; k <= tp.Key+w; k++ {
-				out += rKeys[k]
-			}
-			sKeys[tp.Key]++
+		opp, own := sKeys, rKeys
+		if tp.Rel == matrix.SideS {
+			opp, own = rKeys, sKeys
 		}
+		// The sweep stops at hi itself: at math.MaxInt64, k++ wraps.
+		for k, hi := join.BandBounds(tp.Key, w); k <= hi; k++ {
+			out += opp[k]
+			if k == hi {
+				break
+			}
+		}
+		own[tp.Key]++
 		return true
 	})
 	return
