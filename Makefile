@@ -44,7 +44,7 @@ race:
 recovery-oracles:
 	$(GO) test -count=3 ./internal/faultpoint/
 	$(GO) test -count=3 -run 'Checkpoint|Restore|Recovery|Delta|Expansion|ReplayLog|Fluctuation|Straddles|ConcurrentFeeders|FinishRace|Migrat|Spill|EpochRuns|Batching|SHJ|Envelope|DataFrame|OneFramePerWorker|MixedPlacement|SharedBlocks|WorkerResidentGauge|SharedIndex|DropsStaleFrameSlots|BandLine' ./internal/core/
-	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestRetainAndSelectMatchScanReference|TestRetainNarrowsFilters|TestMergeFromHandsOverIndexes|TestCompactionBoundsIndexesAndGarbage|TestFrozenLineFilterSharedAcrossReaders)$$' ./internal/join/
+	$(GO) test -count=3 -run '^(TestSlotIndexAsOf|TestLineTreeAsOf|TestRetainAndSelectMatchScanReference|TestRetainNarrowsFilters|TestMergeFromHandsOverIndexes|TestCompactionBoundsIndexesAndGarbage|TestMergeWithLiveSegmentsOnly|TestFrozenLineFilterSharedAcrossReaders)$$' ./internal/join/
 	$(GO) test -count=3 -run 'Sharded|Pipeline|NonPowerOfTwoJoinersCompose' .
 
 # Twenty race-detector runs of the tests whose goroutines share

@@ -67,7 +67,7 @@ import (
 //	                             held by the store's own slot index
 //	                             per replica, or once per line by the
 //	                             slot index a segment reads
-//	view               16 B      per entry: per window that does not
+//	view               40 B      per entry: per window that does not
 //	                             extend the previous one
 //
 // A replica's share of a block's columns is their bytes divided by the
@@ -358,10 +358,15 @@ func (c *colChunk) at(pos int32) Tuple {
 
 // keepSet is the keep filter of a view or a slot-index reader: the rows
 // whose u the top-bits set matrix.Top{Shift: 64 - bits, Val: val}
-// holds. Its zero value keeps every row, so an unfiltered view or
-// segment sets nothing. A migration discard narrows it (meet) and
-// copies nothing: prefix sets are nested or disjoint, so any number of
-// discards leave one top-bits test.
+// holds. A migration discard narrows it (meet) and copies nothing:
+// prefix sets are nested or disjoint, so any number of discards leave
+// one top-bits test.
+//
+// It is not a matrix.Top because of its zero value, which keeps every
+// row: every view and reader starts unfiltered, and most stay so. The
+// zero Top keeps only the rows of u zero, so each of them would have to
+// be built with matrix.TopAll, and one that was not would drop every
+// routed row while a hash-route row, whose u is zero, still passed.
 type keepSet struct {
 	bits uint8
 	val  uint64
@@ -396,41 +401,49 @@ func (k keepSet) within(t matrix.Top) bool { return k.meet(t) == k }
 // holds, and the slot index that indexes them (ix: a segment's line
 // index or the store's own; nil in a scan store, an encoder or a
 // decoder). A migration discard narrows keep instead of copying the
-// survivors (tupleArena.narrow).
+// survivors (tupleArena.narrow), and records in n how many rows of
+// [lo, hi) keep holds (hi - lo in an unfiltered view), so that sizing
+// the view's record or testing sparse reads no u. A block has
+// arenaChunk rows, so the three counts fit 16 bits and the view stays
+// 40 B.
 type view struct {
-	c      *colChunk
-	ix     *SlotIndex
-	lo, hi int32
-	keep   keepSet
+	c         *colChunk
+	ix        *SlotIndex
+	keep      keepSet
+	lo, hi, n int16
 }
+
+// span returns the rows [lo, hi) the view spans, kept or not.
+func (v *view) span() (lo, hi int32) { return int32(v.lo), int32(v.hi) }
 
 // rows returns the rows of v that its filter keeps, in order, in buf:
 // every row of [lo, hi) for an unfiltered view (rowNums), else the rows
 // whose u keep holds, each derived u computed once.
 func (v *view) rows(buf *[arenaChunk]int32) []int32 {
+	lo, hi := v.span()
 	if v.keep.all() {
-		return rowNums[v.lo:v.hi]
+		return rowNums[lo:hi]
 	}
 	var ubuf [arenaChunk]uint64
 	n := 0
-	for i, u := range v.c.uRows(v.lo, v.hi, &ubuf) {
+	for i, u := range v.c.uRows(lo, hi, &ubuf) {
 		if v.keep.has(u) {
-			buf[n] = v.lo + int32(i)
+			buf[n] = lo + int32(i)
 			n++
 		}
 	}
 	return buf[:n]
 }
 
-// sparse reports whether v, keeping kept rows, holds under half of its
-// share of its block's rows (a block's rows divided among its
-// sharers): the compaction rule. Such a view is copied to its survivors
-// and dropped when its rows are next indexed anew (compactViews), which
-// bounds the filtered-out rows a view pins at twice its kept ones. A
-// view of a line block the joiners of a grid row each keep a part of
-// is not sparse: between them they keep the block's rows.
-func (v *view) sparse(kept int) bool {
-	return 2*kept*int(v.c.sharers) < int(v.hi-v.lo)
+// sparse reports whether v holds under half of its share of its
+// block's rows (a block's rows divided among its sharers): the
+// compaction rule. Such a view is copied to its survivors and dropped
+// when its rows are next indexed anew (compactViews), which bounds the
+// filtered-out rows a view pins at twice its kept ones. A view of a
+// line block the joiners of a grid row each keep a part of is not
+// sparse: between them they keep the block's rows.
+func (v *view) sparse() bool {
+	return 2*int(v.n)*int(v.c.sharers) < int(v.hi-v.lo)
 }
 
 // rowNums holds every row number of a block, for the rows of an
@@ -442,8 +455,11 @@ var rowNums = func() (r [arenaChunk]int32) {
 	return r
 }()
 
-// viewBytes is the resident size of one arena entry.
+// viewBytes is the resident size of one arena entry. A view that
+// outgrows 40 B fails the build.
 const viewBytes = int64(unsafe.Sizeof(view{}))
+
+var _ [40 - viewBytes]byte
 
 // tupleArena is a chunked columnar tuple store: a list of views of
 // published windows. The zero value is an empty arena.
@@ -489,10 +505,11 @@ func (a *tupleArena) viewable(w Window, n int) bool {
 // continues it, else a new one is added.
 func (a *tupleArena) addWindow(w Window, ix *SlotIndex) {
 	k := len(a.chunks) - 1
-	if k >= 0 && a.chunks[k].c == w.c && a.chunks[k].hi == w.lo && a.chunks[k].ix == ix && a.chunks[k].keep.all() {
-		a.chunks[k].hi = w.hi
+	if k >= 0 && a.chunks[k].c == w.c && int32(a.chunks[k].hi) == w.lo && a.chunks[k].ix == ix && a.chunks[k].keep.all() {
+		a.chunks[k].hi = int16(w.hi)
+		a.chunks[k].n += int16(w.Len())
 	} else {
-		a.chunks = append(a.chunks, view{c: w.c, ix: ix, lo: w.lo, hi: w.hi})
+		a.chunks = append(a.chunks, view{c: w.c, ix: ix, lo: int16(w.lo), hi: int16(w.hi), n: int16(w.Len())})
 	}
 	a.n += w.Len()
 	a.charge += chargeOf(w.c, w.Len())
@@ -511,13 +528,14 @@ func (a *tupleArena) footprint() int64 {
 
 // narrow is the migration discard of Index.Retain: it narrows the
 // filter of every view that holds a row whose u is outside keep,
-// copying nothing, and drops each view that keeps no row. It returns
-// how many rows keep drops and their accounted bytes, and calls lost
-// with the slot index of each view that lost a row, for the caller to
-// narrow that index's readers alike. A view whose filter already lies
-// inside keep loses nothing and has no u read; a discard that drops a
-// row moves mutGen, since the entries no longer hold what a watermark
-// taken before it names.
+// copying nothing, records how many rows each such view keeps, and
+// drops each view that keeps no row. It returns how many rows keep
+// drops and their accounted bytes, and calls lost with the slot index
+// of each view that lost a row, for the caller to narrow that index's
+// readers alike. A view whose filter already lies inside keep loses
+// nothing and has no u read; a discard that drops a row moves mutGen,
+// since the entries no longer hold what a watermark taken before it
+// names.
 func (a *tupleArena) narrow(keep matrix.Top, lost func(ix *SlotIndex)) (removed int, bytes int64) {
 	var ubuf [arenaChunk]uint64
 	out := a.chunks[:0]
@@ -527,14 +545,11 @@ func (a *tupleArena) narrow(keep matrix.Top, lost func(ix *SlotIndex)) (removed 
 			continue
 		}
 		nk := v.keep.meet(keep)
-		had, gone := 0, 0
-		for i, u := range v.c.uRows(v.lo, v.hi, &ubuf) {
-			if !v.keep.has(u) {
-				continue
-			}
-			had++
-			if !nk.has(u) {
-				pos := v.lo + int32(i)
+		lo, hi := v.span()
+		gone := 0
+		for i, u := range v.c.uRows(lo, hi, &ubuf) {
+			if v.keep.has(u) && !nk.has(u) {
+				pos := lo + int32(i)
 				var p []byte
 				if v.c.payload != nil {
 					p = v.c.payload[pos]
@@ -547,13 +562,13 @@ func (a *tupleArena) narrow(keep matrix.Top, lost func(ix *SlotIndex)) (removed 
 			lost(v.ix)
 		}
 		removed += gone
-		if gone == had {
+		if gone == int(v.n) {
 			// Nothing of the view is left: drop the entry, whose block the
 			// slot index still names as filtered out.
 			a.charge -= chargeOf(v.c, int(v.hi-v.lo))
 			continue
 		}
-		v.keep = nk
+		v.keep, v.n = nk, v.n-int16(gone)
 		out = append(out, v)
 	}
 	clear(a.chunks[len(out):])
@@ -569,10 +584,11 @@ func (a *tupleArena) narrow(keep matrix.Top, lost func(ix *SlotIndex)) (removed 
 // that is sparse through w — the store's own writer, which indexes
 // them when it keeps an index — and drops the view: the one copy path
 // left to a discard, paid in proportion to the rows filters pinned,
-// not per migration. For every other selected view it calls keepView
-// with the view (its ix may be set) and its kept rows. It reports
-// whether it copied anything; the entries then no longer hold what a
-// watermark names, which the caller's mutGen records.
+// not per migration. For every other selected view it calls keepView,
+// when not nil, with the view (its ix may be set) and its kept rows;
+// with a nil keepView such a view costs no u read. It reports whether
+// it copied anything; the entries then no longer hold what a watermark
+// names, which the caller's mutGen records.
 func (a *tupleArena) compactViews(w *BlockWriter, sel func(v *view) bool, keepView func(v *view, rows []int32)) (copied bool) {
 	var buf [arenaChunk]int32
 	old := a.chunks
@@ -582,15 +598,17 @@ func (a *tupleArena) compactViews(w *BlockWriter, sel func(v *view) bool, keepVi
 			a.chunks = append(a.chunks, v)
 			continue
 		}
-		rows := v.rows(&buf)
-		if !v.sparse(len(rows)) {
-			keepView(&v, rows)
+		if !v.sparse() {
+			if keepView != nil {
+				keepView(&v, v.rows(&buf))
+			}
 			a.chunks = append(a.chunks, v)
 			continue
 		}
 		// The copies come back as windows of w's blocks (addWindow), in
 		// the view's place: the entries keep their order.
 		copied = true
+		rows := v.rows(&buf)
 		a.n -= len(rows)
 		a.charge -= chargeOf(v.c, int(v.hi-v.lo))
 		for _, pos := range rows {

@@ -117,6 +117,20 @@ func TestRetainNarrowsFilters(t *testing.T) {
 			t.Fatalf("filtered view %d is written as a table reference", i)
 		}
 	}
+	// The sizes, taken from the views' kept-row counts with no u read,
+	// are what the encoder writes.
+	for _, tc := range []struct {
+		name      string
+		size, got int
+	}{
+		{"Size, tabled", c.Size(tbl), len(c.AppendTo(nil, tbl))},
+		{"Size", c.Size(nil), len(c.AppendTo(nil, nil))},
+		{"FullSize", c.FullSize(nil), len(c.AppendTo(nil, nil))},
+	} {
+		if tc.size != tc.got {
+			t.Fatalf("%s reports %d bytes, the capture writes %d", tc.name, tc.size, tc.got)
+		}
+	}
 	restored := NewLocal(EquiJoin("eq", nil))
 	if err := loadLocal(restored, c.AppendTo(nil, nil)); err != nil {
 		t.Fatal(err)
@@ -238,7 +252,7 @@ func TestCompactionBoundsIndexesAndGarbage(t *testing.T) {
 			}
 			compactions++
 			for i := range state.arena.chunks {
-				if v := &state.arena.chunks[i]; v.ix == s.ix && v.sparse(v.kept()) {
+				if v := &state.arena.chunks[i]; v.ix == s.ix && v.sparse() {
 					t.Fatalf("%s: view %d of the compacted index keeps %d of %d rows", label, i, v.kept(), v.hi-v.lo)
 				}
 			}
@@ -257,8 +271,8 @@ func TestCompactionBoundsIndexesAndGarbage(t *testing.T) {
 // writing for the others. A reader builds the line's tag filter or
 // shares one built at or past its watermark; either way every store
 // must then probe exactly the rows it took and kept. The race detector
-// watches the filter's hand-over, the writer's key range and directory
-// growth against the readers' freezes and probes.
+// watches the filter's hand-over and the writer's directory growth
+// against the readers' freezes and probes.
 func TestFrozenLineFilterSharedAcrossReaders(t *testing.T) {
 	const readers = 4
 	rng := rand.New(rand.NewSource(8))
@@ -332,4 +346,39 @@ func TestFrozenLineFilterSharedAcrossReaders(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestMergeWithLiveSegmentsOnly: a store that reads more than maxDirs
+// live lines leaves a merge with nothing to fold, whether the donor is
+// empty (no frozen segment at all, so the compaction has no row counts
+// to compare) or brings one frozen own index. The merges keep the
+// store's segments live, and the store holds every row once.
+func TestMergeWithLiveSegmentsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var seq uint64
+	h := NewHashIndex()
+	var want []Tuple
+	for line := 0; line <= maxDirs; line++ {
+		ts := filterStream(rng, &seq, 300, 200)
+		var bw BlockWriter
+		bw.Reset(2, true, 0)
+		writeShared(&bw, ts, 64, func(run []Tuple, w Window) { h.InsertWindow(run, w) })
+		want = append(want, ts...)
+	}
+	h.MergeFrom(NewHashIndex())
+	mu := NewHashIndex()
+	moved := filterStream(rng, &seq, 100, 200)
+	mu.InsertBatch(moved)
+	want = append(want, moved...)
+	h.MergeFrom(mu)
+	live := 0
+	for _, s := range h.segs {
+		if s.live {
+			live++
+		}
+	}
+	if live != maxDirs+1 {
+		t.Fatalf("%d live segments after the merge, want %d", live, maxDirs+1)
+	}
+	checkContents(t, retainStates()[0], "merged", h, want)
 }

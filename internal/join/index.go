@@ -120,8 +120,8 @@ const maxHitsCap = 1 << 15
 // dropped row and freezes the store's own index into a segment, and its
 // merges (MergeFrom) hand µ's and ∆′'s slot indexes over as they are,
 // so a store after a few migrations reads its line's segment and frozen
-// ones. A frozen segment carries a tag filter and every slot index its
-// key range, so most probes of a key it lacks read nothing of it. One
+// ones. A frozen segment carries a tag filter, so most probes of a key
+// it lacks read nothing of its directory. One
 // compaction rule bounds both costs, as an LSM tree's merges bound its
 // runs (O'Neil et al., The Log-Structured Merge-Tree, 1996): a merge
 // that would leave more than maxDirs slot indexes folds the frozen
@@ -145,7 +145,7 @@ const maxHitsCap = 1 << 15
 //	arena columns        24.0       6.0      6.0   (key, aux, seq; 24 / m)
 //	block rounding        2.5       0.6      0.6   (12.1 KB in a 13.25 KB size class)
 //	chain column          4.0       4.0      1.0   (per replica, or once per line)
-//	views                 0.0     0-0.5    0-0.5   (16 B per window a block's next one does not extend)
+//	views                 0.0     0-1.3    0-1.3   (40 B per window a block's next one does not extend)
 //	directory            16.8      16.8      4.2   (slot bytes / load, per replica or once per line)
 //	total                47.3      27.4     11.8
 //
@@ -179,7 +179,6 @@ type HashIndex struct {
 	// filters.
 	segs []segment
 	hits []probeHit // batch-probe gather scratch
-	tags []uint32   // batch-probe tag scratch
 }
 
 // NewHashIndex returns an empty hash index.
@@ -329,7 +328,7 @@ func (h *HashIndex) readers(fn func(r slotReader)) {
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
 	tag := tagOf(probe.Key)
 	h.readers(func(r slotReader) {
-		if !r.holds(probe.Key) || r.filter != nil && !r.filter.has(tag) {
+		if !r.mayHold(tag) {
 			return
 		}
 		home := r.d.home(tag)
@@ -355,15 +354,11 @@ const walkChunk = 16
 // directory cache lines and tuple columns each stream through once
 // instead of alternating per match.
 func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
-	tags := tagsOf(ps, h.tags)
 	h.readers(func(r slotReader) {
-		hits := r.walk(ps, tags, h.hits[:0])
+		hits := r.walk(ps, h.hits[:0])
 		materialize(r.tbl, ps, hits, rel, p, out)
 		h.putHits(hits)
 	})
-	if cap(tags) <= maxHitsCap {
-		h.tags = tags
-	}
 }
 
 // Len returns the number of stored tuples.
@@ -442,7 +437,8 @@ func (h *HashIndex) Retain(keep matrix.Top) int {
 func (h *HashIndex) MergeFrom(o *HashIndex) {
 	if o.own.ix == nil {
 		for _, v := range o.arena.chunks {
-			h.own.take(&h.arena, Window{c: v.c, lo: v.lo, hi: v.hi})
+			lo, hi := v.span()
+			h.own.take(&h.arena, Window{c: v.c, lo: lo, hi: hi})
 		}
 		h.bytes += o.bytes
 		*o = HashIndex{}
@@ -494,6 +490,11 @@ func (h *HashIndex) compact() {
 			frozen = append(frozen, s.ix)
 		}
 	}
+	if len(frozen) < 2 {
+		// At most one frozen index beside live lines the store still
+		// reads: nothing to fold.
+		return
+	}
 	// Rows are counted by the views' spans, kept rows and those their
 	// filters hide alike: a bound that reads no u.
 	rows := make([]int, len(frozen))
@@ -507,9 +508,6 @@ func (h *HashIndex) compact() {
 	if big := slices.Index(rows, slices.Max(rows)); len(frozen) > 2 && 2*rows[big] >= total && h.dirs()-len(frozen)+2 <= maxDirs {
 		frozen = slices.Delete(frozen, big, big+1)
 		rows = slices.Delete(rows, big, big+1)
-	}
-	if len(frozen) < 2 {
-		return
 	}
 	// A line's key count is its writer's; its directory, loaded
 	// atomically, bounds it at 3/4 of its slots.
@@ -584,7 +582,8 @@ func (s *ScanIndex) Probe(_ Tuple, fn func(Tuple)) {
 func (s *ScanIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	for i := range ps {
 		for _, v := range s.arena.chunks {
-			for pos := v.lo; pos < v.hi; pos++ {
+			lo, hi := v.span()
+			for pos := lo; pos < hi; pos++ {
 				if v.keep.all() || v.keep.has(v.c.uAt(pos)) {
 					collectPair(ps[i], v.c.at(pos), rel, p, out)
 				}
@@ -618,7 +617,7 @@ func (s *ScanIndex) Retain(keep matrix.Top) int {
 		return 0
 	}
 	s.bytes -= bytes
-	s.arena.compactViews(&s.own, func(v *view) bool { return !v.keep.all() }, func(*view, []int32) {})
+	s.arena.compactViews(&s.own, func(v *view) bool { return !v.keep.all() }, nil)
 	return removed
 }
 

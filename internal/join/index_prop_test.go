@@ -299,6 +299,24 @@ func (v *view) kept() int {
 	return len(v.rows(&buf))
 }
 
+// checkViewCounts checks that every view of a records the rows its
+// filter keeps (view.n, which record sizes and the compaction rule read
+// instead of u), and that the arena's count is their sum.
+func checkViewCounts(t *testing.T, label string, a *tupleArena) {
+	t.Helper()
+	sum := 0
+	for i := range a.chunks {
+		v := &a.chunks[i]
+		if k := v.kept(); int(v.n) != k {
+			t.Fatalf("%s: view %d records %d kept rows, its filter keeps %d", label, i, v.n, k)
+		}
+		sum += int(v.n)
+	}
+	if sum != a.n {
+		t.Fatalf("%s: views keep %d rows, arena counts %d", label, sum, a.n)
+	}
+}
+
 // checkStore runs checkIndex on every index of a hash store — its own,
 // and each segment's slot index as of the segment's watermark, through
 // its filter — and checks that each links exactly the rows the views

@@ -282,7 +282,8 @@ func checkContents(t *testing.T, st retainState, label string, idx Index, want [
 	var all []Tuple
 	idx.Scan(func(tp Tuple) bool { all = append(all, tp); return true })
 	sameBySeq(t, label+": Scan", all, want)
-	if _, ok := idx.(*ScanIndex); ok {
+	if s, ok := idx.(*ScanIndex); ok {
+		checkViewCounts(t, label, &s.arena)
 		for i := range all {
 			if !eqTuple(all[i], want[i]) {
 				t.Fatalf("%s: Scan[%d] = %+v, reference %+v (scan order moved)", label, i, all[i], want[i])
@@ -314,6 +315,7 @@ func checkContents(t *testing.T, st retainState, label string, idx Index, want [
 		}
 	}
 	if isHash {
+		checkViewCounts(t, label, &h.arena)
 		checkStore(t, label, h)
 	}
 }

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -23,9 +22,8 @@ import (
 //
 // A reader reads an index through a keep filter on u, which a
 // migration discard narrows, so a frozen index serves only the rows its
-// store still holds; once frozen, through a tag filter too. Every index
-// keeps the key range of its rows, and a probe skips an index whose
-// range or tag filter rules its key out.
+// store still holds; once frozen, through a tag filter too, and a probe
+// skips a frozen index whose tag filter rules its key out.
 //
 // An index position names a row of the index's block table,
 // block<<arenaShift | row. A block is entered in the table when a
@@ -76,14 +74,6 @@ type SlotIndex struct {
 	// filter is the tag filter the last reader that froze a segment on
 	// the index built (segment.freeze), for the others to share.
 	filter atomic.Pointer[tagFilter]
-	// minKey and maxKey bound the keys of the rows indexed so far
-	// (minKey > maxKey while there is none): the writer widens them
-	// before it publishes the rows, and a probe of a key outside them
-	// skips the index without reading its directory, as a lookup in an
-	// LSM tree skips a run whose key range misses it. Keys that grow
-	// with arrival time (sequential ids, timestamps) leave an old
-	// epoch's index and the live line's ranges apart.
-	minKey, maxKey atomic.Int64
 }
 
 // slotDir is the key directory of a SlotIndex: an open-addressed (linear probing) table of
@@ -172,8 +162,6 @@ func newSlotIndex(sharers int32) *SlotIndex {
 	x := &SlotIndex{sharers: sharers}
 	x.setDir(newDir(0))
 	x.table.Store(&noBlocks)
-	x.minKey.Store(math.MaxInt64)
-	x.maxKey.Store(math.MinInt64)
 	return x
 }
 
@@ -257,16 +245,6 @@ func (x *SlotIndex) indexRows(c *colChunk, rows []int32) uint32 {
 // slotReader.walk does, so their misses overlap.
 func (x *SlotIndex) add(base uint32, rows []int32) {
 	e := x.blocks[base>>arenaShift]
-	lo, hi := x.minKey.Load(), x.maxKey.Load()
-	for _, row := range rows {
-		lo, hi = min(lo, e.c.key[row]), max(hi, e.c.key[row])
-	}
-	if lo < x.minKey.Load() {
-		x.minKey.Store(lo)
-	}
-	if hi > x.maxKey.Load() {
-		x.maxKey.Store(hi)
-	}
 	var tags [walkChunk]uint32
 	for start := 0; start < len(rows); start += walkChunk {
 		chunk := rows[start:min(start+walkChunk, len(rows))]
@@ -438,9 +416,6 @@ type slotReader struct {
 	tbl  []slotEntry
 	w    uint32
 	keep keepSet
-	// minKey and maxKey are the index's key range as loaded: a key
-	// outside it has no row below the watermark.
-	minKey, maxKey int64
 	// filter is a frozen segment's tag filter, or nil.
 	filter *tagFilter
 }
@@ -452,12 +427,15 @@ const allRows = ^uint32(0)
 // reader returns a reader of x as of watermark w, keeping the rows
 // keep holds.
 func (x *SlotIndex) reader(w uint32, keep keepSet) slotReader {
-	return slotReader{ix: x, d: x.dir.Load(), tbl: *x.table.Load(), w: w, keep: keep,
-		minKey: x.minKey.Load(), maxKey: x.maxKey.Load()}
+	return slotReader{ix: x, d: x.dir.Load(), tbl: *x.table.Load(), w: w, keep: keep}
 }
 
-// holds reports whether key lies in the reader's key range.
-func (r *slotReader) holds(key int64) bool { return key >= r.minKey && key <= r.maxKey }
+// mayHold reports whether a key of tag may have a row in the index: it
+// passes the reader's tag filter, if any. A probe of any other key
+// reads nothing of the directory.
+func (r *slotReader) mayHold(tag uint32) bool {
+	return r.filter == nil || r.filter.has(tag)
+}
 
 // entry returns the block table entry of position pos.
 func (r *slotReader) entry(pos uint32) *slotEntry {
@@ -522,42 +500,34 @@ func (r *slotReader) gatherKept(head uint32, probe int32, hits []probeHit) []pro
 }
 
 // walk gathers into hits the rows below the watermark that every
-// non-dummy tuple of ts hits, given each one's tag (tags[i] =
-// tagOf(ts[i].Key), hashed once for every index a run walks), a chunk
-// of walkChunk keys at a time: the chunk's home slots are all loaded
-// before the first one resolves. A key outside the index's key range,
-// or one a frozen segment's tag filter rules out, reads nothing of the
-// directory.
-func (r *slotReader) walk(ts []Tuple, tags []uint32, hits []probeHit) []probeHit {
-	slots, mask, shift := r.d.slots, r.d.mask, r.d.shift&31
-	var first [walkChunk]uint64
+// non-dummy tuple of ts hits, a chunk of walkChunk keys at a time: the
+// chunk's keys are all hashed and their home slots all loaded before
+// the first one resolves. A key a frozen segment's tag filter rules out
+// reads nothing of the directory.
+func (r *slotReader) walk(ts []Tuple, hits []probeHit) []probeHit {
+	var (
+		tags  [walkChunk]uint32
+		first [walkChunk]uint64
+	)
 	for i := 0; i < len(ts); i += walkChunk {
 		chunk := ts[i:min(i+walkChunk, len(ts))]
 		for k := range chunk {
+			tags[k] = tagOf(chunk[k].Key)
 			first[k] = 0
-			if !chunk[k].Dummy && r.holds(chunk[k].Key) && (r.filter == nil || r.filter.has(tags[i+k])) {
-				first[k] = atomic.LoadUint64(&slots[tags[i+k]>>shift&mask])
+			if r.mayHold(tags[k]) {
+				first[k] = atomic.LoadUint64(&r.d.slots[r.d.home(tags[k])])
 			}
 		}
 		for k := range chunk {
-			if first[k] == 0 {
+			if chunk[k].Dummy || first[k] == 0 {
 				continue
 			}
-			if head := r.findFrom(tags[i+k]>>shift, first[k], tags[i+k], chunk[k].Key); head != 0 {
+			if head := r.findFrom(r.d.home(tags[k]), first[k], tags[k], chunk[k].Key); head != 0 {
 				hits = r.gather(head, int32(i+k), hits)
 			}
 		}
 	}
 	return hits
-}
-
-// tagsOf returns the tag of every key of ts in buf, grown as needed.
-func tagsOf(ts []Tuple, buf []uint32) []uint32 {
-	buf = buf[:0]
-	for i := range ts {
-		buf = append(buf, tagOf(ts[i].Key))
-	}
-	return buf
 }
 
 // segmentOf returns h's segment on ix, or nil.

@@ -300,7 +300,7 @@ func TestEmptySlotIndexReads(t *testing.T) {
 			t.Fatalf("an empty index publishes %d table entries", len(r.tbl))
 		}
 		ps := []Tuple{{Rel: matrix.SideR, Key: 1}, {Rel: matrix.SideR, Key: -7}}
-		if hits := r.walk(ps, tagsOf(ps, nil), nil); len(hits) != 0 {
+		if hits := r.walk(ps, nil); len(hits) != 0 {
 			t.Fatalf("an empty index yields %d hits", len(hits))
 		}
 		if linked := checkIndex(t, "empty", x, allRows); linked != 0 {

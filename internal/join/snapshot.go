@@ -163,15 +163,15 @@ func appendArena(buf []byte, a *tupleArena) []byte {
 // tupleBytes is one stored tuple's five columns on the wire.
 const tupleBytes = 5 * 8
 
-// blockSize is the exact length appendBlock writes for v.
+// blockSize is the exact length appendBlock writes for v: O(1) from
+// v's kept-row count, plus a length read per kept row of a block that
+// carries payloads.
 func blockSize(v view) int {
-	var buf [arenaChunk]int32
-	rows := v.rows(&buf)
-	n := 4 + 1 + tupleBytes*len(rows)
+	n := 4 + 1 + tupleBytes*int(v.n)
 	if v.c.payload != nil {
-		n += 4 * len(rows)
-		for _, pos := range rows {
-			n += len(v.c.payload[pos])
+		var buf [arenaChunk]int32
+		for _, pos := range v.rows(&buf) {
+			n += 4 + len(v.c.payload[pos])
 		}
 	}
 	return n
@@ -208,12 +208,13 @@ func appendBlock(buf []byte, v view) []byte {
 	buf = slices.Grow(buf, tupleBytes*fill)[:off+tupleBytes*fill]
 	w := buf[off:]
 	var ubuf [arenaChunk]uint64
-	us := c.uRows(v.lo, v.hi, &ubuf)
+	lo, hi := v.span()
+	us := c.uRows(lo, hi, &ubuf)
 	for i, pos := range rows {
 		t := w[i*tupleBytes : i*tupleBytes+tupleBytes]
 		binary.LittleEndian.PutUint64(t[0:], uint64(c.key[pos]))
 		binary.LittleEndian.PutUint64(t[8:], uint64(c.aux[pos]))
-		binary.LittleEndian.PutUint64(t[16:], us[pos-v.lo])
+		binary.LittleEndian.PutUint64(t[16:], us[pos-lo])
 		binary.LittleEndian.PutUint64(t[24:], c.seq[pos])
 		binary.LittleEndian.PutUint64(t[32:], c.metaAt(pos))
 	}
@@ -537,8 +538,8 @@ func (l *Local) Capture(wm *LocalWatermark) (c LocalCapture, next LocalWatermark
 }
 
 // fullArenaSize is the exact length of a full side record of a's
-// blocks: O(blocks), plus a length read per payload in blocks that
-// carry payloads.
+// blocks: O(views), plus a length read per kept row in blocks that
+// carry payloads (blockSize).
 func fullArenaSize(a *tupleArena) int {
 	n := 1 + 8 + 4 // kind, byte volume, block count
 	for _, v := range a.chunks {
@@ -682,7 +683,7 @@ func (t *BlockTable) whole(c *sideCapture) []int32 {
 func NewBlockTable(caps []*LocalCapture, full bool) *BlockTable {
 	type use struct {
 		c      *colChunk
-		lo, hi int32
+		lo, hi int16
 		names  int32
 		last   int // 1 + the index of the last capture naming the block
 	}
@@ -748,7 +749,7 @@ func NewBlockTable(caps []*LocalCapture, full bool) *BlockTable {
 		entry[k] = -1
 		if u.names >= 2 {
 			entry[k] = int32(len(t.entries))
-			t.entries = append(t.entries, view{c: u.c, lo: u.lo, hi: u.hi})
+			t.entries = append(t.entries, view{c: u.c, lo: u.lo, hi: u.hi, n: u.hi - u.lo})
 		}
 	}
 	if len(t.entries) == 0 {

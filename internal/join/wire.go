@@ -107,11 +107,12 @@ func (e *BlockEncoder) addSelected(idx Index, side matrix.Side, keep matrix.Top,
 		if sel.top().None() {
 			continue
 		}
-		for i, u := range v.c.uRows(v.lo, v.hi, &buf) {
+		lo, hi := v.span()
+		for i, u := range v.c.uRows(lo, hi, &buf) {
 			if !sel.has(u) {
 				continue
 			}
-			e.bytes[side] += w.copyRow(dst, v.c, v.lo+int32(i))
+			e.bytes[side] += w.copyRow(dst, v.c, lo+int32(i))
 			e.count++
 			if n++; e.count >= limit {
 				ship() // resets *e in place, so dst and w stay e's side's
@@ -220,7 +221,8 @@ func (bs *BlockSet) Bytes() int64 { return bs.bytes[0] + bs.bytes[1] }
 // and returns the extended slice: the run a receiver probes with.
 func (bs *BlockSet) AppendSide(dst []Tuple, side matrix.Side) []Tuple {
 	for _, v := range bs.arenas[side].chunks {
-		for pos := v.lo; pos < v.hi; pos++ {
+		lo, hi := v.span()
+		for pos := lo; pos < hi; pos++ {
 			dst = append(dst, v.c.at(pos))
 		}
 	}
